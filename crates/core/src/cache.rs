@@ -14,6 +14,14 @@
 //! leads with the source id); [`ExtractionCache::clear`] remains the
 //! blunt full refresh for operators.
 //!
+//! Freshness: a query fills the cache after it has released the source
+//! registry, so a mutation can land between its extraction and its
+//! fill. Every fill therefore carries the source version the query read
+//! while it held the registry, and every invalidation raises a
+//! per-source *floor* to the mutation's version; a fill stamped below
+//! the floor is pre-mutation data and is refused (the same rule the
+//! query-result cache applies to whole answers).
+//!
 //! Bounding: a resident engine keeps its caches for the life of the
 //! process, so the map is LRU-bounded ([`ExtractionCache::with_capacity`],
 //! default [`ExtractionCache::DEFAULT_CAPACITY`]). Recency is a global
@@ -67,10 +75,21 @@ struct Entry {
     stamp: AtomicU64,
 }
 
+/// Entries plus the per-source version floor, under one lock so that a
+/// fill's freshness check and an invalidation are atomic with respect
+/// to each other.
+#[derive(Debug, Default)]
+struct State {
+    entries: HashMap<Key, Entry>,
+    /// Highest mutation version seen per source: fills that read an
+    /// older version of the source are stale and refused.
+    floors: HashMap<String, u64>,
+}
+
 /// A concurrent, LRU-bounded memo of extraction results.
 #[derive(Debug)]
 pub struct ExtractionCache {
-    entries: RwLock<HashMap<Key, Entry>>,
+    state: RwLock<State>,
     capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -96,7 +115,7 @@ impl ExtractionCache {
     /// An empty cache holding at most `capacity` entries (min 1).
     pub fn with_capacity(capacity: usize) -> Self {
         ExtractionCache {
-            entries: RwLock::new(HashMap::new()),
+            state: RwLock::new(State::default()),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -113,8 +132,8 @@ impl ExtractionCache {
     /// Looks up the values for a mapping, refreshing its recency.
     pub fn get(&self, mapping: &AttributeMapping) -> Option<Arc<Vec<String>>> {
         let hit = {
-            let entries = self.entries.read();
-            entries.get(&Key::of(mapping)).map(|e| {
+            let state = self.state.read();
+            state.entries.get(&Key::of(mapping)).map(|e| {
                 e.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
                 Arc::clone(&e.values)
             })
@@ -134,47 +153,60 @@ impl ExtractionCache {
         hit
     }
 
-    /// Stores the values for a mapping, evicting the least recently
-    /// used entry if the cache is at capacity.
-    pub fn insert(&self, mapping: &AttributeMapping, values: Vec<String>) {
+    /// Stores the values extracted for a mapping while its source was at
+    /// data version `version`, evicting the least recently used entry if
+    /// the cache is at capacity. Returns `false`, storing nothing, when
+    /// the source has since been invalidated at a newer version: the
+    /// values predate a mutation.
+    pub fn insert(&self, mapping: &AttributeMapping, values: Vec<String>, version: u64) -> bool {
         let key = Key::of(mapping);
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut entries = self.entries.write();
+        let mut state = self.state.write();
+        if state.floors.get(&key.source).is_some_and(|floor| version < *floor) {
+            return false;
+        }
+        let entries = &mut state.entries;
         if !entries.contains_key(&key) && entries.len() >= self.capacity {
-            evict_lru(&mut entries, |e| &e.stamp);
+            evict_lru(entries, |e| &e.stamp);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             if s2s_obs::enabled() {
                 s2s_obs::global().counter(s2s_obs::names::EXTRACTION_CACHE_EVICTIONS_TOTAL).inc();
             }
         }
         entries.insert(key, Entry { values: Arc::new(values), stamp: AtomicU64::new(stamp) });
+        true
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.state.read().entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.state.read().entries.is_empty()
     }
 
-    /// Drops every entry, returning how many were dropped.
+    /// Drops every entry, returning how many were dropped. Floors stay:
+    /// a fill still in flight is as stale after a clear as before it.
     pub fn clear(&self) -> usize {
-        let mut entries = self.entries.write();
-        let n = entries.len();
-        entries.clear();
+        let mut state = self.state.write();
+        let n = state.entries.len();
+        state.entries.clear();
         n
     }
 
-    /// Drops exactly the entries extracted from `source`, returning how
-    /// many were dropped. Entries for other sources keep serving.
-    pub fn invalidate_source(&self, source: &str) -> usize {
-        let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|k, _| k.source != source);
-        before - entries.len()
+    /// Invalidation for a change that leaves `source` at data version
+    /// `version`: raises the source's floor to `version`, then drops
+    /// exactly the entries extracted from it, returning how many were
+    /// dropped. Entries for other sources keep serving.
+    pub fn invalidate_source(&self, source: &str, version: u64) -> usize {
+        let mut state = self.state.write();
+        let floor = state.floors.entry(source.to_string()).or_insert(0);
+        *floor = (*floor).max(version);
+        let before = state.entries.len();
+        state.entries.retain(|k, _| k.source != source);
+        before - state.entries.len()
     }
 
     /// Counter snapshot.
@@ -237,7 +269,7 @@ mod tests {
         let cache = ExtractionCache::new();
         let m = mapping("x", "S");
         assert!(cache.get(&m).is_none());
-        cache.insert(&m, vec!["a".into(), "b".into()]);
+        cache.insert(&m, vec!["a".into(), "b".into()], 0);
         assert_eq!(cache.get(&m).unwrap().as_slice(), ["a", "b"]);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -249,9 +281,9 @@ mod tests {
     #[test]
     fn distinct_rules_and_sources_do_not_collide() {
         let cache = ExtractionCache::new();
-        cache.insert(&mapping("x", "S1"), vec!["1".into()]);
-        cache.insert(&mapping("x", "S2"), vec!["2".into()]);
-        cache.insert(&mapping("y", "S1"), vec!["3".into()]);
+        cache.insert(&mapping("x", "S1"), vec!["1".into()], 0);
+        cache.insert(&mapping("x", "S2"), vec!["2".into()], 0);
+        cache.insert(&mapping("y", "S1"), vec!["3".into()], 0);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.get(&mapping("x", "S2")).unwrap().as_slice(), ["2"]);
     }
@@ -259,7 +291,7 @@ mod tests {
     #[test]
     fn clear_empties_and_reports_count() {
         let cache = ExtractionCache::new();
-        cache.insert(&mapping("x", "S"), vec![]);
+        cache.insert(&mapping("x", "S"), vec![], 0);
         assert!(!cache.is_empty());
         assert_eq!(cache.clear(), 1);
         assert!(cache.is_empty());
@@ -269,25 +301,47 @@ mod tests {
     #[test]
     fn invalidate_source_is_surgical() {
         let cache = ExtractionCache::new();
-        cache.insert(&mapping("x", "S1"), vec!["1".into()]);
-        cache.insert(&mapping("y", "S1"), vec!["2".into()]);
-        cache.insert(&mapping("x", "S2"), vec!["3".into()]);
-        assert_eq!(cache.invalidate_source("S1"), 2);
+        cache.insert(&mapping("x", "S1"), vec!["1".into()], 0);
+        cache.insert(&mapping("y", "S1"), vec!["2".into()], 0);
+        cache.insert(&mapping("x", "S2"), vec!["3".into()], 0);
+        assert_eq!(cache.invalidate_source("S1", 1), 2);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&mapping("x", "S2")).is_some());
-        assert_eq!(cache.invalidate_source("S1"), 0);
-        assert_eq!(cache.invalidate_source("unregistered"), 0);
+        assert_eq!(cache.invalidate_source("S1", 1), 0);
+        assert_eq!(cache.invalidate_source("unregistered", 0), 0);
+    }
+
+    #[test]
+    fn fill_stamped_below_the_invalidation_floor_is_refused() {
+        // The in-flight-query race, replayed without threads: a query
+        // reads S at version 0 and extracts; a mutation takes S to
+        // version 1 and invalidates; only then does the query fill.
+        let cache = ExtractionCache::new();
+        let m = mapping("x", "S");
+        assert_eq!(cache.invalidate_source("S", 1), 0);
+        assert!(!cache.insert(&m, vec!["pre-mutation".into()], 0));
+        assert!(cache.get(&m).is_none(), "stale fill must not be served");
+        // A fill that read the mutated source is admitted, as are other
+        // sources at any version; a blunt clear does not lower the floor.
+        assert!(cache.insert(&m, vec!["post-mutation".into()], 1));
+        assert!(cache.insert(&mapping("x", "S2"), vec!["other".into()], 0));
+        assert_eq!(cache.get(&m).unwrap().as_slice(), ["post-mutation"]);
+        assert_eq!(cache.clear(), 2);
+        assert!(!cache.insert(&m, vec!["pre-mutation".into()], 0));
+        // Floors only rise.
+        cache.invalidate_source("S", 0);
+        assert!(!cache.insert(&m, vec!["pre-mutation".into()], 0));
     }
 
     #[test]
     fn capacity_evicts_least_recently_used() {
         let cache = ExtractionCache::with_capacity(2);
         let (a, b, c) = (mapping("a", "S"), mapping("b", "S"), mapping("c", "S"));
-        cache.insert(&a, vec!["a".into()]);
-        cache.insert(&b, vec!["b".into()]);
+        cache.insert(&a, vec!["a".into()], 0);
+        cache.insert(&b, vec!["b".into()], 0);
         // Touch `a` so `b` becomes the LRU victim.
         assert!(cache.get(&a).is_some());
-        cache.insert(&c, vec!["c".into()]);
+        cache.insert(&c, vec!["c".into()], 0);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&a).is_some());
         assert!(cache.get(&b).is_none());
@@ -299,9 +353,9 @@ mod tests {
     fn reinserting_existing_key_does_not_evict() {
         let cache = ExtractionCache::with_capacity(2);
         let (a, b) = (mapping("a", "S"), mapping("b", "S"));
-        cache.insert(&a, vec!["1".into()]);
-        cache.insert(&b, vec!["2".into()]);
-        cache.insert(&a, vec!["1b".into()]);
+        cache.insert(&a, vec!["1".into()], 0);
+        cache.insert(&b, vec!["2".into()], 0);
+        cache.insert(&a, vec!["1b".into()], 0);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.get(&a).unwrap().as_slice(), ["1b"]);

@@ -20,7 +20,6 @@ use s2s_rdf::turtle::PrefixMap;
 use s2s_rdf::vocab::{rdf as rdfv, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 
-use crate::error::S2sError;
 use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport};
 use crate::mapping::RecordScenario;
 use crate::query::QueryPlan;
@@ -111,6 +110,33 @@ pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport
     generate_with_options(ontology, plan, report, GenerateOptions::default())
 }
 
+/// One attribute of one source, with everything about it that does not
+/// change from record to record resolved once.
+struct Column<'a> {
+    property: &'a Iri,
+    values: &'a [String],
+    scenario: RecordScenario,
+    /// Whether the plan's projection (if any) outputs the property.
+    projected: bool,
+    /// The first declared range of the property, if it is declared.
+    range: Option<&'a Iri>,
+    /// For object properties: the IRI prefix referenced individuals are
+    /// minted under.
+    reference_prefix: Option<String>,
+}
+
+impl<'a> Column<'a> {
+    /// The column's value for record `i`: a single-record value applies
+    /// to every record.
+    fn value(&self, i: usize) -> Option<&'a str> {
+        match self.scenario {
+            RecordScenario::SingleRecord => self.values.first(),
+            RecordScenario::MultiRecord => self.values.get(i),
+        }
+        .map(String::as_str)
+    }
+}
+
 /// Like [`generate`], with options.
 pub fn generate_with_options(
     ontology: &Ontology,
@@ -119,23 +145,46 @@ pub fn generate_with_options(
     options: GenerateOptions,
 ) -> InstanceSet {
     let data_ns = data_namespace(ontology);
-    let mut graph = Graph::new();
+    let rdf_type = rdfv::type_();
+    let provenance = options.provenance.then(provenance_property);
+    let mut triples: Vec<Triple> = Vec::new();
     let mut individuals = Vec::new();
 
     // Group results by source.
-    let mut by_source: BTreeMap<String, Vec<&AttributeResult>> = BTreeMap::new();
+    let mut by_source: BTreeMap<&str, Vec<&AttributeResult>> = BTreeMap::new();
     for r in &report.results {
-        by_source.entry(r.mapping.source().to_string()).or_default().push(r);
+        by_source.entry(r.mapping.source().as_str()).or_default().push(r);
     }
 
-    for (source, results) in &by_source {
+    for (source, results) in by_source {
+        let columns: Vec<Column<'_>> = results
+            .iter()
+            .map(|r| {
+                let property = r.mapping.property();
+                let def = ontology.property(property);
+                let range = def.and_then(|d| d.ranges().next());
+                Column {
+                    property,
+                    values: &r.values,
+                    scenario: r.mapping.scenario(),
+                    projected: plan.projection.as_ref().is_none_or(|p| p.contains(property)),
+                    range,
+                    reference_prefix: def.filter(|d| d.kind() == PropertyKind::Object).map(|_| {
+                        let class =
+                            range.map_or("ref".into(), |r| r.local_name().to_ascii_lowercase());
+                        format!("{data_ns}{class}/")
+                    }),
+                }
+            })
+            .collect();
+
         // Record count: single-record attributes contribute 1; others
         // their value count.
-        let records = results
+        let records = columns
             .iter()
-            .map(|r| match r.mapping.scenario() {
+            .map(|c| match c.scenario {
                 RecordScenario::SingleRecord => 1,
-                RecordScenario::MultiRecord => r.values.len(),
+                RecordScenario::MultiRecord => c.values.len(),
             })
             .max()
             .unwrap_or(0);
@@ -143,92 +192,73 @@ pub fn generate_with_options(
         // The individual's class: the most specific class among the
         // contributing mappings (a record fed by `watch`-level mappings
         // is a Watch even when the query selected `product`).
-        let mut record_class = plan.class.clone();
-        for r in results {
-            if ontology.is_subclass_of(r.mapping.class(), &record_class) {
-                record_class = r.mapping.class().clone();
+        let mut record_class = &plan.class;
+        for r in &results {
+            if ontology.is_subclass_of(r.mapping.class(), record_class) {
+                record_class = r.mapping.class();
             }
         }
+        let iri_prefix = format!(
+            "{data_ns}{}/{}/",
+            record_class.local_name().to_ascii_lowercase(),
+            sanitize(source)
+        );
 
+        let mut record: Vec<(&Iri, &str)> = Vec::with_capacity(columns.len());
         for i in 0..records {
-            let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
-            for r in results {
-                let v = match r.mapping.scenario() {
-                    // A single-record value applies to every record.
-                    RecordScenario::SingleRecord => r.values.first(),
-                    RecordScenario::MultiRecord => r.values.get(i),
-                };
-                if let Some(v) = v {
-                    values.entry(r.mapping.property().clone()).or_default().push(v.clone());
-                }
-            }
-            if values.is_empty() {
+            // The condition tree sees the record as borrowed pairs;
+            // nothing is allocated for a record it rejects.
+            record.clear();
+            record.extend(columns.iter().filter_map(|c| Some((c.property, c.value(i)?))));
+            if record.is_empty() || plan.condition.as_ref().is_some_and(|t| !t.matches(&record)) {
                 continue;
             }
-            // Apply the query condition tree.
-            if let Some(tree) = &plan.condition {
-                if !tree.matches(&values) {
-                    continue;
-                }
-            }
-            // Apply the projection after the condition: condition
+            // The projection applies after the condition: condition
             // attributes may be filtered on without being output.
-            if let Some(projection) = &plan.projection {
-                values.retain(|property, _| projection.contains(property));
-                if values.is_empty() {
-                    continue;
-                }
+            if !columns.iter().any(|c| c.projected && c.value(i).is_some()) {
+                continue;
             }
-            let iri = mint_iri(&data_ns, &record_class, source, i);
+            let iri = Iri::new(format!("{iri_prefix}{i}"))
+                .expect("minted IRIs are valid by construction");
+            triples.push(Triple::new(iri.clone(), rdf_type.clone(), record_class.clone()));
+            if let Some(provenance) = &provenance {
+                triples.push(Triple::new(iri.clone(), provenance.clone(), Literal::string(source)));
+            }
+            let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
+            for c in columns.iter().filter(|c| c.projected) {
+                let Some(v) = c.value(i) else { continue };
+                values.entry(c.property.clone()).or_default().push(v.to_string());
+                let object = match &c.reference_prefix {
+                    // Mint an individual for the referenced entity.
+                    Some(prefix) => match Iri::new(format!("{prefix}{}", sanitize(v))) {
+                        Ok(reference) => {
+                            if let Some(range) = c.range {
+                                triples.push(Triple::new(
+                                    reference.clone(),
+                                    rdf_type.clone(),
+                                    range.clone(),
+                                ));
+                            }
+                            Term::from(reference)
+                        }
+                        Err(_) => Term::from(Literal::string(v)),
+                    },
+                    None => Term::from(typed_literal(c.range, v)),
+                };
+                triples.push(Triple::new(iri.clone(), c.property.clone(), object));
+            }
             individuals.push(Individual {
                 iri,
                 class: record_class.clone(),
-                source: source.clone(),
+                source: source.to_string(),
                 values,
             });
         }
     }
 
-    // Populate the graph.
-    for ind in &individuals {
-        graph.insert(Triple::new(ind.iri.clone(), rdfv::type_(), ind.class.clone()));
-        if options.provenance {
-            graph.insert(Triple::new(
-                ind.iri.clone(),
-                provenance_property(),
-                Literal::string(ind.source.clone()),
-            ));
-        }
-        for (property, values) in &ind.values {
-            let def = ontology.property(property);
-            for v in values {
-                let object: Term = match def.map(|d| d.kind()) {
-                    Some(PropertyKind::Object) => {
-                        // Mint an individual for the referenced entity.
-                        let range = def.and_then(|d| d.ranges().next().cloned());
-                        let ref_iri = mint_ref_iri(&data_ns, range.as_ref(), v);
-                        if let (Ok(ref_iri), Some(range)) = (&ref_iri, &range) {
-                            graph.insert(Triple::new(
-                                ref_iri.clone(),
-                                rdfv::type_(),
-                                range.clone(),
-                            ));
-                        }
-                        match ref_iri {
-                            Ok(iri) => Term::from(iri),
-                            Err(_) => Term::from(Literal::string(v.clone())),
-                        }
-                    }
-                    _ => Term::from(typed_literal(def.and_then(|d| d.ranges().next()), v)),
-                };
-                graph.insert(Triple::new(ind.iri.clone(), property.clone(), object));
-            }
-        }
-    }
-
-    // Materialize supertypes and inferred typings.
-    let reasoner = Reasoner::new(ontology);
-    reasoner.materialize(&mut graph);
+    // One sorted bulk build, then supertypes and inferred typings.
+    let mut graph: Graph = triples.into_iter().collect();
+    Reasoner::new(ontology).materialize(&mut graph);
 
     if s2s_obs::enabled() {
         let m = s2s_obs::global();
@@ -335,19 +365,6 @@ pub fn data_namespace(ontology: &Ontology) -> String {
     format!("{trimmed}/data/")
 }
 
-fn mint_iri(data_ns: &str, class: &Iri, source: &str, index: usize) -> Iri {
-    let class = class.local_name().to_ascii_lowercase();
-    let source = sanitize(source);
-    Iri::new(format!("{data_ns}{class}/{source}/{index}"))
-        .expect("minted IRIs are valid by construction")
-}
-
-fn mint_ref_iri(data_ns: &str, range: Option<&Iri>, value: &str) -> Result<Iri, S2sError> {
-    let class = range.map(|r| r.local_name().to_ascii_lowercase()).unwrap_or_else(|| "ref".into());
-    let v = sanitize(value);
-    Iri::new(format!("{data_ns}{class}/{v}")).map_err(S2sError::Rdf)
-}
-
 fn sanitize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -373,7 +390,7 @@ fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
         Some(xsd::DECIMAL) | Some(xsd::DOUBLE) => value
             .trim()
             .parse::<f64>()
-            .map(|_| Literal::typed(value.trim(), Iri::new(xsd::DECIMAL).expect("valid")))
+            .map(|_| Literal::typed(value.trim(), xsd::decimal()))
             .unwrap_or_else(|_| Literal::string(value)),
         Some(xsd::BOOLEAN) => match value.trim() {
             "true" | "1" => Literal::boolean(true),
@@ -387,6 +404,7 @@ fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::S2sError;
     use crate::extract::{AttributeResult, ExtractionReport};
     use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
     use crate::query::{parse, plan};
@@ -625,6 +643,33 @@ mod tests {
         let ttl = render(&set, &o, OutputFormat::Turtle);
         let parsed = s2s_rdf::turtle::parse(&ttl).unwrap();
         assert_eq!(parsed, set.graph);
+    }
+
+    #[test]
+    fn generate_and_render_never_build_the_derived_indexes() {
+        let o = onto();
+        let p = plan(&parse("SELECT product WHERE price<100").unwrap(), &o).unwrap();
+        let rep = report(vec![
+            result(&o, "thing.product.brand", "DB", RecordScenario::MultiRecord, &["A", "B"]),
+            result(&o, "thing.product.price", "DB", RecordScenario::MultiRecord, &["1", "250"]),
+            result(&o, "thing.product.provider", "DB", RecordScenario::SingleRecord, &["Acme"]),
+        ]);
+        let set = generate_with_options(&o, &p, &rep, GenerateOptions { provenance: true });
+        assert_eq!(set.individuals.len(), 1);
+        // type + provenance + brand + price + provider, the provider's
+        // own type: nothing between extraction and output asks a
+        // predicate- or object-led question.
+        assert_eq!(set.graph.len(), 6);
+        for fmt in [
+            OutputFormat::OwlRdfXml,
+            OutputFormat::Turtle,
+            OutputFormat::NTriples,
+            OutputFormat::Xml,
+            OutputFormat::Text,
+        ] {
+            assert!(!render(&set, &o, fmt).is_empty());
+        }
+        assert_eq!(set.graph.derived_indexes(), (false, false));
     }
 
     #[test]

@@ -507,10 +507,20 @@ impl S2s {
         fields: Vec<String>,
     ) -> Result<MutationReceipt, S2sError> {
         let sid: SourceId = id.into();
-        let version = self.registry.write().apply_mutation(&sid, connection, kind, fields)?;
+        // Invalidation happens while the registry is still write-locked.
+        // A query holds the read lock from reading its source versions
+        // through its cache lookups and extraction, so it either ran
+        // wholly before this mutation (its late cache fills are refused
+        // by the raised version floors) or starts after the last stale
+        // entry is gone — never in between, where it would pair the new
+        // version with pre-mutation cached values.
+        let mut registry = self.registry.write();
+        let version = registry.apply_mutation(&sid, connection, kind, fields)?;
         let dropped_results =
             self.results.as_ref().map(|r| r.invalidate_source(id, version)).unwrap_or(0);
-        let dropped_extraction = self.cache.as_ref().map(|c| c.invalidate_source(id)).unwrap_or(0);
+        let dropped_extraction =
+            self.cache.as_ref().map(|c| c.invalidate_source(id, version)).unwrap_or(0);
+        drop(registry);
         if s2s_obs::enabled() {
             s2s_obs::global().counter(s2s_obs::names::SOURCE_MUTATIONS_TOTAL).inc();
         }
@@ -715,7 +725,10 @@ impl S2s {
             }
             self.plans.invalidate_source(source);
             if let Some(c) = &self.cache {
-                c.invalidate_source(source);
+                // A mapping edit changes no data: the floor stays at the
+                // source's current version.
+                let version = self.registry.read().version_of(&source.into()).unwrap_or(0);
+                c.invalidate_source(source, version);
             }
             if let Some(v) = &self.views {
                 v.remove_source(source);
@@ -1143,9 +1156,12 @@ impl S2s {
         };
         drop(registry);
 
+        // Fills carry the version read under the registry lock: if a
+        // mutation has invalidated the source since, they are refused.
         if let Some(cache) = &self.cache {
             for r in &report.results {
-                cache.insert(&r.mapping, r.values.clone());
+                let version = deps.version_of(r.mapping.source().as_str()).unwrap_or(0);
+                cache.insert(&r.mapping, r.values.clone(), version);
             }
         }
         // Freshly extracted slices are (re)materialized at the version

@@ -137,13 +137,14 @@ pub enum ConditionTree {
 }
 
 impl ConditionTree {
-    /// Evaluates against one individual's property values. A leaf holds
+    /// Evaluates against one individual's `(property, value)` pairs
+    /// (a multi-valued property appears once per value). A leaf holds
     /// when at least one value of its property satisfies the comparison
     /// (missing properties fail the leaf — best-effort semantics).
-    pub fn matches(&self, values: &std::collections::BTreeMap<Iri, Vec<String>>) -> bool {
+    pub fn matches(&self, values: &[(&Iri, &str)]) -> bool {
         match self {
             ConditionTree::Leaf(c) => {
-                values.get(&c.property).is_some_and(|vs| vs.iter().any(|v| condition_matches(c, v)))
+                values.iter().any(|(p, v)| **p == c.property && condition_matches(c, v))
             }
             ConditionTree::And(a, b) => a.matches(values) && b.matches(values),
             ConditionTree::Or(a, b) => a.matches(values) || b.matches(values),
@@ -905,22 +906,19 @@ mod tests {
         let p = plan(&q, &o).unwrap();
         let tree = p.condition.as_ref().unwrap();
         let brand = o.property_iri("brand").unwrap();
-        let with = |v: &str| {
-            let mut m = std::collections::BTreeMap::new();
-            m.insert(brand.clone(), vec![v.to_string()]);
-            m
-        };
-        assert!(tree.matches(&with("Seiko")));
-        assert!(tree.matches(&with("Casio")));
-        assert!(!tree.matches(&with("Orient")));
+        assert!(tree.matches(&[(&brand, "Seiko")]));
+        assert!(tree.matches(&[(&brand, "Casio")]));
+        assert!(!tree.matches(&[(&brand, "Orient")]));
+        // Any value of a multi-valued property may satisfy a leaf.
+        assert!(tree.matches(&[(&brand, "Orient"), (&brand, "Casio")]));
 
         let q = parse("SELECT product WHERE NOT (brand='Seiko' OR price<100)").unwrap();
         let p = plan(&q, &o).unwrap();
         let tree = p.condition.as_ref().unwrap();
-        assert!(!tree.matches(&with("Seiko")));
+        assert!(!tree.matches(&[(&brand, "Seiko")]));
         // No price value present → `price<100` leaf is false → whole OR
         // false → NOT true.
-        assert!(tree.matches(&with("Orient")));
+        assert!(tree.matches(&[(&brand, "Orient")]));
     }
 
     #[test]

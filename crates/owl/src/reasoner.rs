@@ -167,100 +167,73 @@ impl<'o> Reasoner<'o> {
     ///    their members are cross-typed too);
     /// 4. subproperty and inverse-property propagation.
     ///
-    /// Returns the number of triples added. Runs passes to fixpoint
-    /// (inverse-property triples can enable further domain/range
-    /// typings).
+    /// Returns the number of triples added. Evaluation is semi-naive:
+    /// every rule has a single triple as its premise, so a triple's
+    /// consequences depend on nothing else in the graph. The first
+    /// round examines every triple; each later round examines only the
+    /// triples the previous round added (an inverse-property triple can
+    /// enable further domain/range typings), and the fixpoint is
+    /// reached when a round adds nothing — the same least fixpoint, and
+    /// so the same graph and count, as re-scanning the whole graph until
+    /// nothing changes.
     pub fn materialize(&self, graph: &mut Graph) -> usize {
-        let mut total = 0;
-        loop {
-            let added = self.materialize_pass(graph);
-            total += added;
-            if added == 0 {
-                return total;
-            }
+        let before = graph.len();
+        let mut candidates = self.consequences(graph.iter());
+        while !candidates.is_empty() {
+            let added: Vec<Triple> =
+                candidates.into_iter().filter(|t| graph.insert(t.clone())).collect();
+            candidates = self.consequences(added.iter());
         }
+        graph.len() - before
     }
 
-    fn materialize_pass(&self, graph: &mut Graph) -> usize {
+    /// The direct consequences of each of `triples` under the rules of
+    /// [`materialize`](Reasoner::materialize), one rule application
+    /// deep. May repeat triples and may include ones already in the
+    /// graph; type candidates repeated within one node's run of
+    /// consecutive triples (a record's properties mostly share a
+    /// domain) are dropped here, before they cost a tree descent.
+    fn consequences<'a>(&'a self, triples: impl Iterator<Item = &'a Triple>) -> Vec<Triple> {
         let rdf_type = rdf::type_();
-        let mut new_triples: Vec<Triple> = Vec::new();
-
-        for t in graph.iter() {
+        let mut out = Vec::new();
+        let mut subject_types = TypeRun::default();
+        let mut object_types = TypeRun::default();
+        for t in triples {
             if t.predicate() == &rdf_type {
                 if let Some(class) = t.object().as_iri() {
                     for sup in self.superclasses(class) {
-                        new_triples.push(Triple::new(
-                            t.subject().clone(),
-                            rdf_type.clone(),
-                            sup.clone(),
-                        ));
+                        subject_types.emit(t.subject(), sup, &rdf_type, &mut out);
                     }
                 }
                 continue;
             }
-            if let Some(prop) = self.ontology.property(t.predicate()) {
-                for domain in prop.domains() {
-                    new_triples.push(Triple::new(
-                        t.subject().clone(),
-                        rdf_type.clone(),
-                        domain.clone(),
-                    ));
-                    for sup in self.superclasses(domain) {
-                        new_triples.push(Triple::new(
-                            t.subject().clone(),
-                            rdf_type.clone(),
-                            sup.clone(),
-                        ));
-                    }
+            let Some(prop) = self.ontology.property(t.predicate()) else { continue };
+            for domain in prop.domains() {
+                for class in std::iter::once(domain).chain(self.superclasses(domain)) {
+                    subject_types.emit(t.subject(), class, &rdf_type, &mut out);
                 }
-                if prop.kind() == PropertyKind::Object && t.object().is_subject() {
-                    for range in prop.ranges() {
-                        if self.ontology.class(range).is_some() {
-                            new_triples.push(Triple::new(
-                                t.object().clone(),
-                                rdf_type.clone(),
-                                range.clone(),
-                            ));
-                            for sup in self.superclasses(range) {
-                                new_triples.push(Triple::new(
-                                    t.object().clone(),
-                                    rdf_type.clone(),
-                                    sup.clone(),
-                                ));
-                            }
-                        }
-                    }
-                }
-                // Subproperty propagation: p ⊑ q ⇒ (s, q, o).
-                for parent in prop.parents() {
-                    new_triples.push(Triple::new(
-                        t.subject().clone(),
-                        parent.clone(),
-                        t.object().clone(),
-                    ));
-                }
-                // Inverse propagation: p ≡ q⁻ ⇒ (o, q, s).
-                if let Some(inverse) = prop.inverse_of() {
-                    if t.object().is_subject() {
-                        if let Some(triple) = Triple::try_new(
-                            t.object().clone(),
-                            inverse.clone(),
-                            t.subject().clone(),
-                        ) {
-                            new_triples.push(triple);
-                        }
+            }
+            if prop.kind() == PropertyKind::Object && t.object().is_subject() {
+                for range in prop.ranges().filter(|r| self.ontology.class(r).is_some()) {
+                    for class in std::iter::once(range).chain(self.superclasses(range)) {
+                        object_types.emit(t.object(), class, &rdf_type, &mut out);
                     }
                 }
             }
-        }
-
-        let mut added = 0;
-        for t in new_triples {
-            if graph.insert(t) {
-                added += 1;
+            // Subproperty propagation: p ⊑ q ⇒ (s, q, o).
+            for parent in prop.parents() {
+                out.push(Triple::new(t.subject().clone(), parent.clone(), t.object().clone()));
+            }
+            // Inverse propagation: p ≡ q⁻ ⇒ (o, q, s).
+            if let Some(inverse) = prop.inverse_of() {
+                out.extend(Triple::try_new(
+                    t.object().clone(),
+                    inverse.clone(),
+                    t.subject().clone(),
+                ));
             }
         }
-        added
+        out
     }
 
     /// The most specific classes of `individual` in `graph` (asserted or
@@ -386,6 +359,28 @@ impl<'o> Reasoner<'o> {
     }
 }
 
+/// The classes already proposed as types of one node while consecutive
+/// triples keep naming that node; a different node starts a new run.
+#[derive(Default)]
+struct TypeRun<'a> {
+    node: Option<&'a Term>,
+    classes: Vec<&'a Iri>,
+}
+
+impl<'a> TypeRun<'a> {
+    /// Pushes `(node, rdf:type, class)` unless this run already did.
+    fn emit(&mut self, node: &'a Term, class: &'a Iri, rdf_type: &Iri, out: &mut Vec<Triple>) {
+        if self.node != Some(node) {
+            self.node = Some(node);
+            self.classes.clear();
+        }
+        if !self.classes.contains(&class) {
+            self.classes.push(class);
+            out.push(Triple::new(node.clone(), rdf_type.clone(), class.clone()));
+        }
+    }
+}
+
 /// Whether a literal's lexical form conforms to a datatype IRI.
 ///
 /// Unknown datatypes conform trivially (open-world).
@@ -411,6 +406,7 @@ pub fn literal_conforms(lit: &Literal, datatype: &Iri) -> bool {
 mod tests {
     use super::*;
     use crate::model::Ontology;
+    use proptest::prelude::*;
 
     fn onto() -> Ontology {
         Ontology::builder("http://example.org/schema#")
@@ -446,6 +442,148 @@ mod tests {
 
     fn ind(name: &str) -> Term {
         Term::from(iri(&format!("http://example.org/data/{name}")))
+    }
+
+    /// The pre-semi-naive materializer, kept as the oracle: apply every
+    /// rule to every triple of the graph, insert, and repeat until a
+    /// whole pass adds nothing.
+    fn materialize_naive(r: &Reasoner<'_>, graph: &mut Graph) -> usize {
+        let rdf_type = rdf::type_();
+        let mut total = 0;
+        loop {
+            let mut new_triples: Vec<Triple> = Vec::new();
+            for t in graph.iter() {
+                let mut typed = |node: &Term, class: &Iri| {
+                    new_triples.push(Triple::new(node.clone(), rdf_type.clone(), class.clone()));
+                    for sup in r.superclasses(class) {
+                        new_triples.push(Triple::new(node.clone(), rdf_type.clone(), sup.clone()));
+                    }
+                };
+                if t.predicate() == &rdf_type {
+                    if let Some(class) = t.object().as_iri() {
+                        typed(t.subject(), class);
+                    }
+                    continue;
+                }
+                let Some(prop) = r.ontology.property(t.predicate()) else { continue };
+                for domain in prop.domains() {
+                    typed(t.subject(), domain);
+                }
+                if prop.kind() == PropertyKind::Object && t.object().is_subject() {
+                    for range in prop.ranges() {
+                        if r.ontology.class(range).is_some() {
+                            typed(t.object(), range);
+                        }
+                    }
+                }
+                for parent in prop.parents() {
+                    new_triples.push(Triple::new(
+                        t.subject().clone(),
+                        parent.clone(),
+                        t.object().clone(),
+                    ));
+                }
+                if let Some(inverse) = prop.inverse_of() {
+                    new_triples.extend(Triple::try_new(
+                        t.object().clone(),
+                        inverse.clone(),
+                        t.subject().clone(),
+                    ));
+                }
+            }
+            let added = new_triples.into_iter().filter(|t| graph.insert(t.clone())).count();
+            total += added;
+            if added == 0 {
+                return total;
+            }
+        }
+    }
+
+    /// An ontology exercising every materialization rule: a class tree
+    /// with equivalences, object properties (domain + class range),
+    /// datatype properties, sub-property links (chains and cycles
+    /// across both kinds) and inverse pairs.
+    fn arb_rule_ontology() -> impl Strategy<Value = Ontology> {
+        use proptest::collection::vec;
+        let classes =
+            (vec(proptest::option::of(0usize..8), 2..8), vec((0usize..8, 0usize..8), 0..3));
+        let properties = (vec((0usize..8, 0usize..8), 1..6), vec(0usize..8, 1..4));
+        let links = (vec((0usize..9, 0usize..9), 0..6), vec((0usize..5, 0usize..5), 0..3));
+        (classes, properties, links).prop_map(
+            |((parents, equivalents), (object_props, datatype_props), (subprops, inverses))| {
+                let n = parents.len();
+                let class = |i: usize| format!("K{}", i % n);
+                let mut b = Ontology::builder("http://prop.example/#");
+                for (i, parent) in parents.iter().enumerate() {
+                    let parent = parent.filter(|&p| p < i).map(|p| format!("K{p}"));
+                    b = b.class(&format!("K{i}"), parent.as_deref()).unwrap();
+                }
+                for (a, c) in equivalents {
+                    b = b.equivalent(&class(a), &class(c)).unwrap();
+                }
+                let mut names = Vec::new();
+                for (i, (domain, range)) in object_props.iter().enumerate() {
+                    names.push(format!("o{i}"));
+                    b = b.object_property(&names[i], &class(*domain), &class(*range)).unwrap();
+                }
+                let objects = names.len();
+                for (i, domain) in datatype_props.iter().enumerate() {
+                    names.push(format!("d{i}"));
+                    b = b
+                        .datatype_property(&names[objects + i], &class(*domain), xsd::STRING)
+                        .unwrap();
+                }
+                for (sub, sup) in subprops {
+                    b = b
+                        .subproperty_of(&names[sub % names.len()], &names[sup % names.len()])
+                        .unwrap();
+                }
+                for (a, c) in inverses {
+                    b = b.inverse(&names[a % objects], &names[c % objects]).unwrap();
+                }
+                b.build().unwrap()
+            },
+        )
+    }
+
+    proptest! {
+        /// Semi-naive materialization reaches the naive fixpoint: equal
+        /// graphs and equal returned counts, whether the facts arrive
+        /// in one graph or the second batch lands on an already
+        /// materialized one.
+        #[test]
+        fn materialize_agrees_with_naive_fixpoint(
+            o in arb_rule_ontology(),
+            facts in proptest::collection::vec((0usize..5, 0usize..12, 0usize..5), 0..25),
+            split in 0usize..25,
+        ) {
+            let r = Reasoner::new(&o);
+            let classes: Vec<&Iri> = o.classes().map(|c| c.iri()).collect();
+            let properties: Vec<_> = o.properties().collect();
+            let node = |i: usize| Iri::new(format!("http://prop.example/data/n{i}")).unwrap();
+            let facts: Vec<Triple> = facts
+                .into_iter()
+                .map(|(s, pick, obj)| match properties.get(pick) {
+                    Some(p) if p.kind() == PropertyKind::Object => {
+                        Triple::new(node(s), p.iri().clone(), node(obj))
+                    }
+                    Some(p) => Triple::new(node(s), p.iri().clone(), Literal::integer(obj as i64)),
+                    None => Triple::new(node(s), rdf::type_(), classes[pick % classes.len()].clone()),
+                })
+                .collect();
+            let (first, second) = facts.split_at(split.min(facts.len()));
+
+            let mut got: Graph = first.iter().cloned().collect();
+            let mut want = got.clone();
+            prop_assert_eq!(r.materialize(&mut got), materialize_naive(&r, &mut want));
+            prop_assert_eq!(&got, &want);
+
+            got.extend(second.iter().cloned());
+            want.extend(second.iter().cloned());
+            prop_assert_eq!(r.materialize(&mut got), materialize_naive(&r, &mut want));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(r.materialize(&mut got), 0);
+        }
     }
 
     #[test]

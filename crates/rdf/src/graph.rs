@@ -1,15 +1,28 @@
 //! In-memory indexed triple store.
 //!
-//! [`Graph`] keeps three `BTreeSet` orderings — SPO, POS, OSP — so that any
-//! triple pattern with at least one bound position resolves to a range
-//! scan rather than a full scan.
+//! [`Graph`] answers every triple pattern with at least one bound
+//! position by a range scan over one of three orderings — SPO, POS, OSP.
+//! Only SPO is maintained eagerly: it is what insertion, membership,
+//! iteration, equality and every serializer read. POS and OSP are
+//! *derived* from it on first use (one sorted bulk build each) and
+//! dropped by the next mutation, so a write-heavy producer such as the
+//! Instance Generator, whose graph is built, materialized and rendered
+//! without ever asking a predicate- or object-led question, pays for one
+//! index instead of three.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use crate::term::{Iri, Term};
 use crate::triple::Triple;
+use crate::vocab::rdf;
 
-/// An in-memory RDF graph with SPO/POS/OSP indexes.
+/// An in-memory RDF graph: an eager SPO index plus POS/OSP indexes
+/// derived lazily from it.
+///
+/// Two graphs are equal when they hold the same triples (SPO equality);
+/// whether a derived index happens to be built is not part of a graph's
+/// value, and a clone starts without them.
 ///
 /// # Examples
 ///
@@ -26,12 +39,26 @@ use crate::triple::Triple;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct Graph {
-    spo: BTreeSet<(Term, Iri, Term)>,
-    pos: BTreeSet<(Iri, Term, Term)>,
-    osp: BTreeSet<(Term, Term, Iri)>,
+    spo: BTreeSet<Triple>,
+    pos: OnceLock<BTreeSet<(Iri, Term, Term)>>,
+    osp: OnceLock<BTreeSet<(Term, Term, Iri)>>,
 }
+
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Graph { spo: self.spo.clone(), ..Graph::default() }
+    }
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.spo == other.spo
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Creates an empty graph.
@@ -51,44 +78,71 @@ impl Graph {
 
     /// Inserts a triple; returns `true` if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        let (s, p, o) = triple.into_parts();
-        let fresh = self.spo.insert((s.clone(), p.clone(), o.clone()));
+        let fresh = self.spo.insert(triple);
         if fresh {
-            self.pos.insert((p.clone(), o.clone(), s.clone()));
-            self.osp.insert((o, s, p));
+            self.drop_derived();
         }
         fresh
     }
 
     /// Removes a triple; returns `true` if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let key = (triple.subject().clone(), triple.predicate().clone(), triple.object().clone());
-        let removed = self.spo.remove(&key);
+        let removed = self.spo.remove(triple);
         if removed {
-            let (s, p, o) = key;
-            self.pos.remove(&(p.clone(), o.clone(), s.clone()));
-            self.osp.remove(&(o, s, p));
+            self.drop_derived();
         }
         removed
     }
 
     /// Whether the graph contains the triple.
     pub fn contains(&self, triple: &Triple) -> bool {
-        self.spo.contains(&(
-            triple.subject().clone(),
-            triple.predicate().clone(),
-            triple.object().clone(),
-        ))
+        self.spo.contains(triple)
     }
 
-    /// Iterates over all triples in SPO order.
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(|(s, p, o)| Triple::new(s.clone(), p.clone(), o.clone()))
+    /// Iterates over all triples in SPO order without cloning them.
+    pub fn iter(&self) -> impl Iterator<Item = &Triple> + '_ {
+        self.spo.iter()
+    }
+
+    /// Which derived indexes are currently built, as `(pos, osp)`. A
+    /// diagnostic for tests and perf assertions: a producer that only
+    /// inserts, iterates and serializes should leave both `false`.
+    pub fn derived_indexes(&self) -> (bool, bool) {
+        (self.pos.get().is_some(), self.osp.get().is_some())
+    }
+
+    fn drop_derived(&mut self) {
+        self.pos.take();
+        self.osp.take();
+    }
+
+    fn pos(&self) -> &BTreeSet<(Iri, Term, Term)> {
+        self.pos.get_or_init(|| {
+            #[cfg(test)]
+            tests::DERIVED_BUILDS.with(|n| n.set(n.get() + 1));
+            self.spo
+                .iter()
+                .map(|t| (t.predicate().clone(), t.object().clone(), t.subject().clone()))
+                .collect()
+        })
+    }
+
+    fn osp(&self) -> &BTreeSet<(Term, Term, Iri)> {
+        self.osp.get_or_init(|| {
+            #[cfg(test)]
+            tests::DERIVED_BUILDS.with(|n| n.set(n.get() + 1));
+            self.spo
+                .iter()
+                .map(|t| (t.object().clone(), t.subject().clone(), t.predicate().clone()))
+                .collect()
+        })
     }
 
     /// Answers a triple pattern; `None` positions are wildcards.
     ///
-    /// Chooses the index giving the tightest range for the bound positions.
+    /// Chooses the index giving the tightest range for the bound
+    /// positions; a pattern that leaves the subject open builds the
+    /// POS (or, for object-only patterns, OSP) index on first use.
     pub fn match_pattern<'g>(
         &'g self,
         subject: Option<&'g Term>,
@@ -96,51 +150,49 @@ impl Graph {
         object: Option<&'g Term>,
     ) -> Box<dyn Iterator<Item = Triple> + 'g> {
         match (subject, predicate, object) {
-            (Some(s), Some(p), Some(o)) => {
-                let t = Triple::new(s.clone(), p.clone(), o.clone());
-                if self.contains(&t) {
-                    Box::new(std::iter::once(t))
-                } else {
-                    Box::new(std::iter::empty())
-                }
-            }
+            (Some(s), Some(p), Some(o)) => Box::new(
+                self.spo
+                    .get(&Triple::from_parts(s.clone(), p.clone(), o.clone()))
+                    .cloned()
+                    .into_iter(),
+            ),
             (Some(s), Some(p), None) => Box::new(
                 self.spo
-                    .range((s.clone(), p.clone(), Term::min_value())..)
-                    .take_while(move |(ts, tp, _)| ts == s && tp == p)
-                    .map(|(s, p, o)| Triple::new(s.clone(), p.clone(), o.clone())),
+                    .range(Triple::from_parts(s.clone(), p.clone(), Term::min_value())..)
+                    .take_while(move |t| t.subject() == s && t.predicate() == p)
+                    .cloned(),
             ),
             (Some(s), None, None) => Box::new(
                 self.spo
-                    .range((s.clone(), Iri::min_value(), Term::min_value())..)
-                    .take_while(move |(ts, _, _)| ts == s)
-                    .map(|(s, p, o)| Triple::new(s.clone(), p.clone(), o.clone())),
+                    .range(Triple::from_parts(s.clone(), Iri::min_value(), Term::min_value())..)
+                    .take_while(move |t| t.subject() == s)
+                    .cloned(),
             ),
             (None, Some(p), Some(o)) => Box::new(
-                self.pos
+                self.pos()
                     .range((p.clone(), o.clone(), Term::min_value())..)
                     .take_while(move |(tp, to, _)| tp == p && to == o)
-                    .map(|(p, o, s)| Triple::new(s.clone(), p.clone(), o.clone())),
+                    .map(|(p, o, s)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
             ),
             (None, Some(p), None) => Box::new(
-                self.pos
+                self.pos()
                     .range((p.clone(), Term::min_value(), Term::min_value())..)
                     .take_while(move |(tp, _, _)| tp == p)
-                    .map(|(p, o, s)| Triple::new(s.clone(), p.clone(), o.clone())),
+                    .map(|(p, o, s)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
             ),
             (None, None, Some(o)) => Box::new(
-                self.osp
+                self.osp()
                     .range((o.clone(), Term::min_value(), Iri::min_value())..)
                     .take_while(move |(to, _, _)| to == o)
-                    .map(|(o, s, p)| Triple::new(s.clone(), p.clone(), o.clone())),
+                    .map(|(o, s, p)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
             ),
             (Some(s), None, Some(o)) => Box::new(
-                self.osp
+                self.osp()
                     .range((o.clone(), s.clone(), Iri::min_value())..)
                     .take_while(move |(to, ts, _)| to == o && ts == s)
-                    .map(|(o, s, p)| Triple::new(s.clone(), p.clone(), o.clone())),
+                    .map(|(o, s, p)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
             ),
-            (None, None, None) => Box::new(self.iter()),
+            (None, None, None) => Box::new(self.iter().cloned()),
         }
     }
 
@@ -167,88 +219,72 @@ impl Graph {
         self.match_pattern(None, Some(predicate), Some(object)).map(|t| t.subject().clone())
     }
 
-    /// All subjects with an `rdf:type` of `class`.
-    pub fn instances_of<'g>(&'g self, class: &'g Iri) -> impl Iterator<Item = Term> + 'g {
-        let ty = crate::vocab::rdf::type_();
-        self.match_pattern(None, None, None)
-            .filter(move |t| t.predicate() == &ty && t.object().as_iri() == Some(class))
-            .map(|t| t.subject().clone())
+    /// All subjects with an `rdf:type` of `class`, from the POS index.
+    pub fn instances_of<'g>(&'g self, class: &Iri) -> impl Iterator<Item = Term> + 'g {
+        let (ty, class) = (rdf::type_(), Term::Iri(class.clone()));
+        self.pos()
+            .range((ty.clone(), class.clone(), Term::min_value())..)
+            .take_while(move |(p, o, _)| *p == ty && *o == class)
+            .map(|(_, _, s)| s.clone())
     }
 
     /// Merges all triples of `other` into `self`; returns how many were new.
     pub fn extend_from(&mut self, other: &Graph) -> usize {
-        let mut added = 0;
-        for t in other.iter() {
-            if self.insert(t) {
-                added += 1;
-            }
-        }
-        added
+        other.iter().filter(|t| self.insert((*t).clone())).count()
     }
 
     /// All distinct predicates in the graph.
     pub fn predicates(&self) -> impl Iterator<Item = Iri> + '_ {
-        let mut last: Option<Iri> = None;
-        self.pos.iter().filter_map(move |(p, _, _)| {
-            if last.as_ref() == Some(p) {
-                None
-            } else {
-                last = Some(p.clone());
-                Some(p.clone())
-            }
-        })
+        let mut last = None;
+        let predicates = self.pos().iter().map(|(p, _, _)| p);
+        predicates.filter(move |p| last.replace(*p) != Some(*p)).cloned()
     }
 
     /// All distinct subjects in the graph.
     pub fn subjects_distinct(&self) -> impl Iterator<Item = Term> + '_ {
-        let mut last: Option<Term> = None;
-        self.spo.iter().filter_map(move |(s, _, _)| {
-            if last.as_ref() == Some(s) {
-                None
-            } else {
-                last = Some(s.clone());
-                Some(s.clone())
-            }
-        })
+        let mut last = None;
+        let subjects = self.spo.iter().map(Triple::subject);
+        subjects.filter(move |s| last.replace(*s) != Some(*s)).cloned()
     }
 }
 
 impl Extend<Triple> for Graph {
+    /// Loads an empty graph in one sorted build (sort, dedup, bottom-up
+    /// tree construction) instead of one tree descent per triple; a
+    /// non-empty graph takes the triples one by one.
     fn extend<I: IntoIterator<Item = Triple>>(&mut self, iter: I) {
-        for t in iter {
-            self.insert(t);
+        if self.spo.is_empty() {
+            self.spo = iter.into_iter().collect();
+            self.drop_derived();
+        } else {
+            for t in iter {
+                self.insert(t);
+            }
         }
     }
 }
 
 impl FromIterator<Triple> for Graph {
     fn from_iter<I: IntoIterator<Item = Triple>>(iter: I) -> Self {
-        let mut g = Graph::new();
-        g.extend(iter);
-        g
+        Graph { spo: iter.into_iter().collect(), ..Graph::default() }
     }
 }
 
 impl IntoIterator for Graph {
     type Item = Triple;
-    type IntoIter = IntoIter;
+    type IntoIter = std::collections::btree_set::IntoIter<Triple>;
 
-    fn into_iter(self) -> IntoIter {
-        IntoIter { inner: self.spo.into_iter() }
+    fn into_iter(self) -> Self::IntoIter {
+        self.spo.into_iter()
     }
 }
 
-/// Owning iterator for [`Graph`].
-#[derive(Debug)]
-pub struct IntoIter {
-    inner: std::collections::btree_set::IntoIter<(Term, Iri, Term)>,
-}
+impl<'g> IntoIterator for &'g Graph {
+    type Item = &'g Triple;
+    type IntoIter = std::collections::btree_set::Iter<'g, Triple>;
 
-impl Iterator for IntoIter {
-    type Item = Triple;
-
-    fn next(&mut self) -> Option<Triple> {
-        self.inner.next().map(|(s, p, o)| Triple::new(s, p, o))
+    fn into_iter(self) -> Self::IntoIter {
+        self.spo.iter()
     }
 }
 
@@ -275,6 +311,12 @@ impl MinValue for Iri {
 mod tests {
     use super::*;
     use crate::term::Literal;
+
+    thread_local! {
+        /// Derived-index builds performed by this test's thread.
+        pub(super) static DERIVED_BUILDS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn iri(s: &str) -> Iri {
         Iri::new(s).unwrap()
@@ -387,6 +429,84 @@ mod tests {
         let g = sample();
         assert_eq!(g.predicates().count(), 2);
         assert_eq!(g.subjects_distinct().count(), 2);
+    }
+
+    #[test]
+    fn derived_indexes_build_lazily_once_and_drop_on_mutation() {
+        let builds = || DERIVED_BUILDS.with(std::cell::Cell::get);
+        let mut g = sample();
+        let before = builds();
+        let s = Term::from(iri("http://x.org/s1"));
+        let p = iri("http://x.org/p1");
+        let o = Term::from(Literal::string("a"));
+
+        // Subject-led reads, iteration and membership are SPO only.
+        assert_eq!(g.match_pattern(Some(&s), None, None).count(), 2);
+        assert_eq!(g.match_pattern(Some(&s), Some(&p), None).count(), 1);
+        assert_eq!(g.iter().count(), 4);
+        assert_eq!(g.subjects_distinct().count(), 2);
+        assert!(g.contains(&Triple::new(iri("http://x.org/s1"), p.clone(), o.clone())));
+        assert_eq!((g.derived_indexes(), builds() - before), ((false, false), 0));
+
+        // A read-only consumer builds each derived index at most once.
+        for _ in 0..3 {
+            assert_eq!(g.match_pattern(None, Some(&p), None).count(), 2);
+            assert_eq!(g.subjects(&p, &o).count(), 2);
+            assert_eq!(g.predicates().count(), 2);
+        }
+        assert_eq!((g.derived_indexes(), builds() - before), ((true, false), 1));
+        for _ in 0..3 {
+            assert_eq!(g.match_pattern(None, None, Some(&o)).count(), 2);
+            assert_eq!(g.match_pattern(Some(&s), None, Some(&o)).count(), 1);
+        }
+        assert_eq!((g.derived_indexes(), builds() - before), ((true, true), 2));
+
+        // A clone carries the triples, not the derived state; a no-op
+        // write keeps the indexes, a real one drops them.
+        assert_eq!(g.clone().derived_indexes(), (false, false));
+        assert!(!g.insert(Triple::new(iri("http://x.org/s1"), p.clone(), o.clone())));
+        assert_eq!(g.derived_indexes(), (true, true));
+        assert!(g.remove(&Triple::new(iri("http://x.org/s1"), p.clone(), o.clone())));
+        assert_eq!(g.derived_indexes(), (false, false));
+        assert_eq!(g.subjects(&p, &o).count(), 1);
+    }
+
+    #[test]
+    fn equality_is_spo_equality() {
+        let (a, b) = (sample(), sample());
+        let p = iri("http://x.org/p1");
+        assert_eq!(a.match_pattern(None, Some(&p), None).count(), 2);
+        assert_ne!(a.derived_indexes(), b.derived_indexes());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn literal_subject_pattern_matches_nothing() {
+        let g = sample();
+        let lit = Term::from(Literal::string("a"));
+        assert_eq!(g.match_pattern(Some(&lit), None, None).count(), 0);
+        assert_eq!(g.match_pattern(Some(&lit), Some(&iri("http://x.org/p1")), None).count(), 0);
+    }
+
+    #[test]
+    fn bulk_extend_dedups_and_matches_one_by_one_inserts() {
+        let triples: Vec<Triple> = sample().into_iter().collect();
+        let doubled = triples.iter().rev().chain(triples.iter()).cloned();
+        let mut bulk = Graph::new();
+        bulk.extend(doubled.clone());
+        let mut single = Graph::new();
+        for t in doubled {
+            single.insert(t);
+        }
+        assert_eq!(bulk, single);
+        assert_eq!(bulk.len(), 4);
+        // Extending a non-empty graph merges.
+        bulk.extend([Triple::new(
+            iri("http://x.org/new"),
+            iri("http://x.org/p1"),
+            Literal::string("n"),
+        )]);
+        assert_eq!(bulk.len(), 5);
     }
 
     #[test]

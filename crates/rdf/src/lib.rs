@@ -9,8 +9,11 @@
 //! and from N-Triples, Turtle, and RDF/XML (the concrete syntax the paper's
 //! Instance Generator emits).
 //!
-//! The store keeps three orderings (SPO, POS, OSP) so that any triple
-//! pattern with at least one bound position is answered by a range scan.
+//! The store answers any triple pattern with at least one bound position
+//! by a range scan over one of three orderings (SPO, POS, OSP). SPO is
+//! maintained on every write; POS and OSP are derived from it the first
+//! time a pattern needs them and dropped by the next write, so building,
+//! iterating and serializing a graph costs one index (see [`graph`]).
 //!
 //! # Examples
 //!

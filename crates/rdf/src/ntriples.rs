@@ -7,6 +7,7 @@ use crate::error::RdfError;
 use crate::graph::Graph;
 use crate::term::{BlankNode, Iri, Literal, Term};
 use crate::triple::Triple;
+use crate::turtle::{push_term, PrefixMap};
 use crate::vocab::xsd;
 
 /// Serializes `graph` to N-Triples.
@@ -14,10 +15,16 @@ use crate::vocab::xsd;
 /// Triples are emitted in the store's canonical SPO order, so output is
 /// deterministic.
 pub fn serialize(graph: &Graph) -> String {
+    // N-Triples is Turtle with nothing abbreviated.
+    let spelled_out = PrefixMap::new();
     let mut out = String::new();
-    for t in graph.iter() {
-        out.push_str(&t.to_string());
-        out.push('\n');
+    for t in graph {
+        push_term(&mut out, t.subject(), &spelled_out);
+        out.push_str(" <");
+        out.push_str(t.predicate().as_str());
+        out.push_str("> ");
+        push_term(&mut out, t.object(), &spelled_out);
+        out.push_str(" .\n");
     }
     out
 }

@@ -14,7 +14,7 @@ use crate::error::RdfError;
 use crate::graph::Graph;
 use crate::term::{BlankNode, Iri, Literal, Term};
 use crate::triple::Triple;
-use crate::turtle::PrefixMap;
+use crate::turtle::{push_qname, PrefixMap, QnameMemo};
 use crate::vocab::{rdf, xsd};
 
 /// Serializes `graph` as RDF/XML.
@@ -23,123 +23,158 @@ use crate::vocab::{rdf, xsd};
 /// `rdf:type` objects that abbreviate under `prefixes` become typed node
 /// elements, matching the ontology-instance style of the paper's Figure 2
 /// example.
+///
+/// The graph's SPO order already keeps each subject's triples together,
+/// so the writer streams one subject run at a time straight into the
+/// output buffer.
 pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
-    let mut out = String::new();
+    // Instance data runs at about 60 bytes per triple; a low guess only
+    // costs the usual regrowth.
+    let mut out = String::with_capacity(graph.len() * 64);
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
     out.push_str("<rdf:RDF xmlns:rdf=\"http://www.w3.org/1999/02/22-rdf-syntax-ns#\"");
     for (prefix, ns) in prefixes.iter() {
         if prefix != "rdf" {
-            out.push_str(&format!("\n         xmlns:{prefix}=\"{}\"", escape_attr(ns)));
+            out.push_str("\n         xmlns:");
+            out.push_str(prefix);
+            out.push_str("=\"");
+            push_escaped(&mut out, ns, true);
+            out.push('"');
         }
     }
     out.push_str(">\n");
 
-    // Group triples by subject, preserving store order.
-    let mut by_subject: BTreeMap<Term, Vec<(crate::Iri, Term)>> = BTreeMap::new();
-    for t in graph.iter() {
-        by_subject
-            .entry(t.subject().clone())
-            .or_default()
-            .push((t.predicate().clone(), t.object().clone()));
-    }
-
-    let rdf_type = rdf::type_();
-    for (subject, props) in by_subject {
-        // Use the first rdf:type with a prefixed name as the element name.
-        let type_qname = props.iter().find_map(|(p, o)| {
-            if p == &rdf_type {
-                o.as_iri().and_then(|iri| prefixes.abbreviate(iri))
-            } else {
-                None
-            }
-        });
-        let elem = type_qname.clone().unwrap_or_else(|| "rdf:Description".to_string());
-        match &subject {
-            Term::Iri(iri) => {
-                out.push_str(&format!("  <{elem} rdf:about=\"{}\">\n", escape_attr(iri.as_str())));
-            }
-            Term::Blank(b) => {
-                out.push_str(&format!("  <{elem} rdf:nodeID=\"{}\">\n", escape_attr(b.label())));
-            }
-            Term::Literal(_) => continue, // impossible: literals cannot be subjects
+    let mut qnames = QnameMemo::new(prefixes);
+    let mut triples = graph.iter().peekable();
+    let mut run: Vec<&Triple> = Vec::new();
+    while let Some(first) = triples.next() {
+        run.clear();
+        run.push(first);
+        while let Some(t) = triples.next_if(|t| t.subject() == first.subject()) {
+            run.push(t);
         }
-        let mut type_consumed = type_qname.is_none();
-        for (p, o) in &props {
-            if p == &rdf_type && !type_consumed {
-                // The first abbreviatable type became the element name.
-                if o.as_iri().and_then(|i| prefixes.abbreviate(i)) == type_qname {
-                    type_consumed = true;
-                    continue;
-                }
-            }
-            match prefixes.abbreviate(p) {
-                Some(qname) => {
-                    out.push_str(&format!("    <{qname}{}\n", property_tail(o, &qname, false)));
-                }
-                None => {
-                    // No prefix: declare an inline namespace on the element.
-                    out.push_str(&format!(
-                        "    <ns0:{} xmlns:ns0=\"{}\"{}\n",
-                        p.local_name(),
-                        escape_attr(p.namespace()),
-                        property_tail(o, p.local_name(), true)
-                    ));
-                }
-            }
-        }
-        out.push_str(&format!("  </{elem}>\n"));
+        write_subject(&mut out, &run, &mut qnames);
     }
     out.push_str("</rdf:RDF>\n");
     out
 }
 
-fn property_tail(object: &Term, close_name: &str, ns0: bool) -> String {
-    let close = if ns0 { format!("ns0:{close_name}") } else { close_name.to_string() };
+/// Writes the node element for one subject's triples (SPO-ordered).
+fn write_subject<'g>(out: &mut String, run: &[&'g Triple], qnames: &mut QnameMemo<'g>) {
+    // The first rdf:type with a prefixed name becomes the element name
+    // and is not repeated as a property.
+    let typed = run.iter().enumerate().find_map(|(i, t)| {
+        if t.predicate().as_str() != rdf::TYPE {
+            return None;
+        }
+        Some((i, qnames.qname_parts(t.object().as_iri()?)?))
+    });
+    let push_element_name = |out: &mut String| match typed {
+        Some((_, qname)) => push_qname(out, qname),
+        None => out.push_str("rdf:Description"),
+    };
+
+    out.push_str("  <");
+    push_element_name(out);
+    push_node_ref(out, "about", run[0].subject());
+    out.push_str(">\n");
+    for (i, t) in run.iter().enumerate() {
+        if typed.is_some_and(|(consumed, _)| consumed == i) {
+            continue;
+        }
+        write_property(out, t.predicate(), t.object(), qnames);
+    }
+    out.push_str("  </");
+    push_element_name(out);
+    out.push_str(">\n");
+}
+
+/// Writes one property element; a predicate no prefix covers declares
+/// an inline `ns0` namespace on the element.
+fn write_property<'g>(
+    out: &mut String,
+    predicate: &'g Iri,
+    object: &Term,
+    qnames: &mut QnameMemo<'g>,
+) {
+    out.push_str("    <");
+    let name_start = out.len();
+    let qname = qnames.qname_parts(predicate);
+    match qname {
+        Some(qname) => push_qname(out, qname),
+        None => {
+            out.push_str("ns0:");
+            out.push_str(predicate.local_name());
+        }
+    }
+    let name = name_start..out.len();
+    if qname.is_none() {
+        out.push_str(" xmlns:ns0=\"");
+        push_escaped(out, predicate.namespace(), true);
+        out.push('"');
+    }
     match object {
-        Term::Iri(iri) => format!(" rdf:resource=\"{}\"/>", escape_attr(iri.as_str())),
-        Term::Blank(b) => format!(" rdf:nodeID=\"{}\"/>", escape_attr(b.label())),
         Term::Literal(lit) => {
-            let attrs = literal_attrs(lit);
-            format!("{attrs}>{}</{close}>", escape_text(lit.lexical()))
+            if let Some(lang) = lit.language() {
+                out.push_str(" xml:lang=\"");
+                push_escaped(out, lang, true);
+                out.push('"');
+            } else if lit.datatype().as_str() != xsd::STRING {
+                out.push_str(" rdf:datatype=\"");
+                push_escaped(out, lit.datatype().as_str(), true);
+                out.push('"');
+            }
+            out.push('>');
+            push_escaped(out, lit.lexical(), false);
+            out.push_str("</");
+            out.extend_from_within(name);
+            out.push_str(">\n");
+        }
+        node => {
+            push_node_ref(out, "resource", node);
+            out.push_str("/>\n");
         }
     }
 }
 
-fn literal_attrs(lit: &Literal) -> String {
-    if let Some(lang) = lit.language() {
-        format!(" xml:lang=\"{}\"", escape_attr(lang))
-    } else if lit.datatype().as_str() != xsd::STRING {
-        format!(" rdf:datatype=\"{}\"", escape_attr(lit.datatype().as_str()))
-    } else {
-        String::new()
-    }
+/// Writes ` rdf:{iri_attr}="…"` for an IRI node, ` rdf:nodeID="…"` for
+/// a blank one.
+fn push_node_ref(out: &mut String, iri_attr: &str, node: &Term) {
+    let (attr, value) = match node {
+        Term::Iri(iri) => (iri_attr, iri.as_str()),
+        Term::Blank(b) => ("nodeID", b.label()),
+        Term::Literal(_) => unreachable!("literals are neither subjects nor node references"),
+    };
+    out.push_str(" rdf:");
+    out.push_str(attr);
+    out.push_str("=\"");
+    push_escaped(out, value, true);
+    out.push('"');
 }
 
-fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            c => out.push(c),
-        }
+/// Appends `s` with `&`, `<`, `>` (and, in attribute values, `"`)
+/// replaced by their entities, copying the clean stretches whole.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let special = |b: u8| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"');
+    // Nearly every IRI and value is clean. Folding without an early
+    // exit lets the compiler vectorize that check.
+    if !s.bytes().fold(false, |dirty, b| dirty | special(b)) {
+        out.push_str(s);
+        return;
     }
-    out
-}
-
-fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
+    let mut rest = s;
+    // All four are ASCII, so a byte offset is a char boundary.
+    while let Some(i) = rest.bytes().position(special) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => "&quot;",
+        });
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
 // ----------------------------------------------------------------- parser
@@ -335,6 +370,29 @@ mod tests {
         ));
         let xml = serialize(&g, &prefixes());
         assert!(xml.contains("a&lt;b&gt;&amp;c"), "{xml}");
+    }
+
+    #[test]
+    fn escaping_in_text_and_attribute_values() {
+        let escaped = |s: &str, attr: bool| {
+            let mut out = String::from("[");
+            push_escaped(&mut out, s, attr);
+            out + "]"
+        };
+        assert_eq!(escaped("clean é value", true), "[clean é value]");
+        assert_eq!(escaped("", false), "[]");
+        // Quotes are escaped in attribute values only.
+        assert_eq!(escaped(r#"&a<"é">&"#, false), r#"[&amp;a&lt;"é"&gt;&amp;]"#);
+        assert_eq!(escaped(r#"&a<"é">&"#, true), "[&amp;a&lt;&quot;é&quot;&gt;&amp;]");
+
+        // An IRI may hold `&` and `"`; both attribute positions escape.
+        let mut g = Graph::new();
+        let odd = iri("http://x.org/q?a=1&b=\"2\"");
+        g.insert(Triple::new(odd.clone(), iri("http://example.org/schema#p"), odd));
+        let xml = serialize(&g, &prefixes());
+        assert!(xml.contains("rdf:about=\"http://x.org/q?a=1&amp;b=&quot;2&quot;\""), "{xml}");
+        assert!(xml.contains("rdf:resource=\"http://x.org/q?a=1&amp;b=&quot;2&quot;\""), "{xml}");
+        assert_eq!(parse(&xml).unwrap(), g);
     }
 
     #[test]

@@ -55,6 +55,13 @@ impl Triple {
         Some(Triple { subject, predicate, object: object.into() })
     }
 
+    /// Crate-internal: assembles a triple without the subject check —
+    /// for triples re-assembled from an index (already checked) and for
+    /// range-scan bounds, which are only ever compared, never stored.
+    pub(crate) fn from_parts(subject: Term, predicate: Iri, object: Term) -> Self {
+        Triple { subject, predicate, object }
+    }
+
     /// The subject term (always an IRI or blank node).
     pub fn subject(&self) -> &Term {
         &self.subject

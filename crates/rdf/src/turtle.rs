@@ -55,18 +55,52 @@ impl PrefixMap {
     /// Abbreviates `iri` to `prefix:local` if a namespace matches and the
     /// local part is a simple name.
     pub fn abbreviate(&self, iri: &Iri) -> Option<String> {
+        self.qname_parts(iri).map(|(prefix, local)| format!("{prefix}:{local}"))
+    }
+
+    /// Like [`abbreviate`](PrefixMap::abbreviate), but returns the
+    /// borrowed `(prefix, local)` halves so a serializer can write the
+    /// qualified name without building a `String` per term.
+    pub fn qname_parts<'a>(&'a self, iri: &'a Iri) -> Option<(&'a str, &'a str)> {
         let s = iri.as_str();
-        for (prefix, ns) in &self.entries {
-            if let Some(local) = s.strip_prefix(ns.as_str()) {
-                if !local.is_empty()
-                    && local.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                    && local.chars().next().is_some_and(|c| !c.is_ascii_digit())
-                {
-                    return Some(format!("{prefix}:{local}"));
-                }
-            }
+        self.entries.iter().find_map(|(prefix, ns)| {
+            let local = s.strip_prefix(ns.as_str())?;
+            let simple = !local.is_empty()
+                && local.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+                && local.chars().next().is_some_and(|c| !c.is_ascii_digit());
+            simple.then_some((prefix.as_str(), local))
+        })
+    }
+}
+
+/// Remembers the qualified name of the first few distinct IRIs it is
+/// asked about — a graph has a handful of predicates and classes, each
+/// repeated once per record, so a serializer asks the same question
+/// thousands of times.
+pub(crate) struct QnameMemo<'a> {
+    prefixes: &'a PrefixMap,
+    seen: Vec<(&'a Iri, Option<(&'a str, &'a str)>)>,
+}
+
+impl<'a> QnameMemo<'a> {
+    /// Beyond this many distinct IRIs the memo stops growing, so a
+    /// lookup stays a short scan whatever the graph holds.
+    const CAPACITY: usize = 16;
+
+    pub(crate) fn new(prefixes: &'a PrefixMap) -> Self {
+        QnameMemo { prefixes, seen: Vec::with_capacity(Self::CAPACITY) }
+    }
+
+    /// [`PrefixMap::qname_parts`], remembered.
+    pub(crate) fn qname_parts(&mut self, iri: &'a Iri) -> Option<(&'a str, &'a str)> {
+        if let Some((_, qname)) = self.seen.iter().find(|(seen, _)| *seen == iri) {
+            return *qname;
         }
-        None
+        let qname = self.prefixes.qname_parts(iri);
+        if self.seen.len() < Self::CAPACITY {
+            self.seen.push((iri, qname));
+        }
+        qname
     }
 }
 
@@ -81,70 +115,94 @@ impl<S: Into<String>, T: Into<String>> FromIterator<(S, T)> for PrefixMap {
 }
 
 /// Serializes `graph` as Turtle using `prefixes` for abbreviation.
+///
+/// Streams the graph's SPO order straight into the output buffer: the
+/// order already groups by subject and predicate, so the `;` / `,`
+/// continuations need only the previous triple.
 pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
     let mut out = String::new();
     for (prefix, ns) in prefixes.iter() {
-        out.push_str(&format!("@prefix {prefix}: <{ns}> .\n"));
+        out.push_str("@prefix ");
+        out.push_str(prefix);
+        out.push_str(": <");
+        out.push_str(ns);
+        out.push_str("> .\n");
     }
     if !out.is_empty() {
         out.push('\n');
     }
 
-    let rdf_type = rdf::type_();
-    let mut last_subject: Option<Term> = None;
-    let mut last_predicate: Option<Iri> = None;
-    for t in graph.iter() {
-        let same_subject = last_subject.as_ref() == Some(t.subject());
-        let same_predicate = same_subject && last_predicate.as_ref() == Some(t.predicate());
+    let mut last: Option<&Triple> = None;
+    for t in graph {
+        let same_subject = last.is_some_and(|l| l.subject() == t.subject());
+        let same_predicate = same_subject && last.is_some_and(|l| l.predicate() == t.predicate());
         if same_predicate {
             out.push_str(" ,\n        ");
         } else if same_subject {
             out.push_str(" ;\n    ");
         } else {
-            if last_subject.is_some() {
+            if last.is_some() {
                 out.push_str(" .\n\n");
             }
-            out.push_str(&term_str(t.subject(), prefixes));
+            push_term(&mut out, t.subject(), prefixes);
             out.push(' ');
         }
         if !same_predicate {
-            if t.predicate() == &rdf_type {
+            if t.predicate().as_str() == rdf::TYPE {
                 out.push('a');
             } else {
-                out.push_str(&iri_str(t.predicate(), prefixes));
+                push_iri(&mut out, t.predicate(), prefixes);
             }
             out.push(' ');
         }
-        out.push_str(&term_str(t.object(), prefixes));
-        last_predicate = Some(t.predicate().clone());
-        last_subject = Some(t.subject().clone());
+        push_term(&mut out, t.object(), prefixes);
+        last = Some(t);
     }
-    if last_subject.is_some() {
+    if last.is_some() {
         out.push_str(" .\n");
     }
     out
 }
 
-fn iri_str(iri: &Iri, prefixes: &PrefixMap) -> String {
-    prefixes.abbreviate(iri).unwrap_or_else(|| iri.to_string())
+/// Appends the qualified name `prefix:local`.
+pub(crate) fn push_qname(out: &mut String, (prefix, local): (&str, &str)) {
+    out.push_str(prefix);
+    out.push(':');
+    out.push_str(local);
 }
 
-fn term_str(term: &Term, prefixes: &PrefixMap) -> String {
+/// Appends `iri` as a prefixed name if `prefixes` abbreviates it, else
+/// as `<iri>`.
+fn push_iri(out: &mut String, iri: &Iri, prefixes: &PrefixMap) {
+    match prefixes.qname_parts(iri) {
+        Some(qname) => push_qname(out, qname),
+        None => {
+            out.push('<');
+            out.push_str(iri.as_str());
+            out.push('>');
+        }
+    }
+}
+
+/// Appends `term` in Turtle syntax (datatype IRIs abbreviate too). With
+/// an empty prefix map this is exactly the N-Triples form.
+pub(crate) fn push_term(out: &mut String, term: &Term, prefixes: &PrefixMap) {
     match term {
-        Term::Iri(iri) => iri_str(iri, prefixes),
-        Term::Blank(b) => b.to_string(),
+        Term::Iri(iri) => push_iri(out, iri, prefixes),
+        Term::Blank(b) => {
+            out.push_str("_:");
+            out.push_str(b.label());
+        }
         Term::Literal(lit) => {
-            // Abbreviate the datatype IRI too.
-            if lit.language().is_some() || lit.datatype().as_str() == xsd::STRING {
-                lit.to_string()
-            } else {
-                let mut s = String::new();
-                s.push('"');
-                crate::term::escape_literal(lit.lexical(), &mut s);
-                s.push('"');
-                s.push_str("^^");
-                s.push_str(&iri_str(lit.datatype(), prefixes));
-                s
+            out.push('"');
+            crate::term::escape_literal(lit.lexical(), out);
+            out.push('"');
+            if let Some(lang) = lit.language() {
+                out.push('@');
+                out.push_str(lang);
+            } else if lit.datatype().as_str() != xsd::STRING {
+                out.push_str("^^");
+                push_iri(out, lit.datatype(), prefixes);
             }
         }
     }

@@ -1,7 +1,10 @@
 //! Well-known vocabularies: RDF, RDFS, OWL, XSD.
 //!
 //! Each namespace exposes the raw IRI strings as constants plus
-//! constructors returning validated [`crate::Iri`] values.
+//! constructors returning validated [`crate::Iri`] values. Every
+//! constructor validates and allocates its IRI once per process and
+//! hands out clones of it (a reference-count bump), so `rdf::type_()`
+//! or `xsd::string()` is cheap enough to call per triple.
 
 use crate::term::Iri;
 
@@ -20,7 +23,9 @@ macro_rules! vocab {
 
                 $(#[$idoc])*
                 pub fn $fn_name() -> Iri {
-                    Iri::new($const_name).expect("well-known IRI is valid")
+                    static IRI: std::sync::OnceLock<Iri> = std::sync::OnceLock::new();
+                    IRI.get_or_init(|| Iri::new($const_name).expect("well-known IRI is valid"))
+                        .clone()
                 }
             )*
         }

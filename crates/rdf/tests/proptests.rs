@@ -1,7 +1,10 @@
 //! Property-based tests: serialization roundtrips and store invariants
 //! over randomly generated graphs.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use s2s_rdf::turtle::PrefixMap;
 use s2s_rdf::{ntriples, turtle, Graph, Iri, Literal, Term, Triple};
 
@@ -30,6 +33,74 @@ fn arb_triple() -> impl Strategy<Value = Triple> {
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     proptest::collection::vec(arb_triple(), 0..40).prop_map(|v| v.into_iter().collect())
+}
+
+/// One step of the [`Graph`] model test. Triples come from a small pool
+/// so that inserts collide, removes hit and patterns match.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Triple),
+    Remove(Triple),
+    Extend(Vec<Triple>),
+    Read(Triple),
+}
+
+fn pool_triple(s: usize, p: usize, o: usize) -> Triple {
+    let iri = |kind: &str, i: usize| Iri::new(format!("http://pool.org/{kind}{i}")).unwrap();
+    let object = match o {
+        0..=2 => Term::from(iri("s", o)),
+        3 => Term::from(Literal::string("v")),
+        _ => Term::from(Literal::integer(o as i64)),
+    };
+    Triple::new(iri("s", s), iri("p", p), object)
+}
+
+fn arb_pool_triple() -> impl Strategy<Value = Triple> {
+    (0..4usize, 0..3usize, 0..6usize).prop_map(|(s, p, o)| pool_triple(s, p, o))
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_pool_triple().prop_map(Op::Insert),
+        arb_pool_triple().prop_map(Op::Insert),
+        arb_pool_triple().prop_map(Op::Remove),
+        proptest::collection::vec(arb_pool_triple(), 0..8).prop_map(Op::Extend),
+        arb_pool_triple().prop_map(Op::Read),
+    ]
+}
+
+/// Every read of `graph` against a linear filter of `model`: the eight
+/// `match_pattern` shapes bound to `probe`'s terms, `iter`, `contains`,
+/// `predicates` and `subjects_distinct`.
+fn check_reads(graph: &Graph, model: &[Triple], probe: &Triple) -> Result<(), TestCaseError> {
+    let (s, p, o) = (probe.subject(), probe.predicate(), probe.object());
+    for shape in 0..8u8 {
+        let qs = (shape & 1 != 0).then_some(s);
+        let qp = (shape & 2 != 0).then_some(p);
+        let qo = (shape & 4 != 0).then_some(o);
+        let mut expect: Vec<Triple> = model
+            .iter()
+            .filter(|t| {
+                qs.is_none_or(|x| t.subject() == x)
+                    && qp.is_none_or(|x| t.predicate() == x)
+                    && qo.is_none_or(|x| t.object() == x)
+            })
+            .cloned()
+            .collect();
+        expect.sort();
+        let mut got: Vec<Triple> = graph.match_pattern(qs, qp, qo).collect();
+        got.sort();
+        prop_assert_eq!(got, expect, "shape {:03b}", shape);
+    }
+    let mut sorted = model.to_vec();
+    sorted.sort();
+    prop_assert_eq!(graph.iter().cloned().collect::<Vec<_>>(), sorted);
+    prop_assert_eq!(graph.contains(probe), model.contains(probe));
+    let predicates: BTreeSet<Iri> = model.iter().map(|t| t.predicate().clone()).collect();
+    prop_assert_eq!(graph.predicates().collect::<Vec<_>>(), Vec::from_iter(predicates));
+    let subjects: BTreeSet<Term> = model.iter().map(|t| t.subject().clone()).collect();
+    prop_assert_eq!(graph.subjects_distinct().collect::<Vec<_>>(), Vec::from_iter(subjects));
+    Ok(())
 }
 
 proptest! {
@@ -65,39 +136,41 @@ proptest! {
         prop_assert_eq!(g, g2);
     }
 
-    /// Every pattern query returns exactly the triples matching the filter
-    /// semantics of a naive scan.
+    /// Model test: any sequence of inserts, removes and bulk extends,
+    /// with every read interleaved (so derived indexes are built, used,
+    /// dropped and rebuilt at arbitrary points), agrees with a naive
+    /// `Vec<Triple>` that is filtered linearly.
     #[test]
-    fn pattern_matches_naive_scan(g in arb_graph(), probe in arb_triple()) {
-        let s = probe.subject().clone();
-        let p = probe.predicate().clone();
-        let o = probe.object().clone();
-
-        let cases: Vec<(Option<&Term>, Option<&Iri>, Option<&Term>)> = vec![
-            (Some(&s), None, None),
-            (None, Some(&p), None),
-            (None, None, Some(&o)),
-            (Some(&s), Some(&p), None),
-            (None, Some(&p), Some(&o)),
-            (Some(&s), None, Some(&o)),
-            (Some(&s), Some(&p), Some(&o)),
-            (None, None, None),
-        ];
-        for (qs, qp, qo) in cases {
-            let expect: Vec<Triple> = g
-                .iter()
-                .filter(|t| {
-                    qs.map(|x| t.subject() == x).unwrap_or(true)
-                        && qp.map(|x| t.predicate() == x).unwrap_or(true)
-                        && qo.map(|x| t.object() == x).unwrap_or(true)
-                })
-                .collect();
-            let mut got: Vec<Triple> = g.match_pattern(qs, qp, qo).collect();
-            let mut expect = expect;
-            got.sort();
-            expect.sort();
-            prop_assert_eq!(got, expect);
+    fn graph_agrees_with_naive_vec_model(ops in proptest::collection::vec(arb_op(), 0..40)) {
+        let mut graph = Graph::new();
+        let mut model: Vec<Triple> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Insert(t) => {
+                    let fresh = !model.contains(&t);
+                    if fresh {
+                        model.push(t.clone());
+                    }
+                    prop_assert_eq!(graph.insert(t), fresh);
+                }
+                Op::Remove(t) => {
+                    let present = model.contains(&t);
+                    model.retain(|m| m != &t);
+                    prop_assert_eq!(graph.remove(&t), present);
+                }
+                Op::Extend(ts) => {
+                    for t in &ts {
+                        if !model.contains(t) {
+                            model.push(t.clone());
+                        }
+                    }
+                    graph.extend(ts);
+                }
+                Op::Read(probe) => check_reads(&graph, &model, &probe)?,
+            }
+            prop_assert_eq!(graph.len(), model.len());
         }
+        check_reads(&graph, &model, &pool_triple(0, 0, 0))?;
     }
 
     /// Insert/remove keep len consistent and contains() truthful.
