@@ -58,19 +58,19 @@ fn bench_cache(c: &mut Criterion) {
     use s2s_core::S2s;
     use std::sync::Arc;
 
-    // Cache ablation on a mixed deployment with repeat queries.
+    // Slice-cache (materialized views) ablation on repeat queries.
     let _ = deploy_mixed(1, 0); // keep imports honest for future edits
 
     let build = |cached: bool| {
         let recs = records(500, 33);
         let mut s2s = S2s::new(ontology());
         if cached {
-            s2s = s2s.with_cache();
+            s2s = s2s.with_views();
         }
         s2s.register_source("DB", Connection::Database { db: Arc::new(catalog_db(&recs)) })
             .unwrap();
         map_db(&mut s2s, "DB");
-        // Warm the cache with one query.
+        // Materialize the views with one query.
         let _ = s2s.query("SELECT watch").unwrap();
         s2s
     };
@@ -85,7 +85,7 @@ fn bench_cache(c: &mut Criterion) {
     group.bench_function("cached_repeat_query", |b| {
         b.iter(|| {
             let o = warm.query("SELECT watch").unwrap();
-            assert_eq!(o.stats.cache_hits, o.stats.tasks);
+            assert_eq!(o.stats.view_hits as usize, o.stats.tasks);
             o.individuals().len()
         })
     });

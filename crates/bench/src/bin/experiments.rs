@@ -397,10 +397,12 @@ fn run_experiments() {
 
 /// A deployment where one of two sources is hard-down and the breaker
 /// trips after a single failure: the trace's `DOWN` batches show the
-/// full degradation ladder (retried+failed first task, then
-/// breaker-rejected tasks) while `GOOD` stays clean. Serial,
-/// per-attribute extraction keeps the breaker-state sequencing
-/// deterministic.
+/// full degradation ladder (retried+failed first exchange, then
+/// breaker-rejected exchanges) while `GOOD` stays clean. Serial,
+/// per-attribute extraction: six one-rule batches dispatched in the
+/// planner's (estimate desc, source id, submission index) order, so the
+/// breaker-state sequencing is a function of the plan — the costliest
+/// `DOWN` exchange (`case`) is the one that reaches the wire.
 fn degraded_deploy() -> S2s {
     let policy = s2s_core::ResiliencePolicy::default()
         .with_retry(RetryPolicy::attempts(2).with_backoff(

@@ -728,7 +728,7 @@ pub fn serial_baseline(
 /// [`ThroughputReport::to_json`] and [`OverloadReport::to_json`].
 /// Bump when a field is added, removed, or re-typed; the smoke jobs
 /// refuse artifacts whose `schema_version` differs from the binary's.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// What one throughput run measured.
 #[derive(Debug, Clone)]
@@ -752,18 +752,16 @@ pub struct ThroughputReport {
     /// Shared-pool counters at the end of the run.
     pub pool: s2s_netsim::PoolStats,
     /// Plan-cache counters at the end of the run.
-    pub plan_cache: s2s_core::cache::CacheStats,
+    pub plan_cache: s2s_core::CacheStats,
     /// Result-cache counters at the end of the run.
-    pub result_cache: s2s_core::cache::CacheStats,
-    /// Extraction-cache counters at the end of the run.
-    pub extraction_cache: s2s_core::cache::CacheStats,
+    pub result_cache: s2s_core::CacheStats,
     /// Rule-cache counters at the end of the run.
-    pub rule_cache: s2s_core::cache::CacheStats,
+    pub rule_cache: s2s_core::CacheStats,
 }
 
 impl ThroughputReport {
     /// Hit rate of a counter pair, in `[0, 1]` (`0` when idle).
-    pub fn hit_rate(stats: s2s_core::cache::CacheStats) -> f64 {
+    pub fn hit_rate(stats: s2s_core::CacheStats) -> f64 {
         let total = stats.hits + stats.misses;
         if total == 0 {
             0.0
@@ -775,7 +773,7 @@ impl ThroughputReport {
     /// Renders the report as a single JSON object (no dependencies; the
     /// smoke-audit artifact format).
     pub fn to_json(&self) -> String {
-        fn cache(stats: s2s_core::cache::CacheStats) -> String {
+        fn cache(stats: s2s_core::CacheStats) -> String {
             format!(
                 "{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
                 stats.hits, stats.misses, stats.evictions
@@ -788,8 +786,7 @@ impl ThroughputReport {
                 "\"p50_us\":{},\"p99_us\":{},\"mismatches\":{},\"min_completeness\":{},",
                 "\"pool\":{{\"workers\":{},\"jobs\":{},\"completed\":{},",
                 "\"peak_queue_depth\":{},\"queue_wait_us\":{}}},",
-                "\"plan_cache\":{},\"result_cache\":{},",
-                "\"extraction_cache\":{},\"rule_cache\":{}}}"
+                "\"plan_cache\":{},\"result_cache\":{},\"rule_cache\":{}}}"
             ),
             SCHEMA_VERSION,
             self.clients,
@@ -807,7 +804,6 @@ impl ThroughputReport {
             self.pool.queue_wait_us,
             cache(self.plan_cache),
             cache(self.result_cache),
-            cache(self.extraction_cache),
             cache(self.rule_cache),
         )
     }
@@ -1288,7 +1284,6 @@ fn throughput_report(
         pool: engine.pool_stats(),
         plan_cache: engine.plan_cache_stats(),
         result_cache: engine.result_cache_stats(),
-        extraction_cache: engine.cache_stats(),
         rule_cache: engine.rule_cache_stats(),
     }
 }
@@ -1851,7 +1846,7 @@ mod tests {
         assert_eq!(report.min_completeness, 1.0);
         assert!(report.qps > 0.0);
         let json = report.to_json();
-        assert!(json.starts_with("{\"schema_version\":1,"), "{json}");
+        assert!(json.starts_with("{\"schema_version\":2,"), "{json}");
     }
 
     #[test]
@@ -1871,7 +1866,7 @@ mod tests {
             peak_queued: 1,
             tenants: vec![("t".into(), TenantOutcome { arrivals: 4, served: 3, shed: 1 })],
         };
-        assert!(report.to_json().starts_with("{\"schema_version\":1,"), "{}", report.to_json());
+        assert!(report.to_json().starts_with("{\"schema_version\":2,"), "{}", report.to_json());
     }
 
     #[test]
@@ -2061,13 +2056,13 @@ mod tests {
         let report = PushdownReport { rows: 1, points: Vec::new() };
         validate_report(&report.to_json()).expect("fresh e15 report validates");
         // e14 shape: versions nested one per run.
-        validate_report(r#"{"runs":[{"schema_version":1,"p99_ms":3.5},{"schema_version":1}]}"#)
+        validate_report(r#"{"runs":[{"schema_version":2,"p99_ms":3.5},{"schema_version":2}]}"#)
             .expect("nested versions validate");
         assert!(validate_report("{}").is_err(), "missing schema_version");
         assert!(validate_report(r#"{"schema_version":999}"#).is_err(), "version drift");
-        assert!(validate_report(r#"{"schema_version":1"#).is_err(), "truncated JSON");
-        assert!(validate_report(r#"{"schema_version":1} extra"#).is_err(), "trailing data");
-        assert!(validate_report(r#"{"schema_version":"1"}"#).is_err(), "non-numeric version");
-        assert!(validate_report(r#"{"schema_version":1.5}"#).is_err(), "fractional version");
+        assert!(validate_report(r#"{"schema_version":2"#).is_err(), "truncated JSON");
+        assert!(validate_report(r#"{"schema_version":2} extra"#).is_err(), "trailing data");
+        assert!(validate_report(r#"{"schema_version":"2"}"#).is_err(), "non-numeric version");
+        assert!(validate_report(r#"{"schema_version":2.5}"#).is_err(), "fractional version");
     }
 }

@@ -828,23 +828,13 @@ fn check_stats(
         ));
     }
     // Cache-delta consistency: exactly one plan-cache op per fresh
-    // (non-replayed) query; the extraction cache is disabled here, so
-    // its delta and the stats hit counter must both be zero.
+    // (non-replayed) query.
     if s.result_cache.hits == 0 {
         let plan_ops = s.plan_cache.hits + s.plan_cache.misses;
         if (concurrent && plan_ops < 1) || (!concurrent && plan_ops != 1) {
             violations.push(Violation::new(
                 "cache-delta",
                 format!("{path}: plan cache delta hits+misses = {plan_ops}, expected 1"),
-            ));
-        }
-        if s.cache_hits != 0 || s.extraction_cache.hits != 0 {
-            violations.push(Violation::new(
-                "cache-delta",
-                format!(
-                    "{path}: extraction cache reported hits ({} / {}) while disabled",
-                    s.cache_hits, s.extraction_cache.hits
-                ),
             ));
         }
     }

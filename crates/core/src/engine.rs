@@ -2,7 +2,7 @@
 //!
 //! The paper's mediator handles one query at a time; a resident,
 //! concurrently shared [`crate::middleware::S2s`] adds two cache layers
-//! *above* the extraction and compiled-rule caches:
+//! *above* the materialized views and the compiled-rule cache:
 //!
 //! * [`PlanCache`] — memoizes the parse/validate/plan front half of
 //!   query handling, keyed on [`crate::query::normalize`]d S2SQL text.
@@ -39,10 +39,39 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use s2s_netsim::SimDuration;
 
-use crate::cache::{evict_lru, CacheStats};
 use crate::instance::InstanceSet;
 use crate::middleware::QueryStats;
 use crate::query::QueryPlan;
+
+/// Hit/miss/eviction counters, shared by every cache of the engine
+/// (plan, result, compiled-rule).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Entries dropped by the LRU capacity bound.
+    pub evictions: u64,
+}
+
+/// Removes the entry with the smallest recency stamp. O(n) scan — the
+/// caches are small (thousands of entries) and eviction only runs at
+/// capacity, so a heap is not worth the bookkeeping.
+pub(crate) fn evict_lru<K, V>(
+    entries: &mut HashMap<K, V>,
+    stamp_of: impl Fn(&V) -> &AtomicU64,
+) -> Option<K>
+where
+    K: Clone + Eq + std::hash::Hash,
+{
+    let victim = entries
+        .iter()
+        .min_by_key(|(_, v)| stamp_of(v).load(Ordering::Relaxed))
+        .map(|(k, _)| k.clone())?;
+    entries.remove(&victim);
+    Some(victim)
+}
 
 /// The `(source, version)` dependencies a cached artifact read,
 /// captured under the registry read lock of the producing run.
@@ -545,7 +574,6 @@ mod tests {
             errors: Vec::new(),
             completeness: 1.0,
             round_trips: 0,
-            cache_hits: 0,
         })
     }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use s2s_netsim::wire::{batch_exchange_size, batch_frame_size, exchange_size, frame_size};
+use s2s_netsim::wire::{batch_exchange_size, batch_frame_size, exchange_size};
 use s2s_netsim::{
     invoke_with_retry, makespan, BreakerConfig, BreakerState, CircuitBreaker, Endpoint,
     HedgeConfig, Hedger, RetryPolicy, SimDuration, WorkerPool,
@@ -290,7 +290,7 @@ pub struct ExtractionReport {
     /// Degraded-mode telemetry per source id.
     pub resilience: BTreeMap<String, SourceHealth>,
     /// Per-batch trace spans (`batch → rule/attempt`), populated only
-    /// by the `*_traced` entry points; empty otherwise. Spans are built
+    /// when [`ExtractEnv::traced`]; empty otherwise. Spans are built
     /// thread-locally inside each worker and ride the result channel
     /// back, so collecting them adds no locks to the parallel path.
     pub spans: Vec<Span>,
@@ -360,213 +360,47 @@ impl ExtractorManager {
     }
 
     /// Runs a batch of schemas (step 4 of Fig. 5), tolerating per-task
-    /// failures. Legacy single-shot behaviour: one attempt against the
-    /// primary endpoint, no failover, no breaker, one wire exchange per
-    /// attribute.
-    pub fn extract(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-    ) -> ExtractionReport {
-        Self::extract_with(
-            registry,
-            schemas,
-            strategy,
-            &ResilienceContext::new(ResiliencePolicy::none()),
-        )
-    }
-
-    /// Like [`ExtractorManager::extract`] but driven by a resilience
-    /// context: each task retries per the policy, fails over across
-    /// replica endpoints, and respects circuit breakers. The report's
-    /// `resilience` map carries the degraded-mode telemetry.
-    pub fn extract_with(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-    ) -> ExtractionReport {
-        Self::extract_with_rules(registry, schemas, strategy, ctx, &RuleCache::new())
-    }
-
-    /// The per-attribute path with a shared compiled-rule cache: one
-    /// wire exchange per schema. Kept alongside
-    /// [`ExtractorManager::extract_batched`] for the equivalence tests
-    /// and the ablation bench.
-    pub fn extract_with_rules(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-    ) -> ExtractionReport {
-        let pool = WorkerPool::new(strategy.workers());
-        Self::extract_with_rules_traced(registry, schemas, strategy, ctx, rules, false, &pool, None)
-    }
-
-    /// [`ExtractorManager::extract_with_rules`] with optional span
-    /// collection: when `traced`, the report's `spans` carry one
-    /// `batch` span per task (this path puts each attribute on its own
-    /// wire exchange) with its `rule` child and one `attempt` child per
-    /// endpoint tried. Tasks execute on `pool` — a resident engine
-    /// passes its long-lived shared pool so concurrent queries
-    /// multiplex onto one fixed set of threads; the legacy entry points
-    /// above construct a transient pool per call. `strategy` still
-    /// sizes the *simulated* makespan accounting independently.
-    /// `deadline` is the query's remaining budget, applied per source
-    /// exchange (see [`ResiliencePolicy`] and the overload layer).
-    #[allow(clippy::too_many_arguments)]
-    pub fn extract_with_rules_traced(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-        traced: bool,
-        pool: &WorkerPool,
-        deadline: Option<SimDuration>,
-    ) -> ExtractionReport {
-        let workers = strategy.workers();
-        let run_one = |schema: ExtractionSchema| {
-            let started = std::time::Instant::now();
-            let mut attempt_spans = if traced { Some(Vec::new()) } else { None };
-            let r = extract_one_resilient(
-                registry,
-                &schema,
-                ctx,
-                rules,
-                deadline,
-                attempt_spans.as_mut(),
-            );
-            (schema, r, attempt_spans, started.elapsed())
-        };
-        let outcomes = match strategy {
-            Strategy::Reactor { shards } => {
-                s2s_netsim::reactor::run_tasks(
-                    shards,
-                    schemas,
-                    run_one,
-                    |(_, (_, trace, _), _, _)| trace.elapsed,
-                )
-                .0
-            }
-            _ => pool.run(schemas, run_one),
-        };
-
-        let mut report = ExtractionReport::default();
-        let mut durations = Vec::new();
-        for (schema, (outcome, trace, wire), attempt_spans, wall) in outcomes {
-            let health = report.resilience.entry(schema.mapping.source().to_string()).or_default();
-            health.tasks += 1;
-            fold_trace(health, trace);
-            if let Some(attempt_spans) = attempt_spans {
-                let mut rule = Span::new(SpanKind::Rule, schema.mapping.path().to_string());
-                rule.attr("source", schema.mapping.source().to_string());
-                match &outcome {
-                    Ok((values, _)) => rule.attr("values", values.len().to_string()),
-                    Err(error) => {
-                        rule.outcome = SpanOutcome::Failed;
-                        rule.attr("error", error.to_string());
-                    }
-                }
-                let mut batch = Span::new(SpanKind::Batch, schema.mapping.source().to_string());
-                batch.sim_us = trace.elapsed.as_micros();
-                batch.wall_us = wall.as_micros() as u64;
-                batch.outcome = batch_outcome(outcome.is_err(), false, &trace);
-                batch.push(rule);
-                for span in attempt_spans {
-                    batch.push(span);
-                }
-                report.spans.push(batch);
-            }
-            match outcome {
-                Ok((values, elapsed)) => {
-                    durations.push(elapsed);
-                    report.wire_bytes += wire.total;
-                    report.wire_response_bytes += wire.response;
-                    report.wire_bytes_saved += wire.saved;
-                    report.results.push(AttributeResult {
-                        mapping: schema.mapping,
-                        values,
-                        elapsed,
-                    });
-                }
-                Err(error) => {
-                    health.failed_tasks += 1;
-                    report.failures.push(ExtractionFailure {
-                        attribute: schema.mapping.path().to_string(),
-                        source: schema.mapping.source().to_string(),
-                        error,
-                    });
-                }
-            }
-        }
-        fill_breaker_states(&mut report, registry, ctx);
-        report.simulated_serial = durations.iter().copied().sum();
-        report.simulated = makespan(&durations, simulated_workers(strategy, &durations, workers));
-        record_report_metrics(&report);
-        report
-    }
-
-    /// The batched pipeline: the planner groups the schema batch by
-    /// source, runs every wrapper locally, coalesces each group's rules
-    /// into a single `BatchRequest`/`BatchResponse` wire exchange, and
-    /// dispatches batches longest-processing-time-first so the k-worker
-    /// makespan is near-optimal.
+    /// failures — the mediator's one pipeline. The planner groups the
+    /// schemas ([`ExtractEnv::batching`]: per source, or one group per
+    /// schema for the paper-literal per-attribute dispatch), runs every
+    /// wrapper locally, coalesces each group's rules into a single
+    /// `BatchRequest`/`BatchResponse` wire exchange, and dispatches the
+    /// groups longest-processing-time-first so the k-worker makespan is
+    /// near-optimal.
     ///
-    /// Semantics match the per-attribute paths exactly: results and
-    /// failures come back in submission order with identical values and
-    /// errors. A failed exchange retries/fails over *as a unit* and
-    /// fails every batched rule with the same network error; wrapper
-    /// errors (bad rules, missing columns) are reported individually
-    /// and never reach the wire, so one bad rule cannot sink its batch.
-    pub fn extract_batched(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-    ) -> ExtractionReport {
-        let pool = WorkerPool::new(strategy.workers());
-        Self::extract_batched_traced(registry, schemas, strategy, ctx, rules, false, &pool, None)
-    }
-
-    /// [`ExtractorManager::extract_batched`] with optional span
-    /// collection: when `traced`, the report's `spans` carry one
+    /// Results and failures come back in submission order whatever the
+    /// grouping. A failed exchange retries/fails over *as a unit* and
+    /// fails every rule of its group with the same network error;
+    /// wrapper errors (bad rules, missing columns) are reported
+    /// individually and never reach the wire, so one bad rule cannot
+    /// sink its batch.
+    ///
+    /// When [`ExtractEnv::traced`], the report's `spans` carry one
     /// `batch` span per planned wire exchange, with one `rule` child
     /// per planned rule (rule-cache provenance included — the planner
     /// runs serially, so the cache-stat deltas are unambiguous) and one
-    /// `attempt` child per endpoint tried. Batches execute on `pool`
-    /// (see [`ExtractorManager::extract_with_rules_traced`] for the
-    /// pool/strategy split).
-    #[allow(clippy::too_many_arguments)]
-    pub fn extract_batched_traced(
+    /// `attempt` child per endpoint tried.
+    pub fn extract(
         registry: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-        traced: bool,
-        pool: &WorkerPool,
-        deadline: Option<SimDuration>,
+        env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
-        let workers = strategy.workers();
-        let batches = plan_batches(registry, schemas, rules, traced);
+        let batches = plan_batches(registry, schemas, env);
         if s2s_obs::enabled() {
             s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
         }
 
-        let outcomes = match strategy {
+        let outcomes = match env.strategy {
             Strategy::Reactor { shards } => {
                 s2s_netsim::reactor::run_tasks(
                     shards,
                     batches,
-                    |batch| run_batch(batch, ctx, deadline, traced),
+                    |batch| run_batch(batch, env),
                     |(_, (_, trace), _, _)| trace.elapsed,
                 )
                 .0
             }
-            _ => pool.run(batches, |batch| run_batch(batch, ctx, deadline, traced)),
+            _ => env.pool.run(batches, |batch| run_batch(batch, env)),
         };
 
         let mut report = ExtractionReport::default();
@@ -621,27 +455,54 @@ impl ExtractorManager {
                 }
             }
         }
-        // Restore submission order so batched output is byte-identical
-        // to the per-attribute paths.
+        // Restore submission order so the output is byte-identical
+        // whatever the grouping and the dispatch order.
         results.sort_by_key(|(i, _)| *i);
         failures.sort_by_key(|(i, _)| *i);
         report.results = results.into_iter().map(|(_, r)| r).collect();
         report.failures = failures.into_iter().map(|(_, f)| f).collect();
-        fill_breaker_states(&mut report, registry, ctx);
+        fill_breaker_states(&mut report, registry, env.resilience);
         report.simulated_serial = durations.iter().copied().sum();
-        report.simulated = makespan(&durations, simulated_workers(strategy, &durations, workers));
+        report.simulated = makespan(&durations, simulated_workers(env.strategy, &durations));
         record_report_metrics(&report);
         report
     }
 }
 
+/// What one mediated extraction round runs under — the engine state
+/// [`crate::middleware::S2s`] threads into [`ExtractorManager::extract`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExtractEnv<'a> {
+    /// Sizes the *simulated* makespan accounting and picks the reactor
+    /// over the pool; the pool's own thread count is independent.
+    pub strategy: Strategy,
+    /// Where batches execute: a resident engine passes its long-lived
+    /// shared pool, so concurrent queries multiplex onto one fixed set
+    /// of threads.
+    pub pool: &'a WorkerPool,
+    /// Retry/failover policy, breaker board and virtual clock.
+    pub resilience: &'a ResilienceContext,
+    /// The shared compiled-rule cache.
+    pub rules: &'a RuleCache,
+    /// The query's remaining budget, applied per source exchange (see
+    /// [`ResiliencePolicy`] and the overload layer).
+    pub deadline: Option<SimDuration>,
+    /// Whether to build trace spans; nothing is allocated when off.
+    pub traced: bool,
+    /// The planner's grouping key: `true` coalesces all rules of a
+    /// source into one wire exchange, `false` puts every schema on its
+    /// own exchange — the per-attribute dispatch of Fig. 5, a batch of
+    /// one through the same code.
+    pub batching: bool,
+}
+
 /// The worker count the makespan accounting should assume: the
 /// strategy's thread count, except under the reactor, where every task
 /// overlaps every other (simulated makespan = max per-task cost).
-fn simulated_workers(strategy: Strategy, durations: &[SimDuration], workers: usize) -> usize {
+fn simulated_workers(strategy: Strategy, durations: &[SimDuration]) -> usize {
     match strategy {
         Strategy::Reactor { .. } => durations.len().max(1),
-        _ => workers,
+        _ => strategy.workers(),
     }
 }
 
@@ -651,25 +512,18 @@ type BatchOutcome<'a> =
     (PlannedBatch<'a>, (Result<SimDuration, S2sError>, TaskTrace), Option<Vec<Span>>, Duration);
 
 /// Executes one planned batch's wire leg — the task body shared by the
-/// pooled and reactor dispatchers of
-/// [`ExtractorManager::extract_batched_traced`].
-fn run_batch<'a>(
-    batch: PlannedBatch<'a>,
-    ctx: &ResilienceContext,
-    deadline: Option<SimDuration>,
-    traced: bool,
-) -> BatchOutcome<'a> {
+/// pooled and reactor dispatchers of [`ExtractorManager::extract`].
+fn run_batch<'a>(batch: PlannedBatch<'a>, env: &ExtractEnv<'_>) -> BatchOutcome<'a> {
     let started = std::time::Instant::now();
-    let mut attempt_spans = if traced { Some(Vec::new()) } else { None };
+    let mut attempt_spans = if env.traced { Some(Vec::new()) } else { None };
     let net = if let (Some(source), false) = (batch.source, batch.ok.is_empty()) {
-        let salt = format!("{}:batch", batch.source_id);
         resilient_exchange(
             source,
             &batch.source_id,
-            &salt,
+            &batch.salt,
             batch.wire_bytes,
-            ctx,
-            deadline,
+            env.resilience,
+            env.deadline,
             attempt_spans.as_mut(),
         )
     } else {
@@ -680,10 +534,18 @@ fn run_batch<'a>(
     (batch, net, attempt_spans, started.elapsed())
 }
 
-/// One per-source unit of batched work, planned before any wire leg.
+/// One group of schemas bound for a single wire exchange, planned
+/// before any wire leg.
 struct PlannedBatch<'a> {
     source_id: String,
     source: Option<&'a RegisteredSource>,
+    /// Submission index of the group's first schema (dispatch-order
+    /// tie-break).
+    first: usize,
+    /// Keeps backoff-jitter draw streams distinct per group:
+    /// `{source}:batch` for a per-source group, the attribute path for a
+    /// per-schema group.
+    salt: String,
     /// Wrapper-successful schemas: submission index, schema, values.
     ok: Vec<(usize, ExtractionSchema, Vec<String>)>,
     /// Wrapper-failed schemas (these never reach the wire).
@@ -701,21 +563,32 @@ struct PlannedBatch<'a> {
     rule_spans: Vec<Span>,
 }
 
-/// Groups schemas by source, runs the local wrapper half, and sizes the
-/// coalesced `BatchRequest`/`BatchResponse` exchange for each group.
+/// Groups schemas — by source, or one group per schema when
+/// [`ExtractEnv::batching`] is off — runs the local wrapper half, and
+/// sizes the coalesced `BatchRequest`/`BatchResponse` exchange for each
+/// group.
 fn plan_batches<'a>(
     registry: &'a SourceRegistry,
     schemas: Vec<ExtractionSchema>,
-    rules: &RuleCache,
-    traced: bool,
+    env: &ExtractEnv<'_>,
 ) -> Vec<PlannedBatch<'a>> {
-    let mut groups: BTreeMap<String, Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
+    let (rules, traced) = (env.rules, env.traced);
+    // Group key: `(source, 0)` coalesces a source's schemas; `(source,
+    // submission index)` keeps every schema on its own exchange.
+    let mut groups: BTreeMap<(String, usize), Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
     for (i, s) in schemas.into_iter().enumerate() {
-        groups.entry(s.mapping.source().to_string()).or_default().push((i, s));
+        let slot = if env.batching { 0 } else { i };
+        groups.entry((s.mapping.source().to_string(), slot)).or_default().push((i, s));
     }
     let mut batches = Vec::with_capacity(groups.len());
-    for (source_id, group) in groups {
+    for ((source_id, _), group) in groups {
         let source = registry.get(&source_id.as_str().into());
+        let first = group[0].0;
+        let salt = if env.batching {
+            format!("{source_id}:batch")
+        } else {
+            group[0].1.mapping.path().to_string()
+        };
         let mut ok = Vec::new();
         let mut failed = Vec::new();
         let mut rule_spans = Vec::new();
@@ -781,6 +654,8 @@ fn plan_batches<'a>(
         batches.push(PlannedBatch {
             source_id,
             source,
+            first,
+            salt,
             ok,
             failed,
             wire_bytes,
@@ -793,7 +668,15 @@ fn plan_batches<'a>(
     // Longest processing time first: the greedy list scheduler (both
     // the worker pool and the `makespan` accounting) sees the costliest
     // batches first, which keeps the k-worker makespan near-optimal.
-    batches.sort_by(|a, b| b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(&b.source_id)));
+    // Ties fall back to (source id, first submission index), so the
+    // dispatch order — and with it the breaker and virtual-clock
+    // sequencing of a serial run — is a function of the plan alone.
+    batches.sort_by(|a, b| {
+        b.estimate
+            .cmp(&a.estimate)
+            .then_with(|| a.source_id.cmp(&b.source_id))
+            .then_with(|| a.first.cmp(&b.first))
+    });
     batches
 }
 
@@ -886,70 +769,21 @@ pub fn extract_one(
     registry: &SourceRegistry,
     mapping: &AttributeMapping,
 ) -> Result<(Vec<String>, SimDuration), S2sError> {
-    let (source, values, bytes, _) = prepare_task(registry, mapping, &RuleCache::new())?;
+    let source = registry.require(mapping.source())?;
+    let values = prepare_values(registry, mapping, &RuleCache::new())?;
+    let response_len: usize = values.iter().map(String::len).sum();
+    let bytes = exchange_size(mapping.rule().text().len(), response_len);
     let call = source.endpoint().invoke(bytes, || ())?;
     Ok((values, call.elapsed))
 }
 
-/// Like [`extract_one`] but under a [`ResilienceContext`]: the network
-/// leg retries per the policy, fails over along the source's replica
-/// list on transient failures, and is gated by per-endpoint circuit
-/// breakers. Wrapper errors (bad rules, missing columns) are permanent
-/// — replicas serve the same data, so neither retry nor failover is
-/// attempted for them.
-///
-/// Returns the task outcome plus its resilience counters. The elapsed
-/// time of a success includes every failed attempt and backoff wait
-/// that led up to it.
-/// Wire accounting of one completed exchange: total bytes, the
-/// response-frame share, and the response payload a pushdown rewrite
-/// avoided versus the baseline rule.
-#[derive(Debug, Clone, Copy, Default)]
-struct WireUsage {
-    total: u64,
-    response: u64,
-    saved: u64,
-}
-
-type TaskOutcome = (Result<(Vec<String>, SimDuration), S2sError>, TaskTrace, WireUsage);
-
-fn extract_one_resilient(
-    registry: &SourceRegistry,
-    schema: &ExtractionSchema,
-    ctx: &ResilienceContext,
-    rules: &RuleCache,
-    deadline: Option<SimDuration>,
-    spans: Option<&mut Vec<Span>>,
-) -> TaskOutcome {
-    let mapping = &schema.mapping;
-    let (source, values, bytes, response_len) = match prepare_task(registry, mapping, rules) {
-        Ok(prepared) => prepared,
-        Err(e) => return (Err(e), TaskTrace::default(), WireUsage::default()),
-    };
-    let saved = match &schema.baseline {
-        Some(b) => prepare_values(registry, b, rules)
-            .map(|v| v.iter().map(String::len).sum::<usize>())
-            .unwrap_or(response_len)
-            .saturating_sub(response_len),
-        None => 0,
-    };
-    let wire = WireUsage {
-        total: bytes as u64,
-        response: frame_size(response_len) as u64,
-        saved: saved as u64,
-    };
-    let source_label = mapping.source().to_string();
-    let salt = mapping.path().to_string();
-    let (net, trace) =
-        resilient_exchange(source, &source_label, &salt, bytes, ctx, deadline, spans);
-    (net.map(|elapsed| (values, elapsed)), trace, wire)
-}
-
-/// The resilient network leg shared by the per-attribute and batched
-/// paths: retries per the policy, fails over along the source's replica
-/// list on transient failures, and is gated by per-endpoint circuit
-/// breakers. `salt` keeps backoff-jitter draw streams distinct per
-/// logical task; `source_label` names the source in errors.
+/// The resilient network leg of one planned batch: retries per the
+/// policy, fails over along the source's replica list on transient
+/// failures, and is gated by per-endpoint circuit breakers. Wrapper
+/// errors never get here — replicas serve the same data, so neither
+/// retry nor failover is attempted for them. `salt` keeps
+/// backoff-jitter draw streams distinct per batch; `source_label` names
+/// the source in errors.
 ///
 /// A failover is counted only once at least one real attempt has been
 /// made — skipping past a breaker-rejected endpoint costs no network
@@ -1127,22 +961,6 @@ fn note_deadline_exceeded() {
     }
 }
 
-/// The local half of a task: [`prepare_values`] plus wire-size
-/// accounting (request frame carrying the rule text plus response frame
-/// carrying the values). Returns the source, the values, the total
-/// exchange bytes, and the response payload length.
-fn prepare_task<'a>(
-    registry: &'a SourceRegistry,
-    mapping: &AttributeMapping,
-    rules: &RuleCache,
-) -> Result<(&'a RegisteredSource, Vec<String>, usize, usize), S2sError> {
-    let source = registry.require(mapping.source())?;
-    let values = prepare_values(registry, mapping, rules)?;
-    let response_len: usize = values.iter().map(String::len).sum();
-    let bytes = exchange_size(mapping.rule().text().len(), response_len);
-    Ok((source, values, bytes, response_len))
-}
-
 /// Source lookup, rule/kind check, wrapper run, and scenario
 /// truncation — everything local; no wire accounting. Also the
 /// pushdown planner's pricing oracle: it runs baseline rules locally
@@ -1265,7 +1083,7 @@ fn flatten_webl(value: WeblValue) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
+    use crate::engine::CacheStats;
     use crate::mapping::MappingModule;
     use crate::source::Connection;
     use s2s_minidb::Database;
@@ -1333,6 +1151,44 @@ mod tests {
         )
         .unwrap();
         m
+    }
+
+    /// Every mediator test goes through the one pipeline: a transient
+    /// pool sized by `strategy`, untraced, no deadline; `batching` picks
+    /// the planner's grouping (per source vs per schema).
+    fn run(
+        r: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        strategy: Strategy,
+        ctx: &ResilienceContext,
+        rules: &RuleCache,
+        batching: bool,
+    ) -> ExtractionReport {
+        let pool = WorkerPool::new(strategy.workers());
+        let env = ExtractEnv {
+            strategy,
+            pool: &pool,
+            resilience: ctx,
+            rules,
+            deadline: None,
+            traced: false,
+            batching,
+        };
+        ExtractorManager::extract(r, schemas, &env)
+    }
+
+    /// [`run`] with a fresh rule cache, serial dispatch and one group
+    /// per schema — the paper-literal Fig. 5 baseline.
+    fn run_per_schema(
+        r: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        ctx: &ResilienceContext,
+    ) -> ExtractionReport {
+        run(r, schemas, Strategy::Serial, ctx, &RuleCache::new(), false)
+    }
+
+    fn no_resilience() -> ResilienceContext {
+        ResilienceContext::new(ResiliencePolicy::none())
     }
 
     #[test]
@@ -1474,7 +1330,7 @@ mod tests {
             &["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()],
         )
         .unwrap();
-        let report = ExtractorManager::extract(&r, schemas, Strategy::Serial);
+        let report = run_per_schema(&r, schemas, &no_resilience());
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.failures.len(), 1);
         assert!(!report.is_complete());
@@ -1545,9 +1401,9 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial_results() {
-        // Property-style equivalence: batched, per-attribute parallel,
-        // and serial extraction must produce identical results *and*
-        // identical failures for arbitrary schema subsets.
+        // Property-style equivalence: grouping per source ≡ grouping per
+        // schema, serial ≡ parallel — identical results *and* identical
+        // failures for arbitrary schema subsets.
         let r = registry();
         let (m, paths) = mixed_fixture();
         let all = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
@@ -1560,18 +1416,12 @@ mod tests {
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, s)| s.clone())
                 .collect();
-            let ctx = ResilienceContext::new(ResiliencePolicy::none());
+            let ctx = no_resilience();
             let rules = RuleCache::new();
-            let serial = ExtractorManager::extract(&r, subset.clone(), Strategy::Serial);
-            let parallel =
-                ExtractorManager::extract(&r, subset.clone(), Strategy::Parallel { workers: 4 });
-            let batched = ExtractorManager::extract_batched(
-                &r,
-                subset,
-                Strategy::Parallel { workers: 4 },
-                &ctx,
-                &rules,
-            );
+            let four = Strategy::Parallel { workers: 4 };
+            let serial = run(&r, subset.clone(), Strategy::Serial, &ctx, &rules, false);
+            let parallel = run(&r, subset.clone(), four, &ctx, &rules, false);
+            let batched = run(&r, subset, four, &ctx, &rules, true);
             let key = outcome_key(&serial);
             assert_eq!(key, outcome_key(&parallel), "subset {mask:#b}");
             assert_eq!(key, outcome_key(&batched), "subset {mask:#b}");
@@ -1583,15 +1433,9 @@ mod tests {
         let r = registry();
         let (m, paths) = mixed_fixture();
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
-        let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let serial = ExtractorManager::extract(&r, schemas.clone(), Strategy::Serial);
-        let batched = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let ctx = no_resilience();
+        let serial = run_per_schema(&r, schemas.clone(), &ctx);
+        let batched = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
         let order = |rep: &ExtractionReport| {
             rep.results
                 .iter()
@@ -1625,14 +1469,8 @@ mod tests {
         let paths: Vec<s2s_owl::AttributePath> =
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
-        let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let ctx = no_resilience();
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.tasks, 2);
@@ -1664,13 +1502,7 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx =
             ResilienceContext::new(ResiliencePolicy::none().with_retry(RetryPolicy::attempts(8)));
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
         assert!(report.is_complete(), "8 attempts at p=0.5 should land: {:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.attempts, r.get(&"R".into()).unwrap().endpoint().stats().calls);
@@ -1699,13 +1531,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         // One failover for the whole batch, not one per attribute.
@@ -1738,13 +1564,7 @@ mod tests {
         let rules = RuleCache::new();
         let mut failures = Vec::new();
         for _ in 0..4 {
-            let report = ExtractorManager::extract_batched(
-                &r,
-                schemas.clone(),
-                Strategy::Serial,
-                &ctx,
-                &rules,
-            );
+            let report = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules, true);
             // The failed exchange fails every batched rule.
             assert_eq!(report.failures.len(), 2);
             failures.extend(report.failures);
@@ -1766,13 +1586,13 @@ mod tests {
         let ctx = ResilienceContext::new(policy);
         // First task: real attempt on the primary fails (tripping its
         // breaker), then a genuine failover to the replica.
-        let first = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let first = run_per_schema(&r, brand_schemas(&m), &ctx);
         assert!(first.is_complete());
         assert_eq!(first.resilience["R"].failovers, 1);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         // Second task: the primary is breaker-rejected with no attempt,
         // so serving from the replica is not a failover.
-        let second = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let second = run_per_schema(&r, brand_schemas(&m), &ctx);
         assert!(second.is_complete());
         let health = &second.resilience["R"];
         assert_eq!(health.breaker_rejections, 1);
@@ -1804,14 +1624,8 @@ mod tests {
         let paths: Vec<s2s_owl::AttributePath> =
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
-        let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let ctx = no_resilience();
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
         // The bad rule fails individually; the good rule still ships in
         // a 1-section batch.
         assert_eq!(report.results.len(), 1);
@@ -1826,16 +1640,15 @@ mod tests {
         let r = registry();
         let (m, paths) = mixed_fixture();
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
-        let ctx = ResilienceContext::new(ResiliencePolicy::none());
+        let ctx = no_resilience();
         let rules = RuleCache::new();
-        let _ =
-            ExtractorManager::extract_batched(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
+        let _ = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules, true);
         let first = rules.stats();
         assert_eq!(first, CacheStats { hits: 0, misses: 7, evictions: 0 });
         // 6 of 7 rules compile (the broken regex never caches; the
         // unknown-column SQL parses fine and only fails at execution).
         assert_eq!(rules.len(), 6);
-        let _ = ExtractorManager::extract_batched(&r, schemas, Strategy::Serial, &ctx, &rules);
+        let _ = run(&r, schemas, Strategy::Serial, &ctx, &rules, true);
         let second = rules.stats();
         assert_eq!(second.misses - first.misses, 1, "only the broken regex recompiles");
         assert_eq!(second.hits, 6);
@@ -1910,7 +1723,7 @@ mod tests {
     fn failover_reaches_healthy_replica() {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[FailureModel::reliable()]);
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let report = run_per_schema(&r, brand_schemas(&m), &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
         assert_eq!(report.completeness(), 1.0);
         let health = &report.resilience["R"];
@@ -1922,8 +1735,8 @@ mod tests {
     #[test]
     fn failover_disabled_keeps_failure_on_primary() {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[FailureModel::reliable()]);
-        let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let ctx = no_resilience();
+        let report = run_per_schema(&r, brand_schemas(&m), &ctx);
         assert!(!report.is_complete());
         assert_eq!(report.completeness(), 0.0);
         let health = &report.resilience["R"];
@@ -1943,8 +1756,7 @@ mod tests {
         let ctx = ResilienceContext::new(policy);
         let mut failures = Vec::new();
         for _ in 0..8 {
-            let report =
-                ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+            let report = run_per_schema(&r, brand_schemas(&m), &ctx);
             failures.extend(report.failures);
         }
         // Two real attempts tripped the breaker; the remaining six tasks
@@ -1962,10 +1774,10 @@ mod tests {
         let policy = ResiliencePolicy::none()
             .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(100)));
         let ctx = ResilienceContext::new(policy);
-        let _ = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let _ = run_per_schema(&r, brand_schemas(&m), &ctx);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         ctx.advance_clock(SimDuration::from_millis(200));
-        let _ = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let _ = run_per_schema(&r, brand_schemas(&m), &ctx);
         // The probe was admitted (and failed again): the endpoint saw a
         // second real call.
         let endpoint = r.get(&"R".into()).unwrap().endpoint().clone();
@@ -1989,7 +1801,7 @@ mod tests {
         let ctx = ResilienceContext::new(
             ResiliencePolicy::default().with_retry(RetryPolicy::attempts(3)),
         );
-        let report = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let report = run_per_schema(&r, brand_schemas(&m), &ctx);
         assert!(!report.is_complete());
         let health = &report.resilience["R"];
         // The failure happened in the wrapper, before any network leg:
@@ -2005,8 +1817,8 @@ mod tests {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[]);
         let mut schemas = brand_schemas(&m);
         schemas.extend(brand_schemas(&m));
-        let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_with(&r, schemas, Strategy::Serial, &ctx);
+        let ctx = no_resilience();
+        let report = run_per_schema(&r, schemas, &ctx);
         assert_eq!(report.completeness(), 0.0);
     }
 
@@ -2040,7 +1852,8 @@ mod tests {
             ExtractorManager::obtain_schemas(&m, &["thing.product.brand".parse().unwrap()])
                 .unwrap();
         assert_eq!(schemas.len(), 6);
-        let report = ExtractorManager::extract(&r, schemas, Strategy::Parallel { workers: 6 });
+        let six = Strategy::Parallel { workers: 6 };
+        let report = run(&r, schemas, six, &no_resilience(), &RuleCache::new(), false);
         assert!(report.is_complete());
         assert!(report.simulated < report.simulated_serial);
     }

@@ -65,10 +65,6 @@ pub struct InstanceSet {
     /// observable batching win: a batched query makes one trip per
     /// source instead of one per attribute.
     pub round_trips: u64,
-    /// Attributes served from the extraction cache instead of the
-    /// network (filled in by the middleware; `0` when generated
-    /// directly from a report).
-    pub cache_hits: u64,
 }
 
 /// Output serialization formats (§2.6: "the S2S middleware supports the
@@ -272,7 +268,6 @@ pub fn generate_with_options(
         errors: report.failures.clone(),
         completeness: report.completeness(),
         round_trips: report.resilience.values().map(|h| h.attempts).sum(),
-        cache_hits: 0,
     }
 }
 
@@ -298,13 +293,10 @@ fn render_xml(set: &InstanceSet) -> String {
     if set.completeness < 1.0 {
         root = root.with_attribute("completeness", format!("{:.3}", set.completeness));
     }
-    // Execution-cost telemetry (how many wire exchanges and cache
-    // answers produced this set), omitted when zero.
+    // Execution-cost telemetry (how many wire exchanges produced this
+    // set), omitted when zero.
     if set.round_trips > 0 {
         root = root.with_attribute("round-trips", set.round_trips.to_string());
-    }
-    if set.cache_hits > 0 {
-        root = root.with_attribute("cache-hits", set.cache_hits.to_string());
     }
     for ind in &set.individuals {
         let mut e = Element::new(ind.class.local_name().to_string())
@@ -351,9 +343,6 @@ fn render_text(set: &InstanceSet) -> String {
     }
     if set.round_trips > 0 {
         out.push_str(&format!("# network round trips: {}\n", set.round_trips));
-    }
-    if set.cache_hits > 0 {
-        out.push_str(&format!("# cache hits: {}\n", set.cache_hits));
     }
     out
 }

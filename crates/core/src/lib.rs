@@ -36,7 +36,6 @@
 
 pub mod baseline;
 pub mod bootstrap;
-pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod extract;
@@ -53,7 +52,7 @@ pub mod view;
 pub use bootstrap::{
     BootstrapReport, ClassCandidate, Conflict, MappingCandidate, SchemaField, SchemaSummary,
 };
-pub use engine::{DependencySet, PlanCache, QueryResultCache, ResultCacheConfig};
+pub use engine::{CacheStats, DependencySet, PlanCache, QueryResultCache, ResultCacheConfig};
 pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy, SourceHealth};
 pub use middleware::{MutationReceipt, Priority, QueryOptions, S2s};

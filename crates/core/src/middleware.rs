@@ -15,12 +15,11 @@ use s2s_netsim::{
 use s2s_obs::{Span, SpanKind, SpanOutcome, Trace};
 use s2s_owl::{AttributePath, Ontology};
 
-use crate::cache::{CacheStats, ExtractionCache};
-use crate::engine::{DependencySet, PlanCache, QueryResultCache, ResultCacheConfig};
+use crate::engine::{CacheStats, DependencySet, PlanCache, QueryResultCache, ResultCacheConfig};
 use crate::error::S2sError;
 use crate::extract::{
-    AttributeResult, ExtractionFailure, ExtractorManager, ResilienceContext, ResiliencePolicy,
-    SourceHealth, Strategy,
+    AttributeResult, ExtractEnv, ExtractionFailure, ExtractorManager, ResilienceContext,
+    ResiliencePolicy, SourceHealth, Strategy,
 };
 use crate::instance::{self, GenerateOptions, Individual, InstanceSet, OutputFormat};
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
@@ -36,8 +35,6 @@ pub struct QueryStats {
     pub tasks: usize,
     /// Number of failed tasks.
     pub failed_tasks: usize,
-    /// Tasks answered from the extraction cache (0 when disabled).
-    pub cache_hits: usize,
     /// Endpoint retries spent across all tasks (resilience layer).
     pub retries: u64,
     /// Failovers to replica endpoints across all tasks.
@@ -53,8 +50,6 @@ pub struct QueryStats {
     /// contribute zero round trips — admission control refuses them
     /// before any wire traffic.
     pub round_trips: u64,
-    /// Extraction-cache hit/miss counters for this query alone.
-    pub extraction_cache: CacheStats,
     /// Compiled-rule-cache hit/miss counters for this query alone.
     pub rule_cache: CacheStats,
     /// Plan-cache hit/miss counters for this query alone (always
@@ -185,8 +180,6 @@ pub struct MutationReceipt {
     /// Query-result-cache entries dropped because they read this
     /// source at an older version.
     pub dropped_results: usize,
-    /// Extraction-cache entries dropped for this source.
-    pub dropped_extraction: usize,
 }
 
 /// The outcome of an S2SQL query: the plan, the generated instances,
@@ -272,7 +265,6 @@ pub struct S2s {
     registry: RwLock<SourceRegistry>,
     mappings: RwLock<MappingModule>,
     strategy: Strategy,
-    cache: Option<Arc<ExtractionCache>>,
     rules: Arc<RuleCache>,
     plans: Arc<PlanCache>,
     results: Option<Arc<QueryResultCache>>,
@@ -295,7 +287,6 @@ impl S2s {
             registry: RwLock::new(SourceRegistry::new()),
             mappings: RwLock::new(MappingModule::new()),
             strategy: Strategy::Serial,
-            cache: None,
             rules: Arc::new(RuleCache::new()),
             plans: Arc::new(PlanCache::new()),
             results: None,
@@ -369,12 +360,13 @@ impl S2s {
         self.tracing
     }
 
-    /// Enables or disables batched extraction (default: enabled). When
-    /// on, the planner coalesces all rules for a source into a single
-    /// batched wire exchange and schedules per-source batches
-    /// longest-processing-time-first; when off, every attribute crosses
-    /// the network as its own request/response pair (the legacy path,
-    /// kept for equivalence testing and ablation).
+    /// Picks the extraction planner's grouping key (default: per
+    /// source). When on, the planner coalesces all rules for a source
+    /// into a single batched wire exchange; when off, every attribute
+    /// crosses the network as its own one-rule batch — the paper-literal
+    /// Fig. 5 dispatch, kept as the E11 baseline and the conformance
+    /// reference. Either way the same pipeline runs and batches are
+    /// scheduled longest-processing-time-first.
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
         self
@@ -441,27 +433,13 @@ impl S2s {
         self
     }
 
-    /// Enables the extraction cache (see [`crate::cache`]): repeat
-    /// queries serve unchanged `(source, rule)` pairs with zero
-    /// simulated network cost.
-    pub fn with_cache(mut self) -> Self {
-        self.cache = Some(Arc::new(ExtractionCache::new()));
-        self
-    }
-
-    /// Cache hit/miss counters (zeros when the cache is disabled).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
-    }
-
-    /// Drops all cached extraction results, cached query answers, and
-    /// materialized views (no-ops for disabled layers), returning how
-    /// many entries were dropped in total. This is the blunt operator
-    /// fallback; [`S2s::mutate_source`] invalidates surgically.
+    /// Drops all cached query answers and materialized views (no-ops
+    /// for disabled layers), returning how many entries were dropped in
+    /// total. This is the blunt operator fallback;
+    /// [`S2s::mutate_source`] invalidates surgically.
     pub fn invalidate_cache(&self) -> usize {
-        let mut dropped = self.cache.as_ref().map(|c| c.clear()).unwrap_or(0);
-        dropped += self.invalidate_results();
-        dropped += self.views.as_ref().map(|v| v.clear()).unwrap_or(0);
+        let dropped =
+            self.invalidate_results() + self.views.as_ref().map(|v| v.clear()).unwrap_or(0);
         if dropped > 0 && s2s_obs::enabled() {
             s2s_obs::global()
                 .counter(s2s_obs::names::CACHE_INVALIDATED_ENTRIES_TOTAL)
@@ -509,22 +487,19 @@ impl S2s {
         let sid: SourceId = id.into();
         // Invalidation happens while the registry is still write-locked.
         // A query holds the read lock from reading its source versions
-        // through its cache lookups and extraction, so it either ran
-        // wholly before this mutation (its late cache fills are refused
-        // by the raised version floors) or starts after the last stale
-        // entry is gone — never in between, where it would pair the new
-        // version with pre-mutation cached values.
+        // through extraction, so it either ran wholly before this
+        // mutation (its late result-cache publication is refused by the
+        // raised version floor) or starts after the last stale entry is
+        // gone.
         let mut registry = self.registry.write();
         let version = registry.apply_mutation(&sid, connection, kind, fields)?;
         let dropped_results =
             self.results.as_ref().map(|r| r.invalidate_source(id, version)).unwrap_or(0);
-        let dropped_extraction =
-            self.cache.as_ref().map(|c| c.invalidate_source(id, version)).unwrap_or(0);
         drop(registry);
         if s2s_obs::enabled() {
             s2s_obs::global().counter(s2s_obs::names::SOURCE_MUTATIONS_TOTAL).inc();
         }
-        Ok(MutationReceipt { version, dropped_results, dropped_extraction })
+        Ok(MutationReceipt { version, dropped_results })
     }
 
     /// The current data version of a registered source (`None` when
@@ -697,9 +672,9 @@ impl S2s {
     /// never saw, so every cached answer is cleared wholesale — no
     /// dependency set can account for data an entry is missing. An
     /// **edit** (re-registering an existing pair with a new rule)
-    /// invalidates surgically: only entries, plans, views, and
-    /// extraction results that depended on the edited source are
-    /// dropped; hot entries for untouched sources keep replaying.
+    /// invalidates surgically: only entries, plans, and views that
+    /// depended on the edited source are dropped; hot entries for
+    /// untouched sources keep replaying.
     ///
     /// # Errors
     ///
@@ -724,12 +699,6 @@ impl S2s {
                 r.invalidate_dependents(source);
             }
             self.plans.invalidate_source(source);
-            if let Some(c) = &self.cache {
-                // A mapping edit changes no data: the floor stays at the
-                // source's current version.
-                let version = self.registry.read().version_of(&source.into()).unwrap_or(0);
-                c.invalidate_source(source, version);
-            }
             if let Some(v) = &self.views {
                 v.remove_source(source);
             }
@@ -964,8 +933,8 @@ impl S2s {
 
         // Federated pushdown planning: rewrite rules toward each
         // source's native capability, drop projected-out schemas, and
-        // prune non-contributing sources — all before the cache
-        // partition, so cache keys see the rewritten rules (a pushed
+        // prune non-contributing sources — all before the view
+        // partition, so view lookups see the rewritten rules (a pushed
         // rule answers a different wire question than its baseline).
         let registry = self.registry.read();
         let pushdown_started = std::time::Instant::now();
@@ -1087,83 +1056,29 @@ impl S2s {
             None => schemas,
         };
 
-        // Cache partition: answered entries skip the mediator entirely.
-        let mut cached_results: Vec<AttributeResult> = Vec::new();
-        let schemas = match &self.cache {
-            Some(cache) => schemas
-                .into_iter()
-                .filter(|s| match cache.get(&s.mapping) {
-                    Some(values) => {
-                        cached_results.push(AttributeResult {
-                            mapping: s.mapping.clone(),
-                            values: values.as_ref().clone(),
-                            elapsed: SimDuration::ZERO,
-                        });
-                        false
-                    }
-                    None => true,
-                })
-                .collect(),
-            None => schemas,
-        };
-        let cache_hits = cached_results.len();
-        let map_wall = map_started.elapsed();
-        // Cache-served attributes never reach the mediator, so their
-        // provenance is recorded here as `rule` spans under `map`.
-        let cached_rule_spans: Vec<Span> = if self.tracing {
-            cached_results
-                .iter()
-                .map(|r| {
-                    let mut span = Span::new(SpanKind::Rule, r.mapping.path().to_string());
-                    span.outcome = SpanOutcome::CacheHit;
-                    span.attr("source", r.mapping.source().to_string());
-                    span.attr("cache", "hit");
-                    span.attr("values", r.values.len().to_string());
-                    span
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let extraction_cache_before = self.cache_stats();
+        // The `map` span covers schema lookup and the view partition;
+        // planning has its own sibling `pushdown` span.
+        let map_wall = map_started.elapsed().saturating_sub(pushdown_wall);
         let rule_cache_before = self.rules.stats();
 
         // Step 3-4: source definitions + extraction, under the
-        // resilience policy. Batched: one coalesced wire exchange per
-        // source; legacy: one exchange per attribute.
-        let mut report = if self.batching {
-            ExtractorManager::extract_batched_traced(
-                &registry,
-                schemas,
-                self.strategy,
-                &self.resilience,
-                &self.rules,
-                self.tracing,
-                &self.pool,
-                opts.deadline,
-            )
-        } else {
-            ExtractorManager::extract_with_rules_traced(
-                &registry,
-                schemas,
-                self.strategy,
-                &self.resilience,
-                &self.rules,
-                self.tracing,
-                &self.pool,
-                opts.deadline,
-            )
-        };
+        // resilience policy: one coalesced wire exchange per planned
+        // group (per source, or per schema with batching off).
+        let mut report = ExtractorManager::extract(
+            &registry,
+            schemas,
+            &ExtractEnv {
+                strategy: self.strategy,
+                pool: &self.pool,
+                resilience: &self.resilience,
+                rules: &self.rules,
+                deadline: opts.deadline,
+                traced: self.tracing,
+                batching: self.batching,
+            },
+        );
         drop(registry);
 
-        // Fills carry the version read under the registry lock: if a
-        // mutation has invalidated the source since, they are refused.
-        if let Some(cache) = &self.cache {
-            for r in &report.results {
-                let version = deps.version_of(r.mapping.source().as_str()).unwrap_or(0);
-                cache.insert(&r.mapping, r.values.clone(), version);
-            }
-        }
         // Freshly extracted slices are (re)materialized at the version
         // the registry reported while the read lock was held.
         if let Some(views) = &self.views {
@@ -1181,22 +1096,19 @@ impl S2s {
             }
             views.tally(view_hits, view_refreshes, view_full_refreshes, feed_polls, view_staleness);
         }
-        report.results.extend(cached_results);
         report.results.extend(view_results);
 
         let stats = QueryStats {
             tasks: report.results.len() + report.failures.len(),
             failed_tasks: report.failures.len(),
-            cache_hits,
             retries: report.resilience.values().map(|h| h.retries).sum(),
             failovers: report.resilience.values().map(|h| h.failovers).sum(),
             round_trips: report.resilience.values().map(|h| h.attempts).sum(),
-            extraction_cache: delta(extraction_cache_before, self.cache_stats()),
             rule_cache: delta(rule_cache_before, self.rules.stats()),
             plan_cache: plan_cache_delta,
             result_cache: result_cache_delta,
-            // Cached answers count as answered: they were requested and
-            // served, just not over the network this time.
+            // View-served slices count as answered: they were requested
+            // and served, just not over the network this time.
             completeness: report.completeness(),
             simulated: report.simulated,
             simulated_serial: report.simulated_serial,
@@ -1220,7 +1132,7 @@ impl S2s {
         // actually cost (EWMA over completion events), so shed decisions
         // track the live scheduler and workload instead of the static
         // configured guess. Queries that never touched the wire (fully
-        // cache-served extractions) say nothing about service cost.
+        // view-served extractions) say nothing about service cost.
         if let Some(ctl) = &self.admission {
             if stats.round_trips > 0 {
                 ctl.record_completion(stats.simulated);
@@ -1234,7 +1146,7 @@ impl S2s {
         }
         // Wire time per source comes from the resilience telemetry
         // (batched results share one exchange, so summing per-result
-        // `elapsed` would double-count); cache-served sources still get
+        // `elapsed` would double-count); view-served sources still get
         // a zero entry.
         let mut source_times: std::collections::BTreeMap<String, SimDuration> =
             std::collections::BTreeMap::new();
@@ -1244,13 +1156,12 @@ impl S2s {
         for r in &report.results {
             source_times.entry(r.mapping.source().to_string()).or_default();
         }
-        let mut instances = instance::generate_with_options(
+        let instances = instance::generate_with_options(
             &self.ontology,
             &plan,
             &report,
             GenerateOptions { provenance: self.provenance },
         );
-        instances.cache_hits = cache_hits as u64;
 
         // Admission: only complete, failure-free answers are cached, so
         // a degraded result is never replayed after sources recover.
@@ -1300,7 +1211,6 @@ impl S2s {
             root.attr("tasks", stats.tasks.to_string());
             root.attr("failed_tasks", stats.failed_tasks.to_string());
             root.attr("round_trips", stats.round_trips.to_string());
-            root.attr("cache_hits", stats.cache_hits.to_string());
             if stats.deadline_hits > 0 {
                 root.attr("deadline_hits", stats.deadline_hits.to_string());
             }
@@ -1330,13 +1240,6 @@ impl S2s {
             let mut map_span = Span::new(SpanKind::Map, "mappings");
             map_span.wall_us = map_wall.as_micros() as u64;
             map_span.attr("mapped", mapped_schemas.to_string());
-            map_span.attr("cache_hits", cache_hits.to_string());
-            if !cached_rule_spans.is_empty() {
-                map_span.outcome = SpanOutcome::CacheHit;
-            }
-            for span in cached_rule_spans {
-                map_span.push(span);
-            }
             root.push(map_span);
 
             if let Some(p) = &pushdown_plan {
@@ -1461,7 +1364,6 @@ impl S2s {
                 errors: Vec::new(),
                 completeness: 0.0,
                 round_trips: 0,
-                cache_hits: 0,
             },
             stats,
             source_times: std::collections::BTreeMap::new(),
@@ -1898,64 +1800,27 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_queries() {
-        let s2s = deploy_cached();
+    fn views_serve_different_queries_over_the_same_mappings() {
+        // Slices are keyed by (source, attribute), not by S2SQL text: a
+        // different query over the same mappings is fully view-served,
+        // at zero simulated time.
+        let s2s = deploy_views();
         let first = s2s.query("SELECT watch").unwrap();
-        assert_eq!(first.stats.cache_hits, 0);
-        let second = s2s.query("SELECT watch").unwrap();
-        assert_eq!(second.stats.cache_hits, second.stats.tasks);
-        // Same answers, zero simulated time on the repeat.
-        assert_eq!(first.instances.graph, second.instances.graph);
-        assert_eq!(second.stats.simulated, SimDuration::ZERO);
-        let stats = s2s.cache_stats();
-        assert!(stats.hits > 0);
-        assert!(stats.misses > 0);
-    }
-
-    #[test]
-    fn cache_differentiates_queries_by_rule_not_by_s2sql() {
-        // Two different S2SQL queries over the same mappings share the
-        // cache: the second query is fully served from it.
-        let s2s = deploy_cached();
-        let _ = s2s.query("SELECT watch").unwrap();
+        assert_eq!(first.stats.view_hits, 0);
         let filtered = s2s.query("SELECT watch WHERE brand='Seiko'").unwrap();
-        assert_eq!(filtered.stats.cache_hits, filtered.stats.tasks);
+        assert_eq!(filtered.stats.view_hits as usize, filtered.stats.tasks);
+        assert_eq!(filtered.stats.simulated, SimDuration::ZERO);
         assert_eq!(filtered.individuals().len(), 1);
     }
 
     #[test]
     fn invalidate_cache_forces_reextraction() {
-        let s2s = deploy_cached();
+        let s2s = deploy_views();
         let _ = s2s.query("SELECT watch").unwrap();
-        s2s.invalidate_cache();
-        let third = s2s.query("SELECT watch").unwrap();
-        assert_eq!(third.stats.cache_hits, 0);
-    }
-
-    /// A small remote deployment with the cache enabled.
-    fn deploy_cached() -> S2s {
-        let mut db = Database::new("d");
-        db.execute("CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT)").unwrap();
-        db.execute("INSERT INTO w VALUES (1,'Seiko'), (2,'Casio')").unwrap();
-        let mut s2s = S2s::new(ontology()).with_cache();
-        s2s.register_remote_source(
-            "DB",
-            Connection::Database { db: Arc::new(db) },
-            CostModel::wan(),
-            FailureModel::reliable(),
-        )
-        .unwrap();
-        s2s.register_attribute(
-            "thing.product.watch.brand",
-            ExtractionRule::Sql {
-                query: "SELECT brand FROM w ORDER BY id".into(),
-                column: "brand".into(),
-            },
-            "DB",
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        s2s
+        assert_eq!(s2s.invalidate_cache(), 2, "both slices dropped");
+        let again = s2s.query("SELECT watch").unwrap();
+        assert_eq!(again.stats.view_hits, 0);
+        assert!(again.stats.round_trips > 0);
     }
 
     #[test]
@@ -2293,7 +2158,7 @@ mod tests {
         let mut db_b = Database::new("b");
         db_b.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, bval TEXT)").unwrap();
         db_b.execute("INSERT INTO t VALUES (1, 'b0')").unwrap();
-        let mut s2s = S2s::new(two_class_ontology()).with_cache().with_result_cache();
+        let mut s2s = S2s::new(two_class_ontology()).with_views().with_result_cache();
         s2s.register_source("SRC_A", alpha_db("a0")).unwrap();
         s2s.register_source("SRC_B", Connection::Database { db: Arc::new(db_b) }).unwrap();
         s2s.register_attribute(
@@ -2336,16 +2201,18 @@ mod tests {
             .mutate_source("SRC_A", alpha_db("a1"), ChangeKind::RowUpdate, vec!["aval".into()])
             .unwrap();
         assert_eq!(receipt.version, 1);
-        // The blast radius is exactly SRC_A's dependents: one answer,
-        // one extraction entry. SRC_B's entry keeps serving.
+        // The blast radius is exactly SRC_A's dependents: one answer.
+        // SRC_B's entry keeps serving, and no view is dropped — SRC_A's
+        // slice heals against the feed on its next read.
         assert_eq!(receipt.dropped_results, 1);
-        assert_eq!(receipt.dropped_extraction, 1);
         assert_eq!(s2s.result_cache_len(), 1);
+        assert_eq!(s2s.views().unwrap().len(), 2);
 
         let b2 = s2s.query("SELECT beta").unwrap();
         assert_eq!(b2.stats.result_cache.hits, 1, "untouched source replays from cache");
         let a2 = s2s.query("SELECT alpha").unwrap();
         assert_eq!(a2.stats.result_cache.hits, 0);
+        assert_eq!(a2.stats.view_refreshes, 1, "the touched slice is re-extracted");
         assert_eq!(sole_value(&s2s, &a2, "aval"), "a1", "the mutated value is served");
     }
 
@@ -2374,8 +2241,9 @@ mod tests {
     fn concurrent_mutation_and_queries_never_leave_stale_answers() {
         // Whatever the interleaving of an in-flight query and a
         // mutation, the next query must observe the mutated value: an
-        // old-snapshot answer is refused at cache admission by the
-        // per-source version floor.
+        // old-snapshot answer is refused at result-cache admission by
+        // the per-source version floor, and an old-snapshot view slice
+        // carries its old version, so the next read refreshes it.
         let s2s = Arc::new(deploy_two_classes());
         for round in 0..20 {
             let engine = Arc::clone(&s2s);
@@ -2441,7 +2309,7 @@ mod tests {
         let s2s = deploy_two_classes();
         s2s.query("SELECT alpha").unwrap();
         s2s.query("SELECT beta").unwrap();
-        // 2 extraction entries + 2 cached answers.
+        // 2 view slices + 2 cached answers.
         assert_eq!(s2s.invalidate_cache(), 4);
         assert_eq!(s2s.invalidate_cache(), 0);
     }
@@ -2493,8 +2361,9 @@ mod tests {
         assert_eq!(second.stats.view_hits, 2, "both slices are fresh views");
         assert_eq!(second.stats.round_trips, 0);
         assert_eq!(second.stats.wire_bytes, 0);
+        assert_eq!(second.stats.simulated, SimDuration::ZERO);
         assert_eq!(second.stats.feed_polls, 0, "matching versions need no poll");
-        assert_eq!(fingerprint(&first), fingerprint(&second));
+        assert_eq!(first.instances.graph, second.instances.graph);
         assert_eq!(s2s.view_stats().hits, 2);
     }
 

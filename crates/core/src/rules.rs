@@ -6,13 +6,12 @@
 //! (the paper: they "should not need substantial maintenance after
 //! being created"), so the compiled form is reusable forever.
 //! [`RuleCache`] memoizes it per distinct `(language, rule text)` and
-//! is shared across tasks and queries via the middleware, exactly like
-//! [`crate::cache::ExtractionCache`] shares extracted values.
+//! is shared across tasks and queries via the middleware.
 //!
 //! Only successful compiles are cached: a malformed rule re-reports its
 //! error on every use instead of poisoning the cache.
 //!
-//! Like the extraction cache, the map is LRU-bounded
+//! Like the plan and result caches, the map is LRU-bounded
 //! ([`RuleCache::with_capacity`], default [`RuleCache::DEFAULT_CAPACITY`])
 //! so a resident engine cannot grow it without bound; evictions are
 //! counted and exported.
@@ -28,7 +27,7 @@ use s2s_webdoc::WeblProgram;
 use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
 
-use crate::cache::CacheStats;
+use crate::engine::{evict_lru, CacheStats};
 use crate::error::S2sError;
 use crate::mapping::ExtractionRule;
 
@@ -124,7 +123,7 @@ impl RuleCache {
         // A racing compile of the same rule is harmless: keep the first.
         if !entries.contains_key(&key) {
             if entries.len() >= self.capacity {
-                crate::cache::evict_lru(&mut entries, |e| &e.stamp);
+                evict_lru(&mut entries, |e| &e.stamp);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 if s2s_obs::enabled() {
                     s2s_obs::global().counter(s2s_obs::names::RULE_CACHE_EVICTIONS_TOTAL).inc();

@@ -2,10 +2,9 @@
 //!
 //! A view is one `(source, attribute path)` slice of the ontology
 //! instance space: the value list a mapping's rule extracted, stamped
-//! with the source data version it reflects. Unlike the passive
-//! [`crate::cache::ExtractionCache`] — which must be *invalidated* from
-//! the outside when a source mutates — views maintain themselves
-//! against the source's change feed:
+//! with the source data version it reflects. A passive `(source,
+//! rule)` memo must be *invalidated* from the outside when a source
+//! mutates; views maintain themselves against the source's change feed:
 //!
 //! * version matches the source → serve directly (**view hit**);
 //! * version behind → poll the feed since the view's version. If no

@@ -57,8 +57,6 @@ pub const FEED_POLLS_TOTAL: &str = "s2s_feed_polls_total";
 /// refresh and the query that read it (the staleness window).
 pub const VIEW_STALENESS_US: &str = "s2s_view_staleness_us";
 
-/// Counter: extraction-cache entries evicted by the LRU capacity bound.
-pub const EXTRACTION_CACHE_EVICTIONS_TOTAL: &str = "s2s_extraction_cache_evictions_total";
 /// Counter: compiled-rule-cache entries evicted by the LRU bound.
 pub const RULE_CACHE_EVICTIONS_TOTAL: &str = "s2s_rule_cache_evictions_total";
 
@@ -133,7 +131,6 @@ mod tests {
             super::VIEW_FULL_REFRESHES_TOTAL,
             super::FEED_POLLS_TOTAL,
             super::VIEW_STALENESS_US,
-            super::EXTRACTION_CACHE_EVICTIONS_TOTAL,
             super::RULE_CACHE_EVICTIONS_TOTAL,
             super::OVERLOAD_SHED_TOTAL,
             super::OVERLOAD_DEADLINE_EXCEEDED_TOTAL,

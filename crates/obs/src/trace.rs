@@ -5,10 +5,11 @@
 //! ```text
 //! query
 //! ├── parse
-//! ├── map            (schema mapping + extraction-cache partition)
-//! │   └── rule …     (cache-served attributes, outcome = cache-hit)
 //! ├── plan
-//! └── batch[source]  (one per wire batch / per task in unbatched mode)
+//! ├── map            (schema mapping + view partition)
+//! ├── pushdown       (only when the planner ran)
+//! └── batch[source]  (one per wire exchange: per source, or per
+//!     │               attribute with batching off)
 //!     ├── rule[attr]    (wrapper execution, rule-cache provenance)
 //!     └── attempt[endpoint]  (one per endpoint tried, incl. rejections)
 //! ```
@@ -27,14 +28,15 @@ pub enum SpanKind {
     Query,
     /// S2SQL parsing.
     Parse,
-    /// Ontology-path mapping and cache partition.
+    /// Ontology-path mapping and view partition.
     Map,
     /// Extraction planning (grouping, cost estimates, LPT order).
     Plan,
     /// Federated pushdown planning (predicate/projection rewriting and
     /// source pruning).
     Pushdown,
-    /// One per-source wire exchange (or one task in unbatched mode).
+    /// One wire exchange: a source's coalesced rules, or a single rule
+    /// with batching off.
     Batch,
     /// One endpoint tried during a batch exchange.
     Attempt,

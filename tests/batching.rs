@@ -1,8 +1,10 @@
 //! Batched per-source extraction: wire-level coalescing, the cost-based
 //! planner, round-trip accounting, and composition with the resilience
-//! layer. Includes the headline acceptance check: ≥4 attributes per
-//! source over the WAN cost model must get ≥2× cheaper when batched,
-//! with byte-identical results and failures.
+//! layer. `with_batching` only picks the planner's grouping key, so every
+//! batched-vs-unbatched case here is "grouping per source ≡ grouping per
+//! schema" through the one pipeline. Includes the headline acceptance
+//! check: ≥4 attributes per source over the WAN cost model must get ≥2×
+//! cheaper when batched, with byte-identical results and failures.
 
 use std::sync::Arc;
 
@@ -224,16 +226,20 @@ fn batched_and_unbatched_agree_under_partial_failure() {
 }
 
 #[test]
-fn renderers_annotate_round_trips_and_cache_hits() {
-    let s2s = wide(2, 3, CostModel::lan(), FailureModel::reliable(), true).with_cache();
+fn renderers_annotate_round_trips() {
+    let s2s = wide(2, 3, CostModel::lan(), FailureModel::reliable(), true).with_views();
     let o = wide_ontology(2, 3);
     let first = s2s.query("SELECT product").unwrap();
     let xml = first.render(&o, s2s::core::instance::OutputFormat::Xml);
     assert!(xml.contains("round-trips=\"2\""), "{xml}");
-    // A repeat query is served from the extraction cache: no round
-    // trips, and the annotation says so.
+    // A repeat query is served from the materialized views: no round
+    // trips, no simulated time, the same instances, and nothing left
+    // to annotate.
     let second = s2s.query("SELECT product").unwrap();
+    assert_eq!(second.stats.view_hits, 6);
     assert_eq!(second.stats.round_trips, 0);
+    assert_eq!(second.stats.simulated, s2s::netsim::SimDuration::ZERO);
+    assert_eq!(first.instances.graph, second.instances.graph);
     let text = second.render(&o, s2s::core::instance::OutputFormat::Text);
-    assert!(text.contains("# cache hits: 6"), "{text}");
+    assert!(!text.contains("round trips"), "{text}");
 }

@@ -67,9 +67,11 @@ fn wide_traced(sources: usize, attrs: usize) -> S2s {
 }
 
 /// One healthy WAN source plus one hard-down source, per-attribute
-/// serial extraction, retry budget 2, breaker trips after one failure:
-/// the first down task fails on the wire, every later down task is
-/// breaker-rejected.
+/// (one-rule batches) serial extraction, retry budget 2, breaker trips
+/// after one failure. All six exchanges price the same, so the planner
+/// dispatches them by (source id, submission index): the first `DOWN`
+/// exchange fails on the wire, the later two are breaker-rejected, then
+/// `GOOD` runs clean.
 fn degraded_traced() -> S2s {
     let policy = ResiliencePolicy::default()
         .with_retry(RetryPolicy::attempts(2))
@@ -170,6 +172,93 @@ fn degraded_query_traces_breaker_rejections_and_completeness() {
     let failed: Vec<_> = attempts.iter().filter(|s| s.outcome == SpanOutcome::Failed).collect();
     assert_eq!(failed.len(), 1);
     assert_eq!(failed[0].get_attr("retries"), Some("1"));
+}
+
+#[test]
+fn per_attribute_trace_has_the_batched_span_shape_in_planner_order() {
+    let outcome = degraded_traced().query("SELECT product").unwrap();
+    let root = &outcome.trace.as_ref().expect("tracing on").root;
+    let batches: Vec<_> =
+        root.children.iter().filter(|s| s.kind == s2s::obs::SpanKind::Batch).collect();
+
+    // Dispatch order is a function of the plan alone.
+    let order: Vec<String> =
+        batches.iter().map(|b| format!("{}/{}", b.name, b.children[0].name)).collect();
+    assert_eq!(
+        order,
+        [
+            "DOWN/thing.product.a0",
+            "DOWN/thing.product.a1",
+            "DOWN/thing.product.a2",
+            "GOOD/thing.product.a0",
+            "GOOD/thing.product.a1",
+            "GOOD/thing.product.a2",
+        ]
+    );
+
+    // A per-attribute exchange is a batch of one: same attributes and
+    // children as a per-source batch span.
+    for batch in &batches {
+        assert_eq!(batch.get_attr("rules"), Some("1"));
+        let wire_bytes: u64 = batch.get_attr("wire_bytes").expect("priced").parse().unwrap();
+        assert!(wire_bytes > 0);
+        let [rule, attempt] = &batch.children[..] else {
+            panic!("one rule + one attempt expected under {}: {:?}", batch.name, batch.children)
+        };
+        assert_eq!(rule.kind, s2s::obs::SpanKind::Rule);
+        assert!(matches!(rule.get_attr("cache"), Some("hit" | "miss")), "{rule:?}");
+        assert_eq!(rule.get_attr("values"), Some("1"));
+        assert_eq!(attempt.kind, s2s::obs::SpanKind::Attempt);
+    }
+    // Each rule text compiles once (on `DOWN`, planned first) and is
+    // served from the rule cache on `GOOD`.
+    let provenance: Vec<_> = batches.iter().map(|b| b.children[0].get_attr("cache")).collect();
+    assert_eq!(provenance[..3], [Some("miss"); 3]);
+    assert_eq!(provenance[3..], [Some("hit"); 3]);
+
+    // The degradation ladder, in order.
+    let ladder: Vec<_> = batches.iter().map(|b| (b.outcome, b.children[1].outcome)).collect();
+    assert_eq!(ladder[0], (SpanOutcome::Failed, SpanOutcome::Failed));
+    assert_eq!(ladder[1], (SpanOutcome::Failed, SpanOutcome::BreakerRejected));
+    assert_eq!(ladder[2], (SpanOutcome::Failed, SpanOutcome::BreakerRejected));
+    assert_eq!(ladder[3..], [(SpanOutcome::Ok, SpanOutcome::Ok); 3]);
+}
+
+#[test]
+fn root_children_never_outlast_the_root() {
+    // Regression: the `map` span's wall time used to contain its
+    // sibling `pushdown` span. A large source that the planner prunes
+    // (no `a1` mapping for the required conjunct) makes planning — which
+    // prices the pruned rule locally — dominate the query, so any
+    // double-count pushes the children's sum past the root.
+    let mut s2s = S2s::new(wide_ontology(2)).with_pushdown().with_views().with_tracing();
+    let mut db = Database::new("big");
+    db.execute("CREATE TABLE t (a0 TEXT)").unwrap();
+    for chunk in 0..20 {
+        let rows: Vec<String> = (0..500).map(|i| format!("('v{chunk}-{i}')")).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+    }
+    s2s.register_source("BIG", Connection::Database { db: Arc::new(db) }).unwrap();
+    s2s.register_attribute(
+        "thing.product.a0",
+        ExtractionRule::Sql { query: "SELECT a0 FROM t".into(), column: "a0".into() },
+        "BIG",
+        RecordScenario::MultiRecord,
+    )
+    .unwrap();
+    for round in 0..5 {
+        let outcome = s2s.query("SELECT product WHERE a1 = 'x'").unwrap();
+        assert_eq!(outcome.stats.pruned_sources, 1);
+        let root = &outcome.trace.as_ref().expect("tracing on").root;
+        assert!(root.children.iter().any(|s| s.kind == s2s::obs::SpanKind::Pushdown));
+        let children: u64 = root.children.iter().map(|s| s.wall_us).sum();
+        assert!(
+            children <= root.wall_us,
+            "round {round}: direct children sum to {children} us, root is {} us\n{}",
+            root.wall_us,
+            s2s::obs::render_tree(outcome.trace.as_ref().unwrap()),
+        );
+    }
 }
 
 #[test]
