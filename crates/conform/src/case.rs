@@ -18,6 +18,7 @@
 //! source = xml single harddown
 //! source = text transient 0:unreachable 2:timeout
 //! source = web hedged 1:timeout
+//! source = text hostile-rule
 //! cond = price < 100
 //! cond = brand LIKE s%
 //! ```
@@ -42,6 +43,7 @@ pub fn to_case(scenario: &Scenario) -> String {
             FaultClass::Reliable => out.push_str(" reliable"),
             FaultClass::HardDown => out.push_str(" harddown"),
             FaultClass::HardDownWithReplica => out.push_str(" replica"),
+            FaultClass::HostileRule => out.push_str(" hostile-rule"),
             FaultClass::Transient(faults) => {
                 out.push_str(" transient");
                 for (index, kind) in faults {
@@ -131,6 +133,7 @@ fn parse_source(value: &str, lineno: usize) -> Result<SourceSpec, String> {
         None | Some((&"reliable", [])) => {}
         Some((&"harddown", [])) => fault = FaultClass::HardDown,
         Some((&"replica", [])) => fault = FaultClass::HardDownWithReplica,
+        Some((&"hostile-rule", [])) => fault = FaultClass::HostileRule,
         Some((&"transient", entries)) if !entries.is_empty() => {
             fault = FaultClass::Transient(parse_faults(entries, lineno)?);
         }

@@ -451,7 +451,7 @@ fn rebuilt_engine(scenario: &Scenario, records: &[crate::scenario::Record]) -> S
         for a in 0..crate::scenario::ATTRS.len() {
             s2s.register_attribute(
                 &format!("thing.product.watch.{}", crate::scenario::ATTRS[a]),
-                crate::scenario::rule_for(spec.kind, a),
+                spec.rule(a),
                 &id,
                 record_scenario,
             )
@@ -1136,7 +1136,7 @@ fn flaky_engine(scenario: &Scenario, p: f64) -> S2s {
         for a in 0..crate::scenario::ATTRS.len() {
             s2s.register_attribute(
                 &format!("thing.product.watch.{}", crate::scenario::ATTRS[a]),
-                crate::scenario::rule_for(spec.kind, a),
+                spec.rule(a),
                 &id,
                 record_scenario,
             )

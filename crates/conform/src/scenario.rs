@@ -88,6 +88,17 @@ pub enum FaultClass {
     /// it exists to give hedged dispatch a standby to race against the
     /// retry-slowed primary.
     TransientWithReplica(Vec<(u64, FaultKind)>),
+    /// A reliable endpoint whose mappings all carry [`hostile_regex`] as
+    /// their rule: every task on the source fails at rule compilation
+    /// with a coded, permanent error, on every execution path alike, and
+    /// nothing panics. Never generated; corpus cases name it.
+    HostileRule,
+}
+
+/// A regex rule whose groups nest far past the parser's depth cap:
+/// before the cap, compiling it overflowed the stack.
+pub fn hostile_regex() -> String {
+    format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000))
 }
 
 /// One data source of a scenario.
@@ -100,6 +111,19 @@ pub struct SourceSpec {
     pub single_record: bool,
     /// The fault class.
     pub fault: FaultClass,
+}
+
+impl SourceSpec {
+    /// The extraction rule this source's mapping for `ATTRS[attr]`
+    /// carries.
+    pub(crate) fn rule(&self, attr: usize) -> ExtractionRule {
+        match self.fault {
+            FaultClass::HostileRule => {
+                ExtractionRule::TextRegex { pattern: hostile_regex(), group: 1 }
+            }
+            _ => rule_for(self.kind, attr),
+        }
+    }
 }
 
 /// One `WHERE` leaf: `ATTRS[attr] op value`.
@@ -237,7 +261,7 @@ impl Scenario {
             for &a in &attr_order {
                 s2s.register_attribute(
                     &format!("thing.product.watch.{}", ATTRS[a]),
-                    rule_for(spec.kind, a),
+                    spec.rule(a),
                     &id,
                     scenario,
                 )
@@ -253,7 +277,7 @@ impl Scenario {
         let connection = connection_for(spec.kind, records);
         let seed = Some(self.endpoint_seed(i));
         match &spec.fault {
-            FaultClass::Reliable => s2s
+            FaultClass::Reliable | FaultClass::HostileRule => s2s
                 .register_remote_source_detailed(
                     &id,
                     connection,
@@ -309,10 +333,13 @@ impl Scenario {
         self.sources.iter().all(|s| s.fault == FaultClass::Reliable)
     }
 
-    /// Whether any source is hard-down with no replica (the only class
-    /// that legally degrades completeness).
+    /// Whether any source can answer nothing — hard-down with no
+    /// replica, or mapped through rules that do not compile (the only
+    /// classes that legally degrade completeness).
     pub fn has_hard_outage(&self) -> bool {
-        self.sources.iter().any(|s| s.fault == FaultClass::HardDown)
+        self.sources
+            .iter()
+            .any(|s| matches!(s.fault, FaultClass::HardDown | FaultClass::HostileRule))
     }
 }
 

@@ -449,14 +449,12 @@ pub fn introspect(source_id: &str, connection: &Connection) -> Result<SchemaSumm
             }
         }
         Connection::Web { store, url } => {
-            let doc = store.fetch(url)?;
-            if !doc.is_html() {
+            let Some(html) = store.fetch(url)?.parsed() else {
                 return Err(S2sError::Bootstrap {
                     source: source_id.to_string(),
                     message: format!("web source url `{url}` is not an HTML document"),
                 });
-            }
-            let html = s2s_webdoc::HtmlDocument::parse(doc.raw());
+            };
             let mut fields = Vec::new();
             let mut records = 0usize;
             for stat in html.tag_survey() {

@@ -1028,8 +1028,7 @@ fn run_wrapper(
             CompiledRule::Regex(re),
         ) => {
             let ExtractionRule::TextRegex { group, .. } = rule else { unreachable!() };
-            let doc = store.fetch(url)?;
-            let text = doc.text();
+            let text = store.fetch(url)?.text();
             Ok(re
                 .find_iter(&text)
                 .filter_map(|m| m.get(*group).map(|c| c.text().to_string()))
@@ -1052,15 +1051,9 @@ fn run_webl(
     html: bool,
 ) -> Result<Vec<String>, S2sError> {
     let doc = store.fetch(url)?;
+    let doc = if html { doc.clone() } else { doc.as_plain_text() };
     let mut env = BTreeMap::new();
-    env.insert(
-        "PAGE".to_string(),
-        WeblValue::Page {
-            url: url.to_string(),
-            source: doc.raw().to_string(),
-            html: html && doc.is_html(),
-        },
-    );
+    env.insert("PAGE".to_string(), WeblValue::Page { url: url.to_string(), doc });
     env.insert("URL".to_string(), WeblValue::Str(url.to_string()));
     let value = program.run_with(store, env)?;
     Ok(flatten_webl(value))

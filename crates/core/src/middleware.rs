@@ -2237,6 +2237,85 @@ mod tests {
         assert_eq!(s2s.query("SELECT alpha").unwrap().stats.result_cache.hits, 1);
     }
 
+    /// One HTML page behind three WebL rules and one regex rule.
+    fn page_connection(brand: &str) -> Connection {
+        let mut web = WebStore::new();
+        web.register_html(
+            "http://shop/w",
+            format!(
+                "<ul><li><b>{brand}</b> <span>120</span> <i>steel</i> <em>model: X1</em></li></ul>"
+            ),
+        );
+        Connection::Web { store: Arc::new(web), url: "http://shop/w".into() }
+    }
+
+    #[test]
+    fn stored_page_is_tokenized_once_and_never_stale() {
+        let ontology = || {
+            Ontology::builder("http://example.org/schema#")
+                .class("Watch", None)
+                .unwrap()
+                .datatype_property("brand", "Watch", xsd::STRING)
+                .unwrap()
+                .datatype_property("price", "Watch", xsd::DECIMAL)
+                .unwrap()
+                .datatype_property("case", "Watch", xsd::STRING)
+                .unwrap()
+                .datatype_property("model", "Watch", xsd::STRING)
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        for views in [false, true] {
+            let mut s2s = S2s::new(ontology());
+            if views {
+                s2s = s2s.with_views();
+            }
+            s2s.register_source("PAGE", page_connection("Seiko")).unwrap();
+            for (attr, tag) in [("brand", "b"), ("price", "span"), ("case", "i")] {
+                let program = format!("var v = TagTexts(Text(PAGE), \"{tag}\");");
+                s2s.register_attribute(
+                    &format!("thing.watch.{attr}"),
+                    ExtractionRule::Webl { program },
+                    "PAGE",
+                    RecordScenario::MultiRecord,
+                )
+                .unwrap();
+            }
+            s2s.register_attribute(
+                "thing.watch.model",
+                ExtractionRule::TextRegex { pattern: r"model: (\w+)".into(), group: 1 },
+                "PAGE",
+                RecordScenario::MultiRecord,
+            )
+            .unwrap();
+
+            // Serial strategy: extraction runs on this thread, which is
+            // the one `tokenize_calls` counts for.
+            let before = s2s_webdoc::html::tokenize_calls();
+            let first = s2s.query("SELECT watch").unwrap();
+            let tokenized = s2s_webdoc::html::tokenize_calls() - before;
+            assert!(tokenized <= 1, "four rules tokenized the page {tokenized} times");
+            for (property, value) in
+                [("brand", "Seiko"), ("price", "120"), ("case", "steel"), ("model", "X1")]
+            {
+                assert_eq!(sole_value(&s2s, &first, property), value, "views={views}");
+            }
+            let before = s2s_webdoc::html::tokenize_calls();
+            let second = s2s.query("SELECT watch").unwrap();
+            assert_eq!(s2s_webdoc::html::tokenize_calls(), before, "second query, views={views}");
+            assert_eq!(sole_value(&s2s, &second, "brand"), "Seiko");
+
+            // A replaced page is a new document: nothing kept from the
+            // old one can answer for it.
+            s2s.mutate_source("PAGE", page_connection("Orient"), ChangeKind::DocReplace, vec![])
+                .unwrap();
+            let third = s2s.query("SELECT watch").unwrap();
+            assert_eq!(sole_value(&s2s, &third, "brand"), "Orient", "views={views}");
+            assert_eq!(sole_value(&s2s, &third, "model"), "X1", "views={views}");
+        }
+    }
+
     #[test]
     fn concurrent_mutation_and_queries_never_leave_stale_answers() {
         // Whatever the interleaving of an in-flight query and a

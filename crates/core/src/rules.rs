@@ -196,6 +196,18 @@ mod tests {
     }
 
     #[test]
+    fn hostile_regex_nesting_is_a_coded_error() {
+        // Deep enough to overflow the stack of an uncapped parser.
+        let pattern = format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000));
+        let rule = ExtractionRule::TextRegex { pattern, group: 1 };
+        let Err(err) = RuleCache::new().get_or_compile(&rule) else {
+            panic!("nesting is capped");
+        };
+        assert_eq!(err.code(), "s2s::webdoc");
+        assert!(matches!(err, S2sError::Webdoc(s2s_webdoc::WebdocError::BadRegex { .. })));
+    }
+
+    #[test]
     fn distinct_rules_do_not_collide() {
         let cache = RuleCache::new();
         cache

@@ -113,7 +113,7 @@ pub fn is_word_char(c: char) -> bool {
 /// Returns [`RegexError`] on any syntax error, with the byte position of
 /// the offending construct.
 pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
-    let mut p = Parser { chars: pattern.char_indices().collect(), pos: 0, next_group: 1 };
+    let mut p = Parser { chars: pattern.char_indices().collect(), pos: 0, next_group: 1, depth: 0 };
     let ast = p.parse_alternation()?;
     if p.pos < p.chars.len() {
         return Err(RegexError::new(p.byte_pos(), "unmatched `)`"));
@@ -121,10 +121,17 @@ pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
     Ok(ast)
 }
 
+/// Deepest group nesting the parser accepts. It recurses once per open
+/// group, so without a cap a pattern of a few hundred thousand `(`
+/// overflows the stack.
+const MAX_GROUP_DEPTH: usize = 250;
+
 struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
     next_group: u32,
+    /// Groups open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -269,7 +276,14 @@ impl Parser {
         let c = self.bump().ok_or_else(|| RegexError::new(start, "unexpected end of pattern"))?;
         match c {
             '(' => {
-                if self.peek() == Some('?') {
+                if self.depth == MAX_GROUP_DEPTH {
+                    return Err(RegexError::new(
+                        start,
+                        format!("groups nested deeper than {MAX_GROUP_DEPTH}"),
+                    ));
+                }
+                self.depth += 1;
+                let group = if self.peek() == Some('?') {
                     self.bump();
                     if !self.eat(':') {
                         return Err(RegexError::new(
@@ -281,7 +295,7 @@ impl Parser {
                     if !self.eat(')') {
                         return Err(RegexError::new(self.byte_pos(), "missing `)`"));
                     }
-                    Ok(Ast::NonCapturing(Box::new(inner)))
+                    Ast::NonCapturing(Box::new(inner))
                 } else {
                     let index = self.next_group;
                     self.next_group += 1;
@@ -289,8 +303,10 @@ impl Parser {
                     if !self.eat(')') {
                         return Err(RegexError::new(self.byte_pos(), "missing `)`"));
                     }
-                    Ok(Ast::Group { index, node: Box::new(inner) })
-                }
+                    Ast::Group { index, node: Box::new(inner) }
+                };
+                self.depth -= 1;
+                Ok(group)
             }
             '[' => self.parse_class(start),
             '.' => Ok(Ast::AnyChar),
@@ -522,6 +538,19 @@ mod tests {
     fn rejects_double_quantifier() {
         assert!(parse("a**").is_err());
         assert!(parse("^*").is_err());
+    }
+
+    #[test]
+    fn group_nesting_is_capped() {
+        let nested = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&nested(MAX_GROUP_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_GROUP_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.position, MAX_GROUP_DEPTH);
+        // Hostile input: deep enough to overflow the stack if uncapped.
+        assert!(parse(&nested(200_000)).is_err());
+        assert!(parse(&"(?:".repeat(200_000)).is_err());
+        // Depth counts open groups, not groups seen.
+        assert!(parse(&"(a)".repeat(MAX_GROUP_DEPTH + 1)).is_ok());
     }
 
     #[test]

@@ -40,6 +40,18 @@ pub struct Program {
     pub captures: usize,
     /// Total number of save slots = `2 * (captures + 1)`.
     pub slots: usize,
+    /// The literal every match begins with: the `Char`s the program
+    /// must execute first (group `Save`s between them consume nothing).
+    /// Empty when it opens with a class, split or assertion. The
+    /// [`vm`](crate::vm) starts threads only where it occurs.
+    pub prefix: String,
+    /// How many instructions behind `Save(0)` a thread started at an
+    /// occurrence of the prefix may skip: the prefix's length in chars
+    /// when `insts[1..=skip]` are exactly its `Char`s (no group opens
+    /// inside it) and it cannot overlap itself, 0 otherwise. A second
+    /// occurrence beginning inside the first would need its own thread
+    /// before the first one's reaches the end of the prefix.
+    pub skip: usize,
 }
 
 /// Upper bound on compiled program size, guarding against pathological
@@ -60,7 +72,21 @@ pub fn compile(ast: &Ast) -> Result<Program, RegexError> {
     c.push(Inst::Save(1))?;
     c.push(Inst::Match)?;
     let captures = c.max_group as usize;
-    Ok(Program { insts: c.insts, captures, slots: 2 * (captures + 1) })
+    let prefix: String = c
+        .insts
+        .iter()
+        .filter(|inst| !matches!(inst, Inst::Save(_)))
+        .map_while(|inst| match inst {
+            Inst::Char(c) => Some(*c),
+            _ => None,
+        })
+        .collect();
+    let chars = prefix.chars().count();
+    let bytes = prefix.as_bytes();
+    let contiguous = c.insts[1..=chars].iter().all(|inst| matches!(inst, Inst::Char(_)));
+    let overlaps = (1..bytes.len()).any(|k| bytes.starts_with(&bytes[k..]));
+    let skip = if contiguous && !overlaps { chars } else { 0 };
+    Ok(Program { insts: c.insts, captures, slots: 2 * (captures + 1), prefix, skip })
 }
 
 struct Compiler {
@@ -246,6 +272,26 @@ mod tests {
         let p = prog("a{3}");
         let chars = p.insts.iter().filter(|i| matches!(i, Inst::Char('a'))).count();
         assert_eq!(chars, 3);
+    }
+
+    #[test]
+    fn required_prefix() {
+        assert_eq!(prog(r"brand: ([\w-]+)").prefix, "brand: ");
+        assert_eq!(prog("<p><b>[0-9a-zA-Z']+").prefix, "<p><b>");
+        assert_eq!(prog("(ab)c+").prefix, "abc");
+        assert_eq!(prog("a{2,3}").prefix, "aa");
+        assert_eq!(prog("é+x").prefix, "é");
+        // Skippable: the chars directly behind `Save(0)`, no self-overlap.
+        assert_eq!(prog(r"brand: ([\w-]+)").skip, 7);
+        assert_eq!(prog("é+x").skip, 1);
+        assert_eq!(prog("(ab)c+").skip, 0);
+        assert_eq!(prog("a{2,3}").skip, 0);
+        assert_eq!(prog("abcab").skip, 0);
+        assert_eq!(prog(r"\w+").skip, 0);
+        // A class, split or assertion up front leaves nothing required.
+        for p in [r"\w+", "a*b", "a|ab", "(?:ab)?c", "^ab", r"\bab", ""] {
+            assert_eq!(prog(p).prefix, "", "{p}");
+        }
     }
 
     #[test]

@@ -4,14 +4,23 @@
 //! middleware: by the WebL-like web extraction language, by XPath string
 //! predicates, and by the plain-text extractor.
 //!
-//! The engine is a classic three-stage design:
+//! The engine has three stages:
 //!
-//! 1. [`ast`] — a recursive-descent parser producing a syntax tree,
+//! 1. [`ast`] — a recursive-descent parser producing a syntax tree; group
+//!    nesting is capped, so a hostile pattern is an error, not a stack
+//!    overflow,
 //! 2. [`compiler`] — compilation to a non-deterministic finite automaton
-//!    expressed as a linear instruction program,
-//! 3. [`vm`] — a Pike-style virtual machine executing the program over the
-//!    haystack in `O(program × input)` time with full capture-group support
-//!    (no exponential backtracking).
+//!    expressed as a linear instruction program, plus the literal prefix
+//!    every match must begin with (`brand: ` for `brand: (\w+)`; empty
+//!    when the pattern opens with a class, alternation or anchor),
+//! 3. [`vm`] — a Pike-style virtual machine, the one matcher behind
+//!    every method of [`Regex`]. It starts threads only where the prefix
+//!    occurs and skips from one occurrence to the next with a substring
+//!    search, so the haystack between candidates is never stepped
+//!    through; from a candidate it runs the program over the haystack's
+//!    bytes in `O(program × input)` time with full capture-group support
+//!    (no exponential backtracking), in working memory that is sized by
+//!    the live threads and reused from one match to the next.
 //!
 //! Supported syntax: literals, `.`, character classes (`[a-z0-9_]`,
 //! negation, escapes), predefined classes (`\d \w \s \D \W \S`), anchors
@@ -182,8 +191,9 @@ impl Regex {
     /// Panics if `start` is not a char boundary of `haystack`.
     pub fn find_at<'h>(&self, haystack: &'h str, start: usize) -> Option<Match<'h>> {
         assert!(haystack.is_char_boundary(start), "start must lie on a char boundary");
-        let slots = vm::search(&self.program, haystack, start)?;
-        Some(Match { haystack, groups: slots })
+        let mut scratch = vm::Scratch::new(&self.program);
+        let groups = vm::search(&self.program, haystack, start, &mut scratch)?;
+        Some(Match { haystack, groups })
     }
 
     /// Alias of [`Regex::find`] returning the capture groups; mirrors the
@@ -194,15 +204,14 @@ impl Regex {
 
     /// Iterates over all non-overlapping matches, leftmost-first.
     ///
-    /// The haystack's character index is computed once and shared across
-    /// all iterations, so iterating over many matches stays linear.
+    /// Each search resumes where the previous match ended and reuses its
+    /// working memory, so iterating over many matches stays linear.
     pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> FindIter<'r, 'h> {
         FindIter {
             regex: self,
             haystack,
-            chars: haystack.char_indices().collect(),
-            idx: 0,
-            done: false,
+            scratch: vm::Scratch::new(&self.program),
+            next_start: Some(0),
         }
     }
 
@@ -272,39 +281,26 @@ fn expand(replacement: &str, m: &Match<'_>, out: &mut String) {
 pub struct FindIter<'r, 'h> {
     regex: &'r Regex,
     haystack: &'h str,
-    /// Precomputed `(byte offset, char)` index of the whole haystack.
-    chars: Vec<(usize, char)>,
-    /// Index into `chars` where the next search starts.
-    idx: usize,
-    done: bool,
+    scratch: vm::Scratch,
+    /// Byte offset where the next search starts; `None` once exhausted.
+    next_start: Option<usize>,
 }
 
 impl<'r, 'h> Iterator for FindIter<'r, 'h> {
     type Item = Match<'h>;
 
     fn next(&mut self) -> Option<Match<'h>> {
-        if self.done || self.idx > self.chars.len() {
-            return None;
-        }
-        let slots = vm::search_chars(&self.regex.program, self.haystack, &self.chars[self.idx..])?;
-        let m = Match { haystack: self.haystack, groups: slots };
+        let start = self.next_start.take()?;
+        let groups = vm::search(&self.regex.program, self.haystack, start, &mut self.scratch)?;
+        let m = Match { haystack: self.haystack, groups };
         let end = m.end();
-        if end == m.start() {
-            // Empty match: advance one char to guarantee progress.
-            if self.idx < self.chars.len() && self.chars[self.idx].0 <= end {
-                // Find the char at/after `end` and step past it.
-                while self.idx < self.chars.len() && self.chars[self.idx].0 < end {
-                    self.idx += 1;
-                }
-                self.idx += 1;
-            } else {
-                self.done = true;
-            }
+        self.next_start = if end > m.start() {
+            Some(end)
         } else {
-            while self.idx < self.chars.len() && self.chars[self.idx].0 < end {
-                self.idx += 1;
-            }
-        }
+            // Empty match: step one char past it to guarantee progress;
+            // one at the very end of the haystack is the last.
+            self.haystack[end..].chars().next().map(|c| end + c.len_utf8())
+        };
         Some(m)
     }
 }

@@ -4,214 +4,241 @@
 //! `O(len(program) × len(haystack))` time, tracking capture slots per
 //! thread. Thread priority (order in the thread list) implements leftmost
 //! and greediness semantics without backtracking.
-
-use std::rc::Rc;
+//!
+//! The search reads the haystack's bytes in place, starts a thread only
+//! where the program's required literal prefix occurs, and jumps between
+//! such candidates with a substring search whenever no thread is alive.
+//! Every match begins with the prefix, so the threads that are never
+//! started could only have died; the ones that are started run in the
+//! order and lockstep of an unfiltered search, which keeps its
+//! leftmost-first result and its linear bound. All working memory lives
+//! in a [`Scratch`] that one search after another reuses; it grows with
+//! the live threads, not with the program.
 
 use crate::ast::is_word_char;
 use crate::compiler::{Inst, Program};
 
+/// Marks a capture slot no `Save` has written.
+const UNSET: usize = usize::MAX;
+
+/// Working memory of [`search`], reusable across searches with the same
+/// program (an iteration over all matches allocates it once).
+#[derive(Debug)]
+pub struct Scratch {
+    clist: Threads,
+    nlist: Threads,
+    /// Pending work of the epsilon closure, in place of recursion.
+    stack: Vec<Frame>,
+    /// Capture slots along the path the closure is exploring.
+    cur: Vec<usize>,
+    /// Capture slots of the best match found so far.
+    matched: Vec<usize>,
+}
+
+impl Scratch {
+    /// Working memory for searches with `program`.
+    pub fn new(program: &Program) -> Self {
+        let n = program.insts.len();
+        Scratch {
+            clist: Threads::new(n),
+            nlist: Threads::new(n),
+            stack: Vec::new(),
+            cur: vec![UNSET; program.slots],
+            matched: vec![UNSET; program.slots],
+        }
+    }
+}
+
+/// The threads alive at one haystack position, highest priority first.
+#[derive(Debug)]
+struct Threads {
+    /// `seen[pc] == generation` iff the closure visited `pc` at this
+    /// position, so clearing is a counter bump whatever the program's
+    /// size.
+    seen: Vec<u32>,
+    generation: u32,
+    /// The visited instructions that consume a character (or are
+    /// `Match`).
+    pcs: Vec<usize>,
+    /// `program.slots` capture offsets per entry of `pcs`, flat.
+    slots: Vec<usize>,
+}
+
+impl Threads {
+    fn new(insts: usize) -> Self {
+        Threads { seen: vec![0; insts], generation: 0, pcs: Vec::new(), slots: Vec::new() }
+    }
+
+    fn clear(&mut self) {
+        self.pcs.clear();
+        self.slots.clear();
+        if self.generation == u32::MAX {
+            self.seen.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+
+    /// Marks `pc` visited; `false` if it already was.
+    fn visit(&mut self, pc: usize) -> bool {
+        let seen = std::mem::replace(&mut self.seen[pc], self.generation);
+        seen != self.generation
+    }
+}
+
+#[derive(Debug)]
+enum Frame {
+    /// Follow the closure from this instruction.
+    Explore(usize),
+    /// Undo a `Save` once everything behind it has been explored.
+    Restore { slot: usize, old: usize },
+}
+
 /// Searches `haystack` for the leftmost match starting at or after byte
-/// offset `start`. Returns the capture slots (pairs of byte offsets) on
-/// success: index 0 = whole match, index `i` = group `i`.
+/// offset `start` (a char boundary). Returns the capture groups (pairs of
+/// byte offsets) on success: index 0 = whole match, index `i` = group `i`.
 pub fn search(
     program: &Program,
     haystack: &str,
     start: usize,
+    scratch: &mut Scratch,
 ) -> Option<Vec<Option<(usize, usize)>>> {
-    let chars: Vec<(usize, char)> =
-        haystack[start..].char_indices().map(|(i, c)| (i + start, c)).collect();
-    search_chars(program, haystack, &chars)
-}
-
-/// Like [`search`], but over a precomputed `(byte offset, char)` slice
-/// (absolute offsets into `haystack`). Lets iteration reuse one index
-/// vector instead of re-allocating per call.
-pub fn search_chars(
-    program: &Program,
-    haystack: &str,
-    chars: &[(usize, char)],
-) -> Option<Vec<Option<(usize, usize)>>> {
-    let n = program.insts.len();
-
-    let mut clist = ThreadList::new(n);
-    let mut nlist = ThreadList::new(n);
-    let mut matched: Option<Rc<Slots>> = None;
-
-    // Positions are indices into `chars`, plus one end-of-input position.
-    for pos in 0..=chars.len() {
-        let at = chars.get(pos).map(|&(b, _)| b).unwrap_or(haystack.len());
-
-        // Only seed new start threads while no match has been found
-        // (leftmost semantics); seed at lower priority than existing
-        // threads so earlier starts win.
-        if matched.is_none() {
-            let slots = Rc::new(Slots::new(program.slots));
-            add_thread(program, &mut clist, 0, slots, haystack, at);
-        }
-
-        if clist.is_empty() && matched.is_some() {
-            break;
-        }
-
-        let mut i = 0;
-        while i < clist.threads.len() {
-            let Thread { pc, slots } = clist.threads[i].clone();
-            i += 1;
-            match &program.insts[pc] {
-                Inst::Match => {
-                    // Highest-priority match at this position; cut off all
-                    // lower-priority threads.
-                    matched = Some(slots);
-                    clist.threads.truncate(i);
-                    break;
-                }
-                Inst::Char(c) => {
-                    if let Some(&(_, hc)) = chars.get(pos) {
-                        if hc == *c {
-                            let next_at = next_boundary(chars, pos, haystack);
-                            add_thread(program, &mut nlist, pc + 1, slots, haystack, next_at);
-                        }
-                    }
-                }
-                Inst::Any => {
-                    if let Some(&(_, hc)) = chars.get(pos) {
-                        if hc != '\n' {
-                            let next_at = next_boundary(chars, pos, haystack);
-                            add_thread(program, &mut nlist, pc + 1, slots, haystack, next_at);
-                        }
-                    }
-                }
-                Inst::Class(set) => {
-                    if let Some(&(_, hc)) = chars.get(pos) {
-                        if set.contains(hc) {
-                            let next_at = next_boundary(chars, pos, haystack);
-                            add_thread(program, &mut nlist, pc + 1, slots, haystack, next_at);
-                        }
-                    }
-                }
-                // Split/Jmp/Save/Assert are handled in add_thread.
-                _ => unreachable!("non-consuming instruction in run list"),
+    let Scratch { clist, nlist, stack, cur, matched } = scratch;
+    // Swapped by reference after every step.
+    let (mut clist, mut nlist) = (clist, nlist);
+    let n = program.slots;
+    let prefix = program.prefix.as_str();
+    clist.clear();
+    nlist.clear();
+    let mut found = false;
+    let mut at = start;
+    loop {
+        if clist.pcs.is_empty() {
+            if found {
+                break;
+            }
+            // Every match begins with the prefix, so with no thread alive
+            // nothing can start before its next occurrence.
+            if !prefix.is_empty() {
+                at += haystack[at..].find(prefix)?;
+            }
+            // The visits left behind belong to the position jumped from.
+            clist.clear();
+            if program.skip > 0 {
+                // The candidate's thread is the only one there can be
+                // until the end of the prefix: resume it there.
+                cur.fill(UNSET);
+                cur[0] = at;
+                at += prefix.len();
+                add_thread(program, clist, stack, cur, 1 + program.skip, haystack, at);
             }
         }
-
+        // Seed a new start only while no match has been found (leftmost
+        // semantics), at lower priority than the threads already running
+        // so earlier starts win.
+        if !found && (prefix.is_empty() || haystack[at..].starts_with(prefix)) {
+            cur.fill(UNSET);
+            add_thread(program, clist, stack, cur, 0, haystack, at);
+        }
+        let c = char_at(haystack, at);
+        let next = at + c.map_or(0, char::len_utf8);
+        for i in 0..clist.pcs.len() {
+            let pc = clist.pcs[i];
+            let advance = match &program.insts[pc] {
+                Inst::Match => {
+                    // Highest-priority match at this position; cut off
+                    // all lower-priority threads.
+                    matched.copy_from_slice(&clist.slots[i * n..(i + 1) * n]);
+                    found = true;
+                    break;
+                }
+                Inst::Char(x) => c == Some(*x),
+                Inst::Any => c.is_some_and(|c| c != '\n'),
+                Inst::Class(set) => c.is_some_and(|c| set.contains(c)),
+                // Split/Jmp/Save/Assert are followed in add_thread.
+                _ => unreachable!("non-consuming instruction in run list"),
+            };
+            if advance {
+                cur.copy_from_slice(&clist.slots[i * n..(i + 1) * n]);
+                add_thread(program, nlist, stack, cur, pc + 1, haystack, next);
+            }
+        }
         std::mem::swap(&mut clist, &mut nlist);
         nlist.clear();
-
-        if matched.is_some() && clist.is_empty() {
+        if c.is_none() {
             break;
         }
+        at = next;
     }
-
-    matched.map(|slots| {
-        (0..program.slots / 2)
-            .map(|g| match (slots.get(2 * g), slots.get(2 * g + 1)) {
-                (Some(s), Some(e)) => Some((s, e)),
-                _ => None,
-            })
+    found.then(|| {
+        matched
+            .chunks_exact(2)
+            .map(|g| (g[0] != UNSET && g[1] != UNSET).then_some((g[0], g[1])))
             .collect()
     })
 }
 
-fn next_boundary(chars: &[(usize, char)], pos: usize, haystack: &str) -> usize {
-    chars.get(pos + 1).map(|&(b, _)| b).unwrap_or(haystack.len())
-}
-
-/// Persistent capture-slot list: a small immutable linked structure so that
-/// threads can share unmodified prefixes cheaply.
-#[derive(Debug)]
-struct Slots {
-    values: Vec<Option<usize>>,
-}
-
-impl Slots {
-    fn new(n: usize) -> Self {
-        Slots { values: vec![None; n] }
-    }
-
-    fn set(self: &Rc<Self>, index: usize, value: usize) -> Rc<Self> {
-        let mut values = self.values.clone();
-        if index < values.len() {
-            values[index] = Some(value);
-        }
-        Rc::new(Slots { values })
-    }
-
-    fn get(&self, index: usize) -> Option<usize> {
-        *self.values.get(index)?
+fn char_at(haystack: &str, at: usize) -> Option<char> {
+    let b = *haystack.as_bytes().get(at)?;
+    if b < 0x80 {
+        Some(b as char)
+    } else {
+        haystack[at..].chars().next()
     }
 }
 
-#[derive(Clone)]
-struct Thread {
-    pc: usize,
-    slots: Rc<Slots>,
-}
-
-struct ThreadList {
-    threads: Vec<Thread>,
-    seen: Vec<bool>,
-}
-
-impl ThreadList {
-    fn new(n: usize) -> Self {
-        ThreadList { threads: Vec::new(), seen: vec![false; n] }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.threads.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.threads.clear();
-        self.seen.iter_mut().for_each(|s| *s = false);
-    }
-}
-
-/// Adds a thread, eagerly following non-consuming instructions (epsilon
-/// closure) and de-duplicating by program counter.
+/// Adds the thread `pc` with capture slots `cur` to `list`, following
+/// non-consuming instructions (epsilon closure) and de-duplicating by
+/// program counter. `cur` is left as it was passed in.
 fn add_thread(
     program: &Program,
-    list: &mut ThreadList,
+    list: &mut Threads,
+    stack: &mut Vec<Frame>,
+    cur: &mut [usize],
     pc: usize,
-    slots: Rc<Slots>,
     haystack: &str,
     at: usize,
 ) {
-    if list.seen[pc] {
-        return;
-    }
-    list.seen[pc] = true;
-    match &program.insts[pc] {
-        Inst::Jmp(t) => add_thread(program, list, *t, slots, haystack, at),
-        Inst::Split(a, b) => {
-            add_thread(program, list, *a, slots.clone(), haystack, at);
-            add_thread(program, list, *b, slots, haystack, at);
-        }
-        Inst::Save(n) => {
-            let slots = slots.set(*n, at);
-            add_thread(program, list, pc + 1, slots, haystack, at);
-        }
-        Inst::AssertStart => {
-            if at == 0 {
-                add_thread(program, list, pc + 1, slots, haystack, at);
+    stack.push(Frame::Explore(pc));
+    while let Some(frame) = stack.pop() {
+        let mut pc = match frame {
+            Frame::Explore(pc) => pc,
+            Frame::Restore { slot, old } => {
+                cur[slot] = old;
+                continue;
             }
-        }
-        Inst::AssertEnd => {
-            if at == haystack.len() {
-                add_thread(program, list, pc + 1, slots, haystack, at);
+        };
+        while list.visit(pc) {
+            let pass = match &program.insts[pc] {
+                Inst::Jmp(t) => {
+                    pc = *t;
+                    continue;
+                }
+                Inst::Split(a, b) => {
+                    stack.push(Frame::Explore(*b));
+                    pc = *a;
+                    continue;
+                }
+                Inst::Save(slot) => {
+                    stack.push(Frame::Restore { slot: *slot, old: cur[*slot] });
+                    cur[*slot] = at;
+                    true
+                }
+                Inst::AssertStart => at == 0,
+                Inst::AssertEnd => at == haystack.len(),
+                Inst::AssertWordBoundary => at_word_boundary(haystack, at),
+                Inst::AssertNotWordBoundary => !at_word_boundary(haystack, at),
+                _ => {
+                    list.pcs.push(pc);
+                    list.slots.extend_from_slice(cur);
+                    false
+                }
+            };
+            if !pass {
+                break;
             }
+            pc += 1;
         }
-        Inst::AssertWordBoundary => {
-            if at_word_boundary(haystack, at) {
-                add_thread(program, list, pc + 1, slots, haystack, at);
-            }
-        }
-        Inst::AssertNotWordBoundary => {
-            if !at_word_boundary(haystack, at) {
-                add_thread(program, list, pc + 1, slots, haystack, at);
-            }
-        }
-        _ => list.threads.push(Thread { pc, slots }),
     }
 }
 
@@ -270,6 +297,83 @@ mod tests {
         let re = Regex::new("a|ab").unwrap();
         // Alternation is first-match (PCRE-like), not POSIX longest.
         assert_eq!(re.find("ab").unwrap().text(), "a");
+    }
+
+    fn spans(pattern: &str, haystack: &str) -> Vec<(usize, usize)> {
+        Regex::new(pattern).unwrap().find_iter(haystack).map(|m| (m.start(), m.end())).collect()
+    }
+
+    #[test]
+    fn failed_candidate_then_matching_candidate() {
+        let re = Regex::new(r"brand: (\w+)").unwrap();
+        let m = re.find("brand: ! brand: x").unwrap();
+        assert_eq!((m.start(), m.end()), (9, 17));
+        assert_eq!(m.get(1).unwrap().text(), "x");
+        // A candidate that dies inside the prefix of the next one.
+        assert_eq!(spans("ab!", "abab!"), [(2, 5)]);
+    }
+
+    #[test]
+    fn self_overlapping_prefix_starts_inside_a_candidate() {
+        // The thread from 0 dies at `!`; the match starts at 2, inside
+        // the first occurrence of the prefix `abab`.
+        assert_eq!(spans("(?:abab)+!", "ababab!"), [(2, 7)]);
+        assert_eq!(spans("aa", "aaaaa"), [(0, 2), (2, 4)]);
+        assert_eq!(spans("aab", "aaab"), [(1, 4)]);
+    }
+
+    #[test]
+    fn adjacent_candidates() {
+        assert_eq!(spans("ab", "ababab"), [(0, 2), (2, 4), (4, 6)]);
+        assert_eq!(spans("ab(c)?", "ababc"), [(0, 2), (2, 5)]);
+    }
+
+    #[test]
+    fn patterns_without_a_prefix_are_not_filtered() {
+        assert_eq!(spans("cat|dog", "a dog, a cat"), [(2, 5), (9, 12)]);
+        assert_eq!(spans(r"[cd]\w+", "a dog, a cat"), [(2, 5), (9, 12)]);
+        assert_eq!(spans("^ab", "abab"), [(0, 2)]);
+        assert_eq!(spans(r"\bab", "ab cab ab"), [(0, 2), (7, 9)]);
+        assert_eq!(spans(r"ab\b", "abc ab"), [(4, 6)]);
+    }
+
+    #[test]
+    fn assertion_behind_a_skipped_prefix_sees_the_new_position() {
+        // ` \b` fails at 1 and 2 (space, then `é`), then jumps to 5.
+        assert_eq!(spans(r" \b", "a  é 1"), [(5, 6)]);
+    }
+
+    #[test]
+    fn multibyte_prefix() {
+        assert_eq!(spans("é日+", "e日 é日日 é"), [(5, 13)]);
+        let m = Regex::new("日(.)").unwrap().find("本日は").unwrap();
+        assert_eq!(m.get(1).unwrap().text(), "は");
+    }
+
+    #[test]
+    fn find_at_mid_haystack() {
+        let re = Regex::new(r"id: (\d)").unwrap();
+        let hay = "id: 1, id: 2, id: 3";
+        assert_eq!(re.find_at(hay, 1).unwrap().get(1).unwrap().text(), "2");
+        assert_eq!(re.find_at(hay, 7).unwrap().get(1).unwrap().text(), "2");
+        assert!(re.find_at(hay, 15).is_none());
+        // `^` is the start of the haystack, not of the search.
+        assert!(Regex::new("^id").unwrap().find_at(hay, 7).is_none());
+    }
+
+    #[test]
+    fn empty_match_iteration() {
+        assert_eq!(spans("a*", "baaa"), [(0, 0), (1, 4), (4, 4)]);
+        assert_eq!(spans("a*", "日a"), [(0, 0), (3, 4), (4, 4)]);
+        let re = Regex::new("x*").unwrap();
+        assert_eq!(re.split("abc").collect::<Vec<_>>(), ["", "a", "b", "c", ""]);
+        assert_eq!(re.replace_all("abc", "-"), "-a-b-c-");
+    }
+
+    #[test]
+    fn scratch_is_reused_across_a_change_of_outcome() {
+        // One iterator: a match, a failed candidate, a match again.
+        assert_eq!(spans(r"k=(\d+)", "k=1 k=x k=22"), [(0, 3), (8, 12)]);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! reference implementation for a restricted pattern family, and invariants
 //! hold for arbitrary haystacks.
 
+mod reference;
+
 use proptest::prelude::*;
-use s2s_textmatch::Regex;
+use proptest::TestRng;
+use s2s_textmatch::{ast, compiler, Regex};
 
 /// Escapes a string so it matches literally.
 fn escape(s: &str) -> String {
@@ -17,7 +20,102 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Characters patterns and haystacks are drawn from: few enough that
+/// literals collide with the text (and literal prefixes with
+/// themselves), with word, non-word, newline and multibyte members.
+const ALPHABET: [char; 9] = ['a', 'b', 'c', '1', ' ', '-', '\n', 'é', '日'];
+
+fn literal(rng: &mut TestRng) -> String {
+    match ALPHABET[rng.below(ALPHABET.len())] {
+        '\n' => "\\n".to_string(),
+        c => c.to_string(),
+    }
+}
+
+/// A random pattern from the supported grammar: literals, classes, `.`,
+/// greedy and lazy `* + ? {m,n}`, alternation, both group kinds and the
+/// four assertions. Always compiles.
+fn pattern(rng: &mut TestRng, depth: usize) -> String {
+    let branches = if rng.below(4) == 0 { 2 + rng.below(2) } else { 1 };
+    let mut out = String::new();
+    for b in 0..branches {
+        if b > 0 {
+            out.push('|');
+        }
+        for _ in 0..rng.below(4) + usize::from(branches == 1) {
+            let atom = match rng.below(if depth == 0 { 9 } else { 11 }) {
+                0..=3 => literal(rng),
+                4 => ".".to_string(),
+                5 => ["[ab]", "[^a]", "[a-c1]", "[^\\w ]", "[é日-]"][rng.below(5)].to_string(),
+                6 => ["\\w", "\\d", "\\s", "\\W", "\\S"][rng.below(5)].to_string(),
+                7 | 8 => {
+                    // Assertions take no quantifier.
+                    out.push_str(["^", "$", "\\b", "\\B"][rng.below(4)]);
+                    continue;
+                }
+                9 => format!("({})", pattern(rng, depth - 1)),
+                _ => format!("(?:{})", pattern(rng, depth - 1)),
+            };
+            out.push_str(&atom);
+            let (m, n) = (rng.below(3), rng.below(3));
+            match rng.below(10) {
+                0 => out.push('*'),
+                1 => out.push('+'),
+                2 => out.push('?'),
+                3 => out.push_str(&format!("{{{m},{}}}", m + n)),
+                4 => out.push_str(&format!("{{{m},}}")),
+                5 => out.push_str(&format!("{{{m}}}")),
+                _ => continue,
+            }
+            if rng.below(3) == 0 {
+                out.push('?');
+            }
+        }
+    }
+    out
+}
+
+fn haystack(rng: &mut TestRng) -> String {
+    (0..rng.below(24)).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect()
+}
+
+fn groups(m: &s2s_textmatch::Match<'_>) -> Vec<Option<(usize, usize)>> {
+    (0..m.group_count()).map(|g| m.get(g).map(|c| (c.start(), c.end()))).collect()
+}
+
 proptest! {
+    /// The matcher agrees with the reference VM (`tests/reference`) on
+    /// every capture offset of every match, iterating and from an
+    /// arbitrary start — whichever of the prefix jump, the prefix skip
+    /// and the unfiltered path the pattern takes.
+    #[test]
+    fn matcher_agrees_with_reference_vm(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        // Half the patterns open with a literal run, so the prefilter
+        // is exercised as often as the unfiltered path.
+        let lead: String = (0..rng.below(4)).map(|_| literal(&mut rng)).collect();
+        let pat = format!("{lead}{}", pattern(&mut rng, 2));
+        let re = Regex::new(&pat).unwrap();
+        let program = compiler::compile(&ast::parse(&pat).unwrap()).unwrap();
+        for _ in 0..4 {
+            // Plant the literal run in some haystacks so candidates occur.
+            let hay = match rng.below(3) {
+                0 => haystack(&mut rng),
+                _ => format!("{}{lead}{}", haystack(&mut rng), haystack(&mut rng)),
+            };
+            let hay = hay.replace("\\n", "\n");
+            let got: Vec<_> = re.find_iter(&hay).map(|m| groups(&m)).collect();
+            prop_assert_eq!(&got, &reference::find_iter(&program, &hay), "{:?} on {:?}", pat, hay);
+            let start = hay.char_indices().map(|(i, _)| i).nth(rng.below(hay.len() + 1));
+            let start = start.unwrap_or(hay.len());
+            prop_assert_eq!(
+                re.find_at(&hay, start).map(|m| groups(&m)),
+                reference::search(&program, &hay, start),
+                "{:?} on {:?} from {}", pat, hay, start
+            );
+        }
+    }
+
     /// A literal pattern finds exactly what `str::find` finds.
     #[test]
     fn literal_agrees_with_str_find(needle in "[a-c]{1,4}", hay in "[a-d]{0,30}") {

@@ -5,7 +5,9 @@
 //! auto-closed, unknown constructs are skipped, entities that do not
 //! resolve are kept verbatim.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Elements that never have content (`<br>`, `<img>`, …).
 const VOID_ELEMENTS: &[&str] =
@@ -15,7 +17,7 @@ const VOID_ELEMENTS: &[&str] =
 /// tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HtmlDocument {
-    source: String,
+    source: Arc<str>,
     tokens: Vec<HtmlToken>,
 }
 
@@ -55,8 +57,14 @@ impl HtmlDocument {
     /// Parses HTML. Never fails: malformed constructs degrade to text or
     /// are skipped.
     pub fn parse(html: &str) -> Self {
-        let tokens = tokenize(html);
-        HtmlDocument { source: html.to_string(), tokens }
+        HtmlDocument::parse_shared(html.into())
+    }
+
+    /// [`HtmlDocument::parse`] of a source the caller already shares.
+    pub(crate) fn parse_shared(source: Arc<str>) -> Self {
+        TOKENIZE_CALLS.with(|n| n.set(n.get() + 1));
+        let tokens = tokenize(&source);
+        HtmlDocument { source, tokens }
     }
 
     /// The raw source text.
@@ -203,6 +211,17 @@ impl HtmlDocument {
             })
             .collect()
     }
+}
+
+thread_local! {
+    static TOKENIZE_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many documents this thread has tokenized so far. A diagnostic for
+/// tests and perf assertions: a query over stored pages should leave it
+/// unchanged once each page has been parsed.
+pub fn tokenize_calls() -> usize {
+    TOKENIZE_CALLS.with(Cell::get)
 }
 
 fn tokenize(html: &str) -> Vec<HtmlToken> {

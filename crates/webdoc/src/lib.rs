@@ -11,7 +11,10 @@
 //! * [`html`] — a tolerant HTML tokenizer/tree builder (real-world pages
 //!   are rarely well-formed XML),
 //! * [`store`] — a simulated web: a URL → document registry standing in
-//!   for the 2006 live web (see DESIGN.md substitution notes),
+//!   for the 2006 live web (see DESIGN.md substitution notes); a stored
+//!   page is tokenized once, on first use, and every rule that reads it
+//!   afterwards — through `GetURL`, `Text`, `TagTexts`, … — shares that
+//!   parse,
 //! * [`webl`] — an interpreter for a WebL-like extraction language
 //!   covering the constructs the paper's Figure 3 code sample uses
 //!   (`GetURL`, `Text`, `Str_Search`, `Str_Split`, `Select`, regular

@@ -27,6 +27,7 @@
 //! positionally masks `base` by a comparison on `guard` (see
 //! [`with_guard`]).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -34,7 +35,7 @@ use s2s_textmatch::{Constraint, ConstraintOp, Regex};
 
 use crate::error::WebdocError;
 use crate::html::HtmlDocument;
-use crate::store::WebStore;
+use crate::store::{WebDocument, WebStore};
 
 /// A runtime value of the WebL interpreter.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,11 +50,13 @@ pub enum WeblValue {
     Page {
         /// The URL it was fetched from.
         url: String,
-        /// The raw source text.
-        source: String,
-        /// Whether the document is HTML.
-        html: bool,
+        /// The document, shared with the store it was fetched from.
+        doc: WebDocument,
     },
+    /// The source text of a fetched page, as `Text(page)` returns it: a
+    /// string like any other that still shares the page, so the tag
+    /// builtins find the page's kept parse instead of tokenizing it.
+    PageText(WebDocument),
     /// A regular-expression pattern (uncompiled text).
     Pattern(String),
 }
@@ -63,6 +66,7 @@ impl WeblValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             WeblValue::Str(s) => Some(s),
+            WeblValue::PageText(doc) => Some(doc.raw()),
             _ => None,
         }
     }
@@ -86,18 +90,33 @@ impl WeblValue {
     /// Coerces to text: strings render as-is, pages as source, lists
     /// join on nothing, ints as digits.
     pub fn to_text(&self) -> String {
+        self.text().into_owned()
+    }
+
+    /// [`WeblValue::to_text`] without the copy where the value holds
+    /// its text.
+    fn text(&self) -> Cow<'_, str> {
         match self {
-            WeblValue::Str(s) => s.clone(),
-            WeblValue::Int(i) => i.to_string(),
-            WeblValue::Page { source, .. } => source.clone(),
-            WeblValue::Pattern(p) => p.clone(),
-            WeblValue::List(v) => v.iter().map(|x| x.to_text()).collect(),
+            WeblValue::Str(s) | WeblValue::Pattern(s) => Cow::Borrowed(s),
+            WeblValue::Page { doc, .. } | WeblValue::PageText(doc) => Cow::Borrowed(doc.raw()),
+            WeblValue::Int(i) => Cow::Owned(i.to_string()),
+            WeblValue::List(v) => Cow::Owned(v.iter().map(|x| x.text()).collect()),
         }
+    }
+
+    /// The HTML parse of this value's text: the kept one when the value
+    /// is a stored page (or its text), a fresh one for any other string.
+    fn html(&self) -> Cow<'_, HtmlDocument> {
+        let kept = match self {
+            WeblValue::Page { doc, .. } | WeblValue::PageText(doc) => doc.parsed(),
+            _ => None,
+        };
+        kept.map_or_else(|| Cow::Owned(HtmlDocument::parse(&self.text())), Cow::Borrowed)
     }
 
     fn type_name(&self) -> &'static str {
         match self {
-            WeblValue::Str(_) => "string",
+            WeblValue::Str(_) | WeblValue::PageText(_) => "string",
             WeblValue::Int(_) => "int",
             WeblValue::List(_) => "list",
             WeblValue::Page { .. } => "page",
@@ -108,7 +127,7 @@ impl WeblValue {
 
 impl fmt::Display for WeblValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_text())
+        f.write_str(&self.text())
     }
 }
 
@@ -191,20 +210,20 @@ impl WeblProgram {
         initial: BTreeMap<String, WeblValue>,
     ) -> Result<WeblValue, WebdocError> {
         let mut env = initial;
-        let mut last = WeblValue::Str(String::new());
-        for stmt in &self.statements {
+        let (last, body) = self.statements.split_last().expect("parse rejects empty programs");
+        for stmt in body {
             match stmt {
                 Stmt::Assign { name, expr } => {
                     let v = eval(expr, &env, web)?;
-                    last = v.clone();
                     env.insert(name.clone(), v);
                 }
                 Stmt::Expr(expr) => {
-                    last = eval(expr, &env, web)?;
+                    eval(expr, &env, web)?;
                 }
             }
         }
-        Ok(last)
+        let (Stmt::Assign { expr, .. } | Stmt::Expr(expr)) = last;
+        eval(expr, &env, web)
     }
 
     /// Runs and coerces the result to a list of strings: a `List` maps
@@ -507,11 +526,11 @@ fn eval(
                 (WeblValue::Pattern(_), _) | (_, WeblValue::Pattern(_)) => {
                     let part = |v: &WeblValue| match v {
                         WeblValue::Pattern(p) => p.clone(),
-                        other => escape_regex(&other.to_text()),
+                        other => escape_regex(&other.text()),
                     };
                     WeblValue::Pattern(format!("{}{}", part(&a), part(&b)))
                 }
-                _ => WeblValue::Str(format!("{}{}", a.to_text(), b.to_text())),
+                _ => WeblValue::Str(format!("{}{}", a.text(), b.text())),
             }
         }
         Expr::Call { function, args } => {
@@ -537,25 +556,30 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
         "GetURL" => {
             arity(1)?;
             let url = args[0].to_text();
-            let doc = web.fetch(&url)?;
-            Ok(WeblValue::Page { url, source: doc.raw().to_string(), html: doc.is_html() })
+            let doc = web.fetch(&url)?.clone();
+            Ok(WeblValue::Page { url, doc })
         }
         "Text" => {
             arity(1)?;
-            Ok(WeblValue::Str(args[0].to_text()))
+            Ok(match &args[0] {
+                WeblValue::Page { doc, .. } | WeblValue::PageText(doc) => {
+                    WeblValue::PageText(doc.clone())
+                }
+                other => WeblValue::Str(other.to_text()),
+            })
         }
         "StripTags" => {
             arity(1)?;
             let text = match &args[0] {
-                WeblValue::Page { source, html: true, .. } => HtmlDocument::parse(source).text(),
-                WeblValue::Page { source, html: false, .. } => source.clone(),
-                other => HtmlDocument::parse(&other.to_text()).text(),
+                // A page renders as its kind does; a string is markup.
+                WeblValue::Page { doc, .. } => doc.text().into_owned(),
+                other => other.html().text(),
             };
             Ok(WeblValue::Str(text))
         }
         "Str_Search" => {
             arity(2)?;
-            let text = args[0].to_text();
+            let text = args[0].text();
             let pattern = match &args[1] {
                 WeblValue::Pattern(p) | WeblValue::Str(p) => p.clone(),
                 other => return Err(rt(format!("Str_Search pattern is a {}", other.type_name()))),
@@ -578,8 +602,8 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
         }
         "Str_Split" => {
             arity(2)?;
-            let text = args[0].to_text();
-            let seps = args[1].to_text();
+            let text = args[0].text();
+            let seps = args[1].text();
             let fields = text
                 .split(|c: char| seps.contains(c))
                 .filter(|f| !f.is_empty())
@@ -589,7 +613,7 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
         }
         "Select" => {
             arity(3)?;
-            let s = args[0].to_text();
+            let s = args[0].text();
             let start = args[1].as_int().ok_or_else(|| rt("Select start must be int".into()))?;
             let end = args[2].as_int().ok_or_else(|| rt("Select end must be int".into()))?;
             let start = start.max(0) as usize;
@@ -599,31 +623,30 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
         }
         "Trim" => {
             arity(1)?;
-            Ok(WeblValue::Str(args[0].to_text().trim().to_string()))
+            Ok(WeblValue::Str(args[0].text().trim().to_string()))
         }
         "Lower" => {
             arity(1)?;
-            Ok(WeblValue::Str(args[0].to_text().to_lowercase()))
+            Ok(WeblValue::Str(args[0].text().to_lowercase()))
         }
         "Upper" => {
             arity(1)?;
-            Ok(WeblValue::Str(args[0].to_text().to_uppercase()))
+            Ok(WeblValue::Str(args[0].text().to_uppercase()))
         }
         "Replace" => {
             arity(3)?;
-            let text = args[0].to_text();
             let pattern = match &args[1] {
                 WeblValue::Pattern(p) => p.clone(),
-                other => escape_regex(&other.to_text()),
+                other => escape_regex(&other.text()),
             };
             let re = compile(&pattern)?;
-            Ok(WeblValue::Str(re.replace_all(&text, &args[2].to_text())))
+            Ok(WeblValue::Str(re.replace_all(&args[0].text(), &args[2].text())))
         }
         "Length" => {
             arity(1)?;
             let n = match &args[0] {
                 WeblValue::List(v) => v.len(),
-                other => other.to_text().chars().count(),
+                other => other.text().chars().count(),
             };
             Ok(WeblValue::Int(n as i64))
         }
@@ -643,13 +666,8 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
         }
         "TagTexts" => {
             arity(2)?;
-            let source = args[0].to_text();
-            let tag = args[1].to_text();
-            let texts = HtmlDocument::parse(&source)
-                .tag_texts(&tag)
-                .into_iter()
-                .map(WeblValue::Str)
-                .collect();
+            let texts =
+                args[0].html().tag_texts(&args[1].text()).into_iter().map(WeblValue::Str).collect();
             Ok(WeblValue::List(texts))
         }
         "Extract" => {
@@ -657,7 +675,7 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
             // extractor: one result per match, matches whose group did
             // not participate are skipped (not rendered empty).
             arity(3)?;
-            let text = args[0].to_text();
+            let text = args[0].text();
             let pattern = match &args[1] {
                 WeblValue::Pattern(p) | WeblValue::Str(p) => p.clone(),
                 other => return Err(rt(format!("Extract pattern is a {}", other.type_name()))),
@@ -678,15 +696,15 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
             // than the pushed predicate asks for is always safe because
             // the mediator re-applies the full residual post-extraction.
             arity(4)?;
-            let op = ConstraintOp::parse(&args[2].to_text())
-                .ok_or_else(|| rt(format!("unknown Where operator `{}`", args[2].to_text())))?;
+            let op = ConstraintOp::parse(&args[2].text())
+                .ok_or_else(|| rt(format!("unknown Where operator `{}`", args[2].text())))?;
             let constraint = Constraint::new(op, args[3].to_text());
             match (&args[0], &args[1]) {
                 (WeblValue::List(base), WeblValue::List(guard)) if base.len() == guard.len() => {
                     Ok(WeblValue::List(
                         base.iter()
                             .zip(guard)
-                            .filter(|(_, g)| constraint.matches(&g.to_text()))
+                            .filter(|(_, g)| constraint.matches(&g.text()))
                             .map(|(b, _)| b.clone())
                             .collect(),
                     ))
@@ -696,11 +714,9 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
         }
         "TagAttrs" => {
             arity(3)?;
-            let source = args[0].to_text();
-            let tag = args[1].to_text();
-            let attr = args[2].to_text();
-            let vals = HtmlDocument::parse(&source)
-                .tag_attributes(&tag, &attr)
+            let vals = args[0]
+                .html()
+                .tag_attributes(&args[1].text(), &args[2].text())
                 .into_iter()
                 .map(WeblValue::Str)
                 .collect();
@@ -976,6 +992,49 @@ mod tests {
     }
 
     #[test]
+    fn page_builtins_use_the_kept_parse() {
+        let w = web();
+        w.fetch("http://www.shop.com/watch81").unwrap().parsed();
+        let before = crate::html::tokenize_calls();
+        for src in [
+            r#"TagTexts(Text(GetURL("http://www.shop.com/watch81")), "b");"#,
+            r#"TagTexts(GetURL("http://www.shop.com/watch81"), "b");"#,
+            r#"TagAttrs(Text(GetURL("http://www.shop.com/watch81")), "a", "href");"#,
+            r#"StripTags(GetURL("http://www.shop.com/watch81"));"#,
+            r#"StripTags(Text(Text(GetURL("http://www.shop.com/watch81"))));"#,
+        ] {
+            WeblProgram::parse(src).unwrap().run(&w).unwrap();
+        }
+        assert_eq!(crate::html::tokenize_calls(), before, "a stored page is never re-tokenized");
+        // Any other string is markup to parse, as before.
+        run(r#"TagTexts("<b>x</b>", "b");"#);
+        assert_eq!(crate::html::tokenize_calls(), before + 1);
+    }
+
+    #[test]
+    fn page_text_is_a_string() {
+        let v = run(r#"Text(GetURL("http://files.example/readme.txt"));"#);
+        assert_eq!(v.as_str(), Some("brand: Orient\nprice: 189.00\n"));
+        assert_eq!(v.to_text(), "brand: Orient\nprice: 189.00\n");
+        assert_eq!(
+            run(r#"Length(Text(GetURL("http://files.example/readme.txt")));"#).as_int(),
+            Some(28)
+        );
+        let e = WeblProgram::parse(r#"Text(GetURL("http://files.example/readme.txt"))[0];"#)
+            .unwrap()
+            .run(&web())
+            .unwrap_err();
+        assert!(e.to_string().contains("cannot index a string"), "{e}");
+        // A plain-text page renders as itself, but its text is a string,
+        // and a string is markup to `StripTags`.
+        let mut w = WebStore::new();
+        w.register_text("http://t", "a <b>c</b>");
+        let strip = |src: &str| WeblProgram::parse(src).unwrap().run(&w).unwrap();
+        assert_eq!(strip(r#"StripTags(GetURL("http://t"));"#).as_str(), Some("a <b>c</b>"));
+        assert_eq!(strip(r#"StripTags(Text(GetURL("http://t")));"#).as_str(), Some("a c"));
+    }
+
+    #[test]
     fn str_search_capture_groups() {
         let v = run(r#"
             var P = GetURL("http://files.example/readme.txt");
@@ -1120,11 +1179,7 @@ mod tests {
         let doc = w.fetch("http://shop/list").unwrap();
         let env: BTreeMap<String, WeblValue> = [(
             "PAGE".to_string(),
-            WeblValue::Page {
-                url: "http://shop/list".into(),
-                source: doc.raw().to_string(),
-                html: true,
-            },
+            WeblValue::Page { url: "http://shop/list".into(), doc: doc.clone() },
         )]
         .into();
         let v = WeblProgram::parse(&rewritten).unwrap().run_with(&w, env.clone()).unwrap();
@@ -1148,11 +1203,9 @@ mod tests {
         let prog = r#"Extract(Text(PAGE), `x: (\w+)`, 1);"#;
         let rewritten = with_guard(prog, prog, "=", "beta").unwrap();
         let doc = w.fetch("http://t").unwrap();
-        let env: BTreeMap<String, WeblValue> = [(
-            "PAGE".to_string(),
-            WeblValue::Page { url: "http://t".into(), source: doc.raw().to_string(), html: false },
-        )]
-        .into();
+        let env: BTreeMap<String, WeblValue> =
+            [("PAGE".to_string(), WeblValue::Page { url: "http://t".into(), doc: doc.clone() })]
+                .into();
         let v = WeblProgram::parse(&rewritten).unwrap().run_with(&w, env).unwrap();
         assert_eq!(v.as_list().unwrap(), &[WeblValue::Str("beta".into())]);
     }
