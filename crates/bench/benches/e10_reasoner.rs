@@ -18,7 +18,12 @@ fn bench(c: &mut Criterion) {
     for &classes in &[64usize, 512] {
         let o = synthetic_ontology(classes, 2);
         group.bench_with_input(BenchmarkId::new("closure_build", classes), &classes, |b, _| {
-            b.iter(|| Reasoner::new(&o))
+            // The ontology keeps its closure once computed, so every
+            // sample builds a cold one (timed with it).
+            b.iter(|| {
+                let cold = synthetic_ontology(classes, 2);
+                std::hint::black_box(Reasoner::new(&cold));
+            })
         });
 
         // An instance graph: one individual per class, typed with it.

@@ -88,9 +88,10 @@ pub enum FaultClass {
     /// it exists to give hedged dispatch a standby to race against the
     /// retry-slowed primary.
     TransientWithReplica(Vec<(u64, FaultKind)>),
-    /// A reliable endpoint whose mappings all carry [`hostile_regex`] as
-    /// their rule: every task on the source fails at rule compilation
-    /// with a coded, permanent error, on every execution path alike, and
+    /// A reliable endpoint whose mappings all carry a hostile rule
+    /// ([`hostile_sql`] on a database source, [`hostile_regex`] on any
+    /// other): every task on the source fails at rule compilation with
+    /// a coded, permanent error, on every execution path alike, and
     /// nothing panics. Never generated; corpus cases name it.
     HostileRule,
 }
@@ -99,6 +100,14 @@ pub enum FaultClass {
 /// before the cap, compiling it overflowed the stack.
 pub fn hostile_regex() -> String {
     format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000))
+}
+
+/// A SQL rule for `column` whose `WHERE` clause nests parentheses far
+/// past the parser's depth cap: before the cap, parsing it overflowed
+/// the stack.
+pub fn hostile_sql(column: &str) -> String {
+    let (open, close) = ("(".repeat(10_000), ")".repeat(10_000));
+    format!("SELECT {column} FROM watches WHERE {open}id > 0{close} ORDER BY id")
 }
 
 /// One data source of a scenario.
@@ -117,11 +126,14 @@ impl SourceSpec {
     /// The extraction rule this source's mapping for `ATTRS[attr]`
     /// carries.
     pub(crate) fn rule(&self, attr: usize) -> ExtractionRule {
-        match self.fault {
-            FaultClass::HostileRule => {
+        match (&self.fault, rule_for(self.kind, attr)) {
+            (FaultClass::HostileRule, ExtractionRule::Sql { column, .. }) => {
+                ExtractionRule::Sql { query: hostile_sql(&column), column }
+            }
+            (FaultClass::HostileRule, _) => {
                 ExtractionRule::TextRegex { pattern: hostile_regex(), group: 1 }
             }
-            _ => rule_for(self.kind, attr),
+            (_, rule) => rule,
         }
     }
 }

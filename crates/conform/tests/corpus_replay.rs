@@ -80,24 +80,30 @@ fn overload_cases_exercise_their_mechanisms() {
     assert_eq!(full.stats.completeness, 1.0);
 }
 
-/// The hostile-regex case must reach the parser's depth cap (not some
+/// The hostile-rule cases must reach their parser's depth cap (not some
 /// earlier refusal): every task of the hostile source fails with the
-/// stable web-wrapper code, and the healthy sources answer in full.
+/// stable code of that cap, and the healthy sources answer in full.
 #[test]
-fn hostile_regex_case_fails_coded_not_aborted() {
+fn hostile_rule_cases_fail_coded_not_aborted() {
     use s2s_conform::scenario::BuildConfig;
 
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let text = fs::read_to_string(corpus.join("hostile-regex-nesting.case")).expect("read case");
-    let hostile = from_case(&text).expect("case parses");
-    for config in [BuildConfig::serial(), BuildConfig::batched(), BuildConfig::reactor(2)] {
-        let outcome = hostile.build(&config).query(&hostile.query_text()).expect("query parses");
-        assert_eq!(outcome.errors().len(), 3, "one failure per mapping of the hostile source");
-        for failure in outcome.errors() {
-            assert_eq!(failure.source, "SRC_0");
-            assert_eq!(failure.error.code(), "s2s::webdoc");
-            assert!(failure.error.to_string().contains("nested deeper"), "{}", failure.source);
+    for (file, code) in [
+        ("hostile-regex-nesting.case", "s2s::webdoc"),
+        ("hostile-sql-nesting.case", "s2s::db::nesting_too_deep"),
+    ] {
+        let text = fs::read_to_string(corpus.join(file)).expect("read case");
+        let hostile = from_case(&text).expect("case parses");
+        for config in [BuildConfig::serial(), BuildConfig::batched(), BuildConfig::reactor(2)] {
+            let outcome =
+                hostile.build(&config).query(&hostile.query_text()).expect("query parses");
+            assert_eq!(outcome.errors().len(), 3, "{file}: one failure per hostile mapping");
+            for failure in outcome.errors() {
+                assert_eq!(failure.source, "SRC_0", "{file}");
+                assert_eq!(failure.error.code(), code, "{file}");
+                assert!(failure.error.to_string().contains("nested deeper"), "{file}");
+            }
+            assert_eq!(outcome.individuals().len(), 3 * hostile.rows, "{file}: healthy answer");
         }
-        assert_eq!(outcome.individuals().len(), 3 * hostile.rows, "healthy sources answer");
     }
 }

@@ -149,7 +149,9 @@ impl S2sError {
             S2sError::QuerySemantics { .. } => "s2s::query::semantics",
             S2sError::Owl(_) => "s2s::owl",
             S2sError::Rdf(_) => "s2s::rdf",
+            S2sError::Db(DbError::NestingTooDeep { .. }) => "s2s::db::nesting_too_deep",
             S2sError::Db(_) => "s2s::db",
+            S2sError::Xml(XmlError::NestingTooDeep { .. }) => "s2s::xml::nesting_too_deep",
             S2sError::Xml(_) => "s2s::xml",
             S2sError::Webdoc(_) => "s2s::webdoc",
             S2sError::Net(_) => "s2s::net",
@@ -174,6 +176,14 @@ impl S2sError {
             S2sError::RuleSourceMismatch { .. } => Some(
                 "match the rule kind to the source kind: Sql for databases, XPath/XQuery for \
                  XML, Webl for web pages, TextRegex for text files",
+            ),
+            S2sError::Db(DbError::NestingTooDeep { .. }) => Some(
+                "flatten the rule's WHERE clause: drop redundant parentheses and NOTs, or split \
+                 a long AND/OR chain into balanced groups",
+            ),
+            S2sError::Xml(XmlError::NestingTooDeep { .. }) => Some(
+                "the source's document nests elements deeper than the parser's cap; have the \
+                 provider flatten the export",
             ),
             S2sError::Bootstrap { .. } => Some(
                 "inspect the BootstrapReport's conflicts; resolve ambiguous fields with \
@@ -308,6 +318,14 @@ mod tests {
         let unmapped = S2sError::UnmappedAttribute { attribute: "thing.x".into() };
         assert_eq!(unmapped.code(), "s2s::mapping::unmapped_attribute");
         assert!(unmapped.help().unwrap().contains("register_bootstrapped"));
+
+        // The substrate parsers' nesting caps are coded on their own.
+        let deep_sql = S2sError::Db(DbError::NestingTooDeep { limit: 250 });
+        assert_eq!(deep_sql.code(), "s2s::db::nesting_too_deep");
+        assert!(deep_sql.help().unwrap().contains("WHERE"));
+        let deep_xml = S2sError::Xml(XmlError::NestingTooDeep { position: 9, limit: 250 });
+        assert_eq!(deep_xml.code(), "s2s::xml::nesting_too_deep");
+        assert!(deep_xml.help().unwrap().contains("flatten"));
 
         // Errors without a standard remedy have a code but no help.
         let net = S2sError::Net(NetError::BadFrame { message: "m".into() });

@@ -1002,16 +1002,7 @@ fn run_wrapper(
     match (connection, compiled) {
         (Connection::Database { db }, CompiledRule::Sql(stmt)) => {
             let ExtractionRule::Sql { column, .. } = rule else { unreachable!() };
-            let result = db.query_prepared(&stmt)?;
-            let idx = result.column_index(column).ok_or_else(|| {
-                S2sError::Db(s2s_minidb::DbError::UnknownColumn { column: column.clone() })
-            })?;
-            Ok(result
-                .rows()
-                .iter()
-                .filter(|row| !row[idx].is_null())
-                .map(|row| row[idx].render())
-                .collect())
+            Ok(db.query_column(&stmt, column)?)
         }
         (Connection::Xml { document }, CompiledRule::XPath(xpath)) => {
             Ok(xpath.eval_strings(document))

@@ -365,9 +365,14 @@ fn rewrite_db(
         .into_iter()
         .map(|(stmt, column)| {
             let pushed = exprs.iter().cloned().fold(stmt, |s, e| s.and_predicate(e));
-            ExtractionRule::Sql { query: pushed.to_sql(), column: column.to_string() }
+            let query = pushed.to_sql();
+            // Each conjunct deepens the WHERE tree by one: a rule already
+            // at the parser's nesting cap stays unpushed rather than
+            // failing at the source.
+            Database::prepare_select(&query).ok()?;
+            Some(ExtractionRule::Sql { query, column: column.to_string() })
         })
-        .collect();
+        .collect::<Option<Vec<_>>>()?;
     Some((rules, desc))
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::DbError;
-use crate::exec::{eval_single, run_select, ExecContext};
+use crate::exec::{run_select, run_select_column, ExecContext, Filter};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parse;
@@ -94,7 +94,10 @@ impl Database {
 
     /// Direct access to a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase())
+        // Keys are lower-case; a name written that way is a plain get.
+        self.tables.get(name).or_else(|| {
+            self.tables.iter().find(|(key, _)| key.eq_ignore_ascii_case(name)).map(|(_, t)| t)
+        })
     }
 
     /// The schema of every table, in table-name order — the
@@ -183,47 +186,33 @@ impl Database {
                         .ok_or_else(|| DbError::UnknownColumn { column: c.clone() })?;
                     set_idx.push((idx, v.clone()));
                 }
-                let targets: Vec<(usize, Vec<Value>)> =
-                    t.scan().map(|(rid, row)| (rid, row.to_vec())).collect();
-                let mut n = 0;
-                for (rid, row) in targets {
-                    let hit = match &predicate {
-                        Some(p) => eval_single(p, &table, t, &row)?,
-                        None => true,
-                    };
-                    if hit {
-                        let mut new_row = row;
-                        for (idx, v) in &set_idx {
-                            new_row[*idx] = v.clone();
-                        }
-                        t.update(rid, new_row)?;
-                        n += 1;
+                let filter =
+                    predicate.as_ref().map(|p| Filter::for_table(p, &table, t)).transpose()?;
+                let targets: Vec<(usize, Vec<Value>)> = t
+                    .scan()
+                    .filter(|(_, row)| filter.as_ref().is_none_or(|f| f.matches_row(row)))
+                    .map(|(rid, row)| (rid, row.to_vec()))
+                    .collect();
+                let n = targets.len();
+                for (rid, mut new_row) in targets {
+                    for (idx, v) in &set_idx {
+                        new_row[*idx] = v.clone();
                     }
+                    t.update(rid, new_row)?;
                 }
                 Ok(Affected(n))
             }
             Statement::Delete { table, predicate } => {
                 let t = self.table_mut(&table)?;
+                // Compiled before any row is read: a malformed predicate
+                // must error rather than silently delete nothing.
+                let filter =
+                    predicate.as_ref().map(|p| Filter::for_table(p, &table, t)).transpose()?;
                 let targets: Vec<usize> = t
                     .scan()
-                    .filter_map(|(rid, row)| {
-                        let hit = match &predicate {
-                            Some(p) => eval_single(p, &table, t, row).unwrap_or(false),
-                            None => true,
-                        };
-                        hit.then_some(rid)
-                    })
+                    .filter(|(_, row)| filter.as_ref().is_none_or(|f| f.matches_row(row)))
+                    .map(|(rid, _)| rid)
                     .collect();
-                // Re-check with error propagation: a malformed predicate
-                // must error rather than silently delete nothing.
-                if let Some(p) = &predicate {
-                    if let Some((_, row)) = t.scan().next() {
-                        eval_single(p, &table, t, row)?;
-                    } else {
-                        let ctx = ExecContext::new(vec![(table.as_str(), &*t)]);
-                        crate::exec::validate_expr(p, &ctx)?;
-                    }
-                }
                 let mut n = 0;
                 for rid in targets {
                     if t.delete(rid) {
@@ -268,20 +257,35 @@ impl Database {
     ///
     /// Propagates execution errors; see [`DbError`].
     pub fn query_prepared(&self, stmt: &SelectStmt) -> Result<QueryResult, DbError> {
-        let base = self.table_ref(&stmt.table)?;
-        let mut tables = vec![(stmt.table.as_str(), base)];
-        for j in &stmt.joins {
-            tables.push((j.table.as_str(), self.table_ref(&j.table)?));
-        }
-        let ctx = ExecContext::new(tables);
-        let (columns, rows) = run_select(stmt, &ctx)?;
+        let (columns, rows) = run_select(stmt, &self.exec_context(stmt)?)?;
         Ok(QueryResult { columns, rows })
     }
 
+    /// Runs a pre-parsed SELECT and returns one result column rendered
+    /// as strings ([`Value::render`]), NULLs skipped: what
+    /// `query_prepared` plus [`QueryResult::column_index`] would give,
+    /// without materializing the rows in between.
+    ///
+    /// # Errors
+    ///
+    /// Propagates execution errors, then [`DbError::UnknownColumn`] if
+    /// the result has no column named `column`.
+    pub fn query_column(&self, stmt: &SelectStmt, column: &str) -> Result<Vec<String>, DbError> {
+        run_select_column(stmt, &self.exec_context(stmt)?, column)
+    }
+
+    /// The statement's FROM/JOIN chain, base table first.
+    fn exec_context<'a>(&'a self, stmt: &'a SelectStmt) -> Result<ExecContext<'a>, DbError> {
+        let mut tables = Vec::with_capacity(1 + stmt.joins.len());
+        tables.push((stmt.table.as_str(), self.table_ref(&stmt.table)?));
+        for j in &stmt.joins {
+            tables.push((j.table.as_str(), self.table_ref(&j.table)?));
+        }
+        Ok(ExecContext::new(tables))
+    }
+
     fn table_ref(&self, name: &str) -> Result<&Table, DbError> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .ok_or_else(|| DbError::UnknownTable { table: name.to_string() })
+        self.table(name).ok_or_else(|| DbError::UnknownTable { table: name.to_string() })
     }
 
     fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {

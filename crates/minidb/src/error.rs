@@ -43,6 +43,11 @@ pub enum DbError {
         /// Description.
         message: String,
     },
+    /// A `WHERE` expression nests deeper than the parser accepts.
+    NestingTooDeep {
+        /// The cap ([`crate::sql::parser::MAX_EXPR_DEPTH`]).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for DbError {
@@ -58,6 +63,9 @@ impl fmt::Display for DbError {
             DbError::TypeMismatch { message } => write!(f, "type mismatch: {message}"),
             DbError::ConstraintViolation { message } => {
                 write!(f, "constraint violation: {message}")
+            }
+            DbError::NestingTooDeep { limit } => {
+                write!(f, "expression nested deeper than {limit} levels")
             }
         }
     }

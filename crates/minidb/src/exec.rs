@@ -1,4 +1,13 @@
-//! Query execution: predicate evaluation, index-assisted scans, joins.
+//! Query execution: one select pipeline over borrowed row chains.
+//!
+//! A statement is resolved once to `(table, column)` indices
+//! (`Plan`, `Filter`); rows then flow candidates → joins → filter →
+//! `DISTINCT` → `ORDER BY` → `LIMIT` as borrowed slices in one flat
+//! buffer (stride = tables in the FROM/JOIN chain) plus a permutation of
+//! chain indices. Values are cloned or rendered once, at projection.
+
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::DbError;
 use crate::sql::ast::{AggFunc, CmpOp, ColumnRef, Expr, Operand, OrderDir, SelectItem, SelectStmt};
@@ -7,9 +16,16 @@ use crate::value::{like_match, Value};
 
 /// A resolved column: which table in the join order, which column index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Resolved {
+pub(crate) struct Resolved {
     table_idx: usize,
     col_idx: usize,
+}
+
+impl Resolved {
+    /// The column's value in one joined row (a slice of per-table rows).
+    fn of<'a>(self, chain: &[&'a [Value]]) -> &'a Value {
+        &chain[self.table_idx][self.col_idx]
+    }
 }
 
 /// The execution context: the ordered list of tables in the FROM/JOIN
@@ -53,18 +69,123 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Evaluates a predicate over one joined row (a slice of per-table
-    /// rows). SQL three-valued logic collapses UNKNOWN to false at the
-    /// top.
-    fn eval(&self, expr: &Expr, rows: &[&[Value]]) -> Result<Option<bool>, DbError> {
+    /// Resolves the join clauses to `(probe, build column)` pairs:
+    /// `probe` is the side already in the chain, the build column
+    /// belongs to the table the clause adds.
+    fn resolve_joins(&self, stmt: &SelectStmt) -> Result<Vec<(Resolved, usize)>, DbError> {
+        let mut joins = Vec::with_capacity(stmt.joins.len());
+        for (ji, join) in stmt.joins.iter().enumerate() {
+            let left = self.resolve(&join.left)?;
+            let right = self.resolve(&join.right)?;
+            let (probe, build) = if right.table_idx == ji + 1 {
+                (left, right)
+            } else if left.table_idx == ji + 1 {
+                (right, left)
+            } else {
+                return Err(DbError::TypeMismatch {
+                    message: format!("join condition does not reference table `{}`", join.table),
+                });
+            };
+            if probe.table_idx > ji {
+                return Err(DbError::TypeMismatch {
+                    message: format!(
+                        "join condition for `{}` references a later table",
+                        join.table
+                    ),
+                });
+            }
+            joins.push((probe, build.col_idx));
+        }
+        Ok(joins)
+    }
+
+    /// Result column names of a plain (non-aggregate) SELECT, in
+    /// projection order.
+    fn output_names<'s>(&'s self, stmt: &'s SelectStmt) -> impl Iterator<Item = &'s str> {
+        let star = stmt.projection.is_empty();
+        let all = self
+            .tables
+            .iter()
+            .flat_map(|(_, t)| t.schema().columns().iter().map(|c| c.name()))
+            .filter(move |_| star);
+        let listed = stmt.projection.iter().filter_map(|item| match item {
+            SelectItem::Column(c) => Some(c.column.as_str()),
+            SelectItem::Aggregate { .. } => None,
+        });
+        all.chain(listed)
+    }
+}
+
+/// A `WHERE` predicate with every column resolved, borrowing its
+/// literals and patterns from the statement.
+pub(crate) enum Filter<'s> {
+    Compare { left: Resolved, op: CmpOp, right: Rhs<'s> },
+    Like { column: Resolved, pattern: &'s str, negated: bool },
+    IsNull { column: Resolved, negated: bool },
+    And(Box<Filter<'s>>, Box<Filter<'s>>),
+    Or(Box<Filter<'s>>, Box<Filter<'s>>),
+    Not(Box<Filter<'s>>),
+}
+
+pub(crate) enum Rhs<'s> {
+    Literal(&'s Value),
+    Column(Resolved),
+}
+
+impl<'s> Filter<'s> {
+    /// Resolves every column reference of `expr`, so unknown and
+    /// ambiguous columns error before any row is read (and on empty
+    /// tables).
+    fn compile(expr: &'s Expr, ctx: &ExecContext<'_>) -> Result<Self, DbError> {
         Ok(match expr {
-            Expr::Compare { left, op, right } => {
-                let l = self.value_of(left, rows)?;
+            Expr::Compare { left, op, right } => Filter::Compare {
+                left: ctx.resolve(left)?,
+                op: *op,
+                right: match right {
+                    Operand::Literal(v) => Rhs::Literal(v),
+                    Operand::Column(c) => Rhs::Column(ctx.resolve(c)?),
+                },
+            },
+            Expr::Like { column, pattern, negated } => {
+                Filter::Like { column: ctx.resolve(column)?, pattern, negated: *negated }
+            }
+            Expr::IsNull { column, negated } => {
+                Filter::IsNull { column: ctx.resolve(column)?, negated: *negated }
+            }
+            Expr::And(a, b) => {
+                Filter::And(Box::new(Filter::compile(a, ctx)?), Box::new(Filter::compile(b, ctx)?))
+            }
+            Expr::Or(a, b) => {
+                Filter::Or(Box::new(Filter::compile(a, ctx)?), Box::new(Filter::compile(b, ctx)?))
+            }
+            Expr::Not(e) => Filter::Not(Box::new(Filter::compile(e, ctx)?)),
+        })
+    }
+
+    /// Compiles a predicate over a single table (UPDATE and DELETE).
+    pub(crate) fn for_table(expr: &'s Expr, name: &str, table: &Table) -> Result<Self, DbError> {
+        Filter::compile(expr, &ExecContext::new(vec![(name, table)]))
+    }
+
+    /// Whether the predicate holds for `row` of the table it was
+    /// compiled for with [`Filter::for_table`].
+    pub(crate) fn matches_row(&self, row: &[Value]) -> bool {
+        self.matches(&[row])
+    }
+
+    /// SQL three-valued logic collapses UNKNOWN to false at the top.
+    fn matches(&self, chain: &[&[Value]]) -> bool {
+        self.eval(chain) == Some(true)
+    }
+
+    fn eval(&self, chain: &[&[Value]]) -> Option<bool> {
+        match self {
+            Filter::Compare { left, op, right } => {
                 let r = match right {
-                    Operand::Literal(v) => v.clone(),
-                    Operand::Column(c) => self.value_of(c, rows)?,
+                    Rhs::Literal(v) => v,
+                    Rhs::Column(c) => c.of(chain),
                 };
-                l.compare(&r).map(|ord| match op {
+                left.of(chain).compare(r).map(|ord| match op {
                     CmpOp::Eq => ord.is_eq(),
                     CmpOp::Ne => !ord.is_eq(),
                     CmpOp::Lt => ord.is_lt(),
@@ -73,36 +194,228 @@ impl<'a> ExecContext<'a> {
                     CmpOp::Ge => ord.is_ge(),
                 })
             }
-            Expr::Like { column, pattern, negated } => {
-                let v = self.value_of(column, rows)?;
-                match v {
-                    Value::Null => None,
-                    Value::Text(s) => Some(like_match(&s, pattern) != *negated),
-                    other => Some(like_match(&other.render(), pattern) != *negated),
-                }
-            }
-            Expr::IsNull { column, negated } => {
-                let v = self.value_of(column, rows)?;
-                Some(v.is_null() != *negated)
-            }
-            Expr::And(a, b) => match (self.eval(a, rows)?, self.eval(b, rows)?) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
+            Filter::Like { column, pattern, negated } => match column.of(chain) {
+                Value::Null => None,
+                Value::Text(s) => Some(like_match(s, pattern) != *negated),
+                other => Some(like_match(&other.render(), pattern) != *negated),
             },
-            Expr::Or(a, b) => match (self.eval(a, rows)?, self.eval(b, rows)?) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
+            Filter::IsNull { column, negated } => Some(column.of(chain).is_null() != *negated),
+            Filter::And(a, b) => match a.eval(chain) {
+                Some(false) => Some(false),
+                left => match (left, b.eval(chain)) {
+                    (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                },
             },
-            Expr::Not(e) => self.eval(e, rows)?.map(|b| !b),
-        })
+            Filter::Or(a, b) => match a.eval(chain) {
+                Some(true) => Some(true),
+                left => match (left, b.eval(chain)) {
+                    (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                },
+            },
+            Filter::Not(e) => e.eval(chain).map(|b| !b),
+        }
     }
 
-    fn value_of(&self, col: &ColumnRef, rows: &[&[Value]]) -> Result<Value, DbError> {
-        let r = self.resolve(col)?;
-        Ok(rows[r.table_idx][r.col_idx].clone())
+    /// The first top-level (conjunctive) `column = literal` on an
+    /// indexed column of the base table, as `(column index, literal)`.
+    fn indexed_equality(&self, base: &Table) -> Option<(usize, &'s Value)> {
+        match self {
+            Filter::Compare { left, op: CmpOp::Eq, right: Rhs::Literal(v) }
+                if left.table_idx == 0 && base.has_index(left.col_idx) =>
+            {
+                Some((left.col_idx, v))
+            }
+            Filter::And(a, b) => a.indexed_equality(base).or_else(|| b.indexed_equality(base)),
+            _ => None,
+        }
     }
+}
+
+/// Joined rows that passed the filter: `stride` borrowed per-table rows
+/// per chain, back to back.
+struct Chains<'a> {
+    rows: Vec<&'a [Value]>,
+    stride: usize,
+}
+
+impl<'a> Chains<'a> {
+    fn len(&self) -> usize {
+        self.rows.len() / self.stride
+    }
+
+    fn get(&self, i: usize) -> &[&'a [Value]] {
+        &self.rows[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// Scans the base table (through an index when the filter has an
+/// equality on an indexed base column), nested-loop joins through the
+/// join clauses (index-assisted on the new table), and keeps the chains
+/// the filter accepts.
+fn build_chains<'a>(
+    ctx: &ExecContext<'a>,
+    joins: &[(Resolved, usize)],
+    filter: Option<&Filter<'_>>,
+) -> Chains<'a> {
+    let stride = ctx.tables.len();
+    let base = ctx.tables[0].1;
+    // The filter sees whole chains, so it runs at the last stage only.
+    let keep = |chain: &[&[Value]]| filter.is_none_or(|f| f.matches(chain));
+    let mut rows: Vec<&'a [Value]> = Vec::new();
+    match filter.and_then(|f| f.indexed_equality(base)) {
+        Some((col, value)) => {
+            let rids = base.index_lookup(col, value).unwrap_or_default();
+            rows.extend(
+                rids.iter()
+                    .filter_map(|&rid| base.row(rid))
+                    .filter(|&row| stride > 1 || keep(&[row])),
+            );
+        }
+        None => {
+            if filter.is_none() || stride > 1 {
+                rows.reserve(base.len());
+            }
+            rows.extend(base.scan().map(|(_, row)| row).filter(|&row| stride > 1 || keep(&[row])));
+        }
+    }
+    for (ji, &(probe, build_col)) in joins.iter().enumerate() {
+        let right = ctx.tables[ji + 1].1;
+        let width = ji + 1;
+        let last = width + 1 == stride;
+        let mut next: Vec<&'a [Value]> = Vec::new();
+        for chain in rows.chunks_exact(width) {
+            let mut emit = |row: &'a [Value]| {
+                next.extend_from_slice(chain);
+                next.push(row);
+                let start = next.len() - width - 1;
+                if last && !keep(&next[start..]) {
+                    next.truncate(start);
+                }
+            };
+            let key = probe.of(chain);
+            match right.index_lookup(build_col, key) {
+                Some(rids) => rids.iter().filter_map(|&rid| right.row(rid)).for_each(&mut emit),
+                None => right
+                    .scan()
+                    .map(|(_, row)| row)
+                    .filter(|row| row[build_col].sql_eq(key) == Some(true))
+                    .for_each(&mut emit),
+            }
+        }
+        rows = next;
+    }
+    Chains { rows, stride }
+}
+
+/// A plain SELECT resolved against its tables.
+struct Plan<'s> {
+    projection: Vec<Resolved>,
+    filter: Option<Filter<'s>>,
+    order: Option<(Resolved, OrderDir)>,
+    joins: Vec<(Resolved, usize)>,
+}
+
+impl<'s> Plan<'s> {
+    /// Resolves projection, predicate, ordering and joins up front, in
+    /// that order, so errors surface even on empty tables.
+    fn new(stmt: &'s SelectStmt, ctx: &ExecContext<'_>) -> Result<Self, DbError> {
+        let projection: Vec<Resolved> = if stmt.projection.is_empty() {
+            ctx.tables
+                .iter()
+                .enumerate()
+                .flat_map(|(ti, (_, t))| {
+                    (0..t.schema().arity()).map(move |ci| Resolved { table_idx: ti, col_idx: ci })
+                })
+                .collect()
+        } else {
+            stmt.projection
+                .iter()
+                .map(|item| match item {
+                    SelectItem::Column(c) => ctx.resolve(c),
+                    SelectItem::Aggregate { .. } => unreachable!("aggregates take their own path"),
+                })
+                .collect::<Result<_, _>>()?
+        };
+        let filter = stmt.predicate.as_ref().map(|p| Filter::compile(p, ctx)).transpose()?;
+        let order = match &stmt.order_by {
+            Some((col, dir)) => Some((ctx.resolve(col)?, *dir)),
+            None => None,
+        };
+        let joins = ctx.resolve_joins(stmt)?;
+        Ok(Plan { projection, filter, order, joins })
+    }
+}
+
+/// The projected values of one chain, ordered like the `Vec<Value>` row
+/// they would materialize to.
+struct ProjectedRow<'p, 'a> {
+    chain: &'p [&'a [Value]],
+    projection: &'p [Resolved],
+}
+
+impl Ord for ProjectedRow<'_, '_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let values = |row: &Self| row.projection.iter().map(|r| r.of(row.chain));
+        values(self).cmp(values(other))
+    }
+}
+
+impl PartialOrd for ProjectedRow<'_, '_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ProjectedRow<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ProjectedRow<'_, '_> {}
+
+/// Runs the pipeline of a plain SELECT up to (not including)
+/// projection: the surviving chains, and their indices in output order.
+fn survivors<'a>(
+    stmt: &SelectStmt,
+    plan: &Plan<'_>,
+    ctx: &ExecContext<'a>,
+) -> (Chains<'a>, Vec<usize>) {
+    let chains = build_chains(ctx, &plan.joins, plan.filter.as_ref());
+
+    // Distinct: keep the first occurrence of each projected row, before
+    // ORDER BY.
+    let mut order: Vec<usize> = if stmt.distinct {
+        let mut seen = BTreeSet::new();
+        let first = |&i: &usize| {
+            seen.insert(ProjectedRow { chain: chains.get(i), projection: &plan.projection })
+        };
+        (0..chains.len()).filter(first).collect()
+    } else {
+        (0..chains.len()).collect()
+    };
+
+    // Order: a stable ascending sort, reversed as a whole for DESC (so
+    // tied keys come out in reverse scan order). Survivors already in
+    // key order — a primary-key scan — are not sorted again.
+    if let Some((col, dir)) = plan.order {
+        let key = |i: usize| col.of(chains.get(i));
+        if !order.is_sorted_by(|&a, &b| key(a).total_cmp(key(b)) != Ordering::Greater) {
+            order.sort_by(|&a, &b| key(a).total_cmp(key(b)));
+        }
+        if dir == OrderDir::Desc {
+            order.reverse();
+        }
+    }
+
+    if let Some(limit) = stmt.limit {
+        order.truncate(limit);
+    }
+    (chains, order)
 }
 
 /// Runs a SELECT over the given table chain (base table first, joined
@@ -111,140 +424,43 @@ pub(crate) fn run_select(
     stmt: &SelectStmt,
     ctx: &ExecContext<'_>,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>), DbError> {
-    // Aggregation takes a separate path.
     if stmt.has_aggregates() || stmt.group_by.is_some() {
         return run_aggregate_select(stmt, ctx);
     }
+    let plan = Plan::new(stmt, ctx)?;
+    let names = ctx.output_names(stmt).map(str::to_string).collect();
+    let (chains, order) = survivors(stmt, &plan, ctx);
+    let project =
+        |&i: &usize| plan.projection.iter().map(|r| r.of(chains.get(i)).clone()).collect();
+    Ok((names, order.iter().map(project).collect()))
+}
 
-    // Validate projection and predicate up front so errors surface even on
-    // empty tables.
-    let plain_columns: Vec<&ColumnRef> = stmt
-        .projection
-        .iter()
-        .map(|item| match item {
-            SelectItem::Column(c) => Ok(c),
-            SelectItem::Aggregate { .. } => unreachable!("aggregates handled above"),
-        })
-        .collect::<Result<_, DbError>>()?;
-    let projection: Vec<Resolved> = if plain_columns.is_empty() {
-        ctx.tables
-            .iter()
-            .enumerate()
-            .flat_map(|(ti, (_, t))| {
-                (0..t.schema().arity()).map(move |ci| Resolved { table_idx: ti, col_idx: ci })
-            })
-            .collect()
-    } else {
-        plain_columns.iter().map(|c| ctx.resolve(c)).collect::<Result<_, _>>()?
-    };
-    let names: Vec<String> = if plain_columns.is_empty() {
-        ctx.tables
-            .iter()
-            .flat_map(|(_, t)| t.schema().columns().iter().map(|c| c.name().to_string()))
-            .collect()
-    } else {
-        plain_columns.iter().map(|c| c.column.clone()).collect()
-    };
-    if let Some(pred) = &stmt.predicate {
-        validate_expr(pred, ctx)?;
+/// Runs a SELECT and renders the non-NULL values of its first result
+/// column named `column` (case-insensitively), straight from the stored
+/// rows.
+pub(crate) fn run_select_column(
+    stmt: &SelectStmt,
+    ctx: &ExecContext<'_>,
+    column: &str,
+) -> Result<Vec<String>, DbError> {
+    let unknown = || DbError::UnknownColumn { column: column.to_string() };
+    if stmt.has_aggregates() || stmt.group_by.is_some() {
+        let (names, rows) = run_aggregate_select(stmt, ctx)?;
+        let idx = names.iter().position(|n| n.eq_ignore_ascii_case(column)).ok_or_else(unknown)?;
+        return Ok(rows.iter().filter(|r| !r[idx].is_null()).map(|r| r[idx].render()).collect());
     }
-    let order = match &stmt.order_by {
-        Some((col, dir)) => Some((ctx.resolve(col)?, *dir)),
-        None => None,
-    };
-
-    // Join: start from the base table's candidate rows, then nested-loop
-    // (index-assisted on the right side) through the join clauses.
-    let base = ctx.tables[0].1;
-    let base_rids = candidate_rows(stmt, ctx, base)?;
-
-    let mut joined: Vec<Vec<&[Value]>> =
-        base_rids.into_iter().filter_map(|rid| base.row(rid).map(|r| vec![r])).collect();
-
-    for (ji, join) in stmt.joins.iter().enumerate() {
-        let right_table = ctx.tables[ji + 1].1;
-        let left = ctx.resolve(&join.left)?;
-        let right = ctx.resolve(&join.right)?;
-        // Normalize: `probe` is the side already materialized, `build` the
-        // new table.
-        let (probe, build) = if right.table_idx == ji + 1 {
-            (left, right)
-        } else if left.table_idx == ji + 1 {
-            (right, left)
-        } else {
-            return Err(DbError::TypeMismatch {
-                message: format!("join condition does not reference table `{}`", join.table),
-            });
-        };
-        if probe.table_idx > ji {
-            return Err(DbError::TypeMismatch {
-                message: format!("join condition for `{}` references a later table", join.table),
-            });
-        }
-        let mut next: Vec<Vec<&[Value]>> = Vec::new();
-        for row_chain in joined {
-            let key = &row_chain[probe.table_idx][probe.col_idx];
-            for rid in right_table.lookup(build.col_idx, key) {
-                if let Some(r) = right_table.row(rid) {
-                    let mut chain = row_chain.clone();
-                    chain.push(r);
-                    next.push(chain);
-                }
-            }
-        }
-        joined = next;
-    }
-
-    // Filter.
-    let mut result_rows: Vec<Vec<Value>> = Vec::new();
-    let mut order_keys: Vec<Value> = Vec::new();
-    for chain in &joined {
-        if let Some(pred) = &stmt.predicate {
-            if ctx.eval(pred, chain)? != Some(true) {
-                continue;
-            }
-        }
-        if let Some((r, _)) = &order {
-            order_keys.push(chain[r.table_idx][r.col_idx].clone());
-        }
-        result_rows
-            .push(projection.iter().map(|r| chain[r.table_idx][r.col_idx].clone()).collect());
-    }
-
-    // Distinct: keep the first occurrence of each projected row
-    // (applied before ORDER BY so order keys stay aligned).
-    if stmt.distinct {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut kept_rows = Vec::with_capacity(result_rows.len());
-        let mut kept_keys = Vec::with_capacity(order_keys.len());
-        for (i, row) in result_rows.into_iter().enumerate() {
-            if seen.insert(row.clone()) {
-                if let Some(k) = order_keys.get(i) {
-                    kept_keys.push(k.clone());
-                }
-                kept_rows.push(row);
-            }
-        }
-        result_rows = kept_rows;
-        order_keys = kept_keys;
-    }
-
-    // Order.
-    if let Some((_, dir)) = order {
-        let mut pairs: Vec<(Value, Vec<Value>)> = order_keys.into_iter().zip(result_rows).collect();
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        if dir == OrderDir::Desc {
-            pairs.reverse();
-        }
-        result_rows = pairs.into_iter().map(|(_, r)| r).collect();
-    }
-
-    // Limit.
-    if let Some(n) = stmt.limit {
-        result_rows.truncate(n);
-    }
-
-    Ok((names, result_rows))
+    let plan = Plan::new(stmt, ctx)?;
+    let idx = ctx
+        .output_names(stmt)
+        .position(|name| name.eq_ignore_ascii_case(column))
+        .ok_or_else(unknown)?;
+    let col = plan.projection[idx];
+    let (chains, order) = survivors(stmt, &plan, ctx);
+    let mut out = Vec::with_capacity(order.len());
+    out.extend(
+        order.iter().map(|&i| col.of(chains.get(i))).filter(|v| !v.is_null()).map(Value::render),
+    );
+    Ok(out)
 }
 
 /// SELECT with aggregates and/or GROUP BY.
@@ -311,9 +527,7 @@ fn run_aggregate_select(
             message: "aggregate query needs a projection".to_string(),
         });
     }
-    if let Some(pred) = &stmt.predicate {
-        validate_expr(pred, ctx)?;
-    }
+    let filter = stmt.predicate.as_ref().map(|p| Filter::compile(p, ctx)).transpose()?;
     // ORDER BY: only the grouped column.
     let order_dir = match &stmt.order_by {
         Some((col, dir)) => {
@@ -328,38 +542,32 @@ fn run_aggregate_select(
         }
         None => None,
     };
+    let joins = ctx.resolve_joins(stmt)?;
 
-    // Collect the filtered row chains (joins reuse the plain path by
-    // rebuilding the chain here).
-    let chains = build_filtered_chains(stmt, ctx)?;
+    let chains = build_chains(ctx, &joins, filter.as_ref());
 
-    // Group.
-    let mut groups: std::collections::BTreeMap<Option<Value>, Vec<&Vec<Value>>> =
-        std::collections::BTreeMap::new();
-    let flat: Vec<Vec<Value>> = chains;
-    for row in &flat {
-        let key = group_col.map(|g| row[flat_index(ctx, g)].clone());
-        groups.entry(key).or_default().push(row);
+    // Group: chain indices under each key; the map iterates ascending.
+    let mut groups: BTreeMap<Option<&Value>, Vec<usize>> = BTreeMap::new();
+    for i in 0..chains.len() {
+        groups.entry(group_col.map(|g| g.of(chains.get(i)))).or_default().push(i);
     }
     if group_col.is_none() && groups.is_empty() {
         // One empty group so global aggregates return a row.
         groups.insert(None, Vec::new());
     }
 
-    let mut result_rows: Vec<Vec<Value>> = Vec::new();
-    for (key, rows) in &groups {
-        let mut out = Vec::with_capacity(outputs.len());
-        for o in &outputs {
-            match o {
-                Output::Group => out.push(key.clone().unwrap_or(Value::Null)),
-                Output::Agg(func, arg) => {
-                    out.push(aggregate(*func, *arg, rows, ctx));
-                }
-            }
-        }
-        result_rows.push(out);
-    }
-    // BTreeMap iteration is ascending by group key already.
+    let mut result_rows: Vec<Vec<Value>> = groups
+        .iter()
+        .map(|(key, members)| {
+            outputs
+                .iter()
+                .map(|o| match o {
+                    Output::Group => key.cloned().unwrap_or(Value::Null),
+                    Output::Agg(func, arg) => aggregate(*func, *arg, members, &chains),
+                })
+                .collect()
+        })
+        .collect();
     if order_dir == Some(OrderDir::Desc) {
         result_rows.reverse();
     }
@@ -369,71 +577,16 @@ fn run_aggregate_select(
     Ok((names, result_rows))
 }
 
-/// Builds fully-joined, predicate-filtered rows flattened into one
-/// `Vec<Value>` per chain (columns of all tables concatenated).
-fn build_filtered_chains(
-    stmt: &SelectStmt,
-    ctx: &ExecContext<'_>,
-) -> Result<Vec<Vec<Value>>, DbError> {
-    let base = ctx.tables[0].1;
-    let base_rids = candidate_rows(stmt, ctx, base)?;
-    let mut joined: Vec<Vec<&[Value]>> =
-        base_rids.into_iter().filter_map(|rid| base.row(rid).map(|r| vec![r])).collect();
-    for (ji, join) in stmt.joins.iter().enumerate() {
-        let right_table = ctx.tables[ji + 1].1;
-        let left = ctx.resolve(&join.left)?;
-        let right = ctx.resolve(&join.right)?;
-        let (probe, build) = if right.table_idx == ji + 1 {
-            (left, right)
-        } else if left.table_idx == ji + 1 {
-            (right, left)
-        } else {
-            return Err(DbError::TypeMismatch {
-                message: format!("join condition does not reference table `{}`", join.table),
-            });
-        };
-        let mut next: Vec<Vec<&[Value]>> = Vec::new();
-        for row_chain in joined {
-            let key = &row_chain[probe.table_idx][probe.col_idx];
-            for rid in right_table.lookup(build.col_idx, key) {
-                if let Some(r) = right_table.row(rid) {
-                    let mut chain = row_chain.clone();
-                    chain.push(r);
-                    next.push(chain);
-                }
-            }
-        }
-        joined = next;
-    }
-    let mut out = Vec::new();
-    for chain in &joined {
-        if let Some(pred) = &stmt.predicate {
-            if ctx.eval(pred, chain)? != Some(true) {
-                continue;
-            }
-        }
-        out.push(chain.iter().flat_map(|r| r.iter().cloned()).collect());
-    }
-    Ok(out)
-}
-
-/// Flattened column index of a resolved `(table, column)` pair.
-fn flat_index(ctx: &ExecContext<'_>, r: Resolved) -> usize {
-    ctx.tables[..r.table_idx].iter().map(|(_, t)| t.schema().arity()).sum::<usize>() + r.col_idx
-}
-
 fn aggregate(
     func: AggFunc,
     arg: Option<Resolved>,
-    rows: &[&Vec<Value>],
-    ctx: &ExecContext<'_>,
+    members: &[usize],
+    chains: &Chains<'_>,
 ) -> Value {
-    let values = |r: Resolved| {
-        let idx = flat_index(ctx, r);
-        rows.iter().map(move |row| &row[idx]).filter(|v| !v.is_null())
-    };
+    let values =
+        |r: Resolved| members.iter().map(move |&i| r.of(chains.get(i))).filter(|v| !v.is_null());
     match (func, arg) {
-        (AggFunc::Count, None) => Value::Int(rows.len() as i64),
+        (AggFunc::Count, None) => Value::Int(members.len() as i64),
         (AggFunc::Count, Some(r)) => Value::Int(values(r).count() as i64),
         (AggFunc::Sum, Some(r)) => {
             let nums: Vec<f64> = values(r).filter_map(|v| v.as_float()).collect();
@@ -461,70 +614,4 @@ fn aggregate(
         }
         (_, None) => Value::Null, // unreachable: validated earlier
     }
-}
-
-/// Chooses base-table candidate rows: if the predicate contains a
-/// top-level (conjunctive) equality on an indexed base column, use the
-/// index; otherwise scan.
-fn candidate_rows(
-    stmt: &SelectStmt,
-    ctx: &ExecContext<'_>,
-    base: &Table,
-) -> Result<Vec<usize>, DbError> {
-    if let Some(pred) = &stmt.predicate {
-        let mut eqs: Vec<(&ColumnRef, &Value)> = Vec::new();
-        collect_conjunctive_equalities(pred, &mut eqs);
-        for (col, val) in eqs {
-            if let Ok(r) = ctx.resolve(col) {
-                if r.table_idx == 0 && base.has_index(r.col_idx) {
-                    return Ok(base.lookup(r.col_idx, val));
-                }
-            }
-        }
-    }
-    Ok(base.scan().map(|(rid, _)| rid).collect())
-}
-
-fn collect_conjunctive_equalities<'e>(expr: &'e Expr, out: &mut Vec<(&'e ColumnRef, &'e Value)>) {
-    match expr {
-        Expr::Compare { left, op: CmpOp::Eq, right: Operand::Literal(v) } => {
-            out.push((left, v));
-        }
-        Expr::And(a, b) => {
-            collect_conjunctive_equalities(a, out);
-            collect_conjunctive_equalities(b, out);
-        }
-        _ => {}
-    }
-}
-
-/// Validates every column reference in an expression.
-pub(crate) fn validate_expr(expr: &Expr, ctx: &ExecContext<'_>) -> Result<(), DbError> {
-    match expr {
-        Expr::Compare { left, right, .. } => {
-            ctx.resolve(left)?;
-            if let Operand::Column(c) = right {
-                ctx.resolve(c)?;
-            }
-            Ok(())
-        }
-        Expr::Like { column, .. } | Expr::IsNull { column, .. } => ctx.resolve(column).map(drop),
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            validate_expr(a, ctx)?;
-            validate_expr(b, ctx)
-        }
-        Expr::Not(e) => validate_expr(e, ctx),
-    }
-}
-
-/// Evaluates a predicate against a single table's row (used by UPDATE and
-/// DELETE).
-pub(crate) fn eval_single(
-    expr: &Expr,
-    table_name: &str,
-    table: &Table,
-    row: &[Value],
-) -> Result<bool, DbError> {
-    let ctx = ExecContext::new(vec![(table_name, table)]);
-    Ok(ctx.eval(expr, &[row])? == Some(true))
 }

@@ -17,7 +17,8 @@
 //! * `UPDATE t SET col = value, … [WHERE expr]`;
 //! * `DELETE FROM t [WHERE expr]`;
 //! * expressions: comparisons, `AND`/`OR`/`NOT`, `LIKE` (with `%`/`_`),
-//!   `IS [NOT] NULL`, parentheses.
+//!   `IS [NOT] NULL`, parentheses — nested at most
+//!   [`sql::parser::MAX_EXPR_DEPTH`] deep.
 //!
 //! Equality predicates on indexed columns use the index; everything else
 //! scans.

@@ -351,34 +351,50 @@ impl Parser {
     //                     and_expr := unary (AND unary)*
     //                     unary := NOT unary | atom
     //                     atom := '(' or_expr ')' | comparison
+    //
+    // `nesting` counts the enclosing parentheses and NOTs (the parser's
+    // own recursion); each function also returns the height of the tree
+    // it built, which AND/OR chains deepen without recursing. Both are
+    // capped at `MAX_EXPR_DEPTH`, so everything that later walks or
+    // drops the tree recurses at most that deep.
     fn parse_expr(&mut self) -> Result<Expr, DbError> {
-        let mut left = self.parse_and()?;
+        Ok(*self.parse_or(0)?.0)
+    }
+
+    // The recursive functions pass the tree around boxed (every node
+    // but the root ends up boxed anyway), which keeps their frames
+    // small: a level of nesting is three of them.
+    fn parse_or(&mut self, nesting: usize) -> Result<(Box<Expr>, usize), DbError> {
+        let (mut left, mut height) = self.parse_and(nesting)?;
         while self.eat_keyword("OR") {
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
+            let (right, h) = self.parse_and(nesting)?;
+            height = one_deeper(height.max(h))?;
+            left = Box::new(Expr::Or(left, right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_and(&mut self) -> Result<Expr, DbError> {
-        let mut left = self.parse_unary()?;
+    fn parse_and(&mut self, nesting: usize) -> Result<(Box<Expr>, usize), DbError> {
+        let (mut left, mut height) = self.parse_unary(nesting)?;
         while self.eat_keyword("AND") {
-            let right = self.parse_unary()?;
-            left = Expr::And(Box::new(left), Box::new(right));
+            let (right, h) = self.parse_unary(nesting)?;
+            height = one_deeper(height.max(h))?;
+            left = Box::new(Expr::And(left, right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, DbError> {
+    fn parse_unary(&mut self, nesting: usize) -> Result<(Box<Expr>, usize), DbError> {
         if self.eat_keyword("NOT") {
-            return Ok(Expr::Not(Box::new(self.parse_unary()?)));
+            let (e, h) = self.parse_unary(one_deeper(nesting)?)?;
+            return Ok((Box::new(Expr::Not(e)), one_deeper(h)?));
         }
         if self.eat_symbol("(") {
-            let e = self.parse_expr()?;
+            let inner = self.parse_or(one_deeper(nesting)?)?;
             self.expect_symbol(")")?;
-            return Ok(e);
+            return Ok(inner);
         }
-        self.parse_comparison()
+        Ok((Box::new(self.parse_comparison()?), 1))
     }
 
     fn parse_comparison(&mut self) -> Result<Expr, DbError> {
@@ -426,6 +442,20 @@ impl Parser {
         };
         Ok(Expr::Compare { left: column, op, right })
     }
+}
+
+/// Deepest `WHERE` expression accepted, counted both as nesting of
+/// parentheses/`NOT` and as height of the parsed tree. The parser, the
+/// filter compiler and evaluator, the renderer and `Drop` all recurse
+/// once per level; unbounded, `((((…` or `NOT NOT …` overflowed the
+/// stack and aborted the process.
+pub const MAX_EXPR_DEPTH: usize = 250;
+
+fn one_deeper(depth: usize) -> Result<usize, DbError> {
+    if depth >= MAX_EXPR_DEPTH {
+        return Err(DbError::NestingTooDeep { limit: MAX_EXPR_DEPTH });
+    }
+    Ok(depth + 1)
 }
 
 fn is_reserved(word: &str) -> bool {
@@ -641,5 +671,51 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Hostile rules: `((((…` and `NOT NOT …` × 10 000 used to overflow
+    /// the stack in `parse_unary` and abort the process; a 10 000-term
+    /// AND chain parses iteratively but builds a tree just as deep for
+    /// everything downstream.
+    #[test]
+    fn expression_nesting_is_capped() {
+        let too_deep = |sql: String| {
+            let head = &sql[..40];
+            assert_eq!(
+                parse(&sql),
+                Err(DbError::NestingTooDeep { limit: MAX_EXPR_DEPTH }),
+                "{head}"
+            );
+        };
+        let n = 10_000;
+        too_deep(format!("SELECT a FROM t WHERE {}a = 1{}", "(".repeat(n), ")".repeat(n)));
+        too_deep(format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(n)));
+        too_deep(format!("SELECT a FROM t WHERE a = 1{}", " AND a = 1".repeat(n)));
+        too_deep(format!("DELETE FROM t WHERE a = 1{}", " OR a = 1".repeat(n)));
+        // Unbalanced: the cap, not the missing `)`, is what stops it.
+        too_deep(format!("SELECT a FROM t WHERE {}", "(".repeat(n)));
+    }
+
+    /// An expression exactly at the cap parses, and what walks the tree
+    /// — the filter compiler and evaluator, the renderer, `Clone`, `==`,
+    /// `Drop` — fits a worker thread's stack.
+    #[test]
+    fn expression_at_the_cap_is_safe_to_run_and_drop() {
+        let d = MAX_EXPR_DEPTH;
+        let nested = format!("SELECT a FROM t WHERE {}a = 1{}", "(".repeat(d), ")".repeat(d));
+        let negated = format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(d - 1));
+        let chained = format!("SELECT a FROM t WHERE a = 1{}", " AND a = 1".repeat(d - 1));
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(move || {
+            let mut db = crate::Database::new("d");
+            db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+            db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+            for (sql, rows) in [(nested, 1), (negated, 1), (chained, 1)] {
+                let stmt = crate::Database::prepare_select(&sql).expect("depth at the cap parses");
+                assert_eq!(db.query_prepared(&stmt).unwrap().len(), rows, "{}", &sql[..40]);
+                assert_eq!(stmt.clone(), stmt);
+                assert_eq!(crate::Database::prepare_select(&stmt.to_sql()).as_ref(), Ok(&stmt));
+            }
+        });
+        worker.unwrap().join().expect("no stack overflow at the cap");
     }
 }

@@ -69,7 +69,10 @@ impl fmt::Display for Expr {
             }
             Expr::And(l, r) => write!(f, "({l} AND {r})"),
             Expr::Or(l, r) => write!(f, "({l} OR {r})"),
-            Expr::Not(e) => write!(f, "NOT ({e})"),
+            // No parentheses of its own: AND/OR bring theirs and the
+            // leaves bind tighter than NOT, so the text nests exactly as
+            // deep as the tree and re-parses under the same depth cap.
+            Expr::Not(e) => write!(f, "NOT {e}"),
         }
     }
 }

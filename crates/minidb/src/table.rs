@@ -139,14 +139,21 @@ impl Table {
 
     /// Row ids with `column == value`, via index when available.
     pub fn lookup(&self, column_index: usize, value: &Value) -> Vec<usize> {
-        if let Some(index) = self.indexes.get(&column_index) {
-            index.get(value).cloned().unwrap_or_default()
-        } else {
-            self.scan()
+        match self.index_lookup(column_index, value) {
+            Some(rids) => rids.to_vec(),
+            None => self
+                .scan()
                 .filter(|(_, row)| row[column_index].sql_eq(value) == Some(true))
                 .map(|(rid, _)| rid)
-                .collect()
+                .collect(),
         }
+    }
+
+    /// The row ids the index on `column_index` holds under `value`;
+    /// `None` when the column has no index.
+    pub(crate) fn index_lookup(&self, column_index: usize, value: &Value) -> Option<&[usize]> {
+        let index = self.indexes.get(&column_index)?;
+        Some(index.get(value).map_or(&[], Vec::as_slice))
     }
 
     /// Deletes a row by id; returns whether it was live.

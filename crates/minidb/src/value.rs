@@ -230,21 +230,39 @@ impl From<bool> for Value {
 
 /// SQL `LIKE` pattern matching: `%` matches any run, `_` any single
 /// character; matching is case-sensitive.
+///
+/// Iterative over the two strings' characters with one backtrack point
+/// (the latest `%`): no allocation, no recursion, `O(value × pattern)`.
 pub fn like_match(value: &str, pattern: &str) -> bool {
-    fn rec(v: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => v.is_empty(),
+    let (mut v, mut p) = (value.chars(), pattern.chars());
+    // Where to resume after a mismatch: the pattern just past the
+    // latest `%`, and the value position that `%` has absorbed up to.
+    let mut retry: Option<(std::str::Chars<'_>, std::str::Chars<'_>)> = None;
+    loop {
+        let mut rest = p.clone();
+        match rest.next() {
             Some('%') => {
-                // Try every split point.
-                (0..=v.len()).any(|i| rec(&v[i..], &p[1..]))
+                p = rest;
+                retry = Some((v.clone(), p.clone()));
+                continue;
             }
-            Some('_') => !v.is_empty() && rec(&v[1..], &p[1..]),
-            Some(c) => v.first() == Some(c) && rec(&v[1..], &p[1..]),
+            Some(pc) => {
+                let mut ahead = v.clone();
+                if ahead.next().is_some_and(|vc| pc == '_' || pc == vc) {
+                    (v, p) = (ahead, rest);
+                    continue;
+                }
+            }
+            None if v.as_str().is_empty() => return true,
+            None => {}
         }
+        // Mismatch: let the latest `%` absorb one more character.
+        let Some((rv, rp)) = &mut retry else { return false };
+        if rv.next().is_none() {
+            return false;
+        }
+        (v, p) = (rv.clone(), rp.clone());
     }
-    let v: Vec<char> = value.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&v, &p)
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! The ontology model: classes, properties, restrictions.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::OnceLock;
 
 use s2s_rdf::{Iri, Literal};
 
@@ -181,6 +183,28 @@ pub struct Ontology {
     namespace: String,
     classes: BTreeMap<Iri, ClassDef>,
     properties: BTreeMap<Iri, PropertyDef>,
+    closure: SubsumptionClosure,
+}
+
+/// Class → all its transitive superclasses (excluding itself), computed
+/// on first use: an ontology is immutable once built, and every
+/// [`crate::Reasoner`] over it (one per generated answer) reads the same
+/// closure. Derived from `classes`, so it takes no part in equality.
+#[derive(Clone, Default)]
+struct SubsumptionClosure(OnceLock<BTreeMap<Iri, BTreeSet<Iri>>>);
+
+impl PartialEq for SubsumptionClosure {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for SubsumptionClosure {}
+
+impl fmt::Debug for SubsumptionClosure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() { "computed" } else { "not computed" })
+    }
 }
 
 impl Ontology {
@@ -195,7 +219,19 @@ impl Ontology {
         classes: BTreeMap<Iri, ClassDef>,
         properties: BTreeMap<Iri, PropertyDef>,
     ) -> Self {
-        Ontology { namespace, classes, properties }
+        Ontology { namespace, classes, properties, closure: SubsumptionClosure::default() }
+    }
+
+    /// The subsumption closure: class → all its transitive superclasses
+    /// ([`Ontology::superclasses`] of every class), computed once per
+    /// ontology.
+    pub(crate) fn subsumption_closure(&self) -> &BTreeMap<Iri, BTreeSet<Iri>> {
+        self.closure.0.get_or_init(|| {
+            self.classes
+                .keys()
+                .map(|class| (class.clone(), self.superclasses(class).into_iter().collect()))
+                .collect()
+        })
     }
 
     /// The ontology namespace prefix.

@@ -104,8 +104,9 @@ impl std::fmt::Display for ConsistencyIssue {
 
 /// A reasoner bound to one ontology.
 ///
-/// Precomputes the subsumption closure at construction; all query methods
-/// are then cheap lookups.
+/// Reads the ontology's subsumption closure (computed once per
+/// ontology, by the first reasoner built over it); all query methods are
+/// then cheap lookups.
 ///
 /// # Examples
 ///
@@ -128,18 +129,14 @@ impl std::fmt::Display for ConsistencyIssue {
 pub struct Reasoner<'o> {
     ontology: &'o Ontology,
     /// class → all transitive superclasses (excluding itself).
-    closure: BTreeMap<Iri, BTreeSet<Iri>>,
+    closure: &'o BTreeMap<Iri, BTreeSet<Iri>>,
 }
 
 impl<'o> Reasoner<'o> {
-    /// Builds the reasoner, computing the subsumption closure.
+    /// Builds the reasoner; the first one over an ontology computes its
+    /// subsumption closure.
     pub fn new(ontology: &'o Ontology) -> Self {
-        let mut closure: BTreeMap<Iri, BTreeSet<Iri>> = BTreeMap::new();
-        for class in ontology.classes() {
-            let supers: BTreeSet<Iri> = ontology.superclasses(class.iri()).into_iter().collect();
-            closure.insert(class.iri().clone(), supers);
-        }
-        Reasoner { ontology, closure }
+        Reasoner { ontology, closure: ontology.subsumption_closure() }
     }
 
     /// The ontology this reasoner is bound to.
@@ -430,6 +427,18 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn closure_is_computed_once_per_ontology() {
+        let o = onto();
+        let cold = o.clone();
+        let (first, second) = (Reasoner::new(&o), Reasoner::new(&o));
+        assert!(std::ptr::eq(first.closure, second.closure));
+        // Derived data: an ontology equals its copy made before the
+        // closure existed, and that copy computes the same closure.
+        assert_eq!(o, cold);
+        assert_eq!(Reasoner::new(&cold).closure, first.closure);
     }
 
     fn iri(s: &str) -> Iri {

@@ -1,5 +1,6 @@
 //! A lightweight owned DOM.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// An XML document: an optional declaration plus the root element.
@@ -68,30 +69,61 @@ impl Element {
     /// order.
     pub fn descendants(&self) -> Vec<&Element> {
         let mut out = Vec::new();
-        fn walk<'e>(e: &'e Element, out: &mut Vec<&'e Element>) {
-            for c in e.child_elements() {
-                out.push(c);
-                walk(c, out);
+        self.walk_nodes(&mut Vec::new(), |node| {
+            if let Node::Element(e) = node {
+                out.push(e);
+            }
+        });
+        out
+    }
+
+    /// Calls `visit` on every node below this element in depth-first
+    /// document order. Iterative — tree depth costs heap in `stack`
+    /// (left empty, so callers can reuse it), not call stack.
+    pub(crate) fn walk_nodes<'e>(
+        &'e self,
+        stack: &mut Vec<std::slice::Iter<'e, Node>>,
+        mut visit: impl FnMut(&'e Node),
+    ) {
+        stack.push(self.children.iter());
+        while let Some(siblings) = stack.last_mut() {
+            match siblings.next() {
+                Some(node) => {
+                    visit(node);
+                    if let Node::Element(e) = node {
+                        stack.push(e.children.iter());
+                    }
+                }
+                None => {
+                    stack.pop();
+                }
             }
         }
-        walk(self, &mut out);
-        out
     }
 
     /// The concatenated text content of this element and its descendants.
     pub fn text(&self) -> String {
-        let mut out = String::new();
-        fn walk(e: &Element, out: &mut String) {
-            for c in &e.children {
-                match c {
-                    Node::Text(t) => out.push_str(t),
-                    Node::Element(el) => walk(el, out),
-                    Node::Comment(_) => {}
-                }
+        self.text_content().into_owned()
+    }
+
+    /// [`Element::text`], borrowed when the content is a single text
+    /// node (the shape of a record field) and built only for mixed or
+    /// nested content.
+    pub fn text_content(&self) -> Cow<'_, str> {
+        let mut content = self.children.iter().filter(|n| !matches!(n, Node::Comment(_)));
+        match (content.next(), content.next()) {
+            (None, _) => Cow::Borrowed(""),
+            (Some(Node::Text(t)), None) => Cow::Borrowed(t),
+            _ => {
+                let mut out = String::new();
+                self.walk_nodes(&mut Vec::new(), |node| {
+                    if let Node::Text(t) = node {
+                        out.push_str(t);
+                    }
+                });
+                Cow::Owned(out)
             }
         }
-        walk(self, &mut out);
-        out
     }
 
     /// Direct text children only, concatenated.

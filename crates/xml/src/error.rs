@@ -13,6 +13,13 @@ pub enum XmlError {
         /// Description.
         message: String,
     },
+    /// Elements nest deeper than the parser accepts.
+    NestingTooDeep {
+        /// Byte offset of the first element past the cap.
+        position: usize,
+        /// The cap ([`crate::parser::MAX_DEPTH`]).
+        limit: usize,
+    },
     /// Malformed XPath expression.
     BadXPath {
         /// The path text.
@@ -27,6 +34,9 @@ impl fmt::Display for XmlError {
         match self {
             XmlError::Parse { position, message } => {
                 write!(f, "xml parse error at byte {position}: {message}")
+            }
+            XmlError::NestingTooDeep { position, limit } => {
+                write!(f, "xml parse error at byte {position}: elements nested deeper than {limit} levels")
             }
             XmlError::BadXPath { path, message } => {
                 write!(f, "bad xpath `{path}`: {message}")

@@ -15,13 +15,19 @@ pub fn parse(input: &str) -> Result<Document, XmlError> {
     p.skip_ws();
     let had_declaration = p.try_declaration()?;
     p.skip_misc()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_misc()?;
     if p.peek().is_some() {
         return Err(p.err("content after the root element"));
     }
     Ok(Document { root, had_declaration })
 }
+
+/// Deepest element nesting accepted. The parser recurses once per open
+/// element, and so do the derived `Drop`, `Clone` and `PartialEq` of the
+/// tree it returns; unbounded, `<a><a><a>…` from a source overflowed the
+/// stack and aborted the process.
+pub const MAX_DEPTH: usize = 250;
 
 struct Parser {
     chars: Vec<(usize, char)>,
@@ -30,9 +36,13 @@ struct Parser {
 }
 
 impl Parser {
+    /// Byte offset of the next unread character.
+    fn position(&self) -> usize {
+        self.chars.get(self.pos).map_or(self.len, |&(b, _)| b)
+    }
+
     fn err(&self, message: impl Into<String>) -> XmlError {
-        let position = self.chars.get(self.pos).map(|&(b, _)| b).unwrap_or(self.len);
-        XmlError::Parse { position, message: message.into() }
+        XmlError::Parse { position: self.position(), message: message.into() }
     }
 
     fn peek(&self) -> Option<char> {
@@ -126,7 +136,49 @@ impl Parser {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Parses the element at nesting level `depth` (the root is 1).
+    /// The only recursive function of the parser; tags, comments and
+    /// text are parsed in helpers so that its frame, paid once per level
+    /// of nesting, stays small.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth > MAX_DEPTH {
+            return Err(XmlError::NestingTooDeep { position: self.position(), limit: MAX_DEPTH });
+        }
+        let (mut element, has_content) = self.parse_start_tag()?;
+        if !has_content {
+            return Ok(element);
+        }
+        loop {
+            if self.eat_str("</") {
+                self.parse_end_tag(&element.name)?;
+                return Ok(element);
+            }
+            if self.eat_str("<!--") {
+                element.children.push(Node::Comment(self.take_until("-->")?));
+            } else if self.eat_str("<![CDATA[") {
+                element.children.push(Node::Text(self.take_until("]]>")?));
+            } else if self.eat_str("<?") {
+                self.skip_until("?>")?;
+            } else {
+                match self.peek() {
+                    None => return Err(self.err(format!("unclosed element `{}`", element.name))),
+                    Some('<') => {
+                        element.children.push(Node::Element(self.parse_element(depth + 1)?));
+                    }
+                    Some(_) => {
+                        let text = self.parse_text()?;
+                        if !text.is_empty() {
+                            element.children.push(Node::Text(text));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Parses `<name attr="v" …>` or `<name …/>`; the flag says whether
+    /// content and an end tag follow.
+    fn parse_start_tag(&mut self) -> Result<(Element, bool), XmlError> {
         if !self.eat('<') {
             return Err(self.err("expected `<`"));
         }
@@ -140,11 +192,11 @@ impl Parser {
                     if !self.eat('>') {
                         return Err(self.err("expected `>` after `/`"));
                     }
-                    return Ok(element);
+                    return Ok((element, false));
                 }
                 Some('>') => {
                     self.bump();
-                    break;
+                    return Ok((element, true));
                 }
                 Some(_) => {
                     let attr_name = self.parse_name()?;
@@ -162,56 +214,29 @@ impl Parser {
                 None => return Err(self.err("unterminated start tag")),
             }
         }
-        // Content.
-        loop {
-            if self.eat_str("</") {
-                let close = self.parse_name()?;
-                if close != element.name {
-                    return Err(self.err(format!(
-                        "mismatched end tag: expected `</{}>`, found `</{close}>`",
-                        element.name
-                    )));
-                }
-                self.skip_ws();
-                if !self.eat('>') {
-                    return Err(self.err("expected `>` in end tag"));
-                }
-                return Ok(element);
-            }
-            if self.eat_str("<!--") {
-                let start = self.pos;
-                self.skip_until("-->")?;
-                let text: String =
-                    self.chars[start..self.pos - 3].iter().map(|&(_, c)| c).collect();
-                element.children.push(Node::Comment(text));
-                continue;
-            }
-            if self.eat_str("<![CDATA[") {
-                let start = self.pos;
-                self.skip_until("]]>")?;
-                let text: String =
-                    self.chars[start..self.pos - 3].iter().map(|&(_, c)| c).collect();
-                element.children.push(Node::Text(text));
-                continue;
-            }
-            if self.eat_str("<?") {
-                self.skip_until("?>")?;
-                continue;
-            }
-            match self.peek() {
-                None => return Err(self.err(format!("unclosed element `{}`", element.name))),
-                Some('<') => {
-                    let child = self.parse_element()?;
-                    element.children.push(Node::Element(child));
-                }
-                Some(_) => {
-                    let text = self.parse_text()?;
-                    if !text.is_empty() {
-                        element.children.push(Node::Text(text));
-                    }
-                }
-            }
+    }
+
+    /// Parses the rest of an end tag after `</`, which must close `name`.
+    fn parse_end_tag(&mut self, name: &str) -> Result<(), XmlError> {
+        let close = self.parse_name()?;
+        if close != name {
+            return Err(
+                self.err(format!("mismatched end tag: expected `</{name}>`, found `</{close}>`"))
+            );
         }
+        self.skip_ws();
+        if !self.eat('>') {
+            return Err(self.err("expected `>` in end tag"));
+        }
+        Ok(())
+    }
+
+    /// Skips past `end` and returns the text before it.
+    fn take_until(&mut self, end: &str) -> Result<String, XmlError> {
+        let start = self.pos;
+        self.skip_until(end)?;
+        let end_len = end.chars().count();
+        Ok(self.chars[start..self.pos - end_len].iter().map(|&(_, c)| c).collect())
     }
 
     fn parse_name(&mut self) -> Result<String, XmlError> {
@@ -413,5 +438,36 @@ mod tests {
             Err(XmlError::Parse { position, .. }) => assert!(position > 0),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Hostile payload: `<a>` × 30 000 used to overflow the stack in
+    /// `parse_element` and abort the process.
+    #[test]
+    fn element_nesting_is_capped() {
+        let hostile = "<a>".repeat(30_000);
+        match parse(&hostile) {
+            Err(XmlError::NestingTooDeep { position, limit }) => {
+                assert_eq!(limit, MAX_DEPTH);
+                assert_eq!(position, 3 * MAX_DEPTH);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A document exactly at the cap parses, and everything that walks
+    /// the tree — `text`, `descendants`, XPath, `Clone`, `==`, `Drop` —
+    /// fits a worker thread's stack.
+    #[test]
+    fn document_at_the_cap_is_safe_to_walk_and_drop() {
+        let at_cap = format!("{}x{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(move || {
+            let doc = parse(&at_cap).expect("nesting at the cap is accepted");
+            assert_eq!(doc.root.text(), "x");
+            assert_eq!(doc.root.descendants().len(), MAX_DEPTH - 1);
+            let deepest = crate::xpath::XPath::new("//a[text()='x']").unwrap();
+            assert_eq!(deepest.eval_strings(&doc), ["x"]);
+            assert_eq!(doc.clone(), doc);
+        });
+        worker.unwrap().join().expect("no stack overflow at the cap");
     }
 }

@@ -22,7 +22,7 @@
 //! the document root (the first step must match the root element);
 //! a leading `//` searches all elements.
 
-use crate::dom::{Document, Element};
+use crate::dom::{Document, Element, Node};
 use crate::error::XmlError;
 use s2s_textmatch::{Constraint, ConstraintOp};
 
@@ -72,7 +72,16 @@ impl NameTest {
     fn matches(&self, e: &Element) -> bool {
         match self {
             NameTest::Any => true,
-            NameTest::Named(n) => &e.name == n || e.local_name() == n,
+            // The full name, or the local part of a prefixed one
+            // (`e.local_name() == n`, without the scan for `:`).
+            NameTest::Named(n) => {
+                let name = e.name.as_str();
+                name == n
+                    || (name.len() > n.len()
+                        && name.ends_with(n.as_str())
+                        && name.as_bytes()[name.len() - n.len() - 1] == b':'
+                        && !n.contains(':'))
+            }
         }
     }
 }
@@ -206,8 +215,10 @@ impl XPath {
 
     /// Evaluates with `root` as the context root element.
     pub fn eval_from<'d>(&self, root: &'d Element) -> Vec<&'d Element> {
-        let (elements, _) = self.run(root);
-        elements
+        match self.steps.last() {
+            Some(Step::Attribute(_) | Step::Text) => Vec::new(),
+            _ => self.select(root),
+        }
     }
 
     /// Evaluates and renders results as strings: attribute values for
@@ -219,76 +230,63 @@ impl XPath {
 
     /// String evaluation with an explicit context root.
     pub fn eval_strings_from(&self, root: &Element) -> Vec<String> {
-        let (elements, strings) = self.run(root);
-        match strings {
-            Some(s) => s,
-            None => elements.into_iter().map(|e| e.text()).collect(),
+        let selected = self.select(root);
+        let mut out = Vec::with_capacity(selected.len());
+        match self.steps.last() {
+            Some(Step::Attribute(name)) => {
+                out.extend(selected.iter().filter_map(|e| e.attribute(name).map(str::to_string)));
+            }
+            Some(Step::Text) => {
+                out.extend(selected.iter().map(|e| e.own_text()).filter(|t| !t.is_empty()));
+            }
+            _ => out.extend(selected.iter().map(|e| e.text())),
         }
+        out
     }
 
-    /// Runs the steps; returns surviving elements and, if the final step
-    /// was terminal, the string results.
-    fn run<'d>(&self, root: &'d Element) -> (Vec<&'d Element>, Option<Vec<String>>) {
-        // Absolute paths start at a virtual node whose only child is the
-        // root (so the first step names the root element); relative paths
-        // start at the context node itself.
-        let mut current: Vec<&'d Element> = Vec::new();
-        let mut virtual_root = true;
-        if !self.absolute {
-            current.push(root);
-            virtual_root = false;
-        }
-
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
-                Step::Child { name, predicates } => {
-                    let mut next: Vec<&'d Element> = Vec::new();
-                    if virtual_root {
-                        let candidates = vec![root];
-                        select(&candidates, name, predicates, &mut next);
-                        virtual_root = false;
-                    } else {
-                        for ctx in &current {
-                            let candidates: Vec<&Element> = ctx.child_elements().collect();
-                            select(&candidates, name, predicates, &mut next);
+    /// Runs the element steps (a terminal step, if any, is left to the
+    /// caller) and returns the surviving elements in document order per
+    /// context. Each step streams the children (or descendants) of the
+    /// previous step's survivors through its name test and predicates
+    /// into one reused buffer.
+    fn select<'d>(&self, root: &'d Element) -> Vec<&'d Element> {
+        let mut current: Vec<&'d Element> = vec![root];
+        let mut next: Vec<&'d Element> = Vec::new();
+        // An absolute path starts at a virtual node whose only child is
+        // the root, so the candidates of its first step are the root
+        // itself (and, for `//`, its descendants); everywhere else they
+        // are a context node's children or descendants.
+        let mut at_virtual_root = self.absolute;
+        let mut counts: Vec<usize> = Vec::new();
+        let mut stack = Vec::new();
+        for step in &self.steps {
+            let (name, predicates, descend) = match step {
+                Step::Child { name, predicates } => (name, predicates, false),
+                Step::Descendant { name, predicates } => (name, predicates, true),
+                Step::Attribute(_) | Step::Text => break,
+            };
+            counts.resize(predicates.len(), 0);
+            let mut filter = StepFilter { name, predicates, counts: &mut counts };
+            let own = std::mem::take(&mut at_virtual_root);
+            next.clear();
+            for &ctx in &current {
+                filter.begin_context();
+                if own {
+                    next.extend(filter.accepts(ctx).then_some(ctx));
+                }
+                if descend {
+                    ctx.walk_nodes(&mut stack, |node| {
+                        if let Node::Element(e) = node {
+                            next.extend(filter.accepts(e).then_some(e));
                         }
-                    }
-                    current = next;
-                }
-                Step::Descendant { name, predicates } => {
-                    let mut next: Vec<&'d Element> = Vec::new();
-                    if virtual_root {
-                        let mut candidates = vec![root];
-                        candidates.extend(root.descendants());
-                        select(&candidates, name, predicates, &mut next);
-                        virtual_root = false;
-                    } else {
-                        for ctx in &current {
-                            let candidates = ctx.descendants();
-                            select(&candidates, name, predicates, &mut next);
-                        }
-                    }
-                    current = next;
-                }
-                Step::Attribute(name) => {
-                    debug_assert_eq!(i, self.steps.len() - 1);
-                    let base: Vec<&Element> = if virtual_root { vec![root] } else { current };
-                    let strings = base
-                        .into_iter()
-                        .filter_map(|e| e.attribute(name).map(str::to_string))
-                        .collect();
-                    return (Vec::new(), Some(strings));
-                }
-                Step::Text => {
-                    debug_assert_eq!(i, self.steps.len() - 1);
-                    let base: Vec<&Element> = if virtual_root { vec![root] } else { current };
-                    let strings =
-                        base.into_iter().map(|e| e.own_text()).filter(|t| !t.is_empty()).collect();
-                    return (Vec::new(), Some(strings));
+                    });
+                } else if !own {
+                    next.extend(ctx.child_elements().filter(|e| filter.accepts(e)));
                 }
             }
+            std::mem::swap(&mut current, &mut next);
         }
-        (current, None)
+        current
     }
 }
 
@@ -306,54 +304,69 @@ impl std::str::FromStr for XPath {
     }
 }
 
-/// Applies a name test and predicates to candidates; positional
-/// predicates index into the name-filtered candidate list per context
-/// (standard XPath `[n]` semantics for the common case).
-fn select<'d>(
-    candidates: &[&'d Element],
-    name: &NameTest,
-    predicates: &[Predicate],
-    out: &mut Vec<&'d Element>,
-) {
-    let mut matched: Vec<&'d Element> =
-        candidates.iter().copied().filter(|e| name.matches(e)).collect();
-    for p in predicates {
-        matched = apply_predicate(&matched, p);
-    }
-    out.extend(matched);
+/// One element step applied to the candidates of one context node, in
+/// document order: a candidate survives when its name matches and every
+/// predicate, left to right, accepts it. A positional predicate `[n]`
+/// accepts the `n`-th candidate to reach it within the context (the
+/// standard XPath meaning for the common case), so each keeps a count.
+struct StepFilter<'p> {
+    name: &'p NameTest,
+    predicates: &'p [Predicate],
+    /// Candidates seen so far by the positional predicate at the same
+    /// index of `predicates`, in the current context.
+    counts: &'p mut [usize],
 }
 
-fn apply_predicate<'d>(elements: &[&'d Element], p: &Predicate) -> Vec<&'d Element> {
-    match p {
-        Predicate::Position(n) => {
-            elements.get(n.wrapping_sub(1)).map(|e| vec![*e]).unwrap_or_default()
+impl StepFilter<'_> {
+    fn begin_context(&mut self) {
+        // Guarded: a zero-length memset per context node costs more
+        // than the whole step on a predicate-free path.
+        if !self.counts.is_empty() {
+            self.counts.fill(0);
         }
-        Predicate::AttrEq { name, value } => {
-            elements.iter().copied().filter(|e| e.attribute(name) == Some(value.as_str())).collect()
+    }
+
+    fn accepts(&mut self, e: &Element) -> bool {
+        self.name.matches(e)
+            && self
+                .predicates
+                .iter()
+                .zip(self.counts.iter_mut())
+                .all(|(p, seen)| p.accepts(e, seen))
+    }
+}
+
+impl Predicate {
+    /// Whether the predicate accepts `e`, one more candidate to reach it
+    /// after the `seen` before it in the same context.
+    fn accepts(&self, e: &Element, seen: &mut usize) -> bool {
+        match self {
+            Predicate::Position(n) => {
+                *seen += 1;
+                *seen == *n
+            }
+            Predicate::AttrEq { name, value } => e.attribute(name) == Some(value.as_str()),
+            Predicate::ChildEq { name, value } => {
+                e.child_elements().any(|c| c.name == *name && c.text_content() == *value)
+            }
+            Predicate::ChildCmp { name, constraint } => {
+                e.child_elements().any(|c| c.name == *name && constraint.matches(&c.text_content()))
+            }
+            Predicate::TextEq(value) => {
+                // `own_text() == value` without building the string.
+                let mut rest = Some(value.as_str());
+                for node in &e.children {
+                    if let Node::Text(t) = node {
+                        rest = rest.and_then(|r| r.strip_prefix(t.as_str()));
+                    }
+                }
+                rest == Some("")
+            }
+            Predicate::ContainsText(value) => e.text_content().contains(value.as_str()),
+            Predicate::ContainsAttr { name, value } => {
+                e.attribute(name).is_some_and(|v| v.contains(value.as_str()))
+            }
         }
-        Predicate::ChildEq { name, value } => elements
-            .iter()
-            .copied()
-            .filter(|e| e.child_elements().any(|c| c.name == *name && c.text() == *value))
-            .collect(),
-        Predicate::ChildCmp { name, constraint } => elements
-            .iter()
-            .copied()
-            .filter(|e| {
-                e.child_elements().any(|c| c.name == *name && constraint.matches(&c.text()))
-            })
-            .collect(),
-        Predicate::TextEq(value) => {
-            elements.iter().copied().filter(|e| e.own_text() == *value).collect()
-        }
-        Predicate::ContainsText(value) => {
-            elements.iter().copied().filter(|e| e.text().contains(value.as_str())).collect()
-        }
-        Predicate::ContainsAttr { name, value } => elements
-            .iter()
-            .copied()
-            .filter(|e| e.attribute(name).is_some_and(|v| v.contains(value.as_str())))
-            .collect(),
     }
 }
 

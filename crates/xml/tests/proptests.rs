@@ -1,7 +1,12 @@
-//! Property tests: DOM serialization round-trips and XPath agrees with
-//! naive tree walks over random documents.
+//! Property tests: DOM serialization round-trips, XPath agrees with
+//! naive tree walks over random documents, and the step evaluator agrees
+//! with the one it replaced (`tests/reference`) on generated documents
+//! and paths.
+
+mod reference;
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use s2s_xml::xpath::XPath;
 use s2s_xml::{parse, serialize_element, Document, Element, Node};
 
@@ -59,7 +64,117 @@ fn count_named(e: &Element, name: &str) -> usize {
     e.descendants().iter().filter(|d| d.name == name).count()
 }
 
+fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
+    options[rng.below(options.len())]
+}
+
+const NAMES: [&str; 4] = ["a", "b", "a", "x:a"];
+const VALUES: [&str; 6] = ["1", "2", "10", "x", "xy", ""];
+
+/// A random element: few names and values so steps and predicates hit,
+/// with attributes, comments, nested same-name elements and mixed
+/// content (text split around children).
+fn element(rng: &mut TestRng, depth: usize) -> Element {
+    let mut e = Element::new(pick(rng, &NAMES));
+    for name in ["id", "k"] {
+        if rng.below(3) == 0 {
+            e.attributes.push((name.to_string(), pick(rng, &VALUES).to_string()));
+        }
+    }
+    for _ in 0..rng.below(if depth == 0 { 3 } else { 7 }) {
+        e.children.push(match rng.below(if depth == 0 { 4 } else { 10 }) {
+            0..=2 => Node::Text(pick(rng, &VALUES).to_string()),
+            3 => Node::Comment("note".to_string()),
+            _ => Node::Element(element(rng, depth - 1)),
+        });
+    }
+    e
+}
+
+fn xpath_predicate(rng: &mut TestRng) -> String {
+    let (name, value) = (pick(rng, &NAMES), pick(rng, &VALUES));
+    let q = pick(rng, &["'", "\""]);
+    match rng.below(8) {
+        0 | 1 => format!("[{}]", 1 + rng.below(3)),
+        2 => format!("[@{}={q}{value}{q}]", pick(rng, &["id", "k"])),
+        3 => format!("[{name}={q}{value}{q}]"),
+        4 => format!("[{name} {} {q}{value}{q}]", pick(rng, &["!=", "<", "<=", ">", ">="])),
+        5 => format!("[text()={q}{value}{q}]"),
+        6 => format!("[contains(., {q}{value}{q})]"),
+        _ => format!("[contains(@{}, {q}{value}{q})]", pick(rng, &["id", "k"])),
+    }
+}
+
+/// A random path over [`NAMES`]: absolute or relative, child and `//`
+/// steps, wildcards, up to two predicates of any kind per step, and an
+/// element, `@attr` or `text()` ending.
+fn xpath(rng: &mut TestRng, root: &str) -> String {
+    let mut path = String::new();
+    for i in 0..1 + rng.below(3) {
+        let axis = if rng.below(3) == 0 { "//" } else { "/" };
+        if i > 0 || rng.below(4) > 0 {
+            path.push_str(axis);
+        }
+        // Absolute child paths go nowhere unless they open at the root.
+        path.push_str(match rng.below(6) {
+            0 => "*",
+            1..=3 if i == 0 => root,
+            _ => pick(rng, &NAMES),
+        });
+        for _ in 0..[0, 0, 1, 2][rng.below(4)] {
+            path.push_str(&xpath_predicate(rng));
+        }
+    }
+    path.push_str(match rng.below(4) {
+        0 => "/text()",
+        1 => pick(rng, &["/@id", "/@k", "//@id"]),
+        _ => "",
+    });
+    path
+}
+
+fn addresses(elements: Vec<&Element>) -> Vec<*const Element> {
+    elements.into_iter().map(std::ptr::from_ref).collect()
+}
+
 proptest! {
+    /// The step evaluator returns what the evaluator it replaced
+    /// (`tests/reference`) returns — the same elements (by address) and
+    /// the same strings, in the same order — from the document root and
+    /// from an inner context element.
+    #[test]
+    fn xpath_agrees_with_reference_evaluator(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let doc = Document::new(element(&mut rng, 3));
+        let inner = doc.root.descendants();
+        for _ in 0..8 {
+            let path = xpath(&mut rng, &doc.root.name);
+            let (new, old) = match (XPath::new(&path), reference::XPath::new(&path)) {
+                (Ok(new), Ok(old)) => (new, old),
+                (new, old) => {
+                    prop_assert!(false, "generated path does not compile: {path}: {new:?} {old:?}");
+                    unreachable!()
+                }
+            };
+            let context = match inner.len() {
+                0 => &doc.root,
+                n => inner[rng.below(n)],
+            };
+            for from in [&doc.root, context] {
+                prop_assert_eq!(
+                    new.eval_strings_from(from),
+                    old.eval_strings_from(from),
+                    "{} from <{}> of {}", path, from.name, doc.root
+                );
+                prop_assert_eq!(
+                    addresses(new.eval_from(from)),
+                    addresses(old.eval_from(from)),
+                    "{} from <{}> of {}", path, from.name, doc.root
+                );
+            }
+        }
+    }
+
     /// serialize → parse is the identity on normalized trees.
     #[test]
     fn roundtrip(root in arb_element()) {
