@@ -77,103 +77,82 @@ use s2s_netsim::{BreakerConfig, CostModel, FailureModel, RetryPolicy, SimDuratio
 use s2s_owl::Reasoner;
 use s2s_webdoc::WebStore;
 
+/// A smoke gate: runs a deterministic workload, writes its artifacts
+/// into the given directory and returns the violations it found.
+type SmokeFn = fn(&str) -> Result<(), Vec<String>>;
+
+/// The CI `smoke` matrix. `--<mode> DIR` prints `<mode> OK`, or one
+/// `<mode> FAIL: …` line per violation and exits 1; the third column is
+/// what `usage()` says about the mode.
+const SMOKE_MODES: [(&str, SmokeFn, &str); 7] = [
+    (
+        "smoke-audit",
+        smoke_audit,
+        "deterministic run; writes trace.jsonl and metrics.prom into DIR and validates both exports",
+    ),
+    (
+        "throughput-smoke",
+        throughput_smoke,
+        "4 clients × 16 queries on one shared engine; writes e13.json into DIR; fails on result \
+         mismatch or zero throughput",
+    ),
+    (
+        "overload-smoke",
+        overload_smoke,
+        "open-loop overload at 1× and 4× capacity with shedding on, plus an unprotected 4× \
+         baseline; writes e14.json into DIR; fails if shedding does not bound p99 or goodput \
+         collapses below the unprotected baseline",
+    ),
+    (
+        "reactor-smoke",
+        reactor_smoke,
+        "1000 clients multiplexed on one thread through the virtual-time reactor; writes e13.json \
+         into DIR; fails on any answer diverging from the serial baseline",
+    ),
+    (
+        "pushdown-smoke",
+        pushdown_smoke,
+        "E15 selectivity sweep with the federated planner on vs off; writes e15.json into DIR; \
+         fails on mismatch or a wire-byte reduction below 5x at 1% selectivity",
+    ),
+    (
+        "delta-smoke",
+        delta_smoke,
+        "E16 mutation-rate sweep with materialized views on vs invalidate-and-recompute; writes \
+         e16.json into DIR; fails on any divergence or a throughput advantage below 3x at a 10% \
+         mutation rate",
+    ),
+    (
+        "bootstrap-smoke",
+        bootstrap_smoke,
+        "E17: register a 1000-source synthetic fleet entirely through the automatic mapping \
+         bootstrap; writes e17.json into DIR; fails on any conflict, divergence, missing \
+         mapping, or a blown wall-clock bound",
+    ),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let flag = args.first().map(String::as_str);
+    let smoke = flag.and_then(|f| f.strip_prefix("--"));
+    if let Some((mode, run, _)) = SMOKE_MODES.iter().find(|(mode, ..)| smoke == Some(*mode)) {
+        let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
+            eprintln!("--{mode} requires an output directory argument");
+            std::process::exit(2);
+        });
+        if let Err(violations) = run(dir) {
+            for v in &violations {
+                eprintln!("{mode} FAIL: {v}");
+            }
+            std::process::exit(1);
+        }
+        println!("{mode} OK");
+        return;
+    }
+    match flag {
         None => run_experiments(),
         Some("--trace") => trace_mode(),
         Some("--metrics") => metrics_mode(),
-        Some("--smoke-audit") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--smoke-audit requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = smoke_audit(dir) {
-                for v in &violations {
-                    eprintln!("smoke-audit FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("smoke-audit OK");
-        }
-        Some("--throughput-smoke") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--throughput-smoke requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = throughput_smoke(dir) {
-                for v in &violations {
-                    eprintln!("throughput-smoke FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("throughput-smoke OK");
-        }
-        Some("--overload-smoke") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--overload-smoke requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = overload_smoke(dir) {
-                for v in &violations {
-                    eprintln!("overload-smoke FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("overload-smoke OK");
-        }
-        Some("--reactor-smoke") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--reactor-smoke requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = reactor_smoke(dir) {
-                for v in &violations {
-                    eprintln!("reactor-smoke FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("reactor-smoke OK");
-        }
-        Some("--pushdown-smoke") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--pushdown-smoke requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = pushdown_smoke(dir) {
-                for v in &violations {
-                    eprintln!("pushdown-smoke FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("pushdown-smoke OK");
-        }
-        Some("--delta-smoke") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--delta-smoke requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = delta_smoke(dir) {
-                for v in &violations {
-                    eprintln!("delta-smoke FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("delta-smoke OK");
-        }
-        Some("--bootstrap-smoke") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--bootstrap-smoke requires an output directory argument");
-                std::process::exit(2);
-            });
-            if let Err(violations) = bootstrap_smoke(dir) {
-                for v in &violations {
-                    eprintln!("bootstrap-smoke FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-            println!("bootstrap-smoke OK");
-        }
         Some("--validate-report") => {
             let path = args.get(1).map(String::as_str).unwrap_or_else(|| {
                 eprintln!("--validate-report requires a report path argument");
@@ -215,42 +194,9 @@ fn usage() {
     println!("                                 and a degraded (breaker-open) query");
     println!("  experiments --metrics          print a Prometheus-style metrics");
     println!("                                 snapshot after a short workload");
-    println!("  experiments --smoke-audit DIR  deterministic run; writes trace.jsonl");
-    println!("                                 and metrics.prom into DIR and validates");
-    println!("                                 both exports (non-zero exit on failure)");
-    println!("  experiments --throughput-smoke DIR");
-    println!("                                 4 clients × 16 queries on one shared");
-    println!("                                 engine; writes e13.json into DIR; fails");
-    println!("                                 on result mismatch or zero throughput");
-    println!("  experiments --overload-smoke DIR");
-    println!("                                 open-loop overload at 1× and 4× capacity");
-    println!("                                 with shedding on, plus an unprotected 4×");
-    println!("                                 baseline; writes e14.json into DIR; fails");
-    println!("                                 if shedding does not bound p99 or goodput");
-    println!("                                 collapses below the unprotected baseline");
-    println!("  experiments --reactor-smoke DIR");
-    println!("                                 1000 clients multiplexed on one thread");
-    println!("                                 through the virtual-time reactor; writes");
-    println!("                                 e13.json into DIR; fails on any answer");
-    println!("                                 diverging from the serial baseline");
-    println!("  experiments --pushdown-smoke DIR");
-    println!("                                 E15 selectivity sweep with the federated");
-    println!("                                 planner on vs off; writes e15.json into");
-    println!("                                 DIR; fails on mismatch or a wire-byte");
-    println!("                                 reduction below 5x at 1% selectivity");
-    println!("  experiments --delta-smoke DIR");
-    println!("                                 E16 mutation-rate sweep with materialized");
-    println!("                                 views on vs invalidate-and-recompute;");
-    println!("                                 writes e16.json into DIR; fails on any");
-    println!("                                 divergence or a throughput advantage");
-    println!("                                 below 3x at a 10% mutation rate");
-    println!("  experiments --bootstrap-smoke DIR");
-    println!("                                 E17: register a 1000-source synthetic");
-    println!("                                 fleet entirely through the automatic");
-    println!("                                 mapping bootstrap; writes e17.json into");
-    println!("                                 DIR; fails on any conflict, divergence,");
-    println!("                                 missing mapping, or a blown wall-clock");
-    println!("                                 bound");
+    for (mode, _, help) in SMOKE_MODES {
+        println!("  experiments --{mode} DIR\n      {help}");
+    }
     println!("  experiments --validate-report FILE");
     println!("                                 schema-check one smoke artifact: well-");
     println!("                                 formed JSON declaring this binary's");

@@ -108,15 +108,15 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
             return violations;
         }
     };
-    check_stats(&serial_outcome, "serial", false, &mut violations);
+    check_stats(&serial_outcome, "serial", &mut violations);
 
     let batched = scenario.build(&BuildConfig::batched());
     let batched_outcome = batched.query(&query).expect("parsed on the serial path");
-    check_stats(&batched_outcome, "batched", false, &mut violations);
+    check_stats(&batched_outcome, "batched", &mut violations);
 
     let replay_engine = scenario.build(&BuildConfig::replay());
     let replay_first = replay_engine.query(&query).expect("parsed on the serial path");
-    check_stats(&replay_first, "replay-first", false, &mut violations);
+    check_stats(&replay_first, "replay-first", &mut violations);
     let replay_second = replay_engine.query(&query).expect("parsed on the serial path");
     check_replay(&replay_first, &replay_second, &mut violations);
 
@@ -132,12 +132,12 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
         handles.into_iter().map(|h| h.join().expect("no panic in client thread")).collect()
     });
     for (t, outcome) in pooled_outcomes.iter().enumerate() {
-        check_stats(outcome, &format!("pooled-t{t}"), true, &mut violations);
+        check_stats(outcome, &format!("pooled-t{t}"), &mut violations);
     }
 
     let reactor = scenario.build(&BuildConfig::reactor(2));
     let reactor_outcome = reactor.query(&query).expect("parsed on the serial path");
-    check_stats(&reactor_outcome, "reactor", false, &mut violations);
+    check_stats(&reactor_outcome, "reactor", &mut violations);
     // Reactor-specific accounting: every exchange overlaps every
     // other, so the simulated makespan is the per-exchange max — never
     // more than the summed serial cost, and equal to the batched
@@ -616,7 +616,7 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
 
     let pushed =
         scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the serial path");
-    check_stats(&pushed, "pushdown", false, &mut violations);
+    check_stats(&pushed, "pushdown", &mut violations);
     if fingerprint(&pushed) != full_fp {
         violations.push(Violation::new(
             "pushdown-equality",
@@ -773,15 +773,7 @@ fn decoy_engine(scenario: &Scenario, pushdown: bool) -> S2s {
 }
 
 /// Internal-consistency invariants of one outcome's [`QueryStats`].
-/// `concurrent` relaxes the cache-delta check: the cache counters are
-/// engine-global, so a delta observed while other client threads run
-/// the same query may include their operations too.
-fn check_stats(
-    outcome: &QueryOutcome,
-    path: &str,
-    concurrent: bool,
-    violations: &mut Vec<Violation>,
-) {
+fn check_stats(outcome: &QueryOutcome, path: &str, violations: &mut Vec<Violation>) {
     let s: &QueryStats = &outcome.stats;
     if s.failed_tasks != outcome.errors().len() {
         violations.push(Violation::new(
@@ -827,14 +819,14 @@ fn check_stats(
             ),
         ));
     }
-    // Cache-delta consistency: exactly one plan-cache op per fresh
-    // (non-replayed) query.
+    // Cache-account consistency: exactly one plan-cache lookup per
+    // fresh (non-replayed) query, however many clients share the engine.
     if s.result_cache.hits == 0 {
         let plan_ops = s.plan_cache.hits + s.plan_cache.misses;
-        if (concurrent && plan_ops < 1) || (!concurrent && plan_ops != 1) {
+        if plan_ops != 1 {
             violations.push(Violation::new(
                 "cache-delta",
-                format!("{path}: plan cache delta hits+misses = {plan_ops}, expected 1"),
+                format!("{path}: plan cache hits+misses = {plan_ops}, expected 1"),
             ));
         }
     }
@@ -1019,7 +1011,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         engine.query_with_options(&query, &opts).expect("parsed on the batched path")
     };
     let cut = run_deadline();
-    check_stats(&cut, "deadline", false, &mut violations);
+    check_stats(&cut, "deadline", &mut violations);
     if !instance_lines(&cut).is_subset(&full) {
         violations.push(Violation::new(
             "overload-subset",
@@ -1070,7 +1062,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         engine.query(&query).expect("parsed on the batched path")
     };
     let hedged = run_hedged();
-    check_stats(&hedged, "hedged", false, &mut violations);
+    check_stats(&hedged, "hedged", &mut violations);
     if fingerprint(&hedged) != full_fp {
         violations.push(Violation::new(
             "overload-hedge-equality",

@@ -1,17 +1,16 @@
-//! The resident engine's query-level caches.
+//! The resident engine's keyed stores.
 //!
 //! The paper's mediator handles one query at a time; a resident,
-//! concurrently shared [`crate::middleware::S2s`] adds two cache layers
-//! *above* the materialized views and the compiled-rule cache:
+//! concurrently shared [`crate::middleware::S2s`] memoizes three things,
+//! all in one crate-private `Lru` (recency-stamped map, hit/miss/eviction
+//! counters mirrored to the metrics registry): compiled rules
+//! ([`crate::rules::RuleCache`]) and, above the materialized views, the
+//! two query-level caches of this module:
 //!
-//! * [`PlanCache`] — memoizes the parse/validate/plan front half of
+//! * the plan cache — memoizes the parse/validate/plan front half of
 //!   query handling, keyed on [`crate::query::normalize`]d S2SQL text.
-//!   LRU-bounded; each entry carries a [`DependencySet`] naming the
-//!   sources its class was mapped to at plan time, and a mapping edit
-//!   drops exactly the plans that named the edited source. (Plans are
-//!   derived from the immutable ontology plus the query text alone, so
-//!   the drop is a bounded hygiene measure, not a correctness
-//!   requirement — a re-derived plan is always identical.)
+//!   A plan derives from the immutable ontology and the query text
+//!   alone, so nothing invalidates one: only the LRU bound drops it.
 //! * [`QueryResultCache`] — memoizes whole query answers (the
 //!   [`InstanceSet`] plus the stats of the run that produced it),
 //!   same normalized key, LRU + optional TTL in *simulated* time.
@@ -31,12 +30,19 @@
 //! so a hit skips the parser entirely; normalization is injective with
 //! respect to the parser's token stream, so two queries share a key
 //! only if the parser cannot tell them apart.
+//!
+//! Every lookup and insert tells its caller what it did, and a query's
+//! [`QueryStats`] cache figures are tallied from those answers alone —
+//! never read back from the engine-wide counters, where concurrent
+//! clients would see each other's operations.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use s2s_netsim::SimDuration;
 
 use crate::instance::InstanceSet;
@@ -55,22 +61,142 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Removes the entry with the smallest recency stamp. O(n) scan — the
-/// caches are small (thousands of entries) and eviction only runs at
+impl CacheStats {
+    /// Tallies one lookup: a hit when it found something, else a miss.
+    pub(crate) fn lookup(&mut self, found: bool) {
+        if found {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    stamp: AtomicU64,
+}
+
+/// The engine's one keyed store: a capacity-bounded map with
+/// least-recently-used eviction. A hit takes only the shared lock and
+/// refreshes the entry's recency stamp with a relaxed store (the stamp
+/// publishes nothing); eviction is an O(n) scan for the smallest stamp
+/// — the stores are small (thousands of entries) and it only runs at
 /// capacity, so a heap is not worth the bookkeeping.
-pub(crate) fn evict_lru<K, V>(
-    entries: &mut HashMap<K, V>,
-    stamp_of: impl Fn(&V) -> &AtomicU64,
-) -> Option<K>
-where
-    K: Clone + Eq + std::hash::Hash,
-{
-    let victim = entries
-        .iter()
-        .min_by_key(|(_, v)| stamp_of(v).load(Ordering::Relaxed))
-        .map(|(k, _)| k.clone())?;
-    entries.remove(&victim);
-    Some(victim)
+#[derive(Debug)]
+pub(crate) struct Lru<K, V> {
+    slots: RwLock<HashMap<K, Slot<V>>>,
+    capacity: usize,
+    tick: AtomicU64,
+    /// Hits, misses, evictions.
+    counts: [AtomicU64; 3],
+    /// The metric each count is mirrored to.
+    names: [&'static str; 3],
+}
+
+impl<K: Clone + Eq + Hash, V> Lru<K, V> {
+    /// An empty store holding at most `capacity` entries (min 1) whose
+    /// hits, misses and evictions feed the three named counters.
+    pub(crate) fn new(capacity: usize, names: [&'static str; 3]) -> Self {
+        Lru {
+            slots: RwLock::new(HashMap::new()),
+            capacity: capacity.max(1),
+            tick: AtomicU64::new(0),
+            counts: Default::default(),
+            names,
+        }
+    }
+
+    fn count(&self, which: usize) {
+        self.counts[which].fetch_add(1, Ordering::Relaxed);
+        if s2s_obs::enabled() {
+            s2s_obs::global().counter(self.names[which]).inc();
+        }
+    }
+
+    fn next_stamp(&self) -> u64 {
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Looks `key` up, counting a hit or a miss.
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+        V: Clone,
+    {
+        self.get_if(key, |value| Some(value.clone()))
+    }
+
+    /// [`Lru::get`] for entries that can go stale: `read` returns what
+    /// the caller wants of a live entry and `None` for a dead one,
+    /// which is dropped and counted as a miss.
+    pub(crate) fn get_if<Q, R>(&self, key: &Q, read: impl Fn(&V) -> Option<R>) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let (hit, dead) = match self.slots.read().get(key) {
+            Some(slot) => match read(&slot.value) {
+                Some(hit) => {
+                    slot.stamp.store(self.next_stamp(), Ordering::Relaxed);
+                    (Some(hit), false)
+                }
+                None => (None, true),
+            },
+            None => (None, false),
+        };
+        if dead {
+            // Re-check under the write lock: a racing insert may have
+            // replaced the entry with a live one.
+            let mut slots = self.slots.write();
+            if slots.get(key).is_some_and(|slot| read(&slot.value).is_none()) {
+                slots.remove(key);
+            }
+        }
+        self.count(usize::from(hit.is_none()));
+        hit
+    }
+
+    /// Stores `value` under `key` (replacing any previous value),
+    /// evicting the least recently used entry at capacity. Returns
+    /// whether an entry was evicted.
+    pub(crate) fn insert(&self, key: K, value: V) -> bool {
+        let stamp = AtomicU64::new(self.next_stamp());
+        let mut slots = self.slots.write();
+        let evict = !slots.contains_key(&key) && slots.len() >= self.capacity;
+        if evict {
+            let oldest = slots
+                .iter()
+                .min_by_key(|(_, slot)| slot.stamp.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone())
+                .expect("at capacity (min 1), so non-empty");
+            slots.remove(&oldest);
+            self.count(2);
+        }
+        slots.insert(key, Slot { value, stamp });
+        evict
+    }
+
+    /// Drops every entry `keep` rejects, returning how many went.
+    pub(crate) fn retain(&self, keep: impl Fn(&V) -> bool) -> usize {
+        let mut slots = self.slots.write();
+        let before = slots.len();
+        slots.retain(|_, slot| keep(&slot.value));
+        before - slots.len()
+    }
+
+    /// Number of entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.read().len()
+    }
+
+    /// Counter snapshot.
+    pub(crate) fn stats(&self) -> CacheStats {
+        let [hits, misses, evictions] = [0, 1, 2].map(|i| self.counts[i].load(Ordering::Relaxed));
+        CacheStats { hits, misses, evictions }
+    }
 }
 
 /// The `(source, version)` dependencies a cached artifact read,
@@ -116,157 +242,19 @@ impl DependencySet {
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.sources.iter().map(|(s, v)| (s.as_str(), *v))
     }
-
-    /// Number of sources depended on.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
 }
 
-#[derive(Debug)]
-struct PlanEntry {
-    plan: Arc<QueryPlan>,
-    deps: DependencySet,
-    stamp: AtomicU64,
-}
+/// The plan cache: an LRU-bounded memo of validated query plans,
+/// keyed on normalized S2SQL text. Parse/semantic errors are never
+/// cached: a bad query re-reports its error each time.
+pub(crate) type PlanCache = Lru<String, Arc<QueryPlan>>;
 
-/// An LRU-bounded memo of validated query plans, keyed on normalized
-/// S2SQL text. Parse/semantic errors are never cached: a bad query
-/// re-reports its error each time.
-#[derive(Debug)]
-pub struct PlanCache {
-    entries: RwLock<HashMap<String, PlanEntry>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
-    }
-}
-
-impl PlanCache {
-    /// Default LRU capacity (distinct normalized query texts).
-    pub const DEFAULT_CAPACITY: usize = 256;
-
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        PlanCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` plans (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache {
-            entries: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up the plan for a normalized query text.
-    pub fn get(&self, key: &str) -> Option<Arc<QueryPlan>> {
-        let hit = {
-            let entries = self.entries.read();
-            entries.get(key).map(|e| {
-                e.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-                Arc::clone(&e.plan)
-            })
-        };
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if s2s_obs::enabled() {
-            let name = if hit.is_some() {
-                s2s_obs::names::PLAN_CACHE_HITS_TOTAL
-            } else {
-                s2s_obs::names::PLAN_CACHE_MISSES_TOTAL
-            };
-            s2s_obs::global().counter(name).inc();
-        }
-        hit
-    }
-
-    /// Stores a plan with no recorded dependencies (never dropped by
-    /// targeted invalidation), evicting the least recently used entry
-    /// at capacity.
-    pub fn insert(&self, key: String, plan: Arc<QueryPlan>) {
-        self.insert_with_deps(key, plan, DependencySet::new());
-    }
-
-    /// Stores a plan together with the sources its class was mapped to
-    /// at plan time, evicting the least recently used entry at
-    /// capacity.
-    pub fn insert_with_deps(&self, key: String, plan: Arc<QueryPlan>, deps: DependencySet) {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut entries = self.entries.write();
-        if !entries.contains_key(&key) && entries.len() >= self.capacity {
-            evict_lru(&mut entries, |e: &PlanEntry| &e.stamp);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if s2s_obs::enabled() {
-                s2s_obs::global().counter(s2s_obs::names::PLAN_CACHE_EVICTIONS_TOTAL).inc();
-            }
-        }
-        entries.insert(key, PlanEntry { plan, deps, stamp: AtomicU64::new(stamp) });
-    }
-
-    /// Drops every plan whose dependency set names `source`, returning
-    /// how many were dropped. Called when a mapping edit touches the
-    /// source; plans that never read it survive.
-    pub fn invalidate_source(&self, source: &str) -> usize {
-        let dropped = {
-            let mut entries = self.entries.write();
-            let before = entries.len();
-            entries.retain(|_, e| !e.deps.depends_on(source));
-            before - entries.len()
-        };
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::PLAN_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped as u64);
-        }
-        dropped
-    }
-
-    /// Entries dropped by targeted invalidation (distinct from LRU
-    /// evictions).
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
+/// An empty plan cache, bounded at 256 distinct normalized query texts.
+pub(crate) fn plan_cache() -> PlanCache {
+    use s2s_obs::names::{
+        PLAN_CACHE_EVICTIONS_TOTAL, PLAN_CACHE_HITS_TOTAL, PLAN_CACHE_MISSES_TOTAL,
+    };
+    Lru::new(256, [PLAN_CACHE_HITS_TOTAL, PLAN_CACHE_MISSES_TOTAL, PLAN_CACHE_EVICTIONS_TOTAL])
 }
 
 /// Sizing and freshness policy for a [`QueryResultCache`].
@@ -301,181 +289,95 @@ pub struct CachedResult {
 
 #[derive(Debug)]
 struct ResultEntry {
-    plan: Arc<QueryPlan>,
-    instances: Arc<InstanceSet>,
-    origin: QueryStats,
+    result: CachedResult,
     deps: DependencySet,
     inserted_at: SimDuration,
-    stamp: AtomicU64,
-}
-
-/// Entries plus the per-source invalidation floor, guarded by one lock
-/// so admission checks and invalidations are atomic with respect to
-/// each other (the floor is what makes the admission-time version check
-/// race-free: a mutation first raises the floor, then drops entries;
-/// an insert whose dependencies predate the floor is refused even if it
-/// lands after the drop).
-#[derive(Debug, Default)]
-struct ResultState {
-    entries: HashMap<String, ResultEntry>,
-    /// Highest mutation version seen per source: inserts that read an
-    /// older version of the source are stale and refused.
-    floors: HashMap<String, u64>,
 }
 
 /// An LRU + TTL memo of whole query answers, keyed on normalized S2SQL
 /// text. See the module docs for the admission and invalidation rules.
 #[derive(Debug)]
 pub struct QueryResultCache {
-    state: RwLock<ResultState>,
-    config: ResultCacheConfig,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    entries: Lru<String, ResultEntry>,
+    /// Highest mutation version seen per source. The lock is held
+    /// across the entry insert or drop it guards (always taken before
+    /// the store's own), which makes the admission-time version check
+    /// race-free: a mutation first raises the floor, then drops
+    /// entries; an insert whose dependencies predate the floor is
+    /// refused even if it lands after the drop.
+    floors: Mutex<HashMap<String, u64>>,
+    ttl: Option<SimDuration>,
     invalidations: AtomicU64,
-}
-
-impl Default for QueryResultCache {
-    fn default() -> Self {
-        QueryResultCache::new(ResultCacheConfig::default())
-    }
 }
 
 impl QueryResultCache {
     /// An empty cache with the given policy.
     pub fn new(config: ResultCacheConfig) -> Self {
+        use s2s_obs::names::{
+            RESULT_CACHE_EVICTIONS_TOTAL, RESULT_CACHE_HITS_TOTAL, RESULT_CACHE_MISSES_TOTAL,
+        };
+        let names =
+            [RESULT_CACHE_HITS_TOTAL, RESULT_CACHE_MISSES_TOTAL, RESULT_CACHE_EVICTIONS_TOTAL];
         QueryResultCache {
-            state: RwLock::new(ResultState::default()),
-            config: ResultCacheConfig { capacity: config.capacity.max(1), ..config },
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            entries: Lru::new(config.capacity, names),
+            floors: Mutex::new(HashMap::new()),
+            ttl: config.ttl,
             invalidations: AtomicU64::new(0),
         }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> ResultCacheConfig {
-        self.config
     }
 
     /// Looks up the cached answer for a normalized query text at
     /// simulated instant `now`. An entry past its TTL is dropped and
     /// counted as a miss.
     pub fn get(&self, key: &str, now: SimDuration) -> Option<CachedResult> {
-        let (hit, expired) = {
-            let state = self.state.read();
-            match state.entries.get(key) {
-                Some(e) if self.fresh(e, now) => {
-                    e.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-                    (
-                        Some(CachedResult {
-                            plan: Arc::clone(&e.plan),
-                            instances: Arc::clone(&e.instances),
-                            origin: e.origin,
-                        }),
-                        false,
-                    )
-                }
-                Some(_) => (None, true),
-                None => (None, false),
-            }
-        };
-        if expired {
-            // Re-check under the write lock: a racing refresh may have
-            // replaced the entry with a fresh one.
-            let mut state = self.state.write();
-            if state.entries.get(key).is_some_and(|e| !self.fresh(e, now)) {
-                state.entries.remove(key);
-            }
-        }
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if s2s_obs::enabled() {
-            let name = if hit.is_some() {
-                s2s_obs::names::RESULT_CACHE_HITS_TOTAL
-            } else {
-                s2s_obs::names::RESULT_CACHE_MISSES_TOTAL
-            };
-            s2s_obs::global().counter(name).inc();
-        }
-        hit
-    }
-
-    fn fresh(&self, e: &ResultEntry, now: SimDuration) -> bool {
-        match self.config.ttl {
-            Some(ttl) => now.saturating_sub(e.inserted_at) < ttl,
-            None => true,
-        }
+        self.entries.get_if(key, |e| {
+            let fresh = self.ttl.is_none_or(|ttl| now.saturating_sub(e.inserted_at) < ttl);
+            fresh.then(|| e.result.clone())
+        })
     }
 
     /// Stores an answer produced at simulated instant `now` together
     /// with the `(source, version)` dependencies the producing run
     /// read, evicting the least recently used entry at capacity. The
     /// caller enforces answer-quality admission (complete, failure-free
-    /// answers only); *this* method enforces freshness admission: if
-    /// any recorded dependency predates the per-source invalidation
-    /// floor — a mutation landed while the query was in flight — the
-    /// stale answer is refused and `false` is returned.
+    /// answers only); *this* method enforces freshness admission: an
+    /// answer with a dependency older than its source's floor — a
+    /// mutation landed while the query was in flight — is refused and
+    /// `false` returned.
     pub fn insert(
         &self,
         key: String,
-        plan: Arc<QueryPlan>,
-        instances: Arc<InstanceSet>,
-        origin: QueryStats,
+        result: CachedResult,
         deps: DependencySet,
         now: SimDuration,
     ) -> bool {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut state = self.state.write();
-        let stale = deps
-            .iter()
-            .any(|(source, version)| state.floors.get(source).is_some_and(|f| version < *f));
-        if stale {
-            return false;
+        let floors = self.floors.lock();
+        let stale =
+            deps.iter().any(|(source, version)| floors.get(source).is_some_and(|f| version < *f));
+        if !stale {
+            self.entries.insert(key, ResultEntry { result, deps, inserted_at: now });
         }
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.config.capacity {
-            evict_lru(&mut state.entries, |e: &ResultEntry| &e.stamp);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if s2s_obs::enabled() {
-                s2s_obs::global().counter(s2s_obs::names::RESULT_CACHE_EVICTIONS_TOTAL).inc();
-            }
+        !stale
+    }
+
+    /// Drops the entries `keep` rejects, counting them as invalidated.
+    fn invalidate(&self, keep: impl Fn(&ResultEntry) -> bool) -> usize {
+        let dropped = self.entries.retain(keep);
+        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
+        if dropped > 0 && s2s_obs::enabled() {
+            s2s_obs::global()
+                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
+                .add(dropped as u64);
         }
-        state.entries.insert(
-            key,
-            ResultEntry {
-                plan,
-                instances,
-                origin,
-                deps,
-                inserted_at: now,
-                stamp: AtomicU64::new(stamp),
-            },
-        );
-        true
+        dropped
     }
 
     /// Drops every cached answer — the fallback for mutations whose
     /// blast radius no dependency set can bound (registering a *new*
     /// source or attribute: existing answers may be missing data the
-    /// newcomer would have contributed).
-    pub fn invalidate_all(&self) {
-        let dropped = {
-            let mut state = self.state.write();
-            let n = state.entries.len();
-            state.entries.clear();
-            n as u64
-        };
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped);
-        }
+    /// newcomer would have contributed). Returns how many were dropped.
+    pub fn invalidate_all(&self) -> usize {
+        self.invalidate(|_| false)
     }
 
     /// Surgical invalidation for a mutation of `source` producing data
@@ -484,21 +386,10 @@ impl QueryResultCache {
     /// source at an older version. Entries that never read the source
     /// replay untouched. Returns how many entries were dropped.
     pub fn invalidate_source(&self, source: &str, version: u64) -> usize {
-        let dropped = {
-            let mut state = self.state.write();
-            let floor = state.floors.entry(source.to_string()).or_insert(0);
-            *floor = (*floor).max(version);
-            let before = state.entries.len();
-            state.entries.retain(|_, e| e.deps.version_of(source).is_none_or(|v| v >= version));
-            before - state.entries.len()
-        };
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped as u64);
-        }
-        dropped
+        let mut floors = self.floors.lock();
+        let floor = floors.entry(source.to_string()).or_insert(0);
+        *floor = (*floor).max(version);
+        self.invalidate(|e| e.deps.version_of(source).is_none_or(|v| v >= version))
     }
 
     /// Drops every entry that read `source` at *any* version, without
@@ -508,38 +399,22 @@ impl QueryResultCache {
     /// Registration holds `&mut S2s`, so no old-rule query can be in
     /// flight to race the drop. Returns how many entries were dropped.
     pub fn invalidate_dependents(&self, source: &str) -> usize {
-        let dropped = {
-            let mut state = self.state.write();
-            let before = state.entries.len();
-            state.entries.retain(|_, e| !e.deps.depends_on(source));
-            before - state.entries.len()
-        };
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped as u64);
-        }
-        dropped
+        self.invalidate(|e| !e.deps.depends_on(source))
     }
 
     /// Number of cached answers.
     pub fn len(&self) -> usize {
-        self.state.read().entries.len()
+        self.entries.len()
     }
 
     /// Whether the cache holds no answers.
     pub fn is_empty(&self) -> bool {
-        self.state.read().entries.is_empty()
+        self.len() == 0
     }
 
     /// Counter snapshot (hits, misses, LRU evictions).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.entries.stats()
     }
 
     /// Entries dropped by mutation invalidation (distinct from LRU
@@ -567,29 +442,74 @@ mod tests {
         Arc::new(query::plan(&query::parse(text).unwrap(), &onto).unwrap())
     }
 
-    fn answer() -> Arc<InstanceSet> {
-        Arc::new(InstanceSet {
-            graph: Graph::new(),
-            individuals: Vec::new(),
-            errors: Vec::new(),
-            completeness: 1.0,
-            round_trips: 0,
-        })
+    fn answer() -> CachedResult {
+        CachedResult {
+            plan: plan_of("SELECT watch"),
+            instances: Arc::new(InstanceSet {
+                graph: Graph::new(),
+                individuals: Vec::new(),
+                errors: Vec::new(),
+                completeness: 1.0,
+                round_trips: 0,
+            }),
+            origin: QueryStats::default(),
+        }
+    }
+
+    fn lru(capacity: usize) -> Lru<String, u32> {
+        Lru::new(capacity, ["s2s_test_hits", "s2s_test_misses", "s2s_test_evictions"])
     }
 
     #[test]
-    fn plan_cache_hits_and_evicts() {
-        let cache = PlanCache::with_capacity(2);
+    fn lru_evicts_the_least_recently_used_entry() {
+        let store = lru(2);
+        assert_eq!(store.get("a"), None);
+        assert!(!store.insert("a".into(), 1));
+        assert!(!store.insert("b".into(), 2));
+        // Touch `a`, so `b` is the victim; replacing a held key evicts
+        // nothing.
+        assert_eq!(store.get("a"), Some(1));
+        assert!(!store.insert("a".into(), 10));
+        assert!(store.insert("c".into(), 3));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.get("b"), None);
+        assert_eq!(store.get("a"), Some(10));
+        assert_eq!(store.get("c"), Some(3));
+        assert_eq!(store.stats(), CacheStats { hits: 3, misses: 2, evictions: 1 });
+    }
+
+    #[test]
+    fn lru_capacity_is_at_least_one() {
+        let store = lru(0);
+        assert!(!store.insert("a".into(), 1));
+        assert!(store.insert("b".into(), 2));
+        assert_eq!((store.get("a"), store.get("b")), (None, Some(2)));
+    }
+
+    #[test]
+    fn lru_get_if_drops_dead_entries_and_retain_reports_drops() {
+        let store = lru(8);
+        for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
+            store.insert(k.into(), v);
+        }
+        let odd = |v: &u32| (v % 2 == 1).then_some(*v);
+        assert_eq!(store.get_if("a", odd), Some(1));
+        // `b` is dead to this reader: a miss, and the entry goes.
+        assert_eq!(store.get_if("b", odd), None);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(store.retain(|v| *v > 1), 1);
+        assert_eq!(store.get("c"), Some(3));
+    }
+
+    #[test]
+    fn plan_cache_hits_after_insert() {
+        let cache = plan_cache();
         assert!(cache.get("SELECT watch").is_none());
-        cache.insert("SELECT watch".into(), plan_of("SELECT watch"));
+        assert!(!cache.insert("SELECT watch".into(), plan_of("SELECT watch")));
         assert!(cache.get("SELECT watch").is_some());
-        cache.insert("SELECT watch WHERE price < 10".into(), plan_of("SELECT watch"));
-        // Touch the first so the second is the LRU victim.
-        assert!(cache.get("SELECT watch").is_some());
-        cache.insert("SELECT watch WHERE price < 20".into(), plan_of("SELECT watch"));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("SELECT watch WHERE price < 10").is_none());
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
     }
 
     #[test]
@@ -599,14 +519,7 @@ mod tests {
             ttl: Some(SimDuration::from_millis(100)),
         });
         let key = "SELECT watch";
-        cache.insert(
-            key.into(),
-            plan_of(key),
-            answer(),
-            QueryStats::default(),
-            DependencySet::new(),
-            SimDuration::from_millis(10),
-        );
+        cache.insert(key.into(), answer(), DependencySet::new(), SimDuration::from_millis(10));
         assert!(cache.get(key, SimDuration::from_millis(50)).is_some());
         // 10 + 100 = 110: expired, dropped, counted as a miss.
         assert!(cache.get(key, SimDuration::from_millis(110)).is_none());
@@ -619,56 +532,25 @@ mod tests {
     fn result_cache_invalidation_counts_entries() {
         let cache = QueryResultCache::new(ResultCacheConfig::default());
         for text in ["SELECT a", "SELECT b", "SELECT c"] {
-            cache.insert(
-                text.into(),
-                plan_of("SELECT watch"),
-                answer(),
-                QueryStats::default(),
-                DependencySet::new(),
-                SimDuration::ZERO,
-            );
+            cache.insert(text.into(), answer(), DependencySet::new(), SimDuration::ZERO);
         }
-        cache.invalidate_all();
+        assert_eq!(cache.invalidate_all(), 3);
         assert!(cache.is_empty());
         assert_eq!(cache.invalidations(), 3);
         // Idempotent: an empty invalidation adds nothing.
-        cache.invalidate_all();
+        assert_eq!(cache.invalidate_all(), 0);
         assert_eq!(cache.invalidations(), 3);
     }
 
     #[test]
-    fn result_cache_lru_evicts_at_capacity() {
+    fn result_cache_is_bounded_by_its_configured_capacity() {
         let cache = QueryResultCache::new(ResultCacheConfig { capacity: 2, ttl: None });
         let now = SimDuration::ZERO;
-        let deps = DependencySet::new;
-        cache.insert(
-            "a".into(),
-            plan_of("SELECT watch"),
-            answer(),
-            QueryStats::default(),
-            deps(),
-            now,
-        );
-        cache.insert(
-            "b".into(),
-            plan_of("SELECT watch"),
-            answer(),
-            QueryStats::default(),
-            deps(),
-            now,
-        );
-        assert!(cache.get("a", now).is_some());
-        cache.insert(
-            "c".into(),
-            plan_of("SELECT watch"),
-            answer(),
-            QueryStats::default(),
-            deps(),
-            now,
-        );
+        for key in ["a", "b", "c"] {
+            cache.insert(key.into(), answer(), DependencySet::new(), now);
+        }
         assert_eq!(cache.len(), 2);
-        assert!(cache.get("b", now).is_none());
-        assert!(cache.get("a", now).is_some());
+        assert!(cache.get("a", now).is_none());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -696,18 +578,9 @@ mod tests {
     fn result_invalidation_drops_only_dependent_entries() {
         let cache = QueryResultCache::new(ResultCacheConfig::default());
         let now = SimDuration::ZERO;
-        let plan = plan_of("SELECT watch");
-        let stats = QueryStats::default;
-        cache.insert("q-db".into(), plan.clone(), answer(), stats(), deps_on(&[("DB", 0)]), now);
-        cache.insert("q-xml".into(), plan.clone(), answer(), stats(), deps_on(&[("XML", 0)]), now);
-        cache.insert(
-            "q-both".into(),
-            plan.clone(),
-            answer(),
-            stats(),
-            deps_on(&[("DB", 0), ("XML", 0)]),
-            now,
-        );
+        cache.insert("q-db".into(), answer(), deps_on(&[("DB", 0)]), now);
+        cache.insert("q-xml".into(), answer(), deps_on(&[("XML", 0)]), now);
+        cache.insert("q-both".into(), answer(), deps_on(&[("DB", 0), ("XML", 0)]), now);
         // Mutating DB to version 1 drops the two entries that read DB
         // at version 0; the XML-only entry survives and replays.
         assert_eq!(cache.invalidate_source("DB", 1), 2);
@@ -716,39 +589,29 @@ mod tests {
         assert!(cache.get("q-both", now).is_none());
         assert_eq!(cache.invalidations(), 2);
         // An entry that already read the post-mutation version is kept.
-        cache.insert("q-db2".into(), plan, answer(), stats(), deps_on(&[("DB", 1)]), now);
+        cache.insert("q-db2".into(), answer(), deps_on(&[("DB", 1)]), now);
         assert_eq!(cache.invalidate_source("DB", 1), 0);
         assert!(cache.get("q-db2", now).is_some());
+        // A mapping edit drops every reader of the source, whatever the
+        // version, and leaves the floor where it was.
+        assert_eq!(cache.invalidate_dependents("DB"), 1);
+        assert!(cache.get("q-xml", now).is_some());
+        assert!(cache.insert("q-db3".into(), answer(), deps_on(&[("DB", 1)]), now));
     }
 
     #[test]
     fn admission_floor_refuses_stale_insert() {
         let cache = QueryResultCache::new(ResultCacheConfig::default());
         let now = SimDuration::ZERO;
-        let plan = plan_of("SELECT watch");
         // A mutation lands while a query that read DB@0 is in flight.
         cache.invalidate_source("DB", 1);
         assert!(
-            !cache.insert(
-                "late".into(),
-                plan.clone(),
-                answer(),
-                QueryStats::default(),
-                deps_on(&[("DB", 0)]),
-                now
-            ),
+            !cache.insert("late".into(), answer(), deps_on(&[("DB", 0)]), now),
             "an answer that read the pre-mutation snapshot must be refused"
         );
         assert!(cache.get("late", now).is_none());
         // The same query re-run against the new snapshot is admitted.
-        assert!(cache.insert(
-            "late".into(),
-            plan,
-            answer(),
-            QueryStats::default(),
-            deps_on(&[("DB", 1)]),
-            now
-        ));
+        assert!(cache.insert("late".into(), answer(), deps_on(&[("DB", 1)]), now));
         assert!(cache.get("late", now).is_some());
     }
 
@@ -758,11 +621,9 @@ mod tests {
             capacity: 8,
             ttl: Some(SimDuration::from_millis(100)),
         });
-        let plan = plan_of("SELECT watch");
-        let stats = QueryStats::default;
         let t0 = SimDuration::ZERO;
-        cache.insert("a".into(), plan.clone(), answer(), stats(), deps_on(&[("DB", 0)]), t0);
-        cache.insert("b".into(), plan.clone(), answer(), stats(), deps_on(&[("XML", 0)]), t0);
+        cache.insert("a".into(), answer(), deps_on(&[("DB", 0)]), t0);
+        cache.insert("b".into(), answer(), deps_on(&[("XML", 0)]), t0);
         // Dependency invalidation drops `a` well before its TTL.
         assert_eq!(cache.invalidate_source("DB", 1), 1);
         assert!(cache.get("a", SimDuration::from_millis(10)).is_none());
@@ -773,24 +634,40 @@ mod tests {
         // And a post-expiry reinsert remains subject to the floor.
         assert!(!cache.insert(
             "a".into(),
-            plan,
             answer(),
-            stats(),
             deps_on(&[("DB", 0)]),
             SimDuration::from_millis(150)
         ));
     }
 
+    /// The floor check and the drop are atomic with respect to each
+    /// other: however a mutation interleaves with inserts of answers
+    /// that read the pre-mutation snapshot, none survives it.
     #[test]
-    fn plan_cache_invalidates_by_mapped_source() {
-        let cache = PlanCache::new();
-        cache.insert_with_deps("q1".into(), plan_of("SELECT watch"), deps_on(&[("DB", 0)]));
-        cache.insert_with_deps("q2".into(), plan_of("SELECT watch"), deps_on(&[("XML", 0)]));
-        cache.insert("q3".into(), plan_of("SELECT watch"));
-        assert_eq!(cache.invalidate_source("DB"), 1);
-        assert!(cache.get("q1").is_none());
-        assert!(cache.get("q2").is_some());
-        assert!(cache.get("q3").is_some(), "dep-free plans survive targeted drops");
-        assert_eq!(cache.invalidations(), 1);
+    fn concurrent_mutation_never_leaves_a_stale_entry() {
+        for _ in 0..50 {
+            let cache = QueryResultCache::new(ResultCacheConfig::default());
+            let (stale, start) = (answer(), std::sync::Barrier::new(3));
+            std::thread::scope(|scope| {
+                for t in 0..2 {
+                    let (cache, stale, start) = (&cache, &stale, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..20 {
+                            let deps = deps_on(&[("DB", 0)]);
+                            cache.insert(
+                                format!("q{t}-{i}"),
+                                stale.clone(),
+                                deps,
+                                SimDuration::ZERO,
+                            );
+                        }
+                    });
+                }
+                start.wait();
+                cache.invalidate_source("DB", 1);
+            });
+            assert!(cache.is_empty(), "{} stale entries survived", cache.len());
+        }
     }
 }

@@ -31,6 +31,7 @@ use s2s_netsim::{
 use s2s_obs::{Span, SpanKind, SpanOutcome};
 use s2s_webdoc::{WebStore, WeblProgram, WeblValue};
 
+use crate::engine::CacheStats;
 use crate::error::{FailureClass, S2sError};
 use crate::mapping::{AttributeMapping, ExtractionRule, MappingModule, RecordScenario};
 use crate::rules::{CompiledRule, RuleCache};
@@ -303,6 +304,10 @@ pub struct ExtractionReport {
     /// shipping versus the pre-rewrite (baseline) rules, summed over
     /// completed exchanges.
     pub wire_bytes_saved: u64,
+    /// What the compiled-rule cache answered for this round's planned
+    /// rules: one lookup per rule that reached it (the planner's
+    /// baseline-pricing runs are not the round's rules and not counted).
+    pub rule_cache: CacheStats,
 }
 
 impl ExtractionReport {
@@ -377,15 +382,15 @@ impl ExtractorManager {
     ///
     /// When [`ExtractEnv::traced`], the report's `spans` carry one
     /// `batch` span per planned wire exchange, with one `rule` child
-    /// per planned rule (rule-cache provenance included — the planner
-    /// runs serially, so the cache-stat deltas are unambiguous) and one
-    /// `attempt` child per endpoint tried.
+    /// per planned rule (rule-cache provenance included: what that
+    /// rule's own lookup returned) and one `attempt` child per endpoint
+    /// tried.
     pub fn extract(
         registry: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
         env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
-        let batches = plan_batches(registry, schemas, env);
+        let (batches, rule_cache) = plan_batches(registry, schemas, env);
         if s2s_obs::enabled() {
             s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
         }
@@ -403,7 +408,7 @@ impl ExtractorManager {
             _ => env.pool.run(batches, |batch| run_batch(batch, env)),
         };
 
-        let mut report = ExtractionReport::default();
+        let mut report = ExtractionReport { rule_cache, ..Default::default() };
         let mut durations = Vec::new();
         let mut results = Vec::new();
         let mut failures = Vec::new();
@@ -566,13 +571,14 @@ struct PlannedBatch<'a> {
 /// Groups schemas — by source, or one group per schema when
 /// [`ExtractEnv::batching`] is off — runs the local wrapper half, and
 /// sizes the coalesced `BatchRequest`/`BatchResponse` exchange for each
-/// group.
+/// group. Also returns what the rule cache answered, rule by rule.
 fn plan_batches<'a>(
     registry: &'a SourceRegistry,
     schemas: Vec<ExtractionSchema>,
     env: &ExtractEnv<'_>,
-) -> Vec<PlannedBatch<'a>> {
+) -> (Vec<PlannedBatch<'a>>, CacheStats) {
     let (rules, traced) = (env.rules, env.traced);
+    let mut rule_cache = CacheStats::default();
     // Group key: `(source, 0)` coalesces a source's schemas; `(source,
     // submission index)` keeps every schema on its own exchange.
     let mut groups: BTreeMap<(String, usize), Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
@@ -594,16 +600,21 @@ fn plan_batches<'a>(
         let mut rule_spans = Vec::new();
         for (i, schema) in group {
             let rule_started = std::time::Instant::now();
-            // Planning runs serially in the caller's thread, so the
-            // rule-cache stat delta around one wrapper run attributes
-            // hit/miss provenance to this rule unambiguously.
-            let hits_before = if traced { rules.stats().hits } else { 0 };
-            let prepared = prepare_values(registry, &schema.mapping, rules);
+            // This rule's own lookup: the span's provenance and the
+            // round's account both come from it (a rule that fails
+            // before reaching the cache has none).
+            let mut lookup = CacheStats::default();
+            let prepared = prepare_accounted(registry, &schema.mapping, rules, &mut lookup);
+            rule_cache.hits += lookup.hits;
+            rule_cache.misses += lookup.misses;
+            rule_cache.evictions += lookup.evictions;
             if traced {
                 let mut span = Span::new(SpanKind::Rule, schema.mapping.path().to_string());
                 span.wall_us = rule_started.elapsed().as_micros() as u64;
                 span.attr("source", source_id.clone());
-                span.attr("cache", if rules.stats().hits > hits_before { "hit" } else { "miss" });
+                if lookup.hits + lookup.misses > 0 {
+                    span.attr("cache", if lookup.hits > 0 { "hit" } else { "miss" });
+                }
                 match &prepared {
                     Ok(values) => span.attr("values", values.len().to_string()),
                     Err(error) => {
@@ -677,7 +688,7 @@ fn plan_batches<'a>(
             .then_with(|| a.source_id.cmp(&b.source_id))
             .then_with(|| a.first.cmp(&b.first))
     });
-    batches
+    (batches, rule_cache)
 }
 
 fn failure_of(schema: &ExtractionSchema, error: S2sError) -> ExtractionFailure {
@@ -961,14 +972,26 @@ fn note_deadline_exceeded() {
     }
 }
 
-/// Source lookup, rule/kind check, wrapper run, and scenario
-/// truncation — everything local; no wire accounting. Also the
-/// pushdown planner's pricing oracle: it runs baseline rules locally
-/// to size the exchanges a rewrite avoids.
+/// [`prepare_accounted`] for runs that are not one of a query's planned
+/// rules, so their rule-cache lookup goes to no one's account: the
+/// pushdown planner's pricing oracle (it runs baseline rules locally to
+/// size the exchanges a rewrite avoids) and [`extract_one`].
 pub(crate) fn prepare_values(
     registry: &SourceRegistry,
     mapping: &AttributeMapping,
     rules: &RuleCache,
+) -> Result<Vec<String>, S2sError> {
+    prepare_accounted(registry, mapping, rules, &mut CacheStats::default())
+}
+
+/// Source lookup, rule/kind check, wrapper run, and scenario
+/// truncation — everything local; no wire accounting. The rule-cache
+/// lookup, if the rule gets that far, is tallied into `account`.
+fn prepare_accounted(
+    registry: &SourceRegistry,
+    mapping: &AttributeMapping,
+    rules: &RuleCache,
+    account: &mut CacheStats,
 ) -> Result<Vec<String>, S2sError> {
     let source = registry.require(mapping.source())?;
     if !mapping.rule().compatible_with(source.kind()) {
@@ -982,7 +1005,7 @@ pub(crate) fn prepare_values(
         });
     }
 
-    let mut values = run_wrapper(source.connection(), mapping.rule(), rules)?;
+    let mut values = run_wrapper(source.connection(), mapping.rule(), rules, account)?;
     if mapping.scenario() == RecordScenario::SingleRecord {
         values.truncate(1);
     }
@@ -997,8 +1020,9 @@ fn run_wrapper(
     connection: &Connection,
     rule: &ExtractionRule,
     rules: &RuleCache,
+    account: &mut CacheStats,
 ) -> Result<Vec<String>, S2sError> {
-    let compiled = rules.get_or_compile(rule)?;
+    let compiled = rules.get_or_compile(rule, account)?;
     match (connection, compiled) {
         (Connection::Database { db }, CompiledRule::Sql(stmt)) => {
             let ExtractionRule::Sql { column, .. } = rule else { unreachable!() };
@@ -1626,16 +1650,15 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
         let rules = RuleCache::new();
-        let _ = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules, true);
-        let first = rules.stats();
-        assert_eq!(first, CacheStats { hits: 0, misses: 7, evictions: 0 });
-        // 6 of 7 rules compile (the broken regex never caches; the
-        // unknown-column SQL parses fine and only fails at execution).
-        assert_eq!(rules.len(), 6);
-        let _ = run(&r, schemas, Strategy::Serial, &ctx, &rules, true);
-        let second = rules.stats();
-        assert_eq!(second.misses - first.misses, 1, "only the broken regex recompiles");
-        assert_eq!(second.hits, 6);
+        let cold = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules, true);
+        assert_eq!(cold.rule_cache, CacheStats { hits: 0, misses: 7, evictions: 0 });
+        // 6 of 7 rules compile and stay (the broken regex never caches;
+        // the unknown-column SQL parses fine and only fails at
+        // execution). Each round's account is its own lookups; the
+        // cache's counters are their sum.
+        let warm = run(&r, schemas, Strategy::Serial, &ctx, &rules, true);
+        assert_eq!(warm.rule_cache, CacheStats { hits: 6, misses: 1, evictions: 0 });
+        assert_eq!(rules.stats(), CacheStats { hits: 6, misses: 8, evictions: 0 });
     }
 
     #[test]

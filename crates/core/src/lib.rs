@@ -29,8 +29,8 @@
 //!   together: a `Send + Sync` resident engine whose queries multiplex
 //!   onto one shared worker pool, layered behind an [`engine`]
 //!   plan cache and (opt-in) query-result cache;
-//! * [`engine`] — the resident engine's query-level caches
-//!   ([`engine::PlanCache`], [`engine::QueryResultCache`]);
+//! * [`engine`] — the resident engine's query-level caches (the plan
+//!   cache and [`engine::QueryResultCache`]) over its one LRU store;
 //! * [`baseline`] — the syntactic-only integrator used as the paper's
 //!   implicit comparison system (experiment E8).
 
@@ -52,7 +52,7 @@ pub mod view;
 pub use bootstrap::{
     BootstrapReport, ClassCandidate, Conflict, MappingCandidate, SchemaField, SchemaSummary,
 };
-pub use engine::{CacheStats, DependencySet, PlanCache, QueryResultCache, ResultCacheConfig};
+pub use engine::{CacheStats, DependencySet, QueryResultCache, ResultCacheConfig};
 pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy, SourceHealth};
 pub use middleware::{MutationReceipt, Priority, QueryOptions, S2s};

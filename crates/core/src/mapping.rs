@@ -15,6 +15,7 @@
 //! [`RecordScenario`] captures that and drives how extracted values are
 //! grouped into instances.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use s2s_owl::paths::ResolvedAttribute;
@@ -187,14 +188,21 @@ impl AttributeMapping {
     }
 }
 
-/// The attribute repository: all registered mappings, indexed by path
-/// and by class.
+/// The attribute repository: all registered mappings, keyed by the
+/// paper's `(attribute path, source id)` pair.
 #[derive(Debug, Clone, Default)]
 pub struct MappingModule {
-    by_path: BTreeMap<AttributePath, AttributeMapping>,
-    /// class IRI → paths mapped for that class (including inherited
-    /// attribute registrations made against the class itself).
-    by_class: BTreeMap<Iri, Vec<AttributePath>>,
+    /// path → its mappings, one per source, in [`source_order`].
+    by_path: BTreeMap<AttributePath, Vec<AttributeMapping>>,
+}
+
+/// Orders the sources of one path: case-folded with `_` read as `-`
+/// (the order answers have always been rendered in), then the raw id,
+/// so two distinct ids never compare equal.
+fn source_order(a: &SourceId, b: &SourceId) -> Ordering {
+    let fold = |byte: u8| if byte == b'_' { b'-' } else { byte.to_ascii_lowercase() };
+    let (a, b) = (a.as_str(), b.as_str());
+    a.bytes().map(fold).cmp(b.bytes().map(fold)).then_with(|| a.cmp(b))
 }
 
 impl MappingModule {
@@ -228,48 +236,33 @@ impl MappingModule {
         scenario: RecordScenario,
     ) -> Result<Option<AttributeMapping>, S2sError> {
         let resolved = path.resolve(ontology)?;
-        // Key by (path, source): extend the path with a source marker in
-        // the by_path map? Paths must stay clean; instead allow one rule
-        // per (path, source) by storing a composite key.
-        let key = composite(&path, &source);
-        let mapping = AttributeMapping {
-            path: path.clone(),
-            resolved: resolved.clone(),
-            rule,
-            source,
-            scenario,
-        };
-        let displaced = self.by_path.insert(key, mapping);
-        if displaced.is_none() {
-            self.by_class.entry(resolved.class).or_default().push(path);
-        }
-        Ok(displaced)
+        let mapping = AttributeMapping { path: path.clone(), resolved, rule, source, scenario };
+        let sources = self.by_path.entry(path).or_default();
+        Ok(match sources.binary_search_by(|held| source_order(&held.source, &mapping.source)) {
+            Ok(at) => Some(std::mem::replace(&mut sources[at], mapping)),
+            Err(at) => {
+                // Grown exactly: most paths have one source, and a `Vec`
+                // grown the amortized way starts with room for four.
+                sources.reserve_exact(1);
+                sources.insert(at, mapping);
+                None
+            }
+        })
     }
 
     /// All mappings for `path`, across sources.
     pub fn mappings_for(&self, path: &AttributePath) -> Vec<&AttributeMapping> {
-        self.by_path.values().filter(|m| m.path() == path).collect()
-    }
-
-    /// All mappings whose attribute belongs to `class` (exactly — use
-    /// the ontology to expand sub/superclasses first if needed).
-    pub fn mappings_for_class(&self, class: &Iri) -> Vec<&AttributeMapping> {
-        self.by_path.values().filter(|m| m.class() == class).collect()
-    }
-
-    /// All mappings registered against `source`.
-    pub fn mappings_for_source(&self, source: &SourceId) -> Vec<&AttributeMapping> {
-        self.by_path.values().filter(|m| m.source() == source).collect()
+        self.by_path.get(path).map(|sources| sources.iter().collect()).unwrap_or_default()
     }
 
     /// Every mapping, in key order.
     pub fn iter(&self) -> impl Iterator<Item = &AttributeMapping> {
-        self.by_path.values()
+        self.by_path.values().flatten()
     }
 
     /// Number of registered mappings.
     pub fn len(&self) -> usize {
-        self.by_path.len()
+        self.by_path.values().map(Vec::len).sum()
     }
 
     /// Whether no mappings are registered.
@@ -279,18 +272,8 @@ impl MappingModule {
 
     /// Whether `path` has at least one mapping.
     pub fn contains(&self, path: &AttributePath) -> bool {
-        !self.mappings_for(path).is_empty()
+        self.by_path.contains_key(path)
     }
-}
-
-/// Composite key: path plus source id, so one attribute can be fed by
-/// several sources.
-fn composite(path: &AttributePath, source: &SourceId) -> AttributePath {
-    // Paths are ordered maps keys; a parallel composite path with the
-    // source appended keeps ordering stable and unique.
-    let mut segments: Vec<String> = path.class_segments().to_vec();
-    segments.push(format!("src-{}", source.as_str().to_ascii_lowercase().replace('_', "-")));
-    AttributePath::new(segments, path.attribute_name()).unwrap_or_else(|_| path.clone())
 }
 
 #[cfg(test)]
@@ -366,7 +349,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(m.mappings_for(&path("thing.product.brand")).len(), 2);
-        assert_eq!(m.mappings_for_source(&"DB_ID_45".into()).len(), 1);
+        assert_eq!(m.iter().filter(|f| f.source().as_str() == "DB_ID_45").count(), 1);
     }
 
     #[test]
@@ -388,30 +371,98 @@ mod tests {
         assert_eq!(found[0].rule().text(), "b");
     }
 
+    fn regex(pattern: &str) -> ExtractionRule {
+        ExtractionRule::TextRegex { pattern: pattern.into(), group: 0 }
+    }
+
+    /// Ids the old lossy key (`src-<lower-cased id, '_'→'-'>`, or the
+    /// bare path when that was no legal segment) mapped to one slot.
     #[test]
-    fn class_index() {
+    fn distinct_sources_never_share_a_key() {
+        let o = onto();
+        let brand = path("thing.product.brand");
+        for (a, b) in
+            [("DB_1", "db-1"), ("a.example.org", "b.example.org"), ("feed one", "feed two")]
+        {
+            let mut m = MappingModule::new();
+            let single = RecordScenario::SingleRecord;
+            assert!(m.register(&o, brand.clone(), regex("a"), a.into(), single).unwrap().is_none());
+            let second = m.register(&o, brand.clone(), regex("b"), b.into(), single).unwrap();
+            assert!(second.is_none(), "{b} is a fresh registration, not an edit of {a}");
+            assert_eq!(m.len(), 2);
+            // Re-registering one is an edit of that one alone.
+            let displaced = m.register(&o, brand.clone(), regex("c"), a.into(), single).unwrap();
+            assert_eq!(displaced.expect("an edit").rule().text(), "a");
+            assert_eq!(m.len(), 2);
+            let mut found: Vec<(&str, &str)> = m
+                .mappings_for(&brand)
+                .into_iter()
+                .map(|f| (f.source().as_str(), f.rule().text()))
+                .collect();
+            found.sort_unstable();
+            let mut want = [(a, "c"), (b, "b")];
+            want.sort_unstable();
+            assert_eq!(found, want);
+        }
+    }
+
+    #[test]
+    fn sources_of_one_path_iterate_in_the_folded_id_order() {
         let o = onto();
         let mut m = MappingModule::new();
-        m.register(
-            &o,
-            path("thing.product.brand"),
-            ExtractionRule::XPath { path: "//brand".into() },
-            "X".into(),
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        m.register(
-            &o,
-            path("thing.product.watch.case"),
-            ExtractionRule::XPath { path: "//case".into() },
-            "X".into(),
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        let product = o.class_iri("Product").unwrap();
-        let watch = o.class_iri("Watch").unwrap();
-        assert_eq!(m.mappings_for_class(&product).len(), 1);
-        assert_eq!(m.mappings_for_class(&watch).len(), 1);
+        // Case-folded, `_` read as `-`; the raw id breaks ties.
+        for src in ["wpage_81", "XML_7", "db-1", "DB_ID_45", "txt_9", "DB_1"] {
+            let brand = path("thing.product.brand");
+            m.register(&o, brand, regex("x"), src.into(), RecordScenario::SingleRecord).unwrap();
+        }
+        let order: Vec<&str> = m
+            .mappings_for(&path("thing.product.brand"))
+            .into_iter()
+            .map(|f| f.source().as_str())
+            .collect();
+        assert_eq!(order, ["DB_1", "db-1", "DB_ID_45", "txt_9", "wpage_81", "XML_7"]);
+    }
+
+    /// 4 096 mappings: `mappings_for`/`contains` agree with a brute-force
+    /// filter over every mapping for present, absent and multi-source
+    /// paths.
+    #[test]
+    fn index_lookups_match_a_full_scan() {
+        let mut b = Ontology::builder("http://example.org/big#").class("Root", None).unwrap();
+        for c in 0..64 {
+            b = b.class(&format!("C{c}"), Some("Root")).unwrap();
+            for p in 0..8 {
+                let prop = format!("p{c}x{p}");
+                b = b
+                    .datatype_property(&prop, &format!("C{c}"), s2s_rdf::vocab::xsd::STRING)
+                    .unwrap();
+            }
+        }
+        let o = b.build().unwrap();
+        let mut m = MappingModule::new();
+        let mut paths = Vec::new();
+        for c in 0..64 {
+            for p in 0..8 {
+                let attr = path(&format!("thing.root.c{c}.p{c}x{p}"));
+                // 8 sources per path: 64 × 8 × 8 = 4 096 mappings.
+                for s in 0..8 {
+                    let src = format!("S_{}", (c + p + s) % 23);
+                    let multi = RecordScenario::MultiRecord;
+                    m.register(&o, attr.clone(), regex("x"), src.as_str().into(), multi).unwrap();
+                }
+                paths.push(attr);
+            }
+        }
+        assert_eq!(m.len(), 4096);
+        assert_eq!(m.iter().count(), 4096);
+        paths.push(path("thing.root.c0.p1x0")); // well-formed, never registered
+        for probe in &paths {
+            let scan: Vec<&AttributeMapping> = m.iter().filter(|f| f.path() == probe).collect();
+            assert_eq!(m.mappings_for(probe), scan, "{probe}");
+            assert_eq!(m.contains(probe), !scan.is_empty(), "{probe}");
+        }
+        assert_eq!(m.mappings_for(&paths[0]).len(), 8);
+        assert!(!m.contains(paths.last().unwrap()));
     }
 
     #[test]

@@ -15,7 +15,9 @@ use s2s_netsim::{
 use s2s_obs::{Span, SpanKind, SpanOutcome, Trace};
 use s2s_owl::{AttributePath, Ontology};
 
-use crate::engine::{CacheStats, DependencySet, PlanCache, QueryResultCache, ResultCacheConfig};
+use crate::engine::{
+    self, CacheStats, CachedResult, DependencySet, PlanCache, QueryResultCache, ResultCacheConfig,
+};
 use crate::error::S2sError;
 use crate::extract::{
     AttributeResult, ExtractEnv, ExtractionFailure, ExtractorManager, ResilienceContext,
@@ -50,14 +52,18 @@ pub struct QueryStats {
     /// contribute zero round trips — admission control refuses them
     /// before any wire traffic.
     pub round_trips: u64,
-    /// Compiled-rule-cache hit/miss counters for this query alone.
+    /// What the compiled-rule cache answered for this query alone: one
+    /// lookup per planned rule, plus any eviction its compiles caused.
+    /// Like the two below, tallied from this query's own lookups and
+    /// inserts — other clients of a shared engine never show up here.
     pub rule_cache: CacheStats,
-    /// Plan-cache hit/miss counters for this query alone (always
-    /// active; a hit skips the parse/validate/plan front half).
+    /// This query's one plan-cache lookup (always active; a hit skips
+    /// the parse/validate/plan front half) and whether publishing its
+    /// fresh plan evicted another. Zeros for replayed and shed queries.
     pub plan_cache: CacheStats,
-    /// Query-result-cache hit/miss counters for this query alone
-    /// (zeros when the result cache is disabled). A hit means the
-    /// whole answer was replayed without touching any source.
+    /// This query's one result-cache lookup (zeros when the result
+    /// cache is disabled). A hit means the whole answer was replayed
+    /// without touching any source.
     pub result_cache: CacheStats,
     /// Fraction of requested (mapped) attributes answered, in
     /// `[0, 1]`; `1.0` means no degradation.
@@ -192,10 +198,9 @@ pub struct QueryOutcome {
     pub instances: InstanceSet,
     /// Execution statistics.
     pub stats: QueryStats,
-    /// Total simulated extraction time spent per source.
-    pub source_times: std::collections::BTreeMap<String, SimDuration>,
     /// Degraded-mode report: per-source attempts, retries, failovers,
-    /// breaker rejections, and breaker state.
+    /// breaker rejections, breaker state, and simulated wire time
+    /// ([`SourceHealth::elapsed`]).
     pub resilience: std::collections::BTreeMap<String, SourceHealth>,
     /// The query's trace tree (`Some` only when tracing is enabled via
     /// [`S2s::with_tracing`]).
@@ -288,7 +293,7 @@ impl S2s {
             mappings: RwLock::new(MappingModule::new()),
             strategy: Strategy::Serial,
             rules: Arc::new(RuleCache::new()),
-            plans: Arc::new(PlanCache::new()),
+            plans: Arc::new(engine::plan_cache()),
             results: None,
             pool: Arc::new(WorkerPool::new(1)),
             batching: true,
@@ -452,14 +457,7 @@ impl S2s {
     /// dropped. Called internally on mutations whose blast radius no
     /// dependency set can bound (new source/attribute registrations).
     fn invalidate_results(&self) -> usize {
-        match &self.results {
-            Some(r) => {
-                let n = r.len();
-                r.invalidate_all();
-                n
-            }
-            None => 0,
-        }
+        self.results.as_ref().map_or(0, |r| r.invalidate_all())
     }
 
     /// Applies a data mutation to a registered source: swaps its
@@ -672,9 +670,10 @@ impl S2s {
     /// never saw, so every cached answer is cleared wholesale — no
     /// dependency set can account for data an entry is missing. An
     /// **edit** (re-registering an existing pair with a new rule)
-    /// invalidates surgically: only entries, plans, and views that
-    /// depended on the edited source are dropped; hot entries for
-    /// untouched sources keep replaying.
+    /// invalidates surgically: only answers and views that depended on
+    /// the edited source are dropped; hot entries for untouched sources
+    /// keep replaying, and plans — derived from the ontology and the
+    /// query text alone — all stay.
     ///
     /// # Errors
     ///
@@ -698,7 +697,6 @@ impl S2s {
             if let Some(r) = &self.results {
                 r.invalidate_dependents(source);
             }
-            self.plans.invalidate_source(source);
             if let Some(v) = &self.views {
                 v.remove_source(source);
             }
@@ -876,13 +874,12 @@ impl S2s {
         // Layer 1: the semantic result cache replays whole answers.
         // Served before the admission gate: a replay touches no source
         // and costs nothing, so even an overloaded engine answers it.
-        let mut result_cache_delta = CacheStats::default();
+        let mut result_cache = CacheStats::default();
         if let Some(results) = &self.results {
-            let before = results.stats();
             let hit = results.get(&key, self.resilience.virtual_now());
-            result_cache_delta = delta(before, results.stats());
+            result_cache.lookup(hit.is_some());
             if let Some(hit) = hit {
-                return Ok(self.replay(s2sql, hit, result_cache_delta, query_started));
+                return Ok(self.replay(s2sql, hit, result_cache, query_started));
             }
         }
 
@@ -896,7 +893,7 @@ impl S2s {
                 match ctl.admit(&opts.tenant, opts.deadline, opts.priority == Priority::High) {
                     Ok(guard) => Some(guard),
                     Err(reason) => {
-                        return Ok(self.shed(s2sql, &reason, result_cache_delta, query_started))
+                        return Ok(self.shed(s2sql, &reason, result_cache, query_started))
                     }
                 }
             }
@@ -907,7 +904,6 @@ impl S2s {
         // fresh plan is *not* inserted here — insertion is deferred
         // until the query completes without exhausting its deadline,
         // so overload casualties cannot churn plan-cache entries.
-        let plans_before = self.plans.stats();
         let parse_started = std::time::Instant::now();
         let (plan, fresh_plan, parse_wall, plan_wall) = match self.plans.get(&key) {
             Some(plan) => (plan, false, parse_started.elapsed(), std::time::Duration::ZERO),
@@ -919,7 +915,8 @@ impl S2s {
                 (plan, true, parse_wall, plan_started.elapsed())
             }
         };
-        let plan_cache_delta = delta(plans_before, self.plans.stats());
+        let mut plan_cache = CacheStats::default();
+        plan_cache.lookup(!fresh_plan);
 
         // Step 1-2 (Fig. 5): attribute list → extraction schemas,
         // keeping only mapped attributes.
@@ -1059,7 +1056,6 @@ impl S2s {
         // The `map` span covers schema lookup and the view partition;
         // planning has its own sibling `pushdown` span.
         let map_wall = map_started.elapsed().saturating_sub(pushdown_wall);
-        let rule_cache_before = self.rules.stats();
 
         // Step 3-4: source definitions + extraction, under the
         // resilience policy: one coalesced wire exchange per planned
@@ -1098,15 +1094,15 @@ impl S2s {
         }
         report.results.extend(view_results);
 
-        let stats = QueryStats {
+        let mut stats = QueryStats {
             tasks: report.results.len() + report.failures.len(),
             failed_tasks: report.failures.len(),
             retries: report.resilience.values().map(|h| h.retries).sum(),
             failovers: report.resilience.values().map(|h| h.failovers).sum(),
             round_trips: report.resilience.values().map(|h| h.attempts).sum(),
-            rule_cache: delta(rule_cache_before, self.rules.stats()),
-            plan_cache: plan_cache_delta,
-            result_cache: result_cache_delta,
+            rule_cache: report.rule_cache,
+            plan_cache,
+            result_cache,
             // View-served slices count as answered: they were requested
             // and served, just not over the network this time.
             completeness: report.completeness(),
@@ -1142,19 +1138,8 @@ impl S2s {
         // deadline does not get to publish cache entries, so overload
         // casualties cannot evict plans that healthy queries rely on.
         if fresh_plan && stats.deadline_hits == 0 {
-            self.plans.insert_with_deps(key.clone(), Arc::clone(&plan), deps.clone());
-        }
-        // Wire time per source comes from the resilience telemetry
-        // (batched results share one exchange, so summing per-result
-        // `elapsed` would double-count); view-served sources still get
-        // a zero entry.
-        let mut source_times: std::collections::BTreeMap<String, SimDuration> =
-            std::collections::BTreeMap::new();
-        for (id, health) in &report.resilience {
-            source_times.insert(id.clone(), health.elapsed);
-        }
-        for r in &report.results {
-            source_times.entry(r.mapping.source().to_string()).or_default();
+            let evicted = self.plans.insert(key.clone(), Arc::clone(&plan));
+            stats.plan_cache.evictions = u64::from(evicted);
         }
         let instances = instance::generate_with_options(
             &self.ontology,
@@ -1170,14 +1155,12 @@ impl S2s {
         // the cache-hygiene contract.
         if let Some(results) = &self.results {
             if stats.failed_tasks == 0 && stats.completeness >= 1.0 && stats.deadline_hits == 0 {
-                results.insert(
-                    key,
-                    Arc::clone(&plan),
-                    Arc::new(instances.clone()),
-                    stats,
-                    deps,
-                    self.resilience.virtual_now(),
-                );
+                let answer = CachedResult {
+                    plan: Arc::clone(&plan),
+                    instances: Arc::new(instances.clone()),
+                    origin: stats,
+                };
+                results.insert(key, answer, deps, self.resilience.virtual_now());
             }
         }
 
@@ -1231,7 +1214,7 @@ impl S2s {
             let mut plan_span = Span::new(SpanKind::Plan, "attributes");
             plan_span.wall_us = plan_wall.as_micros() as u64;
             plan_span.attr("count", plan.attributes.len().to_string());
-            if plan_cache_delta.hits > 0 {
+            if !fresh_plan {
                 plan_span.outcome = SpanOutcome::CacheHit;
                 plan_span.attr("cache", "hit");
             }
@@ -1266,7 +1249,6 @@ impl S2s {
             plan: plan.as_ref().clone(),
             instances,
             stats,
-            source_times,
             resilience: report.resilience,
             trace,
             pushdown: pushdown_plan,
@@ -1278,14 +1260,14 @@ impl S2s {
     fn replay(
         &self,
         s2sql: &str,
-        hit: crate::engine::CachedResult,
-        result_cache_delta: CacheStats,
+        hit: CachedResult,
+        result_cache: CacheStats,
         query_started: std::time::Instant,
     ) -> QueryOutcome {
         let stats = QueryStats {
             tasks: hit.origin.tasks,
             completeness: hit.origin.completeness,
-            result_cache: result_cache_delta,
+            result_cache,
             ..QueryStats::default()
         };
         if s2s_obs::enabled() {
@@ -1312,7 +1294,6 @@ impl S2s {
             plan: hit.plan.as_ref().clone(),
             instances: hit.instances.as_ref().clone(),
             stats,
-            source_times: std::collections::BTreeMap::new(),
             resilience: std::collections::BTreeMap::new(),
             trace,
             pushdown: None,
@@ -1326,15 +1307,11 @@ impl S2s {
         &self,
         s2sql: &str,
         reason: &ShedReason,
-        result_cache_delta: CacheStats,
+        result_cache: CacheStats,
         query_started: std::time::Instant,
     ) -> QueryOutcome {
-        let stats = QueryStats {
-            shed: true,
-            completeness: 0.0,
-            result_cache: result_cache_delta,
-            ..QueryStats::default()
-        };
+        let stats =
+            QueryStats { shed: true, completeness: 0.0, result_cache, ..QueryStats::default() };
         if s2s_obs::enabled() {
             let metrics = s2s_obs::global();
             metrics.counter("s2s_queries_total").inc();
@@ -1366,7 +1343,6 @@ impl S2s {
                 round_trips: 0,
             },
             stats,
-            source_times: std::collections::BTreeMap::new(),
             resilience: std::collections::BTreeMap::new(),
             trace,
             pushdown: None,
@@ -1378,15 +1354,6 @@ impl S2s {
 /// happens before parse/plan, so there is no real plan to attach.
 fn shed_sentinel_iri() -> s2s_rdf::Iri {
     s2s_rdf::Iri::new("urn:s2s:shed").expect("sentinel IRI is valid")
-}
-
-/// Counter movement between two snapshots of the same cache.
-fn delta(before: CacheStats, after: CacheStats) -> CacheStats {
-    CacheStats {
-        hits: after.hits.saturating_sub(before.hits),
-        misses: after.misses.saturating_sub(before.misses),
-        evictions: after.evictions.saturating_sub(before.evictions),
-    }
 }
 
 #[cfg(test)]
@@ -1791,12 +1758,12 @@ mod tests {
     }
 
     #[test]
-    fn source_times_cover_all_sources() {
+    fn resilience_report_covers_all_sources() {
         let s2s = deploy();
         let outcome = s2s.query("SELECT watch").unwrap();
-        assert_eq!(outcome.source_times.len(), 4);
+        assert_eq!(outcome.resilience.len(), 4);
         // Local sources cost zero simulated time.
-        assert!(outcome.source_times.values().all(|t| t.as_micros() == 0));
+        assert!(outcome.resilience.values().all(|h| h.elapsed.as_micros() == 0));
     }
 
     #[test]
@@ -2344,24 +2311,30 @@ mod tests {
     #[test]
     fn mapping_edit_invalidates_only_dependent_entries() {
         let mut s2s = deploy_two_classes();
-        s2s.query("SELECT alpha").unwrap();
+        let before = s2s.query("SELECT alpha").unwrap();
+        assert_eq!(sole_value(&s2s, &before, "aval"), "a0");
         s2s.query("SELECT beta").unwrap();
         assert_eq!(s2s.result_cache_len(), 2);
         assert_eq!(s2s.plan_cache_len(), 2);
 
-        // Editing SRC_A's existing mapping drops only SRC_A dependents.
+        // Editing SRC_A's existing mapping drops only SRC_A's answers.
+        // Plans depend on the ontology and the query text alone: both
+        // survive, and the surviving plan runs the new rule.
         s2s.register_attribute(
             "thing.alpha.aval",
             ExtractionRule::Sql {
-                query: "SELECT aval FROM t ORDER BY id DESC".into(),
-                column: "aval".into(),
+                query: "SELECT id FROM t ORDER BY id".into(),
+                column: "id".into(),
             },
             "SRC_A",
             RecordScenario::MultiRecord,
         )
         .unwrap();
         assert_eq!(s2s.result_cache_len(), 1);
-        assert_eq!(s2s.plan_cache_len(), 1);
+        assert_eq!(s2s.plan_cache_len(), 2);
+        let after = s2s.query("SELECT alpha").unwrap();
+        assert_eq!((after.stats.result_cache.hits, after.stats.plan_cache.hits), (0, 1));
+        assert_eq!(sole_value(&s2s, &after, "aval"), "1", "the answer reflects the new rule");
         assert_eq!(
             s2s.query("SELECT beta").unwrap().stats.result_cache.hits,
             1,

@@ -1,33 +1,29 @@
 //! Compiled-rule cache.
 //!
-//! `run_wrapper` used to recompile its extraction rule on every call:
-//! the regex NFA, the XPath/XQuery parse, the WebL program, and the SQL
-//! statement were all rebuilt per task, per query. Mappings are stable
-//! (the paper: they "should not need substantial maintenance after
-//! being created"), so the compiled form is reusable forever.
-//! [`RuleCache`] memoizes it per distinct `(language, rule text)` and
-//! is shared across tasks and queries via the middleware.
+//! Compiling an extraction rule — the regex NFA, the XPath/XQuery
+//! parse, the WebL program, the SQL statement — is work to do once, not
+//! per task per query: mappings are stable (the paper: they "should not
+//! need substantial maintenance after being created"), so the compiled
+//! form is reusable forever. [`RuleCache`] memoizes it per distinct
+//! `(language, rule text)` and is shared across tasks and queries via
+//! the middleware.
 //!
 //! Only successful compiles are cached: a malformed rule re-reports its
 //! error on every use instead of poisoning the cache.
 //!
-//! Like the plan and result caches, the map is LRU-bounded
-//! ([`RuleCache::with_capacity`], default [`RuleCache::DEFAULT_CAPACITY`])
-//! so a resident engine cannot grow it without bound; evictions are
-//! counted and exported.
+//! Like the plan and result caches, the memo is the engine's shared
+//! LRU store, bounded at [`RuleCache::CAPACITY`] so a resident engine
+//! cannot grow it without bound; evictions are counted and exported.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use s2s_minidb::{Database, SelectStmt};
 use s2s_textmatch::Regex;
 use s2s_webdoc::WeblProgram;
 use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
 
-use crate::engine::{evict_lru, CacheStats};
+use crate::engine::{CacheStats, Lru};
 use crate::error::S2sError;
 use crate::mapping::ExtractionRule;
 
@@ -48,21 +44,11 @@ pub enum CompiledRule {
     Regex(Arc<Regex>),
 }
 
-#[derive(Debug)]
-struct Entry {
-    rule: CompiledRule,
-    stamp: AtomicU64,
-}
-
-/// A concurrent, LRU-bounded memo of compiled extraction rules.
+/// A concurrent, LRU-bounded memo of compiled extraction rules, keyed
+/// on `(language, rule text)`.
 #[derive(Debug)]
 pub struct RuleCache {
-    compiled: RwLock<HashMap<(&'static str, String), Entry>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    compiled: Lru<(&'static str, String), CompiledRule>,
 }
 
 impl Default for RuleCache {
@@ -72,90 +58,47 @@ impl Default for RuleCache {
 }
 
 impl RuleCache {
-    /// Default LRU capacity (distinct `(language, text)` rules).
-    pub const DEFAULT_CAPACITY: usize = 1024;
+    /// LRU capacity (distinct `(language, text)` rules).
+    pub const CAPACITY: usize = 1024;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> Self {
-        RuleCache::with_capacity(Self::DEFAULT_CAPACITY)
+        let names = [
+            "s2s_rule_cache_hits_total",
+            "s2s_rule_cache_misses_total",
+            s2s_obs::names::RULE_CACHE_EVICTIONS_TOTAL,
+        ];
+        RuleCache { compiled: Lru::new(Self::CAPACITY, names) }
     }
 
-    /// An empty cache holding at most `capacity` compiled rules (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        RuleCache {
-            compiled: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The LRU capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Returns the compiled form of `rule`, compiling on first sight.
+    /// Returns the compiled form of `rule`, compiling on first sight,
+    /// and tallies the lookup (hit or miss, and an eviction if storing
+    /// the fresh compile caused one) into the caller's `account`.
     ///
     /// # Errors
     ///
     /// Propagates the rule's own parse/compile error ([`S2sError::Db`],
     /// XML, WebL, or regex errors).
-    pub fn get_or_compile(&self, rule: &ExtractionRule) -> Result<CompiledRule, S2sError> {
+    pub fn get_or_compile(
+        &self,
+        rule: &ExtractionRule,
+        account: &mut CacheStats,
+    ) -> Result<CompiledRule, S2sError> {
         let key = (rule.language(), rule.text().to_string());
-        if let Some(hit) = self.compiled.read().get(&key) {
-            hit.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if s2s_obs::enabled() {
-                s2s_obs::global().counter("s2s_rule_cache_hits_total").inc();
-            }
-            return Ok(hit.rule.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if s2s_obs::enabled() {
-            s2s_obs::global().counter("s2s_rule_cache_misses_total").inc();
+        let hit = self.compiled.get(&key);
+        account.lookup(hit.is_some());
+        if let Some(hit) = hit {
+            return Ok(hit);
         }
         let compiled = compile(rule)?;
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut entries = self.compiled.write();
-        // A racing compile of the same rule is harmless: keep the first.
-        if !entries.contains_key(&key) {
-            if entries.len() >= self.capacity {
-                evict_lru(&mut entries, |e| &e.stamp);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if s2s_obs::enabled() {
-                    s2s_obs::global().counter(s2s_obs::names::RULE_CACHE_EVICTIONS_TOTAL).inc();
-                }
-            }
-            entries.insert(key, Entry { rule: compiled.clone(), stamp: AtomicU64::new(stamp) });
-        }
+        // A racing compile of the same rule is harmless: last one wins.
+        account.evictions += u64::from(self.compiled.insert(key, compiled.clone()));
         Ok(compiled)
-    }
-
-    /// Number of distinct compiled rules held.
-    pub fn len(&self) -> usize {
-        self.compiled.read().len()
-    }
-
-    /// Whether the cache holds no compiled rules.
-    pub fn is_empty(&self) -> bool {
-        self.compiled.read().is_empty()
-    }
-
-    /// Drops every compiled rule.
-    pub fn clear(&self) {
-        self.compiled.write().clear();
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.compiled.stats()
     }
 }
 
@@ -185,14 +128,20 @@ fn compile(rule: &ExtractionRule) -> Result<CompiledRule, S2sError> {
 mod tests {
     use super::*;
 
+    fn compile_in(cache: &RuleCache, rule: &ExtractionRule) -> Result<CompiledRule, S2sError> {
+        cache.get_or_compile(rule, &mut CacheStats::default())
+    }
+
     #[test]
-    fn repeat_compiles_hit() {
+    fn repeat_compiles_hit_and_each_lookup_is_accounted_to_its_caller() {
         let cache = RuleCache::new();
         let rule = ExtractionRule::XPath { path: "//w/brand/text()".into() };
-        assert!(cache.get_or_compile(&rule).is_ok());
-        assert!(cache.get_or_compile(&rule).is_ok());
+        let (mut first, mut second) = (CacheStats::default(), CacheStats::default());
+        assert!(cache.get_or_compile(&rule, &mut first).is_ok());
+        assert!(cache.get_or_compile(&rule, &mut second).is_ok());
+        assert_eq!(first, CacheStats { hits: 0, misses: 1, evictions: 0 });
+        assert_eq!(second, CacheStats { hits: 1, misses: 0, evictions: 0 });
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -200,7 +149,7 @@ mod tests {
         // Deep enough to overflow the stack of an uncapped parser.
         let pattern = format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000));
         let rule = ExtractionRule::TextRegex { pattern, group: 1 };
-        let Err(err) = RuleCache::new().get_or_compile(&rule) else {
+        let Err(err) = compile_in(&RuleCache::new(), &rule) else {
             panic!("nesting is capped");
         };
         assert_eq!(err.code(), "s2s::webdoc");
@@ -210,17 +159,10 @@ mod tests {
     #[test]
     fn distinct_rules_do_not_collide() {
         let cache = RuleCache::new();
-        cache
-            .get_or_compile(&ExtractionRule::TextRegex { pattern: "a+".into(), group: 0 })
-            .unwrap();
-        cache
-            .get_or_compile(&ExtractionRule::TextRegex { pattern: "b+".into(), group: 0 })
-            .unwrap();
+        compile_in(&cache, &ExtractionRule::TextRegex { pattern: "a+".into(), group: 0 }).unwrap();
+        compile_in(&cache, &ExtractionRule::TextRegex { pattern: "b+".into(), group: 0 }).unwrap();
         // Same pattern, different group: the compiled regex is shared.
-        cache
-            .get_or_compile(&ExtractionRule::TextRegex { pattern: "a+".into(), group: 1 })
-            .unwrap();
-        assert_eq!(cache.len(), 2);
+        compile_in(&cache, &ExtractionRule::TextRegex { pattern: "a+".into(), group: 1 }).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2, evictions: 0 });
     }
 
@@ -228,51 +170,32 @@ mod tests {
     fn bad_rules_error_every_time_and_are_never_cached() {
         let cache = RuleCache::new();
         let bad = ExtractionRule::Sql { query: "DROP TABLE t".into(), column: "c".into() };
-        assert!(cache.get_or_compile(&bad).is_err());
-        assert!(cache.get_or_compile(&bad).is_err());
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 2);
+        let mut account = CacheStats::default();
+        assert!(cache.get_or_compile(&bad, &mut account).is_err());
+        assert!(cache.get_or_compile(&bad, &mut account).is_err());
+        // Had the first failure been cached, the second would have hit.
+        assert_eq!(account, CacheStats { hits: 0, misses: 2, evictions: 0 });
+        assert_eq!(cache.stats(), account);
+    }
+
+    #[test]
+    fn a_compile_past_capacity_reports_its_eviction() {
+        let cache = RuleCache::new();
+        let mut account = CacheStats::default();
+        for i in 0..=RuleCache::CAPACITY {
+            let rule = ExtractionRule::XPath { path: format!("//r{i}") };
+            cache.get_or_compile(&rule, &mut account).unwrap();
+        }
+        assert_eq!((account.misses, account.evictions), (RuleCache::CAPACITY as u64 + 1, 1));
+        assert_eq!(cache.stats(), account);
     }
 
     #[test]
     fn sql_compiles_to_prepared_select() {
-        let cache = RuleCache::new();
         let rule = ExtractionRule::Sql { query: "SELECT a FROM t".into(), column: "a".into() };
-        match cache.get_or_compile(&rule).unwrap() {
+        match compile_in(&RuleCache::new(), &rule).unwrap() {
             CompiledRule::Sql(stmt) => assert_eq!(stmt.table, "t"),
             other => panic!("expected Sql, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn clear_empties() {
-        let cache = RuleCache::new();
-        cache.get_or_compile(&ExtractionRule::XPath { path: "//x".into() }).unwrap();
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let cache = RuleCache::with_capacity(2);
-        let (a, b, c) = (
-            ExtractionRule::XPath { path: "//a".into() },
-            ExtractionRule::XPath { path: "//b".into() },
-            ExtractionRule::XPath { path: "//c".into() },
-        );
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&b).unwrap();
-        // Touch `a`; compiling `c` must evict `b`.
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&c).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        let before = cache.stats();
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&b).unwrap(); // recompiles: it was evicted
-        let after = cache.stats();
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
     }
 }

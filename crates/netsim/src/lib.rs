@@ -18,8 +18,7 @@
 //!   and a `poll_changes(since)` exchange over the wire framing, so the
 //!   mediator can maintain materialized views incrementally,
 //! * [`sched`] — makespan accounting: how long a set of remote calls
-//!   takes under serial vs k-worker parallel execution, and a real
-//!   crossbeam-based parallel executor for the actual work,
+//!   takes under serial vs k-worker parallel execution,
 //! * [`pool`] — a long-lived worker pool fed by an MPMC job queue, so
 //!   a resident mediator multiplexes every query onto one fixed set of
 //!   threads instead of spawning per call,
@@ -65,5 +64,5 @@ pub use feed::{ChangeEvent, ChangeFeed, ChangeKind, FeedGap};
 pub use pool::{PoolStats, WorkerPool};
 pub use reactor::{run_tasks, EventTask, Poll, Reactor, ReactorStats};
 pub use retry::{invoke_with_retry, RetryOutcome, RetryPolicy};
-pub use sched::{makespan, run_parallel};
+pub use sched::makespan;
 pub use wire::{decode, decode_batch, encode, encode_batch, Frame, FrameKind};

@@ -1,12 +1,12 @@
 //! A long-lived worker pool shared across queries.
 //!
-//! [`crate::run_parallel`] spawns fresh scoped threads on every call —
-//! fine for a one-shot experiment, wasteful for a long-lived mediator
-//! answering many queries. [`WorkerPool`] spawns its threads once and
-//! feeds them through an MPMC job queue, so any number of concurrent
-//! callers multiplex their task batches onto the same fixed set of
-//! workers. Results come back in submission order and worker panics
-//! propagate to the submitting caller, exactly like `run_parallel`.
+//! Spawning fresh threads on every call is fine for a one-shot
+//! experiment, wasteful for a long-lived mediator answering many
+//! queries. [`WorkerPool`] spawns its threads once and feeds them
+//! through an MPMC job queue, so any number of concurrent callers
+//! multiplex their task batches onto the same fixed set of workers.
+//! Results come back in submission order and worker panics propagate to
+//! the submitting caller.
 //!
 //! Instrumentation: the pool tracks queue depth (current and peak),
 //! jobs submitted/completed, and cumulative queue-wait time, and feeds

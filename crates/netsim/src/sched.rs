@@ -1,12 +1,8 @@
-//! Makespan accounting and a real parallel executor.
+//! Makespan accounting.
 //!
-//! Experiment E3 (serial vs parallel mediator) needs two things: the
-//! *simulated* completion time of a batch of remote calls under k
-//! workers, and an actual parallel executor so the CPU-side work really
-//! runs concurrently.
-
-use crossbeam::channel;
-use crossbeam::thread;
+//! Experiment E3 (serial vs parallel mediator) needs the *simulated*
+//! completion time of a batch of remote calls under k workers; the
+//! CPU-side work really runs concurrently on [`crate::WorkerPool`].
 
 use crate::cost::SimDuration;
 
@@ -32,67 +28,6 @@ pub fn makespan(durations: &[SimDuration], workers: usize) -> SimDuration {
         free[idx] += d;
     }
     free.into_iter().max().unwrap_or(SimDuration::ZERO)
-}
-
-/// Runs `tasks` on up to `workers` real threads (crossbeam scoped),
-/// preserving result order. Tasks must be `Send`; results are collected
-/// even when some tasks panic-free fail — failures are ordinary `R`
-/// values (use `Result` as `R`).
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or if a task panics.
-pub fn run_parallel<T, R, F>(tasks: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    assert!(workers > 0, "at least one worker required");
-    let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if s2s_obs::enabled() {
-        let metrics = s2s_obs::global();
-        metrics.counter("s2s_sched_runs_total").inc();
-        metrics.counter("s2s_sched_tasks_total").add(n as u64);
-    }
-    let workers = workers.min(n);
-    if workers == 1 {
-        return tasks.into_iter().map(f).collect();
-    }
-
-    let (task_tx, task_rx) = channel::unbounded::<(usize, T)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-    for pair in tasks.into_iter().enumerate() {
-        task_tx.send(pair).expect("channel open");
-    }
-    drop(task_tx);
-
-    thread::scope(|s| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                while let Ok((i, t)) = task_rx.recv() {
-                    let r = f(t);
-                    if result_tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(result_tx);
-    })
-    .expect("worker panicked");
-
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    while let Ok((i, r)) = result_rx.recv() {
-        results[i] = Some(r);
-    }
-    results.into_iter().map(|r| r.expect("every task produced a result")).collect()
 }
 
 #[cfg(test)]
@@ -131,51 +66,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
         makespan(&[ms(1)], 0);
-    }
-
-    #[test]
-    fn parallel_executor_preserves_order() {
-        let tasks: Vec<u64> = (0..100).collect();
-        let results = run_parallel(tasks, 8, |x| x * 2);
-        assert_eq!(results, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_executor_single_worker() {
-        let results = run_parallel(vec![1, 2, 3], 1, |x| x + 1);
-        assert_eq!(results, [2, 3, 4]);
-    }
-
-    #[test]
-    fn parallel_executor_empty() {
-        let results: Vec<i32> = run_parallel(Vec::<i32>::new(), 4, |x| x);
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn parallel_executor_actually_concurrent() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let peak = AtomicUsize::new(0);
-        let live = AtomicUsize::new(0);
-        run_parallel((0..16).collect(), 4, |_| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            live.fetch_sub(1, Ordering::SeqCst);
-        });
-        assert!(peak.load(Ordering::SeqCst) > 1, "no concurrency observed");
-    }
-
-    #[test]
-    fn errors_flow_as_values() {
-        let results = run_parallel(vec![1, 2, 3, 4], 2, |x| {
-            if x % 2 == 0 {
-                Err(format!("even {x}"))
-            } else {
-                Ok(x)
-            }
-        });
-        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 2);
-        assert_eq!(results[0], Ok(1));
     }
 }

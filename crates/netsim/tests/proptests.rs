@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use s2s_netsim::wire::{decode, encode, FrameKind};
-use s2s_netsim::{makespan, run_parallel, CostModel, Endpoint, FailureModel, SimDuration};
+use s2s_netsim::{makespan, CostModel, Endpoint, FailureModel, SimDuration, WorkerPool};
 
 fn arb_durations() -> impl Strategy<Value = Vec<SimDuration>> {
     proptest::collection::vec((0u64..10_000).prop_map(SimDuration::from_micros), 0..40)
@@ -67,11 +67,11 @@ proptest! {
         let _ = decode(Bytes::from(bytes));
     }
 
-    /// run_parallel is a permutation-free map: output[i] == f(input[i]).
+    /// WorkerPool::run is a permutation-free map: output[i] == f(input[i]).
     #[test]
-    fn run_parallel_is_map(inputs in proptest::collection::vec(any::<u32>(), 0..60), workers in 1usize..8) {
+    fn pool_run_is_map(inputs in proptest::collection::vec(any::<u32>(), 0..60), workers in 1usize..8) {
         let expect: Vec<u64> = inputs.iter().map(|&x| x as u64 * 3 + 1).collect();
-        let got = run_parallel(inputs, workers, |x| x as u64 * 3 + 1);
+        let got = WorkerPool::new(workers).run(inputs, |x| x as u64 * 3 + 1);
         prop_assert_eq!(got, expect);
     }
 

@@ -31,9 +31,6 @@ pub const PLAN_CACHE_HITS_TOTAL: &str = "s2s_plan_cache_hits_total";
 pub const PLAN_CACHE_MISSES_TOTAL: &str = "s2s_plan_cache_misses_total";
 /// Counter: plan-cache entries evicted by the LRU capacity bound.
 pub const PLAN_CACHE_EVICTIONS_TOTAL: &str = "s2s_plan_cache_evictions_total";
-/// Counter: plan-cache entries dropped by dependency-tracked
-/// invalidation (a mapping edit touched a source the plan named).
-pub const PLAN_CACHE_INVALIDATIONS_TOTAL: &str = "s2s_plan_cache_invalidations_total";
 
 /// Counter: data mutations applied to registered sources.
 pub const SOURCE_MUTATIONS_TOTAL: &str = "s2s_source_mutations_total";
@@ -123,7 +120,6 @@ mod tests {
             super::PLAN_CACHE_HITS_TOTAL,
             super::PLAN_CACHE_MISSES_TOTAL,
             super::PLAN_CACHE_EVICTIONS_TOTAL,
-            super::PLAN_CACHE_INVALIDATIONS_TOTAL,
             super::SOURCE_MUTATIONS_TOTAL,
             super::CACHE_INVALIDATED_ENTRIES_TOTAL,
             super::VIEW_HITS_TOTAL,

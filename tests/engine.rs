@@ -268,6 +268,71 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
     assert_eq!(s2s.plan_cache_len(), 1, "healthy (if failing) query does publish its plan");
 }
 
+/// Every figure in `stats.{result,plan,rule}_cache` and every rule
+/// span's `cache` attribute is this query's own account: with N clients
+/// hammering one engine, each outcome still shows exactly its own
+/// lookups, and the outcomes together add up to the engine's counters.
+#[test]
+fn per_query_cache_accounts_hold_under_concurrency() {
+    use s2s::core::CacheStats;
+    use s2s::obs::SpanKind;
+
+    const CLIENTS: usize = 4;
+    const REPEATS: usize = 50;
+    fn add(total: &mut CacheStats, part: CacheStats) {
+        total.hits += part.hits;
+        total.misses += part.misses;
+        total.evictions += part.evictions;
+    }
+
+    for (result_cache, distinct) in [(false, false), (false, true), (true, false), (true, true)] {
+        let engine = deploy(6, Strategy::Parallel { workers: 4 }).with_tracing();
+        let engine = if result_cache { engine.with_result_cache() } else { engine };
+        let start = std::sync::Barrier::new(CLIENTS);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let (engine, start) = (&engine, &start);
+                    let bound = if distinct { 20 + c * 11 } else { 20 };
+                    scope.spawn(move || {
+                        let text = format!("SELECT watch WHERE price < {bound}");
+                        start.wait();
+                        (0..REPEATS).map(|_| engine.query(&text).unwrap()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients.into_iter().flat_map(|c| c.join().expect("client panicked")).collect()
+        });
+        assert_eq!(outcomes.len(), CLIENTS * REPEATS);
+
+        let (mut results, mut plans, mut rules) = Default::default();
+        for outcome in &outcomes {
+            let stats = &outcome.stats;
+            let replayed = stats.result_cache.hits == 1;
+            assert_eq!(stats.result_cache.hits + stats.result_cache.misses, result_cache as u64);
+            assert_eq!(stats.plan_cache.hits + stats.plan_cache.misses, !replayed as u64);
+
+            let trace = outcome.trace.as_ref().expect("traced engine");
+            let spans = trace.spans_of(SpanKind::Rule);
+            let said = |what| spans.iter().filter(|s| s.get_attr("cache") == Some(what)).count();
+            assert_eq!(spans.len(), if replayed { 0 } else { 2 }, "one rule span per attribute");
+            assert_eq!(stats.rule_cache.hits + stats.rule_cache.misses, spans.len() as u64);
+            assert_eq!(
+                (stats.rule_cache.hits, stats.rule_cache.misses),
+                (said("hit") as u64, said("miss") as u64)
+            );
+
+            add(&mut results, stats.result_cache);
+            add(&mut plans, stats.plan_cache);
+            add(&mut rules, stats.rule_cache);
+        }
+        assert!(!result_cache || results.hits > 0, "repeats must replay");
+        assert_eq!(results, engine.result_cache_stats());
+        assert_eq!(plans, engine.plan_cache_stats());
+        assert_eq!(rules, engine.rule_cache_stats());
+    }
+}
+
 proptest! {
     /// Equivalent S2SQL spellings (whitespace, keyword case) normalize
     /// to the same key, produce identical plans, and share one

@@ -148,3 +148,65 @@ fn netsim_seed_pinning() {
     let t2 = ep2.invoke(100, || ()).unwrap().elapsed;
     assert_eq!(t1, t2);
 }
+
+/// Two sources whose ids the mapping repository once folded into one key
+/// (`src-<lower-cased id, '_'→'-'>`, or no key at all for an id with a
+/// `.` or a space) each keep their own mapping: both contribute to the
+/// answer, and editing one leaves the other alone.
+#[test]
+fn distinct_source_ids_never_overwrite_each_others_mappings() {
+    let ontology = || {
+        Ontology::builder("http://example.org/schema#")
+            .class("Product", None)
+            .unwrap()
+            .datatype_property("brand", "Product", "http://www.w3.org/2001/XMLSchema#string")
+            .unwrap()
+            .build()
+            .unwrap()
+    };
+    let source = |brand: &str| {
+        let mut db = Database::new("d");
+        db.execute("CREATE TABLE w (brand TEXT, alias TEXT)").unwrap();
+        db.execute(&format!("INSERT INTO w VALUES ('{brand}', '{brand}-alias')")).unwrap();
+        Connection::Database { db: Arc::new(db) }
+    };
+    let rule = |column: &str| ExtractionRule::Sql {
+        query: format!("SELECT {column} FROM w"),
+        column: column.into(),
+    };
+    let brands = |s2s: &S2s| {
+        let brand = s2s.ontology().property_iri("brand").unwrap();
+        let outcome = s2s.query("SELECT product").unwrap();
+        assert!(outcome.errors().is_empty());
+        let mut found: Vec<String> = outcome
+            .individuals()
+            .iter()
+            .filter_map(|i| i.value(&brand))
+            .map(String::from)
+            .collect();
+        found.sort();
+        found
+    };
+
+    for (a, b) in [("DB_1", "db-1"), ("a.example.org", "b.example.org"), ("feed one", "feed two")] {
+        let mut s2s = S2s::new(ontology()).with_result_cache();
+        for (id, brand) in [(a, "Seiko"), (b, "Orient")] {
+            s2s.register_source(id, source(brand)).unwrap();
+            let multi = RecordScenario::MultiRecord;
+            s2s.register_attribute("thing.product.brand", rule("brand"), id, multi).unwrap();
+        }
+        assert_eq!(s2s.mapping_count(), 2, "{a} / {b}");
+        assert_eq!(brands(&s2s), ["Orient", "Seiko"], "{a} / {b}");
+
+        // Re-registering `a` is an edit of `a` alone.
+        s2s.register_attribute(
+            "thing.product.brand",
+            rule("alias"),
+            a,
+            RecordScenario::MultiRecord,
+        )
+        .unwrap();
+        assert_eq!(s2s.mapping_count(), 2, "{a} / {b}");
+        assert_eq!(brands(&s2s), ["Orient", "Seiko-alias"], "{a} / {b}");
+    }
+}
