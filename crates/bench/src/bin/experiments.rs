@@ -34,8 +34,9 @@
 //! * `--pushdown-smoke <dir>` — the E15 selectivity sweep (0.1%–100%)
 //!   on a planner-enabled engine vs its planner-free twin; writes
 //!   `e15.json` into `<dir>` and exits non-zero on any answer
-//!   mismatch, response-byte growth, or a wire-byte reduction below
-//!   5× at 1% selectivity (the CI pushdown gate).
+//!   mismatch, response-byte growth, rule-cache lookup that no swept
+//!   query accounts for, or a wire-byte reduction below 5× at 1%
+//!   selectivity (the CI pushdown gate).
 //! * `--delta-smoke <dir>` — the E16 mutation-rate sweep: a paced
 //!   query stream with background source mutations on a views-enabled
 //!   engine vs its invalidate-and-recompute twin; writes `e16.json`
@@ -113,7 +114,8 @@ const SMOKE_MODES: [(&str, SmokeFn, &str); 7] = [
         "pushdown-smoke",
         pushdown_smoke,
         "E15 selectivity sweep with the federated planner on vs off; writes e15.json into DIR; \
-         fails on mismatch or a wire-byte reduction below 5x at 1% selectivity",
+         fails on mismatch, an unaccounted rule run, or a wire-byte reduction below 5x at 1% \
+         selectivity",
     ),
     (
         "delta-smoke",
@@ -638,11 +640,14 @@ const E15_ROWS: usize = 2000;
 /// Runs the E15 sweep: the same `price <` query ladder on a
 /// planner-enabled engine and its planner-free twin (the catalog in
 /// all four source formats behind unpaced WAN endpoints, batched).
-fn e15_sweep() -> PushdownReport {
+/// Also returns how far the planner-on engine's rule-cache lookups are
+/// from the sum the swept queries account for (0 unless the engine runs
+/// rules on the side).
+fn e15_sweep() -> (PushdownReport, u64) {
     let recs = records(E15_ROWS, 42);
     let off = deploy_paced(E15_ROWS, 42, 0, Strategy::Serial, false);
     let on = deploy_paced(E15_ROWS, 42, 0, Strategy::Serial, false).with_pushdown();
-    let points = E15_SELECTIVITIES
+    let points: Vec<_> = E15_SELECTIVITIES
         .iter()
         .map(|&pct| {
             let threshold = selectivity_threshold(&recs, pct);
@@ -650,7 +655,9 @@ fn e15_sweep() -> PushdownReport {
             run_pushdown_point(&on, &off, &query, pct, threshold)
         })
         .collect();
-    PushdownReport { rows: E15_ROWS, points }
+    let engine = on.rule_cache_stats();
+    let accounted: u64 = points.iter().map(|p| p.rule_lookups).sum();
+    (PushdownReport { rows: E15_ROWS, points }, (engine.hits + engine.misses).abs_diff(accounted))
 }
 
 fn e15() {
@@ -659,7 +666,7 @@ fn e15() {
         "{:>6} {:>9} {:>8} {:>12} {:>12} {:>11} {:>7} {:>9}",
         "sel%", "thresh", "matched", "wire-off", "wire-on", "saved", "pushed", "reduction"
     );
-    let report = e15_sweep();
+    let (report, _) = e15_sweep();
     for p in &report.points {
         assert!(!p.mismatch, "pushdown diverged at {}% selectivity", p.selectivity_pct);
         println!(
@@ -678,12 +685,18 @@ fn e15() {
 
 /// The CI pushdown gate: the E15 sweep must answer identically to the
 /// planner-free twin at every selectivity, never grow response bytes,
-/// and cut total wire bytes at least 5× at 1% selectivity — both
-/// against the planner-free twin and against its own 100% point.
-/// Writes `e15.json` into `dir`.
+/// run no rule that no query accounts for, and cut total wire bytes at
+/// least 5× at 1% selectivity — both against the planner-free twin and
+/// against its own 100% point. Writes `e15.json` into `dir`.
 fn pushdown_smoke(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
-    let report = e15_sweep();
+    let (report, unaccounted_rule_lookups) = e15_sweep();
+    if unaccounted_rule_lookups != 0 {
+        violations.push(format!(
+            "the planner-on engine made {unaccounted_rule_lookups} rule-cache lookups that no \
+             swept query's stats.rule_cache accounts for"
+        ));
+    }
 
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create pushdown-smoke dir {dir}: {e}"));
@@ -1534,7 +1547,7 @@ fn e9() {
                 sources_ok,
                 32 - sources_ok,
                 outcome.stats.completeness * 100.0,
-                outcome.stats.retries,
+                outcome.retries(),
                 outcome.stats.simulated.to_string()
             );
         }

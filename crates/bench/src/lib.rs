@@ -839,13 +839,16 @@ pub struct PushdownPoint {
     pub baseline_response_bytes: u64,
     /// Response wire bytes with the planner.
     pub pushed_response_bytes: u64,
-    /// Bytes the planner reports avoided (response shrinkage plus
-    /// pruned/projected-out work priced at baseline cost).
+    /// Response bytes the planner kept off the wire: the planner-free
+    /// twin's response bytes minus the pushed run's.
     pub wire_bytes_saved: u64,
     /// Predicates pushed into source-native rules.
     pub pushed_predicates: u64,
     /// Sources pruned outright.
     pub pruned_sources: u64,
+    /// Rule-cache lookups the pushed run accounts for
+    /// (`stats.rule_cache`); a gate input, not part of `e15.json`.
+    pub rule_lookups: u64,
 }
 
 impl PushdownPoint {
@@ -913,6 +916,7 @@ pub fn run_pushdown_point(
 ) -> PushdownPoint {
     let pushed = on.query(query).expect("pushdown query");
     let baseline = off.query(query).expect("baseline query");
+    let plan = pushed.pushdown.as_ref();
     PushdownPoint {
         selectivity_pct,
         threshold,
@@ -922,9 +926,13 @@ pub fn run_pushdown_point(
         pushed_wire_bytes: pushed.stats.wire_bytes,
         baseline_response_bytes: baseline.stats.wire_response_bytes,
         pushed_response_bytes: pushed.stats.wire_response_bytes,
-        wire_bytes_saved: pushed.stats.wire_bytes_saved,
-        pushed_predicates: pushed.stats.pushed_predicates,
-        pruned_sources: pushed.stats.pruned_sources,
+        wire_bytes_saved: baseline
+            .stats
+            .wire_response_bytes
+            .saturating_sub(pushed.stats.wire_response_bytes),
+        pushed_predicates: plan.map_or(0, |p| p.pushed_predicates()),
+        pruned_sources: plan.map_or(0, |p| p.pruned_sources()),
+        rule_lookups: pushed.stats.rule_cache.hits + pushed.stats.rule_cache.misses,
     }
 }
 

@@ -9,8 +9,7 @@
 //!   N-thread, and event-reactor execution agree on the instance set
 //!   (modulo ordering) and on the failed-attribute set.
 //! * **Stats conservation** — `tasks == answered + failed`,
-//!   `completeness == answered/tasks`, `round_trips == Σ attempts`,
-//!   `retries`/`failovers` match the per-source health report, and
+//!   `completeness == answered/tasks`, `round_trips == Σ attempts`, and
 //!   cache deltas are consistent with what the query actually did.
 //! * **Zero-fault completeness** — a fault-free scenario answers at
 //!   completeness 1 with no retries, no failovers, and exactly one
@@ -208,12 +207,13 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
                     ),
                 ));
             }
-            if s.retries != 0 || s.failovers != 0 {
+            if outcome.retries() != 0 || outcome.failovers() != 0 {
                 violations.push(Violation::new(
                     "zero-fault-resilience",
                     format!(
                         "{path}: retries {} failovers {} without faults",
-                        s.retries, s.failovers
+                        outcome.retries(),
+                        outcome.failovers()
                     ),
                 ));
             }
@@ -591,7 +591,7 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
 /// Pushdown equivalence: the federated planner may rewrite rules,
 /// prune sources, and shrink responses, but never change the answer.
 ///
-/// Five invariants, each against the unconstrained batched path:
+/// Four invariants, each against the unconstrained batched path:
 ///
 /// * **equality** — pushdown-on (batched and reactor) fingerprints
 ///   and completeness match pushdown-off exactly; the residual filter
@@ -600,8 +600,6 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
 /// * **wire monotonicity** — pushed responses are subsets of the full
 ///   responses, so `wire_response_bytes` never exceeds the
 ///   post-filter path's.
-/// * **stats honesty** — `pushed_predicates`/`pruned_sources` agree
-///   with the reported [`s2s_core::PushdownPlan`].
 /// * **pruned silence** — a pruned source never appears in the
 ///   resilience report (it was never dialled).
 /// * **determinism** — two identically seeded pushdown runs agree.
@@ -646,20 +644,6 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     }
     match &pushed.pushdown {
         Some(plan) => {
-            if pushed.stats.pushed_predicates != plan.pushed_predicates()
-                || pushed.stats.pruned_sources != plan.pruned_sources()
-            {
-                violations.push(Violation::new(
-                    "pushdown-stats",
-                    format!(
-                        "stats pushed/pruned {}/{} disagree with the plan {}/{}",
-                        pushed.stats.pushed_predicates,
-                        pushed.stats.pruned_sources,
-                        plan.pushed_predicates(),
-                        plan.pruned_sources()
-                    ),
-                ));
-            }
             for src in &plan.pruned {
                 if pushed.resilience.contains_key(src) {
                     violations.push(Violation::new(
@@ -696,7 +680,7 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the serial path");
     if fingerprint(&again) != fingerprint(&pushed)
         || again.stats.round_trips != pushed.stats.round_trips
-        || again.stats.pushed_predicates != pushed.stats.pushed_predicates
+        || again.pushdown != pushed.pushdown
         || again.stats.wire_response_bytes != pushed.stats.wire_response_bytes
     {
         violations.push(Violation::new(
@@ -797,17 +781,6 @@ fn check_stats(outcome: &QueryOutcome, path: &str, violations: &mut Vec<Violatio
         violations.push(Violation::new(
             "round-trip-conservation",
             format!("{path}: round_trips {} != Σ attempts {attempts}", s.round_trips),
-        ));
-    }
-    let retries: u64 = outcome.resilience.values().map(|h| h.retries).sum();
-    let failovers: u64 = outcome.resilience.values().map(|h| h.failovers).sum();
-    if s.retries != retries || s.failovers != failovers {
-        violations.push(Violation::new(
-            "stats-resilience",
-            format!(
-                "{path}: stats retries/failovers {}/{} != health {retries}/{failovers}",
-                s.retries, s.failovers
-            ),
         ));
     }
     if s.simulated > s.simulated_serial {
@@ -1033,7 +1006,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     let again = run_deadline();
     if fingerprint(&again) != fingerprint(&cut)
         || again.stats.round_trips != cut.stats.round_trips
-        || again.stats.deadline_hits != cut.stats.deadline_hits
+        || again.deadline_hits() != cut.deadline_hits()
     {
         violations.push(Violation::new(
             "overload-determinism",
@@ -1042,8 +1015,8 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
                  deadline_hits {} vs {})",
                 cut.stats.round_trips,
                 again.stats.round_trips,
-                cut.stats.deadline_hits,
-                again.stats.deadline_hits
+                cut.deadline_hits(),
+                again.deadline_hits()
             ),
         ));
     }
@@ -1072,19 +1045,20 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
             ),
         ));
     }
-    if hedged.stats.hedge_wins > hedged.stats.hedges {
+    if hedged.hedge_wins() > hedged.hedges() {
         violations.push(Violation::new(
             "overload-hedge-accounting",
             format!(
                 "hedge_wins {} exceeds hedges launched {}",
-                hedged.stats.hedge_wins, hedged.stats.hedges
+                hedged.hedge_wins(),
+                hedged.hedges()
             ),
         ));
     }
     let hedged_again = run_hedged();
     if fingerprint(&hedged_again) != fingerprint(&hedged)
         || hedged_again.stats.round_trips != hedged.stats.round_trips
-        || hedged_again.stats.hedges != hedged.stats.hedges
+        || hedged_again.hedges() != hedged.hedges()
     {
         violations.push(Violation::new(
             "overload-determinism",
@@ -1165,7 +1139,7 @@ mod tests {
         let baseline = scenario.build(&BuildConfig::batched()).query(&query).unwrap();
         let pushed = scenario.build(&BuildConfig::pushdown()).query(&query).unwrap();
         assert_eq!(pushed.stats.completeness, 1.0, "replica rescues the outage");
-        assert!(pushed.stats.failovers >= 1, "the primary endpoint is hard-down");
+        assert!(pushed.failovers() >= 1, "the primary endpoint is hard-down");
         let plan = pushed.pushdown.as_ref().expect("the query has a condition");
         assert!(
             plan.sources.values().any(|s| !s.pushed.is_empty()),

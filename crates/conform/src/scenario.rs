@@ -89,10 +89,11 @@ pub enum FaultClass {
     /// retry-slowed primary.
     TransientWithReplica(Vec<(u64, FaultKind)>),
     /// A reliable endpoint whose mappings all carry a hostile rule
-    /// ([`hostile_sql`] on a database source, [`hostile_regex`] on any
-    /// other): every task on the source fails at rule compilation with
-    /// a coded, permanent error, on every execution path alike, and
-    /// nothing panics. Never generated; corpus cases name it.
+    /// ([`hostile_sql`] on a database source, [`hostile_webl`] on a web
+    /// source, [`hostile_regex`] on any other): every task on the source
+    /// fails at rule compilation with a coded, permanent error, on every
+    /// execution path alike, and nothing panics. Never generated; corpus
+    /// cases name it.
     HostileRule,
 }
 
@@ -108,6 +109,12 @@ pub fn hostile_regex() -> String {
 pub fn hostile_sql(column: &str) -> String {
     let (open, close) = ("(".repeat(10_000), ")".repeat(10_000));
     format!("SELECT {column} FROM watches WHERE {open}id > 0{close} ORDER BY id")
+}
+
+/// A WebL rule whose expression nests parentheses far past the parser's
+/// depth cap: before the cap, parsing it overflowed the stack.
+pub fn hostile_webl() -> String {
+    format!("var v = {}1{};", "(".repeat(200_000), ")".repeat(200_000))
 }
 
 /// One data source of a scenario.
@@ -129,6 +136,9 @@ impl SourceSpec {
         match (&self.fault, rule_for(self.kind, attr)) {
             (FaultClass::HostileRule, ExtractionRule::Sql { column, .. }) => {
                 ExtractionRule::Sql { query: hostile_sql(&column), column }
+            }
+            (FaultClass::HostileRule, ExtractionRule::Webl { .. }) => {
+                ExtractionRule::Webl { program: hostile_webl() }
             }
             (FaultClass::HostileRule, _) => {
                 ExtractionRule::TextRegex { pattern: hostile_regex(), group: 1 }

@@ -59,9 +59,9 @@ fn overload_cases_exercise_their_mechanisms() {
         ),
     );
     let outcome = engine.query(&straggler.query_text()).expect("query parses");
-    assert!(outcome.stats.hedges >= 1, "no hedge launched against the straggler");
-    assert!(outcome.stats.hedge_wins >= 1, "the replica never won the race");
-    assert!(outcome.stats.hedge_wins <= outcome.stats.hedges);
+    assert!(outcome.hedges() >= 1, "no hedge launched against the straggler");
+    assert!(outcome.hedge_wins() >= 1, "the replica never won the race");
+    assert!(outcome.hedge_wins() <= outcome.hedges());
     assert_eq!(outcome.stats.completeness, 1.0);
 
     let burst = load("shed-under-burst.case");
@@ -91,6 +91,7 @@ fn hostile_rule_cases_fail_coded_not_aborted() {
     for (file, code) in [
         ("hostile-regex-nesting.case", "s2s::webdoc"),
         ("hostile-sql-nesting.case", "s2s::db::nesting_too_deep"),
+        ("hostile-webl-nesting.case", "s2s::webl::nesting_too_deep"),
     ] {
         let text = fs::read_to_string(corpus.join(file)).expect("read case");
         let hostile = from_case(&text).expect("case parses");

@@ -76,6 +76,12 @@ pub enum S2sError {
         /// Description.
         message: String,
     },
+    /// The S2SQL `WHERE` clause nests deeper than the parser's cap
+    /// ([`crate::query::MAX_CONDITION_DEPTH`]).
+    QueryNestingTooDeep {
+        /// The cap.
+        limit: usize,
+    },
     /// The query references an unknown class or attribute.
     QuerySemantics {
         /// Description.
@@ -146,13 +152,16 @@ impl S2sError {
             S2sError::UnmappedAttribute { .. } => "s2s::mapping::unmapped_attribute",
             S2sError::RuleSourceMismatch { .. } => "s2s::mapping::rule_source_mismatch",
             S2sError::QuerySyntax { .. } => "s2s::query::syntax",
+            S2sError::QueryNestingTooDeep { .. } => "s2s::query::nesting_too_deep",
             S2sError::QuerySemantics { .. } => "s2s::query::semantics",
             S2sError::Owl(_) => "s2s::owl",
+            S2sError::Rdf(RdfError::NestingTooDeep { .. }) => "s2s::rdf::nesting_too_deep",
             S2sError::Rdf(_) => "s2s::rdf",
             S2sError::Db(DbError::NestingTooDeep { .. }) => "s2s::db::nesting_too_deep",
             S2sError::Db(_) => "s2s::db",
             S2sError::Xml(XmlError::NestingTooDeep { .. }) => "s2s::xml::nesting_too_deep",
             S2sError::Xml(_) => "s2s::xml",
+            S2sError::Webdoc(WebdocError::NestingTooDeep { .. }) => "s2s::webl::nesting_too_deep",
             S2sError::Webdoc(_) => "s2s::webdoc",
             S2sError::Net(_) => "s2s::net",
             S2sError::CircuitOpen { .. } => "s2s::resilience::circuit_open",
@@ -177,6 +186,10 @@ impl S2sError {
                 "match the rule kind to the source kind: Sql for databases, XPath/XQuery for \
                  XML, Webl for web pages, TextRegex for text files",
             ),
+            S2sError::QueryNestingTooDeep { .. } => Some(
+                "flatten the query's WHERE clause: drop redundant parentheses and NOTs, or split \
+                 a long AND/OR chain into balanced groups",
+            ),
             S2sError::Db(DbError::NestingTooDeep { .. }) => Some(
                 "flatten the rule's WHERE clause: drop redundant parentheses and NOTs, or split \
                  a long AND/OR chain into balanced groups",
@@ -184,6 +197,13 @@ impl S2sError {
             S2sError::Xml(XmlError::NestingTooDeep { .. }) => Some(
                 "the source's document nests elements deeper than the parser's cap; have the \
                  provider flatten the export",
+            ),
+            S2sError::Webdoc(WebdocError::NestingTooDeep { .. }) => {
+                Some("flatten the WebL rule: bind nested sub-expressions to variables with `var`")
+            }
+            S2sError::Rdf(RdfError::NestingTooDeep { .. }) => Some(
+                "name the nested blank nodes (`_:b1`) and state their properties as top-level \
+                 statements",
             ),
             S2sError::Bootstrap { .. } => Some(
                 "inspect the BootstrapReport's conflicts; resolve ambiguous fields with \
@@ -210,6 +230,9 @@ impl fmt::Display for S2sError {
             }
             S2sError::QuerySyntax { position, message } => {
                 write!(f, "s2sql syntax error at byte {position}: {message}")
+            }
+            S2sError::QueryNestingTooDeep { limit } => {
+                write!(f, "s2sql WHERE clause nested deeper than {limit} levels")
             }
             S2sError::QuerySemantics { message } => write!(f, "s2sql semantic error: {message}"),
             S2sError::Owl(e) => write!(f, "ontology error: {e}"),
@@ -326,6 +349,16 @@ mod tests {
         let deep_xml = S2sError::Xml(XmlError::NestingTooDeep { position: 9, limit: 250 });
         assert_eq!(deep_xml.code(), "s2s::xml::nesting_too_deep");
         assert!(deep_xml.help().unwrap().contains("flatten"));
+
+        let deep_query = S2sError::QueryNestingTooDeep { limit: 250 };
+        assert_eq!(deep_query.code(), "s2s::query::nesting_too_deep");
+        assert!(deep_query.help().unwrap().contains("WHERE"));
+        let deep_webl = S2sError::Webdoc(WebdocError::NestingTooDeep { line: 1, limit: 250 });
+        assert_eq!(deep_webl.code(), "s2s::webl::nesting_too_deep");
+        assert!(deep_webl.help().unwrap().contains("var"));
+        let deep_turtle = S2sError::Rdf(RdfError::NestingTooDeep { line: 1, limit: 250 });
+        assert_eq!(deep_turtle.code(), "s2s::rdf::nesting_too_deep");
+        assert!(deep_turtle.help().unwrap().contains("blank nodes"));
 
         // Errors without a standard remedy have a code but no help.
         let net = S2sError::Net(NetError::BadFrame { message: "m".into() });

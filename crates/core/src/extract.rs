@@ -41,12 +41,9 @@ use crate::source::{Connection, RegisteredSource, SourceRegistry};
 /// (paper §2.4.1: "extraction schemas of the required attributes").
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionSchema {
-    /// The mapping driving this extraction.
+    /// The mapping driving this extraction (its rule rewritten by the
+    /// federated planner, [`crate::planner`], when pushdown is on).
     pub mapping: AttributeMapping,
-    /// The pre-pushdown mapping when the federated planner rewrote the
-    /// rule ([`crate::planner`]); wire accounting prices it to measure
-    /// the response bytes the rewrite avoided shipping.
-    pub baseline: Option<AttributeMapping>,
 }
 
 /// How the mediator dispatches extraction tasks.
@@ -300,13 +297,8 @@ pub struct ExtractionReport {
     pub wire_bytes: u64,
     /// The response-frame share of `wire_bytes`.
     pub wire_response_bytes: u64,
-    /// Response bytes the pushdown planner's rule rewrites avoided
-    /// shipping versus the pre-rewrite (baseline) rules, summed over
-    /// completed exchanges.
-    pub wire_bytes_saved: u64,
-    /// What the compiled-rule cache answered for this round's planned
-    /// rules: one lookup per rule that reached it (the planner's
-    /// baseline-pricing runs are not the round's rules and not counted).
+    /// What the compiled-rule cache answered for this round: one lookup
+    /// per rule that reached it.
     pub rule_cache: CacheStats,
 }
 
@@ -355,11 +347,7 @@ impl ExtractorManager {
             if mappings.is_empty() {
                 return Err(S2sError::UnmappedAttribute { attribute: p.to_string() });
             }
-            schemas.extend(
-                mappings
-                    .into_iter()
-                    .map(|m| ExtractionSchema { mapping: m.clone(), baseline: None }),
-            );
+            schemas.extend(mappings.into_iter().map(|m| ExtractionSchema { mapping: m.clone() }));
         }
         Ok(schemas)
     }
@@ -441,7 +429,6 @@ impl ExtractorManager {
                         durations.push(elapsed);
                         report.wire_bytes += batch.wire_bytes as u64;
                         report.wire_response_bytes += batch.response_bytes as u64;
-                        report.wire_bytes_saved += batch.saved_response_bytes as u64;
                     }
                     for (i, schema, values) in batch.ok {
                         results.push((
@@ -559,9 +546,6 @@ struct PlannedBatch<'a> {
     wire_bytes: usize,
     /// The `BatchResponse` frame's share of `wire_bytes`.
     response_bytes: usize,
-    /// Response payload the pushdown rewrites kept off the wire
-    /// (baseline minus actual, per pushed section).
-    saved_response_bytes: usize,
     /// LPT sort key: estimated wire cost under the source's cost model.
     estimate: SimDuration,
     /// Per-rule trace spans in submission order (empty unless tracing).
@@ -604,7 +588,7 @@ fn plan_batches<'a>(
             // round's account both come from it (a rule that fails
             // before reaching the cache has none).
             let mut lookup = CacheStats::default();
-            let prepared = prepare_accounted(registry, &schema.mapping, rules, &mut lookup);
+            let prepared = prepare(registry, &schema.mapping, rules, &mut lookup);
             rule_cache.hits += lookup.hits;
             rule_cache.misses += lookup.misses;
             rule_cache.evictions += lookup.evictions;
@@ -632,32 +616,16 @@ fn plan_batches<'a>(
         // Every surviving rule travels as one section of a single
         // BatchRequest; every value list comes back as one section of
         // the matching BatchResponse.
-        let (wire_bytes, response_bytes, saved_response_bytes) = if ok.is_empty() {
-            (0, 0, 0)
+        let (wire_bytes, response_bytes) = if ok.is_empty() {
+            (0, 0)
         } else {
             let request_lens: Vec<usize> =
                 ok.iter().map(|(_, s, _)| s.mapping.rule().text().len()).collect();
             let response_lens: Vec<usize> =
                 ok.iter().map(|(_, _, v)| v.iter().map(String::len).sum()).collect();
-            // Price the pre-rewrite rules of pushed schemas locally:
-            // the difference is the response payload the rewrite keeps
-            // off the wire. A baseline that fails locally saves
-            // nothing (it would never have flown).
-            let saved: usize = ok
-                .iter()
-                .zip(&response_lens)
-                .map(|((_, s, _), &actual)| match &s.baseline {
-                    Some(b) => prepare_values(registry, b, rules)
-                        .map(|v| v.iter().map(String::len).sum::<usize>())
-                        .unwrap_or(actual)
-                        .saturating_sub(actual),
-                    None => 0,
-                })
-                .sum();
             (
                 batch_exchange_size(request_lens.iter().copied(), response_lens.iter().copied()),
                 batch_frame_size(response_lens.iter().copied()),
-                saved,
             )
         };
         let estimate =
@@ -671,7 +639,6 @@ fn plan_batches<'a>(
             failed,
             wire_bytes,
             response_bytes,
-            saved_response_bytes,
             estimate,
             rule_spans,
         });
@@ -781,7 +748,9 @@ pub fn extract_one(
     mapping: &AttributeMapping,
 ) -> Result<(Vec<String>, SimDuration), S2sError> {
     let source = registry.require(mapping.source())?;
-    let values = prepare_values(registry, mapping, &RuleCache::new())?;
+    // A one-off run outside any query: its rule-cache lookup goes to a
+    // throwaway cache and account.
+    let values = prepare(registry, mapping, &RuleCache::new(), &mut CacheStats::default())?;
     let response_len: usize = values.iter().map(String::len).sum();
     let bytes = exchange_size(mapping.rule().text().len(), response_len);
     let call = source.endpoint().invoke(bytes, || ())?;
@@ -972,22 +941,10 @@ fn note_deadline_exceeded() {
     }
 }
 
-/// [`prepare_accounted`] for runs that are not one of a query's planned
-/// rules, so their rule-cache lookup goes to no one's account: the
-/// pushdown planner's pricing oracle (it runs baseline rules locally to
-/// size the exchanges a rewrite avoids) and [`extract_one`].
-pub(crate) fn prepare_values(
-    registry: &SourceRegistry,
-    mapping: &AttributeMapping,
-    rules: &RuleCache,
-) -> Result<Vec<String>, S2sError> {
-    prepare_accounted(registry, mapping, rules, &mut CacheStats::default())
-}
-
 /// Source lookup, rule/kind check, wrapper run, and scenario
 /// truncation — everything local; no wire accounting. The rule-cache
 /// lookup, if the rule gets that far, is tallied into `account`.
-fn prepare_accounted(
+fn prepare(
     registry: &SourceRegistry,
     mapping: &AttributeMapping,
     rules: &RuleCache,

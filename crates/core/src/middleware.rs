@@ -37,10 +37,6 @@ pub struct QueryStats {
     pub tasks: usize,
     /// Number of failed tasks.
     pub failed_tasks: usize,
-    /// Endpoint retries spent across all tasks (resilience layer).
-    pub retries: u64,
-    /// Failovers to replica endpoints across all tasks.
-    pub failovers: u64,
     /// Endpoint round trips this query actually put on the wire — the
     /// observable batching win: one trip per source instead of one per
     /// attribute. Every attempt that reaches an endpoint counts, so
@@ -77,29 +73,11 @@ pub struct QueryStats {
     /// (`completeness` is `0.0`), and nothing past the result-cache
     /// lookup ran — no plan work, no wire traffic, no cache writes.
     pub shed: bool,
-    /// Source exchanges abandoned because the query's deadline budget
-    /// ran out; each one fails its tasks honestly instead of blocking.
-    pub deadline_hits: u64,
-    /// Hedged replica requests launched against straggling primaries.
-    pub hedges: u64,
-    /// Hedged requests whose replica reply beat the primary.
-    /// Invariant: `hedge_wins <= hedges`.
-    pub hedge_wins: u64,
-    /// Conjuncts the federated planner pushed into native source rules
-    /// (0 when pushdown is disabled or nothing was pushable).
-    pub pushed_predicates: u64,
-    /// Sources the planner pruned before any wire exchange because no
-    /// mapping of theirs could satisfy a required conjunct.
-    pub pruned_sources: u64,
     /// Total on-wire bytes (request + response frames) of completed
     /// exchanges.
     pub wire_bytes: u64,
     /// The response-frame share of `wire_bytes`.
     pub wire_response_bytes: u64,
-    /// Wire bytes pushdown avoided: response payload trimmed by pushed
-    /// predicates plus whole exchanges of pruned sources and
-    /// projected-out schemas.
-    pub wire_bytes_saved: u64,
     /// Slices served from a materialized semantic view without
     /// re-extraction (0 when views are disabled): fresh views plus
     /// views cheaply advanced past change events that provably did not
@@ -226,6 +204,41 @@ impl QueryOutcome {
     pub fn render(&self, ontology: &Ontology, format: OutputFormat) -> String {
         instance::render(&self.instances, ontology, format)
     }
+
+    /// Endpoint retries spent across all sources (resilience layer).
+    pub fn retries(&self) -> u64 {
+        sum_health(&self.resilience, |h| h.retries)
+    }
+
+    /// Failovers to replica endpoints across all sources.
+    pub fn failovers(&self) -> u64 {
+        sum_health(&self.resilience, |h| h.failovers)
+    }
+
+    /// Source exchanges abandoned because the query's deadline budget
+    /// ran out; each one fails its tasks honestly instead of blocking.
+    pub fn deadline_hits(&self) -> u64 {
+        sum_health(&self.resilience, |h| h.deadline_hits)
+    }
+
+    /// Hedged replica requests launched against straggling primaries.
+    pub fn hedges(&self) -> u64 {
+        sum_health(&self.resilience, |h| h.hedges)
+    }
+
+    /// Hedged requests whose replica reply beat the primary
+    /// (`hedge_wins <= hedges`).
+    pub fn hedge_wins(&self) -> u64 {
+        sum_health(&self.resilience, |h| h.hedge_wins)
+    }
+}
+
+/// One figure of the per-source health report, summed over sources.
+fn sum_health(
+    resilience: &std::collections::BTreeMap<String, SourceHealth>,
+    figure: impl Fn(&SourceHealth) -> u64,
+) -> u64 {
+    resilience.values().map(figure).sum()
 }
 
 /// The Syntactic-to-Semantic middleware.
@@ -337,8 +350,9 @@ impl S2s {
     /// into the native capability of every source that can evaluate
     /// them (`WHERE` for SQL, XPath predicates for XML, `Where` guards
     /// for WebL/regex), projections drop unneeded schemas, and sources
-    /// that cannot contribute are pruned. Answers are identical with
-    /// the planner on or off — everything unpushable stays in the
+    /// that cannot contribute are pruned. Answers are the same with
+    /// the planner on or off, up to individual IRIs (which number the
+    /// records a source shipped) — everything unpushable stays in the
     /// residual post-filter. Off by default.
     pub fn with_pushdown(mut self) -> Self {
         self.pushdown = true;
@@ -942,7 +956,6 @@ impl S2s {
                     &schemas,
                     plan.condition.as_ref(),
                     plan.projection.as_deref(),
-                    &self.rules,
                 );
                 (schemas, Some(p))
             } else {
@@ -1097,9 +1110,7 @@ impl S2s {
         let mut stats = QueryStats {
             tasks: report.results.len() + report.failures.len(),
             failed_tasks: report.failures.len(),
-            retries: report.resilience.values().map(|h| h.retries).sum(),
-            failovers: report.resilience.values().map(|h| h.failovers).sum(),
-            round_trips: report.resilience.values().map(|h| h.attempts).sum(),
+            round_trips: sum_health(&report.resilience, |h| h.attempts),
             rule_cache: report.rule_cache,
             plan_cache,
             result_cache,
@@ -1109,15 +1120,8 @@ impl S2s {
             simulated: report.simulated,
             simulated_serial: report.simulated_serial,
             shed: false,
-            deadline_hits: report.resilience.values().map(|h| h.deadline_hits).sum(),
-            hedges: report.resilience.values().map(|h| h.hedges).sum(),
-            hedge_wins: report.resilience.values().map(|h| h.hedge_wins).sum(),
-            pushed_predicates: pushdown_plan.as_ref().map_or(0, |p| p.pushed_predicates()),
-            pruned_sources: pushdown_plan.as_ref().map_or(0, |p| p.pruned_sources()),
             wire_bytes: report.wire_bytes + feed_wire_bytes,
             wire_response_bytes: report.wire_response_bytes,
-            wire_bytes_saved: report.wire_bytes_saved
-                + pushdown_plan.as_ref().map_or(0, |p| p.avoided_wire_bytes),
             view_hits,
             view_refreshes,
             view_full_refreshes,
@@ -1137,7 +1141,8 @@ impl S2s {
         // Deferred plan-cache insert (hygiene): a query that blew its
         // deadline does not get to publish cache entries, so overload
         // casualties cannot evict plans that healthy queries rely on.
-        if fresh_plan && stats.deadline_hits == 0 {
+        let deadline_hits = sum_health(&report.resilience, |h| h.deadline_hits);
+        if fresh_plan && deadline_hits == 0 {
             let evicted = self.plans.insert(key.clone(), Arc::clone(&plan));
             stats.plan_cache.evictions = u64::from(evicted);
         }
@@ -1154,7 +1159,7 @@ impl S2s {
         // (an exhausted budget always fails its tasks) but documents
         // the cache-hygiene contract.
         if let Some(results) = &self.results {
-            if stats.failed_tasks == 0 && stats.completeness >= 1.0 && stats.deadline_hits == 0 {
+            if stats.failed_tasks == 0 && stats.completeness >= 1.0 && deadline_hits == 0 {
                 let answer = CachedResult {
                     plan: Arc::clone(&plan),
                     instances: Arc::new(instances.clone()),
@@ -1175,10 +1180,9 @@ impl S2s {
             metrics
                 .histogram("s2s_query_wall_us")
                 .observe(query_started.elapsed().as_micros() as u64);
-            if pushdown_plan.is_some() {
-                metrics.counter("s2s_pushdown_predicates_total").add(stats.pushed_predicates);
-                metrics.counter("s2s_pushdown_pruned_sources_total").add(stats.pruned_sources);
-                metrics.counter("s2s_pushdown_wire_bytes_saved_total").add(stats.wire_bytes_saved);
+            if let Some(p) = &pushdown_plan {
+                metrics.counter("s2s_pushdown_predicates_total").add(p.pushed_predicates());
+                metrics.counter("s2s_pushdown_pruned_sources_total").add(p.pruned_sources());
             }
         }
 
@@ -1194,12 +1198,14 @@ impl S2s {
             root.attr("tasks", stats.tasks.to_string());
             root.attr("failed_tasks", stats.failed_tasks.to_string());
             root.attr("round_trips", stats.round_trips.to_string());
-            if stats.deadline_hits > 0 {
-                root.attr("deadline_hits", stats.deadline_hits.to_string());
+            if deadline_hits > 0 {
+                root.attr("deadline_hits", deadline_hits.to_string());
             }
-            if stats.hedges > 0 {
-                root.attr("hedges", stats.hedges.to_string());
-                root.attr("hedge_wins", stats.hedge_wins.to_string());
+            let hedges = sum_health(&report.resilience, |h| h.hedges);
+            if hedges > 0 {
+                root.attr("hedges", hedges.to_string());
+                let hedge_wins = sum_health(&report.resilience, |h| h.hedge_wins);
+                root.attr("hedge_wins", hedge_wins.to_string());
             }
             if stats.view_hits + stats.view_refreshes + stats.view_full_refreshes > 0 {
                 root.attr("view_hits", stats.view_hits.to_string());
@@ -1228,9 +1234,8 @@ impl S2s {
             if let Some(p) = &pushdown_plan {
                 let mut pushdown_span = Span::new(SpanKind::Pushdown, "planner");
                 pushdown_span.wall_us = pushdown_wall.as_micros() as u64;
-                pushdown_span.attr("pushed_predicates", stats.pushed_predicates.to_string());
-                pushdown_span.attr("pruned_sources", stats.pruned_sources.to_string());
-                pushdown_span.attr("wire_bytes_saved", stats.wire_bytes_saved.to_string());
+                pushdown_span.attr("pushed_predicates", p.pushed_predicates().to_string());
+                pushdown_span.attr("pruned_sources", p.pruned_sources().to_string());
                 if !p.pruned.is_empty() {
                     pushdown_span.attr("pruned", p.pruned.join(","));
                 }
@@ -1891,7 +1896,7 @@ mod tests {
         let out = s2s.query_with_options("SELECT watch", &opts).unwrap();
 
         assert!(!out.stats.shed);
-        assert!(out.stats.deadline_hits >= 1);
+        assert!(out.deadline_hits() >= 1);
         assert!(out.stats.failed_tasks > 0);
         assert!(out.stats.completeness < 1.0, "the answer is honestly degraded");
         assert!(out.stats.round_trips >= 1, "attempts made before expiry still count");
@@ -1900,9 +1905,9 @@ mod tests {
             "failures are labelled as deadline casualties"
         );
         let health = &out.resilience["DB"];
-        assert_eq!(health.deadline_hits, out.stats.deadline_hits);
+        assert_eq!(health.deadline_hits, out.deadline_hits());
         // No failover happened after expiry: the budget is gone.
-        assert_eq!(out.stats.failovers, 0);
+        assert_eq!(out.failovers(), 0);
     }
 
     #[test]
@@ -1924,9 +1929,9 @@ mod tests {
         let (mut hedges, mut wins) = (0, 0);
         for i in 0..20 {
             let out = s2s.query(&format!("SELECT watch WHERE price < {}", 11 + i)).unwrap();
-            assert!(out.stats.hedge_wins <= out.stats.hedges, "wins bounded per query");
-            hedges += out.stats.hedges;
-            wins += out.stats.hedge_wins;
+            assert!(out.hedge_wins() <= out.hedges(), "wins bounded per query");
+            hedges += out.hedges();
+            wins += out.hedge_wins();
         }
         assert!(hedges >= 1, "no hedge launched across 20 queries");
         assert!(wins >= 1, "no hedge won across 20 queries");
@@ -1959,6 +1964,9 @@ mod tests {
             "SELECT watch WHERE brand='Seiko' OR case='resin'",
             "SELECT watch(brand) WHERE price<200",
             "SELECT watch(brand, price)",
+            // Numeric to the mediator, but no SQL literal spells them.
+            "SELECT watch WHERE price<'inf'",
+            "SELECT watch WHERE price!='NaN'",
         ];
         for q in queries {
             let baseline = deploy().query(q).unwrap();
@@ -1975,16 +1983,41 @@ mod tests {
 
     #[test]
     fn pushdown_rewrites_sql_and_xpath_rules() {
-        let s2s = deploy().with_pushdown();
-        let out = s2s.query("SELECT watch WHERE case='stainless-steel'").unwrap();
+        let q = "SELECT watch WHERE case='stainless-steel'";
+        let out = deploy().with_pushdown().query(q).unwrap();
         let plan = out.pushdown.as_ref().expect("planner ran");
         // DB and XML both map `case` with pushable rules; the web page
         // lacks `case` entirely (pruned) and the text file is
         // single-record (no predicate pushing).
         assert_eq!(plan.sources["DB_ID_45"].pushed, vec!["case = stainless-steel"]);
         assert_eq!(plan.sources["XML_7"].pushed, vec!["case = stainless-steel"]);
-        assert_eq!(out.stats.pushed_predicates, 2);
-        assert!(out.stats.wire_bytes_saved > 0, "trimmed responses must be counted as saved");
+        assert_eq!(plan.pushed_predicates(), 2);
+        assert!(
+            out.stats.wire_response_bytes < deploy().query(q).unwrap().stats.wire_response_bytes,
+            "the rewritten rules must ship trimmed responses"
+        );
+    }
+
+    /// Past 2^53 the mediator's `f64` comparison calls neighbouring
+    /// integers equal while SQL compares them exactly: such a literal
+    /// must stay in the residual, or pushdown loses the row.
+    #[test]
+    fn pushdown_keeps_inexact_integer_literals_residual() {
+        let mut db = Database::new("d");
+        db.execute("CREATE TABLE w (price INTEGER)").unwrap();
+        db.execute("INSERT INTO w VALUES (9007199254740993)").unwrap();
+        let mut s2s = S2s::new(ontology()).with_pushdown();
+        s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+        s2s.register_attribute(
+            "thing.product.watch.price",
+            ExtractionRule::Sql { query: "SELECT price FROM w".into(), column: "price".into() },
+            "DB",
+            RecordScenario::MultiRecord,
+        )
+        .unwrap();
+        let out = s2s.query("SELECT watch WHERE price = 9007199254740992").unwrap();
+        assert_eq!(out.individuals().len(), 1, "equal as f64, as with the planner off");
+        assert_eq!(out.pushdown.expect("planner ran").pushed_predicates(), 0);
     }
 
     #[test]
@@ -1995,7 +2028,7 @@ mod tests {
         // wpage_81 maps only brand and price: it cannot satisfy the
         // required `case` conjunct, so it is pruned before the wire.
         assert_eq!(plan.pruned, vec!["wpage_81"]);
-        assert_eq!(out.stats.pruned_sources, 1);
+        assert_eq!(plan.pruned_sources(), 1);
         assert!(
             !out.resilience.contains_key("wpage_81"),
             "pruned source must never reach the mediator"

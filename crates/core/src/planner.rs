@@ -16,8 +16,11 @@
 //! (`required(AND) = union`, `required(OR) = intersection`,
 //! `required(NOT) = ∅`) — and each per-kind rewrite is gated on exact
 //! operator/typing parity with [`crate::query::condition_matches`]
-//! semantics. Anything that cannot be proven equivalent stays in the
-//! residual; answers are byte-identical with the planner on or off.
+//! semantics (XPath and WebL predicates *are* that function; SQL's typed
+//! comparison is held to it by a differential property test). Anything
+//! that cannot be proven equivalent stays in the residual; answers are
+//! the same with the planner on or off up to individual IRIs, which
+//! number the records a source shipped.
 //!
 //! Alignment: a pushed predicate filters the *records* of a source, so
 //! every rule of that source must be rewritten with the same predicate
@@ -28,15 +31,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use s2s_minidb::{CmpOp, ColumnRef, DataType, Database, Expr, Operand, SelectStmt, Value};
-use s2s_netsim::wire::batch_exchange_size;
 use s2s_rdf::Iri;
-use s2s_webdoc::with_guards;
+use s2s_webdoc::{with_guards, GuardSpec};
 use s2s_xml::push_child_predicate;
 
-use crate::extract::{prepare_values, ExtractionSchema};
+use crate::extract::ExtractionSchema;
 use crate::mapping::{ExtractionRule, RecordScenario};
 use crate::query::{CondOp, ConditionTree, ResolvedCondition};
-use crate::rules::RuleCache;
 use crate::source::{Connection, SourceRegistry};
 
 /// What the planner did to one surviving source.
@@ -52,9 +53,8 @@ pub struct SourcePlan {
     pub projected_out: usize,
 }
 
-/// The explicit per-query federation plan: which sources were pruned,
-/// what each surviving source evaluates natively, and how many wire
-/// bytes the avoided work would have cost.
+/// The explicit per-query federation plan: which sources were pruned
+/// and what each surviving source evaluates natively.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PushdownPlan {
     /// Surviving sources, keyed by source id.
@@ -63,10 +63,6 @@ pub struct PushdownPlan {
     /// the source does not map, so every record it could contribute
     /// would fail the residual filter anyway.
     pub pruned: Vec<String>,
-    /// Wire bytes of the exchanges that were never issued (pruned
-    /// sources and projected-out schemas), sized as the batched
-    /// exchange the baseline mediator would have run.
-    pub avoided_wire_bytes: u64,
 }
 
 impl PushdownPlan {
@@ -78,14 +74,6 @@ impl PushdownPlan {
     /// Number of sources pruned before any wire exchange.
     pub fn pruned_sources(&self) -> u64 {
         self.pruned.len() as u64
-    }
-
-    /// Whether the planner changed nothing (no pushes, no prunes, no
-    /// projected-out schemas).
-    pub fn is_pass_through(&self) -> bool {
-        self.pruned.is_empty()
-            && self.avoided_wire_bytes == 0
-            && self.sources.values().all(|s| s.pushed.is_empty() && s.projected_out == 0)
     }
 }
 
@@ -125,14 +113,12 @@ fn required_conjuncts(tree: &ConditionTree) -> Vec<&ResolvedCondition> {
 /// non-contributing sources, drops schemas outside the projection
 /// keep-set, and rewrites each surviving source's rules to evaluate
 /// every provably-equivalent required conjunct natively. Schemas come
-/// back in their original order with [`ExtractionSchema::baseline`]
-/// recording the pre-rewrite mapping for wire accounting.
+/// back in their original order.
 pub fn plan_pushdown(
     registry: &SourceRegistry,
     schemas: &[ExtractionSchema],
     condition: Option<&ConditionTree>,
     projection: Option<&[Iri]>,
-    rules: &RuleCache,
 ) -> (Vec<ExtractionSchema>, PushdownPlan) {
     if condition.is_none() && projection.is_none() {
         return (schemas.to_vec(), PushdownPlan::default());
@@ -166,7 +152,6 @@ pub fn plan_pushdown(
         // conjunct's property yields only individuals the residual
         // filter rejects, so skip its exchange entirely.
         if !required.is_empty() && required.iter().any(|c| !props.contains(&c.property)) {
-            plan.avoided_wire_bytes += baseline_batch_bytes(registry, &group, rules);
             plan.pruned.push(source_id.clone());
             continue;
         }
@@ -175,14 +160,6 @@ pub fn plan_pushdown(
             keep_props.as_ref().is_none_or(|set| set.contains(s.mapping.property()))
         };
         let kept_idx: Vec<usize> = indices.iter().copied().filter(|&i| keep(&schemas[i])).collect();
-        let dropped: Vec<&ExtractionSchema> =
-            indices.iter().filter(|&&i| !keep(&schemas[i])).map(|&i| &schemas[i]).collect();
-        plan.avoided_wire_bytes += if kept_idx.is_empty() {
-            // The whole batch disappears, frame headers and all.
-            baseline_batch_bytes(registry, &group, rules)
-        } else {
-            dropped.iter().map(|s| baseline_section_bytes(registry, s, rules)).sum()
-        };
 
         let single = group.iter().any(|s| s.mapping.scenario() == RecordScenario::SingleRecord);
         let applicable: Vec<&ResolvedCondition> =
@@ -213,7 +190,11 @@ pub fn plan_pushdown(
         }
         plan.sources.insert(
             source_id.clone(),
-            SourcePlan { pushed: pushed_desc, kept: kept_idx.len(), projected_out: dropped.len() },
+            SourcePlan {
+                pushed: pushed_desc,
+                kept: kept_idx.len(),
+                projected_out: indices.len() - kept_idx.len(),
+            },
         );
     }
 
@@ -221,52 +202,11 @@ pub fn plan_pushdown(
     for (i, replacement) in surviving {
         let old = &schemas[i];
         out.push(match replacement {
-            Some(rule) => ExtractionSchema {
-                mapping: old.mapping.with_rule(rule),
-                baseline: Some(old.mapping.clone()),
-            },
+            Some(rule) => ExtractionSchema { mapping: old.mapping.with_rule(rule) },
             None => old.clone(),
         });
     }
     (out, plan)
-}
-
-/// Wire bytes of the batched exchange the baseline mediator would run
-/// for this source group (rules that fail locally never reach the wire
-/// and count nothing).
-fn baseline_batch_bytes(
-    registry: &SourceRegistry,
-    group: &[&ExtractionSchema],
-    rules: &RuleCache,
-) -> u64 {
-    let ok: Vec<(usize, usize)> = group
-        .iter()
-        .filter_map(|s| {
-            prepare_values(registry, &s.mapping, rules).ok().map(|values| {
-                (s.mapping.rule().text().len(), values.iter().map(String::len).sum::<usize>())
-            })
-        })
-        .collect();
-    if ok.is_empty() {
-        return 0;
-    }
-    batch_exchange_size(ok.iter().map(|&(r, _)| r), ok.iter().map(|&(_, v)| v)) as u64
-}
-
-/// Wire bytes one schema contributes as a section of a batch that
-/// still flies (4-byte section prefix on each side).
-fn baseline_section_bytes(
-    registry: &SourceRegistry,
-    schema: &ExtractionSchema,
-    rules: &RuleCache,
-) -> u64 {
-    match prepare_values(registry, &schema.mapping, rules) {
-        Ok(values) => {
-            let resp: usize = values.iter().map(String::len).sum();
-            (4 + schema.mapping.rule().text().len() + 4 + resp) as u64
-        }
-        Err(_) => 0,
-    }
 }
 
 fn describe(c: &ResolvedCondition) -> String {
@@ -284,6 +224,9 @@ fn cmp_of(op: CondOp) -> Option<CmpOp> {
         CondOp::Like => None,
     }
 }
+
+/// 2^53: every integer below it in magnitude is an exact `f64`.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
 /// Rewrites a database source's rules: every kept rule must be a
 /// single-column scan of the same table with the same ordering; each
@@ -323,21 +266,21 @@ fn rewrite_db(
     for c in conjuncts {
         let Some(column) = column_of(&c.property) else { continue };
         let Some(idx) = table.column_index(column) else { continue };
-        let numeric_value = c.value.parse::<f64>().is_ok();
-        let expr = match (table.columns()[idx].data_type(), c.op) {
+        let number = c.value.parse::<f64>().ok();
+        let expr = match (table.columns()[idx].data_type(), c.op, number) {
             // LIKE is text pattern matching on both sides.
-            (DataType::Text, CondOp::Like) => Expr::Like {
+            (DataType::Text, CondOp::Like, _) => Expr::Like {
                 column: ColumnRef::new(column),
                 pattern: c.value.clone(),
                 negated: false,
             },
             // Numeric column + numeric literal: SQL compares
-            // numerically, exactly like the mediator's f64 path.
-            (DataType::Integer | DataType::Real, op) if numeric_value => {
-                let value = match c.value.parse::<i64>() {
-                    Ok(i) => Value::Int(i),
-                    Err(_) => Value::Float(c.value.parse::<f64>().ok()?),
-                };
+            // numerically, exactly like the mediator's f64 path — for a
+            // literal SQL can spell (`inf` and `NaN` would re-parse as
+            // column names) and `f64` holds exactly (past 2^53 SQL's
+            // exact integer comparison and the f64 one part ways).
+            (DataType::Integer | DataType::Real, op, Some(n)) if n.abs() < MAX_EXACT => {
+                let value = c.value.parse::<i64>().map_or(Value::Float(n), Value::Int);
                 Expr::Compare {
                     left: ColumnRef::new(column),
                     op: cmp_of(op)?,
@@ -348,7 +291,7 @@ fn rewrite_db(
             // as strings. A numeric-looking literal would make the
             // mediator compare numerically while SQL compares text,
             // so it stays in the residual.
-            (DataType::Text, op) if !numeric_value => Expr::Compare {
+            (DataType::Text, op, None) => Expr::Compare {
                 left: ColumnRef::new(column),
                 op: cmp_of(op)?,
                 right: Operand::Literal(Value::Text(c.value.clone())),
@@ -410,12 +353,11 @@ fn rewrite_xml(
             continue;
         }
         let Some(guard) = guard_of(&c.property) else { continue };
-        let op = c.op.to_string();
         // All-or-nothing per conjunct: every rule of the source must
         // accept the splice or value lists would misalign.
         let Ok(next) = paths
             .iter()
-            .map(|p| push_child_predicate(p, &guard, &op, &c.value))
+            .map(|p| push_child_predicate(p, &guard, c.op, &c.value))
             .collect::<Result<Vec<_>, _>>()
         else {
             continue;
@@ -466,18 +408,18 @@ fn rewrite_webl(
         })
     };
 
-    let mut guards: Vec<(String, String, String)> = Vec::new();
+    let mut guards: Vec<(String, &ResolvedCondition)> = Vec::new();
     let mut desc = Vec::new();
-    for c in conjuncts {
+    for &c in conjuncts {
         let Some(guard) = guard_of(&c.property) else { continue };
-        guards.push((guard, c.op.to_string(), c.value.clone()));
+        guards.push((guard, c));
         desc.push(describe(c));
     }
     if guards.is_empty() {
         return None;
     }
-    let specs: Vec<(&str, &str, &str)> =
-        guards.iter().map(|(g, o, v)| (g.as_str(), o.as_str(), v.as_str())).collect();
+    let specs: Vec<GuardSpec<'_>> =
+        guards.iter().map(|(g, c)| (g.as_str(), c.op, c.value.as_str())).collect();
     // All-or-nothing for the whole source: a rule that cannot take the
     // guard set leaves the source un-pushed rather than misaligned.
     let programs =

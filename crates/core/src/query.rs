@@ -24,38 +24,10 @@ use s2s_rdf::Iri;
 
 use crate::error::S2sError;
 
-/// A comparison operator in an S2SQL condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CondOp {
-    /// `=`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `LIKE`
-    Like,
-}
-
-impl std::fmt::Display for CondOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CondOp::Eq => "=",
-            CondOp::Ne => "!=",
-            CondOp::Lt => "<",
-            CondOp::Le => "<=",
-            CondOp::Gt => ">",
-            CondOp::Ge => ">=",
-            CondOp::Like => "LIKE",
-        })
-    }
-}
+/// A comparison operator in an S2SQL condition: the same enum the
+/// pushed predicates carry, so the residual filter and the sources
+/// cannot disagree about what an operator means.
+pub use s2s_textmatch::ConstraintOp as CondOp;
 
 /// One `attribute op constraint` condition as written.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,7 +167,9 @@ pub struct QueryPlan {
 ///
 /// # Errors
 ///
-/// Returns [`S2sError::QuerySyntax`] on malformed input.
+/// Returns [`S2sError::QuerySyntax`] on malformed input and
+/// [`S2sError::QueryNestingTooDeep`] when the `WHERE` clause nests
+/// deeper than [`MAX_CONDITION_DEPTH`].
 pub fn parse(input: &str) -> Result<S2sqlQuery, S2sError> {
     let parsed = parse_inner(input);
     if s2s_obs::enabled() {
@@ -238,7 +212,7 @@ fn parse_inner(input: &str) -> Result<S2sqlQuery, S2sError> {
     p.skip_ws();
     let condition = if p.peek_keyword("WHERE") {
         p.expect_keyword("WHERE")?;
-        Some(p.parse_or_expr()?)
+        Some(p.parse_or_expr(0)?.0)
     } else {
         None
     };
@@ -474,27 +448,27 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
     Ok(QueryPlan { class, output_classes, attributes, projection, condition })
 }
 
-/// Evaluates one resolved condition against a candidate value. Numeric
-/// comparison applies when both sides parse as numbers; otherwise
-/// string comparison. `LIKE` uses `%`/`_` wildcards.
+/// Evaluates one resolved condition against a candidate value
+/// ([`CondOp::holds`]: numeric when both sides parse as numbers,
+/// string comparison otherwise, `%`/`_` wildcards for `LIKE`).
+#[inline]
 pub fn condition_matches(cond: &ResolvedCondition, value: &str) -> bool {
-    if cond.op == CondOp::Like {
-        return s2s_minidb::value::like_match(value, &cond.value);
+    cond.op.holds(value, &cond.value)
+}
+
+/// Deepest `WHERE` condition accepted, counted both as nesting of
+/// parentheses/`NOT` and as height of the parsed tree (which `AND`/`OR`
+/// chains deepen without recursing). The parser, [`plan`], the pushdown
+/// planner, the residual filter and `Drop` all recurse once per level;
+/// unbounded, a client's `((((…`, `NOT NOT …` or 200 000-term `AND`
+/// chain overflowed the stack and aborted the process.
+pub const MAX_CONDITION_DEPTH: usize = 250;
+
+fn one_deeper(depth: usize) -> Result<usize, S2sError> {
+    if depth >= MAX_CONDITION_DEPTH {
+        return Err(S2sError::QueryNestingTooDeep { limit: MAX_CONDITION_DEPTH });
     }
-    let ord = match (value.parse::<f64>(), cond.value.parse::<f64>()) {
-        (Ok(a), Ok(b)) => a.partial_cmp(&b),
-        _ => Some(value.cmp(cond.value.as_str())),
-    };
-    let Some(ord) = ord else { return false };
-    match cond.op {
-        CondOp::Eq => ord.is_eq(),
-        CondOp::Ne => !ord.is_eq(),
-        CondOp::Lt => ord.is_lt(),
-        CondOp::Le => ord.is_le(),
-        CondOp::Gt => ord.is_gt(),
-        CondOp::Ge => ord.is_ge(),
-        CondOp::Like => unreachable!("handled above"),
-    }
+    Ok(depth + 1)
 }
 
 // ---------------------------------------------------------------- parser
@@ -571,52 +545,59 @@ impl Parser {
     }
 
     // or_expr := and_expr (OR and_expr)*
-    fn parse_or_expr(&mut self) -> Result<ConditionExpr, S2sError> {
+    //
+    // `nesting` counts the enclosing parentheses and NOTs (the parser's
+    // own recursion); each function also returns the height of the tree
+    // it built. Both are capped at `MAX_CONDITION_DEPTH`.
+    fn parse_or_expr(&mut self, nesting: usize) -> Result<(ConditionExpr, usize), S2sError> {
         self.skip_ws();
-        let mut left = self.parse_and_expr()?;
+        let (mut left, mut height) = self.parse_and_expr(nesting)?;
         loop {
             self.skip_ws();
             if self.eat_keyword("OR") {
-                let right = self.parse_and_expr()?;
+                let (right, h) = self.parse_and_expr(nesting)?;
+                height = one_deeper(height.max(h))?;
                 left = ConditionExpr::Or(Box::new(left), Box::new(right));
             } else {
-                return Ok(left);
+                return Ok((left, height));
             }
         }
     }
 
     // and_expr := unary (AND unary)*
-    fn parse_and_expr(&mut self) -> Result<ConditionExpr, S2sError> {
+    fn parse_and_expr(&mut self, nesting: usize) -> Result<(ConditionExpr, usize), S2sError> {
         self.skip_ws();
-        let mut left = self.parse_unary_expr()?;
+        let (mut left, mut height) = self.parse_unary_expr(nesting)?;
         loop {
             self.skip_ws();
             if self.eat_keyword("AND") {
-                let right = self.parse_unary_expr()?;
+                let (right, h) = self.parse_unary_expr(nesting)?;
+                height = one_deeper(height.max(h))?;
                 left = ConditionExpr::And(Box::new(left), Box::new(right));
             } else {
-                return Ok(left);
+                return Ok((left, height));
             }
         }
     }
 
     // unary := NOT unary | '(' or_expr ')' | condition
-    fn parse_unary_expr(&mut self) -> Result<ConditionExpr, S2sError> {
+    fn parse_unary_expr(&mut self, nesting: usize) -> Result<(ConditionExpr, usize), S2sError> {
         self.skip_ws();
         if self.eat_keyword("NOT") {
-            return Ok(ConditionExpr::Not(Box::new(self.parse_unary_expr()?)));
+            let (e, h) = self.parse_unary_expr(one_deeper(nesting)?)?;
+            return Ok((ConditionExpr::Not(Box::new(e)), one_deeper(h)?));
         }
         if self.peek() == Some('(') {
             self.pos += 1;
-            let e = self.parse_or_expr()?;
+            let inner = self.parse_or_expr(one_deeper(nesting)?)?;
             self.skip_ws();
             if self.peek() != Some(')') {
                 return Err(self.err("expected `)`"));
             }
             self.pos += 1;
-            return Ok(e);
+            return Ok(inner);
         }
-        Ok(ConditionExpr::Leaf(self.parse_condition()?))
+        Ok((ConditionExpr::Leaf(self.parse_condition()?), 1))
     }
 
     fn parse_condition(&mut self) -> Result<Condition, S2sError> {
@@ -919,6 +900,59 @@ mod tests {
         // No price value present → `price<100` leaf is false → whole OR
         // false → NOT true.
         assert!(tree.matches(&[(&brand, "Orient")]));
+    }
+
+    /// Hostile clients: `((((…` and `NOT NOT …` × 200 000 used to
+    /// overflow the stack in `parse_unary_expr` and abort the process; a
+    /// 200 000-term `AND` chain parses iteratively but builds a tree
+    /// just as deep for everything downstream.
+    #[test]
+    fn condition_nesting_is_capped() {
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
+            let n = 200_000;
+            for text in [
+                format!("SELECT watch WHERE {}brand='x'{}", "(".repeat(n), ")".repeat(n)),
+                format!("SELECT watch WHERE {}brand='x'", "NOT ".repeat(n)),
+                format!("SELECT watch WHERE brand='x'{}", " AND brand='x'".repeat(n)),
+                format!("SELECT watch WHERE brand='x'{}", " OR brand='x'".repeat(n)),
+                // Unbalanced: the cap, not the missing `)`, stops it.
+                format!("SELECT watch WHERE {}", "(".repeat(n)),
+            ] {
+                let err = parse(&text).expect_err(&text[..40]);
+                assert_eq!(err, S2sError::QueryNestingTooDeep { limit: MAX_CONDITION_DEPTH });
+                assert_eq!(err.code(), "s2s::query::nesting_too_deep");
+                assert!(err.help().is_some());
+            }
+        });
+        worker.unwrap().join().expect("no stack overflow past the cap");
+    }
+
+    /// A condition exactly at the cap parses, and what walks the tree —
+    /// `leaves`, `plan`, the residual filter, `Clone`, `==`, `Drop` —
+    /// fits a worker thread's stack.
+    #[test]
+    fn condition_at_the_cap_is_safe_to_plan_evaluate_and_drop() {
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
+            let d = MAX_CONDITION_DEPTH;
+            let o = onto();
+            let brand = o.property_iri("brand").unwrap();
+            let nested = format!("SELECT watch WHERE {}brand='x'{}", "(".repeat(d), ")".repeat(d));
+            let negated = format!("SELECT watch WHERE {}brand='x'", "NOT ".repeat(d - 1));
+            let chained = format!("SELECT watch WHERE brand='x'{}", " AND brand='x'".repeat(d - 1));
+            // 249 NOTs flip the one leaf.
+            for (text, leaves, holds) in
+                [(nested, 1, true), (negated, 1, false), (chained, d, true)]
+            {
+                let q = parse(&text).expect("depth at the cap parses");
+                assert_eq!(q.condition.as_ref().unwrap().leaves().len(), leaves);
+                let p = plan(&q, &o).unwrap();
+                let tree = p.condition.as_ref().unwrap();
+                assert_eq!(tree.leaves().len(), leaves);
+                assert_eq!(tree.matches(&[(&brand, "x")]), holds, "{}", &text[..40]);
+                assert_eq!(p.clone(), p);
+            }
+        });
+        worker.unwrap().join().expect("no stack overflow at the cap");
     }
 
     #[test]

@@ -4,11 +4,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use s2s_core::extract::Strategy as ExecStrategy;
-use s2s_core::mapping::{ExtractionRule, RecordScenario};
-use s2s_core::query::{condition_matches, CondOp, ResolvedCondition};
-use s2s_core::source::Connection;
-use s2s_core::S2s;
+use s2s_core::extract::{extract_one, ExtractorManager, Strategy as ExecStrategy};
+use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
+use s2s_core::query::{condition_matches, CondOp, ConditionTree, ResolvedCondition};
+use s2s_core::source::{Connection, SourceRegistry};
+use s2s_core::{plan_pushdown, S2s};
 use s2s_minidb::Database;
 use s2s_owl::Ontology;
 use s2s_rdf::Iri;
@@ -96,7 +96,85 @@ fn deploy(rows: &[Row], strategy: ExecStrategy) -> S2s {
     s2s
 }
 
+/// One `(column type, stored literal, op, constant)` the planner's
+/// `rewrite_db` gates accept: a text column against a non-numeric
+/// constant, a numeric column against a numeric constant, a text column
+/// under `LIKE`.
+fn arb_pushable() -> impl Strategy<Value = (&'static str, String, CondOp, String)> {
+    let ordered = || {
+        prop_oneof![
+            Just(CondOp::Eq),
+            Just(CondOp::Ne),
+            Just(CondOp::Lt),
+            Just(CondOp::Le),
+            Just(CondOp::Gt),
+            Just(CondOp::Ge)
+        ]
+    };
+    // Quarters are exact in binary, so the stored value, its rendering
+    // and the constant all denote the same number.
+    let number = || {
+        prop_oneof![
+            (-50i64..50).prop_map(|n| n.to_string()),
+            (-200i64..200).prop_map(|q| (q as f64 / 4.0).to_string()),
+        ]
+    };
+    let text = ("[ab1. ]{0,4}", ordered(), "[ab][ab1. ]{0,3}");
+    let real = (number(), ordered(), prop_oneof![number(), Just("1e1".to_string())]);
+    let integer = ((-50i64..50).prop_map(|n| n.to_string()), ordered(), number());
+    let like = ("[ab%_]{0,6}", Just(CondOp::Like), "[ab%_]{0,6}");
+    prop_oneof![
+        text.prop_map(|(v, op, c)| ("TEXT", format!("'{v}'"), op, c)),
+        real.prop_map(|(v, op, c)| ("REAL", v, op, c)),
+        integer.prop_map(|(v, op, c)| ("INTEGER", v, op, c)),
+        like.prop_map(|(v, op, c)| ("TEXT", format!("'{v}'"), op, c)),
+    ]
+}
+
 proptest! {
+    /// The SQL comparison a pushed conjunct runs at a database source
+    /// (`minidb`'s typed `CmpOp` and its own `like_match`) and the
+    /// mediator's residual comparison (`condition_matches`, i.e.
+    /// `ConstraintOp::holds`) are separate code — no crate sees both but
+    /// this one. Under the planner's push gates they must agree on
+    /// whether a one-row table's row survives.
+    #[test]
+    fn pushed_sql_predicate_agrees_with_the_residual((ty, stored, op, constant) in arb_pushable()) {
+        let mut db = Database::new("d");
+        db.execute(&format!("CREATE TABLE t (v {ty})")).unwrap();
+        db.execute(&format!("INSERT INTO t VALUES ({stored})")).unwrap();
+        let mut registry = SourceRegistry::new();
+        registry.register_local("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+        let ontology = ontology();
+        let path: s2s_owl::AttributePath = "thing.product.brand".parse().unwrap();
+        let mut module = MappingModule::new();
+        let rule = ExtractionRule::Sql { query: "SELECT v FROM t".into(), column: "v".into() };
+        module
+            .register(&ontology, path.clone(), rule, "DB".into(), RecordScenario::MultiRecord)
+            .unwrap();
+        let schemas = ExtractorManager::obtain_schemas(&module, &[path]).unwrap();
+        // The candidate as the mediator sees it: the column rendered.
+        let candidate = extract_one(&registry, &schemas[0].mapping).unwrap().0.remove(0);
+
+        let cond = ResolvedCondition {
+            property: ontology.property_iri("brand").unwrap(),
+            op,
+            value: constant,
+        };
+        let tree = ConditionTree::Leaf(cond.clone());
+        let (pushed, plan) = plan_pushdown(&registry, &schemas, Some(&tree), None);
+        prop_assert_eq!(plan.pushed_predicates(), 1, "inside the gates: {:?}", cond);
+        let survived = !extract_one(&registry, &pushed[0].mapping).unwrap().0.is_empty();
+        prop_assert_eq!(
+            survived,
+            condition_matches(&cond, &candidate),
+            "{} on a {} column holding {}",
+            pushed[0].mapping.rule().text(),
+            ty,
+            stored
+        );
+    }
+
     /// SELECT with no conditions returns every record from every source.
     #[test]
     fn unconditional_query_total(rows in arb_rows()) {

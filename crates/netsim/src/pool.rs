@@ -250,40 +250,9 @@ impl WorkerPool {
         }
         slots.into_iter().map(|s| s.expect("one result per job")).collect()
     }
-
-    /// Like [`WorkerPool::run`], but a panicking task becomes an
-    /// `Err(message)` in its result slot instead of resuming the panic
-    /// on the caller. Sibling tasks are unaffected and the engine keeps
-    /// serving — a misbehaving extraction rule degrades one task, it
-    /// does not abort the mediator.
-    ///
-    /// Unlike `run`, this also guards the inline fast path (1-worker
-    /// pools / single-task batches), which `run` executes without a
-    /// panic net.
-    pub fn try_run<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<Result<R, String>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        self.run(tasks, |t| catch_unwind(AssertUnwindSafe(|| f(t))).map_err(|p| panic_message(&p)))
-    }
 }
 
 type Panic = Box<dyn Any + Send + 'static>;
-
-/// Renders a panic payload as the human-readable message `panic!` was
-/// invoked with (the common `&str`/`String` payloads; anything else
-/// gets a generic label).
-fn panic_message(payload: &Panic) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked (non-string payload)".to_string()
-    }
-}
 
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -399,36 +368,6 @@ mod tests {
         assert_eq!(finished.load(Ordering::Relaxed), 7, "siblings still ran");
         // The pool survives the panic and keeps serving.
         assert_eq!(pool.run(vec![5], |x| x), [5]);
-    }
-
-    #[test]
-    fn try_run_surfaces_panics_as_task_errors() {
-        let pool = WorkerPool::new(4);
-        let out = pool.try_run((0..8).collect(), |x: u32| {
-            if x == 3 {
-                panic!("rule {x} exploded");
-            }
-            x * 2
-        });
-        assert_eq!(out.len(), 8);
-        assert_eq!(out[2], Ok(4));
-        assert_eq!(out[3], Err("rule 3 exploded".to_string()));
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 7, "siblings unaffected");
-        // The pool survives and keeps serving.
-        assert_eq!(pool.run(vec![9], |x| x), [9]);
-        assert_eq!(pool.stats().jobs, pool.stats().completed);
-    }
-
-    #[test]
-    fn try_run_guards_the_inline_fast_path() {
-        // A 1-worker pool runs inline, where `run` has no panic net;
-        // `try_run` must still convert the panic into a task error.
-        let pool = WorkerPool::new(1);
-        let out = pool.try_run(vec![1u32], |_| -> u32 { panic!("inline boom") });
-        assert_eq!(out, [Err("inline boom".to_string())]);
-        // Non-&str payloads get a generic label instead of aborting.
-        let out = pool.try_run(vec![1u32], |_| -> u32 { std::panic::panic_any(42u8) });
-        assert!(out[0].as_ref().is_err_and(|m| m.contains("panicked")));
     }
 
     #[test]

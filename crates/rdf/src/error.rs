@@ -31,6 +31,14 @@ pub enum RdfError {
         /// Description of the problem.
         message: String,
     },
+    /// Turtle anonymous blank nodes (`[ … [ … ] ]`) nest deeper than the
+    /// parser's cap ([`crate::turtle::MAX_NESTING`]).
+    NestingTooDeep {
+        /// 1-based line number.
+        line: usize,
+        /// The cap.
+        limit: usize,
+    },
     /// A prefixed name used an undeclared prefix.
     UnknownPrefix {
         /// The undeclared prefix (without the colon).
@@ -49,6 +57,9 @@ impl fmt::Display for RdfError {
             }
             RdfError::InvalidLanguageTag { tag } => write!(f, "invalid language tag `{tag}`"),
             RdfError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
+            RdfError::NestingTooDeep { line, limit } => {
+                write!(f, "blank nodes at line {line} nested deeper than {limit} levels")
+            }
             RdfError::UnknownPrefix { prefix, line } => {
                 write!(f, "unknown prefix `{prefix}:` at line {line}")
             }

@@ -212,12 +212,18 @@ pub(crate) fn push_term(out: &mut String, term: &Term, prefixes: &PrefixMap) {
 ///
 /// # Errors
 ///
-/// Returns [`RdfError::Parse`] on syntax errors and
+/// Returns [`RdfError::Parse`] on syntax errors,
 /// [`RdfError::UnknownPrefix`] when a prefixed name uses an undeclared
-/// prefix.
+/// prefix, and [`RdfError::NestingTooDeep`] when anonymous blank nodes
+/// nest deeper than [`MAX_NESTING`].
 pub fn parse(input: &str) -> Result<Graph, RdfError> {
     Parser::new(input).parse()
 }
+
+/// Deepest nesting of anonymous blank nodes (`[ p [ p [ … ] ] ]`)
+/// accepted. The parser recurses once per level; unbounded, 200 000
+/// levels overflowed the stack and aborted the process.
+pub const MAX_NESTING: usize = 250;
 
 struct Parser<'a> {
     chars: Vec<(usize, char)>,
@@ -227,6 +233,8 @@ struct Parser<'a> {
     base: Option<String>,
     graph: Graph,
     blank_counter: usize,
+    /// Anonymous blank nodes currently open.
+    nesting: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -239,6 +247,7 @@ impl<'a> Parser<'a> {
             base: None,
             graph: Graph::new(),
             blank_counter: 0,
+            nesting: 0,
         }
     }
 
@@ -448,6 +457,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_anon_blank(&mut self, _as_subject: bool) -> Result<BlankNode, RdfError> {
+        if self.nesting >= MAX_NESTING {
+            return Err(RdfError::NestingTooDeep { line: self.line(), limit: MAX_NESTING });
+        }
         self.eat('[');
         self.blank_counter += 1;
         let node = BlankNode::new(format!("anon{}", self.blank_counter))
@@ -456,7 +468,9 @@ impl<'a> Parser<'a> {
         if !self.eat(']') {
             // [ pred obj ; ... ]
             let subject = Term::Blank(node.clone());
+            self.nesting += 1;
             self.parse_predicate_object_list(&subject)?;
+            self.nesting -= 1;
             self.skip_ws();
             if !self.eat(']') {
                 return Err(self.err("expected `]`"));
@@ -725,6 +739,30 @@ mod tests {
         assert_eq!(g.len(), 2);
         let blank_objs = g.iter().filter(|t| t.object().as_blank().is_some()).count();
         assert_eq!(blank_objs, 1);
+    }
+
+    /// A hostile document: 200 000 nested `[ e:p [ e:p … ] ]` used to
+    /// overflow the stack in `parse_anon_blank` and abort the process.
+    #[test]
+    fn blank_node_nesting_is_capped() {
+        let nested = |n: usize| {
+            format!(
+                "@prefix e: <http://e.org/> .\ne:s e:p {}e:o{} .",
+                "[ e:p ".repeat(n),
+                " ]".repeat(n)
+            )
+        };
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(move || {
+            // At the cap: one triple per level plus the innermost object.
+            assert_eq!(parse(&nested(MAX_NESTING)).expect("depth at the cap parses").len(), 251);
+            for n in [MAX_NESTING + 1, 200_000] {
+                assert_eq!(
+                    parse(&nested(n)),
+                    Err(RdfError::NestingTooDeep { line: 2, limit: MAX_NESTING })
+                );
+            }
+        });
+        worker.unwrap().join().expect("no stack overflow at or past the cap");
     }
 
     #[test]

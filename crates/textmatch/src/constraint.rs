@@ -1,15 +1,16 @@
-//! Pushed match constraints.
+//! The mediator's comparison, and constraints pushed to text sources.
 //!
-//! A [`Constraint`] is one `WHERE` conjunct translated into a form the
-//! text-oriented extractors (WebL programs, guarded regex rules) can
-//! evaluate at the source. Its semantics mirror the mediator's
-//! post-filter comparison exactly — numeric comparison when both sides
-//! parse as `f64`, lexicographic otherwise, SQL `LIKE` with `%`/`_` —
-//! so pushing a constraint down never changes which values survive.
+//! [`ConstraintOp`] is the one operator enum of an S2SQL condition
+//! (`s2s_core::query::CondOp` re-exports it) and
+//! [`ConstraintOp::holds`] the one function that decides `candidate op
+//! constant` — numeric when both sides parse as `f64`, byte-wise string
+//! comparison otherwise, SQL `LIKE` with `%`/`_`. The mediator's
+//! residual filter and every predicate pushed into a source (an XPath
+//! child comparison, a WebL `Where` guard, both held as a
+//! [`Constraint`]) call it, so pushing a conjunct down cannot change
+//! which values survive.
 
-use std::cmp::Ordering;
-
-/// The comparison operator of a pushed constraint.
+/// A comparison operator of an S2SQL condition or a pushed constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstraintOp {
     /// `=`
@@ -55,6 +56,38 @@ impl ConstraintOp {
             _ => return None,
         })
     }
+
+    /// Whether `candidate op constant` holds — the one comparison the
+    /// mediator's residual filter and every pushed predicate (XPath
+    /// child comparison, WebL `Where`) share: numeric when both sides
+    /// parse as `f64` (a NaN on either side satisfies nothing),
+    /// byte-wise string comparison otherwise, [`like_match`] for `LIKE`.
+    #[inline]
+    pub fn holds(self, candidate: &str, constant: &str) -> bool {
+        if self == ConstraintOp::Like {
+            return like_match(candidate, constant);
+        }
+        let ord = match (candidate.parse::<f64>(), constant.parse::<f64>()) {
+            (Ok(a), Ok(b)) => a.partial_cmp(&b),
+            _ => Some(candidate.cmp(constant)),
+        };
+        let Some(ord) = ord else { return false };
+        match self {
+            ConstraintOp::Eq => ord.is_eq(),
+            ConstraintOp::Ne => ord.is_ne(),
+            ConstraintOp::Lt => ord.is_lt(),
+            ConstraintOp::Le => ord.is_le(),
+            ConstraintOp::Gt => ord.is_gt(),
+            ConstraintOp::Ge => ord.is_ge(),
+            ConstraintOp::Like => unreachable!("handled above"),
+        }
+    }
+}
+
+impl std::fmt::Display for ConstraintOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.token())
+    }
 }
 
 /// One pushed comparison: `candidate op value`.
@@ -72,29 +105,10 @@ impl Constraint {
         Constraint { op, value: value.into() }
     }
 
-    /// Whether `candidate` satisfies the constraint, under the
-    /// mediator's comparison semantics: numeric when both sides parse
-    /// as `f64`, string comparison otherwise.
+    /// Whether `candidate` satisfies the constraint
+    /// ([`ConstraintOp::holds`]).
     pub fn matches(&self, candidate: &str) -> bool {
-        if self.op == ConstraintOp::Like {
-            return like_match(candidate, &self.value);
-        }
-        let ord = match (candidate.parse::<f64>(), self.value.parse::<f64>()) {
-            (Ok(a), Ok(b)) => match a.partial_cmp(&b) {
-                Some(o) => o,
-                None => return false,
-            },
-            _ => candidate.cmp(self.value.as_str()),
-        };
-        match self.op {
-            ConstraintOp::Eq => ord == Ordering::Equal,
-            ConstraintOp::Ne => ord != Ordering::Equal,
-            ConstraintOp::Lt => ord == Ordering::Less,
-            ConstraintOp::Le => ord != Ordering::Greater,
-            ConstraintOp::Gt => ord == Ordering::Greater,
-            ConstraintOp::Ge => ord != Ordering::Less,
-            ConstraintOp::Like => unreachable!("handled above"),
-        }
+        self.op.holds(candidate, &self.value)
     }
 }
 
@@ -102,18 +116,41 @@ impl Constraint {
 /// case-sensitive. Semantics match `s2s_minidb::value::like_match` so
 /// a constraint pushed to a text source filters identically to the
 /// same predicate pushed to a database.
+///
+/// Iterative with one backtrack point (the latest `%`): no allocation,
+/// no recursion, `O(value × pattern)` — the pattern is client input
+/// (an S2SQL `LIKE` constant), so a backtracker per `%` would let one
+/// query pin a core.
 pub fn like_match(value: &str, pattern: &str) -> bool {
-    fn rec(v: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => v.is_empty(),
-            Some('%') => (0..=v.len()).any(|i| rec(&v[i..], &p[1..])),
-            Some('_') => !v.is_empty() && rec(&v[1..], &p[1..]),
-            Some(c) => v.first() == Some(c) && rec(&v[1..], &p[1..]),
+    let (mut v, mut p) = (value.chars(), pattern.chars());
+    // Where to resume after a mismatch: the pattern just past the
+    // latest `%`, and the value position that `%` has absorbed up to.
+    let mut retry: Option<(std::str::Chars<'_>, std::str::Chars<'_>)> = None;
+    loop {
+        let mut rest = p.clone();
+        match rest.next() {
+            Some('%') => {
+                p = rest;
+                retry = Some((v.clone(), p.clone()));
+                continue;
+            }
+            Some(pc) => {
+                let mut ahead = v.clone();
+                if ahead.next().is_some_and(|vc| pc == '_' || pc == vc) {
+                    (v, p) = (ahead, rest);
+                    continue;
+                }
+            }
+            None if v.as_str().is_empty() => return true,
+            None => {}
         }
+        // Mismatch: let the latest `%` absorb one more character.
+        let Some((rv, rp)) = &mut retry else { return false };
+        if rv.next().is_none() {
+            return false;
+        }
+        (v, p) = (rv.clone(), rp.clone());
     }
-    let v: Vec<char> = value.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&v, &p)
 }
 
 #[cfg(test)]
@@ -168,5 +205,21 @@ mod tests {
         assert!(like_match("Seiko", "S_iko"));
         assert!(!like_match("", "_"));
         assert!(like_match("", "%"));
+    }
+
+    /// A `%`-heavy pattern that cannot match must be refused in linear
+    /// time: a backtracker per `%` needs over a minute for this one.
+    #[test]
+    fn like_is_linear_on_a_hostile_pattern() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let (value, pattern) = ("a".repeat(40), "%a".repeat(12) + "b");
+            let free = like_match(&value, &pattern);
+            let held = Constraint::new(ConstraintOp::Like, pattern).matches(&value);
+            tx.send((free, held)).expect("the test thread is receiving");
+        });
+        let answer = rx.recv_timeout(std::time::Duration::from_secs(1));
+        assert_eq!(answer, Ok((false, false)), "LIKE did not answer within 1 s");
+        worker.join().expect("matcher thread panicked");
     }
 }

@@ -116,6 +116,17 @@ proptest! {
         }
     }
 
+    /// The linear `LIKE` matcher agrees with the recursive one it
+    /// replaced (`tests/reference`) on short values and patterns.
+    #[test]
+    fn like_agrees_with_reference(value in "[ab]{0,8}", pattern in "[ab%_]{0,8}") {
+        prop_assert_eq!(
+            s2s_textmatch::like_match(&value, &pattern),
+            reference::like_match(&value, &pattern),
+            "{:?} LIKE {:?}", value, pattern
+        );
+    }
+
     /// A literal pattern finds exactly what `str::find` finds.
     #[test]
     fn literal_agrees_with_str_find(needle in "[a-c]{1,4}", hay in "[a-d]{0,30}") {

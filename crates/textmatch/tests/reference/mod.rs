@@ -248,3 +248,20 @@ pub fn find_iter(program: &Program, haystack: &str) -> Vec<Vec<Option<(usize, us
     }
     out
 }
+
+/// SQL `LIKE` as `s2s_textmatch::like_match` stood before it became
+/// iterative: one recursive backtrack per `%`, exponential on patterns
+/// such as `%a%a%a…b`, kept for the differential test on short inputs.
+pub fn like_match(value: &str, pattern: &str) -> bool {
+    fn rec(v: &[char], p: &[char]) -> bool {
+        match p.first() {
+            None => v.is_empty(),
+            Some('%') => (0..=v.len()).any(|i| rec(&v[i..], &p[1..])),
+            Some('_') => !v.is_empty() && rec(&v[1..], &p[1..]),
+            Some(c) => v.first() == Some(c) && rec(&v[1..], &p[1..]),
+        }
+    }
+    let v: Vec<char> = value.chars().collect();
+    let p: Vec<char> = pattern.chars().collect();
+    rec(&v, &p)
+}

@@ -18,6 +18,14 @@ pub enum WebdocError {
         /// Description.
         message: String,
     },
+    /// A WebL expression nests deeper than the parser's cap
+    /// ([`crate::webl::MAX_EXPR_DEPTH`]).
+    NestingTooDeep {
+        /// 1-based line.
+        line: usize,
+        /// The cap.
+        limit: usize,
+    },
     /// WebL runtime error (bad index, type mismatch, undefined variable).
     WeblRuntime {
         /// Description.
@@ -38,6 +46,9 @@ impl fmt::Display for WebdocError {
             WebdocError::UrlNotFound { url } => write!(f, "url not found: {url}"),
             WebdocError::WeblSyntax { line, message } => {
                 write!(f, "webl syntax error at line {line}: {message}")
+            }
+            WebdocError::NestingTooDeep { line, limit } => {
+                write!(f, "webl expression at line {line} nested deeper than {limit} levels")
             }
             WebdocError::WeblRuntime { message } => write!(f, "webl runtime error: {message}"),
             WebdocError::BadRegex { pattern, message } => {

@@ -165,7 +165,8 @@ impl WeblProgram {
     /// # Errors
     ///
     /// Returns [`WebdocError::WeblSyntax`] with a line number on any
-    /// malformed statement.
+    /// malformed statement, and [`WebdocError::NestingTooDeep`] when an
+    /// expression nests deeper than [`MAX_EXPR_DEPTH`].
     pub fn parse(source: &str) -> Result<Self, WebdocError> {
         let tokens = lex(source)?;
         let mut p = TokenStream { tokens, pos: 0 };
@@ -430,65 +431,90 @@ impl TokenStream {
                 _ => return Err(self.err("expected variable name after `var`")),
             };
             self.expect_sym('=')?;
-            let expr = self.parse_expr()?;
+            let expr = self.parse_expr(0)?.0;
             self.expect_sym(';')?;
             return Ok(Stmt::Assign { name, expr });
         }
-        let expr = self.parse_expr()?;
+        let expr = self.parse_expr(0)?.0;
         self.expect_sym(';')?;
         Ok(Stmt::Expr(expr))
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, WebdocError> {
-        let mut left = self.parse_postfix()?;
+    fn one_deeper(&self, depth: usize) -> Result<usize, WebdocError> {
+        if depth >= MAX_EXPR_DEPTH {
+            return Err(WebdocError::NestingTooDeep { line: self.line(), limit: MAX_EXPR_DEPTH });
+        }
+        Ok(depth + 1)
+    }
+
+    // `nesting` counts the enclosing parentheses, argument lists and
+    // index brackets (the parser's own recursion); each function also
+    // returns the height of the tree it built, which `+` and `[i]`
+    // chains deepen without recursing. Both are capped at
+    // `MAX_EXPR_DEPTH`.
+    fn parse_expr(&mut self, nesting: usize) -> Result<(Expr, usize), WebdocError> {
+        let (mut left, mut height) = self.parse_postfix(nesting)?;
         while self.eat_sym('+') {
-            let right = self.parse_postfix()?;
+            let (right, h) = self.parse_postfix(nesting)?;
+            height = self.one_deeper(height.max(h))?;
             left = Expr::Concat(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr, WebdocError> {
-        let mut base = self.parse_atom()?;
+    fn parse_postfix(&mut self, nesting: usize) -> Result<(Expr, usize), WebdocError> {
+        let (mut base, mut height) = self.parse_atom(nesting)?;
         while self.eat_sym('[') {
-            let index = self.parse_expr()?;
+            let (index, h) = self.parse_expr(self.one_deeper(nesting)?)?;
             self.expect_sym(']')?;
+            height = self.one_deeper(height.max(h))?;
             base = Expr::Index { base: Box::new(base), index: Box::new(index) };
         }
-        Ok(base)
+        Ok((base, height))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, WebdocError> {
+    fn parse_atom(&mut self, nesting: usize) -> Result<(Expr, usize), WebdocError> {
         match self.bump() {
-            Some(Tok::Str(s)) => Ok(Expr::Str(s)),
-            Some(Tok::Pattern(p)) => Ok(Expr::Pattern(p)),
-            Some(Tok::Int(i)) => Ok(Expr::Int(i)),
+            Some(Tok::Str(s)) => Ok((Expr::Str(s), 1)),
+            Some(Tok::Pattern(p)) => Ok((Expr::Pattern(p), 1)),
+            Some(Tok::Int(i)) => Ok((Expr::Int(i), 1)),
             Some(Tok::Ident(name)) => {
                 if self.eat_sym('(') {
+                    let inner = self.one_deeper(nesting)?;
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if !self.eat_sym(')') {
                         loop {
-                            args.push(self.parse_expr()?);
+                            let (arg, h) = self.parse_expr(inner)?;
+                            args.push(arg);
+                            height = height.max(h);
                             if self.eat_sym(')') {
                                 break;
                             }
                             self.expect_sym(',')?;
                         }
                     }
-                    Ok(Expr::Call { function: name, args })
+                    Ok((Expr::Call { function: name, args }, self.one_deeper(height)?))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             Some(Tok::Sym('(')) => {
-                let e = self.parse_expr()?;
+                let inner = self.parse_expr(self.one_deeper(nesting)?)?;
                 self.expect_sym(')')?;
-                Ok(e)
+                Ok(inner)
             }
             _ => Err(self.err("expected an expression")),
         }
     }
 }
+
+/// Deepest WebL expression accepted, counted both as nesting of
+/// parentheses, call arguments and index brackets and as height of the
+/// parsed tree. The parser, the evaluator, the renderer, the guard
+/// rewriter and `Drop` all recurse once per level; unbounded, a rule's
+/// `((((…` overflowed the stack and aborted the process.
+pub const MAX_EXPR_DEPTH: usize = 250;
 
 // ------------------------------------------------------------ evaluator
 
@@ -783,8 +809,8 @@ fn render(statements: &[Stmt]) -> String {
 // ----------------------------------------------------- pushdown rewrite
 
 /// One pushed conjunct for [`with_guards`]: the guard attribute's
-/// extraction program, the comparison operator token, and the value.
-pub type GuardSpec<'a> = (&'a str, &'a str, &'a str);
+/// extraction program, the comparison operator, and the value.
+pub type GuardSpec<'a> = (&'a str, ConstraintOp, &'a str);
 
 /// Rewrites a WebL extraction rule so pushed predicates filter its
 /// results at the source.
@@ -807,17 +833,12 @@ pub type GuardSpec<'a> = (&'a str, &'a str, &'a str);
 ///
 /// Returns [`WebdocError::WeblSyntax`] when a program fails to parse
 /// or the rewrite cannot be rendered back into the grammar, and
-/// [`WebdocError::WeblRuntime`] when `guards` is empty, an operator is
-/// unknown, or the target already uses a rewrite namespace.
+/// [`WebdocError::WeblRuntime`] when `guards` is empty or the target
+/// already uses a rewrite namespace.
 pub fn with_guards(target: &str, guards: &[GuardSpec<'_>]) -> Result<String, WebdocError> {
     let rt = |m: String| WebdocError::WeblRuntime { message: m };
     if guards.is_empty() {
         return Err(rt("with_guards needs at least one guard".to_string()));
-    }
-    for &(_, op, _) in guards {
-        if ConstraintOp::parse(op).is_none() {
-            return Err(rt(format!("unknown pushdown operator `{op}`")));
-        }
     }
     let target = WeblProgram::parse(target)?;
     let taken: BTreeSet<&str> = target
@@ -858,7 +879,7 @@ pub fn with_guards(target: &str, guards: &[GuardSpec<'_>]) -> Result<String, Web
             args: vec![
                 base,
                 guard.clone(),
-                Expr::Str(op.to_string()),
+                Expr::Str(op.token().to_string()),
                 Expr::Str(value.to_string()),
             ],
         };
@@ -894,7 +915,12 @@ pub fn with_guards(target: &str, guards: &[GuardSpec<'_>]) -> Result<String, Web
 /// # Errors
 ///
 /// Same as [`with_guards`].
-pub fn with_guard(target: &str, guard: &str, op: &str, value: &str) -> Result<String, WebdocError> {
+pub fn with_guard(
+    target: &str,
+    guard: &str,
+    op: ConstraintOp,
+    value: &str,
+) -> Result<String, WebdocError> {
     with_guards(target, &[(guard, op, value)])
 }
 
@@ -1175,7 +1201,7 @@ mod tests {
         );
         let target = r#"var b = TagTexts(Text(PAGE), "b");"#;
         let guard = r#"var p = TagTexts(Text(PAGE), "span");"#;
-        let rewritten = with_guard(target, guard, "<", "100").unwrap();
+        let rewritten = with_guard(target, guard, ConstraintOp::Lt, "100").unwrap();
         let doc = w.fetch("http://shop/list").unwrap();
         let env: BTreeMap<String, WeblValue> = [(
             "PAGE".to_string(),
@@ -1186,10 +1212,18 @@ mod tests {
         assert_eq!(v.as_list().unwrap(), &[WeblValue::Str("casio".into())]);
         // Two conjuncts compose in one rewrite: later guards are masked
         // by earlier ones so positions stay aligned as the base shrinks.
-        let twice = with_guards(target, &[(guard, "<", "100"), (guard, "!=", "45")]).unwrap();
+        let twice = with_guards(
+            target,
+            &[(guard, ConstraintOp::Lt, "100"), (guard, ConstraintOp::Ne, "45")],
+        )
+        .unwrap();
         let v = WeblProgram::parse(&twice).unwrap().run_with(&w, env.clone()).unwrap();
         assert_eq!(v.as_list().unwrap().len(), 0);
-        let twice = with_guards(target, &[(guard, ">", "100"), (guard, "!=", "45")]).unwrap();
+        let twice = with_guards(
+            target,
+            &[(guard, ConstraintOp::Gt, "100"), (guard, ConstraintOp::Ne, "45")],
+        )
+        .unwrap();
         let v = WeblProgram::parse(&twice).unwrap().run_with(&w, env).unwrap();
         assert_eq!(v.as_list().unwrap(), &[WeblValue::Str("seiko".into())]);
     }
@@ -1201,7 +1235,7 @@ mod tests {
         // Guard is the target itself, and the programs end in a bare
         // expression (no trailing assignment).
         let prog = r#"Extract(Text(PAGE), `x: (\w+)`, 1);"#;
-        let rewritten = with_guard(prog, prog, "=", "beta").unwrap();
+        let rewritten = with_guard(prog, prog, ConstraintOp::Eq, "beta").unwrap();
         let doc = w.fetch("http://t").unwrap();
         let env: BTreeMap<String, WeblValue> =
             [("PAGE".to_string(), WeblValue::Page { url: "http://t".into(), doc: doc.clone() })]
@@ -1212,10 +1246,62 @@ mod tests {
 
     #[test]
     fn with_guard_rejects_bad_inputs() {
-        assert!(with_guard("var a = 1;", "var b = 2;", "LIKEISH", "x").is_err());
-        assert!(with_guard("var a = ;", "var b = 2;", "=", "x").is_err());
-        assert!(with_guard("var __g0_a = 1;", "var b = 2;", "=", "x").is_err());
+        assert!(with_guard("var a = ;", "var b = 2;", ConstraintOp::Eq, "x").is_err());
+        assert!(with_guard("var __g0_a = 1;", "var b = 2;", ConstraintOp::Eq, "x").is_err());
         assert!(with_guards("var a = 1;", &[]).is_err());
+    }
+
+    /// Hostile rules: `((((…` × 200 000 used to overflow the stack in
+    /// `parse_atom` and abort the process; `f(f(f(…`, `a[a[a[…` recurse
+    /// the same way, and `+`/`[0]` chains build a tree just as deep for
+    /// everything downstream without recursing in the parser.
+    #[test]
+    fn expression_nesting_is_capped() {
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
+            let n = 200_000;
+            for src in [
+                format!("var v = {}1{};", "(".repeat(n), ")".repeat(n)),
+                format!("var v = {}1{};", "Text(".repeat(n), ")".repeat(n)),
+                format!("var v = {}1{};", "a[".repeat(n), "]".repeat(n)),
+                format!("var v = 1{};", " + 1".repeat(n)),
+                format!("var v = a{};", "[0]".repeat(n)),
+                // Unbalanced: the cap, not the missing `)`, stops it.
+                format!("var v = {}", "(".repeat(n)),
+            ] {
+                assert_eq!(
+                    WeblProgram::parse(&src),
+                    Err(WebdocError::NestingTooDeep { line: 1, limit: MAX_EXPR_DEPTH }),
+                    "{}",
+                    &src[..20]
+                );
+            }
+        });
+        worker.unwrap().join().expect("no stack overflow past the cap");
+    }
+
+    /// An expression exactly at the cap parses, and what walks the tree
+    /// — the evaluator, the renderer, `Clone`, `==`, `Drop` — fits a
+    /// worker thread's stack.
+    #[test]
+    fn expression_at_the_cap_is_safe_to_run_render_and_drop() {
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
+            let d = MAX_EXPR_DEPTH;
+            for (src, text) in [
+                (format!("var v = {}\"x\"{};", "(".repeat(d), ")".repeat(d)), "x".to_string()),
+                (
+                    format!("var v = {}\"x\"{};", "Trim(".repeat(d - 1), ")".repeat(d - 1)),
+                    "x".into(),
+                ),
+                (format!("var v = \"x\"{};", " + \"x\"".repeat(d - 1)), "x".repeat(d)),
+            ] {
+                let program = WeblProgram::parse(&src).expect("depth at the cap parses");
+                assert_eq!(program.run(&WebStore::new()).unwrap().to_text(), text);
+                assert_eq!(program.clone(), program);
+                let rendered = render(&program.statements);
+                assert_eq!(WeblProgram::parse(&rendered).unwrap().statements, program.statements);
+            }
+        });
+        worker.unwrap().join().expect("no stack overflow at the cap");
     }
 
     #[test]

@@ -455,23 +455,23 @@ fn parse_cmp_predicate(body: &str) -> Option<Predicate> {
 ///
 /// `path` must have the canonical record shape `…/record/attr/text()`;
 /// the result is `…/record[guard op 'value']/attr/text()` — the same
-/// rows, pre-filtered at the source. `op` is one of `=`, `!=`, `<`,
-/// `<=`, `>`, `>=` (`=` uses the string-equality `ChildEq` form).
+/// rows, pre-filtered at the source. `op` is any operator but `LIKE`
+/// (`=` uses the string-equality `ChildEq` form).
 ///
 /// # Errors
 ///
 /// Returns [`XmlError::BadXPath`] when the path doesn't have the
-/// record shape, the operator is unknown, or the guard/value cannot be
+/// record shape, the operator is `LIKE`, or the guard/value cannot be
 /// spliced without changing the grammar (quotes or `]` in the value).
 pub fn push_child_predicate(
     path: &str,
     guard: &str,
-    op: &str,
+    op: ConstraintOp,
     value: &str,
 ) -> Result<String, XmlError> {
     let bad = |m: String| XmlError::BadXPath { path: path.to_string(), message: m };
-    if !matches!(op, "=" | "!=" | "<" | "<=" | ">" | ">=") {
-        return Err(bad(format!("unsupported pushdown operator `{op}`")));
+    if op == ConstraintOp::Like {
+        return Err(bad("XPath predicates have no `LIKE`".into()));
     }
     if guard.is_empty()
         || !guard.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
@@ -681,13 +681,16 @@ mod tests {
     #[test]
     fn push_child_predicate_splices() {
         let pushed =
-            push_child_predicate("/catalog/watch/brand/text()", "price", "<", "100").unwrap();
+            push_child_predicate("/catalog/watch/brand/text()", "price", ConstraintOp::Lt, "100")
+                .unwrap();
         assert_eq!(pushed, "/catalog/watch[price < '100']/brand/text()");
         // Equality uses the existing string-equality predicate form.
-        let eq = push_child_predicate("/catalog/watch/brand/text()", "brand", "=", "x").unwrap();
+        let eq =
+            push_child_predicate("/catalog/watch/brand/text()", "brand", ConstraintOp::Eq, "x")
+                .unwrap();
         assert_eq!(eq, "/catalog/watch[brand = 'x']/brand/text()");
         // Splicing stacks with existing predicates.
-        let twice = push_child_predicate(&pushed, "case", "!=", "resin").unwrap();
+        let twice = push_child_predicate(&pushed, "case", ConstraintOp::Ne, "resin").unwrap();
         assert_eq!(twice, "/catalog/watch[price < '100'][case != 'resin']/brand/text()");
         let d = parse(
             "<catalog><watch><brand>a</brand><price>5</price><case>resin</case></watch>\
@@ -700,13 +703,13 @@ mod tests {
     #[test]
     fn push_child_predicate_rejects_bad_shapes() {
         let p = push_child_predicate;
-        assert!(p("/catalog/watch/@id", "a", "<", "1").is_err()); // attribute terminal
-        assert!(p("/catalog/watch/brand", "a", "<", "1").is_err()); // no text() step
-        assert!(p("/brand/text()", "a", "<", "1").is_err()); // no record step
-        assert!(p("/c/w/b/text()", "a", "LIKE", "x%").is_err()); // unsupported op
-        assert!(p("/c/w/b/text()", "@attr", "<", "1").is_err()); // bad guard name
-        assert!(p("/c/w/b/text()", "a", "<", "it's").is_err()); // quote in value
-        assert!(p("/c/w/b/text()", "a", "<", "x]y").is_err()); // bracket in value
+        assert!(p("/catalog/watch/@id", "a", ConstraintOp::Lt, "1").is_err()); // attribute terminal
+        assert!(p("/catalog/watch/brand", "a", ConstraintOp::Lt, "1").is_err()); // no text() step
+        assert!(p("/brand/text()", "a", ConstraintOp::Lt, "1").is_err()); // no record step
+        assert!(p("/c/w/b/text()", "a", ConstraintOp::Like, "x%").is_err()); // unsupported op
+        assert!(p("/c/w/b/text()", "@attr", ConstraintOp::Lt, "1").is_err()); // bad guard name
+        assert!(p("/c/w/b/text()", "a", ConstraintOp::Lt, "it's").is_err()); // quote in value
+        assert!(p("/c/w/b/text()", "a", ConstraintOp::Lt, "x]y").is_err()); // bracket in value
     }
 
     #[test]

@@ -98,7 +98,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "                    {} retries, {} failovers across the fleet",
-        outcome.stats.retries, outcome.stats.failovers
+        outcome.retries(),
+        outcome.failovers()
     );
     println!("\nper-source degraded-mode report (flaky shards only):");
     println!(

@@ -165,10 +165,7 @@ fn batches_fail_over_as_a_unit() {
     let outcome = s2s.query("SELECT product").unwrap();
     assert_eq!(outcome.individuals().len(), SOURCES);
     assert!(outcome.errors().is_empty());
-    assert_eq!(
-        outcome.stats.failovers, SOURCES as u64,
-        "one failover per batch, not per attribute"
-    );
+    assert_eq!(outcome.failovers(), SOURCES as u64, "one failover per batch, not per attribute");
     assert_eq!(outcome.stats.round_trips, 2 * SOURCES as u64);
 }
 

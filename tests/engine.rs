@@ -255,7 +255,7 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
 
     let opts = QueryOptions::default().with_deadline(SimDuration::from_millis(60));
     let out = s2s.query_with_options("SELECT watch WHERE price < 50", &opts).unwrap();
-    assert!(out.stats.deadline_hits >= 1, "the tight budget must expire mid-retry");
+    assert!(out.deadline_hits() >= 1, "the tight budget must expire mid-retry");
     assert_eq!(out.stats.round_trips, out.resilience["DB"].attempts);
     assert_eq!(s2s.plan_cache_len(), 0, "deadline casualty must not publish a plan");
     assert_eq!(s2s.result_cache_len(), 0, "degraded answer must not be cached");
@@ -263,7 +263,7 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
     // Re-running without a deadline proves nothing was published: the
     // plan cache misses again, then (deadline_hits == 0) publishes.
     let retry = s2s.query("SELECT watch WHERE price < 50").unwrap();
-    assert_eq!(retry.stats.deadline_hits, 0);
+    assert_eq!(retry.deadline_hits(), 0);
     assert_eq!((retry.stats.plan_cache.hits, retry.stats.plan_cache.misses), (0, 1));
     assert_eq!(s2s.plan_cache_len(), 1, "healthy (if failing) query does publish its plan");
 }
@@ -271,7 +271,9 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
 /// Every figure in `stats.{result,plan,rule}_cache` and every rule
 /// span's `cache` attribute is this query's own account: with N clients
 /// hammering one engine, each outcome still shows exactly its own
-/// lookups, and the outcomes together add up to the engine's counters.
+/// lookups, and the outcomes together add up to the engine's counters —
+/// planner off or on: a pushed rule is the only run of its source's rule,
+/// so no lookup belongs to no query.
 #[test]
 fn per_query_cache_accounts_hold_under_concurrency() {
     use s2s::core::CacheStats;
@@ -285,8 +287,10 @@ fn per_query_cache_accounts_hold_under_concurrency() {
         total.evictions += part.evictions;
     }
 
-    for (result_cache, distinct) in [(false, false), (false, true), (true, false), (true, true)] {
+    for arm in 0..8 {
+        let (pushdown, result_cache, distinct) = (arm & 4 != 0, arm & 2 != 0, arm & 1 != 0);
         let engine = deploy(6, Strategy::Parallel { workers: 4 }).with_tracing();
+        let engine = if pushdown { engine.with_pushdown() } else { engine };
         let engine = if result_cache { engine.with_result_cache() } else { engine };
         let start = std::sync::Barrier::new(CLIENTS);
         let outcomes: Vec<_> = std::thread::scope(|scope| {
@@ -316,6 +320,8 @@ fn per_query_cache_accounts_hold_under_concurrency() {
             let spans = trace.spans_of(SpanKind::Rule);
             let said = |what| spans.iter().filter(|s| s.get_attr("cache") == Some(what)).count();
             assert_eq!(spans.len(), if replayed { 0 } else { 2 }, "one rule span per attribute");
+            let pushed = outcome.pushdown.as_ref().map_or(0, |p| p.pushed_predicates());
+            assert_eq!(pushed, (pushdown && !replayed) as u64, "`price < N` is pushable");
             assert_eq!(stats.rule_cache.hits + stats.rule_cache.misses, spans.len() as u64);
             assert_eq!(
                 (stats.rule_cache.hits, stats.rule_cache.misses),

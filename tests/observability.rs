@@ -248,7 +248,7 @@ fn root_children_never_outlast_the_root() {
     .unwrap();
     for round in 0..5 {
         let outcome = s2s.query("SELECT product WHERE a1 = 'x'").unwrap();
-        assert_eq!(outcome.stats.pruned_sources, 1);
+        assert_eq!(outcome.pushdown.as_ref().map(|p| p.pruned_sources()), Some(1));
         let root = &outcome.trace.as_ref().expect("tracing on").root;
         assert!(root.children.iter().any(|s| s.kind == s2s::obs::SpanKind::Pushdown));
         let children: u64 = root.children.iter().map(|s| s.wall_us).sum();

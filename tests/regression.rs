@@ -210,3 +210,45 @@ fn distinct_source_ids_never_overwrite_each_others_mappings() {
         assert_eq!(brands(&s2s), ["Orient", "Seiko-alias"], "{a} / {b}");
     }
 }
+
+/// A client's S2SQL is untrusted input: `((((…`, `NOT NOT …` and a
+/// 200 000-term `AND` chain are refused with a coded error and the
+/// engine keeps serving. Before the cap the first two aborted the
+/// process in the parser and the third in whatever walked or dropped
+/// the left-deep tree.
+#[test]
+fn s2sql_nesting_is_capped_end_to_end() {
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("brand", "Product", "http://www.w3.org/2001/XMLSchema#string")
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut db = Database::new("d");
+    db.execute("CREATE TABLE w (brand TEXT)").unwrap();
+    db.execute("INSERT INTO w VALUES ('Seiko')").unwrap();
+    let mut s2s = S2s::new(ontology).with_pushdown();
+    s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+    let rule = ExtractionRule::Sql { query: "SELECT brand FROM w".into(), column: "brand".into() };
+    s2s.register_attribute("thing.product.brand", rule, "DB", RecordScenario::MultiRecord).unwrap();
+
+    let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(move || {
+        let n = 200_000;
+        for text in [
+            format!("SELECT product WHERE {}brand='x'{}", "(".repeat(n), ")".repeat(n)),
+            format!("SELECT product WHERE {}brand='x'", "NOT ".repeat(n)),
+            format!("SELECT product WHERE brand='x'{}", " AND brand='x'".repeat(n)),
+        ] {
+            let err = s2s.query(&text).expect_err("past the cap");
+            assert_eq!(err.code(), "s2s::query::nesting_too_deep", "{}", &text[..40]);
+            assert!(err.help().is_some());
+        }
+        // At the cap the query runs — planner, residual filter and all.
+        let d = s2s::core::query::MAX_CONDITION_DEPTH;
+        let chained =
+            format!("SELECT product WHERE brand='Seiko'{}", " AND brand!='x'".repeat(d - 1));
+        assert_eq!(s2s.query(&chained).unwrap().individuals().len(), 1);
+    });
+    worker.unwrap().join().expect("no stack overflow at or past the cap");
+}

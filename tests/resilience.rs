@@ -82,7 +82,7 @@ fn no_retry_reports_degraded_completeness_with_transient_failure() {
     assert_eq!(outcome.stats.failed_tasks, 1);
     assert!(outcome.stats.completeness < 1.0);
     assert_eq!(outcome.stats.completeness, 7.0 / 8.0);
-    assert_eq!(outcome.stats.retries, 0);
+    assert_eq!(outcome.retries(), 0);
     // The surviving sources still answered.
     assert_eq!(outcome.individuals().len(), 7);
     // The failure is attributed and classified transient: a retry
@@ -102,7 +102,7 @@ fn three_attempt_retry_restores_full_completeness() {
     assert_eq!(outcome.stats.failed_tasks, 0);
     assert_eq!(outcome.individuals().len(), 8);
     // The rescue is visible in the stats: SRC_0 needed one retry.
-    assert_eq!(outcome.stats.retries, 1);
+    assert_eq!(outcome.retries(), 1);
     assert_eq!(outcome.resilience["SRC_0"].retries, 1);
     assert!(outcome.errors().is_empty());
 }
@@ -113,7 +113,7 @@ fn one_attempt_budget_matches_no_retry_policy() {
     let s2s = flaky_fleet(ResiliencePolicy::default().with_retry(RetryPolicy::attempts(1)));
     let outcome = s2s.query("SELECT product").unwrap();
     assert_eq!(outcome.stats.completeness, 7.0 / 8.0);
-    assert_eq!(outcome.stats.retries, 0);
+    assert_eq!(outcome.retries(), 0);
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn replica_failover_rescues_hard_down_primary() {
     assert_eq!(outcome.individuals().len(), 1);
     assert_eq!(outcome.stats.completeness, 1.0);
     // Exactly one failover: primary refused, first replica answered.
-    assert_eq!(outcome.stats.failovers, 1);
+    assert_eq!(outcome.failovers(), 1);
     let health = &outcome.resilience["DB"];
     assert_eq!(health.failovers, 1);
     assert_eq!(health.attempts, 2);
@@ -155,7 +155,7 @@ fn failover_disabled_leaves_primary_failure_in_place() {
     s2s.register_attribute("thing.product.brand", brand_rule(), "DB", RecordScenario::SingleRecord)
         .unwrap();
     let outcome = s2s.query("SELECT product").unwrap();
-    assert_eq!(outcome.stats.failovers, 0);
+    assert_eq!(outcome.failovers(), 0);
     assert_eq!(outcome.stats.completeness, 0.0);
     assert!(outcome.individuals().is_empty());
 }
