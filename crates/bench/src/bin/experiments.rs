@@ -2,9 +2,10 @@
 //!
 //! Run with: `cargo run --release -p s2s-bench --bin experiments`
 //!
-//! Each section prints the id (E1–E17), the parameters swept, and the
-//! measured values (wall-clock for CPU work, simulated time for network
-//! behaviour, plus counts/correctness indicators).
+//! Each section prints the id (E1–E17, then the A1 ablations), the
+//! parameters swept, and the measured values (wall-clock for CPU work,
+//! simulated time for network behaviour, plus counts/correctness
+//! indicators).
 //!
 //! Observability modes (see `--help`):
 //!
@@ -341,6 +342,7 @@ fn run_experiments() {
     e15();
     e16();
     e17();
+    a1();
 }
 
 /// A deployment where one of two sources is hard-down and the breaker
@@ -586,7 +588,7 @@ fn reactor_smoke(dir: &str) -> Result<(), Vec<String>> {
     let baseline = serial_baseline(&reference, &workload);
     // Same light pace as the throughput gate: the wire waits are real
     // enough that only overlap keeps the run inside the CI budget.
-    let engine = deploy_paced(12, 42, 60, Strategy::Reactor { shards: 4 }, true);
+    let engine = deploy_paced(12, 42, 60, Strategy::Reactor, true);
     let report = run_throughput_reactor(&engine, &workload, &baseline, 4);
 
     std::fs::create_dir_all(dir)
@@ -1118,6 +1120,18 @@ fn e14() {
 
 fn header(id: &str, title: &str) {
     println!("\n## {id} — {title}");
+}
+
+/// Mean wall-clock microseconds of `f` over `iters` runs after one
+/// warm-up run.
+fn mean_us<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
+    let _ = f();
+    let (_, wall) = time(|| {
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+    });
+    wall.as_secs_f64() * 1e6 / f64::from(iters)
 }
 
 fn e1() {
@@ -1709,7 +1723,7 @@ fn e13() {
     let mut react_qps = std::collections::BTreeMap::new();
     for clients in [100usize, 1_000, 10_000] {
         let workload = cold_workload(clients, 1);
-        let engine = deploy_paced(12, 42, E13_PACE, Strategy::Reactor { shards: 4 }, true);
+        let engine = deploy_paced(12, 42, E13_PACE, Strategy::Reactor, true);
         let report = run_throughput_reactor(&engine, &workload, &baseline, 4);
         assert_eq!(report.mismatches, 0, "react C={clients}: results diverged from serial");
         assert_eq!(report.min_completeness, 1.0, "react C={clients}: degraded answer");
@@ -1738,16 +1752,7 @@ fn e13() {
 
 fn e12() {
     header("E12", "observability overhead: disabled vs tracing+metrics (A/B)");
-    let iters = 30u32;
-    let run = |s2s: &S2s| {
-        let _ = s2s.query("SELECT product").unwrap(); // warm-up
-        let (_, wall) = time(|| {
-            for _ in 0..iters {
-                let _ = s2s.query("SELECT product").unwrap();
-            }
-        });
-        wall.as_nanos() / iters as u128
-    };
+    let run = |s2s: &S2s| (mean_us(30, || s2s.query("SELECT product").unwrap()) * 1e3) as u128;
 
     let off = deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 }, true);
     assert!(!s2s_obs::enabled(), "observability must start disabled");
@@ -1765,6 +1770,64 @@ fn e12() {
     println!(
         "overhead: {:.2}x (disabled path is a single relaxed atomic load per hook)",
         on_ns as f64 / off_ns.max(1) as f64
+    );
+}
+
+fn a1() {
+    header("A1", "ablations of the reproduction's own design choices");
+    let recs = records(5_000, 21);
+    let plain = catalog_db(&recs);
+    let mut indexed = catalog_db(&recs);
+    indexed.execute("CREATE INDEX ON watches (brand)").unwrap();
+    let q = "SELECT price FROM watches WHERE brand = 'Seiko'";
+    assert_eq!(plain.query(q).unwrap(), indexed.query(q).unwrap(), "an index changes no result");
+    let scan = mean_us(200, || plain.query(q).unwrap().len());
+    let probe = mean_us(200, || indexed.query(q).unwrap().len());
+    println!(
+        "  minidb index, equality rule over 5000 rows: scan {scan:.0}us  indexed {probe:.0}us  \
+         ({:.1}x)",
+        scan / probe
+    );
+
+    let sweep: Vec<String> = [1usize, 2, 4, 8, 16]
+        .iter()
+        .map(|&workers| {
+            let s2s = deploy_sharded(
+                32,
+                10,
+                CostModel::lan(),
+                FailureModel::reliable(),
+                Strategy::Parallel { workers },
+            );
+            let us = mean_us(20, || {
+                let o = s2s.query("SELECT watch").unwrap();
+                assert_eq!(o.individuals().len(), 320);
+            });
+            format!("{workers}w {us:.0}us")
+        })
+        .collect();
+    println!("  mediator workers, 32 unpaced LAN sources x 10 records: {}", sweep.join("  "));
+
+    let repeat_query = |views: bool| {
+        let recs = records(500, 33);
+        let mut s2s = S2s::new(ontology());
+        if views {
+            s2s = s2s.with_views();
+        }
+        s2s.register_source("DB", Connection::Database { db: Arc::new(catalog_db(&recs)) })
+            .unwrap();
+        map_db(&mut s2s, "DB");
+        let _ = s2s.query("SELECT watch").unwrap(); // materializes the views
+        mean_us(50, || {
+            let o = s2s.query("SELECT watch").unwrap();
+            assert_eq!(o.stats.view_hits as usize, if views { o.stats.tasks } else { 0 });
+            assert_eq!(o.individuals().len(), 500);
+        })
+    };
+    let (cold, warm) = (repeat_query(false), repeat_query(true));
+    println!(
+        "  materialized views, repeat SELECT watch over 500 records: off {cold:.0}us  on \
+         {warm:.0}us  (view_hits == tasks)"
     );
 }
 

@@ -1,5 +1,5 @@
-//! Workload generators shared by the experiment benches (E1–E10) and
-//! the `experiments` binary.
+//! Workload generators and harnesses behind the `experiments` binary
+//! (E1–E17, A1).
 //!
 //! Everything is seeded and deterministic: the same parameters always
 //! produce the same catalog, the same deployment, and (thanks to
@@ -1846,7 +1846,7 @@ mod tests {
         let reference = deploy_paced(10, 5, 0, Strategy::Serial, false);
         let baseline = serial_baseline(&reference, &workload);
 
-        let engine = deploy_paced(10, 5, 0, Strategy::Reactor { shards: 2 }, true);
+        let engine = deploy_paced(10, 5, 0, Strategy::Reactor, true);
         let report = run_throughput_reactor(&engine, &workload, &baseline, 4);
         assert_eq!(report.clients, 32);
         assert_eq!(report.queries, 64);

@@ -6,8 +6,9 @@
 //! through the engine's docs:
 //!
 //! * **Path equality** — serial, batched, result-cached, pooled
-//!   N-thread, and event-reactor execution agree on the instance set
-//!   (modulo ordering) and on the failed-attribute set.
+//!   N-thread, and all-in-flight (`Strategy::Reactor`) execution agree
+//!   on the instance set (modulo ordering) and on the failed-attribute
+//!   set.
 //! * **Stats conservation** — `tasks == answered + failed`,
 //!   `completeness == answered/tasks`, `round_trips == Σ attempts`, and
 //!   cache deltas are consistent with what the query actually did.
@@ -134,7 +135,7 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
         check_stats(outcome, &format!("pooled-t{t}"), &mut violations);
     }
 
-    let reactor = scenario.build(&BuildConfig::reactor(2));
+    let reactor = scenario.build(&BuildConfig::reactor());
     let reactor_outcome = reactor.query(&query).expect("parsed on the serial path");
     check_stats(&reactor_outcome, "reactor", &mut violations);
     // Reactor-specific accounting: every exchange overlaps every
@@ -663,7 +664,7 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     }
 
     let reactor_pushed = scenario
-        .build(&BuildConfig::pushdown_reactor(2))
+        .build(&BuildConfig::pushdown_reactor())
         .query(&query)
         .expect("parsed on the serial path");
     if fingerprint(&reactor_pushed) != full_fp {

@@ -423,10 +423,10 @@ impl BuildConfig {
         }
     }
 
-    /// The event-reactor path: batched extraction dispatched as timer
-    /// events over virtual time instead of pool threads.
-    pub fn reactor(shards: usize) -> Self {
-        BuildConfig { batching: true, strategy: Strategy::Reactor { shards }, ..Default::default() }
+    /// The all-in-flight path: every batched exchange overlaps every
+    /// other on the calling thread instead of on pool threads.
+    pub fn reactor() -> Self {
+        BuildConfig { batching: true, strategy: Strategy::Reactor, ..Default::default() }
     }
 
     /// The batched path with the federated pushdown planner enabled.
@@ -434,9 +434,9 @@ impl BuildConfig {
         BuildConfig { pushdown: true, ..BuildConfig::batched() }
     }
 
-    /// The event-reactor path with the pushdown planner enabled.
-    pub fn pushdown_reactor(shards: usize) -> Self {
-        BuildConfig { pushdown: true, ..BuildConfig::reactor(shards) }
+    /// The all-in-flight path with the pushdown planner enabled.
+    pub fn pushdown_reactor() -> Self {
+        BuildConfig { pushdown: true, ..BuildConfig::reactor() }
     }
 
     /// The batched path with materialized semantic views (delta

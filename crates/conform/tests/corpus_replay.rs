@@ -95,7 +95,7 @@ fn hostile_rule_cases_fail_coded_not_aborted() {
     ] {
         let text = fs::read_to_string(corpus.join(file)).expect("read case");
         let hostile = from_case(&text).expect("case parses");
-        for config in [BuildConfig::serial(), BuildConfig::batched(), BuildConfig::reactor(2)] {
+        for config in [BuildConfig::serial(), BuildConfig::batched(), BuildConfig::reactor()] {
             let outcome =
                 hostile.build(&config).query(&hostile.query_text()).expect("query parses");
             assert_eq!(outcome.errors().len(), 3, "{file}: one failure per hostile mapping");

@@ -282,11 +282,6 @@ impl BootstrapReport {
         self.candidates.iter().filter(|c| c.accepted && !c.applied)
     }
 
-    /// Whether the report carries no conflicts.
-    pub fn is_clean(&self) -> bool {
-        self.conflicts.is_empty()
-    }
-
     /// Rejects a field: its candidate (if any) will not be registered.
     /// Returns whether a candidate was present.
     pub fn reject(&mut self, field: &str) -> bool {

@@ -14,8 +14,8 @@
 //!    for its source type (database extractor, XML extractor, web
 //!    wrapper, text extractor) and collects raw data fragments.
 //!
-//! The mediator runs serially or on a parallel worker pool
-//! ([`Strategy`]); every source access crosses a simulated network
+//! Wrappers run on the calling thread; what the mediator dispatches
+//! ([`Strategy`]) is each exchange's wait on its simulated network
 //! endpoint, so the report carries both real and simulated timings.
 
 use std::collections::BTreeMap;
@@ -25,8 +25,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use s2s_netsim::wire::{batch_exchange_size, batch_frame_size, exchange_size};
 use s2s_netsim::{
-    invoke_with_retry, makespan, BreakerConfig, BreakerState, CircuitBreaker, Endpoint,
-    HedgeConfig, Hedger, RetryPolicy, SimDuration, WorkerPool,
+    defer_pacing, invoke_with_retry, makespan, pace_sleep, BreakerConfig, BreakerState,
+    CircuitBreaker, Endpoint, HedgeConfig, Hedger, RetryPolicy, SimDuration, WorkerPool,
 };
 use s2s_obs::{Span, SpanKind, SpanOutcome};
 use s2s_webdoc::{WebStore, WeblProgram, WeblValue};
@@ -46,38 +46,34 @@ pub struct ExtractionSchema {
     pub mapping: AttributeMapping,
 }
 
-/// How the mediator dispatches extraction tasks.
+/// How the mediator dispatches a query's wire exchanges — their
+/// (simulated, optionally paced) waits; the wrappers have already run on
+/// the calling thread. Answers are byte-identical across all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// One task at a time, in schema order.
+    /// One exchange at a time, in plan order.
     Serial,
-    /// Up to `workers` concurrent tasks on real threads.
+    /// Up to `workers` exchanges waiting at once on pool threads.
     Parallel {
         /// Worker-thread count (>= 1).
         workers: usize,
     },
-    /// Every task in flight at once on an event-driven reactor over
-    /// virtual time ([`s2s_netsim::Reactor`]): exchanges become timer
-    /// events instead of blocked threads, so the concurrency ceiling
-    /// is memory, not core count. Simulated makespan is the maximum
-    /// per-task cost (unbounded overlap); answers are byte-identical
-    /// to the threaded paths.
-    Reactor {
-        /// Timer shards of the reactor (>= 1; clamped).
-        shards: usize,
-    },
+    /// Every exchange in flight at once with no thread per exchange:
+    /// the calling thread runs them under deferred pacing and waits out
+    /// only the longest. Simulated makespan is the maximum
+    /// per-exchange cost.
+    Reactor,
 }
 
 impl Strategy {
     /// The worker count this strategy asks for (>= 1). Sizes both the
     /// makespan accounting and the [`WorkerPool`] a resident engine
-    /// spawns for the strategy. The reactor answers 1 — it runs on the
+    /// spawns for the strategy. `Reactor` answers 1 — it stays on the
     /// calling thread and never dispatches to the pool.
     pub fn workers(self) -> usize {
         match self {
-            Strategy::Serial => 1,
+            Strategy::Serial | Strategy::Reactor => 1,
             Strategy::Parallel { workers } => workers.max(1),
-            Strategy::Reactor { .. } => 1,
         }
     }
 }
@@ -123,12 +119,6 @@ impl ResiliencePolicy {
         self
     }
 
-    /// Enables or disables replica failover.
-    pub fn with_failover(mut self, failover: bool) -> Self {
-        self.failover = failover;
-        self
-    }
-
     /// Enables per-endpoint circuit breakers.
     pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
         self.breaker = Some(config);
@@ -170,11 +160,6 @@ impl ResilienceContext {
     pub fn new(policy: ResiliencePolicy) -> Self {
         let hedger = policy.hedge.map(Hedger::new);
         ResilienceContext { policy, hedger, ..ResilienceContext::default() }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
     }
 
     /// The breaker guarding `endpoint_id`, if one has been created.
@@ -303,11 +288,6 @@ pub struct ExtractionReport {
 }
 
 impl ExtractionReport {
-    /// Total values extracted.
-    pub fn value_count(&self) -> usize {
-        self.results.iter().map(|r| r.values.len()).sum()
-    }
-
     /// Whether every task succeeded.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
@@ -384,14 +364,12 @@ impl ExtractorManager {
         }
 
         let outcomes = match env.strategy {
-            Strategy::Reactor { shards } => {
-                s2s_netsim::reactor::run_tasks(
-                    shards,
-                    batches,
-                    |batch| run_batch(batch, env),
-                    |(_, (_, trace), _, _)| trace.elapsed,
-                )
-                .0
+            Strategy::Reactor => {
+                // All waits overlap, so the caller owes only the longest.
+                let (outcomes, waits_us): (Vec<_>, Vec<u64>) =
+                    batches.into_iter().map(|b| defer_pacing(|| run_batch(b, env))).unzip();
+                pace_sleep(waits_us.into_iter().max().unwrap_or(0));
+                outcomes
             }
             _ => env.pool.run(batches, |batch| run_batch(batch, env)),
         };
@@ -455,7 +433,12 @@ impl ExtractorManager {
         report.failures = failures.into_iter().map(|(_, f)| f).collect();
         fill_breaker_states(&mut report, registry, env.resilience);
         report.simulated_serial = durations.iter().copied().sum();
-        report.simulated = makespan(&durations, simulated_workers(env.strategy, &durations));
+        // Under `Reactor` every exchange overlaps every other.
+        let overlap = match env.strategy {
+            Strategy::Reactor => durations.len().max(1),
+            strategy => strategy.workers(),
+        };
+        report.simulated = makespan(&durations, overlap);
         record_report_metrics(&report);
         report
     }
@@ -465,7 +448,7 @@ impl ExtractorManager {
 /// [`crate::middleware::S2s`] threads into [`ExtractorManager::extract`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExtractEnv<'a> {
-    /// Sizes the *simulated* makespan accounting and picks the reactor
+    /// Sizes the *simulated* makespan accounting and picks the loop
     /// over the pool; the pool's own thread count is independent.
     pub strategy: Strategy,
     /// Where batches execute: a resident engine passes its long-lived
@@ -488,23 +471,13 @@ pub struct ExtractEnv<'a> {
     pub batching: bool,
 }
 
-/// The worker count the makespan accounting should assume: the
-/// strategy's thread count, except under the reactor, where every task
-/// overlaps every other (simulated makespan = max per-task cost).
-fn simulated_workers(strategy: Strategy, durations: &[SimDuration]) -> usize {
-    match strategy {
-        Strategy::Reactor { .. } => durations.len().max(1),
-        _ => strategy.workers(),
-    }
-}
-
 /// One batch's outcome: the batch back (results/failures inside), the
 /// wire leg's verdict and trace, optional attempt spans, wall elapsed.
 type BatchOutcome<'a> =
     (PlannedBatch<'a>, (Result<SimDuration, S2sError>, TaskTrace), Option<Vec<Span>>, Duration);
 
-/// Executes one planned batch's wire leg — the task body shared by the
-/// pooled and reactor dispatchers of [`ExtractorManager::extract`].
+/// Executes one planned batch's wire leg — the task body both arms of
+/// [`ExtractorManager::extract`]'s dispatch run.
 fn run_batch<'a>(batch: PlannedBatch<'a>, env: &ExtractEnv<'_>) -> BatchOutcome<'a> {
     let started = std::time::Instant::now();
     let mut attempt_spans = if env.traced { Some(Vec::new()) } else { None };
@@ -1299,7 +1272,7 @@ mod tests {
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.failures.len(), 1);
         assert!(!report.is_complete());
-        assert_eq!(report.value_count(), 2);
+        assert_eq!(report.results[0].values.len(), 2);
         assert!(report.failures[0].attribute.contains("price"));
     }
 
@@ -1786,12 +1759,13 @@ mod tests {
         assert_eq!(report.completeness(), 0.0);
     }
 
-    #[test]
-    fn simulated_time_parallel_not_more_than_serial() {
+    /// `n` single-row remote databases behind `path`, each mapping
+    /// `brand`, and the schemas that read all of them.
+    fn remote_fleet(n: usize, path: CostModel) -> (SourceRegistry, Vec<ExtractionSchema>) {
         let o = onto();
         let mut r = SourceRegistry::new();
         let mut m = MappingModule::new();
-        for i in 0..6 {
+        for i in 0..n {
             let mut db = Database::new("d");
             db.execute("CREATE TABLE t (brand TEXT)").unwrap();
             db.execute("INSERT INTO t VALUES ('X')").unwrap();
@@ -1799,7 +1773,7 @@ mod tests {
             r.register_remote(
                 id.as_str(),
                 Connection::Database { db: Arc::new(db) },
-                CostModel::wan(),
+                path,
                 FailureModel::reliable(),
             )
             .unwrap();
@@ -1812,13 +1786,39 @@ mod tests {
             )
             .unwrap();
         }
-        let schemas =
-            ExtractorManager::obtain_schemas(&m, &["thing.product.brand".parse().unwrap()])
-                .unwrap();
-        assert_eq!(schemas.len(), 6);
+        let schemas = brand_schemas(&m);
+        assert_eq!(schemas.len(), n);
+        (r, schemas)
+    }
+
+    #[test]
+    fn simulated_time_parallel_not_more_than_serial() {
+        let (r, schemas) = remote_fleet(6, CostModel::wan());
         let six = Strategy::Parallel { workers: 6 };
         let report = run(&r, schemas, six, &no_resilience(), &RuleCache::new(), false);
         assert!(report.is_complete());
         assert!(report.simulated < report.simulated_serial);
+    }
+
+    /// With every exchange in flight at once the caller owes — here to
+    /// the enclosing defer scope, like a client of the E13 reactor
+    /// harness — exactly the longest wait; one at a time, the sum.
+    #[test]
+    fn reactor_strategy_owes_the_longest_paced_wait_serial_owes_the_sum() {
+        // 1 000 wall us per simulated ms: a paced wait equals its charge.
+        let paced = CostModel::wan().with_pace(1_000);
+        let round = |strategy| {
+            let (r, schemas) = remote_fleet(4, paced);
+            defer_pacing(|| run(&r, schemas, strategy, &no_resilience(), &RuleCache::new(), true))
+        };
+        let (overlapped, deferred_us) = round(Strategy::Reactor);
+        let costs = overlapped.results.iter().map(|x| x.elapsed);
+        let (longest, sum) = (costs.clone().max().unwrap(), costs.sum::<SimDuration>());
+        assert!(longest.as_micros() * 4 > sum.as_micros(), "four jittered costs");
+        assert_eq!((overlapped.simulated, deferred_us), (longest, longest.as_micros()));
+        // Same seeds, same charges — only the dispatch differs.
+        let (serial, deferred_us) = round(Strategy::Serial);
+        assert_eq!(outcome_key(&serial), outcome_key(&overlapped));
+        assert_eq!((serial.simulated, deferred_us), (sum, sum.as_micros()));
     }
 }

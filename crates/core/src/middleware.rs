@@ -411,11 +411,6 @@ impl S2s {
         self
     }
 
-    /// The resilience policy in force.
-    pub fn resilience_policy(&self) -> ResiliencePolicy {
-        *self.resilience.policy()
-    }
-
     /// The resilience context (breaker board + virtual clock), for
     /// inspection or clock manipulation in experiments.
     pub fn resilience(&self) -> &ResilienceContext {
@@ -521,12 +516,14 @@ impl S2s {
         self.registry.read().version_of(&id.into())
     }
 
-    /// Sets the mediation strategy (serial, parallel workers, or the
-    /// event reactor) and resizes the engine's shared worker pool to
-    /// match: one long-lived pool of `strategy.workers()` threads
-    /// serves every query on this instance, however many callers run
-    /// concurrently. [`Strategy::Reactor`] keeps the pool inline —
-    /// extraction runs as timer events on the calling thread instead.
+    /// Sets how a query's wire exchanges are dispatched (one at a time,
+    /// on pool threads, or all in flight at once) and resizes the
+    /// engine's shared worker pool to match: one long-lived pool of
+    /// `strategy.workers()` threads holds the paced waits of every query
+    /// on this instance, however many callers run concurrently. Wrappers
+    /// run on the calling thread under every strategy;
+    /// [`Strategy::Reactor`] keeps the pool inline and overlaps the
+    /// waits on the calling thread as well.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self.pool = Arc::new(WorkerPool::new(strategy.workers()));
@@ -1593,7 +1590,7 @@ mod tests {
     #[test]
     fn reactor_strategy_same_answers() {
         let serial = deploy();
-        let reactor = deploy().with_strategy(Strategy::Reactor { shards: 2 });
+        let reactor = deploy().with_strategy(Strategy::Reactor);
         let a = serial.query("SELECT watch").unwrap();
         let b = reactor.query("SELECT watch").unwrap();
         let key = |o: &QueryOutcome| {
@@ -1672,9 +1669,7 @@ mod tests {
         let threaded = deploy_remote_trio(policy)
             .with_strategy(Strategy::Parallel { workers: 4 })
             .with_tracing();
-        let reactor = deploy_remote_trio(policy)
-            .with_strategy(Strategy::Reactor { shards: 2 })
-            .with_tracing();
+        let reactor = deploy_remote_trio(policy).with_strategy(Strategy::Reactor).with_tracing();
         for query in ["SELECT watch", "SELECT watch WHERE price < 65"] {
             let a = threaded.query(query).unwrap();
             let b = reactor.query(query).unwrap();
@@ -2112,11 +2107,8 @@ mod tests {
         let q = "SELECT watch WHERE price<100";
         let reference = fingerprint(&deploy().query(q).unwrap());
         for batching in [true, false] {
-            for strategy in [
-                Strategy::Serial,
-                Strategy::Parallel { workers: 4 },
-                Strategy::Reactor { shards: 2 },
-            ] {
+            for strategy in [Strategy::Serial, Strategy::Parallel { workers: 4 }, Strategy::Reactor]
+            {
                 let s2s = deploy().with_pushdown().with_batching(batching).with_strategy(strategy);
                 let out = s2s.query(q).unwrap();
                 assert_eq!(

@@ -87,11 +87,6 @@ impl Database {
         &self.name
     }
 
-    /// Names of all tables.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-
     /// Direct access to a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
         // Keys are lower-case; a name written that way is a plain get.

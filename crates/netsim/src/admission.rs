@@ -2,9 +2,11 @@
 //! with per-tenant deficit-round-robin dequeue, early load shedding,
 //! and the latency tracker that drives hedged requests.
 //!
-//! The shared [`crate::WorkerPool`] (PR 4) happily accepts unbounded
-//! offered load; under overload every query queues behind every other
-//! and p99 latency grows without bound. The admission controller sits
+//! The shared [`crate::WorkerPool`] happily accepts unbounded offered
+//! load. Its threads hold no wrapper work — that runs on each caller's
+//! own thread — only the paced *waits* of in-flight exchanges, so under
+//! overload every query's waits queue behind every other's and p99
+//! latency grows without bound. The admission controller sits
 //! *in front* of the engine and makes the overload decision explicit:
 //!
 //! * **Bounded concurrency** — at most `permits` queries execute at
@@ -245,9 +247,11 @@ impl AdmissionController {
     /// simulated service time (EWMA, α = 1/8; the first observation
     /// seeds the average). The engine calls this per completion event,
     /// so shed decisions track what queries *actually* cost under the
-    /// current scheduler and workload rather than the static configured
-    /// guess — which was calibrated against threaded-pool service times
-    /// and goes stale the moment the reactor changes the cost shape.
+    /// current dispatch strategy and workload rather than the static
+    /// configured guess — which goes stale the moment the strategy
+    /// changes the cost shape (a query's simulated time is the k-worker
+    /// makespan of its exchanges on the pool, their maximum with every
+    /// exchange in flight at once).
     pub fn record_completion(&self, service: SimDuration) {
         let observed = service.as_micros().max(1);
         let mut st = self.state.lock().expect("admission state lock");

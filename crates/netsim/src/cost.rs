@@ -16,13 +16,13 @@ thread_local! {
 /// would-be sleep instead of blocking. Returns the closure's result
 /// plus the total deferred wall-clock microseconds.
 ///
-/// This is how the event reactor replaces thread sleeps with timer
-/// events: it executes an exchange under deferral, reads off how much
-/// wall time the exchange *would* have blocked, and pays that time
-/// back once per virtual-clock advance instead of once per in-flight
-/// task. Scopes nest — an engine-internal reactor running inside a
-/// benchmark-level reactor re-emits its paid-back time through
-/// [`pace_sleep`], which the outer scope captures in turn.
+/// This is how overlapped waits are paid once instead of once per
+/// exchange: the caller executes an exchange under deferral, reads off
+/// how much wall time it *would* have blocked, and pays back only the
+/// longest (the engine's all-in-flight dispatch) or one sleep per
+/// virtual-clock advance (the event reactor). Scopes nest — a query
+/// running inside a reactor-driven client re-emits its paid-back time
+/// through [`pace_sleep`], which the outer scope captures in turn.
 pub fn defer_pacing<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let prev = DEFERRED_PACE_US.with(|c| c.replace(Some(0)));
     let out = f();
@@ -297,8 +297,8 @@ mod tests {
             let ((), inner) = defer_pacing(|| {
                 paced.pace(SimDuration::from_millis(40));
             });
-            // An inner reactor pays its collected time back through
-            // pace_sleep; the outer scope captures that.
+            // An inner scope's owner pays its collected time back
+            // through pace_sleep; the outer scope captures that.
             pace_sleep(inner / 2);
             (inner, inner / 2)
         });

@@ -227,58 +227,63 @@ impl Endpoint {
         bytes: usize,
         f: impl FnOnce() -> T,
     ) -> Result<RemoteCall<T>, NetError> {
+        let (result, elapsed) = self.invoke_charged(bytes, f);
+        result.map(|value| RemoteCall { value, elapsed })
+    }
+
+    /// [`Endpoint::invoke`] with this call's charge returned on failure
+    /// too. [`EndpointStats::total_time`] cannot supply it: concurrent
+    /// callers share that counter.
+    pub(crate) fn invoke_charged<T>(
+        &self,
+        bytes: usize,
+        f: impl FnOnce() -> T,
+    ) -> (Result<T, NetError>, SimDuration) {
         let (u_draw, t_draw, j_draw) = {
             let mut rng = self.rng.lock();
             (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>())
+        };
+        let timed_out = || NetError::Timeout {
+            endpoint: self.id.clone(),
+            timeout_us: self.failure.timeout.as_micros(),
         };
         let mut stats = self.stats.lock();
         let call_index = stats.calls;
         stats.calls += 1;
         let forced = self.schedule.get(call_index);
-        if forced == Some(FaultKind::Unreachable) || u_draw < self.failure.p_unreachable {
+        let (charged, error) =
+            if forced == Some(FaultKind::Unreachable) || u_draw < self.failure.p_unreachable {
+                // A refused connection costs one base RTT.
+                (self.cost.base, Some(NetError::Unreachable { endpoint: self.id.clone() }))
+            } else if forced == Some(FaultKind::Timeout) || t_draw < self.failure.p_timeout {
+                (self.failure.timeout, Some(timed_out()))
+            } else {
+                let elapsed = self.cost.cost(bytes, j_draw);
+                if elapsed > self.failure.timeout {
+                    (self.failure.timeout, Some(timed_out()))
+                } else {
+                    (elapsed, None)
+                }
+            };
+        stats.total_time += charged;
+        if error.is_some() {
             stats.failures += 1;
-            // A refused connection costs one base RTT.
-            stats.total_time += self.cost.base;
-            drop(stats);
-            observe_attempt(self.cost.base, false);
-            self.cost.pace(self.cost.base);
-            return Err(NetError::Unreachable { endpoint: self.id.clone() });
+        } else {
+            stats.bytes += bytes as u64;
         }
-        if forced == Some(FaultKind::Timeout) || t_draw < self.failure.p_timeout {
-            stats.failures += 1;
-            stats.total_time += self.failure.timeout;
-            drop(stats);
-            observe_attempt(self.failure.timeout, false);
-            self.cost.pace(self.failure.timeout);
-            return Err(NetError::Timeout {
-                endpoint: self.id.clone(),
-                timeout_us: self.failure.timeout.as_micros(),
-            });
-        }
-        let elapsed = self.cost.cost(bytes, j_draw);
-        if elapsed > self.failure.timeout {
-            stats.failures += 1;
-            stats.total_time += self.failure.timeout;
-            drop(stats);
-            observe_attempt(self.failure.timeout, false);
-            self.cost.pace(self.failure.timeout);
-            return Err(NetError::Timeout {
-                endpoint: self.id.clone(),
-                timeout_us: self.failure.timeout.as_micros(),
-            });
-        }
-        stats.total_time += elapsed;
-        stats.bytes += bytes as u64;
         drop(stats);
-        if s2s_obs::enabled() {
+        if error.is_none() && s2s_obs::enabled() {
             s2s_obs::global().counter("s2s_net_bytes_total").add(bytes as u64);
         }
-        observe_attempt(elapsed, true);
+        observe_attempt(charged, error.is_none());
         // With pacing on, the calling thread blocks for the scaled real
         // equivalent of the charge — this is what E13-style throughput
         // runs overlap across concurrent clients.
-        self.cost.pace(elapsed);
-        Ok(RemoteCall { value: f(), elapsed })
+        self.cost.pace(charged);
+        match error {
+            Some(error) => (Err(error), charged),
+            None => (Ok(f()), charged),
+        }
     }
 }
 

@@ -20,8 +20,8 @@
 //! * [`sched`] — makespan accounting: how long a set of remote calls
 //!   takes under serial vs k-worker parallel execution,
 //! * [`pool`] — a long-lived worker pool fed by an MPMC job queue, so
-//!   a resident mediator multiplexes every query onto one fixed set of
-//!   threads instead of spawning per call,
+//!   a resident mediator overlaps every query's paced *waits* on one
+//!   fixed set of threads instead of spawning per call,
 //! * [`retry`] — retry policies: exponential backoff with deterministic
 //!   seeded jitter, per-attempt timeouts, and overall deadlines, all in
 //!   virtual time,
@@ -31,9 +31,10 @@
 //! * [`admission`] — bounded admission with per-tenant deficit-round-
 //!   robin dequeue, early load shedding against deadline budgets, and
 //!   the percentile latency tracker behind hedged requests,
-//! * [`reactor`] — an event-driven scheduler over virtual time: tasks
-//!   are state machines advanced by timer events instead of blocked
-//!   threads, so one core holds thousands of in-flight exchanges.
+//! * [`reactor`] — an event-driven scheduler over virtual time for
+//!   the throughput harness: clients are state machines advanced by
+//!   timer events instead of blocked threads, so one core holds
+//!   thousands of them. The engine does not schedule on it.
 //!
 //! Time is **virtual**: calls return a [`SimDuration`] cost instead of
 //! sleeping, so experiments are deterministic and fast while preserving
@@ -62,7 +63,7 @@ pub use endpoint::{Endpoint, EndpointStats, FailureModel, FaultKind, FaultSchedu
 pub use error::NetError;
 pub use feed::{ChangeEvent, ChangeFeed, ChangeKind, FeedGap};
 pub use pool::{PoolStats, WorkerPool};
-pub use reactor::{run_tasks, EventTask, Poll, Reactor, ReactorStats};
+pub use reactor::{EventTask, Poll, Reactor, ReactorStats};
 pub use retry::{invoke_with_retry, RetryOutcome, RetryPolicy};
 pub use sched::makespan;
 pub use wire::{decode, decode_batch, encode, encode_batch, Frame, FrameKind};

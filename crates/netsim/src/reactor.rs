@@ -1,12 +1,15 @@
 //! An event-driven reactor over virtual time.
 //!
-//! The [`crate::pool::WorkerPool`] holds one OS thread per in-flight
-//! exchange, so concurrency tops out near core count even though
-//! nearly all "work" is simulated network wait. The [`Reactor`] turns
-//! each exchange into a state machine advanced by *timer events* on a
-//! virtual clock: a task fires, charges its simulated cost, and parks
-//! on a timer until that cost has "elapsed" — no thread blocks, so one
-//! core holds thousands of in-flight extractions.
+//! A thread per in-flight *client* tops concurrency out near core count
+//! even though nearly all of a client's "work" is simulated network
+//! wait. The [`Reactor`] turns each client into a state machine
+//! advanced by *timer events* on a virtual clock: a task fires, charges
+//! its simulated cost, and parks on a timer until that cost has
+//! "elapsed" — no thread blocks, so one core holds thousands of clients
+//! (the E13 throughput harness runs 10 000 on it). The engine itself
+//! schedules nothing here: wrappers run on the thread that called
+//! `query`, and overlapping one query's exchanges is a loop over
+//! [`crate::cost::defer_pacing`] scopes, not a second scheduler.
 //!
 //! ## Model
 //!
@@ -42,10 +45,8 @@
 //! waits) rather than the per-task sum, exactly as if every task had
 //! its own blocked thread — without the threads.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 use crate::cost::{defer_pacing, pace_sleep, SimDuration};
 
@@ -289,94 +290,12 @@ impl std::fmt::Debug for Reactor<'_> {
     }
 }
 
-/// State of one item flowing through [`run_tasks`].
-enum ItemState<T, R> {
-    Pending(T),
-    InFlight(R),
-    Drained,
-}
-
-/// Adapter: runs each item's closure at its virtual start time, parks
-/// on a timer for the simulated cost the closure charged, then
-/// delivers the result — the reactor equivalent of
-/// [`crate::pool::WorkerPool::run`] for uniformly overlapping batches.
-struct ItemTask<'f, T, R> {
-    index: usize,
-    state: ItemState<T, R>,
-    run: &'f dyn Fn(T) -> R,
-    charge: &'f dyn Fn(&R) -> SimDuration,
-    slots: Rc<RefCell<Vec<Option<R>>>>,
-}
-
-impl<T, R> EventTask for ItemTask<'_, T, R> {
-    fn fire(&mut self, _now: SimDuration) -> Poll {
-        match std::mem::replace(&mut self.state, ItemState::Drained) {
-            ItemState::Pending(item) => {
-                let result = (self.run)(item);
-                let cost = (self.charge)(&result);
-                if cost == SimDuration::ZERO {
-                    self.slots.borrow_mut()[self.index] = Some(result);
-                    Poll::Done
-                } else {
-                    self.state = ItemState::InFlight(result);
-                    Poll::Sleep(cost)
-                }
-            }
-            ItemState::InFlight(result) => {
-                self.slots.borrow_mut()[self.index] = Some(result);
-                Poll::Done
-            }
-            ItemState::Drained => unreachable!("item task fired after completion"),
-        }
-    }
-}
-
-/// Runs `run` over `items` as reactor tasks: every item starts at the
-/// same virtual instant, is charged the simulated cost `charge` reads
-/// from its result, and completes when that cost has elapsed on the
-/// virtual clock — so the batch's virtual makespan is the *maximum*
-/// per-item cost, as if each item had its own thread, while executing
-/// on the calling thread alone. Results come back in submission order.
-///
-/// Item closures run in submission order at their start instant, so
-/// any seeded RNG streams they touch advance exactly as under the
-/// serial path.
-pub fn run_tasks<T, R>(
-    shards: usize,
-    items: Vec<T>,
-    run: impl Fn(T) -> R,
-    charge: impl Fn(&R) -> SimDuration,
-) -> (Vec<R>, ReactorStats) {
-    let n = items.len();
-    let slots: Rc<RefCell<Vec<Option<R>>>> = Rc::new(RefCell::new((0..n).map(|_| None).collect()));
-    let run: &dyn Fn(T) -> R = &run;
-    let charge: &dyn Fn(&R) -> SimDuration = &charge;
-    let mut reactor = Reactor::new(shards);
-    for (index, item) in items.into_iter().enumerate() {
-        reactor.spawn(Box::new(ItemTask {
-            index,
-            state: ItemState::Pending(item),
-            run,
-            charge,
-            slots: Rc::clone(&slots),
-        }));
-    }
-    reactor.run();
-    let stats = reactor.stats();
-    drop(reactor);
-    let results = Rc::try_unwrap(slots)
-        .unwrap_or_else(|_| unreachable!("all item tasks dropped"))
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("one result per item"))
-        .collect();
-    (results, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Fires `n` times with `delay` between fires, recording fire times.
     struct Beeper {
@@ -462,22 +381,31 @@ mod tests {
         assert!(stats.peak_timer_depth >= 8);
     }
 
-    #[test]
-    fn run_tasks_overlaps_costs_to_the_max() {
-        let costs = [30u64, 10, 20, 40];
-        let (results, stats) = run_tasks(2, costs.to_vec(), SimDuration::from_millis, |cost| *cost);
-        assert_eq!(results, costs.map(SimDuration::from_millis));
-        // Virtual makespan = max, not sum: the reactor overlapped them.
-        assert_eq!(stats.virtual_elapsed, SimDuration::from_millis(40));
-        assert_eq!(stats.completed, 4);
+    /// One paced exchange: takes (or defers) its real-time wait when it
+    /// starts, then parks until its charge has elapsed on the virtual
+    /// clock.
+    struct PacedWait {
+        path: CostModel,
+        charge: SimDuration,
+        parked: bool,
     }
 
-    #[test]
-    fn run_tasks_zero_cost_items_complete_in_one_fire() {
-        let (results, stats) =
-            run_tasks(1, vec![0u64, 5, 0], |x| x, |x| SimDuration::from_micros(*x));
-        assert_eq!(results, [0, 5, 0]);
-        assert_eq!(stats.events, 4, "zero-cost items skip the completion timer");
+    impl EventTask for PacedWait {
+        fn fire(&mut self, _now: SimDuration) -> Poll {
+            if self.parked {
+                return Poll::Done;
+            }
+            self.parked = true;
+            self.path.pace(self.charge);
+            Poll::Sleep(self.charge)
+        }
+    }
+
+    fn spawn_paced(reactor: &mut Reactor<'_>, path: CostModel, charge_ms: u64, tasks: usize) {
+        for _ in 0..tasks {
+            let charge = SimDuration::from_millis(charge_ms);
+            reactor.spawn(Box::new(PacedWait { path, charge, parked: false }));
+        }
     }
 
     #[test]
@@ -485,41 +413,24 @@ mod tests {
         // 16 tasks each charging 20 sim ms at 100 us/ms: a threaded
         // pool of 1 would sleep 16 × 2 ms = 32 ms; the reactor overlaps
         // them into one 2 ms advance.
-        let paced = CostModel::instant().with_pace(100);
+        let mut reactor = Reactor::new(1);
+        spawn_paced(&mut reactor, CostModel::instant().with_pace(100), 20, 16);
         let started = std::time::Instant::now();
-        let (_, stats) = run_tasks(
-            1,
-            vec![SimDuration::from_millis(20); 16],
-            |charge| {
-                paced.pace(charge);
-                charge
-            },
-            |charge| *charge,
-        );
+        reactor.run();
         let wall = started.elapsed();
-        assert_eq!(stats.virtual_elapsed, SimDuration::from_millis(20));
+        assert_eq!(reactor.now(), SimDuration::from_millis(20));
         assert!(wall >= std::time::Duration::from_millis(2), "paid the advance: {wall:?}");
         assert!(wall < std::time::Duration::from_millis(20), "did not serialize: {wall:?}");
     }
 
     #[test]
     fn nested_reactors_defer_to_the_outer_scope() {
-        // An inner reactor's paid-back pacing must be captured by an
-        // enclosing defer scope (as when a benchmark-level client
-        // reactor wraps engine-internal reactors).
-        let paced = CostModel::instant().with_pace(1_000);
-        let ((), deferred_us) = defer_pacing(|| {
-            let (_, stats) = run_tasks(
-                2,
-                vec![SimDuration::from_millis(10); 4],
-                |charge| {
-                    paced.pace(charge);
-                    charge
-                },
-                |charge| *charge,
-            );
-            assert_eq!(stats.virtual_elapsed, SimDuration::from_millis(10));
-        });
+        // A reactor pays its advances back through `pace_sleep`, so an
+        // enclosing defer scope captures them instead of sleeping.
+        let mut reactor = Reactor::new(2);
+        spawn_paced(&mut reactor, CostModel::instant().with_pace(1_000), 10, 4);
+        let (virtual_elapsed, deferred_us) = defer_pacing(|| reactor.run());
+        assert_eq!(virtual_elapsed, SimDuration::from_millis(10));
         // One overlapped 10 ms advance at 1000 us/ms = 10_000 us.
         assert_eq!(deferred_us, 10_000);
     }

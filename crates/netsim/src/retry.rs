@@ -96,11 +96,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Whether this policy ever retries.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
     /// The pre-jitter backoff before attempt `next_attempt` (2-based:
     /// the wait before the second attempt is `base_backoff`).
     pub fn backoff_before(&self, next_attempt: u32) -> SimDuration {
@@ -178,13 +173,8 @@ pub fn invoke_with_retry<T>(
     let mut deadline_hit = false;
     loop {
         attempts += 1;
-        // The endpoint charges its own stats; mirror its accounting by
-        // diffing total_time around the call so failed attempts charge
-        // exactly what the endpoint says they cost.
-        let before = endpoint.stats().total_time;
-        let invoked = endpoint.invoke(bytes, &mut f);
-        let mut attempt_cost = endpoint.stats().total_time.saturating_sub(before);
-        let mut result = invoked.map(|call| call.value);
+        // Failed attempts cost time too; the call itself says how much.
+        let (mut result, mut attempt_cost) = endpoint.invoke_charged(bytes, &mut f);
         if let Some(cap) = policy.attempt_timeout {
             if attempt_cost > cap {
                 // The caller hung up first: charge only the cap and

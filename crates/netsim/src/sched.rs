@@ -1,8 +1,9 @@
 //! Makespan accounting.
 //!
 //! Experiment E3 (serial vs parallel mediator) needs the *simulated*
-//! completion time of a batch of remote calls under k workers; the
-//! CPU-side work really runs concurrently on [`crate::WorkerPool`].
+//! completion time of a batch of remote calls under k workers. Nothing
+//! here runs anything: the wrappers have already run on the calling
+//! thread, and [`crate::WorkerPool`] only overlaps the paced waits.
 
 use crate::cost::SimDuration;
 

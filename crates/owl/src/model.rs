@@ -300,11 +300,6 @@ impl Ontology {
         self.properties.len()
     }
 
-    /// Direct subclasses of `class`.
-    pub fn direct_subclasses<'o>(&'o self, class: &'o Iri) -> impl Iterator<Item = &'o Iri> {
-        self.classes.values().filter(move |c| c.parents.contains(class)).map(|c| &c.iri)
-    }
-
     /// All (transitive) superclasses of `class`, excluding itself.
     ///
     /// Equivalent classes (`owl:equivalentClass`) count as mutual

@@ -84,11 +84,6 @@ impl AttributePath {
         &self.classes
     }
 
-    /// The innermost (most specific) class segment, if any.
-    pub fn leaf_class(&self) -> Option<&str> {
-        self.classes.last().map(String::as_str)
-    }
-
     /// Generates the canonical path for `property` on `class`, walking up
     /// the class hierarchy to the root (paper Fig. 4: the path keeps "a
     /// notion of the ontology hierarchy").

@@ -339,6 +339,41 @@ fn per_query_cache_accounts_hold_under_concurrency() {
     }
 }
 
+/// A reliable source never times out, however many clients share its
+/// endpoint: one WAN attempt costs at most 30 ms plus the bytes moved,
+/// so a 35 ms client-side attempt timeout can only fire if an attempt is
+/// charged for time the endpoint served to somebody else.
+#[test]
+fn concurrent_clients_never_time_out_a_reliable_source() {
+    use s2s::core::extract::ResiliencePolicy;
+    use s2s::netsim::RetryPolicy;
+
+    const CLIENTS: usize = 4;
+    const QUERIES: usize = 5_000;
+    let timeout = RetryPolicy::attempts(1).with_attempt_timeout(SimDuration::from_millis(35));
+    let engine = deploy(6, Strategy::Parallel { workers: 4 })
+        .with_resilience(ResiliencePolicy::default().with_retry(timeout));
+    let start = std::sync::Barrier::new(CLIENTS);
+    let degraded: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (engine, start) = (&engine, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..QUERIES)
+                        .filter(|q| {
+                            let text = format!("SELECT watch WHERE price < {}", c * QUERIES + q);
+                            engine.query(&text).unwrap().stats.completeness < 1.0
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client panicked")).sum()
+    });
+    assert_eq!(degraded, 0, "of {} answers", CLIENTS * QUERIES);
+}
+
 proptest! {
     /// Equivalent S2SQL spellings (whitespace, keyword case) normalize
     /// to the same key, produce identical plans, and share one
