@@ -14,6 +14,7 @@
 //! filtered by the query conditions.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
 use s2s_rdf::turtle::PrefixMap;
@@ -131,6 +132,47 @@ impl<'a> Column<'a> {
         }
         .map(String::as_str)
     }
+
+    /// The object `value` becomes. An object property mints an
+    /// individual for the referenced entity — its IRI composed in
+    /// `buffer`, its type triple pushed to `referenced`; any other
+    /// column yields a literal typed by the range.
+    fn object(
+        &self,
+        value: &str,
+        rdf_type: &Iri,
+        buffer: &mut String,
+        referenced: &mut Vec<Triple>,
+    ) -> Term {
+        let Some(prefix) = &self.reference_prefix else {
+            return Term::from(typed_literal(self.range, value));
+        };
+        buffer.clear();
+        buffer.push_str(prefix);
+        push_sanitized(buffer, value);
+        match Iri::new(buffer.as_str()) {
+            Ok(reference) => {
+                if let Some(range) = self.range {
+                    referenced.push(Triple::new(
+                        reference.clone(),
+                        rdf_type.clone(),
+                        range.clone(),
+                    ));
+                }
+                Term::from(reference)
+            }
+            Err(_) => Term::from(Literal::string(value)),
+        }
+    }
+}
+
+/// What fills one predicate of a record's block of triples.
+enum Filler<'a> {
+    /// The same object for every record of the source (its class, its
+    /// provenance).
+    Constant(Term),
+    /// The record's value of a projected column.
+    Column(&'a Column<'a>),
 }
 
 /// Like [`generate`], with options.
@@ -140,11 +182,53 @@ pub fn generate_with_options(
     report: &ExtractionReport,
     options: GenerateOptions,
 ) -> InstanceSet {
+    let (triples, individuals) = emit_triples(ontology, plan, report, options);
+    // Supertypes and inferred typings, then one tree build.
+    let graph = Reasoner::new(ontology).materialized(triples);
+
+    if s2s_obs::enabled() {
+        let m = s2s_obs::global();
+        m.counter("s2s_instances_generated_total").add(individuals.len() as u64);
+        m.counter("s2s_instance_triples_total").add(graph.len() as u64);
+    }
+
+    InstanceSet {
+        graph,
+        individuals,
+        errors: report.failures.clone(),
+        completeness: report.completeness(),
+        round_trips: report.resilience.values().map(|h| h.attempts).sum(),
+    }
+}
+
+/// The individuals the report yields under the plan, in record order,
+/// and the triples asserted about them.
+///
+/// The triples come out in the order the graph will keep them (SPO) as
+/// far as the generator can tell without comparing strings: per source,
+/// subjects by the decimal-string order of their record number
+/// (`…/1, …/10, …/100, …/2`), each subject's predicates in IRI order,
+/// the type triples of referenced individuals — which sort under a
+/// prefix of their own — after everything else. The order is a hint for
+/// the sort that follows, never something the answer depends on: source
+/// ids that sanitize to one prefix, or to prefixes out of id order,
+/// merely leave that sort more to do.
+fn emit_triples(
+    ontology: &Ontology,
+    plan: &QueryPlan,
+    report: &ExtractionReport,
+    options: GenerateOptions,
+) -> (Vec<Triple>, Vec<Individual>) {
     let data_ns = data_namespace(ontology);
     let rdf_type = rdfv::type_();
     let provenance = options.provenance.then(provenance_property);
     let mut triples: Vec<Triple> = Vec::new();
+    let mut referenced: Vec<Triple> = Vec::new();
     let mut individuals = Vec::new();
+    // Reused from source to source: the text of the IRI being minted,
+    // and the records of the source that became individuals.
+    let mut minted = String::new();
+    let mut survivors: Vec<(usize, Iri)> = Vec::new();
 
     // Group results by source.
     let mut by_source: BTreeMap<&str, Vec<&AttributeResult>> = BTreeMap::new();
@@ -194,12 +278,15 @@ pub fn generate_with_options(
                 record_class = r.mapping.class();
             }
         }
-        let iri_prefix = format!(
-            "{data_ns}{}/{}/",
-            record_class.local_name().to_ascii_lowercase(),
-            sanitize(source)
-        );
+        minted.clear();
+        minted.push_str(&data_ns);
+        minted.push_str(&record_class.local_name().to_ascii_lowercase());
+        minted.push('/');
+        push_sanitized(&mut minted, source);
+        minted.push('/');
+        let prefix_len = minted.len();
 
+        // Phase 1, in record order: which records become individuals.
         let mut record: Vec<(&Iri, &str)> = Vec::with_capacity(columns.len());
         for i in 0..records {
             // The condition tree sees the record as borrowed pairs;
@@ -214,35 +301,16 @@ pub fn generate_with_options(
             if !columns.iter().any(|c| c.projected && c.value(i).is_some()) {
                 continue;
             }
-            let iri = Iri::new(format!("{iri_prefix}{i}"))
-                .expect("minted IRIs are valid by construction");
-            triples.push(Triple::new(iri.clone(), rdf_type.clone(), record_class.clone()));
-            if let Some(provenance) = &provenance {
-                triples.push(Triple::new(iri.clone(), provenance.clone(), Literal::string(source)));
-            }
+            minted.truncate(prefix_len);
+            write!(minted, "{i}").expect("writing to a String cannot fail");
+            let iri = Iri::new(&minted).expect("minted IRIs are valid by construction");
             let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
             for c in columns.iter().filter(|c| c.projected) {
-                let Some(v) = c.value(i) else { continue };
-                values.entry(c.property.clone()).or_default().push(v.to_string());
-                let object = match &c.reference_prefix {
-                    // Mint an individual for the referenced entity.
-                    Some(prefix) => match Iri::new(format!("{prefix}{}", sanitize(v))) {
-                        Ok(reference) => {
-                            if let Some(range) = c.range {
-                                triples.push(Triple::new(
-                                    reference.clone(),
-                                    rdf_type.clone(),
-                                    range.clone(),
-                                ));
-                            }
-                            Term::from(reference)
-                        }
-                        Err(_) => Term::from(Literal::string(v)),
-                    },
-                    None => Term::from(typed_literal(c.range, v)),
-                };
-                triples.push(Triple::new(iri.clone(), c.property.clone(), object));
+                if let Some(v) = c.value(i) {
+                    values.entry(c.property.clone()).or_default().push(v.to_string());
+                }
             }
+            survivors.push((i, iri.clone()));
             individuals.push(Individual {
                 iri,
                 class: record_class.clone(),
@@ -250,25 +318,44 @@ pub fn generate_with_options(
                 values,
             });
         }
-    }
 
-    // One sorted bulk build, then supertypes and inferred typings.
-    let mut graph: Graph = triples.into_iter().collect();
-    Reasoner::new(ontology).materialize(&mut graph);
-
-    if s2s_obs::enabled() {
-        let m = s2s_obs::global();
-        m.counter("s2s_instances_generated_total").add(individuals.len() as u64);
-        m.counter("s2s_instance_triples_total").add(graph.len() as u64);
+        // Phase 2, in the graph's order: their triples.
+        let mut block: Vec<(&Iri, Filler<'_>)> =
+            vec![(&rdf_type, Filler::Constant(Term::from(record_class.clone())))];
+        if let Some(provenance) = &provenance {
+            block.push((provenance, Filler::Constant(Term::from(Literal::string(source)))));
+        }
+        block.extend(
+            columns.iter().filter(|c| c.projected).map(|c| (c.property, Filler::Column(c))),
+        );
+        block.sort_by_key(|(predicate, _)| *predicate);
+        survivors.sort_by_cached_key(|(i, _)| decimal_order_key(*i));
+        triples.reserve(survivors.len() * block.len());
+        for (i, iri) in survivors.drain(..) {
+            for (predicate, filler) in &block {
+                let object = match filler {
+                    Filler::Constant(term) => term.clone(),
+                    Filler::Column(c) => match c.value(i) {
+                        // Phase 1 is done with the buffer.
+                        Some(v) => c.object(v, &rdf_type, &mut minted, &mut referenced),
+                        None => continue,
+                    },
+                };
+                triples.push(Triple::new(iri.clone(), (*predicate).clone(), object));
+            }
+        }
     }
+    triples.append(&mut referenced);
+    (triples, individuals)
+}
 
-    InstanceSet {
-        graph,
-        individuals,
-        errors: report.failures.clone(),
-        completeness: report.completeness(),
-        round_trips: report.resilience.values().map(|h| h.attempts).sum(),
-    }
+/// A key that orders record numbers as their decimal strings order
+/// (`1 < 10 < 100 < 2`), which is how the IRIs minted from them sort:
+/// the number left-aligned to the twenty digits of `u64::MAX`, then its
+/// length, so that `1` comes before `10`. No number overflows it.
+fn decimal_order_key(n: usize) -> u128 {
+    let digits = n.checked_ilog10().map_or(1, |d| d + 1);
+    (n as u128 * 10u128.pow(20 - digits)) << 8 | u128::from(digits)
 }
 
 /// Serializes an instance set in the requested format.
@@ -354,8 +441,12 @@ pub fn data_namespace(ontology: &Ontology) -> String {
     format!("{trimmed}/data/")
 }
 
-fn sanitize(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` as an IRI path segment: ASCII letters lower-cased,
+/// anything outside `[a-z0-9._-]` replaced by `-`, `x` for nothing.
+fn push_sanitized(out: &mut String, s: &str) {
+    if s.is_empty() {
+        out.push('x');
+    }
     for c in s.chars() {
         if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
             out.push(c.to_ascii_lowercase());
@@ -363,10 +454,6 @@ fn sanitize(s: &str) -> String {
             out.push('-');
         }
     }
-    if out.is_empty() {
-        out.push('x');
-    }
-    out
 }
 
 fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
@@ -376,11 +463,12 @@ fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
             .parse::<i64>()
             .map(Literal::integer)
             .unwrap_or_else(|_| Literal::string(value)),
-        Some(xsd::DECIMAL) | Some(xsd::DOUBLE) => value
-            .trim()
-            .parse::<f64>()
-            .map(|_| Literal::typed(value.trim(), xsd::decimal()))
-            .unwrap_or_else(|_| Literal::string(value)),
+        // The literal is emitted as an `xsd:decimal`, so the source's
+        // text must be in that type's lexical space: `inf`, `NaN` or
+        // `1e5` parse as floats and are not.
+        Some(xsd::DECIMAL) | Some(xsd::DOUBLE) if is_decimal_lexical(value.trim()) => {
+            Literal::typed(value.trim(), xsd::decimal())
+        }
         Some(xsd::BOOLEAN) => match value.trim() {
             "true" | "1" => Literal::boolean(true),
             "false" | "0" => Literal::boolean(false),
@@ -388,6 +476,15 @@ fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
         },
         _ => Literal::string(value),
     }
+}
+
+/// Whether `s` is in the lexical space of `xsd:decimal`:
+/// `[+-]?(\d+(\.\d*)?|\.\d+)`.
+fn is_decimal_lexical(s: &str) -> bool {
+    let unsigned = s.strip_prefix(['+', '-']).unwrap_or(s);
+    let (whole, fraction) = unsigned.split_once('.').unwrap_or((unsigned, ""));
+    !(whole.is_empty() && fraction.is_empty())
+        && whole.bytes().chain(fraction.bytes()).all(|b| b.is_ascii_digit())
 }
 
 #[cfg(test)]
@@ -659,6 +756,92 @@ mod tests {
             assert!(!render(&set, &o, fmt).is_empty());
         }
         assert_eq!(set.graph.derived_indexes(), (false, false));
+    }
+
+    #[test]
+    fn numeric_ranges_type_only_decimal_lexical_forms() {
+        let decimal = xsd::decimal();
+        for plain in ["59.5", " 129.99 ", "-3", "+7.", ".5", "0012"] {
+            let lit = typed_literal(Some(&decimal), plain);
+            assert_eq!((lit.datatype(), lit.lexical()), (&decimal, plain.trim()));
+        }
+        // What `str::parse::<f64>` also accepts is not an `xsd:decimal`;
+        // like any other non-numeric text it stays a plain string.
+        for other in ["NaN", "inf", "-infinity", "1e5", "1.5E-3", ".", "+", "", "1.2.3", "cheap"] {
+            assert_eq!(typed_literal(Some(&decimal), other), Literal::string(other), "{other:?}");
+            let double = Iri::new(xsd::DOUBLE).unwrap();
+            assert_eq!(typed_literal(Some(&double), other), Literal::string(other), "{other:?}");
+        }
+
+        let o = onto();
+        let p = plan(&parse("SELECT product").unwrap(), &o).unwrap();
+        let rep = report(vec![result(
+            &o,
+            "thing.product.price",
+            "DB",
+            RecordScenario::MultiRecord,
+            &["59.5", "NaN", "1e5"],
+        )]);
+        let set = generate(&o, &p, &rep);
+        let typed = set
+            .graph
+            .iter()
+            .filter_map(|t| t.object().as_literal())
+            .filter(|l| l.datatype() == &decimal)
+            .map(Literal::lexical)
+            .collect::<Vec<_>>();
+        assert_eq!(typed, ["59.5"]);
+    }
+
+    #[test]
+    fn record_numbers_order_as_their_decimal_strings() {
+        // Every power of ten a `usize` holds, its neighbours, and the top.
+        let boundaries: Vec<usize> = (1..=19)
+            .filter_map(|exponent| 10usize.checked_pow(exponent))
+            .flat_map(|power| [power - 1, power, power + 1])
+            .chain([usize::MAX / 10, usize::MAX - 1, usize::MAX])
+            .collect();
+        for a in (0..=11_000).chain(boundaries.iter().copied()) {
+            let near = [a / 10, a.saturating_mul(10), a.saturating_add(1)];
+            for b in boundaries.iter().copied().chain(near) {
+                assert_eq!(
+                    decimal_order_key(a).cmp(&decimal_order_key(b)),
+                    a.to_string().cmp(&b.to_string()),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        let mut numbers: Vec<usize> = (0..=11_000).collect();
+        numbers.sort_by_cached_key(|n| decimal_order_key(*n));
+        assert!(numbers.windows(2).all(|w| w[0].to_string() < w[1].to_string()));
+    }
+
+    #[test]
+    fn triples_are_emitted_in_the_order_the_graph_keeps_them() {
+        let o = onto();
+        let p = plan(&parse("SELECT product").unwrap(), &o).unwrap();
+        let column = |path: &str, source: &str, value: &dyn Fn(usize) -> String| {
+            let values: Vec<String> = (0..1_200).map(value).collect();
+            let values: Vec<&str> = values.iter().map(String::as_str).collect();
+            result(&o, path, source, RecordScenario::MultiRecord, &values)
+        };
+        let rep = report(vec![
+            column("thing.product.price", "db", &|i| format!("{i}.5")),
+            column("thing.product.brand", "db", &|i| format!("brand{}", i % 7)),
+            column("thing.product.brand", "xml", &|i| format!("brand{}", i % 5)),
+            column("thing.product.price", "xml", &|i| format!("{}", i % 300)),
+        ]);
+        let (triples, individuals) =
+            emit_triples(&o, &p, &rep, GenerateOptions { provenance: true });
+        assert_eq!((individuals.len(), triples.len()), (2_400, 4 * 2_400));
+        // The hint holds: what the reasoner is handed is already
+        // strictly sorted, so its sort and the tree build are linear.
+        let unsorted = triples.windows(2).position(|w| w[0] >= w[1]);
+        assert_eq!(unsorted.map(|at| (&triples[at], &triples[at + 1])), None);
+        // The individuals stay in record order all the same.
+        let records: Vec<&str> = individuals[..1_200].iter().map(|i| i.iri.local_name()).collect();
+        let expected: Vec<String> = (0..1_200).map(|i| i.to_string()).collect();
+        assert_eq!(records, expected);
     }
 
     #[test]

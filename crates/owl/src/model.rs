@@ -183,25 +183,37 @@ pub struct Ontology {
     namespace: String,
     classes: BTreeMap<Iri, ClassDef>,
     properties: BTreeMap<Iri, PropertyDef>,
-    closure: SubsumptionClosure,
+    derived: Derived,
 }
 
-/// Class → all its transitive superclasses (excluding itself), computed
-/// on first use: an ontology is immutable once built, and every
-/// [`crate::Reasoner`] over it (one per generated answer) reads the same
-/// closure. Derived from `classes`, so it takes no part in equality.
+/// What an ontology derives from its definitions, computed on first
+/// use: an ontology is immutable once built, every [`crate::Reasoner`]
+/// over it (one per generated answer) reads the same closure, and every
+/// attribute path resolved against it reads the same name tables.
+/// Derived from `classes` and `properties`, so it takes no part in
+/// equality.
 #[derive(Clone, Default)]
-struct SubsumptionClosure(OnceLock<BTreeMap<Iri, BTreeSet<Iri>>>);
+struct Derived(OnceLock<Tables>);
 
-impl PartialEq for SubsumptionClosure {
+#[derive(Clone, Default)]
+struct Tables {
+    /// Class → all its transitive superclasses (excluding itself).
+    closure: BTreeMap<Iri, BTreeSet<Iri>>,
+    /// Lower-cased local name → the first class in IRI order carrying it.
+    class_by_name: BTreeMap<String, Iri>,
+    /// Declared domain → the properties declaring it, in IRI order.
+    properties_by_domain: BTreeMap<Iri, Vec<Iri>>,
+}
+
+impl PartialEq for Derived {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for SubsumptionClosure {}
+impl Eq for Derived {}
 
-impl fmt::Debug for SubsumptionClosure {
+impl fmt::Debug for Derived {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(if self.0.get().is_some() { "computed" } else { "not computed" })
     }
@@ -219,19 +231,46 @@ impl Ontology {
         classes: BTreeMap<Iri, ClassDef>,
         properties: BTreeMap<Iri, PropertyDef>,
     ) -> Self {
-        Ontology { namespace, classes, properties, closure: SubsumptionClosure::default() }
+        Ontology { namespace, classes, properties, derived: Derived::default() }
+    }
+
+    fn tables(&self) -> &Tables {
+        self.derived.0.get_or_init(|| {
+            let mut tables = Tables::default();
+            for class in self.classes.keys() {
+                tables
+                    .closure
+                    .insert(class.clone(), self.superclasses(class).into_iter().collect());
+                tables
+                    .class_by_name
+                    .entry(class.local_name().to_ascii_lowercase())
+                    .or_insert_with(|| class.clone());
+            }
+            for (property, def) in &self.properties {
+                for domain in &def.domains {
+                    tables
+                        .properties_by_domain
+                        .entry(domain.clone())
+                        .or_default()
+                        .push(property.clone());
+                }
+            }
+            tables
+        })
     }
 
     /// The subsumption closure: class → all its transitive superclasses
     /// ([`Ontology::superclasses`] of every class), computed once per
     /// ontology.
     pub(crate) fn subsumption_closure(&self) -> &BTreeMap<Iri, BTreeSet<Iri>> {
-        self.closure.0.get_or_init(|| {
-            self.classes
-                .keys()
-                .map(|class| (class.clone(), self.superclasses(class).into_iter().collect()))
-                .collect()
-        })
+        &self.tables().closure
+    }
+
+    /// The first class in IRI order whose local name is `name`, ignoring
+    /// ASCII case: one map lookup, where a scan of
+    /// [`Ontology::classes`] would be linear in the ontology.
+    pub(crate) fn class_named(&self, name: &str) -> Option<&Iri> {
+        self.tables().class_by_name.get(&name.to_ascii_lowercase())
     }
 
     /// The ontology namespace prefix.
@@ -330,30 +369,32 @@ impl Ontology {
     /// exact inverse of [`Ontology::superclasses`] (so equivalence is
     /// honoured symmetrically).
     pub fn subclasses(&self, class: &Iri) -> Vec<Iri> {
-        self.classes
-            .keys()
-            .filter(|c| *c != class && self.superclasses(c).contains(class))
-            .cloned()
+        self.subsumption_closure()
+            .iter()
+            .filter(|(c, superclasses)| *c != class && superclasses.contains(class))
+            .map(|(c, _)| c.clone())
             .collect()
     }
 
     /// Whether `sub` is equal to or a transitive subclass of `sup`.
     pub fn is_subclass_of(&self, sub: &Iri, sup: &Iri) -> bool {
-        sub == sup || self.superclasses(sub).contains(sup)
+        sub == sup || self.subsumption_closure().get(sub).is_some_and(|s| s.contains(sup))
     }
 
     /// Properties whose declared domain includes `class` or any of its
-    /// superclasses (i.e. the attributes applicable to the class).
+    /// superclasses (i.e. the attributes applicable to the class), in
+    /// IRI order. Reads the per-domain table along the class's closure,
+    /// so the cost follows the class's own attributes, not the ontology.
     pub fn properties_of_class(&self, class: &Iri) -> Vec<&PropertyDef> {
-        let mut applicable: Vec<&PropertyDef> = Vec::new();
-        let mut classes = vec![class.clone()];
-        classes.extend(self.superclasses(class));
-        for p in self.properties.values() {
-            if p.domains.iter().any(|d| classes.contains(d)) {
-                applicable.push(p);
-            }
-        }
-        applicable
+        let tables = self.tables();
+        let mut applicable: Vec<&Iri> = std::iter::once(class)
+            .chain(tables.closure.get(class).into_iter().flatten())
+            .flat_map(|c| tables.properties_by_domain.get(c).into_iter().flatten())
+            .collect();
+        // A property declaring two classes of the chain is listed twice.
+        applicable.sort();
+        applicable.dedup();
+        applicable.into_iter().map(|p| &self.properties[p]).collect()
     }
 
     /// The root classes (classes with no defined parent inside this

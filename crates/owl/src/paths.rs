@@ -138,12 +138,10 @@ impl AttributePath {
 
         // Map each class segment to a class IRI by case-insensitive local
         // name.
-        let mut resolved: Vec<Iri> = Vec::with_capacity(self.classes.len());
+        let mut resolved: Vec<&Iri> = Vec::with_capacity(self.classes.len());
         for seg in &self.classes {
             let found = ontology
-                .classes()
-                .find(|c| c.iri().local_name().eq_ignore_ascii_case(seg))
-                .map(|c| c.iri().clone())
+                .class_named(seg)
                 .ok_or_else(|| bad(format!("no class matches segment `{seg}`")))?;
             resolved.push(found);
         }
@@ -151,7 +149,7 @@ impl AttributePath {
             return Err(bad("path must contain at least one class segment".into()));
         }
         for pair in resolved.windows(2) {
-            if !ontology.is_subclass_of(&pair[1], &pair[0]) {
+            if !ontology.is_subclass_of(pair[1], pair[0]) {
                 return Err(bad(format!(
                     "`{}` is not a subclass of `{}`",
                     pair[1].local_name(),
@@ -159,16 +157,16 @@ impl AttributePath {
                 )));
             }
         }
-        let leaf = resolved.last().expect("non-empty").clone();
+        let leaf = *resolved.last().expect("non-empty");
         let property = ontology
-            .properties_of_class(&leaf)
+            .properties_of_class(leaf)
             .into_iter()
             .find(|p| p.iri().local_name().eq_ignore_ascii_case(&self.attribute))
             .map(|p| p.iri().clone())
             .ok_or_else(|| {
                 bad(format!("class `{}` has no attribute `{}`", leaf.local_name(), self.attribute))
             })?;
-        Ok(ResolvedAttribute { class: leaf, property })
+        Ok(ResolvedAttribute { class: leaf.clone(), property })
     }
 }
 

@@ -164,24 +164,49 @@ impl<'o> Reasoner<'o> {
     ///    their members are cross-typed too);
     /// 4. subproperty and inverse-property propagation.
     ///
-    /// Returns the number of triples added. Evaluation is semi-naive:
-    /// every rule has a single triple as its premise, so a triple's
-    /// consequences depend on nothing else in the graph. The first
-    /// round examines every triple; each later round examines only the
-    /// triples the previous round added (an inverse-property triple can
-    /// enable further domain/range typings), and the fixpoint is
-    /// reached when a round adds nothing — the same least fixpoint, and
-    /// so the same graph and count, as re-scanning the whole graph until
-    /// nothing changes.
+    /// Returns the number of triples added. The graph is taken apart,
+    /// closed by [`materialized`](Reasoner::materialized) and rebuilt; a
+    /// producer that has its triples in a vector should call that
+    /// directly and build the graph once.
     pub fn materialize(&self, graph: &mut Graph) -> usize {
         let before = graph.len();
-        let mut candidates = self.consequences(graph.iter());
-        while !candidates.is_empty() {
-            let added: Vec<Triple> =
-                candidates.into_iter().filter(|t| graph.insert(t.clone())).collect();
-            candidates = self.consequences(added.iter());
-        }
+        *graph = self.materialized(std::mem::take(graph).into_iter().collect());
         graph.len() - before
+    }
+
+    /// The graph holding `triples` (in any order, repeats allowed) and
+    /// everything the rules of [`materialize`](Reasoner::materialize)
+    /// infer from them.
+    ///
+    /// Evaluation is semi-naive over sorted vectors. Every rule has a
+    /// single triple as its premise, so a triple's consequences depend
+    /// on nothing else in the graph: the first round examines every
+    /// triple, each later round only the triples the previous round
+    /// added (an inverse- or sub-property triple can enable further
+    /// domain/range typings; an added type triple cannot — its class's
+    /// closure came with it), and the fixpoint is reached when a round
+    /// adds nothing — the same least fixpoint as re-scanning the whole
+    /// graph until nothing changes. A round sorts its candidates and
+    /// merges them into what is known in one lockstep pass that also
+    /// tells which of them were new, so no candidate costs a tree
+    /// descent and the tree is built once, from sorted input, at the end.
+    pub fn materialized(&self, triples: Vec<Triple>) -> Graph {
+        let mut known = triples;
+        known.sort();
+        known.dedup();
+        let rdf_type = rdf::type_();
+        let mut candidates = self.consequences(known.iter());
+        while !candidates.is_empty() {
+            candidates.sort();
+            candidates.dedup();
+            let added = absorb(&mut known, candidates);
+            // A derived type triple has nothing left to say: the rule
+            // that proposed it proposed the class's whole (transitive)
+            // closure in the same round.
+            let premises = added.iter().map(|&at| &known[at]);
+            candidates = self.consequences(premises.filter(|t| t.predicate() != &rdf_type));
+        }
+        known.into_iter().collect()
     }
 
     /// The direct consequences of each of `triples` under the rules of
@@ -189,7 +214,7 @@ impl<'o> Reasoner<'o> {
     /// deep. May repeat triples and may include ones already in the
     /// graph; type candidates repeated within one node's run of
     /// consecutive triples (a record's properties mostly share a
-    /// domain) are dropped here, before they cost a tree descent.
+    /// domain) are dropped here, before they are sorted.
     fn consequences<'a>(&'a self, triples: impl Iterator<Item = &'a Triple>) -> Vec<Triple> {
         let rdf_type = rdf::type_();
         let mut out = Vec::new();
@@ -376,6 +401,26 @@ impl<'a> TypeRun<'a> {
             out.push(Triple::new(node.clone(), rdf_type.clone(), class.clone()));
         }
     }
+}
+
+/// Merges `candidates` into `known` — both sorted and free of repeats —
+/// and returns where in the merged `known` the candidates that were not
+/// already there now sit.
+fn absorb(known: &mut Vec<Triple>, candidates: Vec<Triple>) -> Vec<usize> {
+    let merged = Vec::with_capacity(known.len() + candidates.len());
+    let mut old = std::mem::replace(known, merged).into_iter().peekable();
+    let mut added = Vec::new();
+    for candidate in candidates {
+        while let Some(smaller) = old.next_if(|t| *t < candidate) {
+            known.push(smaller);
+        }
+        if old.peek() != Some(&candidate) {
+            added.push(known.len());
+            known.push(candidate);
+        }
+    }
+    known.extend(old);
+    added
 }
 
 /// Whether a literal's lexical form conforms to a datatype IRI.
@@ -592,7 +637,56 @@ mod tests {
             prop_assert_eq!(r.materialize(&mut got), materialize_naive(&r, &mut want));
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(r.materialize(&mut got), 0);
+
+            // The vector entry point takes the facts as they come:
+            // unsorted, and with repeats.
+            let doubled: Vec<Triple> = facts.iter().rev().chain(&facts).cloned().collect();
+            let mut want: Graph = facts.iter().cloned().collect();
+            materialize_naive(&r, &mut want);
+            prop_assert_eq!(&r.materialized(doubled), &want);
         }
+    }
+
+    #[test]
+    fn inverse_property_cycles_terminate_at_the_naive_fixpoint() {
+        // p and q are inverses of each other and r of itself, and p ⊑ r:
+        // every mirrored triple is the premise of another mirroring.
+        let o = Ontology::builder("http://example.org/schema#")
+            .class("A", None)
+            .unwrap()
+            .class("B", Some("A"))
+            .unwrap()
+            .object_property("p", "A", "B")
+            .unwrap()
+            .object_property("q", "B", "A")
+            .unwrap()
+            .object_property("r", "A", "A")
+            .unwrap()
+            .inverse("p", "q")
+            .unwrap()
+            .inverse("q", "p")
+            .unwrap()
+            .inverse("r", "r")
+            .unwrap()
+            .subproperty_of("p", "r")
+            .unwrap()
+            .build()
+            .unwrap();
+        let r = Reasoner::new(&o);
+        let node = |n: &str| iri(&format!("http://example.org/data/{n}"));
+        let facts = vec![
+            Triple::new(node("x"), ex("p"), node("y")),
+            Triple::new(node("y"), ex("p"), node("x")),
+            Triple::new(node("y"), ex("q"), node("z")),
+            Triple::new(node("z"), ex("r"), node("z")),
+        ];
+        let mut want: Graph = facts.iter().cloned().collect();
+        let mut got = want.clone();
+        let added = materialize_naive(&r, &mut want);
+        assert!(want.contains(&Triple::new(node("y"), ex("r"), node("x"))), "{want:?}");
+        assert_eq!(r.materialize(&mut got), added);
+        assert_eq!(got, want);
+        assert_eq!(r.materialized(facts), want);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! RDF terms: IRIs, blank nodes, literals, and the [`Term`] union.
 //!
 //! All terms share their text via `Arc<str>`, so cloning terms and triples
-//! is cheap — the triple store relies on this.
+//! is cheap — the triple store relies on this. Constructors validate the
+//! borrowed text and allocate that `Arc<str>` directly: one heap block
+//! per term, and only a rejected input is copied into its error.
 
 use std::fmt;
 use std::sync::Arc;
@@ -33,16 +35,14 @@ impl Iri {
     /// Returns [`RdfError::InvalidIri`] if `iri` is empty, lacks a scheme
     /// (`scheme:`), or contains whitespace, control characters, or angle
     /// brackets.
-    pub fn new(iri: impl Into<String>) -> Result<Self, RdfError> {
-        let iri = iri.into();
+    pub fn new(iri: impl AsRef<str>) -> Result<Self, RdfError> {
+        let iri = iri.as_ref();
+        let invalid = |reason| Err(RdfError::InvalidIri { iri: iri.to_string(), reason });
         if iri.is_empty() {
-            return Err(RdfError::InvalidIri { iri, reason: "empty" });
+            return invalid("empty");
         }
         if iri.chars().any(|c| c.is_whitespace() || c.is_control() || c == '<' || c == '>') {
-            return Err(RdfError::InvalidIri {
-                iri,
-                reason: "contains whitespace, control characters, or angle brackets",
-            });
+            return invalid("contains whitespace, control characters, or angle brackets");
         }
         let scheme_ok = iri
             .split_once(':')
@@ -53,7 +53,7 @@ impl Iri {
             })
             .unwrap_or(false);
         if !scheme_ok {
-            return Err(RdfError::InvalidIri { iri, reason: "missing or malformed scheme" });
+            return invalid("missing or malformed scheme");
         }
         Ok(Iri(iri.into()))
     }
@@ -126,12 +126,12 @@ impl BlankNode {
     ///
     /// Returns [`RdfError::InvalidBlankNode`] if the label is empty or
     /// contains characters outside `[A-Za-z0-9_-]`.
-    pub fn new(label: impl Into<String>) -> Result<Self, RdfError> {
-        let label = label.into();
+    pub fn new(label: impl AsRef<str>) -> Result<Self, RdfError> {
+        let label = label.as_ref();
         if label.is_empty()
             || !label.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
         {
-            return Err(RdfError::InvalidBlankNode { label });
+            return Err(RdfError::InvalidBlankNode { label: label.to_string() });
         }
         Ok(BlankNode(label.into()))
     }
@@ -159,13 +159,13 @@ pub struct Literal {
 
 impl Literal {
     /// A plain `xsd:string` literal.
-    pub fn string(lexical: impl Into<String>) -> Self {
-        Literal { lexical: lexical.into().into(), datatype: xsd::string(), language: None }
+    pub fn string(lexical: impl AsRef<str>) -> Self {
+        Literal::typed(lexical, xsd::string())
     }
 
     /// A typed literal.
-    pub fn typed(lexical: impl Into<String>, datatype: Iri) -> Self {
-        Literal { lexical: lexical.into().into(), datatype, language: None }
+    pub fn typed(lexical: impl AsRef<str>, datatype: Iri) -> Self {
+        Literal { lexical: lexical.as_ref().into(), datatype, language: None }
     }
 
     /// A language-tagged string.
@@ -174,18 +174,18 @@ impl Literal {
     ///
     /// Returns [`RdfError::InvalidLanguageTag`] if `tag` is not of the form
     /// `xx` or `xx-YY` (ASCII letters/digits separated by `-`).
-    pub fn lang(lexical: impl Into<String>, tag: impl Into<String>) -> Result<Self, RdfError> {
-        let tag = tag.into();
+    pub fn lang(lexical: impl AsRef<str>, tag: impl AsRef<str>) -> Result<Self, RdfError> {
+        let tag = tag.as_ref();
         let valid = !tag.is_empty()
             && tag
                 .split('-')
                 .all(|part| !part.is_empty() && part.chars().all(|c| c.is_ascii_alphanumeric()))
             && tag.chars().next().is_some_and(|c| c.is_ascii_alphabetic());
         if !valid {
-            return Err(RdfError::InvalidLanguageTag { tag });
+            return Err(RdfError::InvalidLanguageTag { tag: tag.to_string() });
         }
         Ok(Literal {
-            lexical: lexical.into().into(),
+            lexical: lexical.as_ref().into(),
             datatype: crate::vocab::rdf::lang_string(),
             language: Some(tag.to_ascii_lowercase().into()),
         })

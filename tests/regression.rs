@@ -252,3 +252,48 @@ fn s2sql_nesting_is_capped_end_to_end() {
     });
     worker.unwrap().join().expect("no stack overflow at or past the cap");
 }
+
+/// A numeric attribute types only what is in `xsd:decimal`'s lexical
+/// space. The payload of an autonomous source may spell `NaN`, `inf` or
+/// `1e5` where a price belongs; those parse as floats, and were once
+/// minted as `"NaN"^^xsd:decimal` — an ill-typed literal in the answer.
+/// They stay plain strings, like any other text under a numeric range.
+#[test]
+fn float_spellings_are_not_minted_as_decimals() {
+    use s2s::core::instance::OutputFormat;
+    use s2s::rdf::vocab::xsd;
+
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("price", "Product", xsd::DECIMAL)
+        .unwrap()
+        .build()
+        .unwrap();
+    let payload = "<c><p><v>59.5</v></p><p><v>NaN</v></p><p><v>inf</v></p><p><v>1e5</v></p>\
+                   <p><v>-infinity</v></p><p><v> +7. </v></p></c>";
+    let mut s2s = S2s::new(ontology);
+    let document = Arc::new(s2s::xml::parse(payload).unwrap());
+    s2s.register_source("XML", Connection::Xml { document }).unwrap();
+    let rule = ExtractionRule::XPath { path: "//p/v/text()".into() };
+    s2s.register_attribute("thing.product.price", rule, "XML", RecordScenario::MultiRecord)
+        .unwrap();
+
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert_eq!(outcome.individuals().len(), 6);
+    let prices: Vec<_> =
+        outcome.instances.graph.iter().filter_map(|t| t.object().as_literal()).collect();
+    let (typed, plain): (Vec<_>, Vec<_>) =
+        prices.iter().partition(|l| l.datatype().as_str() == xsd::DECIMAL);
+    let lexical = |literals: &[&&s2s::rdf::Literal]| -> Vec<String> {
+        let mut forms: Vec<String> = literals.iter().map(|l| l.lexical().to_string()).collect();
+        forms.sort();
+        forms
+    };
+    assert_eq!(lexical(&typed), ["+7.", "59.5"]);
+    assert_eq!(lexical(&plain), ["-infinity", "1e5", "NaN", "inf"]);
+    assert!(plain.iter().all(|l| l.datatype().as_str() == xsd::STRING));
+
+    let turtle = outcome.render(s2s.ontology(), OutputFormat::Turtle);
+    assert_eq!(s2s::rdf::turtle::parse(&turtle).unwrap(), outcome.instances.graph);
+}
