@@ -530,7 +530,7 @@ fn throughput_smoke(dir: &str) -> Result<(), Vec<String>> {
     let reference = deploy_paced(12, 42, 0, Strategy::Serial, false);
     let baseline = serial_baseline(&reference, &workload);
     // A lighter pace than E13 keeps the gate fast while still forcing
-    // the clients to genuinely overlap inside the pool.
+    // the clients to genuinely overlap their waits.
     let engine = deploy_paced(12, 42, 60, Strategy::Parallel { workers: 16 }, true);
     let report = run_throughput(&engine, &workload, &baseline);
 
@@ -1011,9 +1011,9 @@ fn e14_config(load: f64, shedding: bool, window_ms: u64) -> OverloadConfig {
         load,
         window: std::time::Duration::from_millis(window_ms),
         deadline: SimDuration::from_millis(150),
-        // One more permit than the pool strictly fits (3 queries × 4
-        // tasks > 8 workers) keeps the workers saturated while a
-        // permit turns over, so admitted goodput tracks pool capacity.
+        // One more permit than the lanes strictly fit (3 queries × 4
+        // exchanges > 8 lanes) keeps the lanes saturated while a
+        // permit turns over, so admitted goodput tracks lane capacity.
         permits: 3,
         shedding,
         tenants: e14_tenants(),
@@ -1626,25 +1626,16 @@ fn e11() {
 
 /// Real-time pacing for the throughput runs: 150 µs of wall sleep per
 /// simulated millisecond turns a ~20–30 ms WAN exchange into a ~3–4.5 ms
-/// real wait inside a pool worker — long enough that concurrent clients
-/// visibly overlap their I/O waits, short enough that the full sweep
-/// stays under a couple of seconds.
+/// real wait on the client's thread — long enough that concurrent
+/// clients visibly overlap their I/O waits, short enough that the full
+/// sweep stays under a couple of seconds.
 const E13_PACE: u64 = 150;
 
 fn e13() {
-    header("E13", "multi-client throughput on one shared engine (pool + caches)");
+    header("E13", "multi-client throughput on one shared engine (lanes + caches)");
     println!(
-        "{:>6} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9}",
-        "mode",
-        "clients",
-        "queries",
-        "wall",
-        "qps",
-        "p50",
-        "p99",
-        "peakqueue",
-        "res-hit",
-        "plan-hit"
+        "{:>6} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "mode", "clients", "queries", "wall", "qps", "p50", "p99", "res-hit", "plan-hit"
     );
 
     let reference = deploy_paced(12, 42, 0, Strategy::Serial, false);
@@ -1656,7 +1647,7 @@ fn e13() {
     let unreport = run_throughput(&uncached, &warm1, &serial_baseline(&reference, &warm1));
     assert_eq!(unreport.mismatches, 0, "uncached baseline diverged from serial");
     println!(
-        "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>10} {:>8} {:>8}",
+        "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>8} {:>8}",
         "base",
         1,
         unreport.queries,
@@ -1664,7 +1655,6 @@ fn e13() {
         unreport.qps,
         unreport.p50_us,
         unreport.p99_us,
-        unreport.pool.peak_queue_depth,
         "off",
         "off",
     );
@@ -1682,7 +1672,7 @@ fn e13() {
             assert_eq!(report.mismatches, 0, "{mode} C={clients}: results diverged from serial");
             assert_eq!(report.min_completeness, 1.0, "{mode} C={clients}: degraded answer");
             println!(
-                "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>10} {:>8.0}% {:>8.0}%",
+                "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>8.0}% {:>8.0}%",
                 mode,
                 clients,
                 report.queries,
@@ -1690,7 +1680,6 @@ fn e13() {
                 report.qps,
                 report.p50_us,
                 report.p99_us,
-                report.pool.peak_queue_depth,
                 ThroughputReport::hit_rate(report.result_cache) * 100.0,
                 ThroughputReport::hit_rate(report.plan_cache) * 100.0,
             );
@@ -1713,11 +1702,11 @@ fn e13() {
     );
 
     // Reactor mode: every client is a timer-driven state machine on
-    // one OS thread, so the client count sails past the pool's thread
-    // ceiling. Each client issues one distinct (cold) query; the
-    // baseline is computed once at the largest C, since smaller sweeps
-    // use a prefix of the same texts. p50/p99 here are *virtual*
-    // per-query service times (see `run_throughput_reactor`).
+    // one OS thread, so the client count sails past the
+    // thread-per-client ceiling. Each client issues one distinct (cold)
+    // query; the baseline is computed once at the largest C, since
+    // smaller sweeps use a prefix of the same texts. p50/p99 here are
+    // *virtual* per-query service times (see `run_throughput_reactor`).
     let big = cold_workload(10_000, 1);
     let baseline = serial_baseline(&reference, &big);
     let mut react_qps = std::collections::BTreeMap::new();
@@ -1728,7 +1717,7 @@ fn e13() {
         assert_eq!(report.mismatches, 0, "react C={clients}: results diverged from serial");
         assert_eq!(report.min_completeness, 1.0, "react C={clients}: degraded answer");
         println!(
-            "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>10} {:>8.0}% {:>8.0}%",
+            "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>8.0}% {:>8.0}%",
             "react",
             clients,
             report.queries,
@@ -1736,7 +1725,6 @@ fn e13() {
             report.qps,
             report.p50_us,
             report.p99_us,
-            "-",
             ThroughputReport::hit_rate(report.result_cache) * 100.0,
             ThroughputReport::hit_rate(report.plan_cache) * 100.0,
         );
@@ -1788,25 +1776,6 @@ fn a1() {
          ({:.1}x)",
         scan / probe
     );
-
-    let sweep: Vec<String> = [1usize, 2, 4, 8, 16]
-        .iter()
-        .map(|&workers| {
-            let s2s = deploy_sharded(
-                32,
-                10,
-                CostModel::lan(),
-                FailureModel::reliable(),
-                Strategy::Parallel { workers },
-            );
-            let us = mean_us(20, || {
-                let o = s2s.query("SELECT watch").unwrap();
-                assert_eq!(o.individuals().len(), 320);
-            });
-            format!("{workers}w {us:.0}us")
-        })
-        .collect();
-    println!("  mediator workers, 32 unpaced LAN sources x 10 records: {}", sweep.join("  "));
 
     let repeat_query = |views: bool| {
         let recs = records(500, 33);

@@ -6,6 +6,8 @@
 //! per-source endpoint seeding in `s2s-netsim`) the same simulated
 //! network behaviour.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -728,7 +730,7 @@ pub fn serial_baseline(
 /// [`ThroughputReport::to_json`] and [`OverloadReport::to_json`].
 /// Bump when a field is added, removed, or re-typed; the smoke jobs
 /// refuse artifacts whose `schema_version` differs from the binary's.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// What one throughput run measured.
 #[derive(Debug, Clone)]
@@ -749,8 +751,6 @@ pub struct ThroughputReport {
     pub mismatches: usize,
     /// The worst per-query completeness observed.
     pub min_completeness: f64,
-    /// Shared-pool counters at the end of the run.
-    pub pool: s2s_netsim::PoolStats,
     /// Plan-cache counters at the end of the run.
     pub plan_cache: s2s_core::CacheStats,
     /// Result-cache counters at the end of the run.
@@ -784,8 +784,6 @@ impl ThroughputReport {
                 "{{\"schema_version\":{},",
                 "\"clients\":{},\"queries\":{},\"wall_us\":{},\"qps\":{:.1},",
                 "\"p50_us\":{},\"p99_us\":{},\"mismatches\":{},\"min_completeness\":{},",
-                "\"pool\":{{\"workers\":{},\"jobs\":{},\"completed\":{},",
-                "\"peak_queue_depth\":{},\"queue_wait_us\":{}}},",
                 "\"plan_cache\":{},\"result_cache\":{},\"rule_cache\":{}}}"
             ),
             SCHEMA_VERSION,
@@ -797,11 +795,6 @@ impl ThroughputReport {
             self.p99_us,
             self.mismatches,
             self.min_completeness,
-            self.pool.workers,
-            self.pool.jobs,
-            self.pool.completed,
-            self.pool.peak_queue_depth,
-            self.pool.queue_wait_us,
             cache(self.plan_cache),
             cache(self.result_cache),
             cache(self.rule_cache),
@@ -1289,7 +1282,6 @@ fn throughput_report(
         p99_us: percentile(99),
         mismatches,
         min_completeness,
-        pool: engine.pool_stats(),
         plan_cache: engine.plan_cache_stats(),
         result_cache: engine.result_cache_stats(),
         rule_cache: engine.rule_cache_stats(),
@@ -1609,9 +1601,9 @@ impl OverloadReport {
 
 /// Runs one open-loop overload experiment.
 ///
-/// The engine is the paced four-source WAN deployment of E13 behind a
-/// `workers`-thread pool. Capacity is calibrated from three isolated
-/// queries (median wall time, `permits` concurrent), then `load ×
+/// The engine is the paced four-source WAN deployment of E13 under
+/// `Strategy::Parallel { workers }`. Capacity is calibrated from three
+/// isolated queries (median wall time, `permits` concurrent), then `load ×
 /// capacity × window` arrivals are scheduled at fixed intervals across
 /// the tenants by smooth weighted round-robin. Every arrival runs on
 /// its own thread whether or not earlier queries have finished. Each
@@ -1840,7 +1832,7 @@ mod tests {
 
     #[test]
     fn reactor_harness_matches_serial_baseline_at_high_client_counts() {
-        // 32 clients on one thread — already past what the pool's
+        // 32 clients on one thread — already past what the
         // thread-per-client runner would tolerate at this granularity.
         let workload = cold_workload(32, 2);
         let reference = deploy_paced(10, 5, 0, Strategy::Serial, false);
@@ -1854,7 +1846,7 @@ mod tests {
         assert_eq!(report.min_completeness, 1.0);
         assert!(report.qps > 0.0);
         let json = report.to_json();
-        assert!(json.starts_with("{\"schema_version\":2,"), "{json}");
+        assert!(json.starts_with("{\"schema_version\":3,"), "{json}");
     }
 
     #[test]
@@ -1874,7 +1866,7 @@ mod tests {
             peak_queued: 1,
             tenants: vec![("t".into(), TenantOutcome { arrivals: 4, served: 3, shed: 1 })],
         };
-        assert!(report.to_json().starts_with("{\"schema_version\":2,"), "{}", report.to_json());
+        assert!(report.to_json().starts_with("{\"schema_version\":3,"), "{}", report.to_json());
     }
 
     #[test]
@@ -2064,13 +2056,13 @@ mod tests {
         let report = PushdownReport { rows: 1, points: Vec::new() };
         validate_report(&report.to_json()).expect("fresh e15 report validates");
         // e14 shape: versions nested one per run.
-        validate_report(r#"{"runs":[{"schema_version":2,"p99_ms":3.5},{"schema_version":2}]}"#)
+        validate_report(r#"{"runs":[{"schema_version":3,"p99_ms":3.5},{"schema_version":3}]}"#)
             .expect("nested versions validate");
         assert!(validate_report("{}").is_err(), "missing schema_version");
         assert!(validate_report(r#"{"schema_version":999}"#).is_err(), "version drift");
-        assert!(validate_report(r#"{"schema_version":2"#).is_err(), "truncated JSON");
-        assert!(validate_report(r#"{"schema_version":2} extra"#).is_err(), "trailing data");
-        assert!(validate_report(r#"{"schema_version":"2"}"#).is_err(), "non-numeric version");
-        assert!(validate_report(r#"{"schema_version":2.5}"#).is_err(), "fractional version");
+        assert!(validate_report(r#"{"schema_version":3"#).is_err(), "truncated JSON");
+        assert!(validate_report(r#"{"schema_version":3} extra"#).is_err(), "trailing data");
+        assert!(validate_report(r#"{"schema_version":"3"}"#).is_err(), "non-numeric version");
+        assert!(validate_report(r#"{"schema_version":3.5}"#).is_err(), "fractional version");
     }
 }

@@ -7,8 +7,8 @@
 //! the same ontology instances regardless of how extraction is
 //! executed. The engine now has four execution paths — serial
 //! per-attribute, batched per-source, result-cached replay, and the
-//! concurrent pooled engine — and this crate is the harness that keeps
-//! them answer-equivalent:
+//! concurrent ("pooled": N threads on one engine) arm — and this crate
+//! is the harness that keeps them answer-equivalent:
 //!
 //! * [`scenario`] — seeded generators (vendored `rand` only) for
 //!   ontology deployments across all four source kinds, valid-by-
@@ -47,6 +47,8 @@
 //! than the retry budget), and probabilistic `flaky(p)` endpoints are
 //! exercised by the per-path determinism and completeness-monotonicity
 //! oracles instead, where they are sound.
+
+#![forbid(unsafe_code)]
 
 pub mod case;
 pub mod meta;

@@ -370,7 +370,7 @@ impl Scenario {
 pub struct BuildConfig {
     /// Coalesce per-source wire exchanges.
     pub batching: bool,
-    /// Extraction strategy (worker-pool sizing).
+    /// Extraction strategy (how far wire exchanges overlap).
     pub strategy: Strategy,
     /// Enable the whole-answer result cache.
     pub result_cache: bool,
@@ -414,7 +414,7 @@ impl BuildConfig {
         BuildConfig { result_cache: true, ..BuildConfig::batched() }
     }
 
-    /// The concurrent pooled path.
+    /// The concurrent path: N threads share one engine's lanes.
     pub fn pooled(workers: usize) -> Self {
         BuildConfig {
             batching: true,
@@ -424,7 +424,7 @@ impl BuildConfig {
     }
 
     /// The all-in-flight path: every batched exchange overlaps every
-    /// other on the calling thread instead of on pool threads.
+    /// other.
     pub fn reactor() -> Self {
         BuildConfig { batching: true, strategy: Strategy::Reactor, ..Default::default() }
     }

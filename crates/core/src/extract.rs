@@ -14,9 +14,9 @@
 //!    for its source type (database extractor, XML extractor, web
 //!    wrapper, text extractor) and collects raw data fragments.
 //!
-//! Wrappers run on the calling thread; what the mediator dispatches
-//! ([`Strategy`]) is each exchange's wait on its simulated network
-//! endpoint, so the report carries both real and simulated timings.
+//! Wrappers and wire legs run on the calling thread; all a [`Strategy`]
+//! decides is how long the caller waits for the exchanges' simulated
+//! network time, so the report carries both real and simulated timings.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use s2s_netsim::wire::{batch_exchange_size, batch_frame_size, exchange_size};
 use s2s_netsim::{
     defer_pacing, invoke_with_retry, makespan, pace_sleep, BreakerConfig, BreakerState,
-    CircuitBreaker, Endpoint, HedgeConfig, Hedger, RetryPolicy, SimDuration, WorkerPool,
+    CircuitBreaker, Endpoint, HedgeConfig, Hedger, Lanes, RetryPolicy, SimDuration,
 };
 use s2s_obs::{Span, SpanKind, SpanOutcome};
 use s2s_webdoc::{WebStore, WeblProgram, WeblValue};
@@ -46,30 +46,31 @@ pub struct ExtractionSchema {
     pub mapping: AttributeMapping,
 }
 
-/// How the mediator dispatches a query's wire exchanges — their
-/// (simulated, optionally paced) waits; the wrappers have already run on
-/// the calling thread. Answers are byte-identical across all three.
+/// How far a query's wire exchanges overlap — on both clocks: the
+/// simulated makespan the report carries, and the (optionally paced)
+/// wall-clock wait the caller pays once after running every exchange on
+/// its own thread. Answers are byte-identical across all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// One exchange at a time, in plan order.
+    /// One exchange at a time, in plan order: the waits add up.
     Serial,
-    /// Up to `workers` exchanges waiting at once on pool threads.
+    /// Up to `workers` exchanges in flight at once, greedy list
+    /// scheduling in dispatch order. The `workers` slots are the
+    /// engine's ([`Lanes`]), so concurrent queries queue for them.
     Parallel {
-        /// Worker-thread count (>= 1).
+        /// Exchanges in flight at once (>= 1; 1 is `Serial`).
         workers: usize,
     },
-    /// Every exchange in flight at once with no thread per exchange:
-    /// the calling thread runs them under deferred pacing and waits out
-    /// only the longest. Simulated makespan is the maximum
-    /// per-exchange cost.
+    /// Every exchange in flight at once: the caller waits out only the
+    /// longest. Simulated makespan is the maximum per-exchange cost.
     Reactor,
 }
 
 impl Strategy {
-    /// The worker count this strategy asks for (>= 1). Sizes both the
-    /// makespan accounting and the [`WorkerPool`] a resident engine
-    /// spawns for the strategy. `Reactor` answers 1 — it stays on the
-    /// calling thread and never dispatches to the pool.
+    /// The lane count this strategy asks for (>= 1): the width of the
+    /// makespan accounting and of the [`Lanes`] a resident engine keeps
+    /// for the strategy. `Reactor` answers 1 — it overlaps everything
+    /// and never queues for a lane.
     pub fn workers(self) -> usize {
         match self {
             Strategy::Serial | Strategy::Reactor => 1,
@@ -363,16 +364,16 @@ impl ExtractorManager {
             s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
         }
 
-        let outcomes = match env.strategy {
-            Strategy::Reactor => {
-                // All waits overlap, so the caller owes only the longest.
-                let (outcomes, waits_us): (Vec<_>, Vec<u64>) =
-                    batches.into_iter().map(|b| defer_pacing(|| run_batch(b, env))).unzip();
-                pace_sleep(waits_us.into_iter().max().unwrap_or(0));
-                outcomes
-            }
-            _ => env.pool.run(batches, |batch| run_batch(batch, env)),
-        };
+        // Every wire leg runs here, in dispatch order, with its paced
+        // wait deferred; the strategy only says how far the waits overlap
+        // before the caller pays them in one sleep.
+        let (outcomes, waits_us): (Vec<_>, Vec<u64>) =
+            batches.into_iter().map(|b| defer_pacing(|| run_batch(b, env))).unzip();
+        pace_sleep(match env.strategy {
+            Strategy::Reactor => waits_us.into_iter().max().unwrap_or(0),
+            Strategy::Parallel { workers } if workers > 1 => env.lanes.reserve(&waits_us),
+            Strategy::Serial | Strategy::Parallel { .. } => waits_us.into_iter().sum(),
+        });
 
         let mut report = ExtractionReport { rule_cache, ..Default::default() };
         let mut durations = Vec::new();
@@ -448,13 +449,13 @@ impl ExtractorManager {
 /// [`crate::middleware::S2s`] threads into [`ExtractorManager::extract`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExtractEnv<'a> {
-    /// Sizes the *simulated* makespan accounting and picks the loop
-    /// over the pool; the pool's own thread count is independent.
+    /// How far the exchanges overlap: sizes the simulated makespan
+    /// and picks the rule for the caller's one paced wait.
     pub strategy: Strategy,
-    /// Where batches execute: a resident engine passes its long-lived
-    /// shared pool, so concurrent queries multiplex onto one fixed set
-    /// of threads.
-    pub pool: &'a WorkerPool,
+    /// The slots [`Strategy::Parallel`] waits queue for: a resident
+    /// engine passes its long-lived lanes, so concurrent queries
+    /// contend for the same `workers` slots.
+    pub lanes: &'a Lanes,
     /// Retry/failover policy, breaker board and virtual clock.
     pub resilience: &'a ResilienceContext,
     /// The shared compiled-rule cache.
@@ -476,8 +477,7 @@ pub struct ExtractEnv<'a> {
 type BatchOutcome<'a> =
     (PlannedBatch<'a>, (Result<SimDuration, S2sError>, TaskTrace), Option<Vec<Span>>, Duration);
 
-/// Executes one planned batch's wire leg — the task body both arms of
-/// [`ExtractorManager::extract`]'s dispatch run.
+/// Executes one planned batch's wire leg.
 fn run_batch<'a>(batch: PlannedBatch<'a>, env: &ExtractEnv<'_>) -> BatchOutcome<'a> {
     let started = std::time::Instant::now();
     let mut attempt_spans = if env.traced { Some(Vec::new()) } else { None };
@@ -617,7 +617,7 @@ fn plan_batches<'a>(
         });
     }
     // Longest processing time first: the greedy list scheduler (both
-    // the worker pool and the `makespan` accounting) sees the costliest
+    // clocks: `Lanes` and the `makespan` accounting) sees the costliest
     // batches first, which keeps the k-worker makespan near-optimal.
     // Ties fall back to (source id, first submission index), so the
     // dispatch order — and with it the breaker and virtual-clock
@@ -1091,8 +1091,8 @@ mod tests {
         m
     }
 
-    /// Every mediator test goes through the one pipeline: a transient
-    /// pool sized by `strategy`, untraced, no deadline; `batching` picks
+    /// Every mediator test goes through the one pipeline: fresh lanes
+    /// sized by `strategy`, untraced, no deadline; `batching` picks
     /// the planner's grouping (per source vs per schema).
     fn run(
         r: &SourceRegistry,
@@ -1102,10 +1102,10 @@ mod tests {
         rules: &RuleCache,
         batching: bool,
     ) -> ExtractionReport {
-        let pool = WorkerPool::new(strategy.workers());
+        let lanes = Lanes::new(strategy.workers());
         let env = ExtractEnv {
             strategy,
-            pool: &pool,
+            lanes: &lanes,
             resilience: ctx,
             rules,
             deadline: None,
@@ -1802,7 +1802,8 @@ mod tests {
 
     /// With every exchange in flight at once the caller owes — here to
     /// the enclosing defer scope, like a client of the E13 reactor
-    /// harness — exactly the longest wait; one at a time, the sum.
+    /// harness — exactly the longest wait; one at a time, the sum; two
+    /// at a time, the 2-lane list schedule.
     #[test]
     fn reactor_strategy_owes_the_longest_paced_wait_serial_owes_the_sum() {
         // 1 000 wall us per simulated ms: a paced wait equals its charge.
@@ -1820,5 +1821,13 @@ mod tests {
         let (serial, deferred_us) = round(Strategy::Serial);
         assert_eq!(outcome_key(&serial), outcome_key(&overlapped));
         assert_eq!((serial.simulated, deferred_us), (sum, sum.as_micros()));
+        // Equal estimates, so dispatch order is source order — the
+        // order of `results`.
+        let (two_wide, deferred_us) = round(Strategy::Parallel { workers: 2 });
+        assert_eq!(outcome_key(&two_wide), outcome_key(&overlapped));
+        let charges: Vec<_> = two_wide.results.iter().map(|x| x.elapsed).collect();
+        let listed = makespan(&charges, 2);
+        assert!(longest < listed && listed < sum, "neither of the other two rules");
+        assert_eq!((two_wide.simulated, deferred_us), (listed, listed.as_micros()));
     }
 }

@@ -26,13 +26,15 @@
 //!   fragments into OWL individuals, reports per-source errors, and
 //!   serializes to OWL/RDF-XML, Turtle, N-Triples, XML, or text;
 //! * [`middleware`] — the [`middleware::S2s`] façade tying it all
-//!   together: a `Send + Sync` resident engine whose queries multiplex
-//!   onto one shared worker pool, layered behind an [`engine`]
+//!   together: a `Send + Sync` resident engine whose queries each run
+//!   on their caller's thread, layered behind an [`engine`]
 //!   plan cache and (opt-in) query-result cache;
 //! * [`engine`] — the resident engine's query-level caches (the plan
 //!   cache and [`engine::QueryResultCache`]) over its one LRU store;
 //! * [`baseline`] — the syntactic-only integrator used as the paper's
 //!   implicit comparison system (experiment E8).
+
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod bootstrap;

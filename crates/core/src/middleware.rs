@@ -10,7 +10,7 @@ use parking_lot::RwLock;
 
 use s2s_netsim::{
     AdmissionConfig, AdmissionController, AdmissionStats, ChangeKind, CostModel, FailureModel,
-    PoolStats, ShedReason, SimDuration, WorkerPool,
+    Lanes, ShedReason, SimDuration,
 };
 use s2s_obs::{Span, SpanKind, SpanOutcome, Trace};
 use s2s_owl::{AttributePath, Ontology};
@@ -286,7 +286,7 @@ pub struct S2s {
     rules: Arc<RuleCache>,
     plans: Arc<PlanCache>,
     results: Option<Arc<QueryResultCache>>,
-    pool: Arc<WorkerPool>,
+    lanes: Lanes,
     batching: bool,
     provenance: bool,
     tracing: bool,
@@ -308,7 +308,7 @@ impl S2s {
             rules: Arc::new(RuleCache::new()),
             plans: Arc::new(engine::plan_cache()),
             results: None,
-            pool: Arc::new(WorkerPool::new(1)),
+            lanes: Lanes::new(1),
             batching: true,
             provenance: false,
             tracing: false,
@@ -516,17 +516,16 @@ impl S2s {
         self.registry.read().version_of(&id.into())
     }
 
-    /// Sets how a query's wire exchanges are dispatched (one at a time,
-    /// on pool threads, or all in flight at once) and resizes the
-    /// engine's shared worker pool to match: one long-lived pool of
-    /// `strategy.workers()` threads holds the paced waits of every query
-    /// on this instance, however many callers run concurrently. Wrappers
-    /// run on the calling thread under every strategy;
-    /// [`Strategy::Reactor`] keeps the pool inline and overlaps the
-    /// waits on the calling thread as well.
+    /// Sets how far a query's wire exchanges overlap (one at a time,
+    /// `workers` at a time, or all in flight at once). Wrappers and wire
+    /// legs run on the calling thread under every strategy; the strategy
+    /// decides the simulated makespan and the one paced wait the caller
+    /// pays. Under [`Strategy::Parallel`] the `workers` slots belong to
+    /// this instance, so concurrent callers queue for them like clients
+    /// of one k-server mediator; the engine spawns no thread for it.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self.pool = Arc::new(WorkerPool::new(strategy.workers()));
+        self.lanes = Lanes::new(strategy.workers());
         self
     }
 
@@ -571,11 +570,6 @@ impl S2s {
     /// Result-cache entries dropped by mutation invalidation.
     pub fn result_cache_invalidations(&self) -> u64 {
         self.results.as_ref().map(|c| c.invalidations()).unwrap_or(0)
-    }
-
-    /// Counters of the shared worker pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// The ontology schema.
@@ -848,10 +842,10 @@ impl S2s {
     ///
     /// Takes `&self`: the engine is `Send + Sync`, so any number of
     /// threads may query one shared (`Arc`-wrapped) instance
-    /// concurrently; their extraction tasks multiplex onto the one
-    /// worker pool sized by the strategy. Repeat queries are answered
-    /// by the plan cache (always on) and, when enabled, the
-    /// query-result cache — see [`crate::engine`].
+    /// concurrently; each runs its extraction on its own thread, and
+    /// their paced waits share the lanes sized by the strategy. Repeat
+    /// queries are answered by the plan cache (always on) and, when
+    /// enabled, the query-result cache — see [`crate::engine`].
     ///
     /// # Errors
     ///
@@ -1075,7 +1069,7 @@ impl S2s {
             schemas,
             &ExtractEnv {
                 strategy: self.strategy,
-                pool: &self.pool,
+                lanes: &self.lanes,
                 resilience: &self.resilience,
                 rules: &self.rules,
                 deadline: opts.deadline,
@@ -1607,7 +1601,7 @@ mod tests {
     }
 
     /// Three remote flaky sources behind WAN cost models, for the
-    /// threaded-vs-reactor determinism regression.
+    /// four-wide-vs-reactor determinism regression.
     fn deploy_remote_trio(policy: ResiliencePolicy) -> S2s {
         let mut s2s = S2s::new(ontology()).with_resilience(policy);
         for (i, brand) in ["Seiko", "Casio", "Orient"].iter().enumerate() {
@@ -1653,12 +1647,12 @@ mod tests {
     }
 
     #[test]
-    fn reactor_trace_tree_is_identical_to_threaded_modulo_wall() {
-        // Same seed + same scenario on the threaded pool vs the event
-        // reactor: answers, stats, and the full trace tree (modulo
-        // wall_us) must be bit-identical. Three sources keep the
-        // 4-worker makespan at the per-task max — the same accounting
-        // the reactor reports — so even the root's sim time agrees.
+    fn reactor_trace_tree_is_identical_to_four_wide_modulo_wall() {
+        // Same seed + same scenario four at a time vs all in flight:
+        // answers, stats, and the full trace tree (modulo wall_us) must
+        // be bit-identical. Three sources keep the 4-lane makespan at
+        // the per-task max — the same accounting `Reactor` reports — so
+        // even the root's sim time agrees.
         let policy = ResiliencePolicy::default().with_retry(
             s2s_netsim::RetryPolicy::attempts(3).with_backoff(
                 SimDuration::from_millis(5),
@@ -1666,15 +1660,15 @@ mod tests {
                 SimDuration::from_millis(50),
             ),
         );
-        let threaded = deploy_remote_trio(policy)
+        let four_wide = deploy_remote_trio(policy)
             .with_strategy(Strategy::Parallel { workers: 4 })
             .with_tracing();
         let reactor = deploy_remote_trio(policy).with_strategy(Strategy::Reactor).with_tracing();
         for query in ["SELECT watch", "SELECT watch WHERE price < 65"] {
-            let a = threaded.query(query).unwrap();
+            let a = four_wide.query(query).unwrap();
             let b = reactor.query(query).unwrap();
             assert_eq!(a.stats, b.stats, "stats diverged on {query}");
-            let ta = a.trace.expect("threaded trace");
+            let ta = a.trace.expect("four-wide trace");
             let tb = b.trace.expect("reactor trace");
             assert_spans_equal_modulo_wall(&ta.root, &tb.root, query);
         }

@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod error;
 pub mod exec;

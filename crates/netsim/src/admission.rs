@@ -2,8 +2,8 @@
 //! with per-tenant deficit-round-robin dequeue, early load shedding,
 //! and the latency tracker that drives hedged requests.
 //!
-//! The shared [`crate::WorkerPool`] happily accepts unbounded offered
-//! load. Its threads hold no wrapper work — that runs on each caller's
+//! The engine's shared [`crate::Lanes`] happily accept unbounded offered
+//! load. They hold no work — wrappers and wire legs run on each caller's
 //! own thread — only the paced *waits* of in-flight exchanges, so under
 //! overload every query's waits queue behind every other's and p99
 //! latency grows without bound. The admission controller sits
@@ -250,8 +250,8 @@ impl AdmissionController {
     /// current dispatch strategy and workload rather than the static
     /// configured guess — which goes stale the moment the strategy
     /// changes the cost shape (a query's simulated time is the k-worker
-    /// makespan of its exchanges on the pool, their maximum with every
-    /// exchange in flight at once).
+    /// makespan of its exchanges, their maximum with every exchange in
+    /// flight at once).
     pub fn record_completion(&self, service: SimDuration) {
         let observed = service.as_micros().max(1);
         let mut st = self.state.lock().expect("admission state lock");

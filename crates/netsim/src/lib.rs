@@ -17,11 +17,11 @@
 //! * [`feed`] — per-source mutation logs with monotone version counters
 //!   and a `poll_changes(since)` exchange over the wire framing, so the
 //!   mediator can maintain materialized views incrementally,
-//! * [`sched`] — makespan accounting: how long a set of remote calls
-//!   takes under serial vs k-worker parallel execution,
-//! * [`pool`] — a long-lived worker pool fed by an MPMC job queue, so
-//!   a resident mediator overlaps every query's paced *waits* on one
-//!   fixed set of threads instead of spawning per call,
+//! * [`sched`] — greedy list scheduling on k lanes, on both clocks:
+//!   how long a set of remote calls takes under serial vs k-way
+//!   overlap in virtual time ([`makespan`]), and the paced wall-clock
+//!   wait a caller owes when every query of a resident mediator shares
+//!   the same k slots ([`Lanes`]) — no thread behind either,
 //! * [`retry`] — retry policies: exponential backoff with deterministic
 //!   seeded jitter, per-attempt timeouts, and overall deadlines, all in
 //!   virtual time,
@@ -41,13 +41,14 @@
 //! the *shape* of distributed-systems effects (stragglers, crossover
 //! points, partial failure).
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod breaker;
 pub mod cost;
 pub mod endpoint;
 pub mod error;
 pub mod feed;
-pub mod pool;
 pub mod reactor;
 pub mod retry;
 pub mod sched;
@@ -62,8 +63,7 @@ pub use cost::{defer_pacing, pace_sleep, CostModel, SimDuration};
 pub use endpoint::{Endpoint, EndpointStats, FailureModel, FaultKind, FaultSchedule, RemoteCall};
 pub use error::NetError;
 pub use feed::{ChangeEvent, ChangeFeed, ChangeKind, FeedGap};
-pub use pool::{PoolStats, WorkerPool};
 pub use reactor::{EventTask, Poll, Reactor, ReactorStats};
 pub use retry::{invoke_with_retry, RetryOutcome, RetryPolicy};
-pub use sched::makespan;
+pub use sched::{makespan, Lanes};
 pub use wire::{decode, decode_batch, encode, encode_batch, Frame, FrameKind};

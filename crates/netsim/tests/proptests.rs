@@ -1,10 +1,10 @@
-//! Property tests for the network simulator: scheduling bounds, cost
-//! monotonicity, framing round-trips, executor laws.
+//! Property tests for the network simulator: scheduling bounds on both
+//! clocks, cost monotonicity, framing round-trips.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use s2s_netsim::wire::{decode, encode, FrameKind};
-use s2s_netsim::{makespan, CostModel, Endpoint, FailureModel, SimDuration, WorkerPool};
+use s2s_netsim::{makespan, CostModel, Endpoint, FailureModel, Lanes, SimDuration};
 
 fn arb_durations() -> impl Strategy<Value = Vec<SimDuration>> {
     proptest::collection::vec((0u64..10_000).prop_map(SimDuration::from_micros), 0..40)
@@ -67,12 +67,13 @@ proptest! {
         let _ = decode(Bytes::from(bytes));
     }
 
-    /// WorkerPool::run is a permutation-free map: output[i] == f(input[i]).
+    /// Fresh lanes owe, in wall microseconds, exactly the virtual
+    /// makespan of the same waits at the same width.
     #[test]
-    fn pool_run_is_map(inputs in proptest::collection::vec(any::<u32>(), 0..60), workers in 1usize..8) {
-        let expect: Vec<u64> = inputs.iter().map(|&x| x as u64 * 3 + 1).collect();
-        let got = WorkerPool::new(workers).run(inputs, |x| x as u64 * 3 + 1);
-        prop_assert_eq!(got, expect);
+    fn fresh_lanes_reproduce_makespan(durations in arb_durations(), width in 1usize..8) {
+        let waits_us: Vec<u64> = durations.iter().map(|d| d.as_micros()).collect();
+        let owed = Lanes::new(width).reserve_at(std::time::Instant::now(), &waits_us);
+        prop_assert_eq!(owed, makespan(&durations, width).as_micros());
     }
 
     /// Endpoint cost is monotone in payload size (same jitter stream

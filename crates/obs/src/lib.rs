@@ -18,7 +18,7 @@
 //!   and a Prometheus-style text snapshot. Each machine-readable format
 //!   ships with a minimal parser so CI can validate round-trips.
 //! * [`names`] — canonical metric-name constants for the concurrency
-//!   and caching layers (pool gauges, queue-wait histogram, per-cache
+//!   and caching layers (admission and reactor gauges, per-cache
 //!   hit/miss/eviction counters), so emitters and audits cannot drift
 //!   apart on spelling.
 //!
@@ -29,6 +29,8 @@
 //! With metrics disabled the instrumented hot paths do no other work —
 //! no registry lookups, no allocation — so the observability layer is
 //! free unless switched on via [`set_enabled`].
+
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod metrics;

@@ -15,11 +15,9 @@
 //! ```
 //!
 //! Spans are plain owned values, **not** handles into a shared sink:
-//! worker threads build their span lists locally and the lists ride the
-//! existing result channels back to the serial collection loop (which
-//! already preserves submission order), so the parallel path needs no
-//! additional locks and span order is as deterministic as the batch
-//! plan itself.
+//! each wire leg builds its span list locally and hands it, with its
+//! result, to the collection loop on the same thread, so no lock is
+//! involved and span order is as deterministic as the batch plan itself.
 
 /// What stage of the pipeline a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod error;
 pub mod model;

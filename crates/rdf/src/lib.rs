@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod graph;
 pub mod ntriples;

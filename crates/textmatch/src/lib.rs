@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod compiler;
 pub mod constraint;

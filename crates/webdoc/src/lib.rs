@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod html;
 pub mod store;

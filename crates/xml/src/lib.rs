@@ -23,6 +23,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dom;
 pub mod error;
 pub mod parser;

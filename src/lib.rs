@@ -23,6 +23,8 @@
 //! * [`core`] — the S2S middleware itself (mapping, extraction, S2SQL,
 //!   instance generation).
 
+#![forbid(unsafe_code)]
+
 pub use s2s_core as core;
 pub use s2s_minidb as minidb;
 pub use s2s_netsim as netsim;

@@ -39,7 +39,7 @@ fn watch_db(n: usize) -> Database {
     db
 }
 
-/// A remote DB deployment; `strategy` sizes the shared worker pool.
+/// A remote DB deployment; `strategy` sizes the lanes its callers share.
 fn deploy(n: usize, strategy: Strategy) -> S2s {
     let mut s2s = S2s::new(ontology()).with_strategy(strategy);
     s2s.register_remote_source(
@@ -115,9 +115,6 @@ fn shared_engine_matches_serial_baseline_across_threads() {
             });
         }
     });
-    let pool = shared.pool_stats();
-    assert_eq!(pool.workers, 8, "pool sized by the engine strategy");
-    assert_eq!(pool.jobs, pool.completed, "no job lost across threads");
 }
 
 /// A repeated query is answered from the result cache: one hit, zero
