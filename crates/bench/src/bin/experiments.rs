@@ -29,8 +29,8 @@
 //!   if the unprotected baseline fails to melt down (the CI overload
 //!   gate).
 //! * `--reactor-smoke <dir>` — 1000 clients multiplexed on one OS
-//!   thread through the virtual-time reactor, each issuing one cold
-//!   query; writes `e13.json` into `<dir>` and exits non-zero on any
+//!   thread by the harness's virtual-time event loop, each issuing one
+//!   cold query; writes `e13.json` into `<dir>` and exits non-zero on any
 //!   divergence from the serial baseline (the CI reactor gate).
 //! * `--pushdown-smoke <dir>` — the E15 selectivity sweep (0.1%–100%)
 //!   on a planner-enabled engine vs its planner-free twin; writes
@@ -108,7 +108,7 @@ const SMOKE_MODES: [(&str, SmokeFn, &str); 7] = [
     (
         "reactor-smoke",
         reactor_smoke,
-        "1000 clients multiplexed on one thread through the virtual-time reactor; writes e13.json \
+        "1000 clients multiplexed on one thread over virtual time; writes e13.json \
          into DIR; fails on any answer diverging from the serial baseline",
     ),
     (
@@ -574,8 +574,8 @@ fn throughput_smoke(dir: &str) -> Result<(), Vec<String>> {
     }
 }
 
-/// The CI reactor gate: 1000 clients multiplexed on one OS thread
-/// through the virtual-time reactor, each issuing one distinct (cold)
+/// The CI reactor gate: 1000 clients multiplexed on one OS thread by
+/// `run_throughput_reactor`'s event loop, each issuing one distinct (cold)
 /// query — a client count the thread-per-client runner cannot reach.
 /// Every answer must match the serial baseline bit-for-bit and every
 /// answer must be complete. Writes `e13.json` into `dir`.
@@ -589,7 +589,7 @@ fn reactor_smoke(dir: &str) -> Result<(), Vec<String>> {
     // Same light pace as the throughput gate: the wire waits are real
     // enough that only overlap keeps the run inside the CI budget.
     let engine = deploy_paced(12, 42, 60, Strategy::Reactor, true);
-    let report = run_throughput_reactor(&engine, &workload, &baseline, 4);
+    let report = run_throughput_reactor(&engine, &workload, &baseline);
 
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create reactor-smoke dir {dir}: {e}"));
@@ -1713,7 +1713,7 @@ fn e13() {
     for clients in [100usize, 1_000, 10_000] {
         let workload = cold_workload(clients, 1);
         let engine = deploy_paced(12, 42, E13_PACE, Strategy::Reactor, true);
-        let report = run_throughput_reactor(&engine, &workload, &baseline, 4);
+        let report = run_throughput_reactor(&engine, &workload, &baseline);
         assert_eq!(report.mismatches, 0, "react C={clients}: results diverged from serial");
         assert_eq!(report.min_completeness, 1.0, "react C={clients}: degraded answer");
         println!(

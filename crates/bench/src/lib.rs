@@ -1180,15 +1180,17 @@ pub fn run_throughput(
     throughput_report(engine, workload.len(), wall, samples)
 }
 
-/// Runs `workload` on a single OS thread through a virtual-time
-/// [`Reactor`](s2s_netsim::Reactor): every client is one
-/// [`EventTask`](s2s_netsim::EventTask) that issues its queries in
-/// order, parking on a timer for each answer's simulated cost before
-/// issuing the next. No thread blocks per client, so the client count
-/// can exceed the core count by orders of magnitude; with a paced
-/// engine, the reactor pays the pacing once per virtual-clock advance,
-/// so wall time tracks the virtual makespan across all clients exactly
-/// as a thread-per-client run would — without the threads.
+/// Runs `workload` on a single OS thread as a discrete-event loop over
+/// virtual time: every client issues its queries in order and waits out
+/// each answer's simulated cost on a timer before issuing the next.
+/// Timers fire in `(deadline, sequence)` order, so the schedule is a
+/// function of the workload alone. No thread blocks per client, so the
+/// client count can exceed the core count by orders of magnitude; with
+/// a paced engine every query runs under `defer_pacing` and the loop
+/// sleeps once per virtual-clock advance at the steepest pace rate it
+/// has seen, so wall time tracks the virtual makespan across all
+/// clients exactly as a thread-per-client run would — without the
+/// threads.
 ///
 /// Latency percentiles report *virtual* per-query service time
 /// (simulated microseconds) rather than wall time: under a multiplexer,
@@ -1198,52 +1200,44 @@ pub fn run_throughput_reactor(
     engine: &S2s,
     workload: &[Vec<String>],
     baseline: &std::collections::BTreeMap<String, String>,
-    shards: usize,
 ) -> ThroughputReport {
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::cmp::Reverse;
 
-    struct Client<'a> {
-        engine: &'a S2s,
-        texts: &'a [String],
-        baseline: &'a std::collections::BTreeMap<String, String>,
-        next: usize,
-        samples: Rc<RefCell<Vec<(u64, bool, f64)>>>,
-    }
-
-    impl s2s_netsim::EventTask for Client<'_> {
-        fn fire(&mut self, _now: SimDuration) -> s2s_netsim::Poll {
-            let Some(text) = self.texts.get(self.next) else {
-                return s2s_netsim::Poll::Done;
-            };
-            self.next += 1;
-            let outcome = self.engine.query(text).expect("reactor throughput query");
-            self.samples.borrow_mut().push((
-                outcome.stats.simulated.as_micros(),
-                self.baseline.get(text) == Some(&result_key(&outcome)),
-                outcome.stats.completeness,
-            ));
-            s2s_netsim::Poll::Sleep(outcome.stats.simulated)
-        }
-    }
-
-    let samples = Rc::new(RefCell::new(Vec::new()));
     let started = std::time::Instant::now();
-    let mut reactor = s2s_netsim::Reactor::new(shards);
-    for texts in workload {
-        reactor.spawn(Box::new(Client {
-            engine,
-            texts,
-            baseline,
-            next: 0,
-            samples: Rc::clone(&samples),
-        }));
+    let mut samples = Vec::new();
+    let mut issued = vec![0usize; workload.len()];
+    // (due_us, sequence, client): every client's first timer is due now.
+    let mut timers: std::collections::BinaryHeap<_> =
+        (0..workload.len()).map(|client| Reverse((0u64, client, client))).collect();
+    let mut sequence = workload.len();
+    let (mut now_us, mut pace_us_per_sim_ms) = (0u64, 0u64);
+    while let Some(Reverse((due_us, _, client))) = timers.pop() {
+        if due_us > now_us {
+            s2s_netsim::pace_sleep((due_us - now_us).saturating_mul(pace_us_per_sim_ms) / 1_000);
+            now_us = due_us;
+        }
+        let Some(text) = workload[client].get(issued[client]) else { continue };
+        issued[client] += 1;
+        let (outcome, deferred_us) =
+            s2s_netsim::defer_pacing(|| engine.query(text).expect("reactor throughput query"));
+        let service_us = outcome.stats.simulated.as_micros();
+        samples.push((
+            service_us,
+            baseline.get(text) == Some(&result_key(&outcome)),
+            outcome.stats.completeness,
+        ));
+        // The query would have blocked `deferred_us` of wall time for
+        // `service_us` of virtual time: remember the steepest rate and
+        // pay it back on clock advances (at once when there is no
+        // virtual span to spread it over).
+        match deferred_us.saturating_mul(1_000).checked_div(service_us) {
+            Some(rate) => pace_us_per_sim_ms = pace_us_per_sim_ms.max(rate),
+            None => s2s_netsim::pace_sleep(deferred_us),
+        }
+        timers.push(Reverse((now_us + service_us, sequence, client)));
+        sequence += 1;
     }
-    reactor.run();
-    let wall = started.elapsed();
-    drop(reactor);
-    let samples = Rc::try_unwrap(samples).expect("client tasks dropped").into_inner();
-    throughput_report(engine, workload.len(), wall, samples)
+    throughput_report(engine, workload.len(), started.elapsed(), samples)
 }
 
 /// Folds per-query `(latency_us, key_matches, completeness)` samples
@@ -1839,7 +1833,7 @@ mod tests {
         let baseline = serial_baseline(&reference, &workload);
 
         let engine = deploy_paced(10, 5, 0, Strategy::Reactor, true);
-        let report = run_throughput_reactor(&engine, &workload, &baseline, 4);
+        let report = run_throughput_reactor(&engine, &workload, &baseline);
         assert_eq!(report.clients, 32);
         assert_eq!(report.queries, 64);
         assert_eq!(report.mismatches, 0);

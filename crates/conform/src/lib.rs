@@ -5,10 +5,11 @@
 //!
 //! The paper's core promise (§2.4–§2.6) is that a semantic query yields
 //! the same ontology instances regardless of how extraction is
-//! executed. The engine now has four execution paths — serial
-//! per-attribute, batched per-source, result-cached replay, and the
-//! concurrent ("pooled": N threads on one engine) arm — and this crate
-//! is the harness that keeps them answer-equivalent:
+//! executed. The engine has five execution paths — serial
+//! per-attribute, batched per-source, result-cached replay, the
+//! concurrent ("pooled": N threads on one engine) arm and all-in-flight
+//! dispatch (`Strategy::Reactor`) — and this crate is the harness that
+//! keeps them answer-equivalent:
 //!
 //! * [`scenario`] — seeded generators (vendored `rand` only) for
 //!   ontology deployments across all four source kinds, valid-by-

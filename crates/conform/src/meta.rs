@@ -3,10 +3,12 @@
 //! Three families, each run on a fresh identically-seeded engine so the
 //! rewrite is the only difference:
 //!
-//! 1. **S2SQL spelling** — whitespace padding and keyword case changes
-//!    normalize to the same key (`query::normalize` is injective with
-//!    respect to the parser's token stream) and must produce the same
-//!    answer.
+//! 1. **S2SQL spelling** — whitespace padding, keyword case, quote
+//!    style, bare constraints, `<>` for `!=` and redundant parentheses
+//!    parse to the same query, so they must share a cache key
+//!    (`meta-normalize`) and produce the same answer (`meta-spelling`).
+//!    That a shared key means a shared parse is the property test
+//!    `shared_key_means_shared_parse` in `s2s-core`.
 //! 2. **Condition reordering** — `AND` is commutative for the
 //!    condition tree, so permuting the `WHERE` leaves cannot change
 //!    which individuals match.
@@ -20,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use s2s_core::query;
 
 use crate::oracle::{fingerprint, Violation};
-use crate::scenario::{render_condition, BuildConfig, Scenario};
+use crate::scenario::{render_condition, BuildConfig, Scenario, ATTRS};
 
 /// Runs every metamorphic relation; `reference` is the fingerprint of
 /// the canonical (serial-path) answer.
@@ -96,8 +98,25 @@ pub fn check_metamorphic(scenario: &Scenario, reference: &str) -> Vec<Violation>
     violations
 }
 
-/// Rewrites the canonical query with random (seeded) whitespace padding
-/// and keyword casing — never touching quoted values.
+/// Whether the parser reads `value` back when it is written without
+/// quotes: a number (sign, digits, dots) or a word of identifier
+/// characters.
+fn spells_bare(value: &str) -> bool {
+    match value.as_bytes().first() {
+        None => false,
+        Some(b'0'..=b'9' | b'-' | b'+') => {
+            value[1..].bytes().all(|b| b.is_ascii_digit() || b == b'.')
+        }
+        Some(_) => {
+            value.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'))
+        }
+    }
+}
+
+/// Rewrites the canonical query into another spelling of the same parse
+/// (seeded): whitespace padding, keyword casing, `<>` for `!=`, each
+/// constraint single-quoted, double-quoted or bare, and redundant
+/// parentheses around leaves and the whole condition.
 pub fn spelling_variant(scenario: &Scenario, rng: &mut StdRng) -> String {
     let pad = |rng: &mut StdRng| -> String {
         let n = rng.gen_range(1..4);
@@ -125,15 +144,31 @@ pub fn spelling_variant(scenario: &Scenario, rng: &mut StdRng) -> String {
     text.push_str(&casing("SELECT", rng));
     text.push_str(&pad(rng));
     text.push_str("watch");
+    let wrap_all = rng.gen_bool(0.3);
     for (i, c) in scenario.conditions.iter().enumerate() {
         text.push_str(&pad(rng));
         text.push_str(&casing(if i == 0 { "WHERE" } else { "AND" }, rng));
         text.push_str(&pad(rng));
-        let rendered = render_condition(c);
-        // Pad around the operator: `attr op value` has exactly two
-        // spaces outside any quotes.
-        let padded = rendered.replacen(' ', &pad(rng), 1).replacen(' ', &pad(rng), 1);
-        text.push_str(&padded);
+        if i == 0 && wrap_all {
+            text.push('(');
+        }
+        let op = match c.op.as_str() {
+            "!=" if rng.gen_bool(0.5) => "<>".to_string(),
+            "LIKE" => casing("LIKE", rng),
+            op => op.to_string(),
+        };
+        let value = match rng.gen_range(0..3) {
+            0 if spells_bare(&c.value) => c.value.clone(),
+            1 => format!("\"{}\"", c.value.replace('"', "\"\"")),
+            _ => format!("'{}'", c.value.replace('\'', "''")),
+        };
+        let parens = if rng.gen_bool(0.3) { rng.gen_range(1..3) } else { 0 };
+        text.push_str(&"(".repeat(parens));
+        text.push_str(&format!("{}{}{op}{}{value}", ATTRS[c.attr], pad(rng), pad(rng)));
+        text.push_str(&")".repeat(parens));
+    }
+    if wrap_all && !scenario.conditions.is_empty() {
+        text.push(')');
     }
     text.push_str(&pad(rng));
     text

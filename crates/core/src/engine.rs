@@ -7,13 +7,14 @@
 //! ([`crate::rules::RuleCache`]) and, above the materialized views, the
 //! two query-level caches of this module:
 //!
-//! * the plan cache — memoizes the parse/validate/plan front half of
-//!   query handling, keyed on [`crate::query::normalize`]d S2SQL text.
-//!   A plan derives from the immutable ontology and the query text
-//!   alone, so nothing invalidates one: only the LRU bound drops it.
+//! * the plan cache — memoizes [`crate::query::plan`] (validation
+//!   against the ontology and the attribute list), keyed on the parsed
+//!   query's canonical rendering (DESIGN.md "Query Handler"). A plan
+//!   derives from the immutable ontology and the parsed query alone,
+//!   so nothing invalidates one: only the LRU bound drops it.
 //! * [`QueryResultCache`] — memoizes whole query answers (the
 //!   [`InstanceSet`] plus the stats of the run that produced it),
-//!   same normalized key, LRU + optional TTL in *simulated* time.
+//!   same key, LRU + optional TTL in *simulated* time.
 //!   Invalidation is **dependency-tracked**: each entry records the
 //!   `(source, version)` set the producing run read, a data mutation or
 //!   mapping edit drops only the entries whose dependency set
@@ -25,11 +26,6 @@
 //!   per-entry dependency set can see. Only complete, failure-free
 //!   answers are admitted, so a degraded result is never replayed after
 //!   the sources recover.
-//!
-//! Both caches key on the normalized text rather than the parsed query
-//! so a hit skips the parser entirely; normalization is injective with
-//! respect to the parser's token stream, so two queries share a key
-//! only if the parser cannot tell them apart.
 //!
 //! Every lookup and insert tells its caller what it did, and a query's
 //! [`QueryStats`] cache figures are tallied from those answers alone —
@@ -245,11 +241,11 @@ impl DependencySet {
 }
 
 /// The plan cache: an LRU-bounded memo of validated query plans,
-/// keyed on normalized S2SQL text. Parse/semantic errors are never
+/// keyed on the query's canonical rendering. Semantic errors are never
 /// cached: a bad query re-reports its error each time.
 pub(crate) type PlanCache = Lru<String, Arc<QueryPlan>>;
 
-/// An empty plan cache, bounded at 256 distinct normalized query texts.
+/// An empty plan cache, bounded at 256 distinct queries.
 pub(crate) fn plan_cache() -> PlanCache {
     use s2s_obs::names::{
         PLAN_CACHE_EVICTIONS_TOTAL, PLAN_CACHE_HITS_TOTAL, PLAN_CACHE_MISSES_TOTAL,
@@ -294,8 +290,9 @@ struct ResultEntry {
     inserted_at: SimDuration,
 }
 
-/// An LRU + TTL memo of whole query answers, keyed on normalized S2SQL
-/// text. See the module docs for the admission and invalidation rules.
+/// An LRU + TTL memo of whole query answers, keyed on the query's
+/// canonical rendering. See the module docs for the admission and
+/// invalidation rules.
 #[derive(Debug)]
 pub struct QueryResultCache {
     entries: Lru<String, ResultEntry>,
@@ -326,8 +323,8 @@ impl QueryResultCache {
         }
     }
 
-    /// Looks up the cached answer for a normalized query text at
-    /// simulated instant `now`. An entry past its TTL is dropped and
+    /// Looks up the cached answer for a query key at simulated instant
+    /// `now`. An entry past its TTL is dropped and
     /// counted as a miss.
     pub fn get(&self, key: &str, now: SimDuration) -> Option<CachedResult> {
         self.entries.get_if(key, |e| {

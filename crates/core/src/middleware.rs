@@ -359,11 +359,6 @@ impl S2s {
         self
     }
 
-    /// Whether the federated pushdown planner is enabled.
-    pub fn pushdown(&self) -> bool {
-        self.pushdown
-    }
-
     /// Enables per-query trace trees: every [`QueryOutcome`] carries a
     /// [`Trace`] (`query → parse / plan / map → batch → rule /
     /// attempt`) with simulated and wall-clock durations, outcomes, and
@@ -530,9 +525,9 @@ impl S2s {
     }
 
     /// Enables the semantic query-result cache with the default policy:
-    /// whole answers are replayed for repeat queries (normalized S2SQL
-    /// text as the key) until a source or mapping mutation invalidates
-    /// them. Off by default.
+    /// whole answers are replayed for repeat queries (keyed on the
+    /// query's canonical rendering) until a source or mapping mutation
+    /// invalidates them. Off by default.
     pub fn with_result_cache(self) -> Self {
         self.with_result_cache_config(ResultCacheConfig::default())
     }
@@ -874,7 +869,13 @@ impl S2s {
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, S2sError> {
         let query_started = std::time::Instant::now();
-        let key = query::normalize(s2sql);
+        // The Query Handler reads the text once. A malformed query is an
+        // error before any cache or the admission gate is touched, and
+        // both caches key on the canonical rendering of this parse, so
+        // two texts share an entry exactly when they parsed the same.
+        let parsed = query::parse(s2sql)?;
+        let parse_wall = query_started.elapsed();
+        let key = parsed.to_string();
 
         // Layer 1: the semantic result cache replays whole answers.
         // Served before the admission gate: a replay touches no source
@@ -905,21 +906,16 @@ impl S2s {
             None => None,
         };
 
-        // Layer 2: the plan cache memoizes parse + validate + plan. A
-        // fresh plan is *not* inserted here — insertion is deferred
-        // until the query completes without exhausting its deadline,
-        // so overload casualties cannot churn plan-cache entries.
-        let parse_started = std::time::Instant::now();
-        let (plan, fresh_plan, parse_wall, plan_wall) = match self.plans.get(&key) {
-            Some(plan) => (plan, false, parse_started.elapsed(), std::time::Duration::ZERO),
-            None => {
-                let parsed = query::parse(s2sql)?;
-                let parse_wall = parse_started.elapsed();
-                let plan_started = std::time::Instant::now();
-                let plan = Arc::new(query::plan(&parsed, &self.ontology)?);
-                (plan, true, parse_wall, plan_started.elapsed())
-            }
+        // Layer 2: the plan cache memoizes validate + plan. A fresh
+        // plan is *not* inserted here — insertion is deferred until the
+        // query completes without exhausting its deadline, so overload
+        // casualties cannot churn plan-cache entries.
+        let plan_started = std::time::Instant::now();
+        let (plan, fresh_plan) = match self.plans.get(&key) {
+            Some(plan) => (plan, false),
+            None => (Arc::new(query::plan(&parsed, &self.ontology)?), true),
         };
+        let plan_wall = plan_started.elapsed();
         let mut plan_cache = CacheStats::default();
         plan_cache.lookup(!fresh_plan);
 

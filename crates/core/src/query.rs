@@ -19,6 +19,8 @@
 //! output to the named attributes — and lets the federated planner
 //! skip extracting everything else.
 
+use std::fmt;
+
 use s2s_owl::{AttributePath, Ontology, PropertyKind, Reasoner};
 use s2s_rdf::Iri;
 
@@ -73,6 +75,30 @@ impl ConditionExpr {
     }
 }
 
+/// The canonical spelling of a condition: every constraint
+/// single-quoted (`'` doubled), every `AND`/`OR` node parenthesised,
+/// `NOT` as a prefix — one text per tree, and [`parse`] reads it back
+/// to the same tree.
+impl fmt::Display for ConditionExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConditionExpr::Leaf(c) => {
+                write!(f, "{} {} '", c.attribute, c.op)?;
+                for (i, part) in c.value.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_str("'")
+            }
+            ConditionExpr::And(a, b) => write!(f, "({a} AND {b})"),
+            ConditionExpr::Or(a, b) => write!(f, "({a} OR {b})"),
+            ConditionExpr::Not(e) => write!(f, "NOT {e}"),
+        }
+    }
+}
+
 /// A parsed (but not yet validated) S2SQL query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct S2sqlQuery {
@@ -82,6 +108,27 @@ pub struct S2sqlQuery {
     pub projection: Option<Vec<String>>,
     /// The WHERE clause, if any.
     pub condition: Option<ConditionExpr>,
+}
+
+/// The canonical spelling of a query — class and projection as written,
+/// the condition as [`ConditionExpr`] renders it. Two texts render the
+/// same exactly when [`parse`] built the same query from them, which is
+/// what makes the rendering the key of the engine's plan and result
+/// caches.
+impl fmt::Display for S2sqlQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SELECT {}", self.class)?;
+        if let Some(names) = &self.projection {
+            for (i, name) in names.iter().enumerate() {
+                write!(f, "{}{name}", if i == 0 { "(" } else { ", " })?;
+            }
+            f.write_str(")")?;
+        }
+        match &self.condition {
+            Some(condition) => write!(f, " WHERE {condition}"),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A condition resolved against the ontology.
@@ -163,7 +210,11 @@ pub struct QueryPlan {
     pub condition: Option<ConditionTree>,
 }
 
-/// Parses S2SQL text.
+/// Parses S2SQL text — the one reading of a query: the engine parses
+/// every query it is handed before it touches a cache or the admission
+/// gate, and keys both caches on the parse's canonical rendering.
+/// `s2s_query_parses_total` therefore counts queries, not plan-cache
+/// misses.
 ///
 /// # Errors
 ///
@@ -183,7 +234,7 @@ pub fn parse(input: &str) -> Result<S2sqlQuery, S2sError> {
 }
 
 fn parse_inner(input: &str) -> Result<S2sqlQuery, S2sError> {
-    let mut p = Parser { chars: input.char_indices().collect(), pos: 0, len: input.len() };
+    let mut p = Parser { input, pos: 0 };
     p.skip_ws();
     p.expect_keyword("SELECT")?;
     p.skip_ws();
@@ -210,12 +261,7 @@ fn parse_inner(input: &str) -> Result<S2sqlQuery, S2sError> {
         None
     };
     p.skip_ws();
-    let condition = if p.peek_keyword("WHERE") {
-        p.expect_keyword("WHERE")?;
-        Some(p.parse_or_expr(0)?.0)
-    } else {
-        None
-    };
+    let condition = if p.eat_keyword("WHERE") { Some(p.parse_or_expr(0)?.0) } else { None };
     p.skip_ws();
     if p.peek().is_some() {
         return Err(p.err("unexpected trailing content"));
@@ -223,84 +269,11 @@ fn parse_inner(input: &str) -> Result<S2sqlQuery, S2sError> {
     Ok(S2sqlQuery { class, projection, condition })
 }
 
-/// Keywords whose case is insignificant in S2SQL.
-const KEYWORDS: [&str; 6] = ["SELECT", "WHERE", "AND", "OR", "NOT", "LIKE"];
-
-fn is_word_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_' || c == '.' || c == '-'
-}
-
-/// Normalizes S2SQL text into a canonical form for cache keying: two
-/// queries the parser treats identically normalize to the same string,
-/// and — just as important for a cache key — queries the parser treats
-/// *differently* never collide.
-///
-/// The text is re-tokenized (quoted constraints verbatim with their
-/// quotes and doubled-quote escapes; identifier/number words; `<=`,
-/// `>=`, `!=`, `<>` as single tokens; any other symbol alone), keywords
-/// are uppercased, and tokens are joined with single spaces. Joining is
-/// injective because only quoted tokens can contain a space and they
-/// keep their delimiters; lexing the two-character operators whole
-/// keeps e.g. the invalid `price < = 10` from colliding with
-/// `price <= 10`. Invalid queries still normalize (to an equally
-/// invalid canonical text) — callers may key error-free caches without
-/// pre-validating.
+/// The cache key of an S2SQL text: the canonical rendering of its
+/// parse. Text the parser rejects keys as itself — never equal to a
+/// canonical form, which always parses.
 pub fn normalize(input: &str) -> String {
-    let chars: Vec<char> = input.chars().collect();
-    let mut tokens: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c == '\'' || c == '"' {
-            // Quoted constraint: verbatim, delimiters included. A
-            // doubled quote is an escape; an unterminated string runs
-            // to the end of the input (the parser rejects it, but the
-            // key must still be deterministic).
-            let mut tok = String::new();
-            tok.push(c);
-            i += 1;
-            while i < chars.len() {
-                let d = chars[i];
-                tok.push(d);
-                i += 1;
-                if d == c {
-                    if i < chars.len() && chars[i] == c {
-                        tok.push(c);
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            tokens.push(tok);
-            continue;
-        }
-        if is_word_char(c) {
-            let mut tok = String::new();
-            while i < chars.len() && is_word_char(chars[i]) {
-                tok.push(chars[i]);
-                i += 1;
-            }
-            if KEYWORDS.iter().any(|k| tok.eq_ignore_ascii_case(k)) {
-                tok = tok.to_ascii_uppercase();
-            }
-            tokens.push(tok);
-            continue;
-        }
-        let two = matches!((c, chars.get(i + 1)), ('<' | '>' | '!', Some('=')) | ('<', Some('>')));
-        if two {
-            tokens.push([c, chars[i + 1]].into_iter().collect());
-            i += 2;
-        } else {
-            tokens.push(c.to_string());
-            i += 1;
-        }
-    }
-    tokens.join(" ")
+    parse_inner(input).map_or_else(|_| input.to_string(), |query| query.to_string())
 }
 
 /// Validates a parsed query against the ontology and produces the
@@ -311,13 +284,9 @@ pub fn normalize(input: &str) -> String {
 /// Returns [`S2sError::QuerySemantics`] for unknown classes/attributes
 /// or attributes that do not apply to the selected class.
 pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sError> {
-    let class = ontology
-        .classes()
-        .find(|c| c.iri().local_name().eq_ignore_ascii_case(&query.class))
-        .map(|c| c.iri().clone())
-        .ok_or_else(|| S2sError::QuerySemantics {
-            message: format!("unknown class `{}`", query.class),
-        })?;
+    let class = ontology.class_named(&query.class).cloned().ok_or_else(|| {
+        S2sError::QuerySemantics { message: format!("unknown class `{}`", query.class) }
+    })?;
 
     let reasoner = Reasoner::new(ontology);
     let properties = ontology.properties_of_class(&class);
@@ -473,42 +442,48 @@ fn one_deeper(depth: usize) -> Result<usize, S2sError> {
 
 // ---------------------------------------------------------------- parser
 
-struct Parser {
-    chars: Vec<(usize, char)>,
+/// A cursor over the query text; `pos` is a byte offset, always on a
+/// character boundary.
+struct Parser<'a> {
+    input: &'a str,
     pos: usize,
-    len: usize,
 }
 
-impl Parser {
+fn is_identifier_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-')
+}
+
+impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> S2sError {
-        let position = self.chars.get(self.pos).map(|&(b, _)| b).unwrap_or(self.len);
-        S2sError::QuerySyntax { position, message: message.into() }
+        S2sError::QuerySyntax { position: self.pos, message: message.into() }
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).map(|&(_, c)| c)
+        self.rest().chars().next()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
-        }
+        self.pos = self.input.len() - self.rest().trim_start().len();
+    }
+
+    /// Advances over the longest run of bytes `accept` holds for (ASCII
+    /// only, so the cursor stays on a boundary) and returns it.
+    fn take_while(&mut self, accept: impl Fn(u8) -> bool) -> &'a str {
+        let rest = self.rest();
+        let len = rest.bytes().position(|b| !accept(b)).unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        let upper: String = self
-            .chars
-            .iter()
-            .skip(self.pos)
-            .take(kw.len())
-            .map(|&(_, c)| c.to_ascii_uppercase())
-            .collect();
-        upper == kw
-            && self
-                .chars
-                .get(self.pos + kw.len())
-                .map(|&(_, c)| !c.is_ascii_alphanumeric())
-                .unwrap_or(true)
+        let rest = self.rest().as_bytes();
+        rest.len() >= kw.len()
+            && rest[..kw.len()].eq_ignore_ascii_case(kw.as_bytes())
+            && !rest.get(kw.len()).is_some_and(u8::is_ascii_alphanumeric)
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -529,19 +504,11 @@ impl Parser {
     }
 
     fn parse_identifier(&mut self) -> Result<String, S2sError> {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-' {
-                s.push(c);
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if s.is_empty() {
+        let word = self.take_while(is_identifier_byte).to_string();
+        if word.is_empty() {
             return Err(self.err("expected an identifier"));
         }
-        Ok(s)
+        Ok(word)
     }
 
     // or_expr := and_expr (OR and_expr)*
@@ -654,45 +621,29 @@ impl Parser {
                 self.pos += 1;
                 let mut s = String::new();
                 loop {
-                    match self.peek() {
-                        None => return Err(self.err("unterminated string constraint")),
-                        Some(c) if c == q => {
-                            self.pos += 1;
-                            // '' escape
-                            if self.peek() == Some(q) {
-                                s.push(q);
-                                self.pos += 1;
-                            } else {
-                                return Ok(s);
-                            }
-                        }
-                        Some(c) => {
-                            s.push(c);
-                            self.pos += 1;
-                        }
+                    let Some(end) = self.rest().find(q) else {
+                        self.pos = self.input.len();
+                        return Err(self.err("unterminated string constraint"));
+                    };
+                    s.push_str(&self.rest()[..end]);
+                    self.pos += end + 1;
+                    // A doubled quote is an escape.
+                    if self.peek() != Some(q) {
+                        return Ok(s);
                     }
+                    s.push(q);
+                    self.pos += 1;
                 }
             }
             Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                let mut s = String::new();
-                s.push(c);
+                let start = self.pos;
                 self.pos += 1;
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() || c == '.' {
-                        s.push(c);
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                Ok(s)
+                self.take_while(|b| b.is_ascii_digit() || b == b'.');
+                Ok(self.input[start..self.pos].to_string())
             }
-            _ => {
-                // Bare word constraint (paper writes brand="Seiko" but we
-                // tolerate brand=Seiko).
-                let s = self.parse_identifier()?;
-                Ok(s)
-            }
+            // Bare word constraint (paper writes brand="Seiko" but we
+            // tolerate brand=Seiko).
+            _ => self.parse_identifier(),
         }
     }
 }
@@ -727,49 +678,46 @@ mod tests {
     }
 
     #[test]
-    fn normalize_collapses_whitespace_and_keyword_case() {
+    fn key_collapses_whitespace_and_keyword_case() {
         let a = normalize("select  watch\n where PRICE < 100 and brand = 'Seiko'");
-        let b = normalize("SELECT watch WHERE price<100 AND brand='Seiko'");
-        // The attribute identifier keeps its case (the planner matches
-        // it case-insensitively, but `PRICE` is not a keyword) — only
-        // whitespace, operator spacing, and keyword case normalize.
-        assert_eq!(a, "SELECT watch WHERE PRICE < 100 AND brand = 'Seiko'");
-        assert_eq!(b, "SELECT watch WHERE price < 100 AND brand = 'Seiko'");
+        let b = normalize("  SELECT\twatch WHERE price<100 AND brand='Seiko'  ");
+        // Identifiers keep their case (the planner matches them
+        // case-insensitively, but `PRICE` is not a keyword).
+        assert_eq!(a, "SELECT watch WHERE (PRICE < '100' AND brand = 'Seiko')");
+        assert_eq!(b, "SELECT watch WHERE (price < '100' AND brand = 'Seiko')");
     }
 
     #[test]
-    fn normalize_is_identical_for_equivalent_spacing() {
-        let variants = [
-            "SELECT watch WHERE price<=100",
-            "select watch where price <= 100",
-            "  SELECT\twatch\nWHERE   price  <=  100  ",
-        ];
-        let keys: Vec<String> = variants.iter().map(|v| normalize(v)).collect();
-        assert!(keys.iter().all(|k| k == &keys[0]), "{keys:?}");
+    fn key_is_shared_by_every_spelling_of_one_parse() {
+        let canonical = "SELECT w(a, b) WHERE (x != 'it''s' AND NOT y LIKE 'or')";
+        for text in [
+            "select w ( a,b ) where x<>\"it's\" and not y like or",
+            "SELECT w(a,b) WHERE ((x != 'it''s') AND (NOT (y LIKE \"or\")))",
+            canonical,
+        ] {
+            assert_eq!(normalize(text), canonical, "{text}");
+        }
+        assert_eq!(normalize("SELECT w WHERE p=-12.5"), normalize("SELECT w WHERE p = '-12.5'"));
     }
 
     #[test]
-    fn normalize_keeps_quoted_text_verbatim() {
-        let q = normalize("SELECT watch WHERE brand='  Select  Or ''x''  '");
-        assert_eq!(q, "SELECT watch WHERE brand = '  Select  Or ''x''  '");
-        // Double-quoted constraints keep their delimiter too, so the
-        // two quoting styles never collide.
-        assert_ne!(normalize("SELECT w WHERE b='x'"), normalize("SELECT w WHERE b=\"x\""));
-    }
-
-    #[test]
-    fn normalize_does_not_collide_distinct_queries() {
-        // `< =` is a syntax error while `<=` parses: different keys.
+    fn key_differs_whenever_the_parse_does() {
+        // A keyword after an operator is a value, and its case matters.
+        assert_ne!(normalize("SELECT s WHERE state=or"), normalize("SELECT s WHERE state=OR"));
+        assert_ne!(normalize("SELECT w WHERE p <> 10"), normalize("SELECT w WHERE p < 10"));
         assert_ne!(
-            normalize("SELECT w WHERE price < = 10"),
-            normalize("SELECT w WHERE price <= 10")
+            normalize("SELECT w WHERE a=1 OR b=2 AND c=3"),
+            normalize("SELECT w WHERE (a=1 OR b=2) AND c=3")
         );
-        assert_ne!(normalize("SELECT w WHERE price <> 10"), normalize("SELECT w WHERE price < 10"));
-        // Negative numbers lex as one word either way.
-        assert_eq!(
-            normalize("SELECT w WHERE price=-12.5"),
-            normalize("SELECT w WHERE price = -12.5")
-        );
+        // Text the parser rejects keys as itself: `< =` and `+ 5` are
+        // syntax errors while `<=` and `+5` parse.
+        for (bad, good) in [
+            ("SELECT w WHERE p < = 10", "SELECT w WHERE p <= 10"),
+            ("SELECT w WHERE p = + 5", "SELECT w WHERE p = +5"),
+        ] {
+            assert_eq!(normalize(bad), bad);
+            assert_ne!(normalize(bad), normalize(good));
+        }
     }
 
     #[test]
@@ -928,8 +876,9 @@ mod tests {
     }
 
     /// A condition exactly at the cap parses, and what walks the tree —
-    /// `leaves`, `plan`, the residual filter, `Clone`, `==`, `Drop` —
-    /// fits a worker thread's stack.
+    /// `leaves`, the cache-key rendering (which parses back), `plan`,
+    /// the residual filter, `Clone`, `==`, `Drop` — fits a worker
+    /// thread's stack.
     #[test]
     fn condition_at_the_cap_is_safe_to_plan_evaluate_and_drop() {
         let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
@@ -945,6 +894,7 @@ mod tests {
             {
                 let q = parse(&text).expect("depth at the cap parses");
                 assert_eq!(q.condition.as_ref().unwrap().leaves().len(), leaves);
+                assert_eq!(parse(&q.to_string()).as_ref(), Ok(&q));
                 let p = plan(&q, &o).unwrap();
                 let tree = p.condition.as_ref().unwrap();
                 assert_eq!(tree.leaves().len(), leaves);

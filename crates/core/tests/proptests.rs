@@ -1,7 +1,8 @@
 //! Property tests for the middleware: the full pipeline returns exactly
 //! the records matching the query, across strategies and source types,
-//! and the Instance Generator agrees with the one it replaced
-//! (`tests/reference`) on generated extraction reports.
+//! the Instance Generator agrees with the one it replaced
+//! (`tests/reference`) on generated extraction reports, and the cache
+//! key of a query text says exactly what the parser read in it.
 
 mod reference;
 
@@ -16,7 +17,10 @@ use s2s_core::extract::{
 };
 use s2s_core::instance::{generate_with_options, GenerateOptions};
 use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
-use s2s_core::query::{condition_matches, CondOp, ConditionTree, ResolvedCondition};
+use s2s_core::query::{
+    condition_matches, normalize, parse, CondOp, Condition, ConditionExpr, ConditionTree,
+    ResolvedCondition, S2sqlQuery, MAX_CONDITION_DEPTH,
+};
 use s2s_core::source::{Connection, SourceRegistry};
 use s2s_core::{plan_pushdown, S2s};
 use s2s_minidb::Database;
@@ -244,7 +248,190 @@ fn catalog_report(rng: &mut TestRng, ontology: &Ontology) -> ExtractionReport {
     ExtractionReport { results, failures, ..Default::default() }
 }
 
+const KEYWORDS: [&str; 6] = ["SELECT", "WHERE", "AND", "OR", "NOT", "LIKE"];
+
+fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+    from[rng.below(from.len())]
+}
+
+/// `word` in lower, upper or its own case.
+fn recase(word: &str, rng: &mut TestRng) -> String {
+    match rng.below(3) {
+        0 => word.to_lowercase(),
+        1 => word.to_uppercase(),
+        _ => word.to_string(),
+    }
+}
+
+/// A class, attribute or projection name: any run of identifier
+/// characters, a keyword in any case now and then. Where an attribute
+/// stands the parser reads a leading `NOT` word as the operator, so no
+/// parse ever holds such an attribute and none is generated.
+fn arb_identifier(rng: &mut TestRng, attribute: bool) -> String {
+    const ALPHABET: &[u8] = b"abcXYZ019_.-";
+    let word = match rng.below(3) {
+        0 => recase(pick(rng, &KEYWORDS), rng),
+        _ => (0..=rng.below(6)).map(|_| ALPHABET[rng.below(ALPHABET.len())] as char).collect(),
+    };
+    let reads_as_not = word.len() >= 3
+        && word[..3].eq_ignore_ascii_case("NOT")
+        && !word.as_bytes().get(3).is_some_and(u8::is_ascii_alphanumeric);
+    if attribute && reads_as_not {
+        format!("x{word}")
+    } else {
+        word
+    }
+}
+
+/// A constraint value: quotes of both styles, spaces, keywords,
+/// operators, signs and non-ASCII text, in any mix — the empty string
+/// included.
+fn arb_value(rng: &mut TestRng) -> String {
+    const PIECES: [&str; 16] = [
+        "'", "\"", " ", "or", "AND", "Not", "like", "Seiko", "5", "+", "-12.5", "<=", "%", "é",
+        "時計", "\u{2003}",
+    ];
+    (0..rng.below(5)).map(|_| pick(rng, &PIECES)).collect()
+}
+
+fn arb_leaf(rng: &mut TestRng) -> ConditionExpr {
+    const OPS: [CondOp; 7] =
+        [CondOp::Eq, CondOp::Ne, CondOp::Lt, CondOp::Le, CondOp::Gt, CondOp::Ge, CondOp::Like];
+    ConditionExpr::Leaf(Condition {
+        attribute: arb_identifier(rng, true),
+        op: OPS[rng.below(OPS.len())],
+        value: arb_value(rng),
+    })
+}
+
+/// A condition tree of height at most `height`: bushy when small, and
+/// one time in eight a chain that reaches `height` exactly.
+fn arb_condition(rng: &mut TestRng, height: usize) -> ConditionExpr {
+    fn bushy(rng: &mut TestRng, height: usize) -> ConditionExpr {
+        if height <= 1 || rng.below(3) == 0 {
+            return arb_leaf(rng);
+        }
+        let a = Box::new(bushy(rng, height - 1));
+        match rng.below(3) {
+            0 => ConditionExpr::Not(a),
+            1 => ConditionExpr::And(a, Box::new(bushy(rng, height - 1))),
+            _ => ConditionExpr::Or(Box::new(bushy(rng, height - 1)), a),
+        }
+    }
+    if rng.below(8) != 0 {
+        return bushy(rng, height.min(5));
+    }
+    let mut chain = arb_leaf(rng);
+    for _ in 1..height {
+        let link = Box::new(chain);
+        chain = match rng.below(5) {
+            0 => ConditionExpr::Not(link),
+            1 => ConditionExpr::And(link, Box::new(arb_leaf(rng))),
+            2 => ConditionExpr::And(Box::new(arb_leaf(rng)), link),
+            3 => ConditionExpr::Or(link, Box::new(arb_leaf(rng))),
+            _ => ConditionExpr::Or(Box::new(arb_leaf(rng)), link),
+        };
+    }
+    chain
+}
+
+fn arb_query(rng: &mut TestRng) -> S2sqlQuery {
+    S2sqlQuery {
+        class: arb_identifier(rng, false),
+        projection: (rng.below(3) == 0)
+            .then(|| (0..=rng.below(3)).map(|_| arb_identifier(rng, false)).collect()),
+        condition: (rng.below(4) != 0).then(|| arb_condition(rng, MAX_CONDITION_DEPTH)),
+    }
+}
+
+/// The tokens of a valid query whose constraints are the ones a second
+/// lexer is likeliest to misread: bare keywords, signed numbers, quoted
+/// words.
+fn soup_tokens(rng: &mut TestRng) -> Vec<String> {
+    const OPS: [&str; 8] = ["=", "!=", "<>", "<", "<=", ">", ">=", "LIKE"];
+    const VALUES: [&str; 12] =
+        ["or", "OR", "and", "Not", "like", "Seiko", "+5", "-12.5", "5", "'or'", "'x y'", "\"WA\""];
+    let mut tokens = vec!["SELECT".to_string(), pick(rng, &["supplier", "where", "w"]).to_string()];
+    for i in 0..=rng.below(3) {
+        tokens.push(if i == 0 { "WHERE" } else { pick(rng, &["AND", "OR"]) }.to_string());
+        if rng.below(4) == 0 {
+            tokens.push("NOT".into());
+        }
+        tokens.extend(
+            [pick(rng, &["state", "price", "like"]), pick(rng, &OPS), pick(rng, &VALUES)]
+                .map(String::from),
+        );
+    }
+    tokens
+}
+
+/// One spelling of `tokens`: words re-cased, two-character operators
+/// split or swapped for their synonym, signs detached from their digits,
+/// quote styles swapped or dropped, operators joined to their operands.
+fn soup_spelling(rng: &mut TestRng, tokens: &[String]) -> String {
+    let mut text = String::new();
+    for token in tokens {
+        let first = token.chars().next().expect("tokens are not empty");
+        let operator = "=!<>".contains(first);
+        let spelled = if rng.below(3) != 0 {
+            token.clone()
+        } else if first.is_alphabetic() {
+            recase(&token.to_lowercase(), rng)
+        } else if operator && token.len() == 2 {
+            match (token.as_str(), rng.below(2)) {
+                ("<>", 0) => "!=".into(),
+                ("!=", 0) => "<>".into(),
+                _ => format!("{} {}", &token[..1], &token[1..]),
+            }
+        } else if first == '+' || first == '-' {
+            format!("{first} {}", &token[1..])
+        } else if first == '\'' || first == '"' {
+            let inner = &token[1..token.len() - 1];
+            match rng.below(3) {
+                0 => format!("'{inner}'"),
+                1 => format!("\"{inner}\""),
+                _ => inner.to_string(),
+            }
+        } else {
+            token.clone()
+        };
+        if operator && rng.below(2) == 0 {
+            text.truncate(text.trim_end().len());
+            text.push_str(&spelled);
+        } else {
+            text.push_str(&spelled);
+            text.push(' ');
+        }
+    }
+    text
+}
+
 proptest! {
+    /// The canonical rendering is one spelling per query and the parser
+    /// reads it back: distinct parses can therefore never render — and
+    /// so never key the caches — alike.
+    #[test]
+    fn rendered_query_parses_back(seed in any::<u64>()) {
+        let query = arb_query(&mut TestRng::from_seed(seed));
+        let text = query.to_string();
+        prop_assert_eq!(parse(&text), Ok(query), "{}", text);
+    }
+
+    /// A shared key means a shared parse. The forward direction
+    /// (equivalent spellings share a key) is the `meta-spelling` oracle
+    /// of `s2s-conform`; this is the direction a cache is wrong without:
+    /// a key lexer of its own upper-cased `state=or` into `state=OR`'s
+    /// entry and glued `+ 5` into `+5`.
+    #[test]
+    fn shared_key_means_shared_parse(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let tokens = soup_tokens(&mut rng);
+        let (a, b) = (soup_spelling(&mut rng, &tokens), soup_spelling(&mut rng, &tokens));
+        if normalize(&a) == normalize(&b) {
+            prop_assert_eq!(parse(&a), parse(&b), "{:?} and {:?} share a key", a, b);
+        }
+    }
+
     /// Sorted emission and the vector closure change the order work is
     /// done in, never the answer: over generated reports the generator
     /// returns what the one it replaced (`tests/reference`) returns —

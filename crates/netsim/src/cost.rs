@@ -20,9 +20,9 @@ thread_local! {
 /// exchange: the caller executes an exchange under deferral, reads off
 /// how much wall time it *would* have blocked, and pays back only the
 /// longest (the engine's all-in-flight dispatch) or one sleep per
-/// virtual-clock advance (the event reactor). Scopes nest — a query
-/// running inside a reactor-driven client re-emits its paid-back time
-/// through [`pace_sleep`], which the outer scope captures in turn.
+/// virtual-clock advance (the E13 harness's event loop). Scopes nest —
+/// a query that loop runs re-emits its paid-back time through
+/// [`pace_sleep`], which the outer scope captures in turn.
 pub fn defer_pacing<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let prev = DEFERRED_PACE_US.with(|c| c.replace(Some(0)));
     let out = f();
@@ -205,8 +205,8 @@ impl CostModel {
     /// Blocks the calling thread for the paced real-time equivalent of
     /// `charged` simulated time. A no-op unless pacing is enabled.
     /// Inside a [`defer_pacing`] scope the sleep is accumulated rather
-    /// than taken, so an event reactor can pay it back per clock
-    /// advance instead of per blocked task.
+    /// than taken, so an event loop can pay it back per clock advance
+    /// instead of per blocked task.
     pub fn pace(&self, charged: SimDuration) {
         if self.pace_us_per_sim_ms == 0 {
             return;

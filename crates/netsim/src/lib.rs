@@ -30,11 +30,7 @@
 //!   counters,
 //! * [`admission`] — bounded admission with per-tenant deficit-round-
 //!   robin dequeue, early load shedding against deadline budgets, and
-//!   the percentile latency tracker behind hedged requests,
-//! * [`reactor`] — an event-driven scheduler over virtual time for
-//!   the throughput harness: clients are state machines advanced by
-//!   timer events instead of blocked threads, so one core holds
-//!   thousands of them. The engine does not schedule on it.
+//!   the percentile latency tracker behind hedged requests.
 //!
 //! Time is **virtual**: calls return a [`SimDuration`] cost instead of
 //! sleeping, so experiments are deterministic and fast while preserving
@@ -49,7 +45,6 @@ pub mod cost;
 pub mod endpoint;
 pub mod error;
 pub mod feed;
-pub mod reactor;
 pub mod retry;
 pub mod sched;
 pub mod wire;
@@ -63,7 +58,6 @@ pub use cost::{defer_pacing, pace_sleep, CostModel, SimDuration};
 pub use endpoint::{Endpoint, EndpointStats, FailureModel, FaultKind, FaultSchedule, RemoteCall};
 pub use error::NetError;
 pub use feed::{ChangeEvent, ChangeFeed, ChangeKind, FeedGap};
-pub use reactor::{EventTask, Poll, Reactor, ReactorStats};
 pub use retry::{invoke_with_retry, RetryOutcome, RetryPolicy};
 pub use sched::{makespan, Lanes};
 pub use wire::{decode, decode_batch, encode, encode_batch, Frame, FrameKind};

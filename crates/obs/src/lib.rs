@@ -18,7 +18,7 @@
 //!   and a Prometheus-style text snapshot. Each machine-readable format
 //!   ships with a minimal parser so CI can validate round-trips.
 //! * [`names`] — canonical metric-name constants for the concurrency
-//!   and caching layers (admission and reactor gauges, per-cache
+//!   and caching layers (admission gauges, per-cache
 //!   hit/miss/eviction counters), so emitters and audits cannot drift
 //!   apart on spelling.
 //!

@@ -269,7 +269,7 @@ impl Ontology {
     /// The first class in IRI order whose local name is `name`, ignoring
     /// ASCII case: one map lookup, where a scan of
     /// [`Ontology::classes`] would be linear in the ontology.
-    pub(crate) fn class_named(&self, name: &str) -> Option<&Iri> {
+    pub fn class_named(&self, name: &str) -> Option<&Iri> {
         self.tables().class_by_name.get(&name.to_ascii_lowercase())
     }
 

@@ -297,3 +297,80 @@ fn float_spellings_are_not_minted_as_decimals() {
     let turtle = outcome.render(s2s.ontology(), OutputFormat::Turtle);
     assert_eq!(s2s::rdf::turtle::parse(&turtle).unwrap(), outcome.instances.graph);
 }
+
+/// A supplier table whose `state` column holds a keyword in both cases:
+/// `OR`, `or` and `WA`.
+fn suppliers_by_state() -> S2s {
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Supplier", None)
+        .unwrap()
+        .datatype_property("state", "Supplier", "http://www.w3.org/2001/XMLSchema#string")
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut db = Database::new("d");
+    db.execute("CREATE TABLE s (state TEXT)").unwrap();
+    db.execute("INSERT INTO s VALUES ('OR'), ('or'), ('WA')").unwrap();
+    let mut s2s = S2s::new(ontology);
+    s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+    let rule = ExtractionRule::Sql { query: "SELECT state FROM s".into(), column: "state".into() };
+    s2s.register_attribute("thing.supplier.state", rule, "DB", RecordScenario::MultiRecord)
+        .unwrap();
+    s2s
+}
+
+/// The caches were keyed by a second lexer that upper-cased `or`
+/// wherever it stood as a word; the parser reads a bare word after an
+/// operator as a value. `state=or` issued after `state=OR` hit the
+/// `OR` entry and answered with the wrong supplier. The key is now the
+/// rendering of the parse, so the two never share an entry.
+#[test]
+fn keyword_valued_constraints_never_share_a_cache_entry() {
+    let states = |outcome: &s2s::core::middleware::QueryOutcome| -> Vec<String> {
+        outcome.individuals().iter().flat_map(|i| i.values.values().flatten().cloned()).collect()
+    };
+    for s2s in [suppliers_by_state(), suppliers_by_state().with_result_cache()] {
+        let upper = s2s.query("SELECT supplier WHERE state=OR").unwrap();
+        assert_eq!(states(&upper), ["OR"]);
+        let lower = s2s.query("SELECT supplier WHERE state=or").unwrap();
+        assert_eq!(states(&lower), ["or"]);
+        assert_eq!((lower.stats.plan_cache.hits, lower.stats.result_cache.hits), (0, 0));
+        // The spellings that *do* parse alike share the entry.
+        let quoted = s2s.query("select supplier where state = \"or\"").unwrap();
+        assert_eq!(states(&quoted), ["or"]);
+        assert_eq!(quoted.stats.plan_cache.hits + quoted.stats.result_cache.hits, 1);
+    }
+}
+
+/// `state = + 5` is a syntax error (`+` is the whole constraint, `5`
+/// trails it); the old key lexer spelled it like the well-formed
+/// `state = +5`, so once that was cached the malformed text was
+/// answered `Ok`.
+#[test]
+fn malformed_query_is_an_error_whatever_is_cached() {
+    let s2s = suppliers_by_state();
+    let malformed = "SELECT supplier WHERE state = + 5";
+    let cold = s2s.query(malformed).expect_err("cold");
+    assert_eq!(cold.code(), "s2s::query::syntax");
+    assert!(s2s.query("SELECT supplier WHERE state = +5").unwrap().individuals().is_empty());
+    assert_eq!(s2s.query(malformed).expect_err("after its twin was cached"), cold);
+}
+
+/// The query is parsed before the admission gate: on a saturated engine
+/// a malformed query is the client's error, not load to shed — nothing
+/// is queued and no permit is taken for it.
+#[test]
+fn malformed_query_on_a_saturated_engine_is_an_error_not_a_shed() {
+    let s2s = suppliers_by_state().with_admission(s2s::netsim::AdmissionConfig::with_permits(1));
+    let slot = s2s.admission().unwrap().admit("hog", None, false).unwrap();
+    let opts = s2s::QueryOptions::default()
+        .with_deadline(s2s::netsim::SimDuration::from_millis(1))
+        .with_tenant("meek");
+    let err = s2s.query_with_options("SELECT supplier WHERE", &opts).expect_err("malformed");
+    assert_eq!(err.code(), "s2s::query::syntax");
+    let well_formed = s2s.query_with_options("SELECT supplier", &opts).unwrap();
+    drop(slot);
+    assert!(well_formed.stats.shed);
+    let stats = s2s.admission_stats().unwrap();
+    assert_eq!((stats.admitted, stats.shed), (1, 1), "the hog and the one well-formed query");
+}
