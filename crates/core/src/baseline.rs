@@ -21,7 +21,7 @@
 use s2s_netsim::SimDuration;
 
 use crate::error::S2sError;
-use crate::extract::extract_one;
+use crate::extract::{extract_one, Values};
 use crate::mapping::{AttributeMapping, ExtractionRule, MappingModule, RecordScenario};
 use crate::source::{SourceId, SourceRegistry};
 
@@ -101,7 +101,7 @@ impl SyntacticIntegrator {
 
         for source in sources {
             let rules: Vec<&GlueRule> = self.glue.iter().filter(|g| g.source == source).collect();
-            let mut columns: Vec<(String, Vec<String>)> = Vec::new();
+            let mut columns: Vec<(String, Values)> = Vec::new();
             for g in &rules {
                 match run_raw(registry, g) {
                     Ok((values, elapsed)) => {
@@ -117,7 +117,7 @@ impl SyntacticIntegrator {
             for i in 0..records {
                 let fields = columns
                     .iter()
-                    .filter_map(|(f, v)| v.get(i).map(|x| (f.clone(), x.clone())))
+                    .filter_map(|(f, v)| v.get(i).map(|x| (f.clone(), x.to_string())))
                     .collect();
                 result.records.push(RawRecord { fields, source: source.to_string() });
             }
@@ -129,10 +129,7 @@ impl SyntacticIntegrator {
 /// Runs one glue rule through a throwaway mapping so the same wrappers
 /// and endpoints are exercised — the baseline differs in *architecture*
 /// (no ontology, no mediation), not in wrapper quality.
-fn run_raw(
-    registry: &SourceRegistry,
-    glue: &GlueRule,
-) -> Result<(Vec<String>, SimDuration), S2sError> {
+fn run_raw(registry: &SourceRegistry, glue: &GlueRule) -> Result<(Values, SimDuration), S2sError> {
     // A minimal throwaway ontology to host the mapping machinery.
     let onto = s2s_owl::Ontology::builder("http://baseline.invalid/#")
         .class("R", None)?

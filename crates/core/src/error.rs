@@ -112,6 +112,17 @@ pub enum S2sError {
         /// The source whose exchange exhausted the budget.
         source: String,
     },
+    /// A text-regex rule asks for a capture group its pattern does not
+    /// have; every match would silently contribute nothing.
+    NoSuchRegexGroup {
+        /// The rule's pattern.
+        pattern: String,
+        /// The group index the rule asks for.
+        group: usize,
+        /// How many capture groups the pattern has (group 0, the whole
+        /// match, not counted).
+        groups: usize,
+    },
     /// Automatic mapping bootstrap failed for a source (empty schema,
     /// non-HTML web page, resolving a field that has no conflict, …).
     Bootstrap {
@@ -166,6 +177,7 @@ impl S2sError {
             S2sError::Net(_) => "s2s::net",
             S2sError::CircuitOpen { .. } => "s2s::resilience::circuit_open",
             S2sError::DeadlineExceeded { .. } => "s2s::resilience::deadline_exceeded",
+            S2sError::NoSuchRegexGroup { .. } => "s2s::regex::no_such_group",
             S2sError::Bootstrap { .. } => "s2s::bootstrap::failed",
         }
     }
@@ -204,6 +216,11 @@ impl S2sError {
             S2sError::Rdf(RdfError::NestingTooDeep { .. }) => Some(
                 "name the nested blank nodes (`_:b1`) and state their properties as top-level \
                  statements",
+            ),
+            S2sError::NoSuchRegexGroup { .. } => Some(
+                "use a group the pattern has: 0 is the whole match, 1 up to the capture-group \
+                 count named in the message its parenthesised groups, left to right; `(?:...)` \
+                 groups are not counted",
             ),
             S2sError::Bootstrap { .. } => Some(
                 "inspect the BootstrapReport's conflicts; resolve ambiguous fields with \
@@ -246,6 +263,9 @@ impl fmt::Display for S2sError {
             }
             S2sError::DeadlineExceeded { source } => {
                 write!(f, "deadline budget exhausted during exchange with source `{source}`")
+            }
+            S2sError::NoSuchRegexGroup { pattern, group, groups } => {
+                write!(f, "regex rule asks for group {group} of `{pattern}`, which has {groups}")
             }
             S2sError::Bootstrap { source, message } => {
                 write!(f, "bootstrap failed for source `{source}`: {message}")

@@ -37,13 +37,18 @@ use crate::mapping::{AttributeMapping, ExtractionRule, MappingModule, RecordScen
 use crate::rules::{CompiledRule, RuleCache};
 use crate::source::{Connection, RegisteredSource, SourceRegistry};
 
+mod values;
+
+pub use values::Values;
+
 /// One unit of extraction work: an attribute, its rule, its source
 /// (paper §2.4.1: "extraction schemas of the required attributes").
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionSchema {
-    /// The mapping driving this extraction (its rule rewritten by the
-    /// federated planner, [`crate::planner`], when pushdown is on).
-    pub mapping: AttributeMapping,
+    /// The mapping driving this extraction, shared with the Mapping
+    /// Module that holds it (a fresh one when the federated planner,
+    /// [`crate::planner`], rewrote its rule).
+    pub mapping: Arc<AttributeMapping>,
 }
 
 /// How far a query's wire exchanges overlap — on both clocks: the
@@ -83,9 +88,9 @@ impl Strategy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeResult {
     /// The mapping that produced the values.
-    pub mapping: AttributeMapping,
+    pub mapping: Arc<AttributeMapping>,
     /// The raw data fragments, one per record.
-    pub values: Vec<String>,
+    pub values: Values,
     /// Simulated network + service time of this extraction.
     pub elapsed: SimDuration,
 }
@@ -324,11 +329,11 @@ impl ExtractorManager {
     ) -> Result<Vec<ExtractionSchema>, S2sError> {
         let mut schemas = Vec::new();
         for p in paths {
-            let mappings = module.mappings_for(p);
+            let mappings = module.shared_mappings_for(p);
             if mappings.is_empty() {
                 return Err(S2sError::UnmappedAttribute { attribute: p.to_string() });
             }
-            schemas.extend(mappings.into_iter().map(|m| ExtractionSchema { mapping: m.clone() }));
+            schemas.extend(mappings.iter().map(|m| ExtractionSchema { mapping: Arc::clone(m) }));
         }
         Ok(schemas)
     }
@@ -512,7 +517,7 @@ struct PlannedBatch<'a> {
     /// per-schema group.
     salt: String,
     /// Wrapper-successful schemas: submission index, schema, values.
-    ok: Vec<(usize, ExtractionSchema, Vec<String>)>,
+    ok: Vec<(usize, ExtractionSchema, Values)>,
     /// Wrapper-failed schemas (these never reach the wire).
     failed: Vec<(usize, ExtractionSchema, S2sError)>,
     /// Total on-wire bytes of the coalesced exchange.
@@ -594,8 +599,7 @@ fn plan_batches<'a>(
         } else {
             let request_lens: Vec<usize> =
                 ok.iter().map(|(_, s, _)| s.mapping.rule().text().len()).collect();
-            let response_lens: Vec<usize> =
-                ok.iter().map(|(_, _, v)| v.iter().map(String::len).sum()).collect();
+            let response_lens: Vec<usize> = ok.iter().map(|(_, _, v)| v.text_len()).collect();
             (
                 batch_exchange_size(request_lens.iter().copied(), response_lens.iter().copied()),
                 batch_frame_size(response_lens.iter().copied()),
@@ -719,13 +723,12 @@ fn fill_breaker_states(
 pub fn extract_one(
     registry: &SourceRegistry,
     mapping: &AttributeMapping,
-) -> Result<(Vec<String>, SimDuration), S2sError> {
+) -> Result<(Values, SimDuration), S2sError> {
     let source = registry.require(mapping.source())?;
     // A one-off run outside any query: its rule-cache lookup goes to a
     // throwaway cache and account.
     let values = prepare(registry, mapping, &RuleCache::new(), &mut CacheStats::default())?;
-    let response_len: usize = values.iter().map(String::len).sum();
-    let bytes = exchange_size(mapping.rule().text().len(), response_len);
+    let bytes = exchange_size(mapping.rule().text().len(), values.text_len());
     let call = source.endpoint().invoke(bytes, || ())?;
     Ok((values, call.elapsed))
 }
@@ -922,7 +925,7 @@ fn prepare(
     mapping: &AttributeMapping,
     rules: &RuleCache,
     account: &mut CacheStats,
-) -> Result<Vec<String>, S2sError> {
+) -> Result<Values, S2sError> {
     let source = registry.require(mapping.source())?;
     if !mapping.rule().compatible_with(source.kind()) {
         return Err(S2sError::RuleSourceMismatch {
@@ -945,77 +948,94 @@ fn prepare(
 /// Dispatches to the per-source-type extractor (paper: "for Web pages,
 /// the extraction rules are delegated to a Web wrapper, for databases to
 /// a database extractor, and so on"), executing the cached compiled
-/// form of the rule.
+/// form of the rule. Every arm writes what its substrate hands it —
+/// borrowed from the source's own storage wherever the source holds the
+/// text — straight into the one column it returns.
 fn run_wrapper(
     connection: &Connection,
     rule: &ExtractionRule,
     rules: &RuleCache,
     account: &mut CacheStats,
-) -> Result<Vec<String>, S2sError> {
+) -> Result<Values, S2sError> {
     let compiled = rules.get_or_compile(rule, account)?;
+    let mut values = Values::new();
     match (connection, compiled) {
         (Connection::Database { db }, CompiledRule::Sql(stmt)) => {
             let ExtractionRule::Sql { column, .. } = rule else { unreachable!() };
-            Ok(db.query_column(&stmt, column)?)
+            db.query_column_each(&stmt, column, |v| {
+                values.push_with(|text| {
+                    v.write_to(text).expect("writing to a String cannot fail");
+                });
+            })?;
         }
         (Connection::Xml { document }, CompiledRule::XPath(xpath)) => {
-            Ok(xpath.eval_strings(document))
+            xpath.each_string(document, |s| values.push(s));
         }
-        (Connection::Xml { document }, CompiledRule::XQuery(xquery)) => Ok(xquery.eval(document)),
+        (Connection::Xml { document }, CompiledRule::XQuery(xquery)) => {
+            xquery.each_string(document, |s| values.push(s));
+        }
         (Connection::Web { store, url }, CompiledRule::Webl(program)) => {
-            run_webl(&program, store, url, true)
+            run_webl(&program, store, url, true, &mut values)?;
         }
         (Connection::Text { store, url }, CompiledRule::Webl(program)) => {
-            run_webl(&program, store, url, false)
+            run_webl(&program, store, url, false, &mut values)?;
         }
         (
             Connection::Web { store, url } | Connection::Text { store, url },
             CompiledRule::Regex(re),
         ) => {
-            let ExtractionRule::TextRegex { group, .. } = rule else { unreachable!() };
+            let ExtractionRule::TextRegex { pattern, group } = rule else { unreachable!() };
+            // Checked per rule: the compiled pattern is shared by every
+            // rule that spells it, whichever group each one asks for.
+            if *group > re.capture_count() {
+                return Err(S2sError::NoSuchRegexGroup {
+                    pattern: pattern.clone(),
+                    group: *group,
+                    groups: re.capture_count(),
+                });
+            }
             let text = store.fetch(url)?.text();
-            Ok(re
-                .find_iter(&text)
-                .filter_map(|m| m.get(*group).map(|c| c.text().to_string()))
-                .collect())
+            // A group the pattern has but this match did not go through
+            // (one side of an alternation) contributes nothing.
+            re.find_iter(&text).filter_map(|m| m.get(*group)).for_each(|c| values.push(c.text()));
         }
-        _ => Err(S2sError::RuleSourceMismatch {
-            attribute: String::new(),
-            message: "unsupported rule/source combination".to_string(),
-        }),
+        _ => {
+            return Err(S2sError::RuleSourceMismatch {
+                attribute: String::new(),
+                message: "unsupported rule/source combination".to_string(),
+            })
+        }
     }
+    Ok(values)
 }
 
 /// Runs a compiled WebL program against a fetched page with the
-/// standard `PAGE`/`URL` bindings; `html` distinguishes the web wrapper
-/// from the plain-text extractor.
+/// standard `PAGE`/`URL` bindings and flattens its result into
+/// `values`: a list contributes one value per item, anything else its
+/// text unless that is empty. `html` distinguishes the web wrapper from
+/// the plain-text extractor.
 fn run_webl(
     program: &WeblProgram,
     store: &Arc<WebStore>,
     url: &str,
     html: bool,
-) -> Result<Vec<String>, S2sError> {
+    values: &mut Values,
+) -> Result<(), S2sError> {
     let doc = store.fetch(url)?;
     let doc = if html { doc.clone() } else { doc.as_plain_text() };
     let mut env = BTreeMap::new();
     env.insert("PAGE".to_string(), WeblValue::Page { url: url.to_string(), doc });
     env.insert("URL".to_string(), WeblValue::Str(url.to_string()));
-    let value = program.run_with(store, env)?;
-    Ok(flatten_webl(value))
-}
-
-fn flatten_webl(value: WeblValue) -> Vec<String> {
-    match value {
-        WeblValue::List(items) => items.iter().map(WeblValue::to_text).collect(),
+    match program.run_with(store, env)? {
+        WeblValue::List(items) => items.iter().for_each(|item| values.push(&item.text())),
         other => {
-            let t = other.to_text();
-            if t.is_empty() {
-                Vec::new()
-            } else {
-                vec![t]
+            let text = other.text();
+            if !text.is_empty() {
+                values.push(&text);
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1214,6 +1234,32 @@ mod tests {
     }
 
     #[test]
+    fn regex_group_that_sat_out_a_match_is_skipped_not_an_error() {
+        let o = onto();
+        let r = registry();
+        let extract = |group| {
+            let mut m = MappingModule::new();
+            m.register(
+                &o,
+                "thing.product.brand".parse().unwrap(),
+                ExtractionRule::TextRegex { pattern: r"brand: (F\w+)|brand: (T\w+)".into(), group },
+                "txt_1".into(),
+                RecordScenario::MultiRecord,
+            )
+            .unwrap();
+            let mapping = m.iter().next().unwrap().clone();
+            extract_one(&r, &mapping).map(|(values, _)| values)
+        };
+        // Each match goes through one side of the alternation only.
+        assert_eq!(extract(0).unwrap(), ["brand: Fossil", "brand: Timex"]);
+        assert_eq!(extract(1).unwrap(), ["Fossil"]);
+        assert_eq!(extract(2).unwrap(), ["Timex"]);
+        let err = extract(3).expect_err("the pattern has two groups");
+        assert_eq!(err.code(), "s2s::regex::no_such_group");
+        assert_eq!(err.failure_class(), FailureClass::Permanent);
+    }
+
+    #[test]
     fn rule_source_mismatch_detected() {
         let o = onto();
         let r = registry();
@@ -1325,7 +1371,10 @@ mod tests {
         let mut values: Vec<(String, Vec<String>)> = rep
             .results
             .iter()
-            .map(|x| (format!("{}@{}", x.mapping.path(), x.mapping.source()), x.values.clone()))
+            .map(|x| {
+                let values = x.values.iter().map(String::from).collect();
+                (format!("{}@{}", x.mapping.path(), x.mapping.source()), values)
+            })
             .collect();
         values.sort();
         let mut failures: Vec<String> = rep

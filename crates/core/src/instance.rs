@@ -21,7 +21,7 @@ use s2s_rdf::turtle::PrefixMap;
 use s2s_rdf::vocab::{rdf as rdfv, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 
-use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport};
+use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
 use crate::mapping::RecordScenario;
 use crate::query::QueryPlan;
 
@@ -111,7 +111,7 @@ pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport
 /// change from record to record resolved once.
 struct Column<'a> {
     property: &'a Iri,
-    values: &'a [String],
+    values: &'a Values,
     scenario: RecordScenario,
     /// Whether the plan's projection (if any) outputs the property.
     projected: bool,
@@ -130,7 +130,6 @@ impl<'a> Column<'a> {
             RecordScenario::SingleRecord => self.values.first(),
             RecordScenario::MultiRecord => self.values.get(i),
         }
-        .map(String::as_str)
     }
 
     /// The object `value` becomes. An object property mints an
@@ -532,8 +531,8 @@ mod tests {
         .unwrap();
         let mapping = m.iter().next().unwrap().clone();
         AttributeResult {
-            mapping,
-            values: values.iter().map(|s| s.to_string()).collect(),
+            mapping: mapping.into(),
+            values: values.iter().collect(),
             elapsed: SimDuration::from_micros(10),
         }
     }

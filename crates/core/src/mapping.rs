@@ -17,6 +17,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use s2s_owl::paths::ResolvedAttribute;
 use s2s_owl::{AttributePath, Ontology};
@@ -192,8 +193,9 @@ impl AttributeMapping {
 /// paper's `(attribute path, source id)` pair.
 #[derive(Debug, Clone, Default)]
 pub struct MappingModule {
-    /// path → its mappings, one per source, in [`source_order`].
-    by_path: BTreeMap<AttributePath, Vec<AttributeMapping>>,
+    /// path → its mappings, one per source, in [`source_order`]; each
+    /// shared with the extraction schemas of the queries that read it.
+    by_path: BTreeMap<AttributePath, Vec<Arc<AttributeMapping>>>,
 }
 
 /// Orders the sources of one path: case-folded with `_` read as `-`
@@ -236,10 +238,13 @@ impl MappingModule {
         scenario: RecordScenario,
     ) -> Result<Option<AttributeMapping>, S2sError> {
         let resolved = path.resolve(ontology)?;
-        let mapping = AttributeMapping { path: path.clone(), resolved, rule, source, scenario };
+        let mapping =
+            Arc::new(AttributeMapping { path: path.clone(), resolved, rule, source, scenario });
         let sources = self.by_path.entry(path).or_default();
         Ok(match sources.binary_search_by(|held| source_order(&held.source, &mapping.source)) {
-            Ok(at) => Some(std::mem::replace(&mut sources[at], mapping)),
+            // A query still holding the displaced mapping keeps its own
+            // share; the caller gets a copy only then.
+            Ok(at) => Some(Arc::unwrap_or_clone(std::mem::replace(&mut sources[at], mapping))),
             Err(at) => {
                 // Grown exactly: most paths have one source, and a `Vec`
                 // grown the amortized way starts with room for four.
@@ -252,12 +257,18 @@ impl MappingModule {
 
     /// All mappings for `path`, across sources.
     pub fn mappings_for(&self, path: &AttributePath) -> Vec<&AttributeMapping> {
-        self.by_path.get(path).map(|sources| sources.iter().collect()).unwrap_or_default()
+        self.shared_mappings_for(path).iter().map(Arc::as_ref).collect()
+    }
+
+    /// [`MappingModule::mappings_for`] as the module holds them: a
+    /// query takes a share of each (a pointer bump) instead of a copy.
+    pub fn shared_mappings_for(&self, path: &AttributePath) -> &[Arc<AttributeMapping>] {
+        self.by_path.get(path).map_or(&[], Vec::as_slice)
     }
 
     /// Every mapping, in key order.
     pub fn iter(&self) -> impl Iterator<Item = &AttributeMapping> {
-        self.by_path.values().flatten()
+        self.by_path.values().flatten().map(Arc::as_ref)
     }
 
     /// Number of registered mappings.

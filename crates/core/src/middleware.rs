@@ -21,7 +21,7 @@ use crate::engine::{
 use crate::error::S2sError;
 use crate::extract::{
     AttributeResult, ExtractEnv, ExtractionFailure, ExtractorManager, ResilienceContext,
-    ResiliencePolicy, SourceHealth, Strategy,
+    ResiliencePolicy, SourceHealth, Strategy, Values,
 };
 use crate::instance::{self, GenerateOptions, Individual, InstanceSet, OutputFormat};
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
@@ -992,8 +992,10 @@ impl S2s {
                     let serve =
                         |slice: crate::view::ViewSlice, view_results: &mut Vec<AttributeResult>| {
                             view_results.push(AttributeResult {
-                                mapping: s.mapping.clone(),
-                                values: slice.values.as_ref().clone(),
+                                mapping: Arc::clone(&s.mapping),
+                                // The report owns its columns; the
+                                // store keeps serving this one.
+                                values: Values::clone(&slice.values),
                                 elapsed: SimDuration::ZERO,
                             });
                         };

@@ -29,6 +29,7 @@
 //! predicates pushed (filtering would change which record is "first").
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use s2s_minidb::{CmpOp, ColumnRef, DataType, Database, Expr, Operand, SelectStmt, Value};
 use s2s_rdf::Iri;
@@ -202,7 +203,7 @@ pub fn plan_pushdown(
     for (i, replacement) in surviving {
         let old = &schemas[i];
         out.push(match replacement {
-            Some(rule) => ExtractionSchema { mapping: old.mapping.with_rule(rule) },
+            Some(rule) => ExtractionSchema { mapping: Arc::new(old.mapping.with_rule(rule)) },
             None => old.clone(),
         });
     }
@@ -210,7 +211,7 @@ pub fn plan_pushdown(
 }
 
 fn describe(c: &ResolvedCondition) -> String {
-    format!("{} {} {}", c.property.local_name(), c.op, c.value)
+    format!("{} {} {}", c.property.local_name(), c.op(), c.value())
 }
 
 fn cmp_of(op: CondOp) -> Option<CmpOp> {
@@ -266,12 +267,12 @@ fn rewrite_db(
     for c in conjuncts {
         let Some(column) = column_of(&c.property) else { continue };
         let Some(idx) = table.column_index(column) else { continue };
-        let number = c.value.parse::<f64>().ok();
-        let expr = match (table.columns()[idx].data_type(), c.op, number) {
+        let number = c.value().parse::<f64>().ok();
+        let expr = match (table.columns()[idx].data_type(), c.op(), number) {
             // LIKE is text pattern matching on both sides.
             (DataType::Text, CondOp::Like, _) => Expr::Like {
                 column: ColumnRef::new(column),
-                pattern: c.value.clone(),
+                pattern: c.value().to_string(),
                 negated: false,
             },
             // Numeric column + numeric literal: SQL compares
@@ -280,7 +281,7 @@ fn rewrite_db(
             // column names) and `f64` holds exactly (past 2^53 SQL's
             // exact integer comparison and the f64 one part ways).
             (DataType::Integer | DataType::Real, op, Some(n)) if n.abs() < MAX_EXACT => {
-                let value = c.value.parse::<i64>().map_or(Value::Float(n), Value::Int);
+                let value = c.value().parse::<i64>().map_or(Value::Float(n), Value::Int);
                 Expr::Compare {
                     left: ColumnRef::new(column),
                     op: cmp_of(op)?,
@@ -294,7 +295,7 @@ fn rewrite_db(
             (DataType::Text, op, None) => Expr::Compare {
                 left: ColumnRef::new(column),
                 op: cmp_of(op)?,
-                right: Operand::Literal(Value::Text(c.value.clone())),
+                right: Operand::Literal(Value::Text(c.value().to_string())),
             },
             _ => continue,
         };
@@ -346,10 +347,10 @@ fn rewrite_xml(
 
     let mut desc = Vec::new();
     for c in conjuncts {
-        if c.op == CondOp::Like {
+        if c.op() == CondOp::Like {
             continue;
         }
-        if c.op == CondOp::Eq && c.value.parse::<f64>().is_ok() {
+        if c.op() == CondOp::Eq && c.value().parse::<f64>().is_ok() {
             continue;
         }
         let Some(guard) = guard_of(&c.property) else { continue };
@@ -357,7 +358,7 @@ fn rewrite_xml(
         // accept the splice or value lists would misalign.
         let Ok(next) = paths
             .iter()
-            .map(|p| push_child_predicate(p, &guard, c.op, &c.value))
+            .map(|p| push_child_predicate(p, &guard, c.op(), c.value()))
             .collect::<Result<Vec<_>, _>>()
         else {
             continue;
@@ -419,7 +420,7 @@ fn rewrite_webl(
         return None;
     }
     let specs: Vec<GuardSpec<'_>> =
-        guards.iter().map(|(g, c)| (g.as_str(), c.op, c.value.as_str())).collect();
+        guards.iter().map(|(g, c)| (g.as_str(), c.op(), c.value())).collect();
     // All-or-nothing for the whole source: a rule that cannot take the
     // guard set leaves the source un-pushed rather than misaligned.
     let programs =

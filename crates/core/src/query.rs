@@ -23,6 +23,7 @@ use std::fmt;
 
 use s2s_owl::{AttributePath, Ontology, PropertyKind, Reasoner};
 use s2s_rdf::Iri;
+use s2s_textmatch::Comparand;
 
 use crate::error::S2sError;
 
@@ -136,10 +137,27 @@ impl fmt::Display for S2sqlQuery {
 pub struct ResolvedCondition {
     /// The property the attribute resolved to.
     pub property: Iri,
+    /// The operator and the constraint text, read once when the query
+    /// was planned (plans are cached: once per distinct query) rather
+    /// than once per candidate value.
+    comparand: Comparand,
+}
+
+impl ResolvedCondition {
+    /// `property op value`.
+    pub fn new(property: Iri, op: CondOp, value: impl Into<String>) -> Self {
+        ResolvedCondition { property, comparand: Comparand::new(op, value.into()) }
+    }
+
     /// The operator.
-    pub op: CondOp,
+    pub fn op(&self) -> CondOp {
+        self.comparand.op()
+    }
+
     /// The constraint text.
-    pub value: String,
+    pub fn value(&self) -> &str {
+        self.comparand.constant()
+    }
 }
 
 /// A resolved boolean condition tree.
@@ -359,11 +377,7 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
                             ),
                         })?
                 };
-                ConditionTree::Leaf(ResolvedCondition {
-                    property,
-                    op: c.op,
-                    value: c.value.clone(),
-                })
+                ConditionTree::Leaf(ResolvedCondition::new(property, c.op, c.value.clone()))
             }
             ConditionExpr::And(a, b) => ConditionTree::And(
                 Box::new(resolve_tree(a, class, properties, ontology)?),
@@ -418,11 +432,11 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
 }
 
 /// Evaluates one resolved condition against a candidate value
-/// ([`CondOp::holds`]: numeric when both sides parse as numbers,
+/// ([`Comparand::test`]: numeric when both sides parse as numbers,
 /// string comparison otherwise, `%`/`_` wildcards for `LIKE`).
 #[inline]
 pub fn condition_matches(cond: &ResolvedCondition, value: &str) -> bool {
-    cond.op.holds(value, &cond.value)
+    cond.comparand.test(value)
 }
 
 /// Deepest `WHERE` condition accepted, counted both as nesting of
@@ -978,10 +992,8 @@ mod tests {
 
     #[test]
     fn condition_matching_semantics() {
-        let c = |op, value: &str| ResolvedCondition {
-            property: Iri::new("http://x.org/p").unwrap(),
-            op,
-            value: value.to_string(),
+        let c = |op, value: &str| {
+            ResolvedCondition::new(Iri::new("http://x.org/p").unwrap(), op, value)
         };
         assert!(condition_matches(&c(CondOp::Eq, "Seiko"), "Seiko"));
         assert!(!condition_matches(&c(CondOp::Eq, "Seiko"), "seiko"));

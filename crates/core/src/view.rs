@@ -37,12 +37,14 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use s2s_netsim::SimDuration;
 
+use crate::extract::Values;
+
 /// One materialized slice served out of [`SemanticViews`].
 #[derive(Debug, Clone)]
 pub struct ViewSlice {
     /// The extracted values (aligned per record for multi-record
-    /// sources).
-    pub values: Arc<Vec<String>>,
+    /// sources), shared with the store: a lookup copies nothing.
+    pub values: Arc<Values>,
     /// The source data version the values reflect.
     pub version: u64,
     /// Simulated instant the slice was last extracted or verified
@@ -53,7 +55,7 @@ pub struct ViewSlice {
 #[derive(Debug)]
 struct ViewEntry {
     rule: String,
-    values: Arc<Vec<String>>,
+    values: Arc<Values>,
     version: u64,
     refreshed_at: SimDuration,
 }
@@ -112,7 +114,7 @@ impl SemanticViews {
         source: &str,
         path: &str,
         rule: &str,
-        values: Vec<String>,
+        values: Values,
         version: u64,
         now: SimDuration,
     ) {
@@ -215,9 +217,9 @@ mod tests {
     #[test]
     fn lookup_requires_matching_rule() {
         let views = SemanticViews::new();
-        views.store("S", "thing.a.p", "SELECT p", vec!["1".into()], 3, SimDuration::ZERO);
+        views.store("S", "thing.a.p", "SELECT p", Values::from_iter(["1"]), 3, SimDuration::ZERO);
         let slice = views.lookup("S", "thing.a.p", "SELECT p").expect("materialized");
-        assert_eq!(slice.values.as_slice(), ["1"]);
+        assert_eq!(*slice.values, ["1"]);
         assert_eq!(slice.version, 3);
         assert!(views.lookup("S", "thing.a.p", "SELECT q").is_none(), "edited rule misses");
         assert!(views.lookup("T", "thing.a.p", "SELECT p").is_none());
@@ -226,7 +228,7 @@ mod tests {
     #[test]
     fn advance_moves_version_and_refresh_instant_forward() {
         let views = SemanticViews::new();
-        views.store("S", "p", "r", vec![], 1, SimDuration::ZERO);
+        views.store("S", "p", "r", Values::new(), 1, SimDuration::ZERO);
         views.advance("S", "p", 4, SimDuration::from_micros(7));
         let slice = views.lookup("S", "p", "r").unwrap();
         assert_eq!(slice.version, 4);
@@ -239,9 +241,9 @@ mod tests {
     #[test]
     fn remove_source_is_surgical_and_clear_is_not() {
         let views = SemanticViews::new();
-        views.store("A", "p", "r", vec![], 1, SimDuration::ZERO);
-        views.store("A", "q", "r", vec![], 1, SimDuration::ZERO);
-        views.store("B", "p", "r", vec![], 1, SimDuration::ZERO);
+        views.store("A", "p", "r", Values::new(), 1, SimDuration::ZERO);
+        views.store("A", "q", "r", Values::new(), 1, SimDuration::ZERO);
+        views.store("B", "p", "r", Values::new(), 1, SimDuration::ZERO);
         assert_eq!(views.remove_source("A"), 2);
         assert_eq!(views.len(), 1);
         assert!(views.lookup("B", "p", "r").is_some());

@@ -3,7 +3,10 @@
 //! source id, one map node, a `Vec` and a `String` per value — and one
 //! block per literal), the graph's tree nodes come on top per triple,
 //! everything else is vectors that double, and a record the condition
-//! rejects allocates nothing.
+//! rejects allocates nothing. And of the pipeline before it: a value
+//! costs nothing between its source and the generator — a column is
+//! two blocks however long, moved from the wrapper to the report, and
+//! copied once (two blocks) when a view serves or keeps it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,6 +15,8 @@ use s2s_core::extract::{AttributeResult, ExtractionReport};
 use s2s_core::instance::{generate, InstanceSet};
 use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
 use s2s_core::query::{parse, plan};
+use s2s_core::source::Connection;
+use s2s_core::S2s;
 use s2s_netsim::SimDuration;
 use s2s_owl::Ontology;
 
@@ -93,7 +98,7 @@ fn report(ontology: &Ontology, records: usize) -> ExtractionReport {
     let results = module
         .iter()
         .map(|mapping| AttributeResult {
-            mapping: mapping.clone(),
+            mapping: mapping.clone().into(),
             values: (0..records)
                 .map(|i| match mapping.property().local_name() {
                     "brand" => format!("brand{}", i % 17),
@@ -146,4 +151,74 @@ fn rejected_records_allocate_nothing() {
     let (_, large) = generated("SELECT watch WHERE brand='none'", 2_000);
     assert_eq!(small, large, "allocations grew with the records rejected");
     assert!(small <= REMAINDER, "{small} allocations for an empty answer");
+}
+
+/// An engine over one database of `rows` watches (brand, price) and one
+/// XML catalog of as many, nothing cached but compiled rules and plans.
+fn engine(rows: usize, views: bool) -> S2s {
+    let mut db = s2s_minidb::Database::new("budget");
+    db.execute("CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT, price REAL)").unwrap();
+    let mut xml = String::from("<c>");
+    for i in 0..rows {
+        db.execute(&format!("INSERT INTO w VALUES ({i}, 'brand{}', {}.5)", i % 17, i % 300))
+            .unwrap();
+        xml.push_str(&format!("<w><b>brand{}</b><p>{}.5</p></w>", i % 17, i % 300));
+    }
+    xml.push_str("</c>");
+    let s2s = S2s::new(ontology());
+    let mut s2s = if views { s2s.with_views() } else { s2s };
+    s2s.register_source("DB", Connection::Database { db: db.into() }).unwrap();
+    let document = s2s_xml::parse(&xml).unwrap().into();
+    s2s.register_source("XML", Connection::Xml { document }).unwrap();
+    let sql = |column: &str| ExtractionRule::Sql {
+        query: format!("SELECT {column} FROM w ORDER BY id"),
+        column: column.into(),
+    };
+    let xpath = |field: &str| ExtractionRule::XPath { path: format!("/c/w/{field}/text()") };
+    for (attribute, rule, source) in [
+        ("brand", sql("brand"), "DB"),
+        ("price", sql("price"), "DB"),
+        ("brand", xpath("b"), "XML"),
+        ("price", xpath("p"), "XML"),
+    ] {
+        let path = format!("thing.product.{attribute}");
+        s2s.register_attribute(&path, rule, source, RecordScenario::MultiRecord).unwrap();
+    }
+    s2s
+}
+
+/// Blocks one warm query costs that reads four `rows`-value columns and
+/// keeps no record (so the generator adds nothing per record).
+fn query_cost(rows: usize, views: bool) -> usize {
+    let s2s = engine(rows, views);
+    let query = "SELECT product WHERE brand='none'";
+    // Warm: rules compiled, plan cached, views (if any) materialized.
+    assert!(s2s.query(query).unwrap().individuals().is_empty());
+    let (outcome, n) = allocations(|| s2s.query(query).unwrap());
+    assert!(outcome.errors().is_empty(), "{:?}", outcome.errors());
+    assert_eq!(outcome.stats.view_hits, if views { 4 } else { 0 });
+    n
+}
+
+/// Each of a query's vectors that grow by doubling (per column: row
+/// chains or step buffers, text, offsets) may grow once more when the
+/// rows double; nothing may grow per value.
+const DOUBLINGS: usize = 4 * 5;
+
+#[test]
+fn an_extracted_column_is_moved_from_wrapper_to_generator() {
+    let (small, large) = (query_cost(2_000, false), query_cost(4_000, false));
+    // 233 then 245 when this was written.
+    assert!(small <= 300, "{small} allocations for four 2 000-value columns");
+    assert!(large <= small + DOUBLINGS, "{small} allocations at 2 000 rows, {large} at 4 000");
+}
+
+#[test]
+fn a_view_served_slice_clones_two_blocks() {
+    let (small, large) = (query_cost(2_000, true), query_cost(4_000, true));
+    // 90 at either length when this was written.
+    assert_eq!(small, large, "a view hit copies a column: two blocks at any length");
+    // Against the same query with nothing to serve it: the four wrapper
+    // runs are gone, two blocks per slice came instead.
+    assert!(small <= query_cost(2_000, false), "{small} allocations for four view hits");
 }

@@ -1,8 +1,9 @@
 //! Property tests for the middleware: the full pipeline returns exactly
 //! the records matching the query, across strategies and source types,
 //! the Instance Generator agrees with the one it replaced
-//! (`tests/reference`) on generated extraction reports, and the cache
-//! key of a query text says exactly what the parser read in it.
+//! (`tests/reference`) on generated extraction reports, the cache key
+//! of a query text says exactly what the parser read in it, and a packed
+//! column reads back as the list of strings it was built from.
 
 mod reference;
 
@@ -13,7 +14,7 @@ use proptest::TestRng;
 use s2s_core::error::S2sError;
 use s2s_core::extract::{
     extract_one, AttributeResult, ExtractionFailure, ExtractionReport, ExtractorManager,
-    Strategy as ExecStrategy,
+    Strategy as ExecStrategy, Values,
 };
 use s2s_core::instance::{generate_with_options, GenerateOptions};
 use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
@@ -228,7 +229,7 @@ fn catalog_report(rng: &mut TestRng, ontology: &Ontology) -> ExtractionReport {
                 RecordScenario::MultiRecord => records.saturating_sub(rng.below(3) * rng.below(3)),
             };
             AttributeResult {
-                mapping: mapping.clone(),
+                mapping: mapping.clone().into(),
                 values: (0..len).map(|_| pool[rng.below(pool.len())].to_string()).collect(),
                 elapsed: s2s_netsim::SimDuration::from_micros(10),
             }
@@ -487,20 +488,17 @@ proptest! {
             .unwrap();
         let schemas = ExtractorManager::obtain_schemas(&module, &[path]).unwrap();
         // The candidate as the mediator sees it: the column rendered.
-        let candidate = extract_one(&registry, &schemas[0].mapping).unwrap().0.remove(0);
+        let candidate = extract_one(&registry, &schemas[0].mapping).unwrap().0;
+        let candidate = candidate.first().expect("one row, one value");
 
-        let cond = ResolvedCondition {
-            property: ontology.property_iri("brand").unwrap(),
-            op,
-            value: constant,
-        };
+        let cond = ResolvedCondition::new(ontology.property_iri("brand").unwrap(), op, constant);
         let tree = ConditionTree::Leaf(cond.clone());
         let (pushed, plan) = plan_pushdown(&registry, &schemas, Some(&tree), None);
         prop_assert_eq!(plan.pushed_predicates(), 1, "inside the gates: {:?}", cond);
         let survived = !extract_one(&registry, &pushed[0].mapping).unwrap().0.is_empty();
         prop_assert_eq!(
             survived,
-            condition_matches(&cond, &candidate),
+            condition_matches(&cond, candidate),
             "{} on a {} column holding {}",
             pushed[0].mapping.rule().text(),
             ty,
@@ -587,6 +585,42 @@ proptest! {
         prop_assert_eq!(type_triples, outcome.individuals().len());
     }
 
+    /// A packed column is the list of strings pushed into it: any text
+    /// (empty strings and multi-byte characters included), any length up
+    /// to well past a real column's, read back by index, by iteration
+    /// and after a truncation, with nothing past the end.
+    #[test]
+    fn packed_column_is_the_list_it_stands_for(
+        list in proptest::collection::vec(any::<String>(), 0..40),
+        repeats in 1usize..300,
+        keep in 0usize..50,
+    ) {
+        // Up to ~12 000 values: the generated list over and over.
+        let list: Vec<&str> =
+            list.iter().map(String::as_str).cycle().take(list.len() * repeats).collect();
+        let packed: Values = list.iter().collect();
+        prop_assert_eq!(packed.len(), list.len());
+        prop_assert_eq!(packed.is_empty(), list.is_empty());
+        prop_assert_eq!(packed.text_len(), list.iter().map(|s| s.len()).sum::<usize>());
+        prop_assert_eq!(packed.iter().collect::<Vec<_>>(), list.clone());
+        prop_assert_eq!(packed.first(), list.first().copied());
+        for i in [0, 1, list.len() / 2, list.len().saturating_sub(1)] {
+            prop_assert_eq!(packed.get(i), list.get(i).copied(), "value {}", i);
+        }
+        prop_assert_eq!(packed.get(list.len()), None);
+        prop_assert_eq!(format!("{packed:?}"), format!("{list:?}"));
+        let owned: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        prop_assert!(packed == Values::from(owned) && packed == list[..]);
+
+        let mut cut = packed.clone();
+        cut.truncate(keep);
+        let kept = &list[..keep.min(list.len())];
+        prop_assert!(cut == *kept, "truncate({}) of {} values", keep, list.len());
+        prop_assert_eq!(cut.text_len(), kept.iter().map(|s| s.len()).sum::<usize>());
+        cut.push("后");
+        prop_assert_eq!((cut.len(), cut.get(kept.len())), (kept.len() + 1, Some("后")));
+    }
+
     /// S2SQL parsing never panics.
     #[test]
     fn s2sql_parser_total(q in any::<String>()) {
@@ -598,7 +632,7 @@ proptest! {
     #[test]
     fn condition_complements(value in -1000i64..1000, bound in -1000i64..1000) {
         let prop = Iri::new("http://prop.example/p").unwrap();
-        let c = |op| ResolvedCondition { property: prop.clone(), op, value: bound.to_string() };
+        let c = |op| ResolvedCondition::new(prop.clone(), op, bound.to_string());
         let v = value.to_string();
         prop_assert_ne!(condition_matches(&c(CondOp::Eq), &v), condition_matches(&c(CondOp::Ne), &v));
         prop_assert_ne!(condition_matches(&c(CondOp::Lt), &v), condition_matches(&c(CondOp::Ge), &v));

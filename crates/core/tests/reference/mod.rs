@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use s2s_core::extract::{AttributeResult, ExtractionReport};
+use s2s_core::extract::{AttributeResult, ExtractionReport, Values};
 use s2s_core::instance::{
     data_namespace, provenance_property, GenerateOptions, Individual, InstanceSet,
 };
@@ -26,7 +26,7 @@ use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 /// change from record to record resolved once.
 struct Column<'a> {
     property: &'a Iri,
-    values: &'a [String],
+    values: &'a Values,
     scenario: RecordScenario,
     /// Whether the plan's projection (if any) outputs the property.
     projected: bool,
@@ -45,7 +45,6 @@ impl<'a> Column<'a> {
             RecordScenario::SingleRecord => self.values.first(),
             RecordScenario::MultiRecord => self.values.get(i),
         }
-        .map(String::as_str)
     }
 }
 

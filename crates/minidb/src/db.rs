@@ -256,17 +256,24 @@ impl Database {
         Ok(QueryResult { columns, rows })
     }
 
-    /// Runs a pre-parsed SELECT and returns one result column rendered
-    /// as strings ([`Value::render`]), NULLs skipped: what
-    /// `query_prepared` plus [`QueryResult::column_index`] would give,
-    /// without materializing the rows in between.
+    /// Runs a pre-parsed SELECT and hands `each` the non-NULL values of
+    /// one result column, borrowed from the stored rows in result order:
+    /// what `query_prepared` plus [`QueryResult::column_index`] would
+    /// give, without materializing rows or rendering anything — the
+    /// caller writes each value where it wants it ([`Value::write_to`]).
     ///
     /// # Errors
     ///
     /// Propagates execution errors, then [`DbError::UnknownColumn`] if
-    /// the result has no column named `column`.
-    pub fn query_column(&self, stmt: &SelectStmt, column: &str) -> Result<Vec<String>, DbError> {
-        run_select_column(stmt, &self.exec_context(stmt)?, column)
+    /// the result has no column named `column`; `each` has seen nothing
+    /// when an error is returned.
+    pub fn query_column_each(
+        &self,
+        stmt: &SelectStmt,
+        column: &str,
+        each: impl FnMut(&Value),
+    ) -> Result<(), DbError> {
+        run_select_column(stmt, &self.exec_context(stmt)?, column, each)
     }
 
     /// The statement's FROM/JOIN chain, base table first.

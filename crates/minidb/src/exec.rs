@@ -435,19 +435,21 @@ pub(crate) fn run_select(
     Ok((names, order.iter().map(project).collect()))
 }
 
-/// Runs a SELECT and renders the non-NULL values of its first result
-/// column named `column` (case-insensitively), straight from the stored
-/// rows.
+/// Runs a SELECT and hands `each` the non-NULL values of its first
+/// result column named `column` (case-insensitively), borrowed straight
+/// from the stored rows, in result order.
 pub(crate) fn run_select_column(
     stmt: &SelectStmt,
     ctx: &ExecContext<'_>,
     column: &str,
-) -> Result<Vec<String>, DbError> {
+    mut each: impl FnMut(&Value),
+) -> Result<(), DbError> {
     let unknown = || DbError::UnknownColumn { column: column.to_string() };
     if stmt.has_aggregates() || stmt.group_by.is_some() {
         let (names, rows) = run_aggregate_select(stmt, ctx)?;
         let idx = names.iter().position(|n| n.eq_ignore_ascii_case(column)).ok_or_else(unknown)?;
-        return Ok(rows.iter().filter(|r| !r[idx].is_null()).map(|r| r[idx].render()).collect());
+        rows.iter().map(|r| &r[idx]).filter(|v| !v.is_null()).for_each(each);
+        return Ok(());
     }
     let plan = Plan::new(stmt, ctx)?;
     let idx = ctx
@@ -456,11 +458,8 @@ pub(crate) fn run_select_column(
         .ok_or_else(unknown)?;
     let col = plan.projection[idx];
     let (chains, order) = survivors(stmt, &plan, ctx);
-    let mut out = Vec::with_capacity(order.len());
-    out.extend(
-        order.iter().map(|&i| col.of(chains.get(i))).filter(|v| !v.is_null()).map(Value::render),
-    );
-    Ok(out)
+    order.iter().map(|&i| col.of(chains.get(i))).filter(|v| !v.is_null()).for_each(&mut each);
+    Ok(())
 }
 
 /// SELECT with aggregates and/or GROUP BY.

@@ -121,19 +121,31 @@ impl Value {
 
     /// Canonical rendering used for display and for index keys.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_to(&mut out).expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Appends the canonical rendering ([`Value::render`]) to `out`:
+    /// text as it is stored, nothing built in between.
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` itself reports.
+    pub fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Value::Null => "NULL".to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format!("{f}"),
-            Value::Text(s) => s.clone(),
-            Value::Bool(b) => b.to_string(),
+            Value::Null => out.write_str("NULL"),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(f) => write!(out, "{f}"),
+            Value::Text(s) => out.write_str(s),
+            Value::Bool(b) => write!(out, "{b}"),
         }
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        self.write_to(f)
     }
 }
 

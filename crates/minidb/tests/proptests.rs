@@ -233,8 +233,9 @@ proptest! {
     /// The select pipeline returns what the executor it replaced
     /// (`tests/reference`) returns — the same names, the same rows in
     /// the same order with the same value variants, the same error —
-    /// and the column read returns what the old database wrapper
-    /// rendered from those rows.
+    /// and the column read, written through its sink into one buffer,
+    /// returns what the old database wrapper rendered from those rows,
+    /// one `String` each.
     #[test]
     fn select_agrees_with_reference_executor(seed in any::<u64>()) {
         let mut rng = TestRng::from_seed(seed);
@@ -260,11 +261,19 @@ proptest! {
                 }
                 _ => "nope".to_string(),
             };
-            prop_assert_eq!(
-                db.query_column(&stmt, &name),
-                reference::column(&db, &stmt, &name),
-                "column {} of {}", name, sql
-            );
+            let want = reference::column(&db, &stmt, &name);
+            // Packed the way the engine packs it: all text in one
+            // buffer, cut where each value ends.
+            let (mut text, mut ends) = (String::new(), Vec::new());
+            let sunk = db.query_column_each(&stmt, &name, |v| {
+                v.write_to(&mut text).unwrap();
+                ends.push(text.len());
+            });
+            let starts = std::iter::once(0).chain(ends.iter().copied());
+            let cut: Vec<String> =
+                starts.zip(&ends).map(|(start, &end)| text[start..end].to_string()).collect();
+            prop_assert!(sunk.is_ok() || ends.is_empty(), "an error after the sink saw values");
+            prop_assert_eq!(sunk.map(|()| cut), want, "column {} of {}", name, sql);
         }
     }
 

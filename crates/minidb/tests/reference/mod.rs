@@ -6,8 +6,9 @@
 //! `proptests.rs` can hold the new pipeline to the same rows, the same
 //! tie/DISTINCT/NULL semantics and the same errors. [`query`] and
 //! [`column`] reproduce the old `Database::query_prepared` and the old
-//! SQL arm of the engine's `run_wrapper` on top of it. Not part of the
-//! library.
+//! SQL arm of the engine's `run_wrapper` on top of it, [`render`] the
+//! old `Value::render` that built one `String` per value. Not part of
+//! the library.
 
 use s2s_minidb::sql::ast::{
     AggFunc, CmpOp, ColumnRef, Expr, Operand, OrderDir, SelectItem, SelectStmt,
@@ -36,7 +37,18 @@ pub fn column(db: &Database, stmt: &SelectStmt, column: &str) -> Result<Vec<Stri
         .iter()
         .position(|c| c.eq_ignore_ascii_case(column))
         .ok_or_else(|| DbError::UnknownColumn { column: column.to_string() })?;
-    Ok(rows.iter().filter(|row| !row[idx].is_null()).map(|row| row[idx].render()).collect())
+    Ok(rows.iter().filter(|row| !row[idx].is_null()).map(|row| render(&row[idx])).collect())
+}
+
+/// `Value::render` as it was before it wrote into a caller's buffer.
+pub fn render(value: &Value) -> String {
+    match value {
+        Value::Null => "NULL".to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Float(f) => format!("{f}"),
+        Value::Text(s) => s.clone(),
+        Value::Bool(b) => b.to_string(),
+    }
 }
 
 /// SQL `LIKE` as it was: `%` matches any run, `_` any single character.

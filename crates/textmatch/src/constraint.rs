@@ -1,14 +1,14 @@
 //! The mediator's comparison, and constraints pushed to text sources.
 //!
 //! [`ConstraintOp`] is the one operator enum of an S2SQL condition
-//! (`s2s_core::query::CondOp` re-exports it) and
-//! [`ConstraintOp::holds`] the one function that decides `candidate op
-//! constant` — numeric when both sides parse as `f64`, byte-wise string
-//! comparison otherwise, SQL `LIKE` with `%`/`_`. The mediator's
-//! residual filter and every predicate pushed into a source (an XPath
-//! child comparison, a WebL `Where` guard, both held as a
-//! [`Constraint`]) call it, so pushing a conjunct down cannot change
-//! which values survive.
+//! (`s2s_core::query::CondOp` re-exports it) and [`Comparand::test`]
+//! the one function that decides `candidate op constant` — numeric when
+//! both sides parse as `f64`, byte-wise string comparison otherwise, SQL
+//! `LIKE` with `%`/`_`. The mediator's residual filter and every
+//! predicate pushed into a source (an XPath child comparison, a WebL
+//! `Where` guard) call it, so pushing a conjunct down cannot change
+//! which values survive. A [`Comparand`] reads its constant once,
+//! however many candidates it then tests.
 
 /// A comparison operator of an S2SQL condition or a pushed constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,22 +57,72 @@ impl ConstraintOp {
         })
     }
 
-    /// Whether `candidate op constant` holds — the one comparison the
-    /// mediator's residual filter and every pushed predicate (XPath
-    /// child comparison, WebL `Where`) share: numeric when both sides
-    /// parse as `f64` (a NaN on either side satisfies nothing),
-    /// byte-wise string comparison otherwise, [`like_match`] for `LIKE`.
+    /// Whether `candidate op constant` holds: a [`Comparand`] built and
+    /// tested once. Build the comparand yourself to test many candidates
+    /// against one constant.
     #[inline]
     pub fn holds(self, candidate: &str, constant: &str) -> bool {
-        if self == ConstraintOp::Like {
+        Comparand::new(self, constant).test(candidate)
+    }
+}
+
+impl std::fmt::Display for ConstraintOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.token())
+    }
+}
+
+/// `op constant` with the constant read once — the right-hand side of
+/// the one comparison the mediator's residual filter and every pushed
+/// predicate (XPath child comparison, WebL `Where`) share. `S` is how
+/// the constant is held: owned by a resolved query condition, borrowed
+/// for the length of a scan.
+#[derive(Debug, Clone, Copy)]
+pub struct Comparand<S = String> {
+    op: ConstraintOp,
+    constant: S,
+    /// The constant as an `f64`, if it parses as one (never looked at
+    /// for `LIKE`).
+    number: Option<f64>,
+}
+
+impl<S: AsRef<str>> Comparand<S> {
+    /// Reads `constant` for comparisons under `op`.
+    pub fn new(op: ConstraintOp, constant: S) -> Self {
+        let number = match op {
+            ConstraintOp::Like => None,
+            _ => constant.as_ref().parse::<f64>().ok(),
+        };
+        Comparand { op, constant, number }
+    }
+
+    /// The operator.
+    pub fn op(&self) -> ConstraintOp {
+        self.op
+    }
+
+    /// The constant's text (a pattern for `LIKE`).
+    pub fn constant(&self) -> &str {
+        self.constant.as_ref()
+    }
+
+    /// Whether `candidate op constant` holds: numeric when both sides
+    /// parse as `f64` (a NaN on either side satisfies nothing),
+    /// byte-wise string comparison otherwise, [`like_match`] for `LIKE`.
+    /// The candidate is parsed only when the constant is a number.
+    #[inline]
+    pub fn test(&self, candidate: &str) -> bool {
+        let constant = self.constant.as_ref();
+        if self.op == ConstraintOp::Like {
             return like_match(candidate, constant);
         }
-        let ord = match (candidate.parse::<f64>(), constant.parse::<f64>()) {
-            (Ok(a), Ok(b)) => a.partial_cmp(&b),
-            _ => Some(candidate.cmp(constant)),
+        let numbers = self.number.and_then(|b| candidate.parse::<f64>().ok().map(|a| (a, b)));
+        let ord = match numbers {
+            Some((a, b)) => a.partial_cmp(&b),
+            None => Some(candidate.cmp(constant)),
         };
         let Some(ord) = ord else { return false };
-        match self {
+        match self.op {
             ConstraintOp::Eq => ord.is_eq(),
             ConstraintOp::Ne => ord.is_ne(),
             ConstraintOp::Lt => ord.is_lt(),
@@ -84,31 +134,11 @@ impl ConstraintOp {
     }
 }
 
-impl std::fmt::Display for ConstraintOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-/// One pushed comparison: `candidate op value`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Constraint {
-    /// The operator.
-    pub op: ConstraintOp,
-    /// The right-hand comparison value (unquoted; a pattern for `LIKE`).
-    pub value: String,
-}
-
-impl Constraint {
-    /// Creates a constraint.
-    pub fn new(op: ConstraintOp, value: impl Into<String>) -> Self {
-        Constraint { op, value: value.into() }
-    }
-
-    /// Whether `candidate` satisfies the constraint
-    /// ([`ConstraintOp::holds`]).
-    pub fn matches(&self, candidate: &str) -> bool {
-        self.op.holds(candidate, &self.value)
+/// Two comparands are equal when they spell the same comparison; the
+/// number is a reading of the constant, not part of it.
+impl<S: AsRef<str>> PartialEq for Comparand<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.op == other.op && self.constant() == other.constant()
     }
 }
 
@@ -175,32 +205,32 @@ mod tests {
 
     #[test]
     fn numeric_when_both_sides_parse() {
-        let lt = Constraint::new(ConstraintOp::Lt, "100");
-        assert!(lt.matches("99.5"));
-        assert!(!lt.matches("100"));
-        assert!(!lt.matches("250"));
+        let lt = Comparand::new(ConstraintOp::Lt, "100");
+        assert!(lt.test("99.5"));
+        assert!(!lt.test("100"));
+        assert!(!lt.test("250"));
         // "9" < "100" numerically even though "9" > "100" as strings.
-        assert!(lt.matches("9"));
+        assert!(lt.test("9"));
     }
 
     #[test]
     fn string_when_either_side_is_non_numeric() {
-        let eq = Constraint::new(ConstraintOp::Eq, "seiko");
-        assert!(eq.matches("seiko"));
-        assert!(!eq.matches("casio"));
-        let ne = Constraint::new(ConstraintOp::Ne, "seiko");
-        assert!(ne.matches("casio"));
+        let eq = Comparand::new(ConstraintOp::Eq, "seiko");
+        assert!(eq.test("seiko"));
+        assert!(!eq.test("casio"));
+        let ne = Comparand::new(ConstraintOp::Ne, "seiko");
+        assert!(ne.test("casio"));
         // Numeric candidate vs word value falls back to string compare.
-        let gt = Constraint::new(ConstraintOp::Gt, "casio");
-        assert!(gt.matches("seiko"));
-        assert!(!gt.matches("120"));
+        let gt = Comparand::new(ConstraintOp::Gt, "casio");
+        assert!(gt.test("seiko"));
+        assert!(!gt.test("120"));
     }
 
     #[test]
     fn like_patterns() {
-        let like = Constraint::new(ConstraintOp::Like, "s%");
-        assert!(like.matches("seiko"));
-        assert!(!like.matches("casio"));
+        let like = Comparand::new(ConstraintOp::Like, "s%");
+        assert!(like.test("seiko"));
+        assert!(!like.test("casio"));
         assert!(like_match("stainless-steel", "%steel"));
         assert!(like_match("Seiko", "S_iko"));
         assert!(!like_match("", "_"));
@@ -215,7 +245,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             let (value, pattern) = ("a".repeat(40), "%a".repeat(12) + "b");
             let free = like_match(&value, &pattern);
-            let held = Constraint::new(ConstraintOp::Like, pattern).matches(&value);
+            let held = Comparand::new(ConstraintOp::Like, pattern).test(&value);
             tx.send((free, held)).expect("the test thread is receiving");
         });
         let answer = rx.recv_timeout(std::time::Duration::from_secs(1));

@@ -6,7 +6,7 @@ mod reference;
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use s2s_textmatch::{ast, compiler, Regex};
+use s2s_textmatch::{ast, compiler, Comparand, ConstraintOp, Regex};
 
 /// Escapes a string so it matches literally.
 fn escape(s: &str) -> String {
@@ -83,6 +83,26 @@ fn groups(m: &s2s_textmatch::Match<'_>) -> Vec<Option<(usize, usize)>> {
     (0..m.group_count()).map(|g| m.get(g).map(|c| (c.start(), c.end()))).collect()
 }
 
+/// One side of a comparison: spellings `str::parse::<f64>` reads as a
+/// number (some of them only it does), near-misses it does not, plain
+/// text, and small numbers that collide with each other.
+fn operand() -> impl Strategy<Value = String> {
+    const SPELLINGS: [&str; 31] = [
+        "+5", "5.", ".5", "5", "5.0", "05", "-5", "1e3", "1000", "1E3", "inf", "-inf", "infinity",
+        "NaN", "nan", "-0", "0", "", " 5", "5 ", "5,0", "0x10", "1e", ".", "+", "five", "Seiko",
+        "seiko", "s%", "_eiko", "%",
+    ];
+    prop_oneof![
+        (0..SPELLINGS.len()).prop_map(|i| SPELLINGS[i].to_string()),
+        (-20i32..20, 0u8..3).prop_map(|(n, scale)| match scale {
+            0 => n.to_string(),
+            1 => format!("{n}.5"),
+            _ => format!("{n}e1"),
+        }),
+        "[a-cS%_ 0-9.]{0,6}",
+    ]
+}
+
 proptest! {
     /// The matcher agrees with the reference VM (`tests/reference`) on
     /// every capture offset of every match, iterating and from an
@@ -125,6 +145,30 @@ proptest! {
             reference::like_match(&value, &pattern),
             "{:?} LIKE {:?}", value, pattern
         );
+    }
+
+    /// A comparand built once and tested per candidate decides what the
+    /// old `holds` (`tests/reference`) decided parsing both sides every
+    /// time — numeric spellings `f64` accepts and `xsd:decimal` does not
+    /// included, on either side, under all seven operators.
+    #[test]
+    fn prebuilt_comparand_agrees_with_reference_holds(
+        constant in operand(),
+        candidates in proptest::collection::vec(operand(), 1..6),
+    ) {
+        use ConstraintOp::{Eq, Ge, Gt, Le, Like, Lt, Ne};
+        for op in [Eq, Ne, Lt, Le, Gt, Ge, Like] {
+            let borrowed = Comparand::new(op, constant.as_str());
+            let owned = Comparand::new(op, constant.clone());
+            prop_assert!(borrowed == Comparand::new(op, constant.as_str()));
+            prop_assert_eq!((owned.op(), owned.constant()), (op, constant.as_str()));
+            for candidate in &candidates {
+                let expected = reference::holds(op, candidate, &constant);
+                prop_assert_eq!(borrowed.test(candidate), expected, "{:?} {} {:?}", candidate, op, constant);
+                prop_assert_eq!(owned.test(candidate), expected);
+                prop_assert_eq!(op.holds(candidate, &constant), expected);
+            }
+        }
     }
 
     /// A literal pattern finds exactly what `str::find` finds.

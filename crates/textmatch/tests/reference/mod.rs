@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use s2s_textmatch::ast::is_word_char;
 use s2s_textmatch::compiler::{Inst, Program};
+use s2s_textmatch::ConstraintOp;
 
 /// Searches `haystack` for the leftmost match starting at or after byte
 /// offset `start`. Returns the capture slots (pairs of byte offsets) on
@@ -264,4 +265,28 @@ pub fn like_match(value: &str, pattern: &str) -> bool {
     let v: Vec<char> = value.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
     rec(&v, &p)
+}
+
+/// `ConstraintOp::holds` as it stood before the constant was read once
+/// into a `Comparand`: both sides parsed as `f64` for every candidate.
+/// Kept verbatim (only `self` spelled as a parameter, and `like_match`
+/// the library's) for the differential test in `proptests.rs`.
+pub fn holds(op: ConstraintOp, candidate: &str, constant: &str) -> bool {
+    if op == ConstraintOp::Like {
+        return s2s_textmatch::like_match(candidate, constant);
+    }
+    let ord = match (candidate.parse::<f64>(), constant.parse::<f64>()) {
+        (Ok(a), Ok(b)) => a.partial_cmp(&b),
+        _ => Some(candidate.cmp(constant)),
+    };
+    let Some(ord) = ord else { return false };
+    match op {
+        ConstraintOp::Eq => ord.is_eq(),
+        ConstraintOp::Ne => ord.is_ne(),
+        ConstraintOp::Lt => ord.is_lt(),
+        ConstraintOp::Le => ord.is_le(),
+        ConstraintOp::Gt => ord.is_gt(),
+        ConstraintOp::Ge => ord.is_ge(),
+        ConstraintOp::Like => unreachable!("handled above"),
+    }
 }

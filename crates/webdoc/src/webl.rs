@@ -31,7 +31,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use s2s_textmatch::{Constraint, ConstraintOp, Regex};
+use s2s_textmatch::{Comparand, ConstraintOp, Regex};
 
 use crate::error::WebdocError;
 use crate::html::HtmlDocument;
@@ -94,8 +94,8 @@ impl WeblValue {
     }
 
     /// [`WeblValue::to_text`] without the copy where the value holds
-    /// its text.
-    fn text(&self) -> Cow<'_, str> {
+    /// its text (strings, patterns, pages); ints and lists compose it.
+    pub fn text(&self) -> Cow<'_, str> {
         match self {
             WeblValue::Str(s) | WeblValue::Pattern(s) => Cow::Borrowed(s),
             WeblValue::Page { doc, .. } | WeblValue::PageText(doc) => Cow::Borrowed(doc.raw()),
@@ -724,13 +724,13 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
             arity(4)?;
             let op = ConstraintOp::parse(&args[2].text())
                 .ok_or_else(|| rt(format!("unknown Where operator `{}`", args[2].text())))?;
-            let constraint = Constraint::new(op, args[3].to_text());
+            let comparand = Comparand::new(op, args[3].text());
             match (&args[0], &args[1]) {
                 (WeblValue::List(base), WeblValue::List(guard)) if base.len() == guard.len() => {
                     Ok(WeblValue::List(
                         base.iter()
                             .zip(guard)
-                            .filter(|(_, g)| constraint.matches(&g.text()))
+                            .filter(|(_, g)| comparand.test(&g.text()))
                             .map(|(b, _)| b.clone())
                             .collect(),
                     ))

@@ -110,31 +110,65 @@ impl Element {
     /// node (the shape of a record field) and built only for mixed or
     /// nested content.
     pub fn text_content(&self) -> Cow<'_, str> {
+        let mut scratch = String::new();
+        match self.text_in(&mut scratch, &mut Vec::new()) {
+            Some(text) => Cow::Borrowed(text),
+            None => Cow::Owned(scratch),
+        }
+    }
+
+    /// [`Element::text`] without a block of its own: the content
+    /// itself when it is nothing or a single text node, otherwise
+    /// `None` with the text composed in `scratch` (cleared first),
+    /// walking with `stack` (see [`Element::walk_nodes`]).
+    pub(crate) fn text_in<'e>(
+        &'e self,
+        scratch: &mut String,
+        stack: &mut Vec<std::slice::Iter<'e, Node>>,
+    ) -> Option<&'e str> {
         let mut content = self.children.iter().filter(|n| !matches!(n, Node::Comment(_)));
         match (content.next(), content.next()) {
-            (None, _) => Cow::Borrowed(""),
-            (Some(Node::Text(t)), None) => Cow::Borrowed(t),
+            (None, _) => Some(""),
+            (Some(Node::Text(t)), None) => Some(t),
             _ => {
-                let mut out = String::new();
-                self.walk_nodes(&mut Vec::new(), |node| {
+                scratch.clear();
+                self.walk_nodes(stack, |node| {
                     if let Node::Text(t) = node {
-                        out.push_str(t);
+                        scratch.push_str(t);
                     }
                 });
-                Cow::Owned(out)
+                None
             }
         }
     }
 
     /// Direct text children only, concatenated.
     pub fn own_text(&self) -> String {
-        self.children
-            .iter()
-            .filter_map(|n| match n {
-                Node::Text(t) => Some(t.as_str()),
-                _ => None,
-            })
-            .collect()
+        let mut scratch = String::new();
+        match self.own_text_in(&mut scratch) {
+            Some(text) => text.to_string(),
+            None => scratch,
+        }
+    }
+
+    /// [`Element::own_text`] without a block of its own, on the terms
+    /// of [`Element::text_in`].
+    pub(crate) fn own_text_in(&self, scratch: &mut String) -> Option<&str> {
+        let mut texts = self.children.iter().filter_map(|n| match n {
+            Node::Text(t) => Some(t.as_str()),
+            _ => None,
+        });
+        match (texts.next(), texts.next()) {
+            (None, _) => Some(""),
+            (Some(only), None) => Some(only),
+            (Some(first), Some(second)) => {
+                scratch.clear();
+                scratch.push_str(first);
+                scratch.push_str(second);
+                texts.for_each(|t| scratch.push_str(t));
+                None
+            }
+        }
     }
 
     /// The local part of the (possibly prefixed) name.

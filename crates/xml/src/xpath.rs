@@ -24,7 +24,7 @@
 
 use crate::dom::{Document, Element, Node};
 use crate::error::XmlError;
-use s2s_textmatch::{Constraint, ConstraintOp};
+use s2s_textmatch::{Comparand, ConstraintOp};
 
 /// A compiled XPath expression.
 ///
@@ -98,11 +98,12 @@ enum Predicate {
         value: String,
     },
     /// `[child op 'v']` — keeps elements having a `child` whose text
-    /// satisfies the constraint (numeric comparison when both sides
-    /// parse as numbers, lexicographic otherwise).
+    /// satisfies the comparison (numeric when both sides parse as
+    /// numbers, lexicographic otherwise); its constant is read when the
+    /// path is compiled.
     ChildCmp {
         name: String,
-        constraint: Constraint,
+        comparand: Comparand,
     },
     TextEq(String),
     ContainsText(String),
@@ -230,18 +231,41 @@ impl XPath {
 
     /// String evaluation with an explicit context root.
     pub fn eval_strings_from(&self, root: &Element) -> Vec<String> {
+        let mut out = Vec::new();
+        self.each_string_from(root, |s| out.push(s.to_string()));
+        out
+    }
+
+    /// [`XPath::eval_strings`] handing each string to `each` instead of
+    /// collecting them: attribute values and single-text-node content
+    /// borrowed from the document, mixed or nested content composed in
+    /// one buffer reused from result to result.
+    pub fn each_string(&self, doc: &Document, each: impl FnMut(&str)) {
+        self.each_string_from(&doc.root, each);
+    }
+
+    /// [`XPath::each_string`] with an explicit context root.
+    pub fn each_string_from(&self, root: &Element, mut each: impl FnMut(&str)) {
         let selected = self.select(root);
-        let mut out = Vec::with_capacity(selected.len());
+        let (mut scratch, mut stack) = (String::new(), Vec::new());
         match self.steps.last() {
             Some(Step::Attribute(name)) => {
-                out.extend(selected.iter().filter_map(|e| e.attribute(name).map(str::to_string)));
+                selected.iter().filter_map(|e| e.attribute(name)).for_each(each);
             }
             Some(Step::Text) => {
-                out.extend(selected.iter().map(|e| e.own_text()).filter(|t| !t.is_empty()));
+                for e in selected {
+                    let text = e.own_text_in(&mut scratch).unwrap_or(&scratch);
+                    if !text.is_empty() {
+                        each(text);
+                    }
+                }
             }
-            _ => out.extend(selected.iter().map(|e| e.text())),
+            _ => {
+                for e in selected {
+                    each(e.text_in(&mut scratch, &mut stack).unwrap_or(&scratch));
+                }
+            }
         }
-        out
     }
 
     /// Runs the element steps (a terminal step, if any, is left to the
@@ -349,8 +373,8 @@ impl Predicate {
             Predicate::ChildEq { name, value } => {
                 e.child_elements().any(|c| c.name == *name && c.text_content() == *value)
             }
-            Predicate::ChildCmp { name, constraint } => {
-                e.child_elements().any(|c| c.name == *name && constraint.matches(&c.text_content()))
+            Predicate::ChildCmp { name, comparand } => {
+                e.child_elements().any(|c| c.name == *name && comparand.test(&c.text_content()))
             }
             Predicate::TextEq(value) => {
                 // `own_text() == value` without building the string.
@@ -445,7 +469,7 @@ fn parse_cmp_predicate(body: &str) -> Option<Predicate> {
         let op = ConstraintOp::parse(token).expect("token list matches ConstraintOp");
         return Some(Predicate::ChildCmp {
             name: name.to_string(),
-            constraint: Constraint::new(op, value),
+            comparand: Comparand::new(op, value),
         });
     }
     None

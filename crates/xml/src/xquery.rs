@@ -118,13 +118,18 @@ impl XQuery {
     /// multiple strings contribute them all).
     pub fn eval(&self, doc: &Document) -> Vec<String> {
         let mut out = Vec::new();
-        for binding in self.domain.eval(doc) {
-            if !self.conditions.iter().all(|c| c.matches(binding)) {
-                continue;
-            }
-            self.ret.produce(binding, &mut out);
-        }
+        self.each_string(doc, |s| out.push(s.to_string()));
         out
+    }
+
+    /// [`XQuery::eval`] handing each string to `each` instead of
+    /// collecting them, on the terms of [`XPath::each_string`].
+    pub fn each_string(&self, doc: &Document, mut each: impl FnMut(&str)) {
+        for binding in self.domain.eval(doc) {
+            if self.conditions.iter().all(|c| c.matches(binding)) {
+                self.ret.produce(binding, &mut each);
+            }
+        }
     }
 
     /// Like [`XQuery::eval`], returning the matched elements instead of
@@ -140,31 +145,33 @@ impl XQuery {
 
 impl Cond {
     fn matches(&self, binding: &Element) -> bool {
+        let mut hit = false;
         match self {
             Cond::Compare { path, negated, value } => {
-                let hit = path.eval_strings_from(binding).iter().any(|v| v == value);
+                path.each_string_from(binding, |v| hit |= v == value);
                 hit != *negated
             }
             Cond::Contains { path, value } => {
-                path.eval_strings_from(binding).iter().any(|v| v.contains(value.as_str()))
+                path.each_string_from(binding, |v| hit |= v.contains(value.as_str()));
+                hit
             }
         }
     }
 }
 
 impl Ret {
-    fn produce(&self, binding: &Element, out: &mut Vec<String>) {
+    /// `each` is a trait object because `Concat` recurses with a sink of
+    /// its own.
+    fn produce(&self, binding: &Element, each: &mut dyn FnMut(&str)) {
         match self {
-            Ret::Path(p) => out.extend(p.eval_strings_from(binding)),
-            Ret::Literal(s) => out.push(s.clone()),
+            Ret::Path(p) => p.each_string_from(binding, each),
+            Ret::Literal(s) => each(s),
             Ret::Concat(parts) => {
-                let mut s = String::new();
+                let mut joined = String::new();
                 for part in parts {
-                    let mut tmp = Vec::new();
-                    part.produce(binding, &mut tmp);
-                    s.push_str(&tmp.join(""));
+                    part.produce(binding, &mut |s| joined.push_str(s));
                 }
-                out.push(s);
+                each(&joined);
             }
         }
     }

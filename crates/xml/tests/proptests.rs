@@ -140,8 +140,9 @@ fn addresses(elements: Vec<&Element>) -> Vec<*const Element> {
 proptest! {
     /// The step evaluator returns what the evaluator it replaced
     /// (`tests/reference`) returns — the same elements (by address) and
-    /// the same strings, in the same order — from the document root and
-    /// from an inner context element.
+    /// the same strings, in the same order, collected into a list or
+    /// handed to a sink that packs them into one buffer — from the
+    /// document root and from an inner context element.
     #[test]
     fn xpath_agrees_with_reference_evaluator(seed in any::<u64>()) {
         let mut rng = TestRng::from_seed(seed);
@@ -161,11 +162,23 @@ proptest! {
                 n => inner[rng.below(n)],
             };
             for from in [&doc.root, context] {
+                let want = old.eval_strings_from(from);
                 prop_assert_eq!(
-                    new.eval_strings_from(from),
-                    old.eval_strings_from(from),
+                    &new.eval_strings_from(from),
+                    &want,
                     "{} from <{}> of {}", path, from.name, doc.root
                 );
+                // The sink form, packed the way the engine packs it: all
+                // text in one buffer, cut where each string ends.
+                let (mut text, mut ends) = (String::new(), Vec::new());
+                new.each_string_from(from, |s| {
+                    text.push_str(s);
+                    ends.push(text.len());
+                });
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                let cut: Vec<&str> =
+                    starts.zip(&ends).map(|(start, &end)| &text[start..end]).collect();
+                prop_assert_eq!(cut, want, "sunk {} from <{}> of {}", path, from.name, doc.root);
                 prop_assert_eq!(
                     addresses(new.eval_from(from)),
                     addresses(old.eval_from(from)),

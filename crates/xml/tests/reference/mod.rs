@@ -7,7 +7,7 @@
 //! strings in the same order. The compiler is the same code as the
 //! library's; only evaluation differs. Not part of the library.
 
-use s2s_textmatch::{Constraint, ConstraintOp};
+use s2s_textmatch::ConstraintOp;
 use s2s_xml::{Element, Node, XmlError};
 
 /// A compiled XPath expression (the reference copy).
@@ -64,7 +64,8 @@ enum Predicate {
     /// parse as numbers, lexicographic otherwise).
     ChildCmp {
         name: String,
-        constraint: Constraint,
+        op: ConstraintOp,
+        value: String,
     },
     TextEq(String),
     ContainsText(String),
@@ -275,10 +276,10 @@ fn apply_predicate<'d>(elements: &[&'d Element], p: &Predicate) -> Vec<&'d Eleme
             .copied()
             .filter(|e| e.child_elements().any(|c| c.name == *name && text(c) == *value))
             .collect(),
-        Predicate::ChildCmp { name, constraint } => elements
+        Predicate::ChildCmp { name, op, value } => elements
             .iter()
             .copied()
-            .filter(|e| e.child_elements().any(|c| c.name == *name && constraint.matches(&text(c))))
+            .filter(|e| e.child_elements().any(|c| c.name == *name && op.holds(&text(c), value)))
             .collect(),
         Predicate::TextEq(value) => {
             elements.iter().copied().filter(|e| e.own_text() == *value).collect()
@@ -367,10 +368,7 @@ fn parse_cmp_predicate(body: &str) -> Option<Predicate> {
         }
         let value = parse_quoted(rhs.trim())?;
         let op = ConstraintOp::parse(token).expect("token list matches ConstraintOp");
-        return Some(Predicate::ChildCmp {
-            name: name.to_string(),
-            constraint: Constraint::new(op, value),
-        });
+        return Some(Predicate::ChildCmp { name: name.to_string(), op, value });
     }
     None
 }

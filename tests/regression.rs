@@ -374,3 +374,44 @@ fn malformed_query_on_a_saturated_engine_is_an_error_not_a_shed() {
     let stats = s2s.admission_stats().unwrap();
     assert_eq!((stats.admitted, stats.shed), (1, 1), "the hog and the one well-formed query");
 }
+
+/// A `TextRegex` rule asking for a group its pattern does not have used
+/// to register and then answer `Ok` with nothing: every match's
+/// `get(2)` was `None` and silently skipped, so the attribute came back
+/// empty with `completeness == 1.0`. It is a coded wrapper failure of
+/// that attribute — an honest partial answer, like any other bad rule.
+#[test]
+fn regex_group_past_the_pattern_is_a_coded_failure() {
+    let string = "http://www.w3.org/2001/XMLSchema#string";
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("brand", "Product", string)
+        .unwrap()
+        .datatype_property("model", "Product", string)
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut files = s2s::webdoc::WebStore::new();
+    files.register_text("http://files/p.txt", "brand: Fossil\nbrand: Timex\n");
+    let mut s2s = S2s::new(ontology);
+    let connection = Connection::Text { store: Arc::new(files), url: "http://files/p.txt".into() };
+    s2s.register_source("TXT", connection).unwrap();
+    // Both rules spell one pattern, so they share one compiled regex:
+    // the check is the rule's, not the cache entry's.
+    for (attribute, group) in [("brand", 1), ("model", 2)] {
+        let rule = ExtractionRule::TextRegex { pattern: r"brand: (\w+)".into(), group };
+        let path = format!("thing.product.{attribute}");
+        s2s.register_attribute(&path, rule, "TXT", RecordScenario::MultiRecord).unwrap();
+    }
+
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert_eq!(outcome.individuals().len(), 2, "the in-range rule still answers");
+    let [failure] = outcome.errors() else { panic!("one failure, got {:?}", outcome.errors()) };
+    assert_eq!(failure.attribute, "thing.product.model");
+    assert_eq!(failure.error.code(), "s2s::regex::no_such_group");
+    assert!(failure.error.to_string().contains("group 2"), "{}", failure.error);
+    assert!(failure.error.to_string().contains("has 1"), "{}", failure.error);
+    assert!(failure.error.help().is_some());
+    assert_eq!(outcome.stats.completeness, 0.5);
+}
