@@ -11,7 +11,8 @@
 //! lists are positionally aligned (record *i* gets the *i*-th value of
 //! every attribute); single-record attributes apply to every record of
 //! the source. One individual is generated per `(source, record)`,
-//! filtered by the query conditions.
+//! filtered by the query conditions — a column at a time (`select`):
+//! the records a condition rejects cost one comparison each.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -23,7 +24,7 @@ use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 
 use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
 use crate::mapping::RecordScenario;
-use crate::query::QueryPlan;
+use crate::query::{condition_matches, ConditionTree, QueryPlan};
 
 /// A generated ontology individual, kept in structured form alongside
 /// the RDF graph for convenient inspection.
@@ -165,6 +166,105 @@ impl<'a> Column<'a> {
     }
 }
 
+/// Calls `f` with each record set in `bits`, in ascending order.
+fn for_each_set(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, word) in bits.iter().enumerate() {
+        let mut pending = *word;
+        while pending != 0 {
+            f(w * 64 + pending.trailing_zeros() as usize);
+            pending &= pending - 1;
+        }
+    }
+}
+
+/// Clears from `bits` the records `keep` does not hold for, asking it
+/// about the set ones only, in ascending order.
+fn retain(bits: &mut [u64], mut keep: impl FnMut(usize) -> bool) {
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut pending = *word;
+        while pending != 0 {
+            if !keep(w * 64 + pending.trailing_zeros() as usize) {
+                *word &= !(pending & pending.wrapping_neg());
+            }
+            pending &= pending - 1;
+        }
+    }
+}
+
+/// The buffers [`select`] borrows on the deepest path of `tree`: one for
+/// each `AND` wanted false and each `OR` wanted true.
+fn complements(tree: &ConditionTree, want: bool) -> usize {
+    match tree {
+        ConditionTree::Leaf(_) => 0,
+        ConditionTree::Not(e) => complements(e, !want),
+        ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
+            let both = matches!(tree, ConditionTree::And(..));
+            usize::from(want != both) + complements(a, both).max(complements(b, both))
+        }
+    }
+}
+
+/// Narrows the selection `bits` — one bit per record of a source — to
+/// the records for which `tree` evaluates to `want`:
+/// [`ConditionTree::matches`], which stays the definition, run a column
+/// at a time over `columns` sorted by property.
+///
+/// A leaf finds the columns carrying its property once (a run of the
+/// sorted slice: any of them may satisfy it, none fails it), tests a
+/// single-record value once for every record, and otherwise makes one
+/// [`condition_matches`] call per record still selected. `NOT` flips
+/// `want`. `AND` and `OR` are one narrowing by De Morgan — to the
+/// records where both operands are true, respectively false — so the
+/// right operand only sees the records the left one left undecided, as
+/// the row walk's short-circuit had it. When the other half is wanted
+/// the narrowing runs on a copy, lent by `spare` ([`complements`]), and
+/// is then taken out of `bits`.
+fn select(
+    tree: &ConditionTree,
+    columns: &[Column<'_>],
+    bits: &mut [u64],
+    want: bool,
+    spare: &mut [Vec<u64>],
+) {
+    match tree {
+        ConditionTree::Leaf(leaf) => {
+            let run = &columns[columns.partition_point(|c| *c.property < leaf.property)..];
+            let carrying = &run[..run.iter().take_while(|c| *c.property == leaf.property).count()];
+            let holds = |value: Option<&str>| value.is_some_and(|v| condition_matches(leaf, v));
+            let single = |c: &&Column<'_>| c.scenario == RecordScenario::SingleRecord;
+            if carrying.iter().filter(single).any(|c| holds(c.values.first())) {
+                if !want {
+                    bits.fill(0);
+                }
+                return;
+            }
+            retain(bits, |i| {
+                carrying.iter().filter(|c| !single(c)).any(|c| holds(c.values.get(i))) == want
+            });
+        }
+        ConditionTree::Not(e) => select(e, columns, bits, !want, spare),
+        ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
+            // Where an `AND` is true both operands are; where an `OR` is
+            // false both are.
+            let both = matches!(tree, ConditionTree::And(..));
+            if want == both {
+                select(a, columns, bits, both, spare);
+                select(b, columns, bits, both, spare);
+            } else {
+                let (decided, spare) =
+                    spare.split_first_mut().expect("a spare buffer per complement");
+                decided.clear();
+                decided.extend_from_slice(bits);
+                select(a, columns, decided, both, spare);
+                select(b, columns, decided, both, spare);
+                for (word, decided) in bits.iter_mut().zip(decided) {
+                    *word &= !*decided;
+                }
+            }
+        }
+    }
+}
+
 /// What fills one predicate of a record's block of triples.
 enum Filler<'a> {
     /// The same object for every record of the source (its class, its
@@ -225,9 +325,13 @@ fn emit_triples(
     let mut referenced: Vec<Triple> = Vec::new();
     let mut individuals = Vec::new();
     // Reused from source to source: the text of the IRI being minted,
-    // and the records of the source that became individuals.
+    // the records of the source that became individuals, and the
+    // buffers of the condition's selection.
     let mut minted = String::new();
     let mut survivors: Vec<(usize, Iri)> = Vec::new();
+    let mut selection: Vec<u64> = Vec::new();
+    let mut spare: Vec<Vec<u64>> =
+        vec![Vec::new(); plan.condition.as_ref().map_or(0, |tree| complements(tree, true))];
 
     // Group results by source.
     let mut by_source: BTreeMap<&str, Vec<&AttributeResult>> = BTreeMap::new();
@@ -236,7 +340,7 @@ fn emit_triples(
     }
 
     for (source, results) in by_source {
-        let columns: Vec<Column<'_>> = results
+        let mut columns: Vec<Column<'_>> = results
             .iter()
             .map(|r| {
                 let property = r.mapping.property();
@@ -286,19 +390,18 @@ fn emit_triples(
         let prefix_len = minted.len();
 
         // Phase 1, in record order: which records become individuals.
-        let mut record: Vec<(&Iri, &str)> = Vec::with_capacity(columns.len());
-        for i in 0..records {
-            // The condition tree sees the record as borrowed pairs;
-            // nothing is allocated for a record it rejects.
-            record.clear();
-            record.extend(columns.iter().filter_map(|c| Some((c.property, c.value(i)?))));
-            if record.is_empty() || plan.condition.as_ref().is_some_and(|t| !t.matches(&record)) {
-                continue;
-            }
+        // A condition selects them by column, and finds a leaf's columns
+        // as a run of the sorted ones (a stable sort: the columns of one
+        // property keep their order, an individual's values with them).
+        if plan.condition.is_some() {
+            columns.sort_by_key(|c| c.property);
+        }
+        let mut individual = |i: usize| {
             // The projection applies after the condition: condition
-            // attributes may be filtered on without being output.
+            // attributes may be filtered on without being output. (A
+            // record with no value at all is no individual either way.)
             if !columns.iter().any(|c| c.projected && c.value(i).is_some()) {
-                continue;
+                return;
             }
             minted.truncate(prefix_len);
             write!(minted, "{i}").expect("writing to a String cannot fail");
@@ -316,6 +419,20 @@ fn emit_triples(
                 source: source.to_string(),
                 values,
             });
+        };
+        match &plan.condition {
+            Some(tree) => {
+                // Every record, narrowed by the tree: nothing is
+                // allocated for a record it rejects.
+                selection.clear();
+                selection.resize(records.div_ceil(64), u64::MAX);
+                if let Some(last) = selection.last_mut().filter(|_| records % 64 != 0) {
+                    *last = (1 << (records % 64)) - 1;
+                }
+                select(tree, &columns, &mut selection, true, &mut spare);
+                for_each_set(&selection, &mut individual);
+            }
+            None => (0..records).for_each(&mut individual),
         }
 
         // Phase 2, in the graph's order: their triples.
@@ -601,6 +718,47 @@ mod tests {
         assert_eq!(set.individuals.len(), 2);
         let brand = o.property_iri("brand").unwrap();
         assert!(set.individuals.iter().all(|i| i.value(&brand) == Some("Seiko")));
+    }
+
+    /// A condition at the depth cap — `NOT (… OR NOT (… OR …))`, so that
+    /// every level flips the wanted half and every level but the first
+    /// borrows a buffer — selects what the row definition selects, on a
+    /// worker thread's stack and across a word of the selection.
+    #[test]
+    fn selection_at_the_depth_cap_agrees_with_the_row_definition() {
+        use crate::query::MAX_CONDITION_DEPTH;
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
+            let o = onto();
+            let nested = |levels: usize| {
+                let open: String = (0..levels).map(|k| format!("NOT (brand='b{k}' OR ")).collect();
+                format!("SELECT product WHERE {open}brand>='b5'{}", ")".repeat(levels))
+            };
+            let levels = (MAX_CONDITION_DEPTH - 1) / 2;
+            assert!(parse(&nested(levels + 1)).is_err(), "one level more is past the cap");
+            let p = plan(&parse(&nested(levels)).expect("at the cap"), &o).unwrap();
+            let tree = p.condition.as_ref().unwrap();
+            assert_eq!(complements(tree, true), levels - 1);
+
+            let values: Vec<String> = (0..150).map(|i| format!("b{}", i * 2 % 131)).collect();
+            let column: Vec<&str> = values.iter().map(String::as_str).collect();
+            let rep = report(vec![result(
+                &o,
+                "thing.product.brand",
+                "DB",
+                RecordScenario::MultiRecord,
+                &column,
+            )]);
+            let brand = o.property_iri("brand").unwrap();
+            let expected: Vec<String> = (0..column.len())
+                .filter(|&i| tree.matches(&[(&brand, column[i])]))
+                .map(|i| i.to_string())
+                .collect();
+            assert!(!expected.is_empty() && expected.len() < column.len(), "{expected:?}");
+            let set = generate(&o, &p, &rep);
+            let selected: Vec<&str> = set.individuals.iter().map(|i| i.iri.local_name()).collect();
+            assert_eq!(selected, expected);
+        });
+        worker.unwrap().join().expect("no stack overflow at the cap");
     }
 
     #[test]

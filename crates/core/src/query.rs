@@ -178,6 +178,11 @@ impl ConditionTree {
     /// (a multi-valued property appears once per value). A leaf holds
     /// when at least one value of its property satisfies the comparison
     /// (missing properties fail the leaf — best-effort semantics).
+    ///
+    /// This is the *definition* of the residual filter, one record at a
+    /// time. The Instance Generator evaluates the same tree a column at
+    /// a time (`instance::select`) and the tests hold it to this one;
+    /// nothing in the library calls it.
     pub fn matches(&self, values: &[(&Iri, &str)]) -> bool {
         match self {
             ConditionTree::Leaf(c) => {

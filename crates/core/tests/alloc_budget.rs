@@ -3,7 +3,8 @@
 //! source id, one map node, a `Vec` and a `String` per value — and one
 //! block per literal), the graph's tree nodes come on top per triple,
 //! everything else is vectors that double, and a record the condition
-//! rejects allocates nothing. And of the pipeline before it: a value
+//! rejects allocates nothing — the condition's selection is a bitmap
+//! sized once by the records. And of the pipeline before it: a value
 //! costs nothing between its source and the generator — a column is
 //! two blocks however long, moved from the wrapper to the report, and
 //! copied once (two blocks) when a view serves or keeps it.
@@ -81,19 +82,21 @@ fn ontology() -> Ontology {
         .unwrap()
 }
 
-/// One source of `records` watches with a brand, a price and a case.
-fn report(ontology: &Ontology, records: usize) -> ExtractionReport {
+/// `sources`, each of `records` watches with a brand, a price and a case.
+fn report(ontology: &Ontology, records: usize, sources: &[&str]) -> ExtractionReport {
     let mut module = MappingModule::new();
-    for attribute in ["brand", "price", "case"] {
-        module
-            .register(
-                ontology,
-                format!("thing.product.watch.{attribute}").parse().unwrap(),
-                ExtractionRule::TextRegex { pattern: "x".into(), group: 0 },
-                "DB".into(),
-                RecordScenario::MultiRecord,
-            )
-            .unwrap();
+    for source in sources {
+        for attribute in ["brand", "price", "case"] {
+            module
+                .register(
+                    ontology,
+                    format!("thing.product.watch.{attribute}").parse().unwrap(),
+                    ExtractionRule::TextRegex { pattern: "x".into(), group: 0 },
+                    (*source).into(),
+                    RecordScenario::MultiRecord,
+                )
+                .unwrap();
+        }
     }
     let results = module
         .iter()
@@ -113,9 +116,13 @@ fn report(ontology: &Ontology, records: usize) -> ExtractionReport {
 }
 
 fn generated(query: &str, records: usize) -> (InstanceSet, usize) {
+    generated_over(query, records, &["DB"])
+}
+
+fn generated_over(query: &str, records: usize, sources: &[&str]) -> (InstanceSet, usize) {
     let ontology = ontology();
     let plan = plan(&parse(query).unwrap(), &ontology).unwrap();
-    let report = report(&ontology, records);
+    let report = report(&ontology, records, sources);
     // The first answer over an ontology also computes its closure.
     generate(&ontology, &plan, &report);
     allocations(|| generate(&ontology, &plan, &report))
@@ -151,6 +158,45 @@ fn rejected_records_allocate_nothing() {
     let (_, large) = generated("SELECT watch WHERE brand='none'", 2_000);
     assert_eq!(small, large, "allocations grew with the records rejected");
     assert!(small <= REMAINDER, "{small} allocations for an empty answer");
+}
+
+/// The condition's selection is one bitmap and the copies its
+/// complements borrow: at most the tree's height + 1 blocks a query,
+/// sized by the records and never grown by them, the second source's in
+/// the first one's buffers.
+#[test]
+fn a_selection_costs_at_most_the_height_of_its_tree_in_blocks() {
+    const SOURCES: [&str; 2] = ["DB", "XML"];
+    const DEEP: &str = "(brand='none' AND NOT (price>=0 OR case LIKE 'x%'))";
+    // A condition that accepts every record allocates, beyond what the
+    // query without it does, its selection.
+    for (condition, height) in [
+        ("brand LIKE 'b%' AND price>=0".to_string(), 2),
+        ("NOT (brand='x' AND price<100)".to_string(), 3),
+        (format!("NOT (case='resin' OR {DEEP})"), 6),
+    ] {
+        for records in [1_000, 2_000] {
+            let (all, unconditioned) = generated_over("SELECT watch", records, &SOURCES);
+            let (kept, selected) =
+                generated_over(&format!("SELECT watch WHERE {condition}"), records, &SOURCES);
+            assert_eq!(kept.individuals.len(), all.individuals.len(), "{condition}");
+            assert!(
+                selected <= unconditioned + height + 1,
+                "{selected} allocations under `{condition}`, {unconditioned} without, {records} records"
+            );
+        }
+    }
+    // One that rejects every record allocates what it does at any count.
+    for condition in
+        ["brand='x' AND price<100".to_string(), format!("NOT (case='steel' OR {DEEP})")]
+    {
+        let query = format!("SELECT watch WHERE {condition}");
+        let (set, small) = generated_over(&query, 1_000, &SOURCES);
+        assert!(set.individuals.is_empty(), "{condition}");
+        let (_, large) = generated_over(&query, 2_000, &SOURCES);
+        assert_eq!(small, large, "allocations under `{condition}` grew with the records rejected");
+        assert!(small <= REMAINDER, "{small} allocations for an empty answer");
+    }
 }
 
 /// An engine over one database of `rows` watches (brand, price) and one

@@ -173,6 +173,69 @@ fn catalog_ontology() -> Ontology {
         .unwrap()
 }
 
+/// The values a catalog attribute takes.
+fn catalog_pool(attribute: &str) -> &'static [&'static str] {
+    match attribute {
+        "brand" => &["Seiko", "Casio", "Orient", ""],
+        // Numeric columns hold plain decimals or plain text: the
+        // reference keeps the old `parse::<f64>` gate.
+        "price" => &["19.99", "100", " 250.5 ", "-3", "+7.", "cheap", ""],
+        "stock" => &["0", "12", "+4", "many", "1.5"],
+        "case" => &["steel", "resin"],
+        _ => &["Time House", "ACME", "acme", "Zürich & Co", ""],
+    }
+}
+
+/// A query over the catalog: any of its classes, now and then a
+/// projection, and three times in four a condition over the class's own
+/// attributes — every operator, constants drawn from the attribute's
+/// value pool (so leaves do hold), from the other pools and from numbers
+/// and patterns beside them, nested to height 8 (a chain now and then
+/// to 40) — which one time in eight each is made to reject, or to
+/// accept, every record whatever the rest of it says.
+fn catalog_query(rng: &mut TestRng) -> S2sqlQuery {
+    const CLASSES: [(&str, &[&str]); 3] = [
+        ("product", &["brand", "price", "stock", "provider"]),
+        ("watch", &["brand", "price", "stock", "provider", "case", "thing.product.watch.case"]),
+        ("provider", &[]),
+    ];
+    const CONSTANTS: [&str; 12] =
+        ["100", "19.99", "12.0", "0", "-3", "250.5", "S%", "%", "_eiko", "%e%", "a", "nonesuch"];
+    let (class, attributes) = CLASSES[rng.below(CLASSES.len())];
+    let leaf = |rng: &mut TestRng| {
+        let (attribute, other) = (pick(rng, attributes), pick(rng, attributes));
+        let pool = |attribute: &str| catalog_pool(attribute.rsplit('.').next().unwrap());
+        let value = match rng.below(3) {
+            0 => pick(rng, &CONSTANTS),
+            1 => pick(rng, pool(other)),
+            _ => pick(rng, pool(attribute)),
+        };
+        ConditionExpr::Leaf(Condition {
+            attribute: attribute.into(),
+            op: OPS[rng.below(OPS.len())],
+            value: value.into(),
+        })
+    };
+    let never = || {
+        Box::new(ConditionExpr::Leaf(Condition {
+            attribute: "brand".into(),
+            op: CondOp::Eq,
+            value: "nonesuch".into(),
+        }))
+    };
+    let condition = (!attributes.is_empty() && rng.below(4) != 0).then(|| {
+        let tree = Box::new(arb_condition(rng, 40, 8, &leaf));
+        match rng.below(8) {
+            0 => ConditionExpr::And(tree, never()),
+            1 => ConditionExpr::Or(tree, Box::new(ConditionExpr::Not(never()))),
+            _ => *tree,
+        }
+    });
+    let projection = (!attributes.is_empty() && rng.below(3) == 0)
+        .then(|| (0..=rng.below(2)).map(|_| pick(rng, attributes).to_string()).collect());
+    S2sqlQuery { class: class.into(), projection, condition }
+}
+
 /// An extraction report as the mediator would hand it over: one to four
 /// sources — among them ids that sanitize to one IRI prefix (`DB 1`,
 /// `db-1`) or to prefixes out of id order (`a`, `a-b`) — each with a
@@ -215,15 +278,7 @@ fn catalog_report(rng: &mut TestRng, ontology: &Ontology) -> ExtractionReport {
     let mut results: Vec<AttributeResult> = module
         .iter()
         .map(|mapping| {
-            let pool: &[&str] = match mapping.property().local_name() {
-                "brand" => &["Seiko", "Casio", "Orient", ""],
-                // Numeric columns hold plain decimals or plain text: the
-                // reference keeps the old `parse::<f64>` gate.
-                "price" => &["19.99", "100", " 250.5 ", "-3", "+7.", "cheap", ""],
-                "stock" => &["0", "12", "+4", "many", "1.5"],
-                "case" => &["steel", "resin"],
-                _ => &["Time House", "ACME", "acme", "Zürich & Co", ""],
-            };
+            let pool = catalog_pool(mapping.property().local_name());
             let len = match mapping.scenario() {
                 RecordScenario::SingleRecord => rng.below(3),
                 RecordScenario::MultiRecord => records.saturating_sub(rng.below(3) * rng.below(3)),
@@ -295,9 +350,10 @@ fn arb_value(rng: &mut TestRng) -> String {
     (0..rng.below(5)).map(|_| pick(rng, &PIECES)).collect()
 }
 
+const OPS: [CondOp; 7] =
+    [CondOp::Eq, CondOp::Ne, CondOp::Lt, CondOp::Le, CondOp::Gt, CondOp::Ge, CondOp::Like];
+
 fn arb_leaf(rng: &mut TestRng) -> ConditionExpr {
-    const OPS: [CondOp; 7] =
-        [CondOp::Eq, CondOp::Ne, CondOp::Lt, CondOp::Le, CondOp::Gt, CondOp::Ge, CondOp::Like];
     ConditionExpr::Leaf(Condition {
         attribute: arb_identifier(rng, true),
         op: OPS[rng.below(OPS.len())],
@@ -305,32 +361,40 @@ fn arb_leaf(rng: &mut TestRng) -> ConditionExpr {
     })
 }
 
-/// A condition tree of height at most `height`: bushy when small, and
-/// one time in eight a chain that reaches `height` exactly.
-fn arb_condition(rng: &mut TestRng, height: usize) -> ConditionExpr {
-    fn bushy(rng: &mut TestRng, height: usize) -> ConditionExpr {
+type Leaf<'a> = &'a dyn Fn(&mut TestRng) -> ConditionExpr;
+
+/// A condition tree over `leaf`s of height at most `height`: bushy up to
+/// `bushy_height`, and one time in eight a chain that reaches `height`
+/// exactly.
+fn arb_condition(
+    rng: &mut TestRng,
+    height: usize,
+    bushy_height: usize,
+    leaf: Leaf<'_>,
+) -> ConditionExpr {
+    fn bushy(rng: &mut TestRng, height: usize, leaf: Leaf<'_>) -> ConditionExpr {
         if height <= 1 || rng.below(3) == 0 {
-            return arb_leaf(rng);
+            return leaf(rng);
         }
-        let a = Box::new(bushy(rng, height - 1));
+        let a = Box::new(bushy(rng, height - 1, leaf));
         match rng.below(3) {
             0 => ConditionExpr::Not(a),
-            1 => ConditionExpr::And(a, Box::new(bushy(rng, height - 1))),
-            _ => ConditionExpr::Or(Box::new(bushy(rng, height - 1)), a),
+            1 => ConditionExpr::And(a, Box::new(bushy(rng, height - 1, leaf))),
+            _ => ConditionExpr::Or(Box::new(bushy(rng, height - 1, leaf)), a),
         }
     }
     if rng.below(8) != 0 {
-        return bushy(rng, height.min(5));
+        return bushy(rng, height.min(bushy_height), leaf);
     }
-    let mut chain = arb_leaf(rng);
+    let mut chain = leaf(rng);
     for _ in 1..height {
         let link = Box::new(chain);
         chain = match rng.below(5) {
             0 => ConditionExpr::Not(link),
-            1 => ConditionExpr::And(link, Box::new(arb_leaf(rng))),
-            2 => ConditionExpr::And(Box::new(arb_leaf(rng)), link),
-            3 => ConditionExpr::Or(link, Box::new(arb_leaf(rng))),
-            _ => ConditionExpr::Or(Box::new(arb_leaf(rng)), link),
+            1 => ConditionExpr::And(link, Box::new(leaf(rng))),
+            2 => ConditionExpr::And(Box::new(leaf(rng)), link),
+            3 => ConditionExpr::Or(link, Box::new(leaf(rng))),
+            _ => ConditionExpr::Or(Box::new(leaf(rng)), link),
         };
     }
     chain
@@ -341,7 +405,8 @@ fn arb_query(rng: &mut TestRng) -> S2sqlQuery {
         class: arb_identifier(rng, false),
         projection: (rng.below(3) == 0)
             .then(|| (0..=rng.below(3)).map(|_| arb_identifier(rng, false)).collect()),
-        condition: (rng.below(4) != 0).then(|| arb_condition(rng, MAX_CONDITION_DEPTH)),
+        condition: (rng.below(4) != 0)
+            .then(|| arb_condition(rng, MAX_CONDITION_DEPTH, 5, &arb_leaf)),
     }
 }
 
@@ -433,35 +498,30 @@ proptest! {
         }
     }
 
-    /// Sorted emission and the vector closure change the order work is
-    /// done in, never the answer: over generated reports the generator
-    /// returns what the one it replaced (`tests/reference`) returns —
-    /// an equal graph, equal individuals in equal order, equal errors —
-    /// under conditions, projections and provenance alike.
+    /// Sorted emission, the vector closure and the selection by column
+    /// change the order work is done in, never the answer: over
+    /// generated reports and generated queries the generator returns
+    /// what the one it replaced (`tests/reference`, which filters a
+    /// record at a time through `ConditionTree::matches`) returns — an
+    /// equal graph, equal individuals in equal order, equal errors —
+    /// under conditions, projections and provenance alike. The reports
+    /// hold what the selection must get right: two columns for one
+    /// property, single-record columns, ragged lengths, sources without
+    /// a column for a leaf's property.
     #[test]
     fn generator_agrees_with_reference(seed in any::<u64>()) {
-        const QUERIES: [&str; 8] = [
-            "SELECT product",
-            "SELECT watch",
-            "SELECT provider",
-            "SELECT product WHERE price<100",
-            "SELECT watch WHERE brand='Seiko' OR NOT case='resin'",
-            "SELECT product(brand)",
-            "SELECT watch(case, provider) WHERE price>=19.99 AND stock<=12",
-            "SELECT product(provider, price) WHERE NOT brand=''",
-        ];
         let mut rng = TestRng::from_seed(seed);
         let ontology = catalog_ontology();
         let report = catalog_report(&mut rng, &ontology);
-        let text = QUERIES[rng.below(QUERIES.len())];
-        let plan = s2s_core::query::plan(&s2s_core::query::parse(text).unwrap(), &ontology).unwrap();
+        let query = catalog_query(&mut rng);
+        let plan = s2s_core::query::plan(&query, &ontology).unwrap();
         let options = GenerateOptions { provenance: rng.below(2) == 0 };
 
         let new = generate_with_options(&ontology, &plan, &report, options);
         let old = reference::generate_with_options(&ontology, &plan, &report, options);
         let sources: Vec<&str> = report.results.iter().map(|r| r.mapping.source().as_str()).collect();
-        prop_assert!(new.individuals == old.individuals, "individuals of `{text}` over {sources:?}");
-        prop_assert!(new.graph == old.graph, "graph of `{text}` over {sources:?}");
+        prop_assert!(new.individuals == old.individuals, "individuals of `{query}` over {sources:?}");
+        prop_assert!(new.graph == old.graph, "graph of `{query}` over {sources:?}");
         prop_assert_eq!(&new.errors, &old.errors);
         prop_assert_eq!(new, old);
     }

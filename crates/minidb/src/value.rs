@@ -136,11 +136,69 @@ impl Value {
         match self {
             Value::Null => out.write_str("NULL"),
             Value::Int(i) => write!(out, "{i}"),
-            Value::Float(f) => write!(out, "{f}"),
+            Value::Float(f) => write_float(*f, out),
             Value::Text(s) => out.write_str(s),
             Value::Bool(b) => write!(out, "{b}"),
         }
     }
+}
+
+/// Writes `f` as `{f}` does — the shortest decimal that reads back as
+/// `f`, always positional — without the shortest-digits search when `f`
+/// is a short decimal, which is what a `REAL` column of prices holds.
+///
+/// For `k = 0, 1, … 6` take `n = round(|f|·10^k)`; if `n < 10^15` and
+/// `n / 10^k == |f|`, the digits of `n` with the point `k` places from
+/// the right are the answer. Both operands of that division are exact
+/// doubles (`n < 2^53`, `10^k ≤ 10^6`) and IEEE division is correctly
+/// rounded, so the test says `|f|` *is* the double nearest the decimal
+/// `n·10^-k`. That decimal has at most 15 significant digits, and below
+/// 16 digits decimal → double is injective (`10^15 < 2^53`; `|f| ≥ 10^-6`
+/// is far from subnormal), so no other decimal of 15 digits or fewer —
+/// in particular no shorter one — reads back as `f`: it is the string
+/// `Display` prints. The smallest `k` leaves no trailing zero: were the
+/// last digit of `n` zero, `n/10` would have passed at `k - 1` (the
+/// product is within 0.2 of the integer it is rounded to, so rounding
+/// finds it). Everything else — `NaN`, `±inf`, `|f| ≥ 10^15`, more than
+/// six decimals, 16 or 17 digits — takes `Display`.
+fn write_float(f: f64, out: &mut impl fmt::Write) -> fmt::Result {
+    const POW10: [f64; 7] = [1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6];
+    let magnitude = f.abs();
+    for (k, scale) in POW10.iter().enumerate() {
+        // `as` saturates: a NaN becomes 0 and fails the division test,
+        // an infinity stops at the bound.
+        let n = (magnitude * scale + 0.5) as u64;
+        if n >= 1_000_000_000_000_000 {
+            break;
+        }
+        if n as f64 / scale != magnitude {
+            continue;
+        }
+        // A sign, 15 digits and a point at most, filled from the right:
+        // `k` decimals, a slot skipped for the point (every slot starts
+        // as one), the whole part down to its last digit.
+        let mut text = [b'.'; 20];
+        let mut at = text.len();
+        let mut rest = n;
+        for place in 0.. {
+            if place == k && k > 0 {
+                at -= 1;
+            }
+            at -= 1;
+            text[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 && place >= k {
+                break;
+            }
+        }
+        if f.is_sign_negative() {
+            at -= 1;
+            text[at] = b'-';
+        }
+        let text = std::str::from_utf8(&text[at..]).expect("ASCII digits, a point and a sign");
+        return out.write_str(text);
+    }
+    write!(out, "{f}")
 }
 
 impl fmt::Display for Value {

@@ -229,7 +229,85 @@ fn select(rng: &mut TestRng) -> String {
     sql
 }
 
+/// `f` as a `REAL` renders: through the sink, `render()` and `Display`,
+/// which are one function.
+fn rendered(f: f64) -> String {
+    let value = Value::Float(f);
+    let mut sink = String::new();
+    value.write_to(&mut sink).unwrap();
+    assert_eq!((value.render(), value.to_string()), (sink.clone(), sink.clone()));
+    sink
+}
+
+/// The renderings the fast path, its bounds and its fallback must each
+/// get right, spelled out.
+#[test]
+fn float_rendering_pins() {
+    for (f, text) in [
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (f64::NAN, "NaN"),
+        (f64::INFINITY, "inf"),
+        (f64::NEG_INFINITY, "-inf"),
+        (0.1 + 0.2, "0.30000000000000004"),
+        (1e15, "1000000000000000"),
+        (999999999999999.9, "999999999999999.9"),
+        (99999999999999.9, "99999999999999.9"),
+        (1e21, "1000000000000000000000"),
+        (299.0, "299"),
+        (-299.0, "-299"),
+        (59.5, "59.5"),
+        (-59.5, "-59.5"),
+        (129.99, "129.99"),
+        (0.000001, "0.000001"),
+        (0.0000001, "0.0000001"),
+        (123456789.123456, "123456789.123456"),
+        (0.1234567, "0.1234567"),
+    ] {
+        assert_eq!(rendered(f), text);
+        assert_eq!(format!("{f}"), text, "what `Display` prints");
+    }
+    let tiny = rendered(5e-324);
+    assert_eq!(tiny, format!("{}", 5e-324));
+    assert!(tiny.starts_with("0.000") && tiny.ends_with('5') && tiny.len() == 326, "{tiny}");
+}
+
 proptest! {
+    /// A `REAL` renders as `f64`'s `Display` does, whatever its bits:
+    /// every class of double — subnormal, huge, NaN payloads — mostly
+    /// through the fallback.
+    #[test]
+    fn float_rendering_is_display_on_any_bit_pattern(bits in any::<u64>()) {
+        let f = f64::from_bits(bits);
+        prop_assert_eq!(rendered(f), format!("{f}"), "bits {:#x}", bits);
+    }
+
+    /// And on the doubles the fast path is for and around: `±n / 10^k`
+    /// with `k` up to two past the six decimals it takes, `n` of any
+    /// width up to 17 digits or within 2 000 of an edge — `10^15` (its
+    /// bound), `2^53` (where integers stop being exact), and the powers
+    /// of ten beside them.
+    #[test]
+    fn float_rendering_is_display_on_short_decimals(
+        seed in any::<u64>(),
+        k in 0u32..9,
+        shape in 0usize..8,
+    ) {
+        const EDGES: [u64; 6] =
+            [1_000_000_000_000_000, 1 << 53, 100_000_000_000_000, 10_000_000_000_000_000, 1_000_000, 0];
+        let n = match EDGES.get(shape) {
+            Some(edge) => (edge + seed % 4_000).saturating_sub(2_000),
+            None => (seed >> 8) % 10u64.pow(1 + (seed % 17) as u32),
+        };
+        let sign = if seed & 128 == 0 { 1.0 } else { -1.0 };
+        // The quotient of two doubles, and the decimal read as written:
+        // the same double whenever both are exact, neighbours otherwise.
+        let written: f64 = format!("{n}e-{k}").parse().unwrap();
+        for f in [sign * (n as f64 / 10f64.powi(k as i32)), sign * written] {
+            prop_assert_eq!(rendered(f), format!("{f}"), "{} / 10^{}", n, k);
+        }
+    }
+
     /// The select pipeline returns what the executor it replaced
     /// (`tests/reference`) returns — the same names, the same rows in
     /// the same order with the same value variants, the same error —

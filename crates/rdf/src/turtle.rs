@@ -132,6 +132,9 @@ pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
         out.push('\n');
     }
 
+    // Predicates and classes repeat once per record; subjects and
+    // literals do not, and are looked up as they come.
+    let mut qnames = QnameMemo::new(prefixes);
     let mut last: Option<&Triple> = None;
     for t in graph {
         let same_subject = last.is_some_and(|l| l.subject() == t.subject());
@@ -147,15 +150,19 @@ pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
             push_term(&mut out, t.subject(), prefixes);
             out.push(' ');
         }
+        let typing = t.predicate().as_str() == rdf::TYPE;
         if !same_predicate {
-            if t.predicate().as_str() == rdf::TYPE {
+            if typing {
                 out.push('a');
             } else {
-                push_iri(&mut out, t.predicate(), prefixes);
+                push_name(&mut out, t.predicate(), qnames.qname_parts(t.predicate()));
             }
             out.push(' ');
         }
-        push_term(&mut out, t.object(), prefixes);
+        match t.object() {
+            Term::Iri(class) if typing => push_name(&mut out, class, qnames.qname_parts(class)),
+            object => push_term(&mut out, object, prefixes),
+        }
         last = Some(t);
     }
     if last.is_some() {
@@ -174,7 +181,13 @@ pub(crate) fn push_qname(out: &mut String, (prefix, local): (&str, &str)) {
 /// Appends `iri` as a prefixed name if `prefixes` abbreviates it, else
 /// as `<iri>`.
 fn push_iri(out: &mut String, iri: &Iri, prefixes: &PrefixMap) {
-    match prefixes.qname_parts(iri) {
+    push_name(out, iri, prefixes.qname_parts(iri));
+}
+
+/// Appends `iri` as the prefixed name `qname` if it has one, else as
+/// `<iri>`.
+fn push_name(out: &mut String, iri: &Iri, qname: Option<(&str, &str)>) {
+    match qname {
         Some(qname) => push_qname(out, qname),
         None => {
             out.push('<');

@@ -3,8 +3,9 @@
 //! [`ConstraintOp`] is the one operator enum of an S2SQL condition
 //! (`s2s_core::query::CondOp` re-exports it) and [`Comparand::test`]
 //! the one function that decides `candidate op constant` — numeric when
-//! both sides parse as `f64`, byte-wise string comparison otherwise, SQL
-//! `LIKE` with `%`/`_`. The mediator's residual filter and every
+//! both sides read as `f64` (the candidate with the whitespace around it
+//! ignored), byte-wise string comparison otherwise, SQL `LIKE` with
+//! `%`/`_`. The mediator's residual filter and every
 //! predicate pushed into a source (an XPath child comparison, a WebL
 //! `Where` guard) call it, so pushing a conjunct down cannot change
 //! which values survive. A [`Comparand`] reads its constant once,
@@ -109,14 +110,19 @@ impl<S: AsRef<str>> Comparand<S> {
     /// Whether `candidate op constant` holds: numeric when both sides
     /// parse as `f64` (a NaN on either side satisfies nothing),
     /// byte-wise string comparison otherwise, [`like_match`] for `LIKE`.
-    /// The candidate is parsed only when the constant is a number.
+    /// The candidate is parsed only when the constant is a number, and
+    /// with the whitespace around it ignored: a source pads its numbers
+    /// (`<price> 59.5 </price>`), the Instance Generator trims what it
+    /// types, and a value must compare as the number it is emitted as.
+    /// String comparison and `LIKE` see the candidate as it is.
     #[inline]
     pub fn test(&self, candidate: &str) -> bool {
         let constant = self.constant.as_ref();
         if self.op == ConstraintOp::Like {
             return like_match(candidate, constant);
         }
-        let numbers = self.number.and_then(|b| candidate.parse::<f64>().ok().map(|a| (a, b)));
+        let numbers =
+            self.number.and_then(|b| candidate.trim().parse::<f64>().ok().map(|a| (a, b)));
         let ord = match numbers {
             Some((a, b)) => a.partial_cmp(&b),
             None => Some(candidate.cmp(constant)),
@@ -211,6 +217,23 @@ mod tests {
         assert!(!lt.test("250"));
         // "9" < "100" numerically even though "9" > "100" as strings.
         assert!(lt.test("9"));
+    }
+
+    #[test]
+    fn numeric_reading_ignores_the_whitespace_around_a_candidate() {
+        let lt = Comparand::new(ConstraintOp::Lt, "20");
+        assert!(!lt.test(" 59.5 "));
+        assert!(!lt.test("\n  129.99\n"));
+        assert!(lt.test("\t15 "));
+        assert!(Comparand::new(ConstraintOp::Eq, "59.5").test(" 59.50 "));
+        // Inside the number it is not padding, and the constant is the
+        // client's text as written: both fall to string comparison.
+        assert!(lt.test("1 5") && !Comparand::new(ConstraintOp::Eq, "15").test("1 5"));
+        assert!(!Comparand::new(ConstraintOp::Eq, " 15").test("15"));
+        assert!(Comparand::new(ConstraintOp::Eq, " 15").test(" 15"));
+        // Text and patterns keep their padding.
+        assert!(!Comparand::new(ConstraintOp::Eq, "Seiko").test(" Seiko "));
+        assert!(!Comparand::new(ConstraintOp::Like, "15").test(" 15 "));
     }
 
     #[test]

@@ -103,6 +103,21 @@ fn operand() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A spelling `str::parse::<f64>` reads as a number.
+fn number() -> impl Strategy<Value = String> {
+    operand().prop_map(|spelling| match spelling.parse::<f64>() {
+        Ok(_) => spelling,
+        Err(_) => format!("{}.25", spelling.len()),
+    })
+}
+
+/// Up to three characters `str::trim` removes, ASCII or not.
+fn padding() -> impl Strategy<Value = String> {
+    const WHITESPACE: [char; 6] = [' ', '\t', '\n', '\r', '\u{a0}', '\u{2003}'];
+    proptest::collection::vec(0..WHITESPACE.len(), 0..4)
+        .prop_map(|picks| picks.into_iter().map(|i| WHITESPACE[i]).collect())
+}
+
 proptest! {
     /// The matcher agrees with the reference VM (`tests/reference`) on
     /// every capture offset of every match, iterating and from an
@@ -150,11 +165,13 @@ proptest! {
     /// A comparand built once and tested per candidate decides what the
     /// old `holds` (`tests/reference`) decided parsing both sides every
     /// time — numeric spellings `f64` accepts and `xsd:decimal` does not
-    /// included, on either side, under all seven operators.
+    /// included, on either side, under all seven operators. Candidates
+    /// come unpadded: the old `holds` read a padded number as text (the
+    /// property below holds the new reading), a padded constant still is.
     #[test]
     fn prebuilt_comparand_agrees_with_reference_holds(
         constant in operand(),
-        candidates in proptest::collection::vec(operand(), 1..6),
+        candidates in proptest::collection::vec(operand().prop_map(|c| c.trim().to_string()), 1..6),
     ) {
         use ConstraintOp::{Eq, Ge, Gt, Le, Like, Lt, Ne};
         for op in [Eq, Ne, Lt, Le, Gt, Ge, Like] {
@@ -168,6 +185,28 @@ proptest! {
                 prop_assert_eq!(owned.test(candidate), expected);
                 prop_assert_eq!(op.holds(candidate, &constant), expected);
             }
+        }
+    }
+
+    /// A padded number compares as the number: when the constant and
+    /// the candidate both read as numbers, whitespace around the
+    /// candidate changes no answer under any operator but `LIKE`, which
+    /// never reads a number. (Text keeps its padding: `" Seiko"` is not
+    /// `"Seiko"`.)
+    #[test]
+    fn padding_a_numeric_candidate_changes_no_answer(
+        constant in number(),
+        candidate in number(),
+        before in padding(),
+        after in padding(),
+    ) {
+        use ConstraintOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        let padded = format!("{before}{candidate}{after}");
+        for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+            let comparand = Comparand::new(op, constant.as_str());
+            let unpadded = reference::holds(op, &candidate, &constant);
+            prop_assert_eq!(comparand.test(&candidate), unpadded);
+            prop_assert_eq!(comparand.test(&padded), unpadded, "{:?} {} {:?}", padded, op, constant);
         }
     }
 

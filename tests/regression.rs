@@ -415,3 +415,50 @@ fn regex_group_past_the_pattern_is_a_coded_failure() {
     assert!(failure.error.help().is_some());
     assert_eq!(outcome.stats.completeness, 0.5);
 }
+
+/// A pretty-printed XML catalog pads its numbers, and the generator
+/// trims what it emits (`" 59.5 "` becomes `"59.5"^^xsd:decimal`). The
+/// comparison read the candidate with `str::parse::<f64>`, which rejects
+/// the padding, so a padded price fell to byte-wise string comparison
+/// (`' ' < '2'`): `price < 20` answered all three watches, `price > 100`
+/// and `price = 59.5` none — no error, `completeness == 1.0`. The
+/// numeric reading of a candidate ignores surrounding whitespace.
+#[test]
+fn a_padded_number_compares_as_the_number_it_is_emitted_as() {
+    use s2s::rdf::vocab::xsd;
+
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("price", "Product", xsd::DECIMAL)
+        .unwrap()
+        .build()
+        .unwrap();
+    let payload = "<c>\n  <w><price> 59.5 </price></w>\n  <w><price>\n  129.99\n</price></w>\n  \
+                   <w><price>15</price></w>\n</c>";
+    let mut s2s = S2s::new(ontology);
+    let document = Arc::new(s2s::xml::parse(payload).unwrap());
+    s2s.register_source("XML", Connection::Xml { document }).unwrap();
+    let rule = ExtractionRule::XPath { path: "/c/w/price/text()".into() };
+    s2s.register_attribute("thing.product.price", rule, "XML", RecordScenario::MultiRecord)
+        .unwrap();
+
+    for (query, expected) in [
+        ("SELECT product WHERE price < 20", vec!["15"]),
+        ("SELECT product WHERE price > 100", vec!["129.99"]),
+        ("SELECT product WHERE price = 59.5", vec!["59.5"]),
+    ] {
+        let outcome = s2s.query(query).unwrap();
+        assert!(outcome.errors().is_empty(), "{query}: {:?}", outcome.errors());
+        assert_eq!(outcome.stats.completeness, 1.0, "{query}");
+        let emitted: Vec<_> = outcome
+            .instances
+            .graph
+            .iter()
+            .filter_map(|t| t.object().as_literal())
+            .filter(|l| l.datatype().as_str() == xsd::DECIMAL)
+            .map(|l| l.lexical().to_string())
+            .collect();
+        assert_eq!(emitted, expected, "{query}");
+    }
+}
