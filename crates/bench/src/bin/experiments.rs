@@ -346,13 +346,11 @@ fn run_experiments() {
 }
 
 /// A deployment where one of two sources is hard-down and the breaker
-/// trips after a single failure: the trace's `DOWN` batches show the
-/// full degradation ladder (retried+failed first exchange, then
-/// breaker-rejected exchanges) while `GOOD` stays clean. Serial,
-/// per-attribute extraction: six one-rule batches dispatched in the
-/// planner's (estimate desc, source id, submission index) order, so the
-/// breaker-state sequencing is a function of the plan — the costliest
-/// `DOWN` exchange (`case`) is the one that reaches the wire.
+/// trips after a single failure: across two queries on the engine, the
+/// `DOWN` batch shows the full degradation ladder (retried and failed on
+/// the first, breaker-rejected on the second) while `GOOD` stays clean.
+/// Serial dispatch in the planner's (estimate desc, source id) order, so
+/// the breaker-state sequencing is a function of the plan.
 fn degraded_deploy() -> S2s {
     let policy = s2s_core::ResiliencePolicy::default()
         .with_retry(RetryPolicy::attempts(2).with_backoff(
@@ -361,11 +359,8 @@ fn degraded_deploy() -> S2s {
             SimDuration::from_millis(50),
         ))
         .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(60_000)));
-    let mut s2s = S2s::new(ontology())
-        .with_strategy(Strategy::Serial)
-        .with_batching(false)
-        .with_resilience(policy)
-        .with_tracing();
+    let mut s2s =
+        S2s::new(ontology()).with_strategy(Strategy::Serial).with_resilience(policy).with_tracing();
     s2s.register_remote_source(
         "GOOD",
         Connection::Database { db: Arc::new(catalog_db(&records(5, 42))) },
@@ -387,27 +382,28 @@ fn degraded_deploy() -> S2s {
 
 fn trace_mode() {
     println!("## healthy query (batched, 4 sources × 3 attributes, WAN)");
-    let s2s =
-        deploy_wide(4, 3, CostModel::wan(), Strategy::Parallel { workers: 4 }, true).with_tracing();
+    let s2s = deploy_wide(4, 3, CostModel::wan(), Strategy::Parallel { workers: 4 }).with_tracing();
     let outcome = s2s.query("SELECT product").unwrap();
     let trace = outcome.trace.as_ref().expect("tracing enabled");
     println!("{}", s2s_obs::render_tree(trace));
     println!("### JSONL");
     print!("{}", s2s_obs::render_jsonl(trace));
 
-    println!("\n## degraded query (one source down, breaker threshold 1)");
     let s2s = degraded_deploy();
-    let outcome = s2s.query("SELECT watch").unwrap();
-    let trace = outcome.trace.as_ref().expect("tracing enabled");
-    println!("{}", s2s_obs::render_tree(trace));
-    println!("### JSONL");
-    print!("{}", s2s_obs::render_jsonl(trace));
-    println!(
-        "\ncompleteness: {:.3}   failed tasks: {}   breaker rejections: {}",
-        outcome.stats.completeness,
-        outcome.stats.failed_tasks,
-        outcome.resilience.values().map(|h| h.breaker_rejections).sum::<u64>()
-    );
+    for run in ["first", "second"] {
+        println!("\n## degraded query, {run} on one engine (one source down, breaker threshold 1)");
+        let outcome = s2s.query("SELECT watch").unwrap();
+        let trace = outcome.trace.as_ref().expect("tracing enabled");
+        println!("{}", s2s_obs::render_tree(trace));
+        println!("### JSONL");
+        print!("{}", s2s_obs::render_jsonl(trace));
+        println!(
+            "\ncompleteness: {:.3}   failed tasks: {}   breaker rejections: {}",
+            outcome.stats.completeness,
+            outcome.stats.failed_tasks,
+            outcome.resilience.values().map(|h| h.breaker_rejections).sum::<u64>()
+        );
+    }
 }
 
 fn metrics_mode() {
@@ -415,7 +411,7 @@ fn metrics_mode() {
     s2s_obs::global().clear();
 
     // A healthy batched workload, twice (to exercise both caches) …
-    let s2s = deploy_wide(8, 4, CostModel::wan(), Strategy::Parallel { workers: 4 }, true);
+    let s2s = deploy_wide(8, 4, CostModel::wan(), Strategy::Parallel { workers: 4 });
     let _ = s2s.query("SELECT product").unwrap();
     let _ = s2s.query("SELECT product").unwrap();
     // … plus a flaky one so retry/failure series are non-empty.
@@ -440,8 +436,7 @@ fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
 
     s2s_obs::set_enabled(true);
     s2s_obs::global().clear();
-    let s2s =
-        deploy_wide(6, 3, CostModel::wan(), Strategy::Parallel { workers: 4 }, true).with_tracing();
+    let s2s = deploy_wide(6, 3, CostModel::wan(), Strategy::Parallel { workers: 4 }).with_tracing();
     let outcome = s2s.query("SELECT product").unwrap();
     let prom = s2s_obs::render_prometheus(s2s_obs::global());
     s2s_obs::set_enabled(false);
@@ -1583,17 +1578,15 @@ fn e11() {
     );
     for (cost_label, cost) in [("lan", CostModel::lan()), ("wan", CostModel::wan())] {
         for (sources, attrs) in [(8usize, 1usize), (8, 2), (8, 4), (8, 8), (16, 4)] {
-            let run = |batching| {
-                deploy_wide(sources, attrs, cost, Strategy::Parallel { workers: 4 }, batching)
-                    .query("SELECT product")
-                    .unwrap()
-            };
-            let per_attr = run(false);
-            let batched = run(true);
+            let four = Strategy::Parallel { workers: 4 };
+            let per_attr = deploy_wide_per_attribute(sources, attrs, cost, four)
+                .query("SELECT product")
+                .unwrap();
+            let batched = deploy_wide(sources, attrs, cost, four).query("SELECT product").unwrap();
             assert_eq!(
-                format!("{:?}", per_attr.individuals()),
-                format!("{:?}", batched.individuals()),
-                "batched and per-attribute results diverged"
+                wide_values(&per_attr),
+                wide_values(&batched),
+                "batched and per-attribute values diverged"
             );
             let speedup = per_attr.stats.simulated.as_micros() as f64
                 / batched.stats.simulated.as_micros().max(1) as f64;
@@ -1612,7 +1605,7 @@ fn e11() {
     }
     // Compiled-rule cache: distinct rules compiled vs served from cache
     // on a repeat query (same middleware, shared cache).
-    let s2s = deploy_wide(16, 8, CostModel::lan(), Strategy::Parallel { workers: 8 }, true);
+    let s2s = deploy_wide(16, 8, CostModel::lan(), Strategy::Parallel { workers: 8 });
     let first = s2s.query("SELECT product").unwrap();
     let second = s2s.query("SELECT product").unwrap();
     println!(
@@ -1742,13 +1735,12 @@ fn e12() {
     header("E12", "observability overhead: disabled vs tracing+metrics (A/B)");
     let run = |s2s: &S2s| (mean_us(30, || s2s.query("SELECT product").unwrap()) * 1e3) as u128;
 
-    let off = deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 }, true);
+    let off = deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 });
     assert!(!s2s_obs::enabled(), "observability must start disabled");
     let off_ns = run(&off);
 
     s2s_obs::set_enabled(true);
-    let on =
-        deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 }, true).with_tracing();
+    let on = deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 }).with_tracing();
     let on_ns = run(&on);
     s2s_obs::set_enabled(false);
 

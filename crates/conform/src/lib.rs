@@ -5,11 +5,11 @@
 //!
 //! The paper's core promise (§2.4–§2.6) is that a semantic query yields
 //! the same ontology instances regardless of how extraction is
-//! executed. The engine has five execution paths — serial
-//! per-attribute, batched per-source, result-cached replay, the
-//! concurrent ("pooled": N threads on one engine) arm and all-in-flight
-//! dispatch (`Strategy::Reactor`) — and this crate is the harness that
-//! keeps them answer-equivalent:
+//! executed. The engine has one extraction pipeline (one wire exchange
+//! per source) and three ways to run it — batched (one engine, one
+//! client, asked repeatedly), result-cached replay, and the concurrent
+//! ("pooled": N threads on one engine) arm — and this crate is the
+//! harness that keeps them answer-equivalent:
 //!
 //! * [`scenario`] — seeded generators (vendored `rand` only) for
 //!   ontology deployments across all four source kinds, valid-by-
@@ -39,15 +39,16 @@
 //! ## Which scenarios may legally diverge?
 //!
 //! Cross-path answer equality is only a theorem for fault behaviour
-//! that is *call-count independent*: the serial path puts one wire
-//! exchange per attribute, the batched path one per source, so a
-//! probabilistic fault stream meets different call sequences in each
-//! path. The generator therefore draws per-source fault classes from
-//! the equality-preserving set (reliable, hard-down, hard-down with a
-//! reliable replica, and scheduled transient faults strictly smaller
-//! than the retry budget), and probabilistic `flaky(p)` endpoints are
-//! exercised by the per-path determinism and completeness-monotonicity
-//! oracles instead, where they are sound.
+//! that is *call-count independent*: the batched arm's repeat queries
+//! meet each endpoint at later call indices, and the pooled arm's
+//! clients interleave their calls on one endpoint in any order, so a
+//! probabilistic fault stream answers each query differently. The
+//! generator therefore draws
+//! per-source fault classes from the equality-preserving set (reliable,
+//! hard-down, hard-down with a reliable replica, and scheduled transient
+//! faults strictly smaller than the retry budget), and probabilistic
+//! `flaky(p)` endpoints are exercised by the per-path determinism and
+//! completeness-monotonicity oracles instead, where they are sound.
 
 #![forbid(unsafe_code)]
 

@@ -25,7 +25,7 @@ use crate::oracle::{fingerprint, Violation};
 use crate::scenario::{render_condition, BuildConfig, Scenario, ATTRS};
 
 /// Runs every metamorphic relation; `reference` is the fingerprint of
-/// the canonical (serial-path) answer.
+/// the canonical (batched-path) answer.
 pub fn check_metamorphic(scenario: &Scenario, reference: &str) -> Vec<Violation> {
     let mut violations = Vec::new();
     let canonical = scenario.query_text();

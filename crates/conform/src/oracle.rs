@@ -5,16 +5,16 @@
 //! healthy scenario). The oracles formalize the promises scattered
 //! through the engine's docs:
 //!
-//! * **Path equality** — serial, batched, result-cached, pooled
-//!   N-thread, and all-in-flight (`Strategy::Reactor`) execution agree
-//!   on the instance set (modulo ordering) and on the failed-attribute
-//!   set.
+//! * **Path equality** — batched (asked `ATTRS.len()` times on one
+//!   engine, so scheduled faults at later call indices fire too),
+//!   result-cached and pooled N-thread execution agree on the instance
+//!   set (modulo ordering) and on the failed-attribute set.
 //! * **Stats conservation** — `tasks == answered + failed`,
 //!   `completeness == answered/tasks`, `round_trips == Σ attempts`, and
 //!   cache deltas are consistent with what the query actually did.
 //! * **Zero-fault completeness** — a fault-free scenario answers at
 //!   completeness 1 with no retries, no failovers, and exactly one
-//!   wire exchange per source (batched) or per schema (serial).
+//!   wire exchange per source.
 //! * **Replay** — a complete first answer is replayed from the result
 //!   cache byte-for-byte with zero round trips and zero simulated
 //!   time; a degraded answer is never admitted.
@@ -30,8 +30,7 @@
 //!   degraded run exactly.
 //! * **Pushdown equivalence** — the federated planner (predicate and
 //!   projection pushdown plus source pruning) answers byte-for-byte
-//!   like the post-filter path on both the batched and reactor
-//!   strategies, never inflates `wire_response_bytes`, never dials a
+//!   like the post-filter path, never inflates `wire_response_bytes`, never dials a
 //!   pruned source, and reproduces deterministically.
 //! * **Delta maintenance** — on fault-free scenarios, materialized
 //!   semantic views fed by the source change feeds answer
@@ -99,25 +98,32 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
     let n_sources = scenario.sources.len();
     let n_schemas = n_sources * crate::scenario::ATTRS.len();
 
-    // --- The five execution paths -----------------------------------
-    let serial = scenario.build(&BuildConfig::serial());
-    let serial_outcome = match serial.query(&query) {
+    // --- The three execution paths ----------------------------------
+    // The reference engine is asked once per attribute: each repeat
+    // advances every endpoint's call index, so faults scheduled past the
+    // first exchange fire too, and every answer must equal the first.
+    let batched = scenario.build(&BuildConfig::batched());
+    let first = match batched.query(&query) {
         Ok(o) => o,
         Err(e) => {
-            violations.push(Violation::new("query-valid", format!("serial path errored: {e}")));
+            violations.push(Violation::new("query-valid", format!("batched path errored: {e}")));
             return violations;
         }
     };
-    check_stats(&serial_outcome, "serial", &mut violations);
-
-    let batched = scenario.build(&BuildConfig::batched());
-    let batched_outcome = batched.query(&query).expect("parsed on the serial path");
-    check_stats(&batched_outcome, "batched", &mut violations);
+    let mut batched_runs = vec![first];
+    batched_runs.extend(
+        (1..crate::scenario::ATTRS.len())
+            .map(|_| batched.query(&query).expect("parsed on the batched path")),
+    );
+    for (r, outcome) in batched_runs.iter().enumerate() {
+        check_stats(outcome, &format!("batched-r{r}"), &mut violations);
+    }
+    let batched_outcome = &batched_runs[0];
 
     let replay_engine = scenario.build(&BuildConfig::replay());
-    let replay_first = replay_engine.query(&query).expect("parsed on the serial path");
+    let replay_first = replay_engine.query(&query).expect("parsed on the batched path");
     check_stats(&replay_first, "replay-first", &mut violations);
-    let replay_second = replay_engine.query(&query).expect("parsed on the serial path");
+    let replay_second = replay_engine.query(&query).expect("parsed on the batched path");
     check_replay(&replay_first, &replay_second, &mut violations);
 
     let pooled = Arc::new(scenario.build(&BuildConfig::pooled(4)));
@@ -126,7 +132,7 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
             .map(|_| {
                 let pooled = Arc::clone(&pooled);
                 let query = query.clone();
-                scope.spawn(move || pooled.query(&query).expect("parsed on the serial path"))
+                scope.spawn(move || pooled.query(&query).expect("parsed on the batched path"))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("no panic in client thread")).collect()
@@ -135,70 +141,40 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
         check_stats(outcome, &format!("pooled-t{t}"), &mut violations);
     }
 
-    let reactor = scenario.build(&BuildConfig::reactor());
-    let reactor_outcome = reactor.query(&query).expect("parsed on the serial path");
-    check_stats(&reactor_outcome, "reactor", &mut violations);
-    // Reactor-specific accounting: every exchange overlaps every
-    // other, so the simulated makespan is the per-exchange max — never
-    // more than the summed serial cost, and equal to the batched
-    // path's sum of exchanges (same wire legs, same charges).
-    if reactor_outcome.stats.simulated > reactor_outcome.stats.simulated_serial {
-        violations.push(Violation::new(
-            "reactor-overlap",
-            format!(
-                "reactor simulated {} exceeds its serial cost {}",
-                reactor_outcome.stats.simulated, reactor_outcome.stats.simulated_serial
-            ),
-        ));
-    }
-    if reactor_outcome.stats.simulated_serial != batched_outcome.stats.simulated_serial {
-        violations.push(Violation::new(
-            "reactor-overlap",
-            format!(
-                "reactor serial cost {} != batched serial cost {} (same wire legs)",
-                reactor_outcome.stats.simulated_serial, batched_outcome.stats.simulated_serial
-            ),
-        ));
-    }
-
     // --- Cross-path equality ----------------------------------------
-    let reference = fingerprint(&serial_outcome);
-    for (path, outcome) in [
-        ("batched", &batched_outcome),
-        ("replay-first", &replay_first),
-        ("reactor", &reactor_outcome),
-    ]
-    .into_iter()
-    .chain(
-        pooled_outcomes
-            .iter()
-            .enumerate()
-            .map(|(t, o)| (["pooled-t0", "pooled-t1", "pooled-t2"][t], o)),
-    ) {
+    let reference = fingerprint(batched_outcome);
+    let others = batched_runs
+        .iter()
+        .enumerate()
+        .skip(1)
+        .map(|(r, o)| (format!("batched-r{r}"), o))
+        .chain(std::iter::once(("replay-first".to_string(), &replay_first)))
+        .chain(pooled_outcomes.iter().enumerate().map(|(t, o)| (format!("pooled-t{t}"), o)));
+    for (path, outcome) in others {
         if fingerprint(outcome) != reference {
             violations.push(Violation::new(
                 "path-equality",
                 format!(
-                    "{path} diverged from serial\nserial:\n{reference}\n{path}:\n{}",
+                    "{path} diverged from batched\nbatched:\n{reference}\n{path}:\n{}",
                     fingerprint(outcome)
                 ),
             ));
         }
-        if (outcome.stats.completeness - serial_outcome.stats.completeness).abs() > 1e-12 {
+        if (outcome.stats.completeness - batched_outcome.stats.completeness).abs() > 1e-12 {
             violations.push(Violation::new(
                 "path-completeness",
                 format!(
-                    "{path} completeness {} != serial {}",
-                    outcome.stats.completeness, serial_outcome.stats.completeness
+                    "{path} completeness {} != batched {}",
+                    outcome.stats.completeness, batched_outcome.stats.completeness
                 ),
             ));
         }
     }
 
     // --- Zero-fault obligations -------------------------------------
-    if scenario.fault_free() {
-        for (path, outcome) in [("serial", &serial_outcome), ("batched", &batched_outcome)] {
-            let s = &outcome.stats;
+    for (r, outcome) in batched_runs.iter().enumerate() {
+        let (path, s) = (format!("batched-r{r}"), &outcome.stats);
+        if scenario.fault_free() {
             if s.completeness != 1.0 || s.failed_tasks != 0 {
                 violations.push(Violation::new(
                     "zero-fault-completeness",
@@ -218,43 +194,29 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
                     ),
                 ));
             }
-        }
-        if batched_outcome.stats.round_trips != n_sources as u64 {
-            violations.push(Violation::new(
-                "round-trip-conservation",
-                format!(
-                    "batched fault-free round_trips {} != source count {n_sources}",
-                    batched_outcome.stats.round_trips
-                ),
-            ));
-        }
-        if serial_outcome.stats.round_trips != n_schemas as u64 {
-            violations.push(Violation::new(
-                "round-trip-conservation",
-                format!(
-                    "serial fault-free round_trips {} != schema count {n_schemas}",
-                    serial_outcome.stats.round_trips
-                ),
-            ));
-        }
-    } else if !scenario.has_hard_outage() {
-        // Rescued faults (replica failover or scheduled transients
-        // within the retry budget) must still answer completely.
-        if serial_outcome.stats.completeness != 1.0 {
+            if s.round_trips != n_sources as u64 {
+                violations.push(Violation::new(
+                    "round-trip-conservation",
+                    format!(
+                        "{path}: fault-free round_trips {} != source count {n_sources}",
+                        s.round_trips
+                    ),
+                ));
+            }
+        } else if !scenario.has_hard_outage() && s.completeness != 1.0 {
+            // Rescued faults (replica failover or scheduled transients
+            // within the retry budget) must still answer completely.
             violations.push(Violation::new(
                 "rescued-fault-completeness",
-                format!(
-                    "completeness {} though every fault is rescuable",
-                    serial_outcome.stats.completeness
-                ),
+                format!("{path}: completeness {} though every fault is rescuable", s.completeness),
             ));
         }
-    }
-    if serial_outcome.stats.tasks != n_schemas {
-        violations.push(Violation::new(
-            "task-conservation",
-            format!("serial tasks {} != schemas {n_schemas}", serial_outcome.stats.tasks),
-        ));
+        if s.tasks != n_schemas {
+            violations.push(Violation::new(
+                "task-conservation",
+                format!("{path}: tasks {} != schemas {n_schemas}", s.tasks),
+            ));
+        }
     }
 
     // --- Metamorphic relations --------------------------------------
@@ -266,16 +228,16 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
     }
 
     // --- Overload honesty -------------------------------------------
-    violations.extend(check_overload(scenario, &batched_outcome));
+    violations.extend(check_overload(scenario, batched_outcome));
 
     // --- Pushdown equivalence ---------------------------------------
-    violations.extend(check_pushdown(scenario, &batched_outcome));
+    violations.extend(check_pushdown(scenario, batched_outcome));
 
     // --- Delta maintenance ------------------------------------------
-    violations.extend(check_delta(scenario, &batched_outcome));
+    violations.extend(check_delta(scenario, batched_outcome));
 
     // --- Bootstrap equivalence --------------------------------------
-    violations.extend(check_bootstrap(scenario, &batched_outcome));
+    violations.extend(check_bootstrap(scenario, batched_outcome));
 
     violations
 }
@@ -333,7 +295,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
                         .expect("source registered by build");
                 }
             }
-            let outcome = engine.query(&query).expect("parsed on the serial path");
+            let outcome = engine.query(&query).expect("parsed on the batched path");
             trace.push((
                 fingerprint(&outcome),
                 outcome.stats.round_trips,
@@ -382,7 +344,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
     for (round, entry) in trace.iter().enumerate().take(5).skip(2) {
         mutate_catalog(&mut records, round);
         let reference =
-            rebuilt_engine(scenario, &records).query(&query).expect("parsed on the serial path");
+            rebuilt_engine(scenario, &records).query(&query).expect("parsed on the batched path");
         if entry.0 != fingerprint(&reference) {
             violations.push(Violation::new(
                 "delta-divergence",
@@ -425,10 +387,8 @@ fn rebuilt_engine(scenario: &Scenario, records: &[crate::scenario::Record]) -> S
     use s2s_core::source::Connection;
     use s2s_netsim::{CostModel, FailureModel, FaultSchedule};
 
-    let mut s2s = S2s::new(crate::scenario::ontology())
-        .with_strategy(Strategy::Serial)
-        .with_batching(true)
-        .with_resilience(
+    let mut s2s =
+        S2s::new(crate::scenario::ontology()).with_strategy(Strategy::Serial).with_resilience(
             ResiliencePolicy::default()
                 .with_retry(RetryPolicy::attempts(crate::scenario::RETRY_ATTEMPTS)),
         );
@@ -510,10 +470,8 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
     };
 
     let build = || -> Result<(S2s, Vec<String>), String> {
-        let mut s2s = S2s::new(crate::scenario::ontology())
-            .with_strategy(Strategy::Serial)
-            .with_batching(true)
-            .with_resilience(
+        let mut s2s =
+            S2s::new(crate::scenario::ontology()).with_strategy(Strategy::Serial).with_resilience(
                 ResiliencePolicy::default()
                     .with_retry(Retry::attempts(crate::scenario::RETRY_ATTEMPTS)),
             );
@@ -554,7 +512,7 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
             return violations;
         }
     };
-    let outcome = engine.query(&query).expect("parsed on the serial path");
+    let outcome = engine.query(&query).expect("parsed on the batched path");
     if fingerprint(&outcome) != fingerprint(baseline) {
         violations.push(Violation::new(
             "bootstrap-equality",
@@ -579,7 +537,7 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
             "re-bootstrap produced a different candidate set".to_string(),
         ));
     }
-    let outcome2 = engine2.query(&query).expect("parsed on the serial path");
+    let outcome2 = engine2.query(&query).expect("parsed on the batched path");
     if fingerprint(&outcome2) != fingerprint(&outcome) {
         violations.push(Violation::new(
             "bootstrap-determinism",
@@ -594,8 +552,8 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
 ///
 /// Four invariants, each against the unconstrained batched path:
 ///
-/// * **equality** — pushdown-on (batched and reactor) fingerprints
-///   and completeness match pushdown-off exactly; the residual filter
+/// * **equality** — pushdown-on fingerprints and completeness match
+///   pushdown-off exactly; the residual filter
 ///   guarantees any record a pushed predicate drops would have been
 ///   dropped post-extraction anyway.
 /// * **wire monotonicity** — pushed responses are subsets of the full
@@ -614,7 +572,7 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     let full_fp = fingerprint(baseline);
 
     let pushed =
-        scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the serial path");
+        scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the batched path");
     check_stats(&pushed, "pushdown", &mut violations);
     if fingerprint(&pushed) != full_fp {
         violations.push(Violation::new(
@@ -663,22 +621,8 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         None => {}
     }
 
-    let reactor_pushed = scenario
-        .build(&BuildConfig::pushdown_reactor())
-        .query(&query)
-        .expect("parsed on the serial path");
-    if fingerprint(&reactor_pushed) != full_fp {
-        violations.push(Violation::new(
-            "pushdown-equality",
-            format!(
-                "pushdown+reactor changed the answer\nfull:\n{full_fp}\nreactor:\n{}",
-                fingerprint(&reactor_pushed)
-            ),
-        ));
-    }
-
     let again =
-        scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the serial path");
+        scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the batched path");
     if fingerprint(&again) != fingerprint(&pushed)
         || again.stats.round_trips != pushed.stats.round_trips
         || again.pushdown != pushed.pushdown
@@ -692,8 +636,8 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
 
     // --- Decoy pruning arm -------------------------------------------
     if !scenario.conditions.is_empty() {
-        let on = decoy_engine(scenario, true).query(&query).expect("parsed on the serial path");
-        let off = decoy_engine(scenario, false).query(&query).expect("parsed on the serial path");
+        let on = decoy_engine(scenario, true).query(&query).expect("parsed on the batched path");
+        let off = decoy_engine(scenario, false).query(&query).expect("parsed on the batched path");
         if fingerprint(&on) != fingerprint(&off) {
             violations.push(Violation::new(
                 "pushdown-prune-equality",
@@ -1079,7 +1023,6 @@ fn flaky_engine(scenario: &Scenario, p: f64) -> S2s {
     let records = scenario.records();
     let mut s2s = S2s::new(crate::scenario::ontology())
         .with_strategy(Strategy::Serial)
-        .with_batching(true)
         .with_resilience(ResiliencePolicy::none());
     for i in 0..scenario.sources.len() {
         let id = format!("SRC_{i}");

@@ -246,12 +246,9 @@ impl Scenario {
     /// oracles); `None` keeps canonical order.
     pub fn build(&self, config: &BuildConfig) -> S2s {
         let records = self.records();
-        let mut s2s = S2s::new(ontology())
-            .with_strategy(config.strategy)
-            .with_batching(config.batching)
-            .with_resilience(
-                ResiliencePolicy::default().with_retry(RetryPolicy::attempts(RETRY_ATTEMPTS)),
-            );
+        let mut s2s = S2s::new(ontology()).with_strategy(config.strategy).with_resilience(
+            ResiliencePolicy::default().with_retry(RetryPolicy::attempts(RETRY_ATTEMPTS)),
+        );
         if config.result_cache {
             s2s = s2s.with_result_cache();
         }
@@ -319,15 +316,16 @@ impl Scenario {
                     FaultSchedule::new(),
                 )
                 .expect("fresh id"),
-            FaultClass::HardDownWithReplica => s2s
-                .register_remote_source_with_replicas(
+            FaultClass::HardDownWithReplica => {
+                s2s.register_remote_source(
                     &id,
                     connection,
                     CostModel::wan(),
                     FailureModel::unreachable(),
-                    &[FailureModel::reliable()],
                 )
-                .expect("fresh id"),
+                .expect("fresh id");
+                s2s.add_source_replica(&id, FailureModel::reliable()).expect("just registered");
+            }
             FaultClass::Transient(faults) | FaultClass::TransientWithReplica(faults) => {
                 let mut schedule = FaultSchedule::new();
                 for (index, kind) in faults {
@@ -368,8 +366,6 @@ impl Scenario {
 /// Execution-path configuration for [`Scenario::build`].
 #[derive(Debug, Clone)]
 pub struct BuildConfig {
-    /// Coalesce per-source wire exchanges.
-    pub batching: bool,
     /// Extraction strategy (how far wire exchanges overlap).
     pub strategy: Strategy,
     /// Enable the whole-answer result cache.
@@ -387,7 +383,6 @@ pub struct BuildConfig {
 impl Default for BuildConfig {
     fn default() -> Self {
         BuildConfig {
-            batching: true,
             strategy: Strategy::Serial,
             result_cache: false,
             pushdown: false,
@@ -399,14 +394,9 @@ impl Default for BuildConfig {
 }
 
 impl BuildConfig {
-    /// The serial per-attribute path (batching off).
-    pub fn serial() -> Self {
-        BuildConfig { batching: false, strategy: Strategy::Serial, ..Default::default() }
-    }
-
-    /// The batched per-source path.
+    /// The reference path: one exchange per source, one at a time.
     pub fn batched() -> Self {
-        BuildConfig { batching: true, strategy: Strategy::Serial, ..Default::default() }
+        BuildConfig::default()
     }
 
     /// The batched path with the result cache (replay oracle).
@@ -416,27 +406,12 @@ impl BuildConfig {
 
     /// The concurrent path: N threads share one engine's lanes.
     pub fn pooled(workers: usize) -> Self {
-        BuildConfig {
-            batching: true,
-            strategy: Strategy::Parallel { workers },
-            ..Default::default()
-        }
-    }
-
-    /// The all-in-flight path: every batched exchange overlaps every
-    /// other.
-    pub fn reactor() -> Self {
-        BuildConfig { batching: true, strategy: Strategy::Reactor, ..Default::default() }
+        BuildConfig { strategy: Strategy::Parallel { workers }, ..Default::default() }
     }
 
     /// The batched path with the federated pushdown planner enabled.
     pub fn pushdown() -> Self {
         BuildConfig { pushdown: true, ..BuildConfig::batched() }
-    }
-
-    /// The all-in-flight path with the pushdown planner enabled.
-    pub fn pushdown_reactor() -> Self {
-        BuildConfig { pushdown: true, ..BuildConfig::reactor() }
     }
 
     /// The batched path with materialized semantic views (delta

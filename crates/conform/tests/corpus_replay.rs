@@ -95,7 +95,7 @@ fn hostile_rule_cases_fail_coded_not_aborted() {
     ] {
         let text = fs::read_to_string(corpus.join(file)).expect("read case");
         let hostile = from_case(&text).expect("case parses");
-        for config in [BuildConfig::serial(), BuildConfig::batched(), BuildConfig::reactor()] {
+        for config in [BuildConfig::batched(), BuildConfig::replay(), BuildConfig::pooled(4)] {
             let outcome =
                 hostile.build(&config).query(&hostile.query_text()).expect("query parses");
             assert_eq!(outcome.errors().len(), 3, "{file}: one failure per hostile mapping");
@@ -107,4 +107,26 @@ fn hostile_rule_cases_fail_coded_not_aborted() {
             assert_eq!(outcome.individuals().len(), 3 * hostile.rows, "{file}: healthy answer");
         }
     }
+}
+
+/// The batched arm asks its engine once per attribute because its one
+/// exchange per source would otherwise never reach a fault scheduled past
+/// call index 1: here the faults at db call 2 and xml call 1 fire only on
+/// the repeat query, and every answer is still complete.
+#[test]
+fn repeat_queries_reach_the_late_scheduled_faults() {
+    use s2s_conform::scenario::{BuildConfig, ATTRS};
+
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let text = fs::read_to_string(corpus.join("transient-retries.case")).expect("read case");
+    let scenario = from_case(&text).expect("case parses");
+    let engine = scenario.build(&BuildConfig::batched());
+    let retries: Vec<u64> = (0..ATTRS.len())
+        .map(|_| {
+            let outcome = engine.query(&scenario.query_text()).expect("query parses");
+            assert_eq!(outcome.stats.completeness, 1.0);
+            outcome.retries()
+        })
+        .collect();
+    assert_eq!(retries, [1, 2, 0], "db call 0; db call 2 and xml call 1; none");
 }

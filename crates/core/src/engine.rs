@@ -14,8 +14,10 @@
 //!   so nothing invalidates one: only the LRU bound drops it.
 //! * [`QueryResultCache`] — memoizes whole query answers (the
 //!   [`InstanceSet`] plus the stats of the run that produced it),
-//!   same key, LRU + optional TTL in *simulated* time.
-//!   Invalidation is **dependency-tracked**: each entry records the
+//!   same key, LRU-bounded at [`QueryResultCache::CAPACITY`] and
+//!   otherwise never expired: a source's data changes only through
+//!   `S2s::mutate_source`, which swaps its immutable snapshot, so
+//!   invalidation is **dependency-tracked**: each entry records the
 //!   `(source, version)` set the producing run read, a data mutation or
 //!   mapping edit drops only the entries whose dependency set
 //!   intersects the change, and admission re-checks the recorded
@@ -39,7 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use s2s_netsim::SimDuration;
 
 use crate::instance::InstanceSet;
 use crate::middleware::QueryStats;
@@ -122,35 +123,10 @@ impl<K: Clone + Eq + Hash, V> Lru<K, V> {
         Q: Eq + Hash + ?Sized,
         V: Clone,
     {
-        self.get_if(key, |value| Some(value.clone()))
-    }
-
-    /// [`Lru::get`] for entries that can go stale: `read` returns what
-    /// the caller wants of a live entry and `None` for a dead one,
-    /// which is dropped and counted as a miss.
-    pub(crate) fn get_if<Q, R>(&self, key: &Q, read: impl Fn(&V) -> Option<R>) -> Option<R>
-    where
-        K: Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
-        let (hit, dead) = match self.slots.read().get(key) {
-            Some(slot) => match read(&slot.value) {
-                Some(hit) => {
-                    slot.stamp.store(self.next_stamp(), Ordering::Relaxed);
-                    (Some(hit), false)
-                }
-                None => (None, true),
-            },
-            None => (None, false),
-        };
-        if dead {
-            // Re-check under the write lock: a racing insert may have
-            // replaced the entry with a live one.
-            let mut slots = self.slots.write();
-            if slots.get(key).is_some_and(|slot| read(&slot.value).is_none()) {
-                slots.remove(key);
-            }
-        }
+        let hit = self.slots.read().get(key).map(|slot| {
+            slot.stamp.store(self.next_stamp(), Ordering::Relaxed);
+            slot.value.clone()
+        });
         self.count(usize::from(hit.is_none()));
         hit
     }
@@ -253,23 +229,6 @@ pub(crate) fn plan_cache() -> PlanCache {
     Lru::new(256, [PLAN_CACHE_HITS_TOTAL, PLAN_CACHE_MISSES_TOTAL, PLAN_CACHE_EVICTIONS_TOTAL])
 }
 
-/// Sizing and freshness policy for a [`QueryResultCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultCacheConfig {
-    /// Maximum cached answers (min 1).
-    pub capacity: usize,
-    /// Time-to-live in *simulated* time, measured against the engine's
-    /// resilience clock; `None` disables expiry (mutation invalidation
-    /// still applies).
-    pub ttl: Option<SimDuration>,
-}
-
-impl Default for ResultCacheConfig {
-    fn default() -> Self {
-        ResultCacheConfig { capacity: 128, ttl: None }
-    }
-}
-
 /// A cache hit: the answer plus the provenance of the run that
 /// produced it.
 #[derive(Debug, Clone)]
@@ -287,15 +246,15 @@ pub struct CachedResult {
 struct ResultEntry {
     result: CachedResult,
     deps: DependencySet,
-    inserted_at: SimDuration,
 }
 
-/// An LRU + TTL memo of whole query answers, keyed on the query's
-/// canonical rendering. See the module docs for the admission and
-/// invalidation rules.
+/// An LRU memo of whole query answers, keyed on the query's canonical
+/// rendering. See the module docs for the admission and invalidation
+/// rules.
 #[derive(Debug)]
 pub struct QueryResultCache {
-    entries: Lru<String, ResultEntry>,
+    /// Shared so a hit clones a pointer, not the dependency set.
+    entries: Lru<String, Arc<ResultEntry>>,
     /// Highest mutation version seen per source. The lock is held
     /// across the entry insert or drop it guards (always taken before
     /// the store's own), which makes the admission-time version check
@@ -303,63 +262,58 @@ pub struct QueryResultCache {
     /// entries; an insert whose dependencies predate the floor is
     /// refused even if it lands after the drop.
     floors: Mutex<HashMap<String, u64>>,
-    ttl: Option<SimDuration>,
     invalidations: AtomicU64,
 }
 
+impl Default for QueryResultCache {
+    fn default() -> Self {
+        QueryResultCache::new()
+    }
+}
+
 impl QueryResultCache {
-    /// An empty cache with the given policy.
-    pub fn new(config: ResultCacheConfig) -> Self {
+    /// LRU capacity (distinct cached answers).
+    pub const CAPACITY: usize = 128;
+
+    /// An empty cache.
+    pub fn new() -> Self {
         use s2s_obs::names::{
             RESULT_CACHE_EVICTIONS_TOTAL, RESULT_CACHE_HITS_TOTAL, RESULT_CACHE_MISSES_TOTAL,
         };
         let names =
             [RESULT_CACHE_HITS_TOTAL, RESULT_CACHE_MISSES_TOTAL, RESULT_CACHE_EVICTIONS_TOTAL];
         QueryResultCache {
-            entries: Lru::new(config.capacity, names),
+            entries: Lru::new(Self::CAPACITY, names),
             floors: Mutex::new(HashMap::new()),
-            ttl: config.ttl,
             invalidations: AtomicU64::new(0),
         }
     }
 
-    /// Looks up the cached answer for a query key at simulated instant
-    /// `now`. An entry past its TTL is dropped and
-    /// counted as a miss.
-    pub fn get(&self, key: &str, now: SimDuration) -> Option<CachedResult> {
-        self.entries.get_if(key, |e| {
-            let fresh = self.ttl.is_none_or(|ttl| now.saturating_sub(e.inserted_at) < ttl);
-            fresh.then(|| e.result.clone())
-        })
+    /// Looks up the cached answer for a query key.
+    pub fn get(&self, key: &str) -> Option<CachedResult> {
+        self.entries.get(key).map(|e| e.result.clone())
     }
 
-    /// Stores an answer produced at simulated instant `now` together
-    /// with the `(source, version)` dependencies the producing run
-    /// read, evicting the least recently used entry at capacity. The
-    /// caller enforces answer-quality admission (complete, failure-free
-    /// answers only); *this* method enforces freshness admission: an
-    /// answer with a dependency older than its source's floor — a
-    /// mutation landed while the query was in flight — is refused and
-    /// `false` returned.
-    pub fn insert(
-        &self,
-        key: String,
-        result: CachedResult,
-        deps: DependencySet,
-        now: SimDuration,
-    ) -> bool {
+    /// Stores an answer together with the `(source, version)`
+    /// dependencies the producing run read, evicting the least recently
+    /// used entry at capacity. The caller enforces answer-quality
+    /// admission (complete, failure-free answers only); *this* method
+    /// enforces freshness admission: an answer with a dependency older
+    /// than its source's floor — a mutation landed while the query was
+    /// in flight — is refused and `false` returned.
+    pub fn insert(&self, key: String, result: CachedResult, deps: DependencySet) -> bool {
         let floors = self.floors.lock();
         let stale =
             deps.iter().any(|(source, version)| floors.get(source).is_some_and(|f| version < *f));
         if !stale {
-            self.entries.insert(key, ResultEntry { result, deps, inserted_at: now });
+            self.entries.insert(key, Arc::new(ResultEntry { result, deps }));
         }
         !stale
     }
 
     /// Drops the entries `keep` rejects, counting them as invalidated.
     fn invalidate(&self, keep: impl Fn(&ResultEntry) -> bool) -> usize {
-        let dropped = self.entries.retain(keep);
+        let dropped = self.entries.retain(|e| keep(e));
         self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
         if dropped > 0 && s2s_obs::enabled() {
             s2s_obs::global()
@@ -409,7 +363,7 @@ impl QueryResultCache {
         self.len() == 0
     }
 
-    /// Counter snapshot (hits, misses, LRU evictions).
+    /// Counter snapshot (hits, misses, LRU evictions at [`Self::CAPACITY`]).
     pub fn stats(&self) -> CacheStats {
         self.entries.stats()
     }
@@ -484,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_get_if_drops_dead_entries_and_retain_reports_drops() {
-        let store = lru(8);
-        for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
-            store.insert(k.into(), v);
-        }
-        let odd = |v: &u32| (v % 2 == 1).then_some(*v);
-        assert_eq!(store.get_if("a", odd), Some(1));
-        // `b` is dead to this reader: a miss, and the entry goes.
-        assert_eq!(store.get_if("b", odd), None);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
-        assert_eq!(store.retain(|v| *v > 1), 1);
-        assert_eq!(store.get("c"), Some(3));
-    }
-
-    #[test]
     fn plan_cache_hits_after_insert() {
         let cache = plan_cache();
         assert!(cache.get("SELECT watch").is_none());
@@ -510,26 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_ttl_expires_in_sim_time() {
-        let cache = QueryResultCache::new(ResultCacheConfig {
-            capacity: 8,
-            ttl: Some(SimDuration::from_millis(100)),
-        });
-        let key = "SELECT watch";
-        cache.insert(key.into(), answer(), DependencySet::new(), SimDuration::from_millis(10));
-        assert!(cache.get(key, SimDuration::from_millis(50)).is_some());
-        // 10 + 100 = 110: expired, dropped, counted as a miss.
-        assert!(cache.get(key, SimDuration::from_millis(110)).is_none());
-        assert!(cache.is_empty());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
     fn result_cache_invalidation_counts_entries() {
-        let cache = QueryResultCache::new(ResultCacheConfig::default());
+        let cache = QueryResultCache::new();
         for text in ["SELECT a", "SELECT b", "SELECT c"] {
-            cache.insert(text.into(), answer(), DependencySet::new(), SimDuration::ZERO);
+            cache.insert(text.into(), answer(), DependencySet::new());
         }
         assert_eq!(cache.invalidate_all(), 3);
         assert!(cache.is_empty());
@@ -540,14 +462,14 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_is_bounded_by_its_configured_capacity() {
-        let cache = QueryResultCache::new(ResultCacheConfig { capacity: 2, ttl: None });
-        let now = SimDuration::ZERO;
-        for key in ["a", "b", "c"] {
-            cache.insert(key.into(), answer(), DependencySet::new(), now);
+    fn result_cache_is_bounded_by_its_capacity() {
+        let cache = QueryResultCache::new();
+        for i in 0..=QueryResultCache::CAPACITY {
+            cache.insert(format!("q{i}"), answer(), DependencySet::new());
         }
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("a", now).is_none());
+        assert_eq!(cache.len(), QueryResultCache::CAPACITY);
+        assert!(cache.get("q0").is_none(), "the least recently used answer went");
+        assert!(cache.get(&format!("q{}", QueryResultCache::CAPACITY)).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -573,68 +495,41 @@ mod tests {
 
     #[test]
     fn result_invalidation_drops_only_dependent_entries() {
-        let cache = QueryResultCache::new(ResultCacheConfig::default());
-        let now = SimDuration::ZERO;
-        cache.insert("q-db".into(), answer(), deps_on(&[("DB", 0)]), now);
-        cache.insert("q-xml".into(), answer(), deps_on(&[("XML", 0)]), now);
-        cache.insert("q-both".into(), answer(), deps_on(&[("DB", 0), ("XML", 0)]), now);
+        let cache = QueryResultCache::new();
+        cache.insert("q-db".into(), answer(), deps_on(&[("DB", 0)]));
+        cache.insert("q-xml".into(), answer(), deps_on(&[("XML", 0)]));
+        cache.insert("q-both".into(), answer(), deps_on(&[("DB", 0), ("XML", 0)]));
         // Mutating DB to version 1 drops the two entries that read DB
         // at version 0; the XML-only entry survives and replays.
         assert_eq!(cache.invalidate_source("DB", 1), 2);
-        assert!(cache.get("q-xml", now).is_some());
-        assert!(cache.get("q-db", now).is_none());
-        assert!(cache.get("q-both", now).is_none());
+        assert!(cache.get("q-xml").is_some());
+        assert!(cache.get("q-db").is_none());
+        assert!(cache.get("q-both").is_none());
         assert_eq!(cache.invalidations(), 2);
         // An entry that already read the post-mutation version is kept.
-        cache.insert("q-db2".into(), answer(), deps_on(&[("DB", 1)]), now);
+        cache.insert("q-db2".into(), answer(), deps_on(&[("DB", 1)]));
         assert_eq!(cache.invalidate_source("DB", 1), 0);
-        assert!(cache.get("q-db2", now).is_some());
+        assert!(cache.get("q-db2").is_some());
         // A mapping edit drops every reader of the source, whatever the
         // version, and leaves the floor where it was.
         assert_eq!(cache.invalidate_dependents("DB"), 1);
-        assert!(cache.get("q-xml", now).is_some());
-        assert!(cache.insert("q-db3".into(), answer(), deps_on(&[("DB", 1)]), now));
+        assert!(cache.get("q-xml").is_some());
+        assert!(cache.insert("q-db3".into(), answer(), deps_on(&[("DB", 1)])));
     }
 
     #[test]
     fn admission_floor_refuses_stale_insert() {
-        let cache = QueryResultCache::new(ResultCacheConfig::default());
-        let now = SimDuration::ZERO;
+        let cache = QueryResultCache::new();
         // A mutation lands while a query that read DB@0 is in flight.
         cache.invalidate_source("DB", 1);
         assert!(
-            !cache.insert("late".into(), answer(), deps_on(&[("DB", 0)]), now),
+            !cache.insert("late".into(), answer(), deps_on(&[("DB", 0)])),
             "an answer that read the pre-mutation snapshot must be refused"
         );
-        assert!(cache.get("late", now).is_none());
+        assert!(cache.get("late").is_none());
         // The same query re-run against the new snapshot is admitted.
-        assert!(cache.insert("late".into(), answer(), deps_on(&[("DB", 1)]), now));
-        assert!(cache.get("late", now).is_some());
-    }
-
-    #[test]
-    fn ttl_and_dependency_invalidation_compose() {
-        let cache = QueryResultCache::new(ResultCacheConfig {
-            capacity: 8,
-            ttl: Some(SimDuration::from_millis(100)),
-        });
-        let t0 = SimDuration::ZERO;
-        cache.insert("a".into(), answer(), deps_on(&[("DB", 0)]), t0);
-        cache.insert("b".into(), answer(), deps_on(&[("XML", 0)]), t0);
-        // Dependency invalidation drops `a` well before its TTL.
-        assert_eq!(cache.invalidate_source("DB", 1), 1);
-        assert!(cache.get("a", SimDuration::from_millis(10)).is_none());
-        assert!(cache.get("b", SimDuration::from_millis(10)).is_some());
-        // TTL still expires the survivor even though no mutation ever
-        // touched XML.
-        assert!(cache.get("b", SimDuration::from_millis(150)).is_none());
-        // And a post-expiry reinsert remains subject to the floor.
-        assert!(!cache.insert(
-            "a".into(),
-            answer(),
-            deps_on(&[("DB", 0)]),
-            SimDuration::from_millis(150)
-        ));
+        assert!(cache.insert("late".into(), answer(), deps_on(&[("DB", 1)])));
+        assert!(cache.get("late").is_some());
     }
 
     /// The floor check and the drop are atomic with respect to each
@@ -643,7 +538,7 @@ mod tests {
     #[test]
     fn concurrent_mutation_never_leaves_a_stale_entry() {
         for _ in 0..50 {
-            let cache = QueryResultCache::new(ResultCacheConfig::default());
+            let cache = QueryResultCache::new();
             let (stale, start) = (answer(), std::sync::Barrier::new(3));
             std::thread::scope(|scope| {
                 for t in 0..2 {
@@ -652,12 +547,7 @@ mod tests {
                         start.wait();
                         for i in 0..20 {
                             let deps = deps_on(&[("DB", 0)]);
-                            cache.insert(
-                                format!("q{t}-{i}"),
-                                stale.clone(),
-                                deps,
-                                SimDuration::ZERO,
-                            );
+                            cache.insert(format!("q{t}-{i}"), stale.clone(), deps);
                         }
                     });
                 }

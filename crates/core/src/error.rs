@@ -207,8 +207,9 @@ impl S2sError {
                  a long AND/OR chain into balanced groups",
             ),
             S2sError::Xml(XmlError::NestingTooDeep { .. }) => Some(
-                "the source's document nests elements deeper than the parser's cap; have the \
-                 provider flatten the export",
+                "the source's document nests elements, or the XQuery rule nests concat calls, \
+                 deeper than the parser's cap; have the provider flatten the export, or \
+                 flatten the rule's concat into one call with more arguments",
             ),
             S2sError::Webdoc(WebdocError::NestingTooDeep { .. }) => {
                 Some("flatten the WebL rule: bind nested sub-expressions to variables with `var`")

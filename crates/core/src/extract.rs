@@ -340,16 +340,14 @@ impl ExtractorManager {
 
     /// Runs a batch of schemas (step 4 of Fig. 5), tolerating per-task
     /// failures — the mediator's one pipeline. The planner groups the
-    /// schemas ([`ExtractEnv::batching`]: per source, or one group per
-    /// schema for the paper-literal per-attribute dispatch), runs every
-    /// wrapper locally, coalesces each group's rules into a single
-    /// `BatchRequest`/`BatchResponse` wire exchange, and dispatches the
-    /// groups longest-processing-time-first so the k-worker makespan is
-    /// near-optimal.
+    /// schemas by source, runs every wrapper locally, coalesces each
+    /// source's rules into a single `BatchRequest`/`BatchResponse` wire
+    /// exchange, and dispatches the groups longest-processing-time-first
+    /// so the k-worker makespan is near-optimal.
     ///
     /// Results and failures come back in submission order whatever the
-    /// grouping. A failed exchange retries/fails over *as a unit* and
-    /// fails every rule of its group with the same network error;
+    /// dispatch order. A failed exchange retries/fails over *as a unit*
+    /// and fails every rule of its source with the same network error;
     /// wrapper errors (bad rules, missing columns) are reported
     /// individually and never reach the wire, so one bad rule cannot
     /// sink its batch.
@@ -470,11 +468,6 @@ pub struct ExtractEnv<'a> {
     pub deadline: Option<SimDuration>,
     /// Whether to build trace spans; nothing is allocated when off.
     pub traced: bool,
-    /// The planner's grouping key: `true` coalesces all rules of a
-    /// source into one wire exchange, `false` puts every schema on its
-    /// own exchange — the per-attribute dispatch of Fig. 5, a batch of
-    /// one through the same code.
-    pub batching: bool,
 }
 
 /// One batch's outcome: the batch back (results/failures inside), the
@@ -504,17 +497,13 @@ fn run_batch<'a>(batch: PlannedBatch<'a>, env: &ExtractEnv<'_>) -> BatchOutcome<
     (batch, net, attempt_spans, started.elapsed())
 }
 
-/// One group of schemas bound for a single wire exchange, planned
+/// One source's schemas bound for a single wire exchange, planned
 /// before any wire leg.
 struct PlannedBatch<'a> {
     source_id: String,
     source: Option<&'a RegisteredSource>,
-    /// Submission index of the group's first schema (dispatch-order
-    /// tie-break).
-    first: usize,
-    /// Keeps backoff-jitter draw streams distinct per group:
-    /// `{source}:batch` for a per-source group, the attribute path for a
-    /// per-schema group.
+    /// Keeps backoff-jitter draw streams distinct per batch:
+    /// `{source}:batch`.
     salt: String,
     /// Wrapper-successful schemas: submission index, schema, values.
     ok: Vec<(usize, ExtractionSchema, Values)>,
@@ -530,10 +519,9 @@ struct PlannedBatch<'a> {
     rule_spans: Vec<Span>,
 }
 
-/// Groups schemas — by source, or one group per schema when
-/// [`ExtractEnv::batching`] is off — runs the local wrapper half, and
-/// sizes the coalesced `BatchRequest`/`BatchResponse` exchange for each
-/// group. Also returns what the rule cache answered, rule by rule.
+/// Groups schemas by source, runs the local wrapper half, and sizes the
+/// coalesced `BatchRequest`/`BatchResponse` exchange for each source.
+/// Also returns what the rule cache answered, rule by rule.
 fn plan_batches<'a>(
     registry: &'a SourceRegistry,
     schemas: Vec<ExtractionSchema>,
@@ -541,22 +529,14 @@ fn plan_batches<'a>(
 ) -> (Vec<PlannedBatch<'a>>, CacheStats) {
     let (rules, traced) = (env.rules, env.traced);
     let mut rule_cache = CacheStats::default();
-    // Group key: `(source, 0)` coalesces a source's schemas; `(source,
-    // submission index)` keeps every schema on its own exchange.
-    let mut groups: BTreeMap<(String, usize), Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
+    let mut groups: BTreeMap<String, Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
     for (i, s) in schemas.into_iter().enumerate() {
-        let slot = if env.batching { 0 } else { i };
-        groups.entry((s.mapping.source().to_string(), slot)).or_default().push((i, s));
+        groups.entry(s.mapping.source().to_string()).or_default().push((i, s));
     }
     let mut batches = Vec::with_capacity(groups.len());
-    for ((source_id, _), group) in groups {
+    for (source_id, group) in groups {
         let source = registry.get(&source_id.as_str().into());
-        let first = group[0].0;
-        let salt = if env.batching {
-            format!("{source_id}:batch")
-        } else {
-            group[0].1.mapping.path().to_string()
-        };
+        let salt = format!("{source_id}:batch");
         let mut ok = Vec::new();
         let mut failed = Vec::new();
         let mut rule_spans = Vec::new();
@@ -610,7 +590,6 @@ fn plan_batches<'a>(
         batches.push(PlannedBatch {
             source_id,
             source,
-            first,
             salt,
             ok,
             failed,
@@ -623,15 +602,10 @@ fn plan_batches<'a>(
     // Longest processing time first: the greedy list scheduler (both
     // clocks: `Lanes` and the `makespan` accounting) sees the costliest
     // batches first, which keeps the k-worker makespan near-optimal.
-    // Ties fall back to (source id, first submission index), so the
-    // dispatch order — and with it the breaker and virtual-clock
-    // sequencing of a serial run — is a function of the plan alone.
-    batches.sort_by(|a, b| {
-        b.estimate
-            .cmp(&a.estimate)
-            .then_with(|| a.source_id.cmp(&b.source_id))
-            .then_with(|| a.first.cmp(&b.first))
-    });
+    // Ties fall back to the source id, so the dispatch order — and with
+    // it the breaker and virtual-clock sequencing of a serial run — is a
+    // function of the plan alone.
+    batches.sort_by(|a, b| b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(&b.source_id)));
     (batches, rule_cache)
 }
 
@@ -1112,15 +1086,13 @@ mod tests {
     }
 
     /// Every mediator test goes through the one pipeline: fresh lanes
-    /// sized by `strategy`, untraced, no deadline; `batching` picks
-    /// the planner's grouping (per source vs per schema).
+    /// sized by `strategy`, untraced, no deadline.
     fn run(
         r: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
         strategy: Strategy,
         ctx: &ResilienceContext,
         rules: &RuleCache,
-        batching: bool,
     ) -> ExtractionReport {
         let lanes = Lanes::new(strategy.workers());
         let env = ExtractEnv {
@@ -1130,19 +1102,17 @@ mod tests {
             rules,
             deadline: None,
             traced: false,
-            batching,
         };
         ExtractorManager::extract(r, schemas, &env)
     }
 
-    /// [`run`] with a fresh rule cache, serial dispatch and one group
-    /// per schema — the paper-literal Fig. 5 baseline.
-    fn run_per_schema(
+    /// [`run`] with a fresh rule cache and serial dispatch.
+    fn run_serial(
         r: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
         ctx: &ResilienceContext,
     ) -> ExtractionReport {
-        run(r, schemas, Strategy::Serial, ctx, &RuleCache::new(), false)
+        run(r, schemas, Strategy::Serial, ctx, &RuleCache::new())
     }
 
     fn no_resilience() -> ResilienceContext {
@@ -1314,7 +1284,7 @@ mod tests {
             &["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()],
         )
         .unwrap();
-        let report = run_per_schema(&r, schemas, &no_resilience());
+        let report = run_serial(&r, schemas, &no_resilience());
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.failures.len(), 1);
         assert!(!report.is_complete());
@@ -1388,9 +1358,9 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial_results() {
-        // Property-style equivalence: grouping per source ≡ grouping per
-        // schema, serial ≡ parallel — identical results *and* identical
-        // failures for arbitrary schema subsets.
+        // Property-style equivalence: serial ≡ parallel ≡ all in flight —
+        // identical results *and* identical failures for arbitrary schema
+        // subsets.
         let r = registry();
         let (m, paths) = mixed_fixture();
         let all = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
@@ -1406,40 +1376,37 @@ mod tests {
             let ctx = no_resilience();
             let rules = RuleCache::new();
             let four = Strategy::Parallel { workers: 4 };
-            let serial = run(&r, subset.clone(), Strategy::Serial, &ctx, &rules, false);
-            let parallel = run(&r, subset.clone(), four, &ctx, &rules, false);
-            let batched = run(&r, subset, four, &ctx, &rules, true);
+            let serial = run(&r, subset.clone(), Strategy::Serial, &ctx, &rules);
+            let parallel = run(&r, subset.clone(), four, &ctx, &rules);
+            let reactor = run(&r, subset, Strategy::Reactor, &ctx, &rules);
             let key = outcome_key(&serial);
             assert_eq!(key, outcome_key(&parallel), "subset {mask:#b}");
-            assert_eq!(key, outcome_key(&batched), "subset {mask:#b}");
+            assert_eq!(key, outcome_key(&reactor), "subset {mask:#b}");
         }
     }
 
     #[test]
     fn batched_results_preserve_submission_order() {
+        // The fixture interleaves sources, so source-major dispatch is
+        // not submission order; the report must restore the latter.
         let r = registry();
         let (m, paths) = mixed_fixture();
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
-        let ctx = no_resilience();
-        let serial = run_per_schema(&r, schemas.clone(), &ctx);
-        let batched = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
-        let order = |rep: &ExtractionReport| {
-            rep.results
-                .iter()
-                .map(|x| format!("{}@{}", x.mapping.path(), x.mapping.source()))
-                .collect::<Vec<_>>()
+        let submitted: Vec<String> = schemas.iter().map(|s| s.mapping.path().to_string()).collect();
+        let report = run_serial(&r, schemas, &no_resilience());
+        let answered = report.results.iter().map(|x| x.mapping.path().to_string());
+        let failed = report.failures.iter().map(|f| f.attribute.clone());
+        let in_submission_order = |got: Vec<String>| {
+            let want: Vec<&String> = submitted.iter().filter(|p| got.contains(p)).collect();
+            assert_eq!(got.iter().collect::<Vec<_>>(), want);
         };
-        assert_eq!(order(&serial), order(&batched));
-        let failure_order = |rep: &ExtractionReport| {
-            rep.failures.iter().map(|f| f.source.clone()).collect::<Vec<_>>()
-        };
-        assert_eq!(failure_order(&serial), failure_order(&batched));
+        in_submission_order(answered.collect());
+        in_submission_order(failed.collect());
     }
 
     #[test]
     fn batching_coalesces_round_trips_per_source() {
-        // 3 attributes on one remote source: the per-attribute path
-        // pays 3 exchanges, the batched path exactly one.
+        // Two attributes on one remote source cross the wire once.
         let o = onto();
         let (r, _) = flaky_registry(FailureModel::reliable(), &[]);
         let mut m = MappingModule::new();
@@ -1457,7 +1424,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.tasks, 2);
@@ -1489,7 +1456,7 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx =
             ResilienceContext::new(ResiliencePolicy::none().with_retry(RetryPolicy::attempts(8)));
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "8 attempts at p=0.5 should land: {:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.attempts, r.get(&"R".into()).unwrap().endpoint().stats().calls);
@@ -1518,7 +1485,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         // One failover for the whole batch, not one per attribute.
@@ -1551,7 +1518,7 @@ mod tests {
         let rules = RuleCache::new();
         let mut failures = Vec::new();
         for _ in 0..4 {
-            let report = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules, true);
+            let report = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
             // The failed exchange fails every batched rule.
             assert_eq!(report.failures.len(), 2);
             failures.extend(report.failures);
@@ -1573,13 +1540,13 @@ mod tests {
         let ctx = ResilienceContext::new(policy);
         // First task: real attempt on the primary fails (tripping its
         // breaker), then a genuine failover to the replica.
-        let first = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let first = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(first.is_complete());
         assert_eq!(first.resilience["R"].failovers, 1);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         // Second task: the primary is breaker-rejected with no attempt,
         // so serving from the replica is not a failover.
-        let second = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let second = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(second.is_complete());
         let health = &second.resilience["R"];
         assert_eq!(health.breaker_rejections, 1);
@@ -1612,7 +1579,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new(), true);
+        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         // The bad rule fails individually; the good rule still ships in
         // a 1-section batch.
         assert_eq!(report.results.len(), 1);
@@ -1629,13 +1596,13 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
         let rules = RuleCache::new();
-        let cold = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules, true);
+        let cold = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
         assert_eq!(cold.rule_cache, CacheStats { hits: 0, misses: 7, evictions: 0 });
         // 6 of 7 rules compile and stay (the broken regex never caches;
         // the unknown-column SQL parses fine and only fails at
         // execution). Each round's account is its own lookups; the
         // cache's counters are their sum.
-        let warm = run(&r, schemas, Strategy::Serial, &ctx, &rules, true);
+        let warm = run(&r, schemas, Strategy::Serial, &ctx, &rules);
         assert_eq!(warm.rule_cache, CacheStats { hits: 6, misses: 1, evictions: 0 });
         assert_eq!(rules.stats(), CacheStats { hits: 6, misses: 8, evictions: 0 });
     }
@@ -1681,14 +1648,16 @@ mod tests {
         db.execute("CREATE TABLE t (brand TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES ('X')").unwrap();
         let mut r = SourceRegistry::new();
-        r.register_remote_with_replicas(
+        r.register_remote(
             "R",
             Connection::Database { db: Arc::new(db) },
             CostModel::lan(),
             primary,
-            replicas,
         )
         .unwrap();
+        for replica in replicas {
+            r.add_replica(&"R".into(), *replica).unwrap();
+        }
         let mut m = MappingModule::new();
         m.register(
             &o,
@@ -1709,7 +1678,7 @@ mod tests {
     fn failover_reaches_healthy_replica() {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[FailureModel::reliable()]);
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let report = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
         assert_eq!(report.completeness(), 1.0);
         let health = &report.resilience["R"];
@@ -1722,7 +1691,7 @@ mod tests {
     fn failover_disabled_keeps_failure_on_primary() {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[FailureModel::reliable()]);
         let ctx = no_resilience();
-        let report = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let report = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(!report.is_complete());
         assert_eq!(report.completeness(), 0.0);
         let health = &report.resilience["R"];
@@ -1742,7 +1711,7 @@ mod tests {
         let ctx = ResilienceContext::new(policy);
         let mut failures = Vec::new();
         for _ in 0..8 {
-            let report = run_per_schema(&r, brand_schemas(&m), &ctx);
+            let report = run_serial(&r, brand_schemas(&m), &ctx);
             failures.extend(report.failures);
         }
         // Two real attempts tripped the breaker; the remaining six tasks
@@ -1760,10 +1729,10 @@ mod tests {
         let policy = ResiliencePolicy::none()
             .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(100)));
         let ctx = ResilienceContext::new(policy);
-        let _ = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let _ = run_serial(&r, brand_schemas(&m), &ctx);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         ctx.advance_clock(SimDuration::from_millis(200));
-        let _ = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let _ = run_serial(&r, brand_schemas(&m), &ctx);
         // The probe was admitted (and failed again): the endpoint saw a
         // second real call.
         let endpoint = r.get(&"R".into()).unwrap().endpoint().clone();
@@ -1787,7 +1756,7 @@ mod tests {
         let ctx = ResilienceContext::new(
             ResiliencePolicy::default().with_retry(RetryPolicy::attempts(3)),
         );
-        let report = run_per_schema(&r, brand_schemas(&m), &ctx);
+        let report = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(!report.is_complete());
         let health = &report.resilience["R"];
         // The failure happened in the wrapper, before any network leg:
@@ -1804,7 +1773,7 @@ mod tests {
         let mut schemas = brand_schemas(&m);
         schemas.extend(brand_schemas(&m));
         let ctx = no_resilience();
-        let report = run_per_schema(&r, schemas, &ctx);
+        let report = run_serial(&r, schemas, &ctx);
         assert_eq!(report.completeness(), 0.0);
     }
 
@@ -1844,7 +1813,7 @@ mod tests {
     fn simulated_time_parallel_not_more_than_serial() {
         let (r, schemas) = remote_fleet(6, CostModel::wan());
         let six = Strategy::Parallel { workers: 6 };
-        let report = run(&r, schemas, six, &no_resilience(), &RuleCache::new(), false);
+        let report = run(&r, schemas, six, &no_resilience(), &RuleCache::new());
         assert!(report.is_complete());
         assert!(report.simulated < report.simulated_serial);
     }
@@ -1859,7 +1828,7 @@ mod tests {
         let paced = CostModel::wan().with_pace(1_000);
         let round = |strategy| {
             let (r, schemas) = remote_fleet(4, paced);
-            defer_pacing(|| run(&r, schemas, strategy, &no_resilience(), &RuleCache::new(), true))
+            defer_pacing(|| run(&r, schemas, strategy, &no_resilience(), &RuleCache::new()))
         };
         let (overlapped, deferred_us) = round(Strategy::Reactor);
         let costs = overlapped.results.iter().map(|x| x.elapsed);

@@ -63,9 +63,8 @@ pub struct InstanceSet {
     /// Fraction of requested attributes answered (`1.0` = complete);
     /// degraded results annotate their rendered output with it.
     pub completeness: f64,
-    /// Endpoint round trips (attempts) spent producing this set — the
-    /// observable batching win: a batched query makes one trip per
-    /// source instead of one per attribute.
+    /// Endpoint round trips (attempts) spent producing this set: one
+    /// per source, whose attributes share one exchange.
     pub round_trips: u64,
 }
 

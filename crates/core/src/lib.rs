@@ -54,7 +54,7 @@ pub mod view;
 pub use bootstrap::{
     BootstrapReport, ClassCandidate, Conflict, MappingCandidate, SchemaField, SchemaSummary,
 };
-pub use engine::{CacheStats, DependencySet, QueryResultCache, ResultCacheConfig};
+pub use engine::{CacheStats, DependencySet, QueryResultCache};
 pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy, SourceHealth};
 pub use middleware::{MutationReceipt, Priority, QueryOptions, S2s};

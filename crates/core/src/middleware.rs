@@ -15,9 +15,7 @@ use s2s_netsim::{
 use s2s_obs::{Span, SpanKind, SpanOutcome, Trace};
 use s2s_owl::{AttributePath, Ontology};
 
-use crate::engine::{
-    self, CacheStats, CachedResult, DependencySet, PlanCache, QueryResultCache, ResultCacheConfig,
-};
+use crate::engine::{self, CacheStats, CachedResult, DependencySet, PlanCache, QueryResultCache};
 use crate::error::S2sError;
 use crate::extract::{
     AttributeResult, ExtractEnv, ExtractionFailure, ExtractorManager, ResilienceContext,
@@ -37,13 +35,12 @@ pub struct QueryStats {
     pub tasks: usize,
     /// Number of failed tasks.
     pub failed_tasks: usize,
-    /// Endpoint round trips this query actually put on the wire — the
-    /// observable batching win: one trip per source instead of one per
-    /// attribute. Every attempt that reaches an endpoint counts, so
-    /// retries, failover attempts, and hedged replica attempts each add
-    /// a trip. Calls refused by an open circuit breaker do **not**
-    /// count: the breaker rejects them before any wire exchange, and
-    /// they are tallied separately in
+    /// Endpoint round trips this query actually put on the wire: one
+    /// per source, whose attributes share one exchange. Every attempt
+    /// that reaches an endpoint counts, so retries, failover attempts,
+    /// and hedged replica attempts each add a trip. Calls refused by an
+    /// open circuit breaker do **not** count: the breaker rejects them
+    /// before any wire exchange, and they are tallied separately in
     /// [`SourceHealth::breaker_rejections`]. Shed queries likewise
     /// contribute zero round trips — admission control refuses them
     /// before any wire traffic.
@@ -287,7 +284,6 @@ pub struct S2s {
     plans: Arc<PlanCache>,
     results: Option<Arc<QueryResultCache>>,
     lanes: Lanes,
-    batching: bool,
     provenance: bool,
     tracing: bool,
     resilience: Arc<ResilienceContext>,
@@ -309,7 +305,6 @@ impl S2s {
             plans: Arc::new(engine::plan_cache()),
             results: None,
             lanes: Lanes::new(1),
-            batching: true,
             provenance: false,
             tracing: false,
             resilience: Arc::new(ResilienceContext::default()),
@@ -372,23 +367,6 @@ impl S2s {
     /// Whether per-query tracing is enabled.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Picks the extraction planner's grouping key (default: per
-    /// source). When on, the planner coalesces all rules for a source
-    /// into a single batched wire exchange; when off, every attribute
-    /// crosses the network as its own one-rule batch — the paper-literal
-    /// Fig. 5 dispatch, kept as the E11 baseline and the conformance
-    /// reference. Either way the same pipeline runs and batches are
-    /// scheduled longest-processing-time-first.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Whether batched extraction is enabled.
-    pub fn batching(&self) -> bool {
-        self.batching
     }
 
     /// Compiled-rule cache counters (always active; shared across
@@ -524,19 +502,12 @@ impl S2s {
         self
     }
 
-    /// Enables the semantic query-result cache with the default policy:
-    /// whole answers are replayed for repeat queries (keyed on the
-    /// query's canonical rendering) until a source or mapping mutation
-    /// invalidates them. Off by default.
-    pub fn with_result_cache(self) -> Self {
-        self.with_result_cache_config(ResultCacheConfig::default())
-    }
-
-    /// Enables the semantic query-result cache with an explicit
-    /// capacity/TTL policy (TTL measured in simulated time against the
-    /// resilience clock).
-    pub fn with_result_cache_config(mut self, config: ResultCacheConfig) -> Self {
-        self.results = Some(Arc::new(QueryResultCache::new(config)));
+    /// Enables the semantic query-result cache: whole answers are
+    /// replayed for repeat queries (keyed on the query's canonical
+    /// rendering, at most [`QueryResultCache::CAPACITY`] of them) until a
+    /// source or mapping mutation invalidates them. Off by default.
+    pub fn with_result_cache(mut self) -> Self {
+        self.results = Some(Arc::new(QueryResultCache::new()));
         self
     }
 
@@ -626,27 +597,6 @@ impl S2s {
         self.registry
             .write()
             .register_remote_detailed(id, connection, cost, failure, seed, schedule)
-    }
-
-    /// Registers a remote data source with replica endpoints: the
-    /// primary uses `failure`, and each entry of `replicas` adds one
-    /// endpoint (`"<id>#r<k>"`) serving the same data. The resilience
-    /// layer fails over along this list when
-    /// [`ResiliencePolicy::failover`] is enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`S2sError::DuplicateSource`] on id collision.
-    pub fn register_remote_source_with_replicas(
-        &mut self,
-        id: &str,
-        connection: Connection,
-        cost: CostModel,
-        failure: FailureModel,
-        replicas: &[FailureModel],
-    ) -> Result<(), S2sError> {
-        self.invalidate_results();
-        self.registry.write().register_remote_with_replicas(id, connection, cost, failure, replicas)
     }
 
     /// Appends one replica endpoint to an already registered remote
@@ -882,7 +832,7 @@ impl S2s {
         // and costs nothing, so even an overloaded engine answers it.
         let mut result_cache = CacheStats::default();
         if let Some(results) = &self.results {
-            let hit = results.get(&key, self.resilience.virtual_now());
+            let hit = results.get(&key);
             result_cache.lookup(hit.is_some());
             if let Some(hit) = hit {
                 return Ok(self.replay(s2sql, hit, result_cache, query_started));
@@ -1060,8 +1010,7 @@ impl S2s {
         let map_wall = map_started.elapsed().saturating_sub(pushdown_wall);
 
         // Step 3-4: source definitions + extraction, under the
-        // resilience policy: one coalesced wire exchange per planned
-        // group (per source, or per schema with batching off).
+        // resilience policy: one coalesced wire exchange per source.
         let mut report = ExtractorManager::extract(
             &registry,
             schemas,
@@ -1072,7 +1021,6 @@ impl S2s {
                 rules: &self.rules,
                 deadline: opts.deadline,
                 traced: self.tracing,
-                batching: self.batching,
             },
         );
         drop(registry);
@@ -1154,7 +1102,7 @@ impl S2s {
                     instances: Arc::new(instances.clone()),
                     origin: stats,
                 };
-                results.insert(key, answer, deps, self.resilience.virtual_now());
+                results.insert(key, answer, deps);
             }
         }
 
@@ -1804,14 +1752,14 @@ mod tests {
             db.execute(&format!("INSERT INTO w VALUES ({}, 'B{i}', {})", i + 1, 10 + i)).unwrap();
         }
         let mut s2s = S2s::new(ontology()).with_resilience(policy);
-        s2s.register_remote_source_with_replicas(
+        s2s.register_remote_source(
             "DB",
             Connection::Database { db: Arc::new(db) },
             CostModel::wan(),
             primary,
-            &[replica],
         )
         .unwrap();
+        s2s.add_source_replica("DB", replica).unwrap();
         for (attr, col) in [("brand", "brand"), ("price", "price")] {
             s2s.register_attribute(
                 &format!("thing.product.watch.{attr}"),
@@ -2098,17 +2046,9 @@ mod tests {
     fn pushdown_equivalence_holds_on_every_execution_path() {
         let q = "SELECT watch WHERE price<100";
         let reference = fingerprint(&deploy().query(q).unwrap());
-        for batching in [true, false] {
-            for strategy in [Strategy::Serial, Strategy::Parallel { workers: 4 }, Strategy::Reactor]
-            {
-                let s2s = deploy().with_pushdown().with_batching(batching).with_strategy(strategy);
-                let out = s2s.query(q).unwrap();
-                assert_eq!(
-                    fingerprint(&out),
-                    reference,
-                    "pushdown diverged under batching={batching}, {strategy:?}"
-                );
-            }
+        for strategy in [Strategy::Serial, Strategy::Parallel { workers: 4 }, Strategy::Reactor] {
+            let out = deploy().with_pushdown().with_strategy(strategy).query(q).unwrap();
+            assert_eq!(fingerprint(&out), reference, "pushdown diverged under {strategy:?}");
         }
     }
 

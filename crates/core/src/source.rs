@@ -257,33 +257,11 @@ impl SourceRegistry {
         self.insert(id, connection, endpoint)
     }
 
-    /// Registers a remote source with replica endpoints: the primary
-    /// uses `failure`, each entry of `replicas` adds one more endpoint
-    /// (id `"<id>#r<k>"`, same cost model, its own failure model and
-    /// deterministic seed) serving the same connection. The resilience
-    /// layer fails over along this list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`S2sError::DuplicateSource`] if the id is taken.
-    pub fn register_remote_with_replicas(
-        &mut self,
-        id: impl Into<SourceId>,
-        connection: Connection,
-        cost: CostModel,
-        failure: FailureModel,
-        replicas: &[FailureModel],
-    ) -> Result<(), S2sError> {
-        let id = id.into();
-        self.register_remote(id.clone(), connection, cost, failure)?;
-        for replica in replicas {
-            self.add_replica(&id, *replica)?;
-        }
-        Ok(())
-    }
-
     /// Appends one replica endpoint to an already registered source,
-    /// reusing the primary's cost model.
+    /// reusing the primary's cost model: id `"<id>#r<k>"`, its own
+    /// failure model and deterministic seed, the same connection. The
+    /// resilience layer fails over along the replicas in the order they
+    /// were added.
     ///
     /// # Errors
     ///
@@ -490,14 +468,10 @@ mod tests {
     #[test]
     fn replicas_get_derived_ids_and_primary_cost() {
         let mut r = SourceRegistry::new();
-        r.register_remote_with_replicas(
-            "DB",
-            db_conn(),
-            CostModel::wan(),
-            FailureModel::unreachable(),
-            &[FailureModel::reliable(), FailureModel::flaky(0.2)],
-        )
-        .unwrap();
+        r.register_remote("DB", db_conn(), CostModel::wan(), FailureModel::unreachable()).unwrap();
+        for replica in [FailureModel::reliable(), FailureModel::flaky(0.2)] {
+            r.add_replica(&"DB".into(), replica).unwrap();
+        }
         let s = r.get(&"DB".into()).unwrap();
         assert_eq!(s.replicas().len(), 2);
         let ids: Vec<_> = s.endpoints().map(|e| e.id().to_string()).collect();

@@ -8,8 +8,7 @@
 //! ├── plan
 //! ├── map            (schema mapping + view partition)
 //! ├── pushdown       (only when the planner ran)
-//! └── batch[source]  (one per wire exchange: per source, or per
-//!     │               attribute with batching off)
+//! └── batch[source]  (one per wire exchange: a source's rules)
 //!     ├── rule[attr]    (wrapper execution, rule-cache provenance)
 //!     └── attempt[endpoint]  (one per endpoint tried, incl. rejections)
 //! ```
@@ -33,8 +32,7 @@ pub enum SpanKind {
     /// Federated pushdown planning (predicate/projection rewriting and
     /// source pruning).
     Pushdown,
-    /// One wire exchange: a source's coalesced rules, or a single rule
-    /// with batching off.
+    /// One wire exchange: a source's coalesced rules.
     Batch,
     /// One endpoint tried during a batch exchange.
     Attempt,

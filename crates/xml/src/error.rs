@@ -13,9 +13,11 @@ pub enum XmlError {
         /// Description.
         message: String,
     },
-    /// Elements nest deeper than the parser accepts.
+    /// Elements of a document, or `concat` calls of an XQuery return
+    /// clause, nest deeper than the parser accepts.
     NestingTooDeep {
-        /// Byte offset of the first element past the cap.
+        /// Byte offset (into the document or the query) of the first
+        /// element or `concat(` past the cap.
         position: usize,
         /// The cap ([`crate::parser::MAX_DEPTH`]).
         limit: usize,
@@ -36,7 +38,7 @@ impl fmt::Display for XmlError {
                 write!(f, "xml parse error at byte {position}: {message}")
             }
             XmlError::NestingTooDeep { position, limit } => {
-                write!(f, "xml parse error at byte {position}: elements nested deeper than {limit} levels")
+                write!(f, "xml parse error at byte {position}: nested deeper than {limit} levels")
             }
             XmlError::BadXPath { path, message } => {
                 write!(f, "bad xpath `{path}`: {message}")

@@ -12,7 +12,7 @@
 //!         | 'contains(' relpath ',' 'literal' ')'
 //! ret    := relpath                 (evaluated per binding, as strings)
 //!         | 'literal'               (constant per binding)
-//!         | concat(ret, ret, …)
+//!         | concat(ret, ret, …)     (nested at most MAX_DEPTH deep)
 //! relpath:= '$'var ('/' xpath-steps)?   or a plain relative xpath
 //! ```
 //!
@@ -31,6 +31,7 @@
 
 use crate::dom::{Document, Element};
 use crate::error::XmlError;
+use crate::parser::MAX_DEPTH;
 use crate::xpath::XPath;
 
 /// A compiled XQuery-lite query.
@@ -62,7 +63,8 @@ impl XQuery {
     /// # Errors
     ///
     /// Returns [`XmlError::BadXPath`] for malformed FLWOR structure or
-    /// any embedded path error.
+    /// any embedded path error, and [`XmlError::NestingTooDeep`] when
+    /// `concat` calls nest deeper than [`MAX_DEPTH`].
     pub fn new(query: &str) -> Result<Self, XmlError> {
         let bad = |m: String| XmlError::BadXPath { path: query.to_string(), message: m };
         let src = query.trim();
@@ -91,14 +93,14 @@ impl XQuery {
         let (conditions, rest) = if let Some(r) = rest.strip_prefix("where ") {
             parse_conditions(r, query)?
         } else {
-            (Vec::new(), rest.to_string())
+            (Vec::new(), rest)
         };
 
         let rest = rest.trim_start();
         let ret_text = rest
             .strip_prefix("return ")
             .ok_or_else(|| bad("expected `return` clause".to_string()))?;
-        let ret = parse_return(ret_text.trim(), query)?;
+        let ret = parse_return(ret_text, query)?;
 
         Ok(XQuery { source: src.to_string(), var: var.to_string(), domain, conditions, ret })
     }
@@ -234,13 +236,13 @@ fn split_keyword<'a>(s: &'a str, keywords: &[&str]) -> (&'a str, &'a str) {
     (s, "")
 }
 
-fn parse_conditions(s: &str, query: &str) -> Result<(Vec<Cond>, String), XmlError> {
+fn parse_conditions<'a>(s: &'a str, query: &str) -> Result<(Vec<Cond>, &'a str), XmlError> {
     let (cond_text, rest) = split_keyword(s, &["return"]);
     let mut conditions = Vec::new();
     for clause in split_and(cond_text) {
         conditions.push(parse_condition(clause.trim(), query)?);
     }
-    Ok((conditions, rest.to_string()))
+    Ok((conditions, rest))
 }
 
 /// Splits on ` and ` outside of quotes.
@@ -298,46 +300,72 @@ fn parse_condition(clause: &str, query: &str) -> Result<Cond, XmlError> {
     Ok(Cond::Compare { path, negated, value })
 }
 
+/// Parses the return clause `s`, a suffix of `query`, in one pass.
 fn parse_return(s: &str, query: &str) -> Result<Ret, XmlError> {
-    let bad = |m: String| XmlError::BadXPath { path: query.to_string(), message: m };
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix("concat(") {
-        let rest =
-            rest.strip_suffix(')').ok_or_else(|| bad("missing `)` in concat".to_string()))?;
-        let mut parts = Vec::new();
-        for piece in split_top_commas(rest) {
-            parts.push(parse_return(piece.trim(), query)?);
-        }
-        if parts.is_empty() {
-            return Err(bad("concat needs at least one argument".to_string()));
-        }
-        return Ok(Ret::Concat(parts));
+    let mut rest = s;
+    let ret = parse_ret(&mut rest, 0, query)?;
+    if !rest.trim().is_empty() {
+        let message = format!("unexpected `{}` after the return expression", rest.trim());
+        return Err(XmlError::BadXPath { path: query.to_string(), message });
     }
-    if let Some(lit) = unquote(s) {
-        return Ok(Ret::Literal(lit));
-    }
-    Ok(Ret::Path(parse_var_path(s, query)?))
+    Ok(ret)
 }
 
-/// Splits on top-level commas (quotes respected).
-fn split_top_commas(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut quote: Option<char> = None;
-    let mut start = 0;
+/// Parses one `ret` off the front of `rest` — `concat(ret, …)`, a quoted
+/// literal, or a path running to the next `,` or `)` of its enclosing
+/// `concat` — inside `depth` enclosing `concat`s. `rest` stays a suffix
+/// of `query`, so a refusal can name its byte offset.
+fn parse_ret(rest: &mut &str, depth: usize, query: &str) -> Result<Ret, XmlError> {
+    let bad = |m: &str| XmlError::BadXPath { path: query.to_string(), message: m.to_string() };
+    *rest = rest.trim_start();
+    if let Some(args) = rest.strip_prefix("concat(") {
+        if depth == MAX_DEPTH {
+            let position = query.trim_end().len() - rest.len();
+            return Err(XmlError::NestingTooDeep { position, limit: MAX_DEPTH });
+        }
+        *rest = args;
+        let mut parts = Vec::new();
+        loop {
+            parts.push(parse_ret(rest, depth + 1, query)?);
+            *rest = rest.trim_start();
+            match rest.as_bytes().first() {
+                Some(b',') => *rest = &rest[1..],
+                Some(b')') => {
+                    *rest = &rest[1..];
+                    return Ok(Ret::Concat(parts));
+                }
+                _ => return Err(bad("missing `)` in concat")),
+            }
+        }
+    }
+    if let Some(quote @ ('\'' | '"')) = rest.chars().next() {
+        let len = rest[1..].find(quote).ok_or_else(|| bad("unterminated string literal"))?;
+        let literal = rest[1..=len].to_string();
+        *rest = &rest[len + 2..];
+        return Ok(Ret::Literal(literal));
+    }
+    let (path, tail) = rest.split_at(path_len(rest));
+    *rest = tail;
+    Ok(Ret::Path(parse_var_path(path.trim_end(), query)?))
+}
+
+/// Byte length of the path at the front of `s`: up to the first `,` or
+/// `)` outside quotes and outside the path's own parentheses and
+/// brackets (`text()`, `[…]`).
+fn path_len(s: &str) -> usize {
+    let (mut quote, mut depth) = (None, 0usize);
     for (i, c) in s.char_indices() {
         match (quote, c) {
             (Some(q), c) if c == q => quote = None,
             (Some(_), _) => {}
             (None, '\'' | '"') => quote = Some(c),
-            (None, ',') => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
+            (None, '(' | '[') => depth += 1,
+            (None, ')' | ']') if depth > 0 => depth -= 1,
+            (None, ',' | ')') if depth == 0 => return i,
             _ => {}
         }
     }
-    out.push(&s[start..]);
-    out
+    s.len()
 }
 
 /// `$var/rel/path` → relative XPath `rel/path`; bare `$var` → the
@@ -435,6 +463,69 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.eval(&doc()), ["Casio: 59.50"]);
+    }
+
+    /// The grammar's own nested form: the outer `concat` splits only at
+    /// its own commas, not at the inner call's or inside `text()`.
+    #[test]
+    fn nested_concat_splits_only_at_its_own_commas() {
+        let q = XQuery::new(
+            "for $w in //watch where $w/brand = 'Casio' \
+             return concat(concat($w/brand/text(), '-'), $w/price/text(), ', ok')",
+        )
+        .unwrap();
+        assert_eq!(q.eval(&doc()), ["Casio-59.50, ok"]);
+    }
+
+    /// A comma inside a path's own predicate (`[contains(., 'v')]`) ends
+    /// neither the return path nor a `concat` argument.
+    #[test]
+    fn predicate_comma_stays_inside_its_path() {
+        let whole =
+            XQuery::new("for $w in //watch return $w/case[contains(., 'steel')]/text()").unwrap();
+        assert_eq!(whole.eval(&doc()), ["stainless-steel"]);
+
+        let argument = XQuery::new(
+            "for $w in //watch \
+             return concat($w/case[contains(., \"steel\")]/text(), '|', $w/@id)",
+        )
+        .unwrap();
+        assert_eq!(argument.eval(&doc()), ["stainless-steel|81", "|82", "|83"]);
+    }
+
+    /// Hostile rule: `concat(` × 200 000 took seconds to compile
+    /// (quadratic) and recursed without bound.
+    #[test]
+    fn concat_nesting_is_capped() {
+        let prefix = "for $w in //watch return ";
+        let nested =
+            |n: usize| format!("{prefix}{}$w/brand/text(){}", "concat(".repeat(n), ")".repeat(n));
+        let past_the_cap = XQuery::new(&nested(MAX_DEPTH + 1)).unwrap_err();
+        let position = prefix.len() + "concat(".len() * MAX_DEPTH;
+        assert_eq!(past_the_cap, XmlError::NestingTooDeep { position, limit: MAX_DEPTH });
+
+        let started = std::time::Instant::now();
+        let hostile = format!("{prefix}{}", "concat(".repeat(200_000));
+        assert!(matches!(XQuery::new(&hostile), Err(XmlError::NestingTooDeep { .. })));
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    /// A query exactly at the cap compiles, and everything that walks its
+    /// return tree — evaluation, `Clone`, `==`, `Drop` — fits a worker
+    /// thread's stack.
+    #[test]
+    fn query_at_the_concat_cap_is_safe_to_walk_and_drop() {
+        let at_cap = format!(
+            "for $w in //watch return {}$w/brand/text(){}",
+            "concat(".repeat(MAX_DEPTH),
+            ", '')".repeat(MAX_DEPTH)
+        );
+        let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(move || {
+            let q = XQuery::new(&at_cap).expect("nesting at the cap is accepted");
+            assert_eq!(q.eval(&doc()), ["Seiko", "Casio", "Seiko"]);
+            assert_eq!(q.clone(), q);
+        });
+        worker.unwrap().join().expect("no stack overflow at the cap");
     }
 
     #[test]

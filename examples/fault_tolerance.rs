@@ -42,21 +42,11 @@ fn deploy(policy: ResiliencePolicy) -> Result<S2s, Box<dyn std::error::Error>> {
         db.execute(&format!("INSERT INTO p VALUES (1, 'Brand-{i:02}')"))?;
         let id = format!("SHARD_{i:02}");
         let connection = Connection::Database { db: Arc::new(db) };
-        if i % 2 == 0 {
-            s2s.register_remote_source_with_replicas(
-                &id,
-                connection,
-                CostModel::wan(),
-                FailureModel::flaky(0.95),
-                &[FailureModel::reliable()],
-            )?;
-        } else {
-            s2s.register_remote_source(
-                &id,
-                connection,
-                CostModel::wan(),
-                FailureModel::reliable(),
-            )?;
+        let flaky = i % 2 == 0;
+        let failure = if flaky { FailureModel::flaky(0.95) } else { FailureModel::reliable() };
+        s2s.register_remote_source(&id, connection, CostModel::wan(), failure)?;
+        if flaky {
+            s2s.add_source_replica(&id, FailureModel::reliable())?;
         }
         s2s.register_attribute(
             "thing.product.brand",

@@ -1,7 +1,7 @@
 //! Concurrent-engine integration tests: one `S2s` shared across client
 //! threads must behave exactly like a serial engine — same answers,
 //! full completeness — while the plan/result caches stay coherent
-//! under mutation, TTL expiry, and equivalent query spellings.
+//! under mutation and equivalent query spellings.
 
 use std::sync::Arc;
 
@@ -10,7 +10,6 @@ use s2s::core::extract::Strategy;
 use s2s::core::mapping::{ExtractionRule, RecordScenario};
 use s2s::core::query;
 use s2s::core::source::Connection;
-use s2s::core::ResultCacheConfig;
 use s2s::minidb::Database;
 use s2s::netsim::{CostModel, FailureModel, SimDuration};
 use s2s::owl::Ontology;
@@ -160,25 +159,6 @@ fn mutation_invalidates_cached_results() {
     let after = s2s.query("SELECT watch").unwrap();
     assert_eq!(after.stats.result_cache.hits, 0, "stale answer served after mutation");
     assert_eq!(after.individuals().len(), 6, "fresh answer must see the new source");
-}
-
-/// TTL is measured in simulated time: advancing the engine clock past
-/// the TTL expires the entry and forces re-extraction.
-#[test]
-fn result_cache_ttl_expires_in_simulated_time() {
-    let s2s = deploy(5, Strategy::Serial).with_result_cache_config(ResultCacheConfig {
-        capacity: 16,
-        ttl: Some(SimDuration::from_millis(500)),
-    });
-    s2s.query("SELECT watch").unwrap();
-    assert_eq!(s2s.query("SELECT watch").unwrap().stats.result_cache.hits, 1);
-
-    s2s.resilience().advance_clock(SimDuration::from_millis(600));
-    let expired = s2s.query("SELECT watch").unwrap();
-    assert_eq!(expired.stats.result_cache.hits, 0, "expired entry must not be served");
-    assert!(expired.stats.round_trips > 0, "expiry must force re-extraction");
-    // The re-extracted answer is cached again.
-    assert_eq!(s2s.query("SELECT watch").unwrap().stats.result_cache.hits, 1);
 }
 
 /// Overload hygiene: a shed query runs nothing past the result-cache

@@ -30,11 +30,10 @@ fn wide_ontology(attrs: usize) -> Ontology {
 }
 
 /// `sources` remote WAN databases, each mapping the same `attrs`
-/// attributes, parallel workers, batching on, tracing on.
+/// attributes, parallel workers, tracing on.
 fn wide_traced(sources: usize, attrs: usize) -> S2s {
     let mut s2s = S2s::new(wide_ontology(attrs))
         .with_strategy(Strategy::Parallel { workers: 4 })
-        .with_batching(true)
         .with_tracing();
     let columns: Vec<String> = (0..attrs).map(|j| format!("a{j} TEXT")).collect();
     for i in 0..sources {
@@ -66,19 +65,19 @@ fn wide_traced(sources: usize, attrs: usize) -> S2s {
     s2s
 }
 
-/// One healthy WAN source plus one hard-down source, per-attribute
-/// (one-rule batches) serial extraction, retry budget 2, breaker trips
-/// after one failure. All six exchanges price the same, so the planner
-/// dispatches them by (source id, submission index): the first `DOWN`
-/// exchange fails on the wire, the later two are breaker-rejected, then
-/// `GOOD` runs clean.
+/// One healthy WAN source plus one hard-down source, three attributes
+/// each, serial extraction, retry budget 2, breaker trips after one
+/// failure. Both batches price the same, so the planner dispatches them
+/// by source id: `DOWN` first. Asked twice, the engine shows the whole
+/// ladder — the first query's `DOWN` batch is retried and fails on the
+/// wire, tripping the breaker; the second's is breaker-rejected — while
+/// `GOOD` runs clean both times.
 fn degraded_traced() -> S2s {
     let policy = ResiliencePolicy::default()
         .with_retry(RetryPolicy::attempts(2))
         .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(60_000)));
     let mut s2s = S2s::new(wide_ontology(3))
         .with_strategy(Strategy::Serial)
-        .with_batching(false)
         .with_resilience(policy)
         .with_tracing();
     for (id, failure) in [("GOOD", FailureModel::reliable()), ("DOWN", FailureModel::unreachable())]
@@ -147,81 +146,93 @@ fn untraced_query_attaches_no_trace() {
     assert!(outcome.trace.is_none());
 }
 
-#[test]
-fn degraded_query_traces_breaker_rejections_and_completeness() {
+/// The two degraded queries of [`degraded_traced`], on one engine.
+fn degraded_twice() -> [s2s::core::middleware::QueryOutcome; 2] {
     let s2s = degraded_traced();
-    let outcome = s2s.query("SELECT product").unwrap();
-    assert!(outcome.stats.completeness < 1.0);
-    let trace = outcome.trace.as_ref().expect("tracing on");
-
-    // The root is degraded and its completeness attr round-trips to the
-    // exact stats value.
-    assert_eq!(trace.root.outcome, SpanOutcome::Degraded);
-    let attr: f64 = trace.root.get_attr("completeness").unwrap().parse().unwrap();
-    assert_eq!(attr, outcome.stats.completeness);
-
-    // The first DOWN task failed on the wire (after a retry); the later
-    // DOWN tasks were refused by the open breaker, and that refusal is
-    // visible as a breaker-rejected attempt span.
-    let attempts = trace.spans_of(s2s::obs::SpanKind::Attempt);
-    let rejected: Vec<_> =
-        attempts.iter().filter(|s| s.outcome == SpanOutcome::BreakerRejected).collect();
-    assert_eq!(rejected.len(), 2, "two of three DOWN tasks hit the open breaker");
-    assert!(rejected.iter().all(|s| s.name == "DOWN"));
-    assert!(rejected.iter().all(|s| s.sim_us == 0), "a rejected call never reaches the wire");
-    let failed: Vec<_> = attempts.iter().filter(|s| s.outcome == SpanOutcome::Failed).collect();
-    assert_eq!(failed.len(), 1);
-    assert_eq!(failed[0].get_attr("retries"), Some("1"));
+    [(); 2].map(|_| s2s.query("SELECT product").unwrap())
 }
 
 #[test]
-fn per_attribute_trace_has_the_batched_span_shape_in_planner_order() {
-    let outcome = degraded_traced().query("SELECT product").unwrap();
-    let root = &outcome.trace.as_ref().expect("tracing on").root;
-    let batches: Vec<_> =
-        root.children.iter().filter(|s| s.kind == s2s::obs::SpanKind::Batch).collect();
+fn degraded_query_traces_breaker_rejections_and_completeness() {
+    for (run, outcome) in degraded_twice().iter().enumerate() {
+        assert!(outcome.stats.completeness < 1.0);
+        let trace = outcome.trace.as_ref().expect("tracing on");
 
-    // Dispatch order is a function of the plan alone.
-    let order: Vec<String> =
-        batches.iter().map(|b| format!("{}/{}", b.name, b.children[0].name)).collect();
-    assert_eq!(
-        order,
-        [
-            "DOWN/thing.product.a0",
-            "DOWN/thing.product.a1",
-            "DOWN/thing.product.a2",
-            "GOOD/thing.product.a0",
-            "GOOD/thing.product.a1",
-            "GOOD/thing.product.a2",
-        ]
-    );
+        // The root is degraded and its completeness attr round-trips to
+        // the exact stats value.
+        assert_eq!(trace.root.outcome, SpanOutcome::Degraded);
+        let attr: f64 = trace.root.get_attr("completeness").unwrap().parse().unwrap();
+        assert_eq!(attr, outcome.stats.completeness);
 
-    // A per-attribute exchange is a batch of one: same attributes and
-    // children as a per-source batch span.
-    for batch in &batches {
-        assert_eq!(batch.get_attr("rules"), Some("1"));
-        let wire_bytes: u64 = batch.get_attr("wire_bytes").expect("priced").parse().unwrap();
-        assert!(wire_bytes > 0);
-        let [rule, attempt] = &batch.children[..] else {
-            panic!("one rule + one attempt expected under {}: {:?}", batch.name, batch.children)
-        };
-        assert_eq!(rule.kind, s2s::obs::SpanKind::Rule);
-        assert!(matches!(rule.get_attr("cache"), Some("hit" | "miss")), "{rule:?}");
-        assert_eq!(rule.get_attr("values"), Some("1"));
-        assert_eq!(attempt.kind, s2s::obs::SpanKind::Attempt);
+        // The first query's DOWN batch failed on the wire (after a
+        // retry); the second's was refused by the open breaker, and that
+        // refusal is visible as a breaker-rejected attempt span.
+        let attempts = trace.spans_of(s2s::obs::SpanKind::Attempt);
+        let of = |o| attempts.iter().filter(|s| s.outcome == o).collect::<Vec<_>>();
+        let (failed, rejected) = (of(SpanOutcome::Failed), of(SpanOutcome::BreakerRejected));
+        if run == 0 {
+            assert!(rejected.is_empty(), "the breaker is closed until DOWN fails");
+            assert_eq!(failed.len(), 1);
+            assert_eq!(failed[0].name, "DOWN");
+            assert_eq!(failed[0].get_attr("retries"), Some("1"));
+        } else {
+            assert!(failed.is_empty(), "the open breaker keeps DOWN off the wire");
+            assert_eq!(rejected.len(), 1);
+            assert_eq!(rejected[0].name, "DOWN");
+            assert_eq!(rejected[0].sim_us, 0, "a rejected call never reaches the wire");
+        }
     }
-    // Each rule text compiles once (on `DOWN`, planned first) and is
-    // served from the rule cache on `GOOD`.
-    let provenance: Vec<_> = batches.iter().map(|b| b.children[0].get_attr("cache")).collect();
-    assert_eq!(provenance[..3], [Some("miss"); 3]);
-    assert_eq!(provenance[3..], [Some("hit"); 3]);
+}
+
+#[test]
+fn per_source_trace_has_the_batched_span_shape_in_planner_order() {
+    let outcomes = degraded_twice();
+    let mut ladder = Vec::new();
+    for (run, outcome) in outcomes.iter().enumerate() {
+        let root = &outcome.trace.as_ref().expect("tracing on").root;
+        let batches: Vec<_> =
+            root.children.iter().filter(|s| s.kind == s2s::obs::SpanKind::Batch).collect();
+
+        // Dispatch order is a function of the plan alone.
+        let names: Vec<_> = batches.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ["DOWN", "GOOD"]);
+
+        // A batch carries one rule span per attribute, in submission
+        // order, then one attempt span per endpoint tried.
+        for batch in &batches {
+            assert_eq!(batch.get_attr("rules"), Some("3"));
+            let wire_bytes: u64 = batch.get_attr("wire_bytes").expect("priced").parse().unwrap();
+            assert!(wire_bytes > 0);
+            let [rules @ .., attempt] = &batch.children[..] else {
+                panic!("rules + one attempt expected under {}: {:?}", batch.name, batch.children)
+            };
+            let paths: Vec<_> = rules.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(paths, ["thing.product.a0", "thing.product.a1", "thing.product.a2"]);
+            for rule in rules {
+                assert_eq!(rule.kind, s2s::obs::SpanKind::Rule);
+                assert_eq!(rule.get_attr("source"), Some(batch.name.as_str()));
+                assert_eq!(rule.get_attr("values"), Some("1"));
+                // Each rule text compiles once (on `DOWN`, planned first
+                // in the first query) and is served from the rule cache
+                // ever after.
+                let first_sight = run == 0 && batch.name == "DOWN";
+                assert_eq!(rule.get_attr("cache"), Some(if first_sight { "miss" } else { "hit" }));
+            }
+            assert_eq!(attempt.kind, s2s::obs::SpanKind::Attempt);
+            ladder.push((batch.outcome, attempt.outcome));
+        }
+    }
 
     // The degradation ladder, in order.
-    let ladder: Vec<_> = batches.iter().map(|b| (b.outcome, b.children[1].outcome)).collect();
-    assert_eq!(ladder[0], (SpanOutcome::Failed, SpanOutcome::Failed));
-    assert_eq!(ladder[1], (SpanOutcome::Failed, SpanOutcome::BreakerRejected));
-    assert_eq!(ladder[2], (SpanOutcome::Failed, SpanOutcome::BreakerRejected));
-    assert_eq!(ladder[3..], [(SpanOutcome::Ok, SpanOutcome::Ok); 3]);
+    assert_eq!(
+        ladder,
+        [
+            (SpanOutcome::Failed, SpanOutcome::Failed),
+            (SpanOutcome::Ok, SpanOutcome::Ok),
+            (SpanOutcome::Failed, SpanOutcome::BreakerRejected),
+            (SpanOutcome::Ok, SpanOutcome::Ok),
+        ]
+    );
 }
 
 #[test]
@@ -263,20 +274,23 @@ fn root_children_never_outlast_the_root() {
 
 #[test]
 fn round_trips_exclude_breaker_rejections() {
-    let s2s = degraded_traced();
-    let outcome = s2s.query("SELECT product").unwrap();
-    let health = &outcome.resilience;
-    let rejections: u64 = health.values().map(|h| h.breaker_rejections).sum();
-    let attempts: u64 = health.values().map(|h| h.attempts).sum();
-    // GOOD: 3 tasks × 1 attempt. DOWN: first task burns the retry
-    // budget (2 attempts), the other two tasks are breaker-rejected
-    // and never reach the wire.
-    assert_eq!(rejections, 2);
-    assert_eq!(attempts, 5);
-    assert_eq!(
-        outcome.stats.round_trips, attempts,
-        "round_trips counts wire attempts only, never breaker rejections"
-    );
+    // GOOD: one attempt per query. DOWN: the first query burns the
+    // retry budget (2 attempts); the second is breaker-rejected and
+    // never reaches the wire.
+    let tallies: Vec<(u64, u64)> = degraded_twice()
+        .iter()
+        .map(|outcome| {
+            let health = &outcome.resilience;
+            let rejections: u64 = health.values().map(|h| h.breaker_rejections).sum();
+            let attempts: u64 = health.values().map(|h| h.attempts).sum();
+            assert_eq!(
+                outcome.stats.round_trips, attempts,
+                "round_trips counts wire attempts only, never breaker rejections"
+            );
+            (rejections, attempts)
+        })
+        .collect();
+    assert_eq!(tallies, [(0, 3), (1, 1)]);
 }
 
 #[test]

@@ -253,6 +253,46 @@ fn s2sql_nesting_is_capped_end_to_end() {
     worker.unwrap().join().expect("no stack overflow at or past the cap");
 }
 
+/// An XQuery rule nesting `concat(` 200 000 deep once compiled for
+/// minutes (quadratic) and recursed without bound. It is now refused at
+/// the cap as a coded failure on its own source, fast, while the other
+/// source answers in full.
+#[test]
+fn xquery_concat_nesting_is_a_coded_failure_end_to_end() {
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("brand", "Product", "http://www.w3.org/2001/XMLSchema#string")
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut db = Database::new("d");
+    db.execute("CREATE TABLE w (brand TEXT)").unwrap();
+    db.execute("INSERT INTO w VALUES ('Seiko'), ('Casio')").unwrap();
+    let document = s2s::xml::parse("<c><w><b>Orient</b></w></c>").unwrap();
+    let mut s2s = S2s::new(ontology);
+    s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+    s2s.register_source("XML", Connection::Xml { document: Arc::new(document) }).unwrap();
+    let sql = ExtractionRule::Sql { query: "SELECT brand FROM w".into(), column: "brand".into() };
+    s2s.register_attribute("thing.product.brand", sql, "DB", RecordScenario::MultiRecord).unwrap();
+    let query = format!("for $w in //w return {}$w/b/text()", "concat(".repeat(200_000));
+    let xquery = ExtractionRule::XQuery { query };
+    s2s.register_attribute("thing.product.brand", xquery, "XML", RecordScenario::MultiRecord)
+        .unwrap();
+
+    let started = std::time::Instant::now();
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
+    let [failure] = outcome.errors() else { panic!("{:?}", outcome.errors()) };
+    assert_eq!(
+        (failure.source.as_str(), failure.error.code()),
+        ("XML", "s2s::xml::nesting_too_deep")
+    );
+    assert!(failure.error.help().is_some());
+    assert_eq!(outcome.individuals().len(), 2, "the database answers in full");
+    assert_eq!(outcome.stats.completeness, 0.5);
+}
+
 /// A numeric attribute types only what is in `xsd:decimal`'s lexical
 /// space. The payload of an autonomous source may spell `NaN`, `inf` or
 /// `1e5` where a price belongs; those parse as floats, and were once

@@ -119,14 +119,14 @@ fn one_attempt_budget_matches_no_retry_policy() {
 #[test]
 fn replica_failover_rescues_hard_down_primary() {
     let mut s2s = S2s::new(ontology()); // default policy: failover on
-    s2s.register_remote_source_with_replicas(
+    s2s.register_remote_source(
         "DB",
         brand_db("Seiko"),
         CostModel::wan(),
         FailureModel::unreachable(),
-        &[FailureModel::reliable()],
     )
     .unwrap();
+    s2s.add_source_replica("DB", FailureModel::reliable()).unwrap();
     s2s.register_attribute("thing.product.brand", brand_rule(), "DB", RecordScenario::SingleRecord)
         .unwrap();
     let outcome = s2s.query("SELECT product").unwrap();
@@ -144,14 +144,14 @@ fn replica_failover_rescues_hard_down_primary() {
 #[test]
 fn failover_disabled_leaves_primary_failure_in_place() {
     let mut s2s = S2s::new(ontology()).with_resilience(ResiliencePolicy::none());
-    s2s.register_remote_source_with_replicas(
+    s2s.register_remote_source(
         "DB",
         brand_db("Seiko"),
         CostModel::wan(),
         FailureModel::unreachable(),
-        &[FailureModel::reliable()],
     )
     .unwrap();
+    s2s.add_source_replica("DB", FailureModel::reliable()).unwrap();
     s2s.register_attribute("thing.product.brand", brand_rule(), "DB", RecordScenario::SingleRecord)
         .unwrap();
     let outcome = s2s.query("SELECT product").unwrap();
