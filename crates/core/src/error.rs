@@ -45,6 +45,18 @@ pub enum S2sError {
         /// The id.
         id: String,
     },
+    /// A source id would mint its individuals' IRIs under the same path
+    /// segment as an already registered one (ids are lower-cased and
+    /// characters outside `[a-z0-9._-]` become `-`): their records would
+    /// silently merge into one individual each.
+    IriSegmentCollision {
+        /// The id being registered.
+        id: String,
+        /// The registered id with the same segment.
+        existing: String,
+        /// The segment both mint under.
+        segment: String,
+    },
     /// A source mutation tried to swap the connection for one of a
     /// different kind (e.g. replacing a database with a web page),
     /// which would silently orphan every mapped extraction rule.
@@ -159,6 +171,7 @@ impl S2sError {
         match self {
             S2sError::UnknownSource { .. } => "s2s::source::unknown",
             S2sError::DuplicateSource { .. } => "s2s::source::duplicate",
+            S2sError::IriSegmentCollision { .. } => "s2s::source::iri_segment_collision",
             S2sError::MutationKindMismatch { .. } => "s2s::source::kind_mismatch",
             S2sError::UnmappedAttribute { .. } => "s2s::mapping::unmapped_attribute",
             S2sError::RuleSourceMismatch { .. } => "s2s::mapping::rule_source_mismatch",
@@ -190,6 +203,10 @@ impl S2sError {
             S2sError::UnknownSource { .. } => {
                 Some("register the source first with S2s::register_source")
             }
+            S2sError::IriSegmentCollision { .. } => Some(
+                "choose an id that differs from the registered one in more than letter case and \
+                 in characters outside [A-Za-z0-9._-]",
+            ),
             S2sError::UnmappedAttribute { .. } => Some(
                 "map the attribute with S2s::register_attribute, or bootstrap the source's \
                  schema with S2s::register_bootstrapped",
@@ -237,6 +254,11 @@ impl fmt::Display for S2sError {
         match self {
             S2sError::UnknownSource { id } => write!(f, "unknown data source `{id}`"),
             S2sError::DuplicateSource { id } => write!(f, "data source `{id}` already registered"),
+            S2sError::IriSegmentCollision { id, existing, segment } => write!(
+                f,
+                "data source `{id}` would mint its individuals under the IRI segment \
+                 `{segment}`, which `{existing}` already does"
+            ),
             S2sError::MutationKindMismatch { id, expected, actual } => {
                 write!(f, "mutation of `{id}` must keep kind {expected}, got {actual}")
             }

@@ -13,6 +13,12 @@
 //! the source. One individual is generated per `(source, record)`,
 //! filtered by the query conditions — a column at a time (`select`):
 //! the records a condition rejects cost one comparison each.
+//!
+//! Entailment is per mapping, not per record: what the reasoner derives
+//! from a record's fact depends on the fact's property and the kind of
+//! its object, never on its values, so the reasoner closes one
+//! placeholder fact per record class and per (property, object kind)
+//! once a query (`close`), and each record gets a stamped copy.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -119,7 +125,7 @@ struct Column<'a> {
     range: Option<&'a Iri>,
     /// For object properties: the IRI prefix referenced individuals are
     /// minted under.
-    reference_prefix: Option<String>,
+    reference_prefix: Option<Iri>,
 }
 
 impl<'a> Column<'a> {
@@ -132,36 +138,233 @@ impl<'a> Column<'a> {
         }
     }
 
+    /// The fact one of the column's values asserts, as a template.
+    fn template(&self) -> Template<'a> {
+        let kind = match self.reference_prefix {
+            Some(_) => ObjectKind::Reference,
+            None => ObjectKind::Literal,
+        };
+        Template::Value(self.property, kind)
+    }
+
     /// The object `value` becomes. An object property mints an
-    /// individual for the referenced entity — its IRI composed in
-    /// `buffer`, its type triple pushed to `referenced`; any other
-    /// column yields a literal typed by the range.
-    fn object(
-        &self,
-        value: &str,
-        rdf_type: &Iri,
-        buffer: &mut String,
-        referenced: &mut Vec<Triple>,
-    ) -> Term {
+    /// individual for the referenced entity, its IRI composed in
+    /// `buffer`; any other column yields a literal typed by the range.
+    fn object(&self, value: &str, buffer: &mut String) -> Term {
         let Some(prefix) = &self.reference_prefix else {
             return Term::from(typed_literal(self.range, value));
         };
         buffer.clear();
-        buffer.push_str(prefix);
+        buffer.push_str(prefix.as_str());
         push_sanitized(buffer, value);
-        match Iri::new(buffer.as_str()) {
-            Ok(reference) => {
-                if let Some(range) = self.range {
-                    referenced.push(Triple::new(
-                        reference.clone(),
-                        rdf_type.clone(),
-                        range.clone(),
-                    ));
-                }
-                Term::from(reference)
-            }
-            Err(_) => Term::from(Literal::string(value)),
+        Term::from(
+            Iri::new_under(prefix, buffer).expect("a sanitized segment is a valid IRI suffix"),
+        )
+    }
+}
+
+/// What a column's values become in the graph: the closure of a fact
+/// depends on whether its object can be a subject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ObjectKind {
+    /// A literal.
+    Literal,
+    /// A minted individual (an object property's value).
+    Reference,
+}
+
+/// A fact with placeholders for its terms — `S` the record, `O` the
+/// value — whose closure every record's copy of the fact shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Template<'a> {
+    /// `(S, rdf:type, class)`: a record's class.
+    Class(&'a Iri),
+    /// `(S, property, O)` with `O` of the kind; for a reference also
+    /// `(O, rdf:type, range)`, the generator's typing of what it mints.
+    Value(&'a Iri, ObjectKind),
+}
+
+/// A term of a template's closure, by where a record's copy takes it
+/// from.
+#[derive(Debug, Clone)]
+enum Node {
+    /// The record (`S`).
+    Subject,
+    /// The value (`O`).
+    Object,
+    /// The same term for every record: a class, mostly.
+    Constant(Term),
+}
+
+impl Node {
+    /// Where a block row takes this term from, when its template's `O`
+    /// is filled by `object`.
+    fn fill(&self, object: &Fill) -> Fill {
+        match self {
+            Node::Subject => Fill::Subject,
+            Node::Object => object.clone(),
+            Node::Constant(term) => Fill::Constant(term.clone()),
         }
+    }
+}
+
+/// A template's closure, split by subject: every rule copies its
+/// premise's subject or object into the subject of what it derives, so a
+/// row is about `S` or about `O`.
+#[derive(Debug, Default)]
+struct Entailed {
+    /// `(predicate, object)` of the rows about `S`.
+    about_subject: Vec<(Iri, Node)>,
+    /// `(predicate, object)` of the rows about `O`: range types,
+    /// inverses and what follows from them.
+    about_object: Vec<(Iri, Node)>,
+}
+
+/// The reasoner's closure of `template` — the one place the generator
+/// asks it for anything. The placeholders are IRIs no ontology names and
+/// a literal (a value that is not an individual can be no subject); the
+/// rules never look inside a subject or object, only at whether it can
+/// be a subject, so the closure of a record's fact is this one with the
+/// placeholders replaced.
+fn close(reasoner: &Reasoner<'_>, template: Template<'_>) -> Entailed {
+    let rdf_type = rdfv::type_();
+    let subject = Term::from(Iri::new("urn:s2s:template:subject").expect("a valid IRI"));
+    let (facts, object) = match template {
+        Template::Class(class) => {
+            let fact = Triple::new(subject.clone(), rdf_type, class.clone());
+            (vec![fact], None)
+        }
+        Template::Value(property, ObjectKind::Literal) => {
+            let object = Term::from(Literal::string(""));
+            (vec![Triple::new(subject.clone(), property.clone(), object.clone())], Some(object))
+        }
+        Template::Value(property, ObjectKind::Reference) => {
+            let object = Term::from(Iri::new("urn:s2s:template:object").expect("a valid IRI"));
+            let mut facts = vec![Triple::new(subject.clone(), property.clone(), object.clone())];
+            let range = reasoner.ontology().property(property).and_then(|d| d.ranges().next());
+            if let Some(range) = range {
+                facts.push(Triple::new(object.clone(), rdf_type, range.clone()));
+            }
+            (facts, Some(object))
+        }
+    };
+    let node = |term: Term| match term {
+        term if term == subject => Node::Subject,
+        term if Some(&term) == object.as_ref() => Node::Object,
+        term => Node::Constant(term),
+    };
+    let mut entailed = Entailed::default();
+    for triple in reasoner.materialized(facts) {
+        let (about, predicate, value) = triple.into_parts();
+        let rows =
+            if about == subject { &mut entailed.about_subject } else { &mut entailed.about_object };
+        rows.push((predicate, node(value)));
+    }
+    entailed
+}
+
+/// A row of a source's block: one predicate and where its object comes
+/// from, entailed for every record (by its class or its provenance,
+/// `gate: None`) or by a column's value (`gate: Some(column)`, emitted
+/// only for the records that have one).
+struct Row {
+    predicate: Iri,
+    object: Fill,
+    gate: Option<usize>,
+    /// Whether the row before it has the same predicate and object: a run
+    /// of such rows yields one triple, if any of their gates holds.
+    repeat: bool,
+}
+
+impl Row {
+    /// The row's predicate and object: the block's order, and equal for
+    /// rows that yield one triple.
+    fn key(&self) -> (&Iri, &Fill) {
+        (&self.predicate, &self.object)
+    }
+}
+
+/// Where a block row's object comes from.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Fill {
+    /// The same term for every record: a class, mostly.
+    Constant(Term),
+    /// The record itself.
+    Subject,
+    /// The source's id (provenance).
+    Source,
+    /// The record's value of a column.
+    Value(usize),
+}
+
+/// What a source's block is made from: its record class's template and,
+/// per column, the column's template if it is projected.
+#[derive(Debug, Default, PartialEq)]
+struct Shape<'a> {
+    class: Option<&'a Iri>,
+    columns: Vec<Option<Template<'a>>>,
+}
+
+/// What the templates of a source's record class, its provenance and its
+/// projected columns make of each of its records. It depends on nothing
+/// else, so sources of one shape — a fan-out over like shards — share
+/// one.
+#[derive(Default)]
+struct Block<'a> {
+    shape: Shape<'a>,
+    /// The rows about the record, sorted by predicate and object.
+    rows: Vec<Row>,
+    /// Per referencing column, `(predicate, object)` of the rows about
+    /// the individual its value mints.
+    about_references: Vec<(usize, Vec<(Iri, Fill)>)>,
+    /// The columns whose value fills more than one row (a sub-property's
+    /// row, rows about the referenced individual): made into a term once
+    /// per record and cloned, where any other value becomes its term at
+    /// its row.
+    shared: Vec<usize>,
+}
+
+impl<'a> Block<'a> {
+    /// Rebuilds the block for `shape` from its templates' closures,
+    /// closing those not closed yet.
+    fn build(
+        &mut self,
+        shape: &Shape<'a>,
+        provenance: Option<Template<'a>>,
+        reasoner: &Reasoner<'_>,
+        closures: &mut BTreeMap<Template<'a>, Entailed>,
+    ) {
+        self.shape.class = shape.class;
+        self.shape.columns.clone_from(&shape.columns);
+        self.rows.clear();
+        self.about_references.clear();
+        // Each template with where its `O` comes from and the column that
+        // must have a value for its rows to hold.
+        let class = shape.class.map(|class| (Template::Class(class), Fill::Subject, None));
+        let provenance = provenance.map(|template| (template, Fill::Source, None));
+        let columns = shape.columns.iter().enumerate();
+        let values = columns.filter_map(|(k, t)| Some(((*t)?, Fill::Value(k), Some(k))));
+        for (template, value, gate) in class.into_iter().chain(provenance).chain(values) {
+            let entailed = closures.entry(template).or_insert_with(|| close(reasoner, template));
+            for (predicate, node) in &entailed.about_subject {
+                let object = node.fill(&value);
+                self.rows.push(Row { predicate: predicate.clone(), object, gate, repeat: false });
+            }
+            if let Some(k) = gate.filter(|_| !entailed.about_object.is_empty()) {
+                let rows = entailed.about_object.iter();
+                let rows = rows.map(|(predicate, node)| (predicate.clone(), node.fill(&value)));
+                self.about_references.push((k, rows.collect()));
+            }
+        }
+        self.rows.sort_by(|a, b| a.key().cmp(&b.key()));
+        for k in 1..self.rows.len() {
+            self.rows[k].repeat = self.rows[k].key() == self.rows[k - 1].key();
+        }
+        let fills = |k: usize| {
+            let rows = self.rows.iter().filter(|r| r.object == Fill::Value(k)).count();
+            rows + usize::from(self.about_references.iter().any(|(r, _)| *r == k))
+        };
+        self.shared = (0..shape.columns.len()).filter(|&k| fills(k) > 1).collect();
     }
 }
 
@@ -264,15 +467,6 @@ fn select(
     }
 }
 
-/// What fills one predicate of a record's block of triples.
-enum Filler<'a> {
-    /// The same object for every record of the source (its class, its
-    /// provenance).
-    Constant(Term),
-    /// The record's value of a projected column.
-    Column(&'a Column<'a>),
-}
-
 /// Like [`generate`], with options.
 pub fn generate_with_options(
     ontology: &Ontology,
@@ -281,8 +475,8 @@ pub fn generate_with_options(
     options: GenerateOptions,
 ) -> InstanceSet {
     let (triples, individuals) = emit_triples(ontology, plan, report, options);
-    // Supertypes and inferred typings, then one tree build.
-    let graph = Reasoner::new(ontology).materialized(triples);
+    // Entailments included: one tree build.
+    let graph: Graph = triples.into_iter().collect();
 
     if s2s_obs::enabled() {
         let m = s2s_obs::global();
@@ -300,16 +494,25 @@ pub fn generate_with_options(
 }
 
 /// The individuals the report yields under the plan, in record order,
-/// and the triples asserted about them.
+/// and the triples asserted about them together with everything the
+/// reasoner entails from those: the graph's triples, repeats allowed.
+///
+/// Every rule has one premise and only copies its subject and object,
+/// so an answer's closure is the union of its facts' closures, and a
+/// fact's closure is its template's ([`close`], once per template per
+/// call) with the placeholders replaced. A record's block is the rows of
+/// its class's closure and of the closures of the columns it has a value
+/// in; the rows about a referenced individual go with its value.
 ///
 /// The triples come out in the order the graph will keep them (SPO) as
 /// far as the generator can tell without comparing strings: per source,
 /// subjects by the decimal-string order of their record number
 /// (`…/1, …/10, …/100, …/2`), each subject's predicates in IRI order,
-/// the type triples of referenced individuals — which sort under a
-/// prefix of their own — after everything else. The order is a hint for
-/// the sort that follows, never something the answer depends on: source
-/// ids that sanitize to one prefix, or to prefixes out of id order,
+/// the rows about referenced individuals — which sort under a prefix of
+/// their own — after everything else. The order is a hint for the sort
+/// that follows, never something the answer depends on: source ids that
+/// sanitize to one prefix (which the source registry refuses, but a
+/// report built by hand can hold), or to prefixes out of id order,
 /// merely leave that sort more to do.
 fn emit_triples(
     ontology: &Ontology,
@@ -318,16 +521,22 @@ fn emit_triples(
     options: GenerateOptions,
 ) -> (Vec<Triple>, Vec<Individual>) {
     let data_ns = data_namespace(ontology);
-    let rdf_type = rdfv::type_();
+    let reasoner = Reasoner::new(ontology);
     let provenance = options.provenance.then(provenance_property);
+    let mut closures: BTreeMap<Template<'_>, Entailed> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
     let mut referenced: Vec<Triple> = Vec::new();
     let mut individuals = Vec::new();
-    // Reused from source to source: the text of the IRI being minted,
-    // the records of the source that became individuals, and the
-    // buffers of the condition's selection.
+    let provenance_template = provenance.as_ref().map(|p| Template::Value(p, ObjectKind::Literal));
+    // Reused from source to source: the text being minted, the records
+    // of the source that became individuals, the last block and the
+    // shape of the next, the values that fill more than one row, and
+    // the buffers of the condition's selection.
     let mut minted = String::new();
     let mut survivors: Vec<(usize, Iri)> = Vec::new();
+    let mut block = Block::default();
+    let mut shape = Shape::default();
+    let mut objects: Vec<Option<Term>> = Vec::new();
     let mut selection: Vec<u64> = Vec::new();
     let mut spare: Vec<Vec<u64>> =
         vec![Vec::new(); plan.condition.as_ref().map_or(0, |tree| complements(tree, true))];
@@ -354,7 +563,8 @@ fn emit_triples(
                     reference_prefix: def.filter(|d| d.kind() == PropertyKind::Object).map(|_| {
                         let class =
                             range.map_or("ref".into(), |r| r.local_name().to_ascii_lowercase());
-                        format!("{data_ns}{class}/")
+                        Iri::new(format!("{data_ns}{class}/"))
+                            .expect("valid wherever the record prefix is")
                     }),
                 }
             })
@@ -387,6 +597,7 @@ fn emit_triples(
         push_sanitized(&mut minted, source);
         minted.push('/');
         let prefix_len = minted.len();
+        let record_prefix = Iri::new(&minted).expect("minted IRIs are valid by construction");
 
         // Phase 1, in record order: which records become individuals.
         // A condition selects them by column, and finds a leaf's columns
@@ -404,7 +615,8 @@ fn emit_triples(
             }
             minted.truncate(prefix_len);
             write!(minted, "{i}").expect("writing to a String cannot fail");
-            let iri = Iri::new(&minted).expect("minted IRIs are valid by construction");
+            let iri =
+                Iri::new_under(&record_prefix, &minted).expect("a record number is a valid suffix");
             let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
             for c in columns.iter().filter(|c| c.projected) {
                 if let Some(v) = c.value(i) {
@@ -433,30 +645,59 @@ fn emit_triples(
             }
             None => (0..records).for_each(&mut individual),
         }
-
-        // Phase 2, in the graph's order: their triples.
-        let mut block: Vec<(&Iri, Filler<'_>)> =
-            vec![(&rdf_type, Filler::Constant(Term::from(record_class.clone())))];
-        if let Some(provenance) = &provenance {
-            block.push((provenance, Filler::Constant(Term::from(Literal::string(source)))));
+        if survivors.is_empty() {
+            continue;
         }
-        block.extend(
-            columns.iter().filter(|c| c.projected).map(|c| (c.property, Filler::Column(c))),
-        );
-        block.sort_by_key(|(predicate, _)| *predicate);
+
+        // Phase 2, in the graph's order: their blocks, stamped from the
+        // closures of the source's templates.
+        shape.class = Some(record_class);
+        shape.columns.clear();
+        shape.columns.extend(columns.iter().map(|c| c.projected.then(|| c.template())));
+        if block.shape != shape {
+            block.build(&shape, provenance_template, &reasoner, &mut closures);
+        }
+        let source_literal = provenance.is_some().then(|| Term::from(Literal::string(source)));
+        objects.clear();
+        objects.resize(columns.len(), None);
+
         survivors.sort_by_cached_key(|(i, _)| decimal_order_key(*i));
-        triples.reserve(survivors.len() * block.len());
+        triples.reserve(survivors.len() * block.rows.iter().filter(|r| !r.repeat).count());
         for (i, iri) in survivors.drain(..) {
-            for (predicate, filler) in &block {
-                let object = match filler {
-                    Filler::Constant(term) => term.clone(),
-                    Filler::Column(c) => match c.value(i) {
-                        // Phase 1 is done with the buffer.
-                        Some(v) => c.object(v, &rdf_type, &mut minted, &mut referenced),
-                        None => continue,
-                    },
-                };
-                triples.push(Triple::new(iri.clone(), (*predicate).clone(), object));
+            for &k in &block.shared {
+                // Phase 1 is done with the buffer.
+                objects[k] = columns[k].value(i).map(|v| columns[k].object(v, &mut minted));
+            }
+            let subject = Term::from(iri);
+            // The record's term for a row's object.
+            let mut fill = |fill: &Fill| match fill {
+                Fill::Constant(term) => term.clone(),
+                Fill::Subject => subject.clone(),
+                Fill::Source => source_literal.clone().expect("provenance is on"),
+                Fill::Value(k) => match &objects[*k] {
+                    Some(term) => term.clone(),
+                    None => {
+                        let value = columns[*k].value(i).expect("the row's gate holds");
+                        columns[*k].object(value, &mut minted)
+                    }
+                },
+            };
+            let mut emitted = false;
+            for row in &block.rows {
+                emitted &= row.repeat;
+                if emitted || row.gate.is_some_and(|k| columns[k].value(i).is_none()) {
+                    continue;
+                }
+                emitted = true;
+                let object = fill(&row.object);
+                triples.push(Triple::new(subject.clone(), row.predicate.clone(), object));
+            }
+            for (k, about_reference) in &block.about_references {
+                let Some(reference) = &objects[*k] else { continue };
+                for (predicate, object) in about_reference {
+                    let object = fill(object);
+                    referenced.push(Triple::new(reference.clone(), predicate.clone(), object));
+                }
             }
         }
     }
@@ -557,8 +798,11 @@ pub fn data_namespace(ontology: &Ontology) -> String {
 }
 
 /// Appends `s` as an IRI path segment: ASCII letters lower-cased,
-/// anything outside `[a-z0-9._-]` replaced by `-`, `x` for nothing.
-fn push_sanitized(out: &mut String, s: &str) {
+/// anything outside `[a-z0-9._-]` replaced by `-`, `x` for nothing. A
+/// source's records are minted under its id's segment, so the source
+/// registry refuses an id whose segment another id already has
+/// (`S2sError::IriSegmentCollision`): their records would merge.
+pub(crate) fn push_sanitized(out: &mut String, s: &str) {
     if s.is_empty() {
         out.push('x');
     }

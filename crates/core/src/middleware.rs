@@ -552,7 +552,9 @@ impl S2s {
     ///
     /// # Errors
     ///
-    /// Returns [`S2sError::DuplicateSource`] on id collision.
+    /// Returns [`S2sError::DuplicateSource`] on id collision and
+    /// [`S2sError::IriSegmentCollision`] when another id mints under the
+    /// same IRI segment.
     pub fn register_source(&mut self, id: &str, connection: Connection) -> Result<(), S2sError> {
         self.invalidate_results();
         self.registry.write().register_local(id, connection)
@@ -563,7 +565,9 @@ impl S2s {
     ///
     /// # Errors
     ///
-    /// Returns [`S2sError::DuplicateSource`] on id collision.
+    /// Returns [`S2sError::DuplicateSource`] on id collision and
+    /// [`S2sError::IriSegmentCollision`] when another id mints under the
+    /// same IRI segment.
     pub fn register_remote_source(
         &mut self,
         id: &str,
@@ -583,7 +587,9 @@ impl S2s {
     ///
     /// # Errors
     ///
-    /// Returns [`S2sError::DuplicateSource`] on id collision.
+    /// Returns [`S2sError::DuplicateSource`] on id collision and
+    /// [`S2sError::IriSegmentCollision`] when another id mints under the
+    /// same IRI segment.
     pub fn register_remote_source_detailed(
         &mut self,
         id: &str,

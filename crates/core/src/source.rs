@@ -16,6 +16,7 @@ use s2s_webdoc::WebStore;
 use s2s_xml::Document;
 
 use crate::error::S2sError;
+use crate::instance::push_sanitized;
 
 /// A data source identifier (paper style: `DB_ID_45`, `wpage_81`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -186,6 +187,9 @@ impl RegisteredSource {
 #[derive(Debug, Clone, Default)]
 pub struct SourceRegistry {
     sources: BTreeMap<SourceId, RegisteredSource>,
+    /// The IRI segment each source's individuals are minted under, to
+    /// the source.
+    segments: BTreeMap<String, SourceId>,
 }
 
 impl SourceRegistry {
@@ -198,7 +202,9 @@ impl SourceRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`S2sError::DuplicateSource`] if the id is taken.
+    /// Returns [`S2sError::DuplicateSource`] if the id is taken and
+    /// [`S2sError::IriSegmentCollision`] if another id mints under the
+    /// same IRI segment (`DB` and `db`, `DB 1` and `db-1`).
     pub fn register_local(
         &mut self,
         id: impl Into<SourceId>,
@@ -218,7 +224,9 @@ impl SourceRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`S2sError::DuplicateSource`] if the id is taken.
+    /// Returns [`S2sError::DuplicateSource`] if the id is taken and
+    /// [`S2sError::IriSegmentCollision`] if another id mints under the
+    /// same IRI segment (`DB` and `db`, `DB 1` and `db-1`).
     pub fn register_remote(
         &mut self,
         id: impl Into<SourceId>,
@@ -240,7 +248,9 @@ impl SourceRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`S2sError::DuplicateSource`] if the id is taken.
+    /// Returns [`S2sError::DuplicateSource`] if the id is taken and
+    /// [`S2sError::IriSegmentCollision`] if another id mints under the
+    /// same IRI segment (`DB` and `db`, `DB 1` and `db-1`).
     pub fn register_remote_detailed(
         &mut self,
         id: impl Into<SourceId>,
@@ -291,6 +301,17 @@ impl SourceRegistry {
         if self.sources.contains_key(&id) {
             return Err(S2sError::DuplicateSource { id: id.as_str().to_string() });
         }
+        // The generator's segment of the id: two ids with one segment
+        // would mint one IRI for two records.
+        let segment = iri_segment(id.as_str());
+        if let Some(existing) = self.segments.get(&segment) {
+            return Err(S2sError::IriSegmentCollision {
+                id: id.as_str().to_string(),
+                existing: existing.as_str().to_string(),
+                segment,
+            });
+        }
+        self.segments.insert(segment, id.clone());
         self.sources.insert(
             id.clone(),
             RegisteredSource {
@@ -386,6 +407,14 @@ impl SourceRegistry {
     pub fn is_empty(&self) -> bool {
         self.sources.is_empty()
     }
+}
+
+/// The path segment the Instance Generator mints a source's individuals
+/// under.
+fn iri_segment(id: &str) -> String {
+    let mut segment = String::new();
+    push_sanitized(&mut segment, id);
+    segment
 }
 
 /// Deterministic seed from a source id (FNV-1a), so endpoint behaviour

@@ -1,7 +1,8 @@
 //! Allocation budget of the Instance Generator: a three-attribute
 //! individual costs twelve heap blocks (its IRI, its `Individual` — the
 //! source id, one map node, a `Vec` and a `String` per value — and one
-//! block per literal), the graph's tree nodes come on top per triple,
+//! block per literal; its entailed types are stamped from closures made
+//! once per answer), the graph's tree nodes come on top per triple,
 //! everything else is vectors that double, and a record the condition
 //! rejects allocates nothing — the condition's selection is a bitmap
 //! sized once by the records. And of the pipeline before it: a value
@@ -129,9 +130,13 @@ fn generated_over(query: &str, records: usize, sources: &[&str]) -> (InstanceSet
 }
 
 /// What an answer may allocate besides its individuals and tree nodes:
-/// the per-source columns, block and buffers, and the doublings of the
-/// vectors of individuals, survivors, candidates and positions.
-const REMAINDER: usize = 96;
+/// the per-source columns, rows and buffers, one closure per template
+/// (four here) and the doublings of the vectors of individuals,
+/// survivors and triples — 29 when this was written. Closing the whole
+/// answer once more, as the generator did before it stamped template
+/// closures, adds 14 at 1 000 individuals (the round's candidate and
+/// position vectors) and fails this budget.
+const REMAINDER: usize = 32;
 
 /// Tree nodes for `triples` triples: a node holds up to eleven, the bulk
 /// build fills leaves and hangs them under inner nodes of the same

@@ -1,6 +1,6 @@
 //! Allocation budget of term construction: a term built from borrowed
-//! text is one heap block — the shared `Arc<str>` — with no `String` in
-//! between.
+//! text, or an IRI minted under a prefix, is one heap block — the shared
+//! `Arc<str>` — with no `String` in between.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,6 +61,9 @@ fn a_term_from_borrowed_text_is_one_block() {
 
     let (iri, n) = allocations(|| Iri::new("http://example.org/data/watch/db/17"));
     assert_eq!((iri.unwrap().local_name(), n), ("17", 1));
+    let prefix = Iri::new("http://example.org/data/watch/db/").unwrap();
+    let (iri, n) = allocations(|| Iri::new_under(&prefix, "http://example.org/data/watch/db/18"));
+    assert_eq!((iri.unwrap().local_name(), n), ("18", 1));
     let (literal, n) = allocations(|| Literal::string("Seiko"));
     assert_eq!((literal.lexical(), n), ("Seiko", 1));
     let (literal, n) = allocations(|| Literal::typed("129.99", decimal));

@@ -35,6 +35,35 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     proptest::collection::vec(arb_triple(), 0..40).prop_map(|v| v.into_iter().collect())
 }
 
+/// A valid IRI to mint under: a scheme of its own shape, then any text
+/// an IRI may hold — colons, `#`, `/` and non-ASCII included.
+fn arb_prefix() -> impl Strategy<Value = Iri> {
+    let rest = prop_oneof!["[!-~]{0,12}", any::<String>()];
+    ("[a-zA-Z][a-zA-Z0-9+.-]{0,5}", rest).prop_map(|(scheme, rest)| {
+        let rest: String = rest
+            .chars()
+            .filter(|c| !(c.is_whitespace() || c.is_control() || "<>".contains(*c)))
+            .collect();
+        Iri::new(format!("{scheme}:{rest}")).expect("valid by construction")
+    })
+}
+
+/// Text to append: mostly what a sanitized segment holds, and now and
+/// then what an IRI may not — ASCII controls, angle brackets, Unicode
+/// whitespace (U+0085, U+00A0, U+2028, U+3000) — or a second scheme.
+fn arb_suffix() -> impl Strategy<Value = String> {
+    const HOSTILE: [char; 12] = [
+        '\0', '\t', '\n', '\x1b', '\x7f', '<', '>', ' ', '\u{85}', '\u{a0}', '\u{2028}', '\u{3000}',
+    ];
+    let piece = prop_oneof![
+        "[a-z0-9._-]{0,6}",
+        (0..HOSTILE.len()).prop_map(|i| HOSTILE[i].to_string()),
+        Just("x:y".to_string()),
+        any::<String>(),
+    ];
+    proptest::collection::vec(piece, 0..4).prop_map(|pieces| pieces.concat())
+}
+
 /// One step of the [`Graph`] model test. Triples come from a small pool
 /// so that inserts collide, removes hit and patterns match.
 #[derive(Debug, Clone)]
@@ -104,6 +133,19 @@ fn check_reads(graph: &Graph, model: &[Triple], probe: &Triple) -> Result<(), Te
 }
 
 proptest! {
+    /// Minting under a validated prefix is `Iri::new` of the whole text:
+    /// the same acceptance, the same IRI, the same error — and so is a
+    /// text that does not extend the prefix.
+    #[test]
+    fn a_suffix_under_a_valid_prefix_is_the_whole_text(
+        prefix in arb_prefix(),
+        suffix in arb_suffix(),
+    ) {
+        let whole = format!("{}{suffix}", prefix.as_str());
+        prop_assert_eq!(Iri::new_under(&prefix, &whole), Iri::new(&whole), "{:?} + {:?}", prefix, suffix);
+        prop_assert_eq!(Iri::new_under(&prefix, &suffix), Iri::new(&suffix), "{:?} / {:?}", prefix, suffix);
+    }
+
     /// N-Triples roundtrips losslessly.
     #[test]
     fn ntriples_roundtrip(g in arb_graph()) {

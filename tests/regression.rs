@@ -211,6 +211,62 @@ fn distinct_source_ids_never_overwrite_each_others_mappings() {
     }
 }
 
+/// Source ids become IRI path segments lower-cased, with characters
+/// outside `[a-z0-9._-]` as `-`, so `DB` and `db` (or `DB 1` and `db-1`)
+/// once both minted `…/product/db/0` for their first record: two
+/// individuals with one IRI, one Turtle subject with both brands, and no
+/// error. The registry now refuses the second id, local or remote, with
+/// a coded error, and ids with distinct segments keep distinct IRIs.
+#[test]
+fn source_ids_that_mint_one_iri_segment_are_refused() {
+    use s2s::netsim::{CostModel, FailureModel};
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("brand", "Product", "http://www.w3.org/2001/XMLSchema#string")
+        .unwrap()
+        .build()
+        .unwrap();
+    let source = |brand: &str| {
+        let mut db = Database::new("d");
+        db.execute("CREATE TABLE w (brand TEXT)").unwrap();
+        db.execute(&format!("INSERT INTO w VALUES ('{brand}')")).unwrap();
+        Connection::Database { db: Arc::new(db) }
+    };
+    let rule =
+        || ExtractionRule::Sql { query: "SELECT brand FROM w".into(), column: "brand".into() };
+    let mut s2s = S2s::new(ontology);
+    s2s.register_source("DB", source("Seiko")).unwrap();
+    s2s.register_source("DB 1", source("Casio")).unwrap();
+    for (id, taken) in [("db", "DB"), ("Db", "DB"), ("db-1", "DB 1"), ("dB?1", "DB 1")] {
+        let local = s2s.register_source(id, source("Orient"));
+        let remote = s2s.register_remote_source(
+            id,
+            source("Orient"),
+            CostModel::wan(),
+            FailureModel::reliable(),
+        );
+        for refused in [local, remote] {
+            let err = refused.expect_err(id);
+            assert_eq!(err.code(), "s2s::source::iri_segment_collision", "{id}: {err}");
+            assert!(err.to_string().contains(&format!("`{taken}`")), "{id}: {err}");
+            assert!(err.help().is_some());
+        }
+    }
+
+    // Only the segment is refused: `_` is a segment character of its own.
+    s2s.register_source("DB_1", source("Orient")).unwrap();
+    for id in ["DB", "DB 1", "DB_1"] {
+        s2s.register_attribute("thing.product.brand", rule(), id, RecordScenario::MultiRecord)
+            .unwrap();
+    }
+    let outcome = s2s.query("SELECT product").unwrap();
+    let mut iris: Vec<&str> = outcome.individuals().iter().map(|i| i.iri.as_str()).collect();
+    iris.sort();
+    let minted = |segment: &str| format!("http://example.org/schema/data/product/{segment}/0");
+    assert_eq!(iris, [minted("db-1"), minted("db"), minted("db_1")]);
+}
+
 /// A client's S2SQL is untrusted input: `((((…`, `NOT NOT …` and a
 /// 200 000-term `AND` chain are refused with a coded error and the
 /// engine keeps serving. Before the cap the first two aborted the
