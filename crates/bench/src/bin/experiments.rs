@@ -349,7 +349,7 @@ fn run_experiments() {
 /// trips after a single failure: across two queries on the engine, the
 /// `DOWN` batch shows the full degradation ladder (retried and failed on
 /// the first, breaker-rejected on the second) while `GOOD` stays clean.
-/// Serial dispatch in the planner's (estimate desc, source id) order, so
+/// One exchange at a time in the planner's (estimate desc, source id) order, so
 /// the breaker-state sequencing is a function of the plan.
 fn degraded_deploy() -> S2s {
     let policy = s2s_core::ResiliencePolicy::default()
@@ -359,8 +359,10 @@ fn degraded_deploy() -> S2s {
             SimDuration::from_millis(50),
         ))
         .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(60_000)));
-    let mut s2s =
-        S2s::new(ontology()).with_strategy(Strategy::Serial).with_resilience(policy).with_tracing();
+    let mut s2s = S2s::new(ontology())
+        .with_strategy(Strategy::Parallel { workers: 1 })
+        .with_resilience(policy)
+        .with_tracing();
     s2s.register_remote_source(
         "GOOD",
         Connection::Database { db: Arc::new(catalog_db(&records(5, 42))) },
@@ -522,7 +524,7 @@ fn throughput_smoke(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
 
     let workload = warm_workload(4, 16, 64);
-    let reference = deploy_paced(12, 42, 0, Strategy::Serial, false);
+    let reference = deploy_paced(12, 42, 0, Strategy::Parallel { workers: 1 }, false);
     let baseline = serial_baseline(&reference, &workload);
     // A lighter pace than E13 keeps the gate fast while still forcing
     // the clients to genuinely overlap their waits.
@@ -579,7 +581,7 @@ fn reactor_smoke(dir: &str) -> Result<(), Vec<String>> {
 
     let clients = 1_000;
     let workload = cold_workload(clients, 1);
-    let reference = deploy_paced(12, 42, 0, Strategy::Serial, false);
+    let reference = deploy_paced(12, 42, 0, Strategy::Parallel { workers: 1 }, false);
     let baseline = serial_baseline(&reference, &workload);
     // Same light pace as the throughput gate: the wire waits are real
     // enough that only overlap keeps the run inside the CI budget.
@@ -642,8 +644,9 @@ const E15_ROWS: usize = 2000;
 /// rules on the side).
 fn e15_sweep() -> (PushdownReport, u64) {
     let recs = records(E15_ROWS, 42);
-    let off = deploy_paced(E15_ROWS, 42, 0, Strategy::Serial, false);
-    let on = deploy_paced(E15_ROWS, 42, 0, Strategy::Serial, false).with_pushdown();
+    let off = deploy_paced(E15_ROWS, 42, 0, Strategy::Parallel { workers: 1 }, false);
+    let on =
+        deploy_paced(E15_ROWS, 42, 0, Strategy::Parallel { workers: 1 }, false).with_pushdown();
     let points: Vec<_> = E15_SELECTIVITIES
         .iter()
         .map(|&pct| {
@@ -1220,7 +1223,7 @@ fn e3() {
             20,
             CostModel::wan(),
             FailureModel::reliable(),
-            Strategy::Serial,
+            Strategy::Parallel { workers: 1 },
         );
         let o_serial = serial.query("SELECT watch").unwrap();
         let parallel = deploy_sharded(
@@ -1401,7 +1404,7 @@ fn e7() {
             }
             s
         };
-        let o_single = build(Strategy::Serial).query("SELECT watch").unwrap();
+        let o_single = build(Strategy::Parallel { workers: 1 }).query("SELECT watch").unwrap();
         let o_single_par = build(Strategy::Parallel { workers: 16 }).query("SELECT watch").unwrap();
         assert_eq!(o_multi.individuals().len(), n);
         assert_eq!(o_single.individuals().len(), n);
@@ -1631,7 +1634,7 @@ fn e13() {
         "mode", "clients", "queries", "wall", "qps", "p50", "p99", "res-hit", "plan-hit"
     );
 
-    let reference = deploy_paced(12, 42, 0, Strategy::Serial, false);
+    let reference = deploy_paced(12, 42, 0, Strategy::Parallel { workers: 1 }, false);
 
     // Pre-change baseline: one client, no result cache — what every
     // repeated query cost before the engine kept answers around.

@@ -1325,8 +1325,8 @@ fn throughput_report(
 /// One mutation-rate point of the E16 delta sweep: the same
 /// query stream with background source mutations run on a views-enabled
 /// engine and on its invalidate-and-recompute twin (result cache only —
-/// every mutation drops the affected answers and the next query
-/// re-extracts everything from the wire).
+/// after every mutation the answers that read the source miss at their
+/// next lookup, and the query re-extracts everything from the wire).
 #[derive(Debug, Clone)]
 pub struct DeltaPoint {
     /// Mutations per hundred queries.
@@ -1429,8 +1429,9 @@ impl DeltaReport {
 /// four sources. Both arms see the identical mutation schedule and
 /// every answer is compared step by step.
 pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64, pace: u64) -> DeltaPoint {
-    let baseline = deploy_paced(rows, seed, pace, Strategy::Serial, true);
-    let delta = deploy_paced(rows, seed, pace, Strategy::Serial, true).with_views();
+    let baseline = deploy_paced(rows, seed, pace, Strategy::Parallel { workers: 1 }, true);
+    let delta =
+        deploy_paced(rows, seed, pace, Strategy::Parallel { workers: 1 }, true).with_views();
     let mut recs = records(rows, seed);
     let texts: Vec<String> =
         [120, 220, 320, 420].iter().map(|t| format!("SELECT watch WHERE price < {t}")).collect();
@@ -1825,11 +1826,13 @@ mod tests {
 
     #[test]
     fn wide_deployment_and_its_per_attribute_twin_agree() {
-        let batched =
-            deploy_wide(3, 4, CostModel::wan(), Strategy::Serial).query("SELECT product").unwrap();
-        let per_attr = deploy_wide_per_attribute(3, 4, CostModel::wan(), Strategy::Serial)
+        let batched = deploy_wide(3, 4, CostModel::wan(), Strategy::Parallel { workers: 1 })
             .query("SELECT product")
             .unwrap();
+        let per_attr =
+            deploy_wide_per_attribute(3, 4, CostModel::wan(), Strategy::Parallel { workers: 1 })
+                .query("SELECT product")
+                .unwrap();
         assert_eq!(batched.individuals().len(), 3);
         assert_eq!(per_attr.individuals().len(), 12, "one individual per twin source");
         assert_eq!(wide_values(&batched), wide_values(&per_attr));
@@ -1841,7 +1844,7 @@ mod tests {
     #[test]
     fn throughput_harness_matches_serial_baseline() {
         let workload = cold_workload(2, 3);
-        let reference = deploy_paced(10, 5, 0, Strategy::Serial, false);
+        let reference = deploy_paced(10, 5, 0, Strategy::Parallel { workers: 1 }, false);
         let baseline = serial_baseline(&reference, &workload);
         assert_eq!(baseline.len(), 6);
 
@@ -1862,7 +1865,7 @@ mod tests {
         // 32 clients on one thread — already past what the
         // thread-per-client runner would tolerate at this granularity.
         let workload = cold_workload(32, 2);
-        let reference = deploy_paced(10, 5, 0, Strategy::Serial, false);
+        let reference = deploy_paced(10, 5, 0, Strategy::Parallel { workers: 1 }, false);
         let baseline = serial_baseline(&reference, &workload);
 
         let engine = deploy_paced(10, 5, 0, Strategy::Reactor, true);
@@ -1903,7 +1906,7 @@ mod tests {
         assert_eq!(distinct.len(), 4);
         assert_eq!(workload.iter().map(Vec::len).sum::<usize>(), 16);
 
-        let reference = deploy_paced(10, 5, 0, Strategy::Serial, false);
+        let reference = deploy_paced(10, 5, 0, Strategy::Parallel { workers: 1 }, false);
         let baseline = serial_baseline(&reference, &workload);
         let engine = deploy_paced(10, 5, 0, Strategy::Parallel { workers: 4 }, true);
         let report = run_throughput(&engine, &workload, &baseline);
@@ -1972,8 +1975,8 @@ mod tests {
     #[test]
     fn pushdown_point_equivalence_and_savings() {
         let recs = records(200, 42);
-        let off = deploy_paced(200, 42, 0, Strategy::Serial, false);
-        let on = deploy_paced(200, 42, 0, Strategy::Serial, false).with_pushdown();
+        let off = deploy_paced(200, 42, 0, Strategy::Parallel { workers: 1 }, false);
+        let on = deploy_paced(200, 42, 0, Strategy::Parallel { workers: 1 }, false).with_pushdown();
         let t = selectivity_threshold(&recs, 5.0);
         let point =
             run_pushdown_point(&on, &off, &format!("SELECT watch WHERE price < {t}"), 5.0, t);

@@ -387,8 +387,9 @@ fn rebuilt_engine(scenario: &Scenario, records: &[crate::scenario::Record]) -> S
     use s2s_core::source::Connection;
     use s2s_netsim::{CostModel, FailureModel, FaultSchedule};
 
-    let mut s2s =
-        S2s::new(crate::scenario::ontology()).with_strategy(Strategy::Serial).with_resilience(
+    let mut s2s = S2s::new(crate::scenario::ontology())
+        .with_strategy(Strategy::Parallel { workers: 1 })
+        .with_resilience(
             ResiliencePolicy::default()
                 .with_retry(RetryPolicy::attempts(crate::scenario::RETRY_ATTEMPTS)),
         );
@@ -470,8 +471,9 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
     };
 
     let build = || -> Result<(S2s, Vec<String>), String> {
-        let mut s2s =
-            S2s::new(crate::scenario::ontology()).with_strategy(Strategy::Serial).with_resilience(
+        let mut s2s = S2s::new(crate::scenario::ontology())
+            .with_strategy(Strategy::Parallel { workers: 1 })
+            .with_resilience(
                 ResiliencePolicy::default()
                     .with_retry(Retry::attempts(crate::scenario::RETRY_ATTEMPTS)),
             );
@@ -1022,7 +1024,7 @@ fn flaky_engine(scenario: &Scenario, p: f64) -> S2s {
 
     let records = scenario.records();
     let mut s2s = S2s::new(crate::scenario::ontology())
-        .with_strategy(Strategy::Serial)
+        .with_strategy(Strategy::Parallel { workers: 1 })
         .with_resilience(ResiliencePolicy::none());
     for i in 0..scenario.sources.len() {
         let id = format!("SRC_{i}");
@@ -1103,40 +1105,52 @@ mod tests {
     /// A mapping edit must invalidate only the edited source's
     /// materialized slices: the other source's views keep replaying
     /// without touching the wire, and only the edited source is
-    /// re-dialled.
+    /// re-dialled. With the result cache on as well, the whole answer
+    /// (it read the edited source) is recomputed once, then replayed.
     #[test]
     fn mapping_edit_invalidation_is_scoped_to_the_edited_source() {
         let scenario = crate::case::from_case(include_str!("../corpus/delta-mapping-edit.case"))
             .expect("corpus case parses");
         let query = scenario.query_text();
-        let mut engine = scenario.build(&BuildConfig::delta());
-        let first = engine.query(&query).unwrap();
-        assert_eq!(first.stats.completeness, 1.0);
-        let warm = engine.query(&query).unwrap();
-        assert_eq!(warm.stats.round_trips, 0, "warm views answer without the wire");
-        // Re-register SRC_0's brand mapping under an equivalent rule
-        // with different text — same values, different plan.
-        engine
-            .register_attribute(
-                "thing.product.watch.brand",
-                s2s_core::mapping::ExtractionRule::Sql {
-                    query: "SELECT brand, price FROM watches ORDER BY id".into(),
-                    column: "brand".into(),
-                },
-                "SRC_0",
-                s2s_core::mapping::RecordScenario::MultiRecord,
-            )
-            .expect("equivalent rule is valid");
-        let after = engine.query(&query).unwrap();
-        assert_eq!(
-            fingerprint(&after),
-            fingerprint(&first),
-            "the equivalent rule must not change the answer"
-        );
-        assert!(after.resilience.contains_key("SRC_0"), "edited source re-extracts");
-        assert!(!after.resilience.contains_key("SRC_1"), "untouched source replays from its views");
-        assert_eq!(after.stats.round_trips, 1, "one batched exchange, edited source only");
-        assert_eq!(after.stats.view_hits, 3, "the XML source's three slices replay");
+        for result_cache in [false, true] {
+            let config = BuildConfig { result_cache, ..BuildConfig::delta() };
+            let mut engine = scenario.build(&config);
+            let first = engine.query(&query).unwrap();
+            assert_eq!(first.stats.completeness, 1.0);
+            let warm = engine.query(&query).unwrap();
+            assert_eq!(warm.stats.round_trips, 0, "warm views answer without the wire");
+            assert_eq!(warm.stats.result_cache.hits, u64::from(result_cache));
+            // Re-register SRC_0's brand mapping under an equivalent rule
+            // with different text — same values, different plan.
+            engine
+                .register_attribute(
+                    "thing.product.watch.brand",
+                    s2s_core::mapping::ExtractionRule::Sql {
+                        query: "SELECT brand, price FROM watches ORDER BY id".into(),
+                        column: "brand".into(),
+                    },
+                    "SRC_0",
+                    s2s_core::mapping::RecordScenario::MultiRecord,
+                )
+                .expect("equivalent rule is valid");
+            let after = engine.query(&query).unwrap();
+            assert_eq!(
+                fingerprint(&after),
+                fingerprint(&first),
+                "the equivalent rule must not change the answer"
+            );
+            assert_eq!(after.stats.result_cache.hits, 0, "an answer under the old rule served");
+            assert!(after.resilience.contains_key("SRC_0"), "edited source re-extracts");
+            assert!(
+                !after.resilience.contains_key("SRC_1"),
+                "untouched source replays from its views"
+            );
+            assert_eq!(after.stats.round_trips, 1, "one batched exchange, edited source only");
+            assert_eq!(after.stats.view_hits, 3, "the XML source's three slices replay");
+            let again = engine.query(&query).unwrap();
+            assert_eq!(again.stats.result_cache.hits, u64::from(result_cache));
+            assert_eq!(fingerprint(&again), fingerprint(&first));
+        }
         let violations = check_scenario(&scenario);
         assert!(violations.is_empty(), "{violations:#?}");
     }

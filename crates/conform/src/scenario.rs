@@ -383,7 +383,7 @@ pub struct BuildConfig {
 impl Default for BuildConfig {
     fn default() -> Self {
         BuildConfig {
-            strategy: Strategy::Serial,
+            strategy: Strategy::Parallel { workers: 1 },
             result_cache: false,
             pushdown: false,
             views: false,

@@ -13,26 +13,27 @@
 //!   derives from the immutable ontology and the parsed query alone,
 //!   so nothing invalidates one: only the LRU bound drops it.
 //! * [`QueryResultCache`] — memoizes whole query answers (the
-//!   [`InstanceSet`] plus the stats of the run that produced it),
-//!   same key, LRU-bounded at [`QueryResultCache::CAPACITY`] and
-//!   otherwise never expired: a source's data changes only through
-//!   `S2s::mutate_source`, which swaps its immutable snapshot, so
-//!   invalidation is **dependency-tracked**: each entry records the
-//!   `(source, version)` set the producing run read, a data mutation or
-//!   mapping edit drops only the entries whose dependency set
-//!   intersects the change, and admission re-checks the recorded
-//!   versions against a per-source invalidation floor so a query that
-//!   raced a mutation can never install a stale answer. Registering a
-//!   *new* source or attribute still clears wholesale — cached answers
-//!   may be missing data the newcomer would have contributed, which no
-//!   per-entry dependency set can see. Only complete, failure-free
+//!   [`InstanceSet`] plus the task count of the run that produced it),
+//!   same key, LRU-bounded at [`QueryResultCache::CAPACITY`]. A source's
+//!   data changes only through `S2s::mutate_source`, which bumps its
+//!   registry version, so freshness is decided **when an answer is
+//!   read**, by the rule materialized views follow: each entry records
+//!   the `(source, version)` set the producing run read, and a lookup —
+//!   under the registry read lock — serves it only if every recorded
+//!   version is still the registry's current one. A stale entry is a
+//!   miss, and the recomputed answer overwrites it under the same key.
+//!   A mutation therefore touches no cache, and an answer published by
+//!   a query that raced a mutation is never served. Only what a read
+//!   cannot see is dropped eagerly: a *new* mapping clears every answer
+//!   (they may miss the newcomer's data), and a mapping edit drops the
+//!   answers that read the edited source. Only complete, failure-free
 //!   answers are admitted, so a degraded result is never replayed after
 //!   the sources recover.
 //!
 //! Every lookup and insert tells its caller what it did, and a query's
-//! [`QueryStats`] cache figures are tallied from those answers alone —
-//! never read back from the engine-wide counters, where concurrent
-//! clients would see each other's operations.
+//! [`crate::middleware::QueryStats`] cache figures are tallied from
+//! those answers alone — never read back from the engine-wide counters,
+//! where concurrent clients would see each other's operations.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -40,11 +41,11 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::instance::InstanceSet;
-use crate::middleware::QueryStats;
 use crate::query::QueryPlan;
+use crate::source::SourceRegistry;
 
 /// Hit/miss/eviction counters, shared by every cache of the engine
 /// (plan, result, compiled-rule).
@@ -123,7 +124,19 @@ impl<K: Clone + Eq + Hash, V> Lru<K, V> {
         Q: Eq + Hash + ?Sized,
         V: Clone,
     {
-        let hit = self.slots.read().get(key).map(|slot| {
+        self.get_if(key, |_| true)
+    }
+
+    /// Looks `key` up and serves the entry only if `valid` accepts it;
+    /// a rejected entry counts as a miss, keeps its slot until an
+    /// insert under the same key overwrites it, and is not refreshed.
+    pub(crate) fn get_if<Q>(&self, key: &Q, valid: impl FnOnce(&V) -> bool) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+        V: Clone,
+    {
+        let hit = self.slots.read().get(key).filter(|slot| valid(&slot.value)).map(|slot| {
             slot.stamp.store(self.next_stamp(), Ordering::Relaxed);
             slot.value.clone()
         });
@@ -174,25 +187,23 @@ impl<K: Clone + Eq + Hash, V> Lru<K, V> {
 /// The `(source, version)` dependencies a cached artifact read,
 /// captured under the registry read lock of the producing run.
 ///
-/// Surgical invalidation intersects a mutation with these sets: an
-/// entry is dropped only if it depends on the mutated source at a
-/// version older than the mutation's.
+/// A cached answer is fresh exactly while every recorded version is
+/// still its source's current one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencySet {
     sources: BTreeMap<String, u64>,
 }
 
 impl DependencySet {
-    /// An empty dependency set (depends on nothing; never dropped by
-    /// targeted invalidation).
+    /// An empty dependency set (depends on nothing, so always fresh).
     pub fn new() -> Self {
         DependencySet::default()
     }
 
     /// Records that the artifact read `source` at data `version`.
     /// Re-recording keeps the *older* version: if a run somehow saw two
-    /// versions, the entry must be dropped by any mutation after the
-    /// first.
+    /// versions, the registry is already past the first, so the entry
+    /// is never served.
     pub fn record(&mut self, source: &str, version: u64) {
         self.sources
             .entry(source.to_string())
@@ -237,9 +248,9 @@ pub struct CachedResult {
     pub plan: Arc<QueryPlan>,
     /// The answer of the original run.
     pub instances: Arc<InstanceSet>,
-    /// The stats of the original (cache-miss) run, so a hit can report
-    /// the completeness and task shape of the answer it replays.
-    pub origin: QueryStats,
+    /// The extraction tasks of the original (cache-miss) run. Only
+    /// complete answers are cached, so a replay's completeness is 1.
+    pub tasks: usize,
 }
 
 #[derive(Debug)]
@@ -249,19 +260,11 @@ struct ResultEntry {
 }
 
 /// An LRU memo of whole query answers, keyed on the query's canonical
-/// rendering. See the module docs for the admission and invalidation
-/// rules.
+/// rendering. See the module docs for the freshness rule.
 #[derive(Debug)]
 pub struct QueryResultCache {
     /// Shared so a hit clones a pointer, not the dependency set.
     entries: Lru<String, Arc<ResultEntry>>,
-    /// Highest mutation version seen per source. The lock is held
-    /// across the entry insert or drop it guards (always taken before
-    /// the store's own), which makes the admission-time version check
-    /// race-free: a mutation first raises the floor, then drops
-    /// entries; an insert whose dependencies predate the floor is
-    /// refused even if it lands after the drop.
-    floors: Mutex<HashMap<String, u64>>,
     invalidations: AtomicU64,
 }
 
@@ -284,31 +287,30 @@ impl QueryResultCache {
             [RESULT_CACHE_HITS_TOTAL, RESULT_CACHE_MISSES_TOTAL, RESULT_CACHE_EVICTIONS_TOTAL];
         QueryResultCache {
             entries: Lru::new(Self::CAPACITY, names),
-            floors: Mutex::new(HashMap::new()),
             invalidations: AtomicU64::new(0),
         }
     }
 
-    /// Looks up the cached answer for a query key.
-    pub fn get(&self, key: &str) -> Option<CachedResult> {
-        self.entries.get(key).map(|e| e.result.clone())
+    /// Looks up the cached answer for a query key, serving it only if
+    /// every source it read is still at the version it read in
+    /// `registry`. A stale entry counts as a miss. Taking the registry
+    /// by reference means the caller holds its read lock, so no
+    /// mutation lands between the compare and the serve.
+    pub fn get(&self, key: &str, registry: &SourceRegistry) -> Option<CachedResult> {
+        let fresh = |e: &Arc<ResultEntry>| {
+            e.deps.iter().all(|(source, version)| registry.version_of(source) == Some(version))
+        };
+        self.entries.get_if(key, fresh).map(|e| e.result.clone())
     }
 
     /// Stores an answer together with the `(source, version)`
-    /// dependencies the producing run read, evicting the least recently
-    /// used entry at capacity. The caller enforces answer-quality
-    /// admission (complete, failure-free answers only); *this* method
-    /// enforces freshness admission: an answer with a dependency older
-    /// than its source's floor — a mutation landed while the query was
-    /// in flight — is refused and `false` returned.
-    pub fn insert(&self, key: String, result: CachedResult, deps: DependencySet) -> bool {
-        let floors = self.floors.lock();
-        let stale =
-            deps.iter().any(|(source, version)| floors.get(source).is_some_and(|f| version < *f));
-        if !stale {
-            self.entries.insert(key, Arc::new(ResultEntry { result, deps }));
-        }
-        !stale
+    /// dependencies the producing run read, replacing any entry under
+    /// the key and evicting the least recently used one at capacity.
+    /// The caller admits complete, failure-free answers only. An answer
+    /// that read a snapshot a mutation has since replaced is stored
+    /// like any other: [`Self::get`] never serves it.
+    pub fn insert(&self, key: String, result: CachedResult, deps: DependencySet) {
+        self.entries.insert(key, Arc::new(ResultEntry { result, deps }));
     }
 
     /// Drops the entries `keep` rejects, counting them as invalidated.
@@ -323,37 +325,26 @@ impl QueryResultCache {
         dropped
     }
 
-    /// Drops every cached answer — the fallback for mutations whose
-    /// blast radius no dependency set can bound (registering a *new*
-    /// source or attribute: existing answers may be missing data the
-    /// newcomer would have contributed). Returns how many were dropped.
+    /// Drops every cached answer — for a change no dependency set can
+    /// see (registering a *new* mapping: existing answers may be missing
+    /// data the newcomer would have contributed). Returns how many were
+    /// dropped.
     pub fn invalidate_all(&self) -> usize {
         self.invalidate(|_| false)
     }
 
-    /// Surgical invalidation for a mutation of `source` producing data
-    /// `version`: raises the source's admission floor to `version`,
-    /// then drops exactly the entries whose dependency set read the
-    /// source at an older version. Entries that never read the source
-    /// replay untouched. Returns how many entries were dropped.
-    pub fn invalidate_source(&self, source: &str, version: u64) -> usize {
-        let mut floors = self.floors.lock();
-        let floor = floors.entry(source.to_string()).or_insert(0);
-        *floor = (*floor).max(version);
-        self.invalidate(|e| e.deps.version_of(source).is_none_or(|v| v >= version))
-    }
-
-    /// Drops every entry that read `source` at *any* version, without
-    /// raising the admission floor — the mapping-edit path. The data
-    /// version is unchanged (nothing at the source moved), but answers
-    /// built under the displaced rule answer the wrong question.
-    /// Registration holds `&mut S2s`, so no old-rule query can be in
-    /// flight to race the drop. Returns how many entries were dropped.
+    /// Drops every entry that read `source` — the mapping-edit path. The
+    /// data version is unchanged (nothing at the source moved), so the
+    /// read-time check would pass, but answers built under the displaced
+    /// rule answer the wrong question. Registration holds `&mut S2s`, so
+    /// no old-rule query can be in flight to race the drop. Returns how
+    /// many entries were dropped.
     pub fn invalidate_dependents(&self, source: &str) -> usize {
         self.invalidate(|e| !e.deps.depends_on(source))
     }
 
-    /// Number of cached answers.
+    /// Number of cached answers, stale ones included until a recompute
+    /// overwrites them or the LRU bound evicts them.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -368,8 +359,10 @@ impl QueryResultCache {
         self.entries.stats()
     }
 
-    /// Entries dropped by mutation invalidation (distinct from LRU
-    /// evictions).
+    /// Entries dropped by [`Self::invalidate_all`] and
+    /// [`Self::invalidate_dependents`] — mapping registrations and the
+    /// operator's `invalidate_cache`; a data mutation drops nothing.
+    /// Distinct from LRU evictions.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
     }
@@ -394,6 +387,12 @@ mod tests {
     }
 
     fn answer() -> CachedResult {
+        answer_of(0)
+    }
+
+    /// An empty answer whose task count marks it, so a test can tell
+    /// which insert it is looking at.
+    fn answer_of(tasks: usize) -> CachedResult {
         CachedResult {
             plan: plan_of("SELECT watch"),
             instances: Arc::new(InstanceSet {
@@ -403,8 +402,28 @@ mod tests {
                 completeness: 1.0,
                 round_trips: 0,
             }),
-            origin: QueryStats::default(),
+            tasks,
         }
+    }
+
+    /// A registry holding the given (empty) database sources, each at
+    /// version 0.
+    fn registry_of(sources: &[&str]) -> SourceRegistry {
+        let mut registry = SourceRegistry::new();
+        for source in sources {
+            registry.register_local(*source, empty_db()).unwrap();
+        }
+        registry
+    }
+
+    fn empty_db() -> crate::source::Connection {
+        crate::source::Connection::Database { db: Arc::new(s2s_minidb::Database::new("d")) }
+    }
+
+    /// Applies one data mutation to `source`, returning its new version.
+    fn mutate(registry: &mut SourceRegistry, source: &str) -> u64 {
+        let kind = s2s_netsim::ChangeKind::RowUpdate;
+        registry.apply_mutation(&source.into(), empty_db(), kind, Vec::new()).unwrap()
     }
 
     fn lru(capacity: usize) -> Lru<String, u32> {
@@ -468,8 +487,9 @@ mod tests {
             cache.insert(format!("q{i}"), answer(), DependencySet::new());
         }
         assert_eq!(cache.len(), QueryResultCache::CAPACITY);
-        assert!(cache.get("q0").is_none(), "the least recently used answer went");
-        assert!(cache.get(&format!("q{}", QueryResultCache::CAPACITY)).is_some());
+        let registry = registry_of(&[]);
+        assert!(cache.get("q0", &registry).is_none(), "the least recently used answer went");
+        assert!(cache.get(&format!("q{}", QueryResultCache::CAPACITY), &registry).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -494,67 +514,100 @@ mod tests {
     }
 
     #[test]
-    fn result_invalidation_drops_only_dependent_entries() {
+    fn a_lookup_serves_only_answers_whose_sources_did_not_move() {
+        let mut registry = registry_of(&["DB", "XML"]);
         let cache = QueryResultCache::new();
         cache.insert("q-db".into(), answer(), deps_on(&[("DB", 0)]));
         cache.insert("q-xml".into(), answer(), deps_on(&[("XML", 0)]));
         cache.insert("q-both".into(), answer(), deps_on(&[("DB", 0), ("XML", 0)]));
-        // Mutating DB to version 1 drops the two entries that read DB
-        // at version 0; the XML-only entry survives and replays.
-        assert_eq!(cache.invalidate_source("DB", 1), 2);
-        assert!(cache.get("q-xml").is_some());
-        assert!(cache.get("q-db").is_none());
-        assert!(cache.get("q-both").is_none());
-        assert_eq!(cache.invalidations(), 2);
-        // An entry that already read the post-mutation version is kept.
-        cache.insert("q-db2".into(), answer(), deps_on(&[("DB", 1)]));
-        assert_eq!(cache.invalidate_source("DB", 1), 0);
-        assert!(cache.get("q-db2").is_some());
+        // Mutating DB stales the two answers that read it; the XML-only
+        // one keeps replaying. Nothing is dropped.
+        assert_eq!(mutate(&mut registry, "DB"), 1);
+        assert!(cache.get("q-xml", &registry).is_some());
+        assert!(cache.get("q-db", &registry).is_none());
+        assert!(cache.get("q-both", &registry).is_none());
+        assert_eq!((cache.len(), cache.invalidations()), (3, 0));
+        // The recompute overwrites the stale entry under its key.
+        cache.insert("q-db".into(), answer(), deps_on(&[("DB", 1)]));
+        assert!(cache.get("q-db", &registry).is_some());
+        assert_eq!(cache.len(), 3);
+        // A source the registry does not hold is never current.
+        cache.insert("q-gone".into(), answer(), deps_on(&[("GONE", 0)]));
+        assert!(cache.get("q-gone", &registry).is_none());
         // A mapping edit drops every reader of the source, whatever the
-        // version, and leaves the floor where it was.
-        assert_eq!(cache.invalidate_dependents("DB"), 1);
-        assert!(cache.get("q-xml").is_some());
-        assert!(cache.insert("q-db3".into(), answer(), deps_on(&[("DB", 1)])));
+        // version: the read-time check cannot see a rule change.
+        assert_eq!(cache.invalidate_dependents("DB"), 2);
+        assert!(cache.get("q-xml", &registry).is_some());
+        assert_eq!(cache.invalidations(), 2);
     }
 
     #[test]
-    fn admission_floor_refuses_stale_insert() {
+    fn a_stale_lookup_is_a_miss_in_both_accounts() {
+        let mut registry = registry_of(&["DB"]);
         let cache = QueryResultCache::new();
-        // A mutation lands while a query that read DB@0 is in flight.
-        cache.invalidate_source("DB", 1);
-        assert!(
-            !cache.insert("late".into(), answer(), deps_on(&[("DB", 0)])),
-            "an answer that read the pre-mutation snapshot must be refused"
-        );
-        assert!(cache.get("late").is_none());
-        // The same query re-run against the new snapshot is admitted.
-        assert!(cache.insert("late".into(), answer(), deps_on(&[("DB", 1)])));
-        assert!(cache.get("late").is_some());
+        cache.insert("q".into(), answer(), deps_on(&[("DB", 0)]));
+        let lookup = |registry: &SourceRegistry| {
+            let mut account = CacheStats::default();
+            account.lookup(cache.get("q", registry).is_some());
+            account
+        };
+        assert_eq!(lookup(&registry), CacheStats { hits: 1, misses: 0, evictions: 0 });
+        mutate(&mut registry, "DB");
+        // The query's own tally and the engine counters agree: a miss.
+        assert_eq!(lookup(&registry), CacheStats { hits: 0, misses: 1, evictions: 0 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
     }
 
-    /// The floor check and the drop are atomic with respect to each
-    /// other: however a mutation interleaves with inserts of answers
-    /// that read the pre-mutation snapshot, none survives it.
+    /// However mutations interleave with late inserts (a query that read
+    /// a version publishing after a mutation replaced it) and lookups,
+    /// a served answer read the version the registry holds when it is
+    /// served. Each answer's task count is the version it read.
     #[test]
-    fn concurrent_mutation_never_leaves_a_stale_entry() {
-        for _ in 0..50 {
-            let cache = QueryResultCache::new();
-            let (stale, start) = (answer(), std::sync::Barrier::new(3));
+    fn concurrent_mutation_never_serves_a_stale_entry() {
+        for _ in 0..20 {
+            let (registry, cache) = (RwLock::new(registry_of(&["DB"])), QueryResultCache::new());
+            let start = std::sync::Barrier::new(5);
+            let served = AtomicU64::new(0);
             std::thread::scope(|scope| {
-                for t in 0..2 {
-                    let (cache, stale, start) = (&cache, &stale, &start);
+                for _ in 0..2 {
+                    let (registry, cache, start) = (&registry, &cache, &start);
                     scope.spawn(move || {
                         start.wait();
-                        for i in 0..20 {
-                            let deps = deps_on(&[("DB", 0)]);
-                            cache.insert(format!("q{t}-{i}"), stale.clone(), deps);
+                        for i in 0..200 {
+                            let read = registry.read().version_of("DB").unwrap();
+                            let deps = deps_on(&[("DB", read)]);
+                            cache.insert(format!("q{}", i % 4), answer_of(read as usize), deps);
+                        }
+                    });
+                }
+                for _ in 0..2 {
+                    let (registry, cache, start, served) = (&registry, &cache, &start, &served);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..200 {
+                            let registry = registry.read();
+                            if let Some(hit) = cache.get(&format!("q{}", i % 4), &registry) {
+                                let current = registry.version_of("DB").unwrap();
+                                assert_eq!(hit.tasks as u64, current, "a stale answer was served");
+                                served.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
                     });
                 }
                 start.wait();
-                cache.invalidate_source("DB", 1);
+                for _ in 0..20 {
+                    mutate(&mut registry.write(), "DB");
+                }
             });
-            assert!(cache.is_empty(), "{} stale entries survived", cache.len());
+            let last = registry.read().version_of("DB").unwrap();
+            assert_eq!(last, 20);
+            // After the last mutation a late insert can still hold an old
+            // version; the next lookup misses it rather than serving it.
+            for i in 0..4 {
+                if let Some(hit) = cache.get(&format!("q{i}"), &registry.read()) {
+                    assert_eq!(hit.tasks as u64, last);
+                }
+            }
         }
     }
 }

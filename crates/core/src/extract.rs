@@ -54,16 +54,16 @@ pub struct ExtractionSchema {
 /// How far a query's wire exchanges overlap — on both clocks: the
 /// simulated makespan the report carries, and the (optionally paced)
 /// wall-clock wait the caller pays once after running every exchange on
-/// its own thread. Answers are byte-identical across all three.
+/// its own thread. Answers are byte-identical under every strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// One exchange at a time, in plan order: the waits add up.
-    Serial,
     /// Up to `workers` exchanges in flight at once, greedy list
-    /// scheduling in dispatch order. The `workers` slots are the
-    /// engine's ([`Lanes`]), so concurrent queries queue for them.
+    /// scheduling in dispatch order. One worker (the engine's default)
+    /// runs them one at a time, in plan order: the waits add up. More
+    /// than one share the engine's slots ([`Lanes`]), so concurrent
+    /// queries queue for them.
     Parallel {
-        /// Exchanges in flight at once (>= 1; 1 is `Serial`).
+        /// Exchanges in flight at once (>= 1).
         workers: usize,
     },
     /// Every exchange in flight at once: the caller waits out only the
@@ -78,7 +78,7 @@ impl Strategy {
     /// and never queues for a lane.
     pub fn workers(self) -> usize {
         match self {
-            Strategy::Serial | Strategy::Reactor => 1,
+            Strategy::Reactor => 1,
             Strategy::Parallel { workers } => workers.max(1),
         }
     }
@@ -375,7 +375,7 @@ impl ExtractorManager {
         pace_sleep(match env.strategy {
             Strategy::Reactor => waits_us.into_iter().max().unwrap_or(0),
             Strategy::Parallel { workers } if workers > 1 => env.lanes.reserve(&waits_us),
-            Strategy::Serial | Strategy::Parallel { .. } => waits_us.into_iter().sum(),
+            Strategy::Parallel { .. } => waits_us.into_iter().sum(),
         });
 
         let mut report = ExtractionReport { rule_cache, ..Default::default() };
@@ -1112,7 +1112,7 @@ mod tests {
         schemas: Vec<ExtractionSchema>,
         ctx: &ResilienceContext,
     ) -> ExtractionReport {
-        run(r, schemas, Strategy::Serial, ctx, &RuleCache::new())
+        run(r, schemas, Strategy::Parallel { workers: 1 }, ctx, &RuleCache::new())
     }
 
     fn no_resilience() -> ResilienceContext {
@@ -1376,7 +1376,7 @@ mod tests {
             let ctx = no_resilience();
             let rules = RuleCache::new();
             let four = Strategy::Parallel { workers: 4 };
-            let serial = run(&r, subset.clone(), Strategy::Serial, &ctx, &rules);
+            let serial = run(&r, subset.clone(), Strategy::Parallel { workers: 1 }, &ctx, &rules);
             let parallel = run(&r, subset.clone(), four, &ctx, &rules);
             let reactor = run(&r, subset, Strategy::Reactor, &ctx, &rules);
             let key = outcome_key(&serial);
@@ -1424,7 +1424,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.tasks, 2);
@@ -1456,7 +1456,7 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx =
             ResilienceContext::new(ResiliencePolicy::none().with_retry(RetryPolicy::attempts(8)));
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "8 attempts at p=0.5 should land: {:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.attempts, r.get(&"R".into()).unwrap().endpoint().stats().calls);
@@ -1485,7 +1485,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         // One failover for the whole batch, not one per attribute.
@@ -1518,7 +1518,7 @@ mod tests {
         let rules = RuleCache::new();
         let mut failures = Vec::new();
         for _ in 0..4 {
-            let report = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
+            let report = run(&r, schemas.clone(), Strategy::Parallel { workers: 1 }, &ctx, &rules);
             // The failed exchange fails every batched rule.
             assert_eq!(report.failures.len(), 2);
             failures.extend(report.failures);
@@ -1579,7 +1579,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
-        let report = run(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
         // The bad rule fails individually; the good rule still ships in
         // a 1-section batch.
         assert_eq!(report.results.len(), 1);
@@ -1596,13 +1596,13 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
         let rules = RuleCache::new();
-        let cold = run(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
+        let cold = run(&r, schemas.clone(), Strategy::Parallel { workers: 1 }, &ctx, &rules);
         assert_eq!(cold.rule_cache, CacheStats { hits: 0, misses: 7, evictions: 0 });
         // 6 of 7 rules compile and stay (the broken regex never caches;
         // the unknown-column SQL parses fine and only fails at
         // execution). Each round's account is its own lookups; the
         // cache's counters are their sum.
-        let warm = run(&r, schemas, Strategy::Serial, &ctx, &rules);
+        let warm = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &rules);
         assert_eq!(warm.rule_cache, CacheStats { hits: 6, misses: 1, evictions: 0 });
         assert_eq!(rules.stats(), CacheStats { hits: 6, misses: 8, evictions: 0 });
     }
@@ -1836,7 +1836,7 @@ mod tests {
         assert!(longest.as_micros() * 4 > sum.as_micros(), "four jittered costs");
         assert_eq!((overlapped.simulated, deferred_us), (longest, longest.as_micros()));
         // Same seeds, same charges — only the dispatch differs.
-        let (serial, deferred_us) = round(Strategy::Serial);
+        let (serial, deferred_us) = round(Strategy::Parallel { workers: 1 });
         assert_eq!(outcome_key(&serial), outcome_key(&overlapped));
         assert_eq!((serial.simulated, deferred_us), (sum, sum.as_micros()));
         // Equal estimates, so dispatch order is source order — the

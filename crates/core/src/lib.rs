@@ -57,7 +57,7 @@ pub use bootstrap::{
 pub use engine::{CacheStats, DependencySet, QueryResultCache};
 pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy, SourceHealth};
-pub use middleware::{MutationReceipt, Priority, QueryOptions, S2s};
+pub use middleware::{Priority, QueryOptions, S2s};
 pub use planner::{plan_pushdown, PushdownPlan, SourcePlan};
 pub use rules::RuleCache;
 pub use view::{SemanticViews, ViewSlice, ViewStats};

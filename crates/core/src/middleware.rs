@@ -25,7 +25,7 @@ use crate::instance::{self, GenerateOptions, Individual, InstanceSet, OutputForm
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
 use crate::query::{self, QueryPlan};
 use crate::rules::RuleCache;
-use crate::source::{Connection, SourceId, SourceRegistry};
+use crate::source::{Connection, SourceRegistry};
 use crate::view::{SemanticViews, ViewStats};
 
 /// Statistics of one query execution.
@@ -147,20 +147,6 @@ pub enum Priority {
     /// Skips the estimated-wait shed check (still shed when the
     /// admission queue is full outright).
     High,
-}
-
-/// Receipt of one applied source mutation: the source's new data
-/// version and the surgical-invalidation blast radius. On a healthy
-/// deployment the dropped counts are bounded by the mutated source's
-/// dependent entries — entries for untouched sources keep serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MutationReceipt {
-    /// The source's data version after the mutation (monotone, per
-    /// source).
-    pub version: u64,
-    /// Query-result-cache entries dropped because they read this
-    /// source at an older version.
-    pub dropped_results: usize,
 }
 
 /// The outcome of an S2SQL query: the plan, the generated instances,
@@ -293,14 +279,14 @@ pub struct S2s {
 }
 
 impl S2s {
-    /// Creates a middleware instance over an ontology schema, with a
-    /// serial extraction strategy.
+    /// Creates a middleware instance over an ontology schema, with one
+    /// exchange in flight at a time (`Parallel { workers: 1 }`).
     pub fn new(ontology: Ontology) -> Self {
         S2s {
             ontology: Arc::new(ontology),
             registry: RwLock::new(SourceRegistry::new()),
             mappings: RwLock::new(MappingModule::new()),
-            strategy: Strategy::Serial,
+            strategy: Strategy::Parallel { workers: 1 },
             rules: Arc::new(RuleCache::new()),
             plans: Arc::new(engine::plan_cache()),
             results: None,
@@ -422,8 +408,9 @@ impl S2s {
 
     /// Drops all cached query answers and materialized views (no-ops
     /// for disabled layers), returning how many entries were dropped in
-    /// total. This is the blunt operator fallback;
-    /// [`S2s::mutate_source`] invalidates surgically.
+    /// total. This is the blunt operator fallback; after
+    /// [`S2s::mutate_source`] both layers notice the new version when
+    /// they are read.
     pub fn invalidate_cache(&self) -> usize {
         let dropped =
             self.invalidate_results() + self.views.as_ref().map(|v| v.clear()).unwrap_or(0);
@@ -436,57 +423,48 @@ impl S2s {
     }
 
     /// Drops every cached query answer, returning how many were
-    /// dropped. Called internally on mutations whose blast radius no
-    /// dependency set can bound (new source/attribute registrations).
+    /// dropped: a new mapping may contribute to any of them, which no
+    /// dependency set can see.
     fn invalidate_results(&self) -> usize {
         self.results.as_ref().map_or(0, |r| r.invalidate_all())
     }
 
     /// Applies a data mutation to a registered source: swaps its
-    /// connection snapshot for `connection`, records a change event
+    /// connection snapshot for `connection` and records a change event
     /// (`kind`, touching `fields`; empty = potentially everything) on
-    /// the source's feed, and surgically invalidates exactly the cache
-    /// entries that depended on the source — raising the result cache's
-    /// per-source admission floor so an in-flight query that read the
-    /// pre-mutation snapshot can never publish a stale answer.
-    /// Materialized views are *not* dropped: they self-heal against the
-    /// feed on their next read.
+    /// the source's feed, bumping its version. Returns the new version.
+    ///
+    /// No cache is touched. Cached answers and materialized views both
+    /// record the versions they read and compare them with the
+    /// registry's when they are read: a result-cache entry that read
+    /// this source stops being served, and a view slice refreshes (or
+    /// advances) against the feed. An in-flight query that read the old
+    /// snapshot may still publish its answer; no lookup serves it.
     ///
     /// # Errors
     ///
     /// Returns [`S2sError::UnknownSource`] for unregistered ids and
     /// [`S2sError::MutationKindMismatch`] when `connection` is a
-    /// different source kind; failed mutations touch no cache.
+    /// different source kind; a failed mutation bumps no version.
     pub fn mutate_source(
         &self,
         id: &str,
         connection: Connection,
         kind: ChangeKind,
         fields: Vec<String>,
-    ) -> Result<MutationReceipt, S2sError> {
-        let sid: SourceId = id.into();
-        // Invalidation happens while the registry is still write-locked.
-        // A query holds the read lock from reading its source versions
-        // through extraction, so it either ran wholly before this
-        // mutation (its late result-cache publication is refused by the
-        // raised version floor) or starts after the last stale entry is
-        // gone.
-        let mut registry = self.registry.write();
-        let version = registry.apply_mutation(&sid, connection, kind, fields)?;
-        let dropped_results =
-            self.results.as_ref().map(|r| r.invalidate_source(id, version)).unwrap_or(0);
-        drop(registry);
+    ) -> Result<u64, S2sError> {
+        let version = self.registry.write().apply_mutation(&id.into(), connection, kind, fields)?;
         if s2s_obs::enabled() {
             s2s_obs::global().counter(s2s_obs::names::SOURCE_MUTATIONS_TOTAL).inc();
         }
-        Ok(MutationReceipt { version, dropped_results })
+        Ok(version)
     }
 
     /// The current data version of a registered source (`None` when
     /// unregistered). A pristine source is version 0; each applied
     /// mutation bumps it.
     pub fn source_version(&self, id: &str) -> Option<u64> {
-        self.registry.read().version_of(&id.into())
+        self.registry.read().version_of(id)
     }
 
     /// Sets how far a query's wire exchanges overlap (one at a time,
@@ -504,8 +482,9 @@ impl S2s {
 
     /// Enables the semantic query-result cache: whole answers are
     /// replayed for repeat queries (keyed on the query's canonical
-    /// rendering, at most [`QueryResultCache::CAPACITY`] of them) until a
-    /// source or mapping mutation invalidates them. Off by default.
+    /// rendering, at most [`QueryResultCache::CAPACITY`] of them) while
+    /// every source they read is at the version they read it, and until
+    /// a mapping registration drops them. Off by default.
     pub fn with_result_cache(mut self) -> Self {
         self.results = Some(Arc::new(QueryResultCache::new()));
         self
@@ -523,7 +502,7 @@ impl S2s {
     }
 
     /// Number of entries currently in the result cache (`0` when
-    /// disabled).
+    /// disabled), stale ones included until they are overwritten.
     pub fn result_cache_len(&self) -> usize {
         self.results.as_ref().map(|c| c.len()).unwrap_or(0)
     }
@@ -533,7 +512,8 @@ impl S2s {
         self.results.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Result-cache entries dropped by mutation invalidation.
+    /// Result-cache entries dropped by mapping registrations and
+    /// [`S2s::invalidate_cache`]; a data mutation drops none.
     pub fn result_cache_invalidations(&self) -> u64 {
         self.results.as_ref().map(|c| c.invalidations()).unwrap_or(0)
     }
@@ -556,7 +536,6 @@ impl S2s {
     /// [`S2sError::IriSegmentCollision`] when another id mints under the
     /// same IRI segment.
     pub fn register_source(&mut self, id: &str, connection: Connection) -> Result<(), S2sError> {
-        self.invalidate_results();
         self.registry.write().register_local(id, connection)
     }
 
@@ -575,7 +554,6 @@ impl S2s {
         cost: CostModel,
         failure: FailureModel,
     ) -> Result<(), S2sError> {
-        self.invalidate_results();
         self.registry.write().register_remote(id, connection, cost, failure)
     }
 
@@ -599,7 +577,6 @@ impl S2s {
         seed: Option<u64>,
         schedule: s2s_netsim::FaultSchedule,
     ) -> Result<(), S2sError> {
-        self.invalidate_results();
         self.registry
             .write()
             .register_remote_detailed(id, connection, cost, failure, seed, schedule)
@@ -614,7 +591,6 @@ impl S2s {
     ///
     /// Returns [`S2sError::UnknownSource`] if `id` is not registered.
     pub fn add_source_replica(&mut self, id: &str, failure: FailureModel) -> Result<(), S2sError> {
-        self.invalidate_results();
         self.registry.write().add_replica(&id.into(), failure)
     }
 
@@ -649,6 +625,9 @@ impl S2s {
         }
         let displaced =
             self.mappings.write().register(&self.ontology, path, rule, source.into(), scenario)?;
+        // Neither drop below is visible to a read: an edit moves no
+        // version, and it may keep the rule text a view slice is keyed
+        // by while changing the record scenario the slice was cut to.
         if displaced.is_some() {
             if let Some(r) = &self.results {
                 r.invalidate_dependents(source);
@@ -833,12 +812,14 @@ impl S2s {
         let parse_wall = query_started.elapsed();
         let key = parsed.to_string();
 
-        // Layer 1: the semantic result cache replays whole answers.
-        // Served before the admission gate: a replay touches no source
-        // and costs nothing, so even an overloaded engine answers it.
+        // Layer 1: the semantic result cache replays whole answers whose
+        // sources are still at the versions they read (checked under the
+        // registry read lock). Served before the admission gate: a replay
+        // touches no source and costs nothing, so even an overloaded
+        // engine answers it.
         let mut result_cache = CacheStats::default();
         if let Some(results) = &self.results {
-            let hit = results.get(&key);
+            let hit = results.get(&key, &self.registry.read());
             result_cache.lookup(hit.is_some());
             if let Some(hit) = hit {
                 return Ok(self.replay(s2sql, hit, result_cache, query_started));
@@ -909,12 +890,12 @@ impl S2s {
         // Record the (source, version) dependencies this query reads.
         // The registry read lock is held through extraction, so these
         // versions are *the* versions of everything the query touches;
-        // the result cache re-checks them against its per-source
-        // invalidation floor at insert time, closing the race where a
-        // mutation lands between extraction and publication.
+        // a result-cache lookup compares them with the registry's, so an
+        // answer published after a mutation replaced what it read is
+        // never served.
         let mut deps = DependencySet::new();
         for s in &schemas {
-            if let Some(v) = registry.version_of(s.mapping.source()) {
+            if let Some(v) = registry.version_of(s.mapping.source().as_str()) {
                 deps.record(s.mapping.source().as_str(), v);
             }
         }
@@ -1106,7 +1087,7 @@ impl S2s {
                 let answer = CachedResult {
                     plan: Arc::clone(&plan),
                     instances: Arc::new(instances.clone()),
-                    origin: stats,
+                    tasks: stats.tasks,
                 };
                 results.insert(key, answer, deps);
             }
@@ -1213,8 +1194,8 @@ impl S2s {
         query_started: std::time::Instant,
     ) -> QueryOutcome {
         let stats = QueryStats {
-            tasks: hit.origin.tasks,
-            completeness: hit.origin.completeness,
+            tasks: hit.tasks,
+            completeness: 1.0,
             result_cache,
             ..QueryStats::default()
         };
@@ -2052,7 +2033,11 @@ mod tests {
     fn pushdown_equivalence_holds_on_every_execution_path() {
         let q = "SELECT watch WHERE price<100";
         let reference = fingerprint(&deploy().query(q).unwrap());
-        for strategy in [Strategy::Serial, Strategy::Parallel { workers: 4 }, Strategy::Reactor] {
+        for strategy in [
+            Strategy::Parallel { workers: 1 },
+            Strategy::Parallel { workers: 4 },
+            Strategy::Reactor,
+        ] {
             let out = deploy().with_pushdown().with_strategy(strategy).query(q).unwrap();
             assert_eq!(fingerprint(&out), reference, "pushdown diverged under {strategy:?}");
         }
@@ -2127,23 +2112,26 @@ mod tests {
         s2s.query("SELECT beta").unwrap();
         assert_eq!(s2s.result_cache_len(), 2);
 
-        let receipt = s2s
+        let version = s2s
             .mutate_source("SRC_A", alpha_db("a1"), ChangeKind::RowUpdate, vec!["aval".into()])
             .unwrap();
-        assert_eq!(receipt.version, 1);
-        // The blast radius is exactly SRC_A's dependents: one answer.
-        // SRC_B's entry keeps serving, and no view is dropped — SRC_A's
-        // slice heals against the feed on its next read.
-        assert_eq!(receipt.dropped_results, 1);
-        assert_eq!(s2s.result_cache_len(), 1);
+        assert_eq!(version, 1);
+        // A mutation touches no cache: SRC_A's dependents go stale in
+        // place, and its slice heals against the feed on its next read.
+        assert_eq!((s2s.result_cache_len(), s2s.result_cache_invalidations()), (2, 0));
         assert_eq!(s2s.views().unwrap().len(), 2);
 
         let b2 = s2s.query("SELECT beta").unwrap();
         assert_eq!(b2.stats.result_cache.hits, 1, "untouched source replays from cache");
         let a2 = s2s.query("SELECT alpha").unwrap();
-        assert_eq!(a2.stats.result_cache.hits, 0);
+        assert_eq!(a2.stats.result_cache, CacheStats { hits: 0, misses: 1, evictions: 0 });
         assert_eq!(a2.stats.view_refreshes, 1, "the touched slice is re-extracted");
         assert_eq!(sole_value(&s2s, &a2, "aval"), "a1", "the mutated value is served");
+        // The recompute overwrote the stale entry and now replays.
+        let a3 = s2s.query("SELECT alpha").unwrap();
+        assert_eq!(a3.stats.result_cache.hits, 1);
+        assert_eq!(sole_value(&s2s, &a3, "aval"), "a1");
+        assert_eq!(s2s.result_cache_len(), 2);
     }
 
     #[test]
@@ -2162,7 +2150,6 @@ mod tests {
         let err = s2s.mutate_source("SRC_A", swap, ChangeKind::DocReplace, vec![]);
         assert!(matches!(err, Err(S2sError::MutationKindMismatch { .. })));
 
-        assert_eq!(s2s.result_cache_len(), 2, "failed mutations drop nothing");
         assert_eq!(s2s.source_version("SRC_A"), Some(0), "failed mutations bump no version");
         assert_eq!(s2s.query("SELECT alpha").unwrap().stats.result_cache.hits, 1);
     }
@@ -2250,9 +2237,8 @@ mod tests {
     fn concurrent_mutation_and_queries_never_leave_stale_answers() {
         // Whatever the interleaving of an in-flight query and a
         // mutation, the next query must observe the mutated value: an
-        // old-snapshot answer is refused at result-cache admission by
-        // the per-source version floor, and an old-snapshot view slice
-        // carries its old version, so the next read refreshes it.
+        // old-snapshot answer and an old-snapshot view slice both carry
+        // the version they read, so the next read misses or refreshes.
         let s2s = Arc::new(deploy_two_classes());
         for round in 0..20 {
             let engine = Arc::clone(&s2s);
@@ -2317,6 +2303,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s2s.result_cache_len(), 0);
+    }
+
+    /// An edit that keeps the rule text but changes the record scenario
+    /// moves no version and misses no view by rule, so only the
+    /// edit-time drop of the source's slices keeps the answer right: the
+    /// single-record slice holds one value, the multi-record rule reads
+    /// two. Both slices of the edited source re-extract, in one exchange.
+    #[test]
+    fn a_record_scenario_edit_re_extracts_under_the_same_rule_text() {
+        let mut s2s = deploy_views();
+        let brand = s2s.ontology().property_iri("brand").unwrap();
+        let brands = |o: &QueryOutcome| {
+            let mut v: Vec<_> = o.individuals().iter().filter_map(|i| i.value(&brand)).collect();
+            v.sort_unstable();
+            v.join(",")
+        };
+        let rule = ExtractionRule::Sql {
+            query: "SELECT brand FROM w ORDER BY id".into(),
+            column: "brand".into(),
+        };
+        let path = "thing.product.watch.brand";
+        assert_eq!(brands(&s2s.query("SELECT watch").unwrap()), "Casio,Seiko");
+        for (scenario, expected) in [
+            (RecordScenario::SingleRecord, "Seiko,Seiko"),
+            (RecordScenario::MultiRecord, "Casio,Seiko"),
+        ] {
+            s2s.register_attribute(path, rule.clone(), "DB", scenario).unwrap();
+            let after = s2s.query("SELECT watch").unwrap();
+            assert_eq!((after.stats.view_hits, after.stats.round_trips), (0, 1), "{scenario:?}");
+            assert_eq!(brands(&after), expected, "{scenario:?}");
+        }
     }
 
     #[test]

@@ -40,6 +40,14 @@ impl std::fmt::Display for SourceId {
     }
 }
 
+/// Ids order and compare as their text, so maps keyed by `SourceId`
+/// can be probed with a `&str`.
+impl std::borrow::Borrow<str> for SourceId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for SourceId {
     fn from(s: &str) -> Self {
         SourceId::new(s)
@@ -358,8 +366,9 @@ impl SourceRegistry {
         Ok(source.feed.record(kind, fields))
     }
 
-    /// The current data version of a source, if registered.
-    pub fn version_of(&self, id: &SourceId) -> Option<u64> {
+    /// The current data version of a source, if registered. Looked up
+    /// by the id's text, so a caller holding a `&str` allocates nothing.
+    pub fn version_of(&self, id: &str) -> Option<u64> {
         self.sources.get(id).map(|s| s.feed.version())
     }
 
@@ -531,12 +540,12 @@ mod tests {
     fn mutation_bumps_version_and_feeds_events() {
         let mut r = SourceRegistry::new();
         r.register_local("DB", db_conn()).unwrap();
-        assert_eq!(r.version_of(&"DB".into()), Some(0));
+        assert_eq!(r.version_of("DB"), Some(0));
         let v = r
             .apply_mutation(&"DB".into(), db_conn(), ChangeKind::RowUpdate, vec!["price".into()])
             .unwrap();
         assert_eq!(v, 1);
-        assert_eq!(r.version_of(&"DB".into()), Some(1));
+        assert_eq!(r.version_of("DB"), Some(1));
         let events = r.poll_changes(&"DB".into(), 0).unwrap().unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0].touches("price"));
@@ -562,7 +571,7 @@ mod tests {
             ),
             Err(S2sError::MutationKindMismatch { .. })
         ));
-        assert_eq!(r.version_of(&"DB".into()), Some(0), "failed mutations must not bump");
+        assert_eq!(r.version_of("DB"), Some(0), "failed mutations must not bump");
     }
 
     #[test]

@@ -264,6 +264,37 @@ fn an_extracted_column_is_moved_from_wrapper_to_generator() {
     assert!(large <= small + DOUBLINGS, "{small} allocations at 2 000 rows, {large} at 4 000");
 }
 
+/// Blocks one replay costs on an engine whose cached answer read
+/// `sources` database sources: the freshness check compares every
+/// recorded version with the registry's.
+fn replay_cost(sources: usize) -> usize {
+    let mut s2s = S2s::new(ontology()).with_result_cache();
+    for i in 0..sources {
+        let mut db = s2s_minidb::Database::new("budget");
+        db.execute("CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT)").unwrap();
+        db.execute("INSERT INTO w VALUES (1, 'brand1')").unwrap();
+        let id = format!("DB{i}");
+        s2s.register_source(&id, Connection::Database { db: db.into() }).unwrap();
+        let rule = ExtractionRule::Sql {
+            query: "SELECT brand FROM w ORDER BY id".into(),
+            column: "brand".into(),
+        };
+        s2s.register_attribute("thing.product.brand", rule, &id, RecordScenario::MultiRecord)
+            .unwrap();
+    }
+    let query = "SELECT product WHERE brand='none'";
+    assert_eq!(s2s.query(query).unwrap().stats.result_cache.misses, 1);
+    let (outcome, n) = allocations(|| s2s.query(query).unwrap());
+    assert_eq!(outcome.stats.result_cache.hits, 1);
+    assert_eq!(outcome.stats.tasks, sources);
+    n
+}
+
+#[test]
+fn a_replay_checks_freshness_without_allocating_per_dependency() {
+    assert_eq!(replay_cost(1), replay_cost(8), "a replay allocated per source it depends on");
+}
+
 #[test]
 fn a_view_served_slice_clones_two_blocks() {
     let (small, large) = (query_cost(2_000, true), query_cost(4_000, true));

@@ -596,7 +596,7 @@ proptest! {
     /// SELECT with no conditions returns every record from every source.
     #[test]
     fn unconditional_query_total(rows in arb_rows()) {
-        let s2s = deploy(&rows, ExecStrategy::Serial);
+        let s2s = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let outcome = s2s.query("SELECT product").unwrap();
         prop_assert!(outcome.errors().is_empty());
         prop_assert_eq!(outcome.individuals().len(), rows.len() * 2);
@@ -605,7 +605,7 @@ proptest! {
     /// Equality filters agree with a direct count, per source.
     #[test]
     fn brand_filter_agrees(rows in arb_rows(), probe in "[A-E]") {
-        let s2s = deploy(&rows, ExecStrategy::Serial);
+        let s2s = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let outcome = s2s.query(&format!("SELECT product WHERE brand='{probe}'")).unwrap();
         let expect = rows.iter().filter(|r| r.brand == probe).count() * 2;
         prop_assert_eq!(outcome.individuals().len(), expect);
@@ -614,7 +614,7 @@ proptest! {
     /// Numeric range filters agree with a direct count.
     #[test]
     fn price_filter_agrees(rows in arb_rows(), threshold in 0i64..200) {
-        let s2s = deploy(&rows, ExecStrategy::Serial);
+        let s2s = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let outcome = s2s.query(&format!("SELECT product WHERE price<{threshold}")).unwrap();
         let expect = rows.iter().filter(|r| r.price < threshold).count() * 2;
         prop_assert_eq!(outcome.individuals().len(), expect);
@@ -623,7 +623,7 @@ proptest! {
     /// Conjunctions intersect.
     #[test]
     fn conjunction_intersects(rows in arb_rows(), probe in "[A-D]", threshold in 0i64..200) {
-        let s2s = deploy(&rows, ExecStrategy::Serial);
+        let s2s = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let q = format!("SELECT product WHERE brand='{probe}' AND price>={threshold}");
         let outcome = s2s.query(&q).unwrap();
         let expect =
@@ -631,10 +631,11 @@ proptest! {
         prop_assert_eq!(outcome.individuals().len(), expect);
     }
 
-    /// Serial and parallel strategies produce the same answer set.
+    /// One exchange at a time and several at once produce the same
+    /// answer set.
     #[test]
     fn strategy_invariance(rows in arb_rows(), workers in 2usize..8) {
-        let serial = deploy(&rows, ExecStrategy::Serial);
+        let serial = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let parallel = deploy(&rows, ExecStrategy::Parallel { workers });
         let a = serial.query("SELECT product").unwrap();
         let b = parallel.query("SELECT product").unwrap();
@@ -651,7 +652,7 @@ proptest! {
     /// (schema heterogeneity is invisible at the semantic layer).
     #[test]
     fn cross_source_agreement(rows in arb_rows(), probe in "[A-D]") {
-        let s2s = deploy(&rows, ExecStrategy::Serial);
+        let s2s = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let outcome = s2s.query(&format!("SELECT product WHERE brand='{probe}'")).unwrap();
         let db_count = outcome.individuals().iter().filter(|i| i.source == "DB").count();
         let xml_count = outcome.individuals().iter().filter(|i| i.source == "XML").count();
@@ -661,7 +662,7 @@ proptest! {
     /// The graph triple count is consistent with the structured view.
     #[test]
     fn graph_consistent_with_individuals(rows in arb_rows()) {
-        let s2s = deploy(&rows, ExecStrategy::Serial);
+        let s2s = deploy(&rows, ExecStrategy::Parallel { workers: 1 });
         let outcome = s2s.query("SELECT product").unwrap();
         let type_triples = outcome
             .instances

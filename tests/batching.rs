@@ -49,7 +49,8 @@ fn wide(
     failure: impl Fn(usize) -> FailureModel,
     per_attribute: bool,
 ) -> S2s {
-    let mut s2s = S2s::new(wide_ontology(sources, attrs)).with_strategy(Strategy::Serial);
+    let mut s2s =
+        S2s::new(wide_ontology(sources, attrs)).with_strategy(Strategy::Parallel { workers: 1 });
     let columns: Vec<String> = (0..attrs).map(|j| format!("a{j} TEXT")).collect();
     for i in 0..sources {
         let mut db = Database::new(format!("shard{i}"));
@@ -151,7 +152,8 @@ fn rule_cache_dedupes_identical_rules_across_sources() {
 fn batches_fail_over_as_a_unit() {
     // Hard-down primaries with healthy replicas: every batch fails over
     // once and the query still completes.
-    let mut s2s = S2s::new(wide_ontology(SOURCES, ATTRS)).with_strategy(Strategy::Serial);
+    let mut s2s =
+        S2s::new(wide_ontology(SOURCES, ATTRS)).with_strategy(Strategy::Parallel { workers: 1 });
     let columns: Vec<String> = (0..ATTRS).map(|j| format!("a{j} TEXT")).collect();
     for i in 0..SOURCES {
         let mut db = Database::new(format!("shard{i}"));

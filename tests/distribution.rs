@@ -58,7 +58,7 @@ fn parallel_makespan_below_serial_with_many_sources() {
 
 #[test]
 fn serial_strategy_reports_equal_makespans() {
-    let s2s = sharded(8, Strategy::Serial, FailureModel::reliable());
+    let s2s = sharded(8, Strategy::Parallel { workers: 1 }, FailureModel::reliable());
     let outcome = s2s.query("SELECT product").unwrap();
     assert_eq!(outcome.stats.simulated, outcome.stats.simulated_serial);
 }
@@ -96,7 +96,7 @@ fn failure_injection_yields_partial_results() {
 #[test]
 fn failures_are_deterministic_per_deployment() {
     let run = || {
-        let s2s = sharded(16, Strategy::Serial, FailureModel::flaky(0.4));
+        let s2s = sharded(16, Strategy::Parallel { workers: 1 }, FailureModel::flaky(0.4));
         let outcome = s2s.query("SELECT product").unwrap();
         let mut failed: Vec<String> = outcome.errors().iter().map(|e| e.source.clone()).collect();
         failed.sort();
@@ -107,7 +107,7 @@ fn failures_are_deterministic_per_deployment() {
 
 #[test]
 fn parallel_and_serial_agree_on_results_under_failures() {
-    let serial = sharded(16, Strategy::Serial, FailureModel::flaky(0.3));
+    let serial = sharded(16, Strategy::Parallel { workers: 1 }, FailureModel::flaky(0.3));
     let parallel = sharded(16, Strategy::Parallel { workers: 8 }, FailureModel::flaky(0.3));
     let a = serial.query("SELECT product").unwrap();
     let b = parallel.query("SELECT product").unwrap();

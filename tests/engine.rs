@@ -87,7 +87,7 @@ fn shared_engine_matches_serial_baseline_across_threads() {
     let texts: Vec<String> =
         (0..QUERIES).map(|q| format!("SELECT watch WHERE price < {}", 20 + q * 11)).collect();
 
-    let serial = deploy(10, Strategy::Serial);
+    let serial = deploy(10, Strategy::Parallel { workers: 1 });
     let expected: Vec<String> =
         texts.iter().map(|t| answer_key(&serial.query(t).unwrap())).collect();
 
@@ -136,7 +136,7 @@ fn repeat_query_is_replayed_from_result_cache() {
 /// cache: the stale answer is never served again.
 #[test]
 fn mutation_invalidates_cached_results() {
-    let mut s2s = deploy(4, Strategy::Serial).with_result_cache();
+    let mut s2s = deploy(4, Strategy::Parallel { workers: 1 }).with_result_cache();
     let before = s2s.query("SELECT watch").unwrap();
     assert_eq!(before.individuals().len(), 4);
     // Warm the cache and prove it is serving.
@@ -161,6 +161,28 @@ fn mutation_invalidates_cached_results() {
     assert_eq!(after.individuals().len(), 6, "fresh answer must see the new source");
 }
 
+/// Registering a source no mapping names, or a replica of a source an
+/// answer read, changes no cached answer: the warm answer keeps
+/// replaying, and a data mutation of its source still stops it.
+#[test]
+fn a_warm_answer_replays_across_source_and_replica_registration() {
+    let mut s2s = deploy(4, Strategy::Parallel { workers: 1 }).with_result_cache();
+    let text = "SELECT watch WHERE price < 30";
+    let cold = s2s.query(text).unwrap();
+    s2s.register_source("UNMAPPED", Connection::Database { db: Arc::new(watch_db(2)) }).unwrap();
+    s2s.add_source_replica("DB", FailureModel::reliable()).unwrap();
+    let warm = s2s.query(text).unwrap();
+    assert_eq!(warm.stats.result_cache.hits, 1, "registration dropped a warm answer");
+    assert_eq!(answer_key(&warm), answer_key(&cold));
+    assert_eq!(s2s.result_cache_invalidations(), 0);
+
+    let db = Connection::Database { db: Arc::new(watch_db(1)) };
+    s2s.mutate_source("DB", db, s2s::netsim::ChangeKind::RowDelete, Vec::new()).unwrap();
+    let fresh = s2s.query(text).unwrap();
+    assert_eq!(fresh.stats.result_cache.hits, 0, "a stale answer was served");
+    assert_eq!(fresh.individuals().len(), 1);
+}
+
 /// Overload hygiene: a shed query runs nothing past the result-cache
 /// lookup, so the plan cache sees zero operations and neither cache
 /// gains an entry.
@@ -169,7 +191,7 @@ fn shed_queries_leave_plan_and_result_caches_untouched() {
     use s2s::netsim::AdmissionConfig;
     use s2s::QueryOptions;
 
-    let shared = deploy(6, Strategy::Serial)
+    let shared = deploy(6, Strategy::Parallel { workers: 1 })
         .with_result_cache()
         .with_admission(AdmissionConfig::with_permits(1));
     // Warm one unrelated entry so the assertions compare real counts,
@@ -371,7 +393,7 @@ proptest! {
         );
         prop_assert_eq!(query::normalize(&variant), query::normalize(canonical));
 
-        let s2s = deploy(8, Strategy::Serial);
+        let s2s = deploy(8, Strategy::Parallel { workers: 1 });
         let base = s2s.query(canonical).unwrap();
         let other = s2s.query(&variant).unwrap();
         prop_assert_eq!(&base.plan, &other.plan, "equivalent spellings must plan identically");

@@ -77,7 +77,7 @@ fn degraded_traced() -> S2s {
         .with_retry(RetryPolicy::attempts(2))
         .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(60_000)));
     let mut s2s = S2s::new(wide_ontology(3))
-        .with_strategy(Strategy::Serial)
+        .with_strategy(Strategy::Parallel { workers: 1 })
         .with_resilience(policy)
         .with_tracing();
     for (id, failure) in [("GOOD", FailureModel::reliable()), ("DOWN", FailureModel::unreachable())]
