@@ -35,9 +35,8 @@
 //! * `--pushdown-smoke <dir>` — the E15 selectivity sweep (0.1%–100%)
 //!   on a planner-enabled engine vs its planner-free twin; writes
 //!   `e15.json` into `<dir>` and exits non-zero on any answer
-//!   mismatch, response-byte growth, rule-cache lookup that no swept
-//!   query accounts for, or a wire-byte reduction below 5× at 1%
-//!   selectivity (the CI pushdown gate).
+//!   mismatch, response-byte growth, or a wire-byte reduction below 5×
+//!   at 1% selectivity (the CI pushdown gate).
 //! * `--delta-smoke <dir>` — the E16 mutation-rate sweep: a paced
 //!   query stream with background source mutations on a views-enabled
 //!   engine vs its invalidate-and-recompute twin; writes `e16.json`
@@ -639,10 +638,7 @@ const E15_ROWS: usize = 2000;
 /// Runs the E15 sweep: the same `price <` query ladder on a
 /// planner-enabled engine and its planner-free twin (the catalog in
 /// all four source formats behind unpaced WAN endpoints, batched).
-/// Also returns how far the planner-on engine's rule-cache lookups are
-/// from the sum the swept queries account for (0 unless the engine runs
-/// rules on the side).
-fn e15_sweep() -> (PushdownReport, u64) {
+fn e15_sweep() -> PushdownReport {
     let recs = records(E15_ROWS, 42);
     let off = deploy_paced(E15_ROWS, 42, 0, Strategy::Parallel { workers: 1 }, false);
     let on =
@@ -655,9 +651,7 @@ fn e15_sweep() -> (PushdownReport, u64) {
             run_pushdown_point(&on, &off, &query, pct, threshold)
         })
         .collect();
-    let engine = on.rule_cache_stats();
-    let accounted: u64 = points.iter().map(|p| p.rule_lookups).sum();
-    (PushdownReport { rows: E15_ROWS, points }, (engine.hits + engine.misses).abs_diff(accounted))
+    PushdownReport { rows: E15_ROWS, points }
 }
 
 fn e15() {
@@ -666,7 +660,7 @@ fn e15() {
         "{:>6} {:>9} {:>8} {:>12} {:>12} {:>11} {:>7} {:>9}",
         "sel%", "thresh", "matched", "wire-off", "wire-on", "saved", "pushed", "reduction"
     );
-    let (report, _) = e15_sweep();
+    let report = e15_sweep();
     for p in &report.points {
         assert!(!p.mismatch, "pushdown diverged at {}% selectivity", p.selectivity_pct);
         println!(
@@ -685,18 +679,12 @@ fn e15() {
 
 /// The CI pushdown gate: the E15 sweep must answer identically to the
 /// planner-free twin at every selectivity, never grow response bytes,
-/// run no rule that no query accounts for, and cut total wire bytes at
-/// least 5× at 1% selectivity — both against the planner-free twin and
-/// against its own 100% point. Writes `e15.json` into `dir`.
+/// and cut total wire bytes at least 5× at 1% selectivity — both
+/// against the planner-free twin and against its own 100% point. Writes
+/// `e15.json` into `dir`.
 fn pushdown_smoke(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
-    let (report, unaccounted_rule_lookups) = e15_sweep();
-    if unaccounted_rule_lookups != 0 {
-        violations.push(format!(
-            "the planner-on engine made {unaccounted_rule_lookups} rule-cache lookups that no \
-             swept query's stats.rule_cache accounts for"
-        ));
-    }
+    let report = e15_sweep();
 
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create pushdown-smoke dir {dir}: {e}"));
@@ -1606,18 +1594,6 @@ fn e11() {
             );
         }
     }
-    // Compiled-rule cache: distinct rules compiled vs served from cache
-    // on a repeat query (same middleware, shared cache).
-    let s2s = deploy_wide(16, 8, CostModel::lan(), Strategy::Parallel { workers: 8 });
-    let first = s2s.query("SELECT product").unwrap();
-    let second = s2s.query("SELECT product").unwrap();
-    println!(
-        "  rule cache: query1 {} misses / {} hits; query2 {} misses / {} hits",
-        first.stats.rule_cache.misses,
-        first.stats.rule_cache.hits,
-        second.stats.rule_cache.misses,
-        second.stats.rule_cache.hits
-    );
 }
 
 /// Real-time pacing for the throughput runs: 150 µs of wall sleep per

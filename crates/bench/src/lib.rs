@@ -297,8 +297,7 @@ pub fn wide_ontology(attrs: usize) -> Ontology {
 /// A wide deployment: `sources` remote databases, each mapping the same
 /// `attrs` attributes (one SQL rule per attribute, identical text on
 /// every source). This is the batching workload: a query pays `sources`
-/// round trips, and the compiled-rule cache sees only `attrs` distinct
-/// rules.
+/// round trips.
 pub fn deploy_wide(sources: usize, attrs: usize, cost: CostModel, strategy: Strategy) -> S2s {
     wide(sources, attrs, cost, strategy, false)
 }
@@ -706,7 +705,7 @@ pub fn deploy_paced(
 
 /// A cache-cold workload: every client gets `per_client` *distinct*
 /// query texts (distinct price thresholds), so no query repeats
-/// anywhere and every layer above the rule cache misses.
+/// anywhere and every engine cache misses.
 pub fn cold_workload(clients: usize, per_client: usize) -> Vec<Vec<String>> {
     (0..clients)
         .map(|c| {
@@ -766,7 +765,7 @@ pub fn serial_baseline(
 /// [`ThroughputReport::to_json`] and [`OverloadReport::to_json`].
 /// Bump when a field is added, removed, or re-typed; the smoke jobs
 /// refuse artifacts whose `schema_version` differs from the binary's.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// What one throughput run measured.
 #[derive(Debug, Clone)]
@@ -791,8 +790,6 @@ pub struct ThroughputReport {
     pub plan_cache: s2s_core::CacheStats,
     /// Result-cache counters at the end of the run.
     pub result_cache: s2s_core::CacheStats,
-    /// Rule-cache counters at the end of the run.
-    pub rule_cache: s2s_core::CacheStats,
 }
 
 impl ThroughputReport {
@@ -820,7 +817,7 @@ impl ThroughputReport {
                 "{{\"schema_version\":{},",
                 "\"clients\":{},\"queries\":{},\"wall_us\":{},\"qps\":{:.1},",
                 "\"p50_us\":{},\"p99_us\":{},\"mismatches\":{},\"min_completeness\":{},",
-                "\"plan_cache\":{},\"result_cache\":{},\"rule_cache\":{}}}"
+                "\"plan_cache\":{},\"result_cache\":{}}}"
             ),
             SCHEMA_VERSION,
             self.clients,
@@ -833,7 +830,6 @@ impl ThroughputReport {
             self.min_completeness,
             cache(self.plan_cache),
             cache(self.result_cache),
-            cache(self.rule_cache),
         )
     }
 }
@@ -875,9 +871,6 @@ pub struct PushdownPoint {
     pub pushed_predicates: u64,
     /// Sources pruned outright.
     pub pruned_sources: u64,
-    /// Rule-cache lookups the pushed run accounts for
-    /// (`stats.rule_cache`); a gate input, not part of `e15.json`.
-    pub rule_lookups: u64,
 }
 
 impl PushdownPoint {
@@ -961,7 +954,6 @@ pub fn run_pushdown_point(
             .saturating_sub(pushed.stats.wire_response_bytes),
         pushed_predicates: plan.map_or(0, |p| p.pushed_predicates()),
         pruned_sources: plan.map_or(0, |p| p.pruned_sources()),
-        rule_lookups: pushed.stats.rule_cache.hits + pushed.stats.rule_cache.misses,
     }
 }
 
@@ -1314,7 +1306,6 @@ fn throughput_report(
         min_completeness,
         plan_cache: engine.plan_cache_stats(),
         result_cache: engine.result_cache_stats(),
-        rule_cache: engine.rule_cache_stats(),
     }
 }
 
@@ -1876,7 +1867,7 @@ mod tests {
         assert_eq!(report.min_completeness, 1.0);
         assert!(report.qps > 0.0);
         let json = report.to_json();
-        assert!(json.starts_with("{\"schema_version\":3,"), "{json}");
+        assert!(json.starts_with("{\"schema_version\":4,"), "{json}");
     }
 
     #[test]
@@ -1896,7 +1887,7 @@ mod tests {
             peak_queued: 1,
             tenants: vec![("t".into(), TenantOutcome { arrivals: 4, served: 3, shed: 1 })],
         };
-        assert!(report.to_json().starts_with("{\"schema_version\":3,"), "{}", report.to_json());
+        assert!(report.to_json().starts_with("{\"schema_version\":4,"), "{}", report.to_json());
     }
 
     #[test]
@@ -2086,12 +2077,12 @@ mod tests {
         let report = PushdownReport { rows: 1, points: Vec::new() };
         validate_report(&report.to_json()).expect("fresh e15 report validates");
         // e14 shape: versions nested one per run.
-        validate_report(r#"{"runs":[{"schema_version":3,"p99_ms":3.5},{"schema_version":3}]}"#)
+        validate_report(r#"{"runs":[{"schema_version":4,"p99_ms":3.5},{"schema_version":4}]}"#)
             .expect("nested versions validate");
         assert!(validate_report("{}").is_err(), "missing schema_version");
         assert!(validate_report(r#"{"schema_version":999}"#).is_err(), "version drift");
-        assert!(validate_report(r#"{"schema_version":3"#).is_err(), "truncated JSON");
-        assert!(validate_report(r#"{"schema_version":3} extra"#).is_err(), "trailing data");
+        assert!(validate_report(r#"{"schema_version":4"#).is_err(), "truncated JSON");
+        assert!(validate_report(r#"{"schema_version":4} extra"#).is_err(), "trailing data");
         assert!(validate_report(r#"{"schema_version":"3"}"#).is_err(), "non-numeric version");
         assert!(validate_report(r#"{"schema_version":3.5}"#).is_err(), "fractional version");
     }

@@ -1,11 +1,12 @@
 //! The resident engine's keyed stores.
 //!
 //! The paper's mediator handles one query at a time; a resident,
-//! concurrently shared [`crate::middleware::S2s`] memoizes three things,
-//! all in one crate-private `Lru` (recency-stamped map, hit/miss/eviction
-//! counters mirrored to the metrics registry): compiled rules
-//! ([`crate::rules::RuleCache`]) and, above the materialized views, the
-//! two query-level caches of this module:
+//! concurrently shared [`crate::middleware::S2s`] memoizes two things
+//! above the materialized views, both in one crate-private `Lru`
+//! (recency-stamped map, hit/miss/eviction counters mirrored to the
+//! metrics registry) — the query-level caches of this module. (A
+//! compiled rule is no cache entry: each mapping compiles its own rule
+//! once and keeps it.)
 //!
 //! * the plan cache — memoizes [`crate::query::plan`] (validation
 //!   against the ontology and the attribute list), keyed on the parsed
@@ -48,7 +49,7 @@ use crate::query::QueryPlan;
 use crate::source::SourceRegistry;
 
 /// Hit/miss/eviction counters, shared by every cache of the engine
-/// (plan, result, compiled-rule).
+/// (plan and result).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

@@ -31,10 +31,9 @@ use s2s_netsim::{
 use s2s_obs::{Span, SpanKind, SpanOutcome};
 use s2s_webdoc::{WebStore, WeblProgram, WeblValue};
 
-use crate::engine::CacheStats;
 use crate::error::{FailureClass, S2sError};
-use crate::mapping::{AttributeMapping, ExtractionRule, MappingModule, RecordScenario};
-use crate::rules::{CompiledRule, RuleCache};
+use crate::mapping::{AttributeMapping, MappingModule, RecordScenario};
+use crate::rules::CompiledRule;
 use crate::source::{Connection, RegisteredSource, SourceRegistry};
 
 mod values;
@@ -288,9 +287,6 @@ pub struct ExtractionReport {
     pub wire_bytes: u64,
     /// The response-frame share of `wire_bytes`.
     pub wire_response_bytes: u64,
-    /// What the compiled-rule cache answered for this round: one lookup
-    /// per rule that reached it.
-    pub rule_cache: CacheStats,
 }
 
 impl ExtractionReport {
@@ -354,15 +350,13 @@ impl ExtractorManager {
     ///
     /// When [`ExtractEnv::traced`], the report's `spans` carry one
     /// `batch` span per planned wire exchange, with one `rule` child
-    /// per planned rule (rule-cache provenance included: what that
-    /// rule's own lookup returned) and one `attempt` child per endpoint
-    /// tried.
+    /// per planned rule and one `attempt` child per endpoint tried.
     pub fn extract(
         registry: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
         env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
-        let (batches, rule_cache) = plan_batches(registry, schemas, env);
+        let batches = plan_batches(registry, schemas, env.traced);
         if s2s_obs::enabled() {
             s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
         }
@@ -378,7 +372,7 @@ impl ExtractorManager {
             Strategy::Parallel { .. } => waits_us.into_iter().sum(),
         });
 
-        let mut report = ExtractionReport { rule_cache, ..Default::default() };
+        let mut report = ExtractionReport::default();
         let mut durations = Vec::new();
         let mut results = Vec::new();
         let mut failures = Vec::new();
@@ -461,8 +455,6 @@ pub struct ExtractEnv<'a> {
     pub lanes: &'a Lanes,
     /// Retry/failover policy, breaker board and virtual clock.
     pub resilience: &'a ResilienceContext,
-    /// The shared compiled-rule cache.
-    pub rules: &'a RuleCache,
     /// The query's remaining budget, applied per source exchange (see
     /// [`ResiliencePolicy`] and the overload layer).
     pub deadline: Option<SimDuration>,
@@ -521,14 +513,11 @@ struct PlannedBatch<'a> {
 
 /// Groups schemas by source, runs the local wrapper half, and sizes the
 /// coalesced `BatchRequest`/`BatchResponse` exchange for each source.
-/// Also returns what the rule cache answered, rule by rule.
-fn plan_batches<'a>(
-    registry: &'a SourceRegistry,
+fn plan_batches(
+    registry: &SourceRegistry,
     schemas: Vec<ExtractionSchema>,
-    env: &ExtractEnv<'_>,
-) -> (Vec<PlannedBatch<'a>>, CacheStats) {
-    let (rules, traced) = (env.rules, env.traced);
-    let mut rule_cache = CacheStats::default();
+    traced: bool,
+) -> Vec<PlannedBatch<'_>> {
     let mut groups: BTreeMap<String, Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
     for (i, s) in schemas.into_iter().enumerate() {
         groups.entry(s.mapping.source().to_string()).or_default().push((i, s));
@@ -542,21 +531,11 @@ fn plan_batches<'a>(
         let mut rule_spans = Vec::new();
         for (i, schema) in group {
             let rule_started = std::time::Instant::now();
-            // This rule's own lookup: the span's provenance and the
-            // round's account both come from it (a rule that fails
-            // before reaching the cache has none).
-            let mut lookup = CacheStats::default();
-            let prepared = prepare(registry, &schema.mapping, rules, &mut lookup);
-            rule_cache.hits += lookup.hits;
-            rule_cache.misses += lookup.misses;
-            rule_cache.evictions += lookup.evictions;
+            let prepared = prepare(registry, &schema.mapping);
             if traced {
                 let mut span = Span::new(SpanKind::Rule, schema.mapping.path().to_string());
                 span.wall_us = rule_started.elapsed().as_micros() as u64;
                 span.attr("source", source_id.clone());
-                if lookup.hits + lookup.misses > 0 {
-                    span.attr("cache", if lookup.hits > 0 { "hit" } else { "miss" });
-                }
                 match &prepared {
                     Ok(values) => span.attr("values", values.len().to_string()),
                     Err(error) => {
@@ -606,7 +585,7 @@ fn plan_batches<'a>(
     // it the breaker and virtual-clock sequencing of a serial run — is a
     // function of the plan alone.
     batches.sort_by(|a, b| b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(&b.source_id)));
-    (batches, rule_cache)
+    batches
 }
 
 fn failure_of(schema: &ExtractionSchema, error: S2sError) -> ExtractionFailure {
@@ -699,9 +678,7 @@ pub fn extract_one(
     mapping: &AttributeMapping,
 ) -> Result<(Values, SimDuration), S2sError> {
     let source = registry.require(mapping.source())?;
-    // A one-off run outside any query: its rule-cache lookup goes to a
-    // throwaway cache and account.
-    let values = prepare(registry, mapping, &RuleCache::new(), &mut CacheStats::default())?;
+    let values = prepare(registry, mapping)?;
     let bytes = exchange_size(mapping.rule().text().len(), values.text_len());
     let call = source.endpoint().invoke(bytes, || ())?;
     Ok((values, call.elapsed))
@@ -892,14 +869,8 @@ fn note_deadline_exceeded() {
 }
 
 /// Source lookup, rule/kind check, wrapper run, and scenario
-/// truncation — everything local; no wire accounting. The rule-cache
-/// lookup, if the rule gets that far, is tallied into `account`.
-fn prepare(
-    registry: &SourceRegistry,
-    mapping: &AttributeMapping,
-    rules: &RuleCache,
-    account: &mut CacheStats,
-) -> Result<Values, S2sError> {
+/// truncation — everything local; no wire accounting.
+fn prepare(registry: &SourceRegistry, mapping: &AttributeMapping) -> Result<Values, S2sError> {
     let source = registry.require(mapping.source())?;
     if !mapping.rule().compatible_with(source.kind()) {
         return Err(S2sError::RuleSourceMismatch {
@@ -912,7 +883,7 @@ fn prepare(
         });
     }
 
-    let mut values = run_wrapper(source.connection(), mapping.rule(), rules, account)?;
+    let mut values = run_wrapper(source.connection(), mapping.compiled()?)?;
     if mapping.scenario() == RecordScenario::SingleRecord {
         values.truncate(1);
     }
@@ -921,22 +892,15 @@ fn prepare(
 
 /// Dispatches to the per-source-type extractor (paper: "for Web pages,
 /// the extraction rules are delegated to a Web wrapper, for databases to
-/// a database extractor, and so on"), executing the cached compiled
+/// a database extractor, and so on"), executing the mapping's compiled
 /// form of the rule. Every arm writes what its substrate hands it —
 /// borrowed from the source's own storage wherever the source holds the
 /// text — straight into the one column it returns.
-fn run_wrapper(
-    connection: &Connection,
-    rule: &ExtractionRule,
-    rules: &RuleCache,
-    account: &mut CacheStats,
-) -> Result<Values, S2sError> {
-    let compiled = rules.get_or_compile(rule, account)?;
+fn run_wrapper(connection: &Connection, compiled: &CompiledRule) -> Result<Values, S2sError> {
     let mut values = Values::new();
     match (connection, compiled) {
-        (Connection::Database { db }, CompiledRule::Sql(stmt)) => {
-            let ExtractionRule::Sql { column, .. } = rule else { unreachable!() };
-            db.query_column_each(&stmt, column, |v| {
+        (Connection::Database { db }, CompiledRule::Sql { stmt, column }) => {
+            db.query_column_each(stmt, column, |v| {
                 values.push_with(|text| {
                     v.write_to(text).expect("writing to a String cannot fail");
                 });
@@ -949,25 +913,15 @@ fn run_wrapper(
             xquery.each_string(document, |s| values.push(s));
         }
         (Connection::Web { store, url }, CompiledRule::Webl(program)) => {
-            run_webl(&program, store, url, true, &mut values)?;
+            run_webl(program, store, url, true, &mut values)?;
         }
         (Connection::Text { store, url }, CompiledRule::Webl(program)) => {
-            run_webl(&program, store, url, false, &mut values)?;
+            run_webl(program, store, url, false, &mut values)?;
         }
         (
             Connection::Web { store, url } | Connection::Text { store, url },
-            CompiledRule::Regex(re),
+            CompiledRule::Regex { re, group },
         ) => {
-            let ExtractionRule::TextRegex { pattern, group } = rule else { unreachable!() };
-            // Checked per rule: the compiled pattern is shared by every
-            // rule that spells it, whichever group each one asks for.
-            if *group > re.capture_count() {
-                return Err(S2sError::NoSuchRegexGroup {
-                    pattern: pattern.clone(),
-                    group: *group,
-                    groups: re.capture_count(),
-                });
-            }
             let text = store.fetch(url)?.text();
             // A group the pattern has but this match did not go through
             // (one side of an alternation) contributes nothing.
@@ -1015,8 +969,7 @@ fn run_webl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CacheStats;
-    use crate::mapping::MappingModule;
+    use crate::mapping::{ExtractionRule, MappingModule};
     use crate::source::Connection;
     use s2s_minidb::Database;
     use s2s_netsim::{CostModel, FailureModel};
@@ -1092,27 +1045,20 @@ mod tests {
         schemas: Vec<ExtractionSchema>,
         strategy: Strategy,
         ctx: &ResilienceContext,
-        rules: &RuleCache,
     ) -> ExtractionReport {
         let lanes = Lanes::new(strategy.workers());
-        let env = ExtractEnv {
-            strategy,
-            lanes: &lanes,
-            resilience: ctx,
-            rules,
-            deadline: None,
-            traced: false,
-        };
+        let env =
+            ExtractEnv { strategy, lanes: &lanes, resilience: ctx, deadline: None, traced: false };
         ExtractorManager::extract(r, schemas, &env)
     }
 
-    /// [`run`] with a fresh rule cache and serial dispatch.
+    /// [`run`] with serial dispatch.
     fn run_serial(
         r: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
         ctx: &ResilienceContext,
     ) -> ExtractionReport {
-        run(r, schemas, Strategy::Parallel { workers: 1 }, ctx, &RuleCache::new())
+        run(r, schemas, Strategy::Parallel { workers: 1 }, ctx)
     }
 
     fn no_resilience() -> ResilienceContext {
@@ -1374,11 +1320,10 @@ mod tests {
                 .map(|(_, s)| s.clone())
                 .collect();
             let ctx = no_resilience();
-            let rules = RuleCache::new();
             let four = Strategy::Parallel { workers: 4 };
-            let serial = run(&r, subset.clone(), Strategy::Parallel { workers: 1 }, &ctx, &rules);
-            let parallel = run(&r, subset.clone(), four, &ctx, &rules);
-            let reactor = run(&r, subset, Strategy::Reactor, &ctx, &rules);
+            let serial = run(&r, subset.clone(), Strategy::Parallel { workers: 1 }, &ctx);
+            let parallel = run(&r, subset.clone(), four, &ctx);
+            let reactor = run(&r, subset, Strategy::Reactor, &ctx);
             let key = outcome_key(&serial);
             assert_eq!(key, outcome_key(&parallel), "subset {mask:#b}");
             assert_eq!(key, outcome_key(&reactor), "subset {mask:#b}");
@@ -1424,7 +1369,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
-        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.tasks, 2);
@@ -1456,7 +1401,7 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx =
             ResilienceContext::new(ResiliencePolicy::none().with_retry(RetryPolicy::attempts(8)));
-        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         assert!(report.is_complete(), "8 attempts at p=0.5 should land: {:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.attempts, r.get(&"R".into()).unwrap().endpoint().stats().calls);
@@ -1485,7 +1430,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         // One failover for the whole batch, not one per attribute.
@@ -1515,10 +1460,9 @@ mod tests {
         let policy = ResiliencePolicy::none()
             .with_breaker(BreakerConfig::new(2, SimDuration::from_millis(60_000)));
         let ctx = ResilienceContext::new(policy);
-        let rules = RuleCache::new();
         let mut failures = Vec::new();
         for _ in 0..4 {
-            let report = run(&r, schemas.clone(), Strategy::Parallel { workers: 1 }, &ctx, &rules);
+            let report = run(&r, schemas.clone(), Strategy::Parallel { workers: 1 }, &ctx);
             // The failed exchange fails every batched rule.
             assert_eq!(report.failures.len(), 2);
             failures.extend(report.failures);
@@ -1579,7 +1523,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = no_resilience();
-        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &RuleCache::new());
+        let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         // The bad rule fails individually; the good rule still ships in
         // a 1-section batch.
         assert_eq!(report.results.len(), 1);
@@ -1587,24 +1531,6 @@ mod tests {
         assert!(report.failures[0].attribute.contains("price"));
         assert_eq!(report.resilience["R"].attempts, 1);
         assert_eq!(report.resilience["R"].failed_tasks, 1);
-    }
-
-    #[test]
-    fn rule_cache_is_shared_across_batched_tasks() {
-        let r = registry();
-        let (m, paths) = mixed_fixture();
-        let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
-        let ctx = no_resilience();
-        let rules = RuleCache::new();
-        let cold = run(&r, schemas.clone(), Strategy::Parallel { workers: 1 }, &ctx, &rules);
-        assert_eq!(cold.rule_cache, CacheStats { hits: 0, misses: 7, evictions: 0 });
-        // 6 of 7 rules compile and stay (the broken regex never caches;
-        // the unknown-column SQL parses fine and only fails at
-        // execution). Each round's account is its own lookups; the
-        // cache's counters are their sum.
-        let warm = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx, &rules);
-        assert_eq!(warm.rule_cache, CacheStats { hits: 6, misses: 1, evictions: 0 });
-        assert_eq!(rules.stats(), CacheStats { hits: 6, misses: 8, evictions: 0 });
     }
 
     #[test]
@@ -1813,7 +1739,7 @@ mod tests {
     fn simulated_time_parallel_not_more_than_serial() {
         let (r, schemas) = remote_fleet(6, CostModel::wan());
         let six = Strategy::Parallel { workers: 6 };
-        let report = run(&r, schemas, six, &no_resilience(), &RuleCache::new());
+        let report = run(&r, schemas, six, &no_resilience());
         assert!(report.is_complete());
         assert!(report.simulated < report.simulated_serial);
     }
@@ -1828,7 +1754,7 @@ mod tests {
         let paced = CostModel::wan().with_pace(1_000);
         let round = |strategy| {
             let (r, schemas) = remote_fleet(4, paced);
-            defer_pacing(|| run(&r, schemas, strategy, &no_resilience(), &RuleCache::new()))
+            defer_pacing(|| run(&r, schemas, strategy, &no_resilience()))
         };
         let (overlapped, deferred_us) = round(Strategy::Reactor);
         let costs = overlapped.results.iter().map(|x| x.elapsed);

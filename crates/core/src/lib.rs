@@ -46,7 +46,7 @@ pub mod mapping;
 pub mod middleware;
 pub mod planner;
 pub mod query;
-pub mod rules;
+mod rules;
 pub mod source;
 pub mod spec;
 pub mod view;
@@ -59,5 +59,4 @@ pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy, SourceHealth};
 pub use middleware::{Priority, QueryOptions, S2s};
 pub use planner::{plan_pushdown, PushdownPlan, SourcePlan};
-pub use rules::RuleCache;
 pub use view::{SemanticViews, ViewSlice, ViewStats};

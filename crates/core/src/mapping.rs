@@ -24,6 +24,7 @@ use s2s_owl::{AttributePath, Ontology};
 use s2s_rdf::Iri;
 
 use crate::error::S2sError;
+use crate::rules::{CompiledRule, CompiledSlot};
 use crate::source::{SourceId, SourceKind};
 
 /// An extraction rule, written in the language fitting the source type
@@ -139,7 +140,8 @@ pub enum RecordScenario {
 }
 
 /// A completed attribute mapping (paper Fig. 3 output):
-/// `attribute id = rule, source id`.
+/// `attribute id = rule, source id`. It compiles its rule on first use
+/// and keeps the compiled form for as long as it lives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeMapping {
     path: AttributePath,
@@ -147,6 +149,7 @@ pub struct AttributeMapping {
     rule: ExtractionRule,
     source: SourceId,
     scenario: RecordScenario,
+    compiled: CompiledSlot,
 }
 
 impl AttributeMapping {
@@ -185,7 +188,18 @@ impl AttributeMapping {
     /// natively rewritten rule (same attribute, same source, same
     /// scenario) without re-resolving the path against the ontology.
     pub fn with_rule(&self, rule: ExtractionRule) -> AttributeMapping {
-        AttributeMapping { rule, ..self.clone() }
+        AttributeMapping { rule, compiled: CompiledSlot::default(), ..self.clone() }
+    }
+
+    /// The rule's compiled form, compiled on the first call and shared
+    /// by every later one.
+    ///
+    /// # Errors
+    ///
+    /// The rule's own parse/compile error ([`S2sError::Db`], XML, WebL,
+    /// regex, or [`S2sError::NoSuchRegexGroup`]), again on every call.
+    pub(crate) fn compiled(&self) -> Result<&CompiledRule, S2sError> {
+        self.compiled.get(&self.rule)
     }
 }
 
@@ -238,8 +252,14 @@ impl MappingModule {
         scenario: RecordScenario,
     ) -> Result<Option<AttributeMapping>, S2sError> {
         let resolved = path.resolve(ontology)?;
-        let mapping =
-            Arc::new(AttributeMapping { path: path.clone(), resolved, rule, source, scenario });
+        let mapping = Arc::new(AttributeMapping {
+            path: path.clone(),
+            resolved,
+            rule,
+            source,
+            scenario,
+            compiled: CompiledSlot::default(),
+        });
         let sources = self.by_path.entry(path).or_default();
         Ok(match sources.binary_search_by(|held| source_order(&held.source, &mapping.source)) {
             // A query still holding the displaced mapping keeps its own
@@ -500,6 +520,66 @@ mod tests {
             )
             .unwrap();
         assert_eq!(displaced.unwrap().rule().text(), "a");
+    }
+
+    /// `rule` registered for `thing.product.brand` on source `S`.
+    fn mapping(rule: ExtractionRule) -> AttributeMapping {
+        let mut m = MappingModule::new();
+        let single = RecordScenario::SingleRecord;
+        m.register(&onto(), path("thing.product.brand"), rule, "S".into(), single).unwrap();
+        let mapping = m.iter().next().unwrap().clone();
+        mapping
+    }
+
+    #[test]
+    fn a_mapping_compiles_once_and_a_new_rule_compiles_afresh() {
+        let m = mapping(ExtractionRule::XPath { path: "//w/brand/text()".into() });
+        let (CompiledRule::XPath(first), CompiledRule::XPath(second)) =
+            (m.compiled().unwrap(), m.compiled().unwrap())
+        else {
+            panic!("an XPath rule compiles to an XPath");
+        };
+        assert!(Arc::ptr_eq(first, second), "the second call compiled again");
+        let edited = m.with_rule(ExtractionRule::XPath { path: "//w/case/text()".into() });
+        let CompiledRule::XPath(fresh) = edited.compiled().unwrap() else { panic!() };
+        assert!(!Arc::ptr_eq(first, fresh), "with_rule kept the old compiled form");
+        assert_eq!(edited, m.with_rule(edited.rule().clone()), "the compiled form is not compared");
+    }
+
+    #[test]
+    fn sql_compiles_to_prepared_select_with_its_column() {
+        let m =
+            mapping(ExtractionRule::Sql { query: "SELECT a FROM t".into(), column: "a".into() });
+        let Ok(CompiledRule::Sql { stmt, column }) = m.compiled() else { panic!("expected Sql") };
+        assert_eq!((stmt.table.as_str(), column.as_str()), ("t", "a"));
+    }
+
+    #[test]
+    fn a_bad_rule_errors_on_every_use() {
+        let m = mapping(ExtractionRule::Sql { query: "DROP TABLE t".into(), column: "c".into() });
+        let first = m.compiled().unwrap_err();
+        assert_eq!(first.code(), "s2s::db");
+        assert_eq!(m.compiled().unwrap_err(), first);
+    }
+
+    #[test]
+    fn hostile_regex_nesting_is_a_coded_error() {
+        // Deep enough to overflow the stack of an uncapped parser.
+        let pattern = format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000));
+        let m = mapping(ExtractionRule::TextRegex { pattern, group: 1 });
+        let err = m.compiled().unwrap_err();
+        assert_eq!(err.code(), "s2s::webdoc");
+        assert!(matches!(err, S2sError::Webdoc(s2s_webdoc::WebdocError::BadRegex { .. })));
+    }
+
+    #[test]
+    fn a_group_past_the_pattern_is_a_compile_error() {
+        let m = mapping(ExtractionRule::TextRegex { pattern: "a(b)".into(), group: 2 });
+        let err = m.compiled().unwrap_err();
+        assert_eq!(err.code(), "s2s::regex::no_such_group");
+        assert!(matches!(err, S2sError::NoSuchRegexGroup { group: 2, groups: 1, .. }), "{err:?}");
+        let m = m.with_rule(ExtractionRule::TextRegex { pattern: "a(b)".into(), group: 1 });
+        assert!(matches!(m.compiled(), Ok(CompiledRule::Regex { group: 1, .. })));
     }
 
     #[test]

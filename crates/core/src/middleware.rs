@@ -24,7 +24,6 @@ use crate::extract::{
 use crate::instance::{self, GenerateOptions, Individual, InstanceSet, OutputFormat};
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
 use crate::query::{self, QueryPlan};
-use crate::rules::RuleCache;
 use crate::source::{Connection, SourceRegistry};
 use crate::view::{SemanticViews, ViewStats};
 
@@ -45,14 +44,11 @@ pub struct QueryStats {
     /// contribute zero round trips — admission control refuses them
     /// before any wire traffic.
     pub round_trips: u64,
-    /// What the compiled-rule cache answered for this query alone: one
-    /// lookup per planned rule, plus any eviction its compiles caused.
-    /// Like the two below, tallied from this query's own lookups and
-    /// inserts — other clients of a shared engine never show up here.
-    pub rule_cache: CacheStats,
     /// This query's one plan-cache lookup (always active; a hit skips
     /// the parse/validate/plan front half) and whether publishing its
     /// fresh plan evicted another. Zeros for replayed and shed queries.
+    /// Like the one below, tallied from this query's own lookup and
+    /// insert — other clients of a shared engine never show up here.
     pub plan_cache: CacheStats,
     /// This query's one result-cache lookup (zeros when the result
     /// cache is disabled). A hit means the whole answer was replayed
@@ -266,7 +262,6 @@ pub struct S2s {
     registry: RwLock<SourceRegistry>,
     mappings: RwLock<MappingModule>,
     strategy: Strategy,
-    rules: Arc<RuleCache>,
     plans: Arc<PlanCache>,
     results: Option<Arc<QueryResultCache>>,
     lanes: Lanes,
@@ -287,7 +282,6 @@ impl S2s {
             registry: RwLock::new(SourceRegistry::new()),
             mappings: RwLock::new(MappingModule::new()),
             strategy: Strategy::Parallel { workers: 1 },
-            rules: Arc::new(RuleCache::new()),
             plans: Arc::new(engine::plan_cache()),
             results: None,
             lanes: Lanes::new(1),
@@ -353,12 +347,6 @@ impl S2s {
     /// Whether per-query tracing is enabled.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Compiled-rule cache counters (always active; shared across
-    /// queries on this instance).
-    pub fn rule_cache_stats(&self) -> CacheStats {
-        self.rules.stats()
     }
 
     /// Installs a resilience policy: retry/backoff per endpoint call,
@@ -1005,7 +993,6 @@ impl S2s {
                 strategy: self.strategy,
                 lanes: &self.lanes,
                 resilience: &self.resilience,
-                rules: &self.rules,
                 deadline: opts.deadline,
                 traced: self.tracing,
             },
@@ -1035,7 +1022,6 @@ impl S2s {
             tasks: report.results.len() + report.failures.len(),
             failed_tasks: report.failures.len(),
             round_trips: sum_health(&report.resilience, |h| h.attempts),
-            rule_cache: report.rule_cache,
             plan_cache,
             result_cache,
             // View-served slices count as answered: they were requested

@@ -37,8 +37,9 @@ use s2s_webdoc::{with_guards, GuardSpec};
 use s2s_xml::push_child_predicate;
 
 use crate::extract::ExtractionSchema;
-use crate::mapping::{ExtractionRule, RecordScenario};
+use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
 use crate::query::{CondOp, ConditionTree, ResolvedCondition};
+use crate::rules::CompiledRule;
 use crate::source::{Connection, SourceRegistry};
 
 /// What the planner did to one surviving source.
@@ -142,8 +143,8 @@ pub fn plan_pushdown(
     }
 
     let mut plan = PushdownPlan::default();
-    // Replacement rule (or None to keep) for every surviving index.
-    let mut surviving: BTreeMap<usize, Option<ExtractionRule>> = BTreeMap::new();
+    // Rewritten mapping (or None to keep) for every surviving index.
+    let mut surviving: BTreeMap<usize, Option<Arc<AttributeMapping>>> = BTreeMap::new();
 
     for (source_id, indices) in &groups {
         let group: Vec<&ExtractionSchema> = indices.iter().map(|&i| &schemas[i]).collect();
@@ -179,10 +180,25 @@ pub fn plan_pushdown(
                         }
                     }
                 });
-            if let Some((new_rules, desc)) = rewritten {
+            // All-or-nothing: a rewritten rule that does not compile
+            // (each conjunct deepens the rule, so one already at its
+            // parser's nesting cap may) leaves the source unpushed
+            // rather than failing at the source. Its compile is kept.
+            let rewritten = rewritten.and_then(|(new_rules, desc)| {
+                let mappings = kept_idx
+                    .iter()
+                    .zip(new_rules)
+                    .map(|(&i, rule)| {
+                        let mapping = schemas[i].mapping.with_rule(rule);
+                        mapping.compiled().is_ok().then(|| Arc::new(mapping))
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                Some((mappings, desc))
+            });
+            if let Some((mappings, desc)) = rewritten {
                 pushed_desc = desc;
-                for (&i, rule) in kept_idx.iter().zip(new_rules) {
-                    surviving.insert(i, Some(rule));
+                for (&i, mapping) in kept_idx.iter().zip(mappings) {
+                    surviving.insert(i, Some(mapping));
                 }
             }
         }
@@ -201,10 +217,9 @@ pub fn plan_pushdown(
 
     let mut out = Vec::with_capacity(surviving.len());
     for (i, replacement) in surviving {
-        let old = &schemas[i];
         out.push(match replacement {
-            Some(rule) => ExtractionSchema { mapping: Arc::new(old.mapping.with_rule(rule)) },
-            None => old.clone(),
+            Some(mapping) => ExtractionSchema { mapping },
+            None => schemas[i].clone(),
         });
     }
     (out, plan)
@@ -232,17 +247,18 @@ const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 /// Rewrites a database source's rules: every kept rule must be a
 /// single-column scan of the same table with the same ordering; each
 /// applicable conjunct becomes a typed `WHERE` term when the column
-/// type reproduces the mediator's numeric-else-string comparison.
+/// type reproduces the mediator's numeric-else-string comparison. The
+/// statements come from the mappings' compiled rules, so nothing is
+/// parsed here.
 fn rewrite_db(
     db: &Database,
     group: &[&ExtractionSchema],
     kept: &[&ExtractionSchema],
     conjuncts: &[&ResolvedCondition],
 ) -> Option<(Vec<ExtractionRule>, Vec<String>)> {
-    let mut stmts: Vec<(SelectStmt, &str)> = Vec::with_capacity(kept.len());
+    let mut stmts: Vec<(&SelectStmt, &str)> = Vec::with_capacity(kept.len());
     for s in kept {
-        let ExtractionRule::Sql { query, column } = s.mapping.rule() else { return None };
-        let stmt = Database::prepare_select(query).ok()?;
+        let Ok(CompiledRule::Sql { stmt, column }) = s.mapping.compiled() else { return None };
         if !stmt.pushdown_eligible() {
             return None;
         }
@@ -308,15 +324,10 @@ fn rewrite_db(
     let rules = stmts
         .into_iter()
         .map(|(stmt, column)| {
-            let pushed = exprs.iter().cloned().fold(stmt, |s, e| s.and_predicate(e));
-            let query = pushed.to_sql();
-            // Each conjunct deepens the WHERE tree by one: a rule already
-            // at the parser's nesting cap stays unpushed rather than
-            // failing at the source.
-            Database::prepare_select(&query).ok()?;
-            Some(ExtractionRule::Sql { query, column: column.to_string() })
+            let pushed = exprs.iter().cloned().fold(stmt.clone(), |s, e| s.and_predicate(e));
+            ExtractionRule::Sql { query: pushed.to_sql(), column: column.to_string() }
         })
-        .collect::<Option<Vec<_>>>()?;
+        .collect();
     Some((rules, desc))
 }
 

@@ -304,3 +304,66 @@ fn a_view_served_slice_clones_two_blocks() {
     // runs are gone, two blocks per slice came instead.
     assert!(small <= query_cost(2_000, false), "{small} allocations for four view hits");
 }
+
+/// An engine over one database table of one row and `rules` text
+/// columns, each mapped to its own attribute by its own SQL rule; no
+/// result cache, so every query runs every rule.
+fn rule_engine(rules: usize) -> S2s {
+    let mut ontology =
+        Ontology::builder("http://budget.example/rules#").class("Product", None).unwrap();
+    for i in 0..rules {
+        ontology = ontology
+            .datatype_property(
+                &format!("a{i}"),
+                "Product",
+                "http://www.w3.org/2001/XMLSchema#string",
+            )
+            .unwrap();
+    }
+    let mut db = s2s_minidb::Database::new("budget");
+    let columns: Vec<String> = (0..rules).map(|i| format!("a{i} TEXT")).collect();
+    db.execute(&format!("CREATE TABLE w (id INTEGER PRIMARY KEY, {})", columns.join(", ")))
+        .unwrap();
+    let values: Vec<String> = (0..rules).map(|i| format!("'v{i}'")).collect();
+    db.execute(&format!("INSERT INTO w VALUES (1, {})", values.join(", "))).unwrap();
+    let mut s2s = S2s::new(ontology.build().unwrap());
+    s2s.register_source("DB", Connection::Database { db: db.into() }).unwrap();
+    for i in 0..rules {
+        let rule = ExtractionRule::Sql {
+            query: format!("SELECT a{i} FROM w ORDER BY id"),
+            column: format!("a{i}"),
+        };
+        let path = format!("thing.product.a{i}");
+        s2s.register_attribute(&path, rule, "DB", RecordScenario::MultiRecord).unwrap();
+    }
+    s2s
+}
+
+/// Blocks one warm query costs on [`rule_engine`]`(rules)`.
+fn rules_cost(rules: usize) -> usize {
+    let s2s = rule_engine(rules);
+    let query = "SELECT product WHERE a0='none'";
+    // Warm: rules compiled, plan cached.
+    assert!(s2s.query(query).unwrap().individuals().is_empty());
+    let (outcome, n) = allocations(|| s2s.query(query).unwrap());
+    assert!(outcome.errors().is_empty(), "{:?}", outcome.errors());
+    assert_eq!(outcome.stats.tasks, rules);
+    n
+}
+
+/// A rule a warm query runs costs its column, its wrapper's buffers
+/// and its share of the generator — 14.4 blocks when this was written —
+/// and nothing to find its compiled form, which its mapping holds. A
+/// shared compiled-rule cache keyed on `(language, rule text)` cost one
+/// more: the key `String`, 15.4 blocks a rule, and fails this bound.
+#[test]
+fn a_warm_rule_finds_its_compiled_form_without_allocating() {
+    const EXTRA: usize = 32;
+    let (few, many) = (rules_cost(16), rules_cost(16 + EXTRA));
+    assert!(
+        many - few <= 15 * EXTRA,
+        "{} allocations for {EXTRA} more rules ({few} at 16 rules, {many} at {})",
+        many - few,
+        16 + EXTRA
+    );
+}

@@ -9,7 +9,7 @@
 //! ├── map            (schema mapping + view partition)
 //! ├── pushdown       (only when the planner ran)
 //! └── batch[source]  (one per wire exchange: a source's rules)
-//!     ├── rule[attr]    (wrapper execution, rule-cache provenance)
+//!     ├── rule[attr]    (wrapper execution)
 //!     └── attempt[endpoint]  (one per endpoint tried, incl. rejections)
 //! ```
 //!

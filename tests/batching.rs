@@ -38,8 +38,7 @@ fn wide_ontology(sources: usize, attrs: usize) -> Ontology {
 
 /// `sources` remote databases, each carrying `attrs` mapped attributes;
 /// database `i` fails per `failure(i)`. The rule text for attribute `j`
-/// is identical on every source, so the compiled-rule cache sees `attrs`
-/// distinct rules in total. With `per_attribute`, attribute `j` of
+/// is identical on every source. With `per_attribute`, attribute `j` of
 /// database `i` is registered under a source of its own, `S{i}_a{j}`,
 /// over the same connection.
 fn wide(
@@ -135,17 +134,6 @@ fn batching_pays_one_round_trip_per_source() {
         .unwrap();
     assert_eq!(batched.stats.round_trips, SOURCES as u64);
     assert_eq!(per_attr.stats.round_trips, (SOURCES * ATTRS) as u64);
-}
-
-#[test]
-fn rule_cache_dedupes_identical_rules_across_sources() {
-    // Attribute j carries the same SQL text on every source, so the
-    // compiled-rule cache compiles `ATTRS` rules and serves the rest.
-    let outcome = wide(SOURCES, ATTRS, CostModel::lan(), |_| FailureModel::reliable(), false)
-        .query("SELECT product")
-        .unwrap();
-    assert_eq!(outcome.stats.rule_cache.misses, ATTRS as u64);
-    assert_eq!(outcome.stats.rule_cache.hits, ((SOURCES - 1) * ATTRS) as u64);
 }
 
 #[test]

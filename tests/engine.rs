@@ -267,12 +267,10 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
     assert_eq!(s2s.plan_cache_len(), 1, "healthy (if failing) query does publish its plan");
 }
 
-/// Every figure in `stats.{result,plan,rule}_cache` and every rule
-/// span's `cache` attribute is this query's own account: with N clients
-/// hammering one engine, each outcome still shows exactly its own
-/// lookups, and the outcomes together add up to the engine's counters —
-/// planner off or on: a pushed rule is the only run of its source's rule,
-/// so no lookup belongs to no query.
+/// Every figure in `stats.{result,plan}_cache` is this query's own
+/// account: with N clients hammering one engine, each outcome still
+/// shows exactly its own lookups, and the outcomes together add up to
+/// the engine's counters — planner off or on.
 #[test]
 fn per_query_cache_accounts_hold_under_concurrency() {
     use s2s::core::CacheStats;
@@ -308,7 +306,7 @@ fn per_query_cache_accounts_hold_under_concurrency() {
         });
         assert_eq!(outcomes.len(), CLIENTS * REPEATS);
 
-        let (mut results, mut plans, mut rules) = Default::default();
+        let (mut results, mut plans) = Default::default();
         for outcome in &outcomes {
             let stats = &outcome.stats;
             let replayed = stats.result_cache.hits == 1;
@@ -317,24 +315,16 @@ fn per_query_cache_accounts_hold_under_concurrency() {
 
             let trace = outcome.trace.as_ref().expect("traced engine");
             let spans = trace.spans_of(SpanKind::Rule);
-            let said = |what| spans.iter().filter(|s| s.get_attr("cache") == Some(what)).count();
             assert_eq!(spans.len(), if replayed { 0 } else { 2 }, "one rule span per attribute");
             let pushed = outcome.pushdown.as_ref().map_or(0, |p| p.pushed_predicates());
             assert_eq!(pushed, (pushdown && !replayed) as u64, "`price < N` is pushable");
-            assert_eq!(stats.rule_cache.hits + stats.rule_cache.misses, spans.len() as u64);
-            assert_eq!(
-                (stats.rule_cache.hits, stats.rule_cache.misses),
-                (said("hit") as u64, said("miss") as u64)
-            );
 
             add(&mut results, stats.result_cache);
             add(&mut plans, stats.plan_cache);
-            add(&mut rules, stats.rule_cache);
         }
         assert!(!result_cache || results.hits > 0, "repeats must replay");
         assert_eq!(results, engine.result_cache_stats());
         assert_eq!(plans, engine.plan_cache_stats());
-        assert_eq!(rules, engine.rule_cache_stats());
     }
 }
 
