@@ -19,13 +19,16 @@
 //! source = text transient 0:unreachable 2:timeout
 //! source = web hedged 1:timeout
 //! source = text hostile-rule
+//! source = text hostile-rule groups
 //! cond = price < 100
 //! cond = brand LIKE s%
 //! ```
 
 use s2s_netsim::FaultKind;
 
-use crate::scenario::{Condition, FaultClass, Scenario, SourceKindSpec, SourceSpec, ATTRS};
+use crate::scenario::{
+    Condition, FaultClass, Hostile, Scenario, SourceKindSpec, SourceSpec, ATTRS,
+};
 
 /// Serializes a scenario as a case file.
 pub fn to_case(scenario: &Scenario) -> String {
@@ -43,7 +46,8 @@ pub fn to_case(scenario: &Scenario) -> String {
             FaultClass::Reliable => out.push_str(" reliable"),
             FaultClass::HardDown => out.push_str(" harddown"),
             FaultClass::HardDownWithReplica => out.push_str(" replica"),
-            FaultClass::HostileRule => out.push_str(" hostile-rule"),
+            FaultClass::HostileRule(Hostile::Nesting) => out.push_str(" hostile-rule"),
+            FaultClass::HostileRule(Hostile::RegexGroups) => out.push_str(" hostile-rule groups"),
             FaultClass::Transient(faults) => {
                 out.push_str(" transient");
                 for (index, kind) in faults {
@@ -133,7 +137,12 @@ fn parse_source(value: &str, lineno: usize) -> Result<SourceSpec, String> {
         None | Some((&"reliable", [])) => {}
         Some((&"harddown", [])) => fault = FaultClass::HardDown,
         Some((&"replica", [])) => fault = FaultClass::HardDownWithReplica,
-        Some((&"hostile-rule", [])) => fault = FaultClass::HostileRule,
+        Some((&"hostile-rule", [])) => fault = FaultClass::HostileRule(Hostile::Nesting),
+        Some((&"hostile-rule", ["groups"]))
+            if matches!(kind, SourceKindSpec::Text | SourceKindSpec::Web) =>
+        {
+            fault = FaultClass::HostileRule(Hostile::RegexGroups)
+        }
         Some((&"transient", entries)) if !entries.is_empty() => {
             fault = FaultClass::Transient(parse_faults(entries, lineno)?);
         }
@@ -196,11 +205,24 @@ mod tests {
     }
 
     #[test]
+    fn round_trips_hostile_rules() {
+        for source in ["text hostile-rule", "web hostile-rule groups"] {
+            let text = format!("seed = 1\nrows = 1\nsource = {source}\n");
+            let scenario = from_case(&text).unwrap();
+            assert_eq!(from_case(&to_case(&scenario)).unwrap(), scenario, "{source}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         assert!(from_case("").is_err(), "missing keys");
         assert!(from_case("seed = 1\nrows = 0\nsource = db reliable\n").is_err(), "zero rows");
         assert!(from_case("seed = 1\nrows = 1\n").is_err(), "no sources");
         assert!(from_case("seed = 1\nrows = 1\nsource = ftp reliable\n").is_err(), "bad kind");
+        assert!(
+            from_case("seed = 1\nrows = 1\nsource = db hostile-rule groups\n").is_err(),
+            "a regex rule on a database"
+        );
         assert!(
             from_case("seed = 1\nrows = 1\nsource = db reliable\ncond = colour = red\n").is_err(),
             "bad attribute"

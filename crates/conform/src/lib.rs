@@ -62,5 +62,5 @@ pub mod shrink;
 pub use case::{from_case, to_case};
 pub use oracle::{check_scenario, fingerprint, Violation};
 pub use runner::{fuzz, seed_from_str, FailingCase, FuzzOutcome};
-pub use scenario::{Condition, FaultClass, Scenario, SourceKindSpec, SourceSpec};
+pub use scenario::{Condition, FaultClass, Hostile, Scenario, SourceKindSpec, SourceSpec};
 pub use shrink::shrink;

@@ -88,19 +88,35 @@ pub enum FaultClass {
     /// it exists to give hedged dispatch a standby to race against the
     /// retry-slowed primary.
     TransientWithReplica(Vec<(u64, FaultKind)>),
-    /// A reliable endpoint whose mappings all carry a hostile rule
-    /// ([`hostile_sql`] on a database source, [`hostile_webl`] on a web
-    /// source, [`hostile_regex`] on any other): every task on the source
-    /// fails at rule compilation with a coded, permanent error, on every
-    /// execution path alike, and nothing panics. Never generated; corpus
-    /// cases name it.
-    HostileRule,
+    /// A reliable endpoint whose mappings all carry a hostile rule: every
+    /// task on the source fails at rule compilation with a coded,
+    /// permanent error, on every execution path alike, and nothing
+    /// panics. Never generated; corpus cases name it.
+    HostileRule(Hostile),
+}
+
+/// Which hostile rule a [`FaultClass::HostileRule`] source carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hostile {
+    /// Nesting past a parser's depth cap: [`hostile_sql`] on a database
+    /// source, [`hostile_webl`] on a web source, [`hostile_regex`] on any
+    /// other.
+    Nesting,
+    /// [`hostile_regex_groups`], on a text or web source.
+    RegexGroups,
 }
 
 /// A regex rule whose groups nest far past the parser's depth cap:
 /// before the cap, compiling it overflowed the stack.
 pub fn hostile_regex() -> String {
     format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000))
+}
+
+/// A regex rule alternating 8 000 capture groups: before the matcher's
+/// thread table was bounded, one search of a 4-byte haystack took 1.9 s
+/// and 1.96 GB.
+pub fn hostile_regex_groups() -> String {
+    vec!["(a)"; 8_000].join("|")
 }
 
 /// A SQL rule for `column` whose `WHERE` clause nests parentheses far
@@ -134,13 +150,16 @@ impl SourceSpec {
     /// carries.
     pub(crate) fn rule(&self, attr: usize) -> ExtractionRule {
         match (&self.fault, rule_for(self.kind, attr)) {
-            (FaultClass::HostileRule, ExtractionRule::Sql { column, .. }) => {
+            (FaultClass::HostileRule(Hostile::RegexGroups), _) => {
+                ExtractionRule::TextRegex { pattern: hostile_regex_groups(), group: 1 }
+            }
+            (FaultClass::HostileRule(_), ExtractionRule::Sql { column, .. }) => {
                 ExtractionRule::Sql { query: hostile_sql(&column), column }
             }
-            (FaultClass::HostileRule, ExtractionRule::Webl { .. }) => {
+            (FaultClass::HostileRule(_), ExtractionRule::Webl { .. }) => {
                 ExtractionRule::Webl { program: hostile_webl() }
             }
-            (FaultClass::HostileRule, _) => {
+            (FaultClass::HostileRule(_), _) => {
                 ExtractionRule::TextRegex { pattern: hostile_regex(), group: 1 }
             }
             (_, rule) => rule,
@@ -296,7 +315,7 @@ impl Scenario {
         let connection = connection_for(spec.kind, records);
         let seed = Some(self.endpoint_seed(i));
         match &spec.fault {
-            FaultClass::Reliable | FaultClass::HostileRule => s2s
+            FaultClass::Reliable | FaultClass::HostileRule(_) => s2s
                 .register_remote_source_detailed(
                     &id,
                     connection,
@@ -359,7 +378,7 @@ impl Scenario {
     pub fn has_hard_outage(&self) -> bool {
         self.sources
             .iter()
-            .any(|s| matches!(s.fault, FaultClass::HardDown | FaultClass::HostileRule))
+            .any(|s| matches!(s.fault, FaultClass::HardDown | FaultClass::HostileRule(_)))
     }
 }
 

@@ -81,7 +81,7 @@ fn reductions(sc: &Scenario) -> Vec<Scenario> {
                 candidate.sources[i].fault = FaultClass::Reliable;
                 out.push(candidate);
             }
-            FaultClass::Transient(_) | FaultClass::HostileRule => {
+            FaultClass::Transient(_) | FaultClass::HostileRule(_) => {
                 let mut candidate = sc.clone();
                 candidate.sources[i].fault = FaultClass::Reliable;
                 out.push(candidate);

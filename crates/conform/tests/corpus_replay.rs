@@ -80,18 +80,20 @@ fn overload_cases_exercise_their_mechanisms() {
     assert_eq!(full.stats.completeness, 1.0);
 }
 
-/// The hostile-rule cases must reach their parser's depth cap (not some
-/// earlier refusal): every task of the hostile source fails with the
-/// stable code of that cap, and the healthy sources answer in full.
+/// The hostile-rule cases must reach the limit they are named for (a
+/// parser's depth cap, the matcher's thread table; not some earlier
+/// refusal): every task of the hostile source fails with the stable code
+/// and message of that limit, and the healthy sources answer in full.
 #[test]
 fn hostile_rule_cases_fail_coded_not_aborted() {
     use s2s_conform::scenario::BuildConfig;
 
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    for (file, code) in [
-        ("hostile-regex-nesting.case", "s2s::webdoc"),
-        ("hostile-sql-nesting.case", "s2s::db::nesting_too_deep"),
-        ("hostile-webl-nesting.case", "s2s::webl::nesting_too_deep"),
+    for (file, code, message) in [
+        ("hostile-regex-nesting.case", "s2s::webdoc", "nested deeper"),
+        ("hostile-regex-groups.case", "s2s::webdoc", "thread table"),
+        ("hostile-sql-nesting.case", "s2s::db::nesting_too_deep", "nested deeper"),
+        ("hostile-webl-nesting.case", "s2s::webl::nesting_too_deep", "nested deeper"),
     ] {
         let text = fs::read_to_string(corpus.join(file)).expect("read case");
         let hostile = from_case(&text).expect("case parses");
@@ -102,7 +104,7 @@ fn hostile_rule_cases_fail_coded_not_aborted() {
             for failure in outcome.errors() {
                 assert_eq!(failure.source, "SRC_0", "{file}");
                 assert_eq!(failure.error.code(), code, "{file}");
-                assert!(failure.error.to_string().contains("nested deeper"), "{file}");
+                assert!(failure.error.to_string().contains(message), "{file}");
             }
             assert_eq!(outcome.individuals().len(), 3 * hostile.rows, "{file}: healthy answer");
         }

@@ -231,6 +231,11 @@ impl S2sError {
             S2sError::Webdoc(WebdocError::NestingTooDeep { .. }) => {
                 Some("flatten the WebL rule: bind nested sub-expressions to variables with `var`")
             }
+            S2sError::Webdoc(WebdocError::BadRegex { .. }) => Some(
+                "fix the pattern at the byte the message names; one refused for its thread table \
+                 has too many capture groups for its alternatives: write `(?:...)` for a group \
+                 the rule does not extract, or split the alternation over several rules",
+            ),
             S2sError::Rdf(RdfError::NestingTooDeep { .. }) => Some(
                 "name the nested blank nodes (`_:b1`) and state their properties as top-level \
                  statements",

@@ -573,6 +573,22 @@ mod tests {
     }
 
     #[test]
+    fn hostile_regex_groups_are_a_coded_error() {
+        // 31 KB of pattern whose search of `bbbb` took 1.9 s and 1.96 GB
+        // before the thread table was bounded.
+        let pattern = vec!["(a)"; 8_000].join("|");
+        let m = mapping(ExtractionRule::TextRegex { pattern, group: 1 });
+        let started = std::time::Instant::now();
+        let err = m.compiled().unwrap_err();
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_millis(100), "refused after {took:?}");
+        assert_eq!(err.code(), "s2s::webdoc");
+        assert!(err.help().unwrap().contains("(?:...)"));
+        assert!(err.to_string().contains("thread table"), "{err}");
+        assert!(matches!(err, S2sError::Webdoc(s2s_webdoc::WebdocError::BadRegex { .. })));
+    }
+
+    #[test]
     fn a_group_past_the_pattern_is_a_compile_error() {
         let m = mapping(ExtractionRule::TextRegex { pattern: "a(b)".into(), group: 2 });
         let err = m.compiled().unwrap_err();

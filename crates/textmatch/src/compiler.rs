@@ -52,18 +52,102 @@ pub struct Program {
     /// occurrence beginning inside the first would need its own thread
     /// before the first one's reaches the end of the prefix.
     pub skip: usize,
+    /// The program's terminal runs, by ascending `pc`.
+    pub runs: Vec<TerminalRun>,
+}
+
+/// A greedy `+`/`*` loop over one `Char`/`Any`/`Class` instruction whose
+/// exit reaches `Match` through `Save`/`Jmp` only, as in `brand: (\w+)`.
+/// A thread waiting on its instruction that can consume the current
+/// character has a fixed future: it takes the longest run and matches
+/// at its end. The [`vm`](crate::vm) finishes such a thread in one step
+/// when it outranks every other.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TerminalRun {
+    /// The loop's consuming instruction.
+    pub pc: usize,
+    /// Which ASCII characters the instruction consumes, bit `b` for
+    /// byte `b`, so the run's loop tests a bit instead of a class.
+    pub ascii: u128,
+    /// The capture slots the exit's `Save`s write, in program order.
+    pub saves: Vec<usize>,
+}
+
+impl TerminalRun {
+    /// The run starting at `pc`, if `insts[pc]` begins one.
+    fn at(insts: &[Inst], pc: usize) -> Option<TerminalRun> {
+        if !insts[pc].consumes_a_char() {
+            return None;
+        }
+        // `e+` is `e; Split(e, exit)`, `e*` is `Split(e, exit); e;
+        // Jmp(split)`; a lazy loop's split prefers its exit.
+        let exit = match insts.get(pc + 1)? {
+            Inst::Split(body, exit) if *body == pc => *exit,
+            Inst::Jmp(split) => match insts[*split] {
+                Inst::Split(body, exit) if body == pc => exit,
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let mut saves = Vec::new();
+        let mut at = exit;
+        // Only a `*` loop jumps backward, and it jumps to its `Split`,
+        // which ends the walk.
+        loop {
+            match insts[at] {
+                Inst::Save(slot) => {
+                    saves.push(slot);
+                    at += 1;
+                }
+                Inst::Jmp(target) => at = target,
+                Inst::Match => break,
+                _ => return None,
+            }
+        }
+        let ascii = (0..128u8)
+            .filter(|&b| insts[pc].consumes(b as char))
+            .fold(0u128, |bits, b| bits | 1 << b);
+        Some(TerminalRun { pc, ascii, saves })
+    }
+}
+
+impl Inst {
+    fn consumes_a_char(&self) -> bool {
+        matches!(self, Inst::Char(_) | Inst::Any | Inst::Class(_))
+    }
+
+    /// Whether this consuming instruction accepts `c`.
+    ///
+    /// # Panics
+    ///
+    /// On an instruction that consumes nothing.
+    pub(crate) fn consumes(&self, c: char) -> bool {
+        match self {
+            Inst::Char(x) => c == *x,
+            Inst::Any => c != '\n',
+            Inst::Class(set) => set.contains(c),
+            _ => unreachable!("not a consuming instruction"),
+        }
+    }
 }
 
 /// Upper bound on compiled program size, guarding against pathological
 /// counted repetitions like `(a{1000}){1000}`.
 const MAX_PROGRAM: usize = 1 << 20;
 
+/// Upper bound on [`Program::thread_table`]. A search keeps two thread
+/// lists, so this caps its memory at 2 × 8 B × the bound (32 MiB), and
+/// the slots one step can copy. Without it, 8 000 alternated `(a)`
+/// groups (31 KB of pattern) asked for 1.96 GB on a 4-byte haystack.
+const MAX_THREAD_SLOTS: usize = 1 << 21;
+
 /// Compiles `ast` into a [`Program`].
 ///
 /// # Errors
 ///
 /// Returns [`RegexError`] if expansion of counted repetitions would exceed
-/// the program-size limit.
+/// the program-size limit, or if the program's thread table (capture
+/// slots × the instructions a thread can wait on) would exceed 2²¹ slots.
 pub fn compile(ast: &Ast) -> Result<Program, RegexError> {
     let mut c = Compiler { insts: Vec::new(), max_group: 0 };
     // Whole-match group 0.
@@ -86,7 +170,31 @@ pub fn compile(ast: &Ast) -> Result<Program, RegexError> {
     let contiguous = c.insts[1..=chars].iter().all(|inst| matches!(inst, Inst::Char(_)));
     let overlaps = (1..bytes.len()).any(|k| bytes.starts_with(&bytes[k..]));
     let skip = if contiguous && !overlaps { chars } else { 0 };
-    Ok(Program { insts: c.insts, captures, slots: 2 * (captures + 1), prefix, skip })
+    let runs = (0..c.insts.len()).filter_map(|pc| TerminalRun::at(&c.insts, pc)).collect();
+    let slots = 2 * (captures + 1);
+    let program = Program { insts: c.insts, captures, slots, prefix, skip, runs };
+    let table = program.thread_table();
+    if table > MAX_THREAD_SLOTS {
+        return Err(RegexError::new(
+            0,
+            format!(
+                "capture groups × alternatives need a thread table of {table} slots, over the \
+                 matcher's {MAX_THREAD_SLOTS}"
+            ),
+        ));
+    }
+    Ok(program)
+}
+
+impl Program {
+    /// The capture slots a thread list of a search can hold: one thread
+    /// per instruction a thread can wait on (a consuming one or `Match`),
+    /// [`Program::slots`] each.
+    pub(crate) fn thread_table(&self) -> usize {
+        let waits =
+            self.insts.iter().filter(|i| i.consumes_a_char() || matches!(i, Inst::Match)).count();
+        waits.saturating_mul(self.slots)
+    }
 }
 
 struct Compiler {
@@ -291,6 +399,42 @@ mod tests {
         // A class, split or assertion up front leaves nothing required.
         for p in [r"\w+", "a*b", "a|ab", "(?:ab)?c", "^ab", r"\bab", ""] {
             assert_eq!(prog(p).prefix, "", "{p}");
+        }
+    }
+
+    #[test]
+    fn terminal_runs() {
+        let runs = |p: &str| -> Vec<(usize, Vec<usize>)> {
+            prog(p).runs.into_iter().map(|r| (r.pc, r.saves)).collect()
+        };
+        // Save(0), seven chars, Save(2), the class, its split, the exit.
+        assert_eq!(runs(r"brand: ([\w-]+)"), [(9, vec![3, 1])]);
+        // Save(0), Split, the char, Jmp back to the split, the exit.
+        assert_eq!(runs("a*"), [(2, vec![1])]);
+        assert_eq!(runs("x|y.+"), [(5, vec![1])]);
+        assert_eq!(prog("[a-c]+").runs[0].ascii, 0b111 << b'a');
+        assert_eq!(prog("é+").runs[0].ascii, 0);
+        // Lazy, an exit through an assertion, a split or a char, a body
+        // of more than one instruction, no loop.
+        for p in [r"\w+?", r"\w*?", r"\w+\b", r"\w+$", r"\w+b", r"\w+b?", "(?:ab)+", "(?:a|b)+"] {
+            assert_eq!(runs(p), [], "{p}");
+        }
+    }
+
+    #[test]
+    fn thread_table_is_bounded() {
+        let alternated =
+            |groups: usize| compile(&ast::parse(&vec!["(a)"; groups].join("|")).unwrap());
+        // 1 001 waits × 2 002 slots fits; 1 101 × 2 202 does not.
+        assert!(alternated(1_000).is_ok());
+        assert!(alternated(1_100).is_err());
+        let err = alternated(8_000).unwrap_err();
+        assert!(err.message.contains("thread table of 128032002 slots"), "{err}");
+        // Generated rules (benchmark, conform, bootstrap with a long
+        // label) need a few hundred slots at most.
+        let label = "l".repeat(64);
+        for p in [r"brand: ([\w-]+)", "price: ([0-9]+)", &format!("{label}: ([0-9.]+)")] {
+            assert!(prog(p).thread_table() <= 300, "{p}: {}", prog(p).thread_table());
         }
     }
 

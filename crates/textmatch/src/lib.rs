@@ -12,7 +12,10 @@
 //! 2. [`compiler`] — compilation to a non-deterministic finite automaton
 //!    expressed as a linear instruction program, plus the literal prefix
 //!    every match must begin with (`brand: ` for `brand: (\w+)`; empty
-//!    when the pattern opens with a class, alternation or anchor),
+//!    when the pattern opens with a class, alternation or anchor) and
+//!    its terminal runs (the `\w+` there); a program whose thread table
+//!    (capture slots × waiting instructions) would exceed a fixed budget
+//!    is refused,
 //! 3. [`vm`] — a Pike-style virtual machine, the one matcher behind
 //!    every method of [`Regex`]. It starts threads only where the prefix
 //!    occurs and skips from one occurrence to the next with a substring
@@ -20,7 +23,9 @@
 //!    through; from a candidate it runs the program over the haystack's
 //!    bytes in `O(program × input)` time with full capture-group support
 //!    (no exponential backtracking), in working memory that is sized by
-//!    the live threads and reused from one match to the next.
+//!    the live threads and reused from one match to the next, and it
+//!    finishes a thread that outranks every other on a terminal run in
+//!    one step.
 //!
 //! Supported syntax: literals, `.`, character classes (`[a-z0-9_]`,
 //! negation, escapes), predefined classes (`\d \w \s \D \W \S`), anchors
@@ -54,6 +59,8 @@ pub use constraint::{like_match, Comparand, ConstraintOp};
 pub use error::RegexError;
 pub use sniff::{sniff_labeled_fields, LabeledField};
 
+use std::rc::Rc;
+
 use compiler::Program;
 
 /// A compiled regular expression.
@@ -81,11 +88,16 @@ pub struct Regex {
 
 /// A single match: the byte range of the overall match plus any capture
 /// groups.
+///
+/// A match shares its capture slots with the [`FindIter`] that yielded
+/// it; the iterator writes the next match into the same block when this
+/// one has been dropped, and into a new one when it is still held.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Match<'h> {
     haystack: &'h str,
-    /// Capture slots: `slots[0]` is the whole match, `slots[i]` group `i`.
-    groups: Vec<Option<(usize, usize)>>,
+    /// Capture slots: `2i` and `2i + 1` bound group `i` (0 = the whole
+    /// match), [`vm::UNSET`] if the match did not go through it.
+    slots: Rc<[usize]>,
 }
 
 /// One capture group of a [`Match`].
@@ -127,8 +139,12 @@ impl<'h> Match<'h> {
     /// The capture group `i` (0 is the whole match), if it participated in
     /// the match.
     pub fn get(&self, i: usize) -> Option<Capture<'h>> {
-        let (start, end) = (*self.groups.get(i)?)?;
-        Some(Capture { haystack: self.haystack, start, end })
+        let (start, end) = (*self.slots.get(2 * i)?, *self.slots.get(2 * i + 1)?);
+        (start != vm::UNSET && end != vm::UNSET).then_some(Capture {
+            haystack: self.haystack,
+            start,
+            end,
+        })
     }
 
     /// The whole matched text.
@@ -148,7 +164,7 @@ impl<'h> Match<'h> {
 
     /// Number of capture slots (including the implicit group 0).
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.slots.len() / 2
     }
 }
 
@@ -194,8 +210,8 @@ impl Regex {
     pub fn find_at<'h>(&self, haystack: &'h str, start: usize) -> Option<Match<'h>> {
         assert!(haystack.is_char_boundary(start), "start must lie on a char boundary");
         let mut scratch = vm::Scratch::new(&self.program);
-        let groups = vm::search(&self.program, haystack, start, &mut scratch)?;
-        Some(Match { haystack, groups })
+        let slots = vm::search(&self.program, haystack, start, &mut scratch)?;
+        Some(Match { haystack, slots: Rc::from(slots) })
     }
 
     /// Alias of [`Regex::find`] returning the capture groups; mirrors the
@@ -207,12 +223,16 @@ impl Regex {
     /// Iterates over all non-overlapping matches, leftmost-first.
     ///
     /// Each search resumes where the previous match ended and reuses its
-    /// working memory, so iterating over many matches stays linear.
+    /// working memory, so iterating over many matches stays linear; a
+    /// match dropped before the next one is asked for lends that one its
+    /// slots, so a scan allocates the same blocks for any number of
+    /// matches.
     pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> FindIter<'r, 'h> {
         FindIter {
             regex: self,
             haystack,
             scratch: vm::Scratch::new(&self.program),
+            slots: std::iter::repeat_n(vm::UNSET, self.program.slots).collect(),
             next_start: Some(0),
         }
     }
@@ -284,6 +304,8 @@ pub struct FindIter<'r, 'h> {
     regex: &'r Regex,
     haystack: &'h str,
     scratch: vm::Scratch,
+    /// The slots of the match yielded last, shared with it.
+    slots: Rc<[usize]>,
     /// Byte offset where the next search starts; `None` once exhausted.
     next_start: Option<usize>,
 }
@@ -293,8 +315,13 @@ impl<'r, 'h> Iterator for FindIter<'r, 'h> {
 
     fn next(&mut self) -> Option<Match<'h>> {
         let start = self.next_start.take()?;
-        let groups = vm::search(&self.regex.program, self.haystack, start, &mut self.scratch)?;
-        let m = Match { haystack: self.haystack, groups };
+        let found = vm::search(&self.regex.program, self.haystack, start, &mut self.scratch)?;
+        match Rc::get_mut(&mut self.slots) {
+            // The previous match is gone: its block is free.
+            Some(free) => free.copy_from_slice(found),
+            None => self.slots = Rc::from(found),
+        }
+        let m = Match { haystack: self.haystack, slots: Rc::clone(&self.slots) };
         let end = m.end();
         self.next_start = if end > m.start() {
             Some(end)

@@ -11,15 +11,18 @@
 //! Every match begins with the prefix, so the threads that are never
 //! started could only have died; the ones that are started run in the
 //! order and lockstep of an unfiltered search, which keeps its
-//! leftmost-first result and its linear bound. All working memory lives
-//! in a [`Scratch`] that one search after another reuses; it grows with
-//! the live threads, not with the program.
+//! leftmost-first result and its linear bound. A thread that outranks
+//! every other and sits on a terminal run (`\w+` at the end of
+//! `brand: (\w+)`) is finished in one step: its run is consumed in a
+//! tight loop. All working memory lives in a [`Scratch`] that one search
+//! after another reuses; it grows with the live threads, not with the
+//! program.
 
 use crate::ast::is_word_char;
-use crate::compiler::{Inst, Program};
+use crate::compiler::{Inst, Program, TerminalRun};
 
 /// Marks a capture slot no `Save` has written.
-const UNSET: usize = usize::MAX;
+pub const UNSET: usize = usize::MAX;
 
 /// Working memory of [`search`], reusable across searches with the same
 /// program (an iteration over all matches allocates it once).
@@ -95,14 +98,21 @@ enum Frame {
 }
 
 /// Searches `haystack` for the leftmost match starting at or after byte
-/// offset `start` (a char boundary). Returns the capture groups (pairs of
-/// byte offsets) on success: index 0 = whole match, index `i` = group `i`.
-pub fn search(
+/// offset `start` (a char boundary). Returns its capture slots, held in
+/// `scratch` until the next search: slots `2i` and `2i + 1` are the byte
+/// offsets of group `i` (0 = whole match), [`UNSET`] where the match did
+/// not go through the group.
+///
+/// When the thread that outranks every other waits on a [`TerminalRun`]
+/// whose instruction accepts the current character, the search ends
+/// there: that thread takes the longest run and matches at its end, and
+/// the `Match` it reaches one position later cuts every thread below it.
+pub fn search<'s>(
     program: &Program,
     haystack: &str,
     start: usize,
-    scratch: &mut Scratch,
-) -> Option<Vec<Option<(usize, usize)>>> {
+    scratch: &'s mut Scratch,
+) -> Option<&'s [usize]> {
     let Scratch { clist, nlist, stack, cur, matched } = scratch;
     // Swapped by reference after every step.
     let (mut clist, mut nlist) = (clist, nlist);
@@ -142,6 +152,24 @@ pub fn search(
         }
         let c = char_at(haystack, at);
         let next = at + c.map_or(0, char::len_utf8);
+        // The first thread outranks every other, the ones seeded later
+        // included. On a terminal run that accepts `c` it cannot fail:
+        // it prefers another lap to the exit, and its exit matches.
+        if let (Some(c), Some(&pc)) = (c, clist.pcs.first()) {
+            if let Some(run) = terminal_run(program, pc) {
+                let inst = &program.insts[pc];
+                if inst.consumes(c) {
+                    #[cfg(test)]
+                    tests::RUNS_FINISHED.with(|n| n.set(n.get() + 1));
+                    matched.copy_from_slice(&clist.slots[..n]);
+                    let end = run_end(run, inst, haystack, next);
+                    for &slot in &run.saves {
+                        matched[slot] = end;
+                    }
+                    return Some(matched);
+                }
+            }
+        }
         for i in 0..clist.pcs.len() {
             let pc = clist.pcs[i];
             let advance = match &program.insts[pc] {
@@ -152,11 +180,8 @@ pub fn search(
                     found = true;
                     break;
                 }
-                Inst::Char(x) => c == Some(*x),
-                Inst::Any => c.is_some_and(|c| c != '\n'),
-                Inst::Class(set) => c.is_some_and(|c| set.contains(c)),
                 // Split/Jmp/Save/Assert are followed in add_thread.
-                _ => unreachable!("non-consuming instruction in run list"),
+                inst => c.is_some_and(|c| inst.consumes(c)),
             };
             if advance {
                 cur.copy_from_slice(&clist.slots[i * n..(i + 1) * n]);
@@ -170,12 +195,33 @@ pub fn search(
         }
         at = next;
     }
-    found.then(|| {
-        matched
-            .chunks_exact(2)
-            .map(|g| (g[0] != UNSET && g[1] != UNSET).then_some((g[0], g[1])))
-            .collect()
-    })
+    found.then_some(matched)
+}
+
+fn terminal_run(program: &Program, pc: usize) -> Option<&TerminalRun> {
+    let i = program.runs.binary_search_by_key(&pc, |run| run.pc).ok()?;
+    Some(&program.runs[i])
+}
+
+/// The end of the longest run of characters `inst` (the run's
+/// instruction) accepts, starting at byte offset `at`.
+fn run_end(run: &TerminalRun, inst: &Inst, haystack: &str, mut at: usize) -> usize {
+    let bytes = haystack.as_bytes();
+    while let Some(&b) = bytes.get(at) {
+        if b < 0x80 {
+            if run.ascii >> b & 1 == 0 {
+                break;
+            }
+            at += 1;
+        } else {
+            let c = haystack[at..].chars().next().expect("a char boundary");
+            if !inst.consumes(c) {
+                break;
+            }
+            at += c.len_utf8();
+        }
+    }
+    at
 }
 
 fn char_at(haystack: &str, at: usize) -> Option<char> {
@@ -250,7 +296,60 @@ fn at_word_boundary(haystack: &str, at: usize) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use crate::Regex;
+
+    thread_local! {
+        /// Searches this thread ended on a terminal run.
+        pub(super) static RUNS_FINISHED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A match as its whole span and the text of group 1.
+    type Found<'h> = ((usize, usize), Option<&'h str>);
+
+    /// Every match of `pattern` in `haystack`, and how many of the
+    /// searches ended on a terminal run.
+    fn runs<'h>(pattern: &str, haystack: &'h str) -> (Vec<Found<'h>>, usize) {
+        let before = RUNS_FINISHED.with(Cell::get);
+        let found = Regex::new(pattern)
+            .unwrap()
+            .find_iter(haystack)
+            .map(|m| ((m.start(), m.end()), m.get(1).map(|c| c.text())))
+            .collect();
+        (found, RUNS_FINISHED.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn terminal_runs_finish_in_one_step() {
+        // The loop sits inside an optional group beside a failed branch;
+        // the `Match` behind the loop is the `?`'s skip.
+        assert_eq!(runs(r"- b|[ab]([^\w ]+)?", "b--x"), (vec![((0, 3), Some("--"))], 1));
+        // Here the run's first char is refused, so the skip matches.
+        assert_eq!(runs(r"- b|[ab]([^\w ]+)?", "b c"), (vec![((0, 1), None)], 0));
+        // A run that ends with the haystack.
+        assert_eq!(
+            runs(r"k=(\d+)", "k=1 k=234"),
+            (vec![((0, 3), Some("1")), ((4, 9), Some("234"))], 2)
+        );
+        // Multibyte members, past the ASCII bitmap.
+        assert_eq!(runs("([é日]+)", "xé日é日y"), (vec![((1, 11), Some("é日é日"))], 1));
+        // The class holds the prefix's first char: the thread seeded at
+        // the next `a` ranks below the run.
+        assert_eq!(runs(r"a(\w+)", "aaaa"), (vec![((0, 4), Some("aaa"))], 1));
+        assert_eq!(runs(r"ab*", "abbbc"), (vec![((0, 4), None)], 1));
+    }
+
+    #[test]
+    fn loops_that_are_not_terminal_runs_step() {
+        // Lazy: the exit is preferred.
+        assert_eq!(runs(r"a(\w+?)", "abc"), (vec![((0, 2), Some("b"))], 0));
+        // The exit passes an assertion.
+        assert_eq!(runs(r"a(\w+)\b", "abc d"), (vec![((0, 3), Some("bc"))], 0));
+        assert_eq!(runs(r"(\d+)$", "a1 b22"), (vec![((4, 6), Some("22"))], 0));
+        // The body is not one instruction.
+        assert_eq!(runs(r"((?:ab)+)", "ababx"), (vec![((0, 4), Some("abab"))], 0));
+    }
 
     #[test]
     fn greedy_vs_lazy_capture_positions() {

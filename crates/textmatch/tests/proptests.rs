@@ -75,6 +75,31 @@ fn pattern(rng: &mut TestRng, depth: usize) -> String {
     out
 }
 
+/// A greedy loop over one class behind a literal (`brand: ([\w-]+)`'s
+/// shape), the thread `vm::search` finishes in one step: bare, in a
+/// group, optional, or beside an alternation branch that can match
+/// empty, and now and then followed by what makes its exit no longer
+/// reach `Match` directly.
+fn terminal_run(rng: &mut TestRng) -> String {
+    const ATOMS: [&str; 9] =
+        [".", "[ab]", "[^a]", "[a-c1]", "[^\\w ]", "[é日-]", "\\w", "\\d", "\\S"];
+    let atom = match rng.below(ATOMS.len() + 2) {
+        i if i < ATOMS.len() => ATOMS[i].to_string(),
+        _ => literal(rng),
+    };
+    let run = format!("{}{atom}{}", literal(rng), ["+", "*"][rng.below(2)]);
+    let empty = ["", "a*", "b?", "\\b", "(?:)"][rng.below(5)];
+    let run = match rng.below(6) {
+        0 | 1 => run,
+        2 => format!("({run})"),
+        3 => format!("(?:{run})?"),
+        4 => format!("(?:{run}|{empty})"),
+        _ => format!("({empty}|{run})"),
+    };
+    let after = ["", "", "", "$", "\\b", "b"][rng.below(6)];
+    format!("{run}{after}")
+}
+
 fn haystack(rng: &mut TestRng) -> String {
     (0..rng.below(24)).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect()
 }
@@ -121,15 +146,17 @@ fn padding() -> impl Strategy<Value = String> {
 proptest! {
     /// The matcher agrees with the reference VM (`tests/reference`) on
     /// every capture offset of every match, iterating and from an
-    /// arbitrary start — whichever of the prefix jump, the prefix skip
-    /// and the unfiltered path the pattern takes.
+    /// arbitrary start — whichever of the prefix jump, the prefix skip,
+    /// the terminal run and the unfiltered path the pattern takes.
     #[test]
     fn matcher_agrees_with_reference_vm(seed in any::<u64>()) {
         let mut rng = TestRng::from_seed(seed);
         // Half the patterns open with a literal run, so the prefilter
-        // is exercised as often as the unfiltered path.
+        // is exercised as often as the unfiltered path; two in three
+        // get a terminal run's tail, so a third end in one.
         let lead: String = (0..rng.below(4)).map(|_| literal(&mut rng)).collect();
-        let pat = format!("{lead}{}", pattern(&mut rng, 2));
+        let tail = if rng.below(3) > 0 { terminal_run(&mut rng) } else { String::new() };
+        let pat = format!("{lead}{}{tail}", pattern(&mut rng, 2));
         let re = Regex::new(&pat).unwrap();
         let program = compiler::compile(&ast::parse(&pat).unwrap()).unwrap();
         for _ in 0..4 {
