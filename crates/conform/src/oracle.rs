@@ -37,7 +37,8 @@
 //!   fingerprint-identical to a from-scratch recompute after every
 //!   fuzzed mutation round, replay unmutated repeat queries without
 //!   touching the wire, account every warm slice as a hit, refresh,
-//!   or full refresh, and reproduce deterministically.
+//!   or full refresh, and reproduce deterministically — over views
+//!   alone and with the pushdown planner on.
 //! * **Bootstrap equivalence** — on fault-free scenarios, an engine
 //!   whose mappings come entirely from the automatic schema bootstrap
 //!   (`S2s::bootstrap_source` + `apply_bootstrap`, with the catalog's
@@ -265,18 +266,37 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
 /// * **accounting + determinism** — every warm slice is accounted as
 ///   hit, refresh, or full refresh, and a second protocol run
 ///   reproduces the first exactly.
+///
+/// The protocol runs twice: over views alone (oracles `delta-*`), and
+/// with the pushdown planner on as well (`delta-pushdown-*`), where a
+/// slice's rule filters on the query's conditions — a price round must
+/// refresh every slice whose pushed rule tests the price.
 fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
-    let mut violations = Vec::new();
     if !scenario.fault_free() {
-        return violations;
+        return Vec::new();
     }
+    let pushdown = BuildConfig { pushdown: true, ..BuildConfig::delta() };
+    [("delta", BuildConfig::delta()), ("delta-pushdown", pushdown)]
+        .iter()
+        .flat_map(|(arm, config)| check_delta_arm(scenario, baseline, arm, config))
+        .collect()
+}
+
+fn check_delta_arm(
+    scenario: &Scenario,
+    baseline: &QueryOutcome,
+    arm: &str,
+    config: &BuildConfig,
+) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let oracle = |name: &str| format!("{arm}-{name}");
     let query = scenario.query_text();
     let n_schemas = (scenario.sources.len() * crate::scenario::ATTRS.len()) as u64;
 
     // (fingerprint, round_trips, view_hits, view_refreshes,
     // view_full_refreshes) per protocol round.
     let run_protocol = || -> Vec<(String, u64, u64, u64, u64)> {
-        let engine = scenario.build(&BuildConfig::delta());
+        let engine = scenario.build(config);
         let mut records = scenario.records();
         let mut trace = Vec::new();
         for round in 0..5 {
@@ -310,7 +330,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
     let trace = run_protocol();
     if trace[0].0 != fingerprint(baseline) {
         violations.push(Violation::new(
-            "delta-equality",
+            &oracle("equality"),
             format!(
                 "cold delta answer diverged from batched\nbatched:\n{}\ndelta:\n{}",
                 fingerprint(baseline),
@@ -320,7 +340,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
     }
     if trace[1].1 != 0 || trace[1].2 != n_schemas {
         violations.push(Violation::new(
-            "delta-view-replay",
+            &oracle("view-replay"),
             format!(
                 "unmutated repeat touched the wire: round_trips {} view_hits {} (schemas {})",
                 trace[1].1, trace[1].2, n_schemas
@@ -330,7 +350,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
     for (round, entry) in trace.iter().enumerate().skip(1) {
         if entry.2 + entry.3 + entry.4 != n_schemas {
             violations.push(Violation::new(
-                "delta-accounting",
+                &oracle("accounting"),
                 format!(
                     "round {round}: hits {} + refreshes {} + full refreshes {} != schemas \
                      {n_schemas}",
@@ -347,7 +367,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
             rebuilt_engine(scenario, &records).query(&query).expect("parsed on the batched path");
         if entry.0 != fingerprint(&reference) {
             violations.push(Violation::new(
-                "delta-divergence",
+                &oracle("divergence"),
                 format!(
                     "delta answer after mutation round {round} diverged from recompute\n\
                      recompute:\n{}\ndelta:\n{}",
@@ -360,7 +380,7 @@ fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
 
     if run_protocol() != trace {
         violations.push(Violation::new(
-            "delta-determinism",
+            &oracle("determinism"),
             "two identically seeded delta protocols disagreed".to_string(),
         ));
     }

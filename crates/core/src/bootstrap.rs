@@ -1,30 +1,15 @@
 //! Automatic mapping bootstrap: native schema → candidate ontology
-//! mappings and extraction rules.
+//! mappings and extraction rules (DESIGN.md §4l).
 //!
-//! Hand-written registration (paper Fig. 3) caps a catalog at demo
-//! size: every attribute of every source needs a human to write the
-//! path, the rule, and the record scenario. The paper's premise —
-//! sources self-describe enough to integrate — points the other way:
-//! a relational source carries `CREATE TABLE` metadata, an XML source
-//! carries its element/attribute shape (à la Janus' XSD→OWL mapping
-//! tables), a web page carries its tag shape and `class` hints, and a
-//! text export carries its labeled-field headers. This module ingests
-//! those native schemas and derives *candidates*: attribute mappings
-//! with generated extraction rules, each scored by how strong the
-//! name/type evidence is, plus an explicit conflict list for the cases
-//! automation must not guess (ambiguous targets, ambiguous types, name
-//! collisions, unmappable fields).
-//!
-//! The output is a [`BootstrapReport`]. A caller (or a test, or the
-//! conformance fuzzer) can accept it wholesale, override individual
-//! candidates ([`BootstrapReport::resolve`],
-//! [`BootstrapReport::add_override`]), or reject fields
-//! ([`BootstrapReport::reject`]). Accepted candidates flow through the
-//! regular [`crate::S2s::register_attribute`] path, so the mapping
-//! module, rule compilation, caches, planner capability analysis, and
-//! views all see bootstrapped sources exactly as they see hand-written
-//! ones — on the demo catalogs the two are fingerprint-identical (the
-//! `bootstrap` arm of `s2s-conform` fuzzes that equivalence).
+//! Each source kind's wrapper introspects what the source declares about
+//! itself (`CREATE TABLE` metadata, XML shape, HTML tags, labelled text
+//! headers) into a [`SchemaSummary`] whose fields carry the rules that
+//! read them. This module matches field names against the ontology,
+//! picks an anchor class, and reports scored candidates plus the
+//! conflicts automation must not guess, as a [`BootstrapReport`] a
+//! caller accepts, overrides ([`BootstrapReport::resolve`]) or rejects
+//! before [`crate::S2s::apply_bootstrap`] registers it through the
+//! regular path.
 //!
 //! # Confidence model
 //!
@@ -57,43 +42,6 @@ pub const CONFIDENCE_STEM: f64 = 0.70;
 /// Confidence of a caller override.
 pub const CONFIDENCE_OVERRIDE: f64 = 1.0;
 
-/// Where a schema field was observed, with enough detail to generate
-/// the extraction rule for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldProvenance {
-    /// A relational column.
-    DbColumn {
-        /// The table.
-        table: String,
-        /// The column.
-        column: String,
-        /// The primary-key column to `ORDER BY`, when the table
-        /// declares one (keeps multi-record value lists aligned).
-        order_by: Option<String>,
-    },
-    /// A leaf element or attribute of an XML record.
-    XmlLeaf {
-        /// Root element local name.
-        root: String,
-        /// Record element local name (`None`: the root is the record).
-        record: Option<String>,
-        /// The leaf element or attribute local name.
-        leaf: String,
-        /// Whether the field is an XML attribute.
-        attribute: bool,
-    },
-    /// A repeated leaf tag of an HTML page.
-    HtmlTag {
-        /// Lowercased tag name.
-        tag: String,
-    },
-    /// A `label: value` field of a labeled text export.
-    TextLabel {
-        /// The label.
-        label: String,
-    },
-}
-
 /// One field recovered from a source's native schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemaField {
@@ -109,8 +57,8 @@ pub struct SchemaField {
     pub declared_numeric: Option<bool>,
     /// Whether the field is a record-identity field (DB primary key).
     pub primary_key: bool,
-    /// Where the field came from (drives rule generation).
-    pub provenance: FieldProvenance,
+    /// The extraction rule that reads the field's values.
+    pub rule: ExtractionRule,
 }
 
 impl SchemaField {
@@ -138,6 +86,9 @@ pub struct SchemaSummary {
     pub records: usize,
     /// The fields, in native order.
     pub fields: Vec<SchemaField>,
+    /// The record scenario the shape implies: single-record only for an
+    /// XML document whose root *is* the record.
+    pub scenario: RecordScenario,
 }
 
 /// One auto-generated attribute-mapping candidate.
@@ -327,16 +278,7 @@ impl BootstrapReport {
             source: self.source.clone(),
             message: format!("no conflicted field `{field}` to resolve"),
         })?;
-        self.candidates.push(MappingCandidate {
-            field: field.to_string(),
-            path: path.to_string(),
-            rule,
-            scenario,
-            confidence: CONFIDENCE_OVERRIDE,
-            basis: "caller override".to_string(),
-            accepted: true,
-            applied: false,
-        });
+        self.add_override(field, path, rule, scenario);
         Ok(())
     }
 
@@ -378,128 +320,7 @@ impl BootstrapReport {
 /// Returns [`S2sError::Webdoc`] if a web/text URL cannot be fetched
 /// and [`S2sError::Bootstrap`] if the source exposes no fields at all.
 pub fn introspect(source_id: &str, connection: &Connection) -> Result<SchemaSummary, S2sError> {
-    const MAX_SAMPLES: usize = 8;
-    let summary = match connection {
-        Connection::Database { db } => {
-            let mut fields = Vec::new();
-            let mut container = String::new();
-            let mut records = 0usize;
-            for schema in db.schemas() {
-                if container.is_empty() {
-                    container = schema.name().to_string();
-                }
-                let table = db.table(schema.name()).expect("schema from this database");
-                records = records.max(table.len());
-                let order_by =
-                    schema.primary_key_index().map(|i| schema.columns()[i].name().to_string());
-                for (ci, col) in schema.columns().iter().enumerate() {
-                    let samples: Vec<String> = table
-                        .scan()
-                        .take(MAX_SAMPLES)
-                        .map(|(_, row)| row[ci].to_string())
-                        .collect();
-                    fields.push(SchemaField {
-                        name: col.name().to_string(),
-                        hint: None,
-                        samples,
-                        declared_numeric: Some(!matches!(
-                            col.data_type(),
-                            s2s_minidb::DataType::Text
-                        )),
-                        primary_key: col.primary_key(),
-                        provenance: FieldProvenance::DbColumn {
-                            table: schema.name().to_string(),
-                            column: col.name().to_string(),
-                            order_by: order_by.clone(),
-                        },
-                    });
-                }
-            }
-            SchemaSummary { kind: SourceKind::Database, container, records, fields }
-        }
-        Connection::Xml { document } => {
-            let shape = s2s_xml::document_shape(document);
-            let fields = shape
-                .fields
-                .iter()
-                .map(|f| SchemaField {
-                    name: f.name.clone(),
-                    hint: None,
-                    samples: f.samples.clone(),
-                    declared_numeric: None,
-                    primary_key: false,
-                    provenance: FieldProvenance::XmlLeaf {
-                        root: shape.root.clone(),
-                        record: shape.record_element.clone(),
-                        leaf: f.name.clone(),
-                        attribute: f.from_attribute,
-                    },
-                })
-                .collect();
-            SchemaSummary {
-                kind: SourceKind::Xml,
-                container: shape.record_element.clone().unwrap_or_else(|| shape.root.clone()),
-                records: shape.record_count,
-                fields,
-            }
-        }
-        Connection::Web { store, url } => {
-            let Some(html) = store.fetch(url)?.parsed() else {
-                return Err(S2sError::Bootstrap {
-                    source: source_id.to_string(),
-                    message: format!("web source url `{url}` is not an HTML document"),
-                });
-            };
-            let mut fields = Vec::new();
-            let mut records = 0usize;
-            for stat in html.tag_survey() {
-                if STRUCTURAL_TAGS.contains(&stat.name.as_str()) || stat.samples.is_empty() {
-                    continue;
-                }
-                records = records.max(stat.count);
-                let hint = match stat.classes.as_slice() {
-                    [one] => Some(one.clone()),
-                    _ => None,
-                };
-                fields.push(SchemaField {
-                    name: stat.name.clone(),
-                    hint,
-                    samples: stat.samples.clone(),
-                    declared_numeric: None,
-                    primary_key: false,
-                    provenance: FieldProvenance::HtmlTag { tag: stat.name.clone() },
-                });
-            }
-            SchemaSummary {
-                kind: SourceKind::WebPage,
-                container: "page".to_string(),
-                records,
-                fields,
-            }
-        }
-        Connection::Text { store, url } => {
-            let doc = store.fetch(url)?;
-            let mut fields = Vec::new();
-            let mut records = 0usize;
-            for f in s2s_textmatch::sniff_labeled_fields(&doc.text()) {
-                records = records.max(f.count);
-                fields.push(SchemaField {
-                    name: f.label.clone(),
-                    hint: None,
-                    samples: f.samples.clone(),
-                    declared_numeric: None,
-                    primary_key: false,
-                    provenance: FieldProvenance::TextLabel { label: f.label.clone() },
-                });
-            }
-            SchemaSummary {
-                kind: SourceKind::TextFile,
-                container: "export".to_string(),
-                records,
-                fields,
-            }
-        }
-    };
+    let summary = crate::wrapper::with(connection, |w| w.introspect(source_id))?;
     if summary.fields.is_empty() {
         return Err(S2sError::Bootstrap {
             source: source_id.to_string(),
@@ -508,12 +329,6 @@ pub fn introspect(source_id: &str, connection: &Connection) -> Result<SchemaSumm
     }
     Ok(summary)
 }
-
-/// HTML tags that carry page structure rather than record fields.
-const STRUCTURAL_TAGS: &[&str] = &[
-    "html", "head", "title", "meta", "link", "body", "div", "p", "ul", "ol", "li", "table",
-    "thead", "tbody", "tr", "th", "td", "a", "script", "style", "br", "hr",
-];
 
 /// One name-evidence match of a field against a property.
 struct NameMatch {
@@ -534,6 +349,7 @@ pub fn bootstrap(
     connection: &Connection,
 ) -> Result<BootstrapReport, S2sError> {
     let summary = introspect(source_id, connection)?;
+    let scenario = summary.scenario;
     let mut report = BootstrapReport {
         source: source_id.to_string(),
         kind: summary.kind,
@@ -551,12 +367,11 @@ pub fn bootstrap(
             BestTier::One(m) => matched.push((fi, m)),
             BestTier::Tie(ms) => {
                 // Several properties at the same tier: ambiguous target.
-                let scenario = scenario_for(&summary);
                 let options = paths_for(ontology, ms.iter().map(|m| &m.property));
                 report.conflicts.push(Conflict::AmbiguousTarget {
                     field: field.name.clone(),
                     options,
-                    rule: rule_for(field),
+                    rule: field.rule.clone(),
                     scenario,
                 });
             }
@@ -579,8 +394,8 @@ pub fn bootstrap(
                     report.conflicts.push(Conflict::AmbiguousTarget {
                         field: field.name.clone(),
                         options: paths_for(ontology, shape_options.iter().copied()),
-                        rule: rule_for(field),
-                        scenario: scenario_for(&summary),
+                        rule: field.rule.clone(),
+                        scenario,
                     });
                 }
             }
@@ -601,7 +416,6 @@ pub fn bootstrap(
         by_property.iter().filter(|(_, fis)| fis.len() == 1).map(|(p, _)| p).collect();
     let anchor = anchor_class(ontology, &uncontested);
 
-    let scenario = scenario_for(&summary);
     for (property, fis) in &by_property {
         let path = path_for(ontology, anchor.as_ref(), property);
         if fis.len() > 1 {
@@ -609,7 +423,7 @@ pub fn bootstrap(
                 path,
                 fields: fis
                     .iter()
-                    .map(|&fi| (summary.fields[fi].name.clone(), rule_for(&summary.fields[fi])))
+                    .map(|&fi| (summary.fields[fi].name.clone(), summary.fields[fi].rule.clone()))
                     .collect(),
                 scenario,
             });
@@ -628,7 +442,7 @@ pub fn bootstrap(
                 path,
                 expected: "numeric".to_string(),
                 observed: "string".to_string(),
-                rule: rule_for(field),
+                rule: field.rule.clone(),
                 scenario,
             });
             continue;
@@ -637,7 +451,7 @@ pub fn bootstrap(
         report.candidates.push(MappingCandidate {
             field: field.name.clone(),
             path,
-            rule: rule_for(field),
+            rule: field.rule.clone(),
             scenario,
             confidence: m.confidence,
             basis: m.basis.clone(),
@@ -808,52 +622,6 @@ fn paths_for<'i>(
     out
 }
 
-/// The record scenario a schema shape implies: sources whose native
-/// shape is a record *container* (a table, a repeated record element, a
-/// repeated tag, a line-oriented export) are multi-record even when
-/// only one instance is present; only an XML document whose root *is*
-/// the record is single-record.
-fn scenario_for(summary: &SchemaSummary) -> RecordScenario {
-    match summary.kind {
-        SourceKind::Xml if summary.records == 1 => {
-            match summary.fields.first().map(|f| &f.provenance) {
-                Some(FieldProvenance::XmlLeaf { record: None, .. }) => RecordScenario::SingleRecord,
-                _ => RecordScenario::MultiRecord,
-            }
-        }
-        _ => RecordScenario::MultiRecord,
-    }
-}
-
-/// Generates the extraction rule for a field from its provenance.
-fn rule_for(field: &SchemaField) -> ExtractionRule {
-    match &field.provenance {
-        FieldProvenance::DbColumn { table, column, order_by } => ExtractionRule::Sql {
-            query: match order_by {
-                Some(pk) => format!("SELECT {column} FROM {table} ORDER BY {pk}"),
-                None => format!("SELECT {column} FROM {table}"),
-            },
-            column: column.clone(),
-        },
-        FieldProvenance::XmlLeaf { root, record, leaf, attribute } => {
-            let step = if *attribute { format!("@{leaf}") } else { format!("{leaf}/text()") };
-            ExtractionRule::XPath {
-                path: match record {
-                    Some(r) => format!("/{root}/{r}/{step}"),
-                    None => format!("/{root}/{step}"),
-                },
-            }
-        }
-        FieldProvenance::HtmlTag { tag } => {
-            ExtractionRule::Webl { program: format!("var v = TagTexts(Text(PAGE), \"{tag}\");") }
-        }
-        FieldProvenance::TextLabel { label } => {
-            let value = if field.looks_numeric() { "([0-9.]+)" } else { r"([\w-]+)" };
-            ExtractionRule::TextRegex { pattern: format!("{label}: {value}"), group: 1 }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,24 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn xml_container_bootstraps_multi_record() {
-        let doc = s2s_xml::parse(
-            "<catalog><watch><brand>seiko</brand><price>120</price><case>steel</case></watch>\
-             </catalog>",
-        )
-        .unwrap();
-        let conn = Connection::Xml { document: Arc::new(doc) };
-        let report = bootstrap(&watch_ontology(), "XML", &conn).unwrap();
-        assert_eq!(report.candidates.len(), 3);
-        let brand = report.candidate("brand").unwrap();
-        assert_eq!(
-            brand.rule,
-            ExtractionRule::XPath { path: "/catalog/watch/brand/text()".into() }
-        );
-        assert_eq!(brand.scenario, RecordScenario::MultiRecord);
-    }
-
-    #[test]
     fn html_class_hint_matches_and_bare_tags_are_ambiguous() {
         let mut store = s2s_webdoc::WebStore::new();
         store.register_html(
@@ -960,24 +710,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn text_labels_bootstrap_with_numeric_sniffing() {
-        let mut store = s2s_webdoc::WebStore::new();
-        store.register_text("file:///x.txt", "brand: seiko | price: 120 | case: steel\n");
-        let conn = Connection::Text { store: Arc::new(store), url: "file:///x.txt".into() };
-        let report = bootstrap(&watch_ontology(), "TXT", &conn).unwrap();
-        let price = report.candidate("price").unwrap();
-        assert_eq!(
-            price.rule,
-            ExtractionRule::TextRegex { pattern: "price: ([0-9.]+)".into(), group: 1 }
-        );
-        let brand = report.candidate("brand").unwrap();
-        assert_eq!(
-            brand.rule,
-            ExtractionRule::TextRegex { pattern: r"brand: ([\w-]+)".into(), group: 1 }
-        );
     }
 
     #[test]

@@ -29,12 +29,10 @@ use s2s_netsim::{
     CircuitBreaker, Endpoint, HedgeConfig, Hedger, Lanes, RetryPolicy, SimDuration,
 };
 use s2s_obs::{Span, SpanKind, SpanOutcome};
-use s2s_webdoc::{WebStore, WeblProgram, WeblValue};
 
 use crate::error::{FailureClass, S2sError};
 use crate::mapping::{AttributeMapping, MappingModule, RecordScenario};
-use crate::rules::CompiledRule;
-use crate::source::{Connection, RegisteredSource, SourceRegistry};
+use crate::source::{RegisteredSource, SourceRegistry};
 
 mod values;
 
@@ -868,102 +866,15 @@ fn note_deadline_exceeded() {
     }
 }
 
-/// Source lookup, rule/kind check, wrapper run, and scenario
-/// truncation — everything local; no wire accounting.
+/// Source lookup, wrapper run, and scenario truncation — everything
+/// local; no wire accounting.
 fn prepare(registry: &SourceRegistry, mapping: &AttributeMapping) -> Result<Values, S2sError> {
     let source = registry.require(mapping.source())?;
-    if !mapping.rule().compatible_with(source.kind()) {
-        return Err(S2sError::RuleSourceMismatch {
-            attribute: mapping.path().to_string(),
-            message: format!(
-                "{} rule cannot run against a {} source",
-                mapping.rule().language(),
-                source.kind()
-            ),
-        });
-    }
-
-    let mut values = run_wrapper(source.connection(), mapping.compiled()?)?;
+    let mut values = crate::wrapper::run(source.connection(), mapping)?;
     if mapping.scenario() == RecordScenario::SingleRecord {
         values.truncate(1);
     }
     Ok(values)
-}
-
-/// Dispatches to the per-source-type extractor (paper: "for Web pages,
-/// the extraction rules are delegated to a Web wrapper, for databases to
-/// a database extractor, and so on"), executing the mapping's compiled
-/// form of the rule. Every arm writes what its substrate hands it —
-/// borrowed from the source's own storage wherever the source holds the
-/// text — straight into the one column it returns.
-fn run_wrapper(connection: &Connection, compiled: &CompiledRule) -> Result<Values, S2sError> {
-    let mut values = Values::new();
-    match (connection, compiled) {
-        (Connection::Database { db }, CompiledRule::Sql { stmt, column }) => {
-            db.query_column_each(stmt, column, |v| {
-                values.push_with(|text| {
-                    v.write_to(text).expect("writing to a String cannot fail");
-                });
-            })?;
-        }
-        (Connection::Xml { document }, CompiledRule::XPath(xpath)) => {
-            xpath.each_string(document, |s| values.push(s));
-        }
-        (Connection::Xml { document }, CompiledRule::XQuery(xquery)) => {
-            xquery.each_string(document, |s| values.push(s));
-        }
-        (Connection::Web { store, url }, CompiledRule::Webl(program)) => {
-            run_webl(program, store, url, true, &mut values)?;
-        }
-        (Connection::Text { store, url }, CompiledRule::Webl(program)) => {
-            run_webl(program, store, url, false, &mut values)?;
-        }
-        (
-            Connection::Web { store, url } | Connection::Text { store, url },
-            CompiledRule::Regex { re, group },
-        ) => {
-            let text = store.fetch(url)?.text();
-            // A group the pattern has but this match did not go through
-            // (one side of an alternation) contributes nothing.
-            re.find_iter(&text).filter_map(|m| m.get(*group)).for_each(|c| values.push(c.text()));
-        }
-        _ => {
-            return Err(S2sError::RuleSourceMismatch {
-                attribute: String::new(),
-                message: "unsupported rule/source combination".to_string(),
-            })
-        }
-    }
-    Ok(values)
-}
-
-/// Runs a compiled WebL program against a fetched page with the
-/// standard `PAGE`/`URL` bindings and flattens its result into
-/// `values`: a list contributes one value per item, anything else its
-/// text unless that is empty. `html` distinguishes the web wrapper from
-/// the plain-text extractor.
-fn run_webl(
-    program: &WeblProgram,
-    store: &Arc<WebStore>,
-    url: &str,
-    html: bool,
-    values: &mut Values,
-) -> Result<(), S2sError> {
-    let doc = store.fetch(url)?;
-    let doc = if html { doc.clone() } else { doc.as_plain_text() };
-    let mut env = BTreeMap::new();
-    env.insert("PAGE".to_string(), WeblValue::Page { url: url.to_string(), doc });
-    env.insert("URL".to_string(), WeblValue::Str(url.to_string()));
-    match program.run_with(store, env)? {
-        WeblValue::List(items) => items.iter().for_each(|item| values.push(&item.text())),
-        other => {
-            let text = other.text();
-            if !text.is_empty() {
-                values.push(&text);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1066,73 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn sql_wrapper_extracts_column_skipping_nulls() {
-        let r = registry();
-        let m = module();
-        let mapping = m.iter().next().unwrap().clone();
-        let (values, _) = extract_one(&r, &mapping).unwrap();
-        assert_eq!(values, ["Seiko", "Casio"]);
-    }
-
-    #[test]
-    fn xpath_wrapper_extracts() {
-        let o = onto();
-        let r = registry();
-        let mut m = MappingModule::new();
-        m.register(
-            &o,
-            "thing.product.brand".parse().unwrap(),
-            ExtractionRule::XPath { path: "//w/brand/text()".into() },
-            "XML_7".into(),
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        let (values, _) = extract_one(&r, m.iter().next().unwrap()).unwrap();
-        assert_eq!(values, ["Orient", "Tissot"]);
-    }
-
-    #[test]
-    fn webl_wrapper_with_bound_page() {
-        let o = onto();
-        let r = registry();
-        let mut m = MappingModule::new();
-        m.register(
-            &o,
-            "thing.product.brand".parse().unwrap(),
-            ExtractionRule::Webl {
-                program: r#"
-                    var m = Str_Search(Text(PAGE), "<p><b>" + `[0-9a-zA-Z']+`);
-                    var parts = Str_Split(m[0][0], "<>");
-                    var brand = parts[2];
-                "#
-                .into(),
-            },
-            "wpage_81".into(),
-            RecordScenario::SingleRecord,
-        )
-        .unwrap();
-        let (values, _) = extract_one(&r, m.iter().next().unwrap()).unwrap();
-        assert_eq!(values, ["Seiko"]);
-    }
-
-    #[test]
-    fn text_regex_wrapper_multi_match() {
-        let o = onto();
-        let r = registry();
-        let mut m = MappingModule::new();
-        m.register(
-            &o,
-            "thing.product.brand".parse().unwrap(),
-            ExtractionRule::TextRegex { pattern: r"brand: (\w+)".into(), group: 1 },
-            "txt_1".into(),
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        let (values, _) = extract_one(&r, m.iter().next().unwrap()).unwrap();
-        assert_eq!(values, ["Fossil", "Timex"]);
-    }
-
-    #[test]
     fn single_record_truncates() {
         let o = onto();
         let r = registry();
@@ -1147,51 +991,6 @@ mod tests {
         .unwrap();
         let (values, _) = extract_one(&r, m.iter().next().unwrap()).unwrap();
         assert_eq!(values, ["Fossil"]);
-    }
-
-    #[test]
-    fn regex_group_that_sat_out_a_match_is_skipped_not_an_error() {
-        let o = onto();
-        let r = registry();
-        let extract = |group| {
-            let mut m = MappingModule::new();
-            m.register(
-                &o,
-                "thing.product.brand".parse().unwrap(),
-                ExtractionRule::TextRegex { pattern: r"brand: (F\w+)|brand: (T\w+)".into(), group },
-                "txt_1".into(),
-                RecordScenario::MultiRecord,
-            )
-            .unwrap();
-            let mapping = m.iter().next().unwrap().clone();
-            extract_one(&r, &mapping).map(|(values, _)| values)
-        };
-        // Each match goes through one side of the alternation only.
-        assert_eq!(extract(0).unwrap(), ["brand: Fossil", "brand: Timex"]);
-        assert_eq!(extract(1).unwrap(), ["Fossil"]);
-        assert_eq!(extract(2).unwrap(), ["Timex"]);
-        let err = extract(3).expect_err("the pattern has two groups");
-        assert_eq!(err.code(), "s2s::regex::no_such_group");
-        assert_eq!(err.failure_class(), FailureClass::Permanent);
-    }
-
-    #[test]
-    fn rule_source_mismatch_detected() {
-        let o = onto();
-        let r = registry();
-        let mut m = MappingModule::new();
-        m.register(
-            &o,
-            "thing.product.brand".parse().unwrap(),
-            ExtractionRule::Sql { query: "SELECT 1".into(), column: "a".into() },
-            "wpage_81".into(),
-            RecordScenario::SingleRecord,
-        )
-        .unwrap();
-        assert!(matches!(
-            extract_one(&r, m.iter().next().unwrap()),
-            Err(S2sError::RuleSourceMismatch { .. })
-        ));
     }
 
     #[test]

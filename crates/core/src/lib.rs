@@ -46,10 +46,10 @@ pub mod mapping;
 pub mod middleware;
 pub mod planner;
 pub mod query;
-mod rules;
 pub mod source;
 pub mod spec;
 pub mod view;
+mod wrapper;
 
 pub use bootstrap::{
     BootstrapReport, ClassCandidate, Conflict, MappingCandidate, SchemaField, SchemaSummary,

@@ -24,8 +24,8 @@ use s2s_owl::{AttributePath, Ontology};
 use s2s_rdf::Iri;
 
 use crate::error::S2sError;
-use crate::rules::{CompiledRule, CompiledSlot};
-use crate::source::{SourceId, SourceKind};
+use crate::source::SourceId;
+use crate::wrapper::CompiledSlot;
 
 /// An extraction rule, written in the language fitting the source type
 /// (paper §2.3.1 step 2: SQL for databases, XPath for XML, WebL for web
@@ -67,20 +67,6 @@ pub enum ExtractionRule {
 }
 
 impl ExtractionRule {
-    /// The source kinds this rule can run against.
-    pub fn compatible_with(&self, kind: SourceKind) -> bool {
-        matches!(
-            (self, kind),
-            (ExtractionRule::Sql { .. }, SourceKind::Database)
-                | (ExtractionRule::XPath { .. }, SourceKind::Xml)
-                | (ExtractionRule::XQuery { .. }, SourceKind::Xml)
-                | (ExtractionRule::Webl { .. }, SourceKind::WebPage)
-                | (ExtractionRule::Webl { .. }, SourceKind::TextFile)
-                | (ExtractionRule::TextRegex { .. }, SourceKind::TextFile)
-                | (ExtractionRule::TextRegex { .. }, SourceKind::WebPage)
-        )
-    }
-
     /// The rule text (used for wire-size accounting).
     pub fn text(&self) -> &str {
         match self {
@@ -100,29 +86,6 @@ impl ExtractionRule {
             ExtractionRule::XQuery { .. } => "xquery",
             ExtractionRule::Webl { .. } => "webl",
             ExtractionRule::TextRegex { .. } => "regex",
-        }
-    }
-
-    /// The single source-side field this rule reads, when that is
-    /// statically knowable: the SQL result column, or the element named
-    /// by a simple XPath step ending in `text()`. `None` means the rule
-    /// may read anything (WebL programs, regexes, complex XPaths) — the
-    /// incremental-maintenance layer then treats *every* change event
-    /// as touching it, which is conservative but sound.
-    pub fn touched_field(&self) -> Option<&str> {
-        match self {
-            ExtractionRule::Sql { column, .. } => Some(column),
-            ExtractionRule::XPath { path } => {
-                let mut steps: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-                if steps.last() == Some(&"text()") {
-                    steps.pop();
-                }
-                let last = steps.last()?;
-                let simple = !last.is_empty()
-                    && last.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-');
-                simple.then_some(*last)
-            }
-            _ => None,
         }
     }
 }
@@ -149,7 +112,8 @@ pub struct AttributeMapping {
     rule: ExtractionRule,
     source: SourceId,
     scenario: RecordScenario,
-    compiled: CompiledSlot,
+    /// The rule compiled by its source kind's wrapper on first use.
+    pub(crate) compiled: CompiledSlot,
 }
 
 impl AttributeMapping {
@@ -189,17 +153,6 @@ impl AttributeMapping {
     /// scenario) without re-resolving the path against the ontology.
     pub fn with_rule(&self, rule: ExtractionRule) -> AttributeMapping {
         AttributeMapping { rule, compiled: CompiledSlot::default(), ..self.clone() }
-    }
-
-    /// The rule's compiled form, compiled on the first call and shared
-    /// by every later one.
-    ///
-    /// # Errors
-    ///
-    /// The rule's own parse/compile error ([`S2sError::Db`], XML, WebL,
-    /// regex, or [`S2sError::NoSuchRegexGroup`]), again on every call.
-    pub(crate) fn compiled(&self) -> Result<&CompiledRule, S2sError> {
-        self.compiled.get(&self.rule)
     }
 }
 
@@ -310,6 +263,7 @@ impl MappingModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wrapper::CompiledRule;
     use s2s_owl::Ontology;
 
     fn onto() -> Ontology {
@@ -531,104 +485,38 @@ mod tests {
         mapping
     }
 
+    fn source(xml: bool) -> crate::source::Connection {
+        use crate::source::Connection;
+        if xml {
+            Connection::Xml { document: Arc::new(s2s_xml::parse("<c/>").unwrap()) }
+        } else {
+            Connection::Database { db: Arc::new(s2s_minidb::Database::new("d")) }
+        }
+    }
+
     #[test]
     fn a_mapping_compiles_once_and_a_new_rule_compiles_afresh() {
+        let xml = source(true);
+        let compiled = |m| crate::wrapper::compiled(&xml, m).unwrap();
         let m = mapping(ExtractionRule::XPath { path: "//w/brand/text()".into() });
         let (CompiledRule::XPath(first), CompiledRule::XPath(second)) =
-            (m.compiled().unwrap(), m.compiled().unwrap())
+            (compiled(&m), compiled(&m))
         else {
             panic!("an XPath rule compiles to an XPath");
         };
         assert!(Arc::ptr_eq(first, second), "the second call compiled again");
         let edited = m.with_rule(ExtractionRule::XPath { path: "//w/case/text()".into() });
-        let CompiledRule::XPath(fresh) = edited.compiled().unwrap() else { panic!() };
+        let CompiledRule::XPath(fresh) = compiled(&edited) else { panic!() };
         assert!(!Arc::ptr_eq(first, fresh), "with_rule kept the old compiled form");
         assert_eq!(edited, m.with_rule(edited.rule().clone()), "the compiled form is not compared");
     }
 
     #[test]
-    fn sql_compiles_to_prepared_select_with_its_column() {
-        let m =
-            mapping(ExtractionRule::Sql { query: "SELECT a FROM t".into(), column: "a".into() });
-        let Ok(CompiledRule::Sql { stmt, column }) = m.compiled() else { panic!("expected Sql") };
-        assert_eq!((stmt.table.as_str(), column.as_str()), ("t", "a"));
-    }
-
-    #[test]
     fn a_bad_rule_errors_on_every_use() {
+        let db = source(false);
         let m = mapping(ExtractionRule::Sql { query: "DROP TABLE t".into(), column: "c".into() });
-        let first = m.compiled().unwrap_err();
+        let first = crate::wrapper::compiled(&db, &m).unwrap_err();
         assert_eq!(first.code(), "s2s::db");
-        assert_eq!(m.compiled().unwrap_err(), first);
-    }
-
-    #[test]
-    fn hostile_regex_nesting_is_a_coded_error() {
-        // Deep enough to overflow the stack of an uncapped parser.
-        let pattern = format!("{}a{}", "(".repeat(200_000), ")".repeat(200_000));
-        let m = mapping(ExtractionRule::TextRegex { pattern, group: 1 });
-        let err = m.compiled().unwrap_err();
-        assert_eq!(err.code(), "s2s::webdoc");
-        assert!(matches!(err, S2sError::Webdoc(s2s_webdoc::WebdocError::BadRegex { .. })));
-    }
-
-    #[test]
-    fn hostile_regex_groups_are_a_coded_error() {
-        // 31 KB of pattern whose search of `bbbb` took 1.9 s and 1.96 GB
-        // before the thread table was bounded.
-        let pattern = vec!["(a)"; 8_000].join("|");
-        let m = mapping(ExtractionRule::TextRegex { pattern, group: 1 });
-        let started = std::time::Instant::now();
-        let err = m.compiled().unwrap_err();
-        let took = started.elapsed();
-        assert!(took < std::time::Duration::from_millis(100), "refused after {took:?}");
-        assert_eq!(err.code(), "s2s::webdoc");
-        assert!(err.help().unwrap().contains("(?:...)"));
-        assert!(err.to_string().contains("thread table"), "{err}");
-        assert!(matches!(err, S2sError::Webdoc(s2s_webdoc::WebdocError::BadRegex { .. })));
-    }
-
-    #[test]
-    fn a_group_past_the_pattern_is_a_compile_error() {
-        let m = mapping(ExtractionRule::TextRegex { pattern: "a(b)".into(), group: 2 });
-        let err = m.compiled().unwrap_err();
-        assert_eq!(err.code(), "s2s::regex::no_such_group");
-        assert!(matches!(err, S2sError::NoSuchRegexGroup { group: 2, groups: 1, .. }), "{err:?}");
-        let m = m.with_rule(ExtractionRule::TextRegex { pattern: "a(b)".into(), group: 1 });
-        assert!(matches!(m.compiled(), Ok(CompiledRule::Regex { group: 1, .. })));
-    }
-
-    #[test]
-    fn touched_field_extraction() {
-        let sql =
-            ExtractionRule::Sql { query: "SELECT brand FROM w".into(), column: "brand".into() };
-        assert_eq!(sql.touched_field(), Some("brand"));
-        let xp = ExtractionRule::XPath { path: "/catalog/watch/price/text()".into() };
-        assert_eq!(xp.touched_field(), Some("price"));
-        let xp2 = ExtractionRule::XPath { path: "//watch/case_m".into() };
-        assert_eq!(xp2.touched_field(), Some("case_m"));
-        let wild = ExtractionRule::XPath { path: "//watch/*/text()".into() };
-        assert_eq!(wild.touched_field(), None);
-        let webl = ExtractionRule::Webl { program: "1;".into() };
-        assert_eq!(webl.touched_field(), None);
-        let rx = ExtractionRule::TextRegex { pattern: "brand: (\\w+)".into(), group: 1 };
-        assert_eq!(rx.touched_field(), None);
-    }
-
-    #[test]
-    fn rule_compatibility_matrix() {
-        let sql = ExtractionRule::Sql { query: "SELECT 1".into(), column: "a".into() };
-        assert!(sql.compatible_with(SourceKind::Database));
-        assert!(!sql.compatible_with(SourceKind::WebPage));
-        let xp = ExtractionRule::XPath { path: "//a".into() };
-        assert!(xp.compatible_with(SourceKind::Xml));
-        assert!(!xp.compatible_with(SourceKind::Database));
-        let webl = ExtractionRule::Webl { program: "1;".into() };
-        assert!(webl.compatible_with(SourceKind::WebPage));
-        assert!(webl.compatible_with(SourceKind::TextFile));
-        let rx = ExtractionRule::TextRegex { pattern: "a".into(), group: 0 };
-        assert!(rx.compatible_with(SourceKind::TextFile));
-        assert!(rx.compatible_with(SourceKind::WebPage));
-        assert!(!rx.compatible_with(SourceKind::Xml));
+        assert_eq!(crate::wrapper::compiled(&db, &m).unwrap_err(), first);
     }
 }

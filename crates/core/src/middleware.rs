@@ -950,13 +950,13 @@ impl S2s {
                                 .clone();
                             match events {
                                 Some(events) => {
-                                    let touched = match s.mapping.rule().touched_field() {
-                                        Some(field) => events.iter().any(|e| e.touches(field)),
-                                        // The rule's footprint is not
-                                        // statically knowable: every
-                                        // event touches it.
-                                        None => true,
-                                    };
+                                    let touched = registry.get(sid).is_none_or(|src| {
+                                        crate::wrapper::touched_by(
+                                            src.connection(),
+                                            &s.mapping,
+                                            &events,
+                                        )
+                                    });
                                     if touched {
                                         view_refreshes += 1;
                                         true
@@ -1906,28 +1906,6 @@ mod tests {
         );
     }
 
-    /// Past 2^53 the mediator's `f64` comparison calls neighbouring
-    /// integers equal while SQL compares them exactly: such a literal
-    /// must stay in the residual, or pushdown loses the row.
-    #[test]
-    fn pushdown_keeps_inexact_integer_literals_residual() {
-        let mut db = Database::new("d");
-        db.execute("CREATE TABLE w (price INTEGER)").unwrap();
-        db.execute("INSERT INTO w VALUES (9007199254740993)").unwrap();
-        let mut s2s = S2s::new(ontology()).with_pushdown();
-        s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
-        s2s.register_attribute(
-            "thing.product.watch.price",
-            ExtractionRule::Sql { query: "SELECT price FROM w".into(), column: "price".into() },
-            "DB",
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        let out = s2s.query("SELECT watch WHERE price = 9007199254740992").unwrap();
-        assert_eq!(out.individuals().len(), 1, "equal as f64, as with the planner off");
-        assert_eq!(out.pushdown.expect("planner ran").pushed_predicates(), 0);
-    }
-
     #[test]
     fn pushdown_prunes_source_missing_required_property() {
         let s2s = deploy().with_pushdown();
@@ -1958,52 +1936,6 @@ mod tests {
         assert!(pushed.stats.wire_bytes < baseline.stats.wire_bytes);
         let plan = pushed.pushdown.as_ref().expect("planner ran");
         assert!(plan.sources.values().any(|s| s.projected_out > 0));
-    }
-
-    /// A multi-record plain-text source: predicate pushing must guard
-    /// the WebL/regex rules with `Where` masks.
-    fn deploy_multirecord_text() -> S2s {
-        let mut web = WebStore::new();
-        web.register_text(
-            "http://files/list.txt",
-            "brand: Alpha\nprice: 40\nbrand: Beta\nprice: 150\nbrand: Gamma\nprice: 90\n",
-        );
-        let mut s2s = S2s::new(ontology());
-        s2s.register_source(
-            "txt_list",
-            Connection::Text { store: Arc::new(web), url: "http://files/list.txt".into() },
-        )
-        .unwrap();
-        s2s.register_attribute(
-            "thing.product.watch.brand",
-            ExtractionRule::TextRegex { pattern: r"brand: (\w+)".into(), group: 1 },
-            "txt_list",
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        s2s.register_attribute(
-            "thing.product.watch.price",
-            ExtractionRule::TextRegex { pattern: r"price: (\d+)".into(), group: 1 },
-            "txt_list",
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        s2s
-    }
-
-    #[test]
-    fn pushdown_guards_multirecord_text_rules() {
-        let q = "SELECT watch WHERE price<100";
-        let baseline = deploy_multirecord_text().query(q).unwrap();
-        let pushed = deploy_multirecord_text().with_pushdown().query(q).unwrap();
-        assert_eq!(baseline.individuals().len(), 2, "Alpha and Gamma");
-        assert_eq!(fingerprint(&baseline), fingerprint(&pushed));
-        let plan = pushed.pushdown.as_ref().expect("planner ran");
-        assert_eq!(plan.sources["txt_list"].pushed, vec!["price < 100"]);
-        assert!(
-            pushed.stats.wire_response_bytes < baseline.stats.wire_response_bytes,
-            "the Where mask must trim Beta off the wire"
-        );
     }
 
     #[test]

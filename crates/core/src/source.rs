@@ -112,12 +112,7 @@ pub enum Connection {
 impl Connection {
     /// The source kind this connection serves.
     pub fn kind(&self) -> SourceKind {
-        match self {
-            Connection::Database { .. } => SourceKind::Database,
-            Connection::Xml { .. } => SourceKind::Xml,
-            Connection::Web { .. } => SourceKind::WebPage,
-            Connection::Text { .. } => SourceKind::TextFile,
-        }
+        crate::wrapper::with(self, |w| w.kind())
     }
 }
 
@@ -218,14 +213,7 @@ impl SourceRegistry {
         id: impl Into<SourceId>,
         connection: Connection,
     ) -> Result<(), S2sError> {
-        let id = id.into();
-        let endpoint = Arc::new(Endpoint::new(
-            id.as_str(),
-            CostModel::instant(),
-            FailureModel::reliable(),
-            stable_seed(id.as_str()),
-        ));
-        self.insert(id, connection, endpoint)
+        self.register_remote(id, connection, CostModel::instant(), FailureModel::reliable())
     }
 
     /// Registers a remote source behind a simulated endpoint.
@@ -242,10 +230,7 @@ impl SourceRegistry {
         cost: CostModel,
         failure: FailureModel,
     ) -> Result<(), S2sError> {
-        let id = id.into();
-        let endpoint =
-            Arc::new(Endpoint::new(id.as_str(), cost, failure, stable_seed(id.as_str())));
-        self.insert(id, connection, endpoint)
+        self.register_remote_detailed(id, connection, cost, failure, None, FaultSchedule::new())
     }
 
     /// Registers a remote source with full control over the endpoint's

@@ -1,34 +1,17 @@
-//! Materialized semantic views.
-//!
-//! A view is one `(source, attribute path)` slice of the ontology
-//! instance space: the value list a mapping's rule extracted, stamped
-//! with the source data version it reflects. A passive `(source,
-//! rule)` memo must be *invalidated* from the outside when a source
-//! mutates; views maintain themselves against the source's change feed:
-//!
-//! * version matches the source → serve directly (**view hit**);
-//! * version behind → poll the feed since the view's version. If no
-//!   retained event touches the rule's source-side field
-//!   ([`crate::mapping::ExtractionRule::touched_field`]), the view is
-//!   provably unaffected: advance its version without re-extraction
-//!   (still a hit — the poll is the only wire cost). Otherwise
-//!   re-extract just this slice (**refresh**);
-//! * feed gap (the mutation history was truncated past the view's
-//!   version) → the delta is unsound; fall back to a full re-extract
-//!   (**full refresh**).
-//!
-//! Soundness leans conservative everywhere a static answer is
-//! unavailable: a rule whose touched field is unknowable treats every
-//! event as touching it, and an event that names no fields is treated
-//! as touching everything. Views therefore never serve values a
-//! recompute-from-scratch would not produce — the property the
-//! `s2s-conform` delta oracle checks under fuzzed mutation
-//! interleavings.
-//!
-//! Keys are `(source, path)`, one entry per mapped slice, so the map is
-//! bounded by the deployment's mapping count; the entry stores its rule
-//! text, and a lookup under a different rule (a mapping edit, or a
-//! pushdown rewrite) is a miss that the next store overwrites.
+//! Materialized semantic views: one `(source, attribute path)` slice —
+//! the values a mapping's rule extracted — stamped with the source
+//! version it reflects, kept current against the source's change feed
+//! (DESIGN.md §4k). A current slice is served (a **hit**); a stale one
+//! whose retained events name no field the rule reads (the source
+//! kind's wrapper computes the read set from the compiled rule; a rule
+//! with an unknowable one, or an event naming no field, touches
+//! everything) is advanced without re-extraction (still a hit);
+//! otherwise the slice is re-extracted (a **refresh**), from scratch
+//! after a feed gap (a **full refresh**). Views therefore never serve
+//! values a recompute would not produce — what the `s2s-conform` delta
+//! oracles check. An entry stores its rule text, so a lookup under a
+//! different rule (an edit, a pushdown rewrite) misses and the next
+//! store overwrites it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

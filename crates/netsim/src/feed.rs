@@ -82,10 +82,12 @@ pub struct ChangeEvent {
 
 impl ChangeEvent {
     /// Whether this event may have changed the given source-side field.
+    /// Names compare ASCII-case-insensitively, as SQL columns resolve
+    /// (for case-sensitive element names that can only over-report).
     ///
     /// An empty field set is conservative: it touches everything.
     pub fn touches(&self, field: &str) -> bool {
-        self.fields.is_empty() || self.fields.iter().any(|f| f == field)
+        self.fields.is_empty() || self.fields.iter().any(|f| f.eq_ignore_ascii_case(field))
     }
 }
 
@@ -309,6 +311,7 @@ mod tests {
         let narrow =
             ChangeEvent { version: 2, kind: ChangeKind::RowUpdate, fields: vec!["price".into()] };
         assert!(narrow.touches("price"));
+        assert!(narrow.touches("Price"), "a SQL column spelled another way");
         assert!(!narrow.touches("brand"));
     }
 

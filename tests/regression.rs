@@ -558,3 +558,159 @@ fn a_padded_number_compares_as_the_number_it_is_emitted_as() {
         assert_eq!(emitted, expected, "{query}");
     }
 }
+
+/// A `Product` ontology with a string `brand` and a decimal `price`.
+fn brand_price_ontology() -> Ontology {
+    use s2s::rdf::vocab::xsd;
+    Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("brand", "Product", xsd::STRING)
+        .unwrap()
+        .datatype_property("price", "Product", xsd::DECIMAL)
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// An answer as sorted `(brand, price)` rows, `-` for a missing value.
+fn brand_price_rows(outcome: &s2s::core::middleware::QueryOutcome) -> Vec<(String, String)> {
+    let value = |i: &s2s::core::instance::Individual, property: &str| {
+        let found = i.values.iter().find(|(p, _)| p.local_name() == property);
+        found.and_then(|(_, v)| v.first().cloned()).unwrap_or_else(|| "-".into())
+    };
+    let mut rows: Vec<(String, String)> =
+        outcome.individuals().iter().map(|i| (value(i, "brand"), value(i, "price"))).collect();
+    rows.sort();
+    rows
+}
+
+/// `(brand, price)` records as a `w` table (`id` is the record order).
+fn watch_table(records: &[(&str, i64)]) -> Connection {
+    let mut db = Database::new("d");
+    db.execute("CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT, price INTEGER)").unwrap();
+    for (i, (brand, price)) in records.iter().enumerate() {
+        db.execute(&format!("INSERT INTO w VALUES ({}, '{brand}', {price})", i + 1)).unwrap();
+    }
+    Connection::Database { db: Arc::new(db) }
+}
+
+/// `(brand, price)` records as `<c><w><brand/><price/></w>…</c>`.
+fn watch_document(records: &[(&str, i64)]) -> Connection {
+    let mut xml = String::from("<c>");
+    for (brand, price) in records {
+        xml.push_str(&format!("<w><brand>{brand}</brand><price>{price}</price></w>"));
+    }
+    xml.push_str("</c>");
+    Connection::Xml { document: Arc::new(s2s::xml::parse(&xml).unwrap()) }
+}
+
+/// Runs one case of the stale-slice repro: a views engine over
+/// `before` answers `query`, Casio's price moves from 150 to 60 with the
+/// change event honestly naming `price`, and the views engine must then
+/// answer like a freshly built one over the mutated data.
+///
+/// A view slice was advanced, not refreshed, whenever no event named the
+/// one field its rule's *result* came from — the SQL result column, or an
+/// XPath's last step. A rule that filters on another field reads that
+/// field too: the price change brings Casio into `price < 100`, so the
+/// `brand` slice must be refreshed. The views engine served the old
+/// brand slice beside the refreshed price slice, Casio's brand lost and
+/// its price orphaned: `{(Seiko, 50), (-, 60)}`.
+fn assert_a_filtered_slice_is_refreshed(
+    source: fn(&[(&str, i64)]) -> Connection,
+    change: s2s::netsim::ChangeKind,
+    pushdown: bool,
+    rules: [ExtractionRule; 2],
+    query: &str,
+) {
+    let before = [("Seiko", 50), ("Casio", 150)];
+    let after = [("Seiko", 50), ("Casio", 60)];
+    let build = |records: &[(&str, i64)], views: bool| {
+        let mut s2s = S2s::new(brand_price_ontology());
+        if views {
+            s2s = s2s.with_views();
+        }
+        if pushdown {
+            s2s = s2s.with_pushdown();
+        }
+        s2s.register_source("SRC", source(records)).unwrap();
+        for (attribute, rule) in ["brand", "price"].into_iter().zip(rules.clone()) {
+            let path = format!("thing.product.{attribute}");
+            s2s.register_attribute(&path, rule, "SRC", RecordScenario::MultiRecord).unwrap();
+        }
+        s2s
+    };
+    let viewed = build(&before, true);
+    assert_eq!(brand_price_rows(&viewed.query(query).unwrap()), [("Seiko".into(), "50".into())]);
+    viewed.mutate_source("SRC", source(&after), change, vec!["price".into()]).unwrap();
+    let fresh = brand_price_rows(&build(&after, false).query(query).unwrap());
+    assert_eq!(fresh, [("Casio".to_string(), "60".to_string()), ("Seiko".into(), "50".into())]);
+    assert_eq!(brand_price_rows(&viewed.query(query).unwrap()), fresh);
+}
+
+fn sql_scan(column: &str, filter: &str) -> ExtractionRule {
+    ExtractionRule::Sql {
+        query: format!("SELECT {column} FROM w {filter}ORDER BY id"),
+        column: column.into(),
+    }
+}
+
+/// A hand-written SQL rule with a `WHERE`, views alone; the column is
+/// also spelled as the event does not spell it, since SQL resolves
+/// names case-insensitively.
+#[test]
+fn a_view_refreshes_a_sql_slice_whose_where_reads_the_changed_column() {
+    for filtered in ["WHERE price < 100 ", "WHERE Price < 100 "] {
+        let rules = [sql_scan("brand", filtered), sql_scan("price", filtered)];
+        let change = s2s::netsim::ChangeKind::RowUpdate;
+        assert_a_filtered_slice_is_refreshed(watch_table, change, false, rules, "SELECT product");
+    }
+}
+
+/// Plain SQL rules that the planner pushes `price < 100` into.
+#[test]
+fn a_view_refreshes_a_pushed_sql_slice_when_the_pushed_column_changes() {
+    let rules = [sql_scan("brand", ""), sql_scan("price", "")];
+    let change = s2s::netsim::ChangeKind::RowUpdate;
+    let query = "SELECT product WHERE price < 100";
+    assert_a_filtered_slice_is_refreshed(watch_table, change, true, rules, query);
+}
+
+/// The same over XML, where the pushed conjunct is an XPath predicate.
+#[test]
+fn a_view_refreshes_a_pushed_xpath_slice_when_the_guard_element_changes() {
+    let xpath = |step: &str| ExtractionRule::XPath { path: format!("/c/w/{step}/text()") };
+    let change = s2s::netsim::ChangeKind::NodeEdit;
+    let query = "SELECT product WHERE price < 100";
+    let rules = [xpath("brand"), xpath("price")];
+    assert_a_filtered_slice_is_refreshed(watch_document, change, true, rules, query);
+}
+
+/// The bootstrap proposed `price: ([0-9.]+)` for a labelled text field
+/// whose samples it had accepted as numbers (`-5` parses as `f64`): the
+/// pattern skipped `-5`, so alpha was answered with beta's price and
+/// beta with none, at completeness 1.0 and no error. A proposed pattern
+/// captures each value whole, whatever its spelling.
+#[test]
+fn a_bootstrapped_text_rule_captures_signed_and_exponent_numbers() {
+    let export = "brand: alpha | price: -5\nbrand: beta | price: 7\n\
+                  brand: gamma | price: +5\nbrand: delta | price: 1e3\n";
+    let mut files = s2s::webdoc::WebStore::new();
+    files.register_text("file:///export.txt", export);
+    let mut s2s = S2s::new(brand_price_ontology());
+    let connection = Connection::Text { store: Arc::new(files), url: "file:///export.txt".into() };
+    s2s.register_source("TXT", connection).unwrap();
+    let report = s2s.register_bootstrapped("TXT").unwrap();
+    assert_eq!(report.candidates.iter().filter(|c| c.applied).count(), 2, "{report:?}");
+
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert!(outcome.errors().is_empty(), "{:?}", outcome.errors());
+    assert_eq!(outcome.stats.completeness, 1.0);
+    let rows: Vec<(String, String)> =
+        [("alpha", "-5"), ("beta", "7"), ("delta", "1e3"), ("gamma", "+5")]
+            .iter()
+            .map(|(b, p)| (b.to_string(), p.to_string()))
+            .collect();
+    assert_eq!(brand_price_rows(&outcome), rows);
+}
