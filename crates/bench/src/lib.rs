@@ -1773,7 +1773,7 @@ mod tests {
         let db = catalog_db(&recs);
         assert_eq!(db.query("SELECT * FROM watches").unwrap().len(), 20);
         let xml = catalog_xml(&recs);
-        assert_eq!(s2s_xml::xpath::XPath::new("//watch").unwrap().eval_from(&xml.root).len(), 20);
+        assert_eq!(s2s_xml::xpath::XPath::new("//watch").unwrap().eval(&xml).len(), 20);
         let html = catalog_html(&recs);
         assert_eq!(html.matches("<li>").count(), 20);
         let text = catalog_text(&recs);

@@ -184,6 +184,7 @@ impl S2sError {
             S2sError::Db(DbError::NestingTooDeep { .. }) => "s2s::db::nesting_too_deep",
             S2sError::Db(_) => "s2s::db",
             S2sError::Xml(XmlError::NestingTooDeep { .. }) => "s2s::xml::nesting_too_deep",
+            S2sError::Xml(XmlError::TooLarge { .. }) => "s2s::xml::too_large",
             S2sError::Xml(_) => "s2s::xml",
             S2sError::Webdoc(WebdocError::NestingTooDeep { .. }) => "s2s::webl::nesting_too_deep",
             S2sError::Webdoc(_) => "s2s::webdoc",
@@ -228,6 +229,9 @@ impl S2sError {
                  deeper than the parser's cap; have the provider flatten the export, or \
                  flatten the rule's concat into one call with more arguments",
             ),
+            S2sError::Xml(XmlError::TooLarge { .. }) => {
+                Some("split the source's document: the parser takes up to 4 GiB of XML")
+            }
             S2sError::Webdoc(WebdocError::NestingTooDeep { .. }) => {
                 Some("flatten the WebL rule: bind nested sub-expressions to variables with `var`")
             }
@@ -397,6 +401,9 @@ mod tests {
         let deep_xml = S2sError::Xml(XmlError::NestingTooDeep { position: 9, limit: 250 });
         assert_eq!(deep_xml.code(), "s2s::xml::nesting_too_deep");
         assert!(deep_xml.help().unwrap().contains("flatten"));
+        let large_xml = S2sError::Xml(XmlError::TooLarge { len: 1 << 32, limit: (1 << 32) - 1 });
+        assert_eq!(large_xml.code(), "s2s::xml::too_large");
+        assert!(large_xml.help().unwrap().contains("split"));
 
         let deep_query = S2sError::QueryNestingTooDeep { limit: 250 };
         assert_eq!(deep_query.code(), "s2s::query::nesting_too_deep");

@@ -728,39 +728,73 @@ pub fn render(set: &InstanceSet, ontology: &Ontology, format: OutputFormat) -> S
     }
 }
 
+/// The document `s2s_xml::serialize` would write for the instance tree,
+/// written straight into the output: an `instances` root, one element
+/// per individual with a child per value, one `error` element per
+/// failed extraction, two spaces of indent per level.
 fn render_xml(set: &InstanceSet) -> String {
-    use s2s_xml::Element;
-    let mut root = Element::new("instances");
+    use s2s_xml::{escape_attribute, escape_text};
+    let attribute = |out: &mut String, name: &str, value: &str| {
+        out.push(' ');
+        out.push_str(name);
+        out.push_str("=\"");
+        escape_attribute(value, out);
+        out.push('"');
+    };
+    let mut out = String::from(s2s_xml::writer::DECLARATION);
+    out.push_str("<instances");
     // Degraded results carry their completeness so consumers can tell
     // a partial answer from a full one (§2.6 error reporting).
     if set.completeness < 1.0 {
-        root = root.with_attribute("completeness", format!("{:.3}", set.completeness));
+        attribute(&mut out, "completeness", &format!("{:.3}", set.completeness));
     }
     // Execution-cost telemetry (how many wire exchanges produced this
     // set), omitted when zero.
     if set.round_trips > 0 {
-        root = root.with_attribute("round-trips", set.round_trips.to_string());
+        attribute(&mut out, "round-trips", &set.round_trips.to_string());
     }
+    if set.individuals.is_empty() && set.errors.is_empty() {
+        out.push_str("/>\n");
+        return out;
+    }
+    out.push_str(">\n");
     for ind in &set.individuals {
-        let mut e = Element::new(ind.class.local_name().to_string())
-            .with_attribute("about", ind.iri.as_str())
-            .with_attribute("source", ind.source.clone());
+        let class = ind.class.local_name();
+        out.push_str("  <");
+        out.push_str(class);
+        attribute(&mut out, "about", ind.iri.as_str());
+        attribute(&mut out, "source", &ind.source);
+        if ind.values.values().all(Vec::is_empty) {
+            out.push_str("/>\n");
+            continue;
+        }
+        out.push_str(">\n");
         for (p, values) in &ind.values {
+            let property = p.local_name();
             for v in values {
-                e = e.with_child(Element::new(p.local_name().to_string()).with_text(v.clone()));
+                out.push_str("    <");
+                out.push_str(property);
+                out.push('>');
+                escape_text(v, &mut out);
+                out.push_str("</");
+                out.push_str(property);
+                out.push_str(">\n");
             }
         }
-        root = root.with_child(e);
+        out.push_str("  </");
+        out.push_str(class);
+        out.push_str(">\n");
     }
     for err in &set.errors {
-        root = root.with_child(
-            Element::new("error")
-                .with_attribute("attribute", err.attribute.clone())
-                .with_attribute("source", err.source.clone())
-                .with_text(err.error.to_string()),
-        );
+        out.push_str("  <error");
+        attribute(&mut out, "attribute", &err.attribute);
+        attribute(&mut out, "source", &err.source);
+        out.push('>');
+        escape_text(&err.error.to_string(), &mut out);
+        out.push_str("</error>\n");
     }
-    s2s_xml::serialize(&s2s_xml::Document::new(root))
+    out.push_str("</instances>\n");
+    out
 }
 
 fn render_text(set: &InstanceSet) -> String {

@@ -189,15 +189,15 @@ struct NsEnv {
 }
 
 impl NsEnv {
-    fn child_scope(&self, element: &s2s_xml::Element) -> NsEnv {
+    fn child_scope(&self, element: s2s_xml::Element<'_>) -> NsEnv {
         let mut scope = self.clone();
-        for (name, value) in &element.attributes {
+        for (name, value) in element.attributes() {
             if name == "xmlns" {
-                scope.bindings.insert(String::new(), value.clone());
+                scope.bindings.insert(String::new(), value.to_string());
             } else if let Some(prefix) = name.strip_prefix("xmlns:") {
-                scope.bindings.insert(prefix.to_string(), value.clone());
+                scope.bindings.insert(prefix.to_string(), value.to_string());
             } else if name == "xml:lang" {
-                scope.lang = if value.is_empty() { None } else { Some(value.clone()) };
+                scope.lang = if value.is_empty() { None } else { Some(value.to_string()) };
             }
         }
         scope
@@ -230,18 +230,19 @@ impl NsEnv {
 pub fn parse(input: &str) -> Result<Graph, RdfError> {
     let doc = s2s_xml::parse(input)
         .map_err(|e| RdfError::Parse { line: 0, message: format!("xml error: {e}") })?;
-    let env = NsEnv::default().child_scope(&doc.root);
-    let rdf_rdf = env.resolve(&doc.root.name).ok();
+    let root = doc.root();
+    let env = NsEnv::default().child_scope(root);
+    let rdf_rdf = env.resolve(root.name()).ok();
     let expected = Iri::new(format!("{}RDF", rdf::NS)).expect("valid");
     if rdf_rdf.as_ref() != Some(&expected) {
         return Err(RdfError::Parse {
             line: 0,
-            message: format!("root element is `{}`, expected rdf:RDF", doc.root.name),
+            message: format!("root element is `{}`, expected rdf:RDF", root.name()),
         });
     }
     let mut graph = Graph::new();
     let mut blank_counter = 0usize;
-    for node in doc.root.child_elements() {
+    for node in root.child_elements() {
         parse_node_element(node, &env, &mut graph, &mut blank_counter)?;
     }
     Ok(graph)
@@ -249,7 +250,7 @@ pub fn parse(input: &str) -> Result<Graph, RdfError> {
 
 /// Parses one node element; returns its subject term.
 fn parse_node_element(
-    element: &s2s_xml::Element,
+    element: s2s_xml::Element<'_>,
     parent_env: &NsEnv,
     graph: &mut Graph,
     blank_counter: &mut usize,
@@ -265,7 +266,7 @@ fn parse_node_element(
     };
 
     // A typed node element asserts rdf:type.
-    let elem_iri = env.resolve(&element.name)?;
+    let elem_iri = env.resolve(element.name())?;
     let description = Iri::new(format!("{}Description", rdf::NS)).expect("valid");
     if elem_iri != description {
         graph.insert(Triple::new(subject.clone(), rdf::type_(), elem_iri));
@@ -278,14 +279,14 @@ fn parse_node_element(
 }
 
 fn parse_property_element(
-    element: &s2s_xml::Element,
+    element: s2s_xml::Element<'_>,
     subject: &Term,
     parent_env: &NsEnv,
     graph: &mut Graph,
     blank_counter: &mut usize,
 ) -> Result<(), RdfError> {
     let env = parent_env.child_scope(element);
-    let predicate = env.resolve(&element.name)?;
+    let predicate = env.resolve(element.name())?;
 
     if let Some(resource) = element.attribute("rdf:resource") {
         let object = Term::Iri(Iri::new(resource)?);
@@ -298,8 +299,8 @@ fn parse_property_element(
         return Ok(());
     }
 
-    let nested: Vec<&s2s_xml::Element> = element.child_elements().collect();
-    if !nested.is_empty() {
+    let mut nested = element.child_elements().peekable();
+    if nested.peek().is_some() {
         for node in nested {
             let object = parse_node_element(node, &env, graph, blank_counter)?;
             graph.insert(Triple::new(subject.clone(), predicate.clone(), object));

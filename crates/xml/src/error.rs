@@ -22,6 +22,13 @@ pub enum XmlError {
         /// The cap ([`crate::parser::MAX_DEPTH`]).
         limit: usize,
     },
+    /// A document longer than the parser accepts.
+    TooLarge {
+        /// Length of the input in bytes.
+        len: usize,
+        /// The cap ([`crate::parser::MAX_INPUT`]).
+        limit: usize,
+    },
     /// Malformed XPath expression.
     BadXPath {
         /// The path text.
@@ -39,6 +46,9 @@ impl fmt::Display for XmlError {
             }
             XmlError::NestingTooDeep { position, limit } => {
                 write!(f, "xml parse error at byte {position}: nested deeper than {limit} levels")
+            }
+            XmlError::TooLarge { len, limit } => {
+                write!(f, "xml parse error: {len} bytes of input, more than {limit}")
             }
             XmlError::BadXPath { path, message } => {
                 write!(f, "bad xpath `{path}`: {message}")

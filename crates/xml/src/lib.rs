@@ -1,7 +1,8 @@
 //! # s2s-xml
 //!
-//! XML support for the S2S middleware: a well-formedness-checking parser,
-//! a lightweight DOM, an XPath subset for extraction rules, and a
+//! XML support for the S2S middleware: a well-formedness-checking parser
+//! into a read-only arena DOM (nodes indexed by `u32`, names interned,
+//! all text in one buffer), an XPath subset for extraction rules, and a
 //! serializer.
 //!
 //! The paper (§2.3.1, step 2) prescribes XPath/XQuery as the extraction
@@ -37,5 +38,5 @@ pub use dom::{Document, Element, Node};
 pub use error::XmlError;
 pub use parser::parse;
 pub use shape::{document_shape, DocumentShape, XmlField};
-pub use writer::{serialize, serialize_element};
+pub use writer::{escape_attribute, escape_text, serialize, serialize_element};
 pub use xpath::push_child_predicate;

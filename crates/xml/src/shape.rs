@@ -50,13 +50,13 @@ pub struct DocumentShape {
 /// Otherwise the root itself is treated as one record whose leaf
 /// children and attributes are the fields.
 pub fn document_shape(doc: &Document) -> DocumentShape {
-    let root = &doc.root;
-    let children: Vec<&Element> = root.child_elements().collect();
+    let root = doc.root();
+    let children: Vec<Element<'_>> = root.child_elements().collect();
     let homogeneous =
         !children.is_empty() && children.iter().all(|c| c.local_name() == children[0].local_name());
     if homogeneous {
         let mut fields: Vec<XmlField> = Vec::new();
-        for record in &children {
+        for &record in &children {
             collect_fields(record, &mut fields);
         }
         return DocumentShape {
@@ -78,8 +78,8 @@ pub fn document_shape(doc: &Document) -> DocumentShape {
 
 /// Merges one record element's attributes and leaf children into the
 /// accumulated field list, preserving first-appearance order.
-fn collect_fields(record: &Element, fields: &mut Vec<XmlField>) {
-    for (name, value) in &record.attributes {
+fn collect_fields(record: Element<'_>, fields: &mut Vec<XmlField>) {
+    for (name, value) in record.attributes() {
         push_sample(fields, name, true, value);
     }
     for child in record.child_elements() {

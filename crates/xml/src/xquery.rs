@@ -136,17 +136,17 @@ impl XQuery {
 
     /// Like [`XQuery::eval`], returning the matched elements instead of
     /// the return-clause strings (useful for chaining).
-    pub fn eval_bindings<'d>(&self, doc: &'d Document) -> Vec<&'d Element> {
+    pub fn eval_bindings<'d>(&self, doc: &'d Document) -> Vec<Element<'d>> {
         self.domain
             .eval(doc)
             .into_iter()
-            .filter(|b| self.conditions.iter().all(|c| c.matches(b)))
+            .filter(|&b| self.conditions.iter().all(|c| c.matches(b)))
             .collect()
     }
 }
 
 impl Cond {
-    fn matches(&self, binding: &Element) -> bool {
+    fn matches(&self, binding: Element<'_>) -> bool {
         let mut hit = false;
         match self {
             Cond::Compare { path, negated, value } => {
@@ -164,7 +164,7 @@ impl Cond {
 impl Ret {
     /// `each` is a trait object because `Concat` recurses with a sink of
     /// its own.
-    fn produce(&self, binding: &Element, each: &mut dyn FnMut(&str)) {
+    fn produce(&self, binding: Element<'_>, each: &mut dyn FnMut(&str)) {
         match self {
             Ret::Path(p) => p.each_string_from(binding, each),
             Ret::Literal(s) => each(s),

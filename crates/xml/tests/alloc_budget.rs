@@ -1,5 +1,6 @@
-//! Allocation budget of the XPath evaluator: an evaluation through the
-//! sink allocates a constant — nothing per string it hands over,
+//! Allocation budgets. The parser allocates per document, not per node:
+//! its arena's vectors grow by doubling. An XPath evaluation through
+//! the sink allocates a constant — nothing per string it hands over,
 //! nothing per node a predicate rejects — and the list form one
 //! `String` per string on top.
 
@@ -55,7 +56,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// `records` watches; every 50th is an `x` under 100.
-fn catalog(records: usize) -> Document {
+fn catalog_xml(records: usize) -> String {
     let mut xml = String::from("<catalog>");
     for i in 0..records {
         let (brand, price) = match i % 50 {
@@ -68,7 +69,29 @@ fn catalog(records: usize) -> Document {
         ));
     }
     xml.push_str("</catalog>");
-    s2s_xml::parse(&xml).unwrap()
+    xml
+}
+
+fn catalog(records: usize) -> Document {
+    s2s_xml::parse(&catalog_xml(records)).unwrap()
+}
+
+/// What parsing a document of a few distinct names may allocate: the
+/// arena's vectors, the text buffer, the name table and the open
+/// elements, each grown by doubling.
+const PARSE_BUDGET: usize = 100;
+
+#[test]
+fn parse_allocates_per_document_not_per_node() {
+    let (small, large) = (catalog_xml(2_000), catalog_xml(4_000));
+    let (doc, at_2k) = allocations(|| s2s_xml::parse(&small).unwrap());
+    assert_eq!(doc.node_count(), 1 + 2_000 * 5);
+    let (doc, at_4k) = allocations(|| s2s_xml::parse(&large).unwrap());
+    assert_eq!(doc.node_count(), 1 + 4_000 * 5);
+    // Twice the nodes: each vector that grows by doubling grows once
+    // more — 82 then 88 when this was written — and nothing per node.
+    assert!(at_2k <= PARSE_BUDGET, "{at_2k} allocations for 2 000 records");
+    assert!(at_4k <= at_2k + 8, "{at_2k} allocations at 2 000 records, {at_4k} at 4 000");
 }
 
 /// What an evaluation may allocate besides its output: the two step

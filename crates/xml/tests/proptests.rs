@@ -1,22 +1,43 @@
-//! Property tests: DOM serialization round-trips, XPath agrees with
-//! naive tree walks over random documents, and the step evaluator agrees
-//! with the one it replaced (`tests/reference`) on generated documents
-//! and paths.
+//! Property tests: the arena parser agrees with the parser it replaced
+//! (`tests/reference`) on generated documents and on byte-mutated
+//! copies of them — the same tree, or the same error at the same
+//! position with the same message — and the writer with the old writer;
+//! the XPath evaluator agrees with the tree evaluator on generated
+//! paths; serialization round-trips.
 
 mod reference;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use proptest::TestRng;
+use reference::dom as old;
+use s2s_xml::parser::MAX_DEPTH;
 use s2s_xml::xpath::XPath;
-use s2s_xml::{parse, serialize_element, Document, Element, Node};
+use s2s_xml::{parse, Document, Element, Node};
+
+/// The arena element as the old owned tree.
+fn owned(e: Element<'_>) -> old::Element {
+    old::Element {
+        name: e.name().to_string(),
+        attributes: e.attributes().map(|(n, v)| (n.to_string(), v.to_string())).collect(),
+        children: e
+            .children()
+            .map(|c| match c {
+                Node::Element(child) => old::Node::Element(owned(child)),
+                Node::Text(t) => old::Node::Text(t.to_string()),
+                Node::Comment(t) => old::Node::Comment(t.to_string()),
+            })
+            .collect(),
+    }
+}
 
 /// A random element tree, depth <= 3, tag names from a small alphabet so
 /// XPath queries have hits.
-fn arb_element() -> impl Strategy<Value = Element> {
+fn arb_element() -> impl Strategy<Value = old::Element> {
     let leaf = ("[abc]", "[ -~]{0,8}").prop_map(|(name, text)| {
-        let mut e = Element::new(name);
+        let mut e = old::Element::new(name);
         if !text.is_empty() {
-            e.children.push(Node::Text(text));
+            e.children.push(old::Node::Text(text));
         }
         e
     });
@@ -27,27 +48,32 @@ fn arb_element() -> impl Strategy<Value = Element> {
             proptest::collection::vec(inner, 0..4),
         )
             .prop_map(|(name, attrs, children)| {
-                let mut e = Element::new(name);
+                let mut e = old::Element::new(name);
                 for (i, (n, v)) in attrs.into_iter().enumerate() {
                     // De-duplicate attribute names.
                     e.attributes.push((format!("{n}{i}"), v));
                 }
                 for c in children {
-                    e.children.push(Node::Element(c));
+                    e.children.push(old::Node::Element(c));
                 }
                 e
             })
     })
 }
 
+/// Parses what the old writer wrote for `root`.
+fn reparsed(root: &old::Element) -> Document {
+    parse(&reference::writer::serialize_element(root)).unwrap()
+}
+
 /// Strips whitespace-only text nodes added by pretty-printing.
-fn strip_ws(e: &mut Element) {
+fn strip_ws(e: &mut old::Element) {
     e.children.retain(|c| match c {
-        Node::Text(t) => !t.trim().is_empty(),
+        old::Node::Text(t) => !t.trim().is_empty(),
         _ => true,
     });
     for c in &mut e.children {
-        if let Node::Element(el) = c {
+        if let old::Node::Element(el) = c {
             strip_ws(el);
         }
     }
@@ -55,13 +81,9 @@ fn strip_ws(e: &mut Element) {
 
 /// Also strip from the reference when comparing round-trips (the
 /// original may itself contain whitespace-only text nodes).
-fn normalized(mut e: Element) -> Element {
+fn normalized(mut e: old::Element) -> old::Element {
     strip_ws(&mut e);
     e
-}
-
-fn count_named(e: &Element, name: &str) -> usize {
-    e.descendants().iter().filter(|d| d.name == name).count()
 }
 
 fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
@@ -71,24 +93,118 @@ fn pick<'a>(rng: &mut TestRng, options: &[&'a str]) -> &'a str {
 const NAMES: [&str; 4] = ["a", "b", "a", "x:a"];
 const VALUES: [&str; 6] = ["1", "2", "10", "x", "xy", ""];
 
-/// A random element: few names and values so steps and predicates hit,
-/// with attributes, comments, nested same-name elements and mixed
-/// content (text split around children).
-fn element(rng: &mut TestRng, depth: usize) -> Element {
-    let mut e = Element::new(pick(rng, &NAMES));
-    for name in ["id", "k"] {
+/// Writes a random element: few names and values so steps and
+/// predicates hit, both quote styles, entity and character references,
+/// comments, processing instructions, CDATA sections (empty ones too)
+/// next to text runs, non-ASCII text and whitespace, nested same-name
+/// elements.
+fn element(rng: &mut TestRng, depth: usize, out: &mut String) {
+    let name = pick(rng, &NAMES);
+    out.push('<');
+    out.push_str(name);
+    for attribute in ["id", "k"] {
         if rng.below(3) == 0 {
-            e.attributes.push((name.to_string(), pick(rng, &VALUES).to_string()));
+            let q = pick(rng, &["'", "\""]);
+            let space = pick(rng, &[" ", "\n ", " \u{a0}"]);
+            out.push_str(&format!("{space}{attribute} = {q}{}{q}", value(rng)));
         }
     }
-    for _ in 0..rng.below(if depth == 0 { 3 } else { 7 }) {
-        e.children.push(match rng.below(if depth == 0 { 4 } else { 10 }) {
-            0..=2 => Node::Text(pick(rng, &VALUES).to_string()),
-            3 => Node::Comment("note".to_string()),
-            _ => Node::Element(element(rng, depth - 1)),
-        });
+    let children = rng.below(if depth == 0 { 3 } else { 7 });
+    if children == 0 && rng.below(2) == 0 {
+        out.push_str(pick(rng, &["/>", " />"]));
+        return;
     }
-    e
+    out.push('>');
+    for _ in 0..children {
+        match rng.below(if depth == 0 { 6 } else { 12 }) {
+            0..=2 => out.push_str(&value(rng)),
+            3 => out.push_str("<!--note-->"),
+            4 => out.push_str(&format!("<![CDATA[{}]]>", pick(rng, &VALUES))),
+            5 => out.push_str(pick(rng, &["<?pi data?>", " \n ", "é日"])),
+            _ => element(rng, depth - 1, out),
+        }
+    }
+    out.push_str(&format!("</{name}{}>", pick(rng, &["", "", " "])));
+}
+
+/// A value from [`VALUES`], some spelt with references (`&#120;` is
+/// `x`).
+fn value(rng: &mut TestRng) -> String {
+    match rng.below(6) {
+        0 => "&#120;&#x79;".to_string(),
+        1 => "&lt;&amp;&gt;&quot;&apos;".to_string(),
+        _ => pick(rng, &VALUES).to_string(),
+    }
+}
+
+/// A random document: an optional declaration, doctype, comments and
+/// processing instructions around one root element.
+fn document(rng: &mut TestRng) -> String {
+    let mut out = String::new();
+    out.push_str(pick(rng, &["", "<?xml version=\"1.0\"?>\n", " "]));
+    out.push_str(pick(rng, &["", "<!DOCTYPE a [<!ENTITY x \"y\">]>", "<!--top--><?pi?>"]));
+    element(rng, 3, &mut out);
+    out.push_str(pick(rng, &["", "\n", "<!--end-->"]));
+    out
+}
+
+/// A byte-mutated copy of `xml`: truncated, one `<`, `>`, `&` or quote
+/// flipped to another of them, an attribute written twice, or the root
+/// nested just under or just past [`MAX_DEPTH`].
+fn mutated(rng: &mut TestRng, xml: &str) -> String {
+    match rng.below(4) {
+        0 => {
+            let mut cut = rng.below(xml.len() + 1);
+            while !xml.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            xml[..cut].to_string()
+        }
+        1 => {
+            const SPECIAL: &[u8] = b"<>&\"'";
+            let at: Vec<usize> =
+                (0..xml.len()).filter(|&i| SPECIAL.contains(&xml.as_bytes()[i])).collect();
+            let mut bytes = xml.as_bytes().to_vec();
+            if let Some(&i) = at.get(rng.below(at.len().max(1))) {
+                let others: Vec<u8> = SPECIAL.iter().copied().filter(|&b| b != bytes[i]).collect();
+                bytes[i] = others[rng.below(others.len())];
+            }
+            String::from_utf8(bytes).expect("an ASCII byte replaced by an ASCII byte")
+        }
+        2 => {
+            let starts: Vec<usize> = xml.match_indices(" = ").map(|(i, _)| i).collect();
+            let Some(&eq) = starts.get(rng.below(starts.len().max(1))) else {
+                return xml.to_string();
+            };
+            let name_start = eq - if xml[..eq].ends_with("id") { 2 } else { 1 };
+            let quote = &xml[eq + 3..eq + 4];
+            let end = eq + 4 + xml[eq + 4..].find(quote).expect("a closed value") + 1;
+            format!("{} {}{}", &xml[..end], &xml[name_start..end], &xml[end..])
+        }
+        _ => {
+            let wraps = MAX_DEPTH - 5 + rng.below(6);
+            format!("{}{xml}{}", "<n>".repeat(wraps), "</n>".repeat(wraps))
+        }
+    }
+}
+
+/// Both parsers give the same tree, or the same error.
+fn parsers_agree(xml: &str) -> Result<(), TestCaseError> {
+    match (parse(xml), reference::parser::parse(xml)) {
+        (Ok(new), Ok(old)) => {
+            prop_assert_eq!(owned(new.root()), old.root.clone(), "{:?}", xml);
+            prop_assert_eq!(new.had_declaration(), old.had_declaration);
+            prop_assert_eq!(
+                s2s_xml::serialize(&new),
+                reference::writer::serialize(&old),
+                "{:?}",
+                xml
+            );
+        }
+        (Err(new), Err(old)) => prop_assert_eq!(new, old, "{:?}", xml),
+        (new, old) => prop_assert!(false, "{:?}: {:?} but the reference {:?}", xml, new, old),
+    }
+    Ok(())
 }
 
 fn xpath_predicate(rng: &mut TestRng) -> String {
@@ -133,41 +249,81 @@ fn xpath(rng: &mut TestRng, root: &str) -> String {
     path
 }
 
-fn addresses(elements: Vec<&Element>) -> Vec<*const Element> {
-    elements.into_iter().map(std::ptr::from_ref).collect()
+/// The elements of the old tree in document order, each with its
+/// position among all nodes — what an arena element's index is.
+fn indexed(root: &old::Element) -> Vec<(usize, &old::Element)> {
+    fn walk<'e>(e: &'e old::Element, next: &mut usize, out: &mut Vec<(usize, &'e old::Element)>) {
+        out.push((*next, e));
+        *next += 1;
+        for c in &e.children {
+            match c {
+                old::Node::Element(child) => walk(child, next, out),
+                _ => *next += 1,
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, &mut 0, &mut out);
+    out
 }
 
 proptest! {
-    /// The step evaluator returns what the evaluator it replaced
-    /// (`tests/reference`) returns — the same elements (by address) and
-    /// the same strings, in the same order, collected into a list or
-    /// handed to a sink that packs them into one buffer — from the
-    /// document root and from an inner context element.
+    /// Generated documents and byte-mutated copies of them parse to the
+    /// same tree as the reference parser builds, or fail with the same
+    /// error, position and message.
+    #[test]
+    fn parser_agrees_with_reference_parser(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        for _ in 0..4 {
+            let xml = document(&mut rng);
+            prop_assert!(parse(&xml).is_ok(), "generated document does not parse: {:?}", xml);
+            parsers_agree(&xml)?;
+            for _ in 0..4 {
+                parsers_agree(&mutated(&mut rng, &xml))?;
+            }
+        }
+    }
+
+    /// The step evaluator returns what the tree evaluator it replaced
+    /// (`tests/reference`) returns — the same compile errors, the same
+    /// elements (by document-order index) and the same strings, in the
+    /// same order, collected into a list or handed to a sink that packs
+    /// them into one buffer — from the document root and from an inner
+    /// context element.
     #[test]
     fn xpath_agrees_with_reference_evaluator(seed in any::<u64>()) {
         let mut rng = TestRng::from_seed(seed);
-        let doc = Document::new(element(&mut rng, 3));
-        let inner = doc.root.descendants();
+        let xml = document(&mut rng);
+        let doc = parse(&xml).unwrap();
+        let tree = reference::parser::parse(&xml).unwrap().root;
+        let elements = indexed(&tree);
         for _ in 0..8 {
-            let path = xpath(&mut rng, &doc.root.name);
-            let (new, old) = match (XPath::new(&path), reference::XPath::new(&path)) {
+            let mut path = xpath(&mut rng, doc.root().name());
+            if rng.below(4) == 0 {
+                // A truncated path: the same refusal from both compilers.
+                let mut cut = rng.below(path.len() + 1);
+                while !path.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                path.truncate(cut);
+            }
+            let (new, old) = match (XPath::new(&path), reference::xpath::XPath::new(&path)) {
                 (Ok(new), Ok(old)) => (new, old),
+                (Err(new), Err(old)) => {
+                    prop_assert_eq!(new, old);
+                    continue;
+                }
                 (new, old) => {
-                    prop_assert!(false, "generated path does not compile: {path}: {new:?} {old:?}");
+                    prop_assert!(false, "{}: {:?} but the reference {:?}", path, new, old);
                     unreachable!()
                 }
             };
-            let context = match inner.len() {
-                0 => &doc.root,
-                n => inner[rng.below(n)],
-            };
-            for from in [&doc.root, context] {
-                let want = old.eval_strings_from(from);
-                prop_assert_eq!(
-                    &new.eval_strings_from(from),
-                    &want,
-                    "{} from <{}> of {}", path, from.name, doc.root
-                );
+            let (index, inner) = elements[rng.below(elements.len())];
+            let context = doc.root().descendants().find(|e| e.index() == index);
+            for (from, old_from) in [(doc.root(), &tree), (context.unwrap_or(doc.root()), inner)] {
+                prop_assert_eq!(from.index(), elements.iter().find(|(_, e)| std::ptr::eq(*e, old_from)).unwrap().0);
+                let want = old.eval_strings_from(old_from);
+                prop_assert_eq!(&new.eval_strings_from(from), &want, "{} from <{}> of {}", path, from.name(), xml);
                 // The sink form, packed the way the engine packs it: all
                 // text in one buffer, cut where each string ends.
                 let (mut text, mut ends) = (String::new(), Vec::new());
@@ -178,42 +334,46 @@ proptest! {
                 let starts = std::iter::once(0).chain(ends.iter().copied());
                 let cut: Vec<&str> =
                     starts.zip(&ends).map(|(start, &end)| &text[start..end]).collect();
-                prop_assert_eq!(cut, want, "sunk {} from <{}> of {}", path, from.name, doc.root);
-                prop_assert_eq!(
-                    addresses(new.eval_from(from)),
-                    addresses(old.eval_from(from)),
-                    "{} from <{}> of {}", path, from.name, doc.root
-                );
+                prop_assert_eq!(cut, want, "sunk {} from <{}> of {}", path, from.name(), xml);
+                let positions: Vec<usize> = old
+                    .eval_from(old_from)
+                    .into_iter()
+                    .map(|e| elements.iter().find(|(_, o)| std::ptr::eq(*o, e)).unwrap().0)
+                    .collect();
+                let got: Vec<usize> = new.eval_from(from).into_iter().map(Element::index).collect();
+                prop_assert_eq!(got, positions, "{} from <{}> of {}", path, from.name(), xml);
             }
         }
     }
 
-    /// serialize → parse is the identity on normalized trees.
+    /// serialize → parse is the identity on normalized trees, and the
+    /// writer writes what the old writer wrote.
     #[test]
     fn roundtrip(root in arb_element()) {
-        let text = serialize_element(&root);
+        let text = reference::writer::serialize_element(&root);
         let doc = parse(&text).unwrap();
-        prop_assert_eq!(normalized(doc.root), normalized(root));
+        prop_assert_eq!(s2s_xml::serialize_element(doc.root()), text);
+        prop_assert_eq!(normalized(owned(doc.root())), normalized(root));
     }
 
     /// Full-document serialization round-trips too.
     #[test]
     fn document_roundtrip(root in arb_element()) {
-        let doc = Document::new(root);
-        let text = s2s_xml::serialize(&doc);
-        let doc2 = parse(&text).unwrap();
-        prop_assert_eq!(normalized(doc2.root), normalized(doc.root));
+        let text = reference::writer::serialize(&old::Document::new(root.clone()));
+        let doc = parse(&text).unwrap();
+        let again = parse(&s2s_xml::serialize(&doc)).unwrap();
+        prop_assert_eq!(normalized(owned(again.root())), normalized(root));
     }
 
     /// `//name` matches exactly the descendants with that name.
     #[test]
     fn descendant_axis_counts(root in arb_element()) {
-        let doc = Document::new(root);
+        let doc = reparsed(&root);
         for name in ["a", "b", "c"] {
             let xpath = XPath::new(&format!("//{name}")).unwrap();
             let got = xpath.eval(&doc).len();
-            let mut expect = count_named(&doc.root, name);
-            if doc.root.name == name {
+            let mut expect = doc.root().descendants().filter(|d| d.name() == name).count();
+            if doc.root().name() == name {
                 expect += 1; // descendant-or-self includes the root
             }
             prop_assert_eq!(got, expect, "name={}", name);
@@ -223,17 +383,17 @@ proptest! {
     /// `/root/*` returns exactly the root's child elements.
     #[test]
     fn child_wildcard(root in arb_element()) {
-        let path = format!("/{}/*", root.name);
-        let doc = Document::new(root);
+        let doc = reparsed(&root);
+        let path = format!("/{}/*", doc.root().name());
         let got = XPath::new(&path).unwrap().eval(&doc).len();
-        prop_assert_eq!(got, doc.root.child_elements().count());
+        prop_assert_eq!(got, doc.root().child_elements().count());
     }
 
     /// Positional predicates partition: [1], [2], … together cover all
     /// matches of the unpredicated step.
     #[test]
     fn positional_partition(root in arb_element()) {
-        let doc = Document::new(root);
+        let doc = reparsed(&root);
         let all = XPath::new("//a").unwrap().eval(&doc);
         // NB: `//a[n]` under our semantics indexes per context; the root
         // context `//a` is one candidate list, so positions are global.
@@ -244,37 +404,40 @@ proptest! {
         prop_assert_eq!(recovered, all.len());
     }
 
-    /// text() never exceeds the element's aggregated text.
+    /// text() never yields an empty string.
     #[test]
     fn text_step_is_own_text(root in arb_element()) {
-        let doc = Document::new(root);
+        let doc = reparsed(&root);
         let own: Vec<String> = XPath::new("//a/text()").unwrap().eval_strings(&doc);
         for t in &own {
             prop_assert!(!t.is_empty());
         }
     }
 
-    /// The parser never panics on arbitrary input.
+    /// The parser never panics on arbitrary input, and fails as the
+    /// reference parser does.
     #[test]
     fn parser_total(s in any::<String>()) {
-        let _ = parse(&s);
+        parsers_agree(&s)?;
     }
 
     /// Attribute values with XML-special characters survive.
     #[test]
     fn attribute_escaping(v in "[ -~&&[^<]]{0,12}") {
-        let e = Element::new("a").with_attribute("x", v.clone());
-        let text = serialize_element(&e);
+        let mut text = String::from("<a x=\"");
+        s2s_xml::escape_attribute(&v, &mut text);
+        text.push_str("\"/>");
         let doc = parse(&text).unwrap();
-        prop_assert_eq!(doc.root.attribute("x"), Some(v.as_str()));
+        prop_assert_eq!(doc.root().attribute("x"), Some(v.as_str()));
     }
 
     /// Text content with XML-special characters survives.
     #[test]
     fn text_escaping(v in "[ -~&&[^<]]{0,12}") {
-        let e = Element::new("a").with_text(v.clone());
-        let text = serialize_element(&e);
+        let mut text = String::from("<a>");
+        s2s_xml::escape_text(&v, &mut text);
+        text.push_str("</a>");
         let doc = parse(&text).unwrap();
-        prop_assert_eq!(doc.root.own_text(), v);
+        prop_assert_eq!(doc.root().own_text(), v);
     }
 }

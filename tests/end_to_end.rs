@@ -151,8 +151,8 @@ fn xml_output_is_well_formed() {
     let outcome = s2s.query("SELECT watch").unwrap();
     let xml = outcome.render(s2s.ontology(), OutputFormat::Xml);
     let doc = s2s::xml::parse(&xml).unwrap();
-    assert_eq!(doc.root.name, "instances");
-    assert_eq!(doc.root.child_elements().count(), 4);
+    assert_eq!(doc.root().name(), "instances");
+    assert_eq!(doc.root().child_elements().count(), 4);
 }
 
 #[test]
