@@ -1,13 +1,17 @@
-//! Regenerates the experiment tables recorded in EXPERIMENTS.md.
+//! Prints the experiment record of EXPERIMENTS.md and runs the CI gates.
 //!
 //! Run with: `cargo run --release -p s2s-bench --bin experiments`
 //!
-//! Each section prints the id (E1–E17, then the A1 ablations), the
-//! parameters swept, and the measured values (wall-clock for CPU work,
-//! simulated time for network behaviour, plus counts/correctness
-//! indicators).
+//! Without arguments it prints the record ([`s2s_bench::record`]): each
+//! section is an experiment id (E1–E17), the parameters swept and what
+//! they produced — counts, bytes and simulated network time, never the
+//! wall clock. The record is deterministic, and
+//! `crates/bench/tests/golden/experiments.txt` pins it byte for byte
+//! (`cargo test -p s2s-bench --test golden_experiments`); redirect this
+//! output there to re-pin it. Wall-clock cost is measured by the
+//! `benchmark/` package.
 //!
-//! Observability modes (see `--help`):
+//! Observability modes and gates (see `--help`):
 //!
 //! * `--trace` — run a healthy and a degraded query with tracing on and
 //!   print the span tree plus the JSONL dump of each.
@@ -15,45 +19,25 @@
 //!   registry enabled and print the Prometheus-style text snapshot.
 //! * `--smoke-audit <dir>` — short deterministic healthy run; writes
 //!   `trace.jsonl` and `metrics.prom` into `<dir>` and self-validates
-//!   both exports (the CI smoke-audit gate). Exits non-zero on any
-//!   violation.
+//!   both exports. Exits non-zero on any violation.
 //! * `--throughput-smoke <dir>` — small multi-client throughput run
-//!   (4 clients × 16 queries on one shared engine); writes `e13.json`
-//!   into `<dir>` and exits non-zero on any cross-thread result
-//!   mismatch or zero throughput (the CI concurrency gate).
+//!   (4 clients × 16 queries on one shared, paced engine); writes
+//!   `e13.json` into `<dir>` and exits non-zero on any cross-thread
+//!   result mismatch, degraded answer or zero throughput.
 //! * `--overload-smoke <dir>` — open-loop overload run at 1× and 4×
 //!   capacity with admission control + deadline budgets, plus an
 //!   unprotected 4× baseline; writes `e14.json` into `<dir>` and exits
 //!   non-zero if shedding fails to bound p99 within the deadline
 //!   budget, if goodput collapses below the unprotected baseline, or
-//!   if the unprotected baseline fails to melt down (the CI overload
-//!   gate).
+//!   if the unprotected baseline fails to melt down.
 //! * `--reactor-smoke <dir>` — 1000 clients multiplexed on one OS
 //!   thread by the harness's virtual-time event loop, each issuing one
 //!   cold query; writes `e13.json` into `<dir>` and exits non-zero on any
-//!   divergence from the serial baseline (the CI reactor gate).
-//! * `--pushdown-smoke <dir>` — the E15 selectivity sweep (0.1%–100%)
-//!   on a planner-enabled engine vs its planner-free twin; writes
-//!   `e15.json` into `<dir>` and exits non-zero on any answer
-//!   mismatch, response-byte growth, or a wire-byte reduction below 5×
-//!   at 1% selectivity (the CI pushdown gate).
-//! * `--delta-smoke <dir>` — the E16 mutation-rate sweep: a paced
-//!   query stream with background source mutations on a views-enabled
-//!   engine vs its invalidate-and-recompute twin; writes `e16.json`
-//!   into `<dir>` and exits non-zero on any answer divergence or a
-//!   sustained-throughput advantage below 3× at a 10% mutation rate
-//!   (the CI incremental-delta gate).
-//! * `--bootstrap-smoke <dir>` — the E17 catalog-scale bootstrap: a
-//!   1000-source synthetic fleet registered entirely through the
-//!   automatic mapping bootstrap; writes `e17.json` into `<dir>` and
-//!   exits non-zero on any conflict, any candidate-set divergence on
-//!   re-bootstrap, a missing mapping, or a blown wall-clock bound (the
-//!   CI bootstrap gate).
-//! * `--validate-report <path>` — schema-check one uploaded smoke
-//!   artifact (`e13.json`, `e14.json`, `e15.json`, `e16.json`,
-//!   `e17.json`): the file must be well-formed JSON and every
-//!   `schema_version` in it must match the binary's. Exits non-zero
-//!   otherwise.
+//!   divergence from the serial baseline.
+//!
+//! The last three read the wall clock ([`s2s_bench::wall`]); the E15,
+//! E16 and E17 acceptance bars are asserted inside the record itself.
+//!
 //! * `--conform-fuzz` — deterministic differential fuzzing: generated
 //!   scenarios run through the serial, batched, replay, pooled,
 //!   reactor, and pushdown execution paths and every oracle in
@@ -67,16 +51,12 @@
 
 use std::sync::Arc;
 
+use s2s_bench::wall::*;
 use s2s_bench::*;
-use s2s_core::baseline::SyntacticIntegrator;
-use s2s_core::extract::{extract_one, Strategy};
-use s2s_core::instance::OutputFormat;
-use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
-use s2s_core::source::{Connection, SourceRegistry};
+use s2s_core::extract::Strategy;
+use s2s_core::source::Connection;
 use s2s_core::S2s;
 use s2s_netsim::{BreakerConfig, CostModel, FailureModel, RetryPolicy, SimDuration};
-use s2s_owl::Reasoner;
-use s2s_webdoc::WebStore;
 
 /// A smoke gate: runs a deterministic workload, writes its artifacts
 /// into the given directory and returns the violations it found.
@@ -85,7 +65,7 @@ type SmokeFn = fn(&str) -> Result<(), Vec<String>>;
 /// The CI `smoke` matrix. `--<mode> DIR` prints `<mode> OK`, or one
 /// `<mode> FAIL: …` line per violation and exits 1; the third column is
 /// what `usage()` says about the mode.
-const SMOKE_MODES: [(&str, SmokeFn, &str); 7] = [
+const SMOKE_MODES: [(&str, SmokeFn, &str); 4] = [
     (
         "smoke-audit",
         smoke_audit,
@@ -110,27 +90,6 @@ const SMOKE_MODES: [(&str, SmokeFn, &str); 7] = [
         "1000 clients multiplexed on one thread over virtual time; writes e13.json \
          into DIR; fails on any answer diverging from the serial baseline",
     ),
-    (
-        "pushdown-smoke",
-        pushdown_smoke,
-        "E15 selectivity sweep with the federated planner on vs off; writes e15.json into DIR; \
-         fails on mismatch, an unaccounted rule run, or a wire-byte reduction below 5x at 1% \
-         selectivity",
-    ),
-    (
-        "delta-smoke",
-        delta_smoke,
-        "E16 mutation-rate sweep with materialized views on vs invalidate-and-recompute; writes \
-         e16.json into DIR; fails on any divergence or a throughput advantage below 3x at a 10% \
-         mutation rate",
-    ),
-    (
-        "bootstrap-smoke",
-        bootstrap_smoke,
-        "E17: register a 1000-source synthetic fleet entirely through the automatic mapping \
-         bootstrap; writes e17.json into DIR; fails on any conflict, divergence, missing \
-         mapping, or a blown wall-clock bound",
-    ),
 ];
 
 fn main() {
@@ -152,24 +111,9 @@ fn main() {
         return;
     }
     match flag {
-        None => run_experiments(),
+        None => print!("{}", record::run().text),
         Some("--trace") => trace_mode(),
         Some("--metrics") => metrics_mode(),
-        Some("--validate-report") => {
-            let path = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("--validate-report requires a report path argument");
-                std::process::exit(2);
-            });
-            let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read report {path}: {e}");
-                std::process::exit(2);
-            });
-            if let Err(e) = validate_report(&json) {
-                eprintln!("validate-report FAIL: {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("validate-report OK: {path} (schema_version {SCHEMA_VERSION})");
-        }
         Some("--conform-fuzz") => {
             if let Err(violations) = conform_fuzz(&args[1..]) {
                 for v in &violations {
@@ -188,10 +132,10 @@ fn main() {
 }
 
 fn usage() {
-    println!("experiments — S2S experiment harness and observability driver");
+    println!("experiments — S2S experiment record, CI gates and observability modes");
     println!();
     println!("USAGE:");
-    println!("  experiments                    run the full E1–E17 experiment suite");
+    println!("  experiments                    print the deterministic E1–E17 record");
     println!("  experiments --trace            print span trees + JSONL for a healthy");
     println!("                                 and a degraded (breaker-open) query");
     println!("  experiments --metrics          print a Prometheus-style metrics");
@@ -199,10 +143,6 @@ fn usage() {
     for (mode, _, help) in SMOKE_MODES {
         println!("  experiments --{mode} DIR\n      {help}");
     }
-    println!("  experiments --validate-report FILE");
-    println!("                                 schema-check one smoke artifact: well-");
-    println!("                                 formed JSON declaring this binary's");
-    println!("                                 schema_version");
     println!("  experiments --conform-fuzz [--budget-ms N] [--seed S] [--out DIR]");
     println!("                                 differential fuzzing across the serial,");
     println!("                                 batched, replay, pooled, and reactor paths;");
@@ -319,29 +259,6 @@ fn conform_fuzz(args: &[String]) -> Result<(), Vec<String>> {
         }
     }
     Err(violations)
-}
-
-fn run_experiments() {
-    println!("S2S middleware — experiment harness (deterministic; simulated network time)");
-    println!("==========================================================================");
-    e1();
-    e2();
-    e3();
-    e4();
-    e5();
-    e6();
-    e7();
-    e8();
-    e9();
-    e10();
-    e11();
-    e12();
-    e13();
-    e14();
-    e15();
-    e16();
-    e17();
-    a1();
 }
 
 /// A deployment where one of two sources is hard-down and the breaker
@@ -506,14 +423,12 @@ fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
     }
 }
 
-/// Checks that a written smoke artifact declares the schema version
-/// this binary was built with, so CI fails loudly on silent artifact
-/// format drift instead of downstream tooling misreading old fields.
-fn check_schema_version(path: &str, json: &str, violations: &mut Vec<String>) {
-    let expected = format!("\"schema_version\":{}", SCHEMA_VERSION);
-    if !json.contains(&expected) {
-        violations.push(format!("{path} does not declare {expected}"));
-    }
+/// Writes one smoke report into `dir` and returns its path.
+fn write_report(dir: &str, name: &str, json: &str) -> String {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create smoke dir {dir}: {e}"));
+    let path = format!("{dir}/{name}");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    path
 }
 
 /// The CI concurrency gate: 4 client threads share one engine and replay
@@ -525,17 +440,11 @@ fn throughput_smoke(dir: &str) -> Result<(), Vec<String>> {
     let workload = warm_workload(4, 16, 64);
     let reference = deploy_paced(12, 42, 0, Strategy::Parallel { workers: 1 }, false);
     let baseline = serial_baseline(&reference, &workload);
-    // A lighter pace than E13 keeps the gate fast while still forcing
-    // the clients to genuinely overlap their waits.
+    // A light pace keeps the gate fast while still forcing the clients
+    // to genuinely overlap their waits.
     let engine = deploy_paced(12, 42, 60, Strategy::Parallel { workers: 16 }, true);
     let report = run_throughput(&engine, &workload, &baseline);
-
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create throughput-smoke dir {dir}: {e}"));
-    let json_path = format!("{dir}/e13.json");
-    let json = report.to_json();
-    std::fs::write(&json_path, &json).expect("write e13.json");
-    check_schema_version(&json_path, &json, &mut violations);
+    let json_path = write_report(dir, "e13.json", &report.to_json());
 
     if report.mismatches > 0 {
         violations.push(format!(
@@ -573,8 +482,7 @@ fn throughput_smoke(dir: &str) -> Result<(), Vec<String>> {
 /// The CI reactor gate: 1000 clients multiplexed on one OS thread by
 /// `run_throughput_reactor`'s event loop, each issuing one distinct (cold)
 /// query — a client count the thread-per-client runner cannot reach.
-/// Every answer must match the serial baseline bit-for-bit and every
-/// answer must be complete. Writes `e13.json` into `dir`.
+/// Every answer must match the serial baseline and be complete.
 fn reactor_smoke(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
 
@@ -586,13 +494,7 @@ fn reactor_smoke(dir: &str) -> Result<(), Vec<String>> {
     // enough that only overlap keeps the run inside the CI budget.
     let engine = deploy_paced(12, 42, 60, Strategy::Reactor, true);
     let report = run_throughput_reactor(&engine, &workload, &baseline);
-
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create reactor-smoke dir {dir}: {e}"));
-    let json_path = format!("{dir}/e13.json");
-    let json = report.to_json();
-    std::fs::write(&json_path, &json).expect("write e13.json");
-    check_schema_version(&json_path, &json, &mut violations);
+    let json_path = write_report(dir, "e13.json", &report.to_json());
 
     if report.queries != clients {
         violations.push(format!("expected {clients} answers, got {}", report.queries));
@@ -628,381 +530,27 @@ fn reactor_smoke(dir: &str) -> Result<(), Vec<String>> {
     }
 }
 
-/// The E15 selectivity ladder, percent of catalog rows matched.
-const E15_SELECTIVITIES: [f64; 5] = [0.1, 1.0, 10.0, 50.0, 100.0];
-
-/// The E15 catalog size: large enough that responses dominate the wire
-/// and a 1%-selective pushed predicate saves well over the 5× gate.
-const E15_ROWS: usize = 2000;
-
-/// Runs the E15 sweep: the same `price <` query ladder on a
-/// planner-enabled engine and its planner-free twin (the catalog in
-/// all four source formats behind unpaced WAN endpoints, batched).
-fn e15_sweep() -> PushdownReport {
-    let recs = records(E15_ROWS, 42);
-    let off = deploy_paced(E15_ROWS, 42, 0, Strategy::Parallel { workers: 1 }, false);
-    let on =
-        deploy_paced(E15_ROWS, 42, 0, Strategy::Parallel { workers: 1 }, false).with_pushdown();
-    let points: Vec<_> = E15_SELECTIVITIES
-        .iter()
-        .map(|&pct| {
-            let threshold = selectivity_threshold(&recs, pct);
-            let query = format!("SELECT watch WHERE price < {threshold}");
-            run_pushdown_point(&on, &off, &query, pct, threshold)
-        })
-        .collect();
-    PushdownReport { rows: E15_ROWS, points }
-}
-
-fn e15() {
-    header("E15", "predicate pushdown: wire bytes vs selectivity (federated planner)");
-    println!(
-        "{:>6} {:>9} {:>8} {:>12} {:>12} {:>11} {:>7} {:>9}",
-        "sel%", "thresh", "matched", "wire-off", "wire-on", "saved", "pushed", "reduction"
-    );
-    let report = e15_sweep();
-    for p in &report.points {
-        assert!(!p.mismatch, "pushdown diverged at {}% selectivity", p.selectivity_pct);
-        println!(
-            "{:>6} {:>9.2} {:>8} {:>11}B {:>11}B {:>10}B {:>7} {:>8.1}x",
-            p.selectivity_pct,
-            p.threshold,
-            p.matched,
-            p.baseline_wire_bytes,
-            p.pushed_wire_bytes,
-            p.wire_bytes_saved,
-            p.pushed_predicates,
-            p.reduction(),
-        );
-    }
-}
-
-/// The CI pushdown gate: the E15 sweep must answer identically to the
-/// planner-free twin at every selectivity, never grow response bytes,
-/// and cut total wire bytes at least 5× at 1% selectivity — both
-/// against the planner-free twin and against its own 100% point. Writes
-/// `e15.json` into `dir`.
-fn pushdown_smoke(dir: &str) -> Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-    let report = e15_sweep();
-
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create pushdown-smoke dir {dir}: {e}"));
-    let json_path = format!("{dir}/e15.json");
-    let json = report.to_json();
-    std::fs::write(&json_path, &json).expect("write e15.json");
-    check_schema_version(&json_path, &json, &mut violations);
-    if let Err(e) = validate_report(&json) {
-        violations.push(format!("e15.json fails its own schema check: {e}"));
-    }
-
-    for p in &report.points {
-        if p.mismatch {
-            violations.push(format!(
-                "pushdown answer diverged from the planner-free twin at {}% selectivity",
-                p.selectivity_pct
-            ));
-        }
-        if p.pushed_response_bytes > p.baseline_response_bytes {
-            violations.push(format!(
-                "pushed responses grew at {}% selectivity: {} vs {} bytes",
-                p.selectivity_pct, p.pushed_response_bytes, p.baseline_response_bytes
-            ));
-        }
-        if p.pushed_predicates == 0 {
-            violations
-                .push(format!("no predicate was pushed at {}% selectivity", p.selectivity_pct));
-        }
-    }
-    let low = report.points.iter().find(|p| p.selectivity_pct == 1.0).expect("1% point");
-    let full = report.points.iter().find(|p| p.selectivity_pct == 100.0).expect("100% point");
-    if low.reduction() < 5.0 {
-        violations.push(format!(
-            "wire bytes dropped only {:.1}x vs the planner-free twin at 1% selectivity (< 5x)",
-            low.reduction()
-        ));
-    }
-    let vs_full = full.pushed_wire_bytes as f64 / low.pushed_wire_bytes.max(1) as f64;
-    if vs_full < 5.0 {
-        violations.push(format!(
-            "wire bytes at 1% selectivity are only {vs_full:.1}x below the 100% point (< 5x)"
-        ));
-    }
-
-    println!(
-        "pushdown-smoke: {} rows, 1% selectivity → {} wire bytes vs {} planner-free \
-         ({:.1}x, {:.1}x vs the 100% point), {} saved → {json_path}",
-        report.rows,
-        low.pushed_wire_bytes,
-        low.baseline_wire_bytes,
-        low.reduction(),
-        vs_full,
-        low.wire_bytes_saved,
-    );
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
-/// E16 catalog size: small enough that re-extraction is wire-dominated
-/// rather than parse-dominated, so pacing controls the measured ratio.
-const E16_ROWS: usize = 30;
-/// E16 queries per point.
-const E16_STEPS: usize = 120;
-/// E16 pacing: heavy enough that a four-source WAN recompute costs
-/// milliseconds of real time, so the delta/recompute ratio reflects
-/// wire cost and not fixture compute.
-const E16_PACE: u64 = 60;
-/// Mutation rates swept, in mutations per hundred queries.
-const E16_RATES: [f64; 4] = [0.0, 5.0, 10.0, 25.0];
-
-/// The E16 mutation-rate sweep: per rate, the identical query stream
-/// and DB-price mutation schedule run on a views-enabled engine and on
-/// its invalidate-and-recompute twin.
-fn e16_sweep() -> DeltaReport {
-    let points =
-        E16_RATES.iter().map(|&pct| run_delta(E16_ROWS, 42, E16_STEPS, pct, E16_PACE)).collect();
-    DeltaReport { rows: E16_ROWS, points }
-}
-
-fn e16() {
-    header("E16", "incremental deltas: materialized views vs invalidate-and-recompute");
-    println!(
-        "{:>6} {:>5} {:>10} {:>10} {:>8} {:>11} {:>11} {:>6} {:>6} {:>11} {:>4}",
-        "mut%",
-        "muts",
-        "base-qps",
-        "delta-qps",
-        "speedup",
-        "base-wire",
-        "delta-wire",
-        "hits",
-        "refr",
-        "staleness",
-        "div"
-    );
-    let report = e16_sweep();
-    for p in &report.points {
-        assert_eq!(p.divergences, 0, "delta arm diverged at {}% mutation rate", p.mutation_pct);
-        println!(
-            "{:>6} {:>5} {:>10.0} {:>10.0} {:>7.1}x {:>10}B {:>10}B {:>6} {:>6} {:>9}µs {:>4}",
-            p.mutation_pct,
-            p.mutations,
-            p.baseline_qps,
-            p.delta_qps,
-            p.speedup(),
-            p.baseline_wire_bytes,
-            p.delta_wire_bytes,
-            p.view_hits,
-            p.view_refreshes,
-            p.max_staleness_us,
-            p.divergences,
-        );
-    }
-}
-
-/// E17 fleet shape: a 64-class × 4-property synthetic ontology, 4
-/// records per source.
-const E17_CLASSES: usize = 64;
-const E17_PROPS: usize = 4;
-const E17_ROWS: usize = 4;
-/// Fleet sizes swept by the experiment table; the smoke gate runs the
-/// largest.
-const E17_FLEETS: [usize; 4] = [100, 250, 500, 1000];
-
-fn e17() {
-    header("E17", "mapping bootstrap at catalog scale: schema → candidates → registration");
-    println!(
-        "{:>7} {:>9} {:>5} {:>12} {:>12} {:>10} {:>9} {:>5} {:>4}",
-        "sources", "mappings", "conf", "bootstrap", "register", "lookup", "query", "inds", "div"
-    );
-    for &sources in &E17_FLEETS {
-        let r = run_bootstrap_fleet(sources, E17_CLASSES, E17_PROPS, E17_ROWS);
-        assert_eq!(r.divergences, 0, "bootstrap non-deterministic at {sources} sources");
-        println!(
-            "{:>7} {:>9} {:>5} {:>10.1}ms {:>10.1}ms {:>8.0}ns {:>7.1}ms {:>5} {:>4}",
-            r.sources,
-            r.mappings,
-            r.conflicts,
-            r.bootstrap_wall.as_secs_f64() * 1e3,
-            r.register_wall.as_secs_f64() * 1e3,
-            r.lookup_ns_per_op,
-            r.query_wall.as_secs_f64() * 1e3,
-            r.query_individuals,
-            r.divergences,
-        );
-    }
-}
-
-/// The CI bootstrap gate: registering a 1000-source synthetic fleet
-/// entirely through the automatic mapping bootstrap must surface zero
-/// conflicts, produce exactly `sources × props` mappings, re-bootstrap
-/// to byte-identical candidate sets, answer an end-to-end query, and
-/// finish the bootstrap + registration phases inside a generous
-/// wall-clock bound. Writes `e17.json` into `dir`.
-fn bootstrap_smoke(dir: &str) -> Result<(), Vec<String>> {
-    /// Generous: the in-tree run takes well under a tenth of this even
-    /// on a loaded CI runner.
-    const MAX_WALL: std::time::Duration = std::time::Duration::from_secs(60);
-
-    let mut violations = Vec::new();
-    let sources = *E17_FLEETS.last().expect("non-empty sweep");
-    let report = run_bootstrap_fleet(sources, E17_CLASSES, E17_PROPS, E17_ROWS);
-
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create bootstrap-smoke dir {dir}: {e}"));
-    let json_path = format!("{dir}/e17.json");
-    let json = report.to_json();
-    std::fs::write(&json_path, &json).expect("write e17.json");
-    check_schema_version(&json_path, &json, &mut violations);
-    if let Err(e) = validate_report(&json) {
-        violations.push(format!("e17.json fails its own schema check: {e}"));
-    }
-
-    if report.mappings != sources * E17_PROPS {
-        violations.push(format!(
-            "bootstrap registered {} mappings, want {}",
-            report.mappings,
-            sources * E17_PROPS
-        ));
-    }
-    if report.conflicts != 0 {
-        violations.push(format!(
-            "{} conflicts on a fleet whose every field matches a property",
-            report.conflicts
-        ));
-    }
-    if report.divergences != 0 {
-        violations.push(format!(
-            "{} source(s) re-bootstrapped to a different candidate set",
-            report.divergences
-        ));
-    }
-    if report.query_individuals == 0 {
-        violations.push("end-to-end query over bootstrapped mappings produced nothing".into());
-    }
-    let wall = report.bootstrap_wall + report.register_wall;
-    if wall > MAX_WALL {
-        violations.push(format!(
-            "bootstrapping {} sources took {:.1}s (bound {:.0}s)",
-            sources,
-            wall.as_secs_f64(),
-            MAX_WALL.as_secs_f64()
-        ));
-    }
-
-    println!(
-        "bootstrap-smoke: {} sources × {} props → {} mappings in {:.1}ms bootstrap + \
-         {:.1}ms register, {:.0}ns/lookup, {} conflicts, {} divergences → {json_path}",
-        report.sources,
-        report.props_per_class,
-        report.mappings,
-        report.bootstrap_wall.as_secs_f64() * 1e3,
-        report.register_wall.as_secs_f64() * 1e3,
-        report.lookup_ns_per_op,
-        report.conflicts,
-        report.divergences,
-    );
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
-/// The CI incremental-delta gate: at every swept mutation rate the
-/// delta-maintained answers must be identical to recompute, and at the
-/// 10% rate the views-enabled engine must sustain at least 3× the
-/// recompute twin's throughput while moving fewer wire bytes. Writes
-/// `e16.json` into `dir`.
-fn delta_smoke(dir: &str) -> Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-    let report = e16_sweep();
-
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create delta-smoke dir {dir}: {e}"));
-    let json_path = format!("{dir}/e16.json");
-    let json = report.to_json();
-    std::fs::write(&json_path, &json).expect("write e16.json");
-    check_schema_version(&json_path, &json, &mut violations);
-    if let Err(e) = validate_report(&json) {
-        violations.push(format!("e16.json fails its own schema check: {e}"));
-    }
-
-    for p in &report.points {
-        if p.divergences > 0 {
-            violations.push(format!(
-                "delta answers diverged from recompute {} time(s) at {}% mutation rate",
-                p.divergences, p.mutation_pct
-            ));
-        }
-        if p.view_full_refreshes > 0 {
-            violations.push(format!(
-                "{} feed-gap full refreshes at {}% mutation rate (retention too small \
-                 for the polling cadence)",
-                p.view_full_refreshes, p.mutation_pct
-            ));
-        }
-    }
-    let hot = report.points.iter().find(|p| p.mutation_pct == 10.0).expect("10% point");
-    if hot.speedup() < 3.0 {
-        violations.push(format!(
-            "delta sustained only {:.1}x recompute throughput at a 10% mutation rate (< 3x)",
-            hot.speedup()
-        ));
-    }
-    if hot.delta_wire_bytes >= hot.baseline_wire_bytes {
-        violations.push(format!(
-            "delta moved {} wire bytes vs {} for recompute at a 10% mutation rate",
-            hot.delta_wire_bytes, hot.baseline_wire_bytes
-        ));
-    }
-
-    println!(
-        "delta-smoke: {} rows, 10% mutation rate → {:.0} qps vs {:.0} recompute \
-         ({:.1}x), {}B vs {}B wire, {} divergences → {json_path}",
-        report.rows,
-        hot.delta_qps,
-        hot.baseline_qps,
-        hot.speedup(),
-        hot.delta_wire_bytes,
-        hot.baseline_wire_bytes,
-        hot.divergences,
-    );
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
-/// E14 pacing: same order as E13 so service times are long enough for
-/// genuine queuing but a full sweep stays in seconds.
+/// E14 pacing: service times long enough for genuine queuing, a run
+/// short enough for CI.
 const E14_PACE: u64 = 150;
 
-/// The E14 tenant mix: two well-behaved tenants and one misbehaving
+/// The E14 overload run: two well-behaved tenants and one misbehaving
 /// neighbour submitting 60% of the traffic.
-fn e14_tenants() -> Vec<TenantSpec> {
-    vec![
-        TenantSpec { name: "acme", share: 1 },
-        TenantSpec { name: "beta", share: 1 },
-        TenantSpec { name: "mallory", share: 3 },
-    ]
-}
-
-fn e14_config(load: f64, shedding: bool, window_ms: u64) -> OverloadConfig {
+fn e14_config(load: f64, shedding: bool) -> OverloadConfig {
     OverloadConfig {
         load,
-        window: std::time::Duration::from_millis(window_ms),
+        window: std::time::Duration::from_millis(250),
         deadline: SimDuration::from_millis(150),
         // One more permit than the lanes strictly fit (3 queries × 4
         // exchanges > 8 lanes) keeps the lanes saturated while a
         // permit turns over, so admitted goodput tracks lane capacity.
         permits: 3,
         shedding,
-        tenants: e14_tenants(),
+        tenants: vec![
+            TenantSpec { name: "acme", share: 1 },
+            TenantSpec { name: "beta", share: 1 },
+            TenantSpec { name: "mallory", share: 3 },
+        ],
     }
 }
 
@@ -1013,17 +561,12 @@ fn e14_config(load: f64, shedding: bool, window_ms: u64) -> OverloadConfig {
 fn overload_smoke(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
 
-    let shed_1x = run_overload(&e14_config(1.0, true, 250), E14_PACE, 8);
-    let shed_4x = run_overload(&e14_config(4.0, true, 250), E14_PACE, 8);
-    let open_4x = run_overload(&e14_config(4.0, false, 250), E14_PACE, 8);
-
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create overload-smoke dir {dir}: {e}"));
-    let json_path = format!("{dir}/e14.json");
+    let shed_1x = run_overload(&e14_config(1.0, true), E14_PACE, 8);
+    let shed_4x = run_overload(&e14_config(4.0, true), E14_PACE, 8);
+    let open_4x = run_overload(&e14_config(4.0, false), E14_PACE, 8);
     let json =
         format!("{{\"runs\":[{},{},{}]}}", shed_1x.to_json(), shed_4x.to_json(), open_4x.to_json());
-    std::fs::write(&json_path, &json).expect("write e14.json");
-    check_schema_version(&json_path, &json, &mut violations);
+    let json_path = write_report(dir, "e14.json", &json);
 
     // The deadline budget, read as a wall bound: simulated time is
     // paced well below real time, so a served query that stayed within
@@ -1063,740 +606,5 @@ fn overload_smoke(dir: &str) -> Result<(), Vec<String>> {
         Ok(())
     } else {
         Err(violations)
-    }
-}
-
-fn e14() {
-    header("E14", "overload: open-loop arrival sweep, shedding + budgets vs unprotected");
-    println!(
-        "{:>6} {:>5} {:>9} {:>7} {:>6} {:>5} {:>9} {:>9} {:>9} {:>10}",
-        "load", "shed", "arrivals", "served", "shed#", "degr", "p50", "p99", "goodput", "peakqueue"
-    );
-    let mut fair: Option<OverloadReport> = None;
-    for shedding in [false, true] {
-        for load in [0.5, 1.0, 2.0, 4.0] {
-            let report = run_overload(&e14_config(load, shedding, 300), E14_PACE, 8);
-            println!(
-                "{:>5.1}x {:>5} {:>9} {:>7} {:>6} {:>5} {:>7.1}ms {:>7.1}ms {:>6.0}qps {:>10}",
-                report.load,
-                if report.shedding { "on" } else { "off" },
-                report.arrivals,
-                report.served,
-                report.shed,
-                report.degraded,
-                report.p50_ms,
-                report.p99_ms,
-                report.goodput_qps,
-                report.peak_queued,
-            );
-            if shedding && load == 4.0 {
-                fair = Some(report);
-            }
-        }
-    }
-    if let Some(report) = fair {
-        let parts: Vec<String> = report
-            .tenants
-            .iter()
-            .map(|(name, t)| format!("{name}: {}/{} served, {} shed", t.served, t.arrivals, t.shed))
-            .collect();
-        println!("  tenant fairness at 4× with shedding: {}", parts.join("  "));
-    }
-}
-
-fn header(id: &str, title: &str) {
-    println!("\n## {id} — {title}");
-}
-
-/// Mean wall-clock microseconds of `f` over `iters` runs after one
-/// warm-up run.
-fn mean_us<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
-    let _ = f();
-    let (_, wall) = time(|| {
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-    });
-    wall.as_secs_f64() * 1e6 / f64::from(iters)
-}
-
-fn e1() {
-    header("E1", "end-to-end S2SQL over 4 heterogeneous source types (Fig. 1)");
-    println!("{:>8} {:>12} {:>14} {:>12}", "records", "instances", "query", "per-instance");
-    for n in [100usize, 500, 2000] {
-        let s2s = deploy_mixed(n, 42);
-        // warm-up
-        let _ = s2s.query("SELECT watch").unwrap();
-        let (outcome, wall) = time(|| s2s.query("SELECT watch").unwrap());
-        println!(
-            "{:>8} {:>12} {:>12}us {:>10}ns",
-            n,
-            outcome.individuals().len(),
-            wall.as_micros(),
-            wall.as_nanos() / (outcome.individuals().len() as u128).max(1)
-        );
-    }
-    println!("  selectivity sweep (n=2000):");
-    let s2s = deploy_mixed(2000, 42);
-    for q in [
-        "SELECT watch",
-        "SELECT watch WHERE brand='Seiko'",
-        "SELECT watch WHERE brand='Seiko' AND case='stainless-steel' AND price<300",
-    ] {
-        let (outcome, wall) = time(|| s2s.query(q).unwrap());
-        println!("  {:>6}us  {:>5} hits  {q}", wall.as_micros(), outcome.individuals().len());
-    }
-}
-
-fn e2() {
-    header("E2", "extraction cost per source type (§2.1), 1000-record catalog");
-    let recs = records(1000, 42);
-    let mut registry = SourceRegistry::new();
-    registry
-        .register_local("DB", Connection::Database { db: Arc::new(catalog_db(&recs)) })
-        .unwrap();
-    registry
-        .register_local("XML", Connection::Xml { document: Arc::new(catalog_xml(&recs)) })
-        .unwrap();
-    let mut web = WebStore::new();
-    web.register_html("http://shop/list", catalog_html(&recs));
-    web.register_text("file:///export.txt", catalog_text(&recs));
-    let web = Arc::new(web);
-    registry
-        .register_local(
-            "WEB",
-            Connection::Web { store: web.clone(), url: "http://shop/list".into() },
-        )
-        .unwrap();
-    registry
-        .register_local("TXT", Connection::Text { store: web, url: "file:///export.txt".into() })
-        .unwrap();
-
-    println!("{:>6} {:>12} {:>10}", "source", "rule", "time");
-    for (src, rule) in [
-        (
-            "DB",
-            ExtractionRule::Sql {
-                query: "SELECT brand FROM watches ORDER BY id".into(),
-                column: "brand".into(),
-            },
-        ),
-        ("XML", ExtractionRule::XPath { path: "/catalog/watch/brand/text()".into() }),
-        ("WEB", ExtractionRule::Webl { program: "var b = TagTexts(Text(PAGE), \"b\");".into() }),
-        ("TXT", ExtractionRule::TextRegex { pattern: r"brand: ([\w-]+)".into(), group: 1 }),
-    ] {
-        let mut m = MappingModule::new();
-        m.register(
-            &ontology(),
-            "thing.product.watch.brand".parse().unwrap(),
-            rule,
-            src.into(),
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-        let mapping = m.iter().next().unwrap().clone();
-        let _ = extract_one(&registry, &mapping).unwrap(); // warm-up
-        let (out, wall) = time(|| extract_one(&registry, &mapping).unwrap());
-        assert_eq!(out.0.len(), 1000);
-        println!("{:>6} {:>12} {:>8}us", src, mapping.rule().language(), wall.as_micros());
-    }
-}
-
-fn e3() {
-    header("E3", "scaling with remote sources: serial vs parallel mediator (WAN)");
-    println!("{:>8} {:>16} {:>16} {:>9}", "sources", "serial(sim)", "parallel16(sim)", "speedup");
-    for sources in [1usize, 4, 16, 64] {
-        let serial = deploy_sharded(
-            sources,
-            20,
-            CostModel::wan(),
-            FailureModel::reliable(),
-            Strategy::Parallel { workers: 1 },
-        );
-        let o_serial = serial.query("SELECT watch").unwrap();
-        let parallel = deploy_sharded(
-            sources,
-            20,
-            CostModel::wan(),
-            FailureModel::reliable(),
-            Strategy::Parallel { workers: 16 },
-        );
-        let o_par = parallel.query("SELECT watch").unwrap();
-        let speedup = o_serial.stats.simulated.as_micros() as f64
-            / o_par.stats.simulated.as_micros().max(1) as f64;
-        println!(
-            "{:>8} {:>16} {:>16} {:>8.1}x",
-            sources,
-            o_serial.stats.simulated.to_string(),
-            o_par.stats.simulated.to_string(),
-            speedup
-        );
-    }
-}
-
-fn e4() {
-    header("E4", "mapping-module scale: registration & lookup vs repository size");
-    println!("{:>10} {:>14} {:>14}", "attributes", "register-all", "lookup-one");
-    for classes in [32usize, 128, 512] {
-        let o = synthetic_ontology(classes, 4);
-        let paths: Vec<s2s_owl::AttributePath> = o
-            .classes()
-            .flat_map(|cl| {
-                o.properties_of_class(cl.iri())
-                    .into_iter()
-                    .filter(|p| p.domains().any(|d| d == cl.iri()))
-                    .map(|p| s2s_owl::AttributePath::for_attribute(&o, cl.iri(), p.iri()).unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let (module, reg_wall) = time(|| {
-            let mut m = MappingModule::new();
-            for p in &paths {
-                m.register(
-                    &o,
-                    p.clone(),
-                    ExtractionRule::TextRegex { pattern: "x".into(), group: 0 },
-                    "SRC".into(),
-                    RecordScenario::MultiRecord,
-                )
-                .unwrap();
-            }
-            m
-        });
-        let probe = paths[paths.len() / 2].clone();
-        let (_, lk_wall) = time(|| {
-            for _ in 0..1000 {
-                assert_eq!(module.mappings_for(&probe).len(), 1);
-            }
-        });
-        println!(
-            "{:>10} {:>12}us {:>11}ns/op",
-            paths.len(),
-            reg_wall.as_micros(),
-            lk_wall.as_nanos() / 1000
-        );
-    }
-}
-
-fn e5() {
-    header("E5", "query-handler cost vs predicate count (§2.5)");
-    let o = ontology();
-    println!("{:>6} {:>12} {:>12}", "preds", "parse", "plan");
-    for preds in [1usize, 4, 8, 16] {
-        let mut q = String::from("SELECT watch");
-        for i in 0..preds {
-            q.push_str(if i == 0 { " WHERE " } else { " AND " });
-            q.push_str("brand='Seiko'");
-        }
-        let iters = 10_000u32;
-        let (_, parse_wall) = time(|| {
-            for _ in 0..iters {
-                s2s_core::query::parse(&q).unwrap();
-            }
-        });
-        let parsed = s2s_core::query::parse(&q).unwrap();
-        let (_, plan_wall) = time(|| {
-            for _ in 0..iters {
-                s2s_core::query::plan(&parsed, &o).unwrap();
-            }
-        });
-        println!(
-            "{:>6} {:>10}ns {:>10}ns",
-            preds,
-            parse_wall.as_nanos() / iters as u128,
-            plan_wall.as_nanos() / iters as u128
-        );
-    }
-}
-
-fn e6() {
-    header("E6", "instance generation + serialization per output format (§2.6)");
-    let s2s = deploy_mixed(1000, 7);
-    let outcome = s2s.query("SELECT watch").unwrap();
-    println!(
-        "instances: {}   graph triples: {}",
-        outcome.individuals().len(),
-        outcome.instances.graph.len()
-    );
-    println!("{:>12} {:>12} {:>12}", "format", "time", "bytes");
-    for (label, fmt) in [
-        ("owl-rdfxml", OutputFormat::OwlRdfXml),
-        ("turtle", OutputFormat::Turtle),
-        ("ntriples", OutputFormat::NTriples),
-        ("xml", OutputFormat::Xml),
-        ("text", OutputFormat::Text),
-    ] {
-        let _ = outcome.render(s2s.ontology(), fmt); // warm-up
-        let (out, wall) = time(|| outcome.render(s2s.ontology(), fmt));
-        println!("{:>12} {:>10}us {:>12}", label, wall.as_micros(), out.len());
-    }
-}
-
-fn e7() {
-    header("E7", "one source with n records vs n one-record sources (§2.3)");
-    println!(
-        "{:>8} {:>18} {:>18} {:>16}",
-        "records", "n-record (sim)", "1-record (sim)", "1-record par(sim)"
-    );
-    for n in [50usize, 200] {
-        // n-record: one remote DB.
-        let recs = records(n, 11);
-        let mut multi = S2s::new(ontology());
-        multi
-            .register_remote_source(
-                "DB",
-                Connection::Database { db: Arc::new(catalog_db(&recs)) },
-                CostModel::wan(),
-                FailureModel::reliable(),
-            )
-            .unwrap();
-        multi
-            .register_attribute(
-                "thing.product.watch.brand",
-                ExtractionRule::Sql {
-                    query: "SELECT brand FROM watches ORDER BY id".into(),
-                    column: "brand".into(),
-                },
-                "DB",
-                RecordScenario::MultiRecord,
-            )
-            .unwrap();
-        let o_multi = multi.query("SELECT watch").unwrap();
-
-        // 1-record: n remote pages.
-        let mut web = WebStore::new();
-        for r in &recs {
-            web.register_html(format!("http://shop/{}", r.id), format!("<b>{}</b>", r.brand));
-        }
-        let web = Arc::new(web);
-        let build = |strategy| {
-            let mut s = S2s::new(ontology()).with_strategy(strategy);
-            for r in &recs {
-                let id = format!("wpage_{}", r.id);
-                s.register_remote_source(
-                    &id,
-                    Connection::Web { store: web.clone(), url: format!("http://shop/{}", r.id) },
-                    CostModel::wan(),
-                    FailureModel::reliable(),
-                )
-                .unwrap();
-                s.register_attribute(
-                    "thing.product.watch.brand",
-                    ExtractionRule::Webl {
-                        program: "var b = TagTexts(Text(PAGE), \"b\")[0];".into(),
-                    },
-                    &id,
-                    RecordScenario::SingleRecord,
-                )
-                .unwrap();
-            }
-            s
-        };
-        let o_single = build(Strategy::Parallel { workers: 1 }).query("SELECT watch").unwrap();
-        let o_single_par = build(Strategy::Parallel { workers: 16 }).query("SELECT watch").unwrap();
-        assert_eq!(o_multi.individuals().len(), n);
-        assert_eq!(o_single.individuals().len(), n);
-        println!(
-            "{:>8} {:>18} {:>18} {:>16}",
-            n,
-            o_multi.stats.simulated.to_string(),
-            o_single.stats.simulated.to_string(),
-            o_single_par.stats.simulated.to_string()
-        );
-    }
-}
-
-fn e8() {
-    header("E8", "semantic S2S vs syntactic baseline (3 heterogeneous orgs)");
-    // Three orgs: same semantic content, different schemas/nomenclature.
-    let mut org_a = s2s_minidb::Database::new("a");
-    org_a
-        .execute("CREATE TABLE products (id INTEGER PRIMARY KEY, brand TEXT, price_usd REAL)")
-        .unwrap();
-    org_a.execute("INSERT INTO products VALUES (1,'Seiko',129.99),(2,'Casio',59.5)").unwrap();
-    let mut org_b = s2s_minidb::Database::new("b");
-    org_b.execute("CREATE TABLE artikel (nr INTEGER PRIMARY KEY, marke TEXT, preis REAL)").unwrap();
-    org_b.execute("INSERT INTO artikel VALUES (9,'Seiko',118.0)").unwrap();
-    let org_c = s2s_xml::parse(
-        "<ex><it><b>Seiko</b><p>140.0</p></it><it><b>Orient</b><p>189.0</p></it></ex>",
-    )
-    .unwrap();
-
-    let mut s2s = S2s::new(ontology());
-    s2s.register_source("ORG_A", Connection::Database { db: Arc::new(org_a.clone()) }).unwrap();
-    s2s.register_source("ORG_B", Connection::Database { db: Arc::new(org_b.clone()) }).unwrap();
-    s2s.register_source("ORG_C", Connection::Xml { document: Arc::new(org_c.clone()) }).unwrap();
-    // Mappings: schema heterogeneity resolved here, once.
-    for (src, q, col) in [
-        ("ORG_A", "SELECT brand FROM products ORDER BY id", "brand"),
-        ("ORG_B", "SELECT marke FROM artikel ORDER BY nr", "marke"),
-    ] {
-        s2s.register_attribute(
-            "thing.product.watch.brand",
-            ExtractionRule::Sql { query: q.into(), column: col.into() },
-            src,
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-    }
-    for (src, q, col) in [
-        ("ORG_A", "SELECT price_usd FROM products ORDER BY id", "price_usd"),
-        ("ORG_B", "SELECT preis FROM artikel ORDER BY nr", "preis"),
-    ] {
-        s2s.register_attribute(
-            "thing.product.watch.price",
-            ExtractionRule::Sql { query: q.into(), column: col.into() },
-            src,
-            RecordScenario::MultiRecord,
-        )
-        .unwrap();
-    }
-    s2s.register_attribute(
-        "thing.product.watch.brand",
-        ExtractionRule::XPath { path: "//it/b/text()".into() },
-        "ORG_C",
-        RecordScenario::MultiRecord,
-    )
-    .unwrap();
-    s2s.register_attribute(
-        "thing.product.watch.price",
-        ExtractionRule::XPath { path: "//it/p/text()".into() },
-        "ORG_C",
-        RecordScenario::MultiRecord,
-    )
-    .unwrap();
-
-    let (outcome, s2s_wall) = time(|| s2s.query("SELECT watch WHERE brand='Seiko'").unwrap());
-    println!(
-        "S2S:      1 S2SQL query, {} mappings registered → {} correct instances in {}us",
-        s2s.mapping_count(),
-        outcome.individuals().len(),
-        s2s_wall.as_micros()
-    );
-
-    // The baseline must hand-write per-source glue for THIS query.
-    let mut registry = SourceRegistry::new();
-    registry.register_local("ORG_A", Connection::Database { db: Arc::new(org_a) }).unwrap();
-    registry.register_local("ORG_B", Connection::Database { db: Arc::new(org_b) }).unwrap();
-    registry.register_local("ORG_C", Connection::Xml { document: Arc::new(org_c) }).unwrap();
-    let mut baseline = SyntacticIntegrator::new();
-    baseline
-        .add_rule(
-            "ORG_A",
-            "brand",
-            ExtractionRule::Sql {
-                query: "SELECT brand FROM products WHERE brand='Seiko'".into(),
-                column: "brand".into(),
-            },
-        )
-        .add_rule(
-            "ORG_B",
-            "marke",
-            ExtractionRule::Sql {
-                query: "SELECT marke FROM artikel WHERE marke='Seiko'".into(),
-                column: "marke".into(),
-            },
-        )
-        .add_rule("ORG_C", "b", ExtractionRule::XPath { path: "//it[b='Seiko']/b/text()".into() });
-    let (out, base_wall) = time(|| baseline.run(&registry));
-    println!(
-        "baseline: {} glue rules for this ONE query shape → {} raw records in {}us \
-         (fields still unaligned: brand/marke/b)",
-        baseline.glue_count(),
-        out.records.len(),
-        base_wall.as_micros()
-    );
-    println!(
-        "semantic overhead: {:.2}x wall; glue amortization: S2S mappings serve every future query",
-        s2s_wall.as_nanos() as f64 / base_wall.as_nanos().max(1) as f64
-    );
-}
-
-fn e9() {
-    header("E9", "fault injection: retry budgets vs completeness (§2.6)");
-    println!(
-        "{:>6} {:>7} {:>8} {:>8} {:>13} {:>8} {:>14}",
-        "p", "budget", "ok", "failed", "completeness", "retries", "sim-time"
-    );
-    // Retry budget = attempts beyond the first call (0 = legacy
-    // single-shot behaviour).
-    for p in [0.0f64, 0.1, 0.25, 0.5] {
-        for budget in [0u32, 1, 3] {
-            let policy = s2s_core::ResiliencePolicy::default()
-                .with_retry(s2s_netsim::RetryPolicy::attempts(budget + 1));
-            let s2s = deploy_sharded(
-                32,
-                20,
-                CostModel::lan(),
-                FailureModel::flaky(p),
-                Strategy::Parallel { workers: 8 },
-            )
-            .with_resilience(policy);
-            let outcome = s2s.query("SELECT watch").unwrap();
-            let sources_ok = 32
-                - outcome
-                    .errors()
-                    .iter()
-                    .map(|e| e.source.clone())
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len();
-            println!(
-                "{:>6.2} {:>7} {:>8} {:>8} {:>12.1}% {:>8} {:>14}",
-                p,
-                budget,
-                sources_ok,
-                32 - sources_ok,
-                outcome.stats.completeness * 100.0,
-                outcome.retries(),
-                outcome.stats.simulated.to_string()
-            );
-        }
-    }
-}
-
-fn e11() {
-    header("E11", "batched vs per-attribute extraction (wire coalescing + LPT planner)");
-    println!(
-        "{:>5} {:>8} {:>6} {:>16} {:>16} {:>9} {:>11} {:>11}",
-        "cost",
-        "sources",
-        "attrs",
-        "per-attr(sim)",
-        "batched(sim)",
-        "speedup",
-        "rt-per-attr",
-        "rt-batched"
-    );
-    for (cost_label, cost) in [("lan", CostModel::lan()), ("wan", CostModel::wan())] {
-        for (sources, attrs) in [(8usize, 1usize), (8, 2), (8, 4), (8, 8), (16, 4)] {
-            let four = Strategy::Parallel { workers: 4 };
-            let per_attr = deploy_wide_per_attribute(sources, attrs, cost, four)
-                .query("SELECT product")
-                .unwrap();
-            let batched = deploy_wide(sources, attrs, cost, four).query("SELECT product").unwrap();
-            assert_eq!(
-                wide_values(&per_attr),
-                wide_values(&batched),
-                "batched and per-attribute values diverged"
-            );
-            let speedup = per_attr.stats.simulated.as_micros() as f64
-                / batched.stats.simulated.as_micros().max(1) as f64;
-            println!(
-                "{:>5} {:>8} {:>6} {:>16} {:>16} {:>8.1}x {:>11} {:>11}",
-                cost_label,
-                sources,
-                attrs,
-                per_attr.stats.simulated.to_string(),
-                batched.stats.simulated.to_string(),
-                speedup,
-                per_attr.stats.round_trips,
-                batched.stats.round_trips
-            );
-        }
-    }
-}
-
-/// Real-time pacing for the throughput runs: 150 µs of wall sleep per
-/// simulated millisecond turns a ~20–30 ms WAN exchange into a ~3–4.5 ms
-/// real wait on the client's thread — long enough that concurrent
-/// clients visibly overlap their I/O waits, short enough that the full
-/// sweep stays under a couple of seconds.
-const E13_PACE: u64 = 150;
-
-fn e13() {
-    header("E13", "multi-client throughput on one shared engine (lanes + caches)");
-    println!(
-        "{:>6} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "mode", "clients", "queries", "wall", "qps", "p50", "p99", "res-hit", "plan-hit"
-    );
-
-    let reference = deploy_paced(12, 42, 0, Strategy::Parallel { workers: 1 }, false);
-
-    // Pre-change baseline: one client, no result cache — what every
-    // repeated query cost before the engine kept answers around.
-    let warm1 = warm_workload(1, 16, 64);
-    let uncached = deploy_paced(12, 42, E13_PACE, Strategy::Parallel { workers: 16 }, false);
-    let unreport = run_throughput(&uncached, &warm1, &serial_baseline(&reference, &warm1));
-    assert_eq!(unreport.mismatches, 0, "uncached baseline diverged from serial");
-    println!(
-        "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>8} {:>8}",
-        "base",
-        1,
-        unreport.queries,
-        unreport.wall.as_millis(),
-        unreport.qps,
-        unreport.p50_us,
-        unreport.p99_us,
-        "off",
-        "off",
-    );
-
-    let mut cold_qps = std::collections::BTreeMap::new();
-    let mut warm_qps = std::collections::BTreeMap::new();
-    for clients in [1usize, 2, 4, 8] {
-        for (mode, workload) in [
-            ("cold", cold_workload(clients, 32 / clients)),
-            ("warm", warm_workload(clients, 16, 64)),
-        ] {
-            let baseline = serial_baseline(&reference, &workload);
-            let engine = deploy_paced(12, 42, E13_PACE, Strategy::Parallel { workers: 16 }, true);
-            let report = run_throughput(&engine, &workload, &baseline);
-            assert_eq!(report.mismatches, 0, "{mode} C={clients}: results diverged from serial");
-            assert_eq!(report.min_completeness, 1.0, "{mode} C={clients}: degraded answer");
-            println!(
-                "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>8.0}% {:>8.0}%",
-                mode,
-                clients,
-                report.queries,
-                report.wall.as_millis(),
-                report.qps,
-                report.p50_us,
-                report.p99_us,
-                ThroughputReport::hit_rate(report.result_cache) * 100.0,
-                ThroughputReport::hit_rate(report.plan_cache) * 100.0,
-            );
-            match mode {
-                "cold" => cold_qps.insert(clients, report.qps),
-                _ => warm_qps.insert(clients, report.qps),
-            };
-        }
-    }
-    for (label, qps) in [("cold", &cold_qps), ("warm", &warm_qps)] {
-        let base = qps[&1];
-        let ratios: Vec<String> =
-            qps.iter().map(|(c, q)| format!("C={c}: {:.1}x", q / base)).collect();
-        println!("  {label} scaling vs C=1: {}", ratios.join("  "));
-    }
-    println!(
-        "  repeated-query speedup vs uncached C=1 baseline: C=4: {:.1}x  C=8: {:.1}x",
-        warm_qps[&4] / unreport.qps,
-        warm_qps[&8] / unreport.qps,
-    );
-
-    // Reactor mode: every client is a timer-driven state machine on
-    // one OS thread, so the client count sails past the
-    // thread-per-client ceiling. Each client issues one distinct (cold)
-    // query; the baseline is computed once at the largest C, since
-    // smaller sweeps use a prefix of the same texts. p50/p99 here are
-    // *virtual* per-query service times (see `run_throughput_reactor`).
-    let big = cold_workload(10_000, 1);
-    let baseline = serial_baseline(&reference, &big);
-    let mut react_qps = std::collections::BTreeMap::new();
-    for clients in [100usize, 1_000, 10_000] {
-        let workload = cold_workload(clients, 1);
-        let engine = deploy_paced(12, 42, E13_PACE, Strategy::Reactor, true);
-        let report = run_throughput_reactor(&engine, &workload, &baseline);
-        assert_eq!(report.mismatches, 0, "react C={clients}: results diverged from serial");
-        assert_eq!(report.min_completeness, 1.0, "react C={clients}: degraded answer");
-        println!(
-            "{:>6} {:>8} {:>8} {:>7}ms {:>9.0} {:>7}us {:>7}us {:>8.0}% {:>8.0}%",
-            "react",
-            clients,
-            report.queries,
-            report.wall.as_millis(),
-            report.qps,
-            report.p50_us,
-            report.p99_us,
-            ThroughputReport::hit_rate(report.result_cache) * 100.0,
-            ThroughputReport::hit_rate(report.plan_cache) * 100.0,
-        );
-        react_qps.insert(clients, report.qps);
-    }
-    let threaded_best = cold_qps.values().cloned().fold(0.0f64, f64::max);
-    let ratios: Vec<String> = react_qps
-        .iter()
-        .map(|(c, q)| format!("C={c}: {:.1}x", q / threaded_best.max(1e-9)))
-        .collect();
-    println!("  reactor qps vs best threaded cold run: {}", ratios.join("  "));
-}
-
-fn e12() {
-    header("E12", "observability overhead: disabled vs tracing+metrics (A/B)");
-    let run = |s2s: &S2s| (mean_us(30, || s2s.query("SELECT product").unwrap()) * 1e3) as u128;
-
-    let off = deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 });
-    assert!(!s2s_obs::enabled(), "observability must start disabled");
-    let off_ns = run(&off);
-
-    s2s_obs::set_enabled(true);
-    let on = deploy_wide(8, 4, CostModel::lan(), Strategy::Parallel { workers: 4 }).with_tracing();
-    let on_ns = run(&on);
-    s2s_obs::set_enabled(false);
-
-    println!("{:>22} {:>14}", "mode", "per-query");
-    println!("{:>22} {:>12}ns", "disabled", off_ns);
-    println!("{:>22} {:>12}ns", "tracing+metrics", on_ns);
-    println!(
-        "overhead: {:.2}x (disabled path is a single relaxed atomic load per hook)",
-        on_ns as f64 / off_ns.max(1) as f64
-    );
-}
-
-fn a1() {
-    header("A1", "ablations of the reproduction's own design choices");
-    let recs = records(5_000, 21);
-    let plain = catalog_db(&recs);
-    let mut indexed = catalog_db(&recs);
-    indexed.execute("CREATE INDEX ON watches (brand)").unwrap();
-    let q = "SELECT price FROM watches WHERE brand = 'Seiko'";
-    assert_eq!(plain.query(q).unwrap(), indexed.query(q).unwrap(), "an index changes no result");
-    let scan = mean_us(200, || plain.query(q).unwrap().len());
-    let probe = mean_us(200, || indexed.query(q).unwrap().len());
-    println!(
-        "  minidb index, equality rule over 5000 rows: scan {scan:.0}us  indexed {probe:.0}us  \
-         ({:.1}x)",
-        scan / probe
-    );
-
-    let repeat_query = |views: bool| {
-        let recs = records(500, 33);
-        let mut s2s = S2s::new(ontology());
-        if views {
-            s2s = s2s.with_views();
-        }
-        s2s.register_source("DB", Connection::Database { db: Arc::new(catalog_db(&recs)) })
-            .unwrap();
-        map_db(&mut s2s, "DB");
-        let _ = s2s.query("SELECT watch").unwrap(); // materializes the views
-        mean_us(50, || {
-            let o = s2s.query("SELECT watch").unwrap();
-            assert_eq!(o.stats.view_hits as usize, if views { o.stats.tasks } else { 0 });
-            assert_eq!(o.individuals().len(), 500);
-        })
-    };
-    let (cold, warm) = (repeat_query(false), repeat_query(true));
-    println!(
-        "  materialized views, repeat SELECT watch over 500 records: off {cold:.0}us  on \
-         {warm:.0}us  (view_hits == tasks)"
-    );
-}
-
-fn e10() {
-    header("E10", "reasoner cost vs ontology size (§2.2)");
-    println!("{:>8} {:>12} {:>14} {:>14}", "classes", "closure", "materialize", "consistency");
-    for classes in [64usize, 256, 1024] {
-        let o = synthetic_ontology(classes, 2);
-        let (_, closure_wall) = time(|| Reasoner::new(&o));
-        let reasoner = Reasoner::new(&o);
-        let mut g = s2s_rdf::Graph::new();
-        for (i, cl) in o.classes().enumerate() {
-            let ind = s2s_rdf::Iri::new(format!("http://bench.example/data/i{i}")).unwrap();
-            g.insert(s2s_rdf::Triple::new(ind, s2s_rdf::vocab::rdf::type_(), cl.iri().clone()));
-        }
-        let (_, mat_wall) = time(|| {
-            let mut g2 = g.clone();
-            reasoner.materialize(&mut g2);
-            g2
-        });
-        let mut materialized = g.clone();
-        reasoner.materialize(&mut materialized);
-        let (_, cons_wall) = time(|| reasoner.check_consistency(&materialized));
-        println!(
-            "{:>8} {:>10}us {:>12}us {:>12}us",
-            classes,
-            closure_wall.as_micros(),
-            mat_wall.as_micros(),
-            cons_wall.as_micros()
-        );
     }
 }
