@@ -319,7 +319,7 @@ fn trace_mode() {
             "\ncompleteness: {:.3}   failed tasks: {}   breaker rejections: {}",
             outcome.stats.completeness,
             outcome.stats.failed_tasks,
-            outcome.resilience.values().map(|h| h.breaker_rejections).sum::<u64>()
+            outcome.source("DOWN").map_or(0, |r| r.breaker_rejections)
         );
     }
 }

@@ -700,7 +700,6 @@ pub fn run_pushdown_point(
 ) -> PushdownPoint {
     let pushed = on.query(query).expect("pushdown query");
     let baseline = off.query(query).expect("baseline query");
-    let plan = pushed.pushdown.as_ref();
     PushdownPoint {
         selectivity_pct,
         threshold,
@@ -714,8 +713,8 @@ pub fn run_pushdown_point(
             .stats
             .wire_response_bytes
             .saturating_sub(pushed.stats.wire_response_bytes),
-        pushed_predicates: plan.map_or(0, |p| p.pushed_predicates()),
-        pruned_sources: plan.map_or(0, |p| p.pruned_sources()),
+        pushed_predicates: pushed.sources.iter().flat_map(|r| &r.pushed).count() as u64,
+        pruned_sources: pushed.sources.iter().filter(|r| r.pruned).count() as u64,
     }
 }
 

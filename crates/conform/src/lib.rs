@@ -17,7 +17,7 @@
 //! * [`oracle`] — differential oracles running one scenario through
 //!   every execution path and checking instance-set equality (modulo
 //!   ordering) plus the `QueryStats` invariants the docs promise
-//!   (completeness, `round_trips` conservation, cache deltas), and —
+//!   (failed tasks, the serial bound, cache deltas), and —
 //!   on fault-free scenarios — the delta-maintenance arm that fuzzes
 //!   source mutations against materialized semantic views and demands
 //!   fingerprint-identity with recompute after every round,

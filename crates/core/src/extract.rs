@@ -20,17 +20,17 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use s2s_netsim::wire::{batch_exchange_size, batch_frame_size, exchange_size};
 use s2s_netsim::{
-    defer_pacing, invoke_with_retry, makespan, pace_sleep, BreakerConfig, BreakerState,
-    CircuitBreaker, Endpoint, HedgeConfig, Hedger, Lanes, RetryPolicy, SimDuration,
+    defer_pacing, invoke_with_retry, makespan, pace_sleep, BreakerConfig, CircuitBreaker, Endpoint,
+    HedgeConfig, Hedger, Lanes, RetryPolicy, SimDuration,
 };
 use s2s_obs::{Span, SpanKind, SpanOutcome};
 
 use crate::error::{FailureClass, S2sError};
+use crate::ledger::{self, SourceLedger};
 use crate::mapping::{AttributeMapping, MappingModule, RecordScenario};
 use crate::source::{RegisteredSource, SourceRegistry};
 
@@ -203,52 +203,6 @@ impl ResilienceContext {
     }
 }
 
-/// Degraded-mode telemetry for one source, aggregated over all of a
-/// query's extraction tasks against it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceHealth {
-    /// Extraction tasks dispatched to this source.
-    pub tasks: usize,
-    /// Tasks that still failed after retries and failover.
-    pub failed_tasks: usize,
-    /// Endpoint attempts made (every retry and failover call counts).
-    pub attempts: u64,
-    /// Attempts beyond the first per endpoint.
-    pub retries: u64,
-    /// Switches to a replica endpoint.
-    pub failovers: u64,
-    /// Calls rejected by an open circuit breaker.
-    pub breaker_rejections: u64,
-    /// Simulated wire time spent against this source, including failed
-    /// attempts and backoff waits (unlike the per-result `elapsed`,
-    /// which only successful tasks report).
-    pub elapsed: SimDuration,
-    /// State of the primary endpoint's breaker after the query
-    /// (`None` when breakers are disabled).
-    pub breaker_state: Option<BreakerState>,
-    /// Exchanges abandoned because the query's deadline budget ran out
-    /// (mid-attempt or mid-backoff).
-    pub deadline_hits: u64,
-    /// Hedged replica requests launched against straggling primaries.
-    pub hedges: u64,
-    /// Hedged requests whose replica reply beat the primary. Invariant:
-    /// `hedge_wins <= hedges`.
-    pub hedge_wins: u64,
-}
-
-/// Per-task resilience counters, folded into [`SourceHealth`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TaskTrace {
-    attempts: u64,
-    retries: u64,
-    failovers: u64,
-    breaker_rejections: u64,
-    elapsed: SimDuration,
-    deadline_hits: u64,
-    hedges: u64,
-    hedge_wins: u64,
-}
-
 /// A failed extraction, attributed to its attribute and source (feeds
 /// the Instance Generator's error reporting, §2.6).
 #[derive(Debug, Clone, PartialEq)]
@@ -273,18 +227,12 @@ pub struct ExtractionReport {
     /// Simulated completion time had the tasks run serially (for
     /// speed-up reporting).
     pub simulated_serial: SimDuration,
-    /// Degraded-mode telemetry per source id.
-    pub resilience: BTreeMap<String, SourceHealth>,
+    /// The query's ledger, one row per source in id order
+    /// ([`crate::ledger`]).
+    pub sources: Vec<SourceLedger>,
     /// Per-batch trace spans (`batch → rule/attempt`), populated only
-    /// when [`ExtractEnv::traced`]; empty otherwise. Spans are built
-    /// thread-locally inside each worker and ride the result channel
-    /// back, so collecting them adds no locks to the parallel path.
+    /// when [`ExtractEnv::traced`]; empty otherwise.
     pub spans: Vec<Span>,
-    /// Total on-wire bytes (request plus response frames) of every
-    /// exchange whose network leg completed.
-    pub wire_bytes: u64,
-    /// The response-frame share of `wire_bytes`.
-    pub wire_response_bytes: u64,
 }
 
 impl ExtractionReport {
@@ -346,12 +294,18 @@ impl ExtractorManager {
     /// individually and never reach the wire, so one bad rule cannot
     /// sink its batch.
     ///
+    /// `sources` is the query's ledger ([`crate::ledger`]); the mediator
+    /// writes each source's tasks, attempt ladder, wire time and bytes
+    /// into its row (adding a row for a source without one) and hands
+    /// the rows back in the report.
+    ///
     /// When [`ExtractEnv::traced`], the report's `spans` carry one
     /// `batch` span per planned wire exchange, with one `rule` child
     /// per planned rule and one `attempt` child per endpoint tried.
     pub fn extract(
         registry: &SourceRegistry,
         schemas: Vec<ExtractionSchema>,
+        mut sources: Vec<SourceLedger>,
         env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
         let batches = plan_batches(registry, schemas, env.traced);
@@ -359,50 +313,45 @@ impl ExtractorManager {
             s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
         }
 
-        // Every wire leg runs here, in dispatch order, with its paced
-        // wait deferred; the strategy only says how far the waits overlap
-        // before the caller pays them in one sleep.
-        let (outcomes, waits_us): (Vec<_>, Vec<u64>) =
-            batches.into_iter().map(|b| defer_pacing(|| run_batch(b, env))).unzip();
-        pace_sleep(match env.strategy {
-            Strategy::Reactor => waits_us.into_iter().max().unwrap_or(0),
-            Strategy::Parallel { workers } if workers > 1 => env.lanes.reserve(&waits_us),
-            Strategy::Parallel { .. } => waits_us.into_iter().sum(),
-        });
-
         let mut report = ExtractionReport::default();
         let mut durations = Vec::new();
         let mut results = Vec::new();
         let mut failures = Vec::new();
-        for (mut batch, (net, trace), attempt_spans, wall) in outcomes {
-            let health = report.resilience.entry(batch.source_id.clone()).or_default();
-            health.tasks += batch.ok.len() + batch.failed.len();
-            fold_trace(health, trace);
-            if let Some(attempt_spans) = attempt_spans {
-                let mut span = Span::new(SpanKind::Batch, batch.source_id.clone());
-                span.sim_us = trace.elapsed.as_micros();
-                span.wall_us = wall.as_micros() as u64;
-                span.outcome = batch_outcome(net.is_err(), !batch.failed.is_empty(), &trace);
-                span.attr("rules", (batch.ok.len() + batch.failed.len()).to_string());
-                span.attr("wire_bytes", batch.wire_bytes.to_string());
-                for rule_span in std::mem::take(&mut batch.rule_spans) {
-                    span.push(rule_span);
+        let mut waits_us = Vec::with_capacity(batches.len());
+        // Every wire leg runs here, in dispatch order, with its paced
+        // wait deferred; the strategy only says how far the waits overlap
+        // before the caller pays them in one sleep.
+        for batch in batches {
+            let row = ledger::row(&mut sources, &batch.source_id);
+            let started = std::time::Instant::now();
+            let mut attempt_spans = env.traced.then(Vec::new);
+            let (net, wait_us) = defer_pacing(|| match batch.source {
+                Some(source) if !batch.ok.is_empty() => {
+                    resilient_exchange(source, &batch, env, row, attempt_spans.as_mut())
                 }
-                for attempt in attempt_spans {
-                    span.push(attempt);
-                }
-                report.spans.push(span);
-            }
+                // Nothing survived the wrappers (or the source is
+                // unknown): no wire leg at all.
+                _ => Ok(SimDuration::ZERO),
+            });
+            let wall = started.elapsed();
+            waits_us.push(wait_us);
+            let rules = batch.ok.len() + batch.failed.len();
+            let outcome = batch_outcome(net.is_err(), !batch.failed.is_empty(), row);
+            row.tasks += rules;
+            row.failed_tasks += batch.failed.len();
+            row.breaker_state = batch
+                .source
+                .and_then(|s| env.resilience.breaker(s.endpoint().id()))
+                .map(|b| b.state());
             for (i, schema, error) in batch.failed {
-                health.failed_tasks += 1;
                 failures.push((i, failure_of(&schema, error)));
             }
             match net {
                 Ok(elapsed) => {
                     if !batch.ok.is_empty() {
                         durations.push(elapsed);
-                        report.wire_bytes += batch.wire_bytes as u64;
-                        report.wire_response_bytes += batch.response_bytes as u64;
+                        row.wire_bytes += batch.wire_bytes as u64;
+                        row.wire_response_bytes += batch.response_bytes as u64;
                     }
                     for (i, schema, values) in batch.ok {
                         results.push((
@@ -414,20 +363,39 @@ impl ExtractorManager {
                 Err(error) => {
                     // The exchange failed as a unit: every batched rule
                     // reports the same network error.
+                    row.failed_tasks += batch.ok.len();
                     for (i, schema, _) in batch.ok {
-                        health.failed_tasks += 1;
                         failures.push((i, failure_of(&schema, error.clone())));
                     }
                 }
             }
+            // The span renders the source's finished row: no other
+            // exchange of the query writes it.
+            if let Some(attempt_spans) = attempt_spans {
+                let mut span = Span::new(SpanKind::Batch, batch.source_id);
+                span.sim_us = row.wire_time.as_micros();
+                span.wall_us = wall.as_micros() as u64;
+                span.outcome = outcome;
+                span.attr("rules", rules.to_string());
+                span.attr("wire_bytes", row.wire_bytes.to_string());
+                for child in batch.rule_spans.into_iter().chain(attempt_spans) {
+                    span.push(child);
+                }
+                report.spans.push(span);
+            }
         }
+        pace_sleep(match env.strategy {
+            Strategy::Reactor => waits_us.into_iter().max().unwrap_or(0),
+            Strategy::Parallel { workers } if workers > 1 => env.lanes.reserve(&waits_us),
+            Strategy::Parallel { .. } => waits_us.into_iter().sum(),
+        });
         // Restore submission order so the output is byte-identical
         // whatever the grouping and the dispatch order.
         results.sort_by_key(|(i, _)| *i);
         failures.sort_by_key(|(i, _)| *i);
         report.results = results.into_iter().map(|(_, r)| r).collect();
         report.failures = failures.into_iter().map(|(_, f)| f).collect();
-        fill_breaker_states(&mut report, registry, env.resilience);
+        report.sources = sources;
         report.simulated_serial = durations.iter().copied().sum();
         // Under `Reactor` every exchange overlaps every other.
         let overlap = match env.strategy {
@@ -458,33 +426,6 @@ pub struct ExtractEnv<'a> {
     pub deadline: Option<SimDuration>,
     /// Whether to build trace spans; nothing is allocated when off.
     pub traced: bool,
-}
-
-/// One batch's outcome: the batch back (results/failures inside), the
-/// wire leg's verdict and trace, optional attempt spans, wall elapsed.
-type BatchOutcome<'a> =
-    (PlannedBatch<'a>, (Result<SimDuration, S2sError>, TaskTrace), Option<Vec<Span>>, Duration);
-
-/// Executes one planned batch's wire leg.
-fn run_batch<'a>(batch: PlannedBatch<'a>, env: &ExtractEnv<'_>) -> BatchOutcome<'a> {
-    let started = std::time::Instant::now();
-    let mut attempt_spans = if env.traced { Some(Vec::new()) } else { None };
-    let net = if let (Some(source), false) = (batch.source, batch.ok.is_empty()) {
-        resilient_exchange(
-            source,
-            &batch.source_id,
-            &batch.salt,
-            batch.wire_bytes,
-            env.resilience,
-            env.deadline,
-            attempt_spans.as_mut(),
-        )
-    } else {
-        // Nothing survived the wrappers (or the source is unknown): no
-        // wire leg at all.
-        (Ok(SimDuration::ZERO), TaskTrace::default())
-    };
-    (batch, net, attempt_spans, started.elapsed())
 }
 
 /// One source's schemas bound for a single wire exchange, planned
@@ -594,36 +535,26 @@ fn failure_of(schema: &ExtractionSchema, error: S2sError) -> ExtractionFailure {
     }
 }
 
-fn fold_trace(health: &mut SourceHealth, trace: TaskTrace) {
-    health.attempts += trace.attempts;
-    health.retries += trace.retries;
-    health.failovers += trace.failovers;
-    health.breaker_rejections += trace.breaker_rejections;
-    health.elapsed += trace.elapsed;
-    health.deadline_hits += trace.deadline_hits;
-    health.hedges += trace.hedges;
-    health.hedge_wins += trace.hedge_wins;
-}
-
 /// Severity-composed outcome of a `batch` span: a failed wire exchange
 /// dominates, then wrapper-level degradation, then resilience events
 /// that a success still passed through (breaker skips, failovers,
-/// retries).
-fn batch_outcome(net_failed: bool, any_rule_failed: bool, trace: &TaskTrace) -> SpanOutcome {
+/// retries) — read off the source's row, which only this batch's
+/// exchange writes.
+fn batch_outcome(net_failed: bool, any_rule_failed: bool, row: &SourceLedger) -> SpanOutcome {
     if net_failed {
         return SpanOutcome::Failed;
     }
     let mut outcome = SpanOutcome::Ok;
-    if trace.retries > 0 {
+    if row.retries > 0 {
         outcome = outcome.worst(SpanOutcome::Retried);
     }
-    if trace.failovers > 0 {
+    if row.failovers > 0 {
         outcome = outcome.worst(SpanOutcome::FailedOver);
     }
-    if trace.hedges > 0 {
+    if row.hedges > 0 {
         outcome = outcome.worst(SpanOutcome::Hedged);
     }
-    if trace.breaker_rejections > 0 {
+    if row.breaker_rejections > 0 {
         outcome = outcome.worst(SpanOutcome::BreakerRejected);
     }
     if any_rule_failed {
@@ -644,19 +575,6 @@ fn record_report_metrics(report: &ExtractionReport) {
         .add((report.results.len() + report.failures.len()) as u64);
     metrics.counter("s2s_extract_failed_tasks_total").add(report.failures.len() as u64);
     metrics.histogram("s2s_extract_sim_us").observe(report.simulated.as_micros());
-}
-
-fn fill_breaker_states(
-    report: &mut ExtractionReport,
-    registry: &SourceRegistry,
-    ctx: &ResilienceContext,
-) {
-    for (source_id, health) in &mut report.resilience {
-        health.breaker_state = registry
-            .get(&source_id.as_str().into())
-            .and_then(|s| ctx.breaker(s.endpoint().id()))
-            .map(|b| b.state());
-    }
 }
 
 /// Runs one extraction rule against one source, crossing the source's
@@ -686,15 +604,16 @@ pub fn extract_one(
 /// policy, fails over along the source's replica list on transient
 /// failures, and is gated by per-endpoint circuit breakers. Wrapper
 /// errors never get here — replicas serve the same data, so neither
-/// retry nor failover is attempted for them. `salt` keeps
-/// backoff-jitter draw streams distinct per batch; `source_label` names
-/// the source in errors.
+/// retry nor failover is attempted for them. The batch's salt keeps
+/// backoff-jitter draw streams distinct per batch. The attempt ladder
+/// and the wire time go to the source's ledger `row`, which no other
+/// exchange of the query writes; the `Ok` carries the time charged.
 ///
 /// A failover is counted only once at least one real attempt has been
 /// made — skipping past a breaker-rejected endpoint costs no network
 /// attempt and is not a failover.
 ///
-/// `deadline` is the query's remaining budget for this exchange (the
+/// `env.deadline` is the query's remaining budget for this exchange (the
 /// parallel execution model starts every source at the same instant, so
 /// each exchange gets the full per-query budget). It tightens the retry
 /// policy's own deadline; when the budget runs out — mid-attempt or
@@ -712,14 +631,13 @@ pub fn extract_one(
 /// `attempts` (and thus `round_trips`).
 fn resilient_exchange(
     source: &RegisteredSource,
-    source_label: &str,
-    salt: &str,
-    bytes: usize,
-    ctx: &ResilienceContext,
-    deadline: Option<SimDuration>,
+    batch: &PlannedBatch<'_>,
+    env: &ExtractEnv<'_>,
+    row: &mut SourceLedger,
     mut spans: Option<&mut Vec<Span>>,
-) -> (Result<SimDuration, S2sError>, TaskTrace) {
-    let mut trace = TaskTrace::default();
+) -> Result<SimDuration, S2sError> {
+    let (ctx, source_label, salt, bytes) =
+        (env.resilience, batch.source_id.as_str(), batch.salt.as_str(), batch.wire_bytes);
     let endpoints: Vec<&Arc<Endpoint>> =
         if ctx.policy.failover { source.endpoints().collect() } else { vec![source.endpoint()] };
 
@@ -727,13 +645,13 @@ fn resilient_exchange(
     let mut last_err = None;
     for (slot, endpoint) in endpoints.iter().enumerate() {
         if attempted {
-            trace.failovers += 1;
+            row.failovers += 1;
         }
         let is_failover = attempted;
         let breaker = ctx.breaker_for(endpoint.id());
         if let Some(b) = &breaker {
             if !b.allow(ctx.virtual_now()) {
-                trace.breaker_rejections += 1;
+                row.breaker_rejections += 1;
                 if let Some(spans) = spans.as_deref_mut() {
                     let mut span = Span::new(SpanKind::Attempt, endpoint.id().to_string());
                     span.outcome = SpanOutcome::BreakerRejected;
@@ -747,10 +665,10 @@ fn resilient_exchange(
         // own deadline and what remains of the query budget after the
         // attempts already spent on this exchange.
         let mut retry = ctx.policy.retry;
-        if let Some(budget) = deadline {
-            let remaining = budget.saturating_sub(trace.elapsed);
+        if let Some(budget) = env.deadline {
+            let remaining = budget.saturating_sub(row.wire_time);
             if remaining == SimDuration::ZERO {
-                trace.deadline_hits += 1;
+                row.deadline_hits += 1;
                 note_deadline_exceeded();
                 last_err = Some(S2sError::DeadlineExceeded { source: source_label.to_string() });
                 break;
@@ -760,8 +678,8 @@ fn resilient_exchange(
         let seed = crate::source::stable_seed(endpoint.id()) ^ crate::source::stable_seed(salt);
         let out = invoke_with_retry(endpoint, &retry, seed, bytes, || ());
         attempted = true;
-        trace.attempts += u64::from(out.attempts);
-        trace.retries += u64::from(out.retries());
+        row.attempts += u64::from(out.attempts);
+        row.retries += u64::from(out.retries());
 
         // Hedge a straggling success against the next replica.
         let mut charged = out.elapsed;
@@ -773,19 +691,19 @@ fn resilient_exchange(
                 if let (Some(delay), Some(replica)) = (hedger.delay(), endpoints.get(slot + 1)) {
                     if out.elapsed > delay {
                         hedger.note_launch();
-                        trace.hedges += 1;
+                        row.hedges += 1;
                         hedged = true;
                         let h_seed = crate::source::stable_seed(replica.id())
                             ^ crate::source::stable_seed(salt)
                             ^ HEDGE_SEED_SALT;
                         let h =
                             invoke_with_retry(replica, &RetryPolicy::none(), h_seed, bytes, || ());
-                        trace.attempts += u64::from(h.attempts);
+                        row.attempts += u64::from(h.attempts);
                         if h.result.is_ok() {
                             let replica_done = delay + h.elapsed;
                             if replica_done < out.elapsed {
                                 hedger.note_win();
-                                trace.hedge_wins += 1;
+                                row.hedge_wins += 1;
                                 hedge_won = true;
                                 charged = replica_done;
                             }
@@ -794,7 +712,7 @@ fn resilient_exchange(
                 }
             }
         }
-        trace.elapsed += charged;
+        row.wire_time += charged;
         let now = ctx.advance(charged);
         if let Some(spans) = spans.as_deref_mut() {
             let mut span = Span::new(SpanKind::Attempt, endpoint.id().to_string());
@@ -822,7 +740,7 @@ fn resilient_exchange(
                 if let Some(b) = &breaker {
                     b.record_success(now);
                 }
-                return (Ok(trace.elapsed), trace);
+                return Ok(row.wire_time);
             }
             Err(e) => {
                 if let Some(b) = &breaker {
@@ -833,7 +751,7 @@ fn resilient_exchange(
                     // backoff wait): stop immediately and label the
                     // failure honestly — failover cannot fit in zero
                     // remaining budget.
-                    trace.deadline_hits += 1;
+                    row.deadline_hits += 1;
                     note_deadline_exceeded();
                     last_err =
                         Some(S2sError::DeadlineExceeded { source: source_label.to_string() });
@@ -850,7 +768,7 @@ fn resilient_exchange(
     }
     let error =
         last_err.unwrap_or_else(|| S2sError::CircuitOpen { source: source_label.to_string() });
-    (Err(error), trace)
+    Err(error)
 }
 
 /// Decorrelates the hedge attempt's jitter stream from the replica's
@@ -883,7 +801,7 @@ mod tests {
     use crate::mapping::{ExtractionRule, MappingModule};
     use crate::source::Connection;
     use s2s_minidb::Database;
-    use s2s_netsim::{CostModel, FailureModel};
+    use s2s_netsim::{BreakerState, CostModel, FailureModel};
     use s2s_owl::Ontology;
     use s2s_webdoc::WebStore;
     use std::sync::Arc;
@@ -960,7 +878,7 @@ mod tests {
         let lanes = Lanes::new(strategy.workers());
         let env =
             ExtractEnv { strategy, lanes: &lanes, resilience: ctx, deadline: None, traced: false };
-        ExtractorManager::extract(r, schemas, &env)
+        ExtractorManager::extract(r, schemas, Vec::new(), &env)
     }
 
     /// [`run`] with serial dispatch.
@@ -974,6 +892,11 @@ mod tests {
 
     fn no_resilience() -> ResilienceContext {
         ResilienceContext::new(ResiliencePolicy::none())
+    }
+
+    /// The ledger row the mediator wrote for `source`.
+    fn row<'a>(report: &'a ExtractionReport, source: &str) -> &'a SourceLedger {
+        report.sources.iter().find(|r| r.source == source).expect("a row per dispatched source")
     }
 
     #[test]
@@ -1170,11 +1093,11 @@ mod tests {
         let ctx = no_resilience();
         let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
-        let health = &report.resilience["R"];
+        let health = row(&report, "R");
         assert_eq!(health.tasks, 2);
         assert_eq!(health.attempts, 1, "batch must cross the wire once");
         assert_eq!(r.get(&"R".into()).unwrap().endpoint().stats().calls, 1);
-        assert!(health.elapsed > SimDuration::ZERO);
+        assert!(health.wire_time > SimDuration::ZERO);
     }
 
     #[test]
@@ -1202,7 +1125,7 @@ mod tests {
             ResilienceContext::new(ResiliencePolicy::none().with_retry(RetryPolicy::attempts(8)));
         let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         assert!(report.is_complete(), "8 attempts at p=0.5 should land: {:?}", report.failures);
-        let health = &report.resilience["R"];
+        let health = row(&report, "R");
         assert_eq!(health.attempts, r.get(&"R".into()).unwrap().endpoint().stats().calls);
         assert_eq!(health.retries, health.attempts - 1, "one exchange, rest are retries");
         // Both attribute results carry the same batch elapsed.
@@ -1231,7 +1154,7 @@ mod tests {
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
         let report = run(&r, schemas, Strategy::Parallel { workers: 1 }, &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
-        let health = &report.resilience["R"];
+        let health = row(&report, "R");
         // One failover for the whole batch, not one per attribute.
         assert_eq!(health.failovers, 1);
         assert_eq!(health.attempts, 2);
@@ -1285,13 +1208,13 @@ mod tests {
         // breaker), then a genuine failover to the replica.
         let first = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(first.is_complete());
-        assert_eq!(first.resilience["R"].failovers, 1);
+        assert_eq!(row(&first, "R").failovers, 1);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         // Second task: the primary is breaker-rejected with no attempt,
         // so serving from the replica is not a failover.
         let second = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(second.is_complete());
-        let health = &second.resilience["R"];
+        let health = row(&second, "R");
         assert_eq!(health.breaker_rejections, 1);
         assert_eq!(health.attempts, 1);
         assert_eq!(health.failovers, 0, "no real attempt preceded the switch");
@@ -1328,8 +1251,8 @@ mod tests {
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].attribute.contains("price"));
-        assert_eq!(report.resilience["R"].attempts, 1);
-        assert_eq!(report.resilience["R"].failed_tasks, 1);
+        assert_eq!(row(&report, "R").attempts, 1);
+        assert_eq!(row(&report, "R").failed_tasks, 1);
     }
 
     #[test]
@@ -1406,7 +1329,7 @@ mod tests {
         let report = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
         assert_eq!(report.completeness(), 1.0);
-        let health = &report.resilience["R"];
+        let health = row(&report, "R");
         assert_eq!(health.failovers, 1);
         assert_eq!(health.attempts, 2);
         assert_eq!(health.failed_tasks, 0);
@@ -1419,7 +1342,7 @@ mod tests {
         let report = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(!report.is_complete());
         assert_eq!(report.completeness(), 0.0);
-        let health = &report.resilience["R"];
+        let health = row(&report, "R");
         assert_eq!(health.failovers, 0);
         assert_eq!(health.failed_tasks, 1);
         assert!(matches!(
@@ -1483,7 +1406,7 @@ mod tests {
         );
         let report = run_serial(&r, brand_schemas(&m), &ctx);
         assert!(!report.is_complete());
-        let health = &report.resilience["R"];
+        let health = row(&report, "R");
         // The failure happened in the wrapper, before any network leg:
         // no attempts, no retries, no failover.
         assert_eq!((health.attempts, health.retries, health.failovers), (0, 0, 0));

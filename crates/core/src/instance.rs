@@ -489,7 +489,7 @@ pub fn generate_with_options(
         individuals,
         errors: report.failures.clone(),
         completeness: report.completeness(),
-        round_trips: report.resilience.values().map(|h| h.attempts).sum(),
+        round_trips: crate::ledger::total(&report.sources).sum.attempts,
     }
 }
 

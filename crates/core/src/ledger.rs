@@ -1,0 +1,184 @@
+//! The query ledger (DESIGN.md "Query ledger"): one row per source a
+//! fresh query read, holding what the query did to that source — the
+//! pushdown plan, view maintenance, the attempt ladder and the wire
+//! traffic. The middleware creates the rows from the query's extraction
+//! schemas, in source-id order; the planner, the view partition and the
+//! mediator each write their own fields. Every figure is deterministic
+//! (wall time stays on the trace spans), so two seeded runs' ledgers
+//! compare with `==`. `total` is the one place a per-source figure
+//! becomes a query total.
+
+use s2s_netsim::{BreakerState, SimDuration};
+
+use crate::extract::ExtractionSchema;
+
+/// What one fresh query did to one source.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SourceLedger {
+    /// The source id.
+    pub source: String,
+    /// Schemas of this source the query answered or failed, whether
+    /// extracted or served from a view.
+    pub tasks: usize,
+    /// Tasks that failed: in the wrapper, or on the wire after retries
+    /// and failover.
+    pub failed_tasks: usize,
+    /// Whether the pushdown planner pruned the source: a required
+    /// conjunct names a property it does not map, so nothing it could
+    /// contribute passes the residual filter, and it is never dialled.
+    pub pruned: bool,
+    /// Conjuncts pushed into the source's native rules
+    /// (`"price < 100"`), in condition order.
+    pub pushed: Vec<String>,
+    /// Schemas the projection dropped: neither the projection nor the
+    /// condition reads their property.
+    pub projected_out: usize,
+    /// Slices served from a materialized view without re-extraction:
+    /// fresh ones, and ones advanced past change events that provably
+    /// did not touch their field.
+    pub view_hits: u64,
+    /// View slices re-extracted because a change event touched their
+    /// field.
+    pub view_refreshes: u64,
+    /// View slices re-extracted from scratch because a feed gap made
+    /// the delta unsound.
+    pub view_full_refreshes: u64,
+    /// Change-feed polls issued against the source: one per version a
+    /// stale slice of it was at.
+    pub feed_polls: u64,
+    /// The widest staleness among the source's view-served slices:
+    /// simulated time between a slice's last refresh and this query
+    /// reading it.
+    pub view_staleness: SimDuration,
+    /// Endpoint attempts that reached the wire: every retry, failover
+    /// and hedge attempt counts; a call an open breaker refused does
+    /// not.
+    pub attempts: u64,
+    /// Attempts beyond the first per endpoint.
+    pub retries: u64,
+    /// Switches to a replica endpoint after a real attempt.
+    pub failovers: u64,
+    /// Calls an open circuit breaker refused before any wire exchange.
+    pub breaker_rejections: u64,
+    /// State of the primary endpoint's breaker after the exchange
+    /// (`None` when breakers are off or the mediator did not run the
+    /// source).
+    pub breaker_state: Option<BreakerState>,
+    /// Exchanges abandoned because the query's deadline budget ran out,
+    /// mid-attempt or mid-backoff.
+    pub deadline_hits: u64,
+    /// Hedged replica requests launched against a straggling primary.
+    pub hedges: u64,
+    /// Hedges whose replica reply beat the primary
+    /// (`hedge_wins <= hedges`).
+    pub hedge_wins: u64,
+    /// Simulated wire time spent against the source, failed attempts
+    /// and backoff waits included.
+    pub wire_time: SimDuration,
+    /// On-wire bytes: the batch request and response frames of the
+    /// source's exchange if its network leg completed, plus the frames
+    /// of its change-feed polls.
+    pub wire_bytes: u64,
+    /// The batch response frame's share of `wire_bytes`.
+    pub wire_response_bytes: u64,
+}
+
+/// One empty row per source of `schemas`, in source-id order.
+pub(crate) fn rows(schemas: &[ExtractionSchema]) -> Vec<SourceLedger> {
+    let mut rows = Vec::new();
+    for s in schemas {
+        row(&mut rows, s.mapping.source().as_str());
+    }
+    rows
+}
+
+/// The row of `source`, added in id order when `rows` has none yet.
+pub(crate) fn row<'a>(rows: &'a mut Vec<SourceLedger>, source: &str) -> &'a mut SourceLedger {
+    let i = match rows.binary_search_by(|r| r.source.as_str().cmp(source)) {
+        Ok(i) => i,
+        Err(i) => {
+            rows.insert(i, SourceLedger { source: source.to_string(), ..SourceLedger::default() });
+            i
+        }
+    };
+    &mut rows[i]
+}
+
+/// A query's rows folded: `sum` is one row without a source holding
+/// every figure summed (the staleness the widest); `pruned` and
+/// `pushed` count the pruned sources and the pushed conjuncts.
+#[derive(Debug, Default)]
+pub(crate) struct Totals {
+    pub sum: SourceLedger,
+    pub pruned: u64,
+    pub pushed: u64,
+}
+
+/// The one fold: every query total of a per-source figure is read here.
+pub(crate) fn total(rows: &[SourceLedger]) -> Totals {
+    let mut t = Totals::default();
+    let s = &mut t.sum;
+    for r in rows {
+        s.tasks += r.tasks;
+        s.failed_tasks += r.failed_tasks;
+        t.pruned += u64::from(r.pruned);
+        t.pushed += r.pushed.len() as u64;
+        s.view_hits += r.view_hits;
+        s.view_refreshes += r.view_refreshes;
+        s.view_full_refreshes += r.view_full_refreshes;
+        s.feed_polls += r.feed_polls;
+        s.view_staleness = s.view_staleness.max(r.view_staleness);
+        s.attempts += r.attempts;
+        s.retries += r.retries;
+        s.failovers += r.failovers;
+        s.breaker_rejections += r.breaker_rejections;
+        s.deadline_hits += r.deadline_hits;
+        s.hedges += r.hedges;
+        s.hedge_wins += r.hedge_wins;
+        s.wire_time += r.wire_time;
+        s.wire_bytes += r.wire_bytes;
+        s.wire_response_bytes += r.wire_response_bytes;
+    }
+    t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_come_in_source_id_order_one_per_source() {
+        let mut rows = Vec::new();
+        for id in ["b", "a", "c", "a", "b"] {
+            row(&mut rows, id).tasks += 1;
+        }
+        let got: Vec<_> = rows.iter().map(|r| (r.source.as_str(), r.tasks)).collect();
+        assert_eq!(got, [("a", 2), ("b", 2), ("c", 1)]);
+    }
+
+    #[test]
+    fn the_fold_sums_every_figure_and_keeps_the_widest_staleness() {
+        let a = SourceLedger {
+            source: "a".into(),
+            tasks: 2,
+            pushed: vec!["p < 1".into(), "q = x".into()],
+            attempts: 3,
+            view_staleness: SimDuration::from_micros(5),
+            wire_bytes: 10,
+            ..SourceLedger::default()
+        };
+        let b = SourceLedger {
+            source: "b".into(),
+            tasks: 1,
+            pruned: true,
+            attempts: 1,
+            view_staleness: SimDuration::from_micros(2),
+            wire_bytes: 4,
+            ..SourceLedger::default()
+        };
+        let t = total(&[a, b]);
+        assert_eq!((t.sum.tasks, t.pruned, t.pushed), (3, 1, 2));
+        assert_eq!((t.sum.attempts, t.sum.wire_bytes), (4, 14));
+        assert_eq!(t.sum.view_staleness, SimDuration::from_micros(5));
+    }
+}

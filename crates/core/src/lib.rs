@@ -42,6 +42,7 @@ pub mod engine;
 pub mod error;
 pub mod extract;
 pub mod instance;
+pub mod ledger;
 pub mod mapping;
 pub mod middleware;
 pub mod planner;
@@ -56,7 +57,8 @@ pub use bootstrap::{
 };
 pub use engine::{CacheStats, DependencySet, QueryResultCache};
 pub use error::{FailureClass, S2sError};
-pub use extract::{ResilienceContext, ResiliencePolicy, SourceHealth};
+pub use extract::{ResilienceContext, ResiliencePolicy};
+pub use ledger::SourceLedger;
 pub use middleware::{Priority, QueryOptions, S2s};
-pub use planner::{plan_pushdown, PushdownPlan, SourcePlan};
+pub use planner::plan_pushdown;
 pub use view::{SemanticViews, ViewSlice, ViewStats};

@@ -19,15 +19,17 @@ use crate::engine::{self, CacheStats, CachedResult, DependencySet, PlanCache, Qu
 use crate::error::S2sError;
 use crate::extract::{
     AttributeResult, ExtractEnv, ExtractionFailure, ExtractorManager, ResilienceContext,
-    ResiliencePolicy, SourceHealth, Strategy, Values,
+    ResiliencePolicy, Strategy, Values,
 };
 use crate::instance::{self, GenerateOptions, Individual, InstanceSet, OutputFormat};
+use crate::ledger::{self, SourceLedger, Totals};
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
 use crate::query::{self, QueryPlan};
 use crate::source::{Connection, SourceRegistry};
 use crate::view::{SemanticViews, ViewStats};
 
-/// Statistics of one query execution.
+/// Statistics of one query execution. A fresh query's per-source
+/// figures are its ledger rows summed ([`QueryOutcome::sources`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryStats {
     /// Number of extraction tasks dispatched.
@@ -40,7 +42,7 @@ pub struct QueryStats {
     /// and hedged replica attempts each add a trip. Calls refused by an
     /// open circuit breaker do **not** count: the breaker rejects them
     /// before any wire exchange, and they are tallied separately in
-    /// [`SourceHealth::breaker_rejections`]. Shed queries likewise
+    /// [`SourceLedger::breaker_rejections`]. Shed queries likewise
     /// contribute zero round trips — admission control refuses them
     /// before any wire traffic.
     pub round_trips: u64,
@@ -66,10 +68,9 @@ pub struct QueryStats {
     /// (`completeness` is `0.0`), and nothing past the result-cache
     /// lookup ran — no plan work, no wire traffic, no cache writes.
     pub shed: bool,
-    /// Total on-wire bytes (request + response frames) of completed
-    /// exchanges.
+    /// [`SourceLedger::wire_bytes`], summed.
     pub wire_bytes: u64,
-    /// The response-frame share of `wire_bytes`.
+    /// [`SourceLedger::wire_response_bytes`], summed.
     pub wire_response_bytes: u64,
     /// Slices served from a materialized semantic view without
     /// re-extraction (0 when views are disabled): fresh views plus
@@ -82,8 +83,7 @@ pub struct QueryStats {
     /// View slices re-extracted from scratch because a feed gap made
     /// the delta unsound.
     pub view_full_refreshes: u64,
-    /// Change-feed polls this query issued against source endpoints
-    /// (their frames are counted in `wire_bytes`).
+    /// Change-feed polls this query issued against source endpoints.
     pub feed_polls: u64,
     /// The widest staleness window among view-served slices: simulated
     /// time between a slice's last refresh and this query reading it.
@@ -155,17 +155,12 @@ pub struct QueryOutcome {
     pub instances: InstanceSet,
     /// Execution statistics.
     pub stats: QueryStats,
-    /// Degraded-mode report: per-source attempts, retries, failovers,
-    /// breaker rejections, breaker state, and simulated wire time
-    /// ([`SourceHealth::elapsed`]).
-    pub resilience: std::collections::BTreeMap<String, SourceHealth>,
+    /// The query's ledger: one row per source it read, in id order
+    /// ([`crate::ledger`]). Empty for replays and shed queries.
+    pub sources: Vec<SourceLedger>,
     /// The query's trace tree (`Some` only when tracing is enabled via
     /// [`S2s::with_tracing`]).
     pub trace: Option<Trace>,
-    /// The federated pushdown plan (`Some` only when pushdown ran via
-    /// [`S2s::with_pushdown`] and the query had a condition or
-    /// projection to plan against).
-    pub pushdown: Option<crate::planner::PushdownPlan>,
 }
 
 impl QueryOutcome {
@@ -184,40 +179,38 @@ impl QueryOutcome {
         instance::render(&self.instances, ontology, format)
     }
 
+    /// The ledger row of source `id`, if the query read it.
+    pub fn source(&self, id: &str) -> Option<&SourceLedger> {
+        let i = self.sources.binary_search_by(|r| r.source.as_str().cmp(id)).ok()?;
+        Some(&self.sources[i])
+    }
+
     /// Endpoint retries spent across all sources (resilience layer).
     pub fn retries(&self) -> u64 {
-        sum_health(&self.resilience, |h| h.retries)
+        ledger::total(&self.sources).sum.retries
     }
 
     /// Failovers to replica endpoints across all sources.
     pub fn failovers(&self) -> u64 {
-        sum_health(&self.resilience, |h| h.failovers)
+        ledger::total(&self.sources).sum.failovers
     }
 
     /// Source exchanges abandoned because the query's deadline budget
     /// ran out; each one fails its tasks honestly instead of blocking.
     pub fn deadline_hits(&self) -> u64 {
-        sum_health(&self.resilience, |h| h.deadline_hits)
+        ledger::total(&self.sources).sum.deadline_hits
     }
 
     /// Hedged replica requests launched against straggling primaries.
     pub fn hedges(&self) -> u64 {
-        sum_health(&self.resilience, |h| h.hedges)
+        ledger::total(&self.sources).sum.hedges
     }
 
     /// Hedged requests whose replica reply beat the primary
     /// (`hedge_wins <= hedges`).
     pub fn hedge_wins(&self) -> u64 {
-        sum_health(&self.resilience, |h| h.hedge_wins)
+        ledger::total(&self.sources).sum.hedge_wins
     }
-}
-
-/// One figure of the per-source health report, summed over sources.
-fn sum_health(
-    resilience: &std::collections::BTreeMap<String, SourceHealth>,
-    figure: impl Fn(&SourceHealth) -> u64,
-) -> u64 {
-    resilience.values().map(figure).sum()
 }
 
 /// The Syntactic-to-Semantic middleware.
@@ -853,6 +846,7 @@ impl S2s {
         let schemas = ExtractorManager::obtain_schemas(&mappings, &mapped_paths)?;
         drop(mappings);
         let mapped_schemas = schemas.len();
+        let mut sources = ledger::rows(&schemas);
 
         // Federated pushdown planning: rewrite rules toward each
         // source's native capability, drop projected-out schemas, and
@@ -861,18 +855,18 @@ impl S2s {
         // rule answers a different wire question than its baseline).
         let registry = self.registry.read();
         let pushdown_started = std::time::Instant::now();
-        let (schemas, pushdown_plan) =
-            if self.pushdown && (plan.condition.is_some() || plan.projection.is_some()) {
-                let (schemas, p) = crate::planner::plan_pushdown(
-                    &registry,
-                    &schemas,
-                    plan.condition.as_ref(),
-                    plan.projection.as_deref(),
-                );
-                (schemas, Some(p))
-            } else {
-                (schemas, None)
-            };
+        let planned = self.pushdown && (plan.condition.is_some() || plan.projection.is_some());
+        let schemas = if planned {
+            crate::planner::plan_pushdown(
+                &registry,
+                &schemas,
+                plan.condition.as_ref(),
+                plan.projection.as_deref(),
+                &mut sources,
+            )
+        } else {
+            schemas
+        };
         let pushdown_wall = pushdown_started.elapsed();
 
         // Record the (source, version) dependencies this query reads.
@@ -894,10 +888,6 @@ impl S2s {
         // price of the poll frames) or re-extracted below.
         let now_virtual = self.resilience.virtual_now();
         let mut view_results: Vec<AttributeResult> = Vec::new();
-        let (mut view_hits, mut view_refreshes, mut view_full_refreshes, mut feed_polls) =
-            (0u64, 0u64, 0u64, 0u64);
-        let mut feed_wire_bytes = 0u64;
-        let mut view_staleness = SimDuration::ZERO;
         // One poll per distinct (source, since) per query: slices of the
         // same source refreshed at the same version share the frames.
         // `None` memoizes a feed gap — the delta is unsound and only a
@@ -911,6 +901,7 @@ impl S2s {
                 .into_iter()
                 .filter(|s| {
                     let sid = s.mapping.source();
+                    let row = ledger::row(&mut sources, sid.as_str());
                     let current = deps.version_of(sid.as_str()).unwrap_or(0);
                     let path = s.mapping.path().to_string();
                     let rule_text = s.mapping.rule().text();
@@ -926,9 +917,11 @@ impl S2s {
                         };
                     match views.lookup(sid.as_str(), &path, rule_text) {
                         Some(slice) if slice.version >= current => {
-                            view_hits += 1;
-                            view_staleness =
-                                view_staleness.max(now_virtual.saturating_sub(slice.refreshed_at));
+                            row.tasks += 1;
+                            row.view_hits += 1;
+                            row.view_staleness = row
+                                .view_staleness
+                                .max(now_virtual.saturating_sub(slice.refreshed_at));
                             serve(slice, &mut view_results);
                             false
                         }
@@ -936,10 +929,10 @@ impl S2s {
                             let events = poll_memo
                                 .entry((sid.as_str().to_string(), slice.version))
                                 .or_insert_with(|| {
-                                    feed_polls += 1;
+                                    row.feed_polls += 1;
                                     match registry.poll_changes(sid, slice.version) {
                                         Ok(Ok(events)) => {
-                                            feed_wire_bytes +=
+                                            row.wire_bytes +=
                                                 s2s_netsim::feed::poll_exchange_size(&events)
                                                     as u64;
                                             Some(events)
@@ -958,17 +951,18 @@ impl S2s {
                                         )
                                     });
                                     if touched {
-                                        view_refreshes += 1;
+                                        row.view_refreshes += 1;
                                         true
                                     } else {
                                         views.advance(sid.as_str(), &path, current, now_virtual);
-                                        view_hits += 1;
+                                        row.tasks += 1;
+                                        row.view_hits += 1;
                                         serve(slice, &mut view_results);
                                         false
                                     }
                                 }
                                 None => {
-                                    view_full_refreshes += 1;
+                                    row.view_full_refreshes += 1;
                                     true
                                 }
                             }
@@ -989,6 +983,7 @@ impl S2s {
         let mut report = ExtractorManager::extract(
             &registry,
             schemas,
+            sources,
             &ExtractEnv {
                 strategy: self.strategy,
                 lanes: &self.lanes,
@@ -999,6 +994,7 @@ impl S2s {
         );
         drop(registry);
 
+        let Totals { sum, pruned, pushed } = ledger::total(&report.sources);
         // Freshly extracted slices are (re)materialized at the version
         // the registry reported while the read lock was held.
         if let Some(views) = &self.views {
@@ -1014,29 +1010,35 @@ impl S2s {
                     refreshed_now,
                 );
             }
-            views.tally(view_hits, view_refreshes, view_full_refreshes, feed_polls, view_staleness);
+            views.tally(&sum);
         }
         report.results.extend(view_results);
 
+        // The one place a fresh query's stats are built: the ledger's
+        // fold plus the query-level facts (cache lookups, makespans).
         let mut stats = QueryStats {
-            tasks: report.results.len() + report.failures.len(),
-            failed_tasks: report.failures.len(),
-            round_trips: sum_health(&report.resilience, |h| h.attempts),
+            tasks: sum.tasks,
+            failed_tasks: sum.failed_tasks,
+            round_trips: sum.attempts,
             plan_cache,
             result_cache,
             // View-served slices count as answered: they were requested
             // and served, just not over the network this time.
-            completeness: report.completeness(),
+            completeness: if sum.tasks == 0 {
+                1.0
+            } else {
+                (sum.tasks - sum.failed_tasks) as f64 / sum.tasks as f64
+            },
             simulated: report.simulated,
             simulated_serial: report.simulated_serial,
             shed: false,
-            wire_bytes: report.wire_bytes + feed_wire_bytes,
-            wire_response_bytes: report.wire_response_bytes,
-            view_hits,
-            view_refreshes,
-            view_full_refreshes,
-            feed_polls,
-            view_staleness,
+            wire_bytes: sum.wire_bytes,
+            wire_response_bytes: sum.wire_response_bytes,
+            view_hits: sum.view_hits,
+            view_refreshes: sum.view_refreshes,
+            view_full_refreshes: sum.view_full_refreshes,
+            feed_polls: sum.feed_polls,
+            view_staleness: sum.view_staleness,
         };
         // Recalibrate admission's service estimate from what this query
         // actually cost (EWMA over completion events), so shed decisions
@@ -1051,8 +1053,7 @@ impl S2s {
         // Deferred plan-cache insert (hygiene): a query that blew its
         // deadline does not get to publish cache entries, so overload
         // casualties cannot evict plans that healthy queries rely on.
-        let deadline_hits = sum_health(&report.resilience, |h| h.deadline_hits);
-        if fresh_plan && deadline_hits == 0 {
+        if fresh_plan && sum.deadline_hits == 0 {
             let evicted = self.plans.insert(key.clone(), Arc::clone(&plan));
             stats.plan_cache.evictions = u64::from(evicted);
         }
@@ -1069,7 +1070,7 @@ impl S2s {
         // (an exhausted budget always fails its tasks) but documents
         // the cache-hygiene contract.
         if let Some(results) = &self.results {
-            if stats.failed_tasks == 0 && stats.completeness >= 1.0 && deadline_hits == 0 {
+            if stats.failed_tasks == 0 && stats.completeness >= 1.0 && sum.deadline_hits == 0 {
                 let answer = CachedResult {
                     plan: Arc::clone(&plan),
                     instances: Arc::new(instances.clone()),
@@ -1090,9 +1091,9 @@ impl S2s {
             metrics
                 .histogram("s2s_query_wall_us")
                 .observe(query_started.elapsed().as_micros() as u64);
-            if let Some(p) = &pushdown_plan {
-                metrics.counter("s2s_pushdown_predicates_total").add(p.pushed_predicates());
-                metrics.counter("s2s_pushdown_pruned_sources_total").add(p.pruned_sources());
+            if planned {
+                metrics.counter("s2s_pushdown_predicates_total").add(pushed);
+                metrics.counter("s2s_pushdown_pruned_sources_total").add(pruned);
             }
         }
 
@@ -1108,14 +1109,12 @@ impl S2s {
             root.attr("tasks", stats.tasks.to_string());
             root.attr("failed_tasks", stats.failed_tasks.to_string());
             root.attr("round_trips", stats.round_trips.to_string());
-            if deadline_hits > 0 {
-                root.attr("deadline_hits", deadline_hits.to_string());
+            if sum.deadline_hits > 0 {
+                root.attr("deadline_hits", sum.deadline_hits.to_string());
             }
-            let hedges = sum_health(&report.resilience, |h| h.hedges);
-            if hedges > 0 {
-                root.attr("hedges", hedges.to_string());
-                let hedge_wins = sum_health(&report.resilience, |h| h.hedge_wins);
-                root.attr("hedge_wins", hedge_wins.to_string());
+            if sum.hedges > 0 {
+                root.attr("hedges", sum.hedges.to_string());
+                root.attr("hedge_wins", sum.hedge_wins.to_string());
             }
             if stats.view_hits + stats.view_refreshes + stats.view_full_refreshes > 0 {
                 root.attr("view_hits", stats.view_hits.to_string());
@@ -1141,13 +1140,15 @@ impl S2s {
             map_span.attr("mapped", mapped_schemas.to_string());
             root.push(map_span);
 
-            if let Some(p) = &pushdown_plan {
+            if planned {
                 let mut pushdown_span = Span::new(SpanKind::Pushdown, "planner");
                 pushdown_span.wall_us = pushdown_wall.as_micros() as u64;
-                pushdown_span.attr("pushed_predicates", p.pushed_predicates().to_string());
-                pushdown_span.attr("pruned_sources", p.pruned_sources().to_string());
-                if !p.pruned.is_empty() {
-                    pushdown_span.attr("pruned", p.pruned.join(","));
+                pushdown_span.attr("pushed_predicates", pushed.to_string());
+                pushdown_span.attr("pruned_sources", pruned.to_string());
+                if pruned > 0 {
+                    let ids: Vec<&str> =
+                        report.sources.iter().filter(|r| r.pruned).map(|r| &*r.source).collect();
+                    pushdown_span.attr("pruned", ids.join(","));
                 }
                 root.push(pushdown_span);
             }
@@ -1164,9 +1165,8 @@ impl S2s {
             plan: plan.as_ref().clone(),
             instances,
             stats,
-            resilience: report.resilience,
+            sources: report.sources,
             trace,
-            pushdown: pushdown_plan,
         })
     }
 
@@ -1209,9 +1209,8 @@ impl S2s {
             plan: hit.plan.as_ref().clone(),
             instances: hit.instances.as_ref().clone(),
             stats,
-            resilience: std::collections::BTreeMap::new(),
+            sources: Vec::new(),
             trace,
-            pushdown: None,
         }
     }
 
@@ -1258,9 +1257,8 @@ impl S2s {
                 round_trips: 0,
             },
             stats,
-            resilience: std::collections::BTreeMap::new(),
+            sources: Vec::new(),
             trace,
-            pushdown: None,
         }
     }
 }
@@ -1671,12 +1669,15 @@ mod tests {
     }
 
     #[test]
-    fn resilience_report_covers_all_sources() {
+    fn the_ledger_has_one_row_per_source_in_id_order() {
         let s2s = deploy();
         let outcome = s2s.query("SELECT watch").unwrap();
-        assert_eq!(outcome.resilience.len(), 4);
+        let ids: Vec<&str> = outcome.sources.iter().map(|r| r.source.as_str()).collect();
+        assert_eq!(ids, ["DB_ID_45", "XML_7", "txt_9", "wpage_81"]);
         // Local sources cost zero simulated time.
-        assert!(outcome.resilience.values().all(|h| h.elapsed.as_micros() == 0));
+        assert!(outcome.sources.iter().all(|r| r.wire_time == SimDuration::ZERO));
+        assert_eq!(outcome.source("XML_7").map(|r| r.tasks), Some(3));
+        assert!(outcome.source("nowhere").is_none());
     }
 
     #[test]
@@ -1812,8 +1813,7 @@ mod tests {
             out.errors().iter().any(|e| matches!(e.error, S2sError::DeadlineExceeded { .. })),
             "failures are labelled as deadline casualties"
         );
-        let health = &out.resilience["DB"];
-        assert_eq!(health.deadline_hits, out.deadline_hits());
+        assert_eq!(out.source("DB").unwrap().deadline_hits, out.deadline_hits());
         // No failover happened after expiry: the budget is gone.
         assert_eq!(out.failovers(), 0);
     }
@@ -1893,13 +1893,12 @@ mod tests {
     fn pushdown_rewrites_sql_and_xpath_rules() {
         let q = "SELECT watch WHERE case='stainless-steel'";
         let out = deploy().with_pushdown().query(q).unwrap();
-        let plan = out.pushdown.as_ref().expect("planner ran");
         // DB and XML both map `case` with pushable rules; the web page
         // lacks `case` entirely (pruned) and the text file is
         // single-record (no predicate pushing).
-        assert_eq!(plan.sources["DB_ID_45"].pushed, vec!["case = stainless-steel"]);
-        assert_eq!(plan.sources["XML_7"].pushed, vec!["case = stainless-steel"]);
-        assert_eq!(plan.pushed_predicates(), 2);
+        assert_eq!(out.source("DB_ID_45").unwrap().pushed, vec!["case = stainless-steel"]);
+        assert_eq!(out.source("XML_7").unwrap().pushed, vec!["case = stainless-steel"]);
+        assert!(out.source("txt_9").unwrap().pushed.is_empty());
         assert!(
             out.stats.wire_response_bytes < deploy().query(q).unwrap().stats.wire_response_bytes,
             "the rewritten rules must ship trimmed responses"
@@ -1910,13 +1909,15 @@ mod tests {
     fn pushdown_prunes_source_missing_required_property() {
         let s2s = deploy().with_pushdown();
         let out = s2s.query("SELECT watch WHERE case='resin'").unwrap();
-        let plan = out.pushdown.as_ref().expect("planner ran");
         // wpage_81 maps only brand and price: it cannot satisfy the
         // required `case` conjunct, so it is pruned before the wire.
-        assert_eq!(plan.pruned, vec!["wpage_81"]);
-        assert_eq!(plan.pruned_sources(), 1);
-        assert!(
-            !out.resilience.contains_key("wpage_81"),
+        let pruned: Vec<&str> =
+            out.sources.iter().filter(|r| r.pruned).map(|r| r.source.as_str()).collect();
+        assert_eq!(pruned, ["wpage_81"]);
+        let row = out.source("wpage_81").unwrap();
+        assert_eq!(
+            (row.tasks, row.attempts, row.wire_bytes),
+            (0, 0, 0),
             "pruned source must never reach the mediator"
         );
         assert_eq!(
@@ -1934,8 +1935,7 @@ mod tests {
         assert_eq!(pushed.stats.tasks, 4);
         assert!(pushed.stats.tasks < baseline.stats.tasks);
         assert!(pushed.stats.wire_bytes < baseline.stats.wire_bytes);
-        let plan = pushed.pushdown.as_ref().expect("planner ran");
-        assert!(plan.sources.values().any(|s| s.projected_out > 0));
+        assert!(pushed.sources.iter().any(|r| r.projected_out > 0));
     }
 
     #[test]
@@ -1943,7 +1943,7 @@ mod tests {
         let baseline = deploy().query("SELECT watch").unwrap();
         let pushed = deploy().with_pushdown().query("SELECT watch").unwrap();
         assert_eq!(fingerprint(&baseline), fingerprint(&pushed));
-        assert!(pushed.pushdown.is_none(), "nothing to plan against");
+        assert!(pushed.sources.iter().all(|r| !r.pruned && r.pushed.is_empty()));
         assert_eq!(pushed.stats.wire_bytes, baseline.stats.wire_bytes);
     }
 

@@ -20,47 +20,11 @@ use std::sync::Arc;
 use s2s_rdf::Iri;
 
 use crate::extract::ExtractionSchema;
+use crate::ledger::{self, SourceLedger};
 use crate::mapping::{AttributeMapping, RecordScenario};
 use crate::query::{ConditionTree, ResolvedCondition};
 use crate::source::SourceRegistry;
 use crate::wrapper;
-
-/// What the planner did to one surviving source.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SourcePlan {
-    /// Human-readable pushed conjuncts (`"price < 100"`), in condition
-    /// order. Empty when nothing could be pushed natively.
-    pub pushed: Vec<String>,
-    /// Extraction schemas still dispatched for this source.
-    pub kept: usize,
-    /// Schemas dropped because the projection (plus condition
-    /// attributes) does not need them.
-    pub projected_out: usize,
-}
-
-/// The explicit per-query federation plan: which sources were pruned
-/// and what each surviving source evaluates natively.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PushdownPlan {
-    /// Surviving sources, keyed by source id.
-    pub sources: BTreeMap<String, SourcePlan>,
-    /// Sources pruned outright: a required conjunct names a property
-    /// the source does not map, so every record it could contribute
-    /// would fail the residual filter anyway.
-    pub pruned: Vec<String>,
-}
-
-impl PushdownPlan {
-    /// Total conjuncts pushed into native rules, across sources.
-    pub fn pushed_predicates(&self) -> u64 {
-        self.sources.values().map(|s| s.pushed.len() as u64).sum()
-    }
-
-    /// Number of sources pruned before any wire exchange.
-    pub fn pruned_sources(&self) -> u64 {
-        self.pruned.len() as u64
-    }
-}
 
 /// The conjuncts implied by the whole tree: pushing one of these can
 /// only drop records the residual filter drops too. `AND` contributes
@@ -91,15 +55,18 @@ fn required_conjuncts(tree: &ConditionTree) -> Vec<&ResolvedCondition> {
 /// non-contributing sources, drops schemas outside the projection
 /// keep-set, and rewrites each surviving source's rules to evaluate
 /// every provably-equivalent required conjunct natively. Schemas come
-/// back in their original order.
+/// back in their original order; what was done to each source goes to
+/// its ledger row in `rows` (added when missing): whether it was
+/// pruned, the conjuncts pushed, the schemas projected out.
 pub fn plan_pushdown(
     registry: &SourceRegistry,
     schemas: &[ExtractionSchema],
     condition: Option<&ConditionTree>,
     projection: Option<&[Iri]>,
-) -> (Vec<ExtractionSchema>, PushdownPlan) {
+    rows: &mut Vec<SourceLedger>,
+) -> Vec<ExtractionSchema> {
     if condition.is_none() && projection.is_none() {
-        return (schemas.to_vec(), PushdownPlan::default());
+        return schemas.to_vec();
     }
     let required = condition.map(required_conjuncts).unwrap_or_default();
     // The residual filter reads *every* condition leaf (not just the
@@ -118,11 +85,11 @@ pub fn plan_pushdown(
         groups.entry(s.mapping.source().to_string()).or_default().push(i);
     }
 
-    let mut plan = PushdownPlan::default();
     // Rewritten mapping (or None to keep) for every surviving index.
     let mut surviving: BTreeMap<usize, Option<Arc<AttributeMapping>>> = BTreeMap::new();
 
     for (source_id, indices) in &groups {
+        let row = ledger::row(rows, source_id);
         let group: Vec<&AttributeMapping> = indices.iter().map(|&i| &*schemas[i].mapping).collect();
         let props: BTreeSet<&Iri> = group.iter().map(|m| m.property()).collect();
 
@@ -130,7 +97,7 @@ pub fn plan_pushdown(
         // conjunct's property yields only individuals the residual
         // filter rejects, so skip its exchange entirely.
         if !required.is_empty() && required.iter().any(|c| !props.contains(&c.property)) {
-            plan.pruned.push(source_id.clone());
+            row.pruned = true;
             continue;
         }
 
@@ -143,7 +110,6 @@ pub fn plan_pushdown(
         let applicable: Vec<&ResolvedCondition> =
             required.iter().copied().filter(|c| props.contains(&c.property)).collect();
 
-        let mut pushed_desc = Vec::new();
         let pushable = !single && !applicable.is_empty() && !kept_idx.is_empty();
         if let Some(source) = registry.get(&source_id.as_str().into()).filter(|_| pushable) {
             let connection = source.connection();
@@ -165,7 +131,7 @@ pub fn plan_pushdown(
                     })
                     .collect();
                 if let Some(mappings) = mappings {
-                    pushed_desc = pushed.into_iter().map(describe).collect();
+                    row.pushed = pushed.into_iter().map(describe).collect();
                     for (&i, mapping) in kept_idx.iter().zip(mappings) {
                         surviving.insert(i, Some(mapping));
                     }
@@ -175,14 +141,7 @@ pub fn plan_pushdown(
         for &i in &kept_idx {
             surviving.entry(i).or_insert(None);
         }
-        plan.sources.insert(
-            source_id.clone(),
-            SourcePlan {
-                pushed: pushed_desc,
-                kept: kept_idx.len(),
-                projected_out: indices.len() - kept_idx.len(),
-            },
-        );
+        row.projected_out = indices.len() - kept_idx.len();
     }
 
     let mut out = Vec::with_capacity(surviving.len());
@@ -192,7 +151,7 @@ pub fn plan_pushdown(
             None => schemas[i].clone(),
         });
     }
-    (out, plan)
+    out
 }
 
 fn describe(c: &ResolvedCondition) -> String {

@@ -21,6 +21,7 @@ use parking_lot::RwLock;
 use s2s_netsim::SimDuration;
 
 use crate::extract::Values;
+use crate::ledger::SourceLedger;
 
 /// One materialized slice served out of [`SemanticViews`].
 #[derive(Debug, Clone)]
@@ -150,34 +151,29 @@ impl SemanticViews {
         self.entries.read().is_empty()
     }
 
-    /// Folds one query's maintenance tallies into the cumulative
+    /// Folds one query's ledger rows, summed, into the cumulative
     /// counters and mirrors them to the metrics registry.
-    pub fn tally(
-        &self,
-        hits: u64,
-        refreshes: u64,
-        full_refreshes: u64,
-        feed_polls: u64,
-        staleness: SimDuration,
-    ) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.refreshes.fetch_add(refreshes, Ordering::Relaxed);
-        self.full_refreshes.fetch_add(full_refreshes, Ordering::Relaxed);
-        self.feed_polls.fetch_add(feed_polls, Ordering::Relaxed);
+    pub(crate) fn tally(&self, t: &SourceLedger) {
+        self.hits.fetch_add(t.view_hits, Ordering::Relaxed);
+        self.refreshes.fetch_add(t.view_refreshes, Ordering::Relaxed);
+        self.full_refreshes.fetch_add(t.view_full_refreshes, Ordering::Relaxed);
+        self.feed_polls.fetch_add(t.feed_polls, Ordering::Relaxed);
         if s2s_obs::enabled() {
             let metrics = s2s_obs::global();
-            if hits > 0 {
-                metrics.counter(s2s_obs::names::VIEW_HITS_TOTAL).add(hits);
-                metrics.histogram(s2s_obs::names::VIEW_STALENESS_US).observe(staleness.as_micros());
+            if t.view_hits > 0 {
+                metrics.counter(s2s_obs::names::VIEW_HITS_TOTAL).add(t.view_hits);
+                let staleness = t.view_staleness.as_micros();
+                metrics.histogram(s2s_obs::names::VIEW_STALENESS_US).observe(staleness);
             }
-            if refreshes > 0 {
-                metrics.counter(s2s_obs::names::VIEW_REFRESHES_TOTAL).add(refreshes);
+            if t.view_refreshes > 0 {
+                metrics.counter(s2s_obs::names::VIEW_REFRESHES_TOTAL).add(t.view_refreshes);
             }
-            if full_refreshes > 0 {
-                metrics.counter(s2s_obs::names::VIEW_FULL_REFRESHES_TOTAL).add(full_refreshes);
+            if t.view_full_refreshes > 0 {
+                let full = t.view_full_refreshes;
+                metrics.counter(s2s_obs::names::VIEW_FULL_REFRESHES_TOTAL).add(full);
             }
-            if feed_polls > 0 {
-                metrics.counter(s2s_obs::names::FEED_POLLS_TOTAL).add(feed_polls);
+            if t.feed_polls > 0 {
+                metrics.counter(s2s_obs::names::FEED_POLLS_TOTAL).add(t.feed_polls);
             }
         }
     }
@@ -237,8 +233,16 @@ mod tests {
     #[test]
     fn tally_accumulates() {
         let views = SemanticViews::new();
-        views.tally(2, 1, 0, 3, SimDuration::ZERO);
-        views.tally(1, 0, 1, 1, SimDuration::ZERO);
+        let first =
+            SourceLedger { view_hits: 2, view_refreshes: 1, feed_polls: 3, ..Default::default() };
+        let second = SourceLedger {
+            view_hits: 1,
+            view_full_refreshes: 1,
+            feed_polls: 1,
+            ..Default::default()
+        };
+        views.tally(&first);
+        views.tally(&second);
         assert_eq!(
             views.stats(),
             ViewStats { hits: 3, refreshes: 1, full_refreshes: 1, feed_polls: 4 }

@@ -375,8 +375,7 @@ mod tests {
         let pushed = deploy(true).query(q).unwrap();
         assert_eq!(baseline.individuals().len(), 2, "Alpha and Gamma");
         assert_eq!(answer(&baseline), answer(&pushed));
-        let plan = pushed.pushdown.as_ref().expect("planner ran");
-        assert_eq!(plan.sources["txt_list"].pushed, vec!["price < 100"]);
+        assert_eq!(pushed.source("txt_list").unwrap().pushed, vec!["price < 100"]);
         assert!(
             pushed.stats.wire_response_bytes < baseline.stats.wire_response_bytes,
             "the Where mask must trim Beta off the wire"

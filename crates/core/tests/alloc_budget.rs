@@ -295,6 +295,43 @@ fn a_replay_checks_freshness_without_allocating_per_dependency() {
     assert_eq!(replay_cost(1), replay_cost(8), "a replay allocated per source it depends on");
 }
 
+/// Blocks one warm fresh query costs over `sources` remote database
+/// sources of one row each, one `brand` rule apiece.
+fn fresh_cost(sources: usize) -> usize {
+    let mut s2s = S2s::new(ontology());
+    for i in 0..sources {
+        let mut db = s2s_minidb::Database::new("budget");
+        db.execute("CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT)").unwrap();
+        db.execute("INSERT INTO w VALUES (1, 'brand1')").unwrap();
+        let id = format!("DB{i}");
+        let (cost, failure) = (s2s_netsim::CostModel::lan(), s2s_netsim::FailureModel::reliable());
+        s2s.register_remote_source(&id, Connection::Database { db: db.into() }, cost, failure)
+            .unwrap();
+        let rule = ExtractionRule::Sql {
+            query: "SELECT brand FROM w ORDER BY id".into(),
+            column: "brand".into(),
+        };
+        s2s.register_attribute("thing.product.brand", rule, &id, RecordScenario::MultiRecord)
+            .unwrap();
+    }
+    let query = "SELECT product WHERE brand='none'";
+    assert!(s2s.query(query).unwrap().individuals().is_empty());
+    let (outcome, n) = allocations(|| s2s.query(query).unwrap());
+    assert_eq!(outcome.stats.round_trips, sources as u64);
+    assert_eq!(outcome.sources.len(), sources);
+    n
+}
+
+/// The query ledger costs no more per source than the health map,
+/// pushdown plan and loose counters it replaced: before it, a fresh
+/// query over 8 remote sources allocated 155 more blocks than one over
+/// a single source (227 against 72).
+#[test]
+fn the_ledger_allocates_no_more_per_source_than_the_accounts_it_replaced() {
+    let (one, eight) = (fresh_cost(1), fresh_cost(8));
+    assert!(eight - one <= 155, "{} more blocks for 7 more sources ({one}, {eight})", eight - one);
+}
+
 #[test]
 fn a_view_served_slice_clones_two_blocks() {
     let (small, large) = (query_cost(2_000, true), query_cost(4_000, true));

@@ -580,8 +580,9 @@ proptest! {
 
         let cond = ResolvedCondition::new(ontology.property_iri("brand").unwrap(), op, constant);
         let tree = ConditionTree::Leaf(cond.clone());
-        let (pushed, plan) = plan_pushdown(&registry, &schemas, Some(&tree), None);
-        prop_assert_eq!(plan.pushed_predicates(), 1, "inside the gates: {:?}", cond);
+        let mut rows = Vec::new();
+        let pushed = plan_pushdown(&registry, &schemas, Some(&tree), None, &mut rows);
+        prop_assert_eq!(rows[0].pushed.len(), 1, "inside the gates: {:?}", cond);
         let survived = !extract_one(&registry, &pushed[0].mapping).unwrap().0.is_empty();
         prop_assert_eq!(
             survived,

@@ -176,7 +176,7 @@ pub fn generate_with_options(
         individuals,
         errors: report.failures.clone(),
         completeness: report.completeness(),
-        round_trips: report.resilience.values().map(|h| h.attempts).sum(),
+        round_trips: report.sources.iter().map(|r| r.attempts).sum(),
     }
 }
 

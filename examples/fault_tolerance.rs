@@ -96,11 +96,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {:<10} {:>8} {:>8} {:>10} {:>9}",
         "source", "attempts", "retries", "failovers", "breaker"
     );
-    for (source, health) in &outcome.resilience {
+    for health in &outcome.sources {
         if health.attempts > health.tasks as u64 {
             println!(
                 "  {:<10} {:>8} {:>8} {:>10} {:>9}",
-                source,
+                health.source,
                 health.attempts,
                 health.retries,
                 health.failovers,

@@ -255,7 +255,7 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
     let opts = QueryOptions::default().with_deadline(SimDuration::from_millis(60));
     let out = s2s.query_with_options("SELECT watch WHERE price < 50", &opts).unwrap();
     assert!(out.deadline_hits() >= 1, "the tight budget must expire mid-retry");
-    assert_eq!(out.stats.round_trips, out.resilience["DB"].attempts);
+    assert_eq!(out.stats.round_trips, out.source("DB").unwrap().attempts);
     assert_eq!(s2s.plan_cache_len(), 0, "deadline casualty must not publish a plan");
     assert_eq!(s2s.result_cache_len(), 0, "degraded answer must not be cached");
 
@@ -316,8 +316,8 @@ fn per_query_cache_accounts_hold_under_concurrency() {
             let trace = outcome.trace.as_ref().expect("traced engine");
             let spans = trace.spans_of(SpanKind::Rule);
             assert_eq!(spans.len(), if replayed { 0 } else { 2 }, "one rule span per attribute");
-            let pushed = outcome.pushdown.as_ref().map_or(0, |p| p.pushed_predicates());
-            assert_eq!(pushed, (pushdown && !replayed) as u64, "`price < N` is pushable");
+            let pushed = outcome.sources.iter().flat_map(|r| &r.pushed).count();
+            assert_eq!(pushed, usize::from(pushdown && !replayed), "`price < N` is pushable");
 
             add(&mut results, stats.result_cache);
             add(&mut plans, stats.plan_cache);

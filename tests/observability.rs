@@ -1,16 +1,18 @@
 //! Observability layer: trace-tree determinism, degraded-mode span
-//! outcomes, exporter round-trips, attempt-latency histograms, and the
-//! breaker accounting contract on `QueryStats::round_trips`.
+//! outcomes, exporter round-trips, attempt-latency histograms, the
+//! breaker accounting contract on `QueryStats::round_trips`, and the
+//! trace and the stats as renderings of the query ledger.
 
 use std::sync::Arc;
 
 use s2s::core::extract::Strategy;
 use s2s::core::mapping::{ExtractionRule, RecordScenario};
+use s2s::core::middleware::QueryOutcome;
 use s2s::core::source::Connection;
-use s2s::core::ResiliencePolicy;
+use s2s::core::{ResiliencePolicy, SourceLedger};
 use s2s::minidb::Database;
-use s2s::netsim::{BreakerConfig, CostModel, FailureModel, RetryPolicy, SimDuration};
-use s2s::obs::SpanOutcome;
+use s2s::netsim::{BreakerConfig, ChangeKind, CostModel, FailureModel, RetryPolicy, SimDuration};
+use s2s::obs::{SpanKind, SpanOutcome};
 use s2s::owl::Ontology;
 use s2s::S2s;
 
@@ -201,8 +203,9 @@ fn per_source_trace_has_the_batched_span_shape_in_planner_order() {
         // order, then one attempt span per endpoint tried.
         for batch in &batches {
             assert_eq!(batch.get_attr("rules"), Some("3"));
-            let wire_bytes: u64 = batch.get_attr("wire_bytes").expect("priced").parse().unwrap();
-            assert!(wire_bytes > 0);
+            // The source's row: a failed exchange completed no bytes.
+            let wire_bytes: u64 = batch.get_attr("wire_bytes").expect("rendered").parse().unwrap();
+            assert_eq!(wire_bytes > 0, batch.outcome != SpanOutcome::Failed);
             let [rules @ .., attempt] = &batch.children[..] else {
                 panic!("rules + one attempt expected under {}: {:?}", batch.name, batch.children)
             };
@@ -254,7 +257,7 @@ fn root_children_never_outlast_the_root() {
     .unwrap();
     for round in 0..5 {
         let outcome = s2s.query("SELECT product WHERE a1 = 'x'").unwrap();
-        assert_eq!(outcome.pushdown.as_ref().map(|p| p.pruned_sources()), Some(1));
+        assert!(outcome.source("BIG").unwrap().pruned);
         let root = &outcome.trace.as_ref().expect("tracing on").root;
         assert!(root.children.iter().any(|s| s.kind == s2s::obs::SpanKind::Pushdown));
         let children: u64 = root.children.iter().map(|s| s.wall_us).sum();
@@ -275,14 +278,13 @@ fn round_trips_exclude_breaker_rejections() {
     let tallies: Vec<(u64, u64)> = degraded_twice()
         .iter()
         .map(|outcome| {
-            let health = &outcome.resilience;
-            let rejections: u64 = health.values().map(|h| h.breaker_rejections).sum();
-            let attempts: u64 = health.values().map(|h| h.attempts).sum();
+            let (good, down) = (outcome.source("GOOD").unwrap(), outcome.source("DOWN").unwrap());
             assert_eq!(
-                outcome.stats.round_trips, attempts,
+                outcome.stats.round_trips,
+                good.attempts + down.attempts,
                 "round_trips counts wire attempts only, never breaker rejections"
             );
-            (rejections, attempts)
+            (down.breaker_rejections, outcome.stats.round_trips)
         })
         .collect();
     assert_eq!(tallies, [(0, 3), (1, 1)]);
@@ -329,4 +331,121 @@ fn endpoint_attempt_histogram_has_nonzero_percentiles() {
     assert!(h.p50() > 0.0, "WAN attempts take tens of ms of sim time");
     assert!(h.p99() > 0.0);
     assert!(h.p99() >= h.p50());
+}
+
+/// One row `('x', 'y', a2)` in table `t` of a database named after `id`.
+fn ledger_db(id: &str, a2: &str) -> Connection {
+    let mut db = Database::new(id.to_lowercase());
+    db.execute("CREATE TABLE t (a0 TEXT, a1 TEXT, a2 TEXT)").unwrap();
+    db.execute(&format!("INSERT INTO t VALUES ('x', 'y', '{a2}')")).unwrap();
+    Connection::Database { db: Arc::new(db) }
+}
+
+/// A traced engine with views and pushdown over three WAN databases:
+/// `DB` and `FLAKY` map `a0`–`a2`, `FLAKY`'s primary is down behind a
+/// reliable replica (so each of its exchanges fails over), and `PRUNED`
+/// maps only `a0` (so a condition on `a1` prunes it).
+fn ledger_traced() -> S2s {
+    let mut s2s = S2s::new(wide_ontology(3)).with_views().with_pushdown().with_tracing();
+    for (id, attrs, failure) in [
+        ("DB", 3, FailureModel::reliable()),
+        ("FLAKY", 3, FailureModel::unreachable()),
+        ("PRUNED", 1, FailureModel::reliable()),
+    ] {
+        s2s.register_remote_source(id, ledger_db(id, "z"), CostModel::wan(), failure).unwrap();
+        for j in 0..attrs {
+            s2s.register_attribute(
+                &format!("thing.product.a{j}"),
+                ExtractionRule::Sql {
+                    query: format!("SELECT a{j} FROM t"),
+                    column: format!("a{j}"),
+                },
+                id,
+                RecordScenario::MultiRecord,
+            )
+            .unwrap();
+        }
+    }
+    s2s.add_source_replica("FLAKY", FailureModel::reliable()).unwrap();
+    s2s
+}
+
+#[test]
+fn the_trace_and_the_stats_render_the_ledger() {
+    let s2s = ledger_traced();
+    let query = "SELECT product WHERE a1 = 'y'";
+    let cold = s2s.query(query).unwrap();
+    let warm = s2s.query(query).unwrap();
+    // `a2` changed: DB's pushed `a0` and `a1` rules do not read it (their
+    // slices advance), its `a2` rule does (refreshed); FLAKY is untouched.
+    s2s.mutate_source("DB", ledger_db("DB", "w"), ChangeKind::RowUpdate, vec!["a2".into()])
+        .unwrap();
+    let mutated = s2s.query(query).unwrap();
+
+    let row = |o: &QueryOutcome, id| o.source(id).expect("a row per source").clone();
+    let db = [&cold, &warm, &mutated].map(|o| row(o, "DB"));
+    let views = db.each_ref().map(|r| (r.view_hits, r.view_refreshes, r.feed_polls));
+    assert_eq!(views, [(0, 0, 0), (3, 0, 0), (2, 1, 1)]);
+    assert_eq!((row(&cold, "FLAKY").attempts, row(&cold, "FLAKY").failovers), (2, 1));
+    assert_eq!(row(&mutated, "FLAKY").view_hits, 3, "served fresh");
+    assert_eq!(row(&mutated, "FLAKY").attempts, 0);
+
+    for outcome in [&cold, &warm, &mutated] {
+        let (rows, s) = (&outcome.sources, &outcome.stats);
+        let sum = |f: fn(&SourceLedger) -> u64| rows.iter().map(f).sum::<u64>();
+
+        // Every per-source total of `QueryStats` is the rows summed.
+        assert_eq!(s.tasks as u64, sum(|r| r.tasks as u64));
+        assert_eq!(s.failed_tasks as u64, sum(|r| r.failed_tasks as u64));
+        assert_eq!(s.round_trips, sum(|r| r.attempts));
+        assert_eq!(s.wire_bytes, sum(|r| r.wire_bytes));
+        assert_eq!(s.wire_response_bytes, sum(|r| r.wire_response_bytes));
+        assert_eq!(s.view_hits, sum(|r| r.view_hits));
+        assert_eq!(s.view_refreshes, sum(|r| r.view_refreshes));
+        assert_eq!(s.view_full_refreshes, sum(|r| r.view_full_refreshes));
+        assert_eq!(s.feed_polls, sum(|r| r.feed_polls));
+        assert_eq!(Some(s.view_staleness), rows.iter().map(|r| r.view_staleness).max());
+        assert_eq!(outcome.failovers(), sum(|r| r.failovers));
+
+        // The pruned source was planned away whole and never dialled.
+        let pruned = row(outcome, "PRUNED");
+        assert!(pruned.pruned);
+        assert_eq!((pruned.tasks, pruned.attempts, pruned.wire_bytes), (0, 0, 0));
+
+        let root = &outcome.trace.as_ref().expect("tracing on").root;
+        let completeness: f64 = root.get_attr("completeness").unwrap().parse().unwrap();
+        let answered = sum(|r| (r.tasks - r.failed_tasks) as u64) as f64;
+        assert_eq!(completeness, answered / sum(|r| r.tasks as u64) as f64);
+        for (key, figure) in [
+            ("tasks", sum(|r| r.tasks as u64)),
+            ("failed_tasks", sum(|r| r.failed_tasks as u64)),
+            ("round_trips", sum(|r| r.attempts)),
+            ("view_hits", sum(|r| r.view_hits)),
+            ("view_refreshes", sum(|r| r.view_refreshes)),
+            ("view_full_refreshes", sum(|r| r.view_full_refreshes)),
+        ] {
+            let rendered = root.get_attr(key).map(|v| v.parse::<u64>().unwrap());
+            let views_idle = key.starts_with("view_") && s.view_hits + s.view_refreshes == 0;
+            assert_eq!(rendered, (!views_idle).then_some(figure), "root `{key}`");
+        }
+        assert_eq!(root.get_attr("deadline_hits"), None);
+        assert_eq!(root.get_attr("hedges"), None);
+
+        let pushdown = root.children.iter().find(|c| c.kind == SpanKind::Pushdown).unwrap();
+        let pushed = sum(|r| r.pushed.len() as u64);
+        assert_eq!(pushdown.get_attr("pushed_predicates"), Some(pushed.to_string().as_str()));
+        assert_eq!(pushdown.get_attr("pruned_sources"), Some("1"));
+        assert_eq!(pushdown.get_attr("pruned"), Some("PRUNED"));
+
+        for batch in root.children.iter().filter(|c| c.kind == SpanKind::Batch) {
+            let row = row(outcome, &batch.name);
+            assert_eq!(batch.sim_us, row.wire_time.as_micros(), "{}", batch.name);
+            let bytes = row.wire_bytes.to_string();
+            assert_eq!(batch.get_attr("wire_bytes"), Some(bytes.as_str()), "{}", batch.name);
+            let rules = (row.tasks as u64 - row.view_hits).to_string();
+            assert_eq!(batch.get_attr("rules"), Some(rules.as_str()), "{}", batch.name);
+        }
+    }
+    assert_eq!(cold.sources.iter().filter(|r| !r.pushed.is_empty()).count(), 2);
+    assert!(warm.trace.unwrap().spans_of(SpanKind::Batch).is_empty(), "all slices fresh");
 }

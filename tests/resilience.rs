@@ -103,7 +103,7 @@ fn three_attempt_retry_restores_full_completeness() {
     assert_eq!(outcome.individuals().len(), 8);
     // The rescue is visible in the stats: SRC_0 needed one retry.
     assert_eq!(outcome.retries(), 1);
-    assert_eq!(outcome.resilience["SRC_0"].retries, 1);
+    assert_eq!(outcome.source("SRC_0").unwrap().retries, 1);
     assert!(outcome.errors().is_empty());
 }
 
@@ -135,7 +135,7 @@ fn replica_failover_rescues_hard_down_primary() {
     assert_eq!(outcome.stats.completeness, 1.0);
     // Exactly one failover: primary refused, first replica answered.
     assert_eq!(outcome.failovers(), 1);
-    let health = &outcome.resilience["DB"];
+    let health = outcome.source("DB").unwrap();
     assert_eq!(health.failovers, 1);
     assert_eq!(health.attempts, 2);
     assert_eq!(health.failed_tasks, 0);
@@ -260,8 +260,8 @@ fn breaker_trips_end_to_end_and_recovers_after_cooldown() {
     }
     // Two real calls tripped the breaker; the other four queries were
     // short-circuited without touching the endpoint.
-    let health = s2s.query("SELECT product").unwrap().resilience["DEAD"];
-    assert_eq!(health.breaker_state, Some(BreakerState::Open));
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert_eq!(outcome.source("DEAD").unwrap().breaker_state, Some(BreakerState::Open));
     let breaker = s2s.resilience().breaker("DEAD").unwrap();
     assert_eq!(breaker.counters().opened, 1);
     assert!(breaker.counters().rejected >= 4);
@@ -271,7 +271,7 @@ fn breaker_trips_end_to_end_and_recovers_after_cooldown() {
     let rejected_before = breaker.counters().rejected;
     s2s.resilience().advance_clock(SimDuration::from_millis(60_000));
     let outcome = s2s.query("SELECT product").unwrap();
-    assert_eq!(outcome.resilience["DEAD"].breaker_rejections, 0);
+    assert_eq!(outcome.source("DEAD").unwrap().breaker_rejections, 0);
     assert_eq!(breaker.counters().half_opened, 1);
     assert_eq!(breaker.counters().rejected, rejected_before);
 }
