@@ -17,9 +17,11 @@
 //!   print the span tree plus the JSONL dump of each.
 //! * `--metrics` — run a short workload with the global metrics
 //!   registry enabled and print the Prometheus-style text snapshot.
-//! * `--smoke-audit <dir>` — short deterministic healthy run; writes
-//!   `trace.jsonl` and `metrics.prom` into `<dir>` and self-validates
-//!   both exports. Exits non-zero on any violation.
+//! * `--smoke-audit <dir>` — short deterministic healthy run plus one
+//!   mutation round on a views engine; writes `trace.jsonl` and
+//!   `metrics.prom` into `<dir>` and self-validates both exports (the
+//!   view metrics must equal the outcomes' summed stats). Exits
+//!   non-zero on any violation.
 //! * `--throughput-smoke <dir>` — small multi-client throughput run
 //!   (4 clients × 16 queries on one shared, paced engine); writes
 //!   `e13.json` into `<dir>` and exits non-zero on any cross-thread
@@ -54,9 +56,10 @@ use std::sync::Arc;
 use s2s_bench::wall::*;
 use s2s_bench::*;
 use s2s_core::extract::Strategy;
+use s2s_core::middleware::QueryStats;
 use s2s_core::source::Connection;
 use s2s_core::S2s;
-use s2s_netsim::{BreakerConfig, CostModel, FailureModel, RetryPolicy, SimDuration};
+use s2s_netsim::{BreakerConfig, ChangeKind, CostModel, FailureModel, RetryPolicy, SimDuration};
 
 /// A smoke gate: runs a deterministic workload, writes its artifacts
 /// into the given directory and returns the violations it found.
@@ -69,7 +72,8 @@ const SMOKE_MODES: [(&str, SmokeFn, &str); 4] = [
     (
         "smoke-audit",
         smoke_audit,
-        "deterministic run; writes trace.jsonl and metrics.prom into DIR and validates both exports",
+        "deterministic run plus a views mutation round; writes trace.jsonl and metrics.prom into \
+         DIR and validates both exports, view metrics against the summed stats",
     ),
     (
         "throughput-smoke",
@@ -348,7 +352,9 @@ fn metrics_mode() {
 }
 
 /// The CI smoke-audit gate: a deterministic healthy run whose exports
-/// must be well-formed and whose completeness must be 1.0.
+/// must be well-formed and whose completeness must be 1.0, plus a views
+/// engine through one mutation round, whose view metrics must be the
+/// sums of its outcomes' stats.
 fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
 
@@ -356,6 +362,17 @@ fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
     s2s_obs::global().clear();
     let s2s = deploy_wide(6, 3, CostModel::wan(), Strategy::Parallel { workers: 4 }).with_tracing();
     let outcome = s2s.query("SELECT product").unwrap();
+    // Cold, then after a price mutation: the price slices refresh, the
+    // others advance past the event, one poll per source.
+    let views = deploy_wan(8, 42).with_views();
+    let mut view_outcomes = vec![views.query("SELECT watch").unwrap()];
+    let mut recs = records(8, 42);
+    for r in &mut recs {
+        r.price += 1.0;
+    }
+    let db = Connection::Database { db: Arc::new(catalog_db(&recs)) };
+    views.mutate_source("DB", db, ChangeKind::RowUpdate, vec!["price".into()]).unwrap();
+    view_outcomes.push(views.query("SELECT watch").unwrap());
     let prom = s2s_obs::render_prometheus(s2s_obs::global());
     s2s_obs::set_enabled(false);
 
@@ -391,11 +408,25 @@ fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
         }
         Err(e) => violations.push(format!("trace.jsonl does not parse: {e}")),
     }
-    // The Prometheus snapshot must parse and be non-trivial.
+    // The Prometheus snapshot must parse and be non-trivial, and its
+    // view metrics are the only engine-wide view account: each must be
+    // its outcomes' sum, and the round must have moved it.
     match s2s_obs::parse_prometheus(&prom) {
         Ok(samples) => {
             if samples.is_empty() {
                 violations.push("metrics.prom parsed to zero samples".into());
+            }
+            let sum = |of: fn(&QueryStats) -> u64| view_outcomes.iter().map(|o| of(&o.stats)).sum();
+            let sums: [(&str, u64); 3] = [
+                (s2s_obs::names::VIEW_HITS_TOTAL, sum(|s| s.view_hits)),
+                (s2s_obs::names::VIEW_REFRESHES_TOTAL, sum(|s| s.view_refreshes)),
+                (s2s_obs::names::FEED_POLLS_TOTAL, sum(|s| s.feed_polls)),
+            ];
+            for (name, summed) in sums {
+                let metric = samples.iter().find(|m| m.name == name).map(|m| m.value);
+                if summed == 0 || metric != Some(summed as f64) {
+                    violations.push(format!("{name} {metric:?} != outcomes' sum {summed}"));
+                }
             }
         }
         Err(e) => violations.push(format!("metrics.prom does not parse: {e}")),

@@ -829,6 +829,7 @@ pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> Del
     let mut divergences = 0usize;
     let (mut baseline_sim, mut delta_sim) = (SimDuration::ZERO, SimDuration::ZERO);
     let (mut base_wire, mut delta_wire) = (0u64, 0u64);
+    let (mut view_hits, mut view_refreshes, mut view_full_refreshes) = (0u64, 0u64, 0u64);
     let mut max_staleness_us = 0u64;
     for step in 0..steps {
         acc += mutation_pct / 100.0;
@@ -857,13 +858,15 @@ pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> Del
         delta_sim += delta_outcome.stats.simulated;
         base_wire += base_outcome.stats.wire_bytes;
         delta_wire += delta_outcome.stats.wire_bytes;
+        view_hits += delta_outcome.stats.view_hits;
+        view_refreshes += delta_outcome.stats.view_refreshes;
+        view_full_refreshes += delta_outcome.stats.view_full_refreshes;
         max_staleness_us = max_staleness_us.max(delta_outcome.stats.view_staleness.as_micros());
         if result_key(&base_outcome) != result_key(&delta_outcome) {
             divergences += 1;
         }
     }
 
-    let views = delta.view_stats();
     DeltaPoint {
         mutation_pct,
         queries: steps,
@@ -873,9 +876,9 @@ pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> Del
         delta_sim,
         baseline_wire_bytes: base_wire,
         delta_wire_bytes: delta_wire,
-        view_hits: views.hits,
-        view_refreshes: views.refreshes,
-        view_full_refreshes: views.full_refreshes,
+        view_hits,
+        view_refreshes,
+        view_full_refreshes,
         max_staleness_us,
     }
 }

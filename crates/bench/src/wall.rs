@@ -406,7 +406,6 @@ pub fn run_overload(
     if cfg.shedding {
         engine = engine.with_admission(
             AdmissionConfig::with_permits(cfg.permits)
-                .with_capacity(cfg.permits * 2)
                 .with_service_estimate(sim.max(SimDuration::from_millis(1))),
         );
     }

@@ -5,10 +5,8 @@
 //! landed, so they prove that rewrite changed no output byte. The
 //! deployment is the mixed four-source demo (DB + XML + WEB + TXT over
 //! one catalog) extended with what the serializers branch on: an object
-//! property (`provider`, minted + range-typed individuals), a literal
-//! that needs escaping in every syntax, and — with provenance on — the
-//! un-prefixed `s2sprov:extractedFrom` predicate that takes RDF/XML's
-//! inline `ns0:` branch.
+//! property (`provider`, minted + range-typed individuals) and a literal
+//! that needs escaping in every syntax.
 
 use std::sync::Arc;
 
@@ -29,28 +27,13 @@ const FORMATS: [OutputFormat; 5] = [
     OutputFormat::Text,
 ];
 
-/// `(provenance, [(len, fnv1a64); 5])` in [`FORMATS`] order.
-const GOLDEN: [(bool, [(usize, u64); 5]); 2] = [
-    (
-        false,
-        [
-            (0x3e2e, 0x3ee1_9c46_2173_63ce),
-            (0x23fb, 0xc579_1246_b82d_6a64),
-            (0x7817, 0x698b_26d9_b43b_b6b6),
-            (0x21a3, 0x41b8_ae80_532a_9b44),
-            (0x1712, 0x5e96_63fe_be0b_a235),
-        ],
-    ),
-    (
-        true,
-        [
-            (0x4e72, 0x1e7d_c53c_009d_6530),
-            (0x2e3f, 0xe317_04fa_54a9_1e82),
-            (0x8a67, 0x3f73_0050_d94e_f292),
-            (0x21a3, 0x41b8_ae80_532a_9b44),
-            (0x1712, 0x5e96_63fe_be0b_a235),
-        ],
-    ),
+/// `(len, fnv1a64)` in [`FORMATS`] order.
+const GOLDEN: [(usize, u64); 5] = [
+    (0x3e2e, 0x3ee1_9c46_2173_63ce),
+    (0x23fb, 0xc579_1246_b82d_6a64),
+    (0x7817, 0x698b_26d9_b43b_b6b6),
+    (0x21a3, 0x41b8_ae80_532a_9b44),
+    (0x1712, 0x5e96_63fe_be0b_a235),
 ];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -59,12 +42,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
 }
 
-fn deploy(provenance: bool) -> S2s {
+fn deploy() -> S2s {
     let recs = records(12, 7);
     let mut s2s = S2s::new(ontology());
-    if provenance {
-        s2s = s2s.with_provenance();
-    }
     s2s.register_source("DB", Connection::Database { db: Arc::new(catalog_db(&recs)) }).unwrap();
     s2s.register_source("XML", Connection::Xml { document: Arc::new(catalog_xml(&recs)) }).unwrap();
 
@@ -110,24 +90,19 @@ fn deploy(provenance: bool) -> S2s {
 
 #[test]
 fn five_output_formats_are_byte_identical_to_the_pinned_parent() {
-    let mut measured = Vec::new();
-    for (provenance, _) in GOLDEN {
-        let s2s = deploy(provenance);
-        let outcome = s2s.query("SELECT watch").unwrap();
-        assert!(outcome.errors().is_empty(), "{:?}", outcome.errors());
-        assert_eq!(outcome.individuals().len(), 48);
+    let s2s = deploy();
+    let outcome = s2s.query("SELECT watch").unwrap();
+    assert!(outcome.errors().is_empty(), "{:?}", outcome.errors());
+    assert_eq!(outcome.individuals().len(), 48);
 
-        let owl = outcome.render(s2s.ontology(), OutputFormat::OwlRdfXml);
-        assert_eq!(owl.contains("<ns0:extractedFrom xmlns:ns0="), provenance, "{owl}");
-        assert!(owl.contains("<s:brand>R&amp;D \"Pro\" &lt;v2&gt; \\ed</s:brand>"), "{owl}");
-        assert!(owl.contains("<s:provider rdf:resource="), "{owl}");
-        let ttl = outcome.render(s2s.ontology(), OutputFormat::Turtle);
-        assert!(ttl.contains(r#"s:brand "R&D \"Pro\" <v2> \\ed""#), "{ttl}");
+    let owl = outcome.render(s2s.ontology(), OutputFormat::OwlRdfXml);
+    assert!(owl.contains("<s:brand>R&amp;D \"Pro\" &lt;v2&gt; \\ed</s:brand>"), "{owl}");
+    assert!(owl.contains("<s:provider rdf:resource="), "{owl}");
+    let ttl = outcome.render(s2s.ontology(), OutputFormat::Turtle);
+    assert!(ttl.contains(r#"s:brand "R&D \"Pro\" <v2> \\ed""#), "{ttl}");
 
-        let hashes = FORMATS
-            .map(|f| outcome.render(s2s.ontology(), f))
-            .map(|s| (s.len(), fnv1a64(s.as_bytes())));
-        measured.push((provenance, hashes));
-    }
+    let measured = FORMATS
+        .map(|f| outcome.render(s2s.ontology(), f))
+        .map(|s| (s.len(), fnv1a64(s.as_bytes())));
     assert_eq!(measured, GOLDEN, "rendered bytes moved; measured = {measured:x?}");
 }

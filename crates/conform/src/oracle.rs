@@ -870,7 +870,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     );
     {
         let controller = engine.admission().expect("admission was just configured");
-        let hog = controller.admit("hog", None, false).expect("first permit is free");
+        let hog = controller.admit("hog", None).expect("first permit is free");
         let opts =
             QueryOptions::default().with_tenant("meek").with_deadline(SimDuration::from_millis(1));
         let shed = engine.query_with_options(&query, &opts).expect("shed still parses upstream");

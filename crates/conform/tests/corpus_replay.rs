@@ -68,7 +68,7 @@ fn overload_cases_exercise_their_mechanisms() {
     let engine =
         burst.build(&BuildConfig::batched()).with_admission(AdmissionConfig::with_permits(1));
     let controller = engine.admission().expect("admission configured");
-    let hog = controller.admit("hog", None, false).expect("first permit is free");
+    let hog = controller.admit("hog", None).expect("first permit is free");
     let opts =
         QueryOptions::default().with_tenant("meek").with_deadline(SimDuration::from_millis(1));
     let shed = engine.query_with_options(&burst.query_text(), &opts).expect("query parses");

@@ -13,9 +13,9 @@
 //!   query's canonical rendering (DESIGN.md "Query Handler"). A plan
 //!   derives from the immutable ontology and the parsed query alone,
 //!   so nothing invalidates one: only the LRU bound drops it.
-//! * [`QueryResultCache`] — memoizes whole query answers (the
+//! * the result cache — memoizes whole query answers (the
 //!   [`InstanceSet`] plus the task count of the run that produced it),
-//!   same key, LRU-bounded at [`QueryResultCache::CAPACITY`]. A source's
+//!   same key, LRU-bounded at 128 answers. A source's
 //!   data changes only through `S2s::mutate_source`, which bumps its
 //!   registry version, so freshness is decided **when an answer is
 //!   read**, by the rule materialized views follow: each entry records
@@ -191,7 +191,7 @@ impl<K: Clone + Eq + Hash, V> Lru<K, V> {
 /// A cached answer is fresh exactly while every recorded version is
 /// still its source's current one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DependencySet {
+pub(crate) struct DependencySet {
     sources: BTreeMap<String, u64>,
 }
 
@@ -244,7 +244,7 @@ pub(crate) fn plan_cache() -> PlanCache {
 /// A cache hit: the answer plus the provenance of the run that
 /// produced it.
 #[derive(Debug, Clone)]
-pub struct CachedResult {
+pub(crate) struct CachedResult {
     /// The plan of the original run.
     pub plan: Arc<QueryPlan>,
     /// The answer of the original run.
@@ -263,7 +263,7 @@ struct ResultEntry {
 /// An LRU memo of whole query answers, keyed on the query's canonical
 /// rendering. See the module docs for the freshness rule.
 #[derive(Debug)]
-pub struct QueryResultCache {
+pub(crate) struct QueryResultCache {
     /// Shared so a hit clones a pointer, not the dependency set.
     entries: Lru<String, Arc<ResultEntry>>,
     invalidations: AtomicU64,
@@ -350,20 +350,14 @@ impl QueryResultCache {
         self.entries.len()
     }
 
-    /// Whether the cache holds no answers.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Counter snapshot (hits, misses, LRU evictions at [`Self::CAPACITY`]).
     pub fn stats(&self) -> CacheStats {
         self.entries.stats()
     }
 
     /// Entries dropped by [`Self::invalidate_all`] and
-    /// [`Self::invalidate_dependents`] — mapping registrations and the
-    /// operator's `invalidate_cache`; a data mutation drops nothing.
-    /// Distinct from LRU evictions.
+    /// [`Self::invalidate_dependents`] — mapping registrations; a data
+    /// mutation drops nothing. Distinct from LRU evictions.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
     }
@@ -474,7 +468,7 @@ mod tests {
             cache.insert(text.into(), answer(), DependencySet::new());
         }
         assert_eq!(cache.invalidate_all(), 3);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.invalidations(), 3);
         // Idempotent: an empty invalidation adds nothing.
         assert_eq!(cache.invalidate_all(), 0);

@@ -90,29 +90,6 @@ pub enum OutputFormat {
     Text,
 }
 
-/// Options for [`generate_with_options`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GenerateOptions {
-    /// Attach provenance triples (`s2sprov:extractedFrom "<source id>"`)
-    /// to every generated individual.
-    pub provenance: bool,
-}
-
-/// The provenance property IRI used when [`GenerateOptions::provenance`]
-/// is enabled.
-pub fn provenance_property() -> Iri {
-    Iri::new("http://s2s.middleware/prov#extractedFrom").expect("valid")
-}
-
-/// Generates OWL instances from an extraction report (no provenance).
-///
-/// Individuals failing the plan's conditions are dropped; individuals
-/// from object-property values are minted and typed by the property
-/// range.
-pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> InstanceSet {
-    generate_with_options(ontology, plan, report, GenerateOptions::default())
-}
-
 /// One attribute of one source, with everything about it that does not
 /// change from record to record resolved once.
 struct Column<'a> {
@@ -264,9 +241,9 @@ fn close(reasoner: &Reasoner<'_>, template: Template<'_>) -> Entailed {
 }
 
 /// A row of a source's block: one predicate and where its object comes
-/// from, entailed for every record (by its class or its provenance,
-/// `gate: None`) or by a column's value (`gate: Some(column)`, emitted
-/// only for the records that have one).
+/// from, entailed for every record (by its class, `gate: None`) or by a
+/// column's value (`gate: Some(column)`, emitted only for the records
+/// that have one).
 struct Row {
     predicate: Iri,
     object: Fill,
@@ -291,8 +268,6 @@ enum Fill {
     Constant(Term),
     /// The record itself.
     Subject,
-    /// The source's id (provenance).
-    Source,
     /// The record's value of a column.
     Value(usize),
 }
@@ -305,8 +280,8 @@ struct Shape<'a> {
     columns: Vec<Option<Template<'a>>>,
 }
 
-/// What the templates of a source's record class, its provenance and its
-/// projected columns make of each of its records. It depends on nothing
+/// What the templates of a source's record class and its projected
+/// columns make of each of its records. It depends on nothing
 /// else, so sources of one shape — a fan-out over like shards — share
 /// one.
 #[derive(Default)]
@@ -330,7 +305,6 @@ impl<'a> Block<'a> {
     fn build(
         &mut self,
         shape: &Shape<'a>,
-        provenance: Option<Template<'a>>,
         reasoner: &Reasoner<'_>,
         closures: &mut BTreeMap<Template<'a>, Entailed>,
     ) {
@@ -341,10 +315,9 @@ impl<'a> Block<'a> {
         // Each template with where its `O` comes from and the column that
         // must have a value for its rows to hold.
         let class = shape.class.map(|class| (Template::Class(class), Fill::Subject, None));
-        let provenance = provenance.map(|template| (template, Fill::Source, None));
         let columns = shape.columns.iter().enumerate();
         let values = columns.filter_map(|(k, t)| Some(((*t)?, Fill::Value(k), Some(k))));
-        for (template, value, gate) in class.into_iter().chain(provenance).chain(values) {
+        for (template, value, gate) in class.into_iter().chain(values) {
             let entailed = closures.entry(template).or_insert_with(|| close(reasoner, template));
             for (predicate, node) in &entailed.about_subject {
                 let object = node.fill(&value);
@@ -467,14 +440,13 @@ fn select(
     }
 }
 
-/// Like [`generate`], with options.
-pub fn generate_with_options(
-    ontology: &Ontology,
-    plan: &QueryPlan,
-    report: &ExtractionReport,
-    options: GenerateOptions,
-) -> InstanceSet {
-    let (triples, individuals) = emit_triples(ontology, plan, report, options);
+/// Generates OWL instances from an extraction report.
+///
+/// Individuals failing the plan's conditions are dropped; individuals
+/// from object-property values are minted and typed by the property
+/// range.
+pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> InstanceSet {
+    let (triples, individuals) = emit_triples(ontology, plan, report);
     // Entailments included: one tree build.
     let graph: Graph = triples.into_iter().collect();
 
@@ -518,16 +490,13 @@ fn emit_triples(
     ontology: &Ontology,
     plan: &QueryPlan,
     report: &ExtractionReport,
-    options: GenerateOptions,
 ) -> (Vec<Triple>, Vec<Individual>) {
     let data_ns = data_namespace(ontology);
     let reasoner = Reasoner::new(ontology);
-    let provenance = options.provenance.then(provenance_property);
     let mut closures: BTreeMap<Template<'_>, Entailed> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
     let mut referenced: Vec<Triple> = Vec::new();
     let mut individuals = Vec::new();
-    let provenance_template = provenance.as_ref().map(|p| Template::Value(p, ObjectKind::Literal));
     // Reused from source to source: the text being minted, the records
     // of the source that became individuals, the last block and the
     // shape of the next, the values that fill more than one row, and
@@ -655,9 +624,8 @@ fn emit_triples(
         shape.columns.clear();
         shape.columns.extend(columns.iter().map(|c| c.projected.then(|| c.template())));
         if block.shape != shape {
-            block.build(&shape, provenance_template, &reasoner, &mut closures);
+            block.build(&shape, &reasoner, &mut closures);
         }
-        let source_literal = provenance.is_some().then(|| Term::from(Literal::string(source)));
         objects.clear();
         objects.resize(columns.len(), None);
 
@@ -673,7 +641,6 @@ fn emit_triples(
             let mut fill = |fill: &Fill| match fill {
                 Fill::Constant(term) => term.clone(),
                 Fill::Subject => subject.clone(),
-                Fill::Source => source_literal.clone().expect("provenance is on"),
                 Fill::Value(k) => match &objects[*k] {
                     Some(term) => term.clone(),
                     None => {
@@ -1174,12 +1141,12 @@ mod tests {
             result(&o, "thing.product.price", "DB", RecordScenario::MultiRecord, &["1", "250"]),
             result(&o, "thing.product.provider", "DB", RecordScenario::SingleRecord, &["Acme"]),
         ]);
-        let set = generate_with_options(&o, &p, &rep, GenerateOptions { provenance: true });
+        let set = generate(&o, &p, &rep);
         assert_eq!(set.individuals.len(), 1);
-        // type + provenance + brand + price + provider, the provider's
-        // own type: nothing between extraction and output asks a
-        // predicate- or object-led question.
-        assert_eq!(set.graph.len(), 6);
+        // type + brand + price + provider, the provider's own type:
+        // nothing between extraction and output asks a predicate- or
+        // object-led question.
+        assert_eq!(set.graph.len(), 5);
         for fmt in [
             OutputFormat::OwlRdfXml,
             OutputFormat::Turtle,
@@ -1265,9 +1232,8 @@ mod tests {
             column("thing.product.brand", "xml", &|i| format!("brand{}", i % 5)),
             column("thing.product.price", "xml", &|i| format!("{}", i % 300)),
         ]);
-        let (triples, individuals) =
-            emit_triples(&o, &p, &rep, GenerateOptions { provenance: true });
-        assert_eq!((individuals.len(), triples.len()), (2_400, 4 * 2_400));
+        let (triples, individuals) = emit_triples(&o, &p, &rep);
+        assert_eq!((individuals.len(), triples.len()), (2_400, 3 * 2_400));
         // The hint holds: what the reasoner is handed is already
         // strictly sorted, so its sort and the tree build are linear.
         let unsorted = triples.windows(2).position(|w| w[0] >= w[1]);

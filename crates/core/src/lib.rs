@@ -28,9 +28,10 @@
 //! * [`middleware`] — the [`middleware::S2s`] façade tying it all
 //!   together: a `Send + Sync` resident engine whose queries each run
 //!   on their caller's thread, layered behind an [`engine`]
-//!   plan cache and (opt-in) query-result cache;
+//!   plan cache, (opt-in) query-result cache and (opt-in)
+//!   materialized [`view`]s;
 //! * [`engine`] — the resident engine's query-level caches (the plan
-//!   cache and [`engine::QueryResultCache`]) over its one LRU store;
+//!   cache and the query-result cache) over its one LRU store;
 //! * [`baseline`] — the syntactic-only integrator used as the paper's
 //!   implicit comparison system (experiment E8).
 
@@ -55,10 +56,9 @@ mod wrapper;
 pub use bootstrap::{
     BootstrapReport, ClassCandidate, Conflict, MappingCandidate, SchemaField, SchemaSummary,
 };
-pub use engine::{CacheStats, DependencySet, QueryResultCache};
+pub use engine::CacheStats;
 pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy};
 pub use ledger::SourceLedger;
-pub use middleware::{Priority, QueryOptions, S2s};
+pub use middleware::{QueryOptions, S2s};
 pub use planner::plan_pushdown;
-pub use view::{SemanticViews, ViewSlice, ViewStats};

@@ -1,251 +1,210 @@
 //! Materialized semantic views: one `(source, attribute path)` slice —
 //! the values a mapping's rule extracted — stamped with the source
 //! version it reflects, kept current against the source's change feed
-//! (DESIGN.md §4k). A current slice is served (a **hit**); a stale one
-//! whose retained events name no field the rule reads (the source
-//! kind's wrapper computes the read set from the compiled rule; a rule
-//! with an unknowable one, or an event naming no field, touches
-//! everything) is advanced without re-extraction (still a hit);
-//! otherwise the slice is re-extracted (a **refresh**), from scratch
-//! after a feed gap (a **full refresh**). Views therefore never serve
-//! values a recompute would not produce — what the `s2s-conform` delta
-//! oracles check. An entry stores its rule text, so a lookup under a
-//! different rule (an edit, a pushdown rewrite) misses and the next
-//! store overwrites it.
+//! (DESIGN.md §4k). A query calls the views twice. Before extraction,
+//! `SemanticViews::partition` serves every slice it can: a current
+//! one is served (a **hit**); a stale one whose retained events name no
+//! field the rule reads (the source kind's wrapper computes the read
+//! set from the compiled rule; a rule with an unknowable one, or an
+//! event naming no field, touches everything) is advanced without
+//! re-extraction (still a hit); otherwise the slice is left to extract
+//! (a **refresh**), from scratch after a feed gap (a **full refresh**).
+//! After extraction, `SemanticViews::store` materializes what was
+//! extracted at the versions the query read. Views therefore never
+//! serve values a recompute would not produce — what the `s2s-conform`
+//! delta oracles check. An entry stores its rule text, so a lookup
+//! under a different rule (an edit, a pushdown rewrite) misses and the
+//! next store overwrites it. The query's ledger rows are the only
+//! account of what the views did.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use s2s_netsim::SimDuration;
+use s2s_netsim::{ChangeEvent, SimDuration};
+use s2s_owl::AttributePath;
 
-use crate::extract::Values;
-use crate::ledger::SourceLedger;
-
-/// One materialized slice served out of [`SemanticViews`].
-#[derive(Debug, Clone)]
-pub struct ViewSlice {
-    /// The extracted values (aligned per record for multi-record
-    /// sources), shared with the store: a lookup copies nothing.
-    pub values: Arc<Values>,
-    /// The source data version the values reflect.
-    pub version: u64,
-    /// Simulated instant the slice was last extracted or verified
-    /// fresh against the feed.
-    pub refreshed_at: SimDuration,
-}
+use crate::engine::DependencySet;
+use crate::extract::{AttributeResult, ExtractionSchema, Values};
+use crate::ledger::{self, SourceLedger};
+use crate::source::{SourceId, SourceRegistry};
 
 #[derive(Debug)]
 struct ViewEntry {
     rule: String,
+    /// Shared with the slices served from it: a lookup copies nothing.
     values: Arc<Values>,
+    /// The source data version the values reflect.
     version: u64,
+    /// Simulated instant the slice was last extracted or verified
+    /// fresh against the feed.
     refreshed_at: SimDuration,
 }
 
-/// Cumulative maintenance counters of a [`SemanticViews`] instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ViewStats {
-    /// Slices served without re-extraction (fresh, or cheaply advanced
-    /// past untouching events).
-    pub hits: u64,
-    /// Slices incrementally re-extracted because a feed event touched
-    /// their field.
-    pub refreshes: u64,
-    /// Slices re-extracted from scratch after a feed gap.
-    pub full_refreshes: u64,
-    /// Change-feed polls issued.
-    pub feed_polls: u64,
-}
-
 /// The registry of materialized semantic views, shared across queries
-/// on one engine. See the module docs for the maintenance protocol —
-/// this type only stores slices and counts; the middleware drives the
-/// feed polls and re-extraction.
+/// on one engine: per source, its slices by attribute path.
 #[derive(Debug, Default)]
-pub struct SemanticViews {
-    entries: RwLock<BTreeMap<(String, String), ViewEntry>>,
-    hits: AtomicU64,
-    refreshes: AtomicU64,
-    full_refreshes: AtomicU64,
-    feed_polls: AtomicU64,
+pub(crate) struct SemanticViews {
+    entries: RwLock<BTreeMap<String, BTreeMap<AttributePath, ViewEntry>>>,
 }
 
 impl SemanticViews {
-    /// An empty view registry.
-    pub fn new() -> Self {
-        SemanticViews::default()
-    }
-
-    /// The slice materialized for `(source, path)`, provided it was
-    /// built by the same `rule` (a different rule means the mapping was
-    /// edited or rewritten — the stored values answer the wrong
-    /// question).
-    pub fn lookup(&self, source: &str, path: &str, rule: &str) -> Option<ViewSlice> {
-        let entries = self.entries.read();
-        let e = entries.get(&(source.to_string(), path.to_string()))?;
-        (e.rule == rule).then(|| ViewSlice {
-            values: Arc::clone(&e.values),
-            version: e.version,
-            refreshed_at: e.refreshed_at,
-        })
-    }
-
-    /// Stores (or overwrites) the slice for `(source, path)`.
-    pub fn store(
+    /// Splits `schemas` into the slices the views serve (returned as
+    /// results) and the schemas left to extract, at simulated instant
+    /// `now`. `deps` holds the versions the query reads, under the
+    /// registry lock `registry` stands for. Writes each source's row
+    /// of `rows`: tasks served, view hits, refreshes, full refreshes,
+    /// feed polls with their wire bytes, and the widest staleness.
+    pub(crate) fn partition(
         &self,
-        source: &str,
-        path: &str,
-        rule: &str,
-        values: Values,
-        version: u64,
+        registry: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        deps: &DependencySet,
+        rows: &mut Vec<SourceLedger>,
         now: SimDuration,
-    ) {
-        self.entries.write().insert(
-            (source.to_string(), path.to_string()),
-            ViewEntry {
-                rule: rule.to_string(),
-                values: Arc::new(values),
-                version,
-                refreshed_at: now,
-            },
-        );
+    ) -> (Vec<ExtractionSchema>, Vec<AttributeResult>) {
+        let mut served = Vec::new();
+        // One poll per distinct (source, since) per query: slices of the
+        // same source refreshed at the same version share the frames.
+        // `None` memoizes a feed gap — the delta is unsound and only a
+        // full re-extract is.
+        let mut polls: HashMap<(String, u64), Option<Vec<ChangeEvent>>> = HashMap::new();
+        let mut extract = Vec::new();
+        for s in schemas {
+            let sid = s.mapping.source();
+            let row = ledger::row(rows, sid.as_str());
+            let current = deps.version_of(sid.as_str()).unwrap_or(0);
+            let Some((values, version, refreshed_at)) = self.slice(&s) else {
+                extract.push(s);
+                continue;
+            };
+            if version < current {
+                let key = (sid.as_str().to_string(), version);
+                let events = polls.entry(key).or_insert_with(|| poll(registry, sid, version, row));
+                let Some(events) = events else {
+                    row.view_full_refreshes += 1;
+                    extract.push(s);
+                    continue;
+                };
+                let touched = registry.get(sid).is_none_or(|src| {
+                    crate::wrapper::touched_by(src.connection(), &s.mapping, events)
+                });
+                if touched {
+                    row.view_refreshes += 1;
+                    extract.push(s);
+                    continue;
+                }
+                self.advance(&s, current, now);
+            } else {
+                row.view_staleness = row.view_staleness.max(now.saturating_sub(refreshed_at));
+            }
+            row.tasks += 1;
+            row.view_hits += 1;
+            served.push(AttributeResult {
+                mapping: s.mapping,
+                // The report owns its columns; the store keeps serving
+                // this one.
+                values: Values::clone(&values),
+                elapsed: SimDuration::ZERO,
+            });
+        }
+        (extract, served)
     }
 
-    /// Advances a slice to `version` without re-extraction — the feed
-    /// proved no retained event touched its field. `refreshed_at` moves
-    /// to `now`: freshness was just verified against the source.
-    pub fn advance(&self, source: &str, path: &str, version: u64, now: SimDuration) {
-        if let Some(e) = self.entries.write().get_mut(&(source.to_string(), path.to_string())) {
+    /// Materializes every extracted slice of `results` at the version
+    /// the query read its source at (`deps`), refreshed at `now`, and
+    /// mirrors the query's view figures (`sum`, its rows folded) to
+    /// the metrics registry.
+    pub(crate) fn store(
+        &self,
+        results: &[AttributeResult],
+        deps: &DependencySet,
+        now: SimDuration,
+        sum: &SourceLedger,
+    ) {
+        if !results.is_empty() {
+            let mut entries = self.entries.write();
+            for r in results {
+                let sid = r.mapping.source().as_str();
+                let entry = ViewEntry {
+                    rule: r.mapping.rule().text().to_string(),
+                    values: Arc::new(r.values.clone()),
+                    version: deps.version_of(sid).unwrap_or(0),
+                    refreshed_at: now,
+                };
+                // Keys are built only for a slice not materialized yet.
+                let slices = match entries.get_mut(sid) {
+                    Some(slices) => slices,
+                    None => entries.entry(sid.to_string()).or_default(),
+                };
+                match slices.get_mut(r.mapping.path()) {
+                    Some(e) => *e = entry,
+                    None => _ = slices.insert(r.mapping.path().clone(), entry),
+                }
+            }
+        }
+        if s2s_obs::enabled() {
+            let metrics = s2s_obs::global();
+            if sum.view_hits > 0 {
+                metrics.counter(s2s_obs::names::VIEW_HITS_TOTAL).add(sum.view_hits);
+                let staleness = sum.view_staleness.as_micros();
+                metrics.histogram(s2s_obs::names::VIEW_STALENESS_US).observe(staleness);
+            }
+            if sum.view_refreshes > 0 {
+                metrics.counter(s2s_obs::names::VIEW_REFRESHES_TOTAL).add(sum.view_refreshes);
+            }
+            if sum.view_full_refreshes > 0 {
+                let full = sum.view_full_refreshes;
+                metrics.counter(s2s_obs::names::VIEW_FULL_REFRESHES_TOTAL).add(full);
+            }
+            if sum.feed_polls > 0 {
+                metrics.counter(s2s_obs::names::FEED_POLLS_TOTAL).add(sum.feed_polls);
+            }
+        }
+    }
+
+    /// Drops every slice materialized from `source` (the mapping-edit
+    /// path; data mutations never drop views — they self-heal through
+    /// the feed).
+    pub(crate) fn remove_source(&self, source: &str) {
+        self.entries.write().remove(source);
+    }
+
+    /// The values, version and refresh instant of the slice
+    /// materialized for `schema`, provided it was built by the same
+    /// rule (a different rule means the mapping was edited or
+    /// rewritten — the stored values answer the wrong question).
+    fn slice(&self, schema: &ExtractionSchema) -> Option<(Arc<Values>, u64, SimDuration)> {
+        let m = &schema.mapping;
+        let entries = self.entries.read();
+        let e = entries.get(m.source().as_str())?.get(m.path())?;
+        (e.rule == m.rule().text()).then(|| (Arc::clone(&e.values), e.version, e.refreshed_at))
+    }
+
+    /// Advances the slice of `schema` to `version` without
+    /// re-extraction — the feed proved no retained event touched its
+    /// field. The refresh instant moves to `now`: freshness was just
+    /// verified against the source.
+    fn advance(&self, schema: &ExtractionSchema, version: u64, now: SimDuration) {
+        let m = &schema.mapping;
+        let mut entries = self.entries.write();
+        if let Some(e) = entries.get_mut(m.source().as_str()).and_then(|s| s.get_mut(m.path())) {
             e.version = e.version.max(version);
             e.refreshed_at = now;
         }
     }
-
-    /// Drops every slice materialized from `source`, returning how many
-    /// were dropped (the mapping-edit path; data mutations never drop
-    /// views — they self-heal through the feed).
-    pub fn remove_source(&self, source: &str) -> usize {
-        let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|(s, _), _| s != source);
-        before - entries.len()
-    }
-
-    /// Drops every slice, returning how many were dropped.
-    pub fn clear(&self) -> usize {
-        let mut entries = self.entries.write();
-        let n = entries.len();
-        entries.clear();
-        n
-    }
-
-    /// Number of materialized slices.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether no slice is materialized.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
-    /// Folds one query's ledger rows, summed, into the cumulative
-    /// counters and mirrors them to the metrics registry.
-    pub(crate) fn tally(&self, t: &SourceLedger) {
-        self.hits.fetch_add(t.view_hits, Ordering::Relaxed);
-        self.refreshes.fetch_add(t.view_refreshes, Ordering::Relaxed);
-        self.full_refreshes.fetch_add(t.view_full_refreshes, Ordering::Relaxed);
-        self.feed_polls.fetch_add(t.feed_polls, Ordering::Relaxed);
-        if s2s_obs::enabled() {
-            let metrics = s2s_obs::global();
-            if t.view_hits > 0 {
-                metrics.counter(s2s_obs::names::VIEW_HITS_TOTAL).add(t.view_hits);
-                let staleness = t.view_staleness.as_micros();
-                metrics.histogram(s2s_obs::names::VIEW_STALENESS_US).observe(staleness);
-            }
-            if t.view_refreshes > 0 {
-                metrics.counter(s2s_obs::names::VIEW_REFRESHES_TOTAL).add(t.view_refreshes);
-            }
-            if t.view_full_refreshes > 0 {
-                let full = t.view_full_refreshes;
-                metrics.counter(s2s_obs::names::VIEW_FULL_REFRESHES_TOTAL).add(full);
-            }
-            if t.feed_polls > 0 {
-                metrics.counter(s2s_obs::names::FEED_POLLS_TOTAL).add(t.feed_polls);
-            }
-        }
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ViewStats {
-        ViewStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            refreshes: self.refreshes.load(Ordering::Relaxed),
-            full_refreshes: self.full_refreshes.load(Ordering::Relaxed),
-            feed_polls: self.feed_polls.load(Ordering::Relaxed),
-        }
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lookup_requires_matching_rule() {
-        let views = SemanticViews::new();
-        views.store("S", "thing.a.p", "SELECT p", Values::from_iter(["1"]), 3, SimDuration::ZERO);
-        let slice = views.lookup("S", "thing.a.p", "SELECT p").expect("materialized");
-        assert_eq!(*slice.values, ["1"]);
-        assert_eq!(slice.version, 3);
-        assert!(views.lookup("S", "thing.a.p", "SELECT q").is_none(), "edited rule misses");
-        assert!(views.lookup("T", "thing.a.p", "SELECT p").is_none());
-    }
-
-    #[test]
-    fn advance_moves_version_and_refresh_instant_forward() {
-        let views = SemanticViews::new();
-        views.store("S", "p", "r", Values::new(), 1, SimDuration::ZERO);
-        views.advance("S", "p", 4, SimDuration::from_micros(7));
-        let slice = views.lookup("S", "p", "r").unwrap();
-        assert_eq!(slice.version, 4);
-        assert_eq!(slice.refreshed_at, SimDuration::from_micros(7));
-        // Advancing backwards never regresses the version.
-        views.advance("S", "p", 2, SimDuration::from_micros(9));
-        assert_eq!(views.lookup("S", "p", "r").unwrap().version, 4);
-    }
-
-    #[test]
-    fn remove_source_is_surgical_and_clear_is_not() {
-        let views = SemanticViews::new();
-        views.store("A", "p", "r", Values::new(), 1, SimDuration::ZERO);
-        views.store("A", "q", "r", Values::new(), 1, SimDuration::ZERO);
-        views.store("B", "p", "r", Values::new(), 1, SimDuration::ZERO);
-        assert_eq!(views.remove_source("A"), 2);
-        assert_eq!(views.len(), 1);
-        assert!(views.lookup("B", "p", "r").is_some());
-        assert_eq!(views.clear(), 1);
-        assert!(views.is_empty());
-    }
-
-    #[test]
-    fn tally_accumulates() {
-        let views = SemanticViews::new();
-        let first =
-            SourceLedger { view_hits: 2, view_refreshes: 1, feed_polls: 3, ..Default::default() };
-        let second = SourceLedger {
-            view_hits: 1,
-            view_full_refreshes: 1,
-            feed_polls: 1,
-            ..Default::default()
-        };
-        views.tally(&first);
-        views.tally(&second);
-        assert_eq!(
-            views.stats(),
-            ViewStats { hits: 3, refreshes: 1, full_refreshes: 1, feed_polls: 4 }
-        );
-    }
+/// Polls `source`'s feed for the events after version `since`, charging
+/// the poll and its frames to the source's row; `None` is a feed gap.
+fn poll(
+    registry: &SourceRegistry,
+    source: &SourceId,
+    since: u64,
+    row: &mut SourceLedger,
+) -> Option<Vec<ChangeEvent>> {
+    row.feed_polls += 1;
+    let events = registry.poll_changes(source, since).ok()?.ok()?;
+    row.wire_bytes += s2s_netsim::feed::poll_exchange_size(&events) as u64;
+    Some(events)
 }

@@ -16,7 +16,7 @@ use s2s_core::extract::{
     extract_one, AttributeResult, ExtractionFailure, ExtractionReport, ExtractorManager,
     Strategy as ExecStrategy, Values,
 };
-use s2s_core::instance::{generate_with_options, GenerateOptions};
+use s2s_core::instance::generate;
 use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
 use s2s_core::query::{
     condition_matches, normalize, parse, CondOp, Condition, ConditionExpr, ConditionTree,
@@ -527,9 +527,9 @@ proptest! {
     /// the generator returns what the one it replaced (`tests/reference`,
     /// which filters a record at a time through `ConditionTree::matches`
     /// and closes the whole answer) returns — an equal graph, equal
-    /// individuals in equal order, equal errors — under conditions,
-    /// projections and provenance alike. The reports hold what the
-    /// selection must get right: two columns for one property,
+    /// individuals in equal order, equal errors — under conditions and
+    /// projections alike. The reports hold what the selection must get
+    /// right: two columns for one property,
     /// single-record columns, ragged lengths, sources without a column
     /// for a leaf's property. The ontology holds what the templates must
     /// get right: rows about the referenced individual, rows about the
@@ -542,10 +542,9 @@ proptest! {
         let report = catalog_report(&mut rng, &ontology);
         let query = catalog_query(&mut rng);
         let plan = s2s_core::query::plan(&query, &ontology).unwrap();
-        let options = GenerateOptions { provenance: rng.below(2) == 0 };
 
-        let new = generate_with_options(&ontology, &plan, &report, options);
-        let old = reference::generate_with_options(&ontology, &plan, &report, options);
+        let new = generate(&ontology, &plan, &report);
+        let old = reference::generate(&ontology, &plan, &report);
         let sources: Vec<&str> = report.results.iter().map(|r| r.mapping.source().as_str()).collect();
         prop_assert!(new.individuals == old.individuals, "individuals of `{query}` over {sources:?}");
         prop_assert!(new.graph == old.graph, "graph of `{query}` over {sources:?}");

@@ -1,5 +1,5 @@
-//! Tests-only reference generator: `s2s_core::instance::generate_with_options`
-//! as it stood before sorted emission, kept verbatim — triples pushed
+//! Tests-only reference generator: `s2s_core::instance::generate` as it
+//! stood before sorted emission, kept verbatim — triples pushed
 //! in record order with the predicates in column order and referenced
 //! individuals' types in between, every minted IRI `format!`ted, the
 //! graph collected from that vector and then materialized — together
@@ -13,9 +13,7 @@
 use std::collections::BTreeMap;
 
 use s2s_core::extract::{AttributeResult, ExtractionReport, Values};
-use s2s_core::instance::{
-    data_namespace, provenance_property, GenerateOptions, Individual, InstanceSet,
-};
+use s2s_core::instance::{data_namespace, Individual, InstanceSet};
 use s2s_core::mapping::RecordScenario;
 use s2s_core::query::QueryPlan;
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
@@ -48,16 +46,10 @@ impl<'a> Column<'a> {
     }
 }
 
-/// The parent's `s2s_core::instance::generate_with_options`.
-pub fn generate_with_options(
-    ontology: &Ontology,
-    plan: &QueryPlan,
-    report: &ExtractionReport,
-    options: GenerateOptions,
-) -> InstanceSet {
+/// The parent's `s2s_core::instance::generate`.
+pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> InstanceSet {
     let data_ns = data_namespace(ontology);
     let rdf_type = rdfv::type_();
-    let provenance = options.provenance.then(provenance_property);
     let mut triples: Vec<Triple> = Vec::new();
     let mut individuals = Vec::new();
 
@@ -132,9 +124,6 @@ pub fn generate_with_options(
             let iri = Iri::new(format!("{iri_prefix}{i}"))
                 .expect("minted IRIs are valid by construction");
             triples.push(Triple::new(iri.clone(), rdf_type.clone(), record_class.clone()));
-            if let Some(provenance) = &provenance {
-                triples.push(Triple::new(iri.clone(), provenance.clone(), Literal::string(source)));
-            }
             let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
             for c in columns.iter().filter(|c| c.projected) {
                 let Some(v) = c.value(i) else { continue };

@@ -17,9 +17,10 @@
 //!   a slot on an answer nobody can use).
 //! * **Per-tenant fairness** — waiting queries are dequeued by deficit
 //!   round robin over tenants: each pass a tenant's deficit grows by
-//!   `quantum` and it may dispatch queries while its deficit covers
-//!   their estimated cost. One misbehaving tenant saturates only its
-//!   own backlog; other tenants keep their share of the permits.
+//!   the configured service estimate and it may dispatch queries while
+//!   its deficit covers their estimated cost. One misbehaving tenant
+//!   saturates only its own backlog; other tenants keep their share of
+//!   the permits.
 //! * **Hedging support** — [`Hedger`] records per-exchange simulated
 //!   latencies and exposes a percentile-based hedge delay, plus the
 //!   `launched`/`wins` counters (invariant: `wins ≤ launched`).
@@ -31,7 +32,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use crate::cost::SimDuration;
 
@@ -44,17 +44,10 @@ pub struct AdmissionConfig {
     /// shed immediately.
     pub capacity: usize,
     /// Estimated simulated service time of one query; drives the
-    /// estimated-wait shed decision and the default DRR cost.
+    /// estimated-wait shed decision until completions calibrate it, and
+    /// is the deficit each tenant earns per DRR pass (about one query
+    /// per tenant per pass).
     pub service_estimate: SimDuration,
-    /// Deficit added to each tenant per DRR pass, in simulated cost
-    /// units. Larger quanta let a tenant dispatch bigger bursts per
-    /// turn; the default (= `service_estimate`) dispatches about one
-    /// query per tenant per pass.
-    pub quantum: SimDuration,
-    /// Hard wall-clock cap on how long an admitted-to-queue query may
-    /// wait for a permit before it is shed anyway (`None` = wait
-    /// forever). A backstop against meltdown when estimates are wrong.
-    pub max_queue_wait: Option<Duration>,
 }
 
 impl AdmissionConfig {
@@ -62,13 +55,10 @@ impl AdmissionConfig {
     /// queue of twice that and a 20 ms service estimate (one WAN
     /// exchange).
     pub fn with_permits(permits: usize) -> Self {
-        let est = SimDuration::from_millis(20);
         AdmissionConfig {
             permits: permits.max(1),
             capacity: permits.max(1) * 2,
-            service_estimate: est,
-            quantum: est,
-            max_queue_wait: None,
+            service_estimate: SimDuration::from_millis(20),
         }
     }
 
@@ -78,17 +68,9 @@ impl AdmissionConfig {
         self
     }
 
-    /// Replaces the per-query service estimate (and the DRR quantum,
-    /// which defaults to one query's worth of cost).
+    /// Replaces the per-query service estimate.
     pub fn with_service_estimate(mut self, estimate: SimDuration) -> Self {
         self.service_estimate = estimate;
-        self.quantum = estimate;
-        self
-    }
-
-    /// Caps the wall-clock time a queued query may wait for a permit.
-    pub fn with_max_queue_wait(mut self, wait: Duration) -> Self {
-        self.max_queue_wait = Some(wait);
         self
     }
 }
@@ -111,9 +93,6 @@ pub enum ShedReason {
         /// The caller's remaining budget.
         budget: SimDuration,
     },
-    /// The query queued but no permit freed within the configured
-    /// wall-clock cap.
-    TimedOut,
 }
 
 impl std::fmt::Display for ShedReason {
@@ -125,7 +104,6 @@ impl std::fmt::Display for ShedReason {
             ShedReason::BudgetExceeded { estimated_wait, budget } => {
                 write!(f, "estimated wait {estimated_wait} exceeds remaining budget {budget}")
             }
-            ShedReason::TimedOut => write!(f, "timed out waiting for an admission permit"),
         }
     }
 }
@@ -289,8 +267,6 @@ impl AdmissionController {
     /// * `budget` — the caller's remaining deadline budget; when the
     ///   estimated wait already exceeds it the query is shed at
     ///   arrival (`None` = no budget, never budget-shed).
-    /// * `urgent` — urgent queries skip the estimated-wait shed check
-    ///   (they still shed when the queue is full).
     ///
     /// Blocks while waiting for a permit; fairness across tenants is
     /// deficit round robin. Returns the guard that must be held for
@@ -299,7 +275,6 @@ impl AdmissionController {
         &self,
         tenant: &str,
         budget: Option<SimDuration>,
-        urgent: bool,
     ) -> Result<AdmissionGuard<'_>, ShedReason> {
         let mut st = self.state.lock().expect("admission state lock");
 
@@ -317,13 +292,11 @@ impl AdmissionController {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Err(ShedReason::QueueFull { depth: st.queued, capacity: self.cfg.capacity });
         }
-        if !urgent {
-            if let Some(budget) = budget {
-                let estimated_wait = self.estimate_locked(&st);
-                if estimated_wait >= budget {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(ShedReason::BudgetExceeded { estimated_wait, budget });
-                }
+        if let Some(budget) = budget {
+            let estimated_wait = self.estimate_locked(&st);
+            if estimated_wait >= budget {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                return Err(ShedReason::BudgetExceeded { estimated_wait, budget });
             }
         }
 
@@ -341,7 +314,6 @@ impl AdmissionController {
         // was non-empty only because of this very arrival).
         self.dispatch_locked(&mut st);
 
-        let deadline = self.cfg.max_queue_wait.map(|w| std::time::Instant::now() + w);
         loop {
             if let Some(pos) = st.granted.iter().position(|&s| s == serial) {
                 st.granted.swap_remove(pos);
@@ -352,43 +324,18 @@ impl AdmissionController {
                 self.publish_gauges(depth, Some((tenant, backlog)));
                 return Ok(AdmissionGuard { controller: self });
             }
-            st = match deadline {
-                None => self.freed.wait(st).expect("admission state lock"),
-                Some(at) => {
-                    let now = std::time::Instant::now();
-                    if now >= at {
-                        // Timed out: withdraw the ticket (unless a
-                        // grant raced in, which the loop above takes).
-                        if st.granted.contains(&serial) {
-                            continue;
-                        }
-                        if let Some(t) = st.tenants.get_mut(tenant) {
-                            if let Some(pos) = t.waiting.iter().position(|&(s, _)| s == serial) {
-                                t.waiting.remove(pos);
-                                st.queued -= 1;
-                            }
-                        }
-                        let depth = st.queued;
-                        let backlog = st.tenants.get(tenant).map_or(0, |t| t.waiting.len());
-                        drop(st);
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                        self.publish_gauges(depth, Some((tenant, backlog)));
-                        return Err(ShedReason::TimedOut);
-                    }
-                    self.freed.wait_timeout(st, at - now).expect("admission state lock").0
-                }
-            };
+            st = self.freed.wait(st).expect("admission state lock");
         }
     }
 
     /// Grants free permits to waiting tickets, tenant-fair.
     ///
     /// Deficit round robin: walk tenants in rotation order starting
-    /// after the last-served one; each visited tenant earns `quantum`
-    /// of deficit and dispatches queued tickets while its deficit
+    /// after the last-served one; each visited tenant earns the
+    /// configured service estimate as deficit and dispatches queued tickets while its deficit
     /// covers their estimated cost.
     fn dispatch_locked(&self, st: &mut State) {
-        let quantum = self.cfg.quantum.as_micros().max(1);
+        let quantum = self.cfg.service_estimate.as_micros().max(1);
         while st.in_flight < self.cfg.permits && st.queued > 0 {
             // Rotation order: tenant names after `last_tenant`, then
             // wrapping around. BTreeMap keys give a stable total order.
@@ -432,7 +379,8 @@ impl AdmissionController {
                 self.freed.notify_all();
             } else {
                 // Nothing dispatchable this pass (all deficits still
-                // below cost — possible only with quantum < cost); let
+                // below cost — possible only when calibration raised the
+                // cost above the configured estimate); let
                 // deficits accumulate on the next pass.
                 continue;
             }
@@ -447,9 +395,6 @@ impl AdmissionController {
         let depth = st.queued;
         drop(st);
         self.publish_gauges(depth, None);
-        // Wake waiters even when nothing dispatched, so timed-out
-        // tickets can withdraw promptly.
-        self.freed.notify_all();
     }
 
     fn publish_gauges(&self, depth: usize, tenant: Option<(&str, usize)>) {
@@ -580,6 +525,7 @@ impl Hedger {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -592,8 +538,8 @@ mod tests {
     #[test]
     fn fast_path_admits_without_queueing() {
         let ctl = AdmissionController::new(cfg(2, 4));
-        let a = ctl.admit("t1", None, false).unwrap();
-        let b = ctl.admit("t2", Some(ms(1)), false).unwrap();
+        let a = ctl.admit("t1", None).unwrap();
+        let b = ctl.admit("t2", Some(ms(1))).unwrap();
         let stats = ctl.stats();
         assert_eq!((stats.admitted, stats.shed, stats.in_flight, stats.queued), (2, 0, 2, 0));
         drop(a);
@@ -604,35 +550,35 @@ mod tests {
     #[test]
     fn sheds_when_queue_is_full() {
         let ctl = AdmissionController::new(cfg(1, 0));
-        let held = ctl.admit("t1", None, false).unwrap();
-        let refused = ctl.admit("t1", None, false);
+        let held = ctl.admit("t1", None).unwrap();
+        let refused = ctl.admit("t1", None);
         assert_eq!(refused.err(), Some(ShedReason::QueueFull { depth: 0, capacity: 0 }));
         assert_eq!(ctl.stats().shed, 1);
         drop(held);
         // With the permit back, admission succeeds again.
-        assert!(ctl.admit("t1", None, false).is_ok());
+        assert!(ctl.admit("t1", None).is_ok());
     }
 
     #[test]
     fn sheds_on_exhausted_budget_before_queueing() {
         let ctl = AdmissionController::new(cfg(1, 8).with_service_estimate(ms(100)));
-        let held = ctl.admit("t1", None, false).unwrap();
+        let held = ctl.admit("t1", None).unwrap();
         // One query in flight → estimated wait 100 ms ≥ 5 ms budget.
-        let refused = ctl.admit("t1", Some(ms(5)), false);
+        let refused = ctl.admit("t1", Some(ms(5)));
         assert!(matches!(refused.err(), Some(ShedReason::BudgetExceeded { .. })));
         assert_eq!(ctl.queue_depth(), 0, "shed before taking a queue slot");
-        // Urgent queries skip the budget check and queue instead.
+        // With the permit back, the same budget clears the fast path.
         drop(held);
-        assert!(ctl.admit("t1", Some(ms(5)), true).is_ok());
+        assert!(ctl.admit("t1", Some(ms(5))).is_ok());
     }
 
     #[test]
     fn queued_query_runs_when_permit_frees() {
         let ctl = AdmissionController::new(cfg(1, 4));
-        let held = ctl.admit("t1", None, false).unwrap();
+        let held = ctl.admit("t1", None).unwrap();
         std::thread::scope(|s| {
             let waiter = s.spawn(|| {
-                let guard = ctl.admit("t2", None, false).unwrap();
+                let guard = ctl.admit("t2", None).unwrap();
                 drop(guard);
             });
             // Let the waiter queue, then free the permit.
@@ -649,18 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_out_wait_counts_as_shed() {
-        let ctl =
-            AdmissionController::new(cfg(1, 4).with_max_queue_wait(Duration::from_millis(20)));
-        let held = ctl.admit("t1", None, false).unwrap();
-        let refused = ctl.admit("t2", None, false);
-        assert_eq!(refused.err(), Some(ShedReason::TimedOut));
-        assert_eq!(ctl.stats().shed, 1);
-        assert_eq!(ctl.queue_depth(), 0, "withdrawn ticket leaves no ghost");
-        drop(held);
-    }
-
-    #[test]
     fn drr_interleaves_tenants_fairly() {
         // One permit; tenant "hog" queues 4 tickets, tenant "meek"
         // queues 2 interleaved later. DRR must alternate grants, not
@@ -668,14 +602,14 @@ mod tests {
         let ctl = AdmissionController::new(cfg(1, 16));
         let order = Mutex::new(Vec::new());
         let running = AtomicUsize::new(0);
-        let held = ctl.admit("warmup", None, false).unwrap();
+        let held = ctl.admit("warmup", None).unwrap();
         std::thread::scope(|s| {
             let mut joins = Vec::new();
             for (tenant, n) in [("hog", 4usize), ("meek", 2usize)] {
                 for _ in 0..n {
                     let (ctl, order, running) = (&ctl, &order, &running);
                     joins.push(s.spawn(move || {
-                        let guard = ctl.admit(tenant, None, false).unwrap();
+                        let guard = ctl.admit(tenant, None).unwrap();
                         assert_eq!(
                             running.fetch_add(1, Ordering::SeqCst),
                             0,
@@ -712,9 +646,9 @@ mod tests {
     fn estimated_wait_scales_with_backlog() {
         let ctl = AdmissionController::new(cfg(2, 8).with_service_estimate(ms(10)));
         assert_eq!(ctl.estimated_wait(), SimDuration::ZERO);
-        let _a = ctl.admit("t", None, false).unwrap();
+        let _a = ctl.admit("t", None).unwrap();
         assert_eq!(ctl.estimated_wait(), SimDuration::ZERO, "a free permit absorbs one");
-        let _b = ctl.admit("t", None, false).unwrap();
+        let _b = ctl.admit("t", None).unwrap();
         // Both permits busy: next arrival waits ~half a service time
         // (two permits drain the backlog in parallel).
         assert_eq!(ctl.estimated_wait(), SimDuration::from_millis(5));
@@ -748,10 +682,10 @@ mod tests {
         for _ in 0..8 {
             ctl.record_completion(ms(1));
         }
-        let held = ctl.admit("t1", None, false).unwrap();
+        let held = ctl.admit("t1", None).unwrap();
         assert!(ctl.estimated_wait() <= ms(2), "estimate tracks completions");
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| ctl.admit("t1", Some(ms(5)), false).map(drop));
+            let waiter = s.spawn(|| ctl.admit("t1", Some(ms(5))).map(drop));
             while ctl.queue_depth() == 0 && !waiter.is_finished() {
                 std::thread::yield_now();
             }
@@ -764,8 +698,8 @@ mod tests {
         for _ in 0..8 {
             ctl.record_completion(ms(200));
         }
-        let _held = ctl.admit("t1", None, false).unwrap();
-        let refused = ctl.admit("t1", Some(ms(5)), false);
+        let _held = ctl.admit("t1", None).unwrap();
+        let refused = ctl.admit("t1", Some(ms(5)));
         assert!(matches!(refused.err(), Some(ShedReason::BudgetExceeded { .. })));
     }
 

@@ -15,9 +15,9 @@ pub const RESULT_CACHE_MISSES_TOTAL: &str = "s2s_result_cache_misses_total";
 /// Counter: result-cache entries evicted by the LRU capacity bound.
 pub const RESULT_CACHE_EVICTIONS_TOTAL: &str = "s2s_result_cache_evictions_total";
 /// Counter: result-cache entries dropped by a mapping registration (a
-/// new mapping drops all, an edit those that read its source) or by
-/// `S2s::invalidate_cache`. A data mutation drops nothing: its stale
-/// answers count as misses when next looked up.
+/// new mapping drops all, an edit those that read its source). A data
+/// mutation drops nothing: its stale answers count as misses when next
+/// looked up.
 pub const RESULT_CACHE_INVALIDATIONS_TOTAL: &str = "s2s_result_cache_invalidations_total";
 
 /// Counter: query-plan cache hits.
@@ -29,10 +29,6 @@ pub const PLAN_CACHE_EVICTIONS_TOTAL: &str = "s2s_plan_cache_evictions_total";
 
 /// Counter: data mutations applied to registered sources.
 pub const SOURCE_MUTATIONS_TOTAL: &str = "s2s_source_mutations_total";
-/// Counter: entries dropped by explicit full-cache invalidation
-/// (`S2s::invalidate_cache`), view slices + result entries combined.
-/// A high rate signals over-invalidation relative to the versioned path.
-pub const CACHE_INVALIDATED_ENTRIES_TOTAL: &str = "s2s_cache_invalidated_entries_total";
 
 /// Counter: (source, attribute) slices served from a fresh
 /// materialized semantic view — no wire exchange needed.
@@ -96,7 +92,6 @@ mod tests {
             super::PLAN_CACHE_MISSES_TOTAL,
             super::PLAN_CACHE_EVICTIONS_TOTAL,
             super::SOURCE_MUTATIONS_TOTAL,
-            super::CACHE_INVALIDATED_ENTRIES_TOTAL,
             super::VIEW_HITS_TOTAL,
             super::VIEW_REFRESHES_TOTAL,
             super::VIEW_FULL_REFRESHES_TOTAL,

@@ -35,4 +35,4 @@ pub use s2s_textmatch as textmatch;
 pub use s2s_webdoc as webdoc;
 pub use s2s_xml as xml;
 
-pub use s2s_core::middleware::{Priority, QueryOptions, S2s};
+pub use s2s_core::middleware::{QueryOptions, S2s};

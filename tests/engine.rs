@@ -203,7 +203,7 @@ fn shed_queries_leave_plan_and_result_caches_untouched() {
 
     // Occupy the only permit; the next arrival's 1 ms budget cannot
     // absorb the estimated wait, so it is shed at the door.
-    let slot = shared.admission().unwrap().admit("hog", None, false).unwrap();
+    let slot = shared.admission().unwrap().admit("hog", None).unwrap();
     let opts =
         QueryOptions::default().with_deadline(SimDuration::from_millis(1)).with_tenant("meek");
     let out = shared.query_with_options("SELECT watch WHERE price < 999", &opts).unwrap();

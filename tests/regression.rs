@@ -458,7 +458,7 @@ fn malformed_query_is_an_error_whatever_is_cached() {
 #[test]
 fn malformed_query_on_a_saturated_engine_is_an_error_not_a_shed() {
     let s2s = suppliers_by_state().with_admission(s2s::netsim::AdmissionConfig::with_permits(1));
-    let slot = s2s.admission().unwrap().admit("hog", None, false).unwrap();
+    let slot = s2s.admission().unwrap().admit("hog", None).unwrap();
     let opts = s2s::QueryOptions::default()
         .with_deadline(s2s::netsim::SimDuration::from_millis(1))
         .with_tenant("meek");
