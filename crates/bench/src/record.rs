@@ -428,11 +428,14 @@ fn e10(out: &mut String) {
     for classes in [64usize, 256, 1024] {
         let o = synthetic_ontology(classes, 2);
         let reasoner = Reasoner::new(&o);
-        let mut g = s2s_rdf::Graph::new();
-        for (i, cl) in o.classes().enumerate() {
-            let ind = s2s_rdf::Iri::new(format!("http://bench.example/data/i{i}")).unwrap();
-            g.insert(s2s_rdf::Triple::new(ind, s2s_rdf::vocab::rdf::type_(), cl.iri().clone()));
-        }
+        let mut g: s2s_rdf::Graph = o
+            .classes()
+            .enumerate()
+            .map(|(i, cl)| {
+                let ind = s2s_rdf::Iri::new(format!("http://bench.example/data/i{i}")).unwrap();
+                s2s_rdf::Triple::new(ind, s2s_rdf::vocab::rdf::type_(), cl.iri().clone())
+            })
+            .collect();
         let asserted = g.len();
         let inferred = reasoner.materialize(&mut g);
         let violations = reasoner.check_consistency(&g).len();

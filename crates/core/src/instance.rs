@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
 use s2s_rdf::turtle::PrefixMap;
-use s2s_rdf::vocab::{rdf as rdfv, xsd};
+use s2s_rdf::vocab::{is_decimal_lexical, rdf as rdfv, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 
 use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
@@ -447,7 +447,8 @@ fn select(
 /// range.
 pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> InstanceSet {
     let (triples, individuals) = emit_triples(ontology, plan, report);
-    // Entailments included: one tree build.
+    // Entailments included, in strict SPO order: the vector becomes the
+    // graph as it is.
     let graph: Graph = triples.into_iter().collect();
 
     if s2s_obs::enabled() {
@@ -481,11 +482,11 @@ pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport
 /// subjects by the decimal-string order of their record number
 /// (`…/1, …/10, …/100, …/2`), each subject's predicates in IRI order,
 /// the rows about referenced individuals — which sort under a prefix of
-/// their own — after everything else. The order is a hint for the sort
-/// that follows, never something the answer depends on: source ids that
-/// sanitize to one prefix (which the source registry refuses, but a
-/// report built by hand can hold), or to prefixes out of id order,
-/// merely leave that sort more to do.
+/// their own — after everything else. The order lets the graph take the
+/// vector as its store without a sort, but the answer never depends on
+/// it: source ids that sanitize to one prefix (which the source registry
+/// refuses, but a report built by hand can hold), or to prefixes out of
+/// id order, merely make the graph sort once.
 fn emit_triples(
     ontology: &Ontology,
     plan: &QueryPlan,
@@ -836,15 +837,6 @@ fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
         },
         _ => Literal::string(value),
     }
-}
-
-/// Whether `s` is in the lexical space of `xsd:decimal`:
-/// `[+-]?(\d+(\.\d*)?|\.\d+)`.
-fn is_decimal_lexical(s: &str) -> bool {
-    let unsigned = s.strip_prefix(['+', '-']).unwrap_or(s);
-    let (whole, fraction) = unsigned.split_once('.').unwrap_or((unsigned, ""));
-    !(whole.is_empty() && fraction.is_empty())
-        && whole.bytes().chain(fraction.bytes()).all(|b| b.is_ascii_digit())
 }
 
 #[cfg(test)]
@@ -1234,8 +1226,8 @@ mod tests {
         ]);
         let (triples, individuals) = emit_triples(&o, &p, &rep);
         assert_eq!((individuals.len(), triples.len()), (2_400, 3 * 2_400));
-        // The hint holds: what the reasoner is handed is already
-        // strictly sorted, so its sort and the tree build are linear.
+        // The hint holds: what the graph is built from is already
+        // strictly sorted, so it is taken as it is, with no sort.
         let unsorted = triples.windows(2).position(|w| w[0] >= w[1]);
         assert_eq!(unsorted.map(|at| (&triples[at], &triples[at + 1])), None);
         // The individuals stay in record order all the same.

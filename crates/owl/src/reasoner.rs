@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use s2s_rdf::vocab::{rdf, xsd};
+use s2s_rdf::vocab::{is_decimal_lexical, rdf, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 
 use crate::model::{Ontology, PropertyKind, Restriction};
@@ -430,7 +430,8 @@ pub fn literal_conforms(lit: &Literal, datatype: &Iri) -> bool {
     match datatype.as_str() {
         xsd::STRING => true,
         xsd::INTEGER => lit.as_integer().is_some(),
-        xsd::DECIMAL | xsd::DOUBLE => lit.as_decimal().is_some(),
+        xsd::DECIMAL => is_decimal_lexical(lit.lexical().trim()),
+        xsd::DOUBLE => lit.as_decimal().is_some(),
         xsd::BOOLEAN => lit.as_boolean().is_some(),
         xsd::DATE => {
             let s = lit.lexical();
@@ -849,6 +850,36 @@ mod tests {
         assert!(!literal_conforms(&Literal::string("not a uri"), &iri(xsd::ANY_URI)));
         // Unknown datatype: open world.
         assert!(literal_conforms(&Literal::string("?"), &iri("http://x.org/custom")));
+    }
+
+    /// `xsd:decimal` has one lexical space, the one the Instance
+    /// Generator types by: `1e5`, `NaN` and `inf` parse as floats, so
+    /// they are `xsd:double`s, but they are not decimals.
+    #[test]
+    fn decimal_conformance_is_the_decimal_lexical_space() {
+        let (decimal, double) = (iri(xsd::DECIMAL), iri(xsd::DOUBLE));
+        for value in ["1e5", "NaN", "inf"] {
+            assert!(!literal_conforms(&Literal::string(value), &decimal), "{value}");
+            assert!(literal_conforms(&Literal::string(value), &double), "{value}");
+        }
+        for value in ["-.5", "+3.", "12"] {
+            assert!(literal_conforms(&Literal::string(value), &decimal), "{value}");
+        }
+
+        let o = onto();
+        let w = ind("w1").as_iri().unwrap().clone();
+        let g: Graph = [Triple::new(w, ex("price"), Literal::typed("1e5", decimal.clone()))]
+            .into_iter()
+            .collect();
+        let issues = Reasoner::new(&o).check_consistency(&g);
+        assert!(
+            issues.iter().any(|i| matches!(
+                i,
+                ConsistencyIssue::RangeViolation { value, expected, .. }
+                    if value.lexical() == "1e5" && *expected == decimal
+            )),
+            "{issues:?}"
+        );
     }
 
     #[test]

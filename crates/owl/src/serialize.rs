@@ -16,7 +16,8 @@ use crate::model::{Ontology, PropertyKind, Restriction};
 
 /// Serializes an ontology into an RDF graph.
 pub fn to_graph(ontology: &Ontology) -> Graph {
-    let mut g = Graph::new();
+    // Triples in emission order; the graph is built from them once.
+    let mut g = Vec::new();
     let mut blank = 0usize;
     let mut fresh_blank = || {
         blank += 1;
@@ -25,58 +26,58 @@ pub fn to_graph(ontology: &Ontology) -> Graph {
 
     // Ontology header.
     if let Ok(ns_iri) = Iri::new(ontology.namespace().trim_end_matches(['#', '/'])) {
-        g.insert(Triple::new(ns_iri, rdf::type_(), owl::ontology()));
+        g.push(Triple::new(ns_iri, rdf::type_(), owl::ontology()));
     }
 
     for class in ontology.classes() {
-        g.insert(Triple::new(class.iri().clone(), rdf::type_(), owl::class()));
+        g.push(Triple::new(class.iri().clone(), rdf::type_(), owl::class()));
         for parent in class.parents() {
-            g.insert(Triple::new(class.iri().clone(), rdfs::sub_class_of(), parent.clone()));
+            g.push(Triple::new(class.iri().clone(), rdfs::sub_class_of(), parent.clone()));
         }
         if let Some(label) = class.label() {
-            g.insert(Triple::new(class.iri().clone(), rdfs::label(), Literal::string(label)));
+            g.push(Triple::new(class.iri().clone(), rdfs::label(), Literal::string(label)));
         }
         if let Some(comment) = class.comment() {
-            g.insert(Triple::new(class.iri().clone(), rdfs::comment(), Literal::string(comment)));
+            g.push(Triple::new(class.iri().clone(), rdfs::comment(), Literal::string(comment)));
         }
         for d in class.disjoint_with() {
-            g.insert(Triple::new(class.iri().clone(), owl::disjoint_with(), d.clone()));
+            g.push(Triple::new(class.iri().clone(), owl::disjoint_with(), d.clone()));
         }
         for e in class.equivalent_to() {
-            g.insert(Triple::new(class.iri().clone(), owl::equivalent_class(), e.clone()));
+            g.push(Triple::new(class.iri().clone(), owl::equivalent_class(), e.clone()));
         }
         for r in class.restrictions() {
             let node = fresh_blank();
-            g.insert(Triple::new(node.clone(), rdf::type_(), owl::restriction()));
-            g.insert(Triple::new(
+            g.push(Triple::new(node.clone(), rdf::type_(), owl::restriction()));
+            g.push(Triple::new(
                 class.iri().clone(),
                 rdfs::sub_class_of(),
                 Term::from(node.clone()),
             ));
-            g.insert(Triple::new(node.clone(), owl::on_property(), r.property().clone()));
+            g.push(Triple::new(node.clone(), owl::on_property(), r.property().clone()));
             match r {
                 Restriction::MinCardinality { min, .. } => {
-                    g.insert(Triple::new(
+                    g.push(Triple::new(
                         node,
                         owl::min_cardinality(),
                         Literal::integer(*min as i64),
                     ));
                 }
                 Restriction::MaxCardinality { max, .. } => {
-                    g.insert(Triple::new(
+                    g.push(Triple::new(
                         node,
                         owl::max_cardinality(),
                         Literal::integer(*max as i64),
                     ));
                 }
                 Restriction::HasValue { value, .. } => {
-                    g.insert(Triple::new(node, owl::has_value(), value.clone()));
+                    g.push(Triple::new(node, owl::has_value(), value.clone()));
                 }
                 Restriction::SomeValuesFrom { class, .. } => {
-                    g.insert(Triple::new(node, owl::some_values_from(), class.clone()));
+                    g.push(Triple::new(node, owl::some_values_from(), class.clone()));
                 }
                 Restriction::AllValuesFrom { class, .. } => {
-                    g.insert(Triple::new(node, owl::all_values_from(), class.clone()));
+                    g.push(Triple::new(node, owl::all_values_from(), class.clone()));
                 }
             }
         }
@@ -87,27 +88,27 @@ pub fn to_graph(ontology: &Ontology) -> Graph {
             PropertyKind::Datatype => owl::datatype_property(),
             PropertyKind::Object => owl::object_property(),
         };
-        g.insert(Triple::new(prop.iri().clone(), rdf::type_(), kind));
+        g.push(Triple::new(prop.iri().clone(), rdf::type_(), kind));
         if prop.functional() {
-            g.insert(Triple::new(prop.iri().clone(), rdf::type_(), owl::functional_property()));
+            g.push(Triple::new(prop.iri().clone(), rdf::type_(), owl::functional_property()));
         }
         for d in prop.domains() {
-            g.insert(Triple::new(prop.iri().clone(), rdfs::domain(), d.clone()));
+            g.push(Triple::new(prop.iri().clone(), rdfs::domain(), d.clone()));
         }
         for r in prop.ranges() {
-            g.insert(Triple::new(prop.iri().clone(), rdfs::range(), r.clone()));
+            g.push(Triple::new(prop.iri().clone(), rdfs::range(), r.clone()));
         }
         for p in prop.parents() {
-            g.insert(Triple::new(prop.iri().clone(), rdfs::sub_property_of(), p.clone()));
+            g.push(Triple::new(prop.iri().clone(), rdfs::sub_property_of(), p.clone()));
         }
         if let Some(inv) = prop.inverse_of() {
-            g.insert(Triple::new(prop.iri().clone(), owl::inverse_of(), inv.clone()));
+            g.push(Triple::new(prop.iri().clone(), owl::inverse_of(), inv.clone()));
         }
         if let Some(label) = prop.label() {
-            g.insert(Triple::new(prop.iri().clone(), rdfs::label(), Literal::string(label)));
+            g.push(Triple::new(prop.iri().clone(), rdfs::label(), Literal::string(label)));
         }
     }
-    g
+    g.into_iter().collect()
 }
 
 /// Parses an ontology from an RDF graph in the encoding produced by
@@ -389,6 +390,7 @@ mod tests {
         let original = onto();
         let g = to_graph(&original);
         let parsed = from_graph(&g, "http://example.org/schema#").unwrap();
+        assert_eq!(to_graph(&parsed), g, "the graph did not round-trip");
 
         assert_eq!(parsed.class_count(), original.class_count());
         assert_eq!(parsed.property_count(), original.property_count());

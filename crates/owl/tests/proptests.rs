@@ -208,6 +208,7 @@ proptest! {
     fn rdf_roundtrip(o in arb_ontology()) {
         let g = s2s_owl::serialize::to_graph(&o);
         let o2 = s2s_owl::serialize::from_graph(&g, "http://prop.example/#").unwrap();
+        prop_assert_eq!(&s2s_owl::serialize::to_graph(&o2), &g, "the graph did not round-trip");
         prop_assert_eq!(o2.class_count(), o.class_count());
         prop_assert_eq!(o2.property_count(), o.property_count());
         // Subsumption preserved.

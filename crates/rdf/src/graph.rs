@@ -1,28 +1,35 @@
 //! In-memory indexed triple store.
 //!
-//! [`Graph`] answers every triple pattern with at least one bound
-//! position by a range scan over one of three orderings — SPO, POS, OSP.
-//! Only SPO is maintained eagerly: it is what insertion, membership,
-//! iteration, equality and every serializer read. POS and OSP are
-//! *derived* from it on first use (one sorted bulk build each) and
-//! dropped by the next mutation, so a write-heavy producer such as the
-//! Instance Generator, whose graph is built, materialized and rendered
-//! without ever asking a predicate- or object-led question, pays for one
-//! index instead of three.
+//! [`Graph`] keeps its triples in one vector, sorted in SPO order and
+//! free of duplicates. Membership, iteration, equality, every serializer
+//! and every subject-led pattern read it directly, by binary search.
+//! Patterns that leave the subject open read POS or OSP: two vectors of
+//! *positions* into it, each derived on first use (one sort of `0..len`)
+//! and dropped by the next write. They hold no terms, so building one
+//! clones nothing.
+//!
+//! Producers build a graph once. [`FromIterator`] takes input already in
+//! strict SPO order, such as the Instance Generator's or the reasoner's,
+//! as the store itself, and sorts only input that is not. [`Extend`] and
+//! [`Graph::extend_from`] merge a sorted run in one pass.
+//! [`Graph::insert`] and [`Graph::remove`] are single edits: a binary
+//! search, then O(1) at the end of the vector and O(n) anywhere else, so
+//! a loop of them over unsorted input is quadratic.
 
-use std::collections::BTreeSet;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use crate::term::{Iri, Term};
 use crate::triple::Triple;
 use crate::vocab::rdf;
 
-/// An in-memory RDF graph: an eager SPO index plus POS/OSP indexes
-/// derived lazily from it.
+/// An in-memory RDF graph: a sorted vector of triples plus POS/OSP
+/// position indexes derived lazily from it.
 ///
-/// Two graphs are equal when they hold the same triples (SPO equality);
-/// whether a derived index happens to be built is not part of a graph's
-/// value, and a clone starts without them.
+/// Two graphs are equal when they hold the same triples; whether a
+/// derived index happens to be built is not part of a graph's value, and
+/// a clone starts without them.
 ///
 /// # Examples
 ///
@@ -41,9 +48,12 @@ use crate::vocab::rdf;
 /// ```
 #[derive(Debug, Default)]
 pub struct Graph {
-    spo: BTreeSet<Triple>,
-    pos: OnceLock<BTreeSet<(Iri, Term, Term)>>,
-    osp: OnceLock<BTreeSet<(Term, Term, Iri)>>,
+    /// Strictly increasing in SPO order.
+    spo: Vec<Triple>,
+    /// Positions in `spo`, ordered by (predicate, object, subject).
+    pos: OnceLock<Vec<usize>>,
+    /// Positions in `spo`, ordered by (object, subject, predicate).
+    osp: OnceLock<Vec<usize>>,
 }
 
 impl Clone for Graph {
@@ -77,31 +87,50 @@ impl Graph {
     }
 
     /// Inserts a triple; returns `true` if it was not already present.
+    ///
+    /// A single edit: O(log n) to find the triple's place, then O(1) past
+    /// the last triple and O(n) anywhere else, where the tail shifts. Load
+    /// many triples with [`collect`](FromIterator) or [`extend`](Extend),
+    /// which sort once.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        let fresh = self.spo.insert(triple);
-        if fresh {
-            self.drop_derived();
+        match self.spo.binary_search(&triple) {
+            Ok(_) => false,
+            Err(at) => {
+                self.spo.insert(at, triple);
+                self.drop_derived();
+                true
+            }
         }
-        fresh
     }
 
     /// Removes a triple; returns `true` if it was present.
+    ///
+    /// O(log n) to find it, then O(n) for the tail to shift, except for
+    /// the last triple.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let removed = self.spo.remove(triple);
-        if removed {
-            self.drop_derived();
+        match self.spo.binary_search(triple) {
+            Ok(at) => {
+                self.spo.remove(at);
+                self.drop_derived();
+                true
+            }
+            Err(_) => false,
         }
-        removed
     }
 
     /// Whether the graph contains the triple.
     pub fn contains(&self, triple: &Triple) -> bool {
-        self.spo.contains(triple)
+        self.spo.binary_search(triple).is_ok()
     }
 
     /// Iterates over all triples in SPO order without cloning them.
     pub fn iter(&self) -> impl Iterator<Item = &Triple> + '_ {
         self.spo.iter()
+    }
+
+    /// All triples in SPO order, as the slice they are stored in.
+    pub(crate) fn triples(&self) -> &[Triple] {
+        &self.spo
     }
 
     /// Which derived indexes are currently built, as `(pos, osp)`. A
@@ -116,83 +145,71 @@ impl Graph {
         self.osp.take();
     }
 
-    fn pos(&self) -> &BTreeSet<(Iri, Term, Term)> {
-        self.pos.get_or_init(|| {
-            #[cfg(test)]
-            tests::DERIVED_BUILDS.with(|n| n.set(n.get() + 1));
-            self.spo
-                .iter()
-                .map(|t| (t.predicate().clone(), t.object().clone(), t.subject().clone()))
-                .collect()
-        })
+    fn pos(&self) -> &[usize] {
+        self.pos.get_or_init(|| self.positions(|t| (t.predicate(), t.object(), t.subject())))
     }
 
-    fn osp(&self) -> &BTreeSet<(Term, Term, Iri)> {
-        self.osp.get_or_init(|| {
-            #[cfg(test)]
-            tests::DERIVED_BUILDS.with(|n| n.set(n.get() + 1));
-            self.spo
-                .iter()
-                .map(|t| (t.object().clone(), t.subject().clone(), t.predicate().clone()))
-                .collect()
-        })
+    fn osp(&self) -> &[usize] {
+        self.osp.get_or_init(|| self.positions(|t| (t.object(), t.subject(), t.predicate())))
+    }
+
+    /// The positions of the store ordered by `key` of their triples.
+    fn positions<'g, K: Ord>(&'g self, key: impl Fn(&'g Triple) -> K) -> Vec<usize> {
+        #[cfg(test)]
+        tests::DERIVED_BUILDS.with(|n| n.set(n.get() + 1));
+        let mut positions: Vec<usize> = (0..self.spo.len()).collect();
+        positions.sort_unstable_by(|&a, &b| key(&self.spo[a]).cmp(&key(&self.spo[b])));
+        positions
+    }
+
+    /// The positions in `index` whose triples `order` places equal to its
+    /// probe; `index` must be sorted the way `order` compares.
+    fn run<'g>(&'g self, index: &'g [usize], order: impl Fn(&Triple) -> Ordering) -> &'g [usize] {
+        equal_run(index, |&at| order(&self.spo[at]))
     }
 
     /// Answers a triple pattern; `None` positions are wildcards.
     ///
-    /// Chooses the index giving the tightest range for the bound
-    /// positions; a pattern that leaves the subject open builds the
-    /// POS (or, for object-only patterns, OSP) index on first use.
+    /// A pattern with a bound subject is a binary search of the store; one
+    /// that leaves the subject open builds the POS (or, for object-only
+    /// patterns, OSP) index on first use and searches that.
     pub fn match_pattern<'g>(
         &'g self,
         subject: Option<&'g Term>,
         predicate: Option<&'g Iri>,
         object: Option<&'g Term>,
     ) -> Box<dyn Iterator<Item = Triple> + 'g> {
+        let spo = &self.spo;
+        let triple_at = move |&at: &usize| spo[at].clone();
         match (subject, predicate, object) {
             (Some(s), Some(p), Some(o)) => Box::new(
-                self.spo
-                    .get(&Triple::from_parts(s.clone(), p.clone(), o.clone()))
-                    .cloned()
-                    .into_iter(),
+                equal_run(spo, |t| (t.subject(), t.predicate(), t.object()).cmp(&(s, p, o)))
+                    .iter()
+                    .cloned(),
             ),
             (Some(s), Some(p), None) => Box::new(
-                self.spo
-                    .range(Triple::from_parts(s.clone(), p.clone(), Term::min_value())..)
-                    .take_while(move |t| t.subject() == s && t.predicate() == p)
-                    .cloned(),
+                equal_run(spo, |t| (t.subject(), t.predicate()).cmp(&(s, p))).iter().cloned(),
             ),
-            (Some(s), None, None) => Box::new(
-                self.spo
-                    .range(Triple::from_parts(s.clone(), Iri::min_value(), Term::min_value())..)
-                    .take_while(move |t| t.subject() == s)
-                    .cloned(),
-            ),
+            (Some(s), None, None) => {
+                Box::new(equal_run(spo, |t| t.subject().cmp(s)).iter().cloned())
+            }
             (None, Some(p), Some(o)) => Box::new(
-                self.pos()
-                    .range((p.clone(), o.clone(), Term::min_value())..)
-                    .take_while(move |(tp, to, _)| tp == p && to == o)
-                    .map(|(p, o, s)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
+                self.run(self.pos(), |t| (t.predicate(), t.object()).cmp(&(p, o)))
+                    .iter()
+                    .map(triple_at),
             ),
-            (None, Some(p), None) => Box::new(
-                self.pos()
-                    .range((p.clone(), Term::min_value(), Term::min_value())..)
-                    .take_while(move |(tp, _, _)| tp == p)
-                    .map(|(p, o, s)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
-            ),
-            (None, None, Some(o)) => Box::new(
-                self.osp()
-                    .range((o.clone(), Term::min_value(), Iri::min_value())..)
-                    .take_while(move |(to, _, _)| to == o)
-                    .map(|(o, s, p)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
-            ),
+            (None, Some(p), None) => {
+                Box::new(self.run(self.pos(), |t| t.predicate().cmp(p)).iter().map(triple_at))
+            }
+            (None, None, Some(o)) => {
+                Box::new(self.run(self.osp(), |t| t.object().cmp(o)).iter().map(triple_at))
+            }
             (Some(s), None, Some(o)) => Box::new(
-                self.osp()
-                    .range((o.clone(), s.clone(), Iri::min_value())..)
-                    .take_while(move |(to, ts, _)| to == o && ts == s)
-                    .map(|(o, s, p)| Triple::from_parts(s.clone(), p.clone(), o.clone())),
+                self.run(self.osp(), |t| (t.object(), t.subject()).cmp(&(o, s)))
+                    .iter()
+                    .map(triple_at),
             ),
-            (None, None, None) => Box::new(self.iter().cloned()),
+            (None, None, None) => Box::new(spo.iter().cloned()),
         }
     }
 
@@ -222,21 +239,48 @@ impl Graph {
     /// All subjects with an `rdf:type` of `class`, from the POS index.
     pub fn instances_of<'g>(&'g self, class: &Iri) -> impl Iterator<Item = Term> + 'g {
         let (ty, class) = (rdf::type_(), Term::Iri(class.clone()));
-        self.pos()
-            .range((ty.clone(), class.clone(), Term::min_value())..)
-            .take_while(move |(p, o, _)| *p == ty && *o == class)
-            .map(|(_, _, s)| s.clone())
+        let run = self.run(self.pos(), |t| (t.predicate(), t.object()).cmp(&(&ty, &class)));
+        run.iter().map(|&at| self.spo[at].subject().clone())
     }
 
-    /// Merges all triples of `other` into `self`; returns how many were new.
+    /// Merges all triples of `other` into `self` in one pass; returns how
+    /// many were new.
     pub fn extend_from(&mut self, other: &Graph) -> usize {
-        other.iter().filter(|t| self.insert((*t).clone())).count()
+        self.merge(&other.spo, Triple::clone)
+    }
+
+    /// Merges `run`, strictly increasing in SPO order, into the store in
+    /// one pass; `own` makes the stored triple of an item not already
+    /// held. Returns how many were new.
+    fn merge<T: Borrow<Triple>>(
+        &mut self,
+        run: impl IntoIterator<Item = T>,
+        own: impl Fn(T) -> Triple,
+    ) -> usize {
+        let run = run.into_iter();
+        let held = std::mem::take(&mut self.spo);
+        let mut merged = Vec::with_capacity(held.len() + run.size_hint().0);
+        let mut held = held.into_iter().peekable();
+        let mut added = 0;
+        for item in run {
+            merged.extend(std::iter::from_fn(|| held.next_if(|t| t < item.borrow())));
+            if held.peek() != Some(item.borrow()) {
+                merged.push(own(item));
+                added += 1;
+            }
+        }
+        merged.extend(held);
+        self.spo = merged;
+        if added > 0 {
+            self.drop_derived();
+        }
+        added
     }
 
     /// All distinct predicates in the graph.
     pub fn predicates(&self) -> impl Iterator<Item = Iri> + '_ {
         let mut last = None;
-        let predicates = self.pos().iter().map(|(p, _, _)| p);
+        let predicates = self.pos().iter().map(|&at| self.spo[at].predicate());
         predicates.filter(move |p| last.replace(*p) != Some(*p)).cloned()
     }
 
@@ -248,31 +292,50 @@ impl Graph {
     }
 }
 
+/// The run of `items` that `order` places equal to its probe, in a slice
+/// that `order` sorts: `Less` before the run, `Greater` after it.
+fn equal_run<T>(items: &[T], order: impl Fn(&T) -> Ordering) -> &[T] {
+    let start = items.partition_point(|item| order(item) == Ordering::Less);
+    let len = items[start..].partition_point(|item| order(item) == Ordering::Equal);
+    &items[start..start + len]
+}
+
+/// `triples` in strict SPO order: as they are if they already are (one
+/// pass to check), else sorted and deduplicated.
+fn sorted_run(mut triples: Vec<Triple>) -> Vec<Triple> {
+    if !triples.is_sorted_by(|a, b| a < b) {
+        triples.sort_unstable();
+        triples.dedup();
+    }
+    triples
+}
+
 impl Extend<Triple> for Graph {
-    /// Loads an empty graph in one sorted build (sort, dedup, bottom-up
-    /// tree construction) instead of one tree descent per triple; a
-    /// non-empty graph takes the triples one by one.
+    /// Sorts the incoming triples once, unless they already are in strict
+    /// SPO order, and merges them in one pass; into an empty graph they
+    /// become the store.
     fn extend<I: IntoIterator<Item = Triple>>(&mut self, iter: I) {
+        let run = sorted_run(iter.into_iter().collect());
         if self.spo.is_empty() {
-            self.spo = iter.into_iter().collect();
+            self.spo = run;
             self.drop_derived();
         } else {
-            for t in iter {
-                self.insert(t);
-            }
+            self.merge(run, |t| t);
         }
     }
 }
 
 impl FromIterator<Triple> for Graph {
+    /// Takes triples already in strict SPO order as the store itself;
+    /// sorts and deduplicates any others once.
     fn from_iter<I: IntoIterator<Item = Triple>>(iter: I) -> Self {
-        Graph { spo: iter.into_iter().collect(), ..Graph::default() }
+        Graph { spo: sorted_run(iter.into_iter().collect()), ..Graph::default() }
     }
 }
 
 impl IntoIterator for Graph {
     type Item = Triple;
-    type IntoIter = std::collections::btree_set::IntoIter<Triple>;
+    type IntoIter = std::vec::IntoIter<Triple>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.spo.into_iter()
@@ -281,29 +344,10 @@ impl IntoIterator for Graph {
 
 impl<'g> IntoIterator for &'g Graph {
     type Item = &'g Triple;
-    type IntoIter = std::collections::btree_set::Iter<'g, Triple>;
+    type IntoIter = std::slice::Iter<'g, Triple>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.spo.iter()
-    }
-}
-
-// Range-scan sentinels: the smallest possible values in each ordering.
-// `Term` orders its variants Iri < Blank < Literal, and the empty-string
-// sentinel IRI sorts before every valid IRI, so these bound every key.
-trait MinValue {
-    fn min_value() -> Self;
-}
-
-impl MinValue for Term {
-    fn min_value() -> Term {
-        Term::Iri(Iri::min_value())
-    }
-}
-
-impl MinValue for Iri {
-    fn min_value() -> Iri {
-        Iri::sentinel_min()
     }
 }
 

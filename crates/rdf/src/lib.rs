@@ -9,11 +9,12 @@
 //! and from N-Triples, Turtle, and RDF/XML (the concrete syntax the paper's
 //! Instance Generator emits).
 //!
-//! The store answers any triple pattern with at least one bound position
-//! by a range scan over one of three orderings (SPO, POS, OSP). SPO is
-//! maintained on every write; POS and OSP are derived from it the first
-//! time a pattern needs them and dropped by the next write, so building,
-//! iterating and serializing a graph costs one index (see [`graph`]).
+//! The store is one vector of triples in SPO order; a pattern with a
+//! bound subject is a binary search of it. POS and OSP are vectors of
+//! positions into it, derived the first time a pattern needs them and
+//! dropped by the next write, so building, iterating and serializing a
+//! graph costs the vector alone. Producers collect their triples and
+//! build the graph once (see [`graph`]).
 //!
 //! # Examples
 //!

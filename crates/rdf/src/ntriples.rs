@@ -38,16 +38,11 @@ pub fn serialize(graph: &Graph) -> String {
 ///
 /// Returns [`RdfError::Parse`] with a line number on any malformed line.
 pub fn parse(input: &str) -> Result<Graph, RdfError> {
-    let mut graph = Graph::new();
-    for (lineno, raw) in input.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let triple = parse_line(line, lineno + 1)?;
-        graph.insert(triple);
-    }
-    Ok(graph)
+    let lines = input.lines().enumerate().map(|(lineno, raw)| (lineno + 1, raw.trim()));
+    lines
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(lineno, line)| parse_line(line, lineno))
+        .collect()
 }
 
 fn parse_line(line: &str, lineno: usize) -> Result<Triple, RdfError> {

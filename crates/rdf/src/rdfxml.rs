@@ -25,7 +25,7 @@ use crate::vocab::{rdf, xsd};
 /// example.
 ///
 /// The graph's SPO order already keeps each subject's triples together,
-/// so the writer streams one subject run at a time straight into the
+/// so the writer streams one subject's slice at a time straight into the
 /// output buffer.
 pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
     // Instance data runs at about 60 bytes per triple; a low guess only
@@ -45,22 +45,15 @@ pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
     out.push_str(">\n");
 
     let mut qnames = QnameMemo::new(prefixes);
-    let mut triples = graph.iter().peekable();
-    let mut run: Vec<&Triple> = Vec::new();
-    while let Some(first) = triples.next() {
-        run.clear();
-        run.push(first);
-        while let Some(t) = triples.next_if(|t| t.subject() == first.subject()) {
-            run.push(t);
-        }
-        write_subject(&mut out, &run, &mut qnames);
+    for run in graph.triples().chunk_by(|a, b| a.subject() == b.subject()) {
+        write_subject(&mut out, run, &mut qnames);
     }
     out.push_str("</rdf:RDF>\n");
     out
 }
 
 /// Writes the node element for one subject's triples (SPO-ordered).
-fn write_subject<'g>(out: &mut String, run: &[&'g Triple], qnames: &mut QnameMemo<'g>) {
+fn write_subject<'g>(out: &mut String, run: &'g [Triple], qnames: &mut QnameMemo<'g>) {
     // The first rdf:type with a prefixed name becomes the element name
     // and is not repeated as a property.
     let typed = run.iter().enumerate().find_map(|(i, t)| {
@@ -240,19 +233,20 @@ pub fn parse(input: &str) -> Result<Graph, RdfError> {
             message: format!("root element is `{}`, expected rdf:RDF", root.name()),
         });
     }
-    let mut graph = Graph::new();
+    // Triples in document order; the graph is built from them once.
+    let mut triples = Vec::new();
     let mut blank_counter = 0usize;
     for node in root.child_elements() {
-        parse_node_element(node, &env, &mut graph, &mut blank_counter)?;
+        parse_node_element(node, &env, &mut triples, &mut blank_counter)?;
     }
-    Ok(graph)
+    Ok(triples.into_iter().collect())
 }
 
 /// Parses one node element; returns its subject term.
 fn parse_node_element(
     element: s2s_xml::Element<'_>,
     parent_env: &NsEnv,
-    graph: &mut Graph,
+    triples: &mut Vec<Triple>,
     blank_counter: &mut usize,
 ) -> Result<Term, RdfError> {
     let env = parent_env.child_scope(element);
@@ -269,11 +263,11 @@ fn parse_node_element(
     let elem_iri = env.resolve(element.name())?;
     let description = Iri::new(format!("{}Description", rdf::NS)).expect("valid");
     if elem_iri != description {
-        graph.insert(Triple::new(subject.clone(), rdf::type_(), elem_iri));
+        triples.push(Triple::new(subject.clone(), rdf::type_(), elem_iri));
     }
 
     for prop in element.child_elements() {
-        parse_property_element(prop, &subject, &env, graph, blank_counter)?;
+        parse_property_element(prop, &subject, &env, triples, blank_counter)?;
     }
     Ok(subject)
 }
@@ -282,7 +276,7 @@ fn parse_property_element(
     element: s2s_xml::Element<'_>,
     subject: &Term,
     parent_env: &NsEnv,
-    graph: &mut Graph,
+    triples: &mut Vec<Triple>,
     blank_counter: &mut usize,
 ) -> Result<(), RdfError> {
     let env = parent_env.child_scope(element);
@@ -290,20 +284,20 @@ fn parse_property_element(
 
     if let Some(resource) = element.attribute("rdf:resource") {
         let object = Term::Iri(Iri::new(resource)?);
-        graph.insert(Triple::new(subject.clone(), predicate, object));
+        triples.push(Triple::new(subject.clone(), predicate, object));
         return Ok(());
     }
     if let Some(node_id) = element.attribute("rdf:nodeID") {
         let object = Term::Blank(BlankNode::new(node_id)?);
-        graph.insert(Triple::new(subject.clone(), predicate, object));
+        triples.push(Triple::new(subject.clone(), predicate, object));
         return Ok(());
     }
 
     let mut nested = element.child_elements().peekable();
     if nested.peek().is_some() {
         for node in nested {
-            let object = parse_node_element(node, &env, graph, blank_counter)?;
-            graph.insert(Triple::new(subject.clone(), predicate.clone(), object));
+            let object = parse_node_element(node, &env, triples, blank_counter)?;
+            triples.push(Triple::new(subject.clone(), predicate.clone(), object));
         }
         return Ok(());
     }
@@ -317,7 +311,7 @@ fn parse_property_element(
     } else {
         Literal::string(text)
     };
-    graph.insert(Triple::new(subject.clone(), predicate, literal));
+    triples.push(Triple::new(subject.clone(), predicate, literal));
     Ok(())
 }
 

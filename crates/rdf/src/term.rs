@@ -92,12 +92,6 @@ impl Iri {
         &self.0
     }
 
-    /// Crate-internal: the minimum IRI in sort order (the empty string),
-    /// used only as a `BTreeSet` range sentinel. Never exposed to users.
-    pub(crate) fn sentinel_min() -> Iri {
-        Iri("".into())
-    }
-
     /// The local name: the part after the last `#` or `/`.
     ///
     /// ```

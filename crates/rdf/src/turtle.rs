@@ -244,7 +244,8 @@ struct Parser<'a> {
     src: &'a str,
     prefixes: PrefixMap,
     base: Option<String>,
-    graph: Graph,
+    /// Triples in document order; the graph is built from them once.
+    triples: Vec<Triple>,
     blank_counter: usize,
     /// Anonymous blank nodes currently open.
     nesting: usize,
@@ -258,7 +259,7 @@ impl<'a> Parser<'a> {
             src,
             prefixes: PrefixMap::new(),
             base: None,
-            graph: Graph::new(),
+            triples: Vec::new(),
             blank_counter: 0,
             nesting: 0,
         }
@@ -324,7 +325,7 @@ impl<'a> Parser<'a> {
                 _ => self.parse_statement()?,
             }
         }
-        Ok(self.graph)
+        Ok(self.triples.into_iter().collect())
     }
 
     fn parse_directive(&mut self) -> Result<(), RdfError> {
@@ -401,7 +402,7 @@ impl<'a> Parser<'a> {
                 let object = self.parse_object()?;
                 let triple = Triple::try_new(subject.clone(), predicate.clone(), object)
                     .ok_or_else(|| self.err("literal subject"))?;
-                self.graph.insert(triple);
+                self.triples.push(triple);
                 self.skip_ws();
                 if !self.eat(',') {
                     break;

@@ -150,6 +150,22 @@ vocab!(
     }
 );
 
+/// Whether `s` is in the lexical space of [`xsd::decimal`]:
+/// `[+-]?(\d+(\.\d*)?|\.\d+)`. Exponents, `NaN` and `INF` are
+/// [`xsd::double`]'s, not a decimal's.
+///
+/// ```
+/// use s2s_rdf::vocab::is_decimal_lexical;
+/// assert!(is_decimal_lexical("-.5") && is_decimal_lexical("+3.") && is_decimal_lexical("12"));
+/// assert!(!is_decimal_lexical("1e5") && !is_decimal_lexical("NaN") && !is_decimal_lexical("."));
+/// ```
+pub fn is_decimal_lexical(s: &str) -> bool {
+    let unsigned = s.strip_prefix(['+', '-']).unwrap_or(s);
+    let (whole, fraction) = unsigned.split_once('.').unwrap_or((unsigned, ""));
+    !(whole.is_empty() && fraction.is_empty())
+        && whole.bytes().chain(fraction.bytes()).all(|b| b.is_ascii_digit())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -64,14 +64,18 @@ fn arb_suffix() -> impl Strategy<Value = String> {
     proptest::collection::vec(piece, 0..4).prop_map(|pieces| pieces.concat())
 }
 
-/// One step of the [`Graph`] model test. Triples come from a small pool
+/// One write of the [`Graph`] model test. Triples come from a small pool
 /// so that inserts collide, removes hit and patterns match.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Triple),
     Remove(Triple),
+    /// `extend`, into an empty graph or a non-empty one.
     Extend(Vec<Triple>),
-    Read(Triple),
+    /// A bulk load: the graph `collect`ed from the run replaces the old.
+    Load(Vec<Triple>),
+    /// `extend_from` the graph `collect`ed from the run.
+    ExtendFrom(Vec<Triple>),
 }
 
 fn pool_triple(s: usize, p: usize, o: usize) -> Triple {
@@ -88,13 +92,38 @@ fn arb_pool_triple() -> impl Strategy<Value = Triple> {
     (0..4usize, 0..3usize, 0..6usize).prop_map(|(s, p, o)| pool_triple(s, p, o))
 }
 
+/// Pool triples in one of the orders a bulk load meets: strict SPO order
+/// (taken as it is), reversed, shuffled, or every triple twice.
+fn arb_run() -> impl Strategy<Value = Vec<Triple>> {
+    let keyed = proptest::collection::vec((arb_pool_triple(), any::<u32>()), 0..12);
+    (keyed, 0..4u8).prop_map(|(mut keyed, order)| {
+        if order == 2 {
+            keyed.sort_by_key(|&(_, key)| key);
+        }
+        let mut run: Vec<Triple> = keyed.into_iter().map(|(t, _)| t).collect();
+        match order {
+            0 | 1 => {
+                run.sort();
+                run.dedup();
+                if order == 1 {
+                    run.reverse();
+                }
+            }
+            3 => run.extend(run.clone()),
+            _ => {}
+        }
+        run
+    })
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_pool_triple().prop_map(Op::Insert),
         arb_pool_triple().prop_map(Op::Insert),
         arb_pool_triple().prop_map(Op::Remove),
-        proptest::collection::vec(arb_pool_triple(), 0..8).prop_map(Op::Extend),
-        arb_pool_triple().prop_map(Op::Read),
+        arb_run().prop_map(Op::Extend),
+        arb_run().prop_map(Op::Load),
+        arb_run().prop_map(Op::ExtendFrom),
     ]
 }
 
@@ -178,21 +207,35 @@ proptest! {
         prop_assert_eq!(g, g2);
     }
 
-    /// Model test: any sequence of inserts, removes and bulk extends,
-    /// with every read interleaved (so derived indexes are built, used,
-    /// dropped and rebuilt at arbitrary points), agrees with a naive
-    /// `Vec<Triple>` that is filtered linearly.
+    /// Model test: any sequence of inserts, removes, bulk loads, extends
+    /// and merges agrees with a naive `Vec<Triple>` that is filtered
+    /// linearly. Every read runs after every write, so each write meets
+    /// both derived indexes built, and one that changes the graph must
+    /// drop them.
     #[test]
-    fn graph_agrees_with_naive_vec_model(ops in proptest::collection::vec(arb_op(), 0..40)) {
+    fn graph_agrees_with_naive_vec_model(
+        ops in proptest::collection::vec((arb_op(), arb_pool_triple()), 0..40),
+    ) {
         let mut graph = Graph::new();
         let mut model: Vec<Triple> = Vec::new();
-        for op in ops {
+        let absorb = |model: &mut Vec<Triple>, run: &[Triple]| {
+            for t in run {
+                if !model.contains(t) {
+                    model.push(t.clone());
+                }
+            }
+        };
+        let sorted = |model: &[Triple]| {
+            let mut model = model.to_vec();
+            model.sort();
+            model
+        };
+        for (op, probe) in ops {
+            let before = sorted(&model);
             match op {
                 Op::Insert(t) => {
                     let fresh = !model.contains(&t);
-                    if fresh {
-                        model.push(t.clone());
-                    }
+                    absorb(&mut model, std::slice::from_ref(&t));
                     prop_assert_eq!(graph.insert(t), fresh);
                 }
                 Op::Remove(t) => {
@@ -200,19 +243,28 @@ proptest! {
                     model.retain(|m| m != &t);
                     prop_assert_eq!(graph.remove(&t), present);
                 }
-                Op::Extend(ts) => {
-                    for t in &ts {
-                        if !model.contains(t) {
-                            model.push(t.clone());
-                        }
-                    }
-                    graph.extend(ts);
+                Op::Extend(run) => {
+                    absorb(&mut model, &run);
+                    graph.extend(run);
                 }
-                Op::Read(probe) => check_reads(&graph, &model, &probe)?,
+                Op::Load(run) => {
+                    model.clear();
+                    absorb(&mut model, &run);
+                    graph = run.into_iter().collect();
+                }
+                Op::ExtendFrom(run) => {
+                    absorb(&mut model, &run);
+                    let other: Graph = run.into_iter().collect();
+                    prop_assert_eq!(graph.extend_from(&other), model.len() - before.len());
+                }
             }
             prop_assert_eq!(graph.len(), model.len());
+            if sorted(&model) != before {
+                prop_assert_eq!(graph.derived_indexes(), (false, false), "stale indexes kept");
+            }
+            check_reads(&graph, &model, &probe)?;
+            prop_assert_eq!(graph.derived_indexes(), (true, true));
         }
-        check_reads(&graph, &model, &pool_triple(0, 0, 0))?;
     }
 
     /// Insert/remove keep len consistent and contains() truthful.
