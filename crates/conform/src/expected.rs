@@ -1,0 +1,242 @@
+//! The ground truth: the answer a scenario's query must give, computed
+//! from the scenario alone.
+//!
+//! Paper §2.6 defines an answer by the source records and the mapping,
+//! not by another way of running the engine. [`Scenario::expected`]
+//! states it so, from [`Scenario::records`], the conditions, and each
+//! source's kind, `single_record` flag and fault class. This module runs
+//! no engine code: it names no crate of the workspace, so a bug on the
+//! path every arm shares (a wrapper, the generator, the comparison)
+//! cannot make the reference agree with it.
+//!
+//! Per source, the answer is:
+//!
+//! * for a source that answers nothing (`HardDown`, `HostileRule`): no
+//!   individual, and every attribute failed;
+//! * for any other source (its faults are rescued by a replica or the
+//!   retry budget): one individual per record that passes the `WHERE`
+//!   — record 0 alone for a single-record source — whose lines are its
+//!   property → value pairs as the source's payload spells them (an
+//!   XML or web price may be padded).
+//!
+//! A condition reads the record's value, not its spelling: numeric when
+//! both sides are numbers, byte-wise otherwise, `LIKE` with `%` and `_`.
+//! A condition on an attribute the source does not map fails.
+
+use std::collections::BTreeSet;
+use std::fmt;
+
+use crate::scenario::{attribute_path, payload_value, FaultClass, Record, Scenario, ATTRS};
+
+/// One answer, free of order and IRIs: a line per individual and the
+/// failed `(source, attribute path)` pairs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Answer {
+    /// `source property="value" …` per individual, properties by name;
+    /// sorted, and a multiset (equal records give equal lines).
+    pub individuals: Vec<String>,
+    /// The failed `(source, attribute path)` pairs.
+    pub failed: BTreeSet<(String, String)>,
+}
+
+impl Answer {
+    /// The answer holding these individual lines and failures.
+    pub(crate) fn new(
+        mut individuals: Vec<String>,
+        failed: impl IntoIterator<Item = (String, String)>,
+    ) -> Answer {
+        individuals.sort();
+        Answer { individuals, failed: failed.into_iter().collect() }
+    }
+
+    /// The line of one individual of `source` from its `(property,
+    /// value)` pairs, in any order.
+    pub(crate) fn line<'a>(
+        source: &str,
+        values: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> String {
+        let mut values: Vec<(&str, &str)> = values.into_iter().collect();
+        values.sort();
+        let mut line = source.to_string();
+        for (property, value) in values {
+            line.push_str(&format!(" {property}={value:?}"));
+        }
+        line
+    }
+
+    /// Whether every individual of `self` is one of `other`'s, counted
+    /// with multiplicity (failures are not compared).
+    pub(crate) fn individuals_within(&self, other: &Answer) -> bool {
+        let mut rest = other.individuals.iter().peekable();
+        self.individuals.iter().all(|line| {
+            while rest.next_if(|o| *o < line).is_some() {}
+            rest.next_if(|o| *o == line).is_some()
+        })
+    }
+}
+
+impl fmt::Display for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for line in &self.individuals {
+            writeln!(f, "{line}")?;
+        }
+        for (source, attribute) in &self.failed {
+            writeln!(f, "!{source} {attribute}")?;
+        }
+        Ok(())
+    }
+}
+
+impl Scenario {
+    /// The answer the scenario's query must give.
+    pub fn expected(&self) -> Answer {
+        self.expected_over(&self.records())
+    }
+
+    /// The answer over `records` in place of the scenario's catalog (a
+    /// delta round's mutated one).
+    pub(crate) fn expected_over(&self, records: &[Record]) -> Answer {
+        let mut individuals = Vec::new();
+        let mut failed = Vec::new();
+        for (i, spec) in self.sources.iter().enumerate() {
+            let source = format!("SRC_{i}");
+            if matches!(spec.fault, FaultClass::HardDown | FaultClass::HostileRule(_)) {
+                failed.extend((0..ATTRS.len()).map(|a| (source.clone(), attribute_path(a))));
+                continue;
+            }
+            let described = if spec.single_record { &records[..1] } else { records };
+            for (index, record) in described.iter().enumerate() {
+                if self.selects(record, |_| true) {
+                    let values: Vec<String> = (0..ATTRS.len())
+                        .map(|a| payload_value(spec.kind, index, record, a))
+                        .collect();
+                    individuals.push(Answer::line(
+                        &source,
+                        ATTRS.iter().copied().zip(values.iter().map(String::as_str)),
+                    ));
+                }
+            }
+        }
+        Answer::new(individuals, failed)
+    }
+
+    /// Whether `record` passes every condition of a source that maps the
+    /// attributes `mapped` accepts (by index into [`ATTRS`]).
+    pub(crate) fn selects(&self, record: &Record, mapped: impl Fn(usize) -> bool) -> bool {
+        self.conditions.iter().all(|c| {
+            let price = record.price.to_string();
+            let value = [record.brand.as_str(), price.as_str(), record.case.as_str()][c.attr];
+            mapped(c.attr) && holds(&c.op, value, &c.value)
+        })
+    }
+}
+
+/// `value op constant`: numeric when both sides parse as numbers (a NaN
+/// satisfies nothing), byte-wise otherwise; `LIKE` matches a pattern.
+fn holds(op: &str, value: &str, constant: &str) -> bool {
+    if op == "LIKE" {
+        return like(value, constant);
+    }
+    let order = match (value.parse::<f64>(), constant.parse::<f64>()) {
+        (Ok(a), Ok(b)) => a.partial_cmp(&b),
+        _ => Some(value.cmp(constant)),
+    };
+    order.is_some_and(|o| match op {
+        "=" => o.is_eq(),
+        "!=" => o.is_ne(),
+        "<" => o.is_lt(),
+        "<=" => o.is_le(),
+        ">" => o.is_gt(),
+        ">=" => o.is_ge(),
+        _ => false,
+    })
+}
+
+/// SQL `LIKE`: `%` matches any run of characters, `_` any one.
+fn like(value: &str, pattern: &str) -> bool {
+    let mut p = pattern.chars();
+    match p.next() {
+        None => value.is_empty(),
+        Some('%') => value
+            .char_indices()
+            .map(|(k, _)| k)
+            .chain([value.len()])
+            .any(|k| like(&value[k..], p.as_str())),
+        Some(want) => {
+            let mut v = value.chars();
+            v.next().is_some_and(|got| (want == '_' || want == got) && like(v.as_str(), p.as_str()))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{Condition, SourceKindSpec, SourceSpec};
+
+    /// The oracle pinned by hand, not through the engine: a multi-record
+    /// DB source, a single-record web source and a hard-down XML source
+    /// under `price < 300 AND brand LIKE 's%'`.
+    #[test]
+    fn a_hand_written_scenario_expects_these_lines() {
+        let source = |kind, single_record, fault| SourceSpec { kind, single_record, fault };
+        let scenario = Scenario {
+            seed: 18,
+            rows: 3,
+            sources: vec![
+                source(SourceKindSpec::Db, false, FaultClass::Reliable),
+                source(SourceKindSpec::Web, true, FaultClass::Reliable),
+                source(SourceKindSpec::Xml, false, FaultClass::HardDown),
+            ],
+            conditions: vec![
+                Condition { attr: 1, op: "<".into(), value: "300".into() },
+                Condition { attr: 0, op: "LIKE".into(), value: "s%".into() },
+            ],
+        };
+        let records = scenario.records();
+        let catalog: Vec<(&str, i64, &str)> =
+            records.iter().map(|r| (r.brand.as_str(), r.price, r.case.as_str())).collect();
+        assert_eq!(
+            catalog,
+            [("seiko", 169, "steel"), ("timex", 137, "carbon"), ("rado", 214, "resin")]
+        );
+        let expected = scenario.expected();
+        assert_eq!(
+            expected.individuals,
+            [
+                r#"SRC_0 brand="seiko" case="steel" price="169""#,
+                r#"SRC_1 brand="seiko" case="steel" price=" 169 ""#,
+            ]
+        );
+        let failed: Vec<(&str, &str)> =
+            expected.failed.iter().map(|(s, a)| (s.as_str(), a.as_str())).collect();
+        assert_eq!(
+            failed,
+            [
+                ("SRC_2", "thing.product.watch.brand"),
+                ("SRC_2", "thing.product.watch.case"),
+                ("SRC_2", "thing.product.watch.price"),
+            ]
+        );
+    }
+
+    #[test]
+    fn like_and_comparison_read_the_value() {
+        assert!(like("seiko", "s%") && like("seiko", "_ei%o") && like("", "%"));
+        assert!(!like("casio", "s%") && !like("seiko", "seik") && !like("seiko", "_"));
+        assert!(holds("<", "32", "100") && !holds("<", "320", "100"), "numbers, not text");
+        assert!(holds("!=", "seiko", "casio") && holds(">", "seiko", "casio"));
+        assert!(!holds("=", "nan", "nan"), "a NaN satisfies nothing");
+    }
+
+    #[test]
+    fn a_subset_counts_multiplicity() {
+        let answer =
+            |lines: &[&str]| Answer::new(lines.iter().map(|l| l.to_string()).collect(), []);
+        let full = answer(&["a", "b", "b", "c"]);
+        assert!(answer(&["b", "b"]).individuals_within(&full));
+        assert!(answer(&[]).individuals_within(&full));
+        assert!(!answer(&["b", "b", "b"]).individuals_within(&full));
+        assert!(!answer(&["d"]).individuals_within(&full));
+    }
+}

@@ -1,29 +1,28 @@
 //! # s2s-conform
 //!
-//! Deterministic, structure-aware differential testing for the S2S
+//! Deterministic, structure-aware conformance testing for the S2S
 //! middleware.
 //!
-//! The paper's core promise (§2.4–§2.6) is that a semantic query yields
-//! the same ontology instances regardless of how extraction is
-//! executed. The engine has one extraction pipeline (one wire exchange
-//! per source) and three ways to run it — batched (one engine, one
-//! client, asked repeatedly), result-cached replay, and the concurrent
-//! ("pooled": N threads on one engine) arm — and this crate is the
-//! harness that keeps them answer-equivalent:
+//! The paper (§2.6) defines a query's answer by the source records and
+//! the mapping. This crate generates deployments, states the answer each
+//! must give without running the engine, and checks every way of running
+//! the engine against it:
 //!
 //! * [`scenario`] — seeded generators (vendored `rand` only) for
 //!   ontology deployments across all four source kinds, valid-by-
 //!   construction S2SQL queries, and scripted fault schedules,
-//! * [`oracle`] — differential oracles running one scenario through
-//!   every execution path and checking instance-set equality (modulo
-//!   ordering) plus the `QueryStats` invariants the docs promise
-//!   (failed tasks, the serial bound, cache deltas), and —
-//!   on fault-free scenarios — the delta-maintenance arm that fuzzes
-//!   source mutations against materialized semantic views and demands
-//!   fingerprint-identity with recompute after every round,
+//! * [`expected`] — the ground truth: [`Scenario::expected`] computes the
+//!   answer from the records, the conditions and each source's kind,
+//!   record scenario and fault class, naming no crate of the workspace,
+//! * [`oracle`] — runs one scenario through every arm (batched, replay,
+//!   pooled, pushdown, views through mutation rounds, bootstrap,
+//!   overload, flaky endpoints) and checks each answer against the
+//!   ground truth, plus the invariants that are not answers: the
+//!   `QueryStats` the docs promise, replay cost, shed honesty, wire
+//!   monotonicity, pruning, view accounting and determinism,
 //! * [`meta`] — metamorphic rewrites (S2SQL spelling variants,
-//!   condition reordering, source/attribute registration permutation)
-//!   that must not change answers,
+//!   condition reordering, source/attribute registration permutation),
+//!   each one more arm,
 //! * [`shrink`](mod@shrink) — a greedy minimizer reducing a failing scenario to a
 //!   small repro,
 //! * [`case`] — self-contained text case files for repros, replayed
@@ -36,23 +35,32 @@
 //! derived from the scenario seed through the explicit-seed
 //! registration hook ([`s2s_core::middleware::S2s::register_remote_source_detailed`]).
 //!
-//! ## Which scenarios may legally diverge?
+//! ## What can the ground truth state?
 //!
-//! Cross-path answer equality is only a theorem for fault behaviour
-//! that is *call-count independent*: the batched arm's repeat queries
-//! meet each endpoint at later call indices, and the pooled arm's
-//! clients interleave their calls on one endpoint in any order, so a
-//! probabilistic fault stream answers each query differently. The
-//! generator therefore draws
-//! per-source fault classes from the equality-preserving set (reliable,
-//! hard-down, hard-down with a reliable replica, and scheduled transient
-//! faults strictly smaller than the retry budget), and probabilistic
-//! `flaky(p)` endpoints are exercised by the per-path determinism and
-//! completeness-monotonicity oracles instead, where they are sound.
+//! [`Scenario::expected`] owes an answer only where the fault behaviour
+//! does not depend on how often an arm calls an endpoint: the batched
+//! arm's repeat queries meet each endpoint at later call indices, and
+//! the pooled arm's clients interleave on one endpoint in any order. So
+//! the generator draws fault classes the expected answer can state:
+//!
+//! * a source answers in full when it is reliable, hard-down behind a
+//!   reliable replica, or scheduled fewer transient faults than the
+//!   retry budget (with or without a standby replica for hedging);
+//! * a source answers nothing and fails every attribute when it is
+//!   hard-down without a replica, or (corpus only) maps hostile rules.
+//!
+//! Probabilistic `flaky(p)` endpoints have no stated answer except at
+//! `p = 0`; above it they are held to completeness monotonicity and
+//! determinism. A deadline cuts an answer to some subset of the
+//! expected one. The catalog is 1–5 records, 3 word or integer
+//! attributes (XML and web pad some prices, text and web lines carry a
+//! `unit_price` label) and 0–2 `AND`ed conditions; `OR`, `NOT`, and
+//! decimal, exponent or non-finite prices are not generated.
 
 #![forbid(unsafe_code)]
 
 pub mod case;
+pub mod expected;
 pub mod meta;
 pub mod oracle;
 pub mod runner;
@@ -60,7 +68,8 @@ pub mod scenario;
 pub mod shrink;
 
 pub use case::{from_case, to_case};
-pub use oracle::{check_scenario, fingerprint, Violation};
+pub use expected::Answer;
+pub use oracle::{check_scenario, Violation};
 pub use runner::{fuzz, seed_from_str, FailingCase, FuzzOutcome};
 pub use scenario::{Condition, FaultClass, Hostile, Scenario, SourceKindSpec, SourceSpec};
 pub use shrink::shrink;

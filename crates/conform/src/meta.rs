@@ -1,100 +1,80 @@
 //! Metamorphic relations: rewrites that must not change the answer.
 //!
-//! Three families, each run on a fresh identically-seeded engine so the
-//! rewrite is the only difference:
+//! Each rewrite runs on a fresh identically-seeded engine, so it is the
+//! only difference, and its answer is checked against the ground truth
+//! ([`Scenario::expected`]) as one more arm:
 //!
-//! 1. **S2SQL spelling** — whitespace padding, keyword case, quote
-//!    style, bare constraints, `<>` for `!=` and redundant parentheses
-//!    parse to the same query, so they must share a cache key
-//!    (`meta-normalize`) and produce the same answer (`meta-spelling`).
-//!    That a shared key means a shared parse is the property test
-//!    `shared_key_means_shared_parse` in `s2s-core`.
-//! 2. **Condition reordering** — `AND` is commutative for the
-//!    condition tree, so permuting the `WHERE` leaves cannot change
-//!    which individuals match.
-//! 3. **Registration permutation** — the source registry and the
-//!    mapping module key on ids/paths, not insertion order, so
-//!    registering sources or attributes in a different order must not
-//!    change the answer.
+//! 1. **S2SQL spelling** (`spelling-variant`) — whitespace padding,
+//!    keyword case, quote style, bare constraints, `<>` for `!=` and
+//!    redundant parentheses parse to the same query, so they must also
+//!    share a cache key (`meta-normalize`, the one check here that is not
+//!    an answer). That a shared key means a shared parse is the property
+//!    test `shared_key_means_shared_parse` in `s2s-core`.
+//! 2. **Condition reordering** (`reordered-conditions`) — `AND` is
+//!    commutative.
+//! 3. **Registration permutation** (`reversed-sources`,
+//!    `rotated-attributes`) — the source registry and the mapping module
+//!    key on ids/paths, not insertion order.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2s_core::query;
 
-use crate::oracle::{fingerprint, Violation};
+use crate::expected::Answer;
+use crate::oracle::{ground_truth, Violation};
 use crate::scenario::{render_condition, BuildConfig, Scenario, ATTRS};
 
-/// Runs every metamorphic relation; `reference` is the fingerprint of
-/// the canonical (batched-path) answer.
-pub fn check_metamorphic(scenario: &Scenario, reference: &str) -> Vec<Violation> {
+/// Runs every metamorphic rewrite and checks its answer against
+/// `expected`.
+pub fn check_metamorphic(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
     let mut violations = Vec::new();
     let canonical = scenario.query_text();
     let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x5EED_5EED_5EED_5EED);
+    let mut arm = |name: &str, config: BuildConfig, query: &str| {
+        let outcome = scenario.build(&config).query(query).expect("the rewrite is valid S2SQL");
+        ground_truth(name, &outcome, expected, &mut violations);
+    };
 
     // 1. Spelling variant.
     let variant = spelling_variant(scenario, &mut rng);
-    if query::normalize(&variant) != query::normalize(&canonical) {
+    let normalizes = query::normalize(&variant) == query::normalize(&canonical);
+    if normalizes {
+        arm(&format!("spelling-variant {variant:?}"), BuildConfig::batched(), &variant);
+    }
+
+    // 2. Condition reordering (needs at least two conditions).
+    if scenario.conditions.len() >= 2 {
+        let mut text = String::from("SELECT watch");
+        for (i, c) in scenario.conditions.iter().rev().enumerate() {
+            text.push_str(if i == 0 { " WHERE " } else { " AND " });
+            text.push_str(&render_condition(c));
+        }
+        arm(&format!("reordered-conditions {text:?}"), BuildConfig::batched(), &text);
+    }
+
+    // 3. Registration permutations.
+    if scenario.sources.len() >= 2 {
+        let order = (0..scenario.sources.len()).rev().collect();
+        arm(
+            "reversed-sources",
+            BuildConfig { source_order: Some(order), ..BuildConfig::batched() },
+            &canonical,
+        );
+    }
+    arm(
+        "rotated-attributes",
+        BuildConfig { attr_order: Some(vec![1, 2, 0]), ..BuildConfig::batched() },
+        &canonical,
+    );
+
+    if !normalizes {
         violations.push(Violation {
             oracle: "meta-normalize".into(),
             detail: format!(
                 "spelling variant normalizes differently\ncanonical: {canonical}\nvariant: {variant}"
             ),
         });
-    } else {
-        let engine = scenario.build(&BuildConfig::batched());
-        let outcome = engine.query(&variant).expect("variant is equivalent S2SQL");
-        if fingerprint(&outcome) != reference {
-            violations.push(Violation {
-                oracle: "meta-spelling".into(),
-                detail: format!("spelling variant changed the answer: {variant}"),
-            });
-        }
     }
-
-    // 2. Condition reordering (needs at least two conditions).
-    if scenario.conditions.len() >= 2 {
-        let mut reordered = scenario.conditions.clone();
-        reordered.reverse();
-        let mut text = String::from("SELECT watch");
-        for (i, c) in reordered.iter().enumerate() {
-            text.push_str(if i == 0 { " WHERE " } else { " AND " });
-            text.push_str(&render_condition(c));
-        }
-        let engine = scenario.build(&BuildConfig::batched());
-        let outcome = engine.query(&text).expect("reordered conditions stay valid");
-        if fingerprint(&outcome) != reference {
-            violations.push(Violation {
-                oracle: "meta-condition-order".into(),
-                detail: format!("reordering AND conditions changed the answer: {text}"),
-            });
-        }
-    }
-
-    // 3. Registration permutations.
-    if scenario.sources.len() >= 2 {
-        let mut order: Vec<usize> = (0..scenario.sources.len()).collect();
-        order.reverse();
-        let engine =
-            scenario.build(&BuildConfig { source_order: Some(order), ..BuildConfig::batched() });
-        let outcome = engine.query(&canonical).expect("same query, permuted registry");
-        if fingerprint(&outcome) != reference {
-            violations.push(Violation {
-                oracle: "meta-source-order".into(),
-                detail: "reversing source registration order changed the answer".into(),
-            });
-        }
-    }
-    let rotated = vec![1, 2, 0];
-    let engine =
-        scenario.build(&BuildConfig { attr_order: Some(rotated), ..BuildConfig::batched() });
-    let outcome = engine.query(&canonical).expect("same query, permuted mappings");
-    if fingerprint(&outcome) != reference {
-        violations.push(Violation {
-            oracle: "meta-attr-order".into(),
-            detail: "rotating attribute registration order changed the answer".into(),
-        });
-    }
-
     violations
 }
 

@@ -1,64 +1,53 @@
-//! Differential and invariant oracles.
+//! Oracles: every answer against the ground truth, plus the invariants
+//! that are not answer equality.
 //!
-//! [`check_scenario`] runs one generated scenario through every
-//! execution path and returns the list of violated oracles (empty on a
-//! healthy scenario). The oracles formalize the promises scattered
-//! through the engine's docs:
+//! [`check_scenario`] runs one generated scenario through every way of
+//! running the engine (an *arm*) and returns the violated oracles (empty
+//! on a healthy scenario). Every answer an arm gives is checked by one
+//! oracle, `ground-truth`, against [`Scenario::expected`], with the arm
+//! named in the detail: batched `r0`–`r2` (one engine asked
+//! `ATTRS.len()` times, so faults scheduled past the first exchange
+//! fire), replay `first`/`second`, pooled `t0`–`t2` (three threads on one
+//! engine), `pushdown`, `decoy-on` (plus a brand-only DB source), `delta`
+//! and `delta-pushdown` rounds 0–4 (materialized views through three
+//! mutation rounds), `bootstrap`, `shed-recovery`, `hedged`, `flaky(0)`
+//! and the metamorphic variants ([`crate::meta`]). A deadline-limited
+//! answer must be a subset of it (`overload-subset`).
 //!
-//! * **Path equality** — batched (asked `ATTRS.len()` times on one
-//!   engine, so scheduled faults at later call indices fire too),
-//!   result-cached and pooled N-thread execution agree on the instance
-//!   set (modulo ordering) and on the failed-attribute set.
-//! * **Stats conservation** — `failed_tasks` counts the reported
-//!   errors, the makespan stays under the serial bound, and cache deltas
-//!   are consistent with what the query actually did. (Every per-source
-//!   total is one fold of the query's ledger rows, so `round_trips ==
-//!   Σ attempts` and `completeness == answered/tasks` hold by
-//!   construction.)
-//! * **Zero-fault completeness** — a fault-free scenario answers at
-//!   completeness 1 with no retries, no failovers, and exactly one
-//!   wire exchange per source.
+//! The other checks are not answer equality:
+//!
+//! * **Stats** — `failed_tasks` counts the reported errors, the makespan
+//!   stays under the serial bound, a fresh query makes one plan-cache
+//!   lookup, a batched run has one task per schema, and a fault-free one
+//!   makes no retry, no failover and one exchange per source.
 //! * **Replay** — a complete first answer is replayed from the result
-//!   cache byte-for-byte with zero round trips and zero simulated
-//!   time; a degraded answer is never admitted.
-//! * **Metamorphic relations** — see [`crate::meta`].
-//! * **Monotonicity** — on a restricted probabilistic configuration
-//!   (batched, no retry/failover, one call per endpoint per query),
-//!   completeness is non-increasing in the failure probability.
-//! * **Overload honesty** — under admission control, deadline
-//!   budgets, and hedged dispatch, every returned instance also
-//!   appears in the unconstrained answer, completeness stays
-//!   consistent with what was shed or cut off, shed queries touch
-//!   neither the wire nor the caches, and a fixed seed reproduces the
-//!   degraded run exactly.
-//! * **Pushdown equivalence** — the federated planner (predicate and
-//!   projection pushdown plus source pruning) answers byte-for-byte
-//!   like the post-filter path, never inflates `wire_response_bytes`, never dials a
-//!   pruned source, and reproduces deterministically.
-//! * **Delta maintenance** — on fault-free scenarios, materialized
-//!   semantic views fed by the source change feeds answer
-//!   fingerprint-identical to a from-scratch recompute after every
-//!   fuzzed mutation round, replay unmutated repeat queries without
-//!   touching the wire, account every warm slice as a hit, refresh,
-//!   or full refresh, and reproduce deterministically — over views
-//!   alone and with the pushdown planner on.
-//! * **Bootstrap equivalence** — on fault-free scenarios, an engine
-//!   whose mappings come entirely from the automatic schema bootstrap
-//!   (`S2s::bootstrap_source` + `apply_bootstrap`, with the catalog's
-//!   two genuine operator interventions) answers fingerprint-identical
-//!   to the hand-written registration, covers every attribute of every
-//!   source, and re-bootstraps to byte-identical candidate sets.
+//!   cache with zero round trips, zero simulated time and no plan-cache
+//!   lookup; a degraded one is never admitted.
+//! * **Overload** — a shed query is refused at arrival with an honestly
+//!   empty answer and touches neither the wire nor the caches; a
+//!   deadline never raises completeness; `hedge_wins ≤ hedges`.
+//! * **Pushdown** — pushed responses never outgrow the post-filter
+//!   path's, a pruned source is never dialled, and the decoy is pruned
+//!   whenever the query constrains `price` or `case`.
+//! * **Views** — an unmutated repeat is served from views without the
+//!   wire, and every warm slice is a hit, refresh or full refresh.
+//! * **Bootstrap coverage** — every source bootstraps one applied
+//!   mapping per attribute.
+//! * **Determinism** — identically seeded flaky, deadline, hedged,
+//!   pushdown, delta and bootstrap runs agree.
+//! * **Monotonicity** — on `flaky(p)` endpoints without retry or
+//!   failover, completeness is non-increasing in `p`.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use s2s_core::extract::{ResiliencePolicy, Strategy};
+use s2s_core::extract::ResiliencePolicy;
 use s2s_core::middleware::{QueryOutcome, QueryStats};
 use s2s_core::{QueryOptions, S2s};
 use s2s_netsim::{AdmissionConfig, HedgeConfig, RetryPolicy, SimDuration};
 
+use crate::expected::Answer;
 use crate::meta;
-use crate::scenario::{BuildConfig, Scenario};
+use crate::scenario::{BuildConfig, FaultClass, Record, Scenario, SourceSpec, ATTRS};
 
 /// One violated oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,31 +70,48 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Order-independent fingerprint of a query outcome: the sorted
-/// per-individual value maps plus the sorted failed `(source, attr)`
-/// set. Two outcomes with equal fingerprints are the same answer.
-pub fn fingerprint(outcome: &QueryOutcome) -> String {
-    let mut individuals: Vec<String> =
-        outcome.individuals().iter().map(|i| format!("{}|{:?}", i.source, i.values)).collect();
-    individuals.sort();
-    let mut failures: Vec<String> =
-        outcome.errors().iter().map(|e| format!("!{}|{}", e.source, e.attribute)).collect();
-    failures.sort();
-    individuals.extend(failures);
-    individuals.join("\n")
+impl From<&QueryOutcome> for Answer {
+    fn from(outcome: &QueryOutcome) -> Answer {
+        let individuals = outcome.individuals().iter().map(|i| {
+            let values = i.values.iter().flat_map(|(property, values)| {
+                values.iter().map(move |v| (property.local_name(), v.as_str()))
+            });
+            Answer::line(&i.source, values)
+        });
+        let failed = outcome.errors().iter().map(|e| (e.source.clone(), e.attribute.clone()));
+        Answer::new(individuals.collect(), failed)
+    }
+}
+
+/// The `ground-truth` oracle: `arm` answered `outcome`, which must be
+/// `expected`.
+pub(crate) fn ground_truth(
+    arm: &str,
+    outcome: &QueryOutcome,
+    expected: &Answer,
+    violations: &mut Vec<Violation>,
+) {
+    let answer = Answer::from(outcome);
+    if answer != *expected {
+        violations.push(Violation::new(
+            "ground-truth",
+            format!("{arm} answered\n{answer}expected\n{expected}"),
+        ));
+    }
 }
 
 /// Runs every oracle over `scenario`; returns the violations found.
 pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
     let mut violations = Vec::new();
+    let expected = scenario.expected();
     let query = scenario.query_text();
     let n_sources = scenario.sources.len();
-    let n_schemas = n_sources * crate::scenario::ATTRS.len();
+    let n_schemas = n_sources * ATTRS.len();
 
     // --- The three execution paths ----------------------------------
-    // The reference engine is asked once per attribute: each repeat
+    // The batched engine is asked once per attribute: each repeat
     // advances every endpoint's call index, so faults scheduled past the
-    // first exchange fire too, and every answer must equal the first.
+    // first exchange fire too.
     let batched = scenario.build(&BuildConfig::batched());
     let first = match batched.query(&query) {
         Ok(o) => o,
@@ -116,78 +122,13 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
     };
     let mut batched_runs = vec![first];
     batched_runs.extend(
-        (1..crate::scenario::ATTRS.len())
-            .map(|_| batched.query(&query).expect("parsed on the batched path")),
+        (1..ATTRS.len()).map(|_| batched.query(&query).expect("parsed on the batched path")),
     );
     for (r, outcome) in batched_runs.iter().enumerate() {
-        check_stats(outcome, &format!("batched-r{r}"), &mut violations);
-    }
-    let batched_outcome = &batched_runs[0];
-
-    let replay_engine = scenario.build(&BuildConfig::replay());
-    let replay_first = replay_engine.query(&query).expect("parsed on the batched path");
-    check_stats(&replay_first, "replay-first", &mut violations);
-    let replay_second = replay_engine.query(&query).expect("parsed on the batched path");
-    check_replay(&replay_first, &replay_second, &mut violations);
-
-    let pooled = Arc::new(scenario.build(&BuildConfig::pooled(4)));
-    let pooled_outcomes: Vec<QueryOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let pooled = Arc::clone(&pooled);
-                let query = query.clone();
-                scope.spawn(move || pooled.query(&query).expect("parsed on the batched path"))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("no panic in client thread")).collect()
-    });
-    for (t, outcome) in pooled_outcomes.iter().enumerate() {
-        check_stats(outcome, &format!("pooled-t{t}"), &mut violations);
-    }
-
-    // --- Cross-path equality ----------------------------------------
-    let reference = fingerprint(batched_outcome);
-    let others = batched_runs
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(r, o)| (format!("batched-r{r}"), o))
-        .chain(std::iter::once(("replay-first".to_string(), &replay_first)))
-        .chain(pooled_outcomes.iter().enumerate().map(|(t, o)| (format!("pooled-t{t}"), o)));
-    for (path, outcome) in others {
-        if fingerprint(outcome) != reference {
-            violations.push(Violation::new(
-                "path-equality",
-                format!(
-                    "{path} diverged from batched\nbatched:\n{reference}\n{path}:\n{}",
-                    fingerprint(outcome)
-                ),
-            ));
-        }
-        if (outcome.stats.completeness - batched_outcome.stats.completeness).abs() > 1e-12 {
-            violations.push(Violation::new(
-                "path-completeness",
-                format!(
-                    "{path} completeness {} != batched {}",
-                    outcome.stats.completeness, batched_outcome.stats.completeness
-                ),
-            ));
-        }
-    }
-
-    // --- Zero-fault obligations -------------------------------------
-    for (r, outcome) in batched_runs.iter().enumerate() {
         let (path, s) = (format!("batched-r{r}"), &outcome.stats);
+        ground_truth(&path, outcome, &expected, &mut violations);
+        check_stats(outcome, &path, &mut violations);
         if scenario.fault_free() {
-            if s.completeness != 1.0 || s.failed_tasks != 0 {
-                violations.push(Violation::new(
-                    "zero-fault-completeness",
-                    format!(
-                        "{path}: completeness {} failed_tasks {} on a fault-free scenario",
-                        s.completeness, s.failed_tasks
-                    ),
-                ));
-            }
             if outcome.retries() != 0 || outcome.failovers() != 0 {
                 violations.push(Violation::new(
                     "zero-fault-resilience",
@@ -207,13 +148,6 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
                     ),
                 ));
             }
-        } else if !scenario.has_hard_outage() && s.completeness != 1.0 {
-            // Rescued faults (replica failover or scheduled transients
-            // within the retry budget) must still answer completely.
-            violations.push(Violation::new(
-                "rescued-fault-completeness",
-                format!("{path}: completeness {} though every fault is rescuable", s.completeness),
-            ));
         }
         if s.tasks != n_schemas {
             violations.push(Violation::new(
@@ -222,82 +156,89 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
             ));
         }
     }
+    let batched_outcome = &batched_runs[0];
 
-    // --- Metamorphic relations --------------------------------------
-    violations.extend(meta::check_metamorphic(scenario, &reference));
+    let replay_engine = scenario.build(&BuildConfig::replay());
+    let replay_first = replay_engine.query(&query).expect("parsed on the batched path");
+    check_stats(&replay_first, "replay-first", &mut violations);
+    ground_truth("replay-first", &replay_first, &expected, &mut violations);
+    let replay_second = replay_engine.query(&query).expect("parsed on the batched path");
+    ground_truth("replay-second", &replay_second, &expected, &mut violations);
+    check_replay(&replay_first, &replay_second, &mut violations);
 
-    // --- Probabilistic probes (heavier; run on a slice) -------------
+    let pooled = Arc::new(scenario.build(&BuildConfig::pooled(4)));
+    let pooled_outcomes: Vec<QueryOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                let pooled = Arc::clone(&pooled);
+                let query = query.clone();
+                scope.spawn(move || pooled.query(&query).expect("parsed on the batched path"))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("no panic in client thread")).collect()
+    });
+    for (t, outcome) in pooled_outcomes.iter().enumerate() {
+        check_stats(outcome, &format!("pooled-t{t}"), &mut violations);
+        ground_truth(&format!("pooled-t{t}"), outcome, &expected, &mut violations);
+    }
+
+    violations.extend(meta::check_metamorphic(scenario, &expected));
+    // Probabilistic probes (heavier; run on a slice).
     if scenario.seed.is_multiple_of(4) {
         violations.extend(check_monotonicity(scenario));
     }
-
-    // --- Overload honesty -------------------------------------------
-    violations.extend(check_overload(scenario, batched_outcome));
-
-    // --- Pushdown equivalence ---------------------------------------
-    violations.extend(check_pushdown(scenario, batched_outcome));
-
-    // --- Delta maintenance ------------------------------------------
-    violations.extend(check_delta(scenario, batched_outcome));
-
-    // --- Bootstrap equivalence --------------------------------------
-    violations.extend(check_bootstrap(scenario, batched_outcome));
-
+    violations.extend(check_overload(scenario, &expected, batched_outcome));
+    violations.extend(check_pushdown(scenario, &expected, batched_outcome));
+    violations.extend(check_delta(scenario));
+    violations.extend(check_bootstrap(scenario, &expected));
     violations
 }
 
 /// Delta maintenance: materialized semantic views answering out of the
-/// source change feeds must be indistinguishable from recompute.
+/// source change feeds, through mutation rounds.
 ///
 /// Gated to fault-free scenarios: a mutation changes how many wire
-/// calls each query issues, which would desync call-indexed fault
-/// schedules between the delta engine and the rebuilt reference.
+/// calls each query issues, which would move call-indexed fault
+/// schedules.
 ///
 /// The protocol runs one engine through a cold query, a warm repeat,
 /// and three mutation rounds. Rounds alternate between price-only
 /// mutations that honestly declare `fields = ["price"]` (exercising
 /// the untouched-slice fast path) and whole-catalog mutations that
-/// declare nothing (the conservative touches-everything path). Four
-/// invariants:
+/// declare nothing (the conservative touches-everything path). Every
+/// round's answer is checked against [`Scenario::expected_over`] the
+/// catalog as mutated so far, and three invariants more:
 ///
-/// * **equality** — the cold delta answer matches the batched path;
 /// * **view replay** — the unmutated repeat is served entirely from
 ///   views, with zero round trips;
-/// * **divergence-freedom** — after every mutation round the delta
-///   answer fingerprints identically to a freshly built engine over
-///   the mutated catalog;
-/// * **accounting + determinism** — every warm slice is accounted as
-///   hit, refresh, or full refresh, and a second protocol run
-///   reproduces the first exactly.
+/// * **accounting** — every warm slice is accounted as hit, refresh, or
+///   full refresh;
+/// * **determinism** — a second protocol run reproduces the first.
 ///
-/// The protocol runs twice: over views alone (oracles `delta-*`), and
-/// with the pushdown planner on as well (`delta-pushdown-*`), where a
-/// slice's rule filters on the query's conditions — a price round must
-/// refresh every slice whose pushed rule tests the price.
-fn check_delta(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
+/// The protocol runs twice: over views alone (arm and oracles
+/// `delta-*`), and with the pushdown planner on as well
+/// (`delta-pushdown-*`), where a slice's rule filters on the query's
+/// conditions — a price round must refresh every slice whose pushed rule
+/// tests the price.
+fn check_delta(scenario: &Scenario) -> Vec<Violation> {
     if !scenario.fault_free() {
         return Vec::new();
     }
     let pushdown = BuildConfig { pushdown: true, ..BuildConfig::delta() };
     [("delta", BuildConfig::delta()), ("delta-pushdown", pushdown)]
         .iter()
-        .flat_map(|(arm, config)| check_delta_arm(scenario, baseline, arm, config))
+        .flat_map(|(arm, config)| check_delta_arm(scenario, arm, config))
         .collect()
 }
 
-fn check_delta_arm(
-    scenario: &Scenario,
-    baseline: &QueryOutcome,
-    arm: &str,
-    config: &BuildConfig,
-) -> Vec<Violation> {
+fn check_delta_arm(scenario: &Scenario, arm: &str, config: &BuildConfig) -> Vec<Violation> {
     let mut violations = Vec::new();
     let oracle = |name: &str| format!("{arm}-{name}");
     let query = scenario.query_text();
-    let n_schemas = (scenario.sources.len() * crate::scenario::ATTRS.len()) as u64;
+    let n_schemas = (scenario.sources.len() * ATTRS.len()) as u64;
 
-    // (fingerprint, stats) per protocol round.
-    let run_protocol = || -> Vec<(String, QueryStats)> {
+    // (answer, stats, expected answer) per protocol round.
+    let run_protocol = || -> Vec<(Answer, QueryStats, Answer)> {
         let engine = scenario.build(config);
         let mut records = scenario.records();
         let mut trace = Vec::new();
@@ -318,21 +259,19 @@ fn check_delta_arm(
                 }
             }
             let outcome = engine.query(&query).expect("parsed on the batched path");
-            trace.push((fingerprint(&outcome), outcome.stats));
+            trace.push((Answer::from(&outcome), outcome.stats, scenario.expected_over(&records)));
         }
         trace
     };
 
     let trace = run_protocol();
-    if trace[0].0 != fingerprint(baseline) {
-        violations.push(Violation::new(
-            &oracle("equality"),
-            format!(
-                "cold delta answer diverged from batched\nbatched:\n{}\ndelta:\n{}",
-                fingerprint(baseline),
-                trace[0].0
-            ),
-        ));
+    for (round, (answer, _, expected)) in trace.iter().enumerate() {
+        if answer != expected {
+            violations.push(Violation::new(
+                "ground-truth",
+                format!("{arm} round {round} answered\n{answer}expected\n{expected}"),
+            ));
+        }
     }
     let warm = &trace[1].1;
     if warm.round_trips != 0 || warm.view_hits != n_schemas {
@@ -344,7 +283,7 @@ fn check_delta_arm(
             ),
         ));
     }
-    for (round, (_, s)) in trace.iter().enumerate().skip(1) {
+    for (round, (_, s, _)) in trace.iter().enumerate().skip(1) {
         if s.view_hits + s.view_refreshes + s.view_full_refreshes != n_schemas {
             violations.push(Violation::new(
                 &oracle("accounting"),
@@ -356,25 +295,6 @@ fn check_delta_arm(
             ));
         }
     }
-
-    let mut records = scenario.records();
-    for (round, entry) in trace.iter().enumerate().take(5).skip(2) {
-        mutate_catalog(&mut records, round);
-        let reference =
-            rebuilt_engine(scenario, &records).query(&query).expect("parsed on the batched path");
-        if entry.0 != fingerprint(&reference) {
-            violations.push(Violation::new(
-                &oracle("divergence"),
-                format!(
-                    "delta answer after mutation round {round} diverged from recompute\n\
-                     recompute:\n{}\ndelta:\n{}",
-                    fingerprint(&reference),
-                    entry.0
-                ),
-            ));
-        }
-    }
-
     if run_protocol() != trace {
         violations.push(Violation::new(
             &oracle("determinism"),
@@ -388,89 +308,43 @@ fn check_delta_arm(
 /// Advances the catalog one mutation round: every price moves; the
 /// declare-nothing rounds (odd) additionally rotate every brand, so the
 /// mutation really is confined to the declared fields on even rounds.
-fn mutate_catalog(records: &mut [crate::scenario::Record], round: usize) {
+fn mutate_catalog(records: &mut [Record], round: usize) {
+    use crate::scenario::BRANDS;
     for r in records.iter_mut() {
         r.price += 7 * (round as i64 + 1);
         if round % 2 == 1 {
-            let i = crate::scenario::BRANDS.iter().position(|&b| b == r.brand).unwrap_or(0);
-            r.brand = crate::scenario::BRANDS[(i + 1) % crate::scenario::BRANDS.len()].to_string();
+            let i = BRANDS.iter().position(|&b| b == r.brand).unwrap_or(0);
+            r.brand = BRANDS[(i + 1) % BRANDS.len()].to_string();
         }
     }
 }
 
-/// A fresh batched engine over an explicit (mutated) catalog — the
-/// recompute reference the delta engine is compared against.
-fn rebuilt_engine(scenario: &Scenario, records: &[crate::scenario::Record]) -> S2s {
-    use s2s_core::source::Connection;
-    use s2s_netsim::{CostModel, FailureModel, FaultSchedule};
-
-    let mut s2s = S2s::new(crate::scenario::ontology())
-        .with_strategy(Strategy::Parallel { workers: 1 })
-        .with_resilience(
-            ResiliencePolicy::default()
-                .with_retry(RetryPolicy::attempts(crate::scenario::RETRY_ATTEMPTS)),
-        );
-    for (i, spec) in scenario.sources.iter().enumerate() {
-        let id = format!("SRC_{i}");
-        let connection: Connection = crate::scenario::connection_for(spec.kind, records);
-        s2s.register_remote_source_detailed(
-            &id,
-            connection,
-            CostModel::wan(),
-            FailureModel::reliable(),
-            Some(scenario.endpoint_seed(i)),
-            FaultSchedule::new(),
-        )
-        .expect("fresh id");
-        let record_scenario = if spec.single_record {
-            s2s_core::mapping::RecordScenario::SingleRecord
-        } else {
-            s2s_core::mapping::RecordScenario::MultiRecord
-        };
-        for a in 0..crate::scenario::ATTRS.len() {
-            s2s.register_attribute(
-                &format!("thing.product.watch.{}", crate::scenario::ATTRS[a]),
-                spec.rule(a),
-                &id,
-                record_scenario,
-            )
-            .expect("valid by construction");
-        }
-    }
-    s2s
-}
-
-/// Bootstrap equivalence: auto-generated mappings must be
-/// indistinguishable from the hand-written ones.
+/// Bootstrap: an engine whose mappings come entirely from the automatic
+/// schema bootstrap (`S2s::bootstrap_source` + `apply_bootstrap`) must
+/// answer what the scenario expects.
 ///
 /// Gated to fault-free scenarios (bootstrap introspection does not
-/// touch the wire, but the comparison query does, and fault schedules
-/// are call-indexed). The protocol builds a twin engine whose sources
-/// are registered exactly like the scenario's, but whose mappings come
-/// entirely from `S2s::bootstrap_source` + `apply_bootstrap` — with
-/// the two operator interventions the conform catalog genuinely needs:
-/// the bare `<b>`/`<i>` web tags carry no name signal and surface as
-/// ambiguous-target conflicts (resolved to brand/case), and
-/// single-record sources override the shape-implied multi-record
-/// scenario. Three invariants:
+/// touch the wire, but the query does, and fault schedules are
+/// call-indexed). The sources are registered as [`Scenario::build`]
+/// registers them; the operator makes the interventions the conform
+/// catalog genuinely needs: the bare `<b>`/`<i>` web tags carry no name
+/// signal and surface as ambiguous-target conflicts (resolved to
+/// brand/case), and single-record sources override the shape-implied
+/// multi-record scenario. Besides the `bootstrap` arm's answer:
 ///
 /// * **coverage** — every source bootstraps exactly one accepted,
-///   applied candidate per attribute, with no unexpected leftovers;
-/// * **equality** — the bootstrapped engine's answer fingerprints
-///   identically to the hand-written batched path;
+///   applied candidate per attribute;
 /// * **determinism** — a second bootstrap run produces byte-identical
 ///   candidate sets (field, path, rule, scenario, confidence) and the
 ///   same answer.
-fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
+fn check_bootstrap(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
     use s2s_core::mapping::RecordScenario;
-    use s2s_netsim::RetryPolicy as Retry;
 
     let mut violations = Vec::new();
     if !scenario.fault_free() {
         return violations;
     }
     let query = scenario.query_text();
-    let records = scenario.records();
 
     // Candidate-set signature for the determinism check.
     let signature = |report: &s2s_core::BootstrapReport| -> String {
@@ -488,15 +362,9 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
     };
 
     let build = || -> Result<(S2s, Vec<String>), String> {
-        let mut s2s = S2s::new(crate::scenario::ontology())
-            .with_strategy(Strategy::Parallel { workers: 1 })
-            .with_resilience(
-                ResiliencePolicy::default()
-                    .with_retry(Retry::attempts(crate::scenario::RETRY_ATTEMPTS)),
-            );
+        let mut s2s = scenario.deploy(&BuildConfig::batched(), None);
         let mut signatures = Vec::new();
         for (i, spec) in scenario.sources.iter().enumerate() {
-            scenario.register_source(&mut s2s, i, &records);
             let id = format!("SRC_{i}");
             let mut report = s2s.bootstrap_source(&id).map_err(|e| format!("{id}: {e}"))?;
             if matches!(spec.kind, crate::scenario::SourceKindSpec::Web) {
@@ -512,11 +380,11 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
             }
             s2s.apply_bootstrap(&mut report).map_err(|e| format!("{id}: {e}"))?;
             let applied = report.candidates.iter().filter(|c| c.applied).count();
-            if applied != crate::scenario::ATTRS.len() {
+            if applied != ATTRS.len() {
                 return Err(format!(
                     "{id} ({:?}): {applied} mappings bootstrapped, want {}",
                     spec.kind,
-                    crate::scenario::ATTRS.len()
+                    ATTRS.len()
                 ));
             }
             signatures.push(signature(&report));
@@ -532,16 +400,7 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
         }
     };
     let outcome = engine.query(&query).expect("parsed on the batched path");
-    if fingerprint(&outcome) != fingerprint(baseline) {
-        violations.push(Violation::new(
-            "bootstrap-equality",
-            format!(
-                "bootstrapped answer diverged from hand-written\nhand-written:\n{}\nbootstrapped:\n{}",
-                fingerprint(baseline),
-                fingerprint(&outcome)
-            ),
-        ));
-    }
+    ground_truth("bootstrap", &outcome, expected, &mut violations);
 
     let (engine2, signatures2) = match build() {
         Ok(pair) => pair,
@@ -557,7 +416,7 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
         ));
     }
     let outcome2 = engine2.query(&query).expect("parsed on the batched path");
-    if fingerprint(&outcome2) != fingerprint(&outcome) {
+    if Answer::from(&outcome2) != Answer::from(&outcome) {
         violations.push(Violation::new(
             "bootstrap-determinism",
             "re-bootstrapped engine answered differently".to_string(),
@@ -566,15 +425,12 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
     violations
 }
 
-/// Pushdown equivalence: the federated planner may rewrite rules,
-/// prune sources, and shrink responses, but never change the answer.
+/// Pushdown: the federated planner may rewrite rules, prune sources,
+/// and shrink responses, but never change the answer.
 ///
-/// Four invariants, each against the unconstrained batched path:
+/// Besides the `pushdown` arm's answer, against the post-filter
+/// batched run:
 ///
-/// * **equality** — pushdown-on fingerprints and completeness match
-///   pushdown-off exactly; the residual filter
-///   guarantees any record a pushed predicate drops would have been
-///   dropped post-extraction anyway.
 /// * **wire monotonicity** — pushed responses are subsets of the full
 ///   responses, so `wire_response_bytes` never exceeds the
 ///   post-filter path's.
@@ -583,35 +439,21 @@ fn check_bootstrap(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violatio
 /// * **determinism** — two identically seeded pushdown runs keep equal
 ///   ledgers.
 ///
-/// A decoy variant adds a reliable DB source that maps only `brand`:
-/// any condition on `price` or `case` must prune it, and pruning must
-/// not change the answer.
-fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
+/// The `decoy-on` arm adds a reliable DB source that maps only `brand`:
+/// any condition on `price` or `case` must prune it, and it adds a
+/// brand-only line per record that passes the conditions.
+fn check_pushdown(
+    scenario: &Scenario,
+    expected: &Answer,
+    baseline: &QueryOutcome,
+) -> Vec<Violation> {
     let mut violations = Vec::new();
     let query = scenario.query_text();
-    let full_fp = fingerprint(baseline);
 
     let pushed =
         scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the batched path");
     check_stats(&pushed, "pushdown", &mut violations);
-    if fingerprint(&pushed) != full_fp {
-        violations.push(Violation::new(
-            "pushdown-equality",
-            format!(
-                "pushdown changed the answer\nfull:\n{full_fp}\npushed:\n{}",
-                fingerprint(&pushed)
-            ),
-        ));
-    }
-    if (pushed.stats.completeness - baseline.stats.completeness).abs() > 1e-12 {
-        violations.push(Violation::new(
-            "pushdown-equality",
-            format!(
-                "pushdown completeness {} != batched {}",
-                pushed.stats.completeness, baseline.stats.completeness
-            ),
-        ));
-    }
+    ground_truth("pushdown", &pushed, expected, &mut violations);
     if pushed.stats.wire_response_bytes > baseline.stats.wire_response_bytes {
         violations.push(Violation::new(
             "pushdown-wire-monotonicity",
@@ -634,18 +476,17 @@ fn check_pushdown(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
 
     // --- Decoy pruning arm -------------------------------------------
     if !scenario.conditions.is_empty() {
-        let on = decoy_engine(scenario, true).query(&query).expect("parsed on the batched path");
-        let off = decoy_engine(scenario, false).query(&query).expect("parsed on the batched path");
-        if fingerprint(&on) != fingerprint(&off) {
-            violations.push(Violation::new(
-                "pushdown-prune-equality",
-                format!(
-                    "pruning changed the answer\noff:\n{}\non:\n{}",
-                    fingerprint(&off),
-                    fingerprint(&on)
-                ),
-            ));
+        let on = decoy_engine(scenario).query(&query).expect("parsed on the batched path");
+        let mut lines = expected.individuals.clone();
+        for r in scenario.records().iter().filter(|r| scenario.selects(r, |a| a == 0)) {
+            lines.push(Answer::line("DECOY", [(ATTRS[0], r.brand.as_str())]));
         }
+        ground_truth(
+            "decoy-on",
+            &on,
+            &Answer::new(lines, expected.failed.clone()),
+            &mut violations,
+        );
         let constrains_beyond_brand = scenario.conditions.iter().any(|c| c.attr != 0);
         let pruned_decoy = on.source("DECOY").is_some_and(|r| r.pruned);
         if constrains_beyond_brand && !pruned_decoy {
@@ -682,21 +523,17 @@ fn check_pruned_rows(outcome: &QueryOutcome, violations: &mut Vec<Violation>) {
     }
 }
 
-/// A deployment variant with one extra reliable DB source (`DECOY`)
-/// that maps only `brand` — prunable whenever the query constrains
-/// `price` or `case`, and a harmless extra contributor otherwise.
-fn decoy_engine(scenario: &Scenario, pushdown: bool) -> S2s {
-    use s2s_core::source::Connection;
+/// The pushdown deployment plus one reliable DB source (`DECOY`) that
+/// maps only `brand` — prunable whenever the query constrains `price`
+/// or `case`, and a harmless extra contributor otherwise.
+fn decoy_engine(scenario: &Scenario) -> S2s {
+    use crate::scenario::{connection_for, rule_for, SourceKindSpec};
     use s2s_netsim::{CostModel, FailureModel, FaultSchedule};
 
-    let config = if pushdown { BuildConfig::pushdown() } else { BuildConfig::batched() };
-    let mut s2s = scenario.build(&config);
-    let records = scenario.records();
-    let connection: Connection =
-        crate::scenario::connection_for(crate::scenario::SourceKindSpec::Db, &records);
+    let mut s2s = scenario.build(&BuildConfig::pushdown());
     s2s.register_remote_source_detailed(
         "DECOY",
-        connection,
+        connection_for(SourceKindSpec::Db, &scenario.records()),
         CostModel::wan(),
         FailureModel::reliable(),
         Some(scenario.endpoint_seed(scenario.sources.len())),
@@ -704,8 +541,8 @@ fn decoy_engine(scenario: &Scenario, pushdown: bool) -> S2s {
     )
     .expect("fresh id");
     s2s.register_attribute(
-        "thing.product.watch.brand",
-        crate::scenario::rule_for(crate::scenario::SourceKindSpec::Db, 0),
+        &crate::scenario::attribute_path(0),
+        rule_for(SourceKindSpec::Db, 0),
         "DECOY",
         s2s_core::mapping::RecordScenario::MultiRecord,
     )
@@ -744,7 +581,8 @@ fn check_stats(outcome: &QueryOutcome, path: &str, violations: &mut Vec<Violatio
     }
 }
 
-/// Result-cache replay semantics.
+/// Result-cache replay semantics (what the replay answers is the
+/// ground truth's).
 fn check_replay(first: &QueryOutcome, second: &QueryOutcome, violations: &mut Vec<Violation>) {
     let complete = first.stats.failed_tasks == 0 && first.stats.completeness >= 1.0;
     if complete {
@@ -773,16 +611,6 @@ fn check_replay(first: &QueryOutcome, second: &QueryOutcome, violations: &mut Ve
                 "replay consulted the plan cache".to_string(),
             ));
         }
-        if fingerprint(second) != fingerprint(first) {
-            violations.push(Violation::new(
-                "replay-equality",
-                format!(
-                    "replayed answer differs\nfirst:\n{}\nsecond:\n{}",
-                    fingerprint(first),
-                    fingerprint(second)
-                ),
-            ));
-        }
     } else if second.stats.result_cache.hits != 0 {
         violations.push(Violation::new(
             "replay-admission",
@@ -795,7 +623,9 @@ fn check_replay(first: &QueryOutcome, second: &QueryOutcome, violations: &mut Ve
 /// configuration where it is per-seed provable: batched (exactly one
 /// logical call per endpoint per query), no failover, no breaker, so
 /// the per-endpoint draw sequences stay aligned across probability
-/// levels. Also re-runs the base level twice as a determinism probe.
+/// levels. At `p = 0` every endpoint answers, so the `flaky(0)` arm owes
+/// the answer of the scenario with every fault but a hostile rule
+/// removed. Also re-runs the top level as a determinism probe.
 fn check_monotonicity(scenario: &Scenario) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut p = (scenario.seed % 80 + 10) as f64 / 100.0; // 0.10..=0.89
@@ -803,32 +633,42 @@ fn check_monotonicity(scenario: &Scenario) -> Vec<Violation> {
         p = 1.0; // exercise the boundary
     }
     let levels = [0.0, p / 2.0, p];
-    let run = |p: f64| -> (String, f64, QueryStats) {
-        let engine = flaky_engine(scenario, p);
-        let outcome = engine.query(&scenario.query_text()).expect("query parsed");
-        (fingerprint(&outcome), outcome.stats.completeness, outcome.stats)
+    let run = |p: f64| -> QueryOutcome {
+        scenario
+            .build_with(&BuildConfig::batched(), Some(p))
+            .with_resilience(ResiliencePolicy::none())
+            .query(&scenario.query_text())
+            .expect("query parsed")
     };
-    let results: Vec<(String, f64, QueryStats)> = levels.iter().map(|&p| run(p)).collect();
+    let results: Vec<QueryOutcome> = levels.iter().map(|&p| run(p)).collect();
     for window in results.windows(2) {
-        if window[1].1 > window[0].1 + 1e-12 {
+        let (before, after) = (window[0].stats.completeness, window[1].stats.completeness);
+        if after > before + 1e-12 {
             violations.push(Violation::new(
                 "completeness-monotonicity",
                 format!(
-                    "completeness rose from {} to {} as failure probability increased \
-                     (levels {levels:?})",
-                    window[0].1, window[1].1
+                    "completeness rose from {before} to {after} as failure probability increased \
+                     (levels {levels:?})"
                 ),
             ));
         }
     }
-    if results[0].1 != 1.0 {
-        violations.push(Violation::new(
-            "zero-fault-completeness",
-            format!("flaky(0) probe degraded: completeness {}", results[0].1),
-        ));
-    }
-    let (again_fp, _, again_stats) = run(p);
-    if again_fp != results[2].0 || again_stats.round_trips != results[2].2.round_trips {
+    let answering = Scenario {
+        sources: scenario
+            .sources
+            .iter()
+            .map(|s| match s.fault {
+                FaultClass::HostileRule(_) => s.clone(),
+                _ => SourceSpec { fault: FaultClass::Reliable, ..s.clone() },
+            })
+            .collect(),
+        ..scenario.clone()
+    };
+    ground_truth("flaky(0)", &results[0], &answering.expected(), &mut violations);
+    let again = run(p);
+    if Answer::from(&again) != Answer::from(&results[2])
+        || again.stats.round_trips != results[2].stats.round_trips
+    {
         violations.push(Violation::new(
             "determinism",
             "two identically seeded flaky runs disagreed".to_string(),
@@ -837,32 +677,27 @@ fn check_monotonicity(scenario: &Scenario) -> Vec<Violation> {
     violations
 }
 
-/// The sorted per-individual value lines of an answer, without the
-/// failure set — the unit of the overload subset comparison.
-fn instance_lines(outcome: &QueryOutcome) -> BTreeSet<String> {
-    outcome.individuals().iter().map(|i| format!("{}|{:?}", i.source, i.values)).collect()
-}
-
 /// Overload honesty: admission control, deadline budgets, and hedged
 /// dispatch may only *remove* answers, never invent or corrupt them.
-///
-/// Three arms, each compared against the unconstrained batched answer:
 ///
 /// * **shed** — with the single permit held by another tenant, a
 ///   budgeted query is refused at arrival: empty honest answer, zero
 ///   round trips, no cache writes; once the permit frees, the same
-///   engine answers in full.
+///   engine answers in full (arm `shed-recovery`).
 /// * **deadline** — a seed-derived budget cuts the query off
-///   mid-flight: the instances are a subset of the full answer,
-///   completeness is consistent (and no higher than unconstrained),
+///   mid-flight: the instances are a subset of the expected ones,
+///   completeness is no higher than the unconstrained batched run's,
 ///   and a second identically configured run reproduces the first.
-/// * **hedge** — racing replicas against stragglers must not change
-///   the answer at all, and `hedge_wins ≤ hedges` always.
-fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation> {
+/// * **hedge** — racing replicas against stragglers answers what the
+///   scenario expects (arm `hedged`), `hedge_wins ≤ hedges` always, and
+///   a second run reproduces the first.
+fn check_overload(
+    scenario: &Scenario,
+    expected: &Answer,
+    baseline: &QueryOutcome,
+) -> Vec<Violation> {
     let mut violations = Vec::new();
     let query = scenario.query_text();
-    let full = instance_lines(baseline);
-    let full_fp = fingerprint(baseline);
 
     // --- Shed arm ----------------------------------------------------
     let engine = scenario.build(&BuildConfig::batched()).with_admission(
@@ -904,16 +739,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         drop(hog);
     }
     let after = engine.query(&query).expect("parsed on the batched path");
-    if fingerprint(&after) != full_fp {
-        violations.push(Violation::new(
-            "overload-shed-recovery",
-            format!(
-                "answer after shedding diverged from unconstrained\nfull:\n{full_fp}\n\
-                 after:\n{}",
-                fingerprint(&after)
-            ),
-        ));
-    }
+    ground_truth("shed-recovery", &after, expected, &mut violations);
 
     // --- Deadline arm ------------------------------------------------
     let deadline = SimDuration::from_millis(scenario.seed % 120 + 5);
@@ -924,13 +750,11 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     };
     let cut = run_deadline();
     check_stats(&cut, "deadline", &mut violations);
-    if !instance_lines(&cut).is_subset(&full) {
+    let cut_answer = Answer::from(&cut);
+    if !cut_answer.individuals_within(expected) {
         violations.push(Violation::new(
             "overload-subset",
-            format!(
-                "deadline-limited answer invented instances\nfull:\n{full_fp}\ncut:\n{}",
-                fingerprint(&cut)
-            ),
+            format!("deadline-limited answer invented instances\n{cut_answer}expected\n{expected}"),
         ));
     }
     if cut.stats.completeness > baseline.stats.completeness + 1e-12 {
@@ -943,7 +767,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         ));
     }
     let again = run_deadline();
-    if fingerprint(&again) != fingerprint(&cut) || again.sources != cut.sources {
+    if Answer::from(&again) != cut_answer || again.sources != cut.sources {
         violations.push(Violation::new(
             "overload-determinism",
             format!(
@@ -968,15 +792,7 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     };
     let hedged = run_hedged();
     check_stats(&hedged, "hedged", &mut violations);
-    if fingerprint(&hedged) != full_fp {
-        violations.push(Violation::new(
-            "overload-hedge-equality",
-            format!(
-                "hedging changed the answer\nfull:\n{full_fp}\nhedged:\n{}",
-                fingerprint(&hedged)
-            ),
-        ));
-    }
+    ground_truth("hedged", &hedged, expected, &mut violations);
     if hedged.hedge_wins() > hedged.hedges() {
         violations.push(Violation::new(
             "overload-hedge-accounting",
@@ -988,7 +804,8 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
         ));
     }
     let hedged_again = run_hedged();
-    if fingerprint(&hedged_again) != fingerprint(&hedged) || hedged_again.sources != hedged.sources
+    if Answer::from(&hedged_again) != Answer::from(&hedged)
+        || hedged_again.sources != hedged.sources
     {
         violations.push(Violation::new(
             "overload-determinism",
@@ -997,48 +814,6 @@ fn check_overload(scenario: &Scenario, baseline: &QueryOutcome) -> Vec<Violation
     }
 
     violations
-}
-
-/// A deployment variant where every source is `flaky(p)` behind the
-/// scenario's endpoint seeds, under a no-retry/no-failover policy.
-fn flaky_engine(scenario: &Scenario, p: f64) -> S2s {
-    use s2s_core::source::Connection;
-    use s2s_netsim::{CostModel, FailureModel, FaultSchedule};
-
-    let records = scenario.records();
-    let mut s2s = S2s::new(crate::scenario::ontology())
-        .with_strategy(Strategy::Parallel { workers: 1 })
-        .with_resilience(ResiliencePolicy::none());
-    for i in 0..scenario.sources.len() {
-        let id = format!("SRC_{i}");
-        let connection: Connection =
-            crate::scenario::connection_for(scenario.sources[i].kind, &records);
-        s2s.register_remote_source_detailed(
-            &id,
-            connection,
-            CostModel::wan(),
-            FailureModel::flaky(p),
-            Some(scenario.endpoint_seed(i)),
-            FaultSchedule::new(),
-        )
-        .expect("fresh id");
-        let spec = &scenario.sources[i];
-        let record_scenario = if spec.single_record {
-            s2s_core::mapping::RecordScenario::SingleRecord
-        } else {
-            s2s_core::mapping::RecordScenario::MultiRecord
-        };
-        for a in 0..crate::scenario::ATTRS.len() {
-            s2s.register_attribute(
-                &format!("thing.product.watch.{}", crate::scenario::ATTRS[a]),
-                spec.rule(a),
-                &id,
-                record_scenario,
-            )
-            .expect("valid by construction");
-        }
-    }
-    s2s
 }
 
 #[cfg(test)]
@@ -1073,7 +848,7 @@ mod tests {
             pushed.sources.iter().any(|r| !r.pushed.is_empty()),
             "the price predicate is pushable into SQL"
         );
-        assert_eq!(fingerprint(&pushed), fingerprint(&baseline));
+        assert_eq!(Answer::from(&pushed), scenario.expected());
         assert!(
             pushed.stats.wire_response_bytes < baseline.stats.wire_response_bytes,
             "replica answered the rewritten (filtered) rule: {} vs {} response bytes",
@@ -1117,8 +892,8 @@ mod tests {
                 .expect("equivalent rule is valid");
             let after = engine.query(&query).unwrap();
             assert_eq!(
-                fingerprint(&after),
-                fingerprint(&first),
+                Answer::from(&after),
+                Answer::from(&first),
                 "the equivalent rule must not change the answer"
             );
             assert_eq!(after.stats.result_cache.hits, 0, "an answer under the old rule served");
@@ -1133,15 +908,15 @@ mod tests {
             assert_eq!(after.stats.view_hits, 3, "the XML source's three slices replay");
             let again = engine.query(&query).unwrap();
             assert_eq!(again.stats.result_cache.hits, u64::from(result_cache));
-            assert_eq!(fingerprint(&again), fingerprint(&first));
+            assert_eq!(Answer::from(&again), Answer::from(&first));
         }
         let violations = check_scenario(&scenario);
         assert!(violations.is_empty(), "{violations:#?}");
     }
 
     #[test]
-    fn fingerprint_is_build_stable_and_value_sensitive() {
-        use crate::scenario::{FaultClass, SourceKindSpec, SourceSpec};
+    fn an_answer_is_build_stable_and_value_sensitive() {
+        use crate::scenario::{SourceKindSpec, SourceSpec};
         let scenario = Scenario {
             seed: 3,
             rows: 3,
@@ -1152,14 +927,12 @@ mod tests {
             }],
             conditions: Vec::new(),
         };
-        let a = scenario.build(&BuildConfig::batched());
-        let b = scenario.build(&BuildConfig::batched());
-        let fp_a = fingerprint(&a.query(&scenario.query_text()).unwrap());
-        let fp_b = fingerprint(&b.query(&scenario.query_text()).unwrap());
-        assert_eq!(fp_a, fp_b, "identical builds must fingerprint identically");
-        assert!(!fp_a.is_empty());
-        let c = scenario.build(&BuildConfig::batched());
-        let other = fingerprint(&c.query("SELECT watch WHERE price < 0").unwrap());
-        assert_ne!(fp_a, other, "different answers must fingerprint differently");
+        let answer = |query: &str| {
+            Answer::from(&scenario.build(&BuildConfig::batched()).query(query).unwrap())
+        };
+        let a = answer(&scenario.query_text());
+        assert_eq!(a, answer(&scenario.query_text()), "identical builds answer identically");
+        assert_eq!(a.individuals.len(), 3);
+        assert_ne!(a, answer("SELECT watch WHERE price < 0"), "different answers differ");
     }
 }

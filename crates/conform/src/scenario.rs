@@ -1,11 +1,12 @@
 //! Seeded scenario generation: deployments, queries, fault schedules.
 //!
 //! A [`Scenario`] is a small, fully deterministic description of one
-//! differential-test case: a shared record catalog, a set of data
-//! sources (each of one of the four kinds, with a fault class from the
-//! equality-preserving set), and a valid-by-construction S2SQL query.
-//! [`Scenario::build`] materializes it as a fresh [`S2s`] engine under
-//! any execution-path configuration.
+//! test case: a shared record catalog, a set of data sources (each of
+//! one of the four kinds, with a fault class whose effect does not
+//! depend on how often an arm calls the endpoint), and a
+//! valid-by-construction S2SQL query. [`Scenario::build`] materializes
+//! it as a fresh [`S2s`] engine under any execution-path configuration;
+//! [`Scenario::expected`](crate::expected) states what it must answer.
 
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ pub const ATTRS: [&str; 3] = ["brand", "price", "case"];
 /// Retry budget shared by every generated engine. Scheduled transient
 /// faults are capped at `RETRY_ATTEMPTS - 1` per endpoint, so a retry
 /// always rescues them in every execution path — the constraint that
-/// keeps cross-path answer equality a theorem (see the crate docs).
+/// lets [`Scenario::expected`] count such a source as answering.
 pub const RETRY_ATTEMPTS: u32 = 3;
 
 /// One of the four source kinds of the paper's taxonomy (§2.1).
@@ -66,9 +67,8 @@ impl SourceKindSpec {
     }
 }
 
-/// Fault behaviour of one source, drawn from the equality-preserving
-/// classes (call-count independent, or rescued within the retry
-/// budget).
+/// Fault behaviour of one source: call-count independent, or rescued
+/// within the retry budget, so every arm owes the same answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultClass {
     /// Never fails.
@@ -178,7 +178,7 @@ pub struct Condition {
     pub value: String,
 }
 
-/// A generated differential-test case.
+/// A generated test case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// The scenario seed: drives the catalog, endpoint seeds, and
@@ -264,6 +264,38 @@ impl Scenario {
     /// permute the registration sequences (used by the metamorphic
     /// oracles); `None` keeps canonical order.
     pub fn build(&self, config: &BuildConfig) -> S2s {
+        self.build_with(config, None)
+    }
+
+    /// [`Scenario::build`] whose endpoints are `flaky(p)` instead of
+    /// their fault class (`Some(p)`; see [`Scenario::deploy`]).
+    pub(crate) fn build_with(&self, config: &BuildConfig, flaky: Option<f64>) -> S2s {
+        let mut s2s = self.deploy(config, flaky);
+        let attr_order: Vec<usize> = match &config.attr_order {
+            Some(order) => order.clone(),
+            None => (0..ATTRS.len()).collect(),
+        };
+        for i in self.source_order(config) {
+            let spec = &self.sources[i];
+            let id = format!("SRC_{i}");
+            let scenario = if spec.single_record {
+                RecordScenario::SingleRecord
+            } else {
+                RecordScenario::MultiRecord
+            };
+            for &a in &attr_order {
+                s2s.register_attribute(&attribute_path(a), spec.rule(a), &id, scenario)
+                    .expect("generated mappings are valid by construction");
+            }
+        }
+        s2s
+    }
+
+    /// The engine `config` describes with every source registered and
+    /// nothing mapped. With `flaky = Some(p)` every endpoint is
+    /// `flaky(p)` behind its seed, with no schedule and no replica,
+    /// whatever its fault class (hostile rules stay hostile).
+    pub(crate) fn deploy(&self, config: &BuildConfig, flaky: Option<f64>) -> S2s {
         let records = self.records();
         let mut s2s = S2s::new(ontology()).with_strategy(config.strategy).with_resilience(
             ResiliencePolicy::default().with_retry(RetryPolicy::attempts(RETRY_ATTEMPTS)),
@@ -277,108 +309,65 @@ impl Scenario {
         if config.views {
             s2s = s2s.with_views();
         }
-        let source_order: Vec<usize> = match &config.source_order {
-            Some(order) => order.clone(),
-            None => (0..self.sources.len()).collect(),
-        };
-        for &i in &source_order {
-            self.register_source(&mut s2s, i, &records);
-        }
-        let attr_order: Vec<usize> = match &config.attr_order {
-            Some(order) => order.clone(),
-            None => (0..ATTRS.len()).collect(),
-        };
-        for &i in &source_order {
-            let spec = &self.sources[i];
-            let id = format!("SRC_{i}");
-            let scenario = if spec.single_record {
-                RecordScenario::SingleRecord
-            } else {
-                RecordScenario::MultiRecord
-            };
-            for &a in &attr_order {
-                s2s.register_attribute(
-                    &format!("thing.product.watch.{}", ATTRS[a]),
-                    spec.rule(a),
-                    &id,
-                    scenario,
-                )
-                .expect("generated mappings are valid by construction");
-            }
+        for i in self.source_order(config) {
+            self.register_source(&mut s2s, i, &records, flaky);
         }
         s2s
     }
 
-    pub(crate) fn register_source(&self, s2s: &mut S2s, i: usize, records: &[Record]) {
+    fn source_order(&self, config: &BuildConfig) -> Vec<usize> {
+        match &config.source_order {
+            Some(order) => order.clone(),
+            None => (0..self.sources.len()).collect(),
+        }
+    }
+
+    fn register_source(&self, s2s: &mut S2s, i: usize, records: &[Record], flaky: Option<f64>) {
         let spec = &self.sources[i];
         let id = format!("SRC_{i}");
-        let connection = connection_for(spec.kind, records);
         let seed = Some(self.endpoint_seed(i));
-        match &spec.fault {
-            FaultClass::Reliable | FaultClass::HostileRule(_) => s2s
-                .register_remote_source_detailed(
-                    &id,
-                    connection,
-                    CostModel::wan(),
-                    FailureModel::reliable(),
-                    seed,
-                    FaultSchedule::new(),
-                )
-                .expect("fresh id"),
-            FaultClass::HardDown => s2s
-                .register_remote_source_detailed(
-                    &id,
-                    connection,
-                    CostModel::wan(),
-                    FailureModel::unreachable(),
-                    seed,
-                    FaultSchedule::new(),
-                )
-                .expect("fresh id"),
-            FaultClass::HardDownWithReplica => {
-                s2s.register_remote_source(
-                    &id,
-                    connection,
-                    CostModel::wan(),
-                    FailureModel::unreachable(),
-                )
-                .expect("fresh id");
-                s2s.add_source_replica(&id, FailureModel::reliable()).expect("just registered");
+        let scheduled = |faults: &[(u64, FaultKind)]| {
+            faults.iter().fold(FaultSchedule::new(), |s, &(index, kind)| s.fail_call(index, kind))
+        };
+        // (primary, its seed, its schedule, whether a reliable replica stands by)
+        let (failure, seed, schedule, replica) = match (flaky, &spec.fault) {
+            (Some(p), _) => (FailureModel::flaky(p), seed, FaultSchedule::new(), false),
+            (None, FaultClass::Reliable | FaultClass::HostileRule(_)) => {
+                (FailureModel::reliable(), seed, FaultSchedule::new(), false)
             }
-            FaultClass::Transient(faults) | FaultClass::TransientWithReplica(faults) => {
-                let mut schedule = FaultSchedule::new();
-                for (index, kind) in faults {
-                    schedule = schedule.fail_call(*index, *kind);
-                }
-                s2s.register_remote_source_detailed(
-                    &id,
-                    connection,
-                    CostModel::wan(),
-                    FailureModel::reliable(),
-                    seed,
-                    schedule,
-                )
-                .expect("fresh id");
-                if matches!(spec.fault, FaultClass::TransientWithReplica(_)) {
-                    s2s.add_source_replica(&id, FailureModel::reliable()).expect("just registered");
-                }
+            (None, FaultClass::HardDown) => {
+                (FailureModel::unreachable(), seed, FaultSchedule::new(), false)
             }
+            (None, FaultClass::HardDownWithReplica) => {
+                (FailureModel::unreachable(), None, FaultSchedule::new(), true)
+            }
+            (None, FaultClass::Transient(faults)) => {
+                (FailureModel::reliable(), seed, scheduled(faults), false)
+            }
+            (None, FaultClass::TransientWithReplica(faults)) => {
+                (FailureModel::reliable(), seed, scheduled(faults), true)
+            }
+        };
+        let connection = connection_for(spec.kind, records);
+        s2s.register_remote_source_detailed(
+            &id,
+            connection,
+            CostModel::wan(),
+            failure,
+            seed,
+            schedule,
+        )
+        .expect("fresh id");
+        if replica {
+            s2s.add_source_replica(&id, FailureModel::reliable()).expect("just registered");
         }
     }
 
     /// Whether every source is fault-free (the class where the oracles
-    /// additionally require completeness 1 and zero retries/failovers).
+    /// additionally require zero retries and failovers and one exchange
+    /// per source, and where the delta and bootstrap arms run).
     pub fn fault_free(&self) -> bool {
         self.sources.iter().all(|s| s.fault == FaultClass::Reliable)
-    }
-
-    /// Whether any source can answer nothing — hard-down with no
-    /// replica, or mapped through rules that do not compile (the only
-    /// classes that legally degrade completeness).
-    pub fn has_hard_outage(&self) -> bool {
-        self.sources
-            .iter()
-            .any(|s| matches!(s.fault, FaultClass::HardDown | FaultClass::HostileRule(_)))
     }
 }
 
@@ -499,6 +488,38 @@ pub fn ontology() -> Ontology {
         .unwrap()
 }
 
+/// The attribute path `ATTRS[attr]` is registered under.
+pub(crate) fn attribute_path(attr: usize) -> String {
+    format!("thing.product.watch.{}", ATTRS[attr])
+}
+
+/// How a source of `kind` spells `ATTRS[attr]` of its record `index`:
+/// XML and web pad some prices with whitespace (chosen by the index, so
+/// the catalog draws stay as they were); everything else verbatim.
+pub(crate) fn payload_value(
+    kind: SourceKindSpec,
+    index: usize,
+    record: &Record,
+    attr: usize,
+) -> String {
+    match attr {
+        0 => record.brand.clone(),
+        2 => record.case.clone(),
+        _ if matches!(kind, SourceKindSpec::Xml | SourceKindSpec::Web) => match index % 3 {
+            0 => format!(" {} ", record.price),
+            1 => record.price.to_string(),
+            _ => format!("\t{}\n", record.price),
+        },
+        _ => record.price.to_string(),
+    }
+}
+
+/// The `unit_price` a text or web record carries before its `price`: a
+/// label that ends in another one, chosen by the record index.
+fn unit_price(index: usize) -> usize {
+    index % 9 + 1
+}
+
 pub(crate) fn connection_for(kind: SourceKindSpec, records: &[Record]) -> Connection {
     match kind {
         SourceKindSpec::Db => {
@@ -521,10 +542,12 @@ pub(crate) fn connection_for(kind: SourceKindSpec, records: &[Record]) -> Connec
         }
         SourceKindSpec::Xml => {
             let mut xml = String::from("<catalog>");
-            for r in records {
+            for (i, r) in records.iter().enumerate() {
                 xml.push_str(&format!(
                     "<watch><brand>{}</brand><price>{}</price><case>{}</case></watch>",
-                    r.brand, r.price, r.case
+                    r.brand,
+                    payload_value(kind, i, r, 1),
+                    r.case
                 ));
             }
             xml.push_str("</catalog>");
@@ -532,10 +555,13 @@ pub(crate) fn connection_for(kind: SourceKindSpec, records: &[Record]) -> Connec
         }
         SourceKindSpec::Web => {
             let mut html = String::from("<html><body><ul>");
-            for r in records {
+            for (i, r) in records.iter().enumerate() {
                 html.push_str(&format!(
-                    "<li><b>{}</b> <span class=\"price\">{}</span> <i>{}</i></li>",
-                    r.brand, r.price, r.case
+                    "<li><b>{}</b> unit_price: {} <span class=\"price\">{}</span> <i>{}</i></li>",
+                    r.brand,
+                    unit_price(i),
+                    payload_value(kind, i, r, 1),
+                    r.case
                 ));
             }
             html.push_str("</ul></body></html>");
@@ -545,10 +571,13 @@ pub(crate) fn connection_for(kind: SourceKindSpec, records: &[Record]) -> Connec
         }
         SourceKindSpec::Text => {
             let mut text = String::new();
-            for r in records {
+            for (i, r) in records.iter().enumerate() {
                 text.push_str(&format!(
-                    "brand: {} | price: {} | case: {}\n",
-                    r.brand, r.price, r.case
+                    "brand: {} | unit_price: {} | price: {} | case: {}\n",
+                    r.brand,
+                    unit_price(i),
+                    r.price,
+                    r.case
                 ));
             }
             let mut store = WebStore::new();
@@ -590,7 +619,8 @@ pub(crate) fn rule_for(kind: SourceKindSpec, attr: usize) -> ExtractionRule {
             _ => ExtractionRule::Webl { program: "var c = TagTexts(Text(PAGE), \"i\");".into() },
         },
         SourceKindSpec::Text => {
-            let pattern = [r"brand: ([\w-]+)", r"price: ([0-9]+)", r"case: ([\w-]+)"][attr];
+            // Anchored after the separator: `price: ` also ends `unit_price: `.
+            let pattern = [r"brand: ([\w-]+)", r"[|] price: ([0-9]+)", r"case: ([\w-]+)"][attr];
             ExtractionRule::TextRegex { pattern: pattern.into(), group: 1 }
         }
     }
@@ -599,6 +629,7 @@ pub(crate) fn rule_for(kind: SourceKindSpec, attr: usize) -> ExtractionRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expected::Answer;
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -619,31 +650,21 @@ mod tests {
     }
 
     #[test]
-    fn all_source_kinds_extract_the_same_values() {
-        // One reliable source of each kind over the same catalog must
-        // contribute identical value sets.
-        let sc = Scenario {
-            seed: 7,
-            rows: 3,
-            sources: SourceKindSpec::ALL
-                .iter()
-                .map(|&kind| SourceSpec { kind, single_record: false, fault: FaultClass::Reliable })
-                .collect(),
-            conditions: Vec::new(),
-        };
-        let s2s = sc.build(&BuildConfig::batched());
-        let outcome = s2s.query("SELECT watch").unwrap();
-        assert_eq!(outcome.stats.completeness, 1.0);
-        let mut per_source: std::collections::BTreeMap<&str, Vec<String>> = Default::default();
-        for i in outcome.individuals() {
-            per_source.entry(i.source.as_str()).or_default().push(format!("{:?}", i.values));
-        }
-        for values in per_source.values_mut() {
-            values.sort();
-        }
-        let first = per_source.values().next().unwrap().clone();
-        for (source, values) in &per_source {
-            assert_eq!(values, &first, "{source} disagrees");
+    fn every_source_kind_answers_the_expected_lines() {
+        // One reliable source of each kind, multi- and single-record,
+        // over a catalog with padded prices and a `unit_price` label.
+        for single_record in [false, true] {
+            let sc = Scenario {
+                seed: 7,
+                rows: 4,
+                sources: SourceKindSpec::ALL
+                    .iter()
+                    .map(|&kind| SourceSpec { kind, single_record, fault: FaultClass::Reliable })
+                    .collect(),
+                conditions: Vec::new(),
+            };
+            let outcome = sc.build(&BuildConfig::batched()).query(&sc.query_text()).unwrap();
+            assert_eq!(Answer::from(&outcome), sc.expected(), "single_record {single_record}");
         }
     }
 }

@@ -507,7 +507,7 @@ proptest! {
     }
 
     /// A shared key means a shared parse. The forward direction
-    /// (equivalent spellings share a key) is the `meta-spelling` oracle
+    /// (equivalent spellings share a key) is the `meta-normalize` oracle
     /// of `s2s-conform`; this is the direction a cache is wrong without:
     /// a key lexer of its own upper-cased `state=or` into `state=OR`'s
     /// entry and glued `+ 5` into `+5`.
