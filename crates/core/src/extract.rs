@@ -24,7 +24,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use s2s_netsim::wire::{batch_exchange_size, batch_frame_size, exchange_size};
 use s2s_netsim::{
-    defer_pacing, invoke_with_retry, makespan, pace_sleep, BreakerConfig, CircuitBreaker, Endpoint,
+    defer_pacing, invoke_with_retry, makespan, pace_sleep, BreakerConfig, CircuitBreaker,
     HedgeConfig, Hedger, Lanes, RetryPolicy, SimDuration,
 };
 use s2s_obs::{Span, SpanKind, SpanOutcome};
@@ -32,7 +32,7 @@ use s2s_obs::{Span, SpanKind, SpanOutcome};
 use crate::error::{FailureClass, S2sError};
 use crate::ledger::{self, SourceLedger};
 use crate::mapping::{AttributeMapping, MappingModule, RecordScenario};
-use crate::source::{RegisteredSource, SourceRegistry};
+use crate::source::{stable_seed, stable_seed_of, RegisteredSource, SourceRegistry};
 
 mod values;
 
@@ -308,7 +308,7 @@ impl ExtractorManager {
         mut sources: Vec<SourceLedger>,
         env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
-        let batches = plan_batches(registry, schemas, env.traced);
+        let batches = plan_batches(registry, &schemas, env.traced);
         if s2s_obs::enabled() {
             s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
         }
@@ -322,7 +322,7 @@ impl ExtractorManager {
         // wait deferred; the strategy only says how far the waits overlap
         // before the caller pays them in one sleep.
         for batch in batches {
-            let row = ledger::row(&mut sources, &batch.source_id);
+            let row = ledger::row(&mut sources, batch.source_id);
             let started = std::time::Instant::now();
             let mut attempt_spans = env.traced.then(Vec::new);
             let (net, wait_us) = defer_pacing(|| match batch.source {
@@ -344,7 +344,7 @@ impl ExtractorManager {
                 .and_then(|s| env.resilience.breaker(s.endpoint().id()))
                 .map(|b| b.state());
             for (i, schema, error) in batch.failed {
-                failures.push((i, failure_of(&schema, error)));
+                failures.push((i, failure_of(schema, error)));
             }
             match net {
                 Ok(elapsed) => {
@@ -354,10 +354,8 @@ impl ExtractorManager {
                         row.wire_response_bytes += batch.response_bytes as u64;
                     }
                     for (i, schema, values) in batch.ok {
-                        results.push((
-                            i,
-                            AttributeResult { mapping: schema.mapping, values, elapsed },
-                        ));
+                        let mapping = Arc::clone(&schema.mapping);
+                        results.push((i, AttributeResult { mapping, values, elapsed }));
                     }
                 }
                 Err(error) => {
@@ -365,7 +363,7 @@ impl ExtractorManager {
                     // reports the same network error.
                     row.failed_tasks += batch.ok.len();
                     for (i, schema, _) in batch.ok {
-                        failures.push((i, failure_of(&schema, error.clone())));
+                        failures.push((i, failure_of(schema, error.clone())));
                     }
                 }
             }
@@ -429,17 +427,17 @@ pub struct ExtractEnv<'a> {
 }
 
 /// One source's schemas bound for a single wire exchange, planned
-/// before any wire leg.
+/// before any wire leg; it borrows the schemas it plans.
 struct PlannedBatch<'a> {
-    source_id: String,
+    source_id: &'a str,
     source: Option<&'a RegisteredSource>,
-    /// Keeps backoff-jitter draw streams distinct per batch:
-    /// `{source}:batch`.
-    salt: String,
+    /// Keeps backoff-jitter draw streams distinct per batch: the
+    /// [`stable_seed`] of `{source}:batch`.
+    salt: u64,
     /// Wrapper-successful schemas: submission index, schema, values.
-    ok: Vec<(usize, ExtractionSchema, Values)>,
+    ok: Vec<(usize, &'a ExtractionSchema, Values)>,
     /// Wrapper-failed schemas (these never reach the wire).
-    failed: Vec<(usize, ExtractionSchema, S2sError)>,
+    failed: Vec<(usize, &'a ExtractionSchema, S2sError)>,
     /// Total on-wire bytes of the coalesced exchange.
     wire_bytes: usize,
     /// The `BatchResponse` frame's share of `wire_bytes`.
@@ -452,29 +450,34 @@ struct PlannedBatch<'a> {
 
 /// Groups schemas by source, runs the local wrapper half, and sizes the
 /// coalesced `BatchRequest`/`BatchResponse` exchange for each source.
-fn plan_batches(
-    registry: &SourceRegistry,
-    schemas: Vec<ExtractionSchema>,
+/// The one buffer it adds to the batches is the submission order sorted
+/// by source: a source costs its batch, no copy of its id or schemas.
+fn plan_batches<'a>(
+    registry: &'a SourceRegistry,
+    schemas: &'a [ExtractionSchema],
     traced: bool,
-) -> Vec<PlannedBatch<'_>> {
-    let mut groups: BTreeMap<String, Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
-    for (i, s) in schemas.into_iter().enumerate() {
-        groups.entry(s.mapping.source().to_string()).or_default().push((i, s));
-    }
-    let mut batches = Vec::with_capacity(groups.len());
-    for (source_id, group) in groups {
-        let source = registry.get(&source_id.as_str().into());
-        let salt = format!("{source_id}:batch");
-        let mut ok = Vec::new();
+) -> Vec<PlannedBatch<'a>> {
+    let source_of = |i: usize| schemas[i].mapping.source();
+    // Submission indices by source id, in submission order within one.
+    let mut order: Vec<usize> = (0..schemas.len()).collect();
+    order.sort_unstable_by(|&a, &b| source_of(a).cmp(source_of(b)).then(a.cmp(&b)));
+    let same_source = |a: &usize, b: &usize| source_of(*a) == source_of(*b);
+    let mut batches = Vec::with_capacity(order.chunk_by(same_source).count());
+    for group in order.chunk_by(same_source) {
+        let id = source_of(group[0]);
+        let source_id = id.as_str();
+        let source = registry.get(id);
+        let mut ok = Vec::with_capacity(group.len());
         let mut failed = Vec::new();
         let mut rule_spans = Vec::new();
-        for (i, schema) in group {
-            let rule_started = std::time::Instant::now();
+        for &i in group {
+            let schema = &schemas[i];
+            let rule_started = traced.then(std::time::Instant::now);
             let prepared = prepare(registry, &schema.mapping);
-            if traced {
+            if let Some(rule_started) = rule_started {
                 let mut span = Span::new(SpanKind::Rule, schema.mapping.path().to_string());
                 span.wall_us = rule_started.elapsed().as_micros() as u64;
-                span.attr("source", source_id.clone());
+                span.attr("source", source_id);
                 match &prepared {
                     Ok(values) => span.attr("values", values.len().to_string()),
                     Err(error) => {
@@ -495,20 +498,16 @@ fn plan_batches(
         let (wire_bytes, response_bytes) = if ok.is_empty() {
             (0, 0)
         } else {
-            let request_lens: Vec<usize> =
-                ok.iter().map(|(_, s, _)| s.mapping.rule().text().len()).collect();
-            let response_lens: Vec<usize> = ok.iter().map(|(_, _, v)| v.text_len()).collect();
-            (
-                batch_exchange_size(request_lens.iter().copied(), response_lens.iter().copied()),
-                batch_frame_size(response_lens.iter().copied()),
-            )
+            let requests = ok.iter().map(|(_, s, _)| s.mapping.rule().text().len());
+            let responses = ok.iter().map(|(_, _, v)| v.text_len());
+            (batch_exchange_size(requests, responses.clone()), batch_frame_size(responses))
         };
         let estimate =
             source.map(|s| s.endpoint().cost_model().cost(wire_bytes, 0.5)).unwrap_or_default();
         batches.push(PlannedBatch {
             source_id,
             source,
-            salt,
+            salt: stable_seed_of(&[source_id, ":batch"]),
             ok,
             failed,
             wire_bytes,
@@ -523,7 +522,7 @@ fn plan_batches(
     // Ties fall back to the source id, so the dispatch order — and with
     // it the breaker and virtual-clock sequencing of a serial run — is a
     // function of the plan alone.
-    batches.sort_by(|a, b| b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(&b.source_id)));
+    batches.sort_by(|a, b| b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(b.source_id)));
     batches
 }
 
@@ -637,13 +636,12 @@ fn resilient_exchange(
     mut spans: Option<&mut Vec<Span>>,
 ) -> Result<SimDuration, S2sError> {
     let (ctx, source_label, salt, bytes) =
-        (env.resilience, batch.source_id.as_str(), batch.salt.as_str(), batch.wire_bytes);
-    let endpoints: Vec<&Arc<Endpoint>> =
-        if ctx.policy.failover { source.endpoints().collect() } else { vec![source.endpoint()] };
+        (env.resilience, batch.source_id, batch.salt, batch.wire_bytes);
+    let replicas = if ctx.policy.failover { source.replicas() } else { &[] };
 
     let mut attempted = false;
     let mut last_err = None;
-    for (slot, endpoint) in endpoints.iter().enumerate() {
+    for (slot, endpoint) in std::iter::once(source.endpoint()).chain(replicas).enumerate() {
         if attempted {
             row.failovers += 1;
         }
@@ -675,7 +673,7 @@ fn resilient_exchange(
             }
             retry.deadline = Some(retry.deadline.map_or(remaining, |d| d.min(remaining)));
         }
-        let seed = crate::source::stable_seed(endpoint.id()) ^ crate::source::stable_seed(salt);
+        let seed = stable_seed(endpoint.id()) ^ salt;
         let out = invoke_with_retry(endpoint, &retry, seed, bytes, || ());
         attempted = true;
         row.attempts += u64::from(out.attempts);
@@ -688,14 +686,13 @@ fn resilient_exchange(
         if out.result.is_ok() {
             if let Some(hedger) = ctx.hedger() {
                 hedger.record(out.elapsed);
-                if let (Some(delay), Some(replica)) = (hedger.delay(), endpoints.get(slot + 1)) {
+                // The endpoint after this one: replica `slot`.
+                if let (Some(delay), Some(replica)) = (hedger.delay(), replicas.get(slot)) {
                     if out.elapsed > delay {
                         hedger.note_launch();
                         row.hedges += 1;
                         hedged = true;
-                        let h_seed = crate::source::stable_seed(replica.id())
-                            ^ crate::source::stable_seed(salt)
-                            ^ HEDGE_SEED_SALT;
+                        let h_seed = stable_seed(replica.id()) ^ salt ^ HEDGE_SEED_SALT;
                         let h =
                             invoke_with_retry(replica, &RetryPolicy::none(), h_seed, bytes, || ());
                         row.attempts += u64::from(h.attempts);
@@ -1069,6 +1066,121 @@ mod tests {
         };
         in_submission_order(answered.collect());
         in_submission_order(failed.collect());
+    }
+
+    /// Four remote sources behind a WAN — flaky, failing over, healthy,
+    /// flaky with a flaky replica — mapping `brand` and `price`, one
+    /// `price` rule reading a column that does not exist; one run with
+    /// retries and failover over a fresh registry, the schemas in the
+    /// order `arrange` leaves them.
+    fn fleet_run(arrange: impl FnOnce(&mut Vec<ExtractionSchema>)) -> ExtractionReport {
+        let o = onto();
+        let mut r = SourceRegistry::new();
+        let mut m = MappingModule::new();
+        let fleet = [
+            ("shard-a", FailureModel::flaky(0.5), None, "price"),
+            ("shard_b", FailureModel::unreachable(), Some(FailureModel::reliable()), "price"),
+            ("shard.c", FailureModel::reliable(), None, "nope"),
+            ("shard-d", FailureModel::flaky(0.4), Some(FailureModel::flaky(0.4)), "price"),
+        ];
+        for (id, primary, replica, price) in fleet {
+            let mut db = Database::new("d");
+            db.execute("CREATE TABLE t (id INTEGER, brand TEXT, price REAL)").unwrap();
+            db.execute("INSERT INTO t VALUES (1, 'X', 1.5), (2, 'Yz', 22.25)").unwrap();
+            let connection = Connection::Database { db: Arc::new(db) };
+            r.register_remote(id, connection, CostModel::wan(), primary).unwrap();
+            if let Some(replica) = replica {
+                r.add_replica(&id.into(), replica).unwrap();
+            }
+            for (path, column) in [("thing.product.brand", "brand"), ("thing.product.price", price)]
+            {
+                let query = format!("SELECT {column} FROM t ORDER BY id");
+                let rule = ExtractionRule::Sql { query, column: column.into() };
+                m.register(&o, path.parse().unwrap(), rule, id.into(), RecordScenario::MultiRecord)
+                    .unwrap();
+            }
+        }
+        let paths =
+            ["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
+        let mut schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
+        arrange(&mut schemas);
+        let policy = ResiliencePolicy::default().with_retry(RetryPolicy::attempts(4));
+        run(&r, schemas, Strategy::Parallel { workers: 2 }, &ResilienceContext::new(policy))
+    }
+
+    /// The planner groups by source and dispatches by estimate, so the
+    /// order schemas arrive in changes nothing but the order results
+    /// come back in: the same values and failures, the same ledger rows
+    /// (attempts, retries, failovers, wire time and bytes), the same
+    /// makespans.
+    #[test]
+    fn permuted_schemas_plan_the_same_exchanges() {
+        let base = fleet_run(|_| ());
+        let rows = &base.sources;
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().any(|r| r.retries > 0), "{rows:?}");
+        assert!(rows.iter().any(|r| r.failovers > 0), "{rows:?}");
+        assert!(!base.results.is_empty() && !base.failures.is_empty());
+        let charges = |report: &ExtractionReport| {
+            let mut charges: Vec<(String, SimDuration)> = report
+                .results
+                .iter()
+                .map(|x| (format!("{}@{}", x.mapping.path(), x.mapping.source()), x.elapsed))
+                .collect();
+            charges.sort();
+            charges
+        };
+        let arrangements: [fn(&mut Vec<ExtractionSchema>); 6] = [
+            |s| s.reverse(),
+            |s| s.rotate_left(3),
+            |s| s.rotate_left(5),
+            |s| s.sort_by_key(|x| x.mapping.path().to_string()),
+            |s| s.sort_by_key(|x| x.mapping.source().clone()),
+            |s| {
+                s.reverse();
+                s.rotate_left(1);
+            },
+        ];
+        for (n, arrange) in arrangements.into_iter().enumerate() {
+            let permuted = fleet_run(arrange);
+            assert_eq!(outcome_key(&permuted), outcome_key(&base), "arrangement {n}");
+            assert_eq!(permuted.sources, base.sources, "arrangement {n}");
+            assert_eq!(charges(&permuted), charges(&base), "arrangement {n}");
+            assert_eq!(
+                (permuted.simulated, permuted.simulated_serial),
+                (base.simulated, base.simulated_serial),
+                "arrangement {n}"
+            );
+        }
+    }
+
+    /// A batch's jitter seed is the FNV of `{source}:batch` read in
+    /// place: the seed of the text the planner used to build.
+    #[test]
+    fn a_batch_seed_is_the_seed_of_its_salt_text() {
+        let o = onto();
+        let ids = ["DB_ID_45", "wpage-81", "shard.eu.7", "Zürich_ü-1.x", "数据源", "a:batch"];
+        let mut m = MappingModule::new();
+        for id in ids {
+            let rule =
+                ExtractionRule::Sql { query: "SELECT brand FROM t".into(), column: "brand".into() };
+            m.register(
+                &o,
+                "thing.product.brand".parse().unwrap(),
+                rule,
+                id.into(),
+                RecordScenario::MultiRecord,
+            )
+            .unwrap();
+        }
+        let schemas = brand_schemas(&m);
+        let registry = SourceRegistry::new();
+        let batches = plan_batches(&registry, &schemas, false);
+        assert_eq!(batches.len(), ids.len());
+        for batch in &batches {
+            let text = format!("{}:batch", batch.source_id);
+            assert_eq!(batch.salt, stable_seed(&text), "{text}");
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@ use std::fmt;
 /// The values one rule extracted from one source — the paper's "raw
 /// data fragments" of an attribute, one per record — held as a column:
 /// all value text in one buffer, cut by the offset each value ends at.
-/// Two blocks however many values there are, so building, cloning and
-/// dropping a column cost the same few allocator calls at any length.
+/// Two blocks however many values there are: a wrapper that knows its
+/// column's size reserves both once ([`Values::reserve`]), so building,
+/// cloning and dropping a column cost the same few allocator calls at
+/// any length.
 ///
 /// Equal adjacent offsets are an empty string, which is a value like
 /// any other.
@@ -23,6 +25,13 @@ impl Values {
     /// An empty column.
     pub fn new() -> Self {
         Values::default()
+    }
+
+    /// Makes room for `values` more values of `text_bytes` bytes in all,
+    /// each buffer sized once: a column filled within that never grows.
+    pub fn reserve(&mut self, values: usize, text_bytes: usize) {
+        self.ends.reserve_exact(values);
+        self.text.reserve_exact(text_bytes);
     }
 
     /// Appends one value.
@@ -143,6 +152,18 @@ mod tests {
         assert_eq!(v.get(usize::MAX), None);
         assert_eq!(v.iter().len(), 5);
         assert_eq!(format!("{v:?}"), r#"["Seiko", "", "Zürich", "", "59.5"]"#);
+    }
+
+    #[test]
+    fn a_reserved_column_is_filled_without_growing() {
+        let mut v = Values::new();
+        v.reserve(3, "SeikoZürich".len());
+        let reserved = (v.text.capacity(), v.ends.capacity());
+        for value in ["Seiko", "", "Zürich"] {
+            v.push(value);
+        }
+        assert_eq!((v.text.capacity(), v.ends.capacity()), reserved);
+        assert_eq!(v, ["Seiko", "", "Zürich"]);
     }
 
     #[test]

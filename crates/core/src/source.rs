@@ -416,13 +416,16 @@ fn iri_segment(id: &str) -> String {
 /// conformance harness can log or reproduce the exact seed a
 /// registration derived.
 pub fn stable_seed(id: &str) -> u64 {
-    // FNV-1a.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    stable_seed_of(&[id])
+}
+
+/// [`stable_seed`] of the concatenated `parts`, without building it:
+/// FNV-1a reads bytes one at a time, so the parts simply follow on.
+pub(crate) fn stable_seed_of(parts: &[&str]) -> u64 {
+    parts
+        .iter()
+        .flat_map(|part| part.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use s2s_minidb::sql::ast::SelectItem;
-use s2s_minidb::{CmpOp, ColumnRef, DataType, Database, Expr, Operand, SelectStmt, Value};
+use s2s_minidb::{
+    CmpOp, ColumnRef, ColumnSink, DataType, Database, Expr, Operand, SelectStmt, Value,
+};
 
 use super::{compiled_by, value_field, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
@@ -22,6 +24,19 @@ const MAX_SAMPLES: usize = 8;
 /// 2^53: every integer below it in magnitude is an exact `f64`.
 const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
+/// The database sizes the result by its survivors and the column's
+/// widest stored value before the first value, so the column is
+/// reserved once.
+impl ColumnSink for &mut Values {
+    fn size(&mut self, values: usize, text_bytes: usize) {
+        self.reserve(values, text_bytes);
+    }
+
+    fn push(&mut self, value: &Value) {
+        self.push_with(|text| value.write_to(text).expect("writing to a String cannot fail"));
+    }
+}
+
 impl Wrapper for Db<'_> {
     fn kind(&self) -> SourceKind {
         SourceKind::Database
@@ -34,13 +49,10 @@ impl Wrapper for Db<'_> {
     }
 
     /// The non-NULL values of the result column, each formatted in place
-    /// from the stored row.
+    /// from the stored row into a column reserved once.
     fn run(&self, rule: &CompiledRule, values: &mut Values) -> Option<Result<(), S2sError>> {
         let CompiledRule::Sql { stmt, column } = rule else { return None };
-        let each = |v: &Value| {
-            values.push_with(|text| v.write_to(text).expect("writing to a String cannot fail"))
-        };
-        Some(self.0.query_column_each(stmt, column, each).map_err(S2sError::from))
+        Some(self.0.query_column_each(stmt, column, values).map_err(S2sError::from))
     }
 
     /// Every kept rule must scan one column of the same table in the same

@@ -152,7 +152,8 @@ impl Wrapper for Web<'_> {
 
 impl Web<'_> {
     /// Runs a program with `PAGE` and `URL` bound; a list result yields
-    /// one value per item, anything else its text unless empty.
+    /// one value per item, its offsets reserved once from the list,
+    /// anything else its text unless empty.
     fn run_webl(&self, program: &WeblProgram, values: &mut Values) -> Result<(), S2sError> {
         let doc = self.store.fetch(self.url)?;
         let doc = if self.html { doc.clone() } else { doc.as_plain_text() };
@@ -160,7 +161,10 @@ impl Web<'_> {
         env.insert("PAGE".to_string(), WeblValue::Page { url: self.url.to_string(), doc });
         env.insert("URL".to_string(), WeblValue::Str(self.url.to_string()));
         match program.run_with(self.store, env)? {
-            WeblValue::List(items) => items.iter().for_each(|item| values.push(&item.text())),
+            WeblValue::List(items) => {
+                values.reserve(items.len(), 0);
+                items.iter().for_each(|item| values.push(&item.text()));
+            }
             other => {
                 let text = other.text();
                 if !text.is_empty() {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
-use s2s_xml::{push_child_predicate, Document};
+use s2s_xml::{push_child_predicate, Document, StringSink};
 
 use super::{value_field, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
@@ -16,6 +16,18 @@ use crate::source::SourceKind;
 
 /// An XML source.
 pub(super) struct Xml<'a>(pub(super) &'a Document);
+
+/// The evaluators size the node-set before the first string, so the
+/// column is reserved once.
+impl StringSink for &mut Values {
+    fn size(&mut self, strings: usize, text_bytes: usize) {
+        self.reserve(strings, text_bytes);
+    }
+
+    fn push(&mut self, string: &str) {
+        Values::push(self, string);
+    }
+}
 
 impl Wrapper for Xml<'_> {
     fn kind(&self) -> SourceKind {
@@ -36,11 +48,12 @@ impl Wrapper for Xml<'_> {
     }
 
     /// Attribute values and single-text-node content borrowed from the
-    /// document; mixed content composed in one reused buffer.
+    /// document; mixed content composed in one reused buffer; the column
+    /// reserved once from the node-set.
     fn run(&self, rule: &CompiledRule, values: &mut Values) -> Option<Result<(), S2sError>> {
         match rule {
-            CompiledRule::XPath(xpath) => xpath.each_string(self.0, |s| values.push(s)),
-            CompiledRule::XQuery(xquery) => xquery.each_string(self.0, |s| values.push(s)),
+            CompiledRule::XPath(xpath) => xpath.each_string(self.0, values),
+            CompiledRule::XQuery(xquery) => xquery.each_string(self.0, values),
             _ => return None,
         }
         Some(Ok(()))

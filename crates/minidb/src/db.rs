@@ -76,6 +76,29 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
 }
 
+/// Where [`Database::query_column_each`] hands a result column. Any
+/// `FnMut(&Value)` is one that ignores the size.
+pub trait ColumnSink {
+    /// Called once, before the first value: at most `values` values
+    /// follow — a scan's survivors, NULLs included; a group's values
+    /// exactly — and `text_bytes` is room for them as
+    /// [`Value::write_to`] renders them: the survivors at the column's
+    /// widest stored value, capped by all the column stores. That is
+    /// enough unless a join repeats a row; a group's is exact.
+    fn size(&mut self, values: usize, text_bytes: usize) {
+        let _ = (values, text_bytes);
+    }
+
+    /// One non-NULL value, in result order.
+    fn push(&mut self, value: &Value);
+}
+
+impl<F: FnMut(&Value)> ColumnSink for F {
+    fn push(&mut self, value: &Value) {
+        self(value);
+    }
+}
+
 impl Database {
     /// Creates an empty database.
     pub fn new(name: impl Into<String>) -> Self {
@@ -256,24 +279,25 @@ impl Database {
         Ok(QueryResult { columns, rows })
     }
 
-    /// Runs a pre-parsed SELECT and hands `each` the non-NULL values of
+    /// Runs a pre-parsed SELECT and hands `sink` the non-NULL values of
     /// one result column, borrowed from the stored rows in result order:
     /// what `query_prepared` plus [`QueryResult::column_index`] would
     /// give, without materializing rows or rendering anything — the
     /// caller writes each value where it wants it ([`Value::write_to`]).
+    /// The sink learns the column's size first ([`ColumnSink::size`]).
     ///
     /// # Errors
     ///
     /// Propagates execution errors, then [`DbError::UnknownColumn`] if
-    /// the result has no column named `column`; `each` has seen nothing
+    /// the result has no column named `column`; `sink` has seen nothing
     /// when an error is returned.
     pub fn query_column_each(
         &self,
         stmt: &SelectStmt,
         column: &str,
-        each: impl FnMut(&Value),
+        sink: impl ColumnSink,
     ) -> Result<(), DbError> {
-        run_select_column(stmt, &self.exec_context(stmt)?, column, each)
+        run_select_column(stmt, &self.exec_context(stmt)?, column, sink)
     }
 
     /// The statement's FROM/JOIN chain, base table first.

@@ -9,6 +9,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::db::ColumnSink;
 use crate::error::DbError;
 use crate::sql::ast::{AggFunc, CmpOp, ColumnRef, Expr, Operand, OrderDir, SelectItem, SelectStmt};
 use crate::table::Table;
@@ -442,13 +443,16 @@ pub(crate) fn run_select_column(
     stmt: &SelectStmt,
     ctx: &ExecContext<'_>,
     column: &str,
-    mut each: impl FnMut(&Value),
+    mut sink: impl ColumnSink,
 ) -> Result<(), DbError> {
     let unknown = || DbError::UnknownColumn { column: column.to_string() };
     if stmt.has_aggregates() || stmt.group_by.is_some() {
         let (names, rows) = run_aggregate_select(stmt, ctx)?;
         let idx = names.iter().position(|n| n.eq_ignore_ascii_case(column)).ok_or_else(unknown)?;
-        rows.iter().map(|r| &r[idx]).filter(|v| !v.is_null()).for_each(each);
+        // A group's row is computed, not stored: counted exactly.
+        let values = || rows.iter().map(|r| &r[idx]).filter(|v| !v.is_null());
+        sink.size(values().count(), values().map(Value::text_len).sum());
+        values().for_each(|v| sink.push(v));
         return Ok(());
     }
     let plan = Plan::new(stmt, ctx)?;
@@ -458,7 +462,16 @@ pub(crate) fn run_select_column(
         .ok_or_else(unknown)?;
     let col = plan.projection[idx];
     let (chains, order) = survivors(stmt, &plan, ctx);
-    order.iter().map(|&i| col.of(chains.get(i))).filter(|v| !v.is_null()).for_each(&mut each);
+    // Sized by what the table stores, not by a pass over the survivors:
+    // none is wider than the column's widest value, and distinct rows
+    // hold no more than the column does.
+    let (widest, stored) = ctx.tables[col.table_idx].1.text_bytes(col.col_idx);
+    sink.size(order.len(), order.len().saturating_mul(widest).min(stored));
+    order
+        .iter()
+        .map(|&i| col.of(chains.get(i)))
+        .filter(|v| !v.is_null())
+        .for_each(|v| sink.push(v));
     Ok(())
 }
 

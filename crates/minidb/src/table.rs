@@ -1,6 +1,7 @@
 //! Table storage with optional secondary indexes.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::error::DbError;
 use crate::schema::TableSchema;
@@ -17,13 +18,18 @@ pub struct Table {
     live: usize,
     /// column index → (value → row ids)
     indexes: BTreeMap<usize, BTreeMap<Value, Vec<usize>>>,
+    /// Per column: the widest and the summed rendered bytes
+    /// ([`Value::text_len`]) of its non-NULL values, counted on the first
+    /// read after a write, so a write pays nothing for them.
+    sizes: Vec<OnceLock<(usize, usize)>>,
 }
 
 impl Table {
     /// Creates an empty table; the primary-key column (if any) is indexed
     /// automatically.
     pub fn new(schema: TableSchema) -> Self {
-        let mut t = Table { schema, rows: Vec::new(), live: 0, indexes: BTreeMap::new() };
+        let sizes = (0..schema.arity()).map(|_| OnceLock::new()).collect();
+        let mut t = Table { schema, rows: Vec::new(), live: 0, indexes: BTreeMap::new(), sizes };
         if let Some(pk) = t.schema.primary_key_index() {
             t.indexes.insert(pk, BTreeMap::new());
         }
@@ -122,6 +128,7 @@ impl Table {
         for (col, index) in self.indexes.iter_mut() {
             index.entry(row[*col].clone()).or_default().push(rid);
         }
+        self.written();
         self.rows.push(Some(row));
         self.live += 1;
         Ok(rid)
@@ -165,6 +172,7 @@ impl Table {
                 ids.retain(|&r| r != rid);
             }
         }
+        self.written();
         self.live -= 1;
         true
     }
@@ -210,8 +218,27 @@ impl Table {
                 index.entry(new_row[*col].clone()).or_default().push(rid);
             }
         }
+        self.written();
         self.rows[rid] = Some(new_row);
         Ok(())
+    }
+
+    /// The widest and the summed bytes [`Value::write_to`] renders the
+    /// live non-NULL values of column `column_index` to; `(0, 0)` for an
+    /// unknown column.
+    pub(crate) fn text_bytes(&self, column_index: usize) -> (usize, usize) {
+        let Some(size) = self.sizes.get(column_index) else { return (0, 0) };
+        *size.get_or_init(|| {
+            let values = self.scan().map(|(_, row)| &row[column_index]).filter(|v| !v.is_null());
+            values.map(Value::text_len).fold((0, 0), |(widest, sum), n| (widest.max(n), sum + n))
+        })
+    }
+
+    /// Forgets the counted sizes: the next read counts them afresh.
+    fn written(&mut self) {
+        for size in &mut self.sizes {
+            size.take();
+        }
     }
 }
 
@@ -244,6 +271,22 @@ mod tests {
         t.insert(row(2, "Casio", 59.5)).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.scan().count(), 2);
+    }
+
+    /// Every write after a read is counted on the next read: the
+    /// widest and summed bytes follow inserts, updates and deletes.
+    #[test]
+    fn text_bytes_follow_every_write() {
+        let mut t = Table::new(schema());
+        assert_eq!((t.text_bytes(1), t.text_bytes(9)), ((0, 0), (0, 0)));
+        t.insert(row(1, "Seiko", 129.99)).unwrap();
+        assert_eq!((t.text_bytes(1), t.text_bytes(2)), ((5, 5), (6, 6)));
+        t.insert(vec![Value::Int(2), Value::Null, Value::Float(59.5)]).unwrap();
+        assert_eq!((t.text_bytes(1), t.text_bytes(2)), ((5, 5), (6, 10)));
+        t.update(0, row(1, "Grand Seiko", 129.99)).unwrap();
+        assert_eq!(t.text_bytes(1), (11, 11));
+        t.delete(0);
+        assert_eq!((t.text_bytes(1), t.text_bytes(2)), ((0, 0), (4, 4)));
     }
 
     #[test]

@@ -126,6 +126,22 @@ impl Value {
         out
     }
 
+    /// The bytes [`Value::write_to`] writes, counted without a buffer.
+    pub fn text_len(&self) -> usize {
+        match self {
+            Value::Text(s) => s.len(),
+            Value::Int(i) => {
+                let digits = i.unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1);
+                usize::from(*i < 0) + digits
+            }
+            other => {
+                let mut counted = Counted(0);
+                other.write_to(&mut counted).expect("counting cannot fail");
+                counted.0
+            }
+        }
+    }
+
     /// Appends the canonical rendering ([`Value::render`]) to `out`:
     /// text as it is stored, nothing built in between.
     ///
@@ -199,6 +215,16 @@ fn write_float(f: f64, out: &mut impl fmt::Write) -> fmt::Result {
         return out.write_str(text);
     }
     write!(out, "{f}")
+}
+
+/// A writer that keeps only the length of what it is handed.
+struct Counted(usize);
+
+impl fmt::Write for Counted {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
 }
 
 impl fmt::Display for Value {
@@ -344,6 +370,30 @@ mod tests {
         assert_eq!(Value::Int(2).compare(&Value::Float(2.0)), Some(Ordering::Equal));
         assert_eq!(Value::Int(2).compare(&Value::Float(2.5)), Some(Ordering::Less));
         assert_eq!(Value::Float(3.0).compare(&Value::Int(2)), Some(Ordering::Greater));
+    }
+
+    #[test]
+    fn text_len_counts_what_write_to_writes() {
+        for v in [
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(9),
+            Value::Int(10),
+            Value::Int(-1),
+            Value::Int(-10),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(59.5),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(1e300),
+            Value::Text(String::new()),
+            Value::Text("Zürich".into()),
+        ] {
+            assert_eq!(v.text_len(), v.render().len(), "{v:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use s2s_minidb::Database;
+use s2s_minidb::{ColumnSink, Database, Value};
 
 thread_local! {
     /// Allocations (and reallocations) made by the current thread.
@@ -71,21 +71,42 @@ fn catalog(rows: usize) -> Database {
 }
 
 /// What a statement may allocate besides its output: the chain buffer
-/// and its growth, the compiled filter.
-const PER_STATEMENT: usize = 24;
+/// and its growth, the compiled filter — 12 with 40 survivors when this
+/// was written.
+const PER_STATEMENT: usize = 16;
 
-/// Reads `column` through the sink into one text buffer cut by end
-/// offsets — the shape the engine's column has — and counts the blocks.
+/// What an unfiltered scan may allocate besides its output, sized by
+/// the table: 4 when this was written.
+const SCAN: usize = 4;
+
+/// One text buffer cut by end offsets — the shape the engine's column
+/// has — sized once from what the sink is told.
+#[derive(Default)]
+struct Packed {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl ColumnSink for &mut Packed {
+    fn size(&mut self, values: usize, text_bytes: usize) {
+        self.ends.reserve_exact(values);
+        self.text.reserve_exact(text_bytes);
+    }
+
+    fn push(&mut self, value: &Value) {
+        value.write_to(&mut self.text).unwrap();
+        self.ends.push(self.text.len());
+    }
+}
+
+/// Reads `column` through the sink into a [`Packed`] column and counts
+/// the blocks.
 fn packed_read(db: &Database, sql: &str, column: &str) -> ((String, Vec<usize>), usize) {
     let stmt = Database::prepare_select(sql).unwrap();
     allocations(|| {
-        let (mut text, mut ends) = (String::new(), Vec::new());
-        db.query_column_each(&stmt, column, |v| {
-            v.write_to(&mut text).unwrap();
-            ends.push(text.len());
-        })
-        .unwrap();
-        (text, ends)
+        let mut packed = Packed::default();
+        db.query_column_each(&stmt, column, &mut packed).unwrap();
+        (packed.text, packed.ends)
     })
 }
 
@@ -98,14 +119,48 @@ fn column_read_through_the_sink_allocates_a_constant() {
     ] {
         let ((_, ends), small) = packed_read(&catalog(2_000), sql, column);
         assert_eq!(ends.len(), 2_000);
-        // The statement's own, plus the doubling growth of the text and
-        // of the offsets (26 when this was written).
-        assert!(small <= PER_STATEMENT + 8, "{small} allocations for 2 000 values");
-        // Twice the rows: a buffer that grows by doubling grows once
-        // more (28 when this was written), nothing grows per value.
+        // The statement's own and the column's two, each sized once (6
+        // when this was written; 26 while the text and the offsets grew
+        // by doubling).
+        assert!(small <= SCAN + 2, "{small} allocations for 2 000 values");
+        // Twice the rows: nothing grows at all (28 while the column
+        // doubled).
         let ((_, ends), large) = packed_read(&catalog(4_000), sql, column);
         assert_eq!(ends.len(), 4_000);
-        assert!(large <= small + 4, "{small} allocations at 2 000 rows, {large} at 4 000");
+        assert_eq!(large, small, "{small} allocations at 2 000 rows, {large} at 4 000");
+    }
+}
+
+/// One wide value among 2 000 narrow ones — a 64 KiB name, a `REAL`
+/// that renders as 326 bytes — sizes a read of 80 rows by what the
+/// column holds, not 80 times the outlier, and by the narrow ones alone
+/// once it is deleted.
+#[test]
+fn one_wide_value_does_not_size_every_read() {
+    let mut db = catalog(2_000);
+    let (wide, tiny) = ("w".repeat(1 << 16), format!("0.{}5", "0".repeat(322)));
+    db.execute(&format!("INSERT INTO watches VALUES (4000, '{wide}', {tiny})")).unwrap();
+    let few = |db: &Database, column| {
+        let sql = format!("SELECT {column} FROM watches WHERE brand = 'x' ORDER BY id");
+        packed_read(db, &sql, column).0
+    };
+    for (column, widest) in [("brand", wide.len()), ("price", 326)] {
+        let (all, _) = packed_read(&db, &format!("SELECT {column} FROM watches"), column).0;
+        let (text, ends) = few(&db, column);
+        assert_eq!(ends.len(), 80);
+        assert!(
+            text.capacity() <= all.len() && text.capacity() < ends.len() * widest,
+            "{} bytes reserved for {} values of {column}, {} stored",
+            text.capacity(),
+            text.len(),
+            all.len()
+        );
+    }
+    db.execute("DELETE FROM watches WHERE id = 4000").unwrap();
+    for column in ["brand", "price"] {
+        let (text, ends) = few(&db, column);
+        // The widest left is `brand16` or `299.5`.
+        assert!(text.capacity() <= ends.len() * 7, "{} bytes for {column}", text.capacity());
     }
 }
 

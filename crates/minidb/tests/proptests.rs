@@ -8,7 +8,7 @@ mod reference;
 use proptest::prelude::*;
 use proptest::TestRng;
 use s2s_minidb::value::like_match;
-use s2s_minidb::{Database, Value};
+use s2s_minidb::{ColumnSink, Database, Value};
 
 /// Builds a database with one `items` table of `rows` (id, name, qty).
 fn build_db(rows: &[(i64, String, i64)]) -> Database {
@@ -45,8 +45,8 @@ fn literal(rng: &mut TestRng) -> String {
 /// Three tables: `t` (primary key, NULLs in every other column), `u`
 /// (foreign key into `t`, sometimes indexed) and `v` (no key at all).
 /// Any of them may be empty. A few UPDATEs and DELETEs run after the
-/// load, so index buckets are not in row-id order and slots are
-/// tombstoned.
+/// load, so index buckets are not in row-id order, slots are
+/// tombstoned and a column may be widened after its load.
 fn database(rng: &mut TestRng) -> Database {
     let mut db = Database::new("p");
     let mut run = |sql: String| db.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
@@ -91,7 +91,10 @@ fn database(rng: &mut TestRng) -> Database {
     for _ in 0..rng.below(3) {
         match rng.below(3) {
             0 => run(format!("DELETE FROM t WHERE id = {}", rng.below(12))),
-            1 => run(format!("UPDATE t SET name = 'a' WHERE qty >= {}", rng.below(4))),
+            1 => {
+                let name = pick(rng, &["a", "wider"]);
+                run(format!("UPDATE t SET name = '{name}' WHERE qty >= {}", rng.below(4)))
+            }
             _ => run(format!("UPDATE u SET tag = 'b' WHERE t_id < {}", rng.below(8))),
         };
     }
@@ -236,6 +239,7 @@ fn rendered(f: f64) -> String {
     let mut sink = String::new();
     value.write_to(&mut sink).unwrap();
     assert_eq!((value.render(), value.to_string()), (sink.clone(), sink.clone()));
+    assert_eq!(value.text_len(), sink.len(), "counted {sink}");
     sink
 }
 
@@ -270,6 +274,27 @@ fn float_rendering_pins() {
     let tiny = rendered(5e-324);
     assert_eq!(tiny, format!("{}", 5e-324));
     assert!(tiny.starts_with("0.000") && tiny.ends_with('5') && tiny.len() == 326, "{tiny}");
+}
+
+/// A column packed as the engine packs it, and the size the sink was
+/// told before its first value (a second telling panics).
+#[derive(Default)]
+struct Packed {
+    text: String,
+    ends: Vec<usize>,
+    size: Option<(usize, usize)>,
+}
+
+impl ColumnSink for &mut Packed {
+    fn size(&mut self, values: usize, text_bytes: usize) {
+        assert!(self.size.is_none() && self.ends.is_empty(), "sized twice or late");
+        self.size = Some((values, text_bytes));
+    }
+
+    fn push(&mut self, value: &Value) {
+        value.write_to(&mut self.text).unwrap();
+        self.ends.push(self.text.len());
+    }
 }
 
 proptest! {
@@ -342,15 +367,23 @@ proptest! {
             let want = reference::column(&db, &stmt, &name);
             // Packed the way the engine packs it: all text in one
             // buffer, cut where each value ends.
-            let (mut text, mut ends) = (String::new(), Vec::new());
-            let sunk = db.query_column_each(&stmt, &name, |v| {
-                v.write_to(&mut text).unwrap();
-                ends.push(text.len());
-            });
+            let mut packed = Packed::default();
+            let sunk = db.query_column_each(&stmt, &name, &mut packed);
+            let Packed { text, ends, size } = packed;
             let starts = std::iter::once(0).chain(ends.iter().copied());
             let cut: Vec<String> =
                 starts.zip(&ends).map(|(start, &end)| text[start..end].to_string()).collect();
-            prop_assert!(sunk.is_ok() || ends.is_empty(), "an error after the sink saw values");
+            prop_assert!(
+                sunk.is_ok() || (size.is_none() && ends.is_empty()),
+                "an error after the sink was sized or saw values"
+            );
+            if let (Ok(()), Some((values, bytes))) = (&sunk, size) {
+                prop_assert!(values >= ends.len(), "{} values told, {} written", values, ends.len());
+                // Room for them unless a join repeats a row.
+                let joined = sql.contains(" JOIN ");
+                prop_assert!(joined || bytes >= text.len(), "{} bytes told, {} written", bytes, text.len());
+            }
+            prop_assert!(sunk.is_err() || size.is_some(), "an answer without a size");
             prop_assert_eq!(sunk.map(|()| cut), want, "column {} of {}", name, sql);
         }
     }

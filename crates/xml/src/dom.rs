@@ -28,6 +28,10 @@ impl Span {
     pub(crate) fn range(self) -> Range<usize> {
         self.start as usize..self.end as usize
     }
+
+    pub(crate) fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
 }
 
 /// An interned name: an index into the document's symbols.
@@ -71,6 +75,9 @@ pub struct Document {
     /// Every symbol, ordered by name, for lookups by name.
     pub(crate) sorted: Vec<Sym>,
     pub(crate) text: String,
+    /// The longest text run or attribute value, in bytes: room for any
+    /// one string a reader borrows from the document.
+    pub(crate) widest: usize,
     pub(crate) had_declaration: bool,
 }
 

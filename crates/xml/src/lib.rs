@@ -39,4 +39,4 @@ pub use error::XmlError;
 pub use parser::parse;
 pub use shape::{document_shape, DocumentShape, XmlField};
 pub use writer::{escape_attribute, escape_text, serialize, serialize_element};
-pub use xpath::push_child_predicate;
+pub use xpath::{push_child_predicate, StringSink};

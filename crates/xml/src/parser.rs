@@ -80,6 +80,7 @@ impl<'a> Parser<'a> {
             prefixed: Vec::new(),
             sorted: Vec::new(),
             text: String::new(),
+            widest: 0,
             had_declaration: false,
         };
         let (interned, open) = (HashMap::new(), Vec::new());
@@ -97,6 +98,9 @@ impl<'a> Parser<'a> {
                 doc.prefixed[local as usize] = true;
             }
         }
+        let runs = doc.kinds.iter().zip(&doc.spans).filter(|(&k, _)| k == Kind::Text);
+        let values = doc.attributes.iter().map(|a| a.value.len());
+        doc.widest = runs.map(|(_, s)| s.len()).chain(values).max().unwrap_or(0);
         doc.had_declaration = had_declaration;
         doc
     }

@@ -32,7 +32,7 @@
 use crate::dom::{Document, Element};
 use crate::error::XmlError;
 use crate::parser::MAX_DEPTH;
-use crate::xpath::XPath;
+use crate::xpath::{size, StringSink, XPath};
 
 /// A compiled XQuery-lite query.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,17 +120,20 @@ impl XQuery {
     /// multiple strings contribute them all).
     pub fn eval(&self, doc: &Document) -> Vec<String> {
         let mut out = Vec::new();
-        self.each_string(doc, |s| out.push(s.to_string()));
+        self.each_string(doc, |s: &str| out.push(s.to_string()));
         out
     }
 
-    /// [`XQuery::eval`] handing each string to `each` instead of
-    /// collecting them, on the terms of [`XPath::each_string`].
-    pub fn each_string(&self, doc: &Document, mut each: impl FnMut(&str)) {
-        for binding in self.domain.eval(doc) {
-            if self.conditions.iter().all(|c| c.matches(binding)) {
-                self.ret.produce(binding, &mut each);
-            }
+    /// [`XQuery::eval`] handing each string to `sink` instead of
+    /// collecting them, on the terms of [`XPath::each_string`]; the sink
+    /// is sized by the bindings that pass the `where` clause, a hint
+    /// ([`StringSink::size`]).
+    pub fn each_string(&self, doc: &Document, mut sink: impl StringSink) {
+        let mut bindings = self.domain.eval(doc);
+        bindings.retain(|&b| self.conditions.iter().all(|c| c.matches(b)));
+        size(&mut sink, doc, bindings.len());
+        for binding in bindings {
+            self.ret.produce(binding, &mut |s| sink.push(s));
         }
     }
 
@@ -150,11 +153,11 @@ impl Cond {
         let mut hit = false;
         match self {
             Cond::Compare { path, negated, value } => {
-                path.each_string_from(binding, |v| hit |= v == value);
+                path.each_string_from(binding, |v: &str| hit |= v == value);
                 hit != *negated
             }
             Cond::Contains { path, value } => {
-                path.each_string_from(binding, |v| hit |= v.contains(value.as_str()));
+                path.each_string_from(binding, |v: &str| hit |= v.contains(value.as_str()));
                 hit
             }
         }
@@ -423,6 +426,50 @@ mod tests {
         let q = XQuery::new("for $w in //watch where $w/brand = 'Seiko' return $w/price/text()")
             .unwrap();
         assert_eq!(q.eval(&doc()), ["129.99", "299.00"]);
+    }
+
+    /// What a sink is told before the first string: the bindings that
+    /// pass, each at the document's widest string — a hint, which a
+    /// `return` of several strings per binding outgrows.
+    #[test]
+    fn the_sink_is_sized_by_the_passing_bindings() {
+        #[derive(Default)]
+        struct Told {
+            size: Option<(usize, usize)>,
+            strings: Vec<String>,
+        }
+        impl StringSink for &mut Told {
+            fn size(&mut self, strings: usize, text_bytes: usize) {
+                assert!(self.size.is_none() && self.strings.is_empty(), "sized twice or late");
+                self.size = Some((strings, text_bytes));
+            }
+            fn push(&mut self, string: &str) {
+                self.strings.push(string.to_string());
+            }
+        }
+        let q = XQuery::new("for $w in //watch where $w/brand = 'Seiko' return $w/price/text()")
+            .unwrap();
+        let (doc, mut told) = (doc(), Told::default());
+        q.each_string(&doc, &mut told);
+        assert_eq!(told.strings, ["129.99", "299.00"]);
+        assert_eq!(told.size, Some((2, 2 * doc.widest)));
+
+        // Two prices a watch, and literal text no node holds: more
+        // strings and bytes than told, all of them handed over.
+        let doc = parse(
+            "<c><w><b>S</b><p>1</p><p>22</p></w><w><b>C</b><p>3</p></w><w><b>S</b><p>4</p></w></c>",
+        )
+        .unwrap();
+        for (query, want) in [
+            ("for $w in //w where $w/b = 'S' return $w/p/text()", &["1", "22", "4"][..]),
+            ("for $w in //w where $w/b = 'S' return 'a long literal'", &["a long literal"; 2]),
+        ] {
+            let (q, mut told) = (XQuery::new(query).unwrap(), Told::default());
+            q.each_string(&doc, &mut told);
+            assert_eq!(told.strings, want, "{query}");
+            assert_eq!(told.size, Some((2, 2 * doc.widest)), "{query}");
+            assert_eq!(told.strings, q.eval(&doc), "{query}");
+        }
     }
 
     #[test]

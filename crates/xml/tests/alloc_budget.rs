@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use s2s_xml::xpath::XPath;
-use s2s_xml::Document;
+use s2s_xml::{Document, StringSink};
 
 thread_local! {
     /// Allocations (and reallocations) made by the current thread.
@@ -99,21 +99,37 @@ fn parse_allocates_per_document_not_per_node() {
 const PER_EVALUATION: usize = 40;
 
 /// What a 2 000-string evaluation through the sink may allocate: the
-/// evaluation's own, plus the doubling growth of the text and of the
-/// offsets.
-const SINK_BUDGET: usize = PER_EVALUATION + 8;
+/// evaluation's own, plus the text and the offsets, each sized once.
+const SINK_BUDGET: usize = PER_EVALUATION + 2;
 
-/// Evaluates `path` through the sink into one text buffer cut by end
-/// offsets — the shape the engine's column has — and counts the blocks.
+/// One text buffer cut by end offsets — the shape the engine's column
+/// has — sized once from what the sink is told.
+#[derive(Default)]
+struct Packed {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl StringSink for &mut Packed {
+    fn size(&mut self, strings: usize, text_bytes: usize) {
+        self.ends.reserve_exact(strings);
+        self.text.reserve_exact(text_bytes);
+    }
+
+    fn push(&mut self, string: &str) {
+        self.text.push_str(string);
+        self.ends.push(self.text.len());
+    }
+}
+
+/// Evaluates `path` through the sink into a [`Packed`] column and
+/// counts the blocks.
 fn packed_eval(doc: &Document, path: &str) -> ((String, Vec<usize>), usize) {
     let path = XPath::new(path).unwrap();
     allocations(|| {
-        let (mut text, mut ends) = (String::new(), Vec::new());
-        path.each_string(doc, |s| {
-            text.push_str(s);
-            ends.push(text.len());
-        });
-        (text, ends)
+        let mut packed = Packed::default();
+        path.each_string(doc, &mut packed);
+        (packed.text, packed.ends)
     })
 }
 
@@ -125,12 +141,12 @@ fn evaluation_through_the_sink_allocates_a_constant() {
         let ((_, ends), small) = packed_eval(&catalog(2_000), path);
         assert_eq!(ends.len(), 2_000);
         assert!(small <= SINK_BUDGET, "{small} allocations for 2 000 values of {path}");
-        // Twice the records: each buffer that grows by doubling (two
-        // step buffers, text, offsets) grows once more — 43 then 47 when
-        // this was written — and nothing grows per value.
+        // Twice the records: the two step buffers grow once more by
+        // doubling — 23 then 25 when this was written, 43 then 47 while
+        // the text and the offsets doubled too — and nothing else grows.
         let ((_, ends), large) = packed_eval(&catalog(4_000), path);
         assert_eq!(ends.len(), 4_000);
-        assert!(large <= small + 4, "{small} allocations at 2 000 records, {large} at 4 000");
+        assert!(large <= small + 2, "{small} allocations at 2 000 records, {large} at 4 000");
     }
 }
 
@@ -145,8 +161,21 @@ fn mixed_content_shares_one_scratch_buffer() {
         let ((text, ends), small) = packed_eval(&document(500), path);
         assert_eq!((ends.len(), &text[..ends[0]]), (500, value));
         let (_, large) = packed_eval(&document(1_000), path);
-        assert!(small <= SINK_BUDGET && large <= small + 4, "{path}: {small}, then {large}");
+        assert!(small <= SINK_BUDGET && large <= small + 2, "{path}: {small}, then {large}");
     }
+}
+
+/// One 64 KiB paragraph among 2 000 short prices sizes a read of the
+/// prices by the text the document holds, not 2 000 times the paragraph.
+#[test]
+fn one_wide_node_does_not_size_every_read() {
+    let paragraph = format!("<note>{}</note>", "w".repeat(1 << 16));
+    let xml = catalog_xml(2_000).replace("</catalog>", &format!("{paragraph}</catalog>"));
+    let doc = s2s_xml::parse(&xml).unwrap();
+    let ((text, ends), n) = packed_eval(&doc, "/catalog/watch/price/text()");
+    assert_eq!(ends.len(), 2_000);
+    assert!(text.capacity() <= xml.len(), "{} bytes reserved, {}", text.capacity(), text.len());
+    assert!(n <= SINK_BUDGET, "{n} allocations for 2 000 values");
 }
 
 /// The list form is the sink form plus one `String` per value.

@@ -13,7 +13,7 @@ use proptest::TestRng;
 use reference::dom as old;
 use s2s_xml::parser::MAX_DEPTH;
 use s2s_xml::xpath::XPath;
-use s2s_xml::{parse, Document, Element, Node};
+use s2s_xml::{parse, Document, Element, Node, StringSink};
 
 /// The arena element as the old owned tree.
 fn owned(e: Element<'_>) -> old::Element {
@@ -188,6 +188,27 @@ fn mutated(rng: &mut TestRng, xml: &str) -> String {
     }
 }
 
+/// Strings packed as the engine packs a column, and the size the sink
+/// was told before its first string (a second telling panics).
+#[derive(Default)]
+struct Packed {
+    text: String,
+    ends: Vec<usize>,
+    size: Option<(usize, usize)>,
+}
+
+impl StringSink for &mut Packed {
+    fn size(&mut self, strings: usize, text_bytes: usize) {
+        assert!(self.size.is_none() && self.ends.is_empty(), "sized twice or late");
+        self.size = Some((strings, text_bytes));
+    }
+
+    fn push(&mut self, string: &str) {
+        self.text.push_str(string);
+        self.ends.push(self.text.len());
+    }
+}
+
 /// Both parsers give the same tree, or the same error.
 fn parsers_agree(xml: &str) -> Result<(), TestCaseError> {
     match (parse(xml), reference::parser::parse(xml)) {
@@ -326,11 +347,19 @@ proptest! {
                 prop_assert_eq!(&new.eval_strings_from(from), &want, "{} from <{}> of {}", path, from.name(), xml);
                 // The sink form, packed the way the engine packs it: all
                 // text in one buffer, cut where each string ends.
-                let (mut text, mut ends) = (String::new(), Vec::new());
-                new.each_string_from(from, |s| {
-                    text.push_str(s);
-                    ends.push(text.len());
-                });
+                let mut packed = Packed::default();
+                new.each_string_from(from, &mut packed);
+                let Packed { text, ends, size } = packed;
+                // At most as many strings as told; room for them unless
+                // one was composed, which an attribute value never is,
+                // and never more room than the document has text.
+                let (told, room) = size.unwrap_or_default();
+                let attribute = path.rsplit('/').next().is_some_and(|step| step.starts_with('@'));
+                prop_assert!(
+                    told >= ends.len() && (room >= text.len() || !attribute) && room <= xml.len(),
+                    "told {:?} for {} strings of {} bytes: {} from <{}> of {}",
+                    size, ends.len(), text.len(), path, from.name(), xml
+                );
                 let starts = std::iter::once(0).chain(ends.iter().copied());
                 let cut: Vec<&str> =
                     starts.zip(&ends).map(|(start, &end)| &text[start..end]).collect();
