@@ -10,7 +10,7 @@
 //!
 //! * the plan cache — memoizes [`crate::query::plan`] (validation
 //!   against the ontology and the attribute list), keyed on the parsed
-//!   query's canonical rendering (DESIGN.md "Query Handler"). A plan
+//!   query's canonical rendering (DESIGN.md "Query path"). A plan
 //!   derives from the immutable ontology and the parsed query alone,
 //!   so nothing invalidates one: only the LRU bound drops it.
 //! * the result cache — memoizes whole query answers (the

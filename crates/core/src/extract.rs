@@ -323,7 +323,7 @@ impl ExtractorManager {
         // before the caller pays them in one sleep.
         for batch in batches {
             let row = ledger::row(&mut sources, batch.source_id);
-            let started = std::time::Instant::now();
+            let started = env.traced.then(std::time::Instant::now);
             let mut attempt_spans = env.traced.then(Vec::new);
             let (net, wait_us) = defer_pacing(|| match batch.source {
                 Some(source) if !batch.ok.is_empty() => {
@@ -333,7 +333,7 @@ impl ExtractorManager {
                 // unknown): no wire leg at all.
                 _ => Ok(SimDuration::ZERO),
             });
-            let wall = started.elapsed();
+            let wall_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
             waits_us.push(wait_us);
             let rules = batch.ok.len() + batch.failed.len();
             let outcome = batch_outcome(net.is_err(), !batch.failed.is_empty(), row);
@@ -372,7 +372,7 @@ impl ExtractorManager {
             if let Some(attempt_spans) = attempt_spans {
                 let mut span = Span::new(SpanKind::Batch, batch.source_id);
                 span.sim_us = row.wire_time.as_micros();
-                span.wall_us = wall.as_micros() as u64;
+                span.wall_us = wall_us;
                 span.outcome = outcome;
                 span.attr("rules", rules.to_string());
                 span.attr("wire_bytes", row.wire_bytes.to_string());

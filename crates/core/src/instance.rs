@@ -54,8 +54,10 @@ impl Individual {
     }
 }
 
-/// The generated output: OWL instances plus the error report.
-#[derive(Debug, Clone, PartialEq)]
+/// The generated output: OWL instances plus the error report. The
+/// default is the empty answer of a query that answered nothing
+/// (completeness `0`), as a shed query's.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InstanceSet {
     /// The RDF graph holding all individuals (types materialized).
     pub graph: Graph,

@@ -5,25 +5,27 @@
 //! generator. One [`S2s`] value is one deployed integration system.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::RwLock;
 
 use s2s_netsim::{
-    AdmissionConfig, AdmissionController, AdmissionStats, ChangeKind, CostModel, FailureModel,
-    Lanes, ShedReason, SimDuration,
+    AdmissionConfig, AdmissionController, AdmissionGuard, AdmissionStats, ChangeKind, CostModel,
+    FailureModel, Lanes, ShedReason, SimDuration,
 };
-use s2s_obs::{Span, SpanKind, SpanOutcome, Trace};
+use s2s_obs::{names, Span, SpanKind, SpanOutcome, Trace};
 use s2s_owl::{AttributePath, Ontology};
 
 use crate::engine::{self, CacheStats, CachedResult, DependencySet, PlanCache, QueryResultCache};
 use crate::error::S2sError;
 use crate::extract::{
-    ExtractEnv, ExtractionFailure, ExtractorManager, ResilienceContext, ResiliencePolicy, Strategy,
+    AttributeResult, ExtractEnv, ExtractionFailure, ExtractionReport, ExtractionSchema,
+    ExtractorManager, ResilienceContext, ResiliencePolicy, Strategy,
 };
 use crate::instance::{self, Individual, InstanceSet, OutputFormat};
 use crate::ledger::{self, SourceLedger, Totals};
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
-use crate::query::{self, QueryPlan};
+use crate::query::{self, QueryPlan, S2sqlQuery};
 use crate::source::{Connection, SourceRegistry};
 use crate::view::SemanticViews;
 
@@ -244,6 +246,8 @@ pub struct S2s {
     views: Option<Arc<SemanticViews>>,
 }
 
+// Keeps the query path one short function per stage.
+#[warn(clippy::too_many_lines)]
 impl S2s {
     /// Creates a middleware instance over an ontology schema, with one
     /// exchange in flight at a time (`Parallel { workers: 1 }`).
@@ -345,14 +349,6 @@ impl S2s {
         self.admission.as_ref().map(|c| c.stats())
     }
 
-    /// Drops every cached query answer: a new mapping may contribute to
-    /// any of them, which no dependency set can see.
-    fn invalidate_results(&self) {
-        if let Some(r) = &self.results {
-            r.invalidate_all();
-        }
-    }
-
     /// Applies a data mutation to a registered source: swaps its
     /// connection snapshot for `connection` and records a change event
     /// (`kind`, touching `fields`; empty = potentially everything) on
@@ -379,7 +375,7 @@ impl S2s {
     ) -> Result<u64, S2sError> {
         let version = self.registry.write().apply_mutation(&id.into(), connection, kind, fields)?;
         if s2s_obs::enabled() {
-            s2s_obs::global().counter(s2s_obs::names::SOURCE_MUTATIONS_TOTAL).inc();
+            s2s_obs::global().counter(names::SOURCE_MUTATIONS_TOTAL).inc();
         }
         Ok(version)
     }
@@ -536,10 +532,7 @@ impl S2s {
         scenario: RecordScenario,
     ) -> Result<(), S2sError> {
         let path: AttributePath = path.parse().map_err(S2sError::Owl)?;
-        {
-            let registry = self.registry.read();
-            registry.require(&source.into())?;
-        }
+        self.registry.read().require(&source.into())?;
         let displaced =
             self.mappings.write().register(&self.ontology, path, rule, source.into(), scenario)?;
         // Neither drop below is visible to a read: an edit moves no
@@ -552,8 +545,10 @@ impl S2s {
             if let Some(v) = &self.views {
                 v.remove_source(source);
             }
-        } else {
-            self.invalidate_results();
+        } else if let Some(r) = &self.results {
+            // A new mapping may contribute to any cached answer, which
+            // no dependency set can see.
+            r.invalidate_all();
         }
         Ok(())
     }
@@ -602,13 +597,9 @@ impl S2s {
         let report = crate::bootstrap::bootstrap(&self.ontology, id, source.connection())?;
         if s2s_obs::enabled() {
             let metrics = s2s_obs::global();
-            metrics.counter(s2s_obs::names::BOOTSTRAP_SOURCES_TOTAL).inc();
-            metrics
-                .counter(s2s_obs::names::BOOTSTRAP_CANDIDATES_TOTAL)
-                .add(report.candidates.len() as u64);
-            metrics
-                .counter(s2s_obs::names::BOOTSTRAP_CONFLICTS_TOTAL)
-                .add(report.conflicts.len() as u64);
+            metrics.counter(names::BOOTSTRAP_SOURCES_TOTAL).inc();
+            metrics.counter(names::BOOTSTRAP_CANDIDATES_TOTAL).add(report.candidates.len() as u64);
+            metrics.counter(names::BOOTSTRAP_CONFLICTS_TOTAL).add(report.conflicts.len() as u64);
         }
         Ok(report)
     }
@@ -631,22 +622,14 @@ impl S2s {
         &mut self,
         report: &mut crate::bootstrap::BootstrapReport,
     ) -> Result<usize, S2sError> {
-        let source = report.source.clone();
         let mut applied = 0usize;
-        for i in 0..report.candidates.len() {
-            if !report.candidates[i].accepted || report.candidates[i].applied {
-                continue;
-            }
-            let (path, rule, scenario) = {
-                let c = &report.candidates[i];
-                (c.path.clone(), c.rule.clone(), c.scenario)
-            };
-            self.register_attribute(&path, rule, &source, scenario)?;
-            report.candidates[i].applied = true;
+        for c in report.candidates.iter_mut().filter(|c| c.accepted && !c.applied) {
+            self.register_attribute(&c.path, c.rule.clone(), &report.source, c.scenario)?;
+            c.applied = true;
             applied += 1;
         }
         if applied > 0 && s2s_obs::enabled() {
-            s2s_obs::global().counter(s2s_obs::names::BOOTSTRAP_APPLIED_TOTAL).add(applied as u64);
+            s2s_obs::global().counter(names::BOOTSTRAP_APPLIED_TOTAL).add(applied as u64);
         }
         Ok(applied)
     }
@@ -706,6 +689,15 @@ impl S2s {
     /// budget (propagated to every source exchange's retry policy) and
     /// tenant attribution for admission fairness.
     ///
+    /// The query runs the paper's pipeline (Fig. 1), one function per
+    /// stage: parse → result cache → admission gate → plan (plan cache)
+    /// → map + pushdown (steps 1–2 of Fig. 5) → dependencies + view
+    /// partition → extract (steps 3–4) → generate (§2.6) → publish
+    /// (views, plan cache, result cache). Fresh, replayed and shed
+    /// answers leave through one exit, which emits the query's metrics
+    /// and builds its root span. Only a traced query reads a stage's
+    /// wall clock.
+    ///
     /// A query refused by admission control still returns `Ok`: the
     /// outcome is an empty, honestly-labelled degraded answer with
     /// [`QueryStats::shed`] set — shedding is an overload signal, not
@@ -720,382 +712,380 @@ impl S2s {
         s2sql: &str,
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, S2sError> {
-        let query_started = std::time::Instant::now();
-        // The Query Handler reads the text once. A malformed query is an
-        // error before any cache or the admission gate is touched, and
-        // both caches key on the canonical rendering of this parse, so
-        // two texts share an entry exactly when they parsed the same.
-        let parsed = query::parse(s2sql)?;
-        let parse_wall = query_started.elapsed();
-        let key = parsed.to_string();
-
-        // Layer 1: the semantic result cache replays whole answers whose
-        // sources are still at the versions they read (checked under the
-        // registry read lock). Served before the admission gate: a replay
-        // touches no source and costs nothing, so even an overloaded
-        // engine answers it.
+        let started = Instant::now();
+        let mut spans = Vec::new();
+        let (parsed, key) = self.parse(s2sql, &mut spans)?;
         let mut result_cache = CacheStats::default();
-        if let Some(results) = &self.results {
-            let hit = results.get(&key, &self.registry.read());
-            result_cache.lookup(hit.is_some());
-            if let Some(hit) = hit {
-                return Ok(self.replay(s2sql, hit, result_cache, query_started));
+        if let Some(hit) = self.cached(&key, &mut result_cache) {
+            return Ok(self.finish(s2sql, Exit::Replayed(hit), result_cache, started));
+        }
+        // The permit is held until the outcome is built.
+        let _permit = match self.admit(opts) {
+            Ok(permit) => permit,
+            Err(why) => return Ok(self.finish(s2sql, Exit::Shed(why), result_cache, started)),
+        };
+        let (plan, plan_cache) = self.plan(&parsed, &key, &mut spans)?;
+        let registry = self.registry.read();
+        let mut mapped = self.map(&plan, &registry, &mut spans)?;
+        let (deps, served) = self.partition(&registry, &mut mapped, &mut spans);
+        let mut report = self.extract(&registry, mapped.schemas, mapped.sources, opts.deadline);
+        drop(registry);
+        let extracted = report.results.len();
+        report.results.extend(served);
+        let instances = instance::generate(&self.ontology, &plan, &report);
+        let totals = ledger::total(&report.sources);
+        let planned = mapped.planned;
+        let mut fresh = Fresh { plan, plan_cache, planned, spans, report, totals, instances };
+        self.publish(key, deps, extracted, &mut fresh);
+        Ok(self.finish(s2sql, Exit::Fresh(&mut fresh), result_cache, started))
+    }
+
+    /// Parse: a malformed query is an error before any cache or the
+    /// gate. Both caches key on the parse's canonical rendering, so two
+    /// texts share an entry exactly when they parsed the same.
+    fn parse(&self, s2sql: &str, spans: &mut Vec<Span>) -> Result<(S2sqlQuery, String), S2sError> {
+        let stage = Stage::start(self.tracing);
+        let parsed = query::parse(s2sql)?;
+        stage.end(spans, SpanKind::Parse, "s2sql");
+        let key = parsed.to_string();
+        Ok((parsed, key))
+    }
+
+    /// Result cache: a whole answer whose sources are still at the
+    /// versions it read (checked under the registry read lock). Served
+    /// before the gate: a replay touches no source.
+    fn cached(&self, key: &str, lookups: &mut CacheStats) -> Option<CachedResult> {
+        let hit = self.results.as_ref()?.get(key, &self.registry.read());
+        lookups.lookup(hit.is_some());
+        hit
+    }
+
+    /// Admission gate: fresh work is shed at arrival, before any plan or
+    /// wire work, not after queueing past the caller's budget.
+    fn admit(&self, opts: &QueryOptions) -> Result<Option<AdmissionGuard<'_>>, ShedReason> {
+        self.admission.as_ref().map(|ctl| ctl.admit(&opts.tenant, opts.deadline)).transpose()
+    }
+
+    /// Plan: the plan cache memoizes validate + plan; [`Self::publish`]
+    /// inserts a fresh plan.
+    fn plan(
+        &self,
+        parsed: &S2sqlQuery,
+        key: &str,
+        spans: &mut Vec<Span>,
+    ) -> Result<(Arc<QueryPlan>, CacheStats), S2sError> {
+        let stage = Stage::start(self.tracing);
+        let (cached, mut lookups) = (self.plans.get(key), CacheStats::default());
+        lookups.lookup(cached.is_some());
+        let plan = cached.map_or_else(|| query::plan(parsed, &self.ontology).map(Arc::new), Ok)?;
+        if let Some(span) = stage.end(spans, SpanKind::Plan, "attributes") {
+            span.attr("count", plan.attributes.len().to_string());
+            if lookups.hits > 0 {
+                span.outcome = SpanOutcome::CacheHit;
+                span.attr("cache", "hit");
             }
         }
+        Ok((plan, lookups))
+    }
 
-        // Admission gate: fresh work must clear the overload layer
-        // before any plan or wire work happens. A refusal here is the
-        // cheapest possible outcome — shed at arrival, not after
-        // queueing past the caller's budget. The guard holds this
-        // query's permit until the outcome is built.
-        let _admission_guard = match &self.admission {
-            Some(ctl) => match ctl.admit(&opts.tenant, opts.deadline) {
-                Ok(guard) => Some(guard),
-                Err(reason) => return Ok(self.shed(s2sql, &reason, result_cache, query_started)),
-            },
-            None => None,
-        };
-
-        // Layer 2: the plan cache memoizes validate + plan. A fresh
-        // plan is *not* inserted here — insertion is deferred until the
-        // query completes without exhausting its deadline, so overload
-        // casualties cannot churn plan-cache entries.
-        let plan_started = std::time::Instant::now();
-        let (plan, fresh_plan) = match self.plans.get(&key) {
-            Some(plan) => (plan, false),
-            None => (Arc::new(query::plan(&parsed, &self.ontology)?), true),
-        };
-        let plan_wall = plan_started.elapsed();
-        let mut plan_cache = CacheStats::default();
-        plan_cache.lookup(!fresh_plan);
-
-        // Step 1-2 (Fig. 5): attribute list → extraction schemas,
-        // keeping only mapped attributes.
-        let map_started = std::time::Instant::now();
+    /// Map + pushdown: the plan's mapped attributes become extraction
+    /// schemas with one ledger row per source (steps 1–2 of Fig. 5).
+    /// Planned, rules are then rewritten toward each source's native
+    /// capability, projected-out schemas drop and sources that cannot
+    /// contribute are pruned — before the views see the rules.
+    fn map(
+        &self,
+        plan: &QueryPlan,
+        registry: &SourceRegistry,
+        spans: &mut Vec<Span>,
+    ) -> Result<Mapped, S2sError> {
+        let stage = Stage::start(self.tracing);
         let mappings = self.mappings.read();
-        let mapped_paths: Vec<AttributePath> =
+        let paths: Vec<AttributePath> =
             plan.attributes.iter().filter(|p| mappings.contains(p)).cloned().collect();
-        let schemas = ExtractorManager::obtain_schemas(&mappings, &mapped_paths)?;
+        let schemas = ExtractorManager::obtain_schemas(&mappings, &paths)?;
         drop(mappings);
-        let mapped_schemas = schemas.len();
         let mut sources = ledger::rows(&schemas);
-
-        // Federated pushdown planning: rewrite rules toward each
-        // source's native capability, drop projected-out schemas, and
-        // prune non-contributing sources — all before the view
-        // partition, so view lookups see the rewritten rules (a pushed
-        // rule answers a different wire question than its baseline).
-        let registry = self.registry.read();
-        let pushdown_started = std::time::Instant::now();
+        if let Some(span) = stage.end(spans, SpanKind::Map, "mappings") {
+            span.attr("mapped", schemas.len().to_string());
+        }
         let planned = self.pushdown && (plan.condition.is_some() || plan.projection.is_some());
-        let schemas = if planned {
-            crate::planner::plan_pushdown(
-                &registry,
-                &schemas,
-                plan.condition.as_ref(),
-                plan.projection.as_deref(),
-                &mut sources,
-            )
-        } else {
-            schemas
-        };
-        let pushdown_wall = pushdown_started.elapsed();
+        if !planned {
+            return Ok(Mapped { schemas, sources, planned });
+        }
+        let stage = Stage::start(self.tracing);
+        let (condition, projection) = (plan.condition.as_ref(), plan.projection.as_deref());
+        let schemas =
+            crate::planner::plan_pushdown(registry, &schemas, condition, projection, &mut sources);
+        if let Some(span) = stage.end(spans, SpanKind::Pushdown, "planner") {
+            let Totals { pruned, pushed, .. } = ledger::total(&sources);
+            span.attr("pushed_predicates", pushed.to_string());
+            span.attr("pruned_sources", pruned.to_string());
+            let ids: Vec<&str> = sources.iter().filter(|r| r.pruned).map(|r| &*r.source).collect();
+            if pruned > 0 {
+                span.attr("pruned", ids.join(","));
+            }
+        }
+        Ok(Mapped { schemas, sources, planned })
+    }
 
-        // Record the (source, version) dependencies this query reads.
-        // The registry read lock is held through extraction, so these
-        // versions are *the* versions of everything the query touches;
-        // a result-cache lookup compares them with the registry's, so an
-        // answer published after a mutation replaced what it read is
-        // never served.
+    /// Dependencies + view partition: the `(source, version)` pairs the
+    /// query reads — the registry lock is held through extraction, so
+    /// they are the versions of all it touches — then the slices the
+    /// views serve (DESIGN.md §4k), the rest left in `mapped`. The `map`
+    /// span covers this stage too.
+    fn partition(
+        &self,
+        registry: &SourceRegistry,
+        mapped: &mut Mapped,
+        spans: &mut [Span],
+    ) -> (DependencySet, Vec<AttributeResult>) {
+        let stage = Stage::start(self.tracing);
         let mut deps = DependencySet::new();
-        for s in &schemas {
+        for s in &mapped.schemas {
             if let Some(v) = registry.version_of(s.mapping.source().as_str()) {
                 deps.record(s.mapping.source().as_str(), v);
             }
         }
-
-        // The views serve what they can (DESIGN.md §4k); the rest is
-        // extracted.
-        let now = self.resilience.virtual_now();
-        let (schemas, view_results) = match &self.views {
-            Some(views) => views.partition(&registry, schemas, &deps, &mut sources, now),
-            None => (schemas, Vec::new()),
-        };
-
-        // The `map` span covers schema lookup and the view partition;
-        // planning has its own sibling `pushdown` span.
-        let map_wall = map_started.elapsed().saturating_sub(pushdown_wall);
-
-        // Step 3-4: source definitions + extraction, under the
-        // resilience policy: one coalesced wire exchange per source.
-        let mut report = ExtractorManager::extract(
-            &registry,
-            schemas,
-            sources,
-            &ExtractEnv {
-                strategy: self.strategy,
-                lanes: &self.lanes,
-                resilience: &self.resilience,
-                deadline: opts.deadline,
-                traced: self.tracing,
-            },
-        );
-        drop(registry);
-
-        let Totals { sum, pruned, pushed } = ledger::total(&report.sources);
+        let mut served = Vec::new();
         if let Some(views) = &self.views {
-            views.store(&report.results, &deps, self.resilience.virtual_now(), &sum);
+            let (schemas, now) =
+                (std::mem::take(&mut mapped.schemas), self.resilience.virtual_now());
+            (mapped.schemas, served) =
+                views.partition(registry, schemas, &deps, &mut mapped.sources, now);
         }
-        report.results.extend(view_results);
-
-        // The one place a fresh query's stats are built: the ledger's
-        // fold plus the query-level facts (cache lookups, makespans).
-        let mut stats = QueryStats {
-            tasks: sum.tasks,
-            failed_tasks: sum.failed_tasks,
-            round_trips: sum.attempts,
-            plan_cache,
-            result_cache,
-            // View-served slices count as answered: they were requested
-            // and served, just not over the network this time.
-            completeness: if sum.tasks == 0 {
-                1.0
-            } else {
-                (sum.tasks - sum.failed_tasks) as f64 / sum.tasks as f64
-            },
-            simulated: report.simulated,
-            simulated_serial: report.simulated_serial,
-            shed: false,
-            wire_bytes: sum.wire_bytes,
-            wire_response_bytes: sum.wire_response_bytes,
-            view_hits: sum.view_hits,
-            view_refreshes: sum.view_refreshes,
-            view_full_refreshes: sum.view_full_refreshes,
-            feed_polls: sum.feed_polls,
-            view_staleness: sum.view_staleness,
-        };
-        // Recalibrate admission's service estimate from what this query
-        // actually cost (EWMA over completion events), so shed decisions
-        // track the live scheduler and workload instead of the static
-        // configured guess. Queries that never touched the wire (fully
-        // view-served extractions) say nothing about service cost.
-        if let Some(ctl) = &self.admission {
-            if stats.round_trips > 0 {
-                ctl.record_completion(stats.simulated);
-            }
+        if let Some(map) = spans.iter_mut().find(|s| s.kind == SpanKind::Map) {
+            map.wall_us += stage.wall_us();
         }
-        // Deferred plan-cache insert (hygiene): a query that blew its
-        // deadline does not get to publish cache entries, so overload
-        // casualties cannot evict plans that healthy queries rely on.
-        if fresh_plan && sum.deadline_hits == 0 {
-            let evicted = self.plans.insert(key.clone(), Arc::clone(&plan));
-            stats.plan_cache.evictions = u64::from(evicted);
+        (deps, served)
+    }
+
+    /// Extract, steps 3–4 of Fig. 5: one coalesced wire exchange per
+    /// source, under the resilience policy and the query's deadline.
+    fn extract(
+        &self,
+        registry: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        sources: Vec<SourceLedger>,
+        deadline: Option<SimDuration>,
+    ) -> ExtractionReport {
+        let (strategy, lanes, resilience) = (self.strategy, &self.lanes, &*self.resilience);
+        let env = ExtractEnv { strategy, lanes, resilience, deadline, traced: self.tracing };
+        ExtractorManager::extract(registry, schemas, sources, &env)
+    }
+
+    /// Publish: the extracted slices (the report's first `extracted`
+    /// results) go to the views, and a query that reached the wire
+    /// recalibrates admission's service estimate. A query that blew its
+    /// deadline publishes nothing more, so overload casualties evict no
+    /// entry healthy queries rely on; otherwise a fresh plan goes to the
+    /// plan cache and a complete answer to the result cache — a degraded
+    /// one is never replayed after its sources recover.
+    fn publish(&self, key: String, deps: DependencySet, extracted: usize, fresh: &mut Fresh) {
+        let (sum, report) = (&fresh.totals.sum, &fresh.report);
+        if let Some(views) = &self.views {
+            let now = self.resilience.virtual_now();
+            views.store(&report.results[..extracted], &deps, now, sum);
         }
-        let instances = instance::generate(&self.ontology, &plan, &report);
-
-        // Admission: only complete, failure-free answers are cached, so
-        // a degraded result is never replayed after sources recover.
-        // The explicit deadline guard is redundant with `failed_tasks`
-        // (an exhausted budget always fails its tasks) but documents
-        // the cache-hygiene contract.
-        if let Some(results) = &self.results {
-            if stats.failed_tasks == 0 && stats.completeness >= 1.0 && sum.deadline_hits == 0 {
-                let answer = CachedResult {
-                    plan: Arc::clone(&plan),
-                    instances: Arc::new(instances.clone()),
-                    tasks: stats.tasks,
-                };
-                results.insert(key, answer, deps);
-            }
+        if let Some(ctl) = self.admission.as_ref().filter(|_| sum.attempts > 0) {
+            ctl.record_completion(report.simulated);
         }
-
-        if s2s_obs::enabled() {
-            let metrics = s2s_obs::global();
-            metrics.counter("s2s_queries_total").inc();
-            if stats.completeness < 1.0 {
-                metrics.counter("s2s_queries_degraded_total").inc();
-            }
-            metrics.gauge("s2s_query_completeness").set(stats.completeness);
-            metrics.histogram("s2s_query_sim_us").observe(stats.simulated.as_micros());
-            metrics
-                .histogram("s2s_query_wall_us")
-                .observe(query_started.elapsed().as_micros() as u64);
-            if planned {
-                metrics.counter("s2s_pushdown_predicates_total").add(pushed);
-                metrics.counter("s2s_pushdown_pruned_sources_total").add(pruned);
-            }
+        if sum.deadline_hits > 0 {
+            return;
         }
+        if fresh.plan_cache.misses > 0 {
+            let evicted = self.plans.insert(key.clone(), Arc::clone(&fresh.plan));
+            fresh.plan_cache.evictions = u64::from(evicted);
+        }
+        let complete = sum.failed_tasks == 0 && fresh.instances.completeness >= 1.0;
+        if let Some(results) = self.results.as_ref().filter(|_| complete) {
+            let (plan, instances) = (Arc::clone(&fresh.plan), Arc::new(fresh.instances.clone()));
+            results.insert(key, CachedResult { plan, instances, tasks: sum.tasks }, deps);
+        }
+    }
 
-        let trace = if self.tracing {
-            let mut root = Span::new(SpanKind::Query, s2sql.to_string());
-            root.sim_us = stats.simulated.as_micros();
-            root.wall_us = query_started.elapsed().as_micros() as u64;
-            root.outcome =
-                if stats.completeness < 1.0 { SpanOutcome::Degraded } else { SpanOutcome::Ok };
-            // `f64`'s `Display` round-trips exactly, so this attribute
-            // parses back to `stats.completeness` bit-for-bit.
-            root.attr("completeness", format!("{}", stats.completeness));
-            root.attr("tasks", stats.tasks.to_string());
-            root.attr("failed_tasks", stats.failed_tasks.to_string());
-            root.attr("round_trips", stats.round_trips.to_string());
-            if sum.deadline_hits > 0 {
-                root.attr("deadline_hits", sum.deadline_hits.to_string());
-            }
-            if sum.hedges > 0 {
-                root.attr("hedges", sum.hedges.to_string());
-                root.attr("hedge_wins", sum.hedge_wins.to_string());
-            }
-            if stats.view_hits + stats.view_refreshes + stats.view_full_refreshes > 0 {
-                root.attr("view_hits", stats.view_hits.to_string());
-                root.attr("view_refreshes", stats.view_refreshes.to_string());
-                root.attr("view_full_refreshes", stats.view_full_refreshes.to_string());
-            }
-
-            let mut parse_span = Span::new(SpanKind::Parse, "s2sql");
-            parse_span.wall_us = parse_wall.as_micros() as u64;
-            root.push(parse_span);
-
-            let mut plan_span = Span::new(SpanKind::Plan, "attributes");
-            plan_span.wall_us = plan_wall.as_micros() as u64;
-            plan_span.attr("count", plan.attributes.len().to_string());
-            if !fresh_plan {
-                plan_span.outcome = SpanOutcome::CacheHit;
-                plan_span.attr("cache", "hit");
-            }
-            root.push(plan_span);
-
-            let mut map_span = Span::new(SpanKind::Map, "mappings");
-            map_span.wall_us = map_wall.as_micros() as u64;
-            map_span.attr("mapped", mapped_schemas.to_string());
-            root.push(map_span);
-
-            if planned {
-                let mut pushdown_span = Span::new(SpanKind::Pushdown, "planner");
-                pushdown_span.wall_us = pushdown_wall.as_micros() as u64;
-                pushdown_span.attr("pushed_predicates", pushed.to_string());
-                pushdown_span.attr("pruned_sources", pruned.to_string());
-                if pruned > 0 {
-                    let ids: Vec<&str> =
-                        report.sources.iter().filter(|r| r.pruned).map(|r| &*r.source).collect();
-                    pushdown_span.attr("pruned", ids.join(","));
+    /// The one exit of every query, fresh, replayed or shed: the one
+    /// place its stats are built, its query-level metrics emitted, its
+    /// root span built and its outcome assembled.
+    fn finish(
+        &self,
+        s2sql: &str,
+        mut exit: Exit<'_>,
+        result_cache: CacheStats,
+        started: Instant,
+    ) -> QueryOutcome {
+        let base = QueryStats { result_cache, ..QueryStats::default() };
+        let stats = match &exit {
+            Exit::Fresh(f) => {
+                let sum = &f.totals.sum;
+                QueryStats {
+                    tasks: sum.tasks,
+                    failed_tasks: sum.failed_tasks,
+                    round_trips: sum.attempts,
+                    plan_cache: f.plan_cache,
+                    completeness: f.instances.completeness,
+                    simulated: f.report.simulated,
+                    simulated_serial: f.report.simulated_serial,
+                    wire_bytes: sum.wire_bytes,
+                    wire_response_bytes: sum.wire_response_bytes,
+                    view_hits: sum.view_hits,
+                    view_refreshes: sum.view_refreshes,
+                    view_full_refreshes: sum.view_full_refreshes,
+                    feed_polls: sum.feed_polls,
+                    view_staleness: sum.view_staleness,
+                    ..base
                 }
-                root.push(pushdown_span);
             }
-
-            for span in std::mem::take(&mut report.spans) {
-                root.push(span);
+            Exit::Replayed(hit) => QueryStats { tasks: hit.tasks, completeness: 1.0, ..base },
+            Exit::Shed(_) => QueryStats { shed: true, completeness: 0.0, ..base },
+        };
+        let metered = s2s_obs::enabled();
+        let wall_us =
+            if metered || self.tracing { started.elapsed().as_micros() as u64 } else { 0 };
+        if metered {
+            let metrics = s2s_obs::global();
+            metrics.counter(names::QUERIES_TOTAL).inc();
+            if stats.completeness < 1.0 {
+                metrics.counter(names::QUERIES_DEGRADED_TOTAL).inc();
             }
-            Some(Trace::new(root))
-        } else {
-            None
-        };
-
-        Ok(QueryOutcome {
-            plan: plan.as_ref().clone(),
-            instances,
-            stats,
-            sources: report.sources,
-            trace,
-        })
-    }
-
-    /// Builds the outcome of a result-cache hit: the original answer
-    /// replayed with zero simulated time and no source contact.
-    fn replay(
-        &self,
-        s2sql: &str,
-        hit: CachedResult,
-        result_cache: CacheStats,
-        query_started: std::time::Instant,
-    ) -> QueryOutcome {
-        let stats = QueryStats {
-            tasks: hit.tasks,
-            completeness: 1.0,
-            result_cache,
-            ..QueryStats::default()
-        };
-        if s2s_obs::enabled() {
-            let metrics = s2s_obs::global();
-            metrics.counter("s2s_queries_total").inc();
-            metrics.gauge("s2s_query_completeness").set(stats.completeness);
-            metrics.histogram("s2s_query_sim_us").observe(0);
-            metrics
-                .histogram("s2s_query_wall_us")
-                .observe(query_started.elapsed().as_micros() as u64);
+            metrics.gauge(names::QUERY_COMPLETENESS).set(stats.completeness);
+            metrics.histogram(names::QUERY_SIM_US).observe(stats.simulated.as_micros());
+            metrics.histogram(names::QUERY_WALL_US).observe(wall_us);
+            match &exit {
+                Exit::Fresh(f) if f.planned => {
+                    metrics.counter(names::PUSHDOWN_PREDICATES_TOTAL).add(f.totals.pushed);
+                    metrics.counter(names::PUSHDOWN_PRUNED_SOURCES_TOTAL).add(f.totals.pruned);
+                }
+                Exit::Shed(_) => metrics.counter(names::OVERLOAD_SHED_TOTAL).inc(),
+                _ => {}
+            }
         }
-        let trace = if self.tracing {
-            let mut root = Span::new(SpanKind::Query, s2sql.to_string());
-            root.wall_us = query_started.elapsed().as_micros() as u64;
-            root.outcome = SpanOutcome::CacheHit;
-            root.attr("cache", "result-hit");
-            root.attr("completeness", format!("{}", stats.completeness));
-            root.attr("tasks", stats.tasks.to_string());
-            Some(Trace::new(root))
-        } else {
-            None
+        let trace = self.tracing.then(|| Trace::new(root_span(s2sql, &mut exit, &stats, wall_us)));
+        let (plan, instances, sources) = match exit {
+            Exit::Fresh(f) => {
+                let (instances, sources) = (&mut f.instances, &mut f.report.sources);
+                (f.plan.as_ref().clone(), std::mem::take(instances), std::mem::take(sources))
+            }
+            Exit::Replayed(hit) => {
+                (hit.plan.as_ref().clone(), (*hit.instances).clone(), Vec::new())
+            }
+            Exit::Shed(_) => (shed_plan(), InstanceSet::default(), Vec::new()),
         };
-        QueryOutcome {
-            plan: hit.plan.as_ref().clone(),
-            instances: hit.instances.as_ref().clone(),
-            stats,
-            sources: Vec::new(),
-            trace,
-        }
-    }
-
-    /// Builds the outcome of a shed query: an empty, honestly-labelled
-    /// degraded answer. No plan work ran (the plan is a sentinel), no
-    /// source was contacted, and no cache was written.
-    fn shed(
-        &self,
-        s2sql: &str,
-        reason: &ShedReason,
-        result_cache: CacheStats,
-        query_started: std::time::Instant,
-    ) -> QueryOutcome {
-        let stats =
-            QueryStats { shed: true, completeness: 0.0, result_cache, ..QueryStats::default() };
-        if s2s_obs::enabled() {
-            let metrics = s2s_obs::global();
-            metrics.counter("s2s_queries_total").inc();
-            metrics.counter(s2s_obs::names::OVERLOAD_SHED_TOTAL).inc();
-        }
-        let trace = if self.tracing {
-            let mut root = Span::new(SpanKind::Query, s2sql.to_string());
-            root.wall_us = query_started.elapsed().as_micros() as u64;
-            root.outcome = SpanOutcome::Shed;
-            root.attr("shed", reason.to_string());
-            root.attr("completeness", "0");
-            Some(Trace::new(root))
-        } else {
-            None
-        };
-        QueryOutcome {
-            plan: QueryPlan {
-                class: shed_sentinel_iri(),
-                output_classes: Vec::new(),
-                attributes: Vec::new(),
-                projection: None,
-                condition: None,
-            },
-            instances: InstanceSet {
-                graph: Default::default(),
-                individuals: Vec::new(),
-                errors: Vec::new(),
-                completeness: 0.0,
-                round_trips: 0,
-            },
-            stats,
-            sources: Vec::new(),
-            trace,
-        }
+        QueryOutcome { plan, instances, stats, sources, trace }
     }
 }
 
-/// The placeholder class IRI of a shed query's outcome: shedding
-/// happens before parse/plan, so there is no real plan to attach.
-fn shed_sentinel_iri() -> s2s_rdf::Iri {
-    s2s_rdf::Iri::new("urn:s2s:shed").expect("sentinel IRI is valid")
+/// One pipeline stage's wall clock, read only when the query is traced.
+struct Stage(Option<Instant>);
+
+impl Stage {
+    fn start(traced: bool) -> Stage {
+        Stage(traced.then(Instant::now))
+    }
+
+    /// Microseconds since the start; `0` untraced.
+    fn wall_us(self) -> u64 {
+        self.0.map_or(0, |t| t.elapsed().as_micros() as u64)
+    }
+
+    /// Ends the stage: traced, its span goes to `spans` and is returned
+    /// for its attributes.
+    fn end<'s>(self, spans: &'s mut Vec<Span>, kind: SpanKind, name: &str) -> Option<&'s mut Span> {
+        let started = self.0?;
+        let mut span = Span::new(kind, name);
+        span.wall_us = started.elapsed().as_micros() as u64;
+        spans.push(span);
+        spans.last_mut()
+    }
+}
+
+/// The map stage's output: the schemas left to answer, the query's
+/// ledger, and whether the pushdown planner ran.
+struct Mapped {
+    schemas: Vec<ExtractionSchema>,
+    sources: Vec<SourceLedger>,
+    planned: bool,
+}
+
+/// A query answered now, on its way out.
+struct Fresh {
+    plan: Arc<QueryPlan>,
+    /// The one plan-cache lookup, and whether publishing evicted a plan.
+    plan_cache: CacheStats,
+    planned: bool,
+    /// The stage spans, in stage order (empty untraced).
+    spans: Vec<Span>,
+    report: ExtractionReport,
+    /// The report's ledger, folded once.
+    totals: Totals,
+    instances: InstanceSet,
+}
+
+/// How a query leaves the engine ([`S2s::finish`]): answered now,
+/// replayed from the result cache (no source contact, zero simulated
+/// time), or shed by admission control (an empty, honestly-labelled
+/// degraded answer).
+enum Exit<'q> {
+    Fresh(&'q mut Fresh),
+    Replayed(CachedResult),
+    Shed(ShedReason),
+}
+
+/// The root span of a query leaving through `exit`: the stats rendered
+/// as attributes, and a fresh query's stage and batch spans beneath.
+fn root_span(s2sql: &str, exit: &mut Exit<'_>, stats: &QueryStats, wall_us: u64) -> Span {
+    let mut root = Span::new(SpanKind::Query, s2sql);
+    (root.sim_us, root.wall_us) = (stats.simulated.as_micros(), wall_us);
+    match exit {
+        Exit::Replayed(_) => {
+            root.outcome = SpanOutcome::CacheHit;
+            root.attr("cache", "result-hit");
+        }
+        Exit::Shed(why) => {
+            root.outcome = SpanOutcome::Shed;
+            root.attr("shed", why.to_string());
+        }
+        Exit::Fresh(_) if stats.completeness < 1.0 => root.outcome = SpanOutcome::Degraded,
+        Exit::Fresh(_) => {}
+    }
+    // `f64`'s `Display` round-trips exactly, so this attribute parses
+    // back to `stats.completeness` bit-for-bit.
+    root.attr("completeness", format!("{}", stats.completeness));
+    if !stats.shed {
+        root.attr("tasks", stats.tasks.to_string());
+    }
+    let Exit::Fresh(fresh) = exit else { return root };
+    root.attr("failed_tasks", stats.failed_tasks.to_string());
+    root.attr("round_trips", stats.round_trips.to_string());
+    let sum = &fresh.totals.sum;
+    if sum.deadline_hits > 0 {
+        root.attr("deadline_hits", sum.deadline_hits.to_string());
+    }
+    if sum.hedges > 0 {
+        root.attr("hedges", sum.hedges.to_string());
+        root.attr("hedge_wins", sum.hedge_wins.to_string());
+    }
+    if stats.view_hits + stats.view_refreshes + stats.view_full_refreshes > 0 {
+        root.attr("view_hits", stats.view_hits.to_string());
+        root.attr("view_refreshes", stats.view_refreshes.to_string());
+        root.attr("view_full_refreshes", stats.view_full_refreshes.to_string());
+    }
+    root.children = std::mem::take(&mut fresh.spans);
+    root.children.append(&mut fresh.report.spans);
+    root
+}
+
+/// The plan of a shed query's outcome: shedding comes before planning,
+/// so its class is a placeholder.
+fn shed_plan() -> QueryPlan {
+    let class = s2s_rdf::Iri::new("urn:s2s:shed").expect("sentinel IRI is valid");
+    QueryPlan {
+        class,
+        output_classes: Vec::new(),
+        attributes: Vec::new(),
+        projection: None,
+        condition: None,
+    }
 }
 
 #[cfg(test)]

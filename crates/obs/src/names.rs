@@ -20,6 +20,22 @@ pub const RESULT_CACHE_EVICTIONS_TOTAL: &str = "s2s_result_cache_evictions_total
 /// looked up.
 pub const RESULT_CACHE_INVALIDATIONS_TOTAL: &str = "s2s_result_cache_invalidations_total";
 
+/// Counter: queries answered, whether fresh, replayed or shed.
+pub const QUERIES_TOTAL: &str = "s2s_queries_total";
+/// Counter: queries answered below completeness 1, shed ones included.
+pub const QUERIES_DEGRADED_TOTAL: &str = "s2s_queries_degraded_total";
+/// Gauge: the last answered query's completeness (`0` when shed).
+pub const QUERY_COMPLETENESS: &str = "s2s_query_completeness";
+/// Histogram: every answered query's simulated time, µs (`0` for a
+/// replay or a shed query).
+pub const QUERY_SIM_US: &str = "s2s_query_sim_us";
+/// Histogram: every answered query's wall time, µs.
+pub const QUERY_WALL_US: &str = "s2s_query_wall_us";
+/// Counter: conjuncts the pushdown planner pushed into sources' rules.
+pub const PUSHDOWN_PREDICATES_TOTAL: &str = "s2s_pushdown_predicates_total";
+/// Counter: sources the pushdown planner pruned.
+pub const PUSHDOWN_PRUNED_SOURCES_TOTAL: &str = "s2s_pushdown_pruned_sources_total";
+
 /// Counter: query-plan cache hits.
 pub const PLAN_CACHE_HITS_TOTAL: &str = "s2s_plan_cache_hits_total";
 /// Counter: query-plan cache misses.

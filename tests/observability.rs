@@ -11,10 +11,12 @@ use s2s::core::middleware::QueryOutcome;
 use s2s::core::source::Connection;
 use s2s::core::{ResiliencePolicy, SourceLedger};
 use s2s::minidb::Database;
-use s2s::netsim::{BreakerConfig, ChangeKind, CostModel, FailureModel, RetryPolicy, SimDuration};
+use s2s::netsim::{
+    AdmissionConfig, BreakerConfig, ChangeKind, CostModel, FailureModel, RetryPolicy, SimDuration,
+};
 use s2s::obs::{SpanKind, SpanOutcome};
 use s2s::owl::Ontology;
-use s2s::S2s;
+use s2s::{QueryOptions, S2s};
 
 /// An ontology with one `Product` class and `attrs` string properties.
 fn wide_ontology(attrs: usize) -> Ontology {
@@ -448,4 +450,88 @@ fn the_trace_and_the_stats_render_the_ledger() {
     }
     assert_eq!(cold.sources.iter().filter(|r| !r.pushed.is_empty()).count(), 2);
     assert!(warm.trace.unwrap().spans_of(SpanKind::Batch).is_empty(), "all slices fresh");
+}
+
+/// `outcome`'s trace as JSON lines, wall time masked.
+fn shape(outcome: &QueryOutcome) -> String {
+    mask_wall(&s2s::obs::render_jsonl(outcome.trace.as_ref().expect("tracing on")))
+}
+
+/// The six ways a query leaves the engine, each traced: fresh, a
+/// plan-cache hit, a result-cache replay, shed at admission, planned
+/// with a pruned source, and repeated from the views.
+fn six_shapes() -> [(&'static str, QueryOutcome); 6] {
+    let plain = wide_traced(2, 1);
+    let fresh = plain.query("SELECT product").unwrap();
+    let plan_hit = plain.query("SELECT product").unwrap();
+
+    let cached = wide_traced(2, 1).with_result_cache();
+    cached.query("SELECT product").unwrap();
+    let replay = cached.query("SELECT product").unwrap();
+
+    let gated = wide_traced(1, 1).with_admission(AdmissionConfig::with_permits(1));
+    let slot = gated.admission().unwrap().admit("hog", None).unwrap();
+    let opts = QueryOptions::default().with_deadline(SimDuration::from_millis(1));
+    let shed = gated.query_with_options("SELECT product", &opts).unwrap();
+    drop(slot);
+
+    let planned = ledger_traced();
+    let pruned = planned.query("SELECT product WHERE a1 = 'y'").unwrap();
+    let view = planned.query("SELECT product WHERE a1 = 'y'").unwrap();
+    [
+        ("fresh", fresh),
+        ("plan-cache hit", plan_hit),
+        ("replay", replay),
+        ("shed", shed),
+        ("pruned", pruned),
+        ("view", view),
+    ]
+}
+
+/// Every path's masked trace, `== name` above each, as pinned in
+/// `tests/golden/trace_shapes.txt`.
+const SHAPES: &str = include_str!("golden/trace_shapes.txt");
+
+#[test]
+fn every_query_path_keeps_its_trace_shape() {
+    let mut pinned = SHAPES.split("== ").skip(1);
+    for (name, outcome) in six_shapes() {
+        let expected = pinned.next().expect("one pinned shape per path");
+        assert_eq!(format!("{name}\n{}", shape(&outcome)), expected, "the `{name}` trace moved");
+    }
+    assert_eq!(pinned.next(), None, "one path per pinned shape");
+}
+
+#[test]
+fn the_stats_completeness_is_the_answers() {
+    let mut s2s = ledger_traced();
+    s2s.register_remote_source(
+        "DOWN",
+        ledger_db("DOWN", "z"),
+        CostModel::wan(),
+        FailureModel::unreachable(),
+    )
+    .unwrap();
+    s2s.register_attribute(
+        "thing.product.a1",
+        ExtractionRule::Sql { query: "SELECT a1 FROM t".into(), column: "a1".into() },
+        "DOWN",
+        RecordScenario::MultiRecord,
+    )
+    .unwrap();
+    // `a2` is projected out; PRUNED maps no `a1`; DOWN fails; the
+    // repeat is served from the views wherever the cold query extracted.
+    let query = "SELECT product(a0) WHERE a1 = 'y'";
+    let cold = s2s.query(query).unwrap();
+    let warm = s2s.query(query).unwrap();
+    assert!(warm.stats.view_hits > 0);
+    for outcome in [&cold, &warm] {
+        assert!(outcome.sources.iter().any(|r| r.pruned));
+        assert!(outcome.sources.iter().any(|r| r.projected_out > 0));
+        assert_eq!(outcome.source("DOWN").unwrap().failed_tasks, 1);
+        let s = &outcome.stats;
+        assert_eq!(s.completeness, (s.tasks - s.failed_tasks) as f64 / s.tasks as f64);
+        assert_eq!(s.completeness, outcome.instances.completeness);
+        assert!(s.completeness < 1.0);
+    }
 }
