@@ -20,8 +20,9 @@
 //! * `--smoke-audit <dir>` — short deterministic healthy run plus one
 //!   mutation round on a views engine; writes `trace.jsonl` and
 //!   `metrics.prom` into `<dir>` and self-validates both exports (the
-//!   view metrics must equal the outcomes' summed stats). Exits
-//!   non-zero on any violation.
+//!   view metrics must equal the outcomes' summed stats, and every
+//!   series must be a name of `s2s_obs::names`). Exits non-zero on any
+//!   violation.
 //! * `--throughput-smoke <dir>` — small multi-client throughput run
 //!   (4 clients × 16 queries on one shared, paced engine); writes
 //!   `e13.json` into `<dir>` and exits non-zero on any cross-thread
@@ -73,7 +74,8 @@ const SMOKE_MODES: [(&str, SmokeFn, &str); 4] = [
         "smoke-audit",
         smoke_audit,
         "deterministic run plus a views mutation round; writes trace.jsonl and metrics.prom into \
-         DIR and validates both exports, view metrics against the summed stats",
+         DIR and validates both exports, view metrics against the summed stats and every name \
+         against s2s_obs::names",
     ),
     (
         "throughput-smoke",
@@ -354,7 +356,8 @@ fn metrics_mode() {
 /// The CI smoke-audit gate: a deterministic healthy run whose exports
 /// must be well-formed and whose completeness must be 1.0, plus a views
 /// engine through one mutation round, whose view metrics must be the
-/// sums of its outcomes' stats.
+/// sums of its outcomes' stats; every exported series must be a name of
+/// `s2s_obs::names`.
 fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
 
@@ -428,6 +431,12 @@ fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
                     violations.push(format!("{name} {metric:?} != outcomes' sum {summed}"));
                 }
             }
+            // Every series is a named metric: no emitter spells its own.
+            for sample in &samples {
+                if !is_named_metric(&sample.name) {
+                    violations.push(format!("{} is not in s2s_obs::names::ALL", sample.name));
+                }
+            }
         }
         Err(e) => violations.push(format!("metrics.prom does not parse: {e}")),
     }
@@ -452,6 +461,18 @@ fn smoke_audit(dir: &str) -> Result<(), Vec<String>> {
     } else {
         Err(violations)
     }
+}
+
+/// Whether a Prometheus sample name is one of `s2s_obs::names`: a
+/// constant of [`s2s_obs::names::ALL`] (a histogram's with the suffix
+/// of its series) or a tenant backlog gauge.
+fn is_named_metric(sample: &str) -> bool {
+    use s2s_obs::names::{ALL, TENANT_BACKLOG_PREFIX};
+    let series = ["_bucket", "_sum", "_count", "_p50", "_p90", "_p99"];
+    let base = series.iter().find_map(|s| sample.strip_suffix(s));
+    ALL.contains(&sample)
+        || base.is_some_and(|b| ALL.contains(&b))
+        || sample.starts_with(TENANT_BACKLOG_PREFIX)
 }
 
 /// Writes one smoke report into `dir` and returns its path.

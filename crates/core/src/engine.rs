@@ -309,9 +309,10 @@ impl QueryResultCache {
     /// the key and evicting the least recently used one at capacity.
     /// The caller admits complete, failure-free answers only. An answer
     /// that read a snapshot a mutation has since replaced is stored
-    /// like any other: [`Self::get`] never serves it.
-    pub fn insert(&self, key: String, result: CachedResult, deps: DependencySet) {
-        self.entries.insert(key, Arc::new(ResultEntry { result, deps }));
+    /// like any other: [`Self::get`] never serves it. Returns whether
+    /// an entry was evicted.
+    pub fn insert(&self, key: String, result: CachedResult, deps: DependencySet) -> bool {
+        self.entries.insert(key, Arc::new(ResultEntry { result, deps }))
     }
 
     /// Drops the entries `keep` rejects, counting them as invalidated.

@@ -309,9 +309,6 @@ impl ExtractorManager {
         env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
         let batches = plan_batches(registry, &schemas, env.traced);
-        if s2s_obs::enabled() {
-            s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
-        }
 
         let mut report = ExtractionReport::default();
         let mut durations = Vec::new();
@@ -401,7 +398,6 @@ impl ExtractorManager {
             strategy => strategy.workers(),
         };
         report.simulated = makespan(&durations, overlap);
-        record_report_metrics(&report);
         report
     }
 }
@@ -562,20 +558,6 @@ fn batch_outcome(net_failed: bool, any_rule_failed: bool, row: &SourceLedger) ->
     outcome
 }
 
-/// Feeds the process-wide extraction metrics from a finished report
-/// (no-op while observability is disabled).
-fn record_report_metrics(report: &ExtractionReport) {
-    if !s2s_obs::enabled() {
-        return;
-    }
-    let metrics = s2s_obs::global();
-    metrics
-        .counter("s2s_extract_tasks_total")
-        .add((report.results.len() + report.failures.len()) as u64);
-    metrics.counter("s2s_extract_failed_tasks_total").add(report.failures.len() as u64);
-    metrics.histogram("s2s_extract_sim_us").observe(report.simulated.as_micros());
-}
-
 /// Runs one extraction rule against one source, crossing the source's
 /// simulated endpoint.
 ///
@@ -667,7 +649,6 @@ fn resilient_exchange(
             let remaining = budget.saturating_sub(row.wire_time);
             if remaining == SimDuration::ZERO {
                 row.deadline_hits += 1;
-                note_deadline_exceeded();
                 last_err = Some(S2sError::DeadlineExceeded { source: source_label.to_string() });
                 break;
             }
@@ -689,7 +670,6 @@ fn resilient_exchange(
                 // The endpoint after this one: replica `slot`.
                 if let (Some(delay), Some(replica)) = (hedger.delay(), replicas.get(slot)) {
                     if out.elapsed > delay {
-                        hedger.note_launch();
                         row.hedges += 1;
                         hedged = true;
                         let h_seed = stable_seed(replica.id()) ^ salt ^ HEDGE_SEED_SALT;
@@ -699,7 +679,6 @@ fn resilient_exchange(
                         if h.result.is_ok() {
                             let replica_done = delay + h.elapsed;
                             if replica_done < out.elapsed {
-                                hedger.note_win();
                                 row.hedge_wins += 1;
                                 hedge_won = true;
                                 charged = replica_done;
@@ -749,7 +728,6 @@ fn resilient_exchange(
                     // failure honestly — failover cannot fit in zero
                     // remaining budget.
                     row.deadline_hits += 1;
-                    note_deadline_exceeded();
                     last_err =
                         Some(S2sError::DeadlineExceeded { source: source_label.to_string() });
                     break;
@@ -772,14 +750,6 @@ fn resilient_exchange(
 /// ordinary failover stream, so hedged and non-hedged runs stay
 /// independently deterministic.
 const HEDGE_SEED_SALT: u64 = 0x9e37_79b9_97f4_a7c5;
-
-/// Bumps the process-wide deadline-exceeded counter (no-op while
-/// observability is disabled).
-fn note_deadline_exceeded() {
-    if s2s_obs::enabled() {
-        s2s_obs::global().counter(s2s_obs::names::OVERLOAD_DEADLINE_EXCEEDED_TOTAL).inc();
-    }
-}
 
 /// Source lookup, wrapper run, and scenario truncation — everything
 /// local; no wire accounting.

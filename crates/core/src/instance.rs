@@ -453,12 +453,6 @@ pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport
     // graph as it is.
     let graph: Graph = triples.into_iter().collect();
 
-    if s2s_obs::enabled() {
-        let m = s2s_obs::global();
-        m.counter("s2s_instances_generated_total").add(individuals.len() as u64);
-        m.counter("s2s_instance_triples_total").add(graph.len() as u64);
-    }
-
     InstanceSet {
         graph,
         individuals,

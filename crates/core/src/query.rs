@@ -236,8 +236,6 @@ pub struct QueryPlan {
 /// Parses S2SQL text — the one reading of a query: the engine parses
 /// every query it is handed before it touches a cache or the admission
 /// gate, and keys both caches on the parse's canonical rendering.
-/// `s2s_query_parses_total` therefore counts queries, not plan-cache
-/// misses.
 ///
 /// # Errors
 ///
@@ -245,18 +243,6 @@ pub struct QueryPlan {
 /// [`S2sError::QueryNestingTooDeep`] when the `WHERE` clause nests
 /// deeper than [`MAX_CONDITION_DEPTH`].
 pub fn parse(input: &str) -> Result<S2sqlQuery, S2sError> {
-    let parsed = parse_inner(input);
-    if s2s_obs::enabled() {
-        let m = s2s_obs::global();
-        m.counter("s2s_query_parses_total").inc();
-        if parsed.is_err() {
-            m.counter("s2s_query_parse_errors_total").inc();
-        }
-    }
-    parsed
-}
-
-fn parse_inner(input: &str) -> Result<S2sqlQuery, S2sError> {
     let mut p = Parser { input, pos: 0 };
     p.skip_ws();
     p.expect_keyword("SELECT")?;
@@ -296,7 +282,7 @@ fn parse_inner(input: &str) -> Result<S2sqlQuery, S2sError> {
 /// parse. Text the parser rejects keys as itself — never equal to a
 /// canonical form, which always parses.
 pub fn normalize(input: &str) -> String {
-    parse_inner(input).map_or_else(|_| input.to_string(), |query| query.to_string())
+    parse(input).map_or_else(|_| input.to_string(), |query| query.to_string())
 }
 
 /// Validates a parsed query against the ontology and produces the

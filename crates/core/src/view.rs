@@ -112,53 +112,33 @@ impl SemanticViews {
     }
 
     /// Materializes every extracted slice of `results` at the version
-    /// the query read its source at (`deps`), refreshed at `now`, and
-    /// mirrors the query's view figures (`sum`, its rows folded) to
-    /// the metrics registry.
+    /// the query read its source at (`deps`), refreshed at `now`.
     pub(crate) fn store(
         &self,
         results: &[AttributeResult],
         deps: &DependencySet,
         now: SimDuration,
-        sum: &SourceLedger,
     ) {
-        if !results.is_empty() {
-            let mut entries = self.entries.write();
-            for r in results {
-                let sid = r.mapping.source().as_str();
-                let entry = ViewEntry {
-                    rule: r.mapping.rule().text().to_string(),
-                    values: Arc::new(r.values.clone()),
-                    version: deps.version_of(sid).unwrap_or(0),
-                    refreshed_at: now,
-                };
-                // Keys are built only for a slice not materialized yet.
-                let slices = match entries.get_mut(sid) {
-                    Some(slices) => slices,
-                    None => entries.entry(sid.to_string()).or_default(),
-                };
-                match slices.get_mut(r.mapping.path()) {
-                    Some(e) => *e = entry,
-                    None => _ = slices.insert(r.mapping.path().clone(), entry),
-                }
-            }
+        if results.is_empty() {
+            return;
         }
-        if s2s_obs::enabled() {
-            let metrics = s2s_obs::global();
-            if sum.view_hits > 0 {
-                metrics.counter(s2s_obs::names::VIEW_HITS_TOTAL).add(sum.view_hits);
-                let staleness = sum.view_staleness.as_micros();
-                metrics.histogram(s2s_obs::names::VIEW_STALENESS_US).observe(staleness);
-            }
-            if sum.view_refreshes > 0 {
-                metrics.counter(s2s_obs::names::VIEW_REFRESHES_TOTAL).add(sum.view_refreshes);
-            }
-            if sum.view_full_refreshes > 0 {
-                let full = sum.view_full_refreshes;
-                metrics.counter(s2s_obs::names::VIEW_FULL_REFRESHES_TOTAL).add(full);
-            }
-            if sum.feed_polls > 0 {
-                metrics.counter(s2s_obs::names::FEED_POLLS_TOTAL).add(sum.feed_polls);
+        let mut entries = self.entries.write();
+        for r in results {
+            let sid = r.mapping.source().as_str();
+            let entry = ViewEntry {
+                rule: r.mapping.rule().text().to_string(),
+                values: Arc::new(r.values.clone()),
+                version: deps.version_of(sid).unwrap_or(0),
+                refreshed_at: now,
+            };
+            // Keys are built only for a slice not materialized yet.
+            let slices = match entries.get_mut(sid) {
+                Some(slices) => slices,
+                None => entries.entry(sid.to_string()).or_default(),
+            };
+            match slices.get_mut(r.mapping.path()) {
+                Some(e) => *e = entry,
+                None => _ = slices.insert(r.mapping.path().clone(), entry),
             }
         }
     }

@@ -22,8 +22,8 @@
 //!   saturates only its own backlog; other tenants keep their share of
 //!   the permits.
 //! * **Hedging support** — [`Hedger`] records per-exchange simulated
-//!   latencies and exposes a percentile-based hedge delay, plus the
-//!   `launched`/`wins` counters (invariant: `wins ≤ launched`).
+//!   latencies and exposes a percentile-based hedge delay; the query
+//!   ledger counts the hedges launched and won.
 //!
 //! Everything observable is deterministic for a single-threaded
 //! caller: with an empty queue the fast path never blocks and the DRR
@@ -424,16 +424,12 @@ impl Drop for AdmissionGuard<'_> {
 
 /// Records per-exchange simulated latencies and derives the
 /// percentile-based delay after which a straggling exchange should be
-/// hedged to a replica.
-///
-/// Counters satisfy `wins ≤ launched` by construction: a win is only
-/// recorded for a launched hedge whose replica reply came first.
+/// hedged to a replica. The hedges launched and won are counted on the
+/// query ledger's rows, not here.
 #[derive(Debug)]
 pub struct Hedger {
     cfg: HedgeConfig,
     samples: Mutex<Vec<u64>>,
-    launched: AtomicU64,
-    wins: AtomicU64,
 }
 
 /// Tuning knobs for [`Hedger`].
@@ -462,12 +458,7 @@ const HEDGE_SAMPLE_CAP: usize = 512;
 impl Hedger {
     /// Builds a tracker from its config.
     pub fn new(cfg: HedgeConfig) -> Self {
-        Hedger {
-            cfg,
-            samples: Mutex::new(Vec::new()),
-            launched: AtomicU64::new(0),
-            wins: AtomicU64::new(0),
-        }
+        Hedger { cfg, samples: Mutex::new(Vec::new()) }
     }
 
     /// Records one completed exchange's simulated latency.
@@ -492,32 +483,6 @@ impl Hedger {
         sorted.sort_unstable();
         let idx = (sorted.len() - 1) * usize::from(self.cfg.percentile.min(100)) / 100;
         Some(SimDuration::from_micros(sorted[idx]).max(self.cfg.min_delay))
-    }
-
-    /// Counts a hedge launch (and the obs counter when enabled).
-    pub fn note_launch(&self) {
-        self.launched.fetch_add(1, Ordering::Relaxed);
-        if s2s_obs::enabled() {
-            s2s_obs::global().counter(s2s_obs::names::HEDGE_LAUNCHED_TOTAL).inc();
-        }
-    }
-
-    /// Counts a hedge whose replica beat the primary.
-    pub fn note_win(&self) {
-        self.wins.fetch_add(1, Ordering::Relaxed);
-        if s2s_obs::enabled() {
-            s2s_obs::global().counter(s2s_obs::names::HEDGE_WINS_TOTAL).inc();
-        }
-    }
-
-    /// Hedges launched so far.
-    pub fn launched(&self) -> u64 {
-        self.launched.load(Ordering::Relaxed)
-    }
-
-    /// Hedge wins so far (`≤ launched`).
-    pub fn wins(&self) -> u64 {
-        self.wins.load(Ordering::Relaxed)
     }
 }
 
@@ -716,9 +681,6 @@ mod tests {
         }
         // p90 over 4 samples indexes the 3rd-smallest (idx 2).
         assert_eq!(hedger.delay(), Some(ms(30)));
-        hedger.note_launch();
-        hedger.note_win();
-        assert!(hedger.wins() <= hedger.launched());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! deterministic as the rest of the simulation.
 
 use parking_lot::Mutex;
+use s2s_obs::names;
 
 use crate::cost::SimDuration;
 
@@ -147,11 +148,11 @@ impl CircuitBreaker {
                 if now >= inner.opened_at + self.config.cooldown {
                     inner.state = BreakerState::HalfOpen;
                     inner.counters.half_opened += 1;
-                    bump("s2s_breaker_half_opened_total");
+                    bump(names::BREAKER_HALF_OPENED_TOTAL);
                     true
                 } else {
                     inner.counters.rejected += 1;
-                    bump("s2s_breaker_rejected_total");
+                    bump(names::BREAKER_REJECTED_TOTAL);
                     false
                 }
             }
@@ -163,7 +164,7 @@ impl CircuitBreaker {
         let mut inner = self.inner.lock();
         if inner.state == BreakerState::HalfOpen {
             inner.counters.closed += 1;
-            bump("s2s_breaker_closed_total");
+            bump(names::BREAKER_CLOSED_TOTAL);
         }
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
@@ -181,7 +182,7 @@ impl CircuitBreaker {
                 inner.opened_at = now;
                 inner.consecutive_failures = 0;
                 inner.counters.opened += 1;
-                bump("s2s_breaker_opened_total");
+                bump(names::BREAKER_OPENED_TOTAL);
             }
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
@@ -190,7 +191,7 @@ impl CircuitBreaker {
                     inner.opened_at = now;
                     inner.consecutive_failures = 0;
                     inner.counters.opened += 1;
-                    bump("s2s_breaker_opened_total");
+                    bump(names::BREAKER_OPENED_TOTAL);
                 }
             }
         }

@@ -272,10 +272,6 @@ impl Endpoint {
             stats.bytes += bytes as u64;
         }
         drop(stats);
-        if error.is_none() && s2s_obs::enabled() {
-            s2s_obs::global().counter("s2s_net_bytes_total").add(bytes as u64);
-        }
-        observe_attempt(charged, error.is_none());
         // With pacing on, the calling thread blocks for the scaled real
         // equivalent of the charge — this is what E13-style throughput
         // runs overlap across concurrent clients.
@@ -285,21 +281,6 @@ impl Endpoint {
             None => (Ok(f()), charged),
         }
     }
-}
-
-/// Feeds the process-wide attempt metrics (no-op while observability
-/// is disabled): call/failure counters plus the simulated-latency
-/// histogram behind the p50/p99 endpoint-attempt summaries.
-fn observe_attempt(charged: SimDuration, ok: bool) {
-    if !s2s_obs::enabled() {
-        return;
-    }
-    let metrics = s2s_obs::global();
-    metrics.counter("s2s_net_calls_total").inc();
-    if !ok {
-        metrics.counter("s2s_net_failures_total").inc();
-    }
-    metrics.histogram("s2s_net_attempt_sim_us").observe(charged.as_micros());
 }
 
 #[cfg(test)]

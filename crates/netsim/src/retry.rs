@@ -168,10 +168,10 @@ pub fn invoke_with_retry<T>(
     let max_attempts = policy.max_attempts.max(1);
     let mut jitter_rng = StdRng::seed_from_u64(seed);
     let mut elapsed = SimDuration::ZERO;
-    let mut backoff_total = SimDuration::ZERO;
+    let mut backoff = SimDuration::ZERO;
     let mut attempts = 0;
     let mut deadline_hit = false;
-    loop {
+    let result = loop {
         attempts += 1;
         // Failed attempts cost time too; the call itself says how much.
         let (mut result, mut attempt_cost) = endpoint.invoke_charged(bytes, &mut f);
@@ -188,59 +188,21 @@ pub fn invoke_with_retry<T>(
         }
         elapsed += attempt_cost;
         let error = match result {
-            Ok(value) => {
-                return finish(RetryOutcome {
-                    result: Ok(value),
-                    attempts,
-                    elapsed,
-                    backoff: backoff_total,
-                    deadline_hit,
-                })
-            }
+            Ok(value) => break Ok(value),
             Err(e) => e,
         };
-        let exhausted = attempts >= max_attempts || !error.is_transient();
-        if exhausted {
-            return finish(RetryOutcome {
-                result: Err(error),
-                attempts,
-                elapsed,
-                backoff: backoff_total,
-                deadline_hit,
-            });
+        if attempts >= max_attempts || !error.is_transient() {
+            break Err(error);
         }
         let wait = policy.jittered(policy.backoff_before(attempts + 1), jitter_rng.gen::<f64>());
-        if let Some(deadline) = policy.deadline {
-            if elapsed + wait >= deadline {
-                deadline_hit = true;
-                return finish(RetryOutcome {
-                    result: Err(error),
-                    attempts,
-                    elapsed,
-                    backoff: backoff_total,
-                    deadline_hit,
-                });
-            }
+        if policy.deadline.is_some_and(|deadline| elapsed + wait >= deadline) {
+            deadline_hit = true;
+            break Err(error);
         }
         elapsed += wait;
-        backoff_total += wait;
-    }
-}
-
-/// Feeds the process-wide retry metrics on the way out (no-op while
-/// observability is disabled).
-fn finish<T>(outcome: RetryOutcome<T>) -> RetryOutcome<T> {
-    if s2s_obs::enabled() {
-        let metrics = s2s_obs::global();
-        if outcome.retries() > 0 {
-            metrics.counter("s2s_retry_retries_total").add(u64::from(outcome.retries()));
-            metrics.histogram("s2s_retry_backoff_sim_us").observe(outcome.backoff.as_micros());
-        }
-        if outcome.deadline_hit {
-            metrics.counter("s2s_retry_deadline_hits_total").inc();
-        }
-    }
-    outcome
+        backoff += wait;
+    };
+    RetryOutcome { result, attempts, elapsed, backoff, deadline_hit }
 }
 
 #[cfg(test)]

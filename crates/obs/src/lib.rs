@@ -17,10 +17,9 @@
 //! * [`export`] — a human-readable text tree, a JSON-lines trace dump,
 //!   and a Prometheus-style text snapshot. Each machine-readable format
 //!   ships with a minimal parser so CI can validate round-trips.
-//! * [`names`] — canonical metric-name constants for the concurrency
-//!   and caching layers (admission gauges, per-cache
-//!   hit/miss/eviction counters), so emitters and audits cannot drift
-//!   apart on spelling.
+//! * [`names`] — the canonical name of every metric emitted
+//!   ([`names::ALL`]), so emitters and audits cannot drift apart on
+//!   spelling; each constant says which figure it is read from.
 //!
 //! ## The global registry and the enabled flag
 //!

@@ -328,6 +328,27 @@ fn per_query_cache_accounts_hold_under_concurrency() {
     }
 }
 
+/// Past the result cache's capacity every new answer evicts one, and
+/// the query that evicted it says so: the per-query evictions still sum
+/// to the engine's.
+#[test]
+fn per_query_cache_accounts_hold_past_capacity() {
+    use s2s::core::CacheStats;
+
+    // The result cache holds 128 answers.
+    let engine = deploy(6, Strategy::Parallel { workers: 4 }).with_result_cache();
+    let mut results = CacheStats::default();
+    for bound in 0..128 + 12 {
+        let outcome = engine.query(&format!("SELECT watch WHERE price < {bound}")).unwrap();
+        let stats = outcome.stats.result_cache;
+        results.hits += stats.hits;
+        results.misses += stats.misses;
+        results.evictions += stats.evictions;
+    }
+    assert_eq!(results.evictions, 12, "one eviction per answer past capacity");
+    assert_eq!(results, engine.result_cache_stats());
+}
+
 /// A reliable source never times out, however many clients share its
 /// endpoint: one WAN attempt costs at most 30 ms plus the bytes moved,
 /// so a 35 ms client-side attempt timeout can only fire if an attempt is

@@ -327,10 +327,10 @@ fn endpoint_attempt_histogram_has_nonzero_percentiles() {
     let _ = s2s.query("SELECT product").unwrap();
     // The registry is process-global and shared with any concurrently
     // running test, so assert floors, not exact values.
-    let h = s2s::obs::global().histogram("s2s_net_attempt_sim_us");
+    let h = s2s::obs::global().histogram(s2s::obs::names::SOURCE_EXCHANGE_SIM_US);
     s2s::obs::set_enabled(false);
-    assert!(h.count() >= 6, "one wire attempt per batched source");
-    assert!(h.p50() > 0.0, "WAN attempts take tens of ms of sim time");
+    assert!(h.count() >= 6, "one exchange per batched source");
+    assert!(h.p50() > 0.0, "WAN exchanges take tens of ms of sim time");
     assert!(h.p99() > 0.0);
     assert!(h.p99() >= h.p50());
 }
