@@ -8,12 +8,15 @@
 //! `corpus_replay` test and by
 //! `experiments --conform-fuzz --replay <file>`.
 //!
-//! Format (`#` starts a comment, order of keys is fixed):
+//! Format (`#` starts a comment, order of keys is fixed; `spelled`, the
+//! catalog's respellings, is off when absent, as in the case files
+//! written before it existed):
 //!
 //! ```text
 //! # s2s-conform case v1
 //! seed = 42
 //! rows = 3
+//! spelled = yes
 //! source = db reliable
 //! source = xml single harddown
 //! source = text transient 0:unreachable 2:timeout
@@ -36,6 +39,9 @@ pub fn to_case(scenario: &Scenario) -> String {
     out.push_str(&format!("# query: {}\n", scenario.query_text()));
     out.push_str(&format!("seed = {}\n", scenario.seed));
     out.push_str(&format!("rows = {}\n", scenario.rows));
+    if scenario.spelled {
+        out.push_str("spelled = yes\n");
+    }
     for s in &scenario.sources {
         out.push_str("source = ");
         out.push_str(s.kind.token());
@@ -77,6 +83,7 @@ pub fn to_case(scenario: &Scenario) -> String {
 pub fn from_case(text: &str) -> Result<Scenario, String> {
     let mut seed: Option<u64> = None;
     let mut rows: Option<usize> = None;
+    let mut spelled = false;
     let mut sources = Vec::new();
     let mut conditions = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -97,6 +104,13 @@ pub fn from_case(text: &str) -> Result<Scenario, String> {
                 rows =
                     Some(value.parse().map_err(|e| format!("line {}: bad rows: {e}", lineno + 1))?)
             }
+            "spelled" => {
+                spelled = match value {
+                    "yes" => true,
+                    "no" => false,
+                    other => return Err(format!("line {}: bad spelled {other:?}", lineno + 1)),
+                }
+            }
             "source" => sources.push(parse_source(value, lineno + 1)?),
             "cond" => conditions.push(parse_condition(value, lineno + 1)?),
             other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
@@ -107,6 +121,7 @@ pub fn from_case(text: &str) -> Result<Scenario, String> {
         rows: rows.ok_or("missing `rows`")?,
         sources,
         conditions,
+        spelled,
     };
     if scenario.rows == 0 {
         return Err("`rows` must be at least 1".into());

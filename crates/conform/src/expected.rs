@@ -19,14 +19,19 @@
 //!   property → value pairs as the source's payload spells them (an
 //!   XML or web price may be padded).
 //!
-//! A condition reads the record's value, not its spelling: numeric when
-//! both sides are numbers, byte-wise otherwise, `LIKE` with `%` and `_`.
-//! A condition on an attribute the source does not map fails.
+//! A condition compares in its attribute's declared range
+//! ([`RANGES`]), as SPARQL compares in an operand's datatype: a decimal
+//! range orders decimal values exactly, whatever their spelling and the
+//! whitespace around it, and a value or constant outside the decimal
+//! lexical space satisfies no operator, `!=` included; a string range
+//! orders by code point. `LIKE` matches `%` and `_` on the text as it
+//! is. A condition on an attribute the source does not map fails.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::scenario::{attribute_path, payload_value, FaultClass, Record, Scenario, ATTRS};
+use crate::scenario::{attribute_path, payload_value, FaultClass, Record, Scenario, ATTRS, RANGES};
 
 /// One answer, free of order and IRIs: a line per individual and the
 /// failed `(source, attribute path)` pairs.
@@ -124,21 +129,21 @@ impl Scenario {
     /// attributes `mapped` accepts (by index into [`ATTRS`]).
     pub(crate) fn selects(&self, record: &Record, mapped: impl Fn(usize) -> bool) -> bool {
         self.conditions.iter().all(|c| {
-            let price = record.price.to_string();
-            let value = [record.brand.as_str(), price.as_str(), record.case.as_str()][c.attr];
-            mapped(c.attr) && holds(&c.op, value, &c.value)
+            let value = [&record.brand, &record.price, &record.case][c.attr];
+            mapped(c.attr) && holds(RANGES[c.attr], &c.op, value, &c.value)
         })
     }
 }
 
-/// `value op constant`: numeric when both sides parse as numbers (a NaN
-/// satisfies nothing), byte-wise otherwise; `LIKE` matches a pattern.
-fn holds(op: &str, value: &str, constant: &str) -> bool {
+/// `value op constant` in the range named by its XSD local name:
+/// decimal order on `decimal`, code-point order on anything else (the
+/// scenario declares only `string` besides); `LIKE` matches a pattern.
+fn holds(range: &str, op: &str, value: &str, constant: &str) -> bool {
     if op == "LIKE" {
         return like(value, constant);
     }
-    let order = match (value.parse::<f64>(), constant.parse::<f64>()) {
-        (Ok(a), Ok(b)) => a.partial_cmp(&b),
+    let order = match range {
+        "decimal" => decimal_order(value, constant),
         _ => Some(value.cmp(constant)),
     };
     order.is_some_and(|o| match op {
@@ -149,6 +154,40 @@ fn holds(op: &str, value: &str, constant: &str) -> bool {
         ">" => o.is_gt(),
         ">=" => o.is_ge(),
         _ => false,
+    })
+}
+
+/// How two decimal forms order, `None` unless both are in the lexical
+/// space `[+-]?(\d+(\.\d*)?|\.\d+)` once trimmed. Both magnitudes are
+/// padded to one width, whole digits on the left and fraction digits on
+/// the right, so their text orders as their values do.
+fn decimal_order(a: &str, b: &str) -> Option<Ordering> {
+    let split = |form: &str| -> Option<(bool, String, String)> {
+        let form = form.trim();
+        let (negative, unsigned) = match form.strip_prefix('-') {
+            Some(rest) => (true, rest),
+            None => (false, form.strip_prefix('+').unwrap_or(form)),
+        };
+        let (whole, fraction) = match unsigned.find('.') {
+            Some(at) => (&unsigned[..at], &unsigned[at + 1..]),
+            None => (unsigned, ""),
+        };
+        let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
+        let valid = digits(whole) && digits(fraction) && whole.len() + fraction.len() > 0;
+        valid.then(|| (negative, whole.to_string(), fraction.to_string()))
+    };
+    let ((a_neg, a_whole, a_frac), (b_neg, b_whole, b_frac)) = (split(a)?, split(b)?);
+    let (w, f) = (a_whole.len().max(b_whole.len()), a_frac.len().max(b_frac.len()));
+    let magnitude = |whole: &str, frac: &str| format!("{whole:0>w$}{frac:0<f$}");
+    let (a_mag, b_mag) = (magnitude(&a_whole, &a_frac), magnitude(&b_whole, &b_frac));
+    // Zero has no sign: `-0` is `+0`.
+    let zero = "0".repeat(w + f);
+    let (a_neg, b_neg) = (a_neg && a_mag != zero, b_neg && b_mag != zero);
+    Some(match (a_neg, b_neg) {
+        (false, false) => a_mag.cmp(&b_mag),
+        (true, true) => b_mag.cmp(&a_mag),
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
     })
 }
 
@@ -192,13 +231,14 @@ mod tests {
                 Condition { attr: 1, op: "<".into(), value: "300".into() },
                 Condition { attr: 0, op: "LIKE".into(), value: "s%".into() },
             ],
+            spelled: false,
         };
         let records = scenario.records();
-        let catalog: Vec<(&str, i64, &str)> =
-            records.iter().map(|r| (r.brand.as_str(), r.price, r.case.as_str())).collect();
+        let catalog: Vec<[&str; 3]> =
+            records.iter().map(|r| [r.brand.as_str(), &r.price, &r.case]).collect();
         assert_eq!(
             catalog,
-            [("seiko", 169, "steel"), ("timex", 137, "carbon"), ("rado", 214, "resin")]
+            [["seiko", "169", "steel"], ["timex", "137", "carbon"], ["rado", "214", "resin"]]
         );
         let expected = scenario.expected();
         assert_eq!(
@@ -221,12 +261,21 @@ mod tests {
     }
 
     #[test]
-    fn like_and_comparison_read_the_value() {
+    fn like_and_comparison_read_the_value_in_its_range() {
         assert!(like("seiko", "s%") && like("seiko", "_ei%o") && like("", "%"));
         assert!(!like("casio", "s%") && !like("seiko", "seik") && !like("seiko", "_"));
-        assert!(holds("<", "32", "100") && !holds("<", "320", "100"), "numbers, not text");
-        assert!(holds("!=", "seiko", "casio") && holds(">", "seiko", "casio"));
-        assert!(!holds("=", "nan", "nan"), "a NaN satisfies nothing");
+        let decimal = |op, value, constant| holds("decimal", op, value, constant);
+        assert!(decimal("<", "32", "100") && !decimal("<", "320", "100"), "numbers, not text");
+        assert!(decimal("=", " 0100.50 ", "+100.5") && decimal("<", "-.5", "0"));
+        assert!(decimal("=", "-0", "0.00") && decimal(">", "10.01", "10.009"));
+        for outside in ["1e1", "inf", "NaN", "-", "N/A", ".", ""] {
+            assert!(!decimal("<", outside, "100") && !decimal("!=", outside, "100"), "{outside}");
+            assert!(!decimal("!=", "100", outside), "{outside}");
+        }
+        let string = |op, value, constant| holds("string", op, value, constant);
+        assert!(string("!=", "seiko", "casio") && string(">", "seiko", "casio"));
+        assert!(string("<", "10", "9") && !string("=", "007", "7"), "code points, not numbers");
+        assert!(!string("!=", "nan", "nan") && string("!=", "NaN", "9"));
     }
 
     #[test]

@@ -52,10 +52,23 @@
 //! Probabilistic `flaky(p)` endpoints have no stated answer except at
 //! `p = 0`; above it they are held to completeness monotonicity and
 //! determinism. A deadline cuts an answer to some subset of the
-//! expected one. The catalog is 1–5 records, 3 word or integer
-//! attributes (XML and web pad some prices, text and web lines carry a
-//! `unit_price` label) and 0–2 `AND`ed conditions; `OR`, `NOT`, and
-//! decimal, exponent or non-finite prices are not generated.
+//! expected one.
+//!
+//! A condition compares in its attribute's declared range, which the
+//! ground truth reads from the table the scenario ontology is built from
+//! ([`scenario::RANGES`]): `price` is an `xsd:decimal`, ordered exactly
+//! whatever its spelling and the whitespace around it, and a value
+//! or constant outside the decimal lexical space satisfies no operator,
+//! `!=` included; `brand` and `case` are `xsd:string`s, ordered by code
+//! point. The catalog is 1–5 records of 3 attributes (XML and web pad
+//! some prices, text and web lines carry a `unit_price` label) and 0–2
+//! `AND`ed conditions, and a generated catalog is `spelled`: some prices
+//! are signed, zero-padded, fractional, exponent, non-finite or
+//! placeholder forms, some brands and cases numeric-looking, non-ASCII
+//! or with an apostrophe, and the constants hit them; every source kind
+//! serves each verbatim, a database keeping its prices as `TEXT` when an
+//! `INTEGER` column cannot. `OR`, `NOT` and catalogs of hundreds of rows
+//! are not generated.
 
 #![forbid(unsafe_code)]
 

@@ -22,7 +22,7 @@ use s2s_core::query;
 
 use crate::expected::Answer;
 use crate::oracle::{ground_truth, Violation};
-use crate::scenario::{render_condition, BuildConfig, Scenario, ATTRS};
+use crate::scenario::{render_condition, spells_bare, BuildConfig, Scenario, ATTRS};
 
 /// Runs every metamorphic rewrite and checks its answer against
 /// `expected`.
@@ -76,21 +76,6 @@ pub fn check_metamorphic(scenario: &Scenario, expected: &Answer) -> Vec<Violatio
         });
     }
     violations
-}
-
-/// Whether the parser reads `value` back when it is written without
-/// quotes: a number (sign, digits, dots) or a word of identifier
-/// characters.
-fn spells_bare(value: &str) -> bool {
-    match value.as_bytes().first() {
-        None => false,
-        Some(b'0'..=b'9' | b'-' | b'+') => {
-            value[1..].bytes().all(|b| b.is_ascii_digit() || b == b'.')
-        }
-        Some(_) => {
-            value.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'))
-        }
-    }
 }
 
 /// Rewrites the canonical query into another spelling of the same parse

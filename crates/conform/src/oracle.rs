@@ -305,13 +305,19 @@ fn check_delta_arm(scenario: &Scenario, arm: &str, config: &BuildConfig) -> Vec<
     violations
 }
 
-/// Advances the catalog one mutation round: every price moves; the
-/// declare-nothing rounds (odd) additionally rotate every brand, so the
-/// mutation really is confined to the declared fields on even rounds.
+/// Advances the catalog one mutation round: every integer price moves
+/// (a respelled one stays as spelled); the declare-nothing rounds (odd)
+/// additionally rotate every brand, so the mutation really is confined
+/// to the declared fields on even rounds.
 fn mutate_catalog(records: &mut [Record], round: usize) {
     use crate::scenario::BRANDS;
     for r in records.iter_mut() {
-        r.price += 7 * (round as i64 + 1);
+        match r.price.parse::<i64>() {
+            Ok(price) if price.to_string() == r.price => {
+                r.price = (price + 7 * (round as i64 + 1)).to_string();
+            }
+            _ => {}
+        }
         if round % 2 == 1 {
             let i = BRANDS.iter().position(|&b| b == r.brand).unwrap_or(0);
             r.brand = BRANDS[(i + 1) % BRANDS.len()].to_string();
@@ -329,8 +335,11 @@ fn mutate_catalog(records: &mut [Record], round: usize) {
 /// registers them; the operator makes the interventions the conform
 /// catalog genuinely needs: the bare `<b>`/`<i>` web tags carry no name
 /// signal and surface as ambiguous-target conflicts (resolved to
-/// brand/case), and single-record sources override the shape-implied
-/// multi-record scenario. Besides the `bootstrap` arm's answer:
+/// brand/case), a price field whose samples are not all numbers (a
+/// spelled catalog's placeholders, or a `TEXT` column) surfaces as an
+/// ambiguous-type conflict (accepted for its path), and single-record
+/// sources override the shape-implied multi-record scenario. Besides
+/// the `bootstrap` arm's answer:
 ///
 /// * **coverage** — every source bootstraps exactly one accepted,
 ///   applied candidate per attribute;
@@ -338,6 +347,7 @@ fn mutate_catalog(records: &mut [Record], round: usize) {
 ///   candidate sets (field, path, rule, scenario, confidence) and the
 ///   same answer.
 fn check_bootstrap(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
+    use s2s_core::bootstrap::Conflict;
     use s2s_core::mapping::RecordScenario;
 
     let mut violations = Vec::new();
@@ -374,6 +384,19 @@ fn check_bootstrap(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
                 report
                     .resolve("i", "thing.product.watch.case")
                     .map_err(|e| format!("{id}: {e}"))?;
+            }
+            let typed: Vec<(String, String)> = report
+                .conflicts
+                .iter()
+                .filter_map(|c| match c {
+                    Conflict::AmbiguousType { field, path, .. } => {
+                        Some((field.clone(), path.clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            for (field, path) in typed {
+                report.resolve(&field, &path).map_err(|e| format!("{id}: {e}"))?;
             }
             if spec.single_record {
                 report.override_scenario(RecordScenario::SingleRecord);
@@ -926,6 +949,7 @@ mod tests {
                 fault: FaultClass::Reliable,
             }],
             conditions: Vec::new(),
+            spelled: false,
         };
         let answer = |query: &str| {
             Answer::from(&scenario.build(&BuildConfig::batched()).query(query).unwrap())

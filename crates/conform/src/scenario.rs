@@ -21,13 +21,29 @@ use s2s_netsim::{ChangeKind, CostModel, FailureModel, FaultKind, FaultSchedule, 
 use s2s_owl::Ontology;
 use s2s_webdoc::WebStore;
 
-/// Brand vocabulary (word-only so every source kind extracts the value
-/// verbatim).
+/// Brand vocabulary.
 pub const BRANDS: [&str; 8] =
     ["seiko", "casio", "citizen", "orient", "tissot", "fossil", "timex", "rado"];
 
 /// Case-material vocabulary.
 pub const CASES: [&str; 6] = ["steel", "gold", "titanium", "ceramic", "resin", "carbon"];
+
+/// Brands a spelled catalog adds: numeric-looking words (a string
+/// range orders them by code point, so `10 < 9`), non-ASCII words and
+/// words with an apostrophe. Every kind serves each verbatim: no space,
+/// `|`, `<` or `&` in any.
+pub const SPELLED_BRANDS: [&str; 8] = ["10", "9", "007", "1e1", "NaN", "zénith", "時計", "o'clock"];
+
+/// Case materials a spelled catalog adds, in the same kinds.
+pub const SPELLED_CASES: [&str; 6] = ["10", "9", "007", "céramique", "チタン", "d'or"];
+
+/// The XSD namespace the scenario ontology's ranges are in.
+pub const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+
+/// The declared range of each of [`ATTRS`]: brand and case are
+/// `xsd:string`, price `xsd:decimal`. [`ontology`] declares them and
+/// [`Scenario::expected`] compares in them.
+pub const RANGES: [&str; 3] = ["string", "decimal", "string"];
 
 /// The attributes every source maps, in canonical order.
 pub const ATTRS: [&str; 3] = ["brand", "price", "case"];
@@ -190,16 +206,23 @@ pub struct Scenario {
     pub sources: Vec<SourceSpec>,
     /// The query's `WHERE` conditions (AND-joined; may be empty).
     pub conditions: Vec<Condition>,
+    /// Whether the catalog respells some records' values in forms that
+    /// tell value spaces apart ([`Scenario::records`]). Generated
+    /// scenarios do; case files written before the spellings existed
+    /// leave it off and keep their catalogs.
+    pub spelled: bool,
 }
 
-/// One catalog record.
+/// One catalog record, each value as every source spells it (an XML or
+/// web source pads some prices).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Brand (word-only).
+    /// Brand.
     pub brand: String,
-    /// Integer price, rendered without a decimal point.
-    pub price: i64,
-    /// Case material (word-only).
+    /// Price: an integer, or in a spelled catalog any form of
+    /// [`spell_price`].
+    pub price: String,
+    /// Case material.
     pub case: String,
 }
 
@@ -225,19 +248,38 @@ impl Scenario {
             .collect();
         let n_conditions = rng.gen_range(0..3);
         let conditions = (0..n_conditions).map(|_| generate_condition(&mut rng)).collect();
-        Scenario { seed, rows, sources, conditions }
+        Scenario { seed, rows, sources, conditions, spelled: true }
     }
 
-    /// The shared catalog, derived from the scenario seed.
+    /// The shared catalog, derived from the scenario seed. A spelled
+    /// catalog then respells values from a second stream, so the plain
+    /// draws stay what they were: two prices in five in a form of
+    /// [`spell_price`], one brand and one case in four from the
+    /// spelled vocabularies.
     pub fn records(&self) -> Vec<Record> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xC0FF_EE00_D15E_A5E5);
-        (0..self.rows)
+        let mut records: Vec<Record> = (0..self.rows)
             .map(|_| Record {
                 brand: BRANDS[rng.gen_range(0..BRANDS.len())].to_string(),
-                price: rng.gen_range(20..500) as i64,
+                price: rng.gen_range(20..500).to_string(),
                 case: CASES[rng.gen_range(0..CASES.len())].to_string(),
             })
-            .collect()
+            .collect();
+        if self.spelled {
+            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5BE1_1ED0_0CA7_A106);
+            for r in &mut records {
+                if rng.gen_bool(0.4) {
+                    r.price = spell_price(&mut rng, &r.price);
+                }
+                if rng.gen_bool(0.25) {
+                    r.brand = SPELLED_BRANDS[rng.gen_range(0..SPELLED_BRANDS.len())].to_string();
+                }
+                if rng.gen_bool(0.25) {
+                    r.case = SPELLED_CASES[rng.gen_range(0..SPELLED_CASES.len())].to_string();
+                }
+            }
+        }
+        records
     }
 
     /// The canonical S2SQL text of the query.
@@ -446,28 +488,76 @@ fn generate_transients(rng: &mut StdRng) -> Vec<(u64, FaultKind)> {
     faults
 }
 
-fn generate_condition(rng: &mut StdRng) -> Condition {
-    let attr = rng.gen_range(0..3);
-    if attr == 1 {
-        let op = ["<", "<=", ">", ">="][rng.gen_range(0..4)].to_string();
-        Condition { attr, op, value: rng.gen_range(20..500).to_string() }
-    } else {
-        let vocabulary: &[&str] = if attr == 0 { &BRANDS } else { &CASES };
-        let word = vocabulary[rng.gen_range(0..vocabulary.len())];
-        match rng.gen_range(0..3) {
-            0 => Condition { attr, op: "=".into(), value: word.into() },
-            1 => Condition { attr, op: "!=".into(), value: word.into() },
-            _ => Condition { attr, op: "LIKE".into(), value: format!("{}%", &word[..1]) },
-        }
+/// A price `n` as a source might spell it: signed, zero-padded, with a
+/// fraction (all decimals), with an exponent, non-finite (doubles but
+/// not decimals) or a placeholder (neither).
+pub fn spell_price(rng: &mut StdRng, n: &str) -> String {
+    match rng.gen_range(0..12) {
+        0 => format!("+{n}"),
+        1 => format!("-{n}"),
+        2 => format!("0{n}"),
+        3 => format!("{n}.50"),
+        4 => format!("{n}.0"),
+        5 => format!("{n}e0"),
+        6 => format!("{}.{}E1", &n[..n.len() - 1], &n[n.len() - 1..]),
+        7 => "inf".into(),
+        8 => ["NaN", "INF", "-infinity"][rng.gen_range(0..3)].into(),
+        9 => "-".into(),
+        10 => "N/A".into(),
+        _ => format!("00{n}"),
     }
 }
 
-/// Renders one condition in canonical S2SQL (string values quoted).
+fn generate_condition(rng: &mut StdRng) -> Condition {
+    const OPS: [&str; 7] = ["=", "!=", "<", "<=", ">", ">=", "LIKE"];
+    let attr = rng.gen_range(0..3);
+    if attr == 1 {
+        let op = OPS[rng.gen_range(0..6)].to_string();
+        let n = rng.gen_range(20..500).to_string();
+        let value = match rng.gen_range(0..8) {
+            0 => spell_price(rng, &n),
+            1 => format!("{n}.5"),
+            _ => n,
+        };
+        return Condition { attr, op, value };
+    }
+    let vocabulary: &[&str] = match (attr, rng.gen_bool(0.3)) {
+        (0, false) => &BRANDS,
+        (0, true) => &SPELLED_BRANDS,
+        (_, false) => &CASES,
+        (_, true) => &SPELLED_CASES,
+    };
+    let word = vocabulary[rng.gen_range(0..vocabulary.len())];
+    let op = OPS[rng.gen_range(0..OPS.len())];
+    let value = match op {
+        "LIKE" => format!("{}%", word.chars().next().expect("no empty word")),
+        _ => word.to_string(),
+    };
+    Condition { attr, op: op.into(), value }
+}
+
+/// Renders one condition in canonical S2SQL: a price the parser reads
+/// bare written bare, anything else quoted.
 pub fn render_condition(c: &Condition) -> String {
-    if c.attr == 1 {
+    if c.attr == 1 && spells_bare(&c.value) {
         format!("{} {} {}", ATTRS[c.attr], c.op, c.value)
     } else {
-        format!("{} {} '{}'", ATTRS[c.attr], c.op, c.value)
+        format!("{} {} '{}'", ATTRS[c.attr], c.op, c.value.replace('\'', "''"))
+    }
+}
+
+/// Whether the parser reads `value` back when it is written without
+/// quotes: a number (sign, digits, dots) or a word of identifier
+/// characters.
+pub(crate) fn spells_bare(value: &str) -> bool {
+    match value.as_bytes().first() {
+        None => false,
+        Some(b'0'..=b'9' | b'-' | b'+') => {
+            value[1..].bytes().all(|b| b.is_ascii_digit() || b == b'.')
+        }
+        Some(_) => {
+            value.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'))
+        }
     }
 }
 
@@ -478,11 +568,11 @@ pub fn ontology() -> Ontology {
         .unwrap()
         .class("Watch", Some("Product"))
         .unwrap()
-        .datatype_property("brand", "Product", "http://www.w3.org/2001/XMLSchema#string")
+        .datatype_property("brand", "Product", &format!("{XSD}{}", RANGES[0]))
         .unwrap()
-        .datatype_property("price", "Product", "http://www.w3.org/2001/XMLSchema#decimal")
+        .datatype_property("price", "Product", &format!("{XSD}{}", RANGES[1]))
         .unwrap()
-        .datatype_property("case", "Watch", "http://www.w3.org/2001/XMLSchema#string")
+        .datatype_property("case", "Watch", &format!("{XSD}{}", RANGES[2]))
         .unwrap()
         .build()
         .unwrap()
@@ -507,10 +597,10 @@ pub(crate) fn payload_value(
         2 => record.case.clone(),
         _ if matches!(kind, SourceKindSpec::Xml | SourceKindSpec::Web) => match index % 3 {
             0 => format!(" {} ", record.price),
-            1 => record.price.to_string(),
+            1 => record.price.clone(),
             _ => format!("\t{}\n", record.price),
         },
-        _ => record.price.to_string(),
+        _ => record.price.clone(),
     }
 }
 
@@ -523,18 +613,24 @@ fn unit_price(index: usize) -> usize {
 pub(crate) fn connection_for(kind: SourceKindSpec, records: &[Record]) -> Connection {
     match kind {
         SourceKindSpec::Db => {
+            // An `INTEGER` column stores only the spellings it prints
+            // back; a catalog with any other keeps its prices as text.
+            let integer = |p: &String| p.parse::<i64>().is_ok_and(|n| n.to_string() == *p);
+            let numeric = records.iter().all(|r| integer(&r.price));
             let mut db = Database::new("catalog");
-            db.execute(
-                "CREATE TABLE watches (id INTEGER PRIMARY KEY, brand TEXT, price INTEGER, case_m TEXT)",
-            )
+            db.execute(&format!(
+                "CREATE TABLE watches (id INTEGER PRIMARY KEY, brand TEXT, price {}, case_m TEXT)",
+                if numeric { "INTEGER" } else { "TEXT" }
+            ))
             .unwrap();
+            let quoted = |s: &str| format!("'{}'", s.replace('\'', "''"));
             for (i, r) in records.iter().enumerate() {
+                let price = if numeric { r.price.clone() } else { quoted(&r.price) };
                 db.execute(&format!(
-                    "INSERT INTO watches VALUES ({}, '{}', {}, '{}')",
+                    "INSERT INTO watches VALUES ({}, {}, {price}, {})",
                     i + 1,
-                    r.brand,
-                    r.price,
-                    r.case
+                    quoted(&r.brand),
+                    quoted(&r.case)
                 ))
                 .unwrap();
             }
@@ -620,7 +716,9 @@ pub(crate) fn rule_for(kind: SourceKindSpec, attr: usize) -> ExtractionRule {
         },
         SourceKindSpec::Text => {
             // Anchored after the separator: `price: ` also ends `unit_price: `.
-            let pattern = [r"brand: ([\w-]+)", r"[|] price: ([0-9]+)", r"case: ([\w-]+)"][attr];
+            // A value runs to the next space, `|` or line end.
+            let pattern =
+                [r"brand: ([^ |\n]+)", r"[|] price: ([^ |\n]+)", r"case: ([^ |\n]+)"][attr];
             ExtractionRule::TextRegex { pattern: pattern.into(), group: 1 }
         }
     }
@@ -662,6 +760,7 @@ mod tests {
                     .map(|&kind| SourceSpec { kind, single_record, fault: FaultClass::Reliable })
                     .collect(),
                 conditions: Vec::new(),
+                spelled: true,
             };
             let outcome = sc.build(&BuildConfig::batched()).query(&sc.query_text()).unwrap();
             assert_eq!(Answer::from(&outcome), sc.expected(), "single_record {single_record}");

@@ -1,8 +1,8 @@
 //! Greedy scenario minimization.
 //!
 //! Given a failing scenario and a predicate that re-checks it, the
-//! shrinker tries structure-aware reductions — drop a source, drop a
-//! condition, simplify a fault class, shed catalog rows — and keeps
+//! shrinker tries structure-aware reductions — drop a source, drop the
+//! catalog's respellings, drop a condition, simplify a fault class, shed catalog rows — and keeps
 //! any reduction that still fails, looping to a fixpoint. The result
 //! is the small repro serialized into `crates/conform/corpus/`.
 
@@ -47,6 +47,10 @@ fn reductions(sc: &Scenario) -> Vec<Scenario> {
             candidate.sources.remove(i);
             out.push(candidate);
         }
+    }
+    // Drop the catalog's respellings.
+    if sc.spelled {
+        out.push(Scenario { spelled: false, ..sc.clone() });
     }
     // Drop one condition.
     for i in 0..sc.conditions.len() {

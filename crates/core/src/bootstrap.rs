@@ -26,6 +26,7 @@
 //! property's declared range; anything weaker becomes a conflict.
 
 use s2s_owl::{AttributePath, Ontology, PropertyKind};
+use s2s_textmatch::ValueSpace;
 
 use crate::error::S2sError;
 use crate::mapping::{ExtractionRule, RecordScenario};
@@ -63,14 +64,10 @@ pub struct SchemaField {
 
 impl SchemaField {
     /// Whether the observed values look numeric: a declared numeric
-    /// type wins; otherwise every sample must parse as a number.
+    /// type wins; otherwise every sample must be an `xsd:double`.
     pub fn looks_numeric(&self) -> bool {
-        match self.declared_numeric {
-            Some(d) => d,
-            None => {
-                !self.samples.is_empty() && self.samples.iter().all(|s| s.parse::<f64>().is_ok())
-            }
-        }
+        let double = |s: &String| ValueSpace::Double.contains(s);
+        self.declared_numeric.unwrap_or(!self.samples.is_empty() && self.samples.iter().all(double))
     }
 }
 

@@ -25,8 +25,9 @@ use std::fmt::Write as _;
 
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
 use s2s_rdf::turtle::PrefixMap;
-use s2s_rdf::vocab::{is_decimal_lexical, rdf as rdfv, xsd};
+use s2s_rdf::vocab::{rdf as rdfv, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
+use s2s_textmatch::ValueSpace;
 
 use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
 use crate::mapping::RecordScenario;
@@ -813,24 +814,17 @@ pub(crate) fn push_sanitized(out: &mut String, s: &str) {
     }
 }
 
+/// The literal `value` becomes under `range`: typed by it when the
+/// range is one of the four XSD datatypes besides `xsd:string` a
+/// comparison orders and the value is in its space, with the source's
+/// text as the space reads it (whitespace collapsed); a plain string
+/// otherwise, as the source spelled it.
 fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
-    match range.map(Iri::as_str) {
-        Some(xsd::INTEGER) => value
-            .trim()
-            .parse::<i64>()
-            .map(Literal::integer)
-            .unwrap_or_else(|_| Literal::string(value)),
-        // The literal is emitted as an `xsd:decimal`, so the source's
-        // text must be in that type's lexical space: `inf`, `NaN` or
-        // `1e5` parse as floats and are not.
-        Some(xsd::DECIMAL) | Some(xsd::DOUBLE) if is_decimal_lexical(value.trim()) => {
-            Literal::typed(value.trim(), xsd::decimal())
+    let space = range.map_or(ValueSpace::String, |r| xsd::value_space(r.as_str()));
+    match (range, space.form(value)) {
+        (Some(range), Some(form)) if space != ValueSpace::String => {
+            Literal::typed(form, range.clone())
         }
-        Some(xsd::BOOLEAN) => match value.trim() {
-            "true" | "1" => Literal::boolean(true),
-            "false" | "0" => Literal::boolean(false),
-            _ => Literal::string(value),
-        },
         _ => Literal::string(value),
     }
 }
@@ -1052,7 +1046,7 @@ mod tests {
             .cloned()
             .unwrap();
         assert_eq!(lit.datatype().as_str(), xsd::DECIMAL);
-        assert_eq!(lit.as_decimal(), Some(59.5));
+        assert_eq!(lit.lexical(), "59.5");
     }
 
     #[test]
@@ -1155,11 +1149,26 @@ mod tests {
             assert_eq!((lit.datatype(), lit.lexical()), (&decimal, plain.trim()));
         }
         // What `str::parse::<f64>` also accepts is not an `xsd:decimal`;
-        // like any other non-numeric text it stays a plain string.
+        // like any other text outside the space it stays a plain string.
         for other in ["NaN", "inf", "-infinity", "1e5", "1.5E-3", ".", "+", "", "1.2.3", "cheap"] {
             assert_eq!(typed_literal(Some(&decimal), other), Literal::string(other), "{other:?}");
-            let double = Iri::new(xsd::DOUBLE).unwrap();
-            assert_eq!(typed_literal(Some(&double), other), Literal::string(other), "{other:?}");
+        }
+        // Every range types the forms of its own space, keeping the
+        // source's collapsed text.
+        let (double, integer, boolean) = (xsd::double(), xsd::integer(), xsd::boolean());
+        for (range, value, typed) in [
+            (&double, " 1e5 ", Some("1e5")),
+            (&double, "NaN", Some("NaN")),
+            (&double, "inf", None),
+            (&integer, "+007", Some("+007")),
+            (&integer, "1.0", None),
+            (&boolean, " 1 ", Some("1")),
+        ] {
+            let expected = match typed {
+                Some(form) => Literal::typed(form, range.clone()),
+                None => Literal::string(value),
+            };
+            assert_eq!(typed_literal(Some(range), value), expected, "{value:?}");
         }
 
         let o = onto();

@@ -21,9 +21,10 @@
 
 use std::fmt;
 
-use s2s_owl::{AttributePath, Ontology, PropertyKind, Reasoner};
+use s2s_owl::{AttributePath, Ontology, PropertyDef, PropertyKind};
+use s2s_rdf::vocab::xsd;
 use s2s_rdf::Iri;
-use s2s_textmatch::Comparand;
+use s2s_textmatch::{Comparand, ValueSpace};
 
 use crate::error::S2sError;
 
@@ -137,16 +138,15 @@ impl fmt::Display for S2sqlQuery {
 pub struct ResolvedCondition {
     /// The property the attribute resolved to.
     pub property: Iri,
-    /// The operator and the constraint text, read once when the query
-    /// was planned (plans are cached: once per distinct query) rather
-    /// than once per candidate value.
+    /// The operator, the constraint text and the value space of the
+    /// property's declared range, which the comparison is made in.
     comparand: Comparand,
 }
 
 impl ResolvedCondition {
-    /// `property op value`.
-    pub fn new(property: Iri, op: CondOp, value: impl Into<String>) -> Self {
-        ResolvedCondition { property, comparand: Comparand::new(op, value.into()) }
+    /// `property op value`, compared in `space`.
+    pub fn new(property: Iri, op: CondOp, value: impl Into<String>, space: ValueSpace) -> Self {
+        ResolvedCondition { property, comparand: Comparand::in_space(op, value.into(), space) }
     }
 
     /// The operator.
@@ -157,6 +157,16 @@ impl ResolvedCondition {
     /// The constraint text.
     pub fn value(&self) -> &str {
         self.comparand.constant()
+    }
+
+    /// The value space the comparison is made in.
+    pub fn space(&self) -> ValueSpace {
+        self.comparand.space()
+    }
+
+    /// Whether rule text ([`Comparand::new`], naming no range) compares alike.
+    pub(crate) fn compares_as_rule_text(&self) -> bool {
+        self.op() == CondOp::Like || Comparand::new(self.op(), self.value()).space() == self.space()
     }
 }
 
@@ -297,7 +307,6 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
         S2sError::QuerySemantics { message: format!("unknown class `{}`", query.class) }
     })?;
 
-    let reasoner = Reasoner::new(ontology);
     let properties = ontology.properties_of_class(&class);
 
     // Associated output classes: ranges of object properties, followed
@@ -324,7 +333,6 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
             }
         }
     }
-    let _ = reasoner; // closure retained for future subsumption checks
 
     // Attribute list: one canonical path per applicable property, for
     // the selected class AND each of its subclasses — a query for
@@ -343,32 +351,19 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
     }
 
     // Conditions must name attributes applicable to the class (or be
-    // full paths that resolve to one of them).
+    // full paths that resolve to one of them), in their first range.
     fn resolve_tree(
         expr: &ConditionExpr,
         class: &Iri,
-        properties: &[&s2s_owl::PropertyDef],
+        properties: &[&PropertyDef],
         ontology: &Ontology,
     ) -> Result<ConditionTree, S2sError> {
         Ok(match expr {
             ConditionExpr::Leaf(c) => {
-                let property = if c.attribute.contains('.') {
-                    let path: AttributePath = c.attribute.parse().map_err(S2sError::Owl)?;
-                    path.resolve(ontology)?.property
-                } else {
-                    properties
-                        .iter()
-                        .find(|p| p.iri().local_name().eq_ignore_ascii_case(&c.attribute))
-                        .map(|p| p.iri().clone())
-                        .ok_or_else(|| S2sError::QuerySemantics {
-                            message: format!(
-                                "class `{}` has no attribute `{}`",
-                                class.local_name(),
-                                c.attribute
-                            ),
-                        })?
-                };
-                ConditionTree::Leaf(ResolvedCondition::new(property, c.op, c.value.clone()))
+                let property = resolve_attribute(&c.attribute, "", class, properties, ontology)?;
+                let range = ontology.property(&property).and_then(|p| p.ranges().next());
+                let space = range.map_or(ValueSpace::String, |r| xsd::value_space(r.as_str()));
+                ConditionTree::Leaf(ResolvedCondition::new(property, c.op, c.value.clone(), space))
             }
             ConditionExpr::And(a, b) => ConditionTree::And(
                 Box::new(resolve_tree(a, class, properties, ontology)?),
@@ -391,40 +386,41 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
     // The projection resolves exactly like condition attributes: simple
     // names against the selected class's properties, dotted names as
     // full attribute paths.
-    let projection = match &query.projection {
-        Some(names) => {
-            let mut resolved = Vec::new();
-            for name in names {
-                let property = if name.contains('.') {
-                    let path: AttributePath = name.parse().map_err(S2sError::Owl)?;
-                    path.resolve(ontology)?.property
-                } else {
-                    properties
-                        .iter()
-                        .find(|p| p.iri().local_name().eq_ignore_ascii_case(name))
-                        .map(|p| p.iri().clone())
-                        .ok_or_else(|| S2sError::QuerySemantics {
-                            message: format!(
-                                "class `{}` has no attribute `{name}` to project",
-                                class.local_name()
-                            ),
-                        })?
-                };
-                if !resolved.contains(&property) {
-                    resolved.push(property);
-                }
-            }
-            Some(resolved)
+    let mut resolved = Vec::new();
+    for name in query.projection.iter().flatten() {
+        let property = resolve_attribute(name, " to project", &class, &properties, ontology)?;
+        if !resolved.contains(&property) {
+            resolved.push(property);
         }
-        None => None,
-    };
+    }
+    let projection = query.projection.as_ref().map(|_| resolved);
 
     Ok(QueryPlan { class, output_classes, attributes, projection, condition })
 }
 
+/// The property an attribute `name` names: a dotted name as a full
+/// attribute path, a simple one among `properties` (ASCII case folded);
+/// `purpose` ends the error's message.
+fn resolve_attribute(
+    name: &str,
+    purpose: &str,
+    class: &Iri,
+    properties: &[&PropertyDef],
+    ontology: &Ontology,
+) -> Result<Iri, S2sError> {
+    if name.contains('.') {
+        let path: AttributePath = name.parse().map_err(S2sError::Owl)?;
+        return Ok(path.resolve(ontology)?.property);
+    }
+    let found = properties.iter().find(|p| p.iri().local_name().eq_ignore_ascii_case(name));
+    found.map(|p| p.iri().clone()).ok_or_else(|| S2sError::QuerySemantics {
+        message: format!("class `{}` has no attribute `{name}`{purpose}", class.local_name()),
+    })
+}
+
 /// Evaluates one resolved condition against a candidate value
-/// ([`Comparand::test`]: numeric when both sides parse as numbers,
-/// string comparison otherwise, `%`/`_` wildcards for `LIKE`).
+/// ([`Comparand::test`]: in the condition's value space, where a side
+/// outside it satisfies nothing; `%`/`_` wildcards for `LIKE`).
 #[inline]
 pub fn condition_matches(cond: &ResolvedCondition, value: &str) -> bool {
     cond.comparand.test(value)
@@ -983,17 +979,23 @@ mod tests {
 
     #[test]
     fn condition_matching_semantics() {
-        let c = |op, value: &str| {
-            ResolvedCondition::new(Iri::new("http://x.org/p").unwrap(), op, value)
+        let c = |op, value: &str, space| {
+            ResolvedCondition::new(Iri::new("http://x.org/p").unwrap(), op, value, space)
         };
-        assert!(condition_matches(&c(CondOp::Eq, "Seiko"), "Seiko"));
-        assert!(!condition_matches(&c(CondOp::Eq, "Seiko"), "seiko"));
-        assert!(condition_matches(&c(CondOp::Lt, "100"), "59.5"));
-        assert!(!condition_matches(&c(CondOp::Lt, "100"), "129.99"));
-        // Numeric compare applies even with different lexemes.
-        assert!(condition_matches(&c(CondOp::Eq, "100"), "100.0"));
-        assert!(condition_matches(&c(CondOp::Like, "stain%"), "stainless-steel"));
-        assert!(condition_matches(&c(CondOp::Ne, "a"), "b"));
-        assert!(condition_matches(&c(CondOp::Ge, "59.5"), "59.5"));
+        let (string, decimal) = (ValueSpace::String, ValueSpace::Decimal);
+        assert!(condition_matches(&c(CondOp::Eq, "Seiko", string), "Seiko"));
+        assert!(!condition_matches(&c(CondOp::Eq, "Seiko", string), "seiko"));
+        assert!(condition_matches(&c(CondOp::Lt, "100", decimal), "59.5"));
+        assert!(!condition_matches(&c(CondOp::Lt, "100", decimal), "129.99"));
+        // Decimal compare applies even with different lexemes.
+        assert!(condition_matches(&c(CondOp::Eq, "100", decimal), "100.0"));
+        assert!(condition_matches(&c(CondOp::Like, "stain%", string), "stainless-steel"));
+        assert!(condition_matches(&c(CondOp::Ne, "a", string), "b"));
+        assert!(condition_matches(&c(CondOp::Ge, "59.5", decimal), "59.5"));
+        // The range decides: a string orders by code point, and a form
+        // outside a decimal range satisfies nothing.
+        assert!(condition_matches(&c(CondOp::Lt, "9", string), "10"));
+        assert!(!condition_matches(&c(CondOp::Lt, "100", decimal), "1e1"));
+        assert!(!condition_matches(&c(CondOp::Ne, "100", decimal), "N/A"));
     }
 }

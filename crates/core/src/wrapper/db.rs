@@ -6,6 +6,7 @@ use s2s_minidb::sql::ast::SelectItem;
 use s2s_minidb::{
     CmpOp, ColumnRef, ColumnSink, DataType, Database, Expr, Operand, SelectStmt, Value,
 };
+use s2s_textmatch::ValueSpace;
 
 use super::{compiled_by, value_field, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
@@ -56,8 +57,8 @@ impl Wrapper for Db<'_> {
     }
 
     /// Every kept rule must scan one column of the same table in the same
-    /// order; a conjunct becomes a typed `WHERE` term when the column type
-    /// reproduces the mediator's numeric-else-string comparison.
+    /// order; a conjunct becomes a typed `WHERE` term when SQL compares
+    /// the column as the condition's range does.
     fn push<'c>(
         &self,
         group: &[&AttributeMapping],
@@ -84,33 +85,26 @@ impl Wrapper for Db<'_> {
             // The guard may be a column the projection dropped.
             let Some(column) = value_field(self, group, &c.property) else { continue };
             let Some(idx) = table.column_index(column) else { continue };
-            let number = c.value().parse::<f64>().ok();
-            let expr = match (table.columns()[idx].data_type(), c.op(), number) {
+            let exact = c.space().exact_f64(c.value()).filter(|n| n.abs() < MAX_EXACT);
+            let literal = match (table.columns()[idx].data_type(), c.op(), c.space(), exact) {
                 // LIKE is text pattern matching on both sides.
-                (DataType::Text, CondOp::Like, _) => Expr::Like {
-                    column: ColumnRef::new(column),
-                    pattern: c.value().to_string(),
-                    negated: false,
-                },
-                // Numeric column + numeric literal: SQL compares like the
-                // mediator's f64 path, for a literal SQL can spell (`inf`,
-                // `NaN` re-parse as columns) and `f64` holds exactly.
-                (DataType::Integer | DataType::Real, op, Some(n)) if n.abs() < MAX_EXACT => {
-                    let value = c.value().parse::<i64>().map_or(Value::Float(n), Value::Int);
-                    Expr::Compare {
-                        left: ColumnRef::new(column),
-                        op: cmp_of(op)?,
-                        right: Operand::Literal(value),
-                    }
+                (DataType::Text, CondOp::Like, _, _) => None,
+                // A text column orders by code point, as a string does.
+                (DataType::Text, _, ValueSpace::String, _) => Some(Value::Text(c.value().into())),
+                // A numeric column prints a decimal as read back: SQL orders
+                // it as its print, against a literal printing as the constant.
+                (DataType::Integer, _, _, Some(n))
+                | (DataType::Real, _, ValueSpace::Decimal, Some(n)) => {
+                    Some(if n.fract() == 0.0 { Value::Int(n as i64) } else { Value::Float(n) })
                 }
-                // Text column + non-numeric literal: both compare strings
-                // (a numeric one the mediator compares as a number).
-                (DataType::Text, op, None) => Expr::Compare {
-                    left: ColumnRef::new(column),
-                    op: cmp_of(op)?,
-                    right: Operand::Literal(Value::Text(c.value().to_string())),
-                },
                 _ => continue,
+            };
+            let left = ColumnRef::new(column);
+            let expr = match literal {
+                None => Expr::Like { column: left, pattern: c.value().into(), negated: false },
+                Some(value) => {
+                    Expr::Compare { left, op: cmp_of(c.op())?, right: Operand::Literal(value) }
+                }
             };
             pushed.push(c);
             exprs.push(expr);
@@ -320,9 +314,9 @@ mod tests {
         );
     }
 
-    /// Past 2^53 the mediator's `f64` comparison calls neighbouring
-    /// integers equal while SQL compares them exactly: such a literal
-    /// must stay in the residual, or pushdown loses the row.
+    /// Past 2^53 an `f64` calls neighbouring integers equal, while the
+    /// decimal space tells them apart: such a literal stays in the
+    /// residual, which answers exactly.
     #[test]
     fn pushdown_keeps_inexact_integer_literals_residual() {
         let d = db(&["CREATE TABLE w (price INTEGER)", "INSERT INTO w VALUES (9007199254740993)"]);
@@ -338,8 +332,10 @@ mod tests {
         let rule = sql("SELECT price FROM w", "price");
         s2s.register_attribute("thing.watch.price", rule, "DB", RecordScenario::MultiRecord)
             .unwrap();
-        let out = s2s.query("SELECT watch WHERE price = 9007199254740992").unwrap();
-        assert_eq!(out.individuals().len(), 1, "equal as f64, as with the planner off");
-        assert!(out.source("DB").unwrap().pushed.is_empty());
+        for (constant, individuals) in [("9007199254740992", 0), ("9007199254740993", 1)] {
+            let out = s2s.query(&format!("SELECT watch WHERE price = {constant}")).unwrap();
+            assert_eq!(out.individuals().len(), individuals, "{constant}");
+            assert!(out.source("DB").unwrap().pushed.is_empty());
+        }
     }
 }

@@ -64,8 +64,8 @@ impl Wrapper for Web<'_> {
         })
     }
 
-    /// Masks each kept program with `Where` guards re-running the guard
-    /// attribute's own program, one composed rewrite per rule.
+    /// Masks each kept program with `Where` guards (compared as rule text)
+    /// re-running the guard attribute's own program, one rewrite a rule.
     fn push<'c>(
         &self,
         group: &[&AttributeMapping],
@@ -77,7 +77,7 @@ impl Wrapper for Web<'_> {
         let guard_of = |c: &ResolvedCondition| {
             group
                 .iter()
-                .filter(|m| m.property() == &c.property)
+                .filter(|m| m.property() == &c.property && c.compares_as_rule_text())
                 .find_map(|m| webl_text_of(m.rule()))
         };
         let guards: Vec<(String, &'c ResolvedCondition)> =

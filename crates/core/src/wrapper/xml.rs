@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
-use s2s_xml::{push_child_predicate, Document, StringSink};
+use s2s_xml::{push_child_predicate, Document, StringSink, ValueSpace};
 
 use super::{value_field, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
@@ -59,8 +59,8 @@ impl Wrapper for Xml<'_> {
         Some(Ok(()))
     }
 
-    /// Splices `[guard op 'value']` into every kept XPath; `=` on a
-    /// numeric literal stays residual (XPath `=` compares strings).
+    /// Splices `[guard op 'value']` into every kept XPath where XPath
+    /// compares as the range does: `=` as strings, `<` … as rule text.
     fn push<'c>(
         &self,
         group: &[&AttributeMapping],
@@ -74,13 +74,13 @@ impl Wrapper for Xml<'_> {
         }
         let mut pushed = Vec::new();
         for &c in conjuncts {
-            if c.op() == CondOp::Like {
+            let agrees = match c.op() {
+                CondOp::Eq => c.space() == ValueSpace::String,
+                op => op != CondOp::Like && c.compares_as_rule_text(),
+            };
+            let Some(guard) = value_field(self, group, &c.property).filter(|_| agrees) else {
                 continue;
-            }
-            if c.op() == CondOp::Eq && c.value().parse::<f64>().is_ok() {
-                continue;
-            }
-            let Some(guard) = value_field(self, group, &c.property) else { continue };
+            };
             // All-or-nothing per conjunct: every rule of the source must
             // accept the splice or value lists would misalign.
             let Ok(next) = paths

@@ -2,11 +2,15 @@
 //! the records matching the query, across strategies and source types,
 //! the Instance Generator agrees with the one it replaced
 //! (`tests/reference`) on generated extraction reports, the cache key
-//! of a query text says exactly what the parser read in it, and a packed
-//! column reads back as the list of strings it was built from.
+//! of a query text says exactly what the parser read in it, a packed
+//! column reads back as the list of strings it was built from, and over
+//! generated lexical forms (the `lexical_form` tests) a condition
+//! compares in its range, a literal is typed exactly in its range, and
+//! pushing a conjunct changes no answer.
 
 mod reference;
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -27,6 +31,7 @@ use s2s_core::{plan_pushdown, S2s};
 use s2s_minidb::Database;
 use s2s_owl::Ontology;
 use s2s_rdf::Iri;
+use s2s_textmatch::ValueSpace;
 
 fn ontology() -> Ontology {
     Ontology::builder("http://prop.example/schema#")
@@ -112,9 +117,9 @@ fn deploy(rows: &[Row], strategy: ExecStrategy) -> S2s {
 }
 
 /// One `(column type, stored literal, op, constant)` the planner's
-/// `rewrite_db` gates accept: a text column against a non-numeric
-/// constant, a numeric column against a numeric constant, a text column
-/// under `LIKE`.
+/// `rewrite_db` gates accept: a text column under a string range, a
+/// numeric column under a decimal range against a decimal constant, a
+/// text column under `LIKE`.
 fn arb_pushable() -> impl Strategy<Value = (&'static str, String, CondOp, String)> {
     let ordered = || {
         prop_oneof![
@@ -134,8 +139,8 @@ fn arb_pushable() -> impl Strategy<Value = (&'static str, String, CondOp, String
             (-200i64..200).prop_map(|q| (q as f64 / 4.0).to_string()),
         ]
     };
-    let text = ("[ab1. ]{0,4}", ordered(), "[ab][ab1. ]{0,3}");
-    let real = (number(), ordered(), prop_oneof![number(), Just("1e1".to_string())]);
+    let text = ("[ab1. ]{0,4}", ordered(), "[ab1. ]{0,4}");
+    let real = (number(), ordered(), number());
     let integer = ((-50i64..50).prop_map(|n| n.to_string()), ordered(), number());
     let like = ("[ab%_]{0,6}", Just(CondOp::Like), "[ab%_]{0,6}");
     prop_oneof![
@@ -198,10 +203,11 @@ fn catalog_ontology() -> Ontology {
 fn catalog_pool(attribute: &str) -> &'static [&'static str] {
     match attribute {
         "brand" => &["Seiko", "Casio", "Orient", ""],
-        // Numeric columns hold plain decimals or plain text: the
-        // reference keeps the old `parse::<f64>` gate.
+        // Numeric columns hold the forms the reference's `parse::<f64>`
+        // gate and `i64` reading type as the value spaces do: decimals,
+        // integers as `i64` prints them, and plain text.
         "price" => &["19.99", "100", " 250.5 ", "-3", "+7.", "cheap", ""],
-        "stock" => &["0", "12", "+4", "many", "1.5"],
+        "stock" => &["0", "12", "-4", "many", "1.5"],
         "case" => &["steel", "resin"],
         _ => &["Time House", "ACME", "acme", "Zürich & Co", ""],
     }
@@ -554,8 +560,8 @@ proptest! {
 
     /// The SQL comparison a pushed conjunct runs at a database source
     /// (`minidb`'s typed `CmpOp` and its own `like_match`) and the
-    /// mediator's residual comparison (`condition_matches`, i.e.
-    /// `ConstraintOp::holds`) are separate code — no crate sees both but
+    /// mediator's residual comparison (`condition_matches`, in the
+    /// range's value space) are separate code — no crate sees both but
     /// this one. Under the planner's push gates they must agree on
     /// whether a one-row table's row survives.
     #[test]
@@ -566,7 +572,14 @@ proptest! {
         let mut registry = SourceRegistry::new();
         registry.register_local("DB", Connection::Database { db: Arc::new(db) }).unwrap();
         let ontology = ontology();
-        let path: s2s_owl::AttributePath = "thing.product.brand".parse().unwrap();
+        // A text column maps the string-ranged brand, a numeric one the
+        // decimal-ranged price.
+        let (attribute, space) = match ty {
+            "TEXT" => ("brand", ValueSpace::String),
+            _ => ("price", ValueSpace::Decimal),
+        };
+        let path: s2s_owl::AttributePath =
+            format!("thing.product.{attribute}").parse().unwrap();
         let mut module = MappingModule::new();
         let rule = ExtractionRule::Sql { query: "SELECT v FROM t".into(), column: "v".into() };
         module
@@ -577,7 +590,8 @@ proptest! {
         let candidate = extract_one(&registry, &schemas[0].mapping).unwrap().0;
         let candidate = candidate.first().expect("one row, one value");
 
-        let cond = ResolvedCondition::new(ontology.property_iri("brand").unwrap(), op, constant);
+        let property = ontology.property_iri(attribute).unwrap();
+        let cond = ResolvedCondition::new(property, op, constant, space);
         let tree = ConditionTree::Leaf(cond.clone());
         let mut rows = Vec::new();
         let pushed = plan_pushdown(&registry, &schemas, Some(&tree), None, &mut rows);
@@ -720,10 +734,397 @@ proptest! {
     #[test]
     fn condition_complements(value in -1000i64..1000, bound in -1000i64..1000) {
         let prop = Iri::new("http://prop.example/p").unwrap();
-        let c = |op| ResolvedCondition::new(prop.clone(), op, bound.to_string());
+        let c = |op| ResolvedCondition::new(prop.clone(), op, bound.to_string(), ValueSpace::Decimal);
         let v = value.to_string();
         prop_assert_ne!(condition_matches(&c(CondOp::Eq), &v), condition_matches(&c(CondOp::Ne), &v));
         prop_assert_ne!(condition_matches(&c(CondOp::Lt), &v), condition_matches(&c(CondOp::Ge), &v));
         prop_assert_ne!(condition_matches(&c(CondOp::Le), &v), condition_matches(&c(CondOp::Gt), &v));
+    }
+}
+
+/// Lexical forms that tell value spaces apart: decimals signed,
+/// zero-padded, with a point at either end, or past `f64`'s precision;
+/// exponents; non-finite spellings; placeholders; numeric-looking,
+/// non-ASCII and apostrophe words. None holds whitespace, `<`, `&` or
+/// `|`, so every source kind serves each verbatim.
+const FORMS: [&str; 38] = [
+    "59.5",
+    "59.50",
+    "+59.5",
+    "-59.5",
+    "059.5",
+    ".5",
+    "5.",
+    "0",
+    "-0",
+    "+0.0",
+    "100",
+    "0100",
+    "99999999999999999999",
+    "0.1",
+    "0.10000000000000001",
+    "9007199254740993",
+    "1e2",
+    "1E2",
+    "-1.5e-1",
+    "inf",
+    "-inf",
+    "INF",
+    "NaN",
+    "nan",
+    "-infinity",
+    "-",
+    "N/A",
+    ".",
+    "+",
+    "10",
+    "9",
+    "007",
+    "seiko",
+    "Seiko",
+    "é",
+    "時計",
+    "o'clock",
+    "true",
+];
+
+/// A lexical form: one of [`FORMS`], a generated decimal, or a short run
+/// of number characters.
+fn lexical_form() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..FORMS.len()).prop_map(|i| FORMS[i].to_string()),
+        (0u8..3, 0u32..300, 0u32..100).prop_map(|(sign, whole, fraction)| {
+            let sign = ["", "-", "+"][sign as usize];
+            match fraction {
+                0..=49 => format!("{sign}{whole}"),
+                _ => format!("{sign}{whole}.{fraction}"),
+            }
+        }),
+        "[-+0-9.eE]{1,5}",
+    ]
+}
+
+/// A lexical form with up to two characters of whitespace on either
+/// side, ASCII or not.
+fn padded_form() -> impl Strategy<Value = String> {
+    const PADDING: [&str; 6] = ["", "", " ", "\t", "\n ", "\u{a0}"];
+    (0..PADDING.len(), lexical_form(), 0..PADDING.len())
+        .prop_map(|(before, form, after)| format!("{}{form}{}", PADDING[before], PADDING[after]))
+}
+
+/// An independent model of the decimal lexical space and its order: a
+/// form without the whitespace around it, split at its sign and point.
+/// An integer is a decimal without a point.
+fn model_decimal(form: &str, integer: bool) -> Option<(bool, String, String)> {
+    let form = form.trim();
+    let (negative, rest) = match form.chars().next()? {
+        '-' => (true, &form[1..]),
+        '+' => (false, &form[1..]),
+        _ => (false, form),
+    };
+    let mut parts = rest.splitn(2, '.');
+    let whole = parts.next()?;
+    let fraction = parts.next();
+    if integer && fraction.is_some() {
+        return None;
+    }
+    let fraction = fraction.unwrap_or("");
+    let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
+    let some = !whole.is_empty() || !fraction.is_empty();
+    (some && digits(whole) && digits(fraction))
+        .then(|| (negative, whole.to_string(), fraction.to_string()))
+}
+
+/// How `a` and `b` order in `space` by the model: bytes for a string;
+/// for a decimal or an integer, both magnitudes padded with zeros to
+/// one width, so their text orders as their values do. `None` when a
+/// side is outside the space.
+fn model_order(space: ValueSpace, a: &str, b: &str) -> Option<Ordering> {
+    if space == ValueSpace::String {
+        return Some(a.cmp(b));
+    }
+    let integer = space == ValueSpace::Integer;
+    let ((a_neg, a_whole, a_frac), (b_neg, b_whole, b_frac)) =
+        (model_decimal(a, integer)?, model_decimal(b, integer)?);
+    let (w, f) = (a_whole.len().max(b_whole.len()), a_frac.len().max(b_frac.len()));
+    let magnitude = |whole: &str, frac: &str| format!("{whole:0>w$}{frac:0<f$}");
+    let (a_mag, b_mag) = (magnitude(&a_whole, &a_frac), magnitude(&b_whole, &b_frac));
+    let zero = "0".repeat(w + f);
+    Some(match (a_neg && a_mag != zero, b_neg && b_mag != zero) {
+        (false, false) => a_mag.cmp(&b_mag),
+        (true, true) => b_mag.cmp(&a_mag),
+        (negative, _) => {
+            if negative {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            }
+        }
+    })
+}
+
+/// Whether `form` is in the space of the XSD datatype `local`, by the
+/// model: a double is a decimal with an optional exponent, or `INF`,
+/// `+INF`, `-INF`, `NaN`.
+fn model_contains(local: &str, form: &str) -> bool {
+    let collapsed = form.trim();
+    match local {
+        "string" => true,
+        "decimal" => model_decimal(form, false).is_some(),
+        "integer" => model_decimal(form, true).is_some(),
+        "boolean" => matches!(collapsed, "true" | "false" | "1" | "0"),
+        _ => match collapsed {
+            "INF" | "+INF" | "-INF" | "NaN" => true,
+            _ => {
+                let (mantissa, exponent) = match collapsed.find(['e', 'E']) {
+                    Some(at) => (&collapsed[..at], Some(&collapsed[at + 1..])),
+                    None => (collapsed, None),
+                };
+                let exponent_ok = exponent.is_none_or(|e| {
+                    let digits = e.strip_prefix(['+', '-']).unwrap_or(e);
+                    !digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit())
+                });
+                exponent_ok && model_decimal(mantissa, false).is_some()
+            }
+        },
+    }
+}
+
+/// Whether the superseded comparison ([`reference::holds`]) and the
+/// value space must agree on `candidate op constant`: in a string range
+/// when the old one did not read both sides as numbers; in a decimal or
+/// integer range when both sides are in the space, with at most 15
+/// significant digits, so `f64` orders them as their values.
+fn old_rule_agrees(space: ValueSpace, candidate: &str, constant: &str) -> bool {
+    if space == ValueSpace::String {
+        return constant.parse::<f64>().is_err() || candidate.trim().parse::<f64>().is_err();
+    }
+    let integer = space == ValueSpace::Integer;
+    let short = |form: &str| {
+        model_decimal(form, integer).is_some_and(|(_, whole, fraction)| {
+            let digits = format!("{whole}{fraction}");
+            digits.trim_start_matches('0').trim_end_matches('0').len() <= 15
+        })
+    };
+    short(candidate) && short(constant) && constant == constant.trim()
+}
+
+/// Whether `ord` satisfies `op` (not `LIKE`).
+fn accepts(op: CondOp, ord: Ordering) -> bool {
+    match op {
+        CondOp::Eq => ord.is_eq(),
+        CondOp::Ne => ord.is_ne(),
+        CondOp::Lt => ord.is_lt(),
+        CondOp::Le => ord.is_le(),
+        CondOp::Gt => ord.is_gt(),
+        CondOp::Ge => ord.is_ge(),
+        CondOp::Like => unreachable!("LIKE orders nothing"),
+    }
+}
+
+/// Rows `(brand, price)` served by a database, an XML document, a web
+/// page and a text file, each mapping both attributes; the database's
+/// price column is `INTEGER` when every price is a plain integer SQL
+/// stores (at most 18 characters), `REAL` when every one is a plain
+/// decimal, `TEXT` otherwise.
+fn lexical_deployment(rows: &[(String, String)], pushdown: bool) -> S2s {
+    let plain = |p: &str, point: bool| {
+        let digits = p.strip_prefix('-').unwrap_or(p);
+        if digits.len() > 18 {
+            return false;
+        }
+        let (whole, fraction) = digits.split_once('.').unwrap_or((digits, "1"));
+        (point || !digits.contains('.'))
+            && [whole, fraction]
+                .iter()
+                .all(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
+    };
+    let column = if rows.iter().all(|(_, p)| plain(p, false)) {
+        "INTEGER"
+    } else if rows.iter().all(|(_, p)| plain(p, true)) {
+        "REAL"
+    } else {
+        "TEXT"
+    };
+    let quoted = |s: &str| format!("'{}'", s.replace('\'', "''"));
+    let mut db = Database::new("d");
+    db.execute(&format!("CREATE TABLE p (id INTEGER PRIMARY KEY, brand TEXT, price {column})"))
+        .unwrap();
+    let (mut xml, mut html, mut text) =
+        (String::from("<c>"), String::from("<html><body><ul>"), String::new());
+    for (i, (brand, price)) in rows.iter().enumerate() {
+        let stored = if column == "TEXT" { quoted(price) } else { price.clone() };
+        db.execute(&format!("INSERT INTO p VALUES ({}, {}, {stored})", i + 1, quoted(brand)))
+            .unwrap();
+        xml.push_str(&format!("<p><b>{brand}</b><v>{price}</v></p>"));
+        html.push_str(&format!("<li><b>{brand}</b> <i>{price}</i></li>"));
+        text.push_str(&format!("brand: {brand} | price: {price}\n"));
+    }
+    xml.push_str("</c>");
+    html.push_str("</ul></body></html>");
+    let mut web = s2s_webdoc::WebStore::new();
+    web.register_html("http://shop/list", html);
+    web.register_text("file:///shop.txt", text);
+    let web = Arc::new(web);
+
+    let mut s2s = S2s::new(ontology());
+    if pushdown {
+        s2s = s2s.with_pushdown();
+    }
+    let sources = [
+        ("DB", Connection::Database { db: Arc::new(db) }),
+        ("XML", Connection::Xml { document: Arc::new(s2s_xml::parse(&xml).unwrap()) }),
+        ("WEB", Connection::Web { store: Arc::clone(&web), url: "http://shop/list".into() }),
+        ("TXT", Connection::Text { store: web, url: "file:///shop.txt".into() }),
+    ];
+    for (id, connection) in sources {
+        s2s.register_source(id, connection).unwrap();
+    }
+    let sql = |column: &str| ExtractionRule::Sql {
+        query: format!("SELECT {column} FROM p ORDER BY id"),
+        column: column.into(),
+    };
+    let webl = |tag: &str| ExtractionRule::Webl {
+        program: format!("var v = TagTexts(Text(PAGE), \"{tag}\");"),
+    };
+    let regex = |label: &str| ExtractionRule::TextRegex {
+        pattern: format!(r"{label}: ([^ |\n]+)"),
+        group: 1,
+    };
+    for (attribute, tag) in [("brand", "b"), ("price", "v")] {
+        let path = format!("thing.product.{attribute}");
+        let rules = [
+            ("DB", sql(attribute)),
+            ("XML", ExtractionRule::XPath { path: format!("/c/p/{tag}/text()") }),
+            ("WEB", webl(if tag == "b" { "b" } else { "i" })),
+            ("TXT", regex(attribute)),
+        ];
+        for (id, rule) in rules {
+            s2s.register_attribute(&path, rule, id, RecordScenario::MultiRecord).unwrap();
+        }
+    }
+    s2s
+}
+
+/// Generated rows for [`lexical_deployment`]: a brand and a price, each
+/// a lexical form.
+fn lexical_rows() -> impl Strategy<Value = Vec<(String, String)>> {
+    proptest::collection::vec((lexical_form(), lexical_form()), 0..6)
+}
+
+proptest! {
+    /// A condition compares in its property's range, by an independent
+    /// model of the decimal order (padded digit strings) and the code
+    /// point order — a side outside the space satisfying no operator,
+    /// `!=` included — and, on the forms where the two cannot differ,
+    /// as the comparison it replaced (`tests/reference`) did.
+    #[test]
+    fn a_condition_compares_lexical_forms_in_its_range(
+        space in prop_oneof![
+            Just(ValueSpace::String),
+            Just(ValueSpace::Decimal),
+            Just(ValueSpace::Integer)
+        ],
+        op in 0..OPS.len(),
+        candidate in padded_form(),
+        constant in lexical_form(),
+    ) {
+        let op = OPS[op];
+        let property = Iri::new("http://prop.example/p").unwrap();
+        let condition = ResolvedCondition::new(property, op, constant.clone(), space);
+        let got = condition_matches(&condition, &candidate);
+        let model = match op {
+            CondOp::Like => s2s_textmatch::like_match(&candidate, &constant),
+            _ => model_order(space, &candidate, &constant).is_some_and(|o| accepts(op, o)),
+        };
+        prop_assert_eq!(got, model, "{:?} {} {:?} in {:?}", candidate, op, constant, space);
+        if op == CondOp::Like || old_rule_agrees(space, &candidate, &constant) {
+            prop_assert_eq!(got, reference::holds(op, &candidate, &constant));
+        }
+    }
+
+    /// The Instance Generator types a value by its property's range
+    /// exactly when the value is in the range's space, and the reasoner
+    /// finds such a literal conforming exactly then: a typed literal
+    /// conforms, and a value outside the space is emitted as the plain
+    /// string the reasoner reports.
+    #[test]
+    fn a_lexical_form_is_typed_exactly_in_its_range(
+        range in 0usize..5,
+        form in padded_form(),
+    ) {
+        const RANGES: [&str; 5] = ["string", "decimal", "integer", "double", "boolean"];
+        let local = RANGES[range];
+        let datatype = Iri::new(format!("{XSD}{local}")).unwrap();
+        let ontology = Ontology::builder("http://prop.example/schema#")
+            .class("Product", None)
+            .unwrap()
+            .datatype_property("v", "Product", datatype.as_str())
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut module = MappingModule::new();
+        let rule = ExtractionRule::TextRegex { pattern: "x".into(), group: 0 };
+        let path = "thing.product.v".parse().unwrap();
+        module.register(&ontology, path, rule, "S".into(), RecordScenario::MultiRecord).unwrap();
+        let mapping = module.iter().next().unwrap().clone();
+        let report = ExtractionReport {
+            results: vec![AttributeResult {
+                mapping: mapping.into(),
+                values: Values::from(vec![form.clone()]),
+                elapsed: s2s_netsim::SimDuration::from_micros(1),
+            }],
+            ..Default::default()
+        };
+        let plan = s2s_core::query::plan(&parse("SELECT product").unwrap(), &ontology).unwrap();
+        let set = generate(&ontology, &plan, &report);
+        let property = ontology.property_iri("v").unwrap();
+        let literal = set
+            .graph
+            .match_pattern(None, Some(&property), None)
+            .find_map(|t| t.object().as_literal().cloned())
+            .unwrap();
+        let inside = model_contains(local, &form);
+        prop_assert_eq!(s2s_owl::reasoner::literal_conforms(&literal, &datatype), inside);
+        let typed = literal.datatype() == &datatype && local != "string";
+        prop_assert_eq!(typed, inside && local != "string", "{:?} as {}", form, local);
+        if !inside {
+            prop_assert_eq!(literal.lexical(), form.as_str());
+        }
+    }
+
+    /// Pushing a conjunct into a source — a SQL `WHERE`, an XPath child
+    /// predicate, a WebL `Where` over a page or a text file — changes no
+    /// answer: over rows of lexical forms and conditions on either
+    /// attribute with lexical-form constants, the deployment with the
+    /// planner on answers what the one without it answers.
+    #[test]
+    fn pushdown_of_lexical_forms_changes_no_answer(
+        rows in lexical_rows(),
+        conditions in proptest::collection::vec(
+            (any::<bool>(), 0..OPS.len(), lexical_form()),
+            1..3,
+        ),
+    ) {
+        let text = conditions
+            .iter()
+            .map(|(brand, op, constant)| {
+                let attribute = if *brand { "brand" } else { "price" };
+                format!("{attribute} {} '{}'", OPS[*op], constant.replace('\'', "''"))
+            })
+            .collect::<Vec<_>>()
+            .join(" AND ");
+        let query = format!("SELECT product WHERE {text}");
+        let answer = |pushdown: bool| {
+            let outcome = lexical_deployment(&rows, pushdown).query(&query).unwrap();
+            let mut lines: Vec<String> = outcome
+                .individuals()
+                .iter()
+                .map(|i| format!("{} {:?}", i.source, i.values))
+                .collect();
+            lines.sort();
+            (lines, outcome.errors().len())
+        };
+        prop_assert_eq!(answer(true), answer(false), "{}", query);
     }
 }

@@ -5,17 +5,19 @@
 //! graph collected from that vector and then materialized — together
 //! with the private helpers it called (`sanitize`, and `typed_literal`
 //! with its `parse::<f64>` gate, so the differential test feeds numeric
-//! columns plain decimals or plain text only). Only the two metrics
-//! counters are left out. The differential test in `proptests.rs`
-//! holds the new generator to the same graph, the same individuals in
-//! the same order and the same errors. Not part of the library.
+//! columns only the forms that gate and the value spaces type alike).
+//! Only the two metrics counters are left out. The differential test in
+//! `proptests.rs` holds the new generator to the same graph, the same
+//! individuals in the same order and the same errors. Beside it,
+//! [`holds`]: the residual filter's comparison before it compared in a
+//! range. Not part of the library.
 
 use std::collections::BTreeMap;
 
 use s2s_core::extract::{AttributeResult, ExtractionReport, Values};
 use s2s_core::instance::{data_namespace, Individual, InstanceSet};
 use s2s_core::mapping::RecordScenario;
-use s2s_core::query::QueryPlan;
+use s2s_core::query::{CondOp, QueryPlan};
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
 use s2s_rdf::vocab::{rdf as rdfv, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
@@ -202,5 +204,33 @@ fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
             _ => Literal::string(value),
         },
         _ => Literal::string(value),
+    }
+}
+
+/// `Comparand::test` as it stood before a condition compared in its
+/// property's range: numeric when both sides parse as `f64` (the
+/// candidate with the whitespace around it ignored), bytes otherwise.
+/// Kept verbatim (the constant's reading and the test in one function)
+/// for the lexical-form property test, on the forms where it and the
+/// value spaces agree.
+pub fn holds(op: CondOp, candidate: &str, constant: &str) -> bool {
+    if op == CondOp::Like {
+        return s2s_textmatch::like_match(candidate, constant);
+    }
+    let number = constant.parse::<f64>().ok();
+    let numbers = number.and_then(|b| candidate.trim().parse::<f64>().ok().map(|a| (a, b)));
+    let ord = match numbers {
+        Some((a, b)) => a.partial_cmp(&b),
+        None => Some(candidate.cmp(constant)),
+    };
+    let Some(ord) = ord else { return false };
+    match op {
+        CondOp::Eq => ord.is_eq(),
+        CondOp::Ne => ord.is_ne(),
+        CondOp::Lt => ord.is_lt(),
+        CondOp::Le => ord.is_le(),
+        CondOp::Gt => ord.is_gt(),
+        CondOp::Ge => ord.is_ge(),
+        CondOp::Like => unreachable!("handled above"),
     }
 }

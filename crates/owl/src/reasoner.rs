@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use s2s_rdf::vocab::{is_decimal_lexical, rdf, xsd};
+use s2s_rdf::vocab::{rdf, xsd};
 use s2s_rdf::{Graph, Iri, Literal, Term, Triple};
 
 use crate::model::{Ontology, PropertyKind, Restriction};
@@ -423,16 +423,12 @@ fn absorb(known: &mut Vec<Triple>, candidates: Vec<Triple>) -> Vec<usize> {
     added
 }
 
-/// Whether a literal's lexical form conforms to a datatype IRI.
-///
-/// Unknown datatypes conform trivially (open-world).
+/// Whether a literal's lexical form conforms to a datatype IRI: a date
+/// spells `YYYY-MM-DD`, an `anyURI` is an IRI, and any other form is in
+/// the datatype's value space ([`xsd::value_space`]) — every form, for a
+/// datatype that compares as `xsd:string` (open-world).
 pub fn literal_conforms(lit: &Literal, datatype: &Iri) -> bool {
     match datatype.as_str() {
-        xsd::STRING => true,
-        xsd::INTEGER => lit.as_integer().is_some(),
-        xsd::DECIMAL => is_decimal_lexical(lit.lexical().trim()),
-        xsd::DOUBLE => lit.as_decimal().is_some(),
-        xsd::BOOLEAN => lit.as_boolean().is_some(),
         xsd::DATE => {
             let s = lit.lexical();
             let b: Vec<&str> = s.split('-').collect();
@@ -441,7 +437,7 @@ pub fn literal_conforms(lit: &Literal, datatype: &Iri) -> bool {
                 && b.iter().all(|p| p.chars().all(|c| c.is_ascii_digit()))
         }
         xsd::ANY_URI => Iri::new(lit.lexical()).is_ok(),
-        _ => true,
+        other => xsd::value_space(other).contains(lit.lexical()),
     }
 }
 
@@ -853,15 +849,16 @@ mod tests {
     }
 
     /// `xsd:decimal` has one lexical space, the one the Instance
-    /// Generator types by: `1e5`, `NaN` and `inf` parse as floats, so
-    /// they are `xsd:double`s, but they are not decimals.
+    /// Generator types by: `1e5`, `NaN` and `INF` are `xsd:double`s, but
+    /// they are not decimals; `inf` is neither.
     #[test]
     fn decimal_conformance_is_the_decimal_lexical_space() {
         let (decimal, double) = (iri(xsd::DECIMAL), iri(xsd::DOUBLE));
-        for value in ["1e5", "NaN", "inf"] {
+        for value in ["1e5", "NaN", "INF"] {
             assert!(!literal_conforms(&Literal::string(value), &decimal), "{value}");
             assert!(literal_conforms(&Literal::string(value), &double), "{value}");
         }
+        assert!(!literal_conforms(&Literal::string("inf"), &double));
         for value in ["-.5", "+3.", "12"] {
             assert!(literal_conforms(&Literal::string(value), &decimal), "{value}");
         }

@@ -255,20 +255,6 @@ impl Literal {
     pub fn as_integer(&self) -> Option<i64> {
         self.lexical.trim().parse().ok()
     }
-
-    /// Parses the lexical form as a float.
-    pub fn as_decimal(&self) -> Option<f64> {
-        self.lexical.trim().parse().ok()
-    }
-
-    /// Parses the lexical form as a boolean (`true`/`false`/`1`/`0`).
-    pub fn as_boolean(&self) -> Option<bool> {
-        match self.lexical.trim() {
-            "true" | "1" => Some(true),
-            "false" | "0" => Some(false),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Literal {
@@ -471,10 +457,8 @@ mod tests {
 
     #[test]
     fn numeric_accessors() {
-        assert_eq!(Literal::string("129.99").as_decimal(), Some(129.99));
         assert_eq!(Literal::string("x").as_integer(), None);
-        assert_eq!(Literal::boolean(true).as_boolean(), Some(true));
-        assert_eq!(Literal::string("0").as_boolean(), Some(false));
+        assert_eq!(Literal::boolean(true).lexical(), "true");
     }
 
     #[test]

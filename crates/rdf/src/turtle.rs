@@ -734,8 +734,12 @@ mod tests {
         assert_eq!(g.len(), 3);
         let lits: Vec<_> = g.iter().filter_map(|t| t.object().as_literal().cloned()).collect();
         assert!(lits.iter().any(|l| l.as_integer() == Some(42)));
-        assert!(lits.iter().any(|l| l.as_decimal() == Some(3.25)));
-        assert!(lits.iter().any(|l| l.as_boolean() == Some(true)));
+        assert!(lits
+            .iter()
+            .any(|l| l.lexical() == "3.25" && l.datatype().as_str() == xsd::DECIMAL));
+        assert!(lits
+            .iter()
+            .any(|l| l.lexical() == "true" && l.datatype().as_str() == xsd::BOOLEAN));
     }
 
     #[test]

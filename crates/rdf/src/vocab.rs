@@ -7,12 +7,13 @@
 //! or `xsd::string()` is cheap enough to call per triple.
 
 use crate::term::Iri;
+use s2s_xml::ValueSpace;
 
 macro_rules! vocab {
-    ($(#[$doc:meta])* $mod_name:ident, $ns:literal, { $($(#[$idoc:meta])* $fn_name:ident => $const_name:ident = $local:literal),* $(,)? }) => {
+    ($(#[$doc:meta])* $mod_name:ident, $ns:literal, { $($(#[$idoc:meta])* $fn_name:ident => $const_name:ident = $local:literal),* $(,)? } $($item:item)*) => {
         $(#[$doc])*
         pub mod $mod_name {
-            use super::Iri;
+            use super::*;
 
             /// The namespace IRI prefix.
             pub const NS: &str = $ns;
@@ -28,6 +29,8 @@ macro_rules! vocab {
                         .clone()
                 }
             )*
+
+            $($item)*
         }
     };
 }
@@ -148,23 +151,19 @@ vocab!(
         /// `xsd:anyURI`.
         any_uri => ANY_URI = "anyURI",
     }
-);
 
-/// Whether `s` is in the lexical space of [`xsd::decimal`]:
-/// `[+-]?(\d+(\.\d*)?|\.\d+)`. Exponents, `NaN` and `INF` are
-/// [`xsd::double`]'s, not a decimal's.
-///
-/// ```
-/// use s2s_rdf::vocab::is_decimal_lexical;
-/// assert!(is_decimal_lexical("-.5") && is_decimal_lexical("+3.") && is_decimal_lexical("12"));
-/// assert!(!is_decimal_lexical("1e5") && !is_decimal_lexical("NaN") && !is_decimal_lexical("."));
-/// ```
-pub fn is_decimal_lexical(s: &str) -> bool {
-    let unsigned = s.strip_prefix(['+', '-']).unwrap_or(s);
-    let (whole, fraction) = unsigned.split_once('.').unwrap_or((unsigned, ""));
-    !(whole.is_empty() && fraction.is_empty())
-        && whole.bytes().chain(fraction.bytes()).all(|b| b.is_ascii_digit())
-}
+    /// The value space a comparison under a datatype IRI compares in:
+    /// one of the five datatypes a comparison orders, else `xsd:string`.
+    pub fn value_space(datatype: &str) -> ValueSpace {
+        match datatype {
+            INTEGER => ValueSpace::Integer,
+            DECIMAL => ValueSpace::Decimal,
+            DOUBLE => ValueSpace::Double,
+            BOOLEAN => ValueSpace::Boolean,
+            _ => ValueSpace::String,
+        }
+    }
+);
 
 #[cfg(test)]
 mod tests {

@@ -2,14 +2,23 @@
 //!
 //! [`ConstraintOp`] is the one operator enum of an S2SQL condition
 //! (`s2s_core::query::CondOp` re-exports it) and [`Comparand::test`]
-//! the one function that decides `candidate op constant` — numeric when
-//! both sides read as `f64` (the candidate with the whitespace around it
-//! ignored), byte-wise string comparison otherwise, SQL `LIKE` with
-//! `%`/`_`. The mediator's residual filter and every
-//! predicate pushed into a source (an XPath child comparison, a WebL
-//! `Where` guard) call it, so pushing a conjunct down cannot change
-//! which values survive. A [`Comparand`] reads its constant once,
-//! however many candidates it then tests.
+//! the one function that decides `candidate op constant`: in one XSD
+//! value space ([`space`], the one module that says which forms belong
+//! to a space and how its values order), or SQL `LIKE` with `%`/`_` on
+//! the text as it is. A condition compares in its property's declared
+//! range; a side outside that space satisfies no operator, `!=`
+//! included. Rule text names no range, so a predicate pushed into a
+//! source (an XPath child comparison, a WebL `Where` guard) compares in
+//! the decimal space when its constant is a decimal and as a string
+//! otherwise, and the planner pushes a conjunct only where that space
+//! is the range's. A [`Comparand`] holds its constant as written and
+//! reads it per test, allocating nothing.
+
+pub mod space;
+
+use std::cmp::Ordering;
+
+pub use space::ValueSpace;
 
 /// A comparison operator of an S2SQL condition or a pushed constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,12 +67,19 @@ impl ConstraintOp {
         })
     }
 
-    /// Whether `candidate op constant` holds: a [`Comparand`] built and
-    /// tested once. Build the comparand yourself to test many candidates
-    /// against one constant.
+    /// Whether an ordering of `candidate` against the constant satisfies
+    /// the operator (`LIKE` orders nothing).
     #[inline]
-    pub fn holds(self, candidate: &str, constant: &str) -> bool {
-        Comparand::new(self, constant).test(candidate)
+    fn accepts(self, ord: Ordering) -> bool {
+        match self {
+            ConstraintOp::Eq => ord.is_eq(),
+            ConstraintOp::Ne => ord.is_ne(),
+            ConstraintOp::Lt => ord.is_lt(),
+            ConstraintOp::Le => ord.is_le(),
+            ConstraintOp::Gt => ord.is_gt(),
+            ConstraintOp::Ge => ord.is_ge(),
+            ConstraintOp::Like => false,
+        }
     }
 }
 
@@ -73,28 +89,34 @@ impl std::fmt::Display for ConstraintOp {
     }
 }
 
-/// `op constant` with the constant read once — the right-hand side of
-/// the one comparison the mediator's residual filter and every pushed
-/// predicate (XPath child comparison, WebL `Where`) share. `S` is how
-/// the constant is held: owned by a resolved query condition, borrowed
-/// for the length of a scan.
-#[derive(Debug, Clone, Copy)]
+/// `op constant` in one value space — the right-hand side of the one
+/// comparison the mediator's residual filter and every pushed predicate
+/// (XPath child comparison, WebL `Where`) share. `S` is how the
+/// constant is held: owned by a resolved query condition, borrowed for
+/// the length of a scan.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Comparand<S = String> {
     op: ConstraintOp,
     constant: S,
-    /// The constant as an `f64`, if it parses as one (never looked at
-    /// for `LIKE`).
-    number: Option<f64>,
+    space: ValueSpace,
 }
 
 impl<S: AsRef<str>> Comparand<S> {
-    /// Reads `constant` for comparisons under `op`.
+    /// `op constant` compared in `space`, a condition's declared range.
+    pub fn in_space(op: ConstraintOp, constant: S, space: ValueSpace) -> Self {
+        Comparand { op, constant, space }
+    }
+
+    /// `op constant` as rule text spells it, naming no range: compared
+    /// in the decimal space when the constant is a decimal, as a string
+    /// otherwise.
     pub fn new(op: ConstraintOp, constant: S) -> Self {
-        let number = match op {
-            ConstraintOp::Like => None,
-            _ => constant.as_ref().parse::<f64>().ok(),
+        let space = if ValueSpace::Decimal.contains(constant.as_ref()) {
+            ValueSpace::Decimal
+        } else {
+            ValueSpace::String
         };
-        Comparand { op, constant, number }
+        Comparand { op, constant, space }
     }
 
     /// The operator.
@@ -107,44 +129,22 @@ impl<S: AsRef<str>> Comparand<S> {
         self.constant.as_ref()
     }
 
-    /// Whether `candidate op constant` holds: numeric when both sides
-    /// parse as `f64` (a NaN on either side satisfies nothing),
-    /// byte-wise string comparison otherwise, [`like_match`] for `LIKE`.
-    /// The candidate is parsed only when the constant is a number, and
-    /// with the whitespace around it ignored: a source pads its numbers
-    /// (`<price> 59.5 </price>`), the Instance Generator trims what it
-    /// types, and a value must compare as the number it is emitted as.
-    /// String comparison and `LIKE` see the candidate as it is.
+    /// The value space the comparison is made in.
+    pub fn space(&self) -> ValueSpace {
+        self.space
+    }
+
+    /// Whether `candidate op constant` holds: [`like_match`] on the
+    /// candidate as it is for `LIKE`; otherwise
+    /// [`ValueSpace::compare`], so a side outside the space or a NaN
+    /// satisfies no operator.
     #[inline]
     pub fn test(&self, candidate: &str) -> bool {
         let constant = self.constant.as_ref();
         if self.op == ConstraintOp::Like {
             return like_match(candidate, constant);
         }
-        let numbers =
-            self.number.and_then(|b| candidate.trim().parse::<f64>().ok().map(|a| (a, b)));
-        let ord = match numbers {
-            Some((a, b)) => a.partial_cmp(&b),
-            None => Some(candidate.cmp(constant)),
-        };
-        let Some(ord) = ord else { return false };
-        match self.op {
-            ConstraintOp::Eq => ord.is_eq(),
-            ConstraintOp::Ne => ord.is_ne(),
-            ConstraintOp::Lt => ord.is_lt(),
-            ConstraintOp::Le => ord.is_le(),
-            ConstraintOp::Gt => ord.is_gt(),
-            ConstraintOp::Ge => ord.is_ge(),
-            ConstraintOp::Like => unreachable!("handled above"),
-        }
-    }
-}
-
-/// Two comparands are equal when they spell the same comparison; the
-/// number is a reading of the constant, not part of it.
-impl<S: AsRef<str>> PartialEq for Comparand<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.op == other.op && self.constant() == other.constant()
+        self.space.compare(candidate, constant).is_some_and(|ord| self.op.accepts(ord))
     }
 }
 
@@ -210,43 +210,43 @@ mod tests {
     }
 
     #[test]
-    fn numeric_when_both_sides_parse() {
+    fn rule_text_reads_a_decimal_constant_in_the_decimal_space() {
         let lt = Comparand::new(ConstraintOp::Lt, "100");
-        assert!(lt.test("99.5"));
-        assert!(!lt.test("100"));
-        assert!(!lt.test("250"));
-        // "9" < "100" numerically even though "9" > "100" as strings.
-        assert!(lt.test("9"));
+        assert_eq!(lt.space(), ValueSpace::Decimal);
+        assert!(lt.test("99.5") && lt.test("9") && lt.test("-1"));
+        assert!(!lt.test("100") && !lt.test("250") && !lt.test("100.00"));
+        // Forms outside the decimal space satisfy nothing, `!=` included.
+        for other in ["1e1", "inf", "NaN", "-", "N/A", "1 5", ""] {
+            assert!(!lt.test(other), "{other:?}");
+            assert!(!Comparand::new(ConstraintOp::Ne, "100").test(other), "{other:?}");
+        }
     }
 
     #[test]
-    fn numeric_reading_ignores_the_whitespace_around_a_candidate() {
+    fn decimal_reading_trims_either_side() {
         let lt = Comparand::new(ConstraintOp::Lt, "20");
         assert!(!lt.test(" 59.5 "));
         assert!(!lt.test("\n  129.99\n"));
         assert!(lt.test("\t15 "));
         assert!(Comparand::new(ConstraintOp::Eq, "59.5").test(" 59.50 "));
-        // Inside the number it is not padding, and the constant is the
-        // client's text as written: both fall to string comparison.
-        assert!(lt.test("1 5") && !Comparand::new(ConstraintOp::Eq, "15").test("1 5"));
-        assert!(!Comparand::new(ConstraintOp::Eq, " 15").test("15"));
-        assert!(Comparand::new(ConstraintOp::Eq, " 15").test(" 15"));
+        assert!(Comparand::new(ConstraintOp::Eq, " 15").test("15"));
         // Text and patterns keep their padding.
         assert!(!Comparand::new(ConstraintOp::Eq, "Seiko").test(" Seiko "));
         assert!(!Comparand::new(ConstraintOp::Like, "15").test(" 15 "));
     }
 
     #[test]
-    fn string_when_either_side_is_non_numeric() {
-        let eq = Comparand::new(ConstraintOp::Eq, "seiko");
-        assert!(eq.test("seiko"));
-        assert!(!eq.test("casio"));
-        let ne = Comparand::new(ConstraintOp::Ne, "seiko");
-        assert!(ne.test("casio"));
-        // Numeric candidate vs word value falls back to string compare.
-        let gt = Comparand::new(ConstraintOp::Gt, "casio");
-        assert!(gt.test("seiko"));
-        assert!(!gt.test("120"));
+    fn a_range_fixes_the_space() {
+        let string = |op, c| Comparand::in_space(op, c, ValueSpace::String);
+        assert!(string(ConstraintOp::Lt, "9").test("10"), "code-point order");
+        assert!(!string(ConstraintOp::Eq, "007").test("7"));
+        let decimal = |op, c| Comparand::in_space(op, c, ValueSpace::Decimal);
+        assert!(!decimal(ConstraintOp::Ne, "abc").test("1"), "a constant outside the space");
+        assert!(decimal(ConstraintOp::Gt, "+7").test("0010"));
+        let eq = string(ConstraintOp::Eq, "seiko");
+        assert!(eq.test("seiko") && !eq.test("casio"));
+        assert!(string(ConstraintOp::Gt, "casio").test("seiko"));
+        assert!(!string(ConstraintOp::Gt, "casio").test("120"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod error;
 pub mod sniff;
 pub mod vm;
 
-pub use constraint::{like_match, Comparand, ConstraintOp};
+pub use constraint::{like_match, Comparand, ConstraintOp, ValueSpace};
 pub use error::RegexError;
 pub use sniff::{sniff_labeled_fields, LabeledField};
 

@@ -4,9 +4,11 @@
 
 mod reference;
 
+use std::cmp::Ordering;
+
 use proptest::prelude::*;
 use proptest::TestRng;
-use s2s_textmatch::{ast, compiler, Comparand, ConstraintOp, Regex};
+use s2s_textmatch::{ast, compiler, Comparand, ConstraintOp, Regex, ValueSpace};
 
 /// Escapes a string so it matches literally.
 fn escape(s: &str) -> String {
@@ -112,10 +114,40 @@ fn groups(m: &s2s_textmatch::Match<'_>) -> Vec<Option<(usize, usize)>> {
 /// number (some of them only it does), near-misses it does not, plain
 /// text, and small numbers that collide with each other.
 fn operand() -> impl Strategy<Value = String> {
-    const SPELLINGS: [&str; 31] = [
-        "+5", "5.", ".5", "5", "5.0", "05", "-5", "1e3", "1000", "1E3", "inf", "-inf", "infinity",
-        "NaN", "nan", "-0", "0", "", " 5", "5 ", "5,0", "0x10", "1e", ".", "+", "five", "Seiko",
-        "seiko", "s%", "_eiko", "%",
+    const SPELLINGS: [&str; 33] = [
+        "+5",
+        "5.",
+        ".5",
+        "5",
+        "5.0",
+        "05",
+        "-5",
+        "1e3",
+        "1000",
+        "1E3",
+        "inf",
+        "-inf",
+        "infinity",
+        "NaN",
+        "nan",
+        "-0",
+        "0",
+        "",
+        " 5",
+        "5 ",
+        "5,0",
+        "0x10",
+        "1e",
+        ".",
+        "+",
+        "five",
+        "Seiko",
+        "seiko",
+        "s%",
+        "_eiko",
+        "%",
+        "0.30000000000000001",
+        "12345678901234567890",
     ];
     prop_oneof![
         (0..SPELLINGS.len()).prop_map(|i| SPELLINGS[i].to_string()),
@@ -128,11 +160,11 @@ fn operand() -> impl Strategy<Value = String> {
     ]
 }
 
-/// A spelling `str::parse::<f64>` reads as a number.
-fn number() -> impl Strategy<Value = String> {
-    operand().prop_map(|spelling| match spelling.parse::<f64>() {
-        Ok(_) => spelling,
-        Err(_) => format!("{}.25", spelling.len()),
+/// A spelling in the decimal lexical space.
+fn decimal() -> impl Strategy<Value = String> {
+    operand().prop_map(|spelling| match model_decimal(&spelling) {
+        Some(_) => spelling,
+        None => format!("{}.25", spelling.len()),
     })
 }
 
@@ -141,6 +173,81 @@ fn padding() -> impl Strategy<Value = String> {
     const WHITESPACE: [char; 6] = [' ', '\t', '\n', '\r', '\u{a0}', '\u{2003}'];
     proptest::collection::vec(0..WHITESPACE.len(), 0..4)
         .prop_map(|picks| picks.into_iter().map(|i| WHITESPACE[i]).collect())
+}
+
+/// An independent model of the decimal lexical space: a form without
+/// the whitespace around it, split at its sign and point.
+fn model_decimal(form: &str) -> Option<(bool, String, String)> {
+    let form = form.trim();
+    let (negative, rest) = match form.chars().next()? {
+        '-' => (true, &form[1..]),
+        '+' => (false, &form[1..]),
+        _ => (false, form),
+    };
+    let (whole, fraction) = rest.split_once('.').unwrap_or((rest, ""));
+    let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
+    let some = !whole.is_empty() || !fraction.is_empty();
+    (some && digits(whole) && digits(fraction))
+        .then(|| (negative, whole.to_string(), fraction.to_string()))
+}
+
+/// What rule text (`Comparand::new`) decides by the model: in the
+/// decimal space when the constant is a decimal, both magnitudes padded
+/// with zeros to one width so their text orders as their values, and a
+/// candidate outside the space satisfying nothing; by bytes otherwise.
+fn model_holds(op: ConstraintOp, candidate: &str, constant: &str) -> bool {
+    if op == ConstraintOp::Like {
+        return reference::like_match(candidate, constant);
+    }
+    let ord = match model_decimal(constant) {
+        None => Some(candidate.cmp(constant)),
+        Some((c_neg, c_whole, c_frac)) => {
+            model_decimal(candidate).map(|(v_neg, v_whole, v_frac)| {
+                let (w, f) = (v_whole.len().max(c_whole.len()), v_frac.len().max(c_frac.len()));
+                let magnitude = |whole: &str, frac: &str| format!("{whole:0>w$}{frac:0<f$}");
+                let (v, c) = (magnitude(&v_whole, &v_frac), magnitude(&c_whole, &c_frac));
+                let zero = "0".repeat(w + f);
+                match (v_neg && v != zero, c_neg && c != zero) {
+                    (false, false) => v.cmp(&c),
+                    (true, true) => c.cmp(&v),
+                    (negative, _) => {
+                        if negative {
+                            Ordering::Less
+                        } else {
+                            Ordering::Greater
+                        }
+                    }
+                }
+            })
+        }
+    };
+    ord.is_some_and(|ord| match op {
+        ConstraintOp::Eq => ord.is_eq(),
+        ConstraintOp::Ne => ord.is_ne(),
+        ConstraintOp::Lt => ord.is_lt(),
+        ConstraintOp::Le => ord.is_le(),
+        ConstraintOp::Gt => ord.is_gt(),
+        ConstraintOp::Ge => ord.is_ge(),
+        ConstraintOp::Like => unreachable!("handled above"),
+    })
+}
+
+/// Whether the old both-sides-`f64` `holds` and rule text must agree:
+/// under `LIKE`; when the constant reads as neither a decimal nor an
+/// `f64` (both compare bytes); when both sides are unpadded decimals of
+/// at most 15 significant digits (both compare values, and `f64` holds
+/// such values in order).
+fn old_rule_agrees(op: ConstraintOp, candidate: &str, constant: &str) -> bool {
+    let short = |form: &str| {
+        form == form.trim()
+            && model_decimal(form).is_some_and(|(_, whole, fraction)| {
+                let digits = format!("{whole}{fraction}");
+                digits.trim_start_matches('0').trim_end_matches('0').len() <= 15
+            })
+    };
+    op == ConstraintOp::Like
+        || (model_decimal(constant).is_none() && constant.parse::<f64>().is_err())
+        || (short(candidate) && short(constant))
 }
 
 proptest! {
@@ -189,12 +296,14 @@ proptest! {
         );
     }
 
-    /// A comparand built once and tested per candidate decides what the
-    /// old `holds` (`tests/reference`) decided parsing both sides every
-    /// time — numeric spellings `f64` accepts and `xsd:decimal` does not
-    /// included, on either side, under all seven operators. Candidates
-    /// come unpadded: the old `holds` read a padded number as text (the
-    /// property below holds the new reading), a padded constant still is.
+    /// Rule text compares as the model says — in the decimal space when
+    /// its constant is a decimal, by bytes otherwise — over spellings
+    /// only `f64` accepts, near-misses and plain text, on either side,
+    /// under all seven operators; and where the old both-sides-`f64`
+    /// `holds` (`tests/reference`) cannot differ from it, as that did. A
+    /// comparand borrowing its constant decides what one owning it does,
+    /// and one built in the decimal space what rule text does on a
+    /// decimal constant.
     #[test]
     fn prebuilt_comparand_agrees_with_reference_holds(
         constant in operand(),
@@ -204,26 +313,32 @@ proptest! {
         for op in [Eq, Ne, Lt, Le, Gt, Ge, Like] {
             let borrowed = Comparand::new(op, constant.as_str());
             let owned = Comparand::new(op, constant.clone());
+            let typed = Comparand::in_space(op, constant.as_str(), ValueSpace::Decimal);
             prop_assert!(borrowed == Comparand::new(op, constant.as_str()));
             prop_assert_eq!((owned.op(), owned.constant()), (op, constant.as_str()));
             for candidate in &candidates {
-                let expected = reference::holds(op, candidate, &constant);
+                let expected = model_holds(op, candidate, &constant);
                 prop_assert_eq!(borrowed.test(candidate), expected, "{:?} {} {:?}", candidate, op, constant);
                 prop_assert_eq!(owned.test(candidate), expected);
-                prop_assert_eq!(op.holds(candidate, &constant), expected);
+                if model_decimal(&constant).is_some() {
+                    prop_assert_eq!(typed.test(candidate), expected);
+                }
+                if old_rule_agrees(op, candidate, &constant) {
+                    prop_assert_eq!(reference::holds(op, candidate, &constant), expected);
+                }
             }
         }
     }
 
-    /// A padded number compares as the number: when the constant and
-    /// the candidate both read as numbers, whitespace around the
-    /// candidate changes no answer under any operator but `LIKE`, which
-    /// never reads a number. (Text keeps its padding: `" Seiko"` is not
+    /// A padded decimal compares as the decimal: when the constant and
+    /// the candidate are both decimals, whitespace around the candidate
+    /// changes no answer under any operator but `LIKE`, which never
+    /// reads a number. (Text keeps its padding: `" Seiko"` is not
     /// `"Seiko"`.)
     #[test]
-    fn padding_a_numeric_candidate_changes_no_answer(
-        constant in number(),
-        candidate in number(),
+    fn padding_a_decimal_candidate_changes_no_answer(
+        constant in decimal(),
+        candidate in decimal(),
         before in padding(),
         after in padding(),
     ) {
@@ -231,7 +346,7 @@ proptest! {
         let padded = format!("{before}{candidate}{after}");
         for op in [Eq, Ne, Lt, Le, Gt, Ge] {
             let comparand = Comparand::new(op, constant.as_str());
-            let unpadded = reference::holds(op, &candidate, &constant);
+            let unpadded = model_holds(op, &candidate, &constant);
             prop_assert_eq!(comparand.test(&candidate), unpadded);
             prop_assert_eq!(comparand.test(&padded), unpadded, "{:?} {} {:?}", padded, op, constant);
         }

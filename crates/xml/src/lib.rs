@@ -37,6 +37,9 @@ pub mod xquery;
 pub use dom::{Document, Element, Node};
 pub use error::XmlError;
 pub use parser::parse;
+/// The value spaces XPath child comparisons compare in, for the crates
+/// that reach the text matcher only through this one.
+pub use s2s_textmatch::ValueSpace;
 pub use shape::{document_shape, DocumentShape, XmlField};
 pub use writer::{escape_attribute, escape_text, serialize, serialize_element};
 pub use xpath::{push_child_predicate, StringSink};

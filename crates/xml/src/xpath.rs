@@ -149,9 +149,8 @@ enum Predicate {
         value: String,
     },
     /// `[child op 'v']` — keeps elements having a `child` whose text
-    /// satisfies the comparison (numeric when both sides parse as
-    /// numbers, lexicographic otherwise); its constant is read when the
-    /// path is compiled.
+    /// satisfies the comparison (`Comparand::new`: decimal order for a
+    /// decimal constant, code-point order otherwise).
     ChildCmp {
         name: String,
         comparand: Comparand,

@@ -714,3 +714,64 @@ fn a_bootstrapped_text_rule_captures_signed_and_exponent_numbers() {
             .collect();
     assert_eq!(brand_price_rows(&outcome), rows);
 }
+
+/// A condition compares in its property's declared range, as SPARQL
+/// compares in an operand's datatype. The comparison once read both
+/// sides as `f64` whenever both parsed and as bytes otherwise, whatever
+/// the range: `price < 100` answered the placeholder `-` (`'-' < '1'`)
+/// and `1e1` (as 10), `price > 100` answered `N/A` (`'N' > '1'`) and
+/// `inf`, and `brand < '9'` left out the brand `10` (10 > 9), while the
+/// same answers emitted `-`, `N/A`, `1e1` and `inf` as plain strings,
+/// not decimals. A form outside a decimal range now satisfies nothing,
+/// and a string range orders by code point.
+#[test]
+fn a_condition_compares_in_its_range() {
+    use s2s::rdf::vocab::xsd;
+
+    let ontology = Ontology::builder("http://example.org/schema#")
+        .class("Product", None)
+        .unwrap()
+        .datatype_property("price", "Product", xsd::DECIMAL)
+        .unwrap()
+        .datatype_property("brand", "Product", xsd::STRING)
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut payload = String::from("<c>");
+    for (price, brand) in [("-", "a"), ("1e1", "b"), ("59.50", "c"), ("N/A", "d"), ("inf", "e")]
+        .into_iter()
+        .chain([("150", "10")])
+    {
+        payload.push_str(&format!("<w><price>{price}</price><brand>{brand}</brand></w>"));
+    }
+    payload.push_str("</c>");
+    let mut s2s = S2s::new(ontology);
+    let document = Arc::new(s2s::xml::parse(&payload).unwrap());
+    s2s.register_source("XML", Connection::Xml { document }).unwrap();
+    for attribute in ["price", "brand"] {
+        let rule = ExtractionRule::XPath { path: format!("/c/w/{attribute}/text()") };
+        s2s.register_attribute(
+            &format!("thing.product.{attribute}"),
+            rule,
+            "XML",
+            RecordScenario::MultiRecord,
+        )
+        .unwrap();
+    }
+
+    for (query, expected) in [
+        // Each answered watch as its `brand price`.
+        ("SELECT product WHERE price < 100", ["c 59.50"]),
+        ("SELECT product WHERE price > 100", ["10 150"]),
+        ("SELECT product WHERE brand < '9'", ["10 150"]),
+    ] {
+        let outcome = s2s.query(query).unwrap();
+        assert!(outcome.errors().is_empty(), "{query}: {:?}", outcome.errors());
+        let answered: Vec<String> = outcome
+            .individuals()
+            .iter()
+            .map(|i| i.values.values().map(|v| v.join(",")).collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(answered, expected, "{query}");
+    }
+}
