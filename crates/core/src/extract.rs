@@ -335,6 +335,7 @@ impl ExtractorManager {
             let rules = batch.ok.len() + batch.failed.len();
             let outcome = batch_outcome(net.is_err(), !batch.failed.is_empty(), row);
             row.tasks += rules;
+            row.statements += batch.statements;
             row.failed_tasks += batch.failed.len();
             row.breaker_state = batch
                 .source
@@ -369,9 +370,10 @@ impl ExtractorManager {
             if let Some(attempt_spans) = attempt_spans {
                 let mut span = Span::new(SpanKind::Batch, batch.source_id);
                 span.sim_us = row.wire_time.as_micros();
-                span.wall_us = wall_us;
+                span.wall_us = batch.wrapper_us + wall_us;
                 span.outcome = outcome;
                 span.attr("rules", rules.to_string());
+                span.attr("statements", batch.statements.to_string());
                 span.attr("wire_bytes", row.wire_bytes.to_string());
                 for child in batch.rule_spans.into_iter().chain(attempt_spans) {
                     span.push(child);
@@ -434,6 +436,10 @@ struct PlannedBatch<'a> {
     ok: Vec<(usize, &'a ExtractionSchema, Values)>,
     /// Wrapper-failed schemas (these never reach the wire).
     failed: Vec<(usize, &'a ExtractionSchema, S2sError)>,
+    /// Statements the wrapper ran for the schemas.
+    statements: usize,
+    /// Wall time of the wrapper run (0 unless tracing).
+    wrapper_us: u64,
     /// Total on-wire bytes of the coalesced exchange.
     wire_bytes: usize,
     /// The `BatchResponse` frame's share of `wire_bytes`.
@@ -459,20 +465,32 @@ fn plan_batches<'a>(
     order.sort_unstable_by(|&a, &b| source_of(a).cmp(source_of(b)).then(a.cmp(&b)));
     let same_source = |a: &usize, b: &usize| source_of(*a) == source_of(*b);
     let mut batches = Vec::with_capacity(order.chunk_by(same_source).count());
+    // One source's mappings and columns, reused from source to source.
+    let mut mappings: Vec<&AttributeMapping> = Vec::new();
+    let mut columns = Vec::new();
     for group in order.chunk_by(same_source) {
         let id = source_of(group[0]);
         let source_id = id.as_str();
-        let source = registry.get(id);
+        let started = traced.then(std::time::Instant::now);
+        mappings.clear();
+        mappings.extend(group.iter().map(|&i| &*schemas[i].mapping));
+        let (source, statements) = match registry.require(id) {
+            Ok(source) => (Some(source), prepare(source, &mappings, &mut columns)),
+            Err(e) => {
+                columns.extend(group.iter().map(|_| Err(e.clone())));
+                (None, 0)
+            }
+        };
+        let wrapper_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
         let mut ok = Vec::with_capacity(group.len());
         let mut failed = Vec::new();
         let mut rule_spans = Vec::new();
-        for &i in group {
+        for (&i, prepared) in group.iter().zip(columns.drain(..)) {
             let schema = &schemas[i];
-            let rule_started = traced.then(std::time::Instant::now);
-            let prepared = prepare(registry, &schema.mapping);
-            if let Some(rule_started) = rule_started {
+            if traced {
+                // The source's rules ran as its statements: the batch
+                // span holds the time, a rule span what the rule got.
                 let mut span = Span::new(SpanKind::Rule, schema.mapping.path().to_string());
-                span.wall_us = rule_started.elapsed().as_micros() as u64;
                 span.attr("source", source_id);
                 match &prepared {
                     Ok(values) => span.attr("values", values.len().to_string()),
@@ -506,6 +524,8 @@ fn plan_batches<'a>(
             salt: stable_seed_of(&[source_id, ":batch"]),
             ok,
             failed,
+            statements,
+            wrapper_us,
             wire_bytes,
             response_bytes,
             estimate,
@@ -575,7 +595,9 @@ pub fn extract_one(
     mapping: &AttributeMapping,
 ) -> Result<(Values, SimDuration), S2sError> {
     let source = registry.require(mapping.source())?;
-    let values = prepare(registry, mapping)?;
+    let mut out = Vec::with_capacity(1);
+    prepare(source, &[mapping], &mut out);
+    let values = out.pop().expect("one result per mapping")?;
     let bytes = exchange_size(mapping.rule().text().len(), values.text_len());
     let call = source.endpoint().invoke(bytes, || ())?;
     Ok((values, call.elapsed))
@@ -751,15 +773,22 @@ fn resilient_exchange(
 /// independently deterministic.
 const HEDGE_SEED_SALT: u64 = 0x9e37_79b9_97f4_a7c5;
 
-/// Source lookup, wrapper run, and scenario truncation — everything
-/// local; no wire accounting.
-fn prepare(registry: &SourceRegistry, mapping: &AttributeMapping) -> Result<Values, S2sError> {
-    let source = registry.require(mapping.source())?;
-    let mut values = crate::wrapper::run(source.connection(), mapping)?;
-    if mapping.scenario() == RecordScenario::SingleRecord {
-        values.truncate(1);
+/// The wrapper run of `mappings`, rules of `source`, into `out`, and
+/// scenario truncation — everything local; no wire accounting. Returns
+/// the statements run.
+fn prepare(
+    source: &RegisteredSource,
+    mappings: &[&AttributeMapping],
+    out: &mut Vec<Result<Values, S2sError>>,
+) -> usize {
+    let start = out.len();
+    let statements = crate::wrapper::run(source.connection(), mappings, out);
+    for (values, mapping) in out[start..].iter_mut().zip(mappings) {
+        if let (Ok(values), RecordScenario::SingleRecord) = (values, mapping.scenario()) {
+            values.truncate(1);
+        }
     }
-    Ok(values)
+    statements
 }
 
 #[cfg(test)]

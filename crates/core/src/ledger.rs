@@ -23,6 +23,11 @@ pub struct SourceLedger {
     /// Tasks that failed: in the wrapper, or on the wire after retries
     /// and failover.
     pub failed_tasks: usize,
+    /// Statements the source's wrapper ran for its extracted tasks:
+    /// rules that share one record scope (SQL statements equal but for
+    /// their projection, XPaths reading fields of the same records) run
+    /// as one.
+    pub statements: usize,
     /// Whether the pushdown planner pruned the source: a required
     /// conjunct names a property it does not map, so nothing it could
     /// contribute passes the residual filter, and it is never dialled.
@@ -121,6 +126,7 @@ pub(crate) fn total(rows: &[SourceLedger]) -> Totals {
     for r in rows {
         s.tasks += r.tasks;
         s.failed_tasks += r.failed_tasks;
+        s.statements += r.statements;
         t.pruned += u64::from(r.pruned);
         t.pushed += r.pushed.len() as u64;
         s.view_hits += r.view_hits;

@@ -8,7 +8,7 @@ use s2s_minidb::{
 };
 use s2s_textmatch::ValueSpace;
 
-use super::{compiled_by, value_field, CompiledRule, Pushed, Wrapper};
+use super::{compiled_by, mismatch, statements, value_field, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
@@ -28,7 +28,7 @@ const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 /// The database sizes the result by its survivors and the column's
 /// widest stored value before the first value, so the column is
 /// reserved once.
-impl ColumnSink for &mut Values {
+impl ColumnSink for Values {
     fn size(&mut self, values: usize, text_bytes: usize) {
         self.reserve(values, text_bytes);
     }
@@ -49,11 +49,34 @@ impl Wrapper for Db<'_> {
         Some(stmt.map(|stmt| CompiledRule::Sql { stmt: Arc::new(stmt), column: column.clone() }))
     }
 
-    /// The non-NULL values of the result column, each formatted in place
-    /// from the stored row into a column reserved once.
-    fn run(&self, rule: &CompiledRule, values: &mut Values) -> Option<Result<(), S2sError>> {
-        let CompiledRule::Sql { stmt, column } = rule else { return None };
-        Some(self.0.query_column_each(stmt, column, values).map_err(S2sError::from))
+    /// The non-NULL values of each rule's result column, each formatted
+    /// in place from the stored row into a column reserved once;
+    /// statements equal but for their projection
+    /// ([`SelectStmt::shares_rows`]) are one scan.
+    fn run(
+        &self,
+        mappings: &[&AttributeMapping],
+        out: &mut Vec<Result<Values, S2sError>>,
+    ) -> usize {
+        let start = out.len();
+        let mut reads: Vec<(&SelectStmt, &str)> = Vec::with_capacity(mappings.len());
+        for m in mappings {
+            out.push(compiled_by(self, m).and_then(|rule| match rule {
+                CompiledRule::Sql { stmt, column } => {
+                    reads.push((stmt, column));
+                    Ok(Values::new())
+                }
+                _ => Err(mismatch(self, m)),
+            }));
+        }
+        let mut columns: Vec<Values> = reads.iter().map(|_| Values::new()).collect();
+        let results = self.0.query_columns_each(&reads, &mut columns);
+        let mut read = results.into_iter().zip(columns);
+        for slot in out[start..].iter_mut().filter(|slot| slot.is_ok()) {
+            let (result, values) = read.next().expect("one result per statement");
+            *slot = result.map(|()| values).map_err(S2sError::from);
+        }
+        statements(&reads, |(a, _), (b, _)| a.shares_rows(b))
     }
 
     /// Every kept rule must scan one column of the same table in the same

@@ -79,10 +79,15 @@ pub(crate) trait Wrapper {
     /// before anything is parsed).
     fn compile(&self, rule: &ExtractionRule) -> Option<Result<CompiledRule, S2sError>>;
 
-    /// Pushes every value the rule yields into `values`; `None` when the
-    /// rule is not one of this kind's (a mapping compiled under another
-    /// registry whose source of that id is of another kind).
-    fn run(&self, rule: &CompiledRule, values: &mut Values) -> Option<Result<(), S2sError>>;
+    /// Runs the rules of `mappings`, a source's, as this kind compiles
+    /// them ([`compiled_by`]), those that share one record scope as one
+    /// statement. Appends to `out`, per mapping in order, the values its
+    /// rule yields or its error — a rule that does not compile, or is
+    /// not one of this kind's (a mapping compiled under another registry
+    /// whose source of that id is of another kind), fails alone — and
+    /// returns the number of statements run.
+    fn run(&self, mappings: &[&AttributeMapping], out: &mut Vec<Result<Values, S2sError>>)
+        -> usize;
 
     /// The `kept` rules of one source rewritten to evaluate the
     /// `conjuncts` this kind can prove equivalent to the mediator's
@@ -108,6 +113,14 @@ pub(crate) trait Wrapper {
 
 /// Rewritten rules and the conjuncts they push.
 pub(crate) type Pushed<'c> = (Vec<ExtractionRule>, Vec<&'c ResolvedCondition>);
+
+/// How many statements `items` run as when the items `shares` pairs run
+/// as one: the items no earlier item shares with.
+fn statements<T>(items: &[T], shares: impl Fn(&T, &T) -> bool) -> usize {
+    (0..items.len())
+        .filter(|&i| !items[..i].iter().any(|earlier| shares(earlier, &items[i])))
+        .count()
+}
 
 /// Hands `f` the wrapper of `connection`'s kind.
 pub(crate) fn with<R>(connection: &Connection, f: impl FnOnce(&dyn Wrapper) -> R) -> R {
@@ -145,15 +158,16 @@ fn mismatch(w: &dyn Wrapper, mapping: &AttributeMapping) -> S2sError {
     }
 }
 
-/// The values `mapping`'s rule extracts from `connection`, copied once
-/// from where the source keeps them into the column returned.
-pub(crate) fn run(connection: &Connection, mapping: &AttributeMapping) -> Result<Values, S2sError> {
-    with(connection, |w| {
-        let mut values = Values::new();
-        w.run(compiled_by(w, mapping)?, &mut values)
-            .unwrap_or_else(|| Err(mismatch(w, mapping)))?;
-        Ok(values)
-    })
+/// Runs the rules of `mappings`, a source's, against `connection`
+/// ([`Wrapper::run`]): appends each one's values, copied once from where
+/// the source keeps them into its column, or its error to `out`, and
+/// returns the number of statements run.
+pub(crate) fn run(
+    connection: &Connection,
+    mappings: &[&AttributeMapping],
+    out: &mut Vec<Result<Values, S2sError>>,
+) -> usize {
+    with(connection, |w| w.run(mappings, out))
 }
 
 /// Whether one of `events` names a field `mapping`'s rule reads; every
@@ -218,12 +232,22 @@ pub(crate) mod tests {
         known.then(|| fields.join(" "))
     }
 
+    /// The values `mapping`'s rule extracts from `connection`, run alone.
+    pub(crate) fn run_one(
+        connection: &Connection,
+        mapping: &AttributeMapping,
+    ) -> Result<Values, S2sError> {
+        let mut out = Vec::new();
+        run(connection, &[mapping], &mut out);
+        out.pop().expect("one result per mapping")
+    }
+
     /// The values `rule` extracts from `connection`.
     pub(crate) fn extract(
         connection: &Connection,
         rule: ExtractionRule,
     ) -> Result<Vec<String>, S2sError> {
-        Ok(run(connection, &mapping(rule))?.iter().map(String::from).collect())
+        Ok(run_one(connection, &mapping(rule))?.iter().map(String::from).collect())
     }
 
     /// One source of each kind, each holding the brands Seiko and Casio.
@@ -323,10 +347,56 @@ pub(crate) mod tests {
     fn a_rule_compiled_for_another_kind_is_refused_by_the_run() {
         let [db, xml, ..] = sources();
         let m = mapping(ExtractionRule::XPath { path: "/c/w/b/text()".into() });
-        assert_eq!(run(&xml, &m).unwrap().len(), 2);
-        let err = run(&db, &m).unwrap_err();
+        assert_eq!(run_one(&xml, &m).unwrap().len(), 2);
+        let err = run_one(&db, &m).unwrap_err();
         assert_eq!(err.code(), "s2s::mapping::rule_source_mismatch");
         assert!(err.to_string().contains("`thing.product.brand`"), "{err}");
+    }
+
+    /// A source's rules run as one statement, yet each keeps what it
+    /// gets alone: a rule that names an unknown column, reads a column
+    /// its statement lacks, does not compile or is another kind's fails
+    /// by itself, and its siblings' values are unchanged.
+    #[test]
+    fn one_failing_rule_leaves_its_siblings_alone() {
+        let [db, xml, ..] = sources();
+        let sql = |query: &str, column: &str| {
+            mapping(ExtractionRule::Sql { query: query.into(), column: column.into() })
+        };
+        let xpath = |path: &str| mapping(ExtractionRule::XPath { path: path.into() });
+        for (connection, rules, statements) in [
+            (
+                &db,
+                vec![
+                    sql("SELECT brand FROM w ORDER BY id", "brand"),
+                    sql("SELECT nope FROM w ORDER BY id", "nope"),
+                    sql("SELECT brand FROM w ORDER BY id", "nope"),
+                    sql("SELECT FROM", "brand"),
+                    xpath("/c/w/b/text()"),
+                    sql("SELECT id, brand FROM w ORDER BY id", "id"),
+                ],
+                1,
+            ),
+            (
+                &xml,
+                vec![
+                    xpath("/c/w/b/text()"),
+                    xpath("/c/["),
+                    sql("SELECT brand FROM w", "brand"),
+                    xpath("/c/w/@id"),
+                    xpath("/c/w/b"),
+                ],
+                1,
+            ),
+        ] {
+            let mappings: Vec<&AttributeMapping> = rules.iter().collect();
+            let mut together = Vec::new();
+            assert_eq!(run(connection, &mappings, &mut together), statements);
+            let alone: Vec<_> = mappings.iter().map(|m| run_one(connection, m)).collect();
+            assert_eq!(together, alone, "{}", connection.kind());
+            let failed = together.iter().filter(|r| r.is_err()).count();
+            assert_eq!(failed, if connection.kind() == SourceKind::Database { 4 } else { 2 });
+        }
     }
 
     #[test]

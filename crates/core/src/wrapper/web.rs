@@ -7,7 +7,7 @@ use std::sync::Arc;
 use s2s_textmatch::Regex;
 use s2s_webdoc::{with_guards, GuardSpec, WebStore, WeblProgram, WeblValue};
 
-use super::{CompiledRule, Pushed, Wrapper};
+use super::{compiled_by, mismatch, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
@@ -47,21 +47,21 @@ impl Wrapper for Web<'_> {
         })
     }
 
-    fn run(&self, rule: &CompiledRule, values: &mut Values) -> Option<Result<(), S2sError>> {
-        Some(match rule {
-            CompiledRule::Webl(program) => self.run_webl(program, values),
-            CompiledRule::Regex { re, group } => {
-                self.store.fetch(self.url).map_err(S2sError::from).map(|doc| {
-                    // A group this match did not go through (one side of
-                    // an alternation) contributes nothing.
-                    let text = doc.text();
-                    re.find_iter(&text)
-                        .filter_map(|m| m.get(*group))
-                        .for_each(|c| values.push(c.text()));
-                })
-            }
-            _ => return None,
-        })
+    /// One rule at a time: a page shares no record scope yet.
+    fn run(
+        &self,
+        mappings: &[&AttributeMapping],
+        out: &mut Vec<Result<Values, S2sError>>,
+    ) -> usize {
+        let mut statements = 0;
+        for m in mappings {
+            out.push(compiled_by(self, m).and_then(|rule| {
+                let ran = self.run_one(rule).ok_or_else(|| mismatch(self, m))?;
+                statements += 1;
+                ran
+            }));
+        }
+        statements
     }
 
     /// Masks each kept program with `Where` guards (compared as rule text)
@@ -151,6 +151,27 @@ impl Wrapper for Web<'_> {
 }
 
 impl Web<'_> {
+    /// The values one rule extracts from the page; `None` when it is not
+    /// a web rule.
+    fn run_one(&self, rule: &CompiledRule) -> Option<Result<Values, S2sError>> {
+        let mut values = Values::new();
+        let ran = match rule {
+            CompiledRule::Webl(program) => self.run_webl(program, &mut values),
+            CompiledRule::Regex { re, group } => {
+                self.store.fetch(self.url).map_err(S2sError::from).map(|doc| {
+                    // A group this match did not go through (one side of
+                    // an alternation) contributes nothing.
+                    let text = doc.text();
+                    re.find_iter(&text)
+                        .filter_map(|m| m.get(*group))
+                        .for_each(|c| values.push(c.text()));
+                })
+            }
+            _ => return None,
+        };
+        Some(ran.map(|()| values))
+    }
+
     /// Runs a program with `PAGE` and `URL` bound; a list result yields
     /// one value per item, its offsets reserved once from the list,
     /// anything else its text unless empty.

@@ -6,7 +6,7 @@ use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
 use s2s_xml::{push_child_predicate, Document, StringSink, ValueSpace};
 
-use super::{value_field, CompiledRule, Pushed, Wrapper};
+use super::{compiled_by, mismatch, statements, value_field, CompiledRule, Pushed, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
@@ -17,8 +17,19 @@ use crate::source::SourceKind;
 /// An XML source.
 pub(super) struct Xml<'a>(pub(super) &'a Document);
 
-/// The evaluators size the node-set before the first string, so the
-/// column is reserved once.
+/// The evaluators size the node-set or the records before the first
+/// string, so the column is reserved once.
+impl StringSink for Values {
+    fn size(&mut self, strings: usize, text_bytes: usize) {
+        self.reserve(strings, text_bytes);
+    }
+
+    fn push(&mut self, string: &str) {
+        Values::push(self, string);
+    }
+}
+
+/// An XQuery hands its strings to a column it borrows.
 impl StringSink for &mut Values {
     fn size(&mut self, strings: usize, text_bytes: usize) {
         self.reserve(strings, text_bytes);
@@ -48,15 +59,42 @@ impl Wrapper for Xml<'_> {
     }
 
     /// Attribute values and single-text-node content borrowed from the
-    /// document; mixed content composed in one reused buffer; the column
-    /// reserved once from the node-set.
-    fn run(&self, rule: &CompiledRule, values: &mut Values) -> Option<Result<(), S2sError>> {
-        match rule {
-            CompiledRule::XPath(xpath) => xpath.each_string(self.0, values),
-            CompiledRule::XQuery(xquery) => xquery.each_string(self.0, values),
-            _ => return None,
+    /// document; mixed content composed in one reused buffer; each column
+    /// reserved once from the node-set or the records. Paths that read
+    /// a field of the same records ([`XPath::shares_records`]) are one
+    /// walk; an XQuery runs alone.
+    fn run(
+        &self,
+        mappings: &[&AttributeMapping],
+        out: &mut Vec<Result<Values, S2sError>>,
+    ) -> usize {
+        let start = out.len();
+        let mut paths: Vec<&XPath> = Vec::with_capacity(mappings.len());
+        let mut xqueries = 0;
+        for m in mappings {
+            out.push(compiled_by(self, m).and_then(|rule| match rule {
+                CompiledRule::XPath(xpath) => {
+                    paths.push(xpath);
+                    Ok(Values::new())
+                }
+                CompiledRule::XQuery(xquery) => {
+                    xqueries += 1;
+                    let mut values = Values::new();
+                    xquery.each_string(self.0, &mut values);
+                    Ok(values)
+                }
+                _ => Err(mismatch(self, m)),
+            }));
         }
-        Some(Ok(()))
+        let mut columns: Vec<Values> = paths.iter().map(|_| Values::new()).collect();
+        XPath::each_string_grouped(&paths, self.0, &mut columns);
+        let mut columns = columns.into_iter();
+        for (slot, m) in out[start..].iter_mut().zip(mappings) {
+            if matches!(compiled_by(self, m), Ok(CompiledRule::XPath(_))) {
+                *slot = Ok(columns.next().expect("one column per path"));
+            }
+        }
+        statements(&paths, |a, b| a.shares_records(b)) + xqueries
     }
 
     /// Splices `[guard op 'value']` into every kept XPath where XPath

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::DbError;
-use crate::exec::{run_select, run_select_column, ExecContext, Filter};
+use crate::exec::{run_select, run_select_column, ExecContext, Filter, Rows};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parse;
@@ -76,7 +76,7 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
 }
 
-/// Where [`Database::query_column_each`] hands a result column. Any
+/// Where [`Database::query_columns_each`] hands a result column. Any
 /// `FnMut(&Value)` is one that ignores the size.
 pub trait ColumnSink {
     /// Called once, before the first value: at most `values` values
@@ -279,35 +279,67 @@ impl Database {
         Ok(QueryResult { columns, rows })
     }
 
-    /// Runs a pre-parsed SELECT and hands `sink` the non-NULL values of
-    /// one result column, borrowed from the stored rows in result order:
+    /// Runs pre-parsed SELECTs, each with the name of one of its result
+    /// columns, and hands the sink at the same index that column's
+    /// non-NULL values, borrowed from the stored rows in result order:
     /// what `query_prepared` plus [`QueryResult::column_index`] would
     /// give, without materializing rows or rendering anything — the
     /// caller writes each value where it wants it ([`Value::write_to`]).
-    /// The sink learns the column's size first ([`ColumnSink::size`]).
+    /// Statements that share their rows ([`SelectStmt::shares_rows`])
+    /// are one scan: the rows are filtered, ordered and limited once.
+    /// Each sink learns its column's size first ([`ColumnSink::size`]).
     ///
-    /// # Errors
+    /// One result per statement, in order: the error the statement
+    /// alone would raise — its projection's, then its rows', then
+    /// [`DbError::UnknownColumn`] if the result has no column of the
+    /// name given. A sink whose statement failed has seen nothing.
     ///
-    /// Propagates execution errors, then [`DbError::UnknownColumn`] if
-    /// the result has no column named `column`; `sink` has seen nothing
-    /// when an error is returned.
-    pub fn query_column_each(
+    /// # Panics
+    ///
+    /// If `stmts` and `sinks` differ in length.
+    pub fn query_columns_each<S: ColumnSink>(
         &self,
-        stmt: &SelectStmt,
-        column: &str,
-        sink: impl ColumnSink,
-    ) -> Result<(), DbError> {
-        run_select_column(stmt, &self.exec_context(stmt)?, column, sink)
+        stmts: &[(&SelectStmt, &str)],
+        sinks: &mut [S],
+    ) -> Vec<Result<(), DbError>> {
+        assert_eq!(stmts.len(), sinks.len(), "one sink per statement");
+        let mut results: Vec<Result<(), DbError>> = stmts.iter().map(|_| Ok(())).collect();
+        for (lead, &(stmt, column)) in stmts.iter().enumerate() {
+            // `shares_rows` is an equivalence on the statements that share
+            // at all: one an earlier one shares with was read in its scan.
+            if stmts[..lead].iter().any(|(earlier, _)| earlier.shares_rows(stmt)) {
+                continue;
+            }
+            let group =
+                || (lead..stmts.len()).filter(|&j| j == lead || stmt.shares_rows(stmts[j].0));
+            let ctx = match self.exec_context(stmt) {
+                Ok(ctx) => ctx,
+                Err(e) => {
+                    group().for_each(|j| results[j] = Err(e.clone()));
+                    continue;
+                }
+            };
+            if !stmt.shares_rows(stmt) {
+                results[lead] = run_select_column(stmt, &ctx, column, &mut sinks[lead]);
+                continue;
+            }
+            let rows = Rows::of(stmt, &ctx);
+            for j in group() {
+                let (stmt, column) = stmts[j];
+                results[j] = Rows::each(&rows, stmt, &ctx, column, &mut sinks[j]);
+            }
+        }
+        results
     }
 
     /// The statement's FROM/JOIN chain, base table first.
     fn exec_context<'a>(&'a self, stmt: &'a SelectStmt) -> Result<ExecContext<'a>, DbError> {
-        let mut tables = Vec::with_capacity(1 + stmt.joins.len());
-        tables.push((stmt.table.as_str(), self.table_ref(&stmt.table)?));
+        let base = (stmt.table.as_str(), self.table_ref(&stmt.table)?);
+        let mut joined = Vec::with_capacity(stmt.joins.len());
         for j in &stmt.joins {
-            tables.push((j.table.as_str(), self.table_ref(&j.table)?));
+            joined.push((j.table.as_str(), self.table_ref(&j.table)?));
         }
-        Ok(ExecContext::new(tables))
+        Ok(ExecContext::new(base, joined))
     }
 
     fn table_ref(&self, name: &str) -> Result<&Table, DbError> {
@@ -651,5 +683,30 @@ mod tests {
         let db = catalog();
         let r = db.query("SELECT Brand FROM Watches WHERE BRAND = 'Casio'").unwrap();
         assert_eq!(r.len(), 1);
+    }
+
+    /// An integer literal past 2^53 and the `REAL` beside it are one
+    /// value in the index order yet select different rows: statements
+    /// that differ in them do not share a scan.
+    #[test]
+    fn statements_share_rows_only_with_literals_written_alike() {
+        let mut db = Database::new("d");
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 9007199254740992), (2, 9007199254740993)").unwrap();
+        let stmt = |literal: &str| {
+            Database::prepare_select(&format!("SELECT id FROM t WHERE n = {literal}")).unwrap()
+        };
+        let (int, real) = (stmt("9007199254740993"), stmt("9007199254740992.0"));
+        assert!(!int.shares_rows(&real) && int.shares_rows(&stmt("9007199254740993")));
+        let ids = |reads: &[(&SelectStmt, &str)]| {
+            let mut ids = vec![Vec::new(); reads.len()];
+            let mut sinks: Vec<_> =
+                ids.iter_mut().map(|ids| |v: &Value| ids.push(v.to_string())).collect();
+            assert!(db.query_columns_each(reads, &mut sinks).iter().all(Result::is_ok));
+            ids
+        };
+        let together = ids(&[(&int, "id"), (&real, "id")]);
+        assert_eq!(together, [ids(&[(&int, "id")]).remove(0), ids(&[(&real, "id")]).remove(0)]);
+        assert_eq!(together, [vec!["2"], vec!["1", "2"]]);
     }
 }

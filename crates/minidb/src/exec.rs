@@ -29,27 +29,41 @@ impl Resolved {
     }
 }
 
-/// The execution context: the ordered list of tables in the FROM/JOIN
-/// chain.
+/// The execution context: the tables of the FROM/JOIN chain, the base
+/// table apart, so a statement without joins allocates nothing for it.
 pub(crate) struct ExecContext<'a> {
-    tables: Vec<(&'a str, &'a Table)>,
+    base: (&'a str, &'a Table),
+    joined: Vec<(&'a str, &'a Table)>,
 }
 
 impl<'a> ExecContext<'a> {
-    pub(crate) fn new(tables: Vec<(&'a str, &'a Table)>) -> Self {
-        ExecContext { tables }
+    pub(crate) fn new(base: (&'a str, &'a Table), joined: Vec<(&'a str, &'a Table)>) -> Self {
+        ExecContext { base, joined }
+    }
+
+    /// The tables of the chain, in order.
+    fn tables(&self) -> impl Iterator<Item = (&'a str, &'a Table)> + '_ {
+        std::iter::once(self.base).chain(self.joined.iter().copied())
+    }
+
+    /// The `i`-th table of the chain.
+    fn table(&self, i: usize) -> &'a Table {
+        if i == 0 {
+            self.base.1
+        } else {
+            self.joined[i - 1].1
+        }
     }
 
     fn resolve(&self, col: &ColumnRef) -> Result<Resolved, DbError> {
         match &col.table {
             Some(t) => {
                 let table_idx = self
-                    .tables
-                    .iter()
+                    .tables()
                     .position(|(name, _)| name.eq_ignore_ascii_case(t))
                     .ok_or_else(|| DbError::UnknownTable { table: t.clone() })?;
-                let col_idx = self.tables[table_idx]
-                    .1
+                let col_idx = self
+                    .table(table_idx)
                     .schema()
                     .column_index(&col.column)
                     .ok_or_else(|| DbError::UnknownColumn { column: col.to_string() })?;
@@ -57,7 +71,7 @@ impl<'a> ExecContext<'a> {
             }
             None => {
                 let mut found = None;
-                for (table_idx, (_, table)) in self.tables.iter().enumerate() {
+                for (table_idx, (_, table)) in self.tables().enumerate() {
                     if let Some(col_idx) = table.schema().column_index(&col.column) {
                         if found.is_some() {
                             return Err(DbError::AmbiguousColumn { column: col.column.clone() });
@@ -105,8 +119,7 @@ impl<'a> ExecContext<'a> {
     fn output_names<'s>(&'s self, stmt: &'s SelectStmt) -> impl Iterator<Item = &'s str> {
         let star = stmt.projection.is_empty();
         let all = self
-            .tables
-            .iter()
+            .tables()
             .flat_map(|(_, t)| t.schema().columns().iter().map(|c| c.name()))
             .filter(move |_| star);
         let listed = stmt.projection.iter().filter_map(|item| match item {
@@ -165,7 +178,7 @@ impl<'s> Filter<'s> {
 
     /// Compiles a predicate over a single table (UPDATE and DELETE).
     pub(crate) fn for_table(expr: &'s Expr, name: &str, table: &Table) -> Result<Self, DbError> {
-        Filter::compile(expr, &ExecContext::new(vec![(name, table)]))
+        Filter::compile(expr, &ExecContext::new((name, table), Vec::new()))
     }
 
     /// Whether the predicate holds for `row` of the table it was
@@ -262,8 +275,8 @@ fn build_chains<'a>(
     joins: &[(Resolved, usize)],
     filter: Option<&Filter<'_>>,
 ) -> Chains<'a> {
-    let stride = ctx.tables.len();
-    let base = ctx.tables[0].1;
+    let stride = 1 + ctx.joined.len();
+    let base = ctx.base.1;
     // The filter sees whole chains, so it runs at the last stage only.
     let keep = |chain: &[&[Value]]| filter.is_none_or(|f| f.matches(chain));
     let mut rows: Vec<&'a [Value]> = Vec::new();
@@ -284,7 +297,7 @@ fn build_chains<'a>(
         }
     }
     for (ji, &(probe, build_col)) in joins.iter().enumerate() {
-        let right = ctx.tables[ji + 1].1;
+        let right = ctx.table(ji + 1);
         let width = ji + 1;
         let last = width + 1 == stride;
         let mut next: Vec<&'a [Value]> = Vec::new();
@@ -312,42 +325,55 @@ fn build_chains<'a>(
     Chains { rows, stride }
 }
 
-/// A plain SELECT resolved against its tables.
-struct Plan<'s> {
-    projection: Vec<Resolved>,
+/// What a plain SELECT's rows depend on besides the tables: its
+/// `WHERE`, `ORDER BY` and joins, resolved.
+struct Scan<'s> {
     filter: Option<Filter<'s>>,
     order: Option<(Resolved, OrderDir)>,
     joins: Vec<(Resolved, usize)>,
 }
 
-impl<'s> Plan<'s> {
-    /// Resolves projection, predicate, ordering and joins up front, in
-    /// that order, so errors surface even on empty tables.
+impl<'s> Scan<'s> {
     fn new(stmt: &'s SelectStmt, ctx: &ExecContext<'_>) -> Result<Self, DbError> {
-        let projection: Vec<Resolved> = if stmt.projection.is_empty() {
-            ctx.tables
-                .iter()
-                .enumerate()
-                .flat_map(|(ti, (_, t))| {
-                    (0..t.schema().arity()).map(move |ci| Resolved { table_idx: ti, col_idx: ci })
-                })
-                .collect()
-        } else {
-            stmt.projection
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Column(c) => ctx.resolve(c),
-                    SelectItem::Aggregate { .. } => unreachable!("aggregates take their own path"),
-                })
-                .collect::<Result<_, _>>()?
-        };
         let filter = stmt.predicate.as_ref().map(|p| Filter::compile(p, ctx)).transpose()?;
         let order = match &stmt.order_by {
             Some((col, dir)) => Some((ctx.resolve(col)?, *dir)),
             None => None,
         };
         let joins = ctx.resolve_joins(stmt)?;
-        Ok(Plan { projection, filter, order, joins })
+        Ok(Scan { filter, order, joins })
+    }
+}
+
+/// The projection of a plain SELECT, each column resolved, in output
+/// order (`*` is every column of every table in the chain).
+fn projected<'c>(
+    stmt: &'c SelectStmt,
+    ctx: &'c ExecContext<'_>,
+) -> impl Iterator<Item = Result<Resolved, DbError>> + 'c {
+    let star = stmt.projection.is_empty();
+    let all = ctx.tables().enumerate().filter(move |_| star).flat_map(|(ti, (_, t))| {
+        (0..t.schema().arity()).map(move |ci| Ok(Resolved { table_idx: ti, col_idx: ci }))
+    });
+    let listed = stmt.projection.iter().map(|item| match item {
+        SelectItem::Column(c) => ctx.resolve(c),
+        SelectItem::Aggregate { .. } => unreachable!("aggregates take their own path"),
+    });
+    all.chain(listed)
+}
+
+/// A plain SELECT resolved against its tables.
+struct Plan<'s> {
+    projection: Vec<Resolved>,
+    scan: Scan<'s>,
+}
+
+impl<'s> Plan<'s> {
+    /// Resolves projection, predicate, ordering and joins up front, in
+    /// that order, so errors surface even on empty tables.
+    fn new(stmt: &'s SelectStmt, ctx: &ExecContext<'_>) -> Result<Self, DbError> {
+        let projection = projected(stmt, ctx).collect::<Result<_, _>>()?;
+        Ok(Plan { projection, scan: Scan::new(stmt, ctx)? })
     }
 }
 
@@ -379,44 +405,101 @@ impl PartialEq for ProjectedRow<'_, '_> {
 
 impl Eq for ProjectedRow<'_, '_> {}
 
-/// Runs the pipeline of a plain SELECT up to (not including)
-/// projection: the surviving chains, and their indices in output order.
-fn survivors<'a>(
-    stmt: &SelectStmt,
-    plan: &Plan<'_>,
-    ctx: &ExecContext<'a>,
-) -> (Chains<'a>, Vec<usize>) {
-    let chains = build_chains(ctx, &plan.joins, plan.filter.as_ref());
+/// The rows a plain SELECT selects: its chains that passed the filter,
+/// and their indices in output order.
+pub(crate) struct Rows<'a> {
+    chains: Chains<'a>,
+    order: Vec<usize>,
+}
 
-    // Distinct: keep the first occurrence of each projected row, before
-    // ORDER BY.
-    let mut order: Vec<usize> = if stmt.distinct {
-        let mut seen = BTreeSet::new();
-        let first = |&i: &usize| {
-            seen.insert(ProjectedRow { chain: chains.get(i), projection: &plan.projection })
+impl<'a> Rows<'a> {
+    /// Runs the pipeline of a plain SELECT up to (not including)
+    /// projection; `projection` is what `DISTINCT` compares.
+    fn select(
+        stmt: &SelectStmt,
+        scan: &Scan<'_>,
+        projection: &[Resolved],
+        ctx: &ExecContext<'a>,
+    ) -> Self {
+        let chains = build_chains(ctx, &scan.joins, scan.filter.as_ref());
+
+        // Distinct: keep the first occurrence of each projected row,
+        // before ORDER BY.
+        let mut order: Vec<usize> = if stmt.distinct {
+            let mut seen = BTreeSet::new();
+            let first = |&i: &usize| seen.insert(ProjectedRow { chain: chains.get(i), projection });
+            (0..chains.len()).filter(first).collect()
+        } else {
+            (0..chains.len()).collect()
         };
-        (0..chains.len()).filter(first).collect()
-    } else {
-        (0..chains.len()).collect()
-    };
 
-    // Order: a stable ascending sort, reversed as a whole for DESC (so
-    // tied keys come out in reverse scan order). Survivors already in
-    // key order — a primary-key scan — are not sorted again.
-    if let Some((col, dir)) = plan.order {
-        let key = |i: usize| col.of(chains.get(i));
-        if !order.is_sorted_by(|&a, &b| key(a).total_cmp(key(b)) != Ordering::Greater) {
-            order.sort_by(|&a, &b| key(a).total_cmp(key(b)));
+        // Order: a stable ascending sort, reversed as a whole for DESC (so
+        // tied keys come out in reverse scan order). Survivors already in
+        // key order — a primary-key scan — are not sorted again.
+        if let Some((col, dir)) = scan.order {
+            let key = |i: usize| col.of(chains.get(i));
+            if !order.is_sorted_by(|&a, &b| key(a).total_cmp(key(b)) != Ordering::Greater) {
+                order.sort_by(|&a, &b| key(a).total_cmp(key(b)));
+            }
+            if dir == OrderDir::Desc {
+                order.reverse();
+            }
         }
-        if dir == OrderDir::Desc {
-            order.reverse();
+
+        if let Some(limit) = stmt.limit {
+            order.truncate(limit);
         }
+        Rows { chains, order }
     }
 
-    if let Some(limit) = stmt.limit {
-        order.truncate(limit);
+    /// The rows of `stmt`, a statement that shares its rows
+    /// ([`SelectStmt::shares_rows`]), or the error resolving its
+    /// `WHERE`, `ORDER BY` or joins.
+    pub(crate) fn of(stmt: &SelectStmt, ctx: &ExecContext<'a>) -> Result<Self, DbError> {
+        Ok(Rows::select(stmt, &Scan::new(stmt, ctx)?, &[], ctx))
     }
-    (chains, order)
+
+    /// Hands `sink` the non-NULL values of `stmt`'s first result column
+    /// named `column` (case-insensitively) over `rows`, the rows of
+    /// every statement sharing `stmt`'s — or the error `stmt` alone
+    /// would raise: its projection's, then the rows', then an unknown
+    /// column.
+    pub(crate) fn each(
+        rows: &Result<Self, DbError>,
+        stmt: &SelectStmt,
+        ctx: &ExecContext<'a>,
+        column: &str,
+        sink: &mut impl ColumnSink,
+    ) -> Result<(), DbError> {
+        projected(stmt, ctx).try_for_each(|r| r.map(drop))?;
+        let rows = rows.as_ref().map_err(DbError::clone)?;
+        let idx = output_index(stmt, ctx, column)?;
+        let col = projected(stmt, ctx).nth(idx).expect("one resolved column per output name")?;
+        rows.push_column(col, ctx, sink);
+        Ok(())
+    }
+
+    /// Sized by what the table stores, not by a pass over the rows: none
+    /// is wider than the column's widest value, and distinct rows hold
+    /// no more than the column does.
+    fn push_column(&self, col: Resolved, ctx: &ExecContext<'_>, sink: &mut impl ColumnSink) {
+        let n = self.order.len();
+        let (widest, stored) = ctx.table(col.table_idx).text_bytes(col.col_idx);
+        sink.size(n, n.saturating_mul(widest).min(stored));
+        self.order
+            .iter()
+            .map(|&i| col.of(self.chains.get(i)))
+            .filter(|v| !v.is_null())
+            .for_each(|v| sink.push(v));
+    }
+}
+
+/// The position of the first output column of a plain `stmt` named
+/// `column`, case-insensitively.
+fn output_index(stmt: &SelectStmt, ctx: &ExecContext<'_>, column: &str) -> Result<usize, DbError> {
+    ctx.output_names(stmt)
+        .position(|name| name.eq_ignore_ascii_case(column))
+        .ok_or_else(|| DbError::UnknownColumn { column: column.to_string() })
 }
 
 /// Runs a SELECT over the given table chain (base table first, joined
@@ -430,25 +513,27 @@ pub(crate) fn run_select(
     }
     let plan = Plan::new(stmt, ctx)?;
     let names = ctx.output_names(stmt).map(str::to_string).collect();
-    let (chains, order) = survivors(stmt, &plan, ctx);
+    let Rows { chains, order } = Rows::select(stmt, &plan.scan, &plan.projection, ctx);
     let project =
         |&i: &usize| plan.projection.iter().map(|r| r.of(chains.get(i)).clone()).collect();
     Ok((names, order.iter().map(project).collect()))
 }
 
-/// Runs a SELECT and hands `each` the non-NULL values of its first
+/// Runs one SELECT and hands `sink` the non-NULL values of its first
 /// result column named `column` (case-insensitively), borrowed straight
 /// from the stored rows, in result order.
 pub(crate) fn run_select_column(
     stmt: &SelectStmt,
     ctx: &ExecContext<'_>,
     column: &str,
-    mut sink: impl ColumnSink,
+    sink: &mut impl ColumnSink,
 ) -> Result<(), DbError> {
-    let unknown = || DbError::UnknownColumn { column: column.to_string() };
     if stmt.has_aggregates() || stmt.group_by.is_some() {
         let (names, rows) = run_aggregate_select(stmt, ctx)?;
-        let idx = names.iter().position(|n| n.eq_ignore_ascii_case(column)).ok_or_else(unknown)?;
+        let idx = names
+            .iter()
+            .position(|n| n.eq_ignore_ascii_case(column))
+            .ok_or_else(|| DbError::UnknownColumn { column: column.to_string() })?;
         // A group's row is computed, not stored: counted exactly.
         let values = || rows.iter().map(|r| &r[idx]).filter(|v| !v.is_null());
         sink.size(values().count(), values().map(Value::text_len).sum());
@@ -456,22 +541,8 @@ pub(crate) fn run_select_column(
         return Ok(());
     }
     let plan = Plan::new(stmt, ctx)?;
-    let idx = ctx
-        .output_names(stmt)
-        .position(|name| name.eq_ignore_ascii_case(column))
-        .ok_or_else(unknown)?;
-    let col = plan.projection[idx];
-    let (chains, order) = survivors(stmt, &plan, ctx);
-    // Sized by what the table stores, not by a pass over the survivors:
-    // none is wider than the column's widest value, and distinct rows
-    // hold no more than the column does.
-    let (widest, stored) = ctx.tables[col.table_idx].1.text_bytes(col.col_idx);
-    sink.size(order.len(), order.len().saturating_mul(widest).min(stored));
-    order
-        .iter()
-        .map(|&i| col.of(chains.get(i)))
-        .filter(|v| !v.is_null())
-        .for_each(|v| sink.push(v));
+    let col = plan.projection[output_index(stmt, ctx, column)?];
+    Rows::select(stmt, &plan.scan, &plan.projection, ctx).push_column(col, ctx, sink);
     Ok(())
 }
 

@@ -74,6 +74,52 @@ impl SelectStmt {
     pub fn has_aggregates(&self) -> bool {
         self.projection.iter().any(|i| matches!(i, SelectItem::Aggregate { .. }))
     }
+
+    /// Whether `self` and `other` select the same rows in the same order:
+    /// equal but for their projection, which neither reshapes. A
+    /// `DISTINCT`, aggregate or grouped statement shares with none, not
+    /// even itself. [`crate::Database::query_columns_each`] scans such
+    /// statements once.
+    pub fn shares_rows(&self, other: &SelectStmt) -> bool {
+        let plain = |s: &SelectStmt| !s.distinct && s.group_by.is_none() && !s.has_aggregates();
+        plain(self)
+            && plain(other)
+            && self.table == other.table
+            && self.joins == other.joins
+            && match (&self.predicate, &other.predicate) {
+                (Some(a), Some(b)) => a.same_as(b),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+            && self.order_by == other.order_by
+            && self.limit == other.limit
+    }
+}
+
+impl Expr {
+    /// Whether `self` and `other` are one predicate, their literals
+    /// written alike. `==` compares literals in the index order, where an
+    /// integer past 2^53 equals a `REAL` near it that a row compares
+    /// otherwise.
+    fn same_as(&self, other: &Expr) -> bool {
+        let same_literal = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+        };
+        match (self, other) {
+            (
+                Expr::Compare { left, op, right: Operand::Literal(a) },
+                Expr::Compare { left: l, op: o, right: Operand::Literal(b) },
+            ) => left == l && op == o && same_literal(a, b),
+            (Expr::And(a, b), Expr::And(x, y)) | (Expr::Or(a, b), Expr::Or(x, y)) => {
+                a.same_as(x) && b.same_as(y)
+            }
+            (Expr::Not(a), Expr::Not(x)) => a.same_as(x),
+            // No literal below: `==` is exact.
+            (Expr::Compare { right: Operand::Column(_), .. }, _)
+            | (Expr::Like { .. } | Expr::IsNull { .. }, _) => self == other,
+            _ => false,
+        }
+    }
 }
 
 /// One item of a SELECT projection.

@@ -8,7 +8,7 @@ mod reference;
 use proptest::prelude::*;
 use proptest::TestRng;
 use s2s_minidb::value::like_match;
-use s2s_minidb::{ColumnSink, Database, Value};
+use s2s_minidb::{ColumnSink, Database, SelectStmt, Value};
 
 /// Builds a database with one `items` table of `rows` (id, name, qty).
 fn build_db(rows: &[(i64, String, i64)]) -> Database {
@@ -232,6 +232,53 @@ fn select(rng: &mut TestRng) -> String {
     sql
 }
 
+/// The rules of one SQL source: one to four statements over one `FROM`,
+/// most of them equal but for their projection — columns, `*` or now
+/// and then a `DISTINCT` one, which shares its rows with none — each
+/// with the name of a result column to read (sometimes one it lacks),
+/// and its rows part: the `FROM` and any `WHERE`, `ORDER BY` and
+/// `LIMIT` [`select`] makes.
+fn sharing_selects(rng: &mut TestRng) -> Vec<(String, String, String)> {
+    let (from, tables) = from_clause(rng, false);
+    let rows_part = |rng: &mut TestRng| {
+        let mut rows = String::new();
+        if rng.below(3) > 0 {
+            rows.push_str(&format!(" WHERE {}", predicate(rng, &tables, 2)));
+        }
+        if rng.below(2) == 0 {
+            let dir = pick(rng, &["", " ASC", " DESC"]);
+            rows.push_str(&format!(" ORDER BY {}{dir}", column(rng, &tables)));
+        }
+        if rng.below(4) == 0 {
+            rows.push_str(&format!(" LIMIT {}", rng.below(5)));
+        }
+        rows
+    };
+    let shared = rows_part(rng);
+    (0..1 + rng.below(4))
+        .map(|_| {
+            let distinct = if rng.below(6) == 0 { "DISTINCT " } else { "" };
+            let projection = if rng.below(5) == 0 {
+                "*".to_string()
+            } else {
+                let cols: Vec<String> =
+                    (0..1 + rng.below(2)).map(|_| column(rng, &tables)).collect();
+                cols.join(", ")
+            };
+            let read = match rng.below(8) {
+                0 => "nope".to_string(),
+                _ => column(rng, &tables).rsplit('.').next().unwrap().to_string(),
+            };
+            let rows = if rng.below(5) == 0 { rows_part(rng) } else { shared.clone() };
+            (
+                format!("SELECT {distinct}{projection} FROM {from}{rows}"),
+                read,
+                format!("FROM {from}{rows}"),
+            )
+        })
+        .collect()
+}
+
 /// `f` as a `REAL` renders: through the sink, `render()` and `Display`,
 /// which are one function.
 fn rendered(f: f64) -> String {
@@ -283,6 +330,14 @@ struct Packed {
     text: String,
     ends: Vec<usize>,
     size: Option<(usize, usize)>,
+}
+
+impl Packed {
+    /// The values, cut where each ends.
+    fn values(&self) -> Vec<String> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| self.text[start..end].to_string()).collect()
+    }
 }
 
 impl ColumnSink for &mut Packed {
@@ -368,11 +423,9 @@ proptest! {
             // Packed the way the engine packs it: all text in one
             // buffer, cut where each value ends.
             let mut packed = Packed::default();
-            let sunk = db.query_column_each(&stmt, &name, &mut packed);
+            let sunk = db.query_columns_each(&[(&stmt, &name)], &mut [&mut packed]).remove(0);
+            let cut = packed.values();
             let Packed { text, ends, size } = packed;
-            let starts = std::iter::once(0).chain(ends.iter().copied());
-            let cut: Vec<String> =
-                starts.zip(&ends).map(|(start, &end)| text[start..end].to_string()).collect();
             prop_assert!(
                 sunk.is_ok() || (size.is_none() && ends.is_empty()),
                 "an error after the sink was sized or saw values"
@@ -385,6 +438,46 @@ proptest! {
             }
             prop_assert!(sunk.is_err() || size.is_some(), "an answer without a size");
             prop_assert_eq!(sunk.map(|()| cut), want, "column {} of {}", name, sql);
+        }
+    }
+
+    /// A source's statements run together read what each reads alone —
+    /// the same values, the same size told, the same error — and what
+    /// the executor it replaced renders: statements that share their
+    /// rows scan once, over NULLs, tied `ORDER BY` keys either way,
+    /// `WHERE`, `LIMIT` and joins, while each keeps its own unknown
+    /// column; a `DISTINCT` one, or one with other rows, is refused.
+    #[test]
+    fn a_grouped_select_equals_each_statement_alone(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let db = database(&mut rng);
+        let rules = sharing_selects(&mut rng);
+        let stmts: Vec<SelectStmt> =
+            rules.iter().map(|(sql, ..)| Database::prepare_select(sql).unwrap()).collect();
+        let reads: Vec<(&SelectStmt, &str)> =
+            stmts.iter().zip(&rules).map(|(s, (_, c, _))| (s, c.as_str())).collect();
+        let mut packed: Vec<Packed> = reads.iter().map(|_| Packed::default()).collect();
+        let together = db.query_columns_each(&reads, &mut packed.iter_mut().collect::<Vec<_>>());
+        for ((read, got), packed) in reads.iter().zip(together).zip(packed) {
+            let mut alone = Packed::default();
+            let want = db.query_columns_each(&[*read], &mut [&mut alone]).remove(0);
+            let (sql, column) = (&read.0.to_sql(), read.1);
+            prop_assert_eq!(&got, &want, "{} reading {}", sql, column);
+            prop_assert_eq!(packed.size, alone.size, "{} reading {}", sql, column);
+            prop_assert_eq!(&packed.ends, &alone.ends, "{} reading {}", sql, column);
+            prop_assert_eq!(&packed.text, &alone.text, "{} reading {}", sql, column);
+            let reference = reference::column(&db, read.0, column);
+            prop_assert_eq!(got.map(|()| packed.values()), reference, "{} reading {}", sql, column);
+        }
+        // Written apart, `ORDER BY c` and `ORDER BY c ASC` are still one order.
+        let rows_of = |(.., rows): &(String, String, String)| {
+            Database::prepare_select(&format!("SELECT * {rows}")).unwrap()
+        };
+        for (a, a_rule) in stmts.iter().zip(&rules) {
+            for (b, b_rule) in stmts.iter().zip(&rules) {
+                let shares = !a.distinct && !b.distinct && rows_of(a_rule) == rows_of(b_rule);
+                prop_assert_eq!(a.shares_rows(b), shares, "{} and {}", a.to_sql(), b.to_sql());
+            }
         }
     }
 

@@ -284,6 +284,11 @@ impl<'d> Element<'d> {
     /// of [`Element::text_in`].
     pub(crate) fn own_text_in(self, scratch: &mut String) -> Option<&'d str> {
         let doc = self.doc;
+        // A leaf holding one text run, the usual field, is that run.
+        let first = self.id + 1;
+        if doc.ends[self.id as usize] == first + 1 && doc.kinds[first as usize] == Kind::Text {
+            return Some(doc.str(doc.spans[first as usize]));
+        }
         let runs = doc.child_ids(self.id).filter(|&c| doc.kinds[c as usize] == Kind::Text);
         compose(doc, runs, scratch)
     }

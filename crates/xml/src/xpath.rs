@@ -79,6 +79,9 @@ pub struct XPath {
     /// document root element; relative paths select among the context
     /// node's children.
     absolute: bool,
+    /// How many leading steps select the path's records, when it splits
+    /// into records and a field of each ([`XPath::shares_records`]).
+    record: Option<usize>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -134,6 +137,31 @@ impl Resolved {
             Resolved::Local(sym) => doc.locals.get(name as usize) == Some(&sym),
             Resolved::Never => false,
         }
+    }
+}
+
+/// The field a split path reads of each record ([`XPath::shares_records`]),
+/// resolved against one document.
+#[derive(Clone, Copy)]
+enum Field {
+    /// `@name`: the record's attribute, if the document has the name.
+    Attribute(Option<Sym>),
+    /// `name` or `name/text()`: each matching child, whole or its own
+    /// text.
+    Child { name: Resolved, text: bool },
+}
+
+/// Hands `sink` what a path ending at `child` yields from it: its own
+/// text if `text` (none when empty), else all its text; `scratch`
+/// composes mixed content.
+fn read_child(child: Element<'_>, text: bool, sink: &mut impl StringSink, scratch: &mut String) {
+    if !text {
+        sink.push(child.text_in(scratch).unwrap_or(scratch));
+        return;
+    }
+    let own = child.own_text_in(scratch).unwrap_or(scratch);
+    if !own.is_empty() {
+        sink.push(own);
     }
 }
 
@@ -210,14 +238,14 @@ impl XPath {
                     return Err(bad("`@attr` must be the final step"));
                 }
                 steps.push(Step::Attribute(name.to_string()));
-                return Ok(XPath { source: src.to_string(), steps, absolute });
+                return Ok(XPath::from_steps(src, steps, absolute));
             }
             if let Some(r) = rest.strip_prefix("text()") {
                 if !r.is_empty() {
                     return Err(bad("`text()` must be the final step"));
                 }
                 steps.push(Step::Text);
-                return Ok(XPath { source: src.to_string(), steps, absolute });
+                return Ok(XPath::from_steps(src, steps, absolute));
             }
             // Name test.
             let (name, mut r) = take_name(rest);
@@ -245,9 +273,40 @@ impl XPath {
                 steps.push(Step::Child { name: test, predicates });
             }
             if r.is_empty() {
-                return Ok(XPath { source: src.to_string(), steps, absolute });
+                return Ok(XPath::from_steps(src, steps, absolute));
             }
             rest = r;
+        }
+    }
+
+    fn from_steps(source: &str, steps: Vec<Step>, absolute: bool) -> Self {
+        // The field: an attribute of the record, or a child element
+        // without predicates, whole or its text.
+        let record = match &steps[..] {
+            [.., Step::Attribute(_)] => steps.len() - 1,
+            [.., Step::Child { predicates, .. }, Step::Text] if predicates.is_empty() => {
+                steps.len() - 2
+            }
+            [.., Step::Child { predicates, .. }] if predicates.is_empty() => steps.len() - 1,
+            _ => 0,
+        };
+        // Records an absolute child-only prefix selects never nest.
+        let child_only = steps[..record].iter().all(|s| matches!(s, Step::Child { .. }));
+        let record = (absolute && record > 0 && child_only).then_some(record);
+        XPath { source: source.to_string(), steps, absolute, record }
+    }
+
+    /// Whether both paths split into the same records and a field of
+    /// each: an absolute, child-only prefix (predicates allowed) selects
+    /// the records, and the rest reads one `@attr`, or one child
+    /// element without predicates, whole or its `text()`. Such paths are
+    /// one walk in [`XPath::each_string_grouped`]. `/c/w/b/text()` and
+    /// `/c/w/@id` share their records `/c/w`; a `//` prefix or a
+    /// descendant field shares with none, not even itself.
+    pub fn shares_records(&self, other: &XPath) -> bool {
+        match (self.record, other.record) {
+            (Some(a), Some(b)) => self.steps[..a] == other.steps[..b],
+            _ => false,
         }
     }
 
@@ -268,7 +327,11 @@ impl XPath {
     pub fn eval_from<'d>(&self, root: Element<'d>) -> Vec<Element<'d>> {
         match self.steps.last() {
             Some(Step::Attribute(_) | Step::Text) => Vec::new(),
-            _ => self.select(root).into_iter().map(|id| root.doc.element(id)).collect(),
+            _ => self
+                .select(root, self.steps.len())
+                .into_iter()
+                .map(|id| root.doc.element(id))
+                .collect(),
         }
     }
 
@@ -297,9 +360,78 @@ impl XPath {
 
     /// [`XPath::each_string`] with an explicit context root.
     pub fn each_string_from(&self, root: Element<'_>, mut sink: impl StringSink) {
+        self.strings_into(root, &mut sink);
+    }
+
+    /// [`XPath::each_string`] for several paths at once, the strings of
+    /// `paths[i]` going to `sinks[i]`. Paths that share their records
+    /// ([`XPath::shares_records`]) are one walk: the records are
+    /// selected once, and each path reads its field of one record after
+    /// another — its strings in document order, as records never nest.
+    /// Fields are matched by symbol and nothing is allocated per record.
+    /// A grouped sink is sized from the records (a hint: a record may
+    /// have its field more than once, or not at all).
+    ///
+    /// # Panics
+    ///
+    /// If `paths` and `sinks` differ in length.
+    pub fn each_string_grouped<S: StringSink>(paths: &[&XPath], doc: &Document, sinks: &mut [S]) {
+        assert_eq!(paths.len(), sinks.len(), "one sink per path");
+        let mut scratch = String::new();
+        for (lead, path) in paths.iter().enumerate() {
+            // `shares_records` is an equivalence on the paths that split:
+            // a path an earlier one shares with was read in its walk.
+            if paths[..lead].iter().any(|earlier| earlier.shares_records(path)) {
+                continue;
+            }
+            let Some(at) = path.record else {
+                path.strings_into(doc.root(), &mut sinks[lead]);
+                continue;
+            };
+            let fields: Vec<(usize, Field)> = (lead..paths.len())
+                .filter(|&j| paths[j].shares_records(path))
+                .map(|j| (j, paths[j].field(doc)))
+                .collect();
+            let records = path.select(doc.root(), at);
+            for &(j, _) in &fields {
+                size(&mut sinks[j], doc, records.len());
+            }
+            // Attributes a field at a time; children in one pass over
+            // each record's children, each matched against every field.
+            for &(j, field) in &fields {
+                if let Field::Attribute(Some(name)) = field {
+                    let values = records.iter().filter_map(|&r| doc.attribute_value(r, name));
+                    values.for_each(|value| sinks[j].push(value));
+                }
+            }
+            for child in records.iter().flat_map(|&record| doc.child_ids(record)) {
+                for &(j, field) in &fields {
+                    if let Field::Child { name, text } = field {
+                        if name.matches(doc, child) {
+                            read_child(doc.element(child), text, &mut sinks[j], &mut scratch);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The field of a path that splits, resolved against `doc`.
+    fn field(&self, doc: &Document) -> Field {
+        match &self.steps[self.record.unwrap_or_default()..] {
+            [Step::Attribute(name)] => Field::Attribute(doc.symbol(name)),
+            [Step::Child { name, .. }, rest @ ..] => {
+                Field::Child { name: name.resolve(doc), text: !rest.is_empty() }
+            }
+            _ => unreachable!("a split path's field is an attribute or a child"),
+        }
+    }
+
+    /// The strings of the path from `root` into `sink`.
+    fn strings_into(&self, root: Element<'_>, sink: &mut impl StringSink) {
         let doc = root.doc;
-        let selected = self.select(root);
-        size(&mut sink, doc, selected.len());
+        let selected = self.select(root, self.steps.len());
+        size(sink, doc, selected.len());
         let mut scratch = String::new();
         match self.steps.last() {
             Some(Step::Attribute(name)) => {
@@ -330,7 +462,7 @@ impl XPath {
     /// document's symbols once, then streams the children (or
     /// descendants) of the previous step's survivors through its name
     /// test and predicates into one reused buffer.
-    fn select(&self, root: Element<'_>) -> Vec<u32> {
+    fn select(&self, root: Element<'_>, steps: usize) -> Vec<u32> {
         let doc = root.doc;
         let mut current = vec![root.id];
         let mut next = Vec::new();
@@ -340,7 +472,7 @@ impl XPath {
         // are a context node's children or descendants.
         let mut at_virtual_root = self.absolute;
         let mut slots: Vec<Slot> = Vec::new();
-        for step in &self.steps {
+        for step in &self.steps[..steps] {
             let (name, predicates, descend) = match step {
                 Step::Child { name, predicates } => (name, predicates, false),
                 Step::Descendant { name, predicates } => (name, predicates, true),

@@ -197,6 +197,14 @@ struct Packed {
     size: Option<(usize, usize)>,
 }
 
+impl Packed {
+    /// The strings, cut where each ends.
+    fn strings(&self) -> Vec<&str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.text[start..end]).collect()
+    }
+}
+
 impl StringSink for &mut Packed {
     fn size(&mut self, strings: usize, text_bytes: usize) {
         assert!(self.size.is_none() && self.ends.is_empty(), "sized twice or late");
@@ -268,6 +276,64 @@ fn xpath(rng: &mut TestRng, root: &str) -> String {
         _ => "",
     });
     path
+}
+
+/// A predicate on a record step, quoted one way so that paths written
+/// alike are the same path.
+fn record_predicate(rng: &mut TestRng) -> String {
+    let (name, value) = (pick(rng, &NAMES), pick(rng, &VALUES));
+    match rng.below(4) {
+        0 => format!("[{}]", 1 + rng.below(3)),
+        1 => format!("[@{}='{value}']", pick(rng, &["id", "k"])),
+        2 => format!("[{name}='{value}']"),
+        _ => format!("[{name} < '{value}']"),
+    }
+}
+
+/// The rules of one XML source: one to five paths, most reading a field
+/// of one set of records — an absolute child-only prefix from the root,
+/// predicates allowed on its steps — and the rest another set, a field
+/// one step deeper, or shaped so they split into none: a `//` prefix, a
+/// descendant field, a predicate on the field. Each comes with its
+/// record prefix if it splits.
+fn record_paths(rng: &mut TestRng, root: &str) -> Vec<(String, Option<String>)> {
+    let records = |rng: &mut TestRng| {
+        let mut path = format!("/{}", pick(rng, &[root, root, "*"]));
+        for step in 0..1 + rng.below(3) {
+            if step > 0 {
+                path.push('/');
+                path.push_str(pick(rng, &["a", "b", "x:a", "*"]));
+            }
+            if rng.below(4) == 0 {
+                path.push_str(&record_predicate(rng));
+            }
+        }
+        path
+    };
+    let shared = records(rng);
+    (0..1 + rng.below(5))
+        .map(|_| {
+            let (records, child_only) = match rng.below(8) {
+                0 => (records(rng), true),
+                1 => (format!("//{}", pick(rng, &NAMES)), false),
+                _ => (shared.clone(), true),
+            };
+            let name = pick(rng, &NAMES);
+            // The field, and what of it the record prefix takes: a
+            // field is the last child step, or an attribute.
+            let (field, deeper) = match rng.below(8) {
+                0 => (pick(rng, &["/@id", "/@k"]).to_string(), Some(String::new())),
+                1 | 2 => (format!("/{name}/text()"), Some(String::new())),
+                3 => (format!("/{name}"), Some(String::new())),
+                4 => ("/*/text()".to_string(), Some(String::new())),
+                5 => (format!("//{name}/text()"), None),
+                6 => (format!("/{name}[1]/text()"), None),
+                _ => (format!("/{name}/{name}/text()"), Some(format!("/{name}"))),
+            };
+            let split = deeper.filter(|_| child_only).map(|deeper| format!("{records}{deeper}"));
+            (format!("{records}{field}"), split)
+        })
+        .collect()
 }
 
 /// The elements of the old tree in document order, each with its
@@ -349,7 +415,8 @@ proptest! {
                 // text in one buffer, cut where each string ends.
                 let mut packed = Packed::default();
                 new.each_string_from(from, &mut packed);
-                let Packed { text, ends, size } = packed;
+                let cut = packed.strings();
+                let Packed { text, ends, size } = &packed;
                 // At most as many strings as told; room for them unless
                 // one was composed, which an attribute value never is,
                 // and never more room than the document has text.
@@ -360,9 +427,6 @@ proptest! {
                     "told {:?} for {} strings of {} bytes: {} from <{}> of {}",
                     size, ends.len(), text.len(), path, from.name(), xml
                 );
-                let starts = std::iter::once(0).chain(ends.iter().copied());
-                let cut: Vec<&str> =
-                    starts.zip(&ends).map(|(start, &end)| &text[start..end]).collect();
                 prop_assert_eq!(cut, want, "sunk {} from <{}> of {}", path, from.name(), xml);
                 let positions: Vec<usize> = old
                     .eval_from(old_from)
@@ -372,6 +436,40 @@ proptest! {
                 let got: Vec<usize> = new.eval_from(from).into_iter().map(Element::index).collect();
                 prop_assert_eq!(got, positions, "{} from <{}> of {}", path, from.name(), xml);
             }
+        }
+    }
+
+    /// Paths read together read what each reads alone, and what the
+    /// tree evaluator reads: paths that share their records are one walk
+    /// over missing, repeated, empty and mixed-content fields,
+    /// attributes, comments, prefixed names and predicates on a record
+    /// step; a `//` prefix, a descendant field or a field with a
+    /// predicate is refused by the split and read alone.
+    #[test]
+    fn grouped_paths_read_what_each_path_reads(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let xml = document(&mut rng);
+        let doc = parse(&xml).unwrap();
+        let tree = reference::parser::parse(&xml).unwrap().root;
+        let rules = record_paths(&mut rng, doc.root().name());
+        let paths: Vec<XPath> = rules.iter().map(|(p, _)| XPath::new(p).unwrap()).collect();
+        for (a, (a_text, a_records)) in paths.iter().zip(&rules) {
+            for (b, (b_text, b_records)) in paths.iter().zip(&rules) {
+                let shares = a_records.is_some() && a_records == b_records;
+                prop_assert_eq!(a.shares_records(b), shares, "{} and {}", a_text, b_text);
+            }
+        }
+        let mut packed: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
+        let refs: Vec<&XPath> = paths.iter().collect();
+        XPath::each_string_grouped(&refs, &doc, &mut packed.iter_mut().collect::<Vec<_>>());
+        for ((path, packed), (text, _)) in paths.iter().zip(&packed).zip(&rules) {
+            let mut alone = Vec::new();
+            path.each_string(&doc, |s: &str| alone.push(s.to_string()));
+            prop_assert_eq!(&packed.strings(), &alone, "{} of {}", text, xml);
+            let want = reference::xpath::XPath::new(text).unwrap().eval_strings_from(&tree);
+            prop_assert_eq!(&packed.strings(), &want, "{} of {}", text, xml);
+            let room = packed.size.map(|(_, room)| room);
+            prop_assert!(room.is_some_and(|room| room <= xml.len()), "told {:?}", packed.size);
         }
     }
 

@@ -220,3 +220,55 @@ fn renderers_annotate_round_trips() {
     let text = second.render(&o, s2s::core::instance::OutputFormat::Text);
     assert!(!text.contains("round trips"), "{text}");
 }
+
+/// Statements the wrappers ran for a query, summed over its sources.
+fn statements(outcome: &QueryOutcome) -> usize {
+    outcome.sources.iter().map(|row| row.statements).sum()
+}
+
+#[test]
+fn a_sources_rules_that_share_a_record_scope_run_as_one_statement() {
+    // A three-rule SQL source and a three-rule XML source: six rules,
+    // two statements — one scan of the table, one walk of the records.
+    let mut s2s = S2s::new(wide_ontology(2, 3)).with_tracing();
+    let mut db = Database::new("catalog");
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a0 TEXT, a1 TEXT, a2 TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'x', 'y', 'z'), (2, 'u', 'v', 'w')").unwrap();
+    s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+    let document = s2s::xml::parse(
+        "<c><r id='1'><a0>x</a0><a1>y</a1></r><r id='2'><a0>u</a0><a1>v</a1></r></c>",
+    )
+    .unwrap();
+    s2s.register_source("XML", Connection::Xml { document: Arc::new(document) }).unwrap();
+    for j in 0..3 {
+        let sql = ExtractionRule::Sql {
+            query: format!("SELECT a{j} FROM t ORDER BY id"),
+            column: format!("a{j}"),
+        };
+        let field = if j == 2 { "@id".to_string() } else { format!("a{j}/text()") };
+        let xpath = ExtractionRule::XPath { path: format!("/c/r/{field}") };
+        let multi = RecordScenario::MultiRecord;
+        s2s.register_attribute(&format!("thing.product.s0a{j}"), sql, "DB", multi).unwrap();
+        s2s.register_attribute(&format!("thing.product.s1a{j}"), xpath, "XML", multi).unwrap();
+    }
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert!(outcome.errors().is_empty(), "{:?}", outcome.errors());
+    assert_eq!(outcome.individuals().len(), 4);
+    assert_eq!((outcome.stats.tasks, statements(&outcome)), (6, 2));
+    let trace = outcome.trace.as_ref().expect("tracing on");
+    for batch in trace.spans_of(s2s::obs::SpanKind::Batch) {
+        assert_eq!(batch.get_attr("rules"), Some("3"), "{}", batch.name);
+        assert_eq!(batch.get_attr("statements"), Some("1"), "{}", batch.name);
+    }
+}
+
+#[test]
+fn a_64_shard_fanout_runs_one_statement_a_shard() {
+    let reliable = |_| FailureModel::reliable();
+    let batched = wide(64, 3, CostModel::wan(), reliable, false).query("SELECT product").unwrap();
+    assert_eq!((batched.stats.tasks, statements(&batched)), (192, 64));
+    // Registered one attribute a source, every rule is a statement.
+    let per_attr = wide(64, 3, CostModel::wan(), reliable, true).query("SELECT product").unwrap();
+    assert_eq!((per_attr.stats.tasks, statements(&per_attr)), (192, 192));
+    assert_eq!(values(&batched), values(&per_attr));
+}
