@@ -612,8 +612,8 @@ pub fn selectivity_threshold(records: &[Record], pct: f64) -> f64 {
     ((prices[k - 1] * 100.0).round() as i64 + 1) as f64 / 100.0
 }
 
-/// One selectivity point of the E15 pushdown sweep: the same query run
-/// on a planner-enabled engine and its planner-free twin.
+/// One selectivity point of the E15 pushdown sweep: a `price <` query
+/// and its unfiltered twin run on one engine.
 #[derive(Debug, Clone)]
 pub struct PushdownPoint {
     /// Target selectivity, percent of catalog rows.
@@ -622,27 +622,28 @@ pub struct PushdownPoint {
     pub threshold: f64,
     /// Individuals in the pushed answer.
     pub matched: usize,
-    /// Whether the pushed answer diverged from the planner-free one.
+    /// Whether the pushed answer diverged from the unfiltered one, IRIs
+    /// included.
     pub mismatch: bool,
-    /// Total wire bytes without the planner.
+    /// Total wire bytes of the unfiltered twin.
     pub baseline_wire_bytes: u64,
-    /// Total wire bytes with the planner.
+    /// Total wire bytes of the filtered query.
     pub pushed_wire_bytes: u64,
-    /// Response wire bytes without the planner.
+    /// Response wire bytes of the unfiltered twin.
     pub baseline_response_bytes: u64,
-    /// Response wire bytes with the planner.
+    /// Response wire bytes of the filtered query.
     pub pushed_response_bytes: u64,
-    /// Response bytes the planner kept off the wire: the planner-free
-    /// twin's response bytes minus the pushed run's.
+    /// Response bytes the filter kept off the wire: the unfiltered
+    /// twin's response bytes minus the filtered run's.
     pub wire_bytes_saved: u64,
-    /// Predicates pushed into source-native rules.
+    /// Conjuncts bound to the sources' record statements.
     pub pushed_predicates: u64,
     /// Sources pruned outright.
     pub pruned_sources: u64,
 }
 
 impl PushdownPoint {
-    /// Total-wire-bytes reduction factor of the planner at this point.
+    /// Total-wire-bytes reduction factor of the filter at this point.
     pub fn reduction(&self) -> f64 {
         self.baseline_wire_bytes as f64 / (self.pushed_wire_bytes.max(1)) as f64
     }
@@ -689,22 +690,25 @@ impl PushdownReport {
     }
 }
 
-/// Runs `query` on the planner-enabled engine `on` and its planner-free
-/// twin `off`, returning the measured [`PushdownPoint`].
+/// Runs `query` on `engine` and then `twin`, the same answer asked so
+/// that no conjunct is required (its condition negated twice, or
+/// `NOT (price >= t)` for `price < t`), so every source runs unfiltered;
+/// returns the measured [`PushdownPoint`].
 pub fn run_pushdown_point(
-    on: &S2s,
-    off: &S2s,
+    engine: &S2s,
     query: &str,
+    twin: &str,
     selectivity_pct: f64,
     threshold: f64,
 ) -> PushdownPoint {
-    let pushed = on.query(query).expect("pushdown query");
-    let baseline = off.query(query).expect("baseline query");
+    let pushed = engine.query(query).expect("pushdown query");
+    let baseline = engine.query(twin).expect("baseline query");
+    assert!(baseline.sources.iter().all(|r| r.pushed.is_empty()), "the twin runs unfiltered");
     PushdownPoint {
         selectivity_pct,
         threshold,
         matched: pushed.individuals().len(),
-        mismatch: result_key(&pushed) != result_key(&baseline),
+        mismatch: pushed.individuals() != baseline.individuals(),
         baseline_wire_bytes: baseline.stats.wire_bytes,
         pushed_wire_bytes: pushed.stats.wire_bytes,
         baseline_response_bytes: baseline.stats.wire_response_bytes,
@@ -713,7 +717,7 @@ pub fn run_pushdown_point(
             .stats
             .wire_response_bytes
             .saturating_sub(pushed.stats.wire_response_bytes),
-        pushed_predicates: pushed.sources.iter().flat_map(|r| &r.pushed).count() as u64,
+        pushed_predicates: pushed.sources.iter().map(|r| r.pushed.len() as u64).sum(),
         pruned_sources: pushed.sources.iter().filter(|r| r.pruned).count() as u64,
     }
 }
@@ -815,14 +819,20 @@ impl DeltaReport {
 /// ["price"]` declarations on the change feed). The delta arm maintains
 /// materialized views; the baseline arm relies on the result cache
 /// alone, so every mutation forces it back onto the wire for all four
-/// sources. Both arms see the identical mutation schedule and every
-/// answer is compared step by step.
+/// sources. The views hold slices whole, so the baseline re-extracts
+/// them whole too: it asks each `price < t` as `NOT (price >= t)`, the
+/// same answer on the all-decimal catalog with no conjunct to filter by
+/// (filtering is E15's subject). Both arms see the identical mutation
+/// schedule and every answer is compared step by step.
 pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> DeltaPoint {
     let baseline = deploy_wan(rows, seed).with_result_cache();
     let delta = deploy_wan(rows, seed).with_result_cache().with_views();
     let mut recs = records(rows, seed);
+    let thresholds = [120, 220, 320, 420];
     let texts: Vec<String> =
-        [120, 220, 320, 420].iter().map(|t| format!("SELECT watch WHERE price < {t}")).collect();
+        thresholds.iter().map(|t| format!("SELECT watch WHERE price < {t}")).collect();
+    let twins: Vec<String> =
+        thresholds.iter().map(|t| format!("SELECT watch WHERE NOT (price >= {t})")).collect();
 
     let mut acc = 0.0f64;
     let mut mutations = 0usize;
@@ -851,9 +861,8 @@ pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> Del
                     .expect("DB is registered");
             }
         }
-        let text = &texts[step % texts.len()];
-        let base_outcome = baseline.query(text).expect("baseline query");
-        let delta_outcome = delta.query(text).expect("delta query");
+        let base_outcome = baseline.query(&twins[step % twins.len()]).expect("baseline query");
+        let delta_outcome = delta.query(&texts[step % texts.len()]).expect("delta query");
         baseline_sim += base_outcome.stats.simulated;
         delta_sim += delta_outcome.stats.simulated;
         base_wire += base_outcome.stats.wire_bytes;

@@ -54,15 +54,16 @@ impl Answer {
         Answer { individuals, failed: failed.into_iter().collect() }
     }
 
-    /// The line of one individual of `source` from its `(property,
-    /// value)` pairs, in any order.
+    /// The line of one individual, record `record` of `source`, from its
+    /// `(property, value)` pairs, in any order.
     pub(crate) fn line<'a>(
         source: &str,
+        record: impl fmt::Display,
         values: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> String {
         let mut values: Vec<(&str, &str)> = values.into_iter().collect();
         values.sort();
-        let mut line = source.to_string();
+        let mut line = format!("{source}#{record}");
         for (property, value) in values {
             line.push_str(&format!(" {property}={value:?}"));
         }
@@ -117,6 +118,7 @@ impl Scenario {
                         .collect();
                     individuals.push(Answer::line(
                         &source,
+                        index,
                         ATTRS.iter().copied().zip(values.iter().map(String::as_str)),
                     ));
                 }
@@ -244,8 +246,8 @@ mod tests {
         assert_eq!(
             expected.individuals,
             [
-                r#"SRC_0 brand="seiko" case="steel" price="169""#,
-                r#"SRC_1 brand="seiko" case="steel" price=" 169 ""#,
+                r#"SRC_0#0 brand="seiko" case="steel" price="169""#,
+                r#"SRC_1#0 brand="seiko" case="steel" price=" 169 ""#,
             ]
         );
         let failed: Vec<(&str, &str)> =

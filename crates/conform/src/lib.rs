@@ -15,7 +15,7 @@
 //!   answer from the records, the conditions and each source's kind,
 //!   record scenario and fault class, naming no crate of the workspace,
 //! * [`oracle`] — runs one scenario through every arm (batched, replay,
-//!   pooled, pushdown, views through mutation rounds, bootstrap,
+//!   pooled, decoy, views through mutation rounds, bootstrap,
 //!   overload, flaky endpoints) and checks each answer against the
 //!   ground truth, plus the invariants that are not answers: the
 //!   `QueryStats` the docs promise, replay cost, shed honesty, wire

@@ -8,11 +8,13 @@
 //! named in the detail: batched `r0`–`r2` (one engine asked
 //! `ATTRS.len()` times, so faults scheduled past the first exchange
 //! fire), replay `first`/`second`, pooled `t0`–`t2` (three threads on one
-//! engine), `pushdown`, `decoy-on` (plus a brand-only DB source), `delta`
-//! and `delta-pushdown` rounds 0–4 (materialized views through three
-//! mutation rounds), `bootstrap`, `shed-recovery`, `hedged`, `flaky(0)`
-//! and the metamorphic variants ([`crate::meta`]). A deadline-limited
-//! answer must be a subset of it (`overload-subset`).
+//! engine), `decoy-on` (plus a brand-only DB source), `delta` rounds 0–4
+//! (materialized views through three mutation rounds), `bootstrap`,
+//! `shed-recovery`, `hedged`, `flaky(0)` and the metamorphic variants
+//! ([`crate::meta`]). An answer's lines name each individual's record, so
+//! identity is compared too: a filtered source keeps its records'
+//! numbers. A deadline-limited answer must be a subset of it
+//! (`overload-subset`).
 //!
 //! The other checks are not answer equality:
 //!
@@ -26,15 +28,16 @@
 //! * **Overload** — a shed query is refused at arrival with an honestly
 //!   empty answer and touches neither the wire nor the caches; a
 //!   deadline never raises completeness; `hedge_wins ≤ hedges`.
-//! * **Pushdown** — pushed responses never outgrow the post-filter
-//!   path's, a pruned source is never dialled, and the decoy is pruned
-//!   whenever the query constrains `price` or `case`.
+//! * **Pushdown** — filtered responses never outgrow the unfiltered
+//!   twin's (the condition doubly negated), a pruned source is never
+//!   dialled, and the decoy is pruned whenever the query constrains
+//!   `price` or `case`.
 //! * **Views** — an unmutated repeat is served from views without the
 //!   wire, and every warm slice is a hit, refresh or full refresh.
 //! * **Bootstrap coverage** — every source bootstraps one applied
 //!   mapping per attribute.
 //! * **Determinism** — identically seeded flaky, deadline, hedged,
-//!   pushdown, delta and bootstrap runs agree.
+//!   batched, delta and bootstrap runs agree.
 //! * **Monotonicity** — on `flaky(p)` endpoints without retry or
 //!   failover, completeness is non-increasing in `p`.
 
@@ -70,13 +73,16 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// An individual's line names the record it was minted from: the last
+/// segment of its IRI.
 impl From<&QueryOutcome> for Answer {
     fn from(outcome: &QueryOutcome) -> Answer {
         let individuals = outcome.individuals().iter().map(|i| {
             let values = i.values.iter().flat_map(|(property, values)| {
                 values.iter().map(move |v| (property.local_name(), v.as_str()))
             });
-            Answer::line(&i.source, values)
+            let record = i.iri.as_str().rsplit('/').next().unwrap_or_default();
+            Answer::line(&i.source, record, values)
         });
         let failed = outcome.errors().iter().map(|e| (e.source.clone(), e.attribute.clone()));
         Answer::new(individuals.collect(), failed)
@@ -215,20 +221,13 @@ pub fn check_scenario(scenario: &Scenario) -> Vec<Violation> {
 ///   full refresh;
 /// * **determinism** — a second protocol run reproduces the first.
 ///
-/// The protocol runs twice: over views alone (arm and oracles
-/// `delta-*`), and with the pushdown planner on as well
-/// (`delta-pushdown-*`), where a slice's rule filters on the query's
-/// conditions — a price round must refresh every slice whose pushed rule
-/// tests the price.
+/// An engine with views holds its slices whole, so a source whose
+/// slices it extracts runs unfiltered whatever the condition.
 fn check_delta(scenario: &Scenario) -> Vec<Violation> {
     if !scenario.fault_free() {
         return Vec::new();
     }
-    let pushdown = BuildConfig { pushdown: true, ..BuildConfig::delta() };
-    [("delta", BuildConfig::delta()), ("delta-pushdown", pushdown)]
-        .iter()
-        .flat_map(|(arm, config)| check_delta_arm(scenario, arm, config))
-        .collect()
+    check_delta_arm(scenario, "delta", &BuildConfig::delta())
 }
 
 fn check_delta_arm(scenario: &Scenario, arm: &str, config: &BuildConfig) -> Vec<Violation> {
@@ -448,19 +447,16 @@ fn check_bootstrap(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
     violations
 }
 
-/// Pushdown: the federated planner may rewrite rules, prune sources,
-/// and shrink responses, but never change the answer.
+/// Pushdown: the planner prunes sources and filters records at the
+/// source, but never changes the answer — which the batched arms check.
+/// Besides:
 ///
-/// Besides the `pushdown` arm's answer, against the post-filter
-/// batched run:
-///
-/// * **wire monotonicity** — pushed responses are subsets of the full
-///   responses, so `wire_response_bytes` never exceeds the
-///   post-filter path's.
+/// * **wire monotonicity** — the batched run's responses are subsets of
+///   its unfiltered twin's (the condition doubly negated, which binds no
+///   conjunct), so `wire_response_bytes` never exceeds the twin's.
 /// * **pruned silence** — a pruned source's ledger row shows no task,
 ///   no pushed conjunct, no attempt and no byte (it was never dialled).
-/// * **determinism** — two identically seeded pushdown runs keep equal
-///   ledgers.
+/// * **determinism** — two identically seeded runs keep equal ledgers.
 ///
 /// The `decoy-on` arm adds a reliable DB source that maps only `brand`:
 /// any condition on `price` or `case` must prune it, and it adds a
@@ -468,32 +464,30 @@ fn check_bootstrap(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
 fn check_pushdown(
     scenario: &Scenario,
     expected: &Answer,
-    baseline: &QueryOutcome,
+    filtered: &QueryOutcome,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     let query = scenario.query_text();
+    let batched = || scenario.build(&BuildConfig::batched());
 
-    let pushed =
-        scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the batched path");
-    check_stats(&pushed, "pushdown", &mut violations);
-    ground_truth("pushdown", &pushed, expected, &mut violations);
-    if pushed.stats.wire_response_bytes > baseline.stats.wire_response_bytes {
+    let twin = batched().query(&scenario.unfiltered_query_text()).expect("parses as the query");
+    ground_truth("unfiltered", &twin, expected, &mut violations);
+    if filtered.stats.wire_response_bytes > twin.stats.wire_response_bytes {
         violations.push(Violation::new(
             "pushdown-wire-monotonicity",
             format!(
-                "pushed responses grew: {} bytes vs post-filter {}",
-                pushed.stats.wire_response_bytes, baseline.stats.wire_response_bytes
+                "filtered responses grew: {} bytes vs unfiltered {}",
+                filtered.stats.wire_response_bytes, twin.stats.wire_response_bytes
             ),
         ));
     }
-    check_pruned_rows(&pushed, &mut violations);
+    check_pruned_rows(filtered, &mut violations);
 
-    let again =
-        scenario.build(&BuildConfig::pushdown()).query(&query).expect("parsed on the batched path");
-    if again.sources != pushed.sources {
+    let again = batched().query(&query).expect("parsed on the batched path");
+    if again.sources != filtered.sources {
         violations.push(Violation::new(
             "pushdown-determinism",
-            "two identically seeded pushdown runs kept different ledgers".to_string(),
+            "two identically seeded runs kept different ledgers".to_string(),
         ));
     }
 
@@ -501,8 +495,11 @@ fn check_pushdown(
     if !scenario.conditions.is_empty() {
         let on = decoy_engine(scenario).query(&query).expect("parsed on the batched path");
         let mut lines = expected.individuals.clone();
-        for r in scenario.records().iter().filter(|r| scenario.selects(r, |a| a == 0)) {
-            lines.push(Answer::line("DECOY", [(ATTRS[0], r.brand.as_str())]));
+        let records = scenario.records();
+        for (index, r) in
+            records.iter().enumerate().filter(|(_, r)| scenario.selects(r, |a| a == 0))
+        {
+            lines.push(Answer::line("DECOY", index, [(ATTRS[0], r.brand.as_str())]));
         }
         ground_truth(
             "decoy-on",
@@ -546,14 +543,14 @@ fn check_pruned_rows(outcome: &QueryOutcome, violations: &mut Vec<Violation>) {
     }
 }
 
-/// The pushdown deployment plus one reliable DB source (`DECOY`) that
+/// The batched deployment plus one reliable DB source (`DECOY`) that
 /// maps only `brand` — prunable whenever the query constrains `price`
 /// or `case`, and a harmless extra contributor otherwise.
 fn decoy_engine(scenario: &Scenario) -> S2s {
     use crate::scenario::{connection_for, rule_for, SourceKindSpec};
     use s2s_netsim::{CostModel, FailureModel, FaultSchedule};
 
-    let mut s2s = scenario.build(&BuildConfig::pushdown());
+    let mut s2s = scenario.build(&BuildConfig::batched());
     s2s.register_remote_source_detailed(
         "DECOY",
         connection_for(SourceKindSpec::Db, &scenario.records()),
@@ -852,31 +849,30 @@ mod tests {
         }
     }
 
-    /// A pushed predicate must survive failover: the rule rewrite
-    /// happens before the wire, so the replica serves the same
-    /// rewritten SQL and the response stays filtered — pushdown must
-    /// not silently fall back to full extraction when the primary
-    /// endpoint dies.
+    /// A filter must survive failover: the bound conjunct travels with
+    /// the exchange, so the replica answers the filtered statement and
+    /// the response stays filtered — the source must not silently fall
+    /// back to full extraction when the primary endpoint dies.
     #[test]
     fn pushed_predicate_survives_replica_failover() {
         let scenario =
             crate::case::from_case(include_str!("../corpus/pushdown-replica-failover.case"))
                 .expect("corpus case parses");
-        let query = scenario.query_text();
-        let baseline = scenario.build(&BuildConfig::batched()).query(&query).unwrap();
-        let pushed = scenario.build(&BuildConfig::pushdown()).query(&query).unwrap();
-        assert_eq!(pushed.stats.completeness, 1.0, "replica rescues the outage");
-        assert!(pushed.failovers() >= 1, "the primary endpoint is hard-down");
+        let engine = || scenario.build(&BuildConfig::batched());
+        let twin = engine().query(&scenario.unfiltered_query_text()).unwrap();
+        let filtered = engine().query(&scenario.query_text()).unwrap();
+        assert_eq!(filtered.stats.completeness, 1.0, "replica rescues the outage");
+        assert!(filtered.failovers() >= 1, "the primary endpoint is hard-down");
         assert!(
-            pushed.sources.iter().any(|r| !r.pushed.is_empty()),
-            "the price predicate is pushable into SQL"
+            filtered.sources.iter().any(|r| !r.pushed.is_empty()),
+            "the price conjunct filters the SQL source"
         );
-        assert_eq!(Answer::from(&pushed), scenario.expected());
+        assert_eq!(Answer::from(&filtered), scenario.expected());
         assert!(
-            pushed.stats.wire_response_bytes < baseline.stats.wire_response_bytes,
-            "replica answered the rewritten (filtered) rule: {} vs {} response bytes",
-            pushed.stats.wire_response_bytes,
-            baseline.stats.wire_response_bytes
+            filtered.stats.wire_response_bytes < twin.stats.wire_response_bytes,
+            "replica answered the filtered statement: {} vs {} response bytes",
+            filtered.stats.wire_response_bytes,
+            twin.stats.wire_response_bytes
         );
         let violations = check_scenario(&scenario);
         assert!(violations.is_empty(), "{violations:#?}");

@@ -292,6 +292,17 @@ impl Scenario {
         text
     }
 
+    /// [`Scenario::query_text`] with its condition doubly negated: the
+    /// same answer, but no conjunct is required, so every source runs
+    /// unfiltered — the twin a filtered run's wire is measured against.
+    pub fn unfiltered_query_text(&self) -> String {
+        let text = self.query_text();
+        match text.split_once(" WHERE ") {
+            Some((select, condition)) => format!("{select} WHERE NOT (NOT ({condition}))"),
+            None => text,
+        }
+    }
+
     /// The deterministic endpoint seed for source index `i` — derived
     /// from the scenario seed so the failure/jitter streams vary per
     /// scenario even though source ids repeat across scenarios.
@@ -344,9 +355,6 @@ impl Scenario {
         );
         if config.result_cache {
             s2s = s2s.with_result_cache();
-        }
-        if config.pushdown {
-            s2s = s2s.with_pushdown();
         }
         if config.views {
             s2s = s2s.with_views();
@@ -420,8 +428,6 @@ pub struct BuildConfig {
     pub strategy: Strategy,
     /// Enable the whole-answer result cache.
     pub result_cache: bool,
-    /// Enable the federated pushdown planner.
-    pub pushdown: bool,
     /// Enable materialized semantic views (delta maintenance).
     pub views: bool,
     /// Source registration order override (indices into `sources`).
@@ -435,7 +441,6 @@ impl Default for BuildConfig {
         BuildConfig {
             strategy: Strategy::Parallel { workers: 1 },
             result_cache: false,
-            pushdown: false,
             views: false,
             source_order: None,
             attr_order: None,
@@ -457,11 +462,6 @@ impl BuildConfig {
     /// The concurrent path: N threads share one engine's lanes.
     pub fn pooled(workers: usize) -> Self {
         BuildConfig { strategy: Strategy::Parallel { workers }, ..Default::default() }
-    }
-
-    /// The batched path with the federated pushdown planner enabled.
-    pub fn pushdown() -> Self {
-        BuildConfig { pushdown: true, ..BuildConfig::batched() }
     }
 
     /// The batched path with materialized semantic views (delta

@@ -204,12 +204,14 @@ impl DependencySet {
     /// Records that the artifact read `source` at data `version`.
     /// Re-recording keeps the *older* version: if a run somehow saw two
     /// versions, the registry is already past the first, so the entry
-    /// is never served.
+    /// is never served. A source read again allocates nothing.
     pub fn record(&mut self, source: &str, version: u64) {
-        self.sources
-            .entry(source.to_string())
-            .and_modify(|v| *v = (*v).min(version))
-            .or_insert(version);
+        match self.sources.get_mut(source) {
+            Some(v) => *v = (*v).min(version),
+            None => {
+                self.sources.insert(source.to_string(), version);
+            }
+        }
     }
 
     /// Whether the artifact read this source at all.

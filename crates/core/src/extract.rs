@@ -30,9 +30,11 @@ use s2s_netsim::{
 use s2s_obs::{Span, SpanKind, SpanOutcome};
 
 use crate::error::{FailureClass, S2sError};
-use crate::ledger::{self, SourceLedger};
+use crate::ledger::{self, Pushed, SourceLedger, Unfiltered};
 use crate::mapping::{AttributeMapping, MappingModule, RecordScenario};
+use crate::planner::Bind;
 use crate::source::{stable_seed, stable_seed_of, RegisteredSource, SourceRegistry};
+use crate::wrapper::{Filter, Ran};
 
 mod values;
 
@@ -43,8 +45,7 @@ pub use values::Values;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionSchema {
     /// The mapping driving this extraction, shared with the Mapping
-    /// Module that holds it (a fresh one when the federated planner,
-    /// [`crate::planner`], rewrote its rule).
+    /// Module that holds it.
     pub mapping: Arc<AttributeMapping>,
 }
 
@@ -297,7 +298,9 @@ impl ExtractorManager {
     /// `sources` is the query's ledger ([`crate::ledger`]); the mediator
     /// writes each source's tasks, attempt ladder, wire time and bytes
     /// into its row (adding a row for a source without one) and hands
-    /// the rows back in the report.
+    /// the rows back in the report. A row's bound conjuncts (positions
+    /// among [`ExtractEnv::leaves`]) filter its source's records; a source
+    /// that has to run unfiltered gets them cleared and the reason set.
     ///
     /// When [`ExtractEnv::traced`], the report's `spans` carry one
     /// `batch` span per planned wire exchange, with one `rule` child
@@ -308,7 +311,7 @@ impl ExtractorManager {
         mut sources: Vec<SourceLedger>,
         env: &ExtractEnv<'_>,
     ) -> ExtractionReport {
-        let batches = plan_batches(registry, &schemas, env.traced);
+        let batches = plan_batches(registry, &schemas, env);
 
         let mut report = ExtractionReport::default();
         let mut durations = Vec::new();
@@ -318,8 +321,9 @@ impl ExtractorManager {
         // Every wire leg runs here, in dispatch order, with its paced
         // wait deferred; the strategy only says how far the waits overlap
         // before the caller pays them in one sleep.
+        let mut at = usize::MAX;
         for batch in batches {
-            let row = ledger::row(&mut sources, batch.source_id);
+            let row = ledger::row(&mut sources, batch.source_id, &mut at);
             let started = env.traced.then(std::time::Instant::now);
             let mut attempt_spans = env.traced.then(Vec::new);
             let (net, wait_us) = defer_pacing(|| match batch.source {
@@ -335,7 +339,8 @@ impl ExtractorManager {
             let rules = batch.ok.len() + batch.failed.len();
             let outcome = batch_outcome(net.is_err(), !batch.failed.is_empty(), row);
             row.tasks += rules;
-            row.statements += batch.statements;
+            row.statements += batch.ran.statements;
+            (row.pushed, row.unfiltered) = (batch.pushed, batch.ran.unfiltered);
             row.failed_tasks += batch.failed.len();
             row.breaker_state = batch
                 .source
@@ -373,7 +378,7 @@ impl ExtractorManager {
                 span.wall_us = batch.wrapper_us + wall_us;
                 span.outcome = outcome;
                 span.attr("rules", rules.to_string());
-                span.attr("statements", batch.statements.to_string());
+                span.attr("statements", batch.ran.statements.to_string());
                 span.attr("wire_bytes", row.wire_bytes.to_string());
                 for child in batch.rule_spans.into_iter().chain(attempt_spans) {
                     span.push(child);
@@ -422,6 +427,9 @@ pub struct ExtractEnv<'a> {
     pub deadline: Option<SimDuration>,
     /// Whether to build trace spans; nothing is allocated when off.
     pub traced: bool,
+    /// What the query's condition lets a source filter by; `None`
+    /// without a condition.
+    pub(crate) bind: Option<&'a Bind<'a>>,
 }
 
 /// One source's schemas bound for a single wire exchange, planned
@@ -436,8 +444,11 @@ struct PlannedBatch<'a> {
     ok: Vec<(usize, &'a ExtractionSchema, Values)>,
     /// Wrapper-failed schemas (these never reach the wire).
     failed: Vec<(usize, &'a ExtractionSchema, S2sError)>,
-    /// Statements the wrapper ran for the schemas.
-    statements: usize,
+    /// Statements the wrapper ran for the schemas, and why not through
+    /// a filter if the query has a condition.
+    ran: Ran,
+    /// The conjuncts the source was filtered by.
+    pushed: Pushed,
     /// Wall time of the wrapper run (0 unless tracing).
     wrapper_us: u64,
     /// Total on-wire bytes of the coalesced exchange.
@@ -450,36 +461,51 @@ struct PlannedBatch<'a> {
     rule_spans: Vec<Span>,
 }
 
-/// Groups schemas by source, runs the local wrapper half, and sizes the
-/// coalesced `BatchRequest`/`BatchResponse` exchange for each source.
-/// The one buffer it adds to the batches is the submission order sorted
-/// by source: a source costs its batch, no copy of its id or schemas.
+/// Groups schemas by source, runs the local wrapper half through the
+/// filter the source's row in `rows` binds, and sizes the coalesced
+/// `BatchRequest`/`BatchResponse` exchange for each source. The one
+/// buffer it adds to the batches is the submission order sorted by
+/// source: a source costs its batch, no copy of its id or schemas.
 fn plan_batches<'a>(
     registry: &'a SourceRegistry,
     schemas: &'a [ExtractionSchema],
-    traced: bool,
+    env: &ExtractEnv<'_>,
 ) -> Vec<PlannedBatch<'a>> {
+    let traced = env.traced;
     let source_of = |i: usize| schemas[i].mapping.source();
     // Submission indices by source id, in submission order within one.
     let mut order: Vec<usize> = (0..schemas.len()).collect();
     order.sort_unstable_by(|&a, &b| source_of(a).cmp(source_of(b)).then(a.cmp(&b)));
     let same_source = |a: &usize, b: &usize| source_of(*a) == source_of(*b);
     let mut batches = Vec::with_capacity(order.chunk_by(same_source).count());
-    // One source's mappings and columns, reused from source to source.
+    // One source's mappings, columns and filter, reused from source to
+    // source.
     let mut mappings: Vec<&AttributeMapping> = Vec::new();
     let mut columns = Vec::new();
+    let mut filter = Filter::default();
     for group in order.chunk_by(same_source) {
         let id = source_of(group[0]);
         let source_id = id.as_str();
         let started = traced.then(std::time::Instant::now);
         mappings.clear();
         mappings.extend(group.iter().map(|&i| &*schemas[i].mapping));
-        let (source, statements) = match registry.require(id) {
-            Ok(source) => (Some(source), prepare(source, &mappings, &mut columns)),
+        filter.conjuncts.clear();
+        let bound = env.bind.map(|bind| bind.to(&mappings, &mut filter.conjuncts));
+        let (source, mut ran) = match registry.require(id) {
+            Ok(source) => (Some(source), prepare(source, &mappings, &mut filter, &mut columns)),
             Err(e) => {
                 columns.extend(group.iter().map(|_| Err(e.clone())));
-                (None, 0)
+                let unfiltered = filter.is_bound().then_some(Unfiltered::Statements);
+                (None, Ran { statements: 0, unfiltered })
             }
+        };
+        let pushed = match bound {
+            Some(Ok(pushed)) if ran.unfiltered.is_none() => pushed,
+            Some(Err(why)) => {
+                ran.unfiltered = Some(why);
+                Pushed::default()
+            }
+            _ => Pushed::default(),
         };
         let wrapper_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
         let mut ok = Vec::with_capacity(group.len());
@@ -507,13 +533,18 @@ fn plan_batches<'a>(
             }
         }
         // Every surviving rule travels as one section of a single
-        // BatchRequest; every value list comes back as one section of
-        // the matching BatchResponse.
+        // BatchRequest, and so does each conjunct its filter binds (its
+        // operator and constant); every value list comes back as one
+        // section of the matching BatchResponse.
         let (wire_bytes, response_bytes) = if ok.is_empty() {
             (0, 0)
         } else {
-            let requests = ok.iter().map(|(_, s, _)| s.mapping.rule().text().len());
+            let rules = ok.iter().map(|(_, s, _)| s.mapping.rule().text().len());
+            let filtered = filter.is_bound() && ran.unfiltered.is_none();
+            let bound = filter.conjuncts.iter().filter(|_| filtered);
+            let constants = bound.map(|(_, c)| c.op().token().len() + c.value().len());
             let responses = ok.iter().map(|(_, _, v)| v.text_len());
+            let requests = rules.chain(constants);
             (batch_exchange_size(requests, responses.clone()), batch_frame_size(responses))
         };
         let estimate =
@@ -524,7 +555,8 @@ fn plan_batches<'a>(
             salt: stable_seed_of(&[source_id, ":batch"]),
             ok,
             failed,
-            statements,
+            ran,
+            pushed,
             wrapper_us,
             wire_bytes,
             response_bytes,
@@ -596,7 +628,7 @@ pub fn extract_one(
 ) -> Result<(Values, SimDuration), S2sError> {
     let source = registry.require(mapping.source())?;
     let mut out = Vec::with_capacity(1);
-    prepare(source, &[mapping], &mut out);
+    prepare(source, &[mapping], &mut Filter::default(), &mut out);
     let values = out.pop().expect("one result per mapping")?;
     let bytes = exchange_size(mapping.rule().text().len(), values.text_len());
     let call = source.endpoint().invoke(bytes, || ())?;
@@ -773,22 +805,23 @@ fn resilient_exchange(
 /// independently deterministic.
 const HEDGE_SEED_SALT: u64 = 0x9e37_79b9_97f4_a7c5;
 
-/// The wrapper run of `mappings`, rules of `source`, into `out`, and
-/// scenario truncation — everything local; no wire accounting. Returns
-/// the statements run.
+/// The wrapper run of `mappings`, rules of `source`, through `filter`
+/// into `out`, and scenario truncation — everything local; no wire
+/// accounting.
 fn prepare(
     source: &RegisteredSource,
     mappings: &[&AttributeMapping],
+    filter: &mut Filter<'_>,
     out: &mut Vec<Result<Values, S2sError>>,
-) -> usize {
+) -> Ran {
     let start = out.len();
-    let statements = crate::wrapper::run(source.connection(), mappings, out);
+    let ran = crate::wrapper::run(source.connection(), mappings, filter, out);
     for (values, mapping) in out[start..].iter_mut().zip(mappings) {
         if let (Ok(values), RecordScenario::SingleRecord) = (values, mapping.scenario()) {
             values.truncate(1);
         }
     }
-    statements
+    ran
 }
 
 #[cfg(test)]
@@ -872,8 +905,14 @@ mod tests {
         ctx: &ResilienceContext,
     ) -> ExtractionReport {
         let lanes = Lanes::new(strategy.workers());
-        let env =
-            ExtractEnv { strategy, lanes: &lanes, resilience: ctx, deadline: None, traced: false };
+        let env = ExtractEnv {
+            strategy,
+            lanes: &lanes,
+            resilience: ctx,
+            deadline: None,
+            traced: false,
+            bind: None,
+        };
         ExtractorManager::extract(r, schemas, Vec::new(), &env)
     }
 
@@ -1174,7 +1213,17 @@ mod tests {
         }
         let schemas = brand_schemas(&m);
         let registry = SourceRegistry::new();
-        let batches = plan_batches(&registry, &schemas, false);
+        let (lanes, ctx) = (Lanes::new(1), no_resilience());
+        let strategy = Strategy::Parallel { workers: 1 };
+        let env = ExtractEnv {
+            strategy,
+            lanes: &lanes,
+            resilience: &ctx,
+            deadline: None,
+            traced: false,
+            bind: None,
+        };
+        let batches = plan_batches(&registry, &schemas, &env);
         assert_eq!(batches.len(), ids.len());
         for batch in &batches {
             let text = format!("{}:batch", batch.source_id);

@@ -2,6 +2,7 @@
 //! Instance Generator.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The values one rule extracted from one source — the paper's "raw
 /// data fragments" of an attribute, one per record — held as a column:
@@ -13,12 +14,18 @@ use std::fmt;
 ///
 /// Equal adjacent offsets are an empty string, which is a value like
 /// any other.
+///
+/// A column read through a filter holds the values of the records it
+/// kept only, and the number each record has in the unfiltered
+/// statement ([`Values::records`]), shared by the source's columns.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Values {
     text: String,
     /// `ends[i]` is the byte offset in `text` one past value `i`; value
     /// `i` starts where value `i - 1` ends (the first at 0).
     ends: Vec<usize>,
+    /// Value `i`'s record number when the column was filtered.
+    records: Option<Arc<[u32]>>,
 }
 
 impl Values {
@@ -91,6 +98,20 @@ impl Values {
     /// accounting sizes a response section by.
     pub fn text_len(&self) -> usize {
         self.text.len()
+    }
+
+    /// The record number of each value, when the column was read
+    /// through a filter: value `i` belongs to record `records[i]` of the
+    /// unfiltered statement. `None` for a column read whole, whose value
+    /// `i` is record `i`'s.
+    pub fn records(&self) -> Option<&[u32]> {
+        self.records.as_deref()
+    }
+
+    /// Numbers the values by `records` (one per value, ascending).
+    pub(crate) fn number(&mut self, records: Arc<[u32]>) {
+        debug_assert_eq!(records.len(), self.len(), "one record number per value");
+        self.records = Some(records);
     }
 }
 

@@ -565,6 +565,10 @@ fn emit_triples(
         minted.push('/');
         let prefix_len = minted.len();
         let record_prefix = Iri::new(&minted).expect("minted IRIs are valid by construction");
+        // A record's number: its position in the source's unfiltered
+        // statement, which a filtered source's columns carry.
+        let numbers = columns.iter().find_map(|c| c.values.records());
+        let number = |i: usize| numbers.map_or(i, |numbers| numbers[i] as usize);
 
         // Phase 1, in record order: which records become individuals.
         // A condition selects them by column, and finds a leaf's columns
@@ -581,7 +585,7 @@ fn emit_triples(
                 return;
             }
             minted.truncate(prefix_len);
-            write!(minted, "{i}").expect("writing to a String cannot fail");
+            write!(minted, "{}", number(i)).expect("writing to a String cannot fail");
             let iri =
                 Iri::new_under(&record_prefix, &minted).expect("a record number is a valid suffix");
             let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
@@ -627,7 +631,7 @@ fn emit_triples(
         objects.clear();
         objects.resize(columns.len(), None);
 
-        survivors.sort_by_cached_key(|(i, _)| decimal_order_key(*i));
+        survivors.sort_by_cached_key(|(i, _)| decimal_order_key(number(*i)));
         triples.reserve(survivors.len() * block.rows.iter().filter(|r| !r.repeat).count());
         for (i, iri) in survivors.drain(..) {
             for &k in &block.shared {

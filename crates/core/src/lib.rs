@@ -46,7 +46,7 @@ pub mod instance;
 pub mod ledger;
 pub mod mapping;
 pub mod middleware;
-pub mod planner;
+mod planner;
 pub mod query;
 pub mod source;
 pub mod spec;
@@ -61,4 +61,3 @@ pub use error::{FailureClass, S2sError};
 pub use extract::{ResilienceContext, ResiliencePolicy};
 pub use ledger::SourceLedger;
 pub use middleware::{QueryOptions, S2s};
-pub use planner::plan_pushdown;

@@ -146,14 +146,6 @@ impl AttributeMapping {
     pub fn scenario(&self) -> RecordScenario {
         self.scenario
     }
-
-    /// A copy of this mapping with its extraction rule replaced — the
-    /// hook the federated pushdown planner uses to substitute a
-    /// natively rewritten rule (same attribute, same source, same
-    /// scenario) without re-resolving the path against the ontology.
-    pub fn with_rule(&self, rule: ExtractionRule) -> AttributeMapping {
-        AttributeMapping { rule, compiled: CompiledSlot::default(), ..self.clone() }
-    }
 }
 
 /// The attribute repository: all registered mappings, keyed by the
@@ -505,10 +497,10 @@ mod tests {
             panic!("an XPath rule compiles to an XPath");
         };
         assert!(Arc::ptr_eq(first, second), "the second call compiled again");
-        let edited = m.with_rule(ExtractionRule::XPath { path: "//w/case/text()".into() });
+        let edited = mapping(ExtractionRule::XPath { path: "//w/case/text()".into() });
         let CompiledRule::XPath(fresh) = compiled(&edited) else { panic!() };
-        assert!(!Arc::ptr_eq(first, fresh), "with_rule kept the old compiled form");
-        assert_eq!(edited, m.with_rule(edited.rule().clone()), "the compiled form is not compared");
+        assert!(!Arc::ptr_eq(first, fresh), "a new rule kept the old compiled form");
+        assert_eq!(m, mapping(m.rule().clone()), "the compiled form is not compared");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::extract::{
 use crate::instance::{self, Individual, InstanceSet, OutputFormat};
 use crate::ledger::{self, SourceLedger, Totals};
 use crate::mapping::{ExtractionRule, MappingModule, RecordScenario};
+use crate::planner::Bind;
 use crate::query::{self, QueryPlan, S2sqlQuery};
 use crate::source::{Connection, SourceRegistry};
 use crate::view::SemanticViews;
@@ -242,7 +243,6 @@ pub struct S2s {
     tracing: bool,
     resilience: Arc<ResilienceContext>,
     admission: Option<Arc<AdmissionController>>,
-    pushdown: bool,
     views: Option<Arc<SemanticViews>>,
 }
 
@@ -263,7 +263,6 @@ impl S2s {
             tracing: false,
             resilience: Arc::new(ResilienceContext::default()),
             admission: None,
-            pushdown: false,
             views: None,
         }
     }
@@ -280,20 +279,6 @@ impl S2s {
     /// default.
     pub fn with_views(mut self) -> Self {
         self.views = Some(Arc::default());
-        self
-    }
-
-    /// Enables the federated pushdown planner ([`crate::planner`]):
-    /// before dispatch, each query's required conjuncts are rewritten
-    /// into the native capability of every source that can evaluate
-    /// them (`WHERE` for SQL, XPath predicates for XML, `Where` guards
-    /// for WebL/regex), projections drop unneeded schemas, and sources
-    /// that cannot contribute are pruned. Answers are the same with
-    /// the planner on or off, up to individual IRIs (which number the
-    /// records a source shipped) — everything unpushable stays in the
-    /// residual post-filter. Off by default.
-    pub fn with_pushdown(mut self) -> Self {
-        self.pushdown = true;
         self
     }
 
@@ -726,16 +711,16 @@ impl S2s {
         };
         let (plan, plan_cache) = self.plan(&parsed, &key, &mut spans)?;
         let registry = self.registry.read();
-        let mut mapped = self.map(&plan, &registry, &mut spans)?;
+        let mut mapped = self.map(&plan, &mut spans)?;
         let (deps, served) = self.partition(&registry, &mut mapped, &mut spans);
-        let mut report = self.extract(&registry, mapped.schemas, mapped.sources, opts.deadline);
+        let bind = self.pushdown(&plan, &mapped, &mut spans);
+        let mut report = self.extract(&registry, mapped, bind.as_ref(), opts.deadline);
         drop(registry);
         let extracted = report.results.len();
         report.results.extend(served);
         let instances = instance::generate(&self.ontology, &plan, &report);
         let totals = ledger::total(&report.sources);
-        let planned = mapped.planned;
-        let mut fresh = Fresh { plan, plan_cache, planned, spans, report, totals, instances };
+        let mut fresh = Fresh { plan, plan_cache, spans, report, totals, instances };
         self.publish(key, deps, extracted, &mut fresh, &mut result_cache);
         Ok(self.finish(s2sql, Exit::Fresh(&mut fresh), result_cache, started))
     }
@@ -793,17 +778,12 @@ impl S2s {
         Ok((plan, lookups))
     }
 
-    /// Map + pushdown: the plan's mapped attributes become extraction
-    /// schemas with one ledger row per source (steps 1–2 of Fig. 5).
-    /// Planned, rules are then rewritten toward each source's native
-    /// capability, projected-out schemas drop and sources that cannot
-    /// contribute are pruned — before the views see the rules.
-    fn map(
-        &self,
-        plan: &QueryPlan,
-        registry: &SourceRegistry,
-        spans: &mut Vec<Span>,
-    ) -> Result<Mapped, S2sError> {
+    /// Map: the plan's mapped attributes become extraction schemas with
+    /// one ledger row per source (steps 1–2 of Fig. 5). With a condition
+    /// or a projection, sources that cannot contribute are pruned and
+    /// projected-out schemas drop ([`crate::planner::prune`]) before the
+    /// views see the schemas.
+    fn map(&self, plan: &QueryPlan, spans: &mut Vec<Span>) -> Result<Mapped, S2sError> {
         let stage = Stage::start(self.tracing);
         let mappings = self.mappings.read();
         let paths: Vec<AttributePath> =
@@ -811,27 +791,16 @@ impl S2s {
         let schemas = ExtractorManager::obtain_schemas(&mappings, &paths)?;
         drop(mappings);
         let mut sources = ledger::rows(&schemas);
-        if let Some(span) = stage.end(spans, SpanKind::Map, "mappings") {
-            span.attr("mapped", schemas.len().to_string());
-        }
-        let planned = self.pushdown && (plan.condition.is_some() || plan.projection.is_some());
-        if !planned {
-            return Ok(Mapped { schemas, sources, planned });
-        }
-        let stage = Stage::start(self.tracing);
+        let mapped = schemas.len();
         let (condition, projection) = (plan.condition.as_ref(), plan.projection.as_deref());
-        let schemas =
-            crate::planner::plan_pushdown(registry, &schemas, condition, projection, &mut sources);
-        if let Some(span) = stage.end(spans, SpanKind::Pushdown, "planner") {
-            let Totals { pruned, pushed, .. } = ledger::total(&sources);
-            span.attr("pushed_predicates", pushed.to_string());
-            span.attr("pruned_sources", pruned.to_string());
-            let ids: Vec<&str> = sources.iter().filter(|r| r.pruned).map(|r| &*r.source).collect();
-            if pruned > 0 {
-                span.attr("pruned", ids.join(","));
-            }
+        let schemas = match condition.is_some() || projection.is_some() {
+            true => crate::planner::prune(schemas, condition, projection, &mut sources),
+            false => schemas,
+        };
+        if let Some(span) = stage.end(spans, SpanKind::Map, "mappings") {
+            span.attr("mapped", mapped.to_string());
         }
-        Ok(Mapped { schemas, sources, planned })
+        Ok(Mapped { schemas, sources })
     }
 
     /// Dependencies + view partition: the `(source, version)` pairs the
@@ -865,18 +834,40 @@ impl S2s {
         (deps, served)
     }
 
+    /// Pushdown, after the view partition: the condition's leaves and
+    /// the ones it requires, which extraction binds to the wire-bound
+    /// sources' record statements ([`crate::planner::Bind`]). Its span's
+    /// figures are the ledger's, rendered at the exit.
+    fn pushdown<'p>(
+        &self,
+        plan: &'p QueryPlan,
+        mapped: &Mapped,
+        spans: &mut Vec<Span>,
+    ) -> Option<Bind<'p>> {
+        if plan.condition.is_none() && plan.projection.is_none() {
+            return None;
+        }
+        let stage = Stage::start(self.tracing);
+        let condition = plan.condition.as_ref().filter(|_| !mapped.schemas.is_empty());
+        let bind = condition.map(|condition| Bind::new(condition, self.views.is_some()));
+        stage.end(spans, SpanKind::Pushdown, "planner");
+        bind
+    }
+
     /// Extract, steps 3–4 of Fig. 5: one coalesced wire exchange per
-    /// source, under the resilience policy and the query's deadline.
+    /// source, each through its bound filter, under the resilience
+    /// policy and the query's deadline.
     fn extract(
         &self,
         registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        sources: Vec<SourceLedger>,
+        mapped: Mapped,
+        bind: Option<&Bind<'_>>,
         deadline: Option<SimDuration>,
     ) -> ExtractionReport {
         let (strategy, lanes, resilience) = (self.strategy, &self.lanes, &*self.resilience);
-        let env = ExtractEnv { strategy, lanes, resilience, deadline, traced: self.tracing };
-        ExtractorManager::extract(registry, schemas, sources, &env)
+        let traced = self.tracing;
+        let env = ExtractEnv { strategy, lanes, resilience, deadline, traced, bind };
+        ExtractorManager::extract(registry, mapped.schemas, mapped.sources, &env)
     }
 
     /// Publish: the extracted slices (the report's first `extracted`
@@ -1000,12 +991,11 @@ impl Stage {
     }
 }
 
-/// The map stage's output: the schemas left to answer, the query's
-/// ledger, and whether the pushdown planner ran.
+/// The map stage's output: the schemas left to answer and the query's
+/// ledger.
 struct Mapped {
     schemas: Vec<ExtractionSchema>,
     sources: Vec<SourceLedger>,
-    planned: bool,
 }
 
 /// A query answered now, on its way out.
@@ -1013,7 +1003,6 @@ struct Fresh {
     plan: Arc<QueryPlan>,
     /// The one plan-cache lookup, and whether publishing evicted a plan.
     plan_cache: CacheStats,
-    planned: bool,
     /// The stage spans, in stage order (empty untraced).
     spans: Vec<Span>,
     report: ExtractionReport,
@@ -1056,11 +1045,9 @@ fn meter(exit: &Exit<'_>, stats: &QueryStats, wall_us: u64) {
         }
     };
     let (totals, sum) = (&fresh.totals, &fresh.totals.sum);
-    if fresh.planned {
-        m.counter(names::PUSHDOWN_PREDICATES_TOTAL).add(totals.pushed);
-        m.counter(names::PUSHDOWN_PRUNED_SOURCES_TOTAL).add(totals.pruned);
-    }
     for (name, figure) in [
+        (names::PUSHDOWN_PREDICATES_TOTAL, totals.pushed),
+        (names::PUSHDOWN_PRUNED_SOURCES_TOTAL, totals.pruned),
         (names::EXTRACT_TASKS_TOTAL, sum.tasks as u64),
         (names::EXTRACT_FAILED_TASKS_TOTAL, sum.failed_tasks as u64),
         (names::NET_CALLS_TOTAL, sum.attempts),
@@ -1127,6 +1114,15 @@ fn root_span(s2sql: &str, exit: &mut Exit<'_>, stats: &QueryStats, wall_us: u64)
         root.attr("view_full_refreshes", stats.view_full_refreshes.to_string());
     }
     root.children = std::mem::take(&mut fresh.spans);
+    if let Some(pushdown) = root.children.iter_mut().find(|s| s.kind == SpanKind::Pushdown) {
+        let totals = &fresh.totals;
+        pushdown.attr("pushed_predicates", totals.pushed.to_string());
+        pushdown.attr("pruned_sources", totals.pruned.to_string());
+        if totals.pruned > 0 {
+            let rows = fresh.report.sources.iter().filter(|r| r.pruned);
+            pushdown.attr("pruned", rows.map(|r| &*r.source).collect::<Vec<_>>().join(","));
+        }
+    }
     root.children.append(&mut fresh.report.spans);
     root
 }
@@ -1669,21 +1665,23 @@ mod tests {
         assert!(wins <= hedges);
     }
 
-    /// Values-only fingerprint of an answer: IRIs are minted from
-    /// post-pushdown record indices, so equivalence is judged on
-    /// (source, class, values) triples.
-    fn fingerprint(outcome: &QueryOutcome) -> Vec<String> {
-        let mut lines: Vec<String> = outcome
-            .individuals()
-            .iter()
-            .map(|i| format!("{}|{}|{:?}", i.source, i.class, i.values))
-            .collect();
-        lines.sort();
-        lines
+    /// `q` asked so that no conjunct is required: its condition, if any,
+    /// doubly negated. The planner binds nothing, so every source runs
+    /// unfiltered — the twin a filtered answer must equal.
+    fn unfiltered(q: &str) -> String {
+        match q.split_once(" WHERE ") {
+            Some((select, condition)) => format!("{select} WHERE NOT (NOT ({condition}))"),
+            None => q.to_string(),
+        }
+    }
+
+    /// The answer, IRIs included, and its graph.
+    fn answer(outcome: &QueryOutcome) -> (&[Individual], &s2s_rdf::Graph) {
+        (outcome.individuals(), &outcome.instances.graph)
     }
 
     #[test]
-    fn pushdown_answers_match_baseline_across_source_kinds() {
+    fn filtered_answers_equal_the_unfiltered_twin_across_source_kinds() {
         let queries = [
             "SELECT watch WHERE case='stainless-steel'",
             "SELECT watch WHERE price<100",
@@ -1691,43 +1689,52 @@ mod tests {
             "SELECT watch WHERE brand!='Casio' AND price>=100",
             "SELECT watch WHERE brand='Seiko' OR case='resin'",
             "SELECT watch(brand) WHERE price<200",
-            "SELECT watch(brand, price)",
-            // Numeric to the mediator, but no SQL literal spells them.
+            // Outside the decimal space: no price satisfies them.
             "SELECT watch WHERE price<'inf'",
             "SELECT watch WHERE price!='NaN'",
         ];
+        let s2s = deploy();
         for q in queries {
-            let baseline = deploy().query(q).unwrap();
-            let pushed = deploy().with_pushdown().query(q).unwrap();
-            assert_eq!(fingerprint(&baseline), fingerprint(&pushed), "answers diverged for `{q}`");
+            let twin = s2s.query(&unfiltered(q)).unwrap();
+            let filtered = s2s.query(q).unwrap();
+            assert_eq!(answer(&filtered), answer(&twin), "answers diverged for `{q}`");
+            assert!(twin.sources.iter().all(|r| r.pushed.is_empty()), "{q}");
             assert!(
-                pushed.stats.wire_response_bytes <= baseline.stats.wire_response_bytes,
-                "pushdown shipped more response bytes for `{q}`: {} > {}",
-                pushed.stats.wire_response_bytes,
-                baseline.stats.wire_response_bytes,
+                filtered.stats.wire_response_bytes <= twin.stats.wire_response_bytes,
+                "filtering shipped more response bytes for `{q}`: {} > {}",
+                filtered.stats.wire_response_bytes,
+                twin.stats.wire_response_bytes,
             );
         }
     }
 
     #[test]
-    fn pushdown_rewrites_sql_and_xpath_rules() {
+    fn a_required_conjunct_filters_a_source_of_one_record_statement() {
+        use crate::ledger::Unfiltered;
         let q = "SELECT watch WHERE case='stainless-steel'";
-        let out = deploy().with_pushdown().query(q).unwrap();
-        // DB and XML both map `case` with pushable rules; the web page
-        // lacks `case` entirely (pruned) and the text file is
-        // single-record (no predicate pushing).
-        assert_eq!(out.source("DB_ID_45").unwrap().pushed, vec!["case = stainless-steel"]);
-        assert_eq!(out.source("XML_7").unwrap().pushed, vec!["case = stainless-steel"]);
-        assert!(out.source("txt_9").unwrap().pushed.is_empty());
+        let out = deploy().query(q).unwrap();
+        // DB and XML both map `case`. DB's rules share one scan; XML's
+        // `//watch/…` paths may select nested records, so they are three
+        // walks. The web page lacks `case` entirely (pruned) and the text
+        // file is single-record.
+        let db = out.source("DB_ID_45").unwrap();
+        assert_eq!(db.pushed_conjuncts(&out.plan), ["case = stainless-steel"]);
+        assert_eq!(db.unfiltered, None);
+        for (id, why) in [("XML_7", Unfiltered::Statements), ("txt_9", Unfiltered::SingleRecord)] {
+            let row = out.source(id).unwrap();
+            assert!(row.pushed.is_empty(), "{id}");
+            assert_eq!(row.unfiltered, Some(why), "{id}");
+        }
         assert!(
-            out.stats.wire_response_bytes < deploy().query(q).unwrap().stats.wire_response_bytes,
-            "the rewritten rules must ship trimmed responses"
+            out.stats.wire_response_bytes
+                < deploy().query(&unfiltered(q)).unwrap().stats.wire_response_bytes,
+            "the filtered sources must ship trimmed responses"
         );
     }
 
     #[test]
     fn pushdown_prunes_source_missing_required_property() {
-        let s2s = deploy().with_pushdown();
+        let s2s = deploy();
         let out = s2s.query("SELECT watch WHERE case='resin'").unwrap();
         // wpage_81 maps only brand and price: it cannot satisfy the
         // required `case` conjunct, so it is pruned before the wire.
@@ -1740,44 +1747,73 @@ mod tests {
             (0, 0, 0),
             "pruned source must never reach the mediator"
         );
-        assert_eq!(
-            fingerprint(&out),
-            fingerprint(&deploy().query("SELECT watch WHERE case='resin'").unwrap())
-        );
+        let twin = s2s.query(&unfiltered("SELECT watch WHERE case='resin'")).unwrap();
+        assert!(twin.sources.iter().all(|r| !r.pruned));
+        assert_eq!(answer(&out), answer(&twin));
     }
 
     #[test]
     fn pushdown_projection_drops_unneeded_schemas() {
-        let baseline = deploy().query("SELECT watch(brand)").unwrap();
-        let pushed = deploy().with_pushdown().query("SELECT watch(brand)").unwrap();
-        assert_eq!(fingerprint(&baseline), fingerprint(&pushed));
+        let everything = deploy().query("SELECT watch").unwrap();
+        let projected = deploy().query("SELECT watch(brand)").unwrap();
         // Only the four brand schemas are dispatched; price/case stay home.
-        assert_eq!(pushed.stats.tasks, 4);
-        assert!(pushed.stats.tasks < baseline.stats.tasks);
-        assert!(pushed.stats.wire_bytes < baseline.stats.wire_bytes);
-        assert!(pushed.sources.iter().any(|r| r.projected_out > 0));
+        assert_eq!(projected.stats.tasks, 4);
+        assert!(projected.stats.tasks < everything.stats.tasks);
+        assert!(projected.stats.wire_bytes < everything.stats.wire_bytes);
+        assert!(projected.sources.iter().any(|r| r.projected_out > 0));
+        let brands = |o: &QueryOutcome| -> Vec<(s2s_rdf::Iri, Option<String>)> {
+            let brand = s2s_rdf::Iri::new("http://example.org/schema#brand").unwrap();
+            let individuals = o.individuals().iter();
+            individuals.map(|i| (i.iri.clone(), i.value(&brand).map(String::from))).collect()
+        };
+        assert_eq!(brands(&projected), brands(&everything));
+    }
+
+    #[test]
+    fn a_projection_keeps_the_schemas_a_leaf_past_the_64th_reads() {
+        let mut condition: Vec<String> = (0..64).map(|i| format!("brand!='b{i}'")).collect();
+        condition.push("case='resin'".into());
+        let condition = condition.join(" AND ");
+        let s2s = deploy();
+        let projected = s2s.query(&format!("SELECT watch(brand) WHERE {condition}")).unwrap();
+        let everything = s2s.query(&format!("SELECT watch WHERE {condition}")).unwrap();
+        let iris = |o: &QueryOutcome| -> Vec<s2s_rdf::Iri> {
+            o.individuals().iter().map(|i| i.iri.clone()).collect()
+        };
+        assert!(!everything.individuals().is_empty());
+        assert_eq!(iris(&projected), iris(&everything));
+    }
+
+    #[test]
+    fn a_conjunct_both_sides_of_an_or_share_is_pushed() {
+        let q =
+            "SELECT watch WHERE (brand='Casio' AND price<100) OR (brand='Casio' AND case='resin')";
+        let s2s = deploy();
+        let out = s2s.query(q).unwrap();
+        let db = out.source("DB_ID_45").unwrap();
+        assert_eq!(db.pushed_conjuncts(&out.plan), ["brand = Casio"]);
+        assert_eq!(answer(&out), answer(&s2s.query(&unfiltered(q)).unwrap()));
+        assert!(!out.individuals().is_empty());
     }
 
     #[test]
     fn pushdown_is_inert_without_condition_or_projection() {
-        let baseline = deploy().query("SELECT watch").unwrap();
-        let pushed = deploy().with_pushdown().query("SELECT watch").unwrap();
-        assert_eq!(fingerprint(&baseline), fingerprint(&pushed));
-        assert!(pushed.sources.iter().all(|r| !r.pruned && r.pushed.is_empty()));
-        assert_eq!(pushed.stats.wire_bytes, baseline.stats.wire_bytes);
+        let out = deploy().query("SELECT watch").unwrap();
+        let inert = |r: &SourceLedger| !r.pruned && r.pushed.is_empty() && r.unfiltered.is_none();
+        assert!(out.sources.iter().all(inert));
     }
 
     #[test]
-    fn pushdown_equivalence_holds_on_every_execution_path() {
+    fn filtered_answers_hold_on_every_execution_path() {
         let q = "SELECT watch WHERE price<100";
-        let reference = fingerprint(&deploy().query(q).unwrap());
+        let twin = deploy().query(&unfiltered(q)).unwrap();
         for strategy in [
             Strategy::Parallel { workers: 1 },
             Strategy::Parallel { workers: 4 },
             Strategy::Reactor,
         ] {
-            let out = deploy().with_pushdown().with_strategy(strategy).query(q).unwrap();
-            assert_eq!(fingerprint(&out), reference, "pushdown diverged under {strategy:?}");
+            let out = deploy().with_strategy(strategy).query(q).unwrap();
+            assert_eq!(answer(&out), answer(&twin), "filtering diverged under {strategy:?}");
         }
     }
 
@@ -2159,6 +2195,46 @@ mod tests {
         );
     }
 
+    /// Views hold slices whole: an engine with views runs every source it
+    /// extracts unfiltered — a partly view-served one too — so a `WHERE`
+    /// query warms them; and a filtered column handed to the store is
+    /// never kept.
+    #[test]
+    fn views_keep_slices_whole_and_never_store_a_filtered_column() {
+        use crate::ledger::Unfiltered;
+        let s2s = deploy_views();
+        let q = "SELECT watch WHERE price < 100";
+        let cold = s2s.query(q).unwrap();
+        let row = cold.source("DB").unwrap();
+        assert_eq!((row.pushed.len(), row.unfiltered), (0, Some(Unfiltered::Views)));
+        s2s.mutate_source("DB", watch_db("Seiko", 80), ChangeKind::RowUpdate, vec!["price".into()])
+            .unwrap();
+        let partly = s2s.query(q).unwrap();
+        let row = partly.source("DB").unwrap();
+        assert_eq!((row.view_hits, row.view_refreshes), (1, 1), "brand served, price re-read");
+        assert_eq!((row.pushed.len(), row.unfiltered), (0, Some(Unfiltered::Views)));
+        let warm = s2s.query(q).unwrap();
+        assert_eq!((warm.stats.view_hits, warm.stats.round_trips), (2, 0));
+        assert_eq!(warm.source("DB").unwrap().unfiltered, None, "served whole, never extracted");
+        assert_eq!(answer(&warm), answer(&partly), "the mutated price is served");
+        assert_eq!(warm.individuals().len(), 2);
+
+        let views = SemanticViews::default();
+        let mut mappings = s2s.mappings.read().iter().cloned().collect::<Vec<_>>();
+        let mapping = Arc::new(mappings.remove(0));
+        let mut values: crate::extract::Values = ["Casio"].into_iter().collect();
+        values.number(Arc::from([1u32].as_slice()));
+        let filtered = AttributeResult { mapping, values, elapsed: SimDuration::ZERO };
+        let mut deps = DependencySet::new();
+        deps.record("DB", 0);
+        views.store(std::slice::from_ref(&filtered), &deps, SimDuration::ZERO);
+        let schemas = vec![ExtractionSchema { mapping: filtered.mapping }];
+        let registry = s2s.registry.read();
+        let (left, served) =
+            views.partition(&registry, schemas, &deps, &mut Vec::new(), SimDuration::ZERO);
+        assert!(served.is_empty() && left.len() == 1, "a filtered column was stored");
+    }
+
     #[test]
     fn view_feed_gap_falls_back_to_full_refresh() {
         let s2s = deploy_views();
@@ -2227,8 +2303,8 @@ mod tests {
             }
             let recomputed = fresh.query("SELECT watch").unwrap();
             assert_eq!(
-                fingerprint(&maintained),
-                fingerprint(&recomputed),
+                answer(&maintained),
+                answer(&recomputed),
                 "delta answer diverged after mutation {i} touching {touched:?}"
             );
         }

@@ -1,159 +1,198 @@
-//! The federated pushdown planner (DESIGN.md §4j): each required
-//! conjunct a source can evaluate natively is rewritten into its rules
-//! by the source kind's wrapper (`WHERE` for SQL, an XPath predicate, a
-//! WebL `Where` guard), projections drop whole extraction schemas, and
-//! sources that cannot contribute to a required conjunct are pruned
-//! before any wire exchange.
+//! The federated pushdown planner (DESIGN.md §4j). Before the views see
+//! a query's schemas, [`prune`] skips the sources that cannot contribute
+//! to a required conjunct and drops the schemas neither the projection
+//! nor the condition reads. After the view partition, a [`Bind`] binds
+//! to each wire-bound source's record statement the required conjuncts
+//! it can test; the source's wrapper applies them as a filter
+//! ([`crate::wrapper::Filter`]). Nothing is rewritten: a rule, its
+//! compiled form and its view key are the same for every query.
 //!
-//! Pushdown only ever removes records the residual filter (the full
-//! condition tree, re-applied in [`crate::instance`]) removes anyway:
-//! only conjuncts the whole tree implies are pushed, and each wrapper
-//! pushes only what it proves equivalent to
-//! [`crate::query::condition_matches`]. A pushed predicate filters a
-//! source's *records*, so every rule of that source takes it or none
-//! does (value lists stay aligned), and single-record sources never get
-//! one (it would change which record is "first").
-
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+//! A bound conjunct only ever removes records the residual filter (the
+//! full condition tree, re-applied in [`crate::instance`]) removes
+//! anyway: only conjuncts the whole tree implies are bound, each is
+//! tested with the residual's own [`crate::query::condition_matches`] on
+//! the text the residual would see, and a kept record keeps its number.
+//! A conjunct filters a source's *records*, so it is bound only where
+//! exactly one rule of the source reads its property, never to a
+//! single-record source (its one value applies to every record), and
+//! never in an engine with views, which hold a source's slices whole.
 
 use s2s_rdf::Iri;
 
 use crate::extract::ExtractionSchema;
-use crate::ledger::{self, SourceLedger};
+use crate::ledger::{self, Pushed, SourceLedger, Unfiltered};
 use crate::mapping::{AttributeMapping, RecordScenario};
 use crate::query::{ConditionTree, ResolvedCondition};
-use crate::source::SourceRegistry;
-use crate::wrapper;
 
-/// The conjuncts implied by the whole tree: pushing one of these can
-/// only drop records the residual filter drops too. `AND` contributes
-/// the union of both sides, `OR` only what *both* sides require, `NOT`
-/// nothing.
-fn required_conjuncts(tree: &ConditionTree) -> Vec<&ResolvedCondition> {
-    match tree {
-        ConditionTree::Leaf(c) => vec![c],
-        // Each side's list is already free of duplicates.
-        ConditionTree::And(a, b) => {
-            let mut v = required_conjuncts(a);
-            for c in required_conjuncts(b) {
-                if !v.contains(&c) {
-                    v.push(c);
-                }
-            }
-            v
+/// The leaves the whole tree implies, as the set of their positions
+/// among the first 64 ([`ConditionTree::leaves`] order): filtering by
+/// one of these can only drop records the residual filter drops too.
+/// `AND` contributes what either side requires, `OR` what both do, `NOT`
+/// nothing. A leaf stands at the position of the first leaf equal to it,
+/// so both sides of an `OR` can require the same conjunct.
+fn required(tree: &ConditionTree) -> u64 {
+    fn walk(root: &ConditionTree, tree: &ConditionTree) -> u64 {
+        match tree {
+            ConditionTree::Leaf(c) => bit(first(root, c)),
+            ConditionTree::And(a, b) => walk(root, a) | walk(root, b),
+            ConditionTree::Or(a, b) => walk(root, a) & walk(root, b),
+            ConditionTree::Not(_) => 0,
         }
-        ConditionTree::Or(a, b) => {
-            let right = required_conjuncts(b);
-            required_conjuncts(a).into_iter().filter(|c| right.contains(c)).collect()
-        }
-        ConditionTree::Not(_) => Vec::new(),
     }
+    walk(tree, tree)
 }
 
-/// Plans pushdown over the extraction schemas of one query: prunes
-/// non-contributing sources, drops schemas outside the projection
-/// keep-set, and rewrites each surviving source's rules to evaluate
-/// every provably-equivalent required conjunct natively. Schemas come
-/// back in their original order; what was done to each source goes to
-/// its ledger row in `rows` (added when missing): whether it was
-/// pruned, the conjuncts pushed, the schemas projected out.
-pub fn plan_pushdown(
-    registry: &SourceRegistry,
-    schemas: &[ExtractionSchema],
+/// The position of the first leaf of `tree` equal to `c`, or 64 when
+/// none of the first 64 is: the search stops there.
+fn first(tree: &ConditionTree, c: &ResolvedCondition) -> usize {
+    // Whether the search is over.
+    fn walk(tree: &ConditionTree, c: &ResolvedCondition, next: &mut usize) -> bool {
+        match tree {
+            ConditionTree::Leaf(leaf) if leaf == c => true,
+            ConditionTree::Leaf(_) => {
+                *next += 1;
+                *next == 64
+            }
+            ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
+                walk(a, c, next) || walk(b, c, next)
+            }
+            ConditionTree::Not(e) => walk(e, c, next),
+        }
+    }
+    let mut next = 0;
+    walk(tree, c, &mut next);
+    next
+}
+
+/// The positions, among the first 64, of the leaves on `property`.
+fn on(tree: &ConditionTree, property: &Iri) -> u64 {
+    fn walk(tree: &ConditionTree, property: &Iri, next: &mut usize) -> u64 {
+        match tree {
+            ConditionTree::Leaf(c) => {
+                *next += 1;
+                if &c.property == property {
+                    bit(*next - 1)
+                } else {
+                    0
+                }
+            }
+            ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
+                walk(a, property, next) | walk(b, property, next)
+            }
+            ConditionTree::Not(e) => walk(e, property, next),
+        }
+    }
+    walk(tree, property, &mut 0)
+}
+
+/// The bit of leaf position `k`; none past 64.
+fn bit(k: usize) -> u64 {
+    u32::try_from(k).ok().and_then(|k| 1u64.checked_shl(k)).unwrap_or(0)
+}
+
+/// The position of `source`'s row in `rows`, which hold one per source
+/// of the query's schemas in id order; `at` as [`ledger::seek`] takes it.
+fn row_of(rows: &[SourceLedger], source: &str, at: &mut usize) -> usize {
+    ledger::seek(rows, source, at).expect("a row per source")
+}
+
+/// Prunes the sources of `schemas` that cannot supply a required
+/// conjunct's property — they yield only individuals the residual
+/// filter rejects — and drops the schemas outside the projection and the
+/// condition's properties. Schemas come back in their original order;
+/// each source's row in `rows` (one per source of `schemas`, in id
+/// order) says whether it was pruned and how many of its schemas the
+/// projection dropped.
+pub(crate) fn prune(
+    mut schemas: Vec<ExtractionSchema>,
     condition: Option<&ConditionTree>,
     projection: Option<&[Iri]>,
-    rows: &mut Vec<SourceLedger>,
+    rows: &mut [SourceLedger],
 ) -> Vec<ExtractionSchema> {
-    if condition.is_none() && projection.is_none() {
-        return schemas.to_vec();
+    let required = condition.map_or(0, required);
+    if required == 0 && projection.is_none() {
+        return schemas;
     }
-    let required = condition.map(required_conjuncts).unwrap_or_default();
     // The residual filter reads *every* condition leaf (not just the
-    // required ones), so projection may only drop schemas outside
-    // projection ∪ all-condition-properties.
-    let keep_props: Option<BTreeSet<&Iri>> = projection.map(|p| {
-        let mut set: BTreeSet<&Iri> = p.iter().collect();
-        if let Some(tree) = condition {
-            set.extend(tree.leaves().into_iter().map(|c| &c.property));
+    // required ones, nor only the first 64), so projection may only drop
+    // schemas outside projection ∪ all-condition-properties.
+    let read = projection.and(condition).map(ConditionTree::leaves).unwrap_or_default();
+    let kept = |property: &Iri| {
+        projection
+            .is_none_or(|p| p.contains(property) || read.iter().any(|c| &c.property == property))
+    };
+    // The required leaves each source's rules read.
+    let (mut carried, mut at) = (vec![0u64; rows.len()], usize::MAX);
+    if let Some(tree) = condition.filter(|_| required != 0) {
+        for s in &schemas {
+            carried[row_of(rows, s.mapping.source().as_str(), &mut at)] |=
+                on(tree, s.mapping.property());
         }
-        set
-    });
-
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, s) in schemas.iter().enumerate() {
-        groups.entry(s.mapping.source().to_string()).or_default().push(i);
     }
-
-    // Rewritten mapping (or None to keep) for every surviving index.
-    let mut surviving: BTreeMap<usize, Option<Arc<AttributeMapping>>> = BTreeMap::new();
-
-    for (source_id, indices) in &groups {
-        let row = ledger::row(rows, source_id);
-        let group: Vec<&AttributeMapping> = indices.iter().map(|&i| &*schemas[i].mapping).collect();
-        let props: BTreeSet<&Iri> = group.iter().map(|m| m.property()).collect();
-
-        // Capability pruning: a source that cannot supply a required
-        // conjunct's property yields only individuals the residual
-        // filter rejects, so skip its exchange entirely.
-        if !required.is_empty() && required.iter().any(|c| !props.contains(&c.property)) {
-            row.pruned = true;
-            continue;
-        }
-
-        let keep = |s: &ExtractionSchema| {
-            keep_props.as_ref().is_none_or(|set| set.contains(s.mapping.property()))
-        };
-        let kept_idx: Vec<usize> = indices.iter().copied().filter(|&i| keep(&schemas[i])).collect();
-
-        let single = group.iter().any(|m| m.scenario() == RecordScenario::SingleRecord);
-        let applicable: Vec<&ResolvedCondition> =
-            required.iter().copied().filter(|c| props.contains(&c.property)).collect();
-
-        let pushable = !single && !applicable.is_empty() && !kept_idx.is_empty();
-        if let Some(source) = registry.get(&source_id.as_str().into()).filter(|_| pushable) {
-            let connection = source.connection();
-            let kept: Vec<&AttributeMapping> =
-                kept_idx.iter().map(|&i| &*schemas[i].mapping).collect();
-            if let Some((rules, pushed)) =
-                wrapper::with(connection, |w| w.push(&group, &kept, &applicable))
-            {
-                // All-or-nothing: a rewritten rule that does not compile
-                // (each conjunct deepens the rule, so one already at its
-                // parser's nesting cap may) leaves the source unpushed
-                // rather than failing at the source. Its compile is kept.
-                let mappings: Option<Vec<_>> = kept_idx
-                    .iter()
-                    .zip(rules)
-                    .map(|(&i, rule)| {
-                        let mapping = schemas[i].mapping.with_rule(rule);
-                        wrapper::compiled(connection, &mapping).is_ok().then(|| Arc::new(mapping))
-                    })
-                    .collect();
-                if let Some(mappings) = mappings {
-                    row.pushed = pushed.into_iter().map(describe).collect();
-                    for (&i, mapping) in kept_idx.iter().zip(mappings) {
-                        surviving.insert(i, Some(mapping));
-                    }
-                }
-            }
-        }
-        for &i in &kept_idx {
-            surviving.entry(i).or_insert(None);
-        }
-        row.projected_out = indices.len() - kept_idx.len();
+    let mut pruned = false;
+    for (row, carried) in rows.iter_mut().zip(carried) {
+        row.pruned = carried & required != required;
+        pruned |= row.pruned;
     }
-
-    let mut out = Vec::with_capacity(surviving.len());
-    for (i, replacement) in surviving {
-        out.push(match replacement {
-            Some(mapping) => ExtractionSchema { mapping },
-            None => schemas[i].clone(),
+    if pruned || projection.is_some() {
+        schemas.retain(|s| {
+            let row = &mut rows[row_of(rows, s.mapping.source().as_str(), &mut at)];
+            let keep = !row.pruned && kept(s.mapping.property());
+            row.projected_out += usize::from(!row.pruned && !keep);
+            keep
         });
     }
-    out
+    schemas
 }
 
-fn describe(c: &ResolvedCondition) -> String {
-    format!("{} {} {}", c.property.local_name(), c.op(), c.value())
+/// What a query's condition lets a wire-bound source filter by: the
+/// condition's leaves and the positions of the ones it requires. An
+/// engine with views binds nothing: its views hold slices whole.
+#[derive(Debug)]
+pub(crate) struct Bind<'p> {
+    leaves: Vec<&'p ResolvedCondition>,
+    required: u64,
+    views: bool,
+}
+
+impl<'p> Bind<'p> {
+    pub(crate) fn new(condition: &'p ConditionTree, views: bool) -> Self {
+        let (leaves, required) = match views {
+            true => (Vec::new(), 0),
+            false => (condition.leaves(), required(condition)),
+        };
+        Bind { leaves, required, views }
+    }
+
+    /// Binds to a source whose rules are `mappings` each required leaf
+    /// whose property exactly one of them reads, with that rule's
+    /// position, into `conjuncts`; returns the leaves' positions, or why
+    /// none is bound. A single-record rule's one value applies to every
+    /// record, so its source binds nothing.
+    pub(crate) fn to(
+        &self,
+        mappings: &[&AttributeMapping],
+        conjuncts: &mut Vec<(usize, &'p ResolvedCondition)>,
+    ) -> Result<Pushed, Unfiltered> {
+        if self.views {
+            return Err(Unfiltered::Views);
+        }
+        if mappings.iter().any(|m| m.scenario() == RecordScenario::SingleRecord) {
+            return Err(Unfiltered::SingleRecord);
+        }
+        let mut pushed = 0;
+        for k in Pushed::of(self.required).iter() {
+            let c = self.leaves[k];
+            let mut readers =
+                (0..mappings.len()).filter(|&j| mappings[j].property() == &c.property);
+            if let (Some(j), None) = (readers.next(), readers.next()) {
+                conjuncts.push((j, c));
+                pushed |= 1 << k;
+            }
+        }
+        match pushed {
+            0 => Err(Unfiltered::NoConjunct),
+            bits => Ok(Pushed::of(bits)),
+        }
+    }
 }

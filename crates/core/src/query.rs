@@ -163,11 +163,6 @@ impl ResolvedCondition {
     pub fn space(&self) -> ValueSpace {
         self.comparand.space()
     }
-
-    /// Whether rule text ([`Comparand::new`], naming no range) compares alike.
-    pub(crate) fn compares_as_rule_text(&self) -> bool {
-        self.op() == CondOp::Like || Comparand::new(self.op(), self.value()).space() == self.space()
-    }
 }
 
 /// A resolved boolean condition tree.

@@ -13,9 +13,10 @@
 //! extracted at the versions the query read. Views therefore never
 //! serve values a recompute would not produce — what the `s2s-conform`
 //! delta oracles check. An entry stores its rule text, so a lookup
-//! under a different rule (an edit, a pushdown rewrite) misses and the
-//! next store overwrites it. The query's ledger rows are the only
-//! account of what the views did.
+//! under a different rule (an edit) misses and the next store overwrites
+//! it; a column read through a filter holds part of a slice and is never
+//! stored. The query's ledger rows are the only account of what the
+//! views did.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -69,10 +70,10 @@ impl SemanticViews {
         // `None` memoizes a feed gap — the delta is unsound and only a
         // full re-extract is.
         let mut polls: HashMap<(String, u64), Option<Vec<ChangeEvent>>> = HashMap::new();
-        let mut extract = Vec::new();
+        let (mut extract, mut at) = (Vec::new(), usize::MAX);
         for s in schemas {
             let sid = s.mapping.source();
-            let row = ledger::row(rows, sid.as_str());
+            let row = ledger::row(rows, sid.as_str(), &mut at);
             let current = deps.version_of(sid.as_str()).unwrap_or(0);
             let Some((values, version, refreshed_at)) = self.slice(&s) else {
                 extract.push(s);
@@ -112,7 +113,8 @@ impl SemanticViews {
     }
 
     /// Materializes every extracted slice of `results` at the version
-    /// the query read its source at (`deps`), refreshed at `now`.
+    /// the query read its source at (`deps`), refreshed at `now`; a
+    /// filtered column ([`Values::records`]) is not a slice.
     pub(crate) fn store(
         &self,
         results: &[AttributeResult],
@@ -123,7 +125,7 @@ impl SemanticViews {
             return;
         }
         let mut entries = self.entries.write();
-        for r in results {
+        for r in results.iter().filter(|r| r.values.records().is_none()) {
             let sid = r.mapping.source().as_str();
             let entry = ViewEntry {
                 rule: r.mapping.rule().text().to_string(),

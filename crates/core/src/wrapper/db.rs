@@ -3,17 +3,15 @@
 use std::sync::Arc;
 
 use s2s_minidb::sql::ast::SelectItem;
-use s2s_minidb::{
-    CmpOp, ColumnRef, ColumnSink, DataType, Database, Expr, Operand, SelectStmt, Value,
-};
-use s2s_textmatch::ValueSpace;
+use s2s_minidb::{ColumnRef, ColumnSink, DataType, Database, Expr, Operand, SelectStmt, Value};
 
-use super::{compiled_by, mismatch, statements, value_field, CompiledRule, Pushed, Wrapper};
+use super::{compiled_by, mismatch, CompiledRule, Filter, Ran, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
+use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
-use crate::query::{CondOp, ResolvedCondition};
+use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// A database source.
@@ -21,9 +19,6 @@ pub(super) struct Db<'a>(pub(super) &'a Database);
 
 /// Value samples kept per introspected column.
 const MAX_SAMPLES: usize = 8;
-
-/// 2^53: every integer below it in magnitude is an exact `f64`.
-const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
 /// The database sizes the result by its survivors and the column's
 /// widest stored value before the first value, so the column is
@@ -52,97 +47,95 @@ impl Wrapper for Db<'_> {
     /// The non-NULL values of each rule's result column, each formatted
     /// in place from the stored row into a column reserved once;
     /// statements equal but for their projection
-    /// ([`SelectStmt::shares_rows`]) are one scan.
+    /// ([`SelectStmt::shares_rows`]) are one scan. Filtered, the scan's
+    /// rows are narrowed by the bound conjuncts first — each cell tested
+    /// as its printed text, a `TEXT` cell borrowed, the others printed
+    /// into one reused buffer — and only the kept rows' cells are
+    /// formatted; a row's number is its position in the scan.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
+        filter: &mut Filter<'_>,
         out: &mut Vec<Result<Values, S2sError>>,
-    ) -> usize {
+    ) -> Ran {
         let start = out.len();
-        let mut reads: Vec<(&SelectStmt, &str)> = Vec::with_capacity(mappings.len());
-        for m in mappings {
-            out.push(compiled_by(self, m).and_then(|rule| match rule {
-                CompiledRule::Sql { stmt, column } => {
-                    reads.push((stmt, column));
-                    Ok(Values::new())
-                }
-                _ => Err(mismatch(self, m)),
-            }));
-        }
-        let mut columns: Vec<Values> = reads.iter().map(|_| Values::new()).collect();
-        let results = self.0.query_columns_each(&reads, &mut columns);
-        let mut read = results.into_iter().zip(columns);
-        for slot in out[start..].iter_mut().filter(|slot| slot.is_ok()) {
-            let (result, values) = read.next().expect("one result per statement");
-            *slot = result.map(|()| values).map_err(S2sError::from);
-        }
-        statements(&reads, |(a, _), (b, _)| a.shares_rows(b))
-    }
-
-    /// Every kept rule must scan one column of the same table in the same
-    /// order; a conjunct becomes a typed `WHERE` term when SQL compares
-    /// the column as the condition's range does.
-    fn push<'c>(
-        &self,
-        group: &[&AttributeMapping],
-        kept: &[&AttributeMapping],
-        conjuncts: &[&'c ResolvedCondition],
-    ) -> Option<Pushed<'c>> {
-        let mut stmts: Vec<(&SelectStmt, &str)> = Vec::with_capacity(kept.len());
-        for m in kept {
-            let Ok(CompiledRule::Sql { stmt, column }) = compiled_by(self, m) else { return None };
-            if !stmt.pushdown_eligible() {
-                return None;
+        out.extend(mappings.iter().map(|m| match compiled_by(self, m) {
+            Ok(CompiledRule::Sql { .. }) => Ok(Values::new()),
+            Ok(_) => Err(mismatch(self, m)),
+            Err(e) => Err(e),
+        }));
+        let (mut statements, mut filtered, mut why) = (0, false, Unfiltered::Statements);
+        let read = |j: usize| sql(self, mappings[j]).expect("a statement's rules are SQL");
+        for (lead, m) in mappings.iter().enumerate() {
+            let Some((stmt, column)) = sql(self, m) else { continue };
+            // A statement an earlier one shares its rows with was read
+            // in that one's scan.
+            if mappings[..lead]
+                .iter()
+                .any(|e| sql(self, e).is_some_and(|(e, _)| e.shares_rows(stmt)))
+            {
+                continue;
             }
-            stmts.push((stmt, column));
-        }
-        let (first, _) = stmts.first()?;
-        if stmts.iter().any(|(s, _)| s.table != first.table || s.order_by != first.order_by) {
-            return None;
-        }
-        let table = self.0.table(&first.table)?.schema();
-
-        let mut exprs = Vec::new();
-        let mut pushed = Vec::new();
-        for &c in conjuncts {
-            // The guard may be a column the projection dropped.
-            let Some(column) = value_field(self, group, &c.property) else { continue };
-            let Some(idx) = table.column_index(column) else { continue };
-            let exact = c.space().exact_f64(c.value()).filter(|n| n.abs() < MAX_EXACT);
-            let literal = match (table.columns()[idx].data_type(), c.op(), c.space(), exact) {
-                // LIKE is text pattern matching on both sides.
-                (DataType::Text, CondOp::Like, _, _) => None,
-                // A text column orders by code point, as a string does.
-                (DataType::Text, _, ValueSpace::String, _) => Some(Value::Text(c.value().into())),
-                // A numeric column prints a decimal as read back: SQL orders
-                // it as its print, against a literal printing as the constant.
-                (DataType::Integer, _, _, Some(n))
-                | (DataType::Real, _, ValueSpace::Decimal, Some(n)) => {
-                    Some(if n.fract() == 0.0 { Value::Int(n as i64) } else { Value::Float(n) })
-                }
-                _ => continue,
-            };
-            let left = ColumnRef::new(column);
-            let expr = match literal {
-                None => Expr::Like { column: left, pattern: c.value().into(), negated: false },
-                Some(value) => {
-                    Expr::Compare { left, op: cmp_of(c.op())?, right: Operand::Literal(value) }
+            statements += 1;
+            if !stmt.shares_rows(stmt) {
+                let mut values = Values::new();
+                let read = self.0.query_column(stmt, column, &mut values);
+                out[start + lead] = read.map(|()| values).map_err(S2sError::from);
+                continue;
+            }
+            let Filter { conjuncts, ordinals, columns, printed, group } = &mut *filter;
+            // The rules this scan reads, by position.
+            group.clear();
+            group.push(lead);
+            let shares =
+                |j: &usize| sql(self, mappings[*j]).is_some_and(|(s, _)| stmt.shares_rows(s));
+            group.extend((lead + 1..mappings.len()).filter(shares));
+            let selection = match self.0.select(stmt) {
+                Ok(selection) => selection,
+                Err(e) => {
+                    group.iter().for_each(|&j| out[start + j] = Err(S2sError::from(e.clone())));
+                    continue;
                 }
             };
-            pushed.push(c);
-            exprs.push(expr);
+            let column = |(stmt, column): (&SelectStmt, &str)| selection.column(stmt, column);
+            // Filtered only when this one scan reads every rule of the
+            // source, and each rule's column; positions in `group` are
+            // then the rules'.
+            columns.clear();
+            let resolved = !conjuncts.is_empty()
+                && group.len() == mappings.len()
+                && group.iter().all(|&j| column(read(j)).map(|c| columns.push(c)).is_ok());
+            if resolved {
+                let keep = |c: &&_, cell: &Value| match cell {
+                    Value::Text(text) => condition_matches(c, text),
+                    other => {
+                        printed.clear();
+                        other.write_to(printed).expect("writing to a String cannot fail");
+                        condition_matches(c, printed)
+                    }
+                };
+                let tests = conjuncts.iter().map(|&(j, c)| (columns[j], c));
+                filtered = selection.filter(columns.iter().copied(), tests, keep, ordinals);
+                why = Unfiltered::Misaligned;
+            }
+            for (k, &j) in group.iter().enumerate() {
+                let resolved = if resolved { Ok(columns[k]) } else { column(read(j)) };
+                out[start + j] = resolved.map_err(S2sError::from).map(|column| {
+                    let mut values = Values::new();
+                    if filtered {
+                        let kept = ordinals.iter().map(|&row| row as usize);
+                        selection.each_at(column, kept, &mut values);
+                    } else {
+                        selection.each(column, &mut values);
+                    }
+                    values
+                });
+            }
         }
-        if exprs.is_empty() {
-            return None;
+        if filtered {
+            filter.number(&mut out[start..]);
         }
-        let rules = stmts
-            .into_iter()
-            .map(|(stmt, column)| {
-                let pushed = exprs.iter().cloned().fold(stmt.clone(), |s, e| s.and_predicate(e));
-                ExtractionRule::Sql { query: pushed.to_sql(), column: column.to_string() }
-            })
-            .collect();
-        Some((rules, pushed))
+        Ran::new(statements, filter, filtered, why)
     }
 
     /// The result column, then every column the statement names. A join,
@@ -201,6 +194,15 @@ impl Wrapper for Db<'_> {
     }
 }
 
+/// The statement and result column of `m`'s rule, when it compiles to
+/// SQL.
+fn sql<'m>(db: &Db<'_>, m: &'m AttributeMapping) -> Option<(&'m SelectStmt, &'m str)> {
+    match compiled_by(db, m) {
+        Ok(CompiledRule::Sql { stmt, column }) => Some((&**stmt, column.as_str())),
+        _ => None,
+    }
+}
+
 /// Hands `read` every column `expr` tests (the parser caps its height).
 fn predicate_columns<'r>(expr: &'r Expr, read: &mut impl FnMut(&'r ColumnRef)) {
     match expr {
@@ -216,18 +218,6 @@ fn predicate_columns<'r>(expr: &'r Expr, read: &mut impl FnMut(&'r ColumnRef)) {
             predicate_columns(b, read);
         }
         Expr::Not(e) => predicate_columns(e, read),
-    }
-}
-
-fn cmp_of(op: CondOp) -> Option<CmpOp> {
-    match op {
-        CondOp::Eq => Some(CmpOp::Eq),
-        CondOp::Ne => Some(CmpOp::Ne),
-        CondOp::Lt => Some(CmpOp::Lt),
-        CondOp::Le => Some(CmpOp::Le),
-        CondOp::Gt => Some(CmpOp::Gt),
-        CondOp::Ge => Some(CmpOp::Ge),
-        CondOp::Like => None,
     }
 }
 
@@ -299,49 +289,11 @@ mod tests {
             assert_eq!(reads(anything), None, "{anything}");
         }
     }
-
-    #[test]
-    fn a_pushed_conjunct_becomes_a_typed_where_term() {
-        let d = db(&["CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT, price REAL)"]);
-        let ontology = Ontology::builder("http://example.org/schema#")
-            .class("Product", None)
-            .unwrap()
-            .datatype_property("brand", "Product", s2s_rdf::vocab::xsd::STRING)
-            .unwrap()
-            .datatype_property("price", "Product", s2s_rdf::vocab::xsd::DECIMAL)
-            .unwrap()
-            .build()
-            .unwrap();
-        let mut module = crate::mapping::MappingModule::new();
-        for column in ["brand", "price"] {
-            let path = format!("thing.product.{column}").parse().unwrap();
-            let rule = sql(&format!("SELECT {column} FROM w ORDER BY id"), column);
-            module
-                .register(&ontology, path, rule, "S".into(), RecordScenario::MultiRecord)
-                .unwrap();
-        }
-        let group: Vec<&AttributeMapping> = module.iter().collect();
-        let query =
-            crate::query::parse("SELECT product WHERE price < 100 AND brand = 'Seiko'").unwrap();
-        let plan = crate::query::plan(&query, &ontology).unwrap();
-        let tree = plan.condition.as_ref().unwrap();
-        let conjuncts = tree.leaves();
-        let (rules, pushed) = Db(&d).push(&group, &group[..1], &conjuncts).unwrap();
-        assert_eq!(pushed.len(), 2);
-        assert_eq!(
-            rules,
-            [sql(
-                "SELECT brand FROM w WHERE (price < 100 AND brand = 'Seiko') ORDER BY id ASC",
-                "brand"
-            )]
-        );
-    }
-
     /// Past 2^53 an `f64` calls neighbouring integers equal, while the
-    /// decimal space tells them apart: such a literal stays in the
-    /// residual, which answers exactly.
+    /// decimal space tells them apart: the filter tests the printed cell
+    /// as the residual does, so it answers exactly.
     #[test]
-    fn pushdown_keeps_inexact_integer_literals_residual() {
+    fn the_filter_compares_an_integer_past_2_pow_53_exactly() {
         let d = db(&["CREATE TABLE w (price INTEGER)", "INSERT INTO w VALUES (9007199254740993)"]);
         let ontology = Ontology::builder("http://example.org/schema#")
             .class("Watch", None)
@@ -350,7 +302,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let mut s2s = S2s::new(ontology).with_pushdown();
+        let mut s2s = S2s::new(ontology);
         s2s.register_source("DB", Connection::Database { db: Arc::new(d) }).unwrap();
         let rule = sql("SELECT price FROM w", "price");
         s2s.register_attribute("thing.watch.price", rule, "DB", RecordScenario::MultiRecord)
@@ -358,7 +310,39 @@ mod tests {
         for (constant, individuals) in [("9007199254740992", 0), ("9007199254740993", 1)] {
             let out = s2s.query(&format!("SELECT watch WHERE price = {constant}")).unwrap();
             assert_eq!(out.individuals().len(), individuals, "{constant}");
-            assert!(out.source("DB").unwrap().pushed.is_empty());
+            assert_eq!(out.source("DB").unwrap().pushed.iter().collect::<Vec<_>>(), [0]);
         }
+    }
+
+    /// A NULL cell would shift the column's later values onto other
+    /// records: the source runs unfiltered, as it always did.
+    #[test]
+    fn a_null_cell_leaves_the_source_unfiltered() {
+        let d = db(&[
+            "CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT, price REAL)",
+            "INSERT INTO w VALUES (1,'Seiko',129.99),(2,NULL,59.5),(3,'Casio',1.0)",
+        ]);
+        let ontology = Ontology::builder("http://example.org/schema#")
+            .class("Watch", None)
+            .unwrap()
+            .datatype_property("brand", "Watch", s2s_rdf::vocab::xsd::STRING)
+            .unwrap()
+            .datatype_property("price", "Watch", s2s_rdf::vocab::xsd::DECIMAL)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut s2s = S2s::new(ontology);
+        s2s.register_source("DB", Connection::Database { db: Arc::new(d) }).unwrap();
+        for column in ["brand", "price"] {
+            let rule = sql(&format!("SELECT {column} FROM w ORDER BY id"), column);
+            let path = format!("thing.watch.{column}");
+            s2s.register_attribute(&path, rule, "DB", RecordScenario::MultiRecord).unwrap();
+        }
+        let out = s2s.query("SELECT watch WHERE price < 100").unwrap();
+        let row = out.source("DB").unwrap();
+        assert!(row.pushed.is_empty());
+        assert_eq!(row.unfiltered, Some(crate::ledger::Unfiltered::Misaligned));
+        let twin = s2s.query("SELECT watch WHERE NOT (price >= 100)").unwrap();
+        assert_eq!(out.individuals(), twin.individuals());
     }
 }

@@ -3,15 +3,14 @@
 //! database extractor, and so on"): [`db`] runs SQL, [`xml`] XPath and
 //! XQuery, [`web`] WebL and regex over web pages and plain-text files.
 //! A [`Wrapper`] decides everything about its kind — languages, compile,
-//! the column sink, pushdown, read set, introspection — and [`with`]
-//! holds the one `match` on [`Connection`].
+//! the column sink, the record filter, read set, introspection — and
+//! [`with`] holds the one `match` on [`Connection`].
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use s2s_minidb::SelectStmt;
+use s2s_minidb::{SelectStmt, SelectedColumn};
 use s2s_netsim::ChangeEvent;
-use s2s_rdf::Iri;
 use s2s_textmatch::Regex;
 use s2s_webdoc::WeblProgram;
 use s2s_xml::xpath::XPath;
@@ -20,6 +19,7 @@ use s2s_xml::xquery::XQuery;
 use crate::bootstrap::SchemaSummary;
 use crate::error::S2sError;
 use crate::extract::Values;
+use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule};
 use crate::query::ResolvedCondition;
 use crate::source::{Connection, SourceKind};
@@ -84,21 +84,16 @@ pub(crate) trait Wrapper {
     /// statement. Appends to `out`, per mapping in order, the values its
     /// rule yields or its error — a rule that does not compile, or is
     /// not one of this kind's (a mapping compiled under another registry
-    /// whose source of that id is of another kind), fails alone — and
-    /// returns the number of statements run.
-    fn run(&self, mappings: &[&AttributeMapping], out: &mut Vec<Result<Values, S2sError>>)
-        -> usize;
-
-    /// The `kept` rules of one source rewritten to evaluate the
-    /// `conjuncts` this kind can prove equivalent to the mediator's
-    /// filter, in `kept` order, with the conjuncts pushed; `None` when
-    /// none is. `group` is every mapping of the source the query reads.
-    fn push<'c>(
+    /// whose source of that id is of another kind), fails alone. When
+    /// `filter` binds a conjunct and the rules run as one statement
+    /// whose columns line up record by record, only the records the
+    /// filter keeps are read, each column numbered by them.
+    fn run(
         &self,
-        group: &[&AttributeMapping],
-        kept: &[&AttributeMapping],
-        conjuncts: &[&'c ResolvedCondition],
-    ) -> Option<Pushed<'c>>;
+        mappings: &[&AttributeMapping],
+        filter: &mut Filter<'_>,
+        out: &mut Vec<Result<Values, S2sError>>,
+    ) -> Ran;
 
     /// Hands `read` each source field a rule reads, the one its values
     /// come from first; `false`, handing none, when it may read any.
@@ -111,8 +106,55 @@ pub(crate) trait Wrapper {
     fn introspect(&self, source: &str) -> Result<SchemaSummary, S2sError>;
 }
 
-/// Rewritten rules and the conjuncts they push.
-pub(crate) type Pushed<'c> = (Vec<ExtractionRule>, Vec<&'c ResolvedCondition>);
+/// The conjuncts bound to one source's record statement, each with the
+/// position, among the source's mappings, of the one rule that reads its
+/// property; and the buffers a filtered run uses, reused from source to
+/// source.
+#[derive(Default)]
+pub(crate) struct Filter<'c> {
+    pub(crate) conjuncts: Vec<(usize, &'c ResolvedCondition)>,
+    /// The kept records' numbers.
+    ordinals: Vec<u32>,
+    /// A SQL scan's columns, one per rule.
+    columns: Vec<SelectedColumn>,
+    /// A cell printed to be tested.
+    printed: String,
+    /// The rules one SQL scan reads, by position.
+    group: Vec<usize>,
+}
+
+impl<'c> Filter<'c> {
+    /// Whether a conjunct is bound.
+    pub(crate) fn is_bound(&self) -> bool {
+        !self.conjuncts.is_empty()
+    }
+
+    /// Numbers every column of `out` by the kept records: one
+    /// allocation, shared by the columns.
+    fn number(&self, out: &mut [Result<Values, S2sError>]) {
+        let records: Arc<[u32]> = Arc::from(self.ordinals.as_slice());
+        for values in out.iter_mut().flatten() {
+            values.number(Arc::clone(&records));
+        }
+    }
+}
+
+/// What a wrapper's run did: the statements it ran and, when a filter
+/// was bound, why it read the records unfiltered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Ran {
+    pub(crate) statements: usize,
+    pub(crate) unfiltered: Option<Unfiltered>,
+}
+
+impl Ran {
+    /// `statements` run, filtered when `filtered` and else, if `filter`
+    /// bound a conjunct, unfiltered for `why`.
+    fn new(statements: usize, filter: &Filter<'_>, filtered: bool, why: Unfiltered) -> Ran {
+        let unfiltered = (filter.is_bound() && !filtered).then_some(why);
+        Ran { statements, unfiltered }
+    }
+}
 
 /// How many statements `items` run as when the items `shares` pairs run
 /// as one: the items no earlier item shares with.
@@ -135,6 +177,7 @@ pub(crate) fn with<R>(connection: &Connection, f: impl FnOnce(&dyn Wrapper) -> R
 /// `mapping`'s rule compiled for `connection`'s kind; a language the
 /// kind does not run is [`S2sError::RuleSourceMismatch`], raised before
 /// the rule is parsed.
+#[cfg(test)]
 pub(crate) fn compiled<'m>(
     connection: &Connection,
     mapping: &'m AttributeMapping,
@@ -159,15 +202,16 @@ fn mismatch(w: &dyn Wrapper, mapping: &AttributeMapping) -> S2sError {
 }
 
 /// Runs the rules of `mappings`, a source's, against `connection`
-/// ([`Wrapper::run`]): appends each one's values, copied once from where
-/// the source keeps them into its column, or its error to `out`, and
-/// returns the number of statements run.
+/// ([`Wrapper::run`]) through `filter`: appends each one's values,
+/// copied once from where the source keeps them into its column, or its
+/// error to `out`.
 pub(crate) fn run(
     connection: &Connection,
     mappings: &[&AttributeMapping],
+    filter: &mut Filter<'_>,
     out: &mut Vec<Result<Values, S2sError>>,
-) -> usize {
-    with(connection, |w| w.run(mappings, out))
+) -> Ran {
+    with(connection, |w| w.run(mappings, filter, out))
 }
 
 /// Whether one of `events` names a field `mapping`'s rule reads; every
@@ -183,20 +227,6 @@ pub(crate) fn touched_by(
         let known =
             w.reads(rule, &mut |f| touched = touched || events.iter().any(|e| e.touches(f)));
         touched || !known
-    })
-}
-
-/// The field a pushed guard on `property` compares: the value field of
-/// the first mapping of it in `group` whose read set is known.
-fn value_field<'m>(
-    w: &dyn Wrapper,
-    group: &[&'m AttributeMapping],
-    property: &Iri,
-) -> Option<&'m str> {
-    group.iter().filter(|m| m.property() == property).find_map(|m| {
-        let mut first = None;
-        let known = w.reads(compiled_by(w, m).ok()?, &mut |f| _ = first.get_or_insert(f));
-        first.filter(|_| known)
     })
 }
 
@@ -238,7 +268,7 @@ pub(crate) mod tests {
         mapping: &AttributeMapping,
     ) -> Result<Values, S2sError> {
         let mut out = Vec::new();
-        run(connection, &[mapping], &mut out);
+        run(connection, &[mapping], &mut Filter::default(), &mut out);
         out.pop().expect("one result per mapping")
     }
 
@@ -391,7 +421,8 @@ pub(crate) mod tests {
         ] {
             let mappings: Vec<&AttributeMapping> = rules.iter().collect();
             let mut together = Vec::new();
-            assert_eq!(run(connection, &mappings, &mut together), statements);
+            let ran = run(connection, &mappings, &mut Filter::default(), &mut together);
+            assert_eq!(ran, Ran { statements, unfiltered: None });
             let alone: Vec<_> = mappings.iter().map(|m| run_one(connection, m)).collect();
             assert_eq!(together, alone, "{}", connection.kind());
             let failed = together.iter().filter(|r| r.is_err()).count();

@@ -5,14 +5,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use s2s_textmatch::Regex;
-use s2s_webdoc::{with_guards, GuardSpec, WebStore, WeblProgram, WeblValue};
+use s2s_webdoc::{WebStore, WeblProgram, WeblValue};
 
-use super::{compiled_by, mismatch, CompiledRule, Pushed, Wrapper};
+use super::{compiled_by, mismatch, CompiledRule, Filter, Ran, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
+use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
-use crate::query::ResolvedCondition;
+use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// A web page (`html`) or a plain-text file.
@@ -47,12 +48,16 @@ impl Wrapper for Web<'_> {
         })
     }
 
-    /// One rule at a time: a page shares no record scope yet.
+    /// One rule at a time: a page shares no record scope yet. Filtered,
+    /// the columns — when they are equal in length, value `i` of each
+    /// being record `i`'s — keep the records whose bound values pass.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
+        filter: &mut Filter<'_>,
         out: &mut Vec<Result<Values, S2sError>>,
-    ) -> usize {
+    ) -> Ran {
+        let start = out.len();
         let mut statements = 0;
         for m in mappings {
             out.push(compiled_by(self, m).and_then(|rule| {
@@ -61,38 +66,36 @@ impl Wrapper for Web<'_> {
                 ran
             }));
         }
-        statements
-    }
-
-    /// Masks each kept program with `Where` guards (compared as rule text)
-    /// re-running the guard attribute's own program, one rewrite a rule.
-    fn push<'c>(
-        &self,
-        group: &[&AttributeMapping],
-        kept: &[&AttributeMapping],
-        conjuncts: &[&'c ResolvedCondition],
-    ) -> Option<Pushed<'c>> {
-        let targets: Vec<String> =
-            kept.iter().map(|m| webl_text_of(m.rule())).collect::<Option<_>>()?;
-        let guard_of = |c: &ResolvedCondition| {
-            group
-                .iter()
-                .filter(|m| m.property() == &c.property && c.compares_as_rule_text())
-                .find_map(|m| webl_text_of(m.rule()))
-        };
-        let guards: Vec<(String, &'c ResolvedCondition)> =
-            conjuncts.iter().filter_map(|&c| Some((guard_of(c)?, c))).collect();
-        if guards.is_empty() {
-            return None;
+        if !filter.is_bound() {
+            return Ran { statements, unfiltered: None };
         }
-        let specs: Vec<GuardSpec<'_>> =
-            guards.iter().map(|(g, c)| (g.as_str(), c.op(), c.value())).collect();
-        // All-or-nothing for the whole source: a rule that cannot take
-        // the guard set leaves the source unpushed rather than misaligned.
-        let programs =
-            targets.iter().map(|t| with_guards(t, &specs)).collect::<Result<Vec<_>, _>>().ok()?;
-        let rules = programs.into_iter().map(|program| ExtractionRule::Webl { program }).collect();
-        Some((rules, guards.into_iter().map(|(_, c)| c).collect()))
+        let Ok(columns) = out[start..].iter().map(|c| c.as_ref()).collect::<Result<Vec<_>, _>>()
+        else {
+            return Ran::new(statements, filter, false, Unfiltered::Statements);
+        };
+        let records = columns.first().map_or(0, |c| c.len());
+        if columns.iter().any(|c| c.len() != records) {
+            return Ran::new(statements, filter, false, Unfiltered::Misaligned);
+        }
+        let (conjuncts, ordinals) = (&filter.conjuncts, &mut filter.ordinals);
+        ordinals.clear();
+        let kept = (0..records).filter(|&i| {
+            let value = |j: usize| columns[j].get(i).expect("columns of equal length");
+            conjuncts.iter().all(|&(j, c)| condition_matches(c, value(j)))
+        });
+        ordinals.extend(kept.map(|i| u32::try_from(i).expect("records fit in u32")));
+        for column in out[start..].iter_mut().flatten() {
+            let value = |&i: &u32| column.get(i as usize).expect("a record of the column");
+            let mut kept = Values::new();
+            kept.reserve(
+                filter.ordinals.len(),
+                filter.ordinals.iter().map(|i| value(i).len()).sum(),
+            );
+            filter.ordinals.iter().for_each(|i| kept.push(value(i)));
+            *column = kept;
+        }
+        filter.number(&mut out[start..]);
+        Ran::new(statements, filter, true, Unfiltered::Misaligned)
     }
 
     /// A file's `label: value` fields, each read by a regex; a
@@ -213,21 +216,6 @@ fn compile_regex(pattern: &str, group: usize) -> Result<CompiledRule, S2sError> 
         });
     }
     Ok(CompiledRule::Regex { re: Arc::new(re), group })
-}
-
-/// A web/text rule as WebL text the guard rewriter can compose:
-/// `Extract(StripTags(PAGE), …)` reads `doc.text()` as the regex arm does
-/// (parsed text for HTML pages, the raw source for plain text).
-fn webl_text_of(rule: &ExtractionRule) -> Option<String> {
-    match rule {
-        ExtractionRule::Webl { program } => Some(program.clone()),
-        // Pattern literals are raw until the closing backtick — a
-        // backtick in the pattern cannot be rendered back.
-        ExtractionRule::TextRegex { pattern, group } if !pattern.contains('`') => {
-            Some(format!("Extract(StripTags(PAGE), `{pattern}`, {group});"))
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -358,10 +346,11 @@ mod tests {
         assert!(bare.fields.is_empty(), "bootstrap, not the wrapper, refuses an empty schema");
     }
 
-    /// A multi-record plain-text source: predicate pushing must guard
-    /// the regex rules with `Where` masks.
+    /// A multi-record plain-text source: its columns, equal in length,
+    /// are filtered after extraction, so only the response shrinks and
+    /// every kept record keeps its number.
     #[test]
-    fn pushdown_guards_multirecord_text_rules() {
+    fn equal_length_text_columns_are_filtered() {
         let ontology = Ontology::builder("http://example.org/schema#")
             .class("Watch", None)
             .unwrap()
@@ -371,15 +360,9 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let deploy = |pushdown: bool| {
+        let deploy = |text: &str| {
             let mut s2s = S2s::new(ontology.clone());
-            if pushdown {
-                s2s = s2s.with_pushdown();
-            }
-            let file = text_file(
-                "brand: Alpha\nprice: 40\nbrand: Beta\nprice: 150\nbrand: Gamma\nprice: 90\n",
-            );
-            s2s.register_source("txt_list", file).unwrap();
+            s2s.register_source("txt_list", text_file(text)).unwrap();
             for (attribute, pattern) in [("brand", r"brand: (\w+)"), ("price", r"price: (\d+)")] {
                 let path = format!("thing.watch.{attribute}");
                 let rule = regex(pattern, 1);
@@ -388,22 +371,25 @@ mod tests {
             }
             s2s
         };
-        let answer = |outcome: &crate::middleware::QueryOutcome| -> Vec<String> {
-            let individuals = outcome.individuals().iter();
-            let mut lines: Vec<String> =
-                individuals.map(|i| format!("{}|{}|{:?}", i.source, i.class, i.values)).collect();
-            lines.sort();
-            lines
-        };
-        let q = "SELECT watch WHERE price<100";
-        let baseline = deploy(false).query(q).unwrap();
-        let pushed = deploy(true).query(q).unwrap();
-        assert_eq!(baseline.individuals().len(), 2, "Alpha and Gamma");
-        assert_eq!(answer(&baseline), answer(&pushed));
-        assert_eq!(pushed.source("txt_list").unwrap().pushed, vec!["price < 100"]);
+        let s2s =
+            deploy("brand: Alpha\nprice: 40\nbrand: Beta\nprice: 150\nbrand: Gamma\nprice: 90\n");
+        let twin = s2s.query("SELECT watch WHERE NOT (price >= 100)").unwrap();
+        let filtered = s2s.query("SELECT watch WHERE price<100").unwrap();
+        assert_eq!(filtered.individuals().len(), 2, "Alpha and Gamma");
+        assert_eq!(filtered.individuals(), twin.individuals(), "IRIs included");
+        let row = filtered.source("txt_list").unwrap();
+        assert_eq!(row.pushed_conjuncts(&filtered.plan), ["price < 100"]);
         assert!(
-            pushed.stats.wire_response_bytes < baseline.stats.wire_response_bytes,
-            "the Where mask must trim Beta off the wire"
+            filtered.stats.wire_response_bytes < twin.stats.wire_response_bytes,
+            "the filter must trim Beta off the wire"
         );
+        // A brand without a price: the columns do not line up.
+        let ragged = deploy("brand: Alpha\nprice: 40\nbrand: Beta\nbrand: Gamma\nprice: 90\n");
+        let out = ragged.query("SELECT watch WHERE price<100").unwrap();
+        let row = out.source("txt_list").unwrap();
+        assert!(row.pushed.is_empty());
+        assert_eq!(row.unfiltered, Some(crate::ledger::Unfiltered::Misaligned));
+        let twin = ragged.query("SELECT watch WHERE NOT (NOT (price < 100))").unwrap();
+        assert_eq!(out.individuals(), twin.individuals());
     }
 }

@@ -4,14 +4,15 @@ use std::sync::Arc;
 
 use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
-use s2s_xml::{push_child_predicate, Document, StringSink, ValueSpace};
+use s2s_xml::{Document, StringSink};
 
-use super::{compiled_by, mismatch, statements, value_field, CompiledRule, Pushed, Wrapper};
+use super::{compiled_by, mismatch, statements, CompiledRule, Filter, Ran, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
+use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
-use crate::query::{CondOp, ResolvedCondition};
+use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// An XML source.
@@ -62,12 +63,16 @@ impl Wrapper for Xml<'_> {
     /// document; mixed content composed in one reused buffer; each column
     /// reserved once from the node-set or the records. Paths that read
     /// a field of the same records ([`XPath::shares_records`]) are one
-    /// walk; an XQuery runs alone.
+    /// walk; an XQuery runs alone. Filtered, the walk tests a record's
+    /// bound fields before it writes any of its fields
+    /// ([`XPath::each_string_filtered`]); a record's number is its
+    /// position among the records in document order.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
+        filter: &mut Filter<'_>,
         out: &mut Vec<Result<Values, S2sError>>,
-    ) -> usize {
+    ) -> Ran {
         let start = out.len();
         let mut paths: Vec<&XPath> = Vec::with_capacity(mappings.len());
         let mut xqueries = 0;
@@ -86,55 +91,31 @@ impl Wrapper for Xml<'_> {
                 _ => Err(mismatch(self, m)),
             }));
         }
+        let statements = statements(&paths, |a, b| a.shares_records(b)) + xqueries;
         let mut columns: Vec<Values> = paths.iter().map(|_| Values::new()).collect();
-        XPath::each_string_grouped(&paths, self.0, &mut columns);
+        // Filtered only when one walk reads every rule of the source.
+        let sole = statements == 1 && paths.len() == mappings.len();
+        let attempted = filter.is_bound() && sole;
+        let filtered = attempted && {
+            let (conjuncts, ordinals) = (&filter.conjuncts, &mut filter.ordinals);
+            let bound = |j| conjuncts.iter().filter(move |(m, _)| *m == j);
+            let keep = |j, value: &str| bound(j).all(|(_, c)| condition_matches(c, value));
+            XPath::each_string_filtered(&paths, self.0, &mut columns, keep, ordinals)
+        };
+        if !attempted {
+            XPath::each_string_grouped(&paths, self.0, &mut columns);
+        }
         let mut columns = columns.into_iter();
         for (slot, m) in out[start..].iter_mut().zip(mappings) {
             if matches!(compiled_by(self, m), Ok(CompiledRule::XPath(_))) {
                 *slot = Ok(columns.next().expect("one column per path"));
             }
         }
-        statements(&paths, |a, b| a.shares_records(b)) + xqueries
-    }
-
-    /// Splices `[guard op 'value']` into every kept XPath where XPath
-    /// compares as the range does: `=` as strings, `<` … as rule text.
-    fn push<'c>(
-        &self,
-        group: &[&AttributeMapping],
-        kept: &[&AttributeMapping],
-        conjuncts: &[&'c ResolvedCondition],
-    ) -> Option<Pushed<'c>> {
-        let mut paths: Vec<String> = Vec::with_capacity(kept.len());
-        for m in kept {
-            let ExtractionRule::XPath { path } = m.rule() else { return None };
-            paths.push(path.clone());
+        if filtered {
+            filter.number(&mut out[start..]);
         }
-        let mut pushed = Vec::new();
-        for &c in conjuncts {
-            let agrees = match c.op() {
-                CondOp::Eq => c.space() == ValueSpace::String,
-                op => op != CondOp::Like && c.compares_as_rule_text(),
-            };
-            let Some(guard) = value_field(self, group, &c.property).filter(|_| agrees) else {
-                continue;
-            };
-            // All-or-nothing per conjunct: every rule of the source must
-            // accept the splice or value lists would misalign.
-            let Ok(next) = paths
-                .iter()
-                .map(|p| push_child_predicate(p, guard, c.op(), c.value()))
-                .collect::<Result<Vec<_>, _>>()
-            else {
-                continue;
-            };
-            paths = next;
-            pushed.push(c);
-        }
-        if pushed.is_empty() {
-            return None;
-        }
-        Some((paths.into_iter().map(|path| ExtractionRule::XPath { path }).collect(), pushed))
+        let why = if sole { Unfiltered::Misaligned } else { Unfiltered::Statements };
+        Ran::new(statements, filter, filtered, why)
     }
 
     /// `…/name/text()` without predicates reads `name`; a predicate, an

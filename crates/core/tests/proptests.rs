@@ -23,11 +23,11 @@ use s2s_core::extract::{
 use s2s_core::instance::generate;
 use s2s_core::mapping::{ExtractionRule, MappingModule, RecordScenario};
 use s2s_core::query::{
-    condition_matches, normalize, parse, CondOp, Condition, ConditionExpr, ConditionTree,
-    ResolvedCondition, S2sqlQuery, MAX_CONDITION_DEPTH,
+    condition_matches, normalize, parse, CondOp, Condition, ConditionExpr, ResolvedCondition,
+    S2sqlQuery, MAX_CONDITION_DEPTH,
 };
 use s2s_core::source::{Connection, SourceRegistry};
-use s2s_core::{plan_pushdown, S2s};
+use s2s_core::S2s;
 use s2s_minidb::Database;
 use s2s_owl::Ontology;
 use s2s_rdf::Iri;
@@ -116,10 +116,9 @@ fn deploy(rows: &[Row], strategy: ExecStrategy) -> S2s {
     s2s
 }
 
-/// One `(column type, stored literal, op, constant)` the planner's
-/// `rewrite_db` gates accept: a text column under a string range, a
-/// numeric column under a decimal range against a decimal constant, a
-/// text column under `LIKE`.
+/// One `(column type, stored literal, op, constant)`: a text column
+/// under a string range, a numeric column under a decimal range against
+/// a decimal constant, a text column under `LIKE`.
 fn arb_pushable() -> impl Strategy<Value = (&'static str, String, CondOp, String)> {
     let ordered = || {
         prop_oneof![
@@ -558,19 +557,17 @@ proptest! {
         prop_assert_eq!(new, old);
     }
 
-    /// The SQL comparison a pushed conjunct runs at a database source
-    /// (`minidb`'s typed `CmpOp` and its own `like_match`) and the
-    /// mediator's residual comparison (`condition_matches`, in the
-    /// range's value space) are separate code — no crate sees both but
-    /// this one. Under the planner's push gates they must agree on
-    /// whether a one-row table's row survives.
+    /// A database source filters a row with the residual's own
+    /// comparison on the cell as printed: over a one-row table of each
+    /// column type, the row survives the filter exactly when
+    /// `condition_matches` holds for the value the mediator sees.
     #[test]
-    fn pushed_sql_predicate_agrees_with_the_residual((ty, stored, op, constant) in arb_pushable()) {
+    fn a_filtered_row_survives_as_the_residual_decides((ty, stored, op, constant) in arb_pushable()) {
         let mut db = Database::new("d");
         db.execute(&format!("CREATE TABLE t (v {ty})")).unwrap();
         db.execute(&format!("INSERT INTO t VALUES ({stored})")).unwrap();
         let mut registry = SourceRegistry::new();
-        registry.register_local("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+        registry.register_local("DB", Connection::Database { db: Arc::new(db.clone()) }).unwrap();
         let ontology = ontology();
         // A text column maps the string-ranged brand, a numeric one the
         // decimal-ranged price.
@@ -583,25 +580,28 @@ proptest! {
         let mut module = MappingModule::new();
         let rule = ExtractionRule::Sql { query: "SELECT v FROM t".into(), column: "v".into() };
         module
-            .register(&ontology, path.clone(), rule, "DB".into(), RecordScenario::MultiRecord)
+            .register(&ontology, path.clone(), rule.clone(), "DB".into(), RecordScenario::MultiRecord)
             .unwrap();
-        let schemas = ExtractorManager::obtain_schemas(&module, &[path]).unwrap();
+        let schemas = ExtractorManager::obtain_schemas(&module, std::slice::from_ref(&path)).unwrap();
         // The candidate as the mediator sees it: the column rendered.
         let candidate = extract_one(&registry, &schemas[0].mapping).unwrap().0;
         let candidate = candidate.first().expect("one row, one value");
-
         let property = ontology.property_iri(attribute).unwrap();
-        let cond = ResolvedCondition::new(property, op, constant, space);
-        let tree = ConditionTree::Leaf(cond.clone());
-        let mut rows = Vec::new();
-        let pushed = plan_pushdown(&registry, &schemas, Some(&tree), None, &mut rows);
-        prop_assert_eq!(rows[0].pushed.len(), 1, "inside the gates: {:?}", cond);
-        let survived = !extract_one(&registry, &pushed[0].mapping).unwrap().0.is_empty();
+        let cond = ResolvedCondition::new(property, op, constant.clone(), space);
+
+        let mut s2s = S2s::new(ontology);
+        s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
+        s2s.register_attribute(&path.to_string(), rule, "DB", RecordScenario::MultiRecord)
+            .unwrap();
+        let out = s2s.query(&format!("SELECT product WHERE {attribute} {op} '{constant}'")).unwrap();
+        prop_assert_eq!(out.source("DB").unwrap().pushed.len(), 1);
         prop_assert_eq!(
-            survived,
+            out.individuals().len() == 1,
             condition_matches(&cond, candidate),
-            "{} on a {} column holding {}",
-            pushed[0].mapping.rule().text(),
+            "{} {} {} on a {} column holding {}",
+            attribute,
+            op,
+            constant,
             ty,
             stored
         );
@@ -927,7 +927,7 @@ fn accepts(op: CondOp, ord: Ordering) -> bool {
 /// price column is `INTEGER` when every price is a plain integer SQL
 /// stores (at most 18 characters), `REAL` when every one is a plain
 /// decimal, `TEXT` otherwise.
-fn lexical_deployment(rows: &[(String, String)], pushdown: bool) -> S2s {
+fn lexical_deployment(rows: &[(String, String)]) -> S2s {
     let plain = |p: &str, point: bool| {
         let digits = p.strip_prefix('-').unwrap_or(p);
         if digits.len() > 18 {
@@ -968,9 +968,6 @@ fn lexical_deployment(rows: &[(String, String)], pushdown: bool) -> S2s {
     let web = Arc::new(web);
 
     let mut s2s = S2s::new(ontology());
-    if pushdown {
-        s2s = s2s.with_pushdown();
-    }
     let sources = [
         ("DB", Connection::Database { db: Arc::new(db) }),
         ("XML", Connection::Xml { document: Arc::new(s2s_xml::parse(&xml).unwrap()) }),
@@ -1093,11 +1090,12 @@ proptest! {
         }
     }
 
-    /// Pushing a conjunct into a source — a SQL `WHERE`, an XPath child
-    /// predicate, a WebL `Where` over a page or a text file — changes no
-    /// answer: over rows of lexical forms and conditions on either
-    /// attribute with lexical-form constants, the deployment with the
-    /// planner on answers what the one without it answers.
+    /// Filtering a source by a conjunct — a database's rows, a
+    /// document's records, a page's or a file's equal columns — changes
+    /// no answer, record numbers included: over rows of lexical forms and
+    /// conditions on either attribute with lexical-form constants, the
+    /// deployment answers what it answers the condition doubly negated,
+    /// which binds no conjunct.
     #[test]
     fn pushdown_of_lexical_forms_changes_no_answer(
         rows in lexical_rows(),
@@ -1114,17 +1112,13 @@ proptest! {
             })
             .collect::<Vec<_>>()
             .join(" AND ");
-        let query = format!("SELECT product WHERE {text}");
-        let answer = |pushdown: bool| {
-            let outcome = lexical_deployment(&rows, pushdown).query(&query).unwrap();
-            let mut lines: Vec<String> = outcome
-                .individuals()
-                .iter()
-                .map(|i| format!("{} {:?}", i.source, i.values))
-                .collect();
-            lines.sort();
-            (lines, outcome.errors().len())
+        let s2s = lexical_deployment(&rows);
+        let answer = |query: &str| {
+            let outcome = s2s.query(query).unwrap();
+            (outcome.individuals().to_vec(), outcome.errors().len())
         };
-        prop_assert_eq!(answer(true), answer(false), "{}", query);
+        let filtered = answer(&format!("SELECT product WHERE {text}"));
+        let twin = answer(&format!("SELECT product WHERE NOT (NOT ({text}))"));
+        prop_assert_eq!(filtered, twin, "{}", text);
     }
 }

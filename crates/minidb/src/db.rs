@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::DbError;
-use crate::exec::{run_select, run_select_column, ExecContext, Filter, Rows};
+use crate::exec::{run_select, run_select_column, ExecContext, Filter, Resolved, Rows};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parse;
@@ -76,7 +76,8 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
 }
 
-/// Where [`Database::query_columns_each`] hands a result column. Any
+/// Where [`Database::query_column`] and a [`Selection`] hand a result
+/// column. Any
 /// `FnMut(&Value)` is one that ignores the size.
 pub trait ColumnSink {
     /// Called once, before the first value: at most `values` values
@@ -279,57 +280,40 @@ impl Database {
         Ok(QueryResult { columns, rows })
     }
 
-    /// Runs pre-parsed SELECTs, each with the name of one of its result
-    /// columns, and hands the sink at the same index that column's
-    /// non-NULL values, borrowed from the stored rows in result order:
-    /// what `query_prepared` plus [`QueryResult::column_index`] would
-    /// give, without materializing rows or rendering anything — the
-    /// caller writes each value where it wants it ([`Value::write_to`]).
-    /// Statements that share their rows ([`SelectStmt::shares_rows`])
-    /// are one scan: the rows are filtered, ordered and limited once.
-    /// Each sink learns its column's size first ([`ColumnSink::size`]).
+    /// Runs one pre-parsed SELECT of any shape and hands `sink` the
+    /// non-NULL values of its first result column named `column`
+    /// (case-insensitively), borrowed from the stored rows in result
+    /// order; the sink learns the column's size first.
     ///
-    /// One result per statement, in order: the error the statement
-    /// alone would raise — its projection's, then its rows', then
-    /// [`DbError::UnknownColumn`] if the result has no column of the
-    /// name given. A sink whose statement failed has seen nothing.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// If `stmts` and `sinks` differ in length.
-    pub fn query_columns_each<S: ColumnSink>(
+    /// The statement's: an unknown table, then its projection's, its
+    /// rows', then [`DbError::UnknownColumn`].
+    pub fn query_column(
         &self,
-        stmts: &[(&SelectStmt, &str)],
-        sinks: &mut [S],
-    ) -> Vec<Result<(), DbError>> {
-        assert_eq!(stmts.len(), sinks.len(), "one sink per statement");
-        let mut results: Vec<Result<(), DbError>> = stmts.iter().map(|_| Ok(())).collect();
-        for (lead, &(stmt, column)) in stmts.iter().enumerate() {
-            // `shares_rows` is an equivalence on the statements that share
-            // at all: one an earlier one shares with was read in its scan.
-            if stmts[..lead].iter().any(|(earlier, _)| earlier.shares_rows(stmt)) {
-                continue;
-            }
-            let group =
-                || (lead..stmts.len()).filter(|&j| j == lead || stmt.shares_rows(stmts[j].0));
-            let ctx = match self.exec_context(stmt) {
-                Ok(ctx) => ctx,
-                Err(e) => {
-                    group().for_each(|j| results[j] = Err(e.clone()));
-                    continue;
-                }
-            };
-            if !stmt.shares_rows(stmt) {
-                results[lead] = run_select_column(stmt, &ctx, column, &mut sinks[lead]);
-                continue;
-            }
-            let rows = Rows::of(stmt, &ctx);
-            for j in group() {
-                let (stmt, column) = stmts[j];
-                results[j] = Rows::each(&rows, stmt, &ctx, column, &mut sinks[j]);
-            }
-        }
-        results
+        stmt: &SelectStmt,
+        column: &str,
+        sink: &mut impl ColumnSink,
+    ) -> Result<(), DbError> {
+        run_select_column(stmt, &self.exec_context(stmt)?, column, sink)
+    }
+
+    /// The rows `stmt` selects — filtered, ordered and limited once —
+    /// for every statement that shares them ([`SelectStmt::shares_rows`]):
+    /// each reads its column of them through [`Selection::column`].
+    /// `stmt` must share its rows with itself (a plain SELECT); run any
+    /// other with [`Database::query_column`].
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::UnknownTable`] when a table of its FROM/JOIN chain is
+    /// not in the database; a statement's own errors come from
+    /// [`Selection::column`].
+    pub fn select<'a>(&'a self, stmt: &'a SelectStmt) -> Result<Selection<'a>, DbError> {
+        debug_assert!(stmt.shares_rows(stmt), "a plain SELECT");
+        let ctx = self.exec_context(stmt)?;
+        let rows = Rows::of(stmt, &ctx);
+        Ok(Selection { ctx, rows })
     }
 
     /// The statement's FROM/JOIN chain, base table first.
@@ -350,6 +334,81 @@ impl Database {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| DbError::UnknownTable { table: name.to_string() })
+    }
+}
+
+/// The rows of a plain SELECT, selected once and read by every
+/// statement that shares them ([`Database::select`]): a whole column at
+/// a time, or the columns of the rows a filter keeps.
+pub struct Selection<'a> {
+    ctx: ExecContext<'a>,
+    rows: Result<Rows<'a>, DbError>,
+}
+
+/// One statement's result column over a [`Selection`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectedColumn(Resolved);
+
+impl Selection<'_> {
+    /// The result column named `column` (case-insensitively; its first)
+    /// of `stmt`, a statement sharing these rows.
+    ///
+    /// # Errors
+    ///
+    /// What `stmt` alone would raise: its projection's, then its rows'
+    /// (its `WHERE`, `ORDER BY` or joins), then
+    /// [`DbError::UnknownColumn`].
+    pub fn column(&self, stmt: &SelectStmt, column: &str) -> Result<SelectedColumn, DbError> {
+        Rows::column(&self.rows, stmt, &self.ctx, column).map(SelectedColumn)
+    }
+
+    /// Hands `sink` the non-NULL values of `column`, in row order, sized
+    /// first ([`ColumnSink::size`]).
+    pub fn each(&self, column: SelectedColumn, sink: &mut impl ColumnSink) {
+        self.each_at(column, 0..self.rows.as_ref().map_or(0, Rows::len), sink);
+    }
+
+    /// Hands `sink` the non-NULL values of `column` in the rows at the
+    /// positions `rows` yields, in that order, sized first by their
+    /// count.
+    pub fn each_at(
+        &self,
+        column: SelectedColumn,
+        rows: impl ExactSizeIterator<Item = usize>,
+        sink: &mut impl ColumnSink,
+    ) {
+        if let Ok(selected) = &self.rows {
+            selected.push_column(column.0, rows, &self.ctx, sink);
+        }
+    }
+
+    /// Keeps the rows whose cell of each test's column the test accepts
+    /// (`keep(test, cell)`), handing the position of each kept row to
+    /// `ordinals` in row order — a row's number in the unfiltered
+    /// result. The tests narrow the rows one column at a time: a cell of
+    /// a row an earlier test refused is not asked about.
+    ///
+    /// Returns `false`, keeping nothing, when a column of `aligned` has a
+    /// NULL cell in any row: its non-NULL values would not line up with
+    /// the rows, so the result must be read whole.
+    pub fn filter<T>(
+        &self,
+        aligned: impl IntoIterator<Item = SelectedColumn>,
+        tests: impl IntoIterator<Item = (SelectedColumn, T)>,
+        mut keep: impl FnMut(&T, &Value) -> bool,
+        ordinals: &mut Vec<u32>,
+    ) -> bool {
+        let Ok(rows) = &self.rows else { return false };
+        let n = rows.len();
+        if aligned.into_iter().any(|c| rows.has_null(c.0, &self.ctx)) {
+            return false;
+        }
+        ordinals.clear();
+        ordinals.extend((0..n).map(|row| u32::try_from(row).expect("rows fit in u32")));
+        for (column, test) in tests {
+            ordinals.retain(|&row| keep(&test, rows.cell(column.0, row as usize)));
+        }
+        true
     }
 }
 
@@ -698,15 +757,13 @@ mod tests {
         };
         let (int, real) = (stmt("9007199254740993"), stmt("9007199254740992.0"));
         assert!(!int.shares_rows(&real) && int.shares_rows(&stmt("9007199254740993")));
-        let ids = |reads: &[(&SelectStmt, &str)]| {
-            let mut ids = vec![Vec::new(); reads.len()];
-            let mut sinks: Vec<_> =
-                ids.iter_mut().map(|ids| |v: &Value| ids.push(v.to_string())).collect();
-            assert!(db.query_columns_each(reads, &mut sinks).iter().all(Result::is_ok));
+        let ids = |stmt: &SelectStmt| {
+            let (selection, mut ids) = (db.select(stmt).unwrap(), Vec::new());
+            selection.each(selection.column(stmt, "id").unwrap(), &mut |v: &Value| {
+                ids.push(v.to_string());
+            });
             ids
         };
-        let together = ids(&[(&int, "id"), (&real, "id")]);
-        assert_eq!(together, [ids(&[(&int, "id")]).remove(0), ids(&[(&real, "id")]).remove(0)]);
-        assert_eq!(together, [vec!["2"], vec!["1", "2"]]);
+        assert_eq!([ids(&int), ids(&real)], [vec!["2"], vec!["1", "2"]]);
     }
 }

@@ -459,38 +459,55 @@ impl<'a> Rows<'a> {
         Ok(Rows::select(stmt, &Scan::new(stmt, ctx)?, &[], ctx))
     }
 
-    /// Hands `sink` the non-NULL values of `stmt`'s first result column
-    /// named `column` (case-insensitively) over `rows`, the rows of
-    /// every statement sharing `stmt`'s — or the error `stmt` alone
-    /// would raise: its projection's, then the rows', then an unknown
-    /// column.
-    pub(crate) fn each(
+    /// The column of `stmt`, a statement sharing these rows, named
+    /// `column` (case-insensitively; its first), or the error `stmt`
+    /// alone would raise: its projection's, then the rows', then an
+    /// unknown column.
+    pub(crate) fn column(
         rows: &Result<Self, DbError>,
         stmt: &SelectStmt,
         ctx: &ExecContext<'a>,
         column: &str,
-        sink: &mut impl ColumnSink,
-    ) -> Result<(), DbError> {
+    ) -> Result<Resolved, DbError> {
         projected(stmt, ctx).try_for_each(|r| r.map(drop))?;
-        let rows = rows.as_ref().map_err(DbError::clone)?;
+        rows.as_ref().map_err(DbError::clone)?;
         let idx = output_index(stmt, ctx, column)?;
-        let col = projected(stmt, ctx).nth(idx).expect("one resolved column per output name")?;
-        rows.push_column(col, ctx, sink);
-        Ok(())
+        projected(stmt, ctx).nth(idx).expect("one resolved column per output name")
     }
 
-    /// Sized by what the table stores, not by a pass over the rows: none
-    /// is wider than the column's widest value, and distinct rows hold
-    /// no more than the column does.
-    fn push_column(&self, col: Resolved, ctx: &ExecContext<'_>, sink: &mut impl ColumnSink) {
-        let n = self.order.len();
+    /// How many rows were selected.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether `col` holds a NULL in a selected row: none does when its
+    /// table holds none.
+    pub(crate) fn has_null(&self, col: Resolved, ctx: &ExecContext<'_>) -> bool {
+        ctx.table(col.table_idx).has_null(col.col_idx)
+            && (0..self.len()).any(|row| self.cell(col, row).is_null())
+    }
+
+    /// The cell of `col` in row `row` (a position in output order).
+    pub(crate) fn cell(&self, col: Resolved, row: usize) -> &'a Value {
+        col.of(self.chains.get(self.order[row]))
+    }
+
+    /// Hands `sink` the non-NULL cells of `col` in the rows at the
+    /// positions `rows` yields, in that order. Sized by what the table
+    /// stores, not by a pass over the rows: none is wider than the
+    /// column's widest value, and distinct rows hold no more than the
+    /// column does.
+    pub(crate) fn push_column(
+        &self,
+        col: Resolved,
+        rows: impl ExactSizeIterator<Item = usize>,
+        ctx: &ExecContext<'_>,
+        sink: &mut impl ColumnSink,
+    ) {
+        let n = rows.len();
         let (widest, stored) = ctx.table(col.table_idx).text_bytes(col.col_idx);
         sink.size(n, n.saturating_mul(widest).min(stored));
-        self.order
-            .iter()
-            .map(|&i| col.of(self.chains.get(i)))
-            .filter(|v| !v.is_null())
-            .for_each(|v| sink.push(v));
+        rows.map(|row| self.cell(col, row)).filter(|v| !v.is_null()).for_each(|v| sink.push(v));
     }
 }
 
@@ -542,7 +559,8 @@ pub(crate) fn run_select_column(
     }
     let plan = Plan::new(stmt, ctx)?;
     let col = plan.projection[output_index(stmt, ctx, column)?];
-    Rows::select(stmt, &plan.scan, &plan.projection, ctx).push_column(col, ctx, sink);
+    let rows = Rows::select(stmt, &plan.scan, &plan.projection, ctx);
+    rows.push_column(col, 0..rows.len(), ctx, sink);
     Ok(())
 }
 

@@ -49,7 +49,7 @@ pub mod sql;
 pub mod table;
 pub mod value;
 
-pub use db::{ColumnSink, Database, QueryResult};
+pub use db::{ColumnSink, Database, QueryResult, SelectedColumn, Selection};
 pub use error::DbError;
 pub use schema::{ColumnDef, TableSchema};
 pub use sql::ast::{CmpOp, ColumnRef, Expr, Operand, SelectStmt};

@@ -78,7 +78,7 @@ impl SelectStmt {
     /// Whether `self` and `other` select the same rows in the same order:
     /// equal but for their projection, which neither reshapes. A
     /// `DISTINCT`, aggregate or grouped statement shares with none, not
-    /// even itself. [`crate::Database::query_columns_each`] scans such
+    /// even itself. [`crate::Database::select`] scans such
     /// statements once.
     pub fn shares_rows(&self, other: &SelectStmt) -> bool {
         let plain = |s: &SelectStmt| !s.distinct && s.group_by.is_none() && !s.has_aggregates();

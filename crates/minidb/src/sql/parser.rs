@@ -713,7 +713,7 @@ mod tests {
                 let stmt = crate::Database::prepare_select(&sql).expect("depth at the cap parses");
                 assert_eq!(db.query_prepared(&stmt).unwrap().len(), rows, "{}", &sql[..40]);
                 assert_eq!(stmt.clone(), stmt);
-                assert_eq!(crate::Database::prepare_select(&stmt.to_sql()).as_ref(), Ok(&stmt));
+                assert_eq!(crate::Database::prepare_select(&stmt.to_string()).as_ref(), Ok(&stmt));
             }
         });
         worker.unwrap().join().expect("no stack overflow at the cap");

@@ -132,43 +132,10 @@ impl fmt::Display for SelectStmt {
     }
 }
 
-impl SelectStmt {
-    /// The canonical SQL text of this statement (re-parses to an
-    /// equivalent AST).
-    pub fn to_sql(&self) -> String {
-        self.to_string()
-    }
-
-    /// Returns a copy with `extra` AND-ed into the `WHERE` clause —
-    /// the predicate-pushdown splice point.
-    pub fn and_predicate(&self, extra: Expr) -> SelectStmt {
-        let mut out = self.clone();
-        out.predicate = Some(match out.predicate.take() {
-            Some(existing) => Expr::And(Box::new(existing), Box::new(extra)),
-            None => extra,
-        });
-        out
-    }
-
-    /// Whether the statement is a plain single-table scan the planner
-    /// may extend with pushed predicates: no joins, aggregates,
-    /// grouping, `DISTINCT`, or `LIMIT`, and exactly one projected
-    /// column.
-    pub fn pushdown_eligible(&self) -> bool {
-        self.joins.is_empty()
-            && !self.distinct
-            && !self.has_aggregates()
-            && self.group_by.is_none()
-            && self.limit.is_none()
-            && self.projection.len() == 1
-            && matches!(self.projection[0], SelectItem::Column(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::ast::{ColumnRef, Statement};
+    use crate::sql::ast::Statement;
     use crate::sql::parse;
 
     fn roundtrip(sql: &str) {
@@ -176,7 +143,7 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("not a select: {other:?}"),
         };
-        let rendered = first.to_sql();
+        let rendered = first.to_string();
         let second = match parse(&rendered).unwrap() {
             Statement::Select(s) => s,
             other => panic!("render not a select: {other:?}"),
@@ -193,39 +160,6 @@ mod tests {
         roundtrip("SELECT a FROM t JOIN u ON t.id = u.id WHERE NOT (a = 1 OR b IS NOT NULL)");
         roundtrip("SELECT a FROM t WHERE a NOT LIKE '%x%' OR b LIKE 'S_%'");
         roundtrip("SELECT a FROM t WHERE b = TRUE AND c = NULL ORDER BY a DESC");
-    }
-
-    #[test]
-    fn and_predicate_splices_under_conjunction() {
-        let base = match parse("SELECT brand FROM watches WHERE price > 10 ORDER BY id").unwrap() {
-            Statement::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let pushed = base.and_predicate(Expr::Compare {
-            left: ColumnRef::new("brand"),
-            op: CmpOp::Eq,
-            right: Operand::Literal(Value::Text("seiko".into())),
-        });
-        assert_eq!(
-            pushed.to_sql(),
-            "SELECT brand FROM watches WHERE (price > 10 AND brand = 'seiko') ORDER BY id ASC"
-        );
-        roundtrip(&pushed.to_sql());
-    }
-
-    #[test]
-    fn eligibility_gate() {
-        let ok = |sql: &str| match parse(sql).unwrap() {
-            Statement::Select(s) => s.pushdown_eligible(),
-            _ => unreachable!(),
-        };
-        assert!(ok("SELECT brand FROM watches ORDER BY id"));
-        assert!(!ok("SELECT * FROM watches"));
-        assert!(!ok("SELECT DISTINCT brand FROM watches"));
-        assert!(!ok("SELECT COUNT(*) FROM watches"));
-        assert!(!ok("SELECT brand FROM watches LIMIT 1"));
-        assert!(!ok("SELECT brand FROM watches GROUP BY brand"));
-        assert!(!ok("SELECT brand FROM watches JOIN u ON watches.id = u.id"));
     }
 
     #[test]

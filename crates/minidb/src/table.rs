@@ -19,9 +19,10 @@ pub struct Table {
     /// column index → (value → row ids)
     indexes: BTreeMap<usize, BTreeMap<Value, Vec<usize>>>,
     /// Per column: the widest and the summed rendered bytes
-    /// ([`Value::text_len`]) of its non-NULL values, counted on the first
-    /// read after a write, so a write pays nothing for them.
-    sizes: Vec<OnceLock<(usize, usize)>>,
+    /// ([`Value::text_len`]) of its non-NULL values, and whether it holds
+    /// a NULL, counted on the first read after a write, so a write pays
+    /// nothing for them.
+    sizes: Vec<OnceLock<(usize, usize, bool)>>,
 }
 
 impl Table {
@@ -227,11 +228,27 @@ impl Table {
     /// live non-NULL values of column `column_index` to; `(0, 0)` for an
     /// unknown column.
     pub(crate) fn text_bytes(&self, column_index: usize) -> (usize, usize) {
-        let Some(size) = self.sizes.get(column_index) else { return (0, 0) };
-        *size.get_or_init(|| {
-            let values = self.scan().map(|(_, row)| &row[column_index]).filter(|v| !v.is_null());
-            values.map(Value::text_len).fold((0, 0), |(widest, sum), n| (widest.max(n), sum + n))
-        })
+        self.stats(column_index).map_or((0, 0), |(widest, sum, _)| (widest, sum))
+    }
+
+    /// Whether a live row holds NULL in column `column_index`.
+    pub(crate) fn has_null(&self, column_index: usize) -> bool {
+        self.stats(column_index).is_some_and(|(_, _, null)| null)
+    }
+
+    fn stats(&self, column_index: usize) -> Option<(usize, usize, bool)> {
+        let stats = self.sizes.get(column_index)?.get_or_init(|| {
+            let mut stats = (0, 0, false);
+            for value in self.scan().map(|(_, row)| &row[column_index]) {
+                let n = value.text_len();
+                match value.is_null() {
+                    true => stats.2 = true,
+                    false => stats = (stats.0.max(n), stats.1 + n, stats.2),
+                }
+            }
+            stats
+        });
+        Some(*stats)
     }
 
     /// Forgets the counted sizes: the next read counts them afresh.

@@ -105,7 +105,7 @@ fn packed_read(db: &Database, sql: &str, column: &str) -> ((String, Vec<usize>),
     let stmt = Database::prepare_select(sql).unwrap();
     allocations(|| {
         let mut packed = Packed::default();
-        db.query_columns_each(&[(&stmt, column)], &mut [&mut packed]).remove(0).unwrap();
+        db.query_column(&stmt, column, &mut &mut packed).unwrap();
         (packed.text, packed.ends)
     })
 }
@@ -194,12 +194,13 @@ fn statements_sharing_their_rows_pay_one_statement() {
     let columns = ["brand", "price", "id"];
     let stmts: Vec<_> =
         columns.iter().map(|c| Database::prepare_select(&sql(c)).unwrap()).collect();
-    let reads: Vec<_> = stmts.iter().zip(columns).collect();
     let (_, one) = packed_read(&db, &sql("brand"), "brand");
     let (columns, together) = allocations(|| {
         let mut packed: [Packed; 3] = Default::default();
-        let results = db.query_columns_each(&reads, &mut packed.each_mut());
-        assert!(results.iter().all(Result::is_ok));
+        let selection = db.select(&stmts[0]).unwrap();
+        for ((stmt, column), packed) in stmts.iter().zip(columns).zip(&mut packed) {
+            selection.each(selection.column(stmt, column).unwrap(), &mut &mut *packed);
+        }
         packed.map(|p| p.ends.len())
     });
     assert_eq!(columns, [40; 3]);

@@ -423,7 +423,7 @@ proptest! {
             // Packed the way the engine packs it: all text in one
             // buffer, cut where each value ends.
             let mut packed = Packed::default();
-            let sunk = db.query_columns_each(&[(&stmt, &name)], &mut [&mut packed]).remove(0);
+            let sunk = db.query_column(&stmt, &name, &mut &mut packed);
             let cut = packed.values();
             let Packed { text, ends, size } = packed;
             prop_assert!(
@@ -456,12 +456,24 @@ proptest! {
             rules.iter().map(|(sql, ..)| Database::prepare_select(sql).unwrap()).collect();
         let reads: Vec<(&SelectStmt, &str)> =
             stmts.iter().zip(&rules).map(|(s, (_, c, _))| (s, c.as_str())).collect();
-        let mut packed: Vec<Packed> = reads.iter().map(|_| Packed::default()).collect();
-        let together = db.query_columns_each(&reads, &mut packed.iter_mut().collect::<Vec<_>>());
-        for ((read, got), packed) in reads.iter().zip(together).zip(packed) {
+        // Each sharing statement's column read over the scan of the first
+        // statement it shares with, as the engine reads a source's rules.
+        let together = reads.iter().map(|&(stmt, column)| {
+            let mut packed = Packed::default();
+            let lead = reads.iter().find(|(lead, _)| lead.shares_rows(stmt));
+            let got = match lead {
+                Some(&(lead, _)) => db.select(lead).and_then(|selection| {
+                    selection.each(selection.column(stmt, column)?, &mut &mut packed);
+                    Ok(())
+                }),
+                None => db.query_column(stmt, column, &mut &mut packed),
+            };
+            (got, packed)
+        });
+        for (read, (got, packed)) in reads.iter().zip(together) {
             let mut alone = Packed::default();
-            let want = db.query_columns_each(&[*read], &mut [&mut alone]).remove(0);
-            let (sql, column) = (&read.0.to_sql(), read.1);
+            let want = db.query_column(read.0, read.1, &mut &mut alone);
+            let (sql, column) = (&read.0.to_string(), read.1);
             prop_assert_eq!(&got, &want, "{} reading {}", sql, column);
             prop_assert_eq!(packed.size, alone.size, "{} reading {}", sql, column);
             prop_assert_eq!(&packed.ends, &alone.ends, "{} reading {}", sql, column);
@@ -476,8 +488,88 @@ proptest! {
         for (a, a_rule) in stmts.iter().zip(&rules) {
             for (b, b_rule) in stmts.iter().zip(&rules) {
                 let shares = !a.distinct && !b.distinct && rows_of(a_rule) == rows_of(b_rule);
-                prop_assert_eq!(a.shares_rows(b), shares, "{} and {}", a.to_sql(), b.to_sql());
+                prop_assert_eq!(a.shares_rows(b), shares, "{} and {}", a.to_string(), b.to_string());
             }
+        }
+    }
+
+    /// A filtered scan is the scan restricted to the rows it keeps: a
+    /// row is kept when every test accepts its cell as printed — the
+    /// seven comparisons in the string or the decimal space, text cells
+    /// under decimal constants included — each kept row is numbered by
+    /// its position in the unfiltered result, and a column's values are
+    /// its unfiltered cells at those rows. Over NULLs, tied `ORDER BY`
+    /// keys either way, `WHERE`, `LIMIT` and joins; a column with a NULL
+    /// in a selected row refuses the filter.
+    #[test]
+    fn a_filtered_select_is_the_select_restricted_to_its_kept_rows(seed in any::<u64>()) {
+        use s2s_textmatch::{Comparand, ConstraintOp, ValueSpace};
+        let mut rng = TestRng::from_seed(seed);
+        let db = database(&mut rng);
+        let rules = sharing_selects(&mut rng);
+        let stmts: Vec<SelectStmt> =
+            rules.iter().map(|(sql, ..)| Database::prepare_select(sql).unwrap()).collect();
+        let lead = &stmts[0];
+        let Some(selection) = lead.shares_rows(lead).then(|| db.select(lead).ok()).flatten()
+        else {
+            return Ok(());
+        };
+        // The reads of the scan whose columns resolve, with every cell
+        // of theirs, NULLs kept, from the statement's materialized rows.
+        let mut reads = Vec::new();
+        for (stmt, (_, name, _)) in stmts.iter().zip(&rules).filter(|(s, _)| lead.shares_rows(s)) {
+            let (Ok(column), Ok(result)) = (selection.column(stmt, name), db.query_prepared(stmt))
+            else {
+                continue;
+            };
+            let at = result.column_index(name).expect("the column resolved");
+            let cells: Vec<Value> = result.rows().iter().map(|row| row[at].clone()).collect();
+            reads.push((column, cells));
+        }
+        if reads.is_empty() {
+            return Ok(());
+        }
+        let ops = [
+            ConstraintOp::Eq, ConstraintOp::Ne, ConstraintOp::Lt, ConstraintOp::Le,
+            ConstraintOp::Gt, ConstraintOp::Ge, ConstraintOp::Like,
+        ];
+        let tests: Vec<(usize, Comparand)> = (0..1 + rng.below(2))
+            .map(|_| {
+                let op = ops[rng.below(ops.len())];
+                let space = if rng.below(2) == 0 { ValueSpace::String } else { ValueSpace::Decimal };
+                let constant = pick(&mut rng, &["a", "ab", "b", "0", "1.5", "2", "-1", "%a%", "_"]);
+                (rng.below(reads.len()), Comparand::in_space(op, constant.to_string(), space))
+            })
+            .collect();
+        let printed = |cell: &Value| {
+            let mut text = String::new();
+            cell.write_to(&mut text).unwrap();
+            text
+        };
+        let mut ordinals = vec![99];
+        let filtered = selection.filter(
+            reads.iter().map(|(c, _)| *c),
+            tests.iter().map(|(k, test)| (reads[*k].0, test)),
+            |test: &&Comparand, cell: &Value| test.test(&printed(cell)),
+            &mut ordinals,
+        );
+        let rows = reads[0].1.len();
+        let nulls = reads.iter().any(|(_, cells)| cells.iter().any(Value::is_null));
+        prop_assert_eq!(filtered, !nulls, "{}", rules[0].0);
+        if !filtered {
+            return Ok(());
+        }
+        let kept: Vec<u32> = (0..rows)
+            .filter(|&r| tests.iter().all(|(k, test)| test.test(&printed(&reads[*k].1[r]))))
+            .map(|r| r as u32)
+            .collect();
+        prop_assert_eq!(&ordinals, &kept, "{}", rules[0].0);
+        for (column, cells) in &reads {
+            let mut packed = Packed::default();
+            selection.each_at(*column, kept.iter().map(|&r| r as usize), &mut &mut packed);
+            let want: Vec<String> = kept.iter().map(|&r| printed(&cells[r as usize])).collect();
+            prop_assert_eq!(packed.values(), want, "{}", rules[0].0);
+            prop_assert_eq!(packed.size.map(|(n, _)| n), Some(kept.len()));
         }
     }
 

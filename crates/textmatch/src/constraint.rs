@@ -137,14 +137,18 @@ impl<S: AsRef<str>> Comparand<S> {
     /// Whether `candidate op constant` holds: [`like_match`] on the
     /// candidate as it is for `LIKE`; otherwise
     /// [`ValueSpace::compare`], so a side outside the space or a NaN
-    /// satisfies no operator.
+    /// satisfies no operator. Strings are equal when their bytes are,
+    /// so `=` and `!=` there read no byte of a candidate of another
+    /// length.
     #[inline]
     pub fn test(&self, candidate: &str) -> bool {
         let constant = self.constant.as_ref();
-        if self.op == ConstraintOp::Like {
-            return like_match(candidate, constant);
+        match (self.op, self.space) {
+            (ConstraintOp::Like, _) => like_match(candidate, constant),
+            (ConstraintOp::Eq, ValueSpace::String) => candidate == constant,
+            (ConstraintOp::Ne, ValueSpace::String) => candidate != constant,
+            (op, space) => space.compare(candidate, constant).is_some_and(|ord| op.accepts(ord)),
         }
-        self.space.compare(candidate, constant).is_some_and(|ord| self.op.accepts(ord))
     }
 }
 

@@ -49,21 +49,6 @@ impl ValueSpace {
         self.form(lexical).is_some()
     }
 
-    /// The `f64` that prints as the value `lexical` spells in a decimal
-    /// or integer space, if one does (`{}` of an `f64`: the shortest
-    /// form that reads back as it). An `f64` comparison against it orders
-    /// any `f64` as the decimal orders that `f64`'s printed form: a
-    /// decimal reads as the nearest `f64`, and two distinct `f64`s round
-    /// from disjoint intervals.
-    pub fn exact_f64(self, lexical: &str) -> Option<f64> {
-        match self {
-            ValueSpace::Decimal | ValueSpace::Integer => {
-                Decimal::parse(self.form(lexical)?)?.exact_f64()
-            }
-            _ => None,
-        }
-    }
-
     /// How the values `a` and `b` spell order in the space: `None` when
     /// either is outside it, or the two are unordered (a NaN).
     #[inline]
@@ -130,15 +115,6 @@ impl<'a> Decimal<'a> {
         let (whole, fraction) = (&text[whole], &text[fraction]);
         let negative = negative && !(whole.is_empty() && fraction.is_empty());
         Some(Decimal { negative, whole, fraction })
-    }
-
-    /// [`ValueSpace::exact_f64`] of this decimal.
-    fn exact_f64(self) -> Option<f64> {
-        let sign = if self.negative { "-" } else { "" };
-        let text = format!("{sign}0{}.{}0", self.whole, self.fraction);
-        let value = text.parse::<f64>().ok()?;
-        let printed = value.to_string();
-        (Decimal::parse(&printed) == Some(self)).then_some(value)
     }
 }
 
@@ -238,15 +214,5 @@ mod tests {
         assert_eq!(ValueSpace::String.compare("10", "9"), Some(Ordering::Less));
         assert_eq!(ValueSpace::String.form(" x "), Some(" x "));
         assert_eq!(ValueSpace::Decimal.form(" 5 "), Some("5"));
-    }
-
-    #[test]
-    fn exact_f64_only_where_it_prints_as_the_decimal() {
-        let exact = |s| Decimal::parse(s).and_then(Decimal::exact_f64);
-        assert_eq!(exact("117.92"), Some(117.92));
-        assert_eq!(exact("36.00"), Some(36.0));
-        assert_eq!(exact("-0"), Some(0.0));
-        assert_eq!(exact("0.30000000000000001"), None);
-        assert_eq!(exact("9007199254740993"), None);
     }
 }

@@ -55,4 +55,4 @@ pub mod webl;
 pub use error::WebdocError;
 pub use html::{HtmlDocument, TagStat};
 pub use store::{WebDocument, WebStore};
-pub use webl::{with_guard, with_guards, GuardSpec, WeblProgram, WeblValue};
+pub use webl::{WeblProgram, WeblValue};

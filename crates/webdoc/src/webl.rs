@@ -21,17 +21,14 @@
 //!
 //! The program's value is the value of its final statement.
 //!
-//! Two builtins exist for the federated planner's predicate pushdown:
-//! `Extract(text, re, group)` extracts one capture group per match
-//! (plain-text extractor semantics), and `Where(base, guard, op, value)`
-//! positionally masks `base` by a comparison on `guard` (see
-//! [`with_guard`]).
+//! `Extract(text, re, group)` extracts one capture group per match, with
+//! the plain-text extractor's semantics.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use s2s_textmatch::{Comparand, ConstraintOp, Regex};
+use s2s_textmatch::Regex;
 
 use crate::error::WebdocError;
 use crate::html::HtmlDocument;
@@ -511,8 +508,8 @@ impl TokenStream {
 
 /// Deepest WebL expression accepted, counted both as nesting of
 /// parentheses, call arguments and index brackets and as height of the
-/// parsed tree. The parser, the evaluator, the renderer, the guard
-/// rewriter and `Drop` all recurse once per level; unbounded, a rule's
+/// parsed tree. The parser, the evaluator and `Drop` all recurse once
+/// per level; unbounded, a rule's
 /// `((((…` overflowed the stack and aborted the process.
 pub const MAX_EXPR_DEPTH: usize = 250;
 
@@ -715,29 +712,6 @@ fn call(function: &str, args: &[WeblValue], web: &WebStore) -> Result<WeblValue,
                 .collect();
             Ok(WeblValue::List(out))
         }
-        "Where" => {
-            // Positional mask for pushed predicates: keeps base[i] when
-            // guard[i] satisfies `op value`. Anything but two equal-length
-            // lists passes the base through unchanged — filtering less
-            // than the pushed predicate asks for is always safe because
-            // the mediator re-applies the full residual post-extraction.
-            arity(4)?;
-            let op = ConstraintOp::parse(&args[2].text())
-                .ok_or_else(|| rt(format!("unknown Where operator `{}`", args[2].text())))?;
-            let comparand = Comparand::new(op, args[3].text());
-            match (&args[0], &args[1]) {
-                (WeblValue::List(base), WeblValue::List(guard)) if base.len() == guard.len() => {
-                    Ok(WeblValue::List(
-                        base.iter()
-                            .zip(guard)
-                            .filter(|(_, g)| comparand.test(&g.text()))
-                            .map(|(b, _)| b.clone())
-                            .collect(),
-                    ))
-                }
-                _ => Ok(args[0].clone()),
-            }
-        }
         "TagAttrs" => {
             arity(3)?;
             let vals = args[0]
@@ -766,206 +740,6 @@ fn escape_regex(s: &str) -> String {
         out.push(c);
     }
     out
-}
-
-// ------------------------------------------------------------- renderer
-
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Str(s) => write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-            Expr::Pattern(p) => write!(f, "`{p}`"),
-            Expr::Int(i) => write!(f, "{i}"),
-            Expr::Var(name) => f.write_str(name),
-            Expr::Call { function, args } => {
-                write!(f, "{function}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                f.write_str(")")
-            }
-            Expr::Index { base, index } => write!(f, "{base}[{index}]"),
-            Expr::Concat(a, b) => write!(f, "({a} + {b})"),
-        }
-    }
-}
-
-impl fmt::Display for Stmt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Stmt::Assign { name, expr } => write!(f, "var {name} = {expr};"),
-            Stmt::Expr(expr) => write!(f, "{expr};"),
-        }
-    }
-}
-
-fn render(statements: &[Stmt]) -> String {
-    statements.iter().map(Stmt::to_string).collect::<Vec<_>>().join("\n")
-}
-
-// ----------------------------------------------------- pushdown rewrite
-
-/// One pushed conjunct for [`with_guards`]: the guard attribute's
-/// extraction program, the comparison operator, and the value.
-pub type GuardSpec<'a> = (&'a str, ConstraintOp, &'a str);
-
-/// Rewrites a WebL extraction rule so pushed predicates filter its
-/// results at the source.
-///
-/// `target` is the extraction program of the attribute being
-/// extracted; each guard is the program of a predicate's attribute
-/// (possibly the same program) plus `op value`. The result runs the
-/// target and every guard — guard variables renamed into a `__g{i}_`
-/// namespace so the programs compose; free variables (`PAGE`, `URL`)
-/// stay shared — then masks positionally: item `i` of the target
-/// survives when every guard's item `i` satisfies its constraint under
-/// the mediator's comparison semantics. Applying conjunct `i` masks
-/// the *remaining* guard lists too, keeping them aligned with the
-/// shrinking target. A guard whose list length disagrees masks
-/// nothing (the `Where` builtin passes the base through), which is
-/// always safe: the mediator re-applies the full residual predicate
-/// post-extraction.
-///
-/// # Errors
-///
-/// Returns [`WebdocError::WeblSyntax`] when a program fails to parse
-/// or the rewrite cannot be rendered back into the grammar, and
-/// [`WebdocError::WeblRuntime`] when `guards` is empty or the target
-/// already uses a rewrite namespace.
-pub fn with_guards(target: &str, guards: &[GuardSpec<'_>]) -> Result<String, WebdocError> {
-    let rt = |m: String| WebdocError::WeblRuntime { message: m };
-    if guards.is_empty() {
-        return Err(rt("with_guards needs at least one guard".to_string()));
-    }
-    let target = WeblProgram::parse(target)?;
-    let taken: BTreeSet<&str> = target
-        .statements
-        .iter()
-        .filter_map(|s| match s {
-            Stmt::Assign { name, .. } => Some(name.as_str()),
-            Stmt::Expr(_) => None,
-        })
-        .collect();
-    if taken.iter().any(|n| n.starts_with("__g") || n.starts_with("__w")) {
-        return Err(rt("target already uses the `__g`/`__w` rewrite namespace".to_string()));
-    }
-
-    let mut statements = target.statements.clone();
-    let mut target_value = bind_final_value(&mut statements, "__g_t");
-    let mut guard_values: Vec<Expr> = Vec::new();
-    for (i, &(guard_src, _, _)) in guards.iter().enumerate() {
-        let guard = WeblProgram::parse(guard_src)?;
-        let prefix = format!("__g{i}_");
-        let assigned: BTreeSet<String> = guard
-            .statements
-            .iter()
-            .filter_map(|s| match s {
-                Stmt::Assign { name, .. } => Some(name.clone()),
-                Stmt::Expr(_) => None,
-            })
-            .collect();
-        let mut guard_statements: Vec<Stmt> =
-            guard.statements.iter().map(|s| rename_stmt(s, &assigned, &prefix)).collect();
-        let guard_value = bind_final_value(&mut guard_statements, &format!("{prefix}v"));
-        statements.extend(guard_statements);
-        guard_values.push(guard_value);
-    }
-    for (i, &(_, op, value)) in guards.iter().enumerate() {
-        let mask = |base: Expr, guard: &Expr| Expr::Call {
-            function: "Where".to_string(),
-            args: vec![
-                base,
-                guard.clone(),
-                Expr::Str(op.token().to_string()),
-                Expr::Str(value.to_string()),
-            ],
-        };
-        let guard_value = guard_values[i].clone();
-        let name = format!("__w{i}_t");
-        statements
-            .push(Stmt::Assign { name: name.clone(), expr: mask(target_value, &guard_value) });
-        target_value = Expr::Var(name);
-        for (j, later) in guard_values.iter_mut().enumerate().skip(i + 1) {
-            let name = format!("__w{i}_g{j}");
-            statements
-                .push(Stmt::Assign { name: name.clone(), expr: mask(later.clone(), &guard_value) });
-            *later = Expr::Var(name);
-        }
-    }
-    statements.push(Stmt::Expr(target_value));
-
-    let rendered = render(&statements);
-    // Round-trip to guarantee the rewrite stays inside the grammar
-    // (e.g. a regex literal containing a backtick is unrepresentable).
-    let reparsed = WeblProgram::parse(&rendered)?;
-    if reparsed.statements != statements {
-        return Err(WebdocError::WeblSyntax {
-            line: 1,
-            message: "rewritten program does not round-trip".to_string(),
-        });
-    }
-    Ok(rendered)
-}
-
-/// Single-conjunct convenience form of [`with_guards`].
-///
-/// # Errors
-///
-/// Same as [`with_guards`].
-pub fn with_guard(
-    target: &str,
-    guard: &str,
-    op: ConstraintOp,
-    value: &str,
-) -> Result<String, WebdocError> {
-    with_guards(target, &[(guard, op, value)])
-}
-
-/// Makes the final statement's value referencable: returns the variable
-/// holding it, converting a bare-expression tail into an assignment to
-/// `fallback` when needed.
-fn bind_final_value(statements: &mut [Stmt], fallback: &str) -> Expr {
-    match statements.last_mut() {
-        Some(Stmt::Assign { name, .. }) => Expr::Var(name.clone()),
-        Some(tail @ Stmt::Expr(_)) => {
-            let Stmt::Expr(expr) = tail.clone() else { unreachable!() };
-            *tail = Stmt::Assign { name: fallback.to_string(), expr };
-            Expr::Var(fallback.to_string())
-        }
-        None => unreachable!("parse rejects empty programs"),
-    }
-}
-
-fn rename_stmt(stmt: &Stmt, assigned: &BTreeSet<String>, prefix: &str) -> Stmt {
-    match stmt {
-        Stmt::Assign { name, expr } => Stmt::Assign {
-            name: format!("{prefix}{name}"),
-            expr: rename_expr(expr, assigned, prefix),
-        },
-        Stmt::Expr(expr) => Stmt::Expr(rename_expr(expr, assigned, prefix)),
-    }
-}
-
-fn rename_expr(expr: &Expr, assigned: &BTreeSet<String>, prefix: &str) -> Expr {
-    match expr {
-        Expr::Var(name) if assigned.contains(name) => Expr::Var(format!("{prefix}{name}")),
-        Expr::Str(_) | Expr::Pattern(_) | Expr::Int(_) | Expr::Var(_) => expr.clone(),
-        Expr::Call { function, args } => Expr::Call {
-            function: function.clone(),
-            args: args.iter().map(|a| rename_expr(a, assigned, prefix)).collect(),
-        },
-        Expr::Index { base, index } => Expr::Index {
-            base: Box::new(rename_expr(base, assigned, prefix)),
-            index: Box::new(rename_expr(index, assigned, prefix)),
-        },
-        Expr::Concat(a, b) => Expr::Concat(
-            Box::new(rename_expr(a, assigned, prefix)),
-            Box::new(rename_expr(b, assigned, prefix)),
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -1169,93 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn where_masks_positionally() {
-        let src = r#"
-            var base = Str_Split("seiko,casio,rado", ",");
-            var guard = Str_Split("120,45,300", ",");
-            Where(base, guard, "<", "100");
-        "#;
-        let p = WeblProgram::parse(src).unwrap();
-        assert_eq!(p.run_strings(&web()).unwrap(), ["casio"]);
-        // Length mismatch passes the base through unchanged.
-        let src = r#"
-            var base = Str_Split("a,b", ",");
-            var guard = Str_Split("1", ",");
-            Where(base, guard, "=", "1");
-        "#;
-        let p = WeblProgram::parse(src).unwrap();
-        assert_eq!(p.run_strings(&web()).unwrap(), ["a", "b"]);
-        let e = WeblProgram::parse(r#"Where("a", "b", "LIKEISH", "x");"#)
-            .unwrap()
-            .run(&web())
-            .unwrap_err();
-        assert!(matches!(e, WebdocError::WeblRuntime { .. }));
-    }
-
-    #[test]
-    fn with_guard_composes_programs() {
-        let mut w = WebStore::new();
-        w.register_html(
-            "http://shop/list",
-            "<li><b>seiko</b><span>120</span></li><li><b>casio</b><span>45</span></li>",
-        );
-        let target = r#"var b = TagTexts(Text(PAGE), "b");"#;
-        let guard = r#"var p = TagTexts(Text(PAGE), "span");"#;
-        let rewritten = with_guard(target, guard, ConstraintOp::Lt, "100").unwrap();
-        let doc = w.fetch("http://shop/list").unwrap();
-        let env: BTreeMap<String, WeblValue> = [(
-            "PAGE".to_string(),
-            WeblValue::Page { url: "http://shop/list".into(), doc: doc.clone() },
-        )]
-        .into();
-        let v = WeblProgram::parse(&rewritten).unwrap().run_with(&w, env.clone()).unwrap();
-        assert_eq!(v.as_list().unwrap(), &[WeblValue::Str("casio".into())]);
-        // Two conjuncts compose in one rewrite: later guards are masked
-        // by earlier ones so positions stay aligned as the base shrinks.
-        let twice = with_guards(
-            target,
-            &[(guard, ConstraintOp::Lt, "100"), (guard, ConstraintOp::Ne, "45")],
-        )
-        .unwrap();
-        let v = WeblProgram::parse(&twice).unwrap().run_with(&w, env.clone()).unwrap();
-        assert_eq!(v.as_list().unwrap().len(), 0);
-        let twice = with_guards(
-            target,
-            &[(guard, ConstraintOp::Gt, "100"), (guard, ConstraintOp::Ne, "45")],
-        )
-        .unwrap();
-        let v = WeblProgram::parse(&twice).unwrap().run_with(&w, env).unwrap();
-        assert_eq!(v.as_list().unwrap(), &[WeblValue::Str("seiko".into())]);
-    }
-
-    #[test]
-    fn with_guard_self_guard_and_expression_tail() {
-        let mut w = WebStore::new();
-        w.register_text("http://t", "x: alpha\nx: beta\n");
-        // Guard is the target itself, and the programs end in a bare
-        // expression (no trailing assignment).
-        let prog = r#"Extract(Text(PAGE), `x: (\w+)`, 1);"#;
-        let rewritten = with_guard(prog, prog, ConstraintOp::Eq, "beta").unwrap();
-        let doc = w.fetch("http://t").unwrap();
-        let env: BTreeMap<String, WeblValue> =
-            [("PAGE".to_string(), WeblValue::Page { url: "http://t".into(), doc: doc.clone() })]
-                .into();
-        let v = WeblProgram::parse(&rewritten).unwrap().run_with(&w, env).unwrap();
-        assert_eq!(v.as_list().unwrap(), &[WeblValue::Str("beta".into())]);
-    }
-
-    #[test]
-    fn with_guard_rejects_bad_inputs() {
-        assert!(with_guard("var a = ;", "var b = 2;", ConstraintOp::Eq, "x").is_err());
-        assert!(with_guard("var __g0_a = 1;", "var b = 2;", ConstraintOp::Eq, "x").is_err());
-        assert!(with_guards("var a = 1;", &[]).is_err());
-    }
-
-    /// Hostile rules: `((((…` × 200 000 used to overflow the stack in
-    /// `parse_atom` and abort the process; `f(f(f(…`, `a[a[a[…` recurse
-    /// the same way, and `+`/`[0]` chains build a tree just as deep for
-    /// everything downstream without recursing in the parser.
-    #[test]
     fn expression_nesting_is_capped() {
         let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
             let n = 200_000;
@@ -1280,10 +967,10 @@ mod tests {
     }
 
     /// An expression exactly at the cap parses, and what walks the tree
-    /// — the evaluator, the renderer, `Clone`, `==`, `Drop` — fits a
-    /// worker thread's stack.
+    /// — the evaluator, `Clone`, `==`, `Drop` — fits a worker thread's
+    /// stack.
     #[test]
-    fn expression_at_the_cap_is_safe_to_run_render_and_drop() {
+    fn expression_at_the_cap_is_safe_to_run_and_drop() {
         let worker = std::thread::Builder::new().stack_size(2 * 1024 * 1024).spawn(|| {
             let d = MAX_EXPR_DEPTH;
             for (src, text) in [
@@ -1297,26 +984,9 @@ mod tests {
                 let program = WeblProgram::parse(&src).expect("depth at the cap parses");
                 assert_eq!(program.run(&WebStore::new()).unwrap().to_text(), text);
                 assert_eq!(program.clone(), program);
-                let rendered = render(&program.statements);
-                assert_eq!(WeblProgram::parse(&rendered).unwrap().statements, program.statements);
             }
         });
         worker.unwrap().join().expect("no stack overflow at the cap");
-    }
-
-    #[test]
-    fn renderer_roundtrips() {
-        let srcs = [
-            r#"var a = "quote \" and \\ back"; var b = a + `\d+` + "x"; b[0];"#,
-            r#"var m = Str_Search(Text(GetURL("http://t")), `a(b)?`); m[0][1];"#,
-            r#"Where(First(Str_Split("a b", " ")), Trim(" x "), "=", "x");"#,
-        ];
-        for src in srcs {
-            let p = WeblProgram::parse(src).unwrap();
-            let rendered = render(&p.statements);
-            let q = WeblProgram::parse(&rendered).unwrap();
-            assert_eq!(p.statements, q.statements, "{src} → {rendered}");
-        }
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub use parser::parse;
 pub use s2s_textmatch::ValueSpace;
 pub use shape::{document_shape, DocumentShape, XmlField};
 pub use writer::{escape_attribute, escape_text, serialize, serialize_element};
-pub use xpath::{push_child_predicate, StringSink};
+pub use xpath::StringSink;

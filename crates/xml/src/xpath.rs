@@ -22,7 +22,7 @@
 //! the document root (the first step must match the root element);
 //! a leading `//` searches all elements.
 
-use crate::dom::{Document, Element, Kind, Sym};
+use crate::dom::{Document, Element, Kind, Sym, NO_NAME};
 use crate::error::XmlError;
 use s2s_textmatch::{Comparand, ConstraintOp};
 
@@ -129,14 +129,21 @@ enum Resolved {
 }
 
 impl Resolved {
-    fn matches(self, doc: &Document, node: u32) -> bool {
-        let name = doc.names[node as usize];
+    /// Whether an element named `sym` passes.
+    fn names(self, doc: &Document, sym: Sym) -> bool {
         match self {
-            Resolved::Any => doc.kinds[node as usize] == Kind::Element,
-            Resolved::Full(sym) => name == sym,
-            Resolved::Local(sym) => doc.locals.get(name as usize) == Some(&sym),
+            Resolved::Any => true,
+            Resolved::Full(name) => sym == name,
+            Resolved::Local(name) => doc.locals[sym as usize] == name,
             Resolved::Never => false,
         }
+    }
+
+    /// Whether node `node` is an element that passes: text runs and
+    /// comments have no name.
+    fn matches(self, doc: &Document, node: u32) -> bool {
+        let name = doc.names[node as usize];
+        name != NO_NAME && self.names(doc, name)
     }
 }
 
@@ -151,18 +158,78 @@ enum Field {
     Child { name: Resolved, text: bool },
 }
 
-/// Hands `sink` what a path ending at `child` yields from it: its own
-/// text if `text` (none when empty), else all its text; `scratch`
-/// composes mixed content.
-fn read_child(child: Element<'_>, text: bool, sink: &mut impl StringSink, scratch: &mut String) {
+/// The child fields of a walk by element name: per symbol of the
+/// document, the fields (`(j, text)`, in field order) a child of that
+/// name feeds, so a child is matched by one lookup, not a test per
+/// field.
+struct ByName {
+    /// Per symbol, where its fields start in `fields`; then the end.
+    starts: Vec<usize>,
+    fields: Vec<(usize, bool)>,
+}
+
+impl ByName {
+    fn new(doc: &Document, fields: &[(usize, Field)]) -> ByName {
+        let mut starts = Vec::with_capacity(doc.symbols.len() + 1);
+        starts.push(0);
+        let mut by = ByName { starts, fields: Vec::new() };
+        for sym in 0..doc.symbols.len() as Sym {
+            by.fields.extend(fields.iter().filter_map(|&(j, field)| match field {
+                Field::Child { name, text } if name.names(doc, sym) => Some((j, text)),
+                _ => None,
+            }));
+            by.starts.push(by.fields.len());
+        }
+        by
+    }
+
+    /// The fields `child` feeds: none for a text run or a comment.
+    fn of(&self, doc: &Document, child: u32) -> &[(usize, bool)] {
+        match doc.names[child as usize] {
+            NO_NAME => &[],
+            sym => &self.fields[self.starts[sym as usize]..self.starts[sym as usize + 1]],
+        }
+    }
+}
+
+/// Hands `sinks[j]` the strings of `field` (`(j, field)` in `fields`)
+/// of each record `records` yields, in order, each sink sized first by
+/// the record count. Attributes a field at a time; children in one pass
+/// over each record's children, each looked up by name ([`ByName`]).
+fn read_fields<S: StringSink>(
+    doc: &Document,
+    records: impl ExactSizeIterator<Item = u32> + Clone,
+    fields: &[(usize, Field)],
+    sinks: &mut [S],
+    scratch: &mut String,
+) {
+    for &(j, _) in fields {
+        size(&mut sinks[j], doc, records.len());
+    }
+    for &(j, field) in fields {
+        if let Field::Attribute(Some(name)) = field {
+            let values = records.clone().filter_map(|r| doc.attribute_value(r, name));
+            values.for_each(|value| sinks[j].push(value));
+        }
+    }
+    let by_name = ByName::new(doc, fields);
+    for child in records.flat_map(|record| doc.child_ids(record)) {
+        for &(j, text) in by_name.of(doc, child) {
+            if let Some(value) = child_value(doc.element(child), text, scratch) {
+                sinks[j].push(value);
+            }
+        }
+    }
+}
+
+/// What a path ending at `child` yields from it: its own text if
+/// `text` (none when empty), else all its text; `scratch` composes
+/// mixed content.
+fn child_value<'a>(child: Element<'a>, text: bool, scratch: &'a mut String) -> Option<&'a str> {
     if !text {
-        sink.push(child.text_in(scratch).unwrap_or(scratch));
-        return;
+        return Some(child.text_in(scratch).unwrap_or(scratch));
     }
-    let own = child.own_text_in(scratch).unwrap_or(scratch);
-    if !own.is_empty() {
-        sink.push(own);
-    }
+    Some(child.own_text_in(scratch).unwrap_or(scratch)).filter(|own| !own.is_empty())
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -393,27 +460,77 @@ impl XPath {
                 .map(|j| (j, paths[j].field(doc)))
                 .collect();
             let records = path.select(doc.root(), at);
-            for &(j, _) in &fields {
-                size(&mut sinks[j], doc, records.len());
-            }
-            // Attributes a field at a time; children in one pass over
-            // each record's children, each matched against every field.
+            read_fields(doc, records.iter().copied(), &fields, sinks, &mut scratch);
+        }
+    }
+
+    /// [`XPath::each_string_grouped`] over paths that all share their
+    /// records with the first, keeping only the records `keep` accepts:
+    /// `keep(j, value)` is asked about each record's field of `paths[j]`
+    /// before any of its fields is written, and a record is kept when
+    /// every answer holds. The position of each kept record among the
+    /// records, in document order, goes to `ordinals`.
+    ///
+    /// Returns `false`, having run unfiltered as `each_string_grouped`
+    /// does (`ordinals` left empty), when the paths do not all share
+    /// their records or some record has a field missing or repeated:
+    /// its fields would not line up with the records.
+    ///
+    /// # Panics
+    ///
+    /// If `paths` and `sinks` differ in length.
+    pub fn each_string_filtered<S: StringSink>(
+        paths: &[&XPath],
+        doc: &Document,
+        sinks: &mut [S],
+        mut keep: impl FnMut(usize, &str) -> bool,
+        ordinals: &mut Vec<u32>,
+    ) -> bool {
+        assert_eq!(paths.len(), sinks.len(), "one sink per path");
+        ordinals.clear();
+        let lead = paths.first().filter(|lead| paths.iter().all(|p| lead.shares_records(p)));
+        let Some((lead, at)) = lead.and_then(|lead| Some((lead, lead.record?))) else {
+            XPath::each_string_grouped(paths, doc, sinks);
+            return false;
+        };
+        let fields: Vec<(usize, Field)> =
+            paths.iter().enumerate().map(|(j, p)| (j, p.field(doc))).collect();
+        let records = lead.select(doc.root(), at);
+        let by_name = ByName::new(doc, &fields);
+        let mut scratch = String::new();
+        // Per field, how many of the records so far had it: each record
+        // has every field once exactly when all count the records.
+        let mut seen = vec![0u32; fields.len()];
+        for (k, &record) in (1..).zip(&records) {
+            let mut kept = true;
             for &(j, field) in &fields {
                 if let Field::Attribute(Some(name)) = field {
-                    let values = records.iter().filter_map(|&r| doc.attribute_value(r, name));
-                    values.for_each(|value| sinks[j].push(value));
-                }
-            }
-            for child in records.iter().flat_map(|&record| doc.child_ids(record)) {
-                for &(j, field) in &fields {
-                    if let Field::Child { name, text } = field {
-                        if name.matches(doc, child) {
-                            read_child(doc.element(child), text, &mut sinks[j], &mut scratch);
-                        }
+                    if let Some(value) = doc.attribute_value(record, name) {
+                        seen[j] += 1;
+                        kept = kept && keep(j, value);
                     }
                 }
             }
+            for child in doc.child_ids(record) {
+                for &(j, text) in by_name.of(doc, child) {
+                    if let Some(value) = child_value(doc.element(child), text, &mut scratch) {
+                        seen[j] += 1;
+                        kept = kept && keep(j, value);
+                    }
+                }
+            }
+            if seen.iter().any(|&n| n != k) {
+                ordinals.clear();
+                read_fields(doc, records.iter().copied(), &fields, sinks, &mut scratch);
+                return false;
+            }
+            if kept {
+                ordinals.push(k - 1);
+            }
         }
+        let kept = ordinals.iter().map(|&k| records[k as usize]);
+        read_fields(doc, kept, &fields, sinks, &mut scratch);
+        true
     }
 
     /// The field of a path that splits, resolved against `doc`.
@@ -704,55 +821,6 @@ fn parse_cmp_predicate(body: &str) -> Option<Predicate> {
     None
 }
 
-/// Splices a pushed predicate into an extraction-rule XPath.
-///
-/// `path` must have the canonical record shape `…/record/attr/text()`;
-/// the result is `…/record[guard op 'value']/attr/text()` — the same
-/// rows, pre-filtered at the source. `op` is any operator but `LIKE`
-/// (`=` uses the string-equality `ChildEq` form).
-///
-/// # Errors
-///
-/// Returns [`XmlError::BadXPath`] when the path doesn't have the
-/// record shape, the operator is `LIKE`, or the guard/value cannot be
-/// spliced without changing the grammar (quotes or `]` in the value).
-pub fn push_child_predicate(
-    path: &str,
-    guard: &str,
-    op: ConstraintOp,
-    value: &str,
-) -> Result<String, XmlError> {
-    let bad = |m: String| XmlError::BadXPath { path: path.to_string(), message: m };
-    if op == ConstraintOp::Like {
-        return Err(bad("XPath predicates have no `LIKE`".into()));
-    }
-    if guard.is_empty()
-        || !guard.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
-        || !guard.chars().all(|c| c.is_alphanumeric() || "_-.:".contains(c))
-    {
-        return Err(bad(format!("`{guard}` is not a valid guard element name")));
-    }
-    if value.contains('\'') || value.contains(']') {
-        return Err(bad("pushdown value cannot contain `'` or `]`".into()));
-    }
-    let compiled = XPath::new(path)?;
-    let attr = match &compiled.steps[..] {
-        [.., Step::Child { name: NameTest::Named(attr), predicates }, Step::Text]
-            if predicates.is_empty() && compiled.steps.len() >= 3 =>
-        {
-            attr.clone()
-        }
-        _ => return Err(bad("path is not of the record shape `…/record/attr/text()`".into())),
-    };
-    let suffix = format!("/{attr}/text()");
-    let Some(prefix) = compiled.source.strip_suffix(suffix.as_str()) else {
-        return Err(bad("path text does not end with its own final step".into()));
-    };
-    let pushed = format!("{prefix}[{guard} {op} '{value}']{suffix}");
-    XPath::new(&pushed)?;
-    Ok(pushed)
-}
-
 fn parse_quoted(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
     if s.len() >= 2 && (bytes[0] == b'\'' || bytes[0] == b'"') && bytes[s.len() - 1] == bytes[0] {
@@ -931,43 +999,6 @@ mod tests {
         assert!(q("/catalog/watch[missing > '1']/brand/text()").is_empty());
     }
 
-    #[test]
-    fn push_child_predicate_splices() {
-        let pushed =
-            push_child_predicate("/catalog/watch/brand/text()", "price", ConstraintOp::Lt, "100")
-                .unwrap();
-        assert_eq!(pushed, "/catalog/watch[price < '100']/brand/text()");
-        // Equality uses the existing string-equality predicate form.
-        let eq =
-            push_child_predicate("/catalog/watch/brand/text()", "brand", ConstraintOp::Eq, "x")
-                .unwrap();
-        assert_eq!(eq, "/catalog/watch[brand = 'x']/brand/text()");
-        // Splicing stacks with existing predicates.
-        let twice = push_child_predicate(&pushed, "case", ConstraintOp::Ne, "resin").unwrap();
-        assert_eq!(twice, "/catalog/watch[price < '100'][case != 'resin']/brand/text()");
-        let d = parse(
-            "<catalog><watch><brand>a</brand><price>5</price><case>resin</case></watch>\
-             <watch><brand>b</brand><price>6</price><case>steel</case></watch></catalog>",
-        )
-        .unwrap();
-        assert_eq!(XPath::new(&twice).unwrap().eval_strings(&d), ["b"]);
-    }
-
-    #[test]
-    fn push_child_predicate_rejects_bad_shapes() {
-        let p = push_child_predicate;
-        assert!(p("/catalog/watch/@id", "a", ConstraintOp::Lt, "1").is_err()); // attribute terminal
-        assert!(p("/catalog/watch/brand", "a", ConstraintOp::Lt, "1").is_err()); // no text() step
-        assert!(p("/brand/text()", "a", ConstraintOp::Lt, "1").is_err()); // no record step
-        assert!(p("/c/w/b/text()", "a", ConstraintOp::Like, "x%").is_err()); // unsupported op
-        assert!(p("/c/w/b/text()", "@attr", ConstraintOp::Lt, "1").is_err()); // bad guard name
-        assert!(p("/c/w/b/text()", "a", ConstraintOp::Lt, "it's").is_err()); // quote in value
-        assert!(p("/c/w/b/text()", "a", ConstraintOp::Lt, "x]y").is_err()); // bracket in value
-    }
-
-    /// A `]` inside a quoted literal does not end the predicate: both
-    /// paths were refused (`expected quoted string`, `expected `)` in
-    /// contains`) when the scanner stopped at the first `]`.
     #[test]
     fn quoted_bracket_stays_inside_its_predicate() {
         let d = parse(r#"<c><w s="a]b"><b>one</b></w><w s="]"><b>two</b></w></c>"#).unwrap();

@@ -473,6 +473,67 @@ proptest! {
         }
     }
 
+    /// A filtered walk is the grouped walk restricted to the records it
+    /// keeps: a record is kept when every test accepts its field, each
+    /// kept record is numbered by its position among the records, and a
+    /// path's strings are its grouped strings at those records. A record
+    /// missing or repeating a field — an empty text is none, mixed
+    /// content is one — or paths that do not all share their records
+    /// make the walk run unfiltered, as the grouped walk does.
+    #[test]
+    fn a_filtered_walk_is_the_grouped_walk_restricted_to_its_kept_records(seed in any::<u64>()) {
+        use s2s_textmatch::{Comparand, ConstraintOp, ValueSpace};
+        let mut rng = TestRng::from_seed(seed);
+        let xml = document(&mut rng);
+        let doc = parse(&xml).unwrap();
+        let rules = record_paths(&mut rng, doc.root().name());
+        let paths: Vec<XPath> = rules.iter().map(|(p, _)| XPath::new(p).unwrap()).collect();
+        let refs: Vec<&XPath> = paths.iter().collect();
+        let mut grouped: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
+        XPath::each_string_grouped(&refs, &doc, &mut grouped.iter_mut().collect::<Vec<_>>());
+        let ops = [
+            ConstraintOp::Eq, ConstraintOp::Ne, ConstraintOp::Lt, ConstraintOp::Le,
+            ConstraintOp::Gt, ConstraintOp::Ge, ConstraintOp::Like,
+        ];
+        let tests: Vec<(usize, Comparand)> = (0..1 + rng.below(2))
+            .map(|_| {
+                let op = ops[rng.below(ops.len())];
+                let space = if rng.below(2) == 0 { ValueSpace::String } else { ValueSpace::Decimal };
+                let constant = pick(&mut rng, &VALUES).to_string();
+                (rng.below(paths.len()), Comparand::in_space(op, constant, space))
+            })
+            .collect();
+        let keep = |j: usize, value: &str| {
+            tests.iter().filter(|(k, _)| *k == j).all(|(_, test)| test.test(value))
+        };
+        let mut filtered: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
+        let mut ordinals = vec![99];
+        let sinks = &mut filtered.iter_mut().collect::<Vec<_>>();
+        let ran_filtered = XPath::each_string_filtered(&refs, &doc, sinks, keep, &mut ordinals);
+        let shared = rules.iter().all(|(_, records)| records.is_some() && *records == rules[0].1);
+        if !ran_filtered {
+            prop_assert!(ordinals.is_empty());
+            for (got, want) in filtered.iter().zip(&grouped) {
+                prop_assert_eq!(got.strings(), want.strings(), "{:?} of {}", rules, xml);
+            }
+            return Ok(());
+        }
+        prop_assert!(shared, "filtered paths that do not share their records: {:?}", rules);
+        let records = grouped[0].ends.len();
+        for packed in &grouped {
+            prop_assert_eq!(packed.ends.len(), records, "a field per record: {:?} of {}", rules, xml);
+        }
+        let kept: Vec<u32> = (0..records)
+            .filter(|&r| tests.iter().all(|(j, test)| test.test(grouped[*j].strings()[r])))
+            .map(|r| r as u32)
+            .collect();
+        prop_assert_eq!(&ordinals, &kept, "{:?} of {}", rules, xml);
+        for (got, want) in filtered.iter().zip(&grouped) {
+            let want: Vec<&str> = kept.iter().map(|&r| want.strings()[r as usize]).collect();
+            prop_assert_eq!(got.strings(), want, "{:?} of {}", rules, xml);
+        }
+    }
+
     /// serialize → parse is the identity on normalized trees, and the
     /// writer writes what the old writer wrote.
     #[test]

@@ -475,55 +475,6 @@ fn parse_cmp_predicate(body: &str) -> Option<Predicate> {
     None
 }
 
-/// Splices a pushed predicate into an extraction-rule XPath.
-///
-/// `path` must have the canonical record shape `…/record/attr/text()`;
-/// the result is `…/record[guard op 'value']/attr/text()` — the same
-/// rows, pre-filtered at the source. `op` is any operator but `LIKE`
-/// (`=` uses the string-equality `ChildEq` form).
-///
-/// # Errors
-///
-/// Returns [`XmlError::BadXPath`] when the path doesn't have the
-/// record shape, the operator is `LIKE`, or the guard/value cannot be
-/// spliced without changing the grammar (quotes or `]` in the value).
-pub fn push_child_predicate(
-    path: &str,
-    guard: &str,
-    op: ConstraintOp,
-    value: &str,
-) -> Result<String, XmlError> {
-    let bad = |m: String| XmlError::BadXPath { path: path.to_string(), message: m };
-    if op == ConstraintOp::Like {
-        return Err(bad("XPath predicates have no `LIKE`".into()));
-    }
-    if guard.is_empty()
-        || !guard.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
-        || !guard.chars().all(|c| c.is_alphanumeric() || "_-.:".contains(c))
-    {
-        return Err(bad(format!("`{guard}` is not a valid guard element name")));
-    }
-    if value.contains('\'') || value.contains(']') {
-        return Err(bad("pushdown value cannot contain `'` or `]`".into()));
-    }
-    let compiled = XPath::new(path)?;
-    let attr = match &compiled.steps[..] {
-        [.., Step::Child { name: NameTest::Named(attr), predicates }, Step::Text]
-            if predicates.is_empty() && compiled.steps.len() >= 3 =>
-        {
-            attr.clone()
-        }
-        _ => return Err(bad("path is not of the record shape `…/record/attr/text()`".into())),
-    };
-    let suffix = format!("/{attr}/text()");
-    let Some(prefix) = compiled.source.strip_suffix(suffix.as_str()) else {
-        return Err(bad("path text does not end with its own final step".into()));
-    };
-    let pushed = format!("{prefix}[{guard} {op} '{value}']{suffix}");
-    XPath::new(&pushed)?;
-    Ok(pushed)
-}
-
 fn parse_quoted(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
     if s.len() >= 2 && (bytes[0] == b'\'' || bytes[0] == b'"') && bytes[s.len() - 1] == bytes[0] {

@@ -252,8 +252,11 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
     )
     .unwrap();
 
+    // The condition names the mapped `brand`: a source that maps none of
+    // a required conjunct's property is pruned, never dialled.
+    let text = "SELECT watch WHERE brand != 'Casio'";
     let opts = QueryOptions::default().with_deadline(SimDuration::from_millis(60));
-    let out = s2s.query_with_options("SELECT watch WHERE price < 50", &opts).unwrap();
+    let out = s2s.query_with_options(text, &opts).unwrap();
     assert!(out.deadline_hits() >= 1, "the tight budget must expire mid-retry");
     assert_eq!(out.stats.round_trips, out.source("DB").unwrap().attempts);
     assert_eq!(s2s.plan_cache_len(), 0, "deadline casualty must not publish a plan");
@@ -261,7 +264,7 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
 
     // Re-running without a deadline proves nothing was published: the
     // plan cache misses again, then (deadline_hits == 0) publishes.
-    let retry = s2s.query("SELECT watch WHERE price < 50").unwrap();
+    let retry = s2s.query(text).unwrap();
     assert_eq!(retry.deadline_hits(), 0);
     assert_eq!((retry.stats.plan_cache.hits, retry.stats.plan_cache.misses), (0, 1));
     assert_eq!(s2s.plan_cache_len(), 1, "healthy (if failing) query does publish its plan");
@@ -270,7 +273,7 @@ fn deadline_exceeded_queries_publish_no_cache_entries() {
 /// Every figure in `stats.{result,plan}_cache` is this query's own
 /// account: with N clients hammering one engine, each outcome still
 /// shows exactly its own lookups, and the outcomes together add up to
-/// the engine's counters — planner off or on.
+/// the engine's counters — result cache off or on.
 #[test]
 fn per_query_cache_accounts_hold_under_concurrency() {
     use s2s::core::CacheStats;
@@ -284,10 +287,9 @@ fn per_query_cache_accounts_hold_under_concurrency() {
         total.evictions += part.evictions;
     }
 
-    for arm in 0..8 {
-        let (pushdown, result_cache, distinct) = (arm & 4 != 0, arm & 2 != 0, arm & 1 != 0);
+    for arm in 0..4 {
+        let (result_cache, distinct) = (arm & 2 != 0, arm & 1 != 0);
         let engine = deploy(6, Strategy::Parallel { workers: 4 }).with_tracing();
-        let engine = if pushdown { engine.with_pushdown() } else { engine };
         let engine = if result_cache { engine.with_result_cache() } else { engine };
         let start = std::sync::Barrier::new(CLIENTS);
         let outcomes: Vec<_> = std::thread::scope(|scope| {
@@ -316,8 +318,8 @@ fn per_query_cache_accounts_hold_under_concurrency() {
             let trace = outcome.trace.as_ref().expect("traced engine");
             let spans = trace.spans_of(SpanKind::Rule);
             assert_eq!(spans.len(), if replayed { 0 } else { 2 }, "one rule span per attribute");
-            let pushed = outcome.sources.iter().flat_map(|r| &r.pushed).count();
-            assert_eq!(pushed, usize::from(pushdown && !replayed), "`price < N` is pushable");
+            let pushed: usize = outcome.sources.iter().map(|r| r.pushed.len()).sum();
+            assert_eq!(pushed, usize::from(!replayed), "`price < N` filters the source");
 
             add(&mut results, stats.result_cache);
             add(&mut plans, stats.plan_cache);

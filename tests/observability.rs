@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use s2s::core::extract::Strategy;
+use s2s::core::ledger::Unfiltered;
 use s2s::core::mapping::{ExtractionRule, RecordScenario};
 use s2s::core::middleware::QueryOutcome;
 use s2s::core::source::Connection;
@@ -242,7 +243,7 @@ fn root_children_never_outlast_the_root() {
     // (no `a1` mapping for the required conjunct) makes planning — which
     // prices the pruned rule locally — dominate the query, so any
     // double-count pushes the children's sum past the root.
-    let mut s2s = S2s::new(wide_ontology(2)).with_pushdown().with_views().with_tracing();
+    let mut s2s = S2s::new(wide_ontology(2)).with_views().with_tracing();
     let mut db = Database::new("big");
     db.execute("CREATE TABLE t (a0 TEXT)").unwrap();
     for chunk in 0..20 {
@@ -343,12 +344,12 @@ fn ledger_db(id: &str, a2: &str) -> Connection {
     Connection::Database { db: Arc::new(db) }
 }
 
-/// A traced engine with views and pushdown over three WAN databases:
+/// A traced engine with views over three WAN databases:
 /// `DB` and `FLAKY` map `a0`–`a2`, `FLAKY`'s primary is down behind a
 /// reliable replica (so each of its exchanges fails over), and `PRUNED`
 /// maps only `a0` (so a condition on `a1` prunes it).
 fn ledger_traced() -> S2s {
-    let mut s2s = S2s::new(wide_ontology(3)).with_views().with_pushdown().with_tracing();
+    let mut s2s = S2s::new(wide_ontology(3)).with_views().with_tracing();
     for (id, attrs, failure) in [
         ("DB", 3, FailureModel::reliable()),
         ("FLAKY", 3, FailureModel::unreachable()),
@@ -378,8 +379,8 @@ fn the_trace_and_the_stats_render_the_ledger() {
     let query = "SELECT product WHERE a1 = 'y'";
     let cold = s2s.query(query).unwrap();
     let warm = s2s.query(query).unwrap();
-    // `a2` changed: DB's pushed `a0` and `a1` rules do not read it (their
-    // slices advance), its `a2` rule does (refreshed); FLAKY is untouched.
+    // `a2` changed: DB's `a0` and `a1` rules do not read it (their slices
+    // advance), its `a2` rule does (refreshed); FLAKY is untouched.
     s2s.mutate_source("DB", ledger_db("DB", "w"), ChangeKind::RowUpdate, vec!["a2".into()])
         .unwrap();
     let mutated = s2s.query(query).unwrap();
@@ -448,7 +449,14 @@ fn the_trace_and_the_stats_render_the_ledger() {
             assert_eq!(batch.get_attr("rules"), Some(rules.as_str()), "{}", batch.name);
         }
     }
-    assert_eq!(cold.sources.iter().filter(|r| !r.pushed.is_empty()).count(), 2);
+    // The views hold slices whole: the wire-bound sources run unfiltered.
+    let views = |o: &QueryOutcome| {
+        let unfiltered = o.sources.iter().filter(|r| r.unfiltered == Some(Unfiltered::Views));
+        unfiltered.map(|r| r.source.clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(views(&cold), ["DB", "FLAKY"]);
+    assert_eq!(views(&mutated), ["DB"]);
+    assert!(cold.sources.iter().all(|r| r.pushed.is_empty()));
     assert!(warm.trace.unwrap().spans_of(SpanKind::Batch).is_empty(), "all slices fresh");
 }
 

@@ -284,7 +284,7 @@ fn s2sql_nesting_is_capped_end_to_end() {
     let mut db = Database::new("d");
     db.execute("CREATE TABLE w (brand TEXT)").unwrap();
     db.execute("INSERT INTO w VALUES ('Seiko')").unwrap();
-    let mut s2s = S2s::new(ontology).with_pushdown();
+    let mut s2s = S2s::new(ontology);
     s2s.register_source("DB", Connection::Database { db: Arc::new(db) }).unwrap();
     let rule = ExtractionRule::Sql { query: "SELECT brand FROM w".into(), column: "brand".into() };
     s2s.register_attribute("thing.product.brand", rule, "DB", RecordScenario::MultiRecord).unwrap();
@@ -616,11 +616,11 @@ fn watch_document(records: &[(&str, i64)]) -> Connection {
 /// field too: the price change brings Casio into `price < 100`, so the
 /// `brand` slice must be refreshed. The views engine served the old
 /// brand slice beside the refreshed price slice, Casio's brand lost and
-/// its price orphaned: `{(Seiko, 50), (-, 60)}`.
+/// its price orphaned: `{(Seiko, 50), (-, 60)}`. The fresh engine keeps
+/// no views, so it filters the source by the query's `WHERE`.
 fn assert_a_filtered_slice_is_refreshed(
     source: fn(&[(&str, i64)]) -> Connection,
     change: s2s::netsim::ChangeKind,
-    pushdown: bool,
     rules: [ExtractionRule; 2],
     query: &str,
 ) {
@@ -630,9 +630,6 @@ fn assert_a_filtered_slice_is_refreshed(
         let mut s2s = S2s::new(brand_price_ontology());
         if views {
             s2s = s2s.with_views();
-        }
-        if pushdown {
-            s2s = s2s.with_pushdown();
         }
         s2s.register_source("SRC", source(records)).unwrap();
         for (attribute, rule) in ["brand", "price"].into_iter().zip(rules.clone()) {
@@ -664,27 +661,28 @@ fn a_view_refreshes_a_sql_slice_whose_where_reads_the_changed_column() {
     for filtered in ["WHERE price < 100 ", "WHERE Price < 100 "] {
         let rules = [sql_scan("brand", filtered), sql_scan("price", filtered)];
         let change = s2s::netsim::ChangeKind::RowUpdate;
-        assert_a_filtered_slice_is_refreshed(watch_table, change, false, rules, "SELECT product");
+        assert_a_filtered_slice_is_refreshed(watch_table, change, rules, "SELECT product");
     }
 }
 
-/// Plain SQL rules that the planner pushes `price < 100` into.
+/// Plain SQL rules under a query whose `price < 100` a views-less
+/// engine filters the source by; the views hold the slices whole.
 #[test]
 fn a_view_refreshes_a_pushed_sql_slice_when_the_pushed_column_changes() {
     let rules = [sql_scan("brand", ""), sql_scan("price", "")];
     let change = s2s::netsim::ChangeKind::RowUpdate;
     let query = "SELECT product WHERE price < 100";
-    assert_a_filtered_slice_is_refreshed(watch_table, change, true, rules, query);
+    assert_a_filtered_slice_is_refreshed(watch_table, change, rules, query);
 }
 
-/// The same over XML, where the pushed conjunct is an XPath predicate.
+/// The same over XML, where the filter tests each record's `price`.
 #[test]
 fn a_view_refreshes_a_pushed_xpath_slice_when_the_guard_element_changes() {
     let xpath = |step: &str| ExtractionRule::XPath { path: format!("/c/w/{step}/text()") };
     let change = s2s::netsim::ChangeKind::NodeEdit;
     let query = "SELECT product WHERE price < 100";
     let rules = [xpath("brand"), xpath("price")];
-    assert_a_filtered_slice_is_refreshed(watch_document, change, true, rules, query);
+    assert_a_filtered_slice_is_refreshed(watch_document, change, rules, query);
 }
 
 /// The bootstrap proposed `price: ([0-9.]+)` for a labelled text field
