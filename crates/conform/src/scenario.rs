@@ -163,8 +163,10 @@ pub struct SourceSpec {
 
 impl SourceSpec {
     /// The extraction rule this source's mapping for `ATTRS[attr]`
-    /// carries.
-    pub(crate) fn rule(&self, attr: usize) -> ExtractionRule {
+    /// carries when registered as `SRC_{index}`: an XML source at an odd
+    /// index selects its records with `//watch`, one at an even index
+    /// with `/catalog/watch`.
+    pub(crate) fn rule(&self, index: usize, attr: usize) -> ExtractionRule {
         match (&self.fault, rule_for(self.kind, attr)) {
             (FaultClass::HostileRule(Hostile::RegexGroups), _) => {
                 ExtractionRule::TextRegex { pattern: hostile_regex_groups(), group: 1 }
@@ -177,6 +179,9 @@ impl SourceSpec {
             }
             (FaultClass::HostileRule(_), _) => {
                 ExtractionRule::TextRegex { pattern: hostile_regex(), group: 1 }
+            }
+            (_, ExtractionRule::XPath { .. }) if index % 2 == 1 => {
+                ExtractionRule::XPath { path: format!("//watch/{}/text()", ATTRS[attr]) }
             }
             (_, rule) => rule,
         }
@@ -337,7 +342,7 @@ impl Scenario {
                 RecordScenario::MultiRecord
             };
             for &a in &attr_order {
-                s2s.register_attribute(&attribute_path(a), spec.rule(a), &id, scenario)
+                s2s.register_attribute(&attribute_path(a), spec.rule(i, a), &id, scenario)
                     .expect("generated mappings are valid by construction");
             }
         }

@@ -299,7 +299,7 @@ impl ExtractorManager {
     /// writes each source's tasks, attempt ladder, wire time and bytes
     /// into its row (adding a row for a source without one) and hands
     /// the rows back in the report. A row's bound conjuncts (positions
-    /// among [`ExtractEnv::leaves`]) filter its source's records; a source
+    /// among the condition's leaves) filter its source's records; a source
     /// that has to run unfiltered gets them cleared and the reason set.
     ///
     /// When [`ExtractEnv::traced`], the report's `spans` carry one
@@ -631,8 +631,8 @@ pub fn extract_one(
     prepare(source, &[mapping], &mut Filter::default(), &mut out);
     let values = out.pop().expect("one result per mapping")?;
     let bytes = exchange_size(mapping.rule().text().len(), values.text_len());
-    let call = source.endpoint().invoke(bytes, || ())?;
-    Ok((values, call.elapsed))
+    let elapsed = source.endpoint().invoke(bytes)?;
+    Ok((values, elapsed))
 }
 
 /// The resilient network leg of one planned batch: retries per the
@@ -709,7 +709,7 @@ fn resilient_exchange(
             retry.deadline = Some(retry.deadline.map_or(remaining, |d| d.min(remaining)));
         }
         let seed = stable_seed(endpoint.id()) ^ salt;
-        let out = invoke_with_retry(endpoint, &retry, seed, bytes, || ());
+        let out = invoke_with_retry(endpoint, &retry, seed, bytes);
         attempted = true;
         row.attempts += u64::from(out.attempts);
         row.retries += u64::from(out.retries());
@@ -727,8 +727,7 @@ fn resilient_exchange(
                         row.hedges += 1;
                         hedged = true;
                         let h_seed = stable_seed(replica.id()) ^ salt ^ HEDGE_SEED_SALT;
-                        let h =
-                            invoke_with_retry(replica, &RetryPolicy::none(), h_seed, bytes, || ());
+                        let h = invoke_with_retry(replica, &RetryPolicy::none(), h_seed, bytes);
                         row.attempts += u64::from(h.attempts);
                         if h.result.is_ok() {
                             let replica_done = delay + h.elapsed;

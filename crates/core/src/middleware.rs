@@ -1714,17 +1714,17 @@ mod tests {
         let q = "SELECT watch WHERE case='stainless-steel'";
         let out = deploy().query(q).unwrap();
         // DB and XML both map `case`. DB's rules share one scan; XML's
-        // `//watch/…` paths may select nested records, so they are three
-        // walks. The web page lacks `case` entirely (pruned) and the text
-        // file is single-record.
-        let db = out.source("DB_ID_45").unwrap();
-        assert_eq!(db.pushed_conjuncts(&out.plan), ["case = stainless-steel"]);
-        assert_eq!(db.unfiltered, None);
-        for (id, why) in [("XML_7", Unfiltered::Statements), ("txt_9", Unfiltered::SingleRecord)] {
+        // `//watch/…` paths select records that do not nest, so they are
+        // one walk. The web page lacks `case` entirely (pruned) and the
+        // text file is single-record.
+        for id in ["DB_ID_45", "XML_7"] {
             let row = out.source(id).unwrap();
-            assert!(row.pushed.is_empty(), "{id}");
-            assert_eq!(row.unfiltered, Some(why), "{id}");
+            assert_eq!(row.pushed_conjuncts(&out.plan), ["case = stainless-steel"], "{id}");
+            assert_eq!((row.statements, row.unfiltered), (1, None), "{id}");
         }
+        let text = out.source("txt_9").unwrap();
+        assert!(text.pushed.is_empty());
+        assert_eq!(text.unfiltered, Some(Unfiltered::SingleRecord));
         assert!(
             out.stats.wire_response_bytes
                 < deploy().query(&unfiltered(q)).unwrap().stats.wire_response_bytes,

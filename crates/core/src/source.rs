@@ -520,8 +520,8 @@ mod tests {
         .unwrap();
         let ep = r.get(&"D".into()).unwrap().endpoint();
         assert_eq!(ep.schedule().len(), 1);
-        assert!(ep.invoke(1, || ()).is_err(), "call 0 is scheduled to fail");
-        assert!(ep.invoke(1, || ()).is_ok());
+        assert!(ep.invoke(1).is_err(), "call 0 is scheduled to fail");
+        assert!(ep.invoke(1).is_ok());
     }
 
     #[test]

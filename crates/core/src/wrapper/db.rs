@@ -47,7 +47,9 @@ impl Wrapper for Db<'_> {
     /// The non-NULL values of each rule's result column, each formatted
     /// in place from the stored row into a column reserved once;
     /// statements equal but for their projection
-    /// ([`SelectStmt::shares_rows`]) are one scan. Filtered, the scan's
+    /// ([`SelectStmt::shares_rows`]) are one scan ([`Database::select`]),
+    /// and a `DISTINCT`, `GROUP BY` or aggregate one is read from its
+    /// result ([`Database::query_prepared`]). Filtered, the scan's
     /// rows are narrowed by the bound conjuncts first — each cell tested
     /// as its printed text, a `TEXT` cell borrowed, the others printed
     /// into one reused buffer — and only the kept rows' cells are
@@ -78,9 +80,7 @@ impl Wrapper for Db<'_> {
             }
             statements += 1;
             if !stmt.shares_rows(stmt) {
-                let mut values = Values::new();
-                let read = self.0.query_column(stmt, column, &mut values);
-                out[start + lead] = read.map(|()| values).map_err(S2sError::from);
+                out[start + lead] = computed(self.0, stmt, column);
                 continue;
             }
             let Filter { conjuncts, ordinals, columns, printed, group } = &mut *filter;
@@ -201,6 +201,16 @@ fn sql<'m>(db: &Db<'_>, m: &'m AttributeMapping) -> Option<(&'m SelectStmt, &'m 
         Ok(CompiledRule::Sql { stmt, column }) => Some((&**stmt, column.as_str())),
         _ => None,
     }
+}
+
+/// The non-NULL values of `column` of a statement whose rows are
+/// computed — `DISTINCT`, `GROUP BY` or an aggregate — read from its
+/// result ([`s2s_minidb::QueryResult::each`]), the column reserved once at their
+/// exact size.
+fn computed(db: &Database, stmt: &SelectStmt, column: &str) -> Result<Values, S2sError> {
+    let mut values = Values::new();
+    db.query_prepared(stmt)?.each(column, &mut values)?;
+    Ok(values)
 }
 
 /// Hands `read` every column `expr` tests (the parser caps its height).

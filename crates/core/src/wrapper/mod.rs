@@ -156,14 +156,6 @@ impl Ran {
     }
 }
 
-/// How many statements `items` run as when the items `shares` pairs run
-/// as one: the items no earlier item shares with.
-fn statements<T>(items: &[T], shares: impl Fn(&T, &T) -> bool) -> usize {
-    (0..items.len())
-        .filter(|&i| !items[..i].iter().any(|earlier| shares(earlier, &items[i])))
-        .count()
-}
-
 /// Hands `f` the wrapper of `connection`'s kind.
 pub(crate) fn with<R>(connection: &Connection, f: impl FnOnce(&dyn Wrapper) -> R) -> R {
     match connection {

@@ -6,7 +6,7 @@ use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
 use s2s_xml::{Document, StringSink};
 
-use super::{compiled_by, mismatch, statements, CompiledRule, Filter, Ran, Wrapper};
+use super::{compiled_by, mismatch, CompiledRule, Filter, Ran, Wrapper};
 use crate::bootstrap::{SchemaField, SchemaSummary};
 use crate::error::S2sError;
 use crate::extract::Values;
@@ -63,10 +63,10 @@ impl Wrapper for Xml<'_> {
     /// document; mixed content composed in one reused buffer; each column
     /// reserved once from the node-set or the records. Paths that read
     /// a field of the same records ([`XPath::shares_records`]) are one
-    /// walk; an XQuery runs alone. Filtered, the walk tests a record's
-    /// bound fields before it writes any of its fields
-    /// ([`XPath::each_string_filtered`]); a record's number is its
-    /// position among the records in document order.
+    /// walk ([`XPath::each_string_grouped`]); an XQuery runs alone.
+    /// Filtered, the walk tests a record's bound fields before it writes
+    /// any of its fields; a record's number is its position among the
+    /// records in document order.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
@@ -91,31 +91,28 @@ impl Wrapper for Xml<'_> {
                 _ => Err(mismatch(self, m)),
             }));
         }
-        let statements = statements(&paths, |a, b| a.shares_records(b)) + xqueries;
         let mut columns: Vec<Values> = paths.iter().map(|_| Values::new()).collect();
         // Filtered only when one walk reads every rule of the source.
-        let sole = statements == 1 && paths.len() == mappings.len();
-        let attempted = filter.is_bound() && sole;
-        let filtered = attempted && {
-            let (conjuncts, ordinals) = (&filter.conjuncts, &mut filter.ordinals);
-            let bound = |j| conjuncts.iter().filter(move |(m, _)| *m == j);
-            let keep = |j, value: &str| bound(j).all(|(_, c)| condition_matches(c, value));
-            XPath::each_string_filtered(&paths, self.0, &mut columns, keep, ordinals)
-        };
-        if !attempted {
-            XPath::each_string_grouped(&paths, self.0, &mut columns);
-        }
+        let all_paths = paths.len() == mappings.len();
+        let bound = filter.is_bound() && all_paths;
+        let (conjuncts, ordinals) = (&filter.conjuncts, &mut filter.ordinals);
+        let tests = |j| conjuncts.iter().filter(move |(m, _)| *m == j);
+        let keep = |j, value: &str| tests(j).all(|(_, c)| condition_matches(c, value));
+        let bound = bound.then_some((keep, ordinals));
+        let grouped = XPath::each_string_grouped(&paths, self.0, &mut columns, bound);
+        let statements = grouped.walks + xqueries;
         let mut columns = columns.into_iter();
         for (slot, m) in out[start..].iter_mut().zip(mappings) {
             if matches!(compiled_by(self, m), Ok(CompiledRule::XPath(_))) {
                 *slot = Ok(columns.next().expect("one column per path"));
             }
         }
-        if filtered {
+        if grouped.filtered {
             filter.number(&mut out[start..]);
         }
+        let sole = statements == 1 && all_paths;
         let why = if sole { Unfiltered::Misaligned } else { Unfiltered::Statements };
-        Ran::new(statements, filter, filtered, why)
+        Ran::new(statements, filter, grouped.filtered, why)
     }
 
     /// `…/name/text()` without predicates reads `name`; a predicate, an

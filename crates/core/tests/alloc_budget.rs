@@ -485,18 +485,26 @@ fn a_warm_rule_finds_its_compiled_form_without_allocating() {
     );
 }
 
-/// An engine over one source of `rows` watches — a table or a document —
-/// with the rules of `attributes` (`brand`, `price`, `case`) on it.
-fn one_source(xml: bool, attributes: &[&str], rows: usize) -> S2s {
+/// An engine over one source of `rows` watches — a table, or a
+/// document whose rules select their records by `records` — with the
+/// rules of `attributes` (`brand`, `price`, `case`) on it.
+fn one_source(records: Option<&str>, attributes: &[&str], rows: usize) -> S2s {
     let mut s2s = S2s::new(ontology());
-    register_watches(&mut s2s, "S", xml, attributes, rows);
+    register_watches(&mut s2s, "S", records, attributes, rows);
     s2s
 }
 
-/// Registers source `id` of `rows` watches — a table or a document —
-/// with the rules of `attributes` (`brand`, `price`, `case`) on it.
-fn register_watches(s2s: &mut S2s, id: &str, xml: bool, attributes: &[&str], rows: usize) {
-    if xml {
+/// Registers source `id` of `rows` watches — a table, or a document
+/// whose rules select their records by `records` — with the rules of
+/// `attributes` (`brand`, `price`, `case`) on it.
+fn register_watches(
+    s2s: &mut S2s,
+    id: &str,
+    records: Option<&str>,
+    attributes: &[&str],
+    rows: usize,
+) {
+    if records.is_some() {
         let mut doc = String::from("<c>");
         for i in 0..rows {
             let (brand, price) = (i % 17, i % 300);
@@ -522,8 +530,8 @@ fn register_watches(s2s: &mut S2s, id: &str, xml: bool, attributes: &[&str], row
             "price" => ("price", "p"),
             _ => ("c", "k"),
         };
-        let rule = if xml {
-            ExtractionRule::XPath { path: format!("/c/w/{field}/text()") }
+        let rule = if let Some(records) = records {
+            ExtractionRule::XPath { path: format!("{records}/{field}/text()") }
         } else {
             let query = format!("SELECT {column} FROM w ORDER BY id");
             ExtractionRule::Sql { query, column: column.into() }
@@ -534,8 +542,8 @@ fn register_watches(s2s: &mut S2s, id: &str, xml: bool, attributes: &[&str], row
 }
 
 /// Blocks one warm query costs on [`one_source`], keeping no record.
-fn one_source_cost(xml: bool, attributes: &[&str], rows: usize) -> usize {
-    let s2s = one_source(xml, attributes, rows);
+fn one_source_cost(records: Option<&str>, attributes: &[&str], rows: usize) -> usize {
+    let s2s = one_source(records, attributes, rows);
     let query = "SELECT watch WHERE brand='none'";
     assert!(s2s.query(query).unwrap().individuals().is_empty());
     let (outcome, n) = allocations(|| s2s.query(query).unwrap());
@@ -556,22 +564,28 @@ const PER_GROUPED_RULE: usize = 8;
 /// cost their columns, at 2 000 rows as at 4 000.
 #[test]
 fn a_three_rule_sql_source_is_one_statement() {
-    let one = one_source_cost(false, &["brand"], 2_000);
-    let three = one_source_cost(false, &["brand", "price", "case"], 2_000);
+    let one = one_source_cost(None, &["brand"], 2_000);
+    let three = one_source_cost(None, &["brand", "price", "case"], 2_000);
     assert!(three - one <= 2 * PER_GROUPED_RULE, "{three} blocks for three rules, {one} for one");
-    assert_eq!(one_source_cost(false, &["brand", "price", "case"], 4_000), three);
+    assert_eq!(one_source_cost(None, &["brand", "price", "case"], 4_000), three);
 }
 
-/// A three-rule XML source walks its records once: the two more rules
-/// cost their columns, and twice the records grow the walk's two step
-/// buffers once more at most.
+/// A three-rule XML source walks its records once, whether a child path
+/// or a `//` step selects them: the two more rules cost their columns,
+/// and twice the records grow the walk's two step buffers once more at
+/// most.
 #[test]
 fn a_three_rule_xml_source_is_one_walk() {
-    let one = one_source_cost(true, &["brand"], 2_000);
-    let three = one_source_cost(true, &["brand", "price", "case"], 2_000);
-    assert!(three - one <= 2 * PER_GROUPED_RULE, "{three} blocks for three rules, {one} for one");
-    let large = one_source_cost(true, &["brand", "price", "case"], 4_000);
-    assert!(large <= three + 2, "{three} blocks at 2 000 records, {large} at 4 000");
+    for records in ["/c/w", "//w"] {
+        let one = one_source_cost(Some(records), &["brand"], 2_000);
+        let three = one_source_cost(Some(records), &["brand", "price", "case"], 2_000);
+        assert!(
+            three - one <= 2 * PER_GROUPED_RULE,
+            "{records}: {three} blocks for three rules, {one} for one"
+        );
+        let large = one_source_cost(Some(records), &["brand", "price", "case"], 4_000);
+        assert!(large <= three + 2, "{records}: {three} blocks at 2 000 records, {large} at 4 000");
+    }
 }
 
 /// A query shaped like the benchmark's `structured_selective`: two
@@ -587,8 +601,8 @@ fn a_three_rule_xml_source_is_one_walk() {
 #[test]
 fn a_filtered_query_costs_its_kept_records() {
     let mut s2s = S2s::new(ontology());
-    for (id, xml) in [("DB", false), ("XML", true)] {
-        register_watches(&mut s2s, id, xml, &["brand", "price", "case"], 2_000);
+    for (id, records) in [("DB", None), ("XML", Some("/c/w"))] {
+        register_watches(&mut s2s, id, records, &["brand", "price", "case"], 2_000);
     }
     let cost = |query: &str| {
         let individuals = s2s.query(query).unwrap().individuals().len();

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::DbError;
-use crate::exec::{run_select, run_select_column, ExecContext, Filter, Resolved, Rows};
+use crate::exec::{run_select, ExecContext, Filter, Resolved, Rows};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parse;
@@ -43,6 +43,22 @@ impl QueryResult {
         self.columns.iter().position(|c| c.eq_ignore_ascii_case(name))
     }
 
+    /// Hands `sink` the non-NULL values of the column named `column`
+    /// (case-insensitively; its first), in row order, sized first at
+    /// their exact count and rendered length.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::UnknownColumn`] when no column has the name.
+    pub fn each(&self, column: &str, sink: &mut impl ColumnSink) -> Result<(), DbError> {
+        let unknown = || DbError::UnknownColumn { column: column.to_string() };
+        let at = self.column_index(column).ok_or_else(unknown)?;
+        let cells = || self.rows.iter().map(|row| &row[at]).filter(|v| !v.is_null());
+        sink.size(cells().count(), cells().map(Value::text_len).sum());
+        cells().for_each(|v| sink.push(v));
+        Ok(())
+    }
+
     /// Iterates over rows as `(column, value)` maps is avoided — use
     /// [`QueryResult::column_index`] plus [`QueryResult::rows`] for
     /// zero-copy access.
@@ -76,16 +92,15 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
 }
 
-/// Where [`Database::query_column`] and a [`Selection`] hand a result
-/// column. Any
+/// Where a [`Selection`] or a [`QueryResult`] hands a result column. Any
 /// `FnMut(&Value)` is one that ignores the size.
 pub trait ColumnSink {
     /// Called once, before the first value: at most `values` values
-    /// follow — a scan's survivors, NULLs included; a group's values
-    /// exactly — and `text_bytes` is room for them as
-    /// [`Value::write_to`] renders them: the survivors at the column's
-    /// widest stored value, capped by all the column stores. That is
-    /// enough unless a join repeats a row; a group's is exact.
+    /// follow — a selection's rows read, NULLs included; a result's
+    /// values exactly — and `text_bytes` is room for them as
+    /// [`Value::write_to`] renders them: a selection's rows at the
+    /// column's widest stored value, capped by all the column stores,
+    /// which is enough unless a join repeats a row; a result's exactly.
     fn size(&mut self, values: usize, text_bytes: usize) {
         let _ = (values, text_bytes);
     }
@@ -280,29 +295,11 @@ impl Database {
         Ok(QueryResult { columns, rows })
     }
 
-    /// Runs one pre-parsed SELECT of any shape and hands `sink` the
-    /// non-NULL values of its first result column named `column`
-    /// (case-insensitively), borrowed from the stored rows in result
-    /// order; the sink learns the column's size first.
-    ///
-    /// # Errors
-    ///
-    /// The statement's: an unknown table, then its projection's, its
-    /// rows', then [`DbError::UnknownColumn`].
-    pub fn query_column(
-        &self,
-        stmt: &SelectStmt,
-        column: &str,
-        sink: &mut impl ColumnSink,
-    ) -> Result<(), DbError> {
-        run_select_column(stmt, &self.exec_context(stmt)?, column, sink)
-    }
-
     /// The rows `stmt` selects — filtered, ordered and limited once —
     /// for every statement that shares them ([`SelectStmt::shares_rows`]):
     /// each reads its column of them through [`Selection::column`].
     /// `stmt` must share its rows with itself (a plain SELECT); run any
-    /// other with [`Database::query_column`].
+    /// other with [`Database::query_prepared`].
     ///
     /// # Errors
     ///

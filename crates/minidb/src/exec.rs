@@ -536,34 +536,6 @@ pub(crate) fn run_select(
     Ok((names, order.iter().map(project).collect()))
 }
 
-/// Runs one SELECT and hands `sink` the non-NULL values of its first
-/// result column named `column` (case-insensitively), borrowed straight
-/// from the stored rows, in result order.
-pub(crate) fn run_select_column(
-    stmt: &SelectStmt,
-    ctx: &ExecContext<'_>,
-    column: &str,
-    sink: &mut impl ColumnSink,
-) -> Result<(), DbError> {
-    if stmt.has_aggregates() || stmt.group_by.is_some() {
-        let (names, rows) = run_aggregate_select(stmt, ctx)?;
-        let idx = names
-            .iter()
-            .position(|n| n.eq_ignore_ascii_case(column))
-            .ok_or_else(|| DbError::UnknownColumn { column: column.to_string() })?;
-        // A group's row is computed, not stored: counted exactly.
-        let values = || rows.iter().map(|r| &r[idx]).filter(|v| !v.is_null());
-        sink.size(values().count(), values().map(Value::text_len).sum());
-        values().for_each(|v| sink.push(v));
-        return Ok(());
-    }
-    let plan = Plan::new(stmt, ctx)?;
-    let col = plan.projection[output_index(stmt, ctx, column)?];
-    let rows = Rows::select(stmt, &plan.scan, &plan.projection, ctx);
-    rows.push_column(col, 0..rows.len(), ctx, sink);
-    Ok(())
-}
-
 /// SELECT with aggregates and/or GROUP BY.
 ///
 /// Rules: plain columns in the projection must be the GROUP BY column;

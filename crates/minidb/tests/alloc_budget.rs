@@ -99,13 +99,14 @@ impl ColumnSink for &mut Packed {
     }
 }
 
-/// Reads `column` through the sink into a [`Packed`] column and counts
-/// the blocks.
+/// Reads `column` of one scan through the sink into a [`Packed`]
+/// column, as the engine reads a source's rules, and counts the blocks.
 fn packed_read(db: &Database, sql: &str, column: &str) -> ((String, Vec<usize>), usize) {
     let stmt = Database::prepare_select(sql).unwrap();
     allocations(|| {
         let mut packed = Packed::default();
-        db.query_column(&stmt, column, &mut &mut packed).unwrap();
+        let selection = db.select(&stmt).unwrap();
+        selection.each(selection.column(&stmt, column).unwrap(), &mut &mut packed);
         (packed.text, packed.ends)
     })
 }

@@ -255,7 +255,7 @@ mod tests {
         for _ in 0..10 {
             if b.allow(now) {
                 let before = ep.stats().total_time;
-                let r = ep.invoke(8, || ());
+                let r = ep.invoke(8);
                 now += ep.stats().total_time.saturating_sub(before);
                 match r {
                     Ok(_) => b.record_success(now),

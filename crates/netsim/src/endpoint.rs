@@ -138,21 +138,14 @@ pub struct EndpointStats {
     pub bytes: u64,
 }
 
-/// The outcome of a successful remote call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteCall<T> {
-    /// The value computed at the remote side.
-    pub value: T,
-    /// The simulated network + service time of this call.
-    pub elapsed: SimDuration,
-}
-
-/// A simulated remote endpoint.
+/// A simulated remote endpoint: a cost-and-fault meter.
 ///
-/// Wraps no resource itself; callers pass the "remote computation" as a
-/// closure to [`Endpoint::invoke`], and the endpoint contributes cost
-/// accounting and failure injection. Deterministic: an endpoint seeded
-/// identically produces the identical jitter/failure sequence.
+/// It holds no resource and runs nothing. Each call
+/// ([`Endpoint::invoke`]) names the bytes it moves; the endpoint charges
+/// it simulated time under its cost model, or fails it under its
+/// failure model and fault schedule, and counts both. Deterministic: an
+/// endpoint seeded identically produces the identical jitter/failure
+/// sequence.
 ///
 /// # Examples
 ///
@@ -160,9 +153,8 @@ pub struct RemoteCall<T> {
 /// use s2s_netsim::{CostModel, Endpoint, FailureModel};
 ///
 /// let ep = Endpoint::new("db-eu-1", CostModel::lan(), FailureModel::reliable(), 7);
-/// let reply = ep.invoke(128, || "42 rows").unwrap();
-/// assert_eq!(reply.value, "42 rows");
-/// assert!(reply.elapsed.as_micros() >= 500); // at least base latency
+/// let elapsed = ep.invoke(128).unwrap();
+/// assert!(elapsed.as_micros() >= 500); // at least base latency
 /// ```
 #[derive(Debug)]
 pub struct Endpoint {
@@ -215,30 +207,22 @@ impl Endpoint {
         *self.stats.lock()
     }
 
-    /// Performs a remote call moving `bytes` of payload and computing
-    /// `f` at the remote side.
+    /// One call moving `bytes` of payload: the simulated network +
+    /// service time it was charged.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Unreachable`] or [`NetError::Timeout`] per
-    /// the failure model; on failure `f` is not run.
-    pub fn invoke<T>(
-        &self,
-        bytes: usize,
-        f: impl FnOnce() -> T,
-    ) -> Result<RemoteCall<T>, NetError> {
-        let (result, elapsed) = self.invoke_charged(bytes, f);
-        result.map(|value| RemoteCall { value, elapsed })
+    /// the failure model and the fault schedule.
+    pub fn invoke(&self, bytes: usize) -> Result<SimDuration, NetError> {
+        let (result, elapsed) = self.invoke_charged(bytes);
+        result.map(|()| elapsed)
     }
 
     /// [`Endpoint::invoke`] with this call's charge returned on failure
     /// too. [`EndpointStats::total_time`] cannot supply it: concurrent
     /// callers share that counter.
-    pub(crate) fn invoke_charged<T>(
-        &self,
-        bytes: usize,
-        f: impl FnOnce() -> T,
-    ) -> (Result<T, NetError>, SimDuration) {
+    pub(crate) fn invoke_charged(&self, bytes: usize) -> (Result<(), NetError>, SimDuration) {
         let (u_draw, t_draw, j_draw) = {
             let mut rng = self.rng.lock();
             (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>())
@@ -276,10 +260,7 @@ impl Endpoint {
         // equivalent of the charge — this is what E13-style throughput
         // runs overlap across concurrent clients.
         self.cost.pace(charged);
-        match error {
-            Some(error) => (Err(error), charged),
-            None => (Ok(f()), charged),
-        }
+        (error.map_or(Ok(()), Err), charged)
     }
 }
 
@@ -306,7 +287,7 @@ mod tests {
     fn unreachable_is_hard_down() {
         let down = Endpoint::new("b", CostModel::lan(), FailureModel::unreachable(), 5);
         for _ in 0..100 {
-            assert!(matches!(down.invoke(1, || ()), Err(NetError::Unreachable { .. })));
+            assert!(matches!(down.invoke(1), Err(NetError::Unreachable { .. })));
         }
     }
 
@@ -314,7 +295,7 @@ mod tests {
     fn reliable_endpoint_never_fails() {
         let ep = Endpoint::new("a", CostModel::lan(), FailureModel::reliable(), 1);
         for _ in 0..1000 {
-            ep.invoke(64, || ()).unwrap();
+            ep.invoke(64).unwrap();
         }
         let s = ep.stats();
         assert_eq!(s.calls, 1000);
@@ -327,9 +308,7 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let ep = Endpoint::new("a", CostModel::wan(), FailureModel::flaky(0.3), 42);
-            (0..50)
-                .map(|_| ep.invoke(128, || ()).map(|r| r.elapsed).map_err(|e| format!("{e}")))
-                .collect::<Vec<_>>()
+            (0..50).map(|_| ep.invoke(128).map_err(|e| format!("{e}"))).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -339,7 +318,7 @@ mod tests {
         let ep = Endpoint::new("a", CostModel::lan(), FailureModel::flaky(0.4), 9);
         let mut failures = 0;
         for _ in 0..2000 {
-            if ep.invoke(1, || ()).is_err() {
+            if ep.invoke(1).is_err() {
                 failures += 1;
             }
         }
@@ -357,24 +336,7 @@ mod tests {
             timeout: SimDuration::from_millis(50),
         };
         let ep = Endpoint::new("slow", cost, failure, 1);
-        assert!(matches!(ep.invoke(0, || ()), Err(NetError::Timeout { .. })));
-    }
-
-    #[test]
-    fn closure_not_run_on_failure() {
-        let ep = Endpoint::new(
-            "a",
-            CostModel::lan(),
-            FailureModel {
-                p_unreachable: 1.0,
-                p_timeout: 0.0,
-                timeout: SimDuration::from_millis(1000),
-            },
-            3,
-        );
-        let mut ran = false;
-        let _ = ep.invoke(0, || ran = true);
-        assert!(!ran);
+        assert!(matches!(ep.invoke(0), Err(NetError::Timeout { .. })));
     }
 
     #[test]
@@ -384,10 +346,10 @@ mod tests {
             .fail_call(2, FaultKind::Timeout);
         let ep = Endpoint::new("a", CostModel::lan(), FailureModel::reliable(), 7)
             .with_schedule(schedule);
-        assert!(matches!(ep.invoke(1, || ()), Err(NetError::Unreachable { .. })));
-        assert!(ep.invoke(1, || ()).is_ok());
-        assert!(matches!(ep.invoke(1, || ()), Err(NetError::Timeout { .. })));
-        assert!(ep.invoke(1, || ()).is_ok());
+        assert!(matches!(ep.invoke(1), Err(NetError::Unreachable { .. })));
+        assert!(ep.invoke(1).is_ok());
+        assert!(matches!(ep.invoke(1), Err(NetError::Timeout { .. })));
+        assert!(ep.invoke(1).is_ok());
         assert_eq!(ep.stats().failures, 2);
     }
 
@@ -398,7 +360,7 @@ mod tests {
         let elapsed = |schedule: FaultSchedule| {
             let ep = Endpoint::new("a", CostModel::wan(), FailureModel::reliable(), 11)
                 .with_schedule(schedule);
-            (0..6).filter_map(|_| ep.invoke(64, || ()).ok().map(|r| r.elapsed)).collect::<Vec<_>>()
+            (0..6).filter_map(|_| ep.invoke(64).ok()).collect::<Vec<_>>()
         };
         let clean = elapsed(FaultSchedule::new());
         let faulted = elapsed(FaultSchedule::new().fail_call(2, FaultKind::Unreachable));
@@ -415,8 +377,8 @@ mod tests {
             FailureModel::reliable(),
             1,
         );
-        let small = ep.invoke(100, || ()).unwrap().elapsed;
-        let big = ep.invoke(100_000, || ()).unwrap().elapsed;
+        let small = ep.invoke(100).unwrap();
+        let big = ep.invoke(100_000).unwrap();
         assert!(big > small);
     }
 }

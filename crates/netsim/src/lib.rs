@@ -10,8 +10,10 @@
 //!
 //! * [`cost`] — deterministic latency/bandwidth models (base RTT +
 //!   jitter + per-KiB transfer time) driven by a seeded RNG,
-//! * [`endpoint`] — remote endpoints wrapping a local resource with a
-//!   cost model and failure injection (unreachable / timeout / flaky),
+//! * [`endpoint`] — remote endpoints as cost-and-fault meters: each
+//!   call is charged simulated time for the bytes it moves, or fails
+//!   (unreachable / timeout / flaky / scheduled); the endpoint runs
+//!   nothing and wraps no resource,
 //! * [`wire`] — length-prefixed request/response framing (the bytes that
 //!   "cross the network"),
 //! * [`feed`] — per-source mutation logs with monotone version counters
@@ -55,7 +57,7 @@ pub use admission::{
 };
 pub use breaker::{BreakerConfig, BreakerCounters, BreakerState, CircuitBreaker};
 pub use cost::{defer_pacing, pace_sleep, CostModel, SimDuration};
-pub use endpoint::{Endpoint, EndpointStats, FailureModel, FaultKind, FaultSchedule, RemoteCall};
+pub use endpoint::{Endpoint, EndpointStats, FailureModel, FaultKind, FaultSchedule};
 pub use error::NetError;
 pub use feed::{ChangeEvent, ChangeFeed, ChangeKind, FeedGap};
 pub use retry::{invoke_with_retry, RetryOutcome, RetryPolicy};

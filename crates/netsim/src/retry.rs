@@ -131,9 +131,9 @@ impl Default for RetryPolicy {
 
 /// The combined result of a retried call.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetryOutcome<T> {
+pub struct RetryOutcome {
     /// Final verdict: the first success, or the last error.
-    pub result: Result<T, NetError>,
+    pub result: Result<(), NetError>,
     /// Attempts actually made (≥ 1).
     pub attempts: u32,
     /// Total virtual time: every attempt plus every backoff wait.
@@ -144,7 +144,7 @@ pub struct RetryOutcome<T> {
     pub deadline_hit: bool,
 }
 
-impl<T> RetryOutcome<T> {
+impl RetryOutcome {
     /// Retries beyond the first attempt.
     pub fn retries(&self) -> u32 {
         self.attempts.saturating_sub(1)
@@ -158,13 +158,12 @@ impl<T> RetryOutcome<T> {
 /// state) triple always produces the same schedule. Transient errors
 /// ([`NetError::Unreachable`], [`NetError::Timeout`]) are retried;
 /// [`NetError::BadFrame`] is protocol corruption and fails fast.
-pub fn invoke_with_retry<T>(
+pub fn invoke_with_retry(
     endpoint: &Endpoint,
     policy: &RetryPolicy,
     seed: u64,
     bytes: usize,
-    mut f: impl FnMut() -> T,
-) -> RetryOutcome<T> {
+) -> RetryOutcome {
     let max_attempts = policy.max_attempts.max(1);
     let mut jitter_rng = StdRng::seed_from_u64(seed);
     let mut elapsed = SimDuration::ZERO;
@@ -174,7 +173,7 @@ pub fn invoke_with_retry<T>(
     let result = loop {
         attempts += 1;
         // Failed attempts cost time too; the call itself says how much.
-        let (mut result, mut attempt_cost) = endpoint.invoke_charged(bytes, &mut f);
+        let (mut result, mut attempt_cost) = endpoint.invoke_charged(bytes);
         if let Some(cap) = policy.attempt_timeout {
             if attempt_cost > cap {
                 // The caller hung up first: charge only the cap and
@@ -187,10 +186,7 @@ pub fn invoke_with_retry<T>(
             }
         }
         elapsed += attempt_cost;
-        let error = match result {
-            Ok(value) => break Ok(value),
-            Err(e) => e,
-        };
+        let Err(error) = result else { break Ok(()) };
         if attempts >= max_attempts || !error.is_transient() {
             break Err(error);
         }
@@ -222,7 +218,7 @@ mod tests {
     #[test]
     fn single_attempt_policy_never_retries() {
         let ep = Endpoint::new("a", CostModel::lan(), hard_down(), 1);
-        let out = invoke_with_retry(&ep, &RetryPolicy::none(), 7, 8, || ());
+        let out = invoke_with_retry(&ep, &RetryPolicy::none(), 7, 8);
         assert!(out.result.is_err());
         assert_eq!(out.attempts, 1);
         assert_eq!(out.retries(), 0);
@@ -232,7 +228,7 @@ mod tests {
     #[test]
     fn retries_spend_all_attempts_on_hard_failure() {
         let ep = Endpoint::new("a", CostModel::lan(), hard_down(), 1);
-        let out = invoke_with_retry(&ep, &RetryPolicy::attempts(4), 7, 8, || ());
+        let out = invoke_with_retry(&ep, &RetryPolicy::attempts(4), 7, 8);
         assert!(out.result.is_err());
         assert_eq!(out.attempts, 4);
         assert_eq!(ep.stats().calls, 4);
@@ -247,9 +243,9 @@ mod tests {
         let mut recovered = 0;
         for seed in 0..32 {
             let ep = Endpoint::new("a", CostModel::lan(), flaky, seed);
-            let once = invoke_with_retry(&ep, &RetryPolicy::none(), 1, 8, || ());
+            let once = invoke_with_retry(&ep, &RetryPolicy::none(), 1, 8);
             let ep2 = Endpoint::new("a", CostModel::lan(), flaky, seed);
-            let retried = invoke_with_retry(&ep2, &RetryPolicy::attempts(6), 1, 8, || ());
+            let retried = invoke_with_retry(&ep2, &RetryPolicy::attempts(6), 1, 8);
             if once.result.is_err() && retried.result.is_ok() {
                 recovered += 1;
             }
@@ -274,7 +270,7 @@ mod tests {
     fn jitter_is_deterministic_per_seed() {
         let run = |seed| {
             let ep = Endpoint::new("a", CostModel::wan(), hard_down(), 3);
-            invoke_with_retry(&ep, &RetryPolicy::attempts(5), seed, 64, || ()).elapsed
+            invoke_with_retry(&ep, &RetryPolicy::attempts(5), seed, 64).elapsed
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12), "different jitter seeds should differ");
@@ -287,7 +283,7 @@ mod tests {
             .with_jitter(0.0)
             .with_deadline(SimDuration::from_millis(120));
         let ep = Endpoint::new("a", CostModel::lan(), hard_down(), 1);
-        let out = invoke_with_retry(&ep, &p, 9, 8, || ());
+        let out = invoke_with_retry(&ep, &p, 9, 8);
         assert!(out.result.is_err());
         assert!(out.deadline_hit);
         assert!(out.attempts < 10);
@@ -306,7 +302,7 @@ mod tests {
             .with_jitter(0.0)
             .with_deadline(SimDuration::from_millis(30));
         let ep = Endpoint::new("a", CostModel::lan(), hard_down(), 1);
-        let out = invoke_with_retry(&ep, &p, 9, 8, || ());
+        let out = invoke_with_retry(&ep, &p, 9, 8);
 
         // An unreachable LAN endpoint charges ~0.5 ms per attempt, so
         // the first attempt fits the 30 ms budget but the 50 ms
@@ -327,7 +323,7 @@ mod tests {
         let slow = CostModel::new(SimDuration::from_millis(100), SimDuration::ZERO, 0);
         let ep = Endpoint::new("slow", slow, FailureModel::reliable(), 1);
         let p = RetryPolicy::none().with_attempt_timeout(SimDuration::from_millis(10));
-        let out = invoke_with_retry(&ep, &p, 1, 0, || ());
+        let out = invoke_with_retry(&ep, &p, 1, 0);
         assert!(matches!(out.result, Err(NetError::Timeout { .. })));
         // Charged the cap, not the full slow reply.
         assert_eq!(out.elapsed, SimDuration::from_millis(10));

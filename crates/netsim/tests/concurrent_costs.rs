@@ -27,7 +27,7 @@ fn concurrent_callers_are_charged_exactly_what_the_endpoint_served() {
                     (0..CALLS)
                         .map(|seed| {
                             let RetryOutcome { elapsed, backoff, .. } =
-                                invoke_with_retry(&endpoint, &policy, seed, 64, || ());
+                                invoke_with_retry(&endpoint, &policy, seed, 64);
                             elapsed.saturating_sub(backoff)
                         })
                         .sum::<SimDuration>()

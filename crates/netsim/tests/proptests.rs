@@ -83,8 +83,8 @@ proptest! {
         let cost = CostModel::new(SimDuration::from_millis(1), SimDuration::ZERO, 500);
         let a = Endpoint::new("a", cost, FailureModel::reliable(), seed);
         let b = Endpoint::new("b", cost, FailureModel::reliable(), seed);
-        let ta = a.invoke(small, || ()).unwrap().elapsed;
-        let tb = b.invoke(small + extra, || ()).unwrap().elapsed;
+        let ta = a.invoke(small).unwrap();
+        let tb = b.invoke(small + extra).unwrap();
         prop_assert!(tb >= ta);
     }
 
@@ -93,7 +93,7 @@ proptest! {
     fn endpoint_reproducible(seed in any::<u64>(), p in 0.0f64..0.9) {
         let run = || {
             let ep = Endpoint::new("x", CostModel::lan(), FailureModel::flaky(p), seed);
-            (0..30).map(|_| ep.invoke(10, || ()).map(|r| r.elapsed).ok()).collect::<Vec<_>>()
+            (0..30).map(|_| ep.invoke(10).ok()).collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());
     }
@@ -104,7 +104,7 @@ proptest! {
         let ep = Endpoint::new("x", CostModel::lan(), FailureModel::flaky(p), seed);
         let mut failures = 0u64;
         for _ in 0..calls {
-            if ep.invoke(8, || ()).is_err() {
+            if ep.invoke(8).is_err() {
                 failures += 1;
             }
         }

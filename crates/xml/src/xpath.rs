@@ -57,6 +57,21 @@ pub(crate) fn size(sink: &mut impl StringSink, doc: &Document, strings: usize) {
     sink.size(strings, strings.saturating_mul(doc.widest).min(doc.text.len()));
 }
 
+/// What [`XPath::each_string_grouped`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grouped {
+    /// The walks it ran: one per set of paths sharing their records, one
+    /// per path that does not split.
+    pub walks: usize,
+    /// Whether it read only the records its filter kept.
+    pub filtered: bool,
+}
+
+/// The record filter of [`XPath::each_string_grouped`]: `keep(j, value)`,
+/// asked about a record's field of `paths[j]`, and where the positions
+/// of the kept records go. Unfiltered is `None::<RecordFilter>`.
+pub type RecordFilter<'a, K = fn(usize, &str) -> bool> = (K, &'a mut Vec<u32>);
+
 /// A compiled XPath expression.
 ///
 /// # Examples
@@ -222,6 +237,56 @@ fn read_fields<S: StringSink>(
     }
 }
 
+/// [`read_fields`] of the records `keep` accepts, every path's field
+/// among `fields` (`j` in `0..fields.len()`): each record's fields are
+/// tested before any is written, and the position of each kept record
+/// goes to `ordinals`. Returns `false`, having read every record and
+/// left `ordinals` empty, when some record has a field missing or
+/// repeated.
+fn read_kept<S: StringSink, K: FnMut(usize, &str) -> bool>(
+    doc: &Document,
+    records: &[u32],
+    fields: &[(usize, Field)],
+    sinks: &mut [S],
+    (keep, ordinals): &mut RecordFilter<'_, K>,
+) -> bool {
+    let by_name = ByName::new(doc, fields);
+    let scratch = &mut String::new();
+    // Per field, how many of the records so far had it: each record has
+    // every field once exactly when all count the records.
+    let mut seen = vec![0u32; fields.len()];
+    for (k, &record) in (1..).zip(records) {
+        let mut kept = true;
+        for &(j, field) in fields {
+            if let Field::Attribute(Some(name)) = field {
+                if let Some(value) = doc.attribute_value(record, name) {
+                    seen[j] += 1;
+                    kept = kept && keep(j, value);
+                }
+            }
+        }
+        for child in doc.child_ids(record) {
+            for &(j, text) in by_name.of(doc, child) {
+                if let Some(value) = child_value(doc.element(child), text, scratch) {
+                    seen[j] += 1;
+                    kept = kept && keep(j, value);
+                }
+            }
+        }
+        if seen.iter().any(|&n| n != k) {
+            ordinals.clear();
+            read_fields(doc, records.iter().copied(), fields, sinks, scratch);
+            return false;
+        }
+        if kept {
+            ordinals.push(k - 1);
+        }
+    }
+    let kept = ordinals.iter().map(|&k| records[k as usize]);
+    read_fields(doc, kept, fields, sinks, scratch);
+    true
+}
+
 /// What a path ending at `child` yields from it: its own text if
 /// `text` (none when empty), else all its text; `scratch` composes
 /// mixed content.
@@ -357,19 +422,18 @@ impl XPath {
             [.., Step::Child { predicates, .. }] if predicates.is_empty() => steps.len() - 1,
             _ => 0,
         };
-        // Records an absolute child-only prefix selects never nest.
-        let child_only = steps[..record].iter().all(|s| matches!(s, Step::Child { .. }));
-        let record = (absolute && record > 0 && child_only).then_some(record);
+        let record = (absolute && record > 0).then_some(record);
         XPath { source: source.to_string(), steps, absolute, record }
     }
 
     /// Whether both paths split into the same records and a field of
-    /// each: an absolute, child-only prefix (predicates allowed) selects
-    /// the records, and the rest reads one `@attr`, or one child
+    /// each: an absolute prefix (predicates and `//` steps allowed)
+    /// selects the records, and the rest reads one `@attr`, or one child
     /// element without predicates, whole or its `text()`. Such paths are
     /// one walk in [`XPath::each_string_grouped`]. `/c/w/b/text()` and
-    /// `/c/w/@id` share their records `/c/w`; a `//` prefix or a
-    /// descendant field shares with none, not even itself.
+    /// `/c/w/@id` share their records `/c/w`, `//w/b/text()` and
+    /// `//w/p/text()` theirs `//w`; a descendant field shares with none,
+    /// not even itself.
     pub fn shares_records(&self, other: &XPath) -> bool {
         match (self.record, other.record) {
             (Some(a), Some(b)) => self.steps[..a] == other.steps[..b],
@@ -434,16 +498,35 @@ impl XPath {
     /// `paths[i]` going to `sinks[i]`. Paths that share their records
     /// ([`XPath::shares_records`]) are one walk: the records are
     /// selected once, and each path reads its field of one record after
-    /// another — its strings in document order, as records never nest.
+    /// another — what it reads alone, records that nest or repeat
+    /// included, since a field is a record's own child or attribute.
     /// Fields are matched by symbol and nothing is allocated per record.
     /// A grouped sink is sized from the records (a hint: a record may
     /// have its field more than once, or not at all).
     ///
+    /// With a [`RecordFilter`] `(keep, ordinals)`, the walk is filtered
+    /// when it is one walk over every path: `keep(j, value)` is asked
+    /// about each record's field of `paths[j]` before any of its fields
+    /// is written, a record is kept when every answer holds, and the
+    /// position of each kept record among the records, in document
+    /// order, goes to `ordinals`. When some record has a field missing
+    /// or repeated — its fields would not line up with the records —
+    /// every record is read, and `ordinals` is left empty.
+    ///
     /// # Panics
     ///
     /// If `paths` and `sinks` differ in length.
-    pub fn each_string_grouped<S: StringSink>(paths: &[&XPath], doc: &Document, sinks: &mut [S]) {
+    pub fn each_string_grouped<S: StringSink, K: FnMut(usize, &str) -> bool>(
+        paths: &[&XPath],
+        doc: &Document,
+        sinks: &mut [S],
+        mut filter: Option<RecordFilter<'_, K>>,
+    ) -> Grouped {
         assert_eq!(paths.len(), sinks.len(), "one sink per path");
+        if let Some((_, ordinals)) = &mut filter {
+            ordinals.clear();
+        }
+        let mut grouped = Grouped { walks: 0, filtered: false };
         let mut scratch = String::new();
         for (lead, path) in paths.iter().enumerate() {
             // `shares_records` is an equivalence on the paths that split:
@@ -451,6 +534,7 @@ impl XPath {
             if paths[..lead].iter().any(|earlier| earlier.shares_records(path)) {
                 continue;
             }
+            grouped.walks += 1;
             let Some(at) = path.record else {
                 path.strings_into(doc.root(), &mut sinks[lead]);
                 continue;
@@ -460,77 +544,14 @@ impl XPath {
                 .map(|j| (j, paths[j].field(doc)))
                 .collect();
             let records = path.select(doc.root(), at);
-            read_fields(doc, records.iter().copied(), &fields, sinks, &mut scratch);
-        }
-    }
-
-    /// [`XPath::each_string_grouped`] over paths that all share their
-    /// records with the first, keeping only the records `keep` accepts:
-    /// `keep(j, value)` is asked about each record's field of `paths[j]`
-    /// before any of its fields is written, and a record is kept when
-    /// every answer holds. The position of each kept record among the
-    /// records, in document order, goes to `ordinals`.
-    ///
-    /// Returns `false`, having run unfiltered as `each_string_grouped`
-    /// does (`ordinals` left empty), when the paths do not all share
-    /// their records or some record has a field missing or repeated:
-    /// its fields would not line up with the records.
-    ///
-    /// # Panics
-    ///
-    /// If `paths` and `sinks` differ in length.
-    pub fn each_string_filtered<S: StringSink>(
-        paths: &[&XPath],
-        doc: &Document,
-        sinks: &mut [S],
-        mut keep: impl FnMut(usize, &str) -> bool,
-        ordinals: &mut Vec<u32>,
-    ) -> bool {
-        assert_eq!(paths.len(), sinks.len(), "one sink per path");
-        ordinals.clear();
-        let lead = paths.first().filter(|lead| paths.iter().all(|p| lead.shares_records(p)));
-        let Some((lead, at)) = lead.and_then(|lead| Some((lead, lead.record?))) else {
-            XPath::each_string_grouped(paths, doc, sinks);
-            return false;
-        };
-        let fields: Vec<(usize, Field)> =
-            paths.iter().enumerate().map(|(j, p)| (j, p.field(doc))).collect();
-        let records = lead.select(doc.root(), at);
-        let by_name = ByName::new(doc, &fields);
-        let mut scratch = String::new();
-        // Per field, how many of the records so far had it: each record
-        // has every field once exactly when all count the records.
-        let mut seen = vec![0u32; fields.len()];
-        for (k, &record) in (1..).zip(&records) {
-            let mut kept = true;
-            for &(j, field) in &fields {
-                if let Field::Attribute(Some(name)) = field {
-                    if let Some(value) = doc.attribute_value(record, name) {
-                        seen[j] += 1;
-                        kept = kept && keep(j, value);
-                    }
+            match &mut filter {
+                Some(filter) if fields.len() == paths.len() => {
+                    grouped.filtered = read_kept(doc, &records, &fields, sinks, filter);
                 }
-            }
-            for child in doc.child_ids(record) {
-                for &(j, text) in by_name.of(doc, child) {
-                    if let Some(value) = child_value(doc.element(child), text, &mut scratch) {
-                        seen[j] += 1;
-                        kept = kept && keep(j, value);
-                    }
-                }
-            }
-            if seen.iter().any(|&n| n != k) {
-                ordinals.clear();
-                read_fields(doc, records.iter().copied(), &fields, sinks, &mut scratch);
-                return false;
-            }
-            if kept {
-                ordinals.push(k - 1);
+                _ => read_fields(doc, records.iter().copied(), &fields, sinks, &mut scratch),
             }
         }
-        let kept = ordinals.iter().map(|&k| records[k as usize]);
-        read_fields(doc, kept, &fields, sinks, &mut scratch);
-        true
+        grouped
     }
 
     /// The field of a path that splits, resolved against `doc`.

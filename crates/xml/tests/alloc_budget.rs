@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use s2s_xml::xpath::XPath;
+use s2s_xml::xpath::{RecordFilter, XPath};
 use s2s_xml::{Document, StringSink};
 
 thread_local! {
@@ -223,7 +223,7 @@ fn paths_sharing_their_records_pay_one_walk() {
         let doc = catalog(records);
         let (lengths, n) = allocations(|| {
             let mut packed: [Packed; 3] = Default::default();
-            XPath::each_string_grouped(&refs, &doc, &mut packed.each_mut());
+            XPath::each_string_grouped(&refs, &doc, &mut packed.each_mut(), None::<RecordFilter>);
             packed.map(|p| p.ends.len())
         });
         assert_eq!(lengths, [records; 3]);

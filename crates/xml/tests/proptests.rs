@@ -12,7 +12,7 @@ use proptest::test_runner::TestCaseError;
 use proptest::TestRng;
 use reference::dom as old;
 use s2s_xml::parser::MAX_DEPTH;
-use s2s_xml::xpath::XPath;
+use s2s_xml::xpath::{RecordFilter, XPath};
 use s2s_xml::{parse, Document, Element, Node, StringSink};
 
 /// The arena element as the old owned tree.
@@ -291,17 +291,21 @@ fn record_predicate(rng: &mut TestRng) -> String {
 }
 
 /// The rules of one XML source: one to five paths, most reading a field
-/// of one set of records — an absolute child-only prefix from the root,
-/// predicates allowed on its steps — and the rest another set, a field
-/// one step deeper, or shaped so they split into none: a `//` prefix, a
-/// descendant field, a predicate on the field. Each comes with its
-/// record prefix if it splits.
+/// of one set of records — an absolute prefix from the root or a `//`
+/// prefix, whose records may nest, with `//` steps and predicates
+/// allowed on its steps — and the rest another set, a field one step
+/// deeper, or shaped so they split into none: a descendant field, a
+/// predicate on the field. Each comes with its record prefix if it
+/// splits.
 fn record_paths(rng: &mut TestRng, root: &str) -> Vec<(String, Option<String>)> {
     let records = |rng: &mut TestRng| {
-        let mut path = format!("/{}", pick(rng, &[root, root, "*"]));
+        let mut path = match rng.below(3) {
+            0 => format!("//{}", pick(rng, &NAMES)),
+            _ => format!("/{}", pick(rng, &[root, root, "*"])),
+        };
         for step in 0..1 + rng.below(3) {
             if step > 0 {
-                path.push('/');
+                path.push_str(pick(rng, &["/", "/", "//"]));
                 path.push_str(pick(rng, &["a", "b", "x:a", "*"]));
             }
             if rng.below(4) == 0 {
@@ -313,10 +317,10 @@ fn record_paths(rng: &mut TestRng, root: &str) -> Vec<(String, Option<String>)> 
     let shared = records(rng);
     (0..1 + rng.below(5))
         .map(|_| {
-            let (records, child_only) = match rng.below(8) {
-                0 => (records(rng), true),
-                1 => (format!("//{}", pick(rng, &NAMES)), false),
-                _ => (shared.clone(), true),
+            let records = match rng.below(8) {
+                0 => records(rng),
+                1 => format!("//{}", pick(rng, &NAMES)),
+                _ => shared.clone(),
             };
             let name = pick(rng, &NAMES);
             // The field, and what of it the record prefix takes: a
@@ -330,10 +334,23 @@ fn record_paths(rng: &mut TestRng, root: &str) -> Vec<(String, Option<String>)> 
                 6 => (format!("/{name}[1]/text()"), None),
                 _ => (format!("/{name}/{name}/text()"), Some(format!("/{name}"))),
             };
-            let split = deeper.filter(|_| child_only).map(|deeper| format!("{records}{deeper}"));
+            let split = deeper.map(|deeper| format!("{records}{deeper}"));
             (format!("{records}{field}"), split)
         })
         .collect()
+}
+
+/// The walks a grouped read of `rules` runs: one per record prefix,
+/// one per rule that does not split.
+fn walks(rules: &[(String, Option<String>)]) -> usize {
+    let mut walks = 0;
+    for (i, (_, records)) in rules.iter().enumerate() {
+        match records {
+            Some(records) if rules[..i].iter().any(|(_, r)| r.as_ref() == Some(records)) => {}
+            _ => walks += 1,
+        }
+    }
+    walks
 }
 
 /// The elements of the old tree in document order, each with its
@@ -442,9 +459,10 @@ proptest! {
     /// Paths read together read what each reads alone, and what the
     /// tree evaluator reads: paths that share their records are one walk
     /// over missing, repeated, empty and mixed-content fields,
-    /// attributes, comments, prefixed names and predicates on a record
-    /// step; a `//` prefix, a descendant field or a field with a
-    /// predicate is refused by the split and read alone.
+    /// attributes, comments, prefixed names, `//` steps and predicates on
+    /// a record step, records that nest or repeat; a descendant field or
+    /// a field with a predicate is refused by the split and read alone.
+    /// The walks reported are those.
     #[test]
     fn grouped_paths_read_what_each_path_reads(seed in any::<u64>()) {
         let mut rng = TestRng::from_seed(seed);
@@ -461,7 +479,10 @@ proptest! {
         }
         let mut packed: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
         let refs: Vec<&XPath> = paths.iter().collect();
-        XPath::each_string_grouped(&refs, &doc, &mut packed.iter_mut().collect::<Vec<_>>());
+        let sinks = &mut packed.iter_mut().collect::<Vec<_>>();
+        let grouped = XPath::each_string_grouped(&refs, &doc, sinks, None::<RecordFilter>);
+        prop_assert_eq!(grouped.walks, walks(&rules), "{:?}", rules);
+        prop_assert!(!grouped.filtered);
         for ((path, packed), (text, _)) in paths.iter().zip(&packed).zip(&rules) {
             let mut alone = Vec::new();
             path.each_string(&doc, |s: &str| alone.push(s.to_string()));
@@ -473,13 +494,13 @@ proptest! {
         }
     }
 
-    /// A filtered walk is the grouped walk restricted to the records it
+    /// A filtered walk is the unfiltered one restricted to the records it
     /// keeps: a record is kept when every test accepts its field, each
     /// kept record is numbered by its position among the records, and a
-    /// path's strings are its grouped strings at those records. A record
-    /// missing or repeating a field — an empty text is none, mixed
+    /// path's strings are its unfiltered strings at those records. A
+    /// record missing or repeating a field — an empty text is none, mixed
     /// content is one — or paths that do not all share their records
-    /// make the walk run unfiltered, as the grouped walk does.
+    /// make the walk run unfiltered. Records may nest.
     #[test]
     fn a_filtered_walk_is_the_grouped_walk_restricted_to_its_kept_records(seed in any::<u64>()) {
         use s2s_textmatch::{Comparand, ConstraintOp, ValueSpace};
@@ -490,7 +511,8 @@ proptest! {
         let paths: Vec<XPath> = rules.iter().map(|(p, _)| XPath::new(p).unwrap()).collect();
         let refs: Vec<&XPath> = paths.iter().collect();
         let mut grouped: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
-        XPath::each_string_grouped(&refs, &doc, &mut grouped.iter_mut().collect::<Vec<_>>());
+        let sinks = &mut grouped.iter_mut().collect::<Vec<_>>();
+        let unfiltered = XPath::each_string_grouped(&refs, &doc, sinks, None::<RecordFilter>);
         let ops = [
             ConstraintOp::Eq, ConstraintOp::Ne, ConstraintOp::Lt, ConstraintOp::Le,
             ConstraintOp::Gt, ConstraintOp::Ge, ConstraintOp::Like,
@@ -509,7 +531,9 @@ proptest! {
         let mut filtered: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
         let mut ordinals = vec![99];
         let sinks = &mut filtered.iter_mut().collect::<Vec<_>>();
-        let ran_filtered = XPath::each_string_filtered(&refs, &doc, sinks, keep, &mut ordinals);
+        let ran = XPath::each_string_grouped(&refs, &doc, sinks, Some((keep, &mut ordinals)));
+        prop_assert_eq!(ran.walks, unfiltered.walks);
+        let ran_filtered = ran.filtered;
         let shared = rules.iter().all(|(_, records)| records.is_some() && *records == rules[0].1);
         if !ran_filtered {
             prop_assert!(ordinals.is_empty());

@@ -143,9 +143,9 @@ fn sql_like_wildcards_pinned() {
 fn netsim_seed_pinning() {
     use s2s::netsim::{CostModel, Endpoint, FailureModel};
     let ep = Endpoint::new("SHARD_00", CostModel::wan(), FailureModel::reliable(), 42);
-    let t1 = ep.invoke(100, || ()).unwrap().elapsed;
+    let t1 = ep.invoke(100).unwrap();
     let ep2 = Endpoint::new("SHARD_00", CostModel::wan(), FailureModel::reliable(), 42);
-    let t2 = ep2.invoke(100, || ()).unwrap().elapsed;
+    let t2 = ep2.invoke(100).unwrap();
     assert_eq!(t1, t2);
 }
 
