@@ -690,19 +690,18 @@ impl PushdownReport {
     }
 }
 
-/// Runs `query` on `engine` and then `twin`, the same answer asked so
-/// that no conjunct is required (its condition negated twice, or
-/// `NOT (price >= t)` for `price < t`), so every source runs unfiltered;
-/// returns the measured [`PushdownPoint`].
+/// Runs `query` on `engine` and then on `twin`, a fresh engine of the
+/// same deployment with views, which bind no condition: every source
+/// runs unfiltered; returns the measured [`PushdownPoint`].
 pub fn run_pushdown_point(
     engine: &S2s,
+    twin: &S2s,
     query: &str,
-    twin: &str,
     selectivity_pct: f64,
     threshold: f64,
 ) -> PushdownPoint {
     let pushed = engine.query(query).expect("pushdown query");
-    let baseline = engine.query(twin).expect("baseline query");
+    let baseline = twin.query(query).expect("baseline query");
     assert!(baseline.sources.iter().all(|r| r.pushed.is_empty()), "the twin runs unfiltered");
     PushdownPoint {
         selectivity_pct,
@@ -819,11 +818,9 @@ impl DeltaReport {
 /// ["price"]` declarations on the change feed). The delta arm maintains
 /// materialized views; the baseline arm relies on the result cache
 /// alone, so every mutation forces it back onto the wire for all four
-/// sources. The views hold slices whole, so the baseline re-extracts
-/// them whole too: it asks each `price < t` as `NOT (price >= t)`, the
-/// same answer on the all-decimal catalog with no conjunct to filter by
-/// (filtering is E15's subject). Both arms see the identical mutation
-/// schedule and every answer is compared step by step.
+/// sources, each filtered by the condition; the views hold slices
+/// whole. Both arms see the identical query stream and mutation
+/// schedule, and every answer is compared step by step.
 pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> DeltaPoint {
     let baseline = deploy_wan(rows, seed).with_result_cache();
     let delta = deploy_wan(rows, seed).with_result_cache().with_views();
@@ -831,8 +828,6 @@ pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> Del
     let thresholds = [120, 220, 320, 420];
     let texts: Vec<String> =
         thresholds.iter().map(|t| format!("SELECT watch WHERE price < {t}")).collect();
-    let twins: Vec<String> =
-        thresholds.iter().map(|t| format!("SELECT watch WHERE NOT (price >= {t})")).collect();
 
     let mut acc = 0.0f64;
     let mut mutations = 0usize;
@@ -861,7 +856,7 @@ pub fn run_delta(rows: usize, seed: u64, steps: usize, mutation_pct: f64) -> Del
                     .expect("DB is registered");
             }
         }
-        let base_outcome = baseline.query(&twins[step % twins.len()]).expect("baseline query");
+        let base_outcome = baseline.query(&texts[step % texts.len()]).expect("baseline query");
         let delta_outcome = delta.query(&texts[step % texts.len()]).expect("delta query");
         baseline_sim += base_outcome.stats.simulated;
         delta_sim += delta_outcome.stats.simulated;

@@ -25,12 +25,16 @@
 //! source = text hostile-rule groups
 //! cond = price < 100
 //! cond = brand LIKE s%
+//! cond = (or (not brand = seiko) price < 150)
 //! ```
+//!
+//! Each `cond` line is one `AND`ed conjunct: a leaf `attr op value`, or
+//! a tree in prefix form, `(not c)`, `(and c c)` or `(or c c)`.
 
 use s2s_netsim::FaultKind;
 
 use crate::scenario::{
-    Condition, FaultClass, Hostile, Scenario, SourceKindSpec, SourceSpec, ATTRS,
+    Cond, Condition, FaultClass, Hostile, Scenario, SourceKindSpec, SourceSpec, ATTRS,
 };
 
 /// Serializes a scenario as a case file.
@@ -70,9 +74,19 @@ pub fn to_case(scenario: &Scenario) -> String {
         out.push('\n');
     }
     for c in &scenario.conditions {
-        out.push_str(&format!("cond = {} {} {}\n", ATTRS[c.attr], c.op, c.value));
+        out.push_str(&format!("cond = {}\n", cond_text(c)));
     }
     out
+}
+
+/// A conjunct as a `cond` line writes it.
+fn cond_text(c: &Cond) -> String {
+    match c {
+        Cond::Leaf(c) => format!("{} {} {}", ATTRS[c.attr], c.op, c.value),
+        Cond::Not(e) => format!("(not {})", cond_text(e)),
+        Cond::And(a, b) => format!("(and {} {})", cond_text(a), cond_text(b)),
+        Cond::Or(a, b) => format!("(or {} {})", cond_text(a), cond_text(b)),
+    }
 }
 
 /// Parses a case file back into a scenario.
@@ -188,19 +202,49 @@ fn parse_faults(entries: &[&str], lineno: usize) -> Result<Vec<(u64, FaultKind)>
     Ok(faults)
 }
 
-fn parse_condition(value: &str, lineno: usize) -> Result<Condition, String> {
-    let mut tokens = value.split_whitespace();
-    let (attr_name, op, val) = match (tokens.next(), tokens.next(), tokens.next(), tokens.next()) {
-        (Some(a), Some(op), Some(v), None) => (a, op, v),
-        _ => return Err(format!("line {lineno}: expected `cond = attr op value`, got {value:?}")),
+fn parse_condition(value: &str, lineno: usize) -> Result<Cond, String> {
+    // No value holds a parenthesis or a space.
+    let spaced = value.replace('(', " ( ").replace(')', " ) ");
+    let mut tokens = spaced.split_whitespace().peekable();
+    let cond = parse_cond(&mut tokens).map_err(|e| format!("line {lineno}: {e} in {value:?}"))?;
+    match tokens.next() {
+        None => Ok(cond),
+        Some(extra) => Err(format!("line {lineno}: unexpected {extra:?} in {value:?}")),
+    }
+}
+
+fn parse_cond<'t>(
+    tokens: &mut std::iter::Peekable<impl Iterator<Item = &'t str>>,
+) -> Result<Cond, String> {
+    if tokens.next_if_eq(&"(").is_none() {
+        return parse_leaf(tokens).map(Cond::Leaf);
+    }
+    let op = tokens.next();
+    let mut operand = || parse_cond(tokens).map(Box::new);
+    let cond = match op {
+        Some("not") => Cond::Not(operand()?),
+        Some("and") => Cond::And(operand()?, operand()?),
+        Some("or") => Cond::Or(operand()?, operand()?),
+        other => return Err(format!("expected `not`, `and` or `or`, got {other:?}")),
+    };
+    match tokens.next() {
+        Some(")") => Ok(cond),
+        other => Err(format!("expected `)`, got {other:?}")),
+    }
+}
+
+fn parse_leaf<'t>(tokens: &mut impl Iterator<Item = &'t str>) -> Result<Condition, String> {
+    let (attr_name, op, val) = match (tokens.next(), tokens.next(), tokens.next()) {
+        (Some(a), Some(op), Some(v)) => (a, op, v),
+        _ => return Err("expected `attr op value`".to_string()),
     };
     let attr = ATTRS
         .iter()
         .position(|&a| a == attr_name)
-        .ok_or_else(|| format!("line {lineno}: unknown attribute {attr_name:?}"))?;
+        .ok_or_else(|| format!("unknown attribute {attr_name:?}"))?;
     match op {
         "<" | "<=" | ">" | ">=" | "=" | "!=" | "LIKE" => {}
-        other => return Err(format!("line {lineno}: unknown operator {other:?}")),
+        other => return Err(format!("unknown operator {other:?}")),
     }
     Ok(Condition { attr, op: op.into(), value: val.into() })
 }
@@ -242,5 +286,9 @@ mod tests {
             from_case("seed = 1\nrows = 1\nsource = db reliable\ncond = colour = red\n").is_err(),
             "bad attribute"
         );
+        for tree in ["(xor price < 1)", "(not price < 1", "(and price < 1)", "price < 1 )"] {
+            let text = format!("seed = 1\nrows = 1\nsource = db reliable\ncond = {tree}\n");
+            assert!(from_case(&text).is_err(), "{tree}");
+        }
     }
 }

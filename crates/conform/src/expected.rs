@@ -31,7 +31,9 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::scenario::{attribute_path, payload_value, FaultClass, Record, Scenario, ATTRS, RANGES};
+use crate::scenario::{
+    attribute_path, payload_value, Condition, FaultClass, Record, Scenario, ATTRS, RANGES,
+};
 
 /// One answer, free of order and IRIs: a line per individual and the
 /// failed `(source, attribute path)` pairs.
@@ -127,13 +129,16 @@ impl Scenario {
         Answer::new(individuals, failed)
     }
 
-    /// Whether `record` passes every condition of a source that maps the
-    /// attributes `mapped` accepts (by index into [`ATTRS`]).
+    /// Whether `record` passes every conjunct at a source that maps the
+    /// attributes `mapped` accepts (by index into [`ATTRS`]): a leaf on
+    /// an attribute it does not map fails, and `NOT` flips that as any
+    /// other.
     pub(crate) fn selects(&self, record: &Record, mapped: impl Fn(usize) -> bool) -> bool {
-        self.conditions.iter().all(|c| {
+        let leaf = |c: &Condition| {
             let value = [&record.brand, &record.price, &record.case][c.attr];
             mapped(c.attr) && holds(RANGES[c.attr], &c.op, value, &c.value)
-        })
+        };
+        self.conditions.iter().all(|c| c.holds(&leaf))
     }
 }
 
@@ -213,11 +218,12 @@ fn like(value: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Condition, SourceKindSpec, SourceSpec};
+    use crate::scenario::{Cond, SourceKindSpec, SourceSpec};
 
     /// The oracle pinned by hand, not through the engine: a multi-record
     /// DB source, a single-record web source and a hard-down XML source
-    /// under `price < 300 AND brand LIKE 's%'`.
+    /// under `price < 300 AND brand LIKE 's%'`, then under an `OR` with a
+    /// `NOT`.
     #[test]
     fn a_hand_written_scenario_expects_these_lines() {
         let source = |kind, single_record, fault| SourceSpec { kind, single_record, fault };
@@ -229,10 +235,7 @@ mod tests {
                 source(SourceKindSpec::Web, true, FaultClass::Reliable),
                 source(SourceKindSpec::Xml, false, FaultClass::HardDown),
             ],
-            conditions: vec![
-                Condition { attr: 1, op: "<".into(), value: "300".into() },
-                Condition { attr: 0, op: "LIKE".into(), value: "s%".into() },
-            ],
+            conditions: vec![Cond::Leaf(leaf(1, "<", "300")), Cond::Leaf(leaf(0, "LIKE", "s%"))],
             spelled: false,
         };
         let records = scenario.records();
@@ -260,6 +263,21 @@ mod tests {
                 ("SRC_2", "thing.product.watch.price"),
             ]
         );
+        // `NOT (brand = 'seiko') OR price < 150` keeps timex and rado.
+        let not = Cond::Not(Box::new(Cond::Leaf(leaf(0, "=", "seiko"))));
+        let or = Cond::Or(Box::new(not), Box::new(Cond::Leaf(leaf(1, "<", "150"))));
+        let scenario = Scenario { conditions: vec![or], ..scenario };
+        assert_eq!(
+            scenario.expected().individuals,
+            [
+                r#"SRC_0#1 brand="timex" case="carbon" price="137""#,
+                r#"SRC_0#2 brand="rado" case="resin" price="214""#,
+            ]
+        );
+    }
+
+    fn leaf(attr: usize, op: &str, value: &str) -> Condition {
+        Condition { attr, op: op.into(), value: value.into() }
     }
 
     #[test]

@@ -62,13 +62,14 @@
 //! `!=` included; `brand` and `case` are `xsd:string`s, ordered by code
 //! point. The catalog is 1–5 records of 3 attributes (XML and web pad
 //! some prices, text and web lines carry a `unit_price` label) and 0–2
-//! `AND`ed conditions, and a generated catalog is `spelled`: some prices
+//! `AND`ed conjuncts, each a leaf or a `NOT`/`AND`/`OR` tree up to three
+//! operators deep, and a generated catalog is `spelled`: some prices
 //! are signed, zero-padded, fractional, exponent, non-finite or
 //! placeholder forms, some brands and cases numeric-looking, non-ASCII
 //! or with an apostrophe, and the constants hit them; every source kind
 //! serves each verbatim, a database keeping its prices as `TEXT` when an
-//! `INTEGER` column cannot. `OR`, `NOT` and catalogs of hundreds of rows
-//! are not generated.
+//! `INTEGER` column cannot. Catalogs of hundreds of rows are not
+//! generated.
 
 #![forbid(unsafe_code)]
 

@@ -22,7 +22,7 @@ use s2s_core::query;
 
 use crate::expected::Answer;
 use crate::oracle::{ground_truth, Violation};
-use crate::scenario::{render_condition, spells_bare, BuildConfig, Scenario, ATTRS};
+use crate::scenario::{spells_bare, BuildConfig, Cond, Scenario, ATTRS};
 
 /// Runs every metamorphic rewrite and checks its answer against
 /// `expected`.
@@ -47,7 +47,7 @@ pub fn check_metamorphic(scenario: &Scenario, expected: &Answer) -> Vec<Violatio
         let mut text = String::from("SELECT watch");
         for (i, c) in scenario.conditions.iter().rev().enumerate() {
             text.push_str(if i == 0 { " WHERE " } else { " AND " });
-            text.push_str(&render_condition(c));
+            text.push_str(&c.render());
         }
         arm(&format!("reordered-conditions {text:?}"), BuildConfig::batched(), &text);
     }
@@ -83,27 +83,6 @@ pub fn check_metamorphic(scenario: &Scenario, expected: &Answer) -> Vec<Violatio
 /// constraint single-quoted, double-quoted or bare, and redundant
 /// parentheses around leaves and the whole condition.
 pub fn spelling_variant(scenario: &Scenario, rng: &mut StdRng) -> String {
-    let pad = |rng: &mut StdRng| -> String {
-        let n = rng.gen_range(1..4);
-        (0..n).map(|_| if rng.gen_bool(0.8) { ' ' } else { '\t' }).collect()
-    };
-    let casing = |word: &str, rng: &mut StdRng| -> String {
-        match rng.gen_range(0..3) {
-            0 => word.to_ascii_lowercase(),
-            1 => word.to_ascii_uppercase(),
-            _ => {
-                let mut out = String::new();
-                for (i, c) in word.chars().enumerate() {
-                    if i % 2 == 0 {
-                        out.extend(c.to_lowercase());
-                    } else {
-                        out.extend(c.to_uppercase());
-                    }
-                }
-                out
-            }
-        }
-    };
     let mut text = String::new();
     text.push_str(&pad(rng));
     text.push_str(&casing("SELECT", rng));
@@ -117,26 +96,77 @@ pub fn spelling_variant(scenario: &Scenario, rng: &mut StdRng) -> String {
         if i == 0 && wrap_all {
             text.push('(');
         }
-        let op = match c.op.as_str() {
-            "!=" if rng.gen_bool(0.5) => "<>".to_string(),
-            "LIKE" => casing("LIKE", rng),
-            op => op.to_string(),
-        };
-        let value = match rng.gen_range(0..3) {
-            0 if spells_bare(&c.value) => c.value.clone(),
-            1 => format!("\"{}\"", c.value.replace('"', "\"\"")),
-            _ => format!("'{}'", c.value.replace('\'', "''")),
-        };
-        let parens = if rng.gen_bool(0.3) { rng.gen_range(1..3) } else { 0 };
-        text.push_str(&"(".repeat(parens));
-        text.push_str(&format!("{}{}{op}{}{value}", ATTRS[c.attr], pad(rng), pad(rng)));
-        text.push_str(&")".repeat(parens));
+        spell(c, rng, &mut text);
     }
     if wrap_all && !scenario.conditions.is_empty() {
         text.push(')');
     }
     text.push_str(&pad(rng));
     text
+}
+
+/// Appends a spelling of the conjunct `c` to `text`.
+fn spell(c: &Cond, rng: &mut StdRng, text: &mut String) {
+    let parens = if rng.gen_bool(0.3) { rng.gen_range(1..3) } else { 0 };
+    text.push_str(&"(".repeat(parens));
+    match c {
+        Cond::Leaf(c) => {
+            let op = match c.op.as_str() {
+                "!=" if rng.gen_bool(0.5) => "<>".to_string(),
+                "LIKE" => casing("LIKE", rng),
+                op => op.to_string(),
+            };
+            let value = match rng.gen_range(0..3) {
+                0 if spells_bare(&c.value) => c.value.clone(),
+                1 => format!("\"{}\"", c.value.replace('"', "\"\"")),
+                _ => format!("'{}'", c.value.replace('\'', "''")),
+            };
+            text.push_str(&format!("{}{}{op}{}{value}", ATTRS[c.attr], pad(rng), pad(rng)));
+        }
+        Cond::Not(e) => {
+            text.push_str(&casing("NOT", rng));
+            text.push_str(&pad(rng));
+            text.push('(');
+            spell(e, rng, text);
+            text.push(')');
+        }
+        Cond::And(a, b) | Cond::Or(a, b) => {
+            let op = if matches!(c, Cond::And(..)) { "AND" } else { "OR" };
+            text.push('(');
+            spell(a, rng, text);
+            text.push_str(&pad(rng));
+            text.push_str(&casing(op, rng));
+            text.push_str(&pad(rng));
+            spell(b, rng, text);
+            text.push(')');
+        }
+    }
+    text.push_str(&")".repeat(parens));
+}
+
+/// One to three spaces or tabs.
+fn pad(rng: &mut StdRng) -> String {
+    let n = rng.gen_range(1..4);
+    (0..n).map(|_| if rng.gen_bool(0.8) { ' ' } else { '\t' }).collect()
+}
+
+/// `word` in lower, upper or alternating case.
+fn casing(word: &str, rng: &mut StdRng) -> String {
+    match rng.gen_range(0..3) {
+        0 => word.to_ascii_lowercase(),
+        1 => word.to_ascii_uppercase(),
+        _ => {
+            let mut out = String::new();
+            for (i, c) in word.chars().enumerate() {
+                if i % 2 == 0 {
+                    out.extend(c.to_lowercase());
+                } else {
+                    out.extend(c.to_uppercase());
+                }
+            }
+            out
+        }
+    }
 }
 
 #[cfg(test)]

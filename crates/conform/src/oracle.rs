@@ -29,9 +29,9 @@
 //!   empty answer and touches neither the wire nor the caches; a
 //!   deadline never raises completeness; `hedge_wins ≤ hedges`.
 //! * **Pushdown** — filtered responses never outgrow the unfiltered
-//!   twin's (the condition doubly negated), a pruned source is never
-//!   dialled, and the decoy is pruned whenever the query constrains
-//!   `price` or `case`.
+//!   twin's (the scenario asked with no condition), a pruned source is
+//!   never dialled, and the decoy is pruned whenever the condition
+//!   requires `price` or `case`.
 //! * **Views** — an unmutated repeat is served from views without the
 //!   wire, and every warm slice is a hit, refresh or full refresh.
 //! * **Bootstrap coverage** — every source bootstraps one applied
@@ -50,7 +50,7 @@ use s2s_netsim::{AdmissionConfig, HedgeConfig, RetryPolicy, SimDuration};
 
 use crate::expected::Answer;
 use crate::meta;
-use crate::scenario::{BuildConfig, FaultClass, Record, Scenario, SourceSpec, ATTRS};
+use crate::scenario::{BuildConfig, Cond, FaultClass, Record, Scenario, SourceSpec, ATTRS};
 
 /// One violated oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,15 +452,16 @@ fn check_bootstrap(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
 /// Besides:
 ///
 /// * **wire monotonicity** — the batched run's responses are subsets of
-///   its unfiltered twin's (the condition doubly negated, which binds no
-///   conjunct), so `wire_response_bytes` never exceeds the twin's.
+///   its unfiltered twin's (the scenario asked with no condition, which
+///   binds nothing; its answer is checked as its own scenario's), so
+///   `wire_response_bytes` never exceeds the twin's.
 /// * **pruned silence** — a pruned source's ledger row shows no task,
 ///   no pushed conjunct, no attempt and no byte (it was never dialled).
 /// * **determinism** — two identically seeded runs keep equal ledgers.
 ///
 /// The `decoy-on` arm adds a reliable DB source that maps only `brand`:
-/// any condition on `price` or `case` must prune it, and it adds a
-/// brand-only line per record that passes the conditions.
+/// a conjunct that requires `price` or `case` must prune it, and it adds
+/// a brand-only line per record that passes the conditions.
 fn check_pushdown(
     scenario: &Scenario,
     expected: &Answer,
@@ -470,8 +471,9 @@ fn check_pushdown(
     let query = scenario.query_text();
     let batched = || scenario.build(&BuildConfig::batched());
 
-    let twin = batched().query(&scenario.unfiltered_query_text()).expect("parses as the query");
-    ground_truth("unfiltered", &twin, expected, &mut violations);
+    let bare = Scenario { conditions: Vec::new(), ..scenario.clone() };
+    let twin = bare.build(&BuildConfig::batched()).query(&bare.query_text()).expect("valid");
+    ground_truth("unfiltered", &twin, &bare.expected(), &mut violations);
     if filtered.stats.wire_response_bytes > twin.stats.wire_response_bytes {
         violations.push(Violation::new(
             "pushdown-wire-monotonicity",
@@ -507,13 +509,14 @@ fn check_pushdown(
             &Answer::new(lines, expected.failed.clone()),
             &mut violations,
         );
-        let constrains_beyond_brand = scenario.conditions.iter().any(|c| c.attr != 0);
+        let requires_beyond_brand =
+            scenario.conditions.iter().flat_map(Cond::required).any(|c| c.attr != 0);
         let pruned_decoy = on.source("DECOY").is_some_and(|r| r.pruned);
-        if constrains_beyond_brand && !pruned_decoy {
+        if requires_beyond_brand && !pruned_decoy {
             violations.push(Violation::new(
                 "pushdown-prune",
-                "decoy source mapping only `brand` was not pruned though the query \
-                 constrains another attribute"
+                "decoy source mapping only `brand` was not pruned though the condition \
+                 requires another attribute"
                     .to_string(),
             ));
         }
@@ -544,7 +547,7 @@ fn check_pruned_rows(outcome: &QueryOutcome, violations: &mut Vec<Violation>) {
 }
 
 /// The batched deployment plus one reliable DB source (`DECOY`) that
-/// maps only `brand` — prunable whenever the query constrains `price`
+/// maps only `brand` — prunable whenever the condition requires `price`
 /// or `case`, and a harmless extra contributor otherwise.
 fn decoy_engine(scenario: &Scenario) -> S2s {
     use crate::scenario::{connection_for, rule_for, SourceKindSpec};
@@ -859,7 +862,7 @@ mod tests {
             crate::case::from_case(include_str!("../corpus/pushdown-replica-failover.case"))
                 .expect("corpus case parses");
         let engine = || scenario.build(&BuildConfig::batched());
-        let twin = engine().query(&scenario.unfiltered_query_text()).unwrap();
+        let twin = engine().query("SELECT watch").unwrap();
         let filtered = engine().query(&scenario.query_text()).unwrap();
         assert_eq!(filtered.stats.completeness, 1.0, "replica rescues the outage");
         assert!(filtered.failovers() >= 1, "the primary endpoint is hard-down");

@@ -199,6 +199,56 @@ pub struct Condition {
     pub value: String,
 }
 
+/// A `WHERE` conjunct: a leaf, or `NOT` / `AND` / `OR` over conjuncts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Cond {
+    /// One comparison.
+    Leaf(Condition),
+    /// Negation.
+    Not(Box<Cond>),
+    /// Conjunction.
+    And(Box<Cond>, Box<Cond>),
+    /// Disjunction.
+    Or(Box<Cond>, Box<Cond>),
+}
+
+impl Cond {
+    /// Whether the conjunct holds where `leaf` says which leaves do.
+    pub fn holds(&self, leaf: &impl Fn(&Condition) -> bool) -> bool {
+        match self {
+            Cond::Leaf(c) => leaf(c),
+            Cond::Not(e) => !e.holds(leaf),
+            Cond::And(a, b) => a.holds(leaf) && b.holds(leaf),
+            Cond::Or(a, b) => a.holds(leaf) || b.holds(leaf),
+        }
+    }
+
+    /// The leaves every record the conjunct selects satisfies: a leaf
+    /// itself, what either side of an `AND` requires, what both sides of
+    /// an `OR` do, nothing under a `NOT`.
+    pub fn required(&self) -> Vec<&Condition> {
+        match self {
+            Cond::Leaf(c) => vec![c],
+            Cond::Not(_) => Vec::new(),
+            Cond::And(a, b) => [a.required(), b.required()].concat(),
+            Cond::Or(a, b) => {
+                let right = b.required();
+                a.required().into_iter().filter(|c| right.contains(c)).collect()
+            }
+        }
+    }
+
+    /// The conjunct in canonical S2SQL: each operator parenthesized.
+    pub fn render(&self) -> String {
+        match self {
+            Cond::Leaf(c) => render_condition(c),
+            Cond::Not(e) => format!("NOT ({})", e.render()),
+            Cond::And(a, b) => format!("({} AND {})", a.render(), b.render()),
+            Cond::Or(a, b) => format!("({} OR {})", a.render(), b.render()),
+        }
+    }
+}
+
 /// A generated test case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
@@ -209,8 +259,8 @@ pub struct Scenario {
     pub rows: usize,
     /// The data sources (≥ 1), registered as `SRC_0`, `SRC_1`, …
     pub sources: Vec<SourceSpec>,
-    /// The query's `WHERE` conditions (AND-joined; may be empty).
-    pub conditions: Vec<Condition>,
+    /// The query's `WHERE` conjuncts (AND-joined; may be empty).
+    pub conditions: Vec<Cond>,
     /// Whether the catalog respells some records' values in forms that
     /// tell value spaces apart ([`Scenario::records`]). Generated
     /// scenarios do; case files written before the spellings existed
@@ -252,7 +302,7 @@ impl Scenario {
             })
             .collect();
         let n_conditions = rng.gen_range(0..3);
-        let conditions = (0..n_conditions).map(|_| generate_condition(&mut rng)).collect();
+        let conditions = (0..n_conditions).map(|_| generate_cond(&mut rng, 3)).collect();
         Scenario { seed, rows, sources, conditions, spelled: true }
     }
 
@@ -292,20 +342,9 @@ impl Scenario {
         let mut text = String::from("SELECT watch");
         for (i, c) in self.conditions.iter().enumerate() {
             text.push_str(if i == 0 { " WHERE " } else { " AND " });
-            text.push_str(&render_condition(c));
+            text.push_str(&c.render());
         }
         text
-    }
-
-    /// [`Scenario::query_text`] with its condition doubly negated: the
-    /// same answer, but no conjunct is required, so every source runs
-    /// unfiltered — the twin a filtered run's wire is measured against.
-    pub fn unfiltered_query_text(&self) -> String {
-        let text = self.query_text();
-        match text.split_once(" WHERE ") {
-            Some((select, condition)) => format!("{select} WHERE NOT (NOT ({condition}))"),
-            None => text,
-        }
     }
 
     /// The deterministic endpoint seed for source index `i` — derived
@@ -510,6 +549,21 @@ pub fn spell_price(rng: &mut StdRng, n: &str) -> String {
         9 => "-".into(),
         10 => "N/A".into(),
         _ => format!("00{n}"),
+    }
+}
+
+/// A conjunct at most `depth` operators deep: a leaf half the time,
+/// otherwise `NOT`, `AND` or `OR` over shallower ones.
+fn generate_cond(rng: &mut StdRng, depth: usize) -> Cond {
+    if depth == 0 || rng.gen_bool(0.5) {
+        return Cond::Leaf(generate_condition(rng));
+    }
+    let op = rng.gen_range(0..3);
+    let mut operand = || Box::new(generate_cond(rng, depth - 1));
+    match op {
+        0 => Cond::Not(operand()),
+        1 => Cond::And(operand(), operand()),
+        _ => Cond::Or(operand(), operand()),
     }
 }
 

@@ -8,7 +8,7 @@
 
 use s2s_netsim::FaultKind;
 
-use crate::scenario::{FaultClass, Scenario};
+use crate::scenario::{Cond, FaultClass, Scenario};
 
 /// Upper bound on predicate evaluations per shrink, so a pathological
 /// case cannot stall the fuzz loop.
@@ -52,11 +52,21 @@ fn reductions(sc: &Scenario) -> Vec<Scenario> {
     if sc.spelled {
         out.push(Scenario { spelled: false, ..sc.clone() });
     }
-    // Drop one condition.
-    for i in 0..sc.conditions.len() {
+    // Drop one conjunct, or put an operand of a tree in its place.
+    for (i, c) in sc.conditions.iter().enumerate() {
         let mut candidate = sc.clone();
         candidate.conditions.remove(i);
         out.push(candidate);
+        let operands: Vec<&Cond> = match c {
+            Cond::Leaf(_) => Vec::new(),
+            Cond::Not(e) => vec![e],
+            Cond::And(a, b) | Cond::Or(a, b) => vec![a, b],
+        };
+        for operand in operands {
+            let mut candidate = sc.clone();
+            candidate.conditions[i] = operand.clone();
+            out.push(candidate);
+        }
     }
     // Shed rows.
     if sc.rows > 1 {
@@ -136,16 +146,18 @@ mod tests {
                 fault: FaultClass::HardDown,
             });
         }
+        let leaf =
+            Cond::Leaf(crate::scenario::Condition { attr: 1, op: "<".into(), value: "100".into() });
         while fat.conditions.len() < 2 {
-            fat.conditions.push(crate::scenario::Condition {
-                attr: 1,
-                op: "<".into(),
-                value: "100".into(),
-            });
+            fat.conditions.push(Cond::Not(Box::new(Cond::Or(
+                Box::new(leaf.clone()),
+                Box::new(leaf.clone()),
+            ))));
         }
         let shrunk = shrink(&fat, |sc| sc.sources.len() >= 2 && !sc.conditions.is_empty());
         assert_eq!(shrunk.sources.len(), 2);
         assert_eq!(shrunk.conditions.len(), 1);
+        assert!(matches!(shrunk.conditions[0], Cond::Leaf(_)), "a tree shrinks to a leaf");
         assert_eq!(shrunk.rows, 1);
         assert!(shrunk.sources.iter().all(|s| s.fault == FaultClass::Reliable));
     }

@@ -298,9 +298,10 @@ impl ExtractorManager {
     /// `sources` is the query's ledger ([`crate::ledger`]); the mediator
     /// writes each source's tasks, attempt ladder, wire time and bytes
     /// into its row (adding a row for a source without one) and hands
-    /// the rows back in the report. A row's bound conjuncts (positions
-    /// among the condition's leaves) filter its source's records; a source
-    /// that has to run unfiltered gets them cleared and the reason set.
+    /// the rows back in the report. The condition, folded against a
+    /// source's rules, filters its records, and its row holds the leaves
+    /// the fold tests; a source that has to run unfiltered gets them
+    /// cleared and the reason set.
     ///
     /// When [`ExtractEnv::traced`], the report's `spans` carry one
     /// `batch` span per planned wire exchange, with one `rule` child
@@ -447,7 +448,7 @@ struct PlannedBatch<'a> {
     /// Statements the wrapper ran for the schemas, and why not through
     /// a filter if the query has a condition.
     ran: Ran,
-    /// The conjuncts the source was filtered by.
+    /// The leaves the source was filtered by.
     pushed: Pushed,
     /// Wall time of the wrapper run (0 unless tracing).
     wrapper_us: u64,
@@ -489,24 +490,20 @@ fn plan_batches<'a>(
         let started = traced.then(std::time::Instant::now);
         mappings.clear();
         mappings.extend(group.iter().map(|&i| &*schemas[i].mapping));
-        filter.conjuncts.clear();
-        let bound = env.bind.map(|bind| bind.to(&mappings, &mut filter.conjuncts));
+        let bound = env.bind.map(|bind| bind.to(&mappings, &mut filter.fold));
         let (source, mut ran) = match registry.require(id) {
             Ok(source) => (Some(source), prepare(source, &mappings, &mut filter, &mut columns)),
             Err(e) => {
                 columns.extend(group.iter().map(|_| Err(e.clone())));
-                let unfiltered = filter.is_bound().then_some(Unfiltered::Statements);
+                let unfiltered = filter.fold.is_bound().then_some(Unfiltered::Statements);
                 (None, Ran { statements: 0, unfiltered })
             }
         };
-        let pushed = match bound {
-            Some(Ok(pushed)) if ran.unfiltered.is_none() => pushed,
-            Some(Err(why)) => {
-                ran.unfiltered = Some(why);
-                Pushed::default()
-            }
-            _ => Pushed::default(),
-        };
+        if let Some(Err(why)) = bound {
+            ran.unfiltered = Some(why);
+        }
+        let filtered = bound.is_some() && ran.unfiltered.is_none();
+        let pushed = bound.and_then(Result::ok).filter(|_| filtered).unwrap_or_default();
         let wrapper_us = started.map_or(0, |t| t.elapsed().as_micros() as u64);
         let mut ok = Vec::with_capacity(group.len());
         let mut failed = Vec::new();
@@ -533,16 +530,15 @@ fn plan_batches<'a>(
             }
         }
         // Every surviving rule travels as one section of a single
-        // BatchRequest, and so does each conjunct its filter binds (its
+        // BatchRequest, and so does each leaf its filter tests (its
         // operator and constant); every value list comes back as one
         // section of the matching BatchResponse.
         let (wire_bytes, response_bytes) = if ok.is_empty() {
             (0, 0)
         } else {
             let rules = ok.iter().map(|(_, s, _)| s.mapping.rule().text().len());
-            let filtered = filter.is_bound() && ran.unfiltered.is_none();
-            let bound = filter.conjuncts.iter().filter(|_| filtered);
-            let constants = bound.map(|(_, c)| c.op().token().len() + c.value().len());
+            let leaves = filter.fold.leaves().filter(|_| filtered);
+            let constants = leaves.map(|c| c.op().token().len() + c.value().len());
             let responses = ok.iter().map(|(_, _, v)| v.text_len());
             let requests = rules.chain(constants);
             (batch_exchange_size(requests, responses.clone()), batch_frame_size(responses))

@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// any other.
 ///
 /// A column read through a filter holds the values of the records it
-/// kept only, and the number each record has in the unfiltered
+/// kept only, and the number each kept record has in the unfiltered
 /// statement ([`Values::records`]), shared by the source's columns.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Values {
@@ -100,17 +100,18 @@ impl Values {
         self.text.len()
     }
 
-    /// The record number of each value, when the column was read
-    /// through a filter: value `i` belongs to record `records[i]` of the
-    /// unfiltered statement. `None` for a column read whole, whose value
-    /// `i` is record `i`'s.
+    /// The numbers of the records a filter kept, when the column was
+    /// read through one: value `i` of a multi-record column belongs to
+    /// record `records[i]` of the unfiltered statement. `None` for a
+    /// column read whole, whose value `i` is record `i`'s.
     pub fn records(&self) -> Option<&[u32]> {
         self.records.as_deref()
     }
 
-    /// Numbers the values by `records` (one per value, ascending).
+    /// Numbers the column by `records`, ascending, the records its
+    /// source's filter kept: one per value of a multi-record column, and
+    /// any number for the one value — or none — of a single-record one.
     pub(crate) fn number(&mut self, records: Arc<[u32]>) {
-        debug_assert_eq!(records.len(), self.len(), "one record number per value");
         self.records = Some(records);
     }
 }

@@ -10,9 +10,11 @@
 //! Record grouping: within one source, multi-record attribute value
 //! lists are positionally aligned (record *i* gets the *i*-th value of
 //! every attribute); single-record attributes apply to every record of
-//! the source. One individual is generated per `(source, record)`,
-//! filtered by the query conditions — a column at a time (`select`):
-//! the records a condition rejects cost one comparison each.
+//! the source. One individual is generated per `(source, record)`
+//! that the query's condition holds for: a source that ran filtered
+//! hands over only those (its columns carry their record numbers), and
+//! any other is tested here a record at a time, with the condition
+//! folded against its columns (`planner::Fold`).
 //!
 //! Entailment is per mapping, not per record: what the reasoner derives
 //! from a record's fact depends on the fact's property and the kind of
@@ -31,7 +33,8 @@ use s2s_textmatch::ValueSpace;
 
 use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
 use crate::mapping::RecordScenario;
-use crate::query::{condition_matches, ConditionTree, QueryPlan};
+use crate::planner::Fold;
+use crate::query::QueryPlan;
 
 /// A generated ontology individual, kept in structured form alongside
 /// the RDF graph for convenient inspection.
@@ -344,105 +347,6 @@ impl<'a> Block<'a> {
     }
 }
 
-/// Calls `f` with each record set in `bits`, in ascending order.
-fn for_each_set(bits: &[u64], mut f: impl FnMut(usize)) {
-    for (w, word) in bits.iter().enumerate() {
-        let mut pending = *word;
-        while pending != 0 {
-            f(w * 64 + pending.trailing_zeros() as usize);
-            pending &= pending - 1;
-        }
-    }
-}
-
-/// Clears from `bits` the records `keep` does not hold for, asking it
-/// about the set ones only, in ascending order.
-fn retain(bits: &mut [u64], mut keep: impl FnMut(usize) -> bool) {
-    for (w, word) in bits.iter_mut().enumerate() {
-        let mut pending = *word;
-        while pending != 0 {
-            if !keep(w * 64 + pending.trailing_zeros() as usize) {
-                *word &= !(pending & pending.wrapping_neg());
-            }
-            pending &= pending - 1;
-        }
-    }
-}
-
-/// The buffers [`select`] borrows on the deepest path of `tree`: one for
-/// each `AND` wanted false and each `OR` wanted true.
-fn complements(tree: &ConditionTree, want: bool) -> usize {
-    match tree {
-        ConditionTree::Leaf(_) => 0,
-        ConditionTree::Not(e) => complements(e, !want),
-        ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
-            let both = matches!(tree, ConditionTree::And(..));
-            usize::from(want != both) + complements(a, both).max(complements(b, both))
-        }
-    }
-}
-
-/// Narrows the selection `bits` — one bit per record of a source — to
-/// the records for which `tree` evaluates to `want`:
-/// [`ConditionTree::matches`], which stays the definition, run a column
-/// at a time over `columns` sorted by property.
-///
-/// A leaf finds the columns carrying its property once (a run of the
-/// sorted slice: any of them may satisfy it, none fails it), tests a
-/// single-record value once for every record, and otherwise makes one
-/// [`condition_matches`] call per record still selected. `NOT` flips
-/// `want`. `AND` and `OR` are one narrowing by De Morgan — to the
-/// records where both operands are true, respectively false — so the
-/// right operand only sees the records the left one left undecided, as
-/// the row walk's short-circuit had it. When the other half is wanted
-/// the narrowing runs on a copy, lent by `spare` ([`complements`]), and
-/// is then taken out of `bits`.
-fn select(
-    tree: &ConditionTree,
-    columns: &[Column<'_>],
-    bits: &mut [u64],
-    want: bool,
-    spare: &mut [Vec<u64>],
-) {
-    match tree {
-        ConditionTree::Leaf(leaf) => {
-            let run = &columns[columns.partition_point(|c| *c.property < leaf.property)..];
-            let carrying = &run[..run.iter().take_while(|c| *c.property == leaf.property).count()];
-            let holds = |value: Option<&str>| value.is_some_and(|v| condition_matches(leaf, v));
-            let single = |c: &&Column<'_>| c.scenario == RecordScenario::SingleRecord;
-            if carrying.iter().filter(single).any(|c| holds(c.values.first())) {
-                if !want {
-                    bits.fill(0);
-                }
-                return;
-            }
-            retain(bits, |i| {
-                carrying.iter().filter(|c| !single(c)).any(|c| holds(c.values.get(i))) == want
-            });
-        }
-        ConditionTree::Not(e) => select(e, columns, bits, !want, spare),
-        ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
-            // Where an `AND` is true both operands are; where an `OR` is
-            // false both are.
-            let both = matches!(tree, ConditionTree::And(..));
-            if want == both {
-                select(a, columns, bits, both, spare);
-                select(b, columns, bits, both, spare);
-            } else {
-                let (decided, spare) =
-                    spare.split_first_mut().expect("a spare buffer per complement");
-                decided.clear();
-                decided.extend_from_slice(bits);
-                select(a, columns, decided, both, spare);
-                select(b, columns, decided, both, spare);
-                for (word, decided) in bits.iter_mut().zip(decided) {
-                    *word &= !*decided;
-                }
-            }
-        }
-    }
-}
-
 /// Generates OWL instances from an extraction report.
 ///
 /// Individuals failing the plan's conditions are dropped; individuals
@@ -498,15 +402,13 @@ fn emit_triples(
     // Reused from source to source: the text being minted, the records
     // of the source that became individuals, the last block and the
     // shape of the next, the values that fill more than one row, and
-    // the buffers of the condition's selection.
+    // the condition folded against the source's columns.
     let mut minted = String::new();
     let mut survivors: Vec<(usize, Iri)> = Vec::new();
     let mut block = Block::default();
     let mut shape = Shape::default();
     let mut objects: Vec<Option<Term>> = Vec::new();
-    let mut selection: Vec<u64> = Vec::new();
-    let mut spare: Vec<Vec<u64>> =
-        vec![Vec::new(); plan.condition.as_ref().map_or(0, |tree| complements(tree, true))];
+    let mut fold = Fold::default();
 
     // Group results by source.
     let mut by_source: BTreeMap<&str, Vec<&AttributeResult>> = BTreeMap::new();
@@ -515,7 +417,7 @@ fn emit_triples(
     }
 
     for (source, results) in by_source {
-        let mut columns: Vec<Column<'_>> = results
+        let columns: Vec<Column<'_>> = results
             .iter()
             .map(|r| {
                 let property = r.mapping.property();
@@ -537,16 +439,17 @@ fn emit_triples(
             })
             .collect();
 
-        // Record count: single-record attributes contribute 1; others
-        // their value count.
-        let records = columns
-            .iter()
-            .map(|c| match c.scenario {
-                RecordScenario::SingleRecord => 1,
-                RecordScenario::MultiRecord => c.values.len(),
-            })
-            .max()
-            .unwrap_or(0);
+        // A record's number: its position in the source's unfiltered
+        // statement, which a filtered source's columns carry.
+        let numbers = columns.iter().find_map(|c| c.values.records());
+        let number = |i: usize| numbers.map_or(i, |numbers| numbers[i] as usize);
+        // Record count: a filtered source's kept records; otherwise
+        // single-record attributes contribute 1, others their value
+        // count.
+        let single = |c: &Column<'_>| c.scenario == RecordScenario::SingleRecord;
+        let count = |c: &Column<'_>| if single(c) { 1 } else { c.values.len() };
+        let records =
+            numbers.map_or_else(|| columns.iter().map(count).max().unwrap_or(0), <[u32]>::len);
 
         // The individual's class: the most specific class among the
         // contributing mappings (a record fed by `watch`-level mappings
@@ -565,24 +468,25 @@ fn emit_triples(
         minted.push('/');
         let prefix_len = minted.len();
         let record_prefix = Iri::new(&minted).expect("minted IRIs are valid by construction");
-        // A record's number: its position in the source's unfiltered
-        // statement, which a filtered source's columns carry.
-        let numbers = columns.iter().find_map(|c| c.values.records());
-        let number = |i: usize| numbers.map_or(i, |numbers| numbers[i] as usize);
 
-        // Phase 1, in record order: which records become individuals.
-        // A condition selects them by column, and finds a leaf's columns
-        // as a run of the sorted ones (a stable sort: the columns of one
-        // property keep their order, an individual's values with them).
-        if plan.condition.is_some() {
-            columns.sort_by_key(|c| c.property);
+        // Phase 1, in record order: which records become individuals. A
+        // source that ran unfiltered is tested here, with nothing
+        // allocated for a record the condition rejects.
+        let tested = plan.condition.as_ref().filter(|_| numbers.is_none());
+        if let Some(tree) = tested {
+            fold.fold(tree, columns.len(), |k| columns[k].property);
         }
-        let mut individual = |i: usize| {
+        for i in 0..records {
+            let mut value =
+                |k: usize, test: &dyn Fn(&str) -> bool| columns[k].value(i).is_some_and(test);
+            if tested.is_some() && !fold.holds(0, &mut value) {
+                continue;
+            }
             // The projection applies after the condition: condition
             // attributes may be filtered on without being output. (A
             // record with no value at all is no individual either way.)
             if !columns.iter().any(|c| c.projected && c.value(i).is_some()) {
-                return;
+                continue;
             }
             minted.truncate(prefix_len);
             write!(minted, "{}", number(i)).expect("writing to a String cannot fail");
@@ -601,20 +505,6 @@ fn emit_triples(
                 source: source.to_string(),
                 values,
             });
-        };
-        match &plan.condition {
-            Some(tree) => {
-                // Every record, narrowed by the tree: nothing is
-                // allocated for a record it rejects.
-                selection.clear();
-                selection.resize(records.div_ceil(64), u64::MAX);
-                if let Some(last) = selection.last_mut().filter(|_| records % 64 != 0) {
-                    *last = (1 << (records % 64)) - 1;
-                }
-                select(tree, &columns, &mut selection, true, &mut spare);
-                for_each_set(&selection, &mut individual);
-            }
-            None => (0..records).for_each(&mut individual),
         }
         if survivors.is_empty() {
             continue;
@@ -950,10 +840,10 @@ mod tests {
         assert!(set.individuals.iter().all(|i| i.value(&brand) == Some("Seiko")));
     }
 
-    /// A condition at the depth cap — `NOT (… OR NOT (… OR …))`, so that
-    /// every level flips the wanted half and every level but the first
-    /// borrows a buffer — selects what the row definition selects, on a
-    /// worker thread's stack and across a word of the selection.
+    /// A condition at the depth cap — `NOT (… OR NOT (… OR …))`, which
+    /// the fold keeps whole and the evaluator descends a level at a
+    /// time — selects what the row definition selects, on a worker
+    /// thread's stack, over more than a word's worth of records.
     #[test]
     fn selection_at_the_depth_cap_agrees_with_the_row_definition() {
         use crate::query::MAX_CONDITION_DEPTH;
@@ -967,7 +857,6 @@ mod tests {
             assert!(parse(&nested(levels + 1)).is_err(), "one level more is past the cap");
             let p = plan(&parse(&nested(levels)).expect("at the cap"), &o).unwrap();
             let tree = p.condition.as_ref().unwrap();
-            assert_eq!(complements(tree, true), levels - 1);
 
             let values: Vec<String> = (0..150).map(|i| format!("b{}", i * 2 % 131)).collect();
             let column: Vec<&str> = values.iter().map(String::as_str).collect();

@@ -31,10 +31,11 @@ pub struct SourceLedger {
     pub statements: usize,
     /// Whether the pushdown planner pruned the source: a required
     /// conjunct names a property it does not map, so nothing it could
-    /// contribute passes the residual filter, and it is never dialled.
+    /// contribute passes the condition, and it is never dialled.
     pub pruned: bool,
-    /// The conjuncts the source's record statement was filtered by, as
-    /// positions among the leaves of the query's condition
+    /// The leaves of the query's condition the source's record
+    /// statement was filtered by — those a rule of the source reads —
+    /// as positions among them
     /// ([`crate::query::ConditionTree::leaves`]);
     /// [`SourceLedger::pushed_conjuncts`] spells them out.
     pub pushed: Pushed,
@@ -130,18 +131,12 @@ pub enum Unfiltered {
     /// The engine keeps materialized views, which hold a source's
     /// slices whole.
     Views,
-    /// A rule of the source is single-record: its one value applies to
-    /// every record.
-    SingleRecord,
-    /// No conjunct the condition requires names a property exactly one
-    /// of the source's rules reads.
-    NoConjunct,
     /// The source's rules did not run as one record statement: several
     /// statements, an XQuery, or a rule that failed.
     Statements,
     /// The statement's columns do not line up record by record: a NULL
-    /// cell, a record missing or repeating a field, or columns of
-    /// unequal length.
+    /// cell, a record missing or repeating a field, columns of unequal
+    /// length, or single- and multi-record rules in one statement.
     Misaligned,
 }
 

@@ -834,9 +834,9 @@ impl S2s {
         (deps, served)
     }
 
-    /// Pushdown, after the view partition: the condition's leaves and
-    /// the ones it requires, which extraction binds to the wire-bound
-    /// sources' record statements ([`crate::planner::Bind`]). Its span's
+    /// Pushdown, after the view partition: the condition, which
+    /// extraction folds against each wire-bound source's rules and binds
+    /// to its record statement ([`crate::planner::Bind`]). Its span's
     /// figures are the ledger's, rendered at the exit.
     fn pushdown<'p>(
         &self,
@@ -849,7 +849,7 @@ impl S2s {
         }
         let stage = Stage::start(self.tracing);
         let condition = plan.condition.as_ref().filter(|_| !mapped.schemas.is_empty());
-        let bind = condition.map(|condition| Bind::new(condition, self.views.is_some()));
+        let bind = condition.map(|condition| Bind { condition, views: self.views.is_some() });
         stage.end(spans, SpanKind::Pushdown, "planner");
         bind
     }
@@ -1665,14 +1665,16 @@ mod tests {
         assert!(wins <= hedges);
     }
 
-    /// `q` asked so that no conjunct is required: its condition, if any,
-    /// doubly negated. The planner binds nothing, so every source runs
-    /// unfiltered — the twin a filtered answer must equal.
-    fn unfiltered(q: &str) -> String {
-        match q.split_once(" WHERE ") {
+    /// `q` with its condition, if any, doubly negated — so no leaf is
+    /// required and nothing is pruned — on an engine with views, which
+    /// binds nothing: every source runs unfiltered and the Instance
+    /// Generator tests each record. The twin a filtered answer must equal.
+    fn twin(q: &str) -> QueryOutcome {
+        let q = match q.split_once(" WHERE ") {
             Some((select, condition)) => format!("{select} WHERE NOT (NOT ({condition}))"),
             None => q.to_string(),
-        }
+        };
+        deploy().with_views().query(&q).unwrap()
     }
 
     /// The answer, IRIs included, and its graph.
@@ -1695,7 +1697,7 @@ mod tests {
         ];
         let s2s = deploy();
         for q in queries {
-            let twin = s2s.query(&unfiltered(q)).unwrap();
+            let twin = twin(q);
             let filtered = s2s.query(q).unwrap();
             assert_eq!(answer(&filtered), answer(&twin), "answers diverged for `{q}`");
             assert!(twin.sources.iter().all(|r| r.pushed.is_empty()), "{q}");
@@ -1710,24 +1712,19 @@ mod tests {
 
     #[test]
     fn a_required_conjunct_filters_a_source_of_one_record_statement() {
-        use crate::ledger::Unfiltered;
         let q = "SELECT watch WHERE case='stainless-steel'";
         let out = deploy().query(q).unwrap();
         // DB and XML both map `case`. DB's rules share one scan; XML's
         // `//watch/…` paths select records that do not nest, so they are
-        // one walk. The web page lacks `case` entirely (pruned) and the
-        // text file is single-record.
-        for id in ["DB_ID_45", "XML_7"] {
+        // one walk. The web page lacks `case` entirely (pruned), and the
+        // single-record text file is its one record, tested whole.
+        for (id, statements) in [("DB_ID_45", 1), ("XML_7", 1), ("txt_9", 2)] {
             let row = out.source(id).unwrap();
             assert_eq!(row.pushed_conjuncts(&out.plan), ["case = stainless-steel"], "{id}");
-            assert_eq!((row.statements, row.unfiltered), (1, None), "{id}");
+            assert_eq!((row.statements, row.unfiltered), (statements, None), "{id}");
         }
-        let text = out.source("txt_9").unwrap();
-        assert!(text.pushed.is_empty());
-        assert_eq!(text.unfiltered, Some(Unfiltered::SingleRecord));
         assert!(
-            out.stats.wire_response_bytes
-                < deploy().query(&unfiltered(q)).unwrap().stats.wire_response_bytes,
+            out.stats.wire_response_bytes < twin(q).stats.wire_response_bytes,
             "the filtered sources must ship trimmed responses"
         );
     }
@@ -1747,7 +1744,7 @@ mod tests {
             (0, 0, 0),
             "pruned source must never reach the mediator"
         );
-        let twin = s2s.query(&unfiltered("SELECT watch WHERE case='resin'")).unwrap();
+        let twin = twin("SELECT watch WHERE case='resin'");
         assert!(twin.sources.iter().all(|r| !r.pruned));
         assert_eq!(answer(&out), answer(&twin));
     }
@@ -1784,15 +1781,27 @@ mod tests {
         assert_eq!(iris(&projected), iris(&everything));
     }
 
+    /// The whole tree binds: an `OR` filters, each of its leaves tested
+    /// at the source, and a leaf on a property the source does not map is
+    /// `false` there.
     #[test]
-    fn a_conjunct_both_sides_of_an_or_share_is_pushed() {
+    fn an_or_binds_whole_at_the_source() {
         let q =
             "SELECT watch WHERE (brand='Casio' AND price<100) OR (brand='Casio' AND case='resin')";
         let s2s = deploy();
         let out = s2s.query(q).unwrap();
         let db = out.source("DB_ID_45").unwrap();
-        assert_eq!(db.pushed_conjuncts(&out.plan), ["brand = Casio"]);
-        assert_eq!(answer(&out), answer(&s2s.query(&unfiltered(q)).unwrap()));
+        assert_eq!(
+            db.pushed_conjuncts(&out.plan),
+            ["brand = Casio", "price < 100", "brand = Casio", "case = resin"]
+        );
+        assert_eq!(db.unfiltered, None);
+        let web = out.source("wpage_81").unwrap();
+        assert_eq!(
+            web.pushed_conjuncts(&out.plan),
+            ["brand = Casio", "price < 100", "brand = Casio"]
+        );
+        assert_eq!(answer(&out), answer(&twin(q)));
         assert!(!out.individuals().is_empty());
     }
 
@@ -1806,7 +1815,7 @@ mod tests {
     #[test]
     fn filtered_answers_hold_on_every_execution_path() {
         let q = "SELECT watch WHERE price<100";
-        let twin = deploy().query(&unfiltered(q)).unwrap();
+        let twin = twin(q);
         for strategy in [
             Strategy::Parallel { workers: 1 },
             Strategy::Parallel { workers: 4 },

@@ -1,32 +1,29 @@
 //! The federated pushdown planner (DESIGN.md §4j). Before the views see
 //! a query's schemas, [`prune`] skips the sources that cannot contribute
 //! to a required conjunct and drops the schemas neither the projection
-//! nor the condition reads. After the view partition, a [`Bind`] binds
-//! to each wire-bound source's record statement the required conjuncts
-//! it can test; the source's wrapper applies them as a filter
-//! ([`crate::wrapper::Filter`]). Nothing is rewritten: a rule, its
-//! compiled form and its view key are the same for every query.
+//! nor the condition reads. After the view partition, a [`Bind`] folds
+//! the whole condition against each wire-bound source's rules
+//! ([`Fold`]); the source's wrapper tests each record with it
+//! ([`crate::wrapper::Filter`]), and what it keeps is the source's part
+//! of the answer. Nothing is rewritten: a rule, its compiled form and
+//! its view key are the same for every query.
 //!
-//! A bound conjunct only ever removes records the residual filter (the
-//! full condition tree, re-applied in [`crate::instance`]) removes
-//! anyway: only conjuncts the whole tree implies are bound, each is
-//! tested with the residual's own [`crate::query::condition_matches`] on
-//! the text the residual would see, and a kept record keeps its number.
-//! A conjunct filters a source's *records*, so it is bound only where
-//! exactly one rule of the source reads its property, never to a
-//! single-record source (its one value applies to every record), and
-//! never in an engine with views, which hold a source's slices whole.
+//! [`Fold::holds`] is the one evaluation of a condition against a
+//! record: the wrappers' filters call it, and so does the Instance
+//! Generator for the sources that ran unfiltered (views, several
+//! statements, columns that do not line up). [`ConditionTree::matches`]
+//! stays its definition.
 
 use s2s_rdf::Iri;
 
 use crate::extract::ExtractionSchema;
 use crate::ledger::{self, Pushed, SourceLedger, Unfiltered};
-use crate::mapping::{AttributeMapping, RecordScenario};
-use crate::query::{ConditionTree, ResolvedCondition};
+use crate::mapping::AttributeMapping;
+use crate::query::{condition_matches, ConditionTree, ResolvedCondition};
 
 /// The leaves the whole tree implies, as the set of their positions
 /// among the first 64 ([`ConditionTree::leaves`] order): filtering by
-/// one of these can only drop records the residual filter drops too.
+/// one of these can only drop records the condition rejects anyway.
 /// `AND` contributes what either side requires, `OR` what both do, `NOT`
 /// nothing. A leaf stands at the position of the first leaf equal to it,
 /// so both sides of an `OR` can require the same conjunct.
@@ -97,8 +94,8 @@ fn row_of(rows: &[SourceLedger], source: &str, at: &mut usize) -> usize {
 }
 
 /// Prunes the sources of `schemas` that cannot supply a required
-/// conjunct's property — they yield only individuals the residual
-/// filter rejects — and drops the schemas outside the projection and the
+/// conjunct's property — they yield only individuals the condition
+/// rejects — and drops the schemas outside the projection and the
 /// condition's properties. Schemas come back in their original order;
 /// each source's row in `rows` (one per source of `schemas`, in id
 /// order) says whether it was pruned and how many of its schemas the
@@ -113,7 +110,7 @@ pub(crate) fn prune(
     if required == 0 && projection.is_none() {
         return schemas;
     }
-    // The residual filter reads *every* condition leaf (not just the
+    // A source's filter reads *every* condition leaf (not just the
     // required ones, nor only the first 64), so projection may only drop
     // schemas outside projection ∪ all-condition-properties.
     let read = projection.and(condition).map(ConditionTree::leaves).unwrap_or_default();
@@ -145,54 +142,133 @@ pub(crate) fn prune(
     schemas
 }
 
-/// What a query's condition lets a wire-bound source filter by: the
-/// condition's leaves and the positions of the ones it requires. An
+/// What a query's condition lets a wire-bound source filter by. An
 /// engine with views binds nothing: its views hold slices whole.
 #[derive(Debug)]
 pub(crate) struct Bind<'p> {
-    leaves: Vec<&'p ResolvedCondition>,
-    required: u64,
-    views: bool,
+    pub(crate) condition: &'p ConditionTree,
+    pub(crate) views: bool,
 }
 
 impl<'p> Bind<'p> {
-    pub(crate) fn new(condition: &'p ConditionTree, views: bool) -> Self {
-        let (leaves, required) = match views {
-            true => (Vec::new(), 0),
-            false => (condition.leaves(), required(condition)),
-        };
-        Bind { leaves, required, views }
-    }
-
-    /// Binds to a source whose rules are `mappings` each required leaf
-    /// whose property exactly one of them reads, with that rule's
-    /// position, into `conjuncts`; returns the leaves' positions, or why
-    /// none is bound. A single-record rule's one value applies to every
-    /// record, so its source binds nothing.
+    /// Folds the condition against `mappings`, a source's rules, into
+    /// `fold`; returns the leaves it tests, or why the source binds
+    /// nothing.
     pub(crate) fn to(
         &self,
         mappings: &[&AttributeMapping],
-        conjuncts: &mut Vec<(usize, &'p ResolvedCondition)>,
+        fold: &mut Fold<'p>,
     ) -> Result<Pushed, Unfiltered> {
         if self.views {
             return Err(Unfiltered::Views);
         }
-        if mappings.iter().any(|m| m.scenario() == RecordScenario::SingleRecord) {
-            return Err(Unfiltered::SingleRecord);
-        }
-        let mut pushed = 0;
-        for k in Pushed::of(self.required).iter() {
-            let c = self.leaves[k];
-            let mut readers =
-                (0..mappings.len()).filter(|&j| mappings[j].property() == &c.property);
-            if let (Some(j), None) = (readers.next(), readers.next()) {
-                conjuncts.push((j, c));
-                pushed |= 1 << k;
+        fold.fold(self.condition, mappings.len(), |j| mappings[j].property());
+        let read = mappings.iter().map(|m| on(self.condition, m.property()));
+        Ok(Pushed::of(read.fold(0, |bits, on| bits | on)))
+    }
+}
+
+/// A node of a folded condition, in prefix order: an operator's left
+/// operand follows it.
+#[derive(Debug, Clone, Copy)]
+enum Node<'c> {
+    /// A leaf no rule reads.
+    False,
+    /// The leaf tested on rule `j`'s value.
+    Leaf(&'c ResolvedCondition, usize),
+    Not,
+    /// An `AND` whose right operand starts this many nodes after it.
+    And(usize),
+    /// An `OR`, as an `AND`.
+    Or(usize),
+}
+
+/// A query's condition folded against one source's rules: a leaf on a
+/// property none of them reads is `false`, and a leaf several read is
+/// the `OR` of its tests on each. Empty, it binds nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Fold<'c> {
+    nodes: Vec<Node<'c>>,
+}
+
+impl<'c> Fold<'c> {
+    /// Folds `tree` against `rules` rules, rule `j` reading
+    /// `property(j)`, in place of what the fold held.
+    pub(crate) fn fold<'r>(
+        &mut self,
+        tree: &'c ConditionTree,
+        rules: usize,
+        property: impl Fn(usize) -> &'r Iri,
+    ) {
+        self.nodes.clear();
+        self.build(tree, rules, &property);
+    }
+
+    fn build<'r>(
+        &mut self,
+        tree: &'c ConditionTree,
+        rules: usize,
+        property: &impl Fn(usize) -> &'r Iri,
+    ) {
+        let at = self.nodes.len();
+        match tree {
+            ConditionTree::Leaf(c) => {
+                let readers = || (0..rules).filter(|&j| property(j) == &c.property);
+                let n = readers().count();
+                if n == 0 {
+                    self.nodes.push(Node::False);
+                }
+                for (k, j) in readers().enumerate() {
+                    if k + 1 < n {
+                        self.nodes.push(Node::Or(2));
+                    }
+                    self.nodes.push(Node::Leaf(c, j));
+                }
+            }
+            ConditionTree::Not(e) => {
+                self.nodes.push(Node::Not);
+                self.build(e, rules, property);
+            }
+            ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
+                // Set once the left operand's length is known.
+                self.nodes.push(Node::False);
+                self.build(a, rules, property);
+                let right = self.nodes.len() - at;
+                self.build(b, rules, property);
+                let and = matches!(tree, ConditionTree::And(..));
+                self.nodes[at] = if and { Node::And(right) } else { Node::Or(right) };
             }
         }
-        match pushed {
-            0 => Err(Unfiltered::NoConjunct),
-            bits => Ok(Pushed::of(bits)),
+    }
+
+    /// Whether a condition is folded in.
+    pub(crate) fn is_bound(&self) -> bool {
+        !self.nodes.is_empty()
+    }
+
+    /// The leaves of the fold, one per rule a leaf is tested on.
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = &'c ResolvedCondition> + '_ {
+        self.nodes.iter().filter_map(|n| if let Node::Leaf(c, _) = n { Some(*c) } else { None })
+    }
+
+    /// Whether a record satisfies the folded condition from node `at`
+    /// on (`0`: all of it); `true` when none is folded in.
+    /// `value(j, test)` says whether the record's value of rule `j`
+    /// passes `test` — `false` when it has none; a single-record rule's
+    /// one value is every record's. An operand is evaluated only when
+    /// the one before it left its operator undecided.
+    pub(crate) fn holds(
+        &self,
+        at: usize,
+        value: &mut impl FnMut(usize, &dyn Fn(&str) -> bool) -> bool,
+    ) -> bool {
+        let Some(&node) = self.nodes.get(at) else { return true };
+        match node {
+            Node::False => false,
+            Node::Leaf(c, j) => value(j, &|v| condition_matches(c, v)),
+            Node::Not => !self.holds(at + 1, value),
+            Node::And(right) => self.holds(at + 1, value) && self.holds(at + right, value),
+            Node::Or(right) => self.holds(at + 1, value) || self.holds(at + right, value),
         }
     }
 }

@@ -184,10 +184,10 @@ impl ConditionTree {
     /// when at least one value of its property satisfies the comparison
     /// (missing properties fail the leaf — best-effort semantics).
     ///
-    /// This is the *definition* of the residual filter, one record at a
-    /// time. The Instance Generator evaluates the same tree a column at
-    /// a time (`instance::select`) and the tests hold it to this one;
-    /// nothing in the library calls it.
+    /// This is the *definition* of a condition, one record at a time.
+    /// The wrappers and the Instance Generator evaluate the tree folded
+    /// against a source's rules (`planner::Fold::holds`) and the tests
+    /// hold it to this one; nothing in the library calls it.
     pub fn matches(&self, values: &[(&Iri, &str)]) -> bool {
         match self {
             ConditionTree::Leaf(c) => {

@@ -11,7 +11,6 @@ use crate::error::S2sError;
 use crate::extract::Values;
 use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
-use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// A database source.
@@ -49,11 +48,11 @@ impl Wrapper for Db<'_> {
     /// statements equal but for their projection
     /// ([`SelectStmt::shares_rows`]) are one scan ([`Database::select`]),
     /// and a `DISTINCT`, `GROUP BY` or aggregate one is read from its
-    /// result ([`Database::query_prepared`]). Filtered, the scan's
-    /// rows are narrowed by the bound conjuncts first — each cell tested
-    /// as its printed text, a `TEXT` cell borrowed, the others printed
-    /// into one reused buffer — and only the kept rows' cells are
-    /// formatted; a row's number is its position in the scan.
+    /// result ([`Database::query_prepared`]). Filtered, the scan tests
+    /// each row with the folded condition first — a cell as its printed
+    /// text, a `TEXT` cell borrowed, the others printed into one reused
+    /// buffer — and only the kept rows' cells are formatted; a row's
+    /// number is its position in the scan.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
@@ -83,7 +82,7 @@ impl Wrapper for Db<'_> {
                 out[start + lead] = computed(self.0, stmt, column);
                 continue;
             }
-            let Filter { conjuncts, ordinals, columns, printed, group } = &mut *filter;
+            let Filter { fold, ordinals, columns, printed, group } = &mut *filter;
             // The rules this scan reads, by position.
             group.clear();
             group.push(lead);
@@ -102,20 +101,25 @@ impl Wrapper for Db<'_> {
             // source, and each rule's column; positions in `group` are
             // then the rules'.
             columns.clear();
-            let resolved = !conjuncts.is_empty()
+            let resolved = fold.is_bound()
                 && group.len() == mappings.len()
                 && group.iter().all(|&j| column(read(j)).map(|c| columns.push(c)).is_ok());
-            if resolved {
-                let keep = |c: &&_, cell: &Value| match cell {
-                    Value::Text(text) => condition_matches(c, text),
-                    other => {
-                        printed.clear();
-                        other.write_to(printed).expect("writing to a String cannot fail");
-                        condition_matches(c, printed)
-                    }
+            if let Some(first_only) = Filter::first_only(mappings).filter(|_| resolved) {
+                let keep = |row: usize| {
+                    (row == 0 || !first_only)
+                        && fold.holds(0, &mut |j, test| match selection.cell(columns[j], row) {
+                            Some(Value::Text(text)) => test(text),
+                            None => false,
+                            Some(cell) => {
+                                printed.clear();
+                                cell.write_to(printed).expect("writing to a String cannot fail");
+                                test(printed)
+                            }
+                        })
                 };
-                let tests = conjuncts.iter().map(|&(j, c)| (columns[j], c));
-                filtered = selection.filter(columns.iter().copied(), tests, keep, ordinals);
+                filtered = selection.filter(columns.iter().copied(), keep, ordinals);
+            }
+            if resolved {
                 why = Unfiltered::Misaligned;
             }
             for (k, &j) in group.iter().enumerate() {
@@ -324,13 +328,12 @@ mod tests {
         }
     }
 
-    /// A NULL cell would shift the column's later values onto other
-    /// records: the source runs unfiltered, as it always did.
-    #[test]
-    fn a_null_cell_leaves_the_source_unfiltered() {
+    /// An engine over `rows` of a `w (id, brand, price)` table, its
+    /// brand and price each read by a rule of one statement.
+    fn watches(rows: &str) -> S2s {
         let d = db(&[
             "CREATE TABLE w (id INTEGER PRIMARY KEY, brand TEXT, price REAL)",
-            "INSERT INTO w VALUES (1,'Seiko',129.99),(2,NULL,59.5),(3,'Casio',1.0)",
+            &format!("INSERT INTO w VALUES {rows}"),
         ]);
         let ontology = Ontology::builder("http://example.org/schema#")
             .class("Watch", None)
@@ -348,11 +351,32 @@ mod tests {
             let path = format!("thing.watch.{column}");
             s2s.register_attribute(&path, rule, "DB", RecordScenario::MultiRecord).unwrap();
         }
+        s2s
+    }
+
+    /// A NULL cell would shift the column's later values onto other
+    /// records: the source runs unfiltered, as it always did.
+    #[test]
+    fn a_null_cell_leaves_the_source_unfiltered() {
+        let s2s = watches("(1,'Seiko',129.99),(2,NULL,59.5),(3,'Casio',1.0)");
         let out = s2s.query("SELECT watch WHERE price < 100").unwrap();
         let row = out.source("DB").unwrap();
         assert!(row.pushed.is_empty());
         assert_eq!(row.unfiltered, Some(crate::ledger::Unfiltered::Misaligned));
         let twin = s2s.query("SELECT watch WHERE NOT (price >= 100)").unwrap();
         assert_eq!(out.individuals(), twin.individuals());
+    }
+
+    /// No leaf of an `OR` is required, yet the whole tree binds: the
+    /// statement keeps the records either side holds for.
+    #[test]
+    fn an_or_filters_a_one_statement_source_at_its_statement() {
+        let s2s = watches("(1,'Seiko',129.99),(2,'x',259.5),(3,'Casio',10.0)");
+        let out = s2s.query("SELECT watch WHERE brand = 'x' OR price < 50").unwrap();
+        let row = out.source("DB").unwrap();
+        assert_eq!((row.statements, row.unfiltered), (1, None));
+        assert_eq!(row.pushed_conjuncts(&out.plan), ["brand = x", "price < 50"]);
+        let iris: Vec<&str> = out.individuals().iter().map(|i| i.iri.local_name()).collect();
+        assert_eq!(iris, ["1", "2"], "records 2 and 3, numbered from 0");
     }
 }

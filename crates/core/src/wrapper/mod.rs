@@ -20,8 +20,8 @@ use crate::bootstrap::SchemaSummary;
 use crate::error::S2sError;
 use crate::extract::Values;
 use crate::ledger::Unfiltered;
-use crate::mapping::{AttributeMapping, ExtractionRule};
-use crate::query::ResolvedCondition;
+use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
+use crate::planner::Fold;
 use crate::source::{Connection, SourceKind};
 
 mod db;
@@ -85,9 +85,9 @@ pub(crate) trait Wrapper {
     /// rule yields or its error — a rule that does not compile, or is
     /// not one of this kind's (a mapping compiled under another registry
     /// whose source of that id is of another kind), fails alone. When
-    /// `filter` binds a conjunct and the rules run as one statement
+    /// `filter` binds a condition and the rules run as one statement
     /// whose columns line up record by record, only the records the
-    /// filter keeps are read, each column numbered by them.
+    /// condition holds for are read, each column numbered by them.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
@@ -106,13 +106,12 @@ pub(crate) trait Wrapper {
     fn introspect(&self, source: &str) -> Result<SchemaSummary, S2sError>;
 }
 
-/// The conjuncts bound to one source's record statement, each with the
-/// position, among the source's mappings, of the one rule that reads its
-/// property; and the buffers a filtered run uses, reused from source to
-/// source.
+/// The condition bound to one source's record statement, folded
+/// against its rules, and the buffers a filtered run uses, reused from
+/// source to source.
 #[derive(Default)]
 pub(crate) struct Filter<'c> {
-    pub(crate) conjuncts: Vec<(usize, &'c ResolvedCondition)>,
+    pub(crate) fold: Fold<'c>,
     /// The kept records' numbers.
     ordinals: Vec<u32>,
     /// A SQL scan's columns, one per rule.
@@ -124,9 +123,15 @@ pub(crate) struct Filter<'c> {
 }
 
 impl<'c> Filter<'c> {
-    /// Whether a conjunct is bound.
-    pub(crate) fn is_bound(&self) -> bool {
-        !self.conjuncts.is_empty()
+    /// The records a filtered statement over `mappings` tests: every
+    /// one (`Some(false)`), or only the first when every rule is
+    /// single-record (`Some(true)`): a single-record source is its first
+    /// record. `None` when single- and multi-record rules mix: one
+    /// statement's columns do not line up with its records then.
+    fn first_only(mappings: &[&AttributeMapping]) -> Option<bool> {
+        let single = |m: &&&AttributeMapping| m.scenario() == RecordScenario::SingleRecord;
+        let n = mappings.iter().filter(single).count();
+        (n == 0 || n == mappings.len()).then_some(n > 0)
     }
 
     /// Numbers every column of `out` by the kept records: one
@@ -149,9 +154,9 @@ pub(crate) struct Ran {
 
 impl Ran {
     /// `statements` run, filtered when `filtered` and else, if `filter`
-    /// bound a conjunct, unfiltered for `why`.
+    /// bound a condition, unfiltered for `why`.
     fn new(statements: usize, filter: &Filter<'_>, filtered: bool, why: Unfiltered) -> Ran {
-        let unfiltered = (filter.is_bound() && !filtered).then_some(why);
+        let unfiltered = (filter.fold.is_bound() && !filtered).then_some(why);
         Ran { statements, unfiltered }
     }
 }

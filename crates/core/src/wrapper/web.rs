@@ -13,7 +13,6 @@ use crate::error::S2sError;
 use crate::extract::Values;
 use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
-use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// A web page (`html`) or a plain-text file.
@@ -49,8 +48,10 @@ impl Wrapper for Web<'_> {
     }
 
     /// One rule at a time: a page shares no record scope yet. Filtered,
-    /// the columns — when they are equal in length, value `i` of each
-    /// being record `i`'s — keep the records whose bound values pass.
+    /// the columns — when the multi-record ones are equal in length,
+    /// value `i` of each being record `i`'s, and a single-record one's
+    /// first value every record's — keep the records the folded
+    /// condition holds for.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
@@ -66,32 +67,36 @@ impl Wrapper for Web<'_> {
                 ran
             }));
         }
-        if !filter.is_bound() {
+        if !filter.fold.is_bound() {
             return Ran { statements, unfiltered: None };
         }
         let Ok(columns) = out[start..].iter().map(|c| c.as_ref()).collect::<Result<Vec<_>, _>>()
         else {
             return Ran::new(statements, filter, false, Unfiltered::Statements);
         };
-        let records = columns.first().map_or(0, |c| c.len());
-        if columns.iter().any(|c| c.len() != records) {
+        let single = |j: usize| mappings[j].scenario() == RecordScenario::SingleRecord;
+        let mut lengths = (0..columns.len()).filter(|&j| !single(j)).map(|j| columns[j].len());
+        let multi = lengths.next();
+        if lengths.any(|len| Some(len) != multi) {
             return Ran::new(statements, filter, false, Unfiltered::Misaligned);
         }
-        let (conjuncts, ordinals) = (&filter.conjuncts, &mut filter.ordinals);
+        // A single-record rule's source has its first record.
+        let records = multi.unwrap_or(0).max(usize::from((0..columns.len()).any(single)));
+        let (fold, ordinals) = (&filter.fold, &mut filter.ordinals);
+        let value = |j: usize, i| if single(j) { columns[j].first() } else { columns[j].get(i) };
+        let kept =
+            (0..records).filter(|&i| fold.holds(0, &mut |j, test| value(j, i).is_some_and(test)));
         ordinals.clear();
-        let kept = (0..records).filter(|&i| {
-            let value = |j: usize| columns[j].get(i).expect("columns of equal length");
-            conjuncts.iter().all(|&(j, c)| condition_matches(c, value(j)))
-        });
+        ordinals.reserve(records);
         ordinals.extend(kept.map(|i| u32::try_from(i).expect("records fit in u32")));
-        for column in out[start..].iter_mut().flatten() {
-            let value = |&i: &u32| column.get(i as usize).expect("a record of the column");
+        // Every column is one: value `j` is rule `j`'s.
+        for (j, column) in out[start..].iter_mut().flatten().enumerate() {
+            let all = filter.ordinals.as_slice();
+            let records = if single(j) { &[0][..all.len().min(1)] } else { all };
+            let value = |&i: &u32| column.get(i as usize);
             let mut kept = Values::new();
-            kept.reserve(
-                filter.ordinals.len(),
-                filter.ordinals.iter().map(|i| value(i).len()).sum(),
-            );
-            filter.ordinals.iter().for_each(|i| kept.push(value(i)));
+            kept.reserve(records.len(), records.iter().filter_map(value).map(str::len).sum());
+            records.iter().filter_map(value).for_each(|v| kept.push(v));
             *column = kept;
         }
         filter.number(&mut out[start..]);
@@ -371,10 +376,10 @@ mod tests {
             }
             s2s
         };
-        let s2s =
-            deploy("brand: Alpha\nprice: 40\nbrand: Beta\nprice: 150\nbrand: Gamma\nprice: 90\n");
-        let twin = s2s.query("SELECT watch WHERE NOT (price >= 100)").unwrap();
-        let filtered = s2s.query("SELECT watch WHERE price<100").unwrap();
+        let text = "brand: Alpha\nprice: 40\nbrand: Beta\nprice: 150\nbrand: Gamma\nprice: 90\n";
+        // An engine with views binds nothing: its twin runs unfiltered.
+        let twin = deploy(text).with_views().query("SELECT watch WHERE price<100").unwrap();
+        let filtered = deploy(text).query("SELECT watch WHERE price<100").unwrap();
         assert_eq!(filtered.individuals().len(), 2, "Alpha and Gamma");
         assert_eq!(filtered.individuals(), twin.individuals(), "IRIs included");
         let row = filtered.source("txt_list").unwrap();
@@ -391,5 +396,45 @@ mod tests {
         assert_eq!(row.unfiltered, Some(crate::ledger::Unfiltered::Misaligned));
         let twin = ragged.query("SELECT watch WHERE NOT (NOT (price < 100))").unwrap();
         assert_eq!(out.individuals(), twin.individuals());
+    }
+
+    /// A single-record rule's value is every record's, so a filtered
+    /// source keeps it only with a record: when the condition rejects
+    /// every record, the source answers no individual, not one made of
+    /// its single-record values.
+    #[test]
+    fn a_single_record_value_goes_with_the_last_rejected_record() {
+        let ontology = Ontology::builder("http://example.org/schema#")
+            .class("Watch", None)
+            .unwrap()
+            .datatype_property("brand", "Watch", s2s_rdf::vocab::xsd::STRING)
+            .unwrap()
+            .datatype_property("vendor", "Watch", s2s_rdf::vocab::xsd::STRING)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut store = WebStore::new();
+        store.register_html("http://shop/list", "<p>vendor: Acme</p><b>Seiko</b><b>Casio</b>");
+        let page = Connection::Web { store: Arc::new(store), url: "http://shop/list".into() };
+        let mut s2s = S2s::new(ontology);
+        s2s.register_source("WEB", page).unwrap();
+        let brand = ExtractionRule::Webl { program: "var b = TagTexts(Text(PAGE), \"b\");".into() };
+        for (attribute, rule, scenario) in [
+            ("brand", brand, RecordScenario::MultiRecord),
+            ("vendor", regex(r"vendor: ([A-Z][a-z]+)", 1), RecordScenario::SingleRecord),
+        ] {
+            let path = format!("thing.watch.{attribute}");
+            s2s.register_attribute(&path, rule, "WEB", scenario).unwrap();
+        }
+        for (q, individuals) in [
+            ("SELECT watch WHERE brand = 'Timex'", 0),
+            ("SELECT watch WHERE vendor = 'Other'", 0),
+            ("SELECT watch WHERE vendor = 'Acme' AND brand != 'Seiko'", 1),
+            ("SELECT watch WHERE vendor = 'Acme'", 2),
+        ] {
+            let out = s2s.query(q).unwrap();
+            assert_eq!(out.source("WEB").unwrap().unfiltered, None, "{q}");
+            assert_eq!(out.individuals().len(), individuals, "{q}");
+        }
     }
 }

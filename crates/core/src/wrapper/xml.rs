@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use s2s_xml::xpath::XPath;
+use s2s_xml::xpath::{RecordFields, XPath};
 use s2s_xml::xquery::XQuery;
 use s2s_xml::{Document, StringSink};
 
@@ -12,7 +12,6 @@ use crate::error::S2sError;
 use crate::extract::Values;
 use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
-use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// An XML source.
@@ -64,9 +63,9 @@ impl Wrapper for Xml<'_> {
     /// reserved once from the node-set or the records. Paths that read
     /// a field of the same records ([`XPath::shares_records`]) are one
     /// walk ([`XPath::each_string_grouped`]); an XQuery runs alone.
-    /// Filtered, the walk tests a record's bound fields before it writes
-    /// any of its fields; a record's number is its position among the
-    /// records in document order.
+    /// Filtered, the walk tests each record with the folded condition
+    /// before it writes any of its fields; a record's number is its
+    /// position among the records in document order.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
@@ -92,13 +91,17 @@ impl Wrapper for Xml<'_> {
             }));
         }
         let mut columns: Vec<Values> = paths.iter().map(|_| Values::new()).collect();
-        // Filtered only when one walk reads every rule of the source.
+        // Filtered only when one walk reads every rule of the source, and
+        // the rules are of one record scenario.
         let all_paths = paths.len() == mappings.len();
-        let bound = filter.is_bound() && all_paths;
-        let (conjuncts, ordinals) = (&filter.conjuncts, &mut filter.ordinals);
-        let tests = |j| conjuncts.iter().filter(move |(m, _)| *m == j);
-        let keep = |j, value: &str| tests(j).all(|(_, c)| condition_matches(c, value));
-        let bound = bound.then_some((keep, ordinals));
+        let first_only =
+            Filter::first_only(mappings).filter(|_| filter.fold.is_bound() && all_paths);
+        let (fold, ordinals) = (&filter.fold, &mut filter.ordinals);
+        let keep = |k: usize, fields: &RecordFields<'_>| {
+            (k == 0 || first_only == Some(false))
+                && fold.holds(0, &mut |j, test| test(fields.get(j)))
+        };
+        let bound = first_only.map(|_| (keep, ordinals));
         let grouped = XPath::each_string_grouped(&paths, self.0, &mut columns, bound);
         let statements = grouped.walks + xqueries;
         let mut columns = columns.into_iter();

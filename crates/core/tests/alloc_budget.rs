@@ -4,8 +4,9 @@
 //! block per literal; its entailed types are stamped from closures made
 //! once per answer), the graph is the generator's vector of triples as
 //! emitted, everything else is vectors that double, and a record the
-//! condition rejects allocates nothing — the condition's selection is a
-//! bitmap sized once by the records. And of the pipeline before it: a value
+//! condition rejects allocates nothing — the condition is folded once
+//! per source into a buffer sized by the tree. And of the pipeline
+//! before it: a value
 //! costs nothing between its source and the generator — a column is
 //! two blocks however long, moved from the wrapper to the report, and
 //! copied once (two blocks) when a view serves or keeps it.
@@ -163,16 +164,16 @@ fn rejected_records_allocate_nothing() {
     assert!(small <= EMPTY_ANSWER, "{small} allocations for an empty answer");
 }
 
-/// The condition's selection is one bitmap and the copies its
-/// complements borrow: at most the tree's height + 1 blocks a query,
-/// sized by the records and never grown by them, the second source's in
-/// the first one's buffers.
+/// The generator tests an unfiltered source's records with the
+/// condition folded against its columns: one buffer, sized by the tree
+/// and never grown by the records, the second source's fold in the
+/// first one's — within the tree's height + 1 blocks a query.
 #[test]
 fn a_selection_costs_at_most_the_height_of_its_tree_in_blocks() {
     const SOURCES: [&str; 2] = ["DB", "XML"];
     const DEEP: &str = "(brand='none' AND NOT (price>=0 OR case LIKE 'x%'))";
     // A condition that accepts every record allocates, beyond what the
-    // query without it does, its selection.
+    // query without it does, its fold.
     for (condition, height) in [
         ("brand LIKE 'b%' AND price>=0".to_string(), 2),
         ("NOT (brand='x' AND price<100)".to_string(), 3),
@@ -591,13 +592,14 @@ fn a_three_rule_xml_source_is_one_walk() {
 /// A query shaped like the benchmark's `structured_selective`: two
 /// sources of 2 000 records, a table and a document, three rules each,
 /// under `brand = … AND price < …`. Both sources run filtered: a column
-/// is reserved once whatever it keeps, so the query costs what its
-/// unfiltered twin — the condition doubly negated, which requires no
-/// conjunct — costs, plus a few blocks that do not grow with the
-/// records: one per filtered source for its record numbers, the
-/// condition's leaves, the bound conjuncts and their columns, the
+/// is reserved once whatever it keeps, so the query costs a few blocks
+/// that do not grow with the records beyond what its twin — the
+/// condition doubly negated, filtered as well since the whole tree
+/// binds — costs: one per filtered source for its record numbers, the
+/// condition's leaves, the folded tree and the scan's columns, the
 /// pruning planner's tally. When this was written the filtered query
-/// cost 580 blocks and its twin 574.
+/// cost 578 blocks and its twin 582 (580 and an unfiltered 574 when the
+/// twin bound nothing).
 #[test]
 fn a_filtered_query_costs_its_kept_records() {
     let mut s2s = S2s::new(ontology());

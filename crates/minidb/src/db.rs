@@ -379,32 +379,36 @@ impl Selection<'_> {
         }
     }
 
-    /// Keeps the rows whose cell of each test's column the test accepts
-    /// (`keep(test, cell)`), handing the position of each kept row to
-    /// `ordinals` in row order — a row's number in the unfiltered
-    /// result. The tests narrow the rows one column at a time: a cell of
-    /// a row an earlier test refused is not asked about.
+    /// The cell of `column` in row `row` (a position in the result);
+    /// `None` past the last row.
+    #[inline]
+    pub fn cell(&self, column: SelectedColumn, row: usize) -> Option<&Value> {
+        let rows = self.rows.as_ref().ok().filter(|rows| row < rows.len())?;
+        Some(rows.cell(column.0, row))
+    }
+
+    /// Keeps the rows `keep` accepts, asked about each row's position in
+    /// row order, handing the position of each kept row to `ordinals` —
+    /// a row's number in the unfiltered result.
     ///
-    /// Returns `false`, keeping nothing, when a column of `aligned` has a
-    /// NULL cell in any row: its non-NULL values would not line up with
-    /// the rows, so the result must be read whole.
-    pub fn filter<T>(
+    /// Returns `false`, asking nothing and keeping nothing, when a
+    /// column of `aligned` has a NULL cell in any row: its non-NULL
+    /// values would not line up with the rows, so the result must be
+    /// read whole.
+    pub fn filter(
         &self,
         aligned: impl IntoIterator<Item = SelectedColumn>,
-        tests: impl IntoIterator<Item = (SelectedColumn, T)>,
-        mut keep: impl FnMut(&T, &Value) -> bool,
+        mut keep: impl FnMut(usize) -> bool,
         ordinals: &mut Vec<u32>,
     ) -> bool {
         let Ok(rows) = &self.rows else { return false };
-        let n = rows.len();
         if aligned.into_iter().any(|c| rows.has_null(c.0, &self.ctx)) {
             return false;
         }
         ordinals.clear();
-        ordinals.extend((0..n).map(|row| u32::try_from(row).expect("rows fit in u32")));
-        for (column, test) in tests {
-            ordinals.retain(|&row| keep(&test, rows.cell(column.0, row as usize)));
-        }
+        ordinals.reserve(rows.len());
+        let kept = (0..rows.len()).filter(|&row| keep(row));
+        ordinals.extend(kept.map(|row| u32::try_from(row).expect("rows fit in u32")));
         true
     }
 }

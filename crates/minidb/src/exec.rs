@@ -24,6 +24,7 @@ pub(crate) struct Resolved {
 
 impl Resolved {
     /// The column's value in one joined row (a slice of per-table rows).
+    #[inline]
     fn of<'a>(self, chain: &[&'a [Value]]) -> &'a Value {
         &chain[self.table_idx][self.col_idx]
     }
@@ -261,6 +262,7 @@ impl<'a> Chains<'a> {
         self.rows.len() / self.stride
     }
 
+    #[inline]
     fn get(&self, i: usize) -> &[&'a [Value]] {
         &self.rows[i * self.stride..(i + 1) * self.stride]
     }
@@ -488,6 +490,7 @@ impl<'a> Rows<'a> {
     }
 
     /// The cell of `col` in row `row` (a position in output order).
+    #[inline]
     pub(crate) fn cell(&self, col: Resolved, row: usize) -> &'a Value {
         col.of(self.chains.get(self.order[row]))
     }

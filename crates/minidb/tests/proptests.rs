@@ -512,13 +512,13 @@ proptest! {
     }
 
     /// A filtered scan is the scan restricted to the rows it keeps: a
-    /// row is kept when every test accepts its cell as printed — the
-    /// seven comparisons in the string or the decimal space, text cells
-    /// under decimal constants included — each kept row is numbered by
-    /// its position in the unfiltered result, and a column's values are
-    /// its unfiltered cells at those rows. Over NULLs, tied `ORDER BY`
-    /// keys either way, `WHERE`, `LIMIT` and joins; a column with a NULL
-    /// in a selected row refuses the filter.
+    /// row, asked about in order, is kept when every test accepts its
+    /// cell as printed — the seven comparisons in the string or the
+    /// decimal space, text cells under decimal constants included — each
+    /// kept row is numbered by its position in the unfiltered result, and
+    /// a column's values are its unfiltered cells at those rows. Over
+    /// NULLs, tied `ORDER BY` keys either way, `WHERE`, `LIMIT` and joins;
+    /// a column with a NULL in a selected row refuses the filter.
     #[test]
     fn a_filtered_select_is_the_select_restricted_to_its_kept_rows(seed in any::<u64>()) {
         use s2s_textmatch::{Comparand, ConstraintOp, ValueSpace};
@@ -565,12 +565,14 @@ proptest! {
             text
         };
         let mut ordinals = vec![99];
-        let filtered = selection.filter(
-            reads.iter().map(|(c, _)| *c),
-            tests.iter().map(|(k, test)| (reads[*k].0, test)),
-            |test: &&Comparand, cell: &Value| test.test(&printed(cell)),
-            &mut ordinals,
-        );
+        let mut asked = 0;
+        let keep = |row: usize| {
+            assert_eq!(row, asked, "rows are asked about in order");
+            asked += 1;
+            let cell = |k: usize| selection.cell(reads[k].0, row).expect("a row of the scan");
+            tests.iter().all(|(k, test)| test.test(&printed(cell(*k))))
+        };
+        let filtered = selection.filter(reads.iter().map(|(c, _)| *c), keep, &mut ordinals);
         let rows = reads[0].1.len();
         let nulls = reads.iter().any(|(_, cells)| cells.iter().any(Value::is_null));
         prop_assert_eq!(filtered, !nulls, "{}", rules[0].0);

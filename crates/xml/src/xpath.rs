@@ -67,10 +67,25 @@ pub struct Grouped {
     pub filtered: bool,
 }
 
-/// The record filter of [`XPath::each_string_grouped`]: `keep(j, value)`,
-/// asked about a record's field of `paths[j]`, and where the positions
+/// The record filter of [`XPath::each_string_grouped`]: `keep(k,
+/// fields)`, asked about record `k` (its position among the records, in
+/// document order) with its field of each path, and where the positions
 /// of the kept records go. Unfiltered is `None::<RecordFilter>`.
-pub type RecordFilter<'a, K = fn(usize, &str) -> bool> = (K, &'a mut Vec<u32>);
+pub type RecordFilter<'a, K = fn(usize, &RecordFields<'_>) -> bool> = (K, &'a mut Vec<u32>);
+
+/// One record of a filtered walk: its field of each path.
+pub struct RecordFields<'r> {
+    /// Per path, how many records had its field so far, and the
+    /// record's, borrowed from the document.
+    seen: &'r [(u32, &'r str)],
+}
+
+impl RecordFields<'_> {
+    /// The record's field of `paths[j]`.
+    pub fn get(&self, j: usize) -> &str {
+        self.seen[j].1
+    }
+}
 
 /// A compiled XPath expression.
 ///
@@ -241,9 +256,9 @@ fn read_fields<S: StringSink>(
 /// among `fields` (`j` in `0..fields.len()`): each record's fields are
 /// tested before any is written, and the position of each kept record
 /// goes to `ordinals`. Returns `false`, having read every record and
-/// left `ordinals` empty, when some record has a field missing or
-/// repeated.
-fn read_kept<S: StringSink, K: FnMut(usize, &str) -> bool>(
+/// left `ordinals` empty, when some record has a field missing,
+/// repeated or composed of several text runs.
+fn read_kept<S: StringSink, K: FnMut(usize, &RecordFields<'_>) -> bool>(
     doc: &Document,
     records: &[u32],
     fields: &[(usize, Field)],
@@ -252,33 +267,34 @@ fn read_kept<S: StringSink, K: FnMut(usize, &str) -> bool>(
 ) -> bool {
     let by_name = ByName::new(doc, fields);
     let scratch = &mut String::new();
-    // Per field, how many of the records so far had it: each record has
-    // every field once exactly when all count the records.
-    let mut seen = vec![0u32; fields.len()];
+    // Per field, how many of the records so far had one, and the
+    // record's: each record has every field once exactly when all count
+    // the records.
+    let mut seen = vec![(0, ""); fields.len()];
     for (k, &record) in (1..).zip(records) {
-        let mut kept = true;
+        let mut found = |j: usize, value| seen[j] = (seen[j].0 + 1, value);
         for &(j, field) in fields {
             if let Field::Attribute(Some(name)) = field {
-                if let Some(value) = doc.attribute_value(record, name) {
-                    seen[j] += 1;
-                    kept = kept && keep(j, value);
-                }
+                doc.attribute_value(record, name).into_iter().for_each(|v| found(j, v));
             }
         }
+        let mut composed = false;
         for child in doc.child_ids(record) {
-            for &(j, text) in by_name.of(doc, child) {
-                if let Some(value) = child_value(doc.element(child), text, scratch) {
-                    seen[j] += 1;
-                    kept = kept && keep(j, value);
+            for &(j, own) in by_name.of(doc, child) {
+                let child = doc.element(child);
+                match if own { child.own_text_in(scratch) } else { child.text_in(scratch) } {
+                    Some(value) if own && value.is_empty() => {}
+                    Some(value) => found(j, value),
+                    None => composed = true,
                 }
             }
         }
-        if seen.iter().any(|&n| n != k) {
+        if composed || seen.iter().any(|&(n, _)| n != k) {
             ordinals.clear();
             read_fields(doc, records.iter().copied(), fields, sinks, scratch);
             return false;
         }
-        if kept {
+        if keep(k as usize - 1, &RecordFields { seen: &seen }) {
             ordinals.push(k - 1);
         }
     }
@@ -505,18 +521,17 @@ impl XPath {
     /// have its field more than once, or not at all).
     ///
     /// With a [`RecordFilter`] `(keep, ordinals)`, the walk is filtered
-    /// when it is one walk over every path: `keep(j, value)` is asked
-    /// about each record's field of `paths[j]` before any of its fields
-    /// is written, a record is kept when every answer holds, and the
-    /// position of each kept record among the records, in document
-    /// order, goes to `ordinals`. When some record has a field missing
-    /// or repeated — its fields would not line up with the records —
-    /// every record is read, and `ordinals` is left empty.
+    /// when it is one walk over every path: `keep` is asked about each
+    /// record, with its field of every path, before any of its fields is
+    /// written, and the position of each kept record among the records,
+    /// in document order, goes to `ordinals`. When some record has a
+    /// field missing or repeated — its fields would not line up with the
+    /// records — every record is read, and `ordinals` is left empty.
     ///
     /// # Panics
     ///
     /// If `paths` and `sinks` differ in length.
-    pub fn each_string_grouped<S: StringSink, K: FnMut(usize, &str) -> bool>(
+    pub fn each_string_grouped<S: StringSink, K: FnMut(usize, &RecordFields<'_>) -> bool>(
         paths: &[&XPath],
         doc: &Document,
         sinks: &mut [S],

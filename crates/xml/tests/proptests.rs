@@ -12,7 +12,7 @@ use proptest::test_runner::TestCaseError;
 use proptest::TestRng;
 use reference::dom as old;
 use s2s_xml::parser::MAX_DEPTH;
-use s2s_xml::xpath::{RecordFilter, XPath};
+use s2s_xml::xpath::{RecordFields, RecordFilter, XPath};
 use s2s_xml::{parse, Document, Element, Node, StringSink};
 
 /// The arena element as the old owned tree.
@@ -525,13 +525,18 @@ proptest! {
                 (rng.below(paths.len()), Comparand::in_space(op, constant, space))
             })
             .collect();
-        let keep = |j: usize, value: &str| {
-            tests.iter().filter(|(k, _)| *k == j).all(|(_, test)| test.test(value))
+        // Asked about the records in order, each with its field of every
+        // path.
+        let mut asked = 0;
+        let mut keep = |k: usize, fields: &RecordFields<'_>| {
+            assert_eq!(k, asked, "records are asked about in order");
+            asked += 1;
+            tests.iter().all(|(j, test)| test.test(fields.get(*j)))
         };
         let mut filtered: Vec<Packed> = paths.iter().map(|_| Packed::default()).collect();
         let mut ordinals = vec![99];
         let sinks = &mut filtered.iter_mut().collect::<Vec<_>>();
-        let ran = XPath::each_string_grouped(&refs, &doc, sinks, Some((keep, &mut ordinals)));
+        let ran = XPath::each_string_grouped(&refs, &doc, sinks, Some((&mut keep, &mut ordinals)));
         prop_assert_eq!(ran.walks, unfiltered.walks);
         let ran_filtered = ran.filtered;
         let shared = rules.iter().all(|(_, records)| records.is_some() && *records == rules[0].1);
