@@ -510,7 +510,7 @@ fn check_pushdown(
             &mut violations,
         );
         let requires_beyond_brand =
-            scenario.conditions.iter().flat_map(Cond::required).any(|c| c.attr != 0);
+            scenario.conditions.iter().flat_map(Cond::required).any(|attr| attr != 0);
         let pruned_decoy = on.source("DECOY").is_some_and(|r| r.pruned);
         if requires_beyond_brand && !pruned_decoy {
             violations.push(Violation::new(

@@ -223,17 +223,18 @@ impl Cond {
         }
     }
 
-    /// The leaves every record the conjunct selects satisfies: a leaf
-    /// itself, what either side of an `AND` requires, what both sides of
-    /// an `OR` do, nothing under a `NOT`.
-    pub fn required(&self) -> Vec<&Condition> {
+    /// The attributes ([`ATTRS`] indices) every record the conjunct
+    /// selects has a value of: a leaf's own, what either side of an
+    /// `AND` requires, what both sides of an `OR` do, nothing under a
+    /// `NOT`.
+    pub fn required(&self) -> Vec<usize> {
         match self {
-            Cond::Leaf(c) => vec![c],
+            Cond::Leaf(c) => vec![c.attr],
             Cond::Not(_) => Vec::new(),
             Cond::And(a, b) => [a.required(), b.required()].concat(),
             Cond::Or(a, b) => {
                 let right = b.required();
-                a.required().into_iter().filter(|c| right.contains(c)).collect()
+                a.required().into_iter().filter(|attr| right.contains(attr)).collect()
             }
         }
     }

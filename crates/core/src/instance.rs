@@ -34,7 +34,7 @@ use s2s_textmatch::ValueSpace;
 use crate::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
 use crate::mapping::RecordScenario;
 use crate::planner::Fold;
-use crate::query::QueryPlan;
+use crate::query::{condition_matches, QueryPlan, ResolvedCondition};
 
 /// A generated ontology individual, kept in structured form alongside
 /// the RDF graph for convenient inspection.
@@ -417,6 +417,11 @@ fn emit_triples(
     }
 
     for (source, results) in by_source {
+        // No record of a source whose every column is empty is an
+        // individual: nothing is built for it.
+        if results.iter().all(|r| r.values.is_empty()) {
+            continue;
+        }
         let columns: Vec<Column<'_>> = results
             .iter()
             .map(|r| {
@@ -477,9 +482,10 @@ fn emit_triples(
             fold.fold(tree, columns.len(), |k| columns[k].property);
         }
         for i in 0..records {
-            let mut value =
-                |k: usize, test: &dyn Fn(&str) -> bool| columns[k].value(i).is_some_and(test);
-            if tested.is_some() && !fold.holds(0, &mut value) {
+            let mut leaf = |k: usize, c: &ResolvedCondition| {
+                columns[k].value(i).is_some_and(|v| condition_matches(c, v))
+            };
+            if tested.is_some() && !fold.holds(0, &mut leaf) {
                 continue;
             }
             // The projection applies after the condition: condition

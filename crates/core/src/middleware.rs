@@ -805,7 +805,8 @@ impl S2s {
 
     /// Dependencies + view partition: the `(source, version)` pairs the
     /// query reads — the registry lock is held through extraction, so
-    /// they are the versions of all it touches — then the slices the
+    /// they are the versions of all it touches; recorded only for their
+    /// readers, the views and the result cache — then the slices the
     /// views serve (DESIGN.md §4k), the rest left in `mapped`. The `map`
     /// span covers this stage too.
     fn partition(
@@ -816,9 +817,12 @@ impl S2s {
     ) -> (DependencySet, Vec<AttributeResult>) {
         let stage = Stage::start(self.tracing);
         let mut deps = DependencySet::new();
-        for s in &mapped.schemas {
-            if let Some(v) = registry.version_of(s.mapping.source().as_str()) {
-                deps.record(s.mapping.source().as_str(), v);
+        if self.views.is_some() || self.results.is_some() {
+            for s in &mapped.schemas {
+                let source = s.mapping.source().as_str();
+                if let Some(v) = registry.version_of(source) {
+                    deps.record(source, v);
+                }
             }
         }
         let mut served = Vec::new();
@@ -1747,6 +1751,19 @@ mod tests {
         let twin = twin("SELECT watch WHERE case='resin'");
         assert!(twin.sources.iter().all(|r| !r.pruned));
         assert_eq!(answer(&out), answer(&twin));
+    }
+
+    /// A property is required when every side of an `OR` tests it, by
+    /// whatever leaves: a source that maps no `case` would only be
+    /// dialled to reject every record.
+    #[test]
+    fn an_or_whose_sides_test_one_property_requires_it() {
+        let q = "SELECT watch WHERE (case LIKE 'd%' OR case >= 'carbon')";
+        let out = deploy().query(q).unwrap();
+        let row = out.source("wpage_81").unwrap();
+        assert!(row.pruned, "{row:?}");
+        assert_eq!((row.tasks, row.attempts, row.wire_bytes), (0, 0, 0));
+        assert_eq!(answer(&out), answer(&twin(q)));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The federated pushdown planner (DESIGN.md §4j). Before the views see
-//! a query's schemas, [`prune`] skips the sources that cannot contribute
-//! to a required conjunct and drops the schemas neither the projection
-//! nor the condition reads. After the view partition, a [`Bind`] folds
-//! the whole condition against each wire-bound source's rules
-//! ([`Fold`]); the source's wrapper tests each record with it
+//! a query's schemas, [`prune`] skips the sources that map no rule of a
+//! property the condition requires and drops the schemas neither the
+//! projection nor the condition reads. After the view partition, a
+//! [`Bind`] folds the whole condition against each wire-bound source's
+//! rules ([`Fold`]); the source's wrapper tests each record with it
 //! ([`crate::wrapper::Filter`]), and what it keeps is the source's part
 //! of the answer. Nothing is rewritten: a rule, its compiled form and
 //! its view key are the same for every query.
@@ -19,18 +19,18 @@ use s2s_rdf::Iri;
 use crate::extract::ExtractionSchema;
 use crate::ledger::{self, Pushed, SourceLedger, Unfiltered};
 use crate::mapping::AttributeMapping;
-use crate::query::{condition_matches, ConditionTree, ResolvedCondition};
+use crate::query::{ConditionTree, ResolvedCondition};
 
-/// The leaves the whole tree implies, as the set of their positions
-/// among the first 64 ([`ConditionTree::leaves`] order): filtering by
-/// one of these can only drop records the condition rejects anyway.
-/// `AND` contributes what either side requires, `OR` what both do, `NOT`
-/// nothing. A leaf stands at the position of the first leaf equal to it,
-/// so both sides of an `OR` can require the same conjunct.
+/// The properties every record the tree selects has a value of, each
+/// as the position of its first leaf among the first 64
+/// ([`ConditionTree::leaves`] order): a leaf on a property a source does
+/// not map folds to `false` ([`Fold`]), so a source lacking one of these
+/// yields nothing the condition keeps. A leaf requires its property,
+/// `AND` what either side requires, `OR` what both do, `NOT` nothing.
 fn required(tree: &ConditionTree) -> u64 {
     fn walk(root: &ConditionTree, tree: &ConditionTree) -> u64 {
         match tree {
-            ConditionTree::Leaf(c) => bit(first(root, c)),
+            ConditionTree::Leaf(c) => bit(first(root, &c.property)),
             ConditionTree::And(a, b) => walk(root, a) | walk(root, b),
             ConditionTree::Or(a, b) => walk(root, a) & walk(root, b),
             ConditionTree::Not(_) => 0,
@@ -39,25 +39,25 @@ fn required(tree: &ConditionTree) -> u64 {
     walk(tree, tree)
 }
 
-/// The position of the first leaf of `tree` equal to `c`, or 64 when
+/// The position of the first leaf of `tree` on `property`, or 64 when
 /// none of the first 64 is: the search stops there.
-fn first(tree: &ConditionTree, c: &ResolvedCondition) -> usize {
+fn first(tree: &ConditionTree, property: &Iri) -> usize {
     // Whether the search is over.
-    fn walk(tree: &ConditionTree, c: &ResolvedCondition, next: &mut usize) -> bool {
+    fn walk(tree: &ConditionTree, property: &Iri, next: &mut usize) -> bool {
         match tree {
-            ConditionTree::Leaf(leaf) if leaf == c => true,
+            ConditionTree::Leaf(leaf) if &leaf.property == property => true,
             ConditionTree::Leaf(_) => {
                 *next += 1;
                 *next == 64
             }
             ConditionTree::And(a, b) | ConditionTree::Or(a, b) => {
-                walk(a, c, next) || walk(b, c, next)
+                walk(a, property, next) || walk(b, property, next)
             }
-            ConditionTree::Not(e) => walk(e, c, next),
+            ConditionTree::Not(e) => walk(e, property, next),
         }
     }
     let mut next = 0;
-    walk(tree, c, &mut next);
+    walk(tree, property, &mut next);
     next
 }
 
@@ -93,10 +93,10 @@ fn row_of(rows: &[SourceLedger], source: &str, at: &mut usize) -> usize {
     ledger::seek(rows, source, at).expect("a row per source")
 }
 
-/// Prunes the sources of `schemas` that cannot supply a required
-/// conjunct's property — they yield only individuals the condition
-/// rejects — and drops the schemas outside the projection and the
-/// condition's properties. Schemas come back in their original order;
+/// Prunes the sources of `schemas` that map no rule of a required
+/// property — they yield only individuals the condition rejects — and
+/// drops the schemas outside the projection and the condition's
+/// properties. Schemas come back in their original order;
 /// each source's row in `rows` (one per source of `schemas`, in id
 /// order) says whether it was pruned and how many of its schemas the
 /// projection dropped.
@@ -118,7 +118,7 @@ pub(crate) fn prune(
         projection
             .is_none_or(|p| p.contains(property) || read.iter().any(|c| &c.property == property))
     };
-    // The required leaves each source's rules read.
+    // The required properties each source's rules read.
     let (mut carried, mut at) = (vec![0u64; rows.len()], usize::MAX);
     if let Some(tree) = condition.filter(|_| required != 0) {
         for s in &schemas {
@@ -253,22 +253,24 @@ impl<'c> Fold<'c> {
 
     /// Whether a record satisfies the folded condition from node `at`
     /// on (`0`: all of it); `true` when none is folded in.
-    /// `value(j, test)` says whether the record's value of rule `j`
-    /// passes `test` — `false` when it has none; a single-record rule's
-    /// one value is every record's. An operand is evaluated only when
-    /// the one before it left its operator undecided.
+    /// `leaf(j, c)` says whether the record's value of rule `j`
+    /// satisfies the leaf `c` ([`crate::query::condition_matches`] on
+    /// its text, or on a number where that answers the same) — `false`
+    /// when it has none; a single-record rule's one value is every
+    /// record's. An operand is evaluated only when the one before it
+    /// left its operator undecided.
     pub(crate) fn holds(
         &self,
         at: usize,
-        value: &mut impl FnMut(usize, &dyn Fn(&str) -> bool) -> bool,
+        leaf: &mut impl FnMut(usize, &ResolvedCondition) -> bool,
     ) -> bool {
         let Some(&node) = self.nodes.get(at) else { return true };
         match node {
             Node::False => false,
-            Node::Leaf(c, j) => value(j, &|v| condition_matches(c, v)),
-            Node::Not => !self.holds(at + 1, value),
-            Node::And(right) => self.holds(at + 1, value) && self.holds(at + right, value),
-            Node::Or(right) => self.holds(at + 1, value) || self.holds(at + right, value),
+            Node::Leaf(c, j) => leaf(j, c),
+            Node::Not => !self.holds(at + 1, leaf),
+            Node::And(right) => self.holds(at + 1, leaf) && self.holds(at + right, leaf),
+            Node::Or(right) => self.holds(at + 1, leaf) || self.holds(at + right, leaf),
         }
     }
 }

@@ -163,6 +163,11 @@ impl ResolvedCondition {
     pub fn space(&self) -> ValueSpace {
         self.comparand.space()
     }
+
+    /// The comparison, read once ([`condition_matches`] tests it).
+    pub(crate) fn comparand(&self) -> &Comparand {
+        &self.comparand
+    }
 }
 
 /// A resolved boolean condition tree.

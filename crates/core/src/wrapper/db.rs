@@ -11,6 +11,7 @@ use crate::error::S2sError;
 use crate::extract::Values;
 use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
+use crate::query::{condition_matches, ResolvedCondition};
 use crate::source::SourceKind;
 
 /// A database source.
@@ -50,9 +51,8 @@ impl Wrapper for Db<'_> {
     /// and a `DISTINCT`, `GROUP BY` or aggregate one is read from its
     /// result ([`Database::query_prepared`]). Filtered, the scan tests
     /// each row with the folded condition first — a cell as its printed
-    /// text, a `TEXT` cell borrowed, the others printed into one reused
-    /// buffer — and only the kept rows' cells are formatted; a row's
-    /// number is its position in the scan.
+    /// text ([`satisfies`]) — and only the kept rows' cells are
+    /// formatted; a row's number is its position in the scan.
     fn run(
         &self,
         mappings: &[&AttributeMapping],
@@ -107,14 +107,9 @@ impl Wrapper for Db<'_> {
             if let Some(first_only) = Filter::first_only(mappings).filter(|_| resolved) {
                 let keep = |row: usize| {
                     (row == 0 || !first_only)
-                        && fold.holds(0, &mut |j, test| match selection.cell(columns[j], row) {
-                            Some(Value::Text(text)) => test(text),
-                            None => false,
-                            Some(cell) => {
-                                printed.clear();
-                                cell.write_to(printed).expect("writing to a String cannot fail");
-                                test(printed)
-                            }
+                        && fold.holds(0, &mut |j, c| {
+                            let cell = selection.cell(columns[j], row);
+                            cell.is_some_and(|cell| satisfies(cell, c, printed))
                         })
                 };
                 filtered = selection.filter(columns.iter().copied(), keep, ordinals);
@@ -205,6 +200,26 @@ fn sql<'m>(db: &Db<'_>, m: &'m AttributeMapping) -> Option<(&'m SelectStmt, &'m 
         Ok(CompiledRule::Sql { stmt, column }) => Some((&**stmt, column.as_str())),
         _ => None,
     }
+}
+
+/// Whether `cell` satisfies the leaf `c` as its printed text does: a
+/// `TEXT` cell borrowed, a `REAL` one compared as a number where that
+/// answers the same ([`s2s_textmatch::Comparand::test_number`]), any
+/// other printed into `printed`, one buffer reused from row to row.
+#[inline]
+fn satisfies(cell: &Value, c: &ResolvedCondition, printed: &mut String) -> bool {
+    match cell {
+        Value::Text(text) => return condition_matches(c, text),
+        Value::Float(x) => {
+            if let Some(holds) = c.comparand().test_number(*x) {
+                return holds;
+            }
+        }
+        _ => {}
+    }
+    printed.clear();
+    cell.write_to(printed).expect("writing to a String cannot fail");
+    condition_matches(c, printed)
 }
 
 /// The non-NULL values of `column` of a statement whose rows are

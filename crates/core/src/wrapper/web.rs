@@ -13,6 +13,7 @@ use crate::error::S2sError;
 use crate::extract::Values;
 use crate::ledger::Unfiltered;
 use crate::mapping::{AttributeMapping, ExtractionRule, RecordScenario};
+use crate::query::condition_matches;
 use crate::source::SourceKind;
 
 /// A web page (`html`) or a plain-text file.
@@ -84,8 +85,9 @@ impl Wrapper for Web<'_> {
         let records = multi.unwrap_or(0).max(usize::from((0..columns.len()).any(single)));
         let (fold, ordinals) = (&filter.fold, &mut filter.ordinals);
         let value = |j: usize, i| if single(j) { columns[j].first() } else { columns[j].get(i) };
-        let kept =
-            (0..records).filter(|&i| fold.holds(0, &mut |j, test| value(j, i).is_some_and(test)));
+        let kept = (0..records).filter(|&i| {
+            fold.holds(0, &mut |j, c| value(j, i).is_some_and(|v| condition_matches(c, v)))
+        });
         ordinals.clear();
         ordinals.reserve(records);
         ordinals.extend(kept.map(|i| u32::try_from(i).expect("records fit in u32")));

@@ -370,6 +370,59 @@ fn read_column(
     db.query_prepared(stmt)?.each(column, &mut packed)
 }
 
+/// A double from every corner a `REAL` cell can hold: any bit pattern
+/// (NaN payloads, infinities), short decimals, integers around and past
+/// 2^53, subnormals and both zeros.
+fn real(rng: &mut TestRng) -> f64 {
+    let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+    match rng.below(6) {
+        0 => f64::from_bits(rng.next_u64()),
+        1 => sign * (rng.next_u64() % 10_000_000) as f64 / 10f64.powi(rng.below(8) as i32),
+        2 => {
+            let near = ((1u64 << 53) + rng.next_u64() % 4_000).saturating_sub(2_000);
+            sign * near as f64 * [1.0, 2.0, 1024.0, 1e20][rng.below(4)]
+        }
+        3 => sign * f64::from_bits(rng.next_u64() % (1 << 52)),
+        4 => sign * 0.0,
+        _ => {
+            [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX, f64::MIN_POSITIVE][rng.below(5)]
+        }
+    }
+}
+
+/// A comparison constant, most often spelled from `y`: its printed
+/// text as it is, padded, signed or with zeros around it, or lengthened
+/// by a digit far past the last, so the nearest double is `y` while the
+/// value is not; else 40-digit decimals, short forms a reader may
+/// refuse (`.5`, `3.`, `007`), and forms outside the decimal space.
+fn constant(rng: &mut TestRng, y: f64) -> String {
+    let text = format!("{y}");
+    let point = if text.contains('.') { "" } else { "." };
+    let digits = |rng: &mut TestRng, n: usize| -> String {
+        (0..n).map(|_| char::from(b'0' + rng.below(10) as u8)).collect()
+    };
+    match rng.below(9) {
+        0 | 1 => text,
+        2 => format!("{text}{point}{}1", "0".repeat(rng.below(30))),
+        3 => format!("{}{text}{point}000", [" ", "\t", ""][rng.below(3)]).replace('-', "-00"),
+        4 => format!("+{text}"),
+        5 => {
+            let (w, f) = (rng.below(41), rng.below(41));
+            let (whole, fraction) = (digits(rng, w), digits(rng, f));
+            format!("{}{whole}.{fraction}", ["", "-", "+"][rng.below(3)])
+        }
+        6 => ["1".to_string() + &"0".repeat(400), format!("0.{}1", "0".repeat(400)), "-0".into()]
+            [rng.below(3)]
+        .clone(),
+        7 => [".5", "3.", "007", "+7", "-.25", "+0.", "0.0", "00.100", " 15 ", "9007199254740993"]
+            [rng.below(10)]
+        .into(),
+        _ => ["1e5", "inf", "NaN", "INF", "-INF", "1E-3", "-1.5e300", "abc", "", "-", ".", "1.2.3"]
+            [rng.below(12)]
+        .into(),
+    }
+}
+
 proptest! {
     /// A `REAL` renders as `f64`'s `Display` does, whatever its bits:
     /// every class of double — subnormal, huge, NaN payloads — mostly
@@ -378,6 +431,45 @@ proptest! {
     fn float_rendering_is_display_on_any_bit_pattern(bits in any::<u64>()) {
         let f = f64::from_bits(bits);
         prop_assert_eq!(rendered(f), format!("{f}"), "bits {:#x}", bits);
+    }
+
+    /// A `REAL` cell compared as a number answers what its printed text
+    /// does, wherever the number answers: under every operator, in the
+    /// decimal and double spaces, on ties (the cell equal to the double
+    /// nearest the constant, its neighbours on either side), on constants
+    /// whose nearest double is the cell but whose value is not, and on
+    /// constants outside the space; in the other spaces it never
+    /// answers.
+    #[test]
+    fn a_real_cell_compares_as_its_printed_text(seed in any::<u64>()) {
+        use s2s_textmatch::{Comparand, ConstraintOp, ValueSpace};
+        let mut rng = TestRng::from_seed(seed);
+        let y = real(&mut rng);
+        let constant = constant(&mut rng, y);
+        let near = constant.trim().parse::<f64>().unwrap_or(y);
+        let x = match rng.below(5) {
+            0 => near,
+            1 => near.next_up(),
+            2 => near.next_down(),
+            3 => y,
+            _ => real(&mut rng),
+        };
+        let text = rendered(x);
+        use ConstraintOp::{Eq, Ge, Gt, Le, Like, Lt, Ne};
+        for op in [Eq, Ne, Lt, Le, Gt, Ge, Like] {
+            for space in [ValueSpace::Decimal, ValueSpace::Double] {
+                let comparand = Comparand::in_space(op, constant.as_str(), space);
+                if let Some(holds) = comparand.test_number(x) {
+                    prop_assert_eq!(
+                        holds, comparand.test(&text),
+                        "{:?} {} {:?} in {:?}", text, op, constant, space
+                    );
+                }
+            }
+            for space in [ValueSpace::String, ValueSpace::Integer, ValueSpace::Boolean] {
+                prop_assert_eq!(Comparand::in_space(op, constant.as_str(), space).test_number(x), None);
+            }
+        }
     }
 
     /// And on the doubles the fast path is for and around: `±n / 10^k`

@@ -1,4 +1,4 @@
-//! The mediator's comparison, and constraints pushed to text sources.
+//! The mediator's comparison.
 //!
 //! [`ConstraintOp`] is the one operator enum of an S2SQL condition
 //! (`s2s_core::query::CondOp` re-exports it) and [`Comparand::test`]
@@ -7,12 +7,14 @@
 //! to a space and how its values order), or SQL `LIKE` with `%`/`_` on
 //! the text as it is. A condition compares in its property's declared
 //! range; a side outside that space satisfies no operator, `!=`
-//! included. Rule text names no range, so a predicate pushed into a
-//! source (an XPath child comparison, a WebL `Where` guard) compares in
-//! the decimal space when its constant is a decimal and as a string
-//! otherwise, and the planner pushes a conjunct only where that space
-//! is the range's. A [`Comparand`] holds its constant as written and
-//! reads it per test, allocating nothing.
+//! included. Rule text names no range, so an XPath child comparison
+//! compares in the decimal space when its constant is a decimal and as
+//! a string otherwise. A [`Comparand`] holds its constant as written,
+//! reads it once when it is built — whether it lies in the space, and
+//! in the decimal and double spaces its nearest `f64` — and reads a
+//! candidate per test, allocating nothing. A candidate that is an `f64`
+//! is compared as a number wherever that answers what its text would
+//! ([`Comparand::test_number`]).
 
 pub mod space;
 
@@ -90,21 +92,51 @@ impl std::fmt::Display for ConstraintOp {
 }
 
 /// `op constant` in one value space — the right-hand side of the one
-/// comparison the mediator's residual filter and every pushed predicate
-/// (XPath child comparison, WebL `Where`) share. `S` is how the
-/// constant is held: owned by a resolved query condition, borrowed for
-/// the length of a scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// comparison a condition's leaf and an XPath child comparison share.
+/// `S` is how the constant is held: owned by a resolved query
+/// condition, borrowed for the length of a scan.
+#[derive(Debug, Clone, Copy)]
 pub struct Comparand<S = String> {
     op: ConstraintOp,
     constant: S,
     space: ValueSpace,
+    /// Derived from the other three, so it takes no part in equality.
+    reading: Reading,
+}
+
+/// What a comparand's constant reads as, once, when it is built.
+#[derive(Debug, Clone, Copy)]
+enum Reading {
+    /// Read with each candidate: `LIKE`, and constants of the string,
+    /// integer and boolean spaces.
+    Text,
+    /// Outside the space, which is not the string space: no candidate
+    /// satisfies the operator.
+    Outside,
+    /// A decimal or double constant, and the `f64` nearest its value.
+    Number(f64),
+}
+
+impl<S: PartialEq> PartialEq for Comparand<S> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.op, self.space) == (other.op, other.space) && self.constant == other.constant
+    }
 }
 
 impl<S: AsRef<str>> Comparand<S> {
     /// `op constant` compared in `space`, a condition's declared range.
     pub fn in_space(op: ConstraintOp, constant: S, space: ValueSpace) -> Self {
-        Comparand { op, constant, space }
+        let text = constant.as_ref();
+        let reading = if op == ConstraintOp::Like || space == ValueSpace::String {
+            Reading::Text
+        } else if let Some(c) = space.nearest_f64(text) {
+            Reading::Number(c)
+        } else if space.contains(text) {
+            Reading::Text
+        } else {
+            Reading::Outside
+        };
+        Comparand { op, constant, space, reading }
     }
 
     /// `op constant` as rule text spells it, naming no range: compared
@@ -116,7 +148,7 @@ impl<S: AsRef<str>> Comparand<S> {
         } else {
             ValueSpace::String
         };
-        Comparand { op, constant, space }
+        Comparand::in_space(op, constant, space)
     }
 
     /// The operator.
@@ -143,11 +175,38 @@ impl<S: AsRef<str>> Comparand<S> {
     #[inline]
     pub fn test(&self, candidate: &str) -> bool {
         let constant = self.constant.as_ref();
-        match (self.op, self.space) {
-            (ConstraintOp::Like, _) => like_match(candidate, constant),
-            (ConstraintOp::Eq, ValueSpace::String) => candidate == constant,
-            (ConstraintOp::Ne, ValueSpace::String) => candidate != constant,
-            (op, space) => space.compare(candidate, constant).is_some_and(|ord| op.accepts(ord)),
+        match (self.op, self.space, self.reading) {
+            (ConstraintOp::Like, ..) => like_match(candidate, constant),
+            (_, _, Reading::Outside) => false,
+            (ConstraintOp::Eq, ValueSpace::String, _) => candidate == constant,
+            (ConstraintOp::Ne, ValueSpace::String, _) => candidate != constant,
+            (op, space, _) => space.compare(candidate, constant).is_some_and(|ord| op.accepts(ord)),
+        }
+    }
+
+    /// Whether `x op constant` holds, where `x`'s text is the shortest
+    /// positional decimal that reads back as `x` (what `{x}` prints):
+    /// `Some(self.test(text))` without the text, or `None` when only
+    /// the text can tell.
+    ///
+    /// It answers in the decimal and double spaces, for an operator
+    /// other than `LIKE` and a constant in the space. A non-finite `x`
+    /// prints `inf`, `-inf` or `NaN`, which satisfy nothing there. A
+    /// finite `x` that is not `c`, the `f64` nearest the constant,
+    /// orders against the constant as it orders against `c`: rounding
+    /// to the nearest `f64` is monotonic and the text rounds to `x`, so
+    /// a constant at or past the text's value would round to a `c` at or
+    /// past `x`. A tie (`x == c`, `-0` against `0` included) is left to
+    /// the text: the constant may lie anywhere that rounds to `x`.
+    #[inline]
+    pub fn test_number(&self, x: f64) -> Option<bool> {
+        let Reading::Number(c) = self.reading else { return None };
+        if !x.is_finite() {
+            return Some(false);
+        }
+        match x.partial_cmp(&c)? {
+            Ordering::Equal => None,
+            ord => Some(self.op.accepts(ord)),
         }
     }
 }
@@ -251,6 +310,39 @@ mod tests {
         assert!(eq.test("seiko") && !eq.test("casio"));
         assert!(string(ConstraintOp::Gt, "casio").test("seiko"));
         assert!(!string(ConstraintOp::Gt, "casio").test("120"));
+    }
+
+    #[test]
+    fn a_number_answers_off_a_tie_in_the_numeric_spaces() {
+        let decimal = |op, c| Comparand::in_space(op, c, ValueSpace::Decimal);
+        assert_eq!(decimal(ConstraintOp::Lt, "45").test_number(20.63), Some(true));
+        assert_eq!(decimal(ConstraintOp::Ge, "45").test_number(59.5), Some(true));
+        assert_eq!(decimal(ConstraintOp::Eq, "45").test_number(45.5), Some(false));
+        assert_eq!(decimal(ConstraintOp::Ne, " +007 ").test_number(7.5), Some(true));
+        // A tie is the text's: `0.1` prints as less than this constant.
+        let longer = decimal(ConstraintOp::Lt, "0.10000000000000000001");
+        assert_eq!(longer.test_number(0.1), None);
+        assert!(longer.test("0.1"));
+        assert_eq!(decimal(ConstraintOp::Eq, "0").test_number(-0.0), None);
+        // A non-finite cell prints `inf` or `NaN`: outside both spaces.
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(decimal(ConstraintOp::Ne, "1").test_number(x), Some(false));
+        }
+        let double = |op, c| Comparand::in_space(op, c, ValueSpace::Double);
+        assert_eq!(double(ConstraintOp::Lt, "INF").test_number(1e300), Some(true));
+        assert_eq!(double(ConstraintOp::Gt, "1e5").test_number(1e6), Some(true));
+        assert_eq!(double(ConstraintOp::Ne, "NaN").test_number(1.0), None);
+        // `LIKE`, a constant outside the space and the other spaces
+        // leave it to the text.
+        assert_eq!(decimal(ConstraintOp::Like, "4%").test_number(45.0), None);
+        assert_eq!(decimal(ConstraintOp::Lt, "1e5").test_number(1.0), None);
+        for space in [ValueSpace::String, ValueSpace::Integer, ValueSpace::Boolean] {
+            let comparand = Comparand::in_space(ConstraintOp::Lt, "1", space);
+            assert_eq!(comparand.test_number(0.5), None, "{space:?}");
+        }
+        // What it reads of its constant takes no part in equality.
+        assert_eq!(decimal(ConstraintOp::Lt, "45"), decimal(ConstraintOp::Lt, "45"));
+        assert_ne!(decimal(ConstraintOp::Lt, "45"), decimal(ConstraintOp::Lt, "45.0"));
     }
 
     #[test]

@@ -49,6 +49,19 @@ impl ValueSpace {
         self.form(lexical).is_some()
     }
 
+    /// The `f64` nearest the value `lexical` spells, in the decimal and
+    /// double spaces (a double's `INF` and `NaN` as themselves); `None`
+    /// outside the space, and in the others.
+    pub(crate) fn nearest_f64(self, lexical: &str) -> Option<f64> {
+        match self {
+            ValueSpace::Decimal => {
+                Decimal::parse(lexical).and_then(|_| lexical.trim().parse().ok())
+            }
+            ValueSpace::Double => double(lexical),
+            _ => None,
+        }
+    }
+
     /// How the values `a` and `b` spell order in the space: `None` when
     /// either is outside it, or the two are unordered (a NaN).
     #[inline]
