@@ -371,7 +371,6 @@ mod tests {
     use super::*;
     use crate::query;
     use s2s_owl::Ontology;
-    use s2s_rdf::Graph;
 
     fn plan_of(text: &str) -> Arc<QueryPlan> {
         let onto = Ontology::builder("http://example.org/schema#")
@@ -393,13 +392,7 @@ mod tests {
     fn answer_of(tasks: usize) -> CachedResult {
         CachedResult {
             plan: plan_of("SELECT watch"),
-            instances: Arc::new(InstanceSet {
-                graph: Graph::new(),
-                individuals: Vec::new(),
-                errors: Vec::new(),
-                completeness: 1.0,
-                round_trips: 0,
-            }),
+            instances: Arc::new(InstanceSet { completeness: 1.0, ..InstanceSet::default() }),
             tasks,
         }
     }

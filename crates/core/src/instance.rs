@@ -23,7 +23,9 @@
 //! once a query (`close`), and each record gets a stamped copy.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
 use s2s_rdf::turtle::PrefixMap;
@@ -36,25 +38,146 @@ use crate::mapping::RecordScenario;
 use crate::planner::Fold;
 use crate::query::{condition_matches, QueryPlan, ResolvedCondition};
 
-/// A generated ontology individual, kept in structured form alongside
-/// the RDF graph for convenient inspection.
+/// A generated ontology individual: one record of an answer, read from
+/// its [`Individuals`] view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Individual {
     /// The minted IRI.
     pub iri: Iri,
     /// The class the individual instantiates.
     pub class: Iri,
-    /// The source that contributed it.
-    pub source: String,
+    /// The source that contributed it: one id per source per answer,
+    /// shared by that source's individuals.
+    pub source: Arc<str>,
     /// Property values (datatype and object properties alike, as raw
-    /// strings).
-    pub values: BTreeMap<Iri, Vec<String>>,
+    /// strings), sorted by property, a property's values in column
+    /// order.
+    pub values: Vec<(Iri, Vec<String>)>,
 }
 
 impl Individual {
     /// The first value of `property`, if any.
     pub fn value(&self, property: &Iri) -> Option<&str> {
-        self.values.get(property).and_then(|v| v.first()).map(String::as_str)
+        let at = self.values.binary_search_by(|(p, _)| p.cmp(property)).ok()?;
+        self.values[at].1.first().map(String::as_str)
+    }
+}
+
+/// What an answer's individuals are derived from, written by
+/// [`generate`] as it keeps each record: no value is its own block.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Records {
+    /// Per source that kept a record: its id and its record class (an
+    /// index into `classes`).
+    sources: Vec<(Arc<str>, usize)>,
+    /// Per individual: its IRI, its source (an index into `sources`) and
+    /// the end of its values in `values`.
+    individuals: Vec<(Iri, usize, usize)>,
+    /// Per value: its property (an index into `properties`) and the end
+    /// of its text in `text`, where the value before it ends its start.
+    values: Vec<(usize, usize)>,
+    /// Per source that kept a record, its class, unless the source
+    /// before it had the same.
+    classes: Vec<Iri>,
+    /// Per source that kept a record, its projected columns' properties
+    /// in property order, unless the source before it had the same: like
+    /// shards of a fan-out share one entry.
+    properties: Vec<Iri>,
+    /// Every kept value's raw text, one after another.
+    text: String,
+}
+
+impl Records {
+    /// Value `j`: its property and its text.
+    fn value(&self, j: usize) -> (&Iri, &str) {
+        let start = j.checked_sub(1).map_or(0, |before| self.values[before].1);
+        let (property, end) = self.values[j];
+        (&self.properties[property], &self.text[start..end])
+    }
+
+    /// Each individual's IRI, its source's id, its class and the range
+    /// of its values, in record order.
+    fn iter(&self) -> impl Iterator<Item = (&Iri, &Arc<str>, &Iri, Range<usize>)> {
+        let mut start = 0;
+        self.individuals.iter().map(move |(iri, source, end)| {
+            let values = start..*end;
+            start = *end;
+            let (id, class) = &self.sources[*source];
+            (iri, id, &self.classes[*class], values)
+        })
+    }
+
+    /// The individuals as structured values: per value a `String`, per
+    /// property a `Vec` — what the answer holds of them, copied out.
+    fn build(&self) -> Vec<Individual> {
+        let individual = |(iri, source, class, values): (&Iri, &Arc<str>, &Iri, Range<_>)| {
+            let mut grouped: Vec<(Iri, Vec<String>)> = Vec::with_capacity(values.len());
+            for j in values {
+                let (property, value) = self.value(j);
+                match grouped.last_mut() {
+                    Some((last, values)) if last == property => values.push(value.to_string()),
+                    _ => grouped.push((property.clone(), vec![value.to_string()])),
+                }
+            }
+            Individual {
+                iri: iri.clone(),
+                class: class.clone(),
+                source: Arc::clone(source),
+                values: grouped,
+            }
+        };
+        self.iter().map(individual).collect()
+    }
+}
+
+/// The individuals of an answer: a view that reads as `[Individual]`,
+/// built on its first read from the record list the generator wrote,
+/// once per copy. [`Individuals::len`] and [`Individuals::is_empty`]
+/// read the list and build nothing; the RDF renderings never read the
+/// view, nor do plain XML and text, which read the list. A clone copies
+/// the list, not the view, and builds its own view when it is read.
+#[derive(Default)]
+pub struct Individuals {
+    records: Records,
+    view: OnceLock<Vec<Individual>>,
+}
+
+impl Individuals {
+    /// How many individuals the answer holds, without building the view.
+    pub fn len(&self) -> usize {
+        self.records.individuals.len()
+    }
+
+    /// Whether the answer holds no individual, without building the
+    /// view.
+    pub fn is_empty(&self) -> bool {
+        self.records.individuals.is_empty()
+    }
+}
+
+impl Deref for Individuals {
+    type Target = [Individual];
+
+    fn deref(&self) -> &[Individual] {
+        self.view.get_or_init(|| self.records.build())
+    }
+}
+
+impl Clone for Individuals {
+    fn clone(&self) -> Self {
+        Individuals { records: self.records.clone(), view: OnceLock::new() }
+    }
+}
+
+impl PartialEq for Individuals {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records || **self == **other
+    }
+}
+
+impl fmt::Debug for Individuals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -65,8 +188,9 @@ impl Individual {
 pub struct InstanceSet {
     /// The RDF graph holding all individuals (types materialized).
     pub graph: Graph,
-    /// Structured view of the individuals that passed the conditions.
-    pub individuals: Vec<Individual>,
+    /// The individuals that passed the conditions: a view built on its
+    /// first read.
+    pub individuals: Individuals,
     /// Extraction failures carried through for reporting (§2.6: the
     /// generator "is responsible for providing information about any
     /// error that has occurred during the extraction process or in the
@@ -353,21 +477,21 @@ impl<'a> Block<'a> {
 /// from object-property values are minted and typed by the property
 /// range.
 pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> InstanceSet {
-    let (triples, individuals) = emit_triples(ontology, plan, report);
+    let (triples, records) = emit_triples(ontology, plan, report);
     // Entailments included, in strict SPO order: the vector becomes the
     // graph as it is.
     let graph: Graph = triples.into_iter().collect();
 
     InstanceSet {
         graph,
-        individuals,
+        individuals: Individuals { records, view: OnceLock::new() },
         errors: report.failures.clone(),
         completeness: report.completeness(),
         round_trips: crate::ledger::total(&report.sources).sum.attempts,
     }
 }
 
-/// The individuals the report yields under the plan, in record order,
+/// The records the report yields under the plan, in record order,
 /// and the triples asserted about them together with everything the
 /// reasoner entails from those: the graph's triples, repeats allowed.
 ///
@@ -392,18 +516,20 @@ fn emit_triples(
     ontology: &Ontology,
     plan: &QueryPlan,
     report: &ExtractionReport,
-) -> (Vec<Triple>, Vec<Individual>) {
+) -> (Vec<Triple>, Records) {
     let data_ns = data_namespace(ontology);
     let reasoner = Reasoner::new(ontology);
     let mut closures: BTreeMap<Template<'_>, Entailed> = BTreeMap::new();
     let mut triples: Vec<Triple> = Vec::new();
     let mut referenced: Vec<Triple> = Vec::new();
-    let mut individuals = Vec::new();
-    // Reused from source to source: the text being minted, the records
-    // of the source that became individuals, the last block and the
-    // shape of the next, the values that fill more than one row, and
-    // the condition folded against the source's columns.
+    let mut records = Records::default();
+    // Reused from source to source: the text being minted, the
+    // projected columns in property order, the records of the source
+    // that became individuals, the last block and the shape of the
+    // next, the values that fill more than one row, and the condition
+    // folded against the source's columns.
     let mut minted = String::new();
+    let mut projected: Vec<usize> = Vec::new();
     let mut survivors: Vec<(usize, Iri)> = Vec::new();
     let mut block = Block::default();
     let mut shape = Shape::default();
@@ -453,7 +579,7 @@ fn emit_triples(
         // count.
         let single = |c: &Column<'_>| c.scenario == RecordScenario::SingleRecord;
         let count = |c: &Column<'_>| if single(c) { 1 } else { c.values.len() };
-        let records =
+        let kept =
             numbers.map_or_else(|| columns.iter().map(count).max().unwrap_or(0), <[u32]>::len);
 
         // The individual's class: the most specific class among the
@@ -473,6 +599,11 @@ fn emit_triples(
         minted.push('/');
         let prefix_len = minted.len();
         let record_prefix = Iri::new(&minted).expect("minted IRIs are valid by construction");
+        // A record's values go to the list in property order, a
+        // property's in column order (the sort is stable).
+        projected.clear();
+        projected.extend((0..columns.len()).filter(|&k| columns[k].projected));
+        projected.sort_by_key(|&k| columns[k].property);
 
         // Phase 1, in record order: which records become individuals. A
         // source that ran unfiltered is tested here, with nothing
@@ -481,7 +612,7 @@ fn emit_triples(
         if let Some(tree) = tested {
             fold.fold(tree, columns.len(), |k| columns[k].property);
         }
-        for i in 0..records {
+        for i in 0..kept {
             let mut leaf = |k: usize, c: &ResolvedCondition| {
                 columns[k].value(i).is_some_and(|v| condition_matches(c, v))
             };
@@ -498,19 +629,41 @@ fn emit_triples(
             write!(minted, "{}", number(i)).expect("writing to a String cannot fail");
             let iri =
                 Iri::new_under(&record_prefix, &minted).expect("a record number is a valid suffix");
-            let mut values: BTreeMap<Iri, Vec<String>> = BTreeMap::new();
-            for c in columns.iter().filter(|c| c.projected) {
-                if let Some(v) = c.value(i) {
-                    values.entry(c.property.clone()).or_default().push(v.to_string());
+            // The source's first survivor enters its id, class and
+            // properties in the list, and makes room there for the rest
+            // of the source's records, all of them kept.
+            if survivors.is_empty() {
+                let rest = kept - i;
+                let text = |k: usize| match columns[k].scenario {
+                    RecordScenario::SingleRecord => {
+                        columns[k].values.first().map_or(0, str::len) * rest
+                    }
+                    RecordScenario::MultiRecord => columns[k].values.text_len(),
+                };
+                records.individuals.reserve(rest);
+                records.values.reserve(rest * projected.len());
+                records.text.reserve(projected.iter().map(|&k| text(k)).sum());
+                if records.classes.last() != Some(record_class) {
+                    records.classes.push(record_class.clone());
+                }
+                records.sources.push((Arc::from(source), records.classes.len() - 1));
+                let tail = records.properties.len().checked_sub(projected.len());
+                let tail = tail.map_or(&[][..], |at| &records.properties[at..]);
+                if !tail.iter().eq(projected.iter().map(|&k| columns[k].property)) {
+                    let properties = projected.iter().map(|&k| columns[k].property.clone());
+                    records.properties.extend(properties);
                 }
             }
-            survivors.push((i, iri.clone()));
-            individuals.push(Individual {
-                iri,
-                class: record_class.clone(),
-                source: source.to_string(),
-                values,
-            });
+            let properties = records.properties.len() - projected.len();
+            for (at, &k) in projected.iter().enumerate() {
+                if let Some(v) = columns[k].value(i) {
+                    records.text.push_str(v);
+                    records.values.push((properties + at, records.text.len()));
+                }
+            }
+            let end = records.values.len();
+            records.individuals.push((iri.clone(), records.sources.len() - 1, end));
+            survivors.push((i, iri));
         }
         if survivors.is_empty() {
             continue;
@@ -567,7 +720,7 @@ fn emit_triples(
         }
     }
     triples.append(&mut referenced);
-    (triples, individuals)
+    (triples, records)
 }
 
 /// A key that orders record numbers as their decimal strings order
@@ -594,9 +747,10 @@ pub fn render(set: &InstanceSet, ontology: &Ontology, format: OutputFormat) -> S
 }
 
 /// The document `s2s_xml::serialize` would write for the instance tree,
-/// written straight into the output: an `instances` root, one element
-/// per individual with a child per value, one `error` element per
-/// failed extraction, two spaces of indent per level.
+/// written straight into the output from the record list: an
+/// `instances` root, one element per individual with a child per value,
+/// one `error` element per failed extraction, two spaces of indent per
+/// level.
 fn render_xml(set: &InstanceSet) -> String {
     use s2s_xml::{escape_attribute, escape_text};
     let attribute = |out: &mut String, name: &str, value: &str| {
@@ -623,28 +777,28 @@ fn render_xml(set: &InstanceSet) -> String {
         return out;
     }
     out.push_str(">\n");
-    for ind in &set.individuals {
-        let class = ind.class.local_name();
+    let records = &set.individuals.records;
+    for (iri, source, class, values) in records.iter() {
+        let class = class.local_name();
         out.push_str("  <");
         out.push_str(class);
-        attribute(&mut out, "about", ind.iri.as_str());
-        attribute(&mut out, "source", &ind.source);
-        if ind.values.values().all(Vec::is_empty) {
+        attribute(&mut out, "about", iri.as_str());
+        attribute(&mut out, "source", source);
+        if values.is_empty() {
             out.push_str("/>\n");
             continue;
         }
         out.push_str(">\n");
-        for (p, values) in &ind.values {
-            let property = p.local_name();
-            for v in values {
-                out.push_str("    <");
-                out.push_str(property);
-                out.push('>');
-                escape_text(v, &mut out);
-                out.push_str("</");
-                out.push_str(property);
-                out.push_str(">\n");
-            }
+        for j in values {
+            let (property, value) = records.value(j);
+            let property = property.local_name();
+            out.push_str("    <");
+            out.push_str(property);
+            out.push('>');
+            escape_text(value, &mut out);
+            out.push_str("</");
+            out.push_str(property);
+            out.push_str(">\n");
         }
         out.push_str("  </");
         out.push_str(class);
@@ -662,19 +816,16 @@ fn render_xml(set: &InstanceSet) -> String {
     out
 }
 
+/// One line per individual and one per value, read from the record
+/// list, then the errors and the answer's annotations.
 fn render_text(set: &InstanceSet) -> String {
     let mut out = String::new();
-    for ind in &set.individuals {
-        out.push_str(&format!(
-            "{} [{}] from {}\n",
-            ind.iri.as_str(),
-            ind.class.local_name(),
-            ind.source
-        ));
-        for (p, values) in &ind.values {
-            for v in values {
-                out.push_str(&format!("  {} = {v}\n", p.local_name()));
-            }
+    let records = &set.individuals.records;
+    for (iri, source, class, values) in records.iter() {
+        out.push_str(&format!("{} [{}] from {source}\n", iri.as_str(), class.local_name()));
+        for j in values {
+            let (property, value) = records.value(j);
+            out.push_str(&format!("  {} = {value}\n", property.local_name()));
         }
     }
     for err in &set.errors {
@@ -1128,7 +1279,8 @@ mod tests {
             column("thing.product.brand", "xml", &|i| format!("brand{}", i % 5)),
             column("thing.product.price", "xml", &|i| format!("{}", i % 300)),
         ]);
-        let (triples, individuals) = emit_triples(&o, &p, &rep);
+        let (triples, records) = emit_triples(&o, &p, &rep);
+        let individuals = records.build();
         assert_eq!((individuals.len(), triples.len()), (2_400, 3 * 2_400));
         // The hint holds: what the graph is built from is already
         // strictly sorted, so it is taken as it is, with no sort.

@@ -146,7 +146,8 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// The individuals that satisfied the query.
+    /// The individuals that satisfied the query: the answer's view,
+    /// built on its first read ([`instance::Individuals`]).
     pub fn individuals(&self) -> &[Individual] {
         &self.instances.individuals
     }
@@ -1064,6 +1065,7 @@ fn meter(exit: &Exit<'_>, stats: &QueryStats, wall_us: u64) {
         (names::VIEW_REFRESHES_TOTAL, sum.view_refreshes),
         (names::VIEW_FULL_REFRESHES_TOTAL, sum.view_full_refreshes),
         (names::FEED_POLLS_TOTAL, sum.feed_polls),
+        // The record list's count: metering builds no view.
         (names::INSTANCES_GENERATED_TOTAL, fresh.instances.individuals.len() as u64),
         (names::INSTANCE_TRIPLES_TOTAL, fresh.instances.graph.len() as u64),
     ] {
@@ -2411,10 +2413,10 @@ mod tests {
         assert_eq!(s2s.apply_bootstrap(&mut report).unwrap(), 1);
         assert_eq!(s2s.mapping_count(), 1);
         let outcome = s2s.query("SELECT watch").unwrap();
-        assert!(outcome.instances.individuals.iter().any(|i| i
+        assert!(outcome.individuals().iter().any(|i| i
             .values
-            .values()
-            .flatten()
+            .iter()
+            .flat_map(|(_, values)| values)
             .any(|v| v == "129.99")));
         // Re-applying is a no-op: the candidate is marked applied.
         assert_eq!(s2s.apply_bootstrap(&mut report).unwrap(), 0);

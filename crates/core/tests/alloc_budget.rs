@@ -1,12 +1,14 @@
 //! Allocation budget of the Instance Generator: a three-attribute
-//! individual costs twelve heap blocks (its IRI, its `Individual` — the
-//! source id, one map node, a `Vec` and a `String` per value — and one
-//! block per literal; its entailed types are stamped from closures made
-//! once per answer), the graph is the generator's vector of triples as
-//! emitted, everything else is vectors that double, and a record the
+//! individual costs four heap blocks (its IRI and one block per
+//! literal; its values go to the answer's record list, its entailed
+//! types are stamped from closures made once per answer), the graph is
+//! the generator's vector of triples as emitted, everything else is
+//! vectors sized once per source or that double, and a record the
 //! condition rejects allocates nothing — the condition is folded once
-//! per source into a buffer sized by the tree. And of the pipeline
-//! before it: a value
+//! per source into a buffer sized by the tree. The individuals' view
+//! costs seven blocks an individual (its value vector, a `Vec` and a
+//! `String` per value) on its first read, none after, and nothing when
+//! the answer is only rendered. And of the pipeline before it: a value
 //! costs nothing between its source and the generator — a column is
 //! two blocks however long, moved from the wrapper to the report, and
 //! copied once (two blocks) when a view serves or keeps it.
@@ -145,9 +147,10 @@ fn generated_over(query: &str, records: usize, sources: &[&str]) -> (InstanceSet
 }
 
 /// What an answer may allocate besides its individuals: the per-source
-/// columns, rows and buffers, one closure per template (four here) and
-/// the doublings of the vectors of individuals, survivors and triples —
-/// 67 at 1 000 individuals and 69 at 2 000 when this was written (the
+/// columns, rows and buffers, one closure per template (four here), the
+/// record list's buffers and the doublings of the vectors of survivors
+/// and triples — 66 at 1 000 individuals and 67 at 2 000 when this was
+/// written (67 and 69 while the generator built each `Individual`; the
 /// graph is the vector of triples, so it adds nothing). Closing the
 /// whole answer once more, as the generator did before it stamped
 /// template closures, adds 14 at 1 000 individuals (the round's
@@ -158,15 +161,57 @@ const REMAINDER: usize = 70;
 /// when this was written.
 const EMPTY_ANSWER: usize = 32;
 
+/// An individual's IRI and its three literals. While the generator
+/// built each `Individual` as it kept the record — the source id, one
+/// map node, a `Vec` and a `String` per value — it was twelve: 12 067
+/// blocks at 1 000 individuals, 4 066 now.
 #[test]
-fn an_individual_costs_twelve_blocks() {
+fn an_individual_costs_four_blocks_to_generate() {
     for records in [1_000, 2_000] {
         let (set, n) = generated("SELECT watch", records);
         assert_eq!(set.individuals.len(), records);
         assert_eq!(set.graph.len(), 5 * records);
-        let budget = 12 * records + REMAINDER;
+        let budget = 4 * records + REMAINDER;
         assert!(n <= budget, "{n} allocations for {records} individuals, budget {budget}");
     }
+}
+
+/// The view's first read costs an individual its value vector and a
+/// `Vec` and a `String` per value — the source id and the IRIs are
+/// shared — plus one vector for all; a second read costs nothing.
+#[test]
+fn the_view_costs_seven_blocks_an_individual_on_its_first_read_only() {
+    for records in [1_000, 2_000] {
+        let (set, _) = generated("SELECT watch", records);
+        let (_, first) = allocations(|| set.individuals[0].values.len());
+        let budget = 7 * records + 1;
+        assert!(first <= budget, "{first} allocations for {records} individuals, budget {budget}");
+        let (_, second) = allocations(|| set.individuals[records - 1].values.len());
+        assert_eq!(second, 0, "the second read built the view again");
+    }
+}
+
+/// Rendering reads the graph, or the record list for plain XML and
+/// text: the view is still unbuilt after every format, its first read
+/// as costly as on an answer never rendered.
+#[test]
+fn rendering_builds_no_view() {
+    use s2s_core::instance::{render, OutputFormat};
+    let ontology = ontology();
+    let (unrendered, _) = generated("SELECT watch", 1_000);
+    let (_, build) = allocations(|| unrendered.individuals[0].values.len());
+    let (set, _) = generated("SELECT watch", 1_000);
+    for format in [
+        OutputFormat::OwlRdfXml,
+        OutputFormat::Turtle,
+        OutputFormat::NTriples,
+        OutputFormat::Xml,
+        OutputFormat::Text,
+    ] {
+        assert!(!render(&set, &ontology, format).is_empty());
+    }
+    let (_, first) = allocations(|| set.individuals[0].values.len());
+    assert_eq!(first, build, "a rendering built the view");
 }
 
 #[test]
@@ -409,8 +454,10 @@ fn fanout_cost(shards: usize) -> usize {
 }
 
 /// 64 shards of ten rows, 41 individuals: a source costs its data, not
-/// a fixed setup. When this was written a query cost 724 blocks over 8
-/// shards and 1 117 over 64, 7.0 for each shard more, each shard read
+/// a fixed setup. When this was written a query cost 415 blocks over 8
+/// shards and 813 over 64, 7.1 for each shard more, the individuals'
+/// view unbuilt; 724 and 1 117, 7.0 a shard, while the generator built
+/// it (eight blocks an individual), each shard read
 /// through its `price` filter, none recorded as a dependency and nothing
 /// built to generate from a shard that kept no row; 737 and 1 351, 11.0
 /// a shard, while both were (739 and 1 353 before that); 752
@@ -424,7 +471,7 @@ fn fanout_cost(shards: usize) -> usize {
 #[test]
 fn a_fanout_query_costs_its_sources_data() {
     let (few, many) = (fanout_cost(8), fanout_cost(64));
-    assert!(many <= 1_120, "{many} allocations for a query over 64 shards");
+    assert!(many <= 820, "{many} allocations for a query over 64 shards");
     assert!(
         many - few <= 400,
         "{} more blocks for 56 more shards ({few} at 8, {many} at 64)",
@@ -433,12 +480,12 @@ fn a_fanout_query_costs_its_sources_data() {
 }
 
 /// Copies of a shard's id one warm filtered query over 64 shards makes:
-/// one for each shard's ledger row and one for each individual, the
-/// shard its source. A dependency entry copies its source's id too, and
-/// only the views and the result cache read them: an engine without
-/// either records none. Recording them anyway cost 64 copies more when
-/// this was written (169 against 105); with a result cache they are
-/// back, with a copy of the answer.
+/// one for each shard's ledger row. An individual shares its source's
+/// one id of the answer (64 + 41 copies while each had its own). A
+/// dependency entry copies its source's id too, and only the views and
+/// the result cache read them: an engine without either records none.
+/// Recording them anyway cost 64 copies more when this was written (169
+/// against 105); with a result cache they are back.
 #[test]
 fn a_fanout_without_views_or_a_result_cache_records_no_dependency() {
     // The measured query after a warm-up one of the same answer: a
@@ -450,7 +497,13 @@ fn a_fanout_without_views_or_a_result_cache_records_no_dependency() {
         n
     };
     let plain = id_copies(fanout_engine(64), "SELECT watch WHERE price < 45");
-    assert_eq!(plain, 64 + 41, "a shard's id copied {plain} times");
+    assert_eq!(plain, 64, "a shard's id copied {plain} times");
+    let outcome = fanout_engine(64).query("SELECT watch WHERE price < 45").unwrap();
+    let individuals = outcome.individuals();
+    for (a, b) in individuals.iter().zip(&individuals[1..]) {
+        let shared = std::sync::Arc::ptr_eq(&a.source, &b.source);
+        assert_eq!(a.source == b.source, shared, "{} and {}", a.source, b.source);
+    }
     let cached =
         id_copies(fanout_engine(64).with_result_cache(), "SELECT watch WHERE NOT (price >= 45)");
     assert!(cached >= plain + 64, "{cached} copies with a result cache");
@@ -644,8 +697,9 @@ fn a_three_rule_xml_source_is_one_walk() {
 /// binds — costs: one per filtered source for its record numbers, the
 /// condition's leaves, the folded tree and the scan's columns, the
 /// pruning planner's tally. When this was written the filtered query
-/// cost 578 blocks and its twin 582 (580 and an unfiltered 574 when the
-/// twin bound nothing).
+/// cost 308 blocks and its twin 312, the individuals' view unbuilt (573
+/// and 577 while the generator built it; 578 and 582 before that, 580
+/// and an unfiltered 574 when the twin bound nothing).
 #[test]
 fn a_filtered_query_costs_its_kept_records() {
     let mut s2s = S2s::new(ontology());
@@ -664,6 +718,6 @@ fn a_filtered_query_costs_its_kept_records() {
     assert_eq!(filtered.individuals(), twin.individuals());
     assert_eq!(filtered.individuals().len(), 34);
     assert!(filtered.sources.iter().all(|r| r.pushed.len() == 2), "{:?}", filtered.sources);
-    assert!(blocks <= 580, "{blocks} blocks for the filtered query");
+    assert!(blocks <= 310, "{blocks} blocks for the filtered query");
     assert!(blocks <= twin_blocks + 6, "{blocks} blocks filtered, {twin_blocks} unfiltered");
 }

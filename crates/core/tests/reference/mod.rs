@@ -6,16 +6,18 @@
 //! with the private helpers it called (`sanitize`, and `typed_literal`
 //! with its `parse::<f64>` gate, so the differential test feeds numeric
 //! columns only the forms that gate and the value spaces type alike).
-//! Only the two metrics counters are left out. The differential test in
-//! `proptests.rs` holds the new generator to the same graph, the same
-//! individuals in the same order and the same errors. Beside it,
+//! Only the two metrics counters are left out, and it returns its
+//! individuals as a plain vector, each one's values the map it built
+//! read in key order. The differential test in `proptests.rs` holds the
+//! new generator to the same graph, the same individuals in the same
+//! order and the same errors. Beside it,
 //! [`holds`]: the residual filter's comparison before it compared in a
 //! range. Not part of the library.
 
 use std::collections::BTreeMap;
 
-use s2s_core::extract::{AttributeResult, ExtractionReport, Values};
-use s2s_core::instance::{data_namespace, Individual, InstanceSet};
+use s2s_core::extract::{AttributeResult, ExtractionFailure, ExtractionReport, Values};
+use s2s_core::instance::{data_namespace, Individual};
 use s2s_core::mapping::RecordScenario;
 use s2s_core::query::{CondOp, QueryPlan};
 use s2s_owl::{Ontology, PropertyKind, Reasoner};
@@ -48,8 +50,19 @@ impl<'a> Column<'a> {
     }
 }
 
+/// What [`generate`] returns: an `InstanceSet`'s fields, the
+/// individuals as they were built.
+#[derive(Debug)]
+pub struct Answer {
+    pub graph: Graph,
+    pub individuals: Vec<Individual>,
+    pub errors: Vec<ExtractionFailure>,
+    pub completeness: f64,
+    pub round_trips: u64,
+}
+
 /// The parent's `s2s_core::instance::generate`.
-pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> InstanceSet {
+pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport) -> Answer {
     let data_ns = data_namespace(ontology);
     let rdf_type = rdfv::type_();
     let mut triples: Vec<Triple> = Vec::new();
@@ -152,8 +165,8 @@ pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport
             individuals.push(Individual {
                 iri,
                 class: record_class.clone(),
-                source: source.to_string(),
-                values,
+                source: source.into(),
+                values: values.into_iter().collect(),
             });
         }
     }
@@ -162,7 +175,7 @@ pub fn generate(ontology: &Ontology, plan: &QueryPlan, report: &ExtractionReport
     let mut graph: Graph = triples.into_iter().collect();
     Reasoner::new(ontology).materialize(&mut graph);
 
-    InstanceSet {
+    Answer {
         graph,
         individuals,
         errors: report.failures.clone(),

@@ -113,7 +113,7 @@ fn parallel_and_serial_agree_on_results_under_failures() {
     let b = parallel.query("SELECT product").unwrap();
     // Endpoints are seeded per source id, so the same calls fail.
     let key = |o: &s2s::core::middleware::QueryOutcome| {
-        let mut v: Vec<&str> = o.individuals().iter().map(|i| i.source.as_str()).collect();
+        let mut v: Vec<&str> = o.individuals().iter().map(|i| &*i.source).collect();
         v.sort();
         v.join(",")
     };

@@ -110,7 +110,7 @@ fn one_query_integrates_three_source_types() {
     assert!(outcome.errors().is_empty());
     assert_eq!(outcome.individuals().len(), 4); // 2 db + 1 xml + 1 web
     let sources: std::collections::BTreeSet<_> =
-        outcome.individuals().iter().map(|i| i.source.as_str()).collect();
+        outcome.individuals().iter().map(|i| &*i.source).collect();
     assert_eq!(sources.len(), 3);
 }
 

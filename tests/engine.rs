@@ -78,6 +78,32 @@ fn s2s_is_send_and_sync() {
     assert_send_sync::<Arc<S2s>>();
 }
 
+/// Two threads that read the individuals of one shared answer at once
+/// race to build its view: both read the one view built, equal to what
+/// a copy of the answer builds for itself.
+#[test]
+fn threads_sharing_an_answer_read_one_view() {
+    let s2s = deploy(10, Strategy::Parallel { workers: 1 });
+    let outcome = Arc::new(s2s.query("SELECT watch WHERE price < 60").unwrap());
+    let copy = (*outcome).clone();
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (outcome, start) = (Arc::clone(&outcome), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let view = outcome.individuals();
+                (view.as_ptr() as usize, view.to_vec())
+            })
+        })
+        .collect();
+    let views: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+    assert_eq!(views[0].0, views[1].0, "two views were built");
+    assert_eq!(views[0].1, views[1].1);
+    assert!(!views[0].1.is_empty());
+    assert_eq!(views[0].1, copy.individuals());
+}
+
 /// C client threads × Q queries against one shared engine: every answer
 /// must equal the serial single-client baseline, at full completeness.
 #[test]

@@ -423,7 +423,11 @@ fn suppliers_by_state() -> S2s {
 #[test]
 fn keyword_valued_constraints_never_share_a_cache_entry() {
     let states = |outcome: &s2s::core::middleware::QueryOutcome| -> Vec<String> {
-        outcome.individuals().iter().flat_map(|i| i.values.values().flatten().cloned()).collect()
+        outcome
+            .individuals()
+            .iter()
+            .flat_map(|i| i.values.iter().flat_map(|(_, values)| values).cloned())
+            .collect()
     };
     for s2s in [suppliers_by_state(), suppliers_by_state().with_result_cache()] {
         let upper = s2s.query("SELECT supplier WHERE state=OR").unwrap();
@@ -768,7 +772,7 @@ fn a_condition_compares_in_its_range() {
         let answered: Vec<String> = outcome
             .individuals()
             .iter()
-            .map(|i| i.values.values().map(|v| v.join(",")).collect::<Vec<_>>().join(" "))
+            .map(|i| i.values.iter().map(|(_, v)| v.join(",")).collect::<Vec<_>>().join(" "))
             .collect();
         assert_eq!(answered, expected, "{query}");
     }
