@@ -23,7 +23,7 @@
 //! once a query (`close`), and each record gets a stamped copy.
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
@@ -228,8 +228,8 @@ struct Column<'a> {
     scenario: RecordScenario,
     /// Whether the plan's projection (if any) outputs the property.
     projected: bool,
-    /// The first declared range of the property, if it is declared.
-    range: Option<&'a Iri>,
+    /// What a value becomes as a literal, from the property's range.
+    typing: Typing<'a>,
     /// For object properties: the IRI prefix referenced individuals are
     /// minted under.
     reference_prefix: Option<Iri>,
@@ -259,7 +259,7 @@ impl<'a> Column<'a> {
     /// `buffer`; any other column yields a literal typed by the range.
     fn object(&self, value: &str, buffer: &mut String) -> Term {
         let Some(prefix) = &self.reference_prefix else {
-            return Term::from(typed_literal(self.range, value));
+            return Term::from(self.typing.literal(value));
         };
         buffer.clear();
         buffer.push_str(prefix.as_str());
@@ -427,6 +427,10 @@ struct Block<'a> {
     /// per record and cloned, where any other value becomes its term at
     /// its row.
     shared: Vec<usize>,
+    /// The first row of the last run, when it holds for every record
+    /// (it is ungated): every record's last triple, which takes the
+    /// record's subject rather than a clone of it.
+    last: Option<usize>,
 }
 
 impl<'a> Block<'a> {
@@ -468,6 +472,8 @@ impl<'a> Block<'a> {
             rows + usize::from(self.about_references.iter().any(|(r, _)| *r == k))
         };
         self.shared = (0..shape.columns.len()).filter(|&k| fills(k) > 1).collect();
+        let last_run = self.rows.iter().rposition(|r| !r.repeat);
+        self.last = last_run.filter(|&r| self.rows[r].gate.is_none());
     }
 }
 
@@ -525,12 +531,14 @@ fn emit_triples(
     let mut records = Records::default();
     // Reused from source to source: the text being minted, the
     // projected columns in property order, the records of the source
-    // that became individuals, the last block and the shape of the
+    // that became individuals and their order in the graph, the last
+    // block and the shape of the
     // next, the values that fill more than one row, and the condition
     // folded against the source's columns.
     let mut minted = String::new();
     let mut projected: Vec<usize> = Vec::new();
-    let mut survivors: Vec<(usize, Iri)> = Vec::new();
+    let mut survivors: Vec<usize> = Vec::new();
+    let mut order: Vec<usize> = Vec::new();
     let mut block = Block::default();
     let mut shape = Shape::default();
     let mut objects: Vec<Option<Term>> = Vec::new();
@@ -559,7 +567,7 @@ fn emit_triples(
                     values: &r.values,
                     scenario: r.mapping.scenario(),
                     projected: plan.projection.as_ref().is_none_or(|p| p.contains(property)),
-                    range,
+                    typing: Typing::new(range),
                     reference_prefix: def.filter(|d| d.kind() == PropertyKind::Object).map(|_| {
                         let class =
                             range.map_or("ref".into(), |r| r.local_name().to_ascii_lowercase());
@@ -626,7 +634,7 @@ fn emit_triples(
                 continue;
             }
             minted.truncate(prefix_len);
-            write!(minted, "{}", number(i)).expect("writing to a String cannot fail");
+            push_number(&mut minted, number(i));
             let iri =
                 Iri::new_under(&record_prefix, &minted).expect("a record number is a valid suffix");
             // The source's first survivor enters its id, class and
@@ -662,8 +670,8 @@ fn emit_triples(
                 }
             }
             let end = records.values.len();
-            records.individuals.push((iri.clone(), records.sources.len() - 1, end));
-            survivors.push((i, iri));
+            records.individuals.push((iri, records.sources.len() - 1, end));
+            survivors.push(i);
         }
         if survivors.is_empty() {
             continue;
@@ -680,56 +688,144 @@ fn emit_triples(
         objects.clear();
         objects.resize(columns.len(), None);
 
-        survivors.sort_by_cached_key(|(i, _)| decimal_order_key(number(*i)));
+        // The source's individuals are the last of the list, in the
+        // order of `survivors`.
+        let first = records.individuals.len() - survivors.len();
+        // Ordered before the triples grow: a buffer made after them
+        // would sit above them on the heap, and they could not grow in
+        // place.
+        decimal_order(&mut order, survivors.len(), |at| number(survivors[at]));
         triples.reserve(survivors.len() * block.rows.iter().filter(|r| !r.repeat).count());
-        for (i, iri) in survivors.drain(..) {
+        for &at in &order {
+            let i = survivors[at];
             for &k in &block.shared {
                 // Phase 1 is done with the buffer.
                 objects[k] = columns[k].value(i).map(|v| columns[k].object(v, &mut minted));
             }
-            let subject = Term::from(iri);
-            // The record's term for a row's object.
-            let mut fill = |fill: &Fill| match fill {
+            let subject = Term::from(records.individuals[first + at].0.clone());
+            // The record's term for a row's object, `value` the row's
+            // column value, read by its gate.
+            let fill = |fill: &Fill, value: Option<&str>, minted: &mut String| match fill {
                 Fill::Constant(term) => term.clone(),
                 Fill::Subject => subject.clone(),
                 Fill::Value(k) => match &objects[*k] {
                     Some(term) => term.clone(),
                     None => {
-                        let value = columns[*k].value(i).expect("the row's gate holds");
-                        columns[*k].object(value, &mut minted)
+                        let value = value.expect("a value's row is gated on its column");
+                        columns[*k].object(value, minted)
                     }
                 },
             };
-            let mut emitted = false;
-            for row in &block.rows {
-                emitted &= row.repeat;
-                if emitted || row.gate.is_some_and(|k| columns[k].value(i).is_none()) {
-                    continue;
-                }
-                emitted = true;
-                let object = fill(&row.object);
-                triples.push(Triple::new(subject.clone(), row.predicate.clone(), object));
-            }
             for (k, about_reference) in &block.about_references {
                 let Some(reference) = &objects[*k] else { continue };
                 for (predicate, object) in about_reference {
-                    let object = fill(object);
+                    let object = fill(object, None, &mut minted);
                     referenced.push(Triple::new(reference.clone(), predicate.clone(), object));
                 }
             }
+            let mut emitted = false;
+            for (r, row) in block.rows.iter().enumerate() {
+                emitted &= row.repeat;
+                if emitted {
+                    continue;
+                }
+                let value = match row.gate {
+                    Some(k) => match columns[k].value(i) {
+                        None => continue,
+                        value => value,
+                    },
+                    None => None,
+                };
+                emitted = true;
+                let object = fill(&row.object, value, &mut minted);
+                if block.last == Some(r) {
+                    // The rest of the block repeats this row.
+                    triples.push(Triple::new(subject, row.predicate.clone(), object));
+                    break;
+                }
+                triples.push(Triple::new(subject.clone(), row.predicate.clone(), object));
+            }
         }
+        survivors.clear();
     }
     triples.append(&mut referenced);
     (triples, records)
 }
 
+/// Fills `order` with the positions `0..len` of increasing record
+/// numbers, `number(at)` the one at `at`, in the order of their decimal
+/// strings (`1 < 10 < 100 < 2`), which is how the IRIs minted from them
+/// sort. The numbers of one digit length are a run already in that
+/// order, so the order is the positions as they are for one run, and a
+/// merge of at most twenty runs, a head at a time, for more.
+fn decimal_order(order: &mut Vec<usize>, len: usize, number: impl Fn(usize) -> usize) {
+    order.clear();
+    order.reserve(len);
+    if len == 0 || digits(number(0)) == digits(number(len - 1)) {
+        order.extend(0..len);
+        return;
+    }
+    // Per run: its head's key, its head, its end and its numbers'
+    // length; the live runs first.
+    let mut runs = [(0u128, 0usize, 0usize, 0u32); 20];
+    let mut live = 0;
+    let mut start = 0;
+    while start < len {
+        let digits = digits(number(start));
+        let below = 10usize.checked_pow(digits);
+        let end = (start..len).find(|&at| below.is_some_and(|b| number(at) >= b)).unwrap_or(len);
+        runs[live] = (decimal_order_key(number(start), digits), start, end, digits);
+        live += 1;
+        start = end;
+    }
+    while let Some((r, _)) = runs[..live].iter().enumerate().min_by_key(|(_, run)| run.0) {
+        let (_, at, end, digits) = runs[r];
+        if at + 1 < end {
+            runs[r] = (decimal_order_key(number(at + 1), digits), at + 1, end, digits);
+        } else {
+            live -= 1;
+            runs.swap(r, live);
+        }
+        order.push(at);
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_number(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// A key that orders record numbers as their decimal strings order
 /// (`1 < 10 < 100 < 2`), which is how the IRIs minted from them sort:
-/// the number left-aligned to the twenty digits of `u64::MAX`, then its
-/// length, so that `1` comes before `10`. No number overflows it.
-fn decimal_order_key(n: usize) -> u128 {
-    let digits = n.checked_ilog10().map_or(1, |d| d + 1);
-    (n as u128 * 10u128.pow(20 - digits)) << 8 | u128::from(digits)
+/// the number `n`, of `digits` digits, left-aligned to the twenty
+/// digits of `u64::MAX`, then its length, so that `1` comes before
+/// `10`. No number overflows it.
+fn decimal_order_key(n: usize, digits: u32) -> u128 {
+    const POWERS: [u128; 21] = {
+        let mut powers = [1; 21];
+        let mut k = 1;
+        while k < powers.len() {
+            powers[k] = powers[k - 1] * 10;
+            k += 1;
+        }
+        powers
+    };
+    (n as u128 * POWERS[20 - digits as usize]) << 8 | u128::from(digits)
+}
+
+/// How many decimal digits `n` has.
+fn digits(n: usize) -> u32 {
+    n.checked_ilog10().map_or(1, |d| d + 1)
 }
 
 /// Serializes an instance set in the requested format.
@@ -865,18 +961,31 @@ pub(crate) fn push_sanitized(out: &mut String, s: &str) {
     }
 }
 
-/// The literal `value` becomes under `range`: typed by it when the
-/// range is one of the four XSD datatypes besides `xsd:string` a
-/// comparison orders and the value is in its space, with the source's
-/// text as the space reads it (whitespace collapsed); a plain string
-/// otherwise, as the source spelled it.
-fn typed_literal(range: Option<&Iri>, value: &str) -> Literal {
-    let space = range.map_or(ValueSpace::String, |r| xsd::value_space(r.as_str()));
-    match (range, space.form(value)) {
-        (Some(range), Some(form)) if space != ValueSpace::String => {
-            Literal::typed(form, range.clone())
+/// What a column's values become as literals, resolved once from the
+/// property's range: typed by the range when it is one of the four XSD
+/// datatypes besides `xsd:string` a comparison orders and the value is
+/// in its space, with the source's text as the space reads it
+/// (whitespace collapsed); a plain string otherwise, as the source
+/// spelled it.
+struct Typing<'a> {
+    space: ValueSpace,
+    /// The range, when it types values. Borrowed: a column clones no
+    /// IRI that its values do not.
+    datatype: Option<&'a Iri>,
+}
+
+impl<'a> Typing<'a> {
+    fn new(range: Option<&'a Iri>) -> Typing<'a> {
+        let space = range.map_or(ValueSpace::String, |r| xsd::value_space(r.as_str()));
+        Typing { space, datatype: range.filter(|_| space != ValueSpace::String) }
+    }
+
+    /// The literal `value` becomes: one block, its text.
+    fn literal(&self, value: &str) -> Literal {
+        match (self.datatype, self.space.form(value)) {
+            (Some(datatype), Some(form)) => Literal::typed(form, datatype.clone()),
+            _ => Literal::string(value),
         }
-        _ => Literal::string(value),
     }
 }
 
@@ -1195,13 +1304,14 @@ mod tests {
     fn numeric_ranges_type_only_decimal_lexical_forms() {
         let decimal = xsd::decimal();
         for plain in ["59.5", " 129.99 ", "-3", "+7.", ".5", "0012"] {
-            let lit = typed_literal(Some(&decimal), plain);
+            let lit = Typing::new(Some(&decimal)).literal(plain);
             assert_eq!((lit.datatype(), lit.lexical()), (&decimal, plain.trim()));
         }
         // What `str::parse::<f64>` also accepts is not an `xsd:decimal`;
         // like any other text outside the space it stays a plain string.
         for other in ["NaN", "inf", "-infinity", "1e5", "1.5E-3", ".", "+", "", "1.2.3", "cheap"] {
-            assert_eq!(typed_literal(Some(&decimal), other), Literal::string(other), "{other:?}");
+            let lit = Typing::new(Some(&decimal)).literal(other);
+            assert_eq!(lit, Literal::string(other), "{other:?}");
         }
         // Every range types the forms of its own space, keeping the
         // source's collapsed text.
@@ -1218,7 +1328,7 @@ mod tests {
                 Some(form) => Literal::typed(form, range.clone()),
                 None => Literal::string(value),
             };
-            assert_eq!(typed_literal(Some(range), value), expected, "{value:?}");
+            assert_eq!(Typing::new(Some(range)).literal(value), expected, "{value:?}");
         }
 
         let o = onto();
@@ -1253,43 +1363,90 @@ mod tests {
             let near = [a / 10, a.saturating_mul(10), a.saturating_add(1)];
             for b in boundaries.iter().copied().chain(near) {
                 assert_eq!(
-                    decimal_order_key(a).cmp(&decimal_order_key(b)),
+                    decimal_order_key(a, digits(a)).cmp(&decimal_order_key(b, digits(b))),
                     a.to_string().cmp(&b.to_string()),
                     "{a} vs {b}"
                 );
             }
         }
-        let mut numbers: Vec<usize> = (0..=11_000).collect();
-        numbers.sort_by_cached_key(|n| decimal_order_key(*n));
-        assert!(numbers.windows(2).all(|w| w[0].to_string() < w[1].to_string()));
+        // Increasing numbers, dense and sparse, merge into that order.
+        let mut increasing: Vec<usize> = (0..=11_000).chain(boundaries).collect();
+        increasing.sort_unstable();
+        increasing.dedup();
+        let sparse: Vec<usize> = increasing.iter().copied().step_by(7).collect();
+        for numbers in [increasing, sparse, vec![], vec![5]] {
+            let mut merged = vec![7];
+            decimal_order(&mut merged, numbers.len(), |at| numbers[at]);
+            let mut expected: Vec<usize> = (0..numbers.len()).collect();
+            expected.sort_by_key(|&at| numbers[at].to_string());
+            assert_eq!(merged, expected);
+        }
     }
 
+    /// Sources of 1 000 records, numbered up to three digits, and a
+    /// filtered one whose kept records are numbered up to four.
+    fn report_over(o: &Ontology, sources: &[&str]) -> ExtractionReport {
+        let column = |path: &str, source: &str, n: usize, value: &dyn Fn(usize) -> String| {
+            let values: Vec<String> = (0..n).map(value).collect();
+            let values: Vec<&str> = values.iter().map(String::as_str).collect();
+            result(o, path, source, RecordScenario::MultiRecord, &values)
+        };
+        let mut results = Vec::new();
+        for (k, source) in sources.iter().enumerate() {
+            results.push(column("thing.product.price", source, 1_000, &|i| format!("{i}.{k}")));
+            results.push(column("thing.product.brand", source, 1_000, &|i| format!("b{}", i % 7)));
+        }
+        // Every third of 3 000 records kept by the source's filter.
+        let kept: Arc<[u32]> = (0..3_000).step_by(3).collect();
+        for path in ["thing.product.price", "thing.product.brand"] {
+            let mut filtered = column(path, "zip", kept.len(), &|i| format!("{}", i % 300));
+            filtered.values.number(Arc::clone(&kept));
+            results.push(filtered);
+        }
+        report(results)
+    }
+
+    /// Four sources whose ids sanitize in id order, and a filtered one:
+    /// what the graph is built from is already strictly sorted.
     #[test]
     fn triples_are_emitted_in_the_order_the_graph_keeps_them() {
         let o = onto();
         let p = plan(&parse("SELECT product").unwrap(), &o).unwrap();
-        let column = |path: &str, source: &str, value: &dyn Fn(usize) -> String| {
-            let values: Vec<String> = (0..1_200).map(value).collect();
-            let values: Vec<&str> = values.iter().map(String::as_str).collect();
-            result(&o, path, source, RecordScenario::MultiRecord, &values)
-        };
-        let rep = report(vec![
-            column("thing.product.price", "db", &|i| format!("{i}.5")),
-            column("thing.product.brand", "db", &|i| format!("brand{}", i % 7)),
-            column("thing.product.brand", "xml", &|i| format!("brand{}", i % 5)),
-            column("thing.product.price", "xml", &|i| format!("{}", i % 300)),
-        ]);
-        let (triples, records) = emit_triples(&o, &p, &rep);
+        let (triples, records) =
+            emit_triples(&o, &p, &report_over(&o, &["db", "txt", "web", "xml"]));
         let individuals = records.build();
-        assert_eq!((individuals.len(), triples.len()), (2_400, 3 * 2_400));
+        assert_eq!((individuals.len(), triples.len()), (5_000, 3 * 5_000));
         // The hint holds: what the graph is built from is already
         // strictly sorted, so it is taken as it is, with no sort.
         let unsorted = triples.windows(2).position(|w| w[0] >= w[1]);
         assert_eq!(unsorted.map(|at| (&triples[at], &triples[at + 1])), None);
         // The individuals stay in record order all the same.
-        let records: Vec<&str> = individuals[..1_200].iter().map(|i| i.iri.local_name()).collect();
-        let expected: Vec<String> = (0..1_200).map(|i| i.to_string()).collect();
-        assert_eq!(records, expected);
+        let records = individuals.iter().map(|i| i.iri.local_name());
+        let expected = (0..4).flat_map(|_| 0..1_000).chain((0..3_000).step_by(3));
+        assert!(records.eq(expected.map(|n| n.to_string())));
+    }
+
+    /// The graph sorts only on a wrong hint: never for that answer, with
+    /// or without a condition, once for a report whose ids do not
+    /// sanitize in id order (`XML` before `web`, but `web/` before
+    /// `xml/`). An answer that made every graph sort fails here by a
+    /// count.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn only_a_report_out_of_order_makes_the_graph_sort() {
+        use s2s_rdf::graph::sorts_on_this_thread;
+        let o = onto();
+        let sorts = |query: &str, sources: &[&str]| {
+            let p = plan(&parse(query).unwrap(), &o).unwrap();
+            let report = report_over(&o, sources);
+            let before = sorts_on_this_thread();
+            let set = generate(&o, &p, &report);
+            (set.individuals.len(), sorts_on_this_thread() - before)
+        };
+        let ordered = ["db", "txt", "web", "xml"];
+        assert_eq!(sorts("SELECT product", &ordered), (5_000, 0));
+        assert_eq!(sorts("SELECT product WHERE price < 500", &ordered), (3_000, 0));
+        assert_eq!(sorts("SELECT product", &["XML", "web"]), (3_000, 1));
     }
 
     #[test]

@@ -214,6 +214,32 @@ fn rendering_builds_no_view() {
     assert_eq!(first, build, "a rendering built the view");
 }
 
+/// Writing an answer as RDF/XML allocates its output buffer, sized from
+/// the triple count, its prefix map and its memos of qualified names
+/// and element tags — the same blocks at 1 000 individuals as at 2 000,
+/// none per triple.
+#[test]
+fn rendering_rdf_xml_allocates_no_block_per_triple() {
+    use s2s_core::instance::{render, OutputFormat};
+    let ontology = ontology();
+    let blocks: Vec<usize> = [1_000, 2_000]
+        .into_iter()
+        .map(|records| {
+            let (set, _) = generated("SELECT watch", records);
+            let (xml, n) = allocations(|| render(&set, &ontology, OutputFormat::OwlRdfXml));
+            assert!(xml.len() > 200 * records, "{} bytes", xml.len());
+            n
+        })
+        .collect();
+    assert_eq!(blocks[0], blocks[1], "blocks grew with the triples");
+    assert!(blocks[0] <= RENDERING, "{} blocks to render", blocks[0]);
+}
+
+/// What writing an answer as RDF/XML may allocate: 18 blocks when this
+/// was written (16 before the writer kept a memo of element tags, its
+/// entries and its text one block each).
+const RENDERING: usize = 20;
+
 #[test]
 fn rejected_records_allocate_nothing() {
     let (set, small) = generated("SELECT watch WHERE brand='none'", 1_000);

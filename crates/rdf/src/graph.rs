@@ -301,13 +301,32 @@ fn equal_run<T>(items: &[T], order: impl Fn(&T) -> Ordering) -> &[T] {
 }
 
 /// `triples` in strict SPO order: as they are if they already are (one
-/// pass to check), else sorted and deduplicated.
+/// pass to check), else sorted and deduplicated. The check reads a
+/// subject's run of clones, and the predicates and classes an answer
+/// shares, by pointer ([`Iri`]'s order).
 fn sorted_run(mut triples: Vec<Triple>) -> Vec<Triple> {
     if !triples.is_sorted_by(|a, b| a < b) {
+        #[cfg(debug_assertions)]
+        SORTS.with(|n| n.set(n.get() + 1));
         triples.sort_unstable();
         triples.dedup();
     }
     triples
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Runs this thread's graph builds had to sort.
+    static SORTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many runs the graphs built on this thread had to sort, rather
+/// than take as they came: a producer that emits in strict SPO order
+/// leaves it unchanged. A diagnostic of debug builds, for tests.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn sorts_on_this_thread() -> usize {
+    SORTS.with(std::cell::Cell::get)
 }
 
 impl Extend<Triple> for Graph {

@@ -5,6 +5,7 @@
 //! borrowed text and allocate that `Arc<str>` directly: one heap block
 //! per term, and only a rejected input is copied into its error.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,6 +17,10 @@ use crate::vocab::xsd;
 /// Validation is deliberately light (scheme + no whitespace/control
 /// characters/angle brackets), matching what RDF serializations require.
 ///
+/// IRIs order by their text. Two clones of one IRI share its text, so a
+/// comparison of them is a pointer comparison: a graph's predicates and
+/// classes, and a subject's run of triples, are clones of one `Iri`.
+///
 /// # Examples
 ///
 /// ```
@@ -24,8 +29,23 @@ use crate::vocab::xsd;
 /// assert_eq!(iri.as_str(), "http://example.org/schema#brand");
 /// # Ok::<(), s2s_rdf::RdfError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Iri(Arc<str>);
+
+impl Ord for Iri {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.same(other) {
+            return Ordering::Equal;
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Iri {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Iri {
     /// Creates a validated IRI.
@@ -85,6 +105,12 @@ impl Iri {
             return Err(RdfError::InvalidIri { iri: iri.to_string(), reason: FORBIDDEN_REASON });
         }
         Ok(Iri(iri.into()))
+    }
+
+    /// Whether `other` is a clone of this IRI: one text, no comparison.
+    /// Distinct IRIs of equal text are equal, but not the same.
+    pub(crate) fn same(&self, other: &Iri) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// The IRI text.

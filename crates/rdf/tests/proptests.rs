@@ -35,6 +35,53 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     proptest::collection::vec(arb_triple(), 0..40).prop_map(|v| v.into_iter().collect())
 }
 
+/// `arb_graph` plus triples that meet the RDF/XML writer's tag memo
+/// again and again: a prefixed predicate with literals of two datatypes
+/// and with a language tag, an un-prefixed (`ns0`) predicate, typed node
+/// elements of a prefixed and of an un-prefixed class. Every other
+/// extra triple names its predicate, class or datatype by an IRI of its
+/// own, of equal text: a key met by text, not by pointer.
+fn arb_memo_graph() -> impl Strategy<Value = Graph> {
+    let extra = (arb_iri(), 0..7usize, any::<i64>(), any::<bool>());
+    (arb_graph(), proptest::collection::vec(extra, 0..24)).prop_map(|(graph, extra)| {
+        let iri = |text: &str| Iri::new(text).unwrap();
+        let (prefixed, odd) = (iri("http://t.org/ns#p"), iri("http://odd.org/ns#q"));
+        let (class, odd_class) = (iri("http://t.org/ns#C"), iri("http://odd.org/ns#D"));
+        let integer = iri("http://www.w3.org/2001/XMLSchema#integer");
+        let mut triples: Vec<Triple> = graph.into_iter().collect();
+        for (k, (subject, choice, n, b)) in extra.into_iter().enumerate() {
+            let name =
+                |iri: &Iri| if k % 2 == 0 { iri.clone() } else { Iri::new(iri.as_str()).unwrap() };
+            let number = Literal::typed(n.to_string(), name(&integer));
+            let (predicate, object): (Iri, Term) = match choice {
+                0 => (name(&prefixed), number.into()),
+                1 => (name(&prefixed), Literal::boolean(b).into()),
+                2 => (name(&prefixed), Literal::lang(n.to_string(), "en").unwrap().into()),
+                3 => (name(&odd), Literal::string(n.to_string()).into()),
+                4 => (name(&odd), number.into()),
+                5 => (s2s_rdf::vocab::rdf::type_(), name(&class).into()),
+                _ => (s2s_rdf::vocab::rdf::type_(), name(&odd_class).into()),
+            };
+            triples.push(Triple::new(subject, predicate, object));
+        }
+        triples.into_iter().collect()
+    })
+}
+
+/// Texts of IRIs that often share a prefix or are one another's
+/// prefix: `(a, b)`, `b` cut from or extending `a`, or another text.
+fn arb_iri_texts() -> impl Strategy<Value = (String, String)> {
+    ("[a-c/#]{0,6}", "[a-c/#]{0,6}", 0..4usize, 0..8usize).prop_map(|(a, other, how, cut)| {
+        let b = match how {
+            0 => a[..a.len() - cut.min(a.len())].to_string(),
+            1 => format!("{a}{other}"),
+            2 => a.clone(),
+            _ => other,
+        };
+        (format!("http://x.org/{a}"), format!("http://x.org/{b}"))
+    })
+}
+
 /// A valid IRI to mint under: a scheme of its own shape, then any text
 /// an IRI may hold — colons, `#`, `/` and non-ASCII included.
 fn arb_prefix() -> impl Strategy<Value = Iri> {
@@ -197,9 +244,31 @@ proptest! {
         prop_assert_eq!(&g, &g3);
     }
 
-    /// RDF/XML round-trips losslessly through serialize → parse.
+    /// `Iri` orders by pointer first, then by text: the order of its
+    /// text, for IRIs that are each other's prefix, equal texts in
+    /// distinct `Arc`s and clones of one — and so do terms and triples
+    /// made of them.
     #[test]
-    fn rdfxml_roundtrip(g in arb_graph()) {
+    fn pointer_first_order_is_text_order((a, b) in arb_iri_texts()) {
+        let (x, y) = (Iri::new(&a).unwrap(), Iri::new(&b).unwrap());
+        prop_assert_eq!(x.cmp(&y), a.cmp(&b), "{} vs {}", a, b);
+        prop_assert_eq!(x.partial_cmp(&y), Some(a.cmp(&b)));
+        prop_assert_eq!(x == y, a == b);
+        let twin = Iri::new(&a).unwrap();
+        for same in [x.clone(), twin] {
+            prop_assert_eq!(x.cmp(&same), std::cmp::Ordering::Equal);
+            prop_assert_eq!(same.cmp(&y), a.cmp(&b));
+        }
+        let triple = |s: &Iri, p: &Iri, o: &Iri| Triple::new(s.clone(), p.clone(), o.clone());
+        let (t, u) = (triple(&x, &x, &y), triple(&x, &Iri::new(&a).unwrap(), &x));
+        prop_assert_eq!(t.cmp(&u), (&a, &a, &b).cmp(&(&a, &a, &a)));
+        prop_assert_eq!(Term::from(x).cmp(&Term::from(y)), a.cmp(&b));
+    }
+
+    /// RDF/XML round-trips losslessly through serialize → parse, with
+    /// keys its tag memo meets again, by pointer and by text.
+    #[test]
+    fn rdfxml_roundtrip(g in arb_memo_graph()) {
         let mut prefixes = PrefixMap::with_well_known();
         prefixes.insert("t", "http://t.org/ns#");
         let xml = s2s_rdf::rdfxml::serialize(&g, &prefixes);
