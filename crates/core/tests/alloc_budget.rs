@@ -215,9 +215,8 @@ fn rendering_builds_no_view() {
 }
 
 /// Writing an answer as RDF/XML allocates its output buffer, sized from
-/// the triple count, its prefix map and its memos of qualified names
-/// and element tags — the same blocks at 1 000 individuals as at 2 000,
-/// none per triple.
+/// the triple count, its prefix map and its memo of qualified names —
+/// the same blocks at 1 000 individuals as at 2 000, none per triple.
 #[test]
 fn rendering_rdf_xml_allocates_no_block_per_triple() {
     use s2s_core::instance::{render, OutputFormat};
@@ -235,10 +234,9 @@ fn rendering_rdf_xml_allocates_no_block_per_triple() {
     assert!(blocks[0] <= RENDERING, "{} blocks to render", blocks[0]);
 }
 
-/// What writing an answer as RDF/XML may allocate: 18 blocks when this
-/// was written (16 before the writer kept a memo of element tags, its
-/// entries and its text one block each).
-const RENDERING: usize = 20;
+/// What writing an answer as RDF/XML may allocate: 16 blocks when this
+/// was written.
+const RENDERING: usize = 16;
 
 #[test]
 fn rejected_records_allocate_nothing() {

@@ -9,7 +9,6 @@
 //! OWL output round-trips in its native syntax.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use crate::error::RdfError;
 use crate::graph::Graph;
@@ -45,133 +44,42 @@ pub fn serialize(graph: &Graph, prefixes: &PrefixMap) -> String {
     }
     out.push_str(">\n");
 
-    let mut names = Names { qnames: QnameMemo::new(prefixes), tags: TagMemo::new() };
+    let mut qnames = QnameMemo::new(prefixes);
     for run in graph.triples().chunk_by(|a, b| a.subject() == b.subject()) {
-        write_subject(&mut out, run, &mut names);
+        write_subject(&mut out, run, &mut qnames);
     }
     out.push_str("</rdf:RDF>\n");
     out
 }
 
-/// What the writer remembers of the names it has written: the qualified
-/// names of IRIs, and the tags of elements.
-struct Names<'g> {
-    qnames: QnameMemo<'g>,
-    tags: TagMemo<'g>,
-}
-
-/// The opening and closing text of an element, made on first meeting,
-/// by its name's IRI and a datatype: a typed node element by its class
-/// (no datatype), its opening text ending before the subject's IRI; the
-/// property element of a literal without a language tag by its
-/// predicate and the literal's datatype. A subject is then three pushes
-/// and its close one, a literal property three. Bounded like
-/// [`QnameMemo`]; an element met once the memo is full is written afresh
-/// each time.
-struct TagMemo<'g> {
-    /// Per element: its key, where its opening text ends and where its
-    /// closing text ends in `text`, where the entry before it ends its
-    /// start.
-    seen: Vec<(&'g Iri, Option<&'g Iri>, usize, usize)>,
-    /// Every entry's text, one after another.
-    text: String,
-}
-
-impl<'g> TagMemo<'g> {
-    const CAPACITY: usize = 16;
-
-    fn new() -> Self {
-        // An element's two tags run to about 60 bytes.
-        TagMemo { seen: Vec::with_capacity(Self::CAPACITY), text: String::with_capacity(1024) }
-    }
-
-    /// Where in `text` the opening and the closing text of the element
-    /// keyed by `(name, datatype)` are; `write` makes them on first
-    /// meeting and returns where the opening text ends. `None` when the
-    /// memo is full and the element is not in it. An answer's keys are
-    /// clones of a few IRIs, so a pass by pointer finds them before one
-    /// by text.
-    fn tags(
-        &mut self,
-        name: &'g Iri,
-        datatype: Option<&'g Iri>,
-        write: impl FnOnce(&mut String) -> usize,
-    ) -> Option<(Range<usize>, Range<usize>)> {
-        let same = |d: Option<&Iri>| d.zip(datatype).map_or(d == datatype, |(d, e)| d.same(e));
-        let seen = &self.seen;
-        let at = seen.iter().position(|(n, d, ..)| n.same(name) && same(*d));
-        let at = at.or_else(|| seen.iter().position(|(n, d, ..)| *n == name && *d == datatype));
-        let at = match at {
-            Some(at) => at,
-            None if self.seen.len() < Self::CAPACITY => {
-                let open = write(&mut self.text);
-                self.seen.push((name, datatype, open, self.text.len()));
-                self.seen.len() - 1
-            }
-            None => return None,
-        };
-        let start = at.checked_sub(1).map_or(0, |before| self.seen[before].3);
-        let (.., open, end) = self.seen[at];
-        Some((start..open, open..end))
-    }
-}
-
 /// Writes the node element for one subject's triples (SPO-ordered).
-fn write_subject<'g>(out: &mut String, run: &'g [Triple], names: &mut Names<'g>) {
+fn write_subject<'g>(out: &mut String, run: &'g [Triple], qnames: &mut QnameMemo<'g>) {
     // The first rdf:type with a prefixed name becomes the element name
     // and is not repeated as a property.
     let typed = run.iter().enumerate().find_map(|(i, t)| {
         if t.predicate().as_str() != rdf::TYPE {
             return None;
         }
-        let class = t.object().as_iri()?;
-        Some((i, class, names.qnames.qname_parts(class)?))
-    });
-    let subject = run[0].subject();
-    let element = typed.and_then(|(_, class, qname)| {
-        names.tags.tags(class, None, |text| {
-            text.push_str("  <");
-            push_qname(text, qname);
-            text.push_str(" rdf:about=\"");
-            let open = text.len();
-            text.push_str("  </");
-            push_qname(text, qname);
-            text.push_str(">\n");
-            open
-        })
+        Some((i, qnames.qname_parts(t.object().as_iri()?)?))
     });
     let push_element_name = |out: &mut String| match typed {
-        Some((.., qname)) => push_qname(out, qname),
+        Some((_, qname)) => push_qname(out, qname),
         None => out.push_str("rdf:Description"),
     };
 
-    match (&element, subject) {
-        (Some((open, _)), Term::Iri(iri)) => {
-            out.push_str(&names.tags.text[open.clone()]);
-            push_escaped(out, iri.as_str(), true);
-            out.push_str("\">\n");
-        }
-        _ => {
-            out.push_str("  <");
-            push_element_name(out);
-            push_node_ref(out, "about", subject);
-            out.push_str(">\n");
-        }
-    }
+    out.push_str("  <");
+    push_element_name(out);
+    push_node_ref(out, "about", run[0].subject());
+    out.push_str(">\n");
     for (i, t) in run.iter().enumerate() {
-        if typed.is_some_and(|(consumed, ..)| consumed == i) {
+        if typed.is_some_and(|(consumed, _)| consumed == i) {
             continue;
         }
-        write_property(out, t.predicate(), t.object(), names);
+        write_property(out, t.predicate(), t.object(), qnames);
     }
-    match element {
-        Some((_, close)) => out.push_str(&names.tags.text[close]),
-        None => {
-            out.push_str("  </");
-            push_element_name(out);
-            out.push_str(">\n");
-        }
-    }
+    out.push_str("  </");
+    push_element_name(out);
+    out.push_str(">\n");
 }
 
 /// Writes one property element; a predicate no prefix covers declares
@@ -179,57 +87,9 @@ fn write_subject<'g>(out: &mut String, run: &'g [Triple], names: &mut Names<'g>)
 fn write_property<'g>(
     out: &mut String,
     predicate: &'g Iri,
-    object: &'g Term,
-    names: &mut Names<'g>,
-) {
-    let Term::Literal(lit) = object else {
-        push_open_tag(out, predicate, &mut names.qnames);
-        push_node_ref(out, "resource", object);
-        out.push_str("/>\n");
-        return;
-    };
-    if let Some(lang) = lit.language() {
-        let name = push_open_tag(out, predicate, &mut names.qnames);
-        out.push_str(" xml:lang=\"");
-        push_escaped(out, lang, true);
-        out.push_str("\">");
-        push_escaped(out, lit.lexical(), false);
-        push_close_tag(out, name);
-        return;
-    }
-    let qnames = &mut names.qnames;
-    let tags = names.tags.tags(predicate, Some(lit.datatype()), |text| {
-        let name = push_open_tag(text, predicate, qnames);
-        push_datatype(text, lit.datatype());
-        text.push('>');
-        let open = text.len();
-        push_close_tag(text, name);
-        open
-    });
-    match tags {
-        Some((open, close)) => {
-            out.push_str(&names.tags.text[open]);
-            push_escaped(out, lit.lexical(), false);
-            out.push_str(&names.tags.text[close]);
-        }
-        None => {
-            let name = push_open_tag(out, predicate, &mut names.qnames);
-            push_datatype(out, lit.datatype());
-            out.push('>');
-            push_escaped(out, lit.lexical(), false);
-            push_close_tag(out, name);
-        }
-    }
-}
-
-/// Writes a property element's indent, `<` and name, and the inline
-/// `ns0` namespace of a predicate no prefix covers; returns where in
-/// `out` the name is.
-fn push_open_tag<'g>(
-    out: &mut String,
-    predicate: &'g Iri,
+    object: &Term,
     qnames: &mut QnameMemo<'g>,
-) -> Range<usize> {
+) {
     out.push_str("    <");
     let name_start = out.len();
     let qname = qnames.qname_parts(predicate);
@@ -246,24 +106,28 @@ fn push_open_tag<'g>(
         push_escaped(out, predicate.namespace(), true);
         out.push('"');
     }
-    name
-}
-
-/// Writes ` rdf:datatype="…"` unless `datatype` is `xsd:string`.
-fn push_datatype(out: &mut String, datatype: &Iri) {
-    if datatype.as_str() != xsd::STRING {
-        out.push_str(" rdf:datatype=\"");
-        push_escaped(out, datatype.as_str(), true);
-        out.push('"');
+    match object {
+        Term::Literal(lit) => {
+            if let Some(lang) = lit.language() {
+                out.push_str(" xml:lang=\"");
+                push_escaped(out, lang, true);
+                out.push('"');
+            } else if lit.datatype().as_str() != xsd::STRING {
+                out.push_str(" rdf:datatype=\"");
+                push_escaped(out, lit.datatype().as_str(), true);
+                out.push('"');
+            }
+            out.push('>');
+            push_escaped(out, lit.lexical(), false);
+            out.push_str("</");
+            out.extend_from_within(name);
+            out.push_str(">\n");
+        }
+        node => {
+            push_node_ref(out, "resource", node);
+            out.push_str("/>\n");
+        }
     }
-}
-
-/// Writes `</name>` and the line break, `name` where in `out` the
-/// opening tag wrote it.
-fn push_close_tag(out: &mut String, name: Range<usize>) {
-    out.push_str("</");
-    out.extend_from_within(name);
-    out.push_str(">\n");
 }
 
 /// Writes ` rdf:{iri_attr}="…"` for an IRI node, ` rdf:nodeID="…"` for

@@ -34,7 +34,7 @@ pub struct Iri(Arc<str>);
 
 impl Ord for Iri {
     fn cmp(&self, other: &Self) -> Ordering {
-        if self.same(other) {
+        if Arc::ptr_eq(&self.0, &other.0) {
             return Ordering::Equal;
         }
         self.0.cmp(&other.0)
@@ -105,12 +105,6 @@ impl Iri {
             return Err(RdfError::InvalidIri { iri: iri.to_string(), reason: FORBIDDEN_REASON });
         }
         Ok(Iri(iri.into()))
-    }
-
-    /// Whether `other` is a clone of this IRI: one text, no comparison.
-    /// Distinct IRIs of equal text are equal, but not the same.
-    pub(crate) fn same(&self, other: &Iri) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// The IRI text.

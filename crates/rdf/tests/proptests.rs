@@ -35,13 +35,13 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     proptest::collection::vec(arb_triple(), 0..40).prop_map(|v| v.into_iter().collect())
 }
 
-/// `arb_graph` plus triples that meet the RDF/XML writer's tag memo
-/// again and again: a prefixed predicate with literals of two datatypes
-/// and with a language tag, an un-prefixed (`ns0`) predicate, typed node
-/// elements of a prefixed and of an un-prefixed class. Every other
-/// extra triple names its predicate, class or datatype by an IRI of its
-/// own, of equal text: a key met by text, not by pointer.
-fn arb_memo_graph() -> impl Strategy<Value = Graph> {
+/// `arb_graph` plus triples whose RDF/XML elements repeat: a prefixed
+/// predicate with literals of two datatypes and with a language tag, an
+/// un-prefixed (`ns0`) predicate, typed node elements of a prefixed and
+/// of an un-prefixed class. Every other extra triple names its
+/// predicate, class or datatype by an IRI of its own, of equal text, so
+/// a name is met both as a clone and as an equal text.
+fn arb_repeating_graph() -> impl Strategy<Value = Graph> {
     let extra = (arb_iri(), 0..7usize, any::<i64>(), any::<bool>());
     (arb_graph(), proptest::collection::vec(extra, 0..24)).prop_map(|(graph, extra)| {
         let iri = |text: &str| Iri::new(text).unwrap();
@@ -266,9 +266,9 @@ proptest! {
     }
 
     /// RDF/XML round-trips losslessly through serialize → parse, with
-    /// keys its tag memo meets again, by pointer and by text.
+    /// elements that repeat, by clone and by equal text.
     #[test]
-    fn rdfxml_roundtrip(g in arb_memo_graph()) {
+    fn rdfxml_roundtrip(g in arb_repeating_graph()) {
         let mut prefixes = PrefixMap::with_well_known();
         prefixes.insert("t", "http://t.org/ns#");
         let xml = s2s_rdf::rdfxml::serialize(&g, &prefixes);
