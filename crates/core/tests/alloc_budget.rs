@@ -629,13 +629,7 @@ fn register_watches(
     rows: usize,
 ) {
     if records.is_some() {
-        let mut doc = String::from("<c>");
-        for i in 0..rows {
-            let (brand, price) = (i % 17, i % 300);
-            doc.push_str(&format!("<w><b>brand{brand}</b><p>{price}.5</p><k>steel</k></w>"));
-        }
-        doc.push_str("</c>");
-        let document = s2s_xml::parse(&doc).unwrap().into();
+        let document = s2s_xml::parse(&watches_xml(rows)).unwrap().into();
         s2s.register_source(id, Connection::Xml { document }).unwrap();
     } else {
         let mut db = s2s_minidb::Database::new("budget");
@@ -648,6 +642,23 @@ fn register_watches(
         }
         s2s.register_source(id, Connection::Database { db: db.into() }).unwrap();
     }
+    register_watch_rules(s2s, id, records, attributes);
+}
+
+/// A catalog of `rows` watches, each with its brand, price and case
+/// once, as one text run.
+fn watches_xml(rows: usize) -> String {
+    let mut doc = String::from("<c>");
+    for i in 0..rows {
+        let (brand, price) = (i % 17, i % 300);
+        doc.push_str(&format!("<w><b>brand{brand}</b><p>{price}.5</p><k>steel</k></w>"));
+    }
+    doc + "</c>"
+}
+
+/// Maps `attributes` to source `id`'s rules: XPaths of the records
+/// `records` selects, or SQL over its table.
+fn register_watch_rules(s2s: &mut S2s, id: &str, records: Option<&str>, attributes: &[&str]) {
     for attribute in attributes {
         let (column, field) = match *attribute {
             "brand" => ("brand", "b"),
@@ -744,4 +755,47 @@ fn a_filtered_query_costs_its_kept_records() {
     assert!(filtered.sources.iter().all(|r| r.pushed.len() == 2), "{:?}", filtered.sources);
     assert!(blocks <= 310, "{blocks} blocks for the filtered query");
     assert!(blocks <= twin_blocks + 6, "{blocks} blocks filtered, {twin_blocks} unfiltered");
+}
+
+/// A filtered query over a document whose records each hold their
+/// fields once reads a record's fields only as its test asks, and
+/// allocates no block per record: a warm query that reads 2 000 brands
+/// and keeps nothing costs over 4 000 what it costs over 2 000, but for
+/// the walk's two step buffers, which may grow once more. The document
+/// learns that of its records once, on the first filtered walk, and
+/// keeps it: the first query over a fresh document costs more than the
+/// first over one a filtered walk has read, and warm queries cost the
+/// same over both.
+#[test]
+fn a_warm_filtered_xml_query_allocates_no_block_per_record() {
+    use s2s_xml::xpath::{RecordFields, XPath};
+    let query = "SELECT watch WHERE brand = 'brand3' AND price < 0";
+    let cost = |rows: usize, read: bool| {
+        let document = s2s_xml::parse(&watches_xml(rows)).unwrap();
+        if read {
+            let path = XPath::new("/c/w/b/text()").unwrap();
+            let keep = |_, _: &RecordFields<'_>| false;
+            XPath::each_string_grouped(
+                &[&path],
+                &document,
+                &mut [|_: &str| {}],
+                Some((keep, &mut Vec::new())),
+            );
+        }
+        let mut s2s = S2s::new(ontology());
+        s2s.register_source("S", Connection::Xml { document: document.into() }).unwrap();
+        register_watch_rules(&mut s2s, "S", Some("/c/w"), &["brand", "price", "case"]);
+        let (_, first) = allocations(|| s2s.query(query).unwrap());
+        let (outcome, warm) = allocations(|| s2s.query(query).unwrap());
+        assert!(outcome.individuals().is_empty() && outcome.errors().is_empty());
+        let row = outcome.source("S").unwrap();
+        assert!(row.unfiltered.is_none() && row.pushed.len() == 2, "{row:?}");
+        (first, warm)
+    };
+    let (fresh, warm) = cost(2_000, false);
+    let (read, warm_read) = cost(2_000, true);
+    assert!(fresh > read, "{fresh} blocks over a fresh document, {read} over one read");
+    assert_eq!(warm, warm_read, "a warm query learns nothing of its document again");
+    let (_, large) = cost(4_000, false);
+    assert!(large <= warm + 2, "{warm} blocks at 2 000 records, {large} at 4 000");
 }

@@ -10,16 +10,18 @@
 //! included. Rule text names no range, so an XPath child comparison
 //! compares in the decimal space when its constant is a decimal and as
 //! a string otherwise. A [`Comparand`] holds its constant as written,
-//! reads it once when it is built — whether it lies in the space, and
-//! in the decimal and double spaces its nearest `f64` — and reads a
-//! candidate per test, allocating nothing. A candidate that is an `f64`
-//! is compared as a number wherever that answers what its text would
+//! reads it once when it is built — whether it lies in the space, in
+//! the decimal and integer spaces its sign and digits, in the decimal
+//! and double spaces its nearest `f64` — and reads a candidate per test,
+//! allocating nothing. A candidate that is an `f64` is compared as a
+//! number wherever that answers what its text would
 //! ([`Comparand::test_number`]).
 
 pub mod space;
 
 use std::cmp::Ordering;
 
+use space::Digits;
 pub use space::ValueSpace;
 
 /// A comparison operator of an S2SQL condition or a pushed constraint.
@@ -113,8 +115,11 @@ enum Reading {
     /// Outside the space, which is not the string space: no candidate
     /// satisfies the operator.
     Outside,
-    /// A decimal or double constant, and the `f64` nearest its value.
+    /// A double constant, and the `f64` nearest its value.
     Number(f64),
+    /// A decimal or integer constant's digits, and in the decimal space
+    /// the `f64` nearest its value.
+    Digits(Digits, Option<f64>),
 }
 
 impl<S: PartialEq> PartialEq for Comparand<S> {
@@ -129,6 +134,8 @@ impl<S: AsRef<str>> Comparand<S> {
         let text = constant.as_ref();
         let reading = if op == ConstraintOp::Like || space == ValueSpace::String {
             Reading::Text
+        } else if let Some(digits) = space.read(text) {
+            Reading::Digits(digits, space.nearest_f64(text))
         } else if let Some(c) = space.nearest_f64(text) {
             Reading::Number(c)
         } else if space.contains(text) {
@@ -180,6 +187,9 @@ impl<S: AsRef<str>> Comparand<S> {
             (_, _, Reading::Outside) => false,
             (ConstraintOp::Eq, ValueSpace::String, _) => candidate == constant,
             (ConstraintOp::Ne, ValueSpace::String, _) => candidate != constant,
+            (op, space, Reading::Digits(digits, _)) => {
+                space.compare_read(candidate, constant, digits).is_some_and(|ord| op.accepts(ord))
+            }
             (op, space, _) => space.compare(candidate, constant).is_some_and(|ord| op.accepts(ord)),
         }
     }
@@ -200,7 +210,9 @@ impl<S: AsRef<str>> Comparand<S> {
     /// the text: the constant may lie anywhere that rounds to `x`.
     #[inline]
     pub fn test_number(&self, x: f64) -> Option<bool> {
-        let Reading::Number(c) = self.reading else { return None };
+        let (Reading::Number(c) | Reading::Digits(_, Some(c))) = self.reading else {
+            return None;
+        };
         if !x.is_finite() {
             return Some(false);
         }

@@ -74,6 +74,34 @@ impl ValueSpace {
             ValueSpace::Double => double(a)?.partial_cmp(&double(b)?),
         }
     }
+
+    /// The digits of `constant`, read once for [`ValueSpace::compare_read`],
+    /// in the decimal and integer spaces; `None` outside the space and in
+    /// the others.
+    pub(crate) fn read(self, constant: &str) -> Option<Digits> {
+        match self {
+            ValueSpace::Decimal => Digits::read(constant),
+            ValueSpace::Integer => Digits::read(constant).filter(|_| !constant.contains('.')),
+            _ => None,
+        }
+    }
+
+    /// [`ValueSpace::compare`] of `candidate` against `constant`, whose
+    /// digits `digits` read ([`ValueSpace::read`]), reading only the
+    /// candidate.
+    #[inline]
+    pub(crate) fn compare_read(
+        self,
+        candidate: &str,
+        constant: &str,
+        digits: Digits,
+    ) -> Option<Ordering> {
+        let candidate = match self {
+            ValueSpace::Integer => integer(candidate)?,
+            _ => Decimal::parse(candidate)?,
+        };
+        Some(candidate.cmp(&digits.of(constant)))
+    }
 }
 
 /// A decimal value, borrowed from a lexical form: its sign, its whole
@@ -88,12 +116,29 @@ struct Decimal<'a> {
 }
 
 impl<'a> Decimal<'a> {
+    /// Reads a form in the decimal lexical space, trimmed.
+    #[inline]
+    fn parse(lexical: &'a str) -> Option<Decimal<'a>> {
+        Some(Digits::read(lexical)?.of(lexical))
+    }
+}
+
+/// Where a [`Decimal`]'s parts lie in the form it was read from: its
+/// sign and the byte ranges of its whole digits and its fraction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Digits {
+    negative: bool,
+    whole: (usize, usize),
+    fraction: (usize, usize),
+}
+
+impl Digits {
     /// Reads a form in the decimal lexical space, trimmed: one pass over
     /// the bytes, allocating nothing.
     #[inline]
-    fn parse(lexical: &'a str) -> Option<Decimal<'a>> {
-        let text = lexical.trim();
-        let form = text.as_bytes();
+    fn read(lexical: &str) -> Option<Digits> {
+        let lead = lexical.len() - lexical.trim_start().len();
+        let form = lexical.trim().as_bytes();
         let (negative, mut at) = match form.first()? {
             b'-' => (true, 1),
             b'+' => (false, 1),
@@ -107,27 +152,35 @@ impl<'a> Decimal<'a> {
         while form.get(at).is_some_and(u8::is_ascii_digit) {
             at += 1;
         }
-        let (whole, mut fraction) = (whole..at, at..at);
+        let (whole, mut fraction) = ((whole, at), (at, at));
         let mut digits = at - digits_from;
         if form.get(at) == Some(&b'.') {
             at += 1;
-            fraction.start = at;
+            fraction.0 = at;
             while form.get(at).is_some_and(u8::is_ascii_digit) {
                 at += 1;
             }
-            digits += at - fraction.start;
-            fraction.end = at;
-            while fraction.end > fraction.start && form[fraction.end - 1] == b'0' {
-                fraction.end -= 1;
+            digits += at - fraction.0;
+            fraction.1 = at;
+            while fraction.1 > fraction.0 && form[fraction.1 - 1] == b'0' {
+                fraction.1 -= 1;
             }
         }
         if at != form.len() || digits == 0 {
             return None;
         }
-        // The form is ASCII, so every cut is a char boundary.
-        let (whole, fraction) = (&text[whole], &text[fraction]);
-        let negative = negative && !(whole.is_empty() && fraction.is_empty());
-        Some(Decimal { negative, whole, fraction })
+        let negative = negative && (whole.0 < whole.1 || fraction.0 < fraction.1);
+        let shift = |(start, end): (usize, usize)| (lead + start, lead + end);
+        Some(Digits { negative, whole: shift(whole), fraction: shift(fraction) })
+    }
+
+    /// The decimal read from `lexical`, the form these digits were read
+    /// from. The form is ASCII where they lie, so every cut is a char
+    /// boundary.
+    #[inline]
+    fn of(self, lexical: &str) -> Decimal<'_> {
+        let cut = |(start, end): (usize, usize)| &lexical[start..end];
+        Decimal { negative: self.negative, whole: cut(self.whole), fraction: cut(self.fraction) }
     }
 }
 

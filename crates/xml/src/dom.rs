@@ -10,11 +10,13 @@
 //! parent's end. Names are interned, one symbol per distinct name, so a
 //! name test compares integers. All text — text runs, comments,
 //! attribute values and the names — sits in one `String`. Readers hold
-//! a `Copy` handle, [`Element`].
+//! a `Copy` handle, [`Element`]. One fact about the records is derived
+//! on first use and kept with the arena (`Document::regular`).
 
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A range of bytes in the text buffer, or of entries in the attribute
 /// list.
@@ -79,6 +81,14 @@ pub struct Document {
     /// one string a reader borrows from the document.
     pub(crate) widest: usize,
     pub(crate) had_declaration: bool,
+    /// The pairs [`Document::regular`] holds for, as [`pair`] keys in
+    /// order; derived on first use.
+    pub(crate) regular: OnceLock<Vec<u64>>,
+}
+
+/// The key of an (element name, child name) pair.
+fn pair(element: Sym, child: Sym) -> u64 {
+    u64::from(element) << 32 | u64::from(child)
 }
 
 impl Document {
@@ -125,6 +135,49 @@ impl Document {
     pub(crate) fn attribute_value(&self, id: u32, name: Sym) -> Option<&str> {
         let attributes = &self.attributes[self.spans[id as usize].range()];
         attributes.iter().find(|a| a.name == name).map(|a| self.str(a.value))
+    }
+
+    /// Whether every element named `element` has exactly one child
+    /// element named `child`, and that child holds one non-empty text
+    /// run and nothing else: then a record of that name has its field of
+    /// that name once, as one text run. The pairs this holds for are
+    /// derived from every node in one pass the first time it is asked,
+    /// and kept with the document.
+    pub(crate) fn regular(&self, element: Sym, child: Sym) -> bool {
+        let pairs = self.regular.get_or_init(|| self.regular_pairs());
+        pairs.binary_search(&pair(element, child)).is_ok()
+    }
+
+    fn regular_pairs(&self) -> Vec<u64> {
+        // One entry per child element of each element: its pair, and
+        // whether it is its parent's first child of that name and a leaf
+        // of one non-empty text run.
+        let mut entries: Vec<(u64, bool)> = Vec::new();
+        // Per name: how many elements have it, and the last element that
+        // had a child of it.
+        let (mut elements, mut last) =
+            (vec![0; self.symbols.len()], vec![u32::MAX; self.symbols.len()]);
+        let is_element = |n: &u32| self.kinds[*n as usize] == Kind::Element;
+        for e in (0..self.kinds.len() as u32).filter(is_element) {
+            let name = self.names[e as usize];
+            elements[name as usize] += 1;
+            for c in self.child_ids(e).filter(is_element) {
+                let child = self.names[c as usize];
+                let first = std::mem::replace(&mut last[child as usize], e) != e;
+                let run = (c + 1) as usize;
+                let leaf = self.ends[c as usize] as usize == run + 1
+                    && self.kinds[run] == Kind::Text
+                    && self.spans[run].len() > 0;
+                entries.push((pair(name, child), first && leaf));
+            }
+        }
+        crate::xpath::count_reads(entries.len());
+        entries.sort_unstable_by_key(|&(pair, _)| pair);
+        // A pair holds when each element of its name has one good entry.
+        let holds = |run: &&[(u64, bool)]| {
+            run.len() == elements[(run[0].0 >> 32) as usize] && run.iter().all(|&(_, good)| good)
+        };
+        entries.chunk_by(|a, b| a.0 == b.0).filter(holds).map(|run| run[0].0).collect()
     }
 
     fn node(&self, id: u32) -> Node<'_> {

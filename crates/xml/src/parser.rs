@@ -4,6 +4,7 @@
 //! sit on a stack of their own, so nesting costs heap, not call stack.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::dom::{Attribute, Document, Kind, Span, Sym, NO_NAME};
 use crate::error::XmlError;
@@ -82,6 +83,7 @@ impl<'a> Parser<'a> {
             text: String::new(),
             widest: 0,
             had_declaration: false,
+            regular: OnceLock::new(),
         };
         let (interned, open) = (HashMap::new(), Vec::new());
         Parser { input, bytes: input.as_bytes(), pos: 0, doc, interned, open }

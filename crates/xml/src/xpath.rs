@@ -22,6 +22,8 @@
 //! the document root (the first step must match the root element);
 //! a leading `//` searches all elements.
 
+use std::cell::Cell;
+
 use crate::dom::{Document, Element, Kind, Sym, NO_NAME};
 use crate::error::XmlError;
 use s2s_textmatch::{Comparand, ConstraintOp};
@@ -73,18 +75,63 @@ pub struct Grouped {
 /// of the kept records go. Unfiltered is `None::<RecordFilter>`.
 pub type RecordFilter<'a, K = fn(usize, &RecordFields<'_>) -> bool> = (K, &'a mut Vec<u32>);
 
+/// A path's field in a filtered walk: the name of the child it is, when
+/// read as it is asked for, and how many records had the field so far
+/// (`0`: not read yet) with the record's, borrowed from the document.
+type FieldSlot<'r> = (Sym, Cell<(u32, &'r str)>);
+
 /// One record of a filtered walk: its field of each path.
 pub struct RecordFields<'r> {
-    /// Per path, how many records had its field so far, and the
-    /// record's, borrowed from the document.
-    seen: &'r [(u32, &'r str)],
+    fields: &'r [FieldSlot<'r>],
+    /// The document and the record, when a field is read only once it
+    /// is asked for.
+    lazy: Option<(&'r Document, u32)>,
 }
 
 impl RecordFields<'_> {
     /// The record's field of `paths[j]`.
     pub fn get(&self, j: usize) -> &str {
-        self.seen[j].1
+        let (name, seen) = &self.fields[j];
+        match (seen.get(), self.lazy) {
+            ((0, _), Some((doc, record))) => {
+                // A regular record's one child of that name is a leaf of
+                // one text run.
+                let mut children = doc.child_ids(record);
+                let child = children.find(|&c| doc.names[c as usize] == *name);
+                let value =
+                    doc.str(doc.spans[child.expect("a regular record's field") as usize + 1]);
+                count_reads(1);
+                seen.set((1, value));
+                value
+            }
+            ((_, value), _) => value,
+        }
     }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Fields this thread's grouped walks read of their records.
+    static FIELDS_READ: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts `n` fields read of records ([`fields_read_on_this_thread`]).
+#[inline]
+pub(crate) fn count_reads(n: usize) {
+    #[cfg(debug_assertions)]
+    FIELDS_READ.with(|read| read.set(read.get() + n));
+    let _ = n;
+}
+
+/// How many fields of records the grouped walks on this thread read
+/// ([`XPath::each_string_grouped`]): one per field a walk reads to test
+/// a record or to write it, and one per child element a [`Document`]
+/// reads, once, to learn whether its records are regular. A diagnostic
+/// of debug builds, for tests.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn fields_read_on_this_thread() -> usize {
+    FIELDS_READ.with(Cell::get)
 }
 
 /// A compiled XPath expression.
@@ -239,13 +286,17 @@ fn read_fields<S: StringSink>(
     for &(j, field) in fields {
         if let Field::Attribute(Some(name)) = field {
             let values = records.clone().filter_map(|r| doc.attribute_value(r, name));
-            values.for_each(|value| sinks[j].push(value));
+            values.for_each(|value| {
+                count_reads(1);
+                sinks[j].push(value);
+            });
         }
     }
     let by_name = ByName::new(doc, fields);
     for child in records.flat_map(|record| doc.child_ids(record)) {
         for &(j, text) in by_name.of(doc, child) {
             if let Some(value) = child_value(doc.element(child), text, scratch) {
+                count_reads(1);
                 sinks[j].push(value);
             }
         }
@@ -270,9 +321,12 @@ fn read_kept<S: StringSink, K: FnMut(usize, &RecordFields<'_>) -> bool>(
     // Per field, how many of the records so far had one, and the
     // record's: each record has every field once exactly when all count
     // the records.
-    let mut seen = vec![(0, ""); fields.len()];
+    let seen = vec![(NO_NAME, Cell::new((0, ""))); fields.len()];
     for (k, &record) in (1..).zip(records) {
-        let mut found = |j: usize, value| seen[j] = (seen[j].0 + 1, value);
+        let found = |j: usize, value| {
+            count_reads(1);
+            seen[j].1.set((seen[j].1.get().0 + 1, value));
+        };
         for &(j, field) in fields {
             if let Field::Attribute(Some(name)) = field {
                 doc.attribute_value(record, name).into_iter().for_each(|v| found(j, v));
@@ -289,18 +343,79 @@ fn read_kept<S: StringSink, K: FnMut(usize, &RecordFields<'_>) -> bool>(
                 }
             }
         }
-        if composed || seen.iter().any(|&(n, _)| n != k) {
+        if composed || seen.iter().any(|(_, seen)| seen.get().0 != k) {
             ordinals.clear();
             read_fields(doc, records.iter().copied(), fields, sinks, scratch);
             return false;
         }
-        if keep(k as usize - 1, &RecordFields { seen: &seen }) {
+        if keep(k as usize - 1, &RecordFields { fields: &seen, lazy: None }) {
             ordinals.push(k - 1);
         }
     }
     let kept = ordinals.iter().map(|&k| records[k as usize]);
     read_fields(doc, kept, fields, sinks, scratch);
     true
+}
+
+/// The fields of a filtered walk, to be read only as they are asked
+/// for, when the document guarantees each record what [`read_kept`]
+/// would check it for: every field is a child named in full, and every
+/// record's name is [`Document::regular`] with each.
+fn lazy_fields<'d>(
+    doc: &'d Document,
+    records: &[u32],
+    fields: &[(usize, Field)],
+) -> Option<Vec<FieldSlot<'d>>> {
+    let name = |field| match field {
+        Field::Child { name: Resolved::Full(name), .. } => Some(name),
+        _ => None,
+    };
+    let names: Vec<_> = fields
+        .iter()
+        .map(|&(_, f)| name(f).map(|n| (n, Cell::default())))
+        .collect::<Option<_>>()?;
+    // Records usually share one name, so a name checked is not checked
+    // again for the next record.
+    let mut checked = NO_NAME;
+    let mut regular = |&record: &u32| {
+        let element = doc.names[record as usize];
+        let regular =
+            element == checked || names.iter().all(|&(child, _)| doc.regular(element, child));
+        checked = element;
+        regular
+    };
+    records.iter().all(&mut regular).then_some(names)
+}
+
+/// [`read_kept`] over regular records ([`lazy_fields`]), which always
+/// line up: a record's field is read when `keep` asks for it or the
+/// record is kept, and only once.
+fn kept_lazily<'d, S: StringSink, K: FnMut(usize, &RecordFields<'_>) -> bool>(
+    doc: &'d Document,
+    records: &[u32],
+    fields: &'d [FieldSlot<'d>],
+    sinks: &mut [S],
+    (keep, ordinals): &mut RecordFilter<'_, K>,
+) {
+    // Per kept record, its fields as its test left them.
+    let mut tested = Vec::new();
+    for (k, &record) in (0..).zip(records) {
+        fields.iter().for_each(|(_, seen)| seen.set((0, "")));
+        if keep(k as usize, &RecordFields { fields, lazy: Some((doc, record)) }) {
+            ordinals.push(k);
+            tested.extend(fields.iter().map(|(_, seen)| seen.get()));
+        }
+    }
+    for sink in sinks.iter_mut() {
+        size(sink, doc, ordinals.len());
+    }
+    for (&k, row) in ordinals.iter().zip(tested.chunks(fields.len())) {
+        fields.iter().zip(row).for_each(|((_, seen), &tested)| seen.set(tested));
+        let record = RecordFields { fields, lazy: Some((doc, records[k as usize])) };
+        for (j, sink) in sinks.iter_mut().enumerate() {
+            sink.push(record.get(j));
+        }
+    }
 }
 
 /// What a path ending at `child` yields from it: its own text if
@@ -524,9 +639,12 @@ impl XPath {
     /// when it is one walk over every path: `keep` is asked about each
     /// record, with its field of every path, before any of its fields is
     /// written, and the position of each kept record among the records,
-    /// in document order, goes to `ordinals`. When some record has a
-    /// field missing or repeated — its fields would not line up with the
-    /// records — every record is read, and `ordinals` is left empty.
+    /// in document order, goes to `ordinals`. Where the document vouches
+    /// that every record has each field once, as one text run, a field
+    /// is read only when `keep` asks for it or its record is kept. When
+    /// some record has a field missing or repeated — its fields would
+    /// not line up with the records — every record is read, and
+    /// `ordinals` is left empty.
     ///
     /// # Panics
     ///
@@ -561,7 +679,13 @@ impl XPath {
             let records = path.select(doc.root(), at);
             match &mut filter {
                 Some(filter) if fields.len() == paths.len() => {
-                    grouped.filtered = read_kept(doc, &records, &fields, sinks, filter);
+                    grouped.filtered = match lazy_fields(doc, &records, &fields) {
+                        Some(lazy) => {
+                            kept_lazily(doc, &records, &lazy, sinks, filter);
+                            true
+                        }
+                        None => read_kept(doc, &records, &fields, sinks, filter),
+                    };
                 }
                 _ => read_fields(doc, records.iter().copied(), &fields, sinks, &mut scratch),
             }
@@ -1058,5 +1182,64 @@ mod tests {
         // Both prefixed and local names match.
         assert_eq!(XPath::new("/root/item/text()").unwrap().eval_strings(&d), ["v"]);
         assert_eq!(XPath::new("/x:root/x:item/text()").unwrap().eval_strings(&d), ["v"]);
+    }
+
+    /// A column's strings, sized once.
+    #[derive(Default)]
+    struct Column(Vec<String>);
+
+    impl StringSink for Column {
+        fn push(&mut self, string: &str) {
+            self.0.push(string.to_string());
+        }
+    }
+
+    /// A filtered walk over a regular catalog reads each record's tested
+    /// field, then the kept records' other two; the fact it relies on is
+    /// derived by the first walk only. One record missing a field makes
+    /// the walk read every field to check the records, then every field
+    /// again to write them unfiltered.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_filtered_walk_reads_the_tested_field_then_the_kept_records() {
+        let catalog = |missing: Option<usize>| {
+            let mut xml = String::from("<c>");
+            for i in 0..1_000 {
+                let price = if missing == Some(i) { String::new() } else { format!("<p>{i}</p>") };
+                xml.push_str(&format!("<w><b>b{}</b>{price}<k>steel</k></w>", i % 10));
+            }
+            parse(&(xml + "</c>")).unwrap()
+        };
+        let paths: Vec<XPath> =
+            ["b", "p", "k"].map(|f| XPath::new(&format!("/c/w/{f}/text()")).unwrap()).into();
+        let refs: Vec<&XPath> = paths.iter().collect();
+        // Fields read, whether filtered, the kept positions and columns.
+        let walk = |doc: &Document| {
+            let before = fields_read_on_this_thread();
+            let mut columns: Vec<Column> = (0..3).map(|_| Column::default()).collect();
+            let mut ordinals = Vec::new();
+            let keep = |_, fields: &RecordFields<'_>| fields.get(0) == "b3";
+            let filter = Some((keep, &mut ordinals));
+            let grouped = XPath::each_string_grouped(&refs, doc, &mut columns, filter);
+            let columns: Vec<Vec<String>> = columns.into_iter().map(|c| c.0).collect();
+            (fields_read_on_this_thread() - before, grouped.filtered, ordinals, columns)
+        };
+        let regular = catalog(None);
+        let (first, filtered, ordinals, columns) = walk(&regular);
+        assert!(filtered);
+        assert_eq!(ordinals, (0..100).map(|k| 10 * k + 3).collect::<Vec<u32>>());
+        assert_eq!(columns[1][..2], ["3", "13"]);
+        assert!(columns.iter().all(|c| c.len() == 100));
+        let (second, ..) = walk(&regular);
+        assert_eq!(second, 1_000 + 100 * 2, "the tested field of each record, then the kept");
+        assert_eq!(first, second + 1_000 + 3_000, "the first walk reads each child element once");
+        // The last record lacks its price: nothing is regular, and the
+        // records are checked and written whole.
+        let irregular = catalog(Some(999));
+        walk(&irregular);
+        let (read, filtered, ordinals, columns) = walk(&irregular);
+        assert!(!filtered && ordinals.is_empty());
+        assert_eq!(columns.iter().map(Vec::len).collect::<Vec<_>>(), [1_000, 999, 1_000]);
+        assert_eq!(read, 2 * 2_999, "every field, checked then written");
     }
 }
