@@ -15,8 +15,11 @@
 //!   individual, and every attribute failed;
 //! * for any other source (its faults are rescued by a replica or the
 //!   retry budget): one individual per record that passes the `WHERE`
-//!   — record 0 alone for a single-record source — whose lines are its
-//!   property → value pairs as the source's payload spells them (an
+//!   — record 0 alone for a single-record source — named as its IRI
+//!   names it (the source's path segment and the record number), whose
+//!   lines are its property → literal pairs: a value in its range's
+//!   lexical space a literal of that datatype, its text trimmed (D28);
+//!   any other a plain string, as the source's payload spells it (an
 //!   XML or web price may be padded).
 //!
 //! A condition compares in its attribute's declared range
@@ -35,12 +38,13 @@ use crate::scenario::{
     attribute_path, payload_value, Condition, FaultClass, Record, Scenario, ATTRS, RANGES,
 };
 
-/// One answer, free of order and IRIs: a line per individual and the
-/// failed `(source, attribute path)` pairs.
+/// One answer, free of order: a line per individual and the failed
+/// `(source, attribute path)` pairs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Answer {
-    /// `source property="value" …` per individual, properties by name;
-    /// sorted, and a multiset (equal records give equal lines).
+    /// `segment#record property="value"^^datatype …` per individual,
+    /// properties by name, no `^^` on a plain string; sorted, and a
+    /// multiset (equal records give equal lines).
     pub individuals: Vec<String>,
     /// The failed `(source, attribute path)` pairs.
     pub failed: BTreeSet<(String, String)>,
@@ -56,20 +60,19 @@ impl Answer {
         Answer { individuals, failed: failed.into_iter().collect() }
     }
 
-    /// The line of one individual, record `record` of `source`, from its
-    /// `(property, value)` pairs, in any order.
+    /// The line of one individual, record `record` of the source whose
+    /// IRI segment is `segment`, from its `(property, lexical form,
+    /// datatype)` triples in any order: the datatype as `^^xsd:name`
+    /// (`@tag` for a language), empty for a plain string.
     pub(crate) fn line<'a>(
-        source: &str,
+        segment: &str,
         record: impl fmt::Display,
-        values: impl IntoIterator<Item = (&'a str, &'a str)>,
+        values: impl IntoIterator<Item = (&'a str, String, String)>,
     ) -> String {
-        let mut values: Vec<(&str, &str)> = values.into_iter().collect();
+        let mut values: Vec<String> =
+            values.into_iter().map(|(p, lexical, d)| format!(" {p}={lexical:?}{d}")).collect();
         values.sort();
-        let mut line = format!("{source}#{record}");
-        for (property, value) in values {
-            line.push_str(&format!(" {property}={value:?}"));
-        }
-        line
+        format!("{segment}#{record}{}", values.concat())
     }
 
     /// Whether every individual of `self` is one of `other`'s, counted
@@ -107,22 +110,16 @@ impl Scenario {
         let mut individuals = Vec::new();
         let mut failed = Vec::new();
         for (i, spec) in self.sources.iter().enumerate() {
-            let source = format!("SRC_{i}");
             if matches!(spec.fault, FaultClass::HardDown | FaultClass::HostileRule(_)) {
-                failed.extend((0..ATTRS.len()).map(|a| (source.clone(), attribute_path(a))));
+                failed.extend((0..ATTRS.len()).map(|a| (format!("SRC_{i}"), attribute_path(a))));
                 continue;
             }
             let described = if spec.single_record { &records[..1] } else { records };
             for (index, record) in described.iter().enumerate() {
                 if self.selects(record, |_| true) {
-                    let values: Vec<String> = (0..ATTRS.len())
-                        .map(|a| payload_value(spec.kind, index, record, a))
-                        .collect();
-                    individuals.push(Answer::line(
-                        &source,
-                        index,
-                        ATTRS.iter().copied().zip(values.iter().map(String::as_str)),
-                    ));
+                    let values = (0..ATTRS.len())
+                        .map(|a| literal(a, &payload_value(spec.kind, index, record, a)));
+                    individuals.push(Answer::line(&format!("src_{i}"), index, values));
                 }
             }
         }
@@ -139,6 +136,19 @@ impl Scenario {
             mapped(c.attr) && holds(RANGES[c.attr], &c.op, value, &c.value)
         };
         self.conditions.iter().all(|c| c.holds(&leaf))
+    }
+}
+
+/// The `(property, lexical form, datatype)` that `value` of `ATTRS[attr]`
+/// becomes: typed by its range when it is in the range's lexical space
+/// (only `decimal` besides `string` is declared), its text trimmed; a
+/// plain string as spelled otherwise.
+pub(crate) fn literal(attr: usize, value: &str) -> (&'static str, String, String) {
+    match RANGES[attr] {
+        "decimal" if decimal(value).is_some() => {
+            (ATTRS[attr], value.trim().to_string(), "^^xsd:decimal".to_string())
+        }
+        _ => (ATTRS[attr], value.to_string(), String::new()),
     }
 }
 
@@ -169,24 +179,10 @@ fn holds(range: &str, op: &str, value: &str, constant: &str) -> bool {
 /// padded to one width, whole digits on the left and fraction digits on
 /// the right, so their text orders as their values do.
 fn decimal_order(a: &str, b: &str) -> Option<Ordering> {
-    let split = |form: &str| -> Option<(bool, String, String)> {
-        let form = form.trim();
-        let (negative, unsigned) = match form.strip_prefix('-') {
-            Some(rest) => (true, rest),
-            None => (false, form.strip_prefix('+').unwrap_or(form)),
-        };
-        let (whole, fraction) = match unsigned.find('.') {
-            Some(at) => (&unsigned[..at], &unsigned[at + 1..]),
-            None => (unsigned, ""),
-        };
-        let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
-        let valid = digits(whole) && digits(fraction) && whole.len() + fraction.len() > 0;
-        valid.then(|| (negative, whole.to_string(), fraction.to_string()))
-    };
-    let ((a_neg, a_whole, a_frac), (b_neg, b_whole, b_frac)) = (split(a)?, split(b)?);
+    let ((a_neg, a_whole, a_frac), (b_neg, b_whole, b_frac)) = (decimal(a)?, decimal(b)?);
     let (w, f) = (a_whole.len().max(b_whole.len()), a_frac.len().max(b_frac.len()));
     let magnitude = |whole: &str, frac: &str| format!("{whole:0>w$}{frac:0<f$}");
-    let (a_mag, b_mag) = (magnitude(&a_whole, &a_frac), magnitude(&b_whole, &b_frac));
+    let (a_mag, b_mag) = (magnitude(a_whole, a_frac), magnitude(b_whole, b_frac));
     // Zero has no sign: `-0` is `+0`.
     let zero = "0".repeat(w + f);
     let (a_neg, b_neg) = (a_neg && a_mag != zero, b_neg && b_mag != zero);
@@ -196,6 +192,21 @@ fn decimal_order(a: &str, b: &str) -> Option<Ordering> {
         (true, false) => Ordering::Less,
         (false, true) => Ordering::Greater,
     })
+}
+
+/// A decimal form's sign, whole digits and fraction digits, `None`
+/// unless it is in the lexical space `[+-]?(\d+(\.\d*)?|\.\d+)` once
+/// trimmed.
+fn decimal(form: &str) -> Option<(bool, &str, &str)> {
+    let form = form.trim();
+    let (negative, unsigned) = match form.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, form.strip_prefix('+').unwrap_or(form)),
+    };
+    let (whole, fraction) = unsigned.split_once('.').unwrap_or((unsigned, ""));
+    let digits = |s: &str| s.chars().all(|c| c.is_ascii_digit());
+    let valid = digits(whole) && digits(fraction) && whole.len() + fraction.len() > 0;
+    valid.then_some((negative, whole, fraction))
 }
 
 /// SQL `LIKE`: `%` matches any run of characters, `_` any one.
@@ -249,8 +260,8 @@ mod tests {
         assert_eq!(
             expected.individuals,
             [
-                r#"SRC_0#0 brand="seiko" case="steel" price="169""#,
-                r#"SRC_1#0 brand="seiko" case="steel" price=" 169 ""#,
+                r#"src_0#0 brand="seiko" case="steel" price="169"^^xsd:decimal"#,
+                r#"src_1#0 brand="seiko" case="steel" price="169"^^xsd:decimal"#,
             ]
         );
         let failed: Vec<(&str, &str)> =
@@ -270,8 +281,8 @@ mod tests {
         assert_eq!(
             scenario.expected().individuals,
             [
-                r#"SRC_0#1 brand="timex" case="carbon" price="137""#,
-                r#"SRC_0#2 brand="rado" case="resin" price="214""#,
+                r#"src_0#1 brand="timex" case="carbon" price="137"^^xsd:decimal"#,
+                r#"src_0#2 brand="rado" case="resin" price="214"^^xsd:decimal"#,
             ]
         );
     }

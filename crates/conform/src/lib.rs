@@ -14,15 +14,13 @@
 //! * [`expected`] — the ground truth: [`Scenario::expected`] computes the
 //!   answer from the records, the conditions and each source's kind,
 //!   record scenario and fault class, naming no crate of the workspace,
-//! * [`oracle`] — runs one scenario through every arm (batched, replay,
-//!   pooled, decoy, views through mutation rounds, bootstrap,
-//!   overload, flaky endpoints) and checks each answer against the
-//!   ground truth, plus the invariants that are not answers: the
-//!   `QueryStats` the docs promise, replay cost, shed honesty, wire
-//!   monotonicity, pruning, view accounting and determinism,
+//! * [`oracle`] — runs one scenario through every row of one table of
+//!   arms, reads each answer back from the RDF a client receives and
+//!   checks it against the ground truth, plus the invariants that are
+//!   not answers,
 //! * [`meta`] — metamorphic rewrites (S2SQL spelling variants,
 //!   condition reordering, source/attribute registration permutation),
-//!   each one more arm,
+//!   each one more row,
 //! * [`shrink`](mod@shrink) — a greedy minimizer reducing a failing scenario to a
 //!   small repro,
 //! * [`case`] — self-contained text case files for repros, replayed

@@ -1,8 +1,8 @@
 //! Metamorphic relations: rewrites that must not change the answer.
 //!
-//! Each rewrite runs on a fresh identically-seeded engine, so it is the
-//! only difference, and its answer is checked against the ground truth
-//! ([`Scenario::expected`]) as one more arm:
+//! Each rewrite is one more row of the arm table ([`crate::oracle`]): a
+//! fresh identically-seeded engine, so the rewrite is the only
+//! difference, owing the ground truth ([`Scenario::expected`]):
 //!
 //! 1. **S2SQL spelling** (`spelling-variant`) — whitespace padding,
 //!    keyword case, quote style, bare constraints, `<>` for `!=` and
@@ -20,62 +20,43 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2s_core::query;
 
-use crate::expected::Answer;
-use crate::oracle::{ground_truth, Violation};
+use crate::oracle::{Checks, Violation};
 use crate::scenario::{spells_bare, BuildConfig, Cond, Scenario, ATTRS};
 
-/// Runs every metamorphic rewrite and checks its answer against
-/// `expected`.
-pub fn check_metamorphic(scenario: &Scenario, expected: &Answer) -> Vec<Violation> {
-    let mut violations = Vec::new();
+/// Every metamorphic rewrite as `(arm name, build config, query text)`;
+/// pushes `meta-normalize` when the spelling variant keys apart from
+/// the canonical text (and then leaves that rewrite out).
+pub(crate) fn rewrites(
+    scenario: &Scenario,
+    violations: &mut Vec<Violation>,
+) -> Vec<(String, BuildConfig, String)> {
     let canonical = scenario.query_text();
     let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x5EED_5EED_5EED_5EED);
-    let mut arm = |name: &str, config: BuildConfig, query: &str| {
-        let outcome = scenario.build(&config).query(query).expect("the rewrite is valid S2SQL");
-        ground_truth(name, &outcome, expected, &mut violations);
-    };
-
-    // 1. Spelling variant.
+    let batched = BuildConfig::batched;
+    let mut rewrites = Vec::new();
     let variant = spelling_variant(scenario, &mut rng);
     let normalizes = query::normalize(&variant) == query::normalize(&canonical);
+    violations.check(normalizes, "meta-normalize", || {
+        format!(
+            "spelling variant normalizes differently\ncanonical: {canonical}\nvariant: {variant}"
+        )
+    });
     if normalizes {
-        arm(&format!("spelling-variant {variant:?}"), BuildConfig::batched(), &variant);
+        rewrites.push((format!("spelling-variant {variant:?}"), batched(), variant));
     }
-
-    // 2. Condition reordering (needs at least two conditions).
     if scenario.conditions.len() >= 2 {
-        let mut text = String::from("SELECT watch");
-        for (i, c) in scenario.conditions.iter().rev().enumerate() {
-            text.push_str(if i == 0 { " WHERE " } else { " AND " });
-            text.push_str(&c.render());
-        }
-        arm(&format!("reordered-conditions {text:?}"), BuildConfig::batched(), &text);
+        let conditions = scenario.conditions.iter().rev().cloned().collect();
+        let text = Scenario { conditions, ..scenario.clone() }.query_text();
+        rewrites.push((format!("reordered-conditions {text:?}"), batched(), text));
     }
-
-    // 3. Registration permutations.
     if scenario.sources.len() >= 2 {
         let order = (0..scenario.sources.len()).rev().collect();
-        arm(
-            "reversed-sources",
-            BuildConfig { source_order: Some(order), ..BuildConfig::batched() },
-            &canonical,
-        );
+        let config = BuildConfig { source_order: Some(order), ..batched() };
+        rewrites.push(("reversed-sources".into(), config, canonical.clone()));
     }
-    arm(
-        "rotated-attributes",
-        BuildConfig { attr_order: Some(vec![1, 2, 0]), ..BuildConfig::batched() },
-        &canonical,
-    );
-
-    if !normalizes {
-        violations.push(Violation {
-            oracle: "meta-normalize".into(),
-            detail: format!(
-                "spelling variant normalizes differently\ncanonical: {canonical}\nvariant: {variant}"
-            ),
-        });
-    }
-    violations
+    let config = BuildConfig { attr_order: Some(vec![1, 2, 0]), ..batched() };
+    rewrites.push(("rotated-attributes".into(), config, canonical));
+    rewrites
 }
 
 /// Rewrites the canonical query into another spelling of the same parse

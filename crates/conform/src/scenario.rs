@@ -37,6 +37,9 @@ pub const SPELLED_BRANDS: [&str; 8] = ["10", "9", "007", "1e1", "NaN", "zénith"
 /// Case materials a spelled catalog adds, in the same kinds.
 pub const SPELLED_CASES: [&str; 6] = ["10", "9", "007", "céramique", "チタン", "d'or"];
 
+/// The scenario ontology's namespace.
+pub const NS: &str = "http://conform.example/schema#";
+
 /// The XSD namespace the scenario ontology's ranges are in.
 pub const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
 
@@ -623,7 +626,7 @@ pub(crate) fn spells_bare(value: &str) -> bool {
 
 /// The watch ontology shared by every scenario.
 pub fn ontology() -> Ontology {
-    Ontology::builder("http://conform.example/schema#")
+    Ontology::builder(NS)
         .class("Product", None)
         .unwrap()
         .class("Watch", Some("Product"))
@@ -787,7 +790,7 @@ pub(crate) fn rule_for(kind: SourceKindSpec, attr: usize) -> ExtractionRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expected::Answer;
+    use crate::oracle::Reader;
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -823,7 +826,8 @@ mod tests {
                 spelled: true,
             };
             let outcome = sc.build(&BuildConfig::batched()).query(&sc.query_text()).unwrap();
-            assert_eq!(Answer::from(&outcome), sc.expected(), "single_record {single_record}");
+            let answer = Reader::new(sc.seed).read(&outcome, 0);
+            assert_eq!(answer, sc.expected(), "single_record {single_record}");
         }
     }
 }

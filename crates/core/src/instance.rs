@@ -624,7 +624,7 @@ fn emit_triples(
             let mut leaf = |k: usize, c: &ResolvedCondition| {
                 columns[k].value(i).is_some_and(|v| condition_matches(c, v))
             };
-            if tested.is_some() && !fold.holds(0, &mut leaf) {
+            if tested.is_some() && !fold.holds(&mut leaf) {
                 continue;
             }
             // The projection applies after the condition: condition

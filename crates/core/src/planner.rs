@@ -278,22 +278,18 @@ impl<'c> Fold<'c> {
         self.program.iter().filter_map(|test| test.leaf)
     }
 
-    /// Whether a record satisfies the folded condition, its tests run
-    /// from test `at` on (`0`: all of it); `true` when none is folded
-    /// in. `leaf(j, c)` says whether the record's value of rule `j`
-    /// satisfies the leaf `c` ([`crate::query::condition_matches`] on
-    /// its text, or on a number where that answers the same) — `false`
-    /// when it has none; a single-record rule's one value is every
-    /// record's. An operand is tested only when the one before it left
+    /// Whether a record satisfies the folded condition; `true` when
+    /// none is folded in. `leaf(j, c)` says whether the record's value
+    /// of rule `j` satisfies the leaf `c` ([`crate::query::condition_matches`]
+    /// on its text, or on a number where that answers the same) —
+    /// `false` when it has none; a single-record rule's one value is
+    /// every record's. An operand is tested only when the one before it left
     /// its operator undecided, as [`ConditionTree::matches`] evaluates.
-    pub(crate) fn holds(
-        &self,
-        mut at: usize,
-        leaf: &mut impl FnMut(usize, &ResolvedCondition) -> bool,
-    ) -> bool {
+    pub(crate) fn holds(&self, leaf: &mut impl FnMut(usize, &ResolvedCondition) -> bool) -> bool {
         if self.program.is_empty() {
             return true;
         }
+        let mut at = 0;
         loop {
             let test = self.program[at];
             let pass = test.leaf.is_some_and(|c| leaf(test.rule as usize, c));
@@ -415,7 +411,7 @@ mod tests {
                     calls.push((j, c as *const ResolvedCondition));
                     value(j).is_some_and(|v| condition_matches(c, v))
                 };
-                let got = fold.holds(0, &mut |j, c| leaf(&mut calls.0, j, c));
+                let got = fold.holds(&mut |j, c| leaf(&mut calls.0, j, c));
                 let want = reference(&tree, &readers, &mut |j, c| leaf(&mut calls.1, j, c));
                 assert_eq!(got, want, "case {case}, record {record}: {tree:?}");
                 assert_eq!(calls.0, calls.1, "case {case}, record {record}: {tree:?}");

@@ -107,7 +107,7 @@ impl Wrapper for Db<'_> {
             if let Some(first_only) = Filter::first_only(mappings).filter(|_| resolved) {
                 let keep = |row: usize| {
                     (row == 0 || !first_only)
-                        && fold.holds(0, &mut |j, c| {
+                        && fold.holds(&mut |j, c| {
                             let cell = selection.cell(columns[j], row);
                             cell.is_some_and(|cell| satisfies(cell, c, printed))
                         })

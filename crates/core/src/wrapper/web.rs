@@ -86,7 +86,7 @@ impl Wrapper for Web<'_> {
         let (fold, ordinals) = (&filter.fold, &mut filter.ordinals);
         let value = |j: usize, i| if single(j) { columns[j].first() } else { columns[j].get(i) };
         let kept = (0..records).filter(|&i| {
-            fold.holds(0, &mut |j, c| value(j, i).is_some_and(|v| condition_matches(c, v)))
+            fold.holds(&mut |j, c| value(j, i).is_some_and(|v| condition_matches(c, v)))
         });
         ordinals.clear();
         ordinals.reserve(records);

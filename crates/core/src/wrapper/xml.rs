@@ -100,7 +100,7 @@ impl Wrapper for Xml<'_> {
         let (fold, ordinals) = (&filter.fold, &mut filter.ordinals);
         let keep = |k: usize, fields: &RecordFields<'_>| {
             (k == 0 || first_only == Some(false))
-                && fold.holds(0, &mut |j, c| condition_matches(c, fields.get(j)))
+                && fold.holds(&mut |j, c| condition_matches(c, fields.get(j)))
         };
         let bound = first_only.map(|_| (keep, ordinals));
         let grouped = XPath::each_string_grouped(&paths, self.0, &mut columns, bound);
